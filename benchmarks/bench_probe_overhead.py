@@ -10,10 +10,11 @@ the overhead fraction:
 
 * ``benchmarks/results/probe_overhead.json`` -- this session's
   measurement (the schema-versioned envelope every bench emits);
-* ``BENCH_PROBES.json`` at the repo root -- the committed trajectory,
-  one appended entry per recorded run, which CI's perf-regression gate
-  (``benchmarks/check_perf_regression.py --probes-result ...``) compares
-  fresh runs against.
+* ``BENCH_PROBES.json`` at the repo root -- a trajectory, one appended
+  entry per recorded run.  None is committed: the file appears only after
+  a local run with recording on, so CI's perf-regression gate
+  (``benchmarks/check_perf_regression.py --probes-result ...``) holds
+  fresh runs to the absolute ``--max-probe-overhead`` bar alone.
 
 Scale control (environment variables):
 
@@ -22,7 +23,7 @@ Scale control (environment variables):
 * ``REPRO_BENCH_PROBES_ROUNDS``  -- off/on timing pairs (default 2)
 * ``REPRO_BENCH_PROBES_MAX_OVERHEAD`` -- assertion bar (default 0.10)
 * ``REPRO_BENCH_PROBES_RECORD``  -- set to 0 to skip appending to the
-  committed trajectory (CI smoke runs at tiny scale should not pollute it)
+  trajectory (CI smoke runs at tiny scale should not pollute it)
 
 The physical substrate is skipped: it adds identical fixed cost to both
 sides, which would only *flatter* the overhead ratio.
@@ -45,7 +46,7 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_PROBES_ROUNDS", "2"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_PROBES_MAX_OVERHEAD", "0.10"))
 RECORD = os.environ.get("REPRO_BENCH_PROBES_RECORD", "1") != "0"
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_PROBES.json"
-TRAJECTORY_KEEP = 50  # most recent entries retained in the committed file
+TRAJECTORY_KEEP = 50  # most recent entries retained in the trajectory file
 
 
 def _cell(probes: bool):

@@ -13,7 +13,7 @@ comparisons the reproduction validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -76,9 +76,6 @@ class ExperimentScale:
     probes: bool = False
     # Worker processes for grid population (1 = serial, 0 = all cores).
     jobs: int = 1
-    # Engine event-queue implementation ("heap" or "calendar"); results
-    # are bit-identical either way (see docs/PERFORMANCE.md).
-    scheduler: str = "heap"
 
     @staticmethod
     def paper() -> "ExperimentScale":
@@ -87,19 +84,15 @@ class ExperimentScale:
 
     def config(self, algorithm: str, topology: str) -> RunConfig:
         if self.n_peers == 10_000 and self.n_queries == 30_000:
-            config = paper_config(algorithm, topology, seed=self.seed)
-        else:
-            config = scaled_config(
-                algorithm,
-                topology,
-                n_peers=self.n_peers,
-                n_queries=self.n_queries,
-                seed=self.seed,
-                use_physical_network=self.use_physical_network,
-            )
-        if self.scheduler != config.scheduler:
-            config = dataclasses_replace(config, scheduler=self.scheduler)
-        return config
+            return paper_config(algorithm, topology, seed=self.seed)
+        return scaled_config(
+            algorithm,
+            topology,
+            n_peers=self.n_peers,
+            n_queries=self.n_queries,
+            seed=self.seed,
+            use_physical_network=self.use_physical_network,
+        )
 
 
 class ExperimentGrid:

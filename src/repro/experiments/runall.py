@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments.runall [--peers N] [--queries Q] [--seed S]
                                        [--jobs J] [--profile] [--telemetry]
                                        [--probes] [--live]
-                                       [--scheduler heap|calendar]
                                        [--output report.md]
 
 Runs the full (algorithm x topology) grid once, renders all ten figures,
@@ -80,7 +79,6 @@ def build_report(
         f"- peers: {scale.n_peers}",
         f"- queries: {scale.n_queries}",
         f"- seed: {scale.seed}",
-        f"- scheduler: {scale.scheduler}",
         f"- algorithms: {', '.join(scale.algorithms)}",
         f"- topologies: {', '.join(scale.topologies)}",
         "",
@@ -374,13 +372,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stream a live sweep status line (per-cell progress and "
         "current hotspots) to stderr while cells run; implies --telemetry",
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default="heap",
-        help="engine event-queue implementation; figures and fingerprints "
-        "are bit-identical either way (calendar can be faster at scale)",
-    )
     args = parser.parse_args(argv)
 
     scale = ExperimentScale(
@@ -392,7 +383,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry=args.telemetry or args.live,
         probes=args.probes,
         jobs=args.jobs,
-        scheduler=args.scheduler,
     )
     start = time.time()
     grid = ExperimentGrid(scale)

@@ -17,7 +17,7 @@ one deterministic snapshot per tick:
 * **occupancy** -- per-node cache occupancy and eviction pressure
   (nodes pinned at capacity);
 * **backend** -- arena free-list / slot-index health and engine gauges
-  (queue depth, cohort batch sizes, batched-kernel dispatch counters).
+  (live and raw queue depth, events processed).
 
 Determinism contract.  Snapshots are read-only, consume no randomness, and
 schedule exactly zero events when probing is off, so enabling probes never
@@ -308,7 +308,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
 
 
 def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
-    """Backend/introspection gauges: arena health + engine scheduler state.
+    """Backend/introspection gauges: arena health + engine queue state.
 
     Deliberately *excluded* from the comparable protocol-state section --
     the reference store has no arena and disables the batched kernels, so
@@ -322,21 +322,10 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
         stats["slot_index_consistent"] = bool(stats["rows_live"] == occupancy)
         backend["arena"] = stats
     if engine is not None:
-        batch = engine.batch_stats()
         backend["engine"] = {
             "pending_live": int(engine.pending_live),
             "pending_events": int(engine.pending_events),
             "events_processed": int(engine.events_processed),
-            "batch_dispatches": {
-                str(key): int(v) for key, v in sorted(batch["dispatches"].items())
-            },
-            "batched_events": {
-                str(key): int(v) for key, v in sorted(batch["events"].items())
-            },
-            "cohort_sizes": {
-                str(key): int(v)
-                for key, v in sorted(batch["cohort_sizes"].items())
-            },
         }
     return backend
 

@@ -91,7 +91,6 @@ class RunProfile:
     engine_events: int = 0
     engine_pending_live: int = 0
     sim_end_s: float = 0.0
-    scheduler: str = "heap"
     # Process peak RSS (MB) at finish() time and, for ASAP runs on the
     # pooled struct-of-arrays backend, the arena utilisation snapshot
     # (rows allocated / live / free-list depth / pool bytes ...).
@@ -105,7 +104,6 @@ class RunProfile:
             "engine_events": self.engine_events,
             "engine_pending_live": self.engine_pending_live,
             "sim_end_s": self.sim_end_s,
-            "scheduler": self.scheduler,
             "peak_rss_mb": self.peak_rss_mb,
             "arena": dict(sorted(self.arena.items())),
             "subsystems": {k: v.to_dict() for k, v in sorted(self.subsystems.items())},
@@ -120,8 +118,7 @@ class RunProfile:
         )
         lines.append(
             f"  engine: {self.engine_events} processed, "
-            f"{self.engine_pending_live} live pending at finish "
-            f"({self.scheduler} scheduler)"
+            f"{self.engine_pending_live} live pending at finish"
         )
         if self.peak_rss_mb > 0:
             lines.append(f"  memory: peak RSS {self.peak_rss_mb:.1f} MB")
@@ -160,13 +157,7 @@ def merge_profiles(profiles: Iterable[RunProfile]) -> RunProfile:
     work, not elapsed time); the simulated end time is the maximum.
     """
     merged = RunProfile()
-    first = True
     for profile in profiles:
-        if first:
-            merged.scheduler = profile.scheduler
-            first = False
-        elif merged.scheduler != profile.scheduler:
-            merged.scheduler = "mixed"
         merged.events += profile.events
         merged.wall_s += profile.wall_s
         merged.engine_events += profile.engine_events
@@ -265,5 +256,4 @@ class Profiler:
             profile.engine_events = engine.events_processed
             profile.engine_pending_live = engine.pending_live
             profile.sim_end_s = engine.now
-            profile.scheduler = getattr(engine, "scheduler", "heap")
         return profile

@@ -3,9 +3,9 @@
 This subpackage is self-contained (no SimPy dependency) and provides the
 control plane every experiment in the reproduction runs on:
 
-* :mod:`repro.sim.engine` -- a heap-based discrete-event simulation kernel
-  with absolute/relative scheduling, cancellable events, periodic timers and
-  process callbacks.
+* :mod:`repro.sim.engine` -- a heap-based discrete-event simulation kernel:
+  one event queue, one dispatch loop, absolute/relative scheduling of plain
+  callbacks, cancellable events and periodic timers.
 * :mod:`repro.sim.random` -- named, seeded random substreams so that every
   stochastic component of an experiment is independently reproducible.
 * :mod:`repro.sim.metrics` -- bandwidth accounting by traffic category,
@@ -14,7 +14,6 @@ control plane every experiment in the reproduction runs on:
 """
 
 from repro.sim.engine import Event, PeriodicTimer, SimulationEngine
-from repro.sim.process import ProcessHandle, spawn
 from repro.sim.metrics import BandwidthLedger, Counter, LoadSeries, TrafficCategory
 from repro.sim.random import RandomStreams
 
@@ -24,9 +23,7 @@ __all__ = [
     "Event",
     "LoadSeries",
     "PeriodicTimer",
-    "ProcessHandle",
     "RandomStreams",
     "SimulationEngine",
-    "spawn",
     "TrafficCategory",
 ]

@@ -16,25 +16,11 @@ Design notes
   skipped when popped.  This is the standard O(1)-cancel heap idiom.
 * The clock is a float in **seconds** (the paper's load series is per-second;
   latencies are milliseconds and converted at the boundary).
-* **Cohort dispatch**: the run loop pops *all* events sharing the current
-  minimum timestamp in one step.  Cohorts of size one (the overwhelmingly
-  common case -- trace times are continuous floats) take a fast path that
-  never allocates a list; larger cohorts whose members all carry the same
-  ``batch_key`` are handed to a registered batch handler in one call (see
-  :meth:`SimulationEngine.register_batch_handler`).  Dispatch order is
-  ``(time, seq)`` either way, so cohort dispatch is observably identical to
-  one-at-a-time dispatch -- including lazy cancellation: a cohort member
-  cancelled by an *earlier* member's callback is skipped without counting
-  as processed and without observer hooks, exactly as the serial loop
-  would have skipped it when popped.
-* **Calendar queue** (opt-in via ``scheduler="calendar"``): a two-level
-  structure -- one small heap per one-second bucket plus a heap of bucket
-  keys -- behind the same interface.  Bucket time ranges are disjoint and
-  ordered, so the head of the lowest non-empty bucket is the global
-  ``(time, seq)`` minimum and the dispatch order is bit-identical to the
-  binary heap's.  It wins when the queue is deep (pushes land in small
-  per-bucket heaps instead of one log-N-deep heap); see
-  docs/PERFORMANCE.md, "Engine batching".
+* One loop: :meth:`SimulationEngine.run` and :meth:`SimulationEngine.step`
+  share a single pop--skip-cancelled--dispatch path (``_dispatch_next``).
+  Same-timestamp events fire one at a time in ``seq`` order, so an event
+  cancelled by an earlier same-time event is skipped when popped -- not
+  counted as processed, no observer hooks.
 """
 
 from __future__ import annotations
@@ -43,12 +29,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Event", "PeriodicTimer", "SimulationEngine", "SimulationError"]
-
-#: Accepted ``SimulationEngine(scheduler=...)`` values.
-SCHEDULERS = ("heap", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -61,10 +44,7 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker so two events at the same timestamp fire in the order they
-    were scheduled.  ``batch_key`` marks the event as batchable: when a
-    same-timestamp cohort is homogeneous in a registered ``batch_key``, the
-    engine hands the whole cohort to that batch handler instead of calling
-    each ``callback`` (the callback remains the per-event fallback).
+    were scheduled.
     """
 
     time: float
@@ -72,7 +52,6 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     name: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
-    batch_key: Optional[str] = field(default=None, compare=False)
     # Set by the engine so lazy cancellation can keep its live-event count
     # exact without scanning the queue; cleared once the event is popped
     # for dispatch (a cancel after that point must not touch the counter).
@@ -89,28 +68,15 @@ class Event:
 
 
 class SimulationEngine:
-    """Discrete-event scheduler with a float clock in seconds.
+    """Discrete-event engine with a float clock in seconds."""
 
-    ``scheduler`` selects the priority-queue implementation: ``"heap"``
-    (binary heap, the default) or ``"calendar"`` (two-level calendar
-    queue).  Both dispatch in identical ``(time, seq)`` order.
-    """
-
+    # ``scheduler`` stays only because benchmarks/e2e/traced.py:197 passes it.
     def __init__(self, scheduler: str = "heap") -> None:
-        if scheduler not in SCHEDULERS:
+        if scheduler != "heap":
             raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
+                f"unknown scheduler {scheduler!r}; the engine is a binary heap"
             )
-        self._scheduler = scheduler
         self._heap: list[Event] = []
-        # Calendar-queue state: one-second buckets (each a small heap of
-        # events) plus a heap of bucket keys.  A key enters ``_cal_keys``
-        # exactly when its bucket is created and leaves when the bucket is
-        # found empty at peek time, so the keys heap never holds
-        # duplicates.
-        self._cal: Dict[int, List[Event]] = {}
-        self._cal_keys: List[int] = []
-        self._cal_count = 0
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -121,13 +87,6 @@ class SimulationEngine:
         self._cancelled_in_heap = 0
         # One bound-method object reused by every scheduled event.
         self._cancel_hook = self._note_cancel
-        # Batch handlers: batch_key -> callable(list[Event]).
-        self._batch_handlers: Dict[str, Callable[[List[Event]], None]] = {}
-        # Batched-dispatch gauges (per batch_key), maintained only on the
-        # batch-handler path so the singleton fast path pays nothing.
-        self._batch_dispatches: Dict[str, int] = {}
-        self._batch_events: Dict[str, int] = {}
-        self._batch_cohort_sizes: Dict[int, int] = {}
         # Observer with event_begin(event)/event_end(event); None keeps the
         # dispatch loop on its unobserved fast path (a single branch).
         self._observer: Optional[Any] = None
@@ -138,11 +97,6 @@ class SimulationEngine:
 
     def _note_cancel(self) -> None:
         self._cancelled_in_heap += 1
-
-    @property
-    def scheduler(self) -> str:
-        """The priority-queue implementation this engine runs on."""
-        return self._scheduler
 
     # --------------------------------------------------------------- observer
     @property
@@ -156,9 +110,7 @@ class SimulationEngine:
         The observer's ``event_begin(event)`` / ``event_end(event)`` are
         called around every executed event.  Used by the profiler and
         tracer in :mod:`repro.obs`; when no observer is installed the
-        dispatch loop pays one branch and nothing else.  With an observer
-        installed, cohorts always dispatch per event (never through a
-        batch handler) so profiles attribute every event exactly.
+        dispatch loop pays one branch and nothing else.
         """
         if observer is not None and (
             not callable(getattr(observer, "event_begin", None))
@@ -189,42 +141,6 @@ class SimulationEngine:
             raise SimulationError("telemetry must provide record_engine_event(t)")
         self._telemetry = telemetry
 
-    # ---------------------------------------------------------- batch handlers
-    def register_batch_handler(
-        self, key: str, handler: Optional[Callable[[List[Event]], None]]
-    ) -> None:
-        """Register a vectorised handler for same-timestamp event cohorts.
-
-        When the dispatch loop pops a cohort (>= 2 events at one
-        timestamp) whose members all carry ``batch_key == key``, it calls
-        ``handler(events)`` once instead of each event's callback --
-        ``events`` lists the cohort's live members in ``(time, seq)``
-        order.  Mixed or unregistered cohorts, singletons, and any cohort
-        dispatched while an observer is installed fall back to per-event
-        callbacks, so batching never changes observable order.  Pass
-        ``None`` to unregister.
-        """
-        if handler is None:
-            self._batch_handlers.pop(key, None)
-            return
-        if not callable(handler):
-            raise SimulationError("batch handler must be callable")
-        self._batch_handlers[key] = handler
-
-    def batch_stats(self) -> Dict[str, Dict]:
-        """Batched-dispatch gauges for state probes and diagnostics.
-
-        ``dispatches`` counts batch-handler invocations per ``batch_key``,
-        ``events`` the events they absorbed, and ``cohort_sizes`` maps
-        cohort size -> occurrences.  All empty until a cohort actually
-        takes the batch path (counters live off the singleton fast path).
-        """
-        return {
-            "dispatches": dict(self._batch_dispatches),
-            "events": dict(self._batch_events),
-            "cohort_sizes": dict(self._batch_cohort_sizes),
-        }
-
     # ------------------------------------------------------------------ clock
     @property
     def now(self) -> float:
@@ -236,16 +152,6 @@ class SimulationEngine:
         """Number of events executed so far (cancelled events excluded)."""
         return self._processed
 
-    def _queued(self) -> int:
-        if self._scheduler == "heap":
-            return len(self._heap)
-        return self._cal_count
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still in the queue."""
-        return self._queued() - self._cancelled_in_heap
-
     @property
     def pending_live(self) -> int:
         """Live (non-cancelled) queued events, tracked in O(1).
@@ -254,12 +160,12 @@ class SimulationEngine:
         excludes them, so progress reporting and the profiler see the true
         remaining work rather than the raw queue depth.
         """
-        return self._queued() - self._cancelled_in_heap
+        return len(self._heap) - self._cancelled_in_heap
 
     @property
     def pending_events(self) -> int:
         """Raw queue depth, *including* lazily-cancelled events."""
-        return self._queued()
+        return len(self._heap)
 
     # -------------------------------------------------------------- schedule
     def schedule_at(
@@ -267,14 +173,11 @@ class SimulationEngine:
         time: float,
         callback: Callable[[], None],
         name: str = "",
-        batch_key: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``.
 
         Raises :class:`SimulationError` if ``time`` precedes the current
         clock -- causality violations are always bugs in the caller.
-        ``batch_key`` opts the event into cohort batching (see
-        :meth:`register_batch_handler`).
         """
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
@@ -287,20 +190,9 @@ class SimulationEngine:
             seq=next(self._seq),
             callback=callback,
             name=name,
-            batch_key=batch_key,
             _on_cancel=self._cancel_hook,
         )
-        if self._scheduler == "heap":
-            heapq.heappush(self._heap, event)
-        else:
-            key = int(time)  # one-second buckets; times are non-negative
-            bucket = self._cal.get(key)
-            if bucket is None:
-                self._cal[key] = [event]
-                heapq.heappush(self._cal_keys, key)
-            else:
-                heapq.heappush(bucket, event)
-            self._cal_count += 1
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_after(
@@ -308,167 +200,39 @@ class SimulationEngine:
         delay: float,
         callback: Callable[[], None],
         name: str = "",
-        batch_key: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` after a relative non-negative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(
-            self._now + delay, callback, name=name, batch_key=batch_key
-        )
+        return self.schedule_at(self._now + delay, callback, name=name)
 
-    # ------------------------------------------------------- queue primitives
+    # -------------------------------------------------------------- dispatch
     def _peek_live(self) -> Optional[Event]:
         """The next live event, dropping lazily-cancelled heads on the way.
 
-        The serial loop always popped consecutive cancelled heads before
-        checking ``until``, so dropping them here preserves behaviour
-        exactly.  Returns None when no live event remains.
+        Cancelled heads are dropped *before* the caller checks ``until``.
+        Returns None when no live event remains.
         """
-        if self._scheduler == "heap":
-            heap = self._heap
-            while heap:
-                event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
+        heap = self._heap
+        while heap:
+            event = heap[0]
+            if not event.cancelled:
                 return event
-            return None
-        cal, keys = self._cal, self._cal_keys
-        while keys:
-            bucket = cal.get(keys[0])
-            if not bucket:
-                key = heapq.heappop(keys)
-                cal.pop(key, None)
-                continue
-            event = bucket[0]
-            if event.cancelled:
-                heapq.heappop(bucket)
-                self._cal_count -= 1
-                self._cancelled_in_heap -= 1
-                continue
-            return event
+            heapq.heappop(heap)
+            self._cancelled_in_heap -= 1
         return None
 
-    def _pop_head(self) -> Event:
-        """Pop the queue head (valid immediately after a _peek_live hit)."""
-        if self._scheduler == "heap":
-            return heapq.heappop(self._heap)
-        event = heapq.heappop(self._cal[self._cal_keys[0]])
-        self._cal_count -= 1
-        return event
+    def _dispatch_next(self, until: Optional[float]) -> bool:
+        """Pop and execute the next live event unless it lies past ``until``.
 
-    # ------------------------------------------------------------------- run
-    def run(self, until: Optional[float] = None) -> float:
-        """Execute events in timestamp order.
-
-        Runs until the queue is exhausted, or until the clock would pass
-        ``until`` (events at exactly ``until`` are executed).  Returns the
-        final clock value.  Re-entrant calls are rejected.
-
-        Same-timestamp events are popped as one *cohort* before any of
-        their callbacks run; dispatch stays in ``(time, seq)`` order.
-        Events scheduled by a cohort member at the current timestamp land
-        in a follow-up cohort, exactly where the serial loop would have
-        dispatched them.
+        The one dispatch path behind :meth:`run` and :meth:`step`.  Returns
+        False when nothing (eligible) remains.
         """
-        if self._running:
-            raise SimulationError("engine is already running")
-        self._running = True
-        # Read once: install observers before run(), not from inside it.
-        observer = self._observer
-        telemetry = self._telemetry
-        batch_handlers = self._batch_handlers
-        try:
-            while True:
-                event = self._peek_live()
-                if event is None:
-                    break
-                if until is not None and event.time > until:
-                    break
-                self._pop_head()
-                event._on_cancel = None  # popped: a late cancel is a no-op
-                t = event.time
-                peer = self._peek_live()
-                if peer is None or peer.time != t:
-                    # Singleton cohort: the common fast path (trace times
-                    # are continuous floats; ties are rare).
-                    self._now = t
-                    self._processed += 1
-                    if observer is None:
-                        event.callback()
-                    else:
-                        observer.event_begin(event)
-                        event.callback()
-                        observer.event_end(event)
-                    if telemetry is not None:
-                        telemetry.record_engine_event(t)
-                    continue
-                # Gather the full cohort.  _on_cancel is cleared at pop
-                # time so a member cancelled by an earlier member's
-                # callback cannot corrupt the lazy-cancel counter; the
-                # re-check before each dispatch below skips it instead.
-                cohort = [event]
-                while peer is not None and peer.time == t:
-                    self._pop_head()
-                    peer._on_cancel = None
-                    cohort.append(peer)
-                    peer = self._peek_live()
-                self._now = t
-                key = cohort[0].batch_key
-                if (
-                    key is not None
-                    and observer is None
-                    and key in batch_handlers
-                    and all(e.batch_key == key for e in cohort)
-                ):
-                    live = [e for e in cohort if not e.cancelled]
-                    if live:
-                        n_live = len(live)
-                        self._processed += n_live
-                        self._batch_dispatches[key] = (
-                            self._batch_dispatches.get(key, 0) + 1
-                        )
-                        self._batch_events[key] = (
-                            self._batch_events.get(key, 0) + n_live
-                        )
-                        self._batch_cohort_sizes[n_live] = (
-                            self._batch_cohort_sizes.get(n_live, 0) + 1
-                        )
-                        batch_handlers[key](live)
-                        if telemetry is not None:
-                            for e in live:
-                                telemetry.record_engine_event(t)
-                    continue
-                for e in cohort:
-                    if e.cancelled:
-                        # Cancelled mid-cohort (or while queued): not
-                        # processed, no observer hooks, no telemetry --
-                        # identical to the serial loop's lazy skip.
-                        continue
-                    self._processed += 1
-                    if observer is None:
-                        e.callback()
-                    else:
-                        observer.event_begin(e)
-                        e.callback()
-                        observer.event_end(e)
-                    if telemetry is not None:
-                        telemetry.record_engine_event(t)
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none remain."""
         event = self._peek_live()
-        if event is None:
+        if event is None or (until is not None and event.time > until):
             return False
-        self._pop_head()
-        event._on_cancel = None
+        heapq.heappop(self._heap)
+        event._on_cancel = None  # popped: a late cancel is a no-op
         self._now = event.time
         self._processed += 1
         observer = self._observer
@@ -481,6 +245,29 @@ class SimulationEngine:
         if self._telemetry is not None:
             self._telemetry.record_engine_event(event.time)
         return True
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Execute events in ``(time, seq)`` order.
+
+        Runs until the queue is exhausted, or until the clock would pass
+        ``until`` (events at exactly ``until`` are executed).  Returns the
+        final clock value.  Re-entrant calls are rejected.
+        """
+        if self._running:
+            raise SimulationError("engine is already running")
+        self._running = True
+        try:
+            while self._dispatch_next(until):
+                pass
+            if until is not None and self._now < until:
+                self._now = until
+        finally:
+            self._running = False
+        return self._now
+
+    def step(self) -> bool:
+        """Execute exactly one pending event.  Returns False if none remain."""
+        return self._dispatch_next(None)
 
 
 class PeriodicTimer:
@@ -534,8 +321,3 @@ class PeriodicTimer:
 def ms(milliseconds: float) -> float:
     """Convert milliseconds to the engine's second-based clock."""
     return milliseconds / 1000.0
-
-
-def make_engine(scheduler: str = "heap") -> SimulationEngine:
-    """Factory kept for API symmetry with heavier simulation frameworks."""
-    return SimulationEngine(scheduler=scheduler)

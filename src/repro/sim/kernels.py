@@ -70,9 +70,9 @@ REFERENCE_ONLY = False
 def reference_mode() -> Iterator[None]:
     """Force all kernel call sites onto their retained reference loops.
 
-    Used by the differential tests and ``bench_engine_dispatch`` to run
-    the same simulation twice -- once batched, once on the original
-    per-message loops -- and compare results bit-for-bit.
+    Used by the differential tests to run the same simulation twice --
+    once batched, once on the original per-message loops -- and compare
+    results bit-for-bit.
     """
     global REFERENCE_ONLY
     saved = REFERENCE_ONLY

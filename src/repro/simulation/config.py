@@ -91,10 +91,8 @@ class RunConfig:
     keepalive_period_s: float = 30.0
     # Footnote 1 likewise excludes download traffic; enable to model it.
     model_downloads: bool = False
-    # Event-queue implementation: "heap" (binary heap) or "calendar"
-    # (calendar queue).  Dispatch order -- and therefore every result and
-    # run fingerprint -- is identical; this is purely a performance knob.
-    scheduler: str = "heap"
+    # Not an option: a constant kept while benchmarks/e2e/traced.py:197 reads it.
+    scheduler: str = field(default="heap", init=False)
     # Cadence of the protocol-state probes (repro.obs.probes) in simulated
     # seconds.  Snapshots fire at k * probe_interval_s only when the runner
     # is asked for probes; the interval is part of RunConfig so the tick
@@ -122,11 +120,6 @@ class RunConfig:
             )
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be > 0")
-        if self.scheduler not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                "choose from ('heap', 'calendar')"
-            )
 
     @property
     def is_asap(self) -> bool:

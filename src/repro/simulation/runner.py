@@ -211,7 +211,7 @@ def run_experiment(
         algorithm.set_telemetry(tel)
 
     # --- replay ------------------------------------------------------------
-    engine = SimulationEngine(scheduler=config.scheduler)
+    engine = SimulationEngine()
     if tel is not None:
         engine.set_telemetry(tel)
     profiler: Optional[Profiler] = None

@@ -11,15 +11,13 @@ implementations, across every layer:
   array-at-a-time merges vs the method-call-per-receiver loops
   (``_disseminate_reference``/``_ads_request_reference``);
 * whole runs: blake2b run fingerprints must be bit-equal between
-  reference mode and batched mode, between the heap and calendar
-  schedulers, and between serial and ``jobs=2`` sweeps.
+  reference mode and batched mode, and between serial and ``jobs=2``
+  sweeps.
 
 ``kernels.reference_mode()`` flips every dual-path call site at once, so
 the run-level comparisons cover the composition, not just each kernel in
 isolation.  All cases run with churn enabled.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -34,8 +32,8 @@ from tests.test_walk_kernels_differential import ledger_state, make_overlay
 SEEDS = [0, 1, 2]
 
 
-def small_config(algorithm, seed, scheduler="heap"):
-    config = scaled_config(
+def small_config(algorithm, seed):
+    return scaled_config(
         algorithm=algorithm,
         topology="random",
         n_peers=250,
@@ -44,9 +42,6 @@ def small_config(algorithm, seed, scheduler="heap"):
         use_physical_network=False,
         warmup_s=40.0,
     )
-    if scheduler != config.scheduler:
-        config = dataclasses.replace(config, scheduler=scheduler)
-    return config
 
 
 # ------------------------------------------------------------- flood kernels
@@ -126,12 +121,6 @@ class TestRunFingerprints:
             reference = run_fingerprint(config)
         batched = run_fingerprint(config)
         assert reference == batched
-
-    def test_heap_vs_calendar(self, algorithm):
-        seed = 1
-        heap_fp = run_fingerprint(small_config(algorithm, seed, scheduler="heap"))
-        cal_fp = run_fingerprint(small_config(algorithm, seed, scheduler="calendar"))
-        assert heap_fp == cal_fp
 
 
 class TestSerialVsParallelFingerprints:

@@ -117,3 +117,9 @@ class TestMain:
         text = out.read_text()
         assert "# ASAP reproduction report" in text
         assert "generated in" in text
+
+    def test_scheduler_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scheduler", "heap"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err

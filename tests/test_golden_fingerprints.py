@@ -1,0 +1,100 @@
+"""Golden run fingerprints: behaviour frozen *across* commits.
+
+The differential tests compare two in-tree arms; this one compares the
+tree against ``tests/golden/run_fingerprints.json``, recorded once and
+left byte-for-byte alone by every later simplification.  A mismatch means
+the change moved dispatch order, an RNG draw or the ledger -- never "just
+a refactor".
+
+Fingerprints hash floats, so they are only comparable under the numpy
+``major.minor`` that recorded them; the test skips otherwise.  After an
+*intended* behaviour change (or a numpy upgrade) re-record with::
+
+    PYTHONPATH=src python -m tests.test_golden_fingerprints
+"""
+
+import dataclasses
+import functools
+import json
+from pathlib import Path
+
+import numpy
+import pytest
+
+from repro.simulation.config import ALGORITHMS
+from repro.simulation.runner import run_experiment
+
+from tests.test_engine_batching_differential import small_config
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "run_fingerprints.json"
+SEEDS = (0, 1)
+
+
+def _heavy_churn(config):
+    n = config.trace.n_queries // 3
+    return dataclasses.replace(
+        config, trace=dataclasses.replace(config.trace, n_joins=n, n_leaves=n)
+    )
+
+
+def _bounded_cache(config):
+    capacity = config.n_peers // 10
+    return dataclasses.replace(
+        config, asap=dataclasses.replace(config.asap, cache_capacity=capacity)
+    )
+
+
+def golden_configs():
+    """``{row name: RunConfig}`` in recording order."""
+    configs = {}
+    for algorithm in ALGORITHMS:
+        for seed in SEEDS:
+            base = small_config(algorithm, seed)
+            configs[f"{algorithm}/seed{seed}/default_churn"] = base
+            configs[f"{algorithm}/seed{seed}/heavy_churn"] = _heavy_churn(base)
+        if algorithm.startswith("asap"):
+            configs[f"{algorithm}/seed0/default_churn/bounded_cache"] = (
+                _bounded_cache(small_config(algorithm, 0))
+            )
+    return configs
+
+
+def _major_minor(version):
+    return version.split(".")[:2]
+
+
+CONFIGS = golden_configs()
+
+
+@functools.cache
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_file_covers_the_matrix():
+    assert sorted(_golden()["fingerprints"]) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_fingerprint_matches_golden(name):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden fingerprints recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    fingerprint = run_experiment(CONFIGS[name], audit=True).fingerprint
+    assert fingerprint == _golden()["fingerprints"][name]
+
+
+if __name__ == "__main__":
+    payload = {
+        "numpy_version": numpy.__version__,
+        "fingerprints": {
+            name: run_experiment(config, audit=True).fingerprint
+            for name, config in CONFIGS.items()
+        },
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"recorded {len(payload['fingerprints'])} fingerprints to {GOLDEN_PATH}")

@@ -9,7 +9,7 @@ from repro.asap.protocol import AsapParams, AsapSearch
 from repro.experiments.figures import ExperimentScale
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
-from repro.sim.engine import make_engine, ms
+from repro.sim.engine import ms
 from repro.sim.metrics import BandwidthLedger
 from repro.simulation.results import RunResult
 from repro.workload.content import ContentIndex, Document
@@ -63,10 +63,6 @@ class TestRunResultEdgeCases:
 
 
 class TestEngineHelpers:
-    def test_make_engine(self):
-        eng = make_engine()
-        assert eng.now == 0.0
-
     def test_ms(self):
         assert ms(1500.0) == 1.5
 

@@ -197,6 +197,9 @@ def test_snapshot_state_contents():
         backend = tick["backend"]
         assert backend["arena"]["slot_index_consistent"] is True
         assert backend["engine"]["events_processed"] > 0
+        assert set(backend["engine"]) == {
+            "pending_live", "pending_events", "events_processed"
+        }
     head = summary.headline()
     assert head["coverage_fraction"] is not None
     assert 0.0 <= head["coverage_fraction"] <= 1.0
@@ -342,23 +345,3 @@ def test_check_arena_health_reference_backend_is_trivial():
         cfg = _config(n_peers=100, n_queries=100, seed=0)
         result = run_experiment(cfg, probes=True)
     assert result.probes.ticks  # the run itself probed fine
-
-
-# -------------------------------------------------------------- engine gauges
-def test_engine_batch_stats_counts_batched_cohorts():
-    from repro.sim.engine import SimulationEngine
-
-    engine = SimulationEngine()
-    seen = []
-    engine.register_batch_handler("w", lambda events: seen.append(len(events)))
-    for _ in range(3):
-        engine.schedule_at(1.0, lambda: None, batch_key="w")
-    for _ in range(2):
-        engine.schedule_at(2.0, lambda: None, batch_key="w")
-    engine.schedule_at(3.0, lambda: None, batch_key="w")  # singleton: no batch
-    engine.run()
-    stats = engine.batch_stats()
-    assert stats["dispatches"] == {"w": 2}
-    assert stats["events"] == {"w": 5}
-    assert stats["cohort_sizes"] == {3: 1, 2: 1}
-    assert seen == [3, 2]

@@ -48,6 +48,11 @@ class TestRunConfig:
         for algo in ALGORITHMS:
             paper_config(algo)
 
+    def test_scheduler_is_a_constant_not_an_option(self):
+        assert paper_config("flooding").scheduler == "heap"
+        with pytest.raises(TypeError):
+            RunConfig(algorithm="flooding", scheduler="heap")
+
 
 class TestScaledConfig:
     def test_budgets_scale_linearly(self):

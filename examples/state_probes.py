@@ -10,12 +10,12 @@ how stale the cached entries are, and what false-positive rate the Bloom
 filters actually run at.
 
 This example replays one ASAP(RW) cell under churn with probes on, prints
-the coverage ramp (warm-up filling the caches, then steady state), and
-shows the two determinism guarantees the layer is built on:
+the coverage ramp (warm-up filling the caches, then steady state) and the
+arena's storage gauges, and shows the two determinism guarantees the layer
+is built on:
 
-* the same config re-run on the object-backed reference store
-  (``kernels.reference_mode()``) produces a bit-identical protocol-state
-  series -- the ``state_fingerprint`` matches;
+* the protocol-state series is a pure function of the seeded config --
+  a second run produces a bit-identical ``state_fingerprint``;
 * enabling probes does not change the run itself -- outcomes are equal
   with probes on or off.
 
@@ -24,7 +24,6 @@ Run:  python examples/state_probes.py
 
 from dataclasses import replace
 
-from repro.sim import kernels
 from repro.simulation import run_experiment, scaled_config
 
 N_PEERS = 250
@@ -58,12 +57,21 @@ def main() -> None:
         f"(paper ceiling {summary.ticks[-1]['bloom']['fp_ceiling']:.2e})"
     )
 
-    # Guarantee 1: the protocol-state series is backend-independent.
-    with kernels.reference_mode():
-        reference = run_experiment(cfg, probes=True)
-    match = summary.state_fingerprint() == reference.probes.state_fingerprint()
+    # How the state is stored: every cached (peer, source) pair is one row
+    # of the pooled arena; evicted rows go to a free list and are reused.
+    arena = summary.ticks[-1]["backend"]["arena"]
     print(
-        f"\narena vs reference-store state fingerprint: "
+        f"\narena: {arena['rows_live']} live rows of {arena['rows_allocated']} "
+        f"ever allocated, {arena['free_list_depth']} on the free list, "
+        f"{arena['pool_bytes'] / 1e6:.2f} MB pooled, slot index "
+        f"{'consistent' if arena['slot_index_consistent'] else 'BROKEN (bug!)'}"
+    )
+
+    # Guarantee 1: the protocol-state series depends only on the config.
+    again = run_experiment(cfg, probes=True)
+    match = summary.state_fingerprint() == again.probes.state_fingerprint()
+    print(
+        f"re-run state fingerprint: "
         f"{'bit-identical' if match else 'MISMATCH (bug!)'} "
         f"({summary.state_fingerprint()})"
     )

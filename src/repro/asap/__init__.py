@@ -7,9 +7,9 @@ Structure:
 * :mod:`repro.asap.store` -- the per-simulation source-filter store: every
   source's counting filter, current version, patch history, and the packed
   filter matrix answering "which sources match this query" in one shot;
-* :mod:`repro.asap.repository` -- the per-node ads cache with
-  interest-based selective caching, version merging, staleness tracking and
-  optional capacity-bounded eviction;
+* :mod:`repro.asap.arena` -- the per-node ads cache (interest-based
+  selective caching, version merging, staleness tracking, optional
+  capacity-bounded eviction) over one pooled struct-of-arrays store;
 * :mod:`repro.asap.delivery` -- ad forwarding over the overlay by flooding,
   random walk or GSA, with the total-budget limit (M0 = 3,000 per topic);
 * :mod:`repro.asap.protocol` -- the search algorithm of Table I: local ads
@@ -28,7 +28,6 @@ from repro.asap.delivery import (
     make_forwarder,
 )
 from repro.asap.protocol import AsapParams, AsapSearch
-from repro.asap.repository import AdsRepository, CacheEntry
 from repro.asap.store import SourceFilterStore
 from repro.asap.superpeer import SuperPeerAsapSearch, elect_super_peers
 
@@ -36,11 +35,9 @@ __all__ = [
     "Ad",
     "AdForwarder",
     "AdType",
-    "AdsRepository",
     "AsapParams",
     "AsapSearch",
     "CacheDiagnostics",
-    "CacheEntry",
     "DeliveryReport",
     "FloodAdForwarder",
     "GsaAdForwarder",

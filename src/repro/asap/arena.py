@@ -1,29 +1,32 @@
-"""Pooled struct-of-arrays storage for every node's ads cache.
+"""Pooled struct-of-arrays storage for every node's ads cache (paper III-B).
 
-At paper scale (10k peers) the object-backed :class:`~repro.asap.repository.
-AdsRepository` is fine; two orders of magnitude up it is the memory wall:
-one :class:`~repro.asap.repository.CacheEntry` costs ~270 bytes (instance +
-``__dict__`` + boxed float + dict slot), and a warmed-up 100k-peer cell
-holds tens of millions of (peer, source) cache pairs.  The arena keeps the
-per-pair *state* in flat numpy arrays -- version, interned topic-set code
-and last-refresh timestamp, 16 bytes per pair -- indexed by rows handed out
-from a compact free-list.  Each repository keeps only a source -> row dict
-(insertion-ordered, exactly like the entry dict it replaces) plus its
-``behind`` set, so every ordering the protocol depends on -- LRU tie-breaks,
-lookup iteration, digest set arithmetic -- is preserved bit-for-bit.
+A node "selectively stores interesting ads received from other peers": an
+ad is cached only when its topic set intersects the node's interests.  One
+object per cached ad is the memory wall two orders of magnitude above paper
+scale (~270 bytes per (peer, source) pair; a warmed-up 100k-peer cell holds
+tens of millions of pairs), so the per-pair *state* lives in flat numpy
+arrays -- version, interned topic-set code and last-refresh timestamp, 16
+bytes per pair -- indexed by rows handed out from a compact free-list.
+Each :class:`ArenaRepository` keeps only an insertion-ordered source -> row
+dict plus its ``behind`` set; LRU tie-breaks, lookup iteration and digest
+set arithmetic all follow that dict's order.
+
+Version merging follows the paper: a **full** ad replaces the entry
+outright; a **patch** applies only as the successor version (a gap leaves
+the entry *behind*); a **refresh** renews recency and detects missed
+patches.  A behind entry is still usable -- lookups evaluate it at its
+recorded version via the store's patch history -- and failed confirmations
+are how stale entries are ultimately retired.
 
 Topic sets are interned: ads re-use a small population of frozensets (the
 semantic classes of each source's content), so one ``int32`` code per pair
 replaces a pointer to a frozenset.  Timestamps stay ``float64`` -- they take
 part in LRU comparisons and must round-trip exactly.
 
-:class:`ArenaRepository` implements the complete ``AdsRepository`` contract
-(``accept``/``accept_snapshot``/``lookup``/eviction/``entries`` mapping
-view), so the object-backed class remains available as a differential
-oracle: constructing :class:`~repro.asap.protocol.AsapSearch` under
-:func:`repro.sim.kernels.reference_mode` selects the object backend, and
-the run fingerprints of both backends are asserted bit-equal in
-``tests/test_soa_differential.py``.
+This is the only ads-cache implementation in the product.  The plain
+object model it is checked against op-for-op lives in
+``tests/oracles/repository.py``; whole-run behaviour is frozen by
+``tests/golden/run_fingerprints.json``.
 
 :class:`CacherIndex` is the matching inverse index: ``cachers[source]`` as
 a packed per-source bitset over nodes (n/8 bytes) instead of a Python set
@@ -37,7 +40,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.repository import CacheEntry
 from repro.asap.store import SourceFilterStore
 
 __all__ = ["AdsArena", "ArenaRepository", "ArenaEntry", "CacherIndex", "CacherSet"]
@@ -130,11 +132,10 @@ class AdsArena:
 
 
 class ArenaEntry:
-    """Live proxy for one cached ad; reads/writes the arena row in place.
+    """Read-only view of one cached ad, backed by its arena row.
 
-    Field-compatible with :class:`~repro.asap.repository.CacheEntry`:
-    ``source``/``version``/``topics``/``cached_at`` round-trip through the
-    arrays with exact values (timestamps stay float64 end to end).
+    ``version``/``topics``/``cached_at`` read through to the arrays with
+    exact values (timestamps stay float64 end to end).
     """
 
     __slots__ = ("_arena", "_row", "source")
@@ -148,25 +149,13 @@ class ArenaEntry:
     def version(self) -> int:
         return int(self._arena.version[self._row])
 
-    @version.setter
-    def version(self, value: int) -> None:
-        self._arena.version[self._row] = value
-
     @property
     def topics(self) -> FrozenSet[int]:
         return self._arena.topics_of(int(self._arena.topics_code[self._row]))
 
-    @topics.setter
-    def topics(self, value: FrozenSet[int]) -> None:
-        self._arena.topics_code[self._row] = self._arena.intern_topics(value)
-
     @property
     def cached_at(self) -> float:
         return float(self._arena.cached_at[self._row])
-
-    @cached_at.setter
-    def cached_at(self, value: float) -> None:
-        self._arena.cached_at[self._row] = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -175,90 +164,18 @@ class ArenaEntry:
         )
 
 
-class _EntriesView:
-    """Mapping facade over a repository's slot dict, dict-compatible.
-
-    The batched protocol paths treat ``repo.entries`` as a plain
-    ``Dict[int, CacheEntry]`` -- probes, assignment, ``keys()`` set
-    arithmetic, insertion-ordered iteration.  This view forwards all of it
-    to the arena; ``keys()`` returns the slot dict's *real* keys view so
-    set operations against other repositories' views cost the same as
-    dict-vs-dict.
-    """
-
-    __slots__ = ("_repo",)
-
-    def __init__(self, repo: "ArenaRepository") -> None:
-        self._repo = repo
-
-    def __len__(self) -> int:
-        return len(self._repo._slot)
-
-    def __contains__(self, source: int) -> bool:
-        return source in self._repo._slot
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._repo._slot)
-
-    def keys(self):
-        return self._repo._slot.keys()
-
-    def get(self, source: int, default=None):
-        row = self._repo._slot.get(source)
-        if row is None:
-            return default
-        return ArenaEntry(self._repo.arena, row, source)
-
-    def __getitem__(self, source: int) -> ArenaEntry:
-        return ArenaEntry(self._repo.arena, self._repo._slot[source], source)
-
-    def __setitem__(self, source: int, entry) -> None:
-        self._repo.store_entry(
-            source, entry.version, entry.topics, entry.cached_at
-        )
-
-    def pop(self, source: int, default=None):
-        row = self._repo._slot.pop(source, None)
-        if row is None:
-            return default
-        if self._repo._order_src is not None:
-            self._repo._order_remove(source)
-        # Snapshot before the row is recycled.
-        out = CacheEntry(
-            source=source,
-            version=int(self._repo.arena.version[row]),
-            topics=self._repo.arena.topics_of(
-                int(self._repo.arena.topics_code[row])
-            ),
-            cached_at=float(self._repo.arena.cached_at[row]),
-        )
-        self._repo.arena.release(row)
-        return out
-
-    def items(self) -> Iterator[Tuple[int, ArenaEntry]]:
-        arena = self._repo.arena
-        for source, row in self._repo._slot.items():
-            yield source, ArenaEntry(arena, row, source)
-
-    def values(self) -> Iterator[ArenaEntry]:
-        arena = self._repo.arena
-        for source, row in self._repo._slot.items():
-            yield ArenaEntry(arena, row, source)
-
-
 class ArenaRepository:
-    """Arena-backed ads cache with the exact ``AdsRepository`` contract.
+    """Interest-filtered, version-merging ads cache of a single node.
 
-    Only the storage primitive changes: entries live as arena rows keyed by
-    an insertion-ordered source -> row dict, mirroring the entry dict of the
-    object-backed class operation for operation (same insertions, same
-    deletions, same iteration order), so eviction tie-breaks and lookup
-    orders are bit-identical.
+    Entries live as arena rows keyed by an insertion-ordered source -> row
+    dict; eviction tie-breaks and lookup order follow that dict's order.
+    An optional capacity bound with LRU eviction (by last refresh time)
+    supports the cache-size ablation.
     """
 
     __slots__ = (
         "owner", "interests", "store", "capacity", "arena", "_slot",
-        "behind", "entries", "_order_src", "_order_row", "_order_n",
+        "behind", "_order_src", "_order_row", "_order_n",
     )
 
     def __init__(
@@ -278,15 +195,13 @@ class ArenaRepository:
         self.arena = arena
         self._slot: Dict[int, int] = {}
         self.behind: Set[int] = set()
-        self.entries = _EntriesView(self)
         # Capped repos keep an insertion-ordered numpy mirror of the slot
         # dict (sources + their rows) so the eviction victim scan is one
         # gather + argmin instead of a Python walk.  Dict semantics are
         # preserved exactly -- re-storing an existing source keeps its
         # position, drop + re-insert moves it to the end -- so the victim
-        # (first minimal ``cached_at`` in insertion order) is bit-identical
-        # to the object-backed ``min`` scan.  Unbounded repos (the paper's
-        # primary configuration) skip the mirror entirely.
+        # is the first minimal ``cached_at`` in insertion order.  Unbounded
+        # repos (the paper's primary configuration) skip the mirror.
         if capacity is not None:
             self._order_src = np.empty(capacity + 8, dtype=np.int64)
             self._order_row = np.empty(capacity + 8, dtype=np.int64)
@@ -361,10 +276,18 @@ class ArenaRepository:
 
     # --------------------------------------------------------------- accept
     def accept(self, ad: Ad, now: float) -> Tuple[bool, List[int]]:
-        """Process a received ad -- see ``AdsRepository.accept``."""
+        """Process a received ad.
+
+        Returns ``(stored, evicted)``: whether the ad created/updated an
+        entry, and which sources were evicted to make room.
+        """
         if ad.source == self.owner:
             return False, []
         row = self._slot.get(ad.source)
+        # The interest filter decides whether to START caching a source;
+        # updates to an entry we already hold are always relevant (e.g. a
+        # removal patch from a source whose topic set shrank to empty must
+        # still reach us, or the cache would stay silently stale).
         if row is None and not self.interested_in(ad.topics):
             return False, []
 
@@ -404,7 +327,11 @@ class ArenaRepository:
         topics: FrozenSet[int],
         now: float,
     ) -> Tuple[bool, List[int]]:
-        """Merge an ads-request reply entry -- see ``AdsRepository``."""
+        """Merge an entry obtained from a neighbour's ads-request reply.
+
+        Semantically a full ad at the *neighbour's* cached version (which
+        may itself be behind the source's current filter).
+        """
         if source == self.owner or not self.interested_in(topics):
             return False, []
         row = self._slot.get(source)
@@ -436,8 +363,7 @@ class ArenaRepository:
 
         The victim scan runs over the insertion-ordered mirror arrays: one
         ``cached_at`` gather plus ``argmin``, whose first-occurrence rule
-        over insertion order is exactly what ``min`` over the entry dict
-        does in the object-backed class, so ties evict the same victim.
+        breaks ties by insertion order.
         """
         if self.capacity is None or len(self._slot) <= self.capacity:
             return []
@@ -462,7 +388,13 @@ class ArenaRepository:
     def lookup(
         self, positions: np.ndarray, current_match: np.ndarray
     ) -> List[int]:
-        """Sources whose cached ad matches all query-term positions."""
+        """Sources whose cached ad matches all query-term positions.
+
+        ``current_match`` is the store's vectorised current-filter match
+        over all sources.  Up-to-date entries are decided by it directly;
+        behind entries are evaluated exactly at their cached version via the
+        store's patch history (a handful of sources at most).
+        """
         hits: List[int] = []
         slot = self._slot
         behind = self.behind

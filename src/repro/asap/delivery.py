@@ -18,11 +18,11 @@ than spiking at delivery start.
 
 The walk-based forwarders run on the shared walk kernels
 (:mod:`repro.sim.kernels`): stepping over plain-list CSR mirrors with
-vectorised latency/bucket/visited post-processing.  Each forwarder retains
-its original per-step loop as ``deliver_reference`` -- the differential
-tests (``tests/test_walk_kernels_differential.py``) assert the kernel path
-reproduces it bit-for-bit (visited sets, message counts, per-second ledger
-buckets).
+vectorised latency/bucket/visited post-processing.  The per-step loops
+they replaced live in ``tests/oracles/delivery.py``; the differential tests
+(``tests/test_walk_kernels_differential.py``) assert each forwarder
+reproduces its loop bit-for-bit (visited sets, message counts, per-second
+ledger buckets).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.network.overlay import Overlay
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.search.base import MessageSizes
-from repro.search.flooding import flood_reach_reference
 from repro.sim import kernels
 from repro.sim.metrics import BandwidthLedger
 
@@ -60,9 +59,9 @@ class DeliveryReport:
     visited: frozenset  # nodes that received the ad (source excluded)
     messages: int
     bytes: float
-    # Sorted array form of ``visited`` when the forwarder already has one
-    # (kernel paths do); purely an accelerator for the batched receiver
-    # merge -- absent on reference paths and excluded from equality.
+    # Sorted array form of ``visited``; purely an accelerator for the
+    # batched receiver merge -- absent on empty deliveries and excluded
+    # from equality.
     visited_arr: Optional[np.ndarray] = dataclass_field(
         default=None, compare=False, repr=False
     )
@@ -152,11 +151,9 @@ class AdForwarder(abc.ABC):
 class FloodAdForwarder(AdForwarder):
     """ASAP(FLD): the ad floods with a TTL, reaching almost everyone.
 
-    ``deliver`` runs on the BFS-only flood kernel (the delivery needs who
-    received the ad and the transmission count, never arrival times);
-    ``deliver_reference`` keeps the full Bellman-Ford flood for the
-    differential tests -- ``first_hop`` is latency-free, so both paths
-    report identical visited sets and message counts.
+    ``deliver`` runs on the BFS-only flood kernel: the delivery needs who
+    received the ad and the transmission count, never arrival times, and
+    ``first_hop`` is latency-free.
     """
 
     kind = "fld"
@@ -170,34 +167,16 @@ class FloodAdForwarder(AdForwarder):
     def deliver(
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> DeliveryReport:
-        if kernels.REFERENCE_ONLY:
-            return self.deliver_reference(ad, now, budget=budget)
         if not self.overlay.is_live(ad.source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
         first_hop, n_messages = kernels.flood_bfs(
             self.overlay.walk_csr(), ad.source, self.ttl
         )
         visited_arr = np.nonzero(first_hop > 0)[0]
-        # ``tolist`` + C-level frozenset construction; element-for-element
-        # the same set the reference genexpr builds.
         return self._finish(
             ad, now, frozenset(visited_arr.tolist()), n_messages,
             visited_arr=visited_arr,
         )
-
-    def deliver_reference(
-        self, ad: Ad, now: float, budget: Optional[int] = None
-    ) -> DeliveryReport:
-        """Reference flood delivery (pre-kernel semantics, kept for tests)."""
-        if not self.overlay.is_live(ad.source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        first_hop, _, n_messages = flood_reach_reference(
-            self.overlay, ad.source, self.ttl
-        )
-        visited = frozenset(
-            int(v) for v in np.nonzero(first_hop > 0)[0]
-        )
-        return self._finish(ad, now, visited, n_messages)
 
     def _finish(
         self,
@@ -244,11 +223,7 @@ class _WalkForwarderBase(AdForwarder):
 
 
 class RandomWalkAdForwarder(_WalkForwarderBase):
-    """ASAP(RW): walkers carry the ad; every visited node receives it.
-
-    ``deliver`` runs on the vectorised walk kernel; ``deliver_reference``
-    is the retained per-step loop the differential tests compare against.
-    """
+    """ASAP(RW): walkers carry the ad; every visited node receives it."""
 
     kind = "rw"
 
@@ -281,48 +256,6 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
             self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
         return report
 
-    def deliver_reference(
-        self, ad: Ad, now: float, budget: Optional[int] = None
-    ) -> DeliveryReport:
-        """Reference per-step loop (pre-kernel semantics, kept for tests)."""
-        if not self.overlay.is_live(ad.source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        total_budget = budget if budget is not None else self.default_budget(ad)
-        per_walker = max(1, total_budget // self.walkers)
-        ad_size = ad.size_bytes(self.sizes)
-        rng = self.rng
-        indptr, indices, lats = self.overlay.live_csr()
-        visited: Set[int] = set()
-        buckets: Dict[int, float] = defaultdict(float)
-        n_messages = 0
-        draws = rng.random((self.walkers, per_walker))
-        for w in range(self.walkers):
-            node = ad.source
-            elapsed_ms = 0.0
-            row = draws[w]
-            for step in range(per_walker):
-                lo = indptr[node]
-                deg = indptr[node + 1] - lo
-                if deg == 0:
-                    break
-                j = lo + int(row[step] * deg)
-                node = int(indices[j])
-                elapsed_ms += lats[j]
-                visited.add(node)
-                n_messages += 1
-                buckets[int(now + elapsed_ms / 1000.0)] += ad_size
-        visited.discard(ad.source)
-        self._record(ad, buckets, n_messages)
-        report = DeliveryReport(
-            visited=frozenset(visited),
-            messages=n_messages,
-            bytes=float(n_messages * ad_size),
-        )
-        if self.tracer.enabled:
-            self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
-        return report
-
-
 class GsaAdForwarder(_WalkForwarderBase):
     """ASAP(GSA): walkers replicate the ad to each visited node's neighbours.
 
@@ -330,8 +263,7 @@ class GsaAdForwarder(_WalkForwarderBase):
     come from the shared kernel chain (generated in chunks, since one-hop
     replication usually exhausts the budget well before the draw matrix),
     while the visited-set replication remains a per-step loop over a
-    bytearray membership table.  ``deliver_reference`` keeps the original
-    loop for the differential tests.
+    bytearray membership table.
 
     Draw sizing: a delivery takes at most ``per_walker`` walk steps per
     walker (each step consumes at least one unit of that walker's budget),
@@ -411,70 +343,6 @@ class GsaAdForwarder(_WalkForwarderBase):
         if self.tracer.enabled:
             self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
         return report
-
-    def deliver_reference(
-        self, ad: Ad, now: float, budget: Optional[int] = None
-    ) -> DeliveryReport:
-        """Reference per-step loop (pre-kernel semantics, kept for tests)."""
-        if not self.overlay.is_live(ad.source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        total_budget = budget if budget is not None else self.default_budget(ad)
-        per_walker = max(1, total_budget // self.walkers)
-        ad_size = ad.size_bytes(self.sizes)
-        rng = self.rng
-        indptr, indices, lats = self.overlay.live_csr()
-        visited: Set[int] = set()
-        buckets: Dict[int, float] = defaultdict(float)
-        n_messages = 0
-        draws = rng.random((self.walkers, per_walker))
-        for w in range(self.walkers):
-            node = ad.source
-            elapsed_ms = 0.0
-            remaining = per_walker
-            row = draws[w]
-            step = 0
-            while remaining > 0:
-                lo = indptr[node]
-                deg = indptr[node + 1] - lo
-                if deg == 0:
-                    break
-                # ``step`` can never reach ``per_walker``: every iteration
-                # consumes at least one budget unit, so the draw row is
-                # always long enough (see the class docstring).
-                j = lo + int(row[step] * deg)
-                step += 1
-                node = int(indices[j])
-                elapsed_ms += lats[j]
-                visited.add(node)
-                n_messages += 1
-                remaining -= 1
-                buckets[int(now + elapsed_ms / 1000.0)] += ad_size
-                lo2 = indptr[node]
-                deg2 = indptr[node + 1] - lo2
-                n_push = 0
-                for k in range(deg2):
-                    if n_push >= remaining:
-                        break
-                    p = int(indices[lo2 + k])
-                    if p in visited or p == ad.source:
-                        continue
-                    visited.add(p)
-                    n_push += 1
-                if n_push > 0:
-                    n_messages += n_push
-                    remaining -= n_push
-                    buckets[int(now + elapsed_ms / 1000.0)] += n_push * ad_size
-        visited.discard(ad.source)
-        self._record(ad, buckets, n_messages)
-        report = DeliveryReport(
-            visited=frozenset(visited),
-            messages=n_messages,
-            bytes=float(n_messages * ad_size),
-        )
-        if self.tracer.enabled:
-            self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
-        return report
-
 
 def make_forwarder(
     kind: str,

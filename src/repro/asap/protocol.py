@@ -32,8 +32,7 @@ Lifecycle:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -41,7 +40,6 @@ import numpy as np
 from repro.asap.ads import Ad, AdType
 from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex
 from repro.asap.delivery import AdForwarder, make_forwarder
-from repro.asap.repository import AdsRepository, CacheEntry
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState
 from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
@@ -123,36 +121,18 @@ class AsapSearch(SearchAlgorithm):
         self.name = _SCHEME_NAMES[self.params.forwarder]
         self.interests = interests
         self.store = SourceFilterStore(overlay.n, content)
-        # Storage backend: pooled struct-of-arrays by default; the object-
-        # backed AdsRepository when constructed under
-        # ``kernels.reference_mode()`` -- the differential oracle the SoA
-        # path is fingerprint-checked against.  Both implement the same
-        # contract, so every path below is backend-agnostic.
-        if kernels.REFERENCE_ONLY:
-            self.arena: Optional[AdsArena] = None
-            self.repos: List[AdsRepository] = [
-                AdsRepository(
-                    owner=i,
-                    interests=interests[i],
-                    store=self.store,
-                    capacity=self.params.cache_capacity,
-                )
-                for i in range(overlay.n)
-            ]
-            self.cachers: Dict[int, Set[int]] = defaultdict(set)
-        else:
-            self.arena = AdsArena(initial_rows=4 * max(overlay.n, 16))
-            self.repos = [
-                ArenaRepository(
-                    owner=i,
-                    interests=interests[i],
-                    store=self.store,
-                    arena=self.arena,
-                    capacity=self.params.cache_capacity,
-                )
-                for i in range(overlay.n)
-            ]
-            self.cachers = CacherIndex(overlay.n)
+        self.arena = AdsArena(initial_rows=4 * max(overlay.n, 16))
+        self.repos: List[ArenaRepository] = [
+            ArenaRepository(
+                owner=i,
+                interests=interests[i],
+                store=self.store,
+                arena=self.arena,
+                capacity=self.params.cache_capacity,
+            )
+            for i in range(overlay.n)
+        ]
+        self.cachers = CacherIndex(overlay.n)
         self.forwarder: AdForwarder = make_forwarder(
             self.params.forwarder,
             overlay,
@@ -240,17 +220,10 @@ class AsapSearch(SearchAlgorithm):
         state: the store version, source liveness and per-node interest
         answers are identical for every receiver of one delivery, so they
         are computed once and the per-receiver work collapses to the
-        version-merge branch of :meth:`AdsRepository.accept` inlined with
-        those invariants hoisted.  ``_disseminate_reference`` keeps the
-        one-``accept``-per-receiver loop as the differential oracle
-        (:func:`repro.sim.kernels.reference_mode` routes here to it).
+        version-merge branch of :meth:`ArenaRepository.accept` inlined with
+        those invariants hoisted.  :meth:`_accept_each` is that merge
+        without the inlining -- value-identical, one ``accept`` per receiver.
         """
-        if kernels.REFERENCE_ONLY or self.arena is None:
-            # Reference mode, or an object-backed instance invoked outside
-            # it: the per-receiver ``accept`` loop is the implementation
-            # for the object backend.
-            self._disseminate_reference(ad, now, budget=budget)
-            return
         report = self.forwarder.deliver(ad, now, budget=budget)
         src = ad.source
         repos = self.repos
@@ -267,94 +240,79 @@ class AsapSearch(SearchAlgorithm):
         # Invariant across the receiver loop: repairs read the store but
         # nothing below writes it, and churn never interleaves mid-event.
         behind_after = ad_version < self.store.version(src)
-        live_src = self.overlay.is_live(src)
-        repair_plan = None
         if ad.ad_type is AdType.FULL:
+            if behind_after or not report.visited:
+                # Not taken by the lifecycle above: a full ad is minted and
+                # delivered in one event, so it cannot trail the store, and
+                # an empty delivery has nobody to merge into.
+                self._accept_each(ad, now, report.visited)
+                return
             interested = self._interest_mask(ad_topics)
-            if not behind_after and report.visited:
-                # Repair-free fast path (fresh full ad, the overwhelmingly
-                # common delivery): the only receivers that change state
-                # are the interested nodes plus existing holders (holders
-                # are always members of ``cachers[src]`` -- every entry
-                # store/remove updates it).  Per-receiver effects --
-                # including capped-cache evictions, which touch only the
-                # receiver's own repo and the victims' cacher bits -- are
-                # value-identical and order-independent, so the loop runs
-                # over the vectorised interest gather instead of the whole
-                # visited set.
-                varr = report.visited_arr
-                if varr is None:
-                    varr = np.fromiter(
-                        report.visited, np.int64, len(report.visited)
-                    )
-                uninterested_holders = cachers_src.difference(
-                    self._interest_set(ad_topics)
+            # Repair-free fast path (fresh full ad, the overwhelmingly
+            # common delivery): the only receivers that change state
+            # are the interested nodes plus existing holders (holders
+            # are always members of ``cachers[src]`` -- every entry
+            # store/remove updates it).  Per-receiver effects --
+            # including capped-cache evictions, which touch only the
+            # receiver's own repo and the victims' cacher bits -- are
+            # value-identical and order-independent, so the loop runs
+            # over the vectorised interest gather instead of the whole
+            # visited set.
+            varr = report.visited_arr
+            if varr is None:
+                varr = np.fromiter(
+                    report.visited, np.int64, len(report.visited)
                 )
-                # Walk-based deliveries can revisit the source; the kernel
-                # gather drops it so the loop below needs no per-node guard
-                # (sources never cache themselves).
-                receivers = kernels.interested_receivers(
-                    varr, interested, exclude=src
-                ).tolist()
-                if uninterested_holders:
-                    visited_fs = report.visited
-                    receivers += [
-                        node
-                        for node in uninterested_holders
-                        if node in visited_fs
-                    ]
-                # Reserve the worst-case alloc burst up front so ``_grow``
-                # cannot swap the arrays out from under the hoisted handles.
-                arena.reserve(len(receivers))
-                a_version = arena.version
-                a_topics_code = arena.topics_code
-                a_cached_at = arena.cached_at
-                no_capacity = self._no_capacity
-                cachers = self.cachers
-                for node in receivers:
-                    repo = repos[node]
-                    slot = repo._slot
-                    row = slot.get(src)
-                    if row is None:
-                        row = arena.alloc()
-                        slot[src] = row
-                        if not no_capacity:
-                            repo._order_append(src, row)
-                    # Unconditional overwrite: storing a fresh entry and
-                    # replacing an existing entry's fields in place are
-                    # value-identical.
-                    a_version[row] = ad_version
-                    a_topics_code[row] = code
-                    a_cached_at[row] = now
-                    behind = repo.behind
-                    if behind:
-                        behind.discard(src)
-                    if not no_capacity and len(slot) > repo.capacity:
-                        for ev in repo._evict(protect=src):
-                            cachers[ev].discard(node)
-                cachers_src.update(receivers)
-            else:
-                for node in report.visited:
-                    if node == src:
-                        continue
-                    repo = repos[node]
-                    if src not in repo.entries and not interested[node]:
-                        continue
-                    repo.store_entry(src, ad_version, ad_topics, now)
-                    if behind_after:
-                        repo.behind.add(src)
-                    else:
-                        repo.behind.discard(src)
-                    cachers_src.add(node)
-                    if repo.capacity is not None:
-                        for evicted_source in repo._evict(protect=src):
-                            self.cachers[evicted_source].discard(node)
-                    if behind_after and live_src:
-                        if repair_plan is None:
-                            repair_plan = self._repair_plan(src)
-                        self._repair_entry(node, src, now, plan=repair_plan)
+            uninterested_holders = cachers_src.difference(
+                self._interest_set(ad_topics)
+            )
+            # Walk-based deliveries can revisit the source; the kernel
+            # gather drops it so the loop below needs no per-node guard
+            # (sources never cache themselves).
+            receivers = kernels.interested_receivers(
+                varr, interested, exclude=src
+            ).tolist()
+            if uninterested_holders:
+                visited_fs = report.visited
+                receivers += [
+                    node
+                    for node in uninterested_holders
+                    if node in visited_fs
+                ]
+            # Reserve the worst-case alloc burst up front so ``_grow``
+            # cannot swap the arrays out from under the hoisted handles.
+            arena.reserve(len(receivers))
+            a_version = arena.version
+            a_topics_code = arena.topics_code
+            a_cached_at = arena.cached_at
+            no_capacity = self._no_capacity
+            cachers = self.cachers
+            for node in receivers:
+                repo = repos[node]
+                slot = repo._slot
+                row = slot.get(src)
+                if row is None:
+                    row = arena.alloc()
+                    slot[src] = row
+                    if not no_capacity:
+                        repo._order_append(src, row)
+                # Unconditional overwrite: storing a fresh entry and
+                # replacing an existing entry's fields in place are
+                # value-identical.
+                a_version[row] = ad_version
+                a_topics_code[row] = code
+                a_cached_at[row] = now
+                behind = repo.behind
+                if behind:
+                    behind.discard(src)
+                if not no_capacity and len(slot) > repo.capacity:
+                    for ev in repo._evict(protect=src):
+                        cachers[ev].discard(node)
+            cachers_src.update(receivers)
         else:
             is_patch = ad.ad_type is AdType.PATCH
+            live_src = self.overlay.is_live(src)
+            repair_plan = None
             # No allocations happen in this branch (patches/refreshes only
             # mutate existing rows; repair pulls reuse the row in place),
             # so the handles stay valid for the whole loop.
@@ -401,30 +359,31 @@ class AsapSearch(SearchAlgorithm):
             for node in cachers_src - set(report.visited):
                 repos[node].mark_behind(src)
 
-    def _disseminate_reference(
-        self, ad: Ad, now: float, budget: Optional[int] = None
-    ) -> None:
-        """Reference dissemination: one ``repo.accept`` per receiver.
+    def _accept_each(self, ad: Ad, now: float, receivers) -> None:
+        """Merge a delivered ad into ``receivers``' caches, one ``accept`` each.
 
-        The pre-batching implementation, retained as the differential
-        oracle for :meth:`_disseminate` (bit-identical cache, cachers,
-        behind-set and ledger state by construction -- the batched loop is
-        ``accept`` inlined with delivery-invariant lookups hoisted).
+        The general receiver merge: any ad type, any subset of the visited
+        nodes (the super-peer variant passes only its caching tier).
+        :meth:`_disseminate` inlines these steps for the hot cases; the
+        differential tests drive whole runs through this loop instead, as
+        that inlining's oracle.
         """
-        report = self.forwarder.deliver(ad, now, budget=budget)
-        for node in report.visited:
+        src = ad.source
+        cachers_src = self.cachers[src]
+        live_src = self.overlay.is_live(src)
+        for node in receivers:
             repo = self.repos[node]
             stored, evicted = repo.accept(ad, now)
             if stored:
-                self.cachers[ad.source].add(node)
+                cachers_src.add(node)
             for evicted_source in evicted:
                 self.cachers[evicted_source].discard(node)
-            if ad.source in repo.behind and self.overlay.is_live(ad.source):
-                self._repair_entry(node, ad.source, now)
+            if live_src and src in repo.behind:
+                self._repair_entry(node, src, now)
         if ad.ad_type is AdType.PATCH:
             # Cachers the delivery missed now lag the source's filter.
-            for node in self.cachers[ad.source] - set(report.visited):
-                self.repos[node].mark_behind(ad.source)
+            for node in cachers_src - set(receivers):
+                self.repos[node].mark_behind(src)
 
     def _repair_plan(self, source: int) -> Dict[str, object]:
         """Hoist the per-source half of :meth:`_repair_entry`.
@@ -686,17 +645,13 @@ class AsapSearch(SearchAlgorithm):
         lists sources the requester just disproved by confirmation -- they
         travel in the request digest, so neighbours do not send them back.
 
-        The per-neighbour merge loop is the batched implementation:
-        :meth:`AdsRepository.accept_snapshot` and ``interested_in`` are
-        inlined with the requester-side invariants (interest set, entry
-        dict, store handles) hoisted, and the compressed-filter reply size
-        is memoized per set-bit count.  ``_ads_request_reference`` keeps
-        the method-call-per-ad loop as the differential oracle.
+        The per-neighbour merge loop inlines
+        :meth:`ArenaRepository.accept_snapshot` and ``interested_in`` with
+        the requester-side invariants (interest set, slot dict, store
+        handles) hoisted, and memoizes the compressed-filter reply size per
+        set-bit count (``tests/oracles/asap.py`` keeps the
+        method-call-per-ad loop it is checked against).
         """
-        if kernels.REFERENCE_ONLY or self.arena is None:
-            return self._ads_request_reference(
-                node, now, exclude=exclude, positions=positions
-            )
         exclude = exclude or set()
         repo = self.repos[node]
         repos = self.repos
@@ -762,33 +717,20 @@ class AsapSearch(SearchAlgorithm):
                 if repo_interests.isdisjoint(topics):
                     continue
                 # accept_snapshot, inlined: ``s != node`` and interest
-                # already hold, and ``s`` is novel so there is no stale
-                # same-version entry to renew unless a previous neighbour
-                # in this very loop stored one.
+                # already hold, and ``novel`` is recomputed against the
+                # requester's slot dict per neighbour, so ``s`` is never
+                # held here -- always a fresh row, always stored.
                 version = a_version[row]
-                mine_row = repo_slot.get(s)
-                if mine_row is not None and a_version[mine_row] >= version:
-                    a_cached_at[mine_row] = now
-                    stored = False
-                    evicted: List[int] = []
+                repo_slot[s] = mine_row = arena_alloc()
+                if repo_capacity is not None:
+                    repo._order_append(s, mine_row)
+                a_version[mine_row] = version
+                a_topics_code[mine_row] = code
+                a_cached_at[mine_row] = now
+                if version < store_version[s]:
+                    repo_behind.add(s)
                 else:
-                    if mine_row is None:
-                        repo_slot[s] = mine_row = arena_alloc()
-                        if repo_capacity is not None:
-                            repo._order_append(s, mine_row)
-                    a_version[mine_row] = version
-                    a_topics_code[mine_row] = code
-                    a_cached_at[mine_row] = now
-                    if version < store_version[s]:
-                        repo_behind.add(s)
-                    else:
-                        repo_behind.discard(s)
-                    stored = True
-                    evicted = (
-                        repo._evict(protect=s)
-                        if repo_capacity is not None
-                        else []
-                    )
+                    repo_behind.discard(s)
                 # The reply carries the source's *current* filter; its
                 # set-bit count -- and therefore the compressed size -- can
                 # only change when the source's version bumps, so (s,
@@ -803,12 +745,12 @@ class AsapSearch(SearchAlgorithm):
                         size_memo[n_set] = size
                     reply_size_memo[size_key] = size
                 reply_bytes += ad_header + size
-                if stored:
-                    cachers[s].add(node)
-                    for ev in evicted:
+                cachers[s].add(node)
+                if repo_capacity is not None:
+                    for ev in repo._evict(protect=s):
                         cachers[ev].discard(node)
-                    if s not in new_sources or rtt < new_sources[s]:
-                        new_sources[s] = rtt
+                if s not in new_sources or rtt < new_sources[s]:
+                    new_sources[s] = rtt
             n_messages += 1
             total_bytes += reply_bytes
             ledger.record(
@@ -820,96 +762,6 @@ class AsapSearch(SearchAlgorithm):
             if telemetry is not None:
                 # The serving neighbour pays for the reply it assembled.
                 telemetry.record_ads_request(
-                    now, int(nbr), request_size + reply_bytes
-                )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "ad",
-                "ads_request",
-                now,
-                node=int(node),
-                scope="query" if positions is not None else "bootstrap",
-                neighbors=len(neighbors),
-                new_sources=len(new_sources),
-                messages=n_messages,
-                cost_bytes=total_bytes,
-                request_bytes=request_total,
-                reply_bytes=total_bytes - request_total,
-            )
-        return new_sources, n_messages, total_bytes
-
-    def _ads_request_reference(
-        self,
-        node: int,
-        now: float,
-        exclude: Optional[Set[int]] = None,
-        positions: Optional[np.ndarray] = None,
-    ) -> Tuple[Dict[int, float], int, float]:
-        """Reference ads request: one ``accept_snapshot`` call per ad.
-
-        The pre-batching implementation, retained as the differential
-        oracle for :meth:`_ads_request` (same contract, bit-identical
-        repository/ledger state and return value).
-        """
-        exclude = exclude or set()
-        repo = self.repos[node]
-        neighbors = self._neighbors_within_h(node)
-        new_sources: Dict[int, float] = {}
-        n_messages = 0
-        total_bytes = 0.0
-        request_total = 0.0
-        request_size = self.sizes.ads_request + int(
-            math.ceil(len(repo) * self.params.digest_bytes_per_entry)
-        )
-        current_match = (
-            self.store.match_current(positions) if positions is not None else None
-        )
-        for nbr, one_way in neighbors:
-            n_messages += 1
-            total_bytes += request_size
-            request_total += request_size
-            self.ledger.record(
-                now, TrafficCategory.ADS_REQUEST, request_size, messages=1
-            )
-            nbr_repo = self.repos[nbr]
-            if positions is None:
-                offered = nbr_repo.entries.keys()
-            else:
-                offered = nbr_repo.lookup(positions, current_match)
-            novel = [
-                s
-                for s in sorted(set(offered) - repo.entries.keys() - exclude)
-                if s != node
-            ]
-            reply_bytes = float(self.sizes.ad_header)  # reply envelope
-            rtt = 2.0 * one_way
-            for s in novel:
-                entry = nbr_repo.entries[s]
-                if not repo.interested_in(entry.topics):
-                    continue
-                stored, evicted = repo.accept_snapshot(
-                    s, entry.version, entry.topics, now
-                )
-                reply_bytes += self.sizes.ad_header + compressed_filter_size(
-                    self.store.n_set_bits(s), self.store.hasher.m
-                )
-                if stored:
-                    self.cachers[s].add(node)
-                    for ev in evicted:
-                        self.cachers[ev].discard(node)
-                    if s not in new_sources or rtt < new_sources[s]:
-                        new_sources[s] = rtt
-            n_messages += 1
-            total_bytes += reply_bytes
-            self.ledger.record(
-                now + rtt / 1000.0,
-                TrafficCategory.ADS_REPLY,
-                reply_bytes,
-                messages=1,
-            )
-            if self.telemetry.enabled:
-                # The serving neighbour pays for the reply it assembled.
-                self.telemetry.record_ads_request(
                     now, int(nbr), request_size + reply_bytes
                 )
         if self.tracer.enabled:
@@ -975,28 +827,15 @@ class AsapSearch(SearchAlgorithm):
             telemetry = self.telemetry
             cap = self.params.max_confirmations
             pending = [s for s in cands if s not in tried]
-            if kernels.REFERENCE_ONLY or not pending:
-                # Reference nearest-first ordering: per-pair latency calls
-                # under a stable sort.
-                order = sorted(
-                    pending,
-                    key=lambda s: self.overlay.direct_latency_ms(requester, s),
-                )[:cap]
-                ordered = [
-                    (s, self.overlay.direct_latency_ms(requester, s))
-                    for s in order
-                ]
-            else:
-                # Batched ordering: gather all candidate latencies in one
-                # vectorized call and stable-argsort.  pairwise latencies
-                # are bit-equal to per-pair ones and both sorts are
-                # stable over the same iteration order, so the selection
-                # and its order match the reference exactly.
-                lats = self.overlay.direct_latencies_ms(
-                    requester, np.asarray(pending, dtype=np.int64)
-                )
-                idx = np.argsort(lats, kind="stable")[:cap]
-                ordered = [(pending[i], float(lats[i])) for i in idx]
+            if not pending:
+                return
+            # Nearest-first: one vectorized latency gather and a stable
+            # argsort, so equidistant sources keep candidate order.
+            lats = self.overlay.direct_latencies_ms(
+                requester, np.asarray(pending, dtype=np.int64)
+            )
+            idx = np.argsort(lats, kind="stable")[:cap]
+            ordered = [(pending[i], float(lats[i])) for i in idx]
             for s, lat in ordered:
                 tried.add(s)
                 n_messages += 1

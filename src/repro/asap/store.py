@@ -16,7 +16,7 @@ multiset (paper Section III-B).  The store centralises, for all sources:
 
 The store is pure state: it emits :class:`~repro.asap.ads.Ad` objects on
 content changes but never touches the network -- delivery and caching
-policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.repository`.
+policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.arena`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.asap.ads import Ad, AdType
 from repro.bloom.filter import CountingBloomFilter
 from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M
 from repro.bloom.matrix import FilterMatrix
-from repro.sim import kernels
 from repro.workload.content import ContentIndex, Document
 
 __all__ = ["SourceFilterStore"]
@@ -158,15 +157,6 @@ class SourceFilterStore:
             # bits at ``positions`` equal the current ones -- the caller's
             # precomputed current-filter answer is the exact result.
             return bool(current)
-        if kernels.REFERENCE_ONLY:
-            # Reference path: per-position bit probes (differential oracle).
-            for pos in positions:
-                bit = self.matrix.get_bit(source, int(pos))
-                if int(pos) in flipped_odd:
-                    bit = not bit
-                if not bit:
-                    return False
-            return True
         pos = np.asarray(positions, dtype=np.int64)
         bits = self.matrix.get_bits(source, pos)
         if flipped_odd:

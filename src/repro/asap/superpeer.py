@@ -111,19 +111,9 @@ class SuperPeerAsapSearch(AsapSearch):
     def _disseminate(self, ad, now, budget=None) -> None:
         """Deliver an ad but let only super peers cache it."""
         report = self.forwarder.deliver(ad, now, budget=budget)
-        visited_supers = [v for v in report.visited if self._is_super[v]]
-        for node in visited_supers:
-            repo = self.repos[node]
-            stored, evicted = repo.accept(ad, now)
-            if stored:
-                self.cachers[ad.source].add(node)
-            for evicted_source in evicted:
-                self.cachers[evicted_source].discard(node)
-            if ad.source in repo.behind and self.overlay.is_live(ad.source):
-                self._repair_entry(node, ad.source, now)
-        if ad.ad_type.value == "patch":
-            for node in self.cachers[ad.source] - set(visited_supers):
-                self.repos[node].mark_behind(ad.source)
+        self._accept_each(
+            ad, now, [v for v in report.visited if self._is_super[v]]
+        )
 
     def warmup(self, engine, start: float, duration: float) -> None:
         """As in flat ASAP, except only super peers bootstrap caches."""

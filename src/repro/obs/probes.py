@@ -21,16 +21,13 @@ one deterministic snapshot per tick:
 
 Determinism contract.  Snapshots are read-only, consume no randomness, and
 schedule exactly zero events when probing is off, so enabling probes never
-changes a run's results.  Every series is computed through one shared
-ingestion path for both storage backends (the numpy arena and the
-object-backed reference repositories behind
-:func:`repro.sim.kernels.reference_mode`), with power-of-two sketch buckets
-derived from ``frexp`` -- pure bit manipulation, so arena and reference
-snapshots of the same simulated tick are **bit-identical** in their
-protocol-state section (the backend section differs by construction; the
-arena has stats, the reference store does not).  Cell summaries merge in
-input order exactly like :func:`repro.obs.telemetry.merge_summaries`, so
-``--jobs N`` output is bit-identical to serial.
+changes a run's results.  Every per-entry series feeds an order-independent
+sketch (sorted sums, power-of-two buckets derived from ``frexp`` -- pure bit
+manipulation), so a snapshot depends only on the multiset of cached
+entries, never on arena row order; ``tests/test_obs_probes.py`` checks it
+against a plain per-repository loop.  Cell summaries merge in input order
+exactly like :func:`repro.obs.telemetry.merge_summaries`, so ``--jobs N``
+output is bit-identical to serial.
 
 Usage::
 
@@ -79,8 +76,8 @@ def pow2_sketch(values) -> LogBucketSketch:
     arithmetic, no transcendental calls), and the running total is summed
     over the *sorted* value array -- so two callers feeding the same
     multiset of float64 values get bit-identical sketches regardless of
-    the order their storage backend yielded them.  This is what makes
-    arena and reference-mode snapshots comparable.
+    the order the values arrive in (arena rows are recycled, so row order
+    is not stable across otherwise identical states).
     """
     sketch = LogBucketSketch(gamma=2.0)
     if isinstance(values, np.ndarray):
@@ -123,10 +120,8 @@ def _is_asap(algorithm) -> bool:
 def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     """One protocol-state snapshot at simulated time ``now``.
 
-    Backend-independent: the returned dict is bit-identical whether
-    ``algorithm`` runs on the numpy arena or the object-backed reference
-    repositories (``tests/test_obs_probes.py`` asserts this).  Non-ASAP
-    algorithms get the overlay gauges only (they keep no ad state).
+    Non-ASAP algorithms get the overlay gauges only (they keep no ad
+    state).
     """
     overlay = algorithm.overlay
     state: Dict[str, Any] = {
@@ -142,65 +137,37 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     n = int(overlay.n)
     live_mask = overlay.live_mask
 
-    # --- per-entry series: one vectorized pass over the arena rows, or a
-    # gather over the reference entries -- same multiset, same sketch.
-    arena = getattr(algorithm, "arena", None)
-    if arena is not None:
-        top = arena._top
-        row_live = np.ones(top, dtype=bool)
-        if arena._free:
-            row_live[np.asarray(arena._free, dtype=np.int64)] = False
-        cached_at = arena.cached_at[:top][row_live]
-    else:
-        cached_at = np.asarray(
-            [
-                entry.cached_at
-                for repo in repos
-                for entry in repo.entries.values()
-            ],
-            dtype=np.float64,
-        )
+    # --- per-entry series: one vectorized pass over the live arena rows.
+    arena = algorithm.arena
+    top = arena._top
+    row_live = np.ones(top, dtype=bool)
+    if arena._free:
+        row_live[np.asarray(arena._free, dtype=np.int64)] = False
+    cached_at = arena.cached_at[:top][row_live]
     entries_total = int(cached_at.size)
     ages = now - cached_at
 
-    # --- staleness: behind counts + version lag over behind entries.
-    # Lag feeds an order-independent sketch, so both paths only need the
-    # same multiset; the arena path gathers (source, row) pairs and lets
-    # numpy do the subtraction instead of building entry wrappers.
+    # --- staleness: behind counts + version lag over behind entries,
+    # gathered as (source, row) pairs so numpy does the subtraction.
     behind_total = 0
-    if arena is not None:
-        src_idx: List[int] = []
-        row_idx: List[int] = []
-        for repo in repos:
-            behind = repo.behind
-            if not behind:
-                continue
-            behind_total += len(behind)
-            slot = repo._slot
-            common = behind & slot.keys()
-            src_idx.extend(common)
-            row_idx.extend(map(slot.__getitem__, common))
-        if src_idx:
-            lag = store._version[
-                np.asarray(src_idx, dtype=np.int64)
-            ] - arena.version[np.asarray(row_idx, dtype=np.int64)].astype(
-                np.int64
-            )
-            lags = lag[lag > 0].astype(np.float64)
-        else:
-            lags = np.zeros(0, dtype=np.float64)
+    src_idx: List[int] = []
+    row_idx: List[int] = []
+    for repo in repos:
+        behind = repo.behind
+        if not behind:
+            continue
+        behind_total += len(behind)
+        slot = repo._slot
+        common = behind & slot.keys()
+        src_idx.extend(common)
+        row_idx.extend(map(slot.__getitem__, common))
+    if src_idx:
+        lag = store._version[
+            np.asarray(src_idx, dtype=np.int64)
+        ] - arena.version[np.asarray(row_idx, dtype=np.int64)].astype(np.int64)
+        lags = lag[lag > 0].astype(np.float64)
     else:
-        lag_list: List[float] = []
-        for repo in repos:
-            behind_total += len(repo.behind)
-            for source in repo.behind:
-                entry = repo.entry(source)
-                if entry is None:
-                    continue
-                lag = store.version(source) - entry.version
-                if lag > 0:
-                    lag_list.append(float(lag))
-        lags = np.asarray(lag_list, dtype=np.float64)
+        lags = np.zeros(0, dtype=np.float64)
 
     # --- occupancy / eviction pressure.
     occupancy = np.fromiter((len(r) for r in repos), dtype=np.int64, count=n)
@@ -213,7 +180,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     # advertised sharer.  Sources are grouped by (interned) topic set --
     # topic populations are tiny -- and each group's cacher bitsets are
     # stacked into chunked uint8 matrices so the AND + popcount runs
-    # array-at-a-time on the arena backend.
+    # array-at-a-time.
     cachers = algorithm.cachers
     sources = audience_total = covered_total = holders_total = 0
     replication: List[float] = []
@@ -236,27 +203,20 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
         audience_total += int(audience_vec.sum())
         holders_vec = np.zeros(len(members), dtype=np.int64)
         covered_vec = np.zeros(len(members), dtype=np.int64)
-        if arena is not None:  # packed bitsets: vectorized popcount
-            stack = np.zeros((min(chunk, len(members)), packed.size), np.uint8)
-            for start in range(0, len(members), chunk):
-                block = members[start : start + chunk]
-                stack[: len(block)] = 0
-                for i, source in enumerate(block):
-                    if source in cachers:
-                        stack[i] = np.frombuffer(
-                            cachers[source]._bits, dtype=np.uint8
-                        )
-                sub = stack[: len(block)]
-                holders_vec[start : start + chunk] = _POPCOUNT[sub].sum(axis=1)
-                covered_vec[start : start + chunk] = _POPCOUNT[
-                    sub & packed
-                ].sum(axis=1)
-        else:  # plain sets (reference backend)
-            for i, source in enumerate(members):
+        stack = np.zeros((min(chunk, len(members)), packed.size), np.uint8)
+        for start in range(0, len(members), chunk):
+            block = members[start : start + chunk]
+            stack[: len(block)] = 0
+            for i, source in enumerate(block):
                 if source in cachers:
-                    row = cachers[source]
-                    holders_vec[i] = len(row)
-                    covered_vec[i] = sum(1 for node in row if amask[node])
+                    stack[i] = np.frombuffer(
+                        cachers[source]._bits, dtype=np.uint8
+                    )
+            sub = stack[: len(block)]
+            holders_vec[start : start + chunk] = _POPCOUNT[sub].sum(axis=1)
+            covered_vec[start : start + chunk] = _POPCOUNT[
+                sub & packed
+            ].sum(axis=1)
         holders_total += int(holders_vec.sum())
         covered_total += int(covered_vec.sum())
         replication.extend(holders_vec.astype(np.float64).tolist())
@@ -264,7 +224,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
         fractions.extend((covered_vec[pos] / audience_vec[pos]).tolist())
 
     # --- bloom: filter fill and the FP probability it implies, computed
-    # over the shared FilterMatrix counters (identical on both backends).
+    # over the shared FilterMatrix counters.
     from repro.bloom.hashing import min_false_positive_rate
 
     m = float(store.hasher.m)
@@ -310,14 +270,12 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
 def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
     """Backend/introspection gauges: arena health + engine queue state.
 
-    Deliberately *excluded* from the comparable protocol-state section --
-    the reference store has no arena and disables the batched kernels, so
-    these gauges differ across backends by construction.
+    Kept apart from the protocol-state section: these describe how the
+    state is stored (row recycling, queue depth), not what it is.
     """
     backend: Dict[str, Any] = {}
-    arena = getattr(algorithm, "arena", None)
-    if arena is not None:
-        stats = dict(arena.stats())
+    if _is_asap(algorithm):
+        stats = dict(algorithm.arena.stats())
         occupancy = sum(len(r) for r in algorithm.repos)
         stats["slot_index_consistent"] = bool(stats["rows_live"] == occupancy)
         backend["arena"] = stats
@@ -338,9 +296,7 @@ def check_arena_health(algorithm) -> Dict[str, Any]:
     individual invariants (live-count == occupancy, no dangling slots,
     no double-allocated rows, free rows disjoint from slots).
     """
-    arena = getattr(algorithm, "arena", None)
-    if arena is None:
-        return {"ok": True, "backend": "reference"}
+    arena = algorithm.arena
     rows = [
         row for repo in algorithm.repos for row in repo._slot.values()
     ]
@@ -351,7 +307,6 @@ def check_arena_health(algorithm) -> Dict[str, Any]:
     in_pool = all(0 <= row < arena._top for row in rows)
     disjoint = not any(row in free for row in rows)
     report = {
-        "backend": "arena",
         "rows_live": stats["rows_live"],
         "occupancy": occupancy,
         "live_matches_occupancy": stats["rows_live"] == occupancy,
@@ -466,11 +421,10 @@ class ProbeSummary:
         return blake2b(self.to_json().encode(), digest_size=16).hexdigest()
 
     def state_fingerprint(self) -> str:
-        """Identity of the backend-independent protocol-state series only.
+        """Identity of the protocol-state series only.
 
-        Bit-equal between arena and reference-mode runs of the same
-        config at the same ticks (the backend gauges, which necessarily
-        differ, are excluded).
+        Excludes the backend gauges, so it depends on what the caches hold
+        at each tick and not on how the arena laid the rows out.
         """
         doc = {
             "schema": PROBE_SCHEMA_VERSION,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.search.base import SearchAlgorithm, SearchOutcome
-from repro.search.flooding import _reached_hits, flood_reach
+from repro.search.flooding import _reached_hits
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
@@ -42,8 +42,6 @@ class ExpandingRingSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if kernels.REFERENCE_ONLY:
-            return self._search_reference(requester, terms, now)
         if self._local_hit(requester, terms):
             return self._local_outcome()
 
@@ -98,73 +96,6 @@ class ExpandingRingSearch(SearchAlgorithm):
             # No result: wait out this ring's horizon before enlarging
             # (requester must give the ring time to answer -- we charge the
             # worst arrival within the ring, the standard timeout model).
-            finite = arrival[first_hop >= 0]
-            ring_horizon = 2.0 * float(finite.max()) if len(finite) else 0.0
-            elapsed_ms += ring_horizon
-
-        if self.telemetry.enabled:
-            self.telemetry.record_peer_bytes(now, requester, total_bytes)
-        return self._failure(total_msgs, total_bytes)
-
-    def _search_reference(
-        self, requester: int, terms: Sequence[str], now: float
-    ) -> SearchOutcome:
-        """Pre-kernel body: one standalone flood per ring, per-hit loops.
-
-        The whole-method differential oracle for ``_search_impl`` and the
-        A/B benchmark's baseline arm; the gathered sums/mins in the batched
-        path are order-independent, so outcomes match bit for bit.
-        """
-        if self._local_hit(requester, terms):
-            return self._local_outcome()
-
-        matching = self._matching_live_nodes(terms, exclude=requester)
-        total_msgs = 0
-        total_bytes = 0.0
-        elapsed_ms = 0.0  # rings run sequentially
-
-        for ttl in self.ttl_sequence:
-            first_hop, arrival, n_msgs = flood_reach(
-                self.overlay, requester, ttl
-            )
-            ring_bytes = n_msgs * self.sizes.query
-            total_msgs += n_msgs
-            total_bytes += ring_bytes
-            self.ledger.record(
-                now + elapsed_ms / 1000.0,
-                TrafficCategory.QUERY,
-                ring_bytes,
-                messages=n_msgs,
-            )
-            hits = [v for v in matching if first_hop[v] >= 0]
-            if hits:
-                response_msgs = int(sum(first_hop[v] for v in hits))
-                response_bytes = response_msgs * self.sizes.query_response
-                self.ledger.record(
-                    now + elapsed_ms / 1000.0,
-                    TrafficCategory.QUERY_RESPONSE,
-                    response_bytes,
-                    messages=response_msgs,
-                )
-                telemetry = self.telemetry
-                if telemetry.enabled:
-                    telemetry.record_peer_bytes(now, requester, total_bytes)
-                    for v in hits:
-                        telemetry.record_peer_bytes(
-                            now,
-                            int(v),
-                            int(first_hop[v]) * self.sizes.query_response,
-                        )
-                response_time = elapsed_ms + 2.0 * min(
-                    float(arrival[v]) for v in hits
-                )
-                return SearchOutcome(
-                    success=True,
-                    response_time_ms=response_time,
-                    messages=total_msgs + response_msgs,
-                    cost_bytes=total_bytes + response_bytes,
-                    results=len(hits),
-                )
             finite = arrival[first_hop >= 0]
             ring_horizon = 2.0 * float(finite.max()) if len(finite) else 0.0
             elapsed_ms += ring_horizon

@@ -32,7 +32,7 @@ from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
-__all__ = ["FloodingSearch", "flood_reach", "flood_reach_reference"]
+__all__ = ["FloodingSearch", "flood_reach"]
 
 
 def flood_reach(
@@ -50,52 +50,15 @@ def flood_reach(
 
     Runs on the frontier-restricted kernel
     (:func:`repro.sim.kernels.flood_frontier`) over the shared per-epoch
-    :class:`~repro.sim.kernels.WalkCsr`; ``flood_reach_reference`` retains
-    the full-edge-array Bellman-Ford for the differential tests, which is
-    also what :func:`repro.sim.kernels.reference_mode` routes to.
+    :class:`~repro.sim.kernels.WalkCsr`; the full-edge-array Bellman-Ford
+    the differential tests check it against is
+    ``tests/oracles/flood.py``.
     """
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     if not overlay.is_live(source):
         raise ValueError(f"flood source {source} is offline")
-    if kernels.REFERENCE_ONLY:
-        return flood_reach_reference(overlay, source, ttl)
     return kernels.flood_frontier(overlay.walk_csr(), source, ttl)
-
-
-def flood_reach_reference(
-    overlay: Overlay, source: int, ttl: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Reference flood: TTL rounds of ``np.minimum.at`` over all live edges.
-
-    The pre-kernel implementation, retained as the differential oracle for
-    :func:`flood_reach` (same contract, bit-identical outputs).
-    """
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    n = overlay.n
-    if not overlay.is_live(source):
-        raise ValueError(f"flood source {source} is offline")
-    src, dst, lat = overlay.live_edges()
-    arrival = np.full(n, np.inf)
-    arrival[source] = 0.0
-    first_hop = np.full(n, -1, dtype=np.int64)
-    first_hop[source] = 0
-    for h in range(1, ttl + 1):
-        relaxed = arrival[src] + lat
-        new_arrival = arrival.copy()
-        np.minimum.at(new_arrival, dst, relaxed)
-        newly = (first_hop < 0) & np.isfinite(new_arrival)
-        if not newly.any() and np.array_equal(new_arrival, arrival):
-            arrival = new_arrival
-            break
-        first_hop[newly] = h
-        arrival = new_arrival
-
-    deg = overlay.live_degrees()
-    forwarding = (first_hop >= 1) & (first_hop < ttl)
-    n_messages = int(deg[source]) + int(np.sum(deg[forwarding] - 1))
-    return first_hop, arrival, n_messages
 
 
 def _reached_hits(matching: set, first_hop: np.ndarray) -> np.ndarray:
@@ -121,8 +84,6 @@ class FloodingSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if kernels.REFERENCE_ONLY:
-            return self._search_reference(requester, terms, now)
         if self._local_hit(requester, terms):
             return self._local_outcome()
 
@@ -147,7 +108,7 @@ class FloodingSearch(SearchAlgorithm):
         # Responses travel the reverse path: hop(v) transmissions each, and
         # the response reaches the requester after another arrival[v].
         # Integer sum and float min are order-independent, so the gathered
-        # forms match the reference per-hit loop bit for bit.
+        # forms equal a per-hit loop bit for bit.
         hit_hops = first_hop[hits]
         response_msgs = int(hit_hops.sum())
         response_bytes = response_msgs * self.sizes.query_response
@@ -164,62 +125,6 @@ class FloodingSearch(SearchAlgorithm):
                     now, v, h * self.sizes.query_response
                 )
         response_time = 2.0 * float(arrival[hits].min())
-        return SearchOutcome(
-            success=True,
-            response_time_ms=response_time,
-            messages=n_query_msgs + response_msgs,
-            cost_bytes=query_bytes + response_bytes,
-            results=len(hits),
-        )
-
-    def _search_reference(
-        self, requester: int, terms: Sequence[str], now: float
-    ) -> SearchOutcome:
-        """The pre-kernel search body: reference flood + per-hit loops.
-
-        Kept verbatim as the whole-method differential oracle (and the
-        A/B benchmark's baseline arm): same outcome, ledger rows and
-        telemetry bit for bit -- the batched path's gathered integer sum
-        and float min are order-independent, and each per-hit quantity is
-        the same IEEE value.
-        """
-        if self._local_hit(requester, terms):
-            return self._local_outcome()
-
-        first_hop, arrival, n_query_msgs = flood_reach_reference(
-            self.overlay, requester, self.ttl
-        )
-        query_bytes = n_query_msgs * self.sizes.query
-        self.ledger.record(
-            now, TrafficCategory.QUERY, query_bytes, messages=n_query_msgs
-        )
-
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.record_peer_bytes(now, requester, query_bytes)
-
-        hits = [
-            v
-            for v in self._matching_live_nodes(terms, exclude=requester)
-            if first_hop[v] >= 0
-        ]
-        if not hits:
-            return self._failure(n_query_msgs, query_bytes)
-
-        response_msgs = int(sum(first_hop[v] for v in hits))
-        response_bytes = response_msgs * self.sizes.query_response
-        self.ledger.record(
-            now,
-            TrafficCategory.QUERY_RESPONSE,
-            response_bytes,
-            messages=response_msgs,
-        )
-        if telemetry.enabled:
-            for v in hits:
-                telemetry.record_peer_bytes(
-                    now, int(v), int(first_hop[v]) * self.sizes.query_response
-                )
-        response_time = 2.0 * min(float(arrival[v]) for v in hits)
         return SearchOutcome(
             success=True,
             response_time_ms=response_time,

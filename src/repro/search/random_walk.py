@@ -10,19 +10,19 @@ are recorded at the reply's *arrival* time (hit time + the direct reply
 hop), so the Figure 10 per-second series places them when the requester
 actually receives them.
 
-Two equivalent implementations exist:
+Which of two implementations runs is decided by the overlay, not by a
+setting:
 
-* ``_search_impl`` runs on the vectorised walk kernel
-  (:mod:`repro.sim.kernels`): full trajectories in chunks, with the heap
-  cut-off recovered post hoc -- with strictly positive edge latencies the
-  first hit is the minimum match arrival over the full trajectories, and a
-  step is charged iff it *started* before that instant (proof sketch in
-  docs/PERFORMANCE.md).
-* ``_search_loop`` is the retained reference: walkers step in wall-clock
-  order via a small heap keyed by accumulated path latency.  It is used
-  directly when an overlay has non-positive edge latencies (where the
-  truncation argument does not hold) and by the differential tests, which
-  assert the two paths agree bit-for-bit.
+* strictly positive edge latencies (``csr.lats_positive``, every overlay
+  the experiments build): the vectorised walk kernel
+  (:mod:`repro.sim.kernels`) -- full trajectories in chunks, with the heap
+  cut-off recovered post hoc; the first hit is the minimum match arrival
+  over the full trajectories, and a step is charged iff it *started*
+  before that instant (proof sketch in docs/PERFORMANCE.md);
+* any non-positive edge latency, where that truncation argument does not
+  hold: ``_search_loop`` -- walkers step in wall-clock order via a small
+  heap keyed by accumulated path latency.  The differential tests also
+  assert the two agree bit-for-bit wherever both apply.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RandomWalkSearch(SearchAlgorithm):
         csr = self.overlay.walk_csr()
         if not csr.lats_positive:
             # Zero/negative edge latency breaks the post-hoc truncation
-            # proof; fall back to the event-ordered reference loop.
+            # proof; only the event-ordered loop is exact here.
             return self._search_loop(requester, terms, now)
 
         matching = self._matching_live_nodes(terms, exclude=requester)
@@ -82,8 +82,8 @@ class RandomWalkSearch(SearchAlgorithm):
     def _search_loop(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        """Reference heap-ordered walk (pre-kernel semantics, kept for
-        tests and as the non-positive-latency fallback)."""
+        """Heap-ordered walk: exact for any edge latencies, and the only
+        path for overlays where some latency is not strictly positive."""
         if self._local_hit(requester, terms):
             return self._local_outcome()
 

@@ -26,15 +26,13 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
   pass.
 
 The kernels are pure functions over :class:`WalkCsr` + a draw matrix; all
-ledger writes stay in the callers so the accounting code path is shared
-with the retained reference loops that the differential tests compare
-against.
+ledger writes stay in the callers, so the per-step loops the differential
+tests compare against (``tests/oracles/``) share the accounting code path.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from itertools import chain as chain_iter_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -52,35 +50,10 @@ __all__ = [
     "flood_frontier",
     "flood_rings",
     "interested_receivers",
-    "interested_receivers_reference",
-    "reference_mode",
     "rw_delivery",
     "rw_search",
     "segmented_cumsum",
 ]
-
-#: When True, every call site that has both a batched kernel and a
-#: retained reference loop routes through the reference loop.  This is
-#: how the differential tests and the A/B benchmarks force the pre-kernel
-#: code paths in-process; flip it only via :func:`reference_mode`.
-REFERENCE_ONLY = False
-
-
-@contextmanager
-def reference_mode() -> Iterator[None]:
-    """Force all kernel call sites onto their retained reference loops.
-
-    Used by the differential tests to run the same simulation twice --
-    once batched, once on the original per-message loops -- and compare
-    results bit-for-bit.
-    """
-    global REFERENCE_ONLY
-    saved = REFERENCE_ONLY
-    REFERENCE_ONLY = True
-    try:
-        yield
-    finally:
-        REFERENCE_ONLY = saved
 
 #: First-chunk size for chunked walks (doubles every round).  Small at
 #: first because searches over well-replicated content hit within a few
@@ -306,14 +279,6 @@ def interested_receivers(
     """
     sel = visited[interest_mask[visited]]
     return sel[sel != exclude]
-
-
-def interested_receivers_reference(
-    visited: np.ndarray, interest_mask: np.ndarray, exclude: int
-) -> np.ndarray:
-    """Per-node loop twin of :func:`interested_receivers` (differential tests)."""
-    out = [int(v) for v in visited if interest_mask[v] and v != exclude]
-    return np.asarray(out, dtype=np.int64)
 
 
 # --------------------------------------------------------------- delivery

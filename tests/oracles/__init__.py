@@ -1,0 +1,46 @@
+"""Test-side oracles: the plain implementations the product is checked against.
+
+``src/repro`` ships one code path per behaviour.  What used to be its
+in-tree twins live here, imported by tests only:
+
+* :mod:`tests.oracles.repository` -- the object-per-entry ads cache
+  (:class:`~repro.asap.arena.ArenaRepository`'s model);
+* :mod:`tests.oracles.store` -- per-position historical filter probes;
+* :mod:`tests.oracles.flood` -- full-edge-array Bellman-Ford floods;
+* :mod:`tests.oracles.delivery` -- per-step ad-delivery loops;
+* :mod:`tests.oracles.asap` -- the method-call-per-ad protocol built on
+  all of the above.
+
+:func:`oracle_arm` swaps them in for a whole ``run_experiment`` so run
+fingerprints can be compared arm against arm; behaviour across commits is
+frozen by ``tests/golden/run_fingerprints.json``.
+"""
+
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
+from repro.search import flooding
+from repro.sim import kernels
+from repro.simulation import runner
+
+from tests.oracles.asap import OracleAsapSearch
+from tests.oracles.flood import flood_reach_reference, flood_rings_reference
+
+__all__ = ["oracle_arm"]
+
+
+@contextmanager
+def oracle_arm():
+    """Build and run experiments on the oracles instead of the product paths.
+
+    Covers flat ASAP (storage, delivery, dissemination, ads requests) and
+    the flood kernels behind flooding and expanding-ring search.
+    """
+    with ExitStack() as stack:
+        for target, name, oracle in (
+            (runner, "AsapSearch", OracleAsapSearch),
+            (flooding, "flood_reach", flood_reach_reference),
+            (kernels, "flood_rings", flood_rings_reference),
+        ):
+            stack.enter_context(mock.patch.object(target, name, oracle))
+        yield

@@ -1,0 +1,131 @@
+"""ASAP protocol oracle: the protocol the way it was first written.
+
+:class:`OracleAsapSearch` is :class:`~repro.asap.protocol.AsapSearch` with
+every optimised layer swapped for its plain predecessor -- one
+:class:`~tests.oracles.repository.CacheEntry` object per cached ad, plain
+``set`` cacher indexes, per-step delivery loops, one ``accept`` per
+receiver, one ``accept_snapshot`` per offered ad.  Repository, cacher,
+ledger state and every return value must match the product bit for bit.
+"""
+
+import math
+from collections import defaultdict
+from functools import partial
+from typing import Dict, Optional, Set, Tuple
+
+import numpy as np
+
+from repro.asap.protocol import AsapSearch
+from repro.bloom.compressed import compressed_filter_size
+from repro.sim.metrics import TrafficCategory
+
+from tests.oracles.delivery import deliver_reference
+from tests.oracles.repository import AdsRepository
+
+__all__ = ["OracleAsapSearch"]
+
+
+class OracleAsapSearch(AsapSearch):
+    """Object-backed, method-call-per-ad ASAP."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.repos = [
+            AdsRepository(
+                owner=i,
+                interests=self.interests[i],
+                store=self.store,
+                capacity=self.params.cache_capacity,
+            )
+            for i in range(self.overlay.n)
+        ]
+        self.cachers = defaultdict(set)
+        self.forwarder.deliver = partial(deliver_reference, self.forwarder)
+
+    def _disseminate(self, ad, now, budget=None) -> None:
+        report = self.forwarder.deliver(ad, now, budget=budget)
+        self._accept_each(ad, now, report.visited)
+
+    def _ads_request(
+        self,
+        node: int,
+        now: float,
+        exclude: Optional[Set[int]] = None,
+        positions: Optional[np.ndarray] = None,
+    ) -> Tuple[Dict[int, float], int, float]:
+        exclude = exclude or set()
+        repo = self.repos[node]
+        neighbors = self._neighbors_within_h(node)
+        new_sources: Dict[int, float] = {}
+        n_messages = 0
+        total_bytes = 0.0
+        request_total = 0.0
+        request_size = self.sizes.ads_request + int(
+            math.ceil(len(repo) * self.params.digest_bytes_per_entry)
+        )
+        current_match = (
+            self.store.match_current(positions) if positions is not None else None
+        )
+        for nbr, one_way in neighbors:
+            n_messages += 1
+            total_bytes += request_size
+            request_total += request_size
+            self.ledger.record(
+                now, TrafficCategory.ADS_REQUEST, request_size, messages=1
+            )
+            nbr_repo = self.repos[nbr]
+            if positions is None:
+                offered = nbr_repo.entries.keys()
+            else:
+                offered = nbr_repo.lookup(positions, current_match)
+            novel = [
+                s
+                for s in sorted(set(offered) - repo.entries.keys() - exclude)
+                if s != node
+            ]
+            reply_bytes = float(self.sizes.ad_header)  # reply envelope
+            rtt = 2.0 * one_way
+            for s in novel:
+                entry = nbr_repo.entries[s]
+                if not repo.interested_in(entry.topics):
+                    continue
+                stored, evicted = repo.accept_snapshot(
+                    s, entry.version, entry.topics, now
+                )
+                reply_bytes += self.sizes.ad_header + compressed_filter_size(
+                    self.store.n_set_bits(s), self.store.hasher.m
+                )
+                if stored:
+                    self.cachers[s].add(node)
+                    for ev in evicted:
+                        self.cachers[ev].discard(node)
+                    if s not in new_sources or rtt < new_sources[s]:
+                        new_sources[s] = rtt
+            n_messages += 1
+            total_bytes += reply_bytes
+            self.ledger.record(
+                now + rtt / 1000.0,
+                TrafficCategory.ADS_REPLY,
+                reply_bytes,
+                messages=1,
+            )
+            if self.telemetry.enabled:
+                # The serving neighbour pays for the reply it assembled.
+                self.telemetry.record_ads_request(
+                    now, int(nbr), request_size + reply_bytes
+                )
+        if self.tracer.enabled:
+            self.tracer.event(
+                "ad",
+                "ads_request",
+                now,
+                node=int(node),
+                scope="query" if positions is not None else "bootstrap",
+                neighbors=len(neighbors),
+                new_sources=len(new_sources),
+                messages=n_messages,
+                cost_bytes=total_bytes,
+                request_bytes=request_total,
+                reply_bytes=total_bytes - request_total,
+            )
+        return new_sources, n_messages, total_bytes

@@ -1,0 +1,152 @@
+"""Ad-delivery oracles: the per-step loops the walk/flood kernels replaced.
+
+Each function is the pre-kernel body of the matching forwarder's
+``deliver`` (``fw`` is the forwarder): same rng draws in the same order,
+same ledger writes through the forwarder's own ``_record``/``_finish``, so
+reports and per-second ledger buckets must match bit for bit.  Visited sets
+are built in ascending order like the kernels' so that iterating them --
+which orders the receivers' repair traffic -- is arm-independent too.
+"""
+
+from collections import defaultdict
+from typing import Dict, Optional, Set
+
+import numpy as np
+
+from repro.asap.ads import Ad
+from repro.asap.delivery import AdForwarder, DeliveryReport
+
+from tests.oracles.flood import flood_reach_reference
+
+__all__ = ["deliver_reference"]
+
+
+def _deliver_fld(
+    fw, ad: Ad, now: float, budget: Optional[int] = None
+) -> DeliveryReport:
+    """Full Bellman-Ford flood; ``first_hop`` is latency-free."""
+    if not fw.overlay.is_live(ad.source):
+        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+    first_hop, _, n_messages = flood_reach_reference(
+        fw.overlay, ad.source, fw.ttl
+    )
+    visited = frozenset(
+        int(v) for v in np.nonzero(first_hop > 0)[0]
+    )
+    return fw._finish(ad, now, visited, n_messages)
+
+
+def _deliver_rw(
+    fw, ad: Ad, now: float, budget: Optional[int] = None
+) -> DeliveryReport:
+    """Every walker steps through its whole draw row, one hop at a time."""
+    if not fw.overlay.is_live(ad.source):
+        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+    total_budget = budget if budget is not None else fw.default_budget(ad)
+    per_walker = max(1, total_budget // fw.walkers)
+    ad_size = ad.size_bytes(fw.sizes)
+    rng = fw.rng
+    indptr, indices, lats = fw.overlay.live_csr()
+    visited: Set[int] = set()
+    buckets: Dict[int, float] = defaultdict(float)
+    n_messages = 0
+    draws = rng.random((fw.walkers, per_walker))
+    for w in range(fw.walkers):
+        node = ad.source
+        elapsed_ms = 0.0
+        row = draws[w]
+        for step in range(per_walker):
+            lo = indptr[node]
+            deg = indptr[node + 1] - lo
+            if deg == 0:
+                break
+            j = lo + int(row[step] * deg)
+            node = int(indices[j])
+            elapsed_ms += lats[j]
+            visited.add(node)
+            n_messages += 1
+            buckets[int(now + elapsed_ms / 1000.0)] += ad_size
+    visited.discard(ad.source)
+    fw._record(ad, buckets, n_messages)
+    report = DeliveryReport(
+        visited=frozenset(sorted(visited)),
+        messages=n_messages,
+        bytes=float(n_messages * ad_size),
+    )
+    if fw.tracer.enabled:
+        fw._trace_delivery(ad, now, report, budget=fw.walkers * per_walker)
+    return report
+
+
+def _deliver_gsa(
+    fw, ad: Ad, now: float, budget: Optional[int] = None
+) -> DeliveryReport:
+    """Per-step walk with one-hop replication over a plain visited set."""
+    if not fw.overlay.is_live(ad.source):
+        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+    total_budget = budget if budget is not None else fw.default_budget(ad)
+    per_walker = max(1, total_budget // fw.walkers)
+    ad_size = ad.size_bytes(fw.sizes)
+    rng = fw.rng
+    indptr, indices, lats = fw.overlay.live_csr()
+    visited: Set[int] = set()
+    buckets: Dict[int, float] = defaultdict(float)
+    n_messages = 0
+    draws = rng.random((fw.walkers, per_walker))
+    for w in range(fw.walkers):
+        node = ad.source
+        elapsed_ms = 0.0
+        remaining = per_walker
+        row = draws[w]
+        step = 0
+        while remaining > 0:
+            lo = indptr[node]
+            deg = indptr[node + 1] - lo
+            if deg == 0:
+                break
+            # ``step`` can never reach ``per_walker``: every iteration
+            # consumes at least one budget unit, so the draw row is
+            # always long enough (see the class docstring).
+            j = lo + int(row[step] * deg)
+            step += 1
+            node = int(indices[j])
+            elapsed_ms += lats[j]
+            visited.add(node)
+            n_messages += 1
+            remaining -= 1
+            buckets[int(now + elapsed_ms / 1000.0)] += ad_size
+            lo2 = indptr[node]
+            deg2 = indptr[node + 1] - lo2
+            n_push = 0
+            for k in range(deg2):
+                if n_push >= remaining:
+                    break
+                p = int(indices[lo2 + k])
+                if p in visited or p == ad.source:
+                    continue
+                visited.add(p)
+                n_push += 1
+            if n_push > 0:
+                n_messages += n_push
+                remaining -= n_push
+                buckets[int(now + elapsed_ms / 1000.0)] += n_push * ad_size
+    visited.discard(ad.source)
+    fw._record(ad, buckets, n_messages)
+    report = DeliveryReport(
+        visited=frozenset(sorted(visited)),
+        messages=n_messages,
+        bytes=float(n_messages * ad_size),
+    )
+    if fw.tracer.enabled:
+        fw._trace_delivery(ad, now, report, budget=fw.walkers * per_walker)
+    return report
+
+
+_BY_KIND = {"fld": _deliver_fld, "rw": _deliver_rw, "gsa": _deliver_gsa}
+
+
+def deliver_reference(
+    fw: AdForwarder, ad: Ad, now: float, budget: Optional[int] = None
+) -> DeliveryReport:
+    """The loop oracle for ``fw.deliver(ad, now, budget)``."""
+    return _BY_KIND[fw.kind](fw, ad, now, budget)

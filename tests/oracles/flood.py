@@ -1,0 +1,62 @@
+"""Flood oracle: hop-bounded Bellman-Ford over the full live edge arrays.
+
+The pre-kernel implementation of :func:`repro.search.flooding.flood_reach`
+(same contract, bit-identical outputs): TTL rounds of ``np.minimum.at``
+over every live edge, no frontier bookkeeping.
+"""
+
+from typing import Iterator, Sequence, Tuple
+
+import numpy as np
+
+from repro.network.overlay import Overlay
+from repro.sim.kernels import WalkCsr
+
+__all__ = ["flood_reach_reference", "flood_rings_reference"]
+
+Flood = Tuple[np.ndarray, np.ndarray, int]
+
+
+def _flood_edges(n, src, dst, lat, deg, source: int, ttl: int) -> Flood:
+    arrival = np.full(n, np.inf)
+    arrival[source] = 0.0
+    first_hop = np.full(n, -1, dtype=np.int64)
+    first_hop[source] = 0
+    for h in range(1, ttl + 1):
+        relaxed = arrival[src] + lat
+        new_arrival = arrival.copy()
+        np.minimum.at(new_arrival, dst, relaxed)
+        newly = (first_hop < 0) & np.isfinite(new_arrival)
+        if not newly.any() and np.array_equal(new_arrival, arrival):
+            arrival = new_arrival
+            break
+        first_hop[newly] = h
+        arrival = new_arrival
+
+    forwarding = (first_hop >= 1) & (first_hop < ttl)
+    n_messages = int(deg[source]) + int(np.sum(deg[forwarding] - 1))
+    return first_hop, arrival, n_messages
+
+
+def flood_reach_reference(overlay: Overlay, source: int, ttl: int) -> Flood:
+    """``(first_hop, arrival_ms, n_messages)`` of one flood from ``source``."""
+    if ttl < 1:
+        raise ValueError("ttl must be >= 1")
+    if not overlay.is_live(source):
+        raise ValueError(f"flood source {source} is offline")
+    src, dst, lat = overlay.live_edges()
+    return _flood_edges(
+        overlay.n, src, dst, lat, overlay.live_degrees(), source, ttl
+    )
+
+
+def flood_rings_reference(
+    csr: WalkCsr, source: int, ttls: Sequence[int]
+) -> Iterator[Flood]:
+    """One from-scratch flood per ring: the oracle for
+    :func:`repro.sim.kernels.flood_rings`, which continues one flood."""
+    src = np.repeat(np.arange(csr.n), csr.deg)
+    for ttl in ttls:
+        yield _flood_edges(
+            csr.n, src, csr.indices, csr.lats, csr.deg, source, ttl
+        )

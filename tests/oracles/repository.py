@@ -1,4 +1,8 @@
-"""The per-node ads cache (paper Sections III-B/III-C).
+"""Ads-cache oracle: one object per cached ad (paper Sections III-B/III-C).
+
+The plain model :class:`repro.asap.arena.ArenaRepository` is checked
+against op for op -- same contract, same insertion-ordered iteration, same
+LRU tie-breaks; never imported by ``src/repro``.
 
 A node "selectively stores interesting ads received from other peers": an ad
 is cached only when its topic set intersects the node's interests.  The
@@ -23,25 +27,19 @@ the cache-size ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.store import SourceFilterStore
 
-__all__ = ["AdsRepository", "CacheEntry"]
+__all__ = ["AdsRepository", "CacheEntry", "snapshot"]
 
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached ad: which source, at which filter version, which topics.
-
-    Slotted: a per-(peer, source) hot object -- dropping the ``__dict__``
-    saves ~104 bytes per cached ad (see PERFORMANCE.md).  The pooled-array
-    backend (:mod:`repro.asap.arena`) goes further and stores these fields
-    in shared numpy arrays.
-    """
+    """One cached ad: which source, at which filter version, which topics."""
 
     source: int
     version: int
@@ -84,19 +82,6 @@ class AdsRepository:
     def interested_in(self, topics: FrozenSet[int]) -> bool:
         """Nonempty intersection between ad topics and owner interests."""
         return bool(self.interests & topics)
-
-    def store_entry(
-        self, source: int, version: int, topics: FrozenSet[int], now: float
-    ) -> None:
-        """Create or overwrite the entry for ``source`` (no behind logic).
-
-        The storage primitive shared with :class:`~repro.asap.arena.
-        ArenaRepository`: the batched protocol paths call it so both
-        backends see the identical operation sequence.
-        """
-        self.entries[source] = CacheEntry(
-            source=source, version=version, topics=topics, cached_at=now
-        )
 
     # --------------------------------------------------------------- accept
     def accept(self, ad: Ad, now: float) -> Tuple[bool, List[int]]:
@@ -235,3 +220,13 @@ class AdsRepository:
             if self.store.match_at_version(s, entry.version, positions):
                 hits.append(s)
         return sorted(set(hits))
+
+
+def snapshot(repo):
+    """Comparable state of either repository class: entries in iteration
+    order plus the behind set."""
+    entries = ((s, repo.entry(s)) for s in repo.sources())
+    return (
+        [(s, e.version, tuple(sorted(e.topics)), e.cached_at) for s, e in entries],
+        sorted(repo.behind),
+    )

@@ -1,0 +1,29 @@
+"""Source-filter-store oracle: historical membership by per-position probes."""
+
+from typing import Sequence, Set
+
+from repro.asap.store import SourceFilterStore
+
+__all__ = ["match_at_version_reference"]
+
+
+def match_at_version_reference(
+    store: SourceFilterStore, source: int, version: int, positions: Sequence[int]
+) -> bool:
+    """Does ``source``'s filter as of ``version`` contain all ``positions``?
+
+    A position's value at ``version`` is its current bit XOR the parity of
+    the flips recorded by patches issued after ``version``; probed one
+    position at a time, with no ``current`` hint.
+    """
+    flipped_odd: Set[int] = set()
+    for v, changed in store.patch_history(source):
+        if v > version:
+            flipped_odd.symmetric_difference_update(changed)
+    for pos in positions:
+        bit = store.matrix.get_bit(source, int(pos))
+        if int(pos) in flipped_odd:
+            bit = not bit
+        if not bit:
+            return False
+    return True

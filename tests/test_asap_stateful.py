@@ -1,6 +1,6 @@
 """Model-based (hypothesis stateful) tests for the ASAP cache machinery.
 
-The system under test is the (SourceFilterStore, AdsRepository) pair: a
+The system under test is the (SourceFilterStore, ArenaRepository) pair: a
 source's content evolves through document adds/removes (emitting patch
 ads), while a cache receives an arbitrary interleaving of full ads, patch
 ads, refresh ads and nothing at all.  The *model* is brutally simple: the
@@ -23,7 +23,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.asap.repository import AdsRepository
+from repro.asap.arena import AdsArena, ArenaRepository
 from repro.asap.store import SourceFilterStore
 from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
@@ -42,7 +42,9 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         self.hasher = BloomHasher(m=512, k=4)
         self.index = ContentIndex()
         self.store = SourceFilterStore(2, self.index, hasher=self.hasher)
-        self.repo = AdsRepository(owner=CACHER, interests={0}, store=self.store)
+        self.repo = ArenaRepository(
+            owner=CACHER, interests={0}, store=self.store, arena=AdsArena()
+        )
         self.next_doc = 0
         self.docs_on_source: dict = {}  # doc_id -> Document
         self.clock = 0.0
@@ -100,7 +102,7 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         """The delivery missed this cache: it must become 'behind'."""
         if self.pending_patches:
             ad = self.pending_patches.pop(0)
-            if ad.source in self.repo.entries:
+            if ad.source in self.repo:
                 self.repo.mark_behind(ad.source)
 
     @rule()

@@ -1,32 +1,34 @@
-"""Differential tests: batched flood/ring/ASAP rounds vs reference loops.
+"""Differential tests: frontier flood kernels and batched ASAP rounds vs
+the oracles in ``tests/oracles/``.
 
-The batched paths added with the engine-batching work promise
-**bit-identical** observable behaviour to the retained reference
-implementations, across every layer:
+The batched paths promise **bit-identical** observable behaviour to the
+plain implementations they replaced, across every layer:
 
 * flooding and expanding-ring search: frontier/incremental-ring kernels
   (``flood_frontier``/``flood_rings``) vs the full-edge-array Bellman-Ford
   (``flood_reach_reference``);
-* ASAP dissemination, ads requests and confirmation rounds: inlined
-  array-at-a-time merges vs the method-call-per-receiver loops
-  (``_disseminate_reference``/``_ads_request_reference``);
-* whole runs: blake2b run fingerprints must be bit-equal between
-  reference mode and batched mode, and between serial and ``jobs=2``
-  sweeps.
+* ASAP dissemination and ads requests: inlined array-at-a-time merges on
+  the arena vs ``OracleAsapSearch`` (object-backed, one method call per
+  ad), down to repository, cacher and ledger state;
+* whole runs: blake2b run fingerprints must be bit-equal between the
+  product and ``oracle_arm()`` (which swaps every oracle in at once, so
+  the composition is covered, not just each kernel in isolation), and
+  between serial and ``jobs=2`` sweeps.
 
-``kernels.reference_mode()`` flips every dual-path call site at once, so
-the run-level comparisons cover the composition, not just each kernel in
-isolation.  All cases run with churn enabled.
+All cases run with churn enabled.
 """
 
 import numpy as np
 import pytest
 
-from repro.search.flooding import flood_reach, flood_reach_reference
+from repro.search.flooding import flood_reach
 from repro.sim import kernels
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
+from tests.oracles import oracle_arm
+from tests.oracles.flood import flood_reach_reference
+from tests.oracles.repository import snapshot
 from tests.test_walk_kernels_differential import ledger_state, make_overlay
 
 SEEDS = [0, 1, 2]
@@ -90,16 +92,6 @@ class TestFloodKernelDifferential:
         assert np.array_equal(fh_k, fh_r)
         assert msg_k == msg_r
 
-    def test_reference_mode_routes_flood_reach(self):
-        ov = make_overlay(1)
-        with kernels.reference_mode():
-            assert kernels.REFERENCE_ONLY
-            fh, arr, msgs = flood_reach(ov, source=0, ttl=3)
-        assert not kernels.REFERENCE_ONLY
-        fh2, arr2, msgs2 = flood_reach(ov, source=0, ttl=3)
-        assert np.array_equal(fh, fh2) and np.array_equal(arr, arr2)
-        assert msgs == msgs2
-
 
 # ----------------------------------------------------------- run-level equal
 def run_fingerprint(config):
@@ -115,9 +107,9 @@ class TestRunFingerprints:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_reference_vs_batched(self, algorithm, seed):
         """The whole run -- outcomes, ledgers, churn interleaving -- is
-        bit-identical with every batched path flipped to its reference."""
+        bit-identical with every batched path swapped for its oracle."""
         config = small_config(algorithm, seed)
-        with kernels.reference_mode():
+        with oracle_arm():
             reference = run_fingerprint(config)
         batched = run_fingerprint(config)
         assert reference == batched
@@ -145,14 +137,16 @@ class TestAsapStateDifferential:
     def test_repos_cachers_ledger_bit_equal(self, seed):
         """Beyond outcome fingerprints: the pooled repository state --
         entries, versions, behind sets, cachers, ledger buckets -- matches
-        between batched and reference dissemination/ads-request paths."""
+        the oracle protocol's after the same warm-up, queries and churn."""
+        from contextlib import nullcontext
+
         from repro.simulation.runner import build_algorithm
         from repro.network.overlay import Overlay
         from repro.network.topology import random_topology
         from repro.sim.engine import SimulationEngine
         from repro.sim.metrics import BandwidthLedger
         from repro.sim.random import RandomStreams
-        from repro.workload.edonkey import EdonkeyParams, synthesize_content
+        from repro.workload.edonkey import synthesize_content
 
         config = small_config("asap_fld", seed)
 
@@ -164,49 +158,26 @@ class TestAsapStateDifferential:
             ov = Overlay(topo, default_edge_latency_ms=15.0)
             dist = synthesize_content(config.edonkey, streams.get("content"))
             ledger = BandwidthLedger()
-            algo = build_algorithm(
-                config, ov, dist.index, ledger, streams.get("algorithm"),
-                dist.interests,
-            )
-            engine = SimulationEngine()
-            if reference:
-                with kernels.reference_mode():
-                    algo.warmup(engine, start=0.0, duration=20.0)
-                    engine.run(until=25.0)
-                    # Queries + churn interleaved, all under reference mode.
-                    for i in range(40):
-                        node = 3 * i % config.n_peers
-                        if ov.is_live(node):
-                            algo.search(node, ["rock"], 25.0 + i)
-                        if i % 7 == 0 and ov.is_live(i):
-                            ov.leave(i)
-                            algo.on_leave(i, 25.0 + i)
-                        if i % 11 == 0 and not ov.is_live(max(0, i - 7)):
-                            ov.join(max(0, i - 7))
-                            algo.on_join(max(0, i - 7), 25.0 + i)
-            else:
-                algo.warmup(engine, start=0.0, duration=20.0)
-                engine.run(until=25.0)
-                for i in range(40):
-                    node = 3 * i % config.n_peers
-                    if ov.is_live(node):
-                        algo.search(node, ["rock"], 25.0 + i)
-                    if i % 7 == 0 and ov.is_live(i):
-                        ov.leave(i)
-                        algo.on_leave(i, 25.0 + i)
-                    if i % 11 == 0 and not ov.is_live(max(0, i - 7)):
-                        ov.join(max(0, i - 7))
-                        algo.on_join(max(0, i - 7), 25.0 + i)
-            repo_state = [
-                (
-                    sorted(
-                        (s, e.version, tuple(sorted(e.topics)), e.cached_at)
-                        for s, e in repo.entries.items()
-                    ),
-                    sorted(repo.behind),
+            with oracle_arm() if reference else nullcontext():
+                algo = build_algorithm(
+                    config, ov, dist.index, ledger, streams.get("algorithm"),
+                    dist.interests,
                 )
-                for repo in algo.repos
-            ]
+            engine = SimulationEngine()
+            algo.warmup(engine, start=0.0, duration=20.0)
+            engine.run(until=25.0)
+            # Queries + churn interleaved.
+            for i in range(40):
+                node = 3 * i % config.n_peers
+                if ov.is_live(node):
+                    algo.search(node, ["rock"], 25.0 + i)
+                if i % 7 == 0 and ov.is_live(i):
+                    ov.leave(i)
+                    algo.on_leave(i, 25.0 + i)
+                if i % 11 == 0 and not ov.is_live(max(0, i - 7)):
+                    ov.join(max(0, i - 7))
+                    algo.on_join(max(0, i - 7), 25.0 + i)
+            repo_state = [snapshot(repo) for repo in algo.repos]
             cacher_state = {
                 s: sorted(nodes) for s, nodes in algo.cachers.items() if nodes
             }

@@ -37,8 +37,9 @@ def _heavy_churn(config):
     )
 
 
-def _bounded_cache(config):
-    capacity = config.n_peers // 10
+def _bounded_cache(config, capacity=None):
+    if capacity is None:
+        capacity = config.n_peers // 10
     return dataclasses.replace(
         config, asap=dataclasses.replace(config.asap, cache_capacity=capacity)
     )
@@ -56,6 +57,22 @@ def golden_configs():
             configs[f"{algorithm}/seed0/default_churn/bounded_cache"] = (
                 _bounded_cache(small_config(algorithm, 0))
             )
+    # Cells otherwise checked only arm against arm (product vs
+    # ``tests.oracles.oracle_arm``), recorded at the last commit whose
+    # ``src/`` carried the reference arm itself, where both were asserted
+    # equal: pinned so product and oracle cannot drift together.
+    for seed in (0, 1, 2):
+        configs[f"expanding_ring/seed{seed}/default_churn"] = small_config(
+            "expanding_ring", seed
+        )
+    for algorithm in ("asap_fld", "asap_rw", "asap_gsa"):
+        configs[f"{algorithm}/seed2/default_churn"] = small_config(algorithm, 2)
+    for seed in SEEDS:
+        # Capped-eviction tie-breaks: every accept can evict.
+        configs[f"asap_rw/seed{seed}/default_churn/cache12"] = _bounded_cache(
+            small_config("asap_rw", seed), capacity=12
+        )
+    configs["asap_sp_rw/seed0/default_churn"] = small_config("asap_sp_rw", 0)
     return configs
 
 

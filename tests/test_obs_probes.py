@@ -3,9 +3,9 @@
 The probe layer's contract (ISSUE 10) is determinism across everything
 that should not matter:
 
-* the **storage backend** -- arena vs ``kernels.reference_mode()`` runs
-  of the same config produce bit-identical protocol-state sections at
-  every tick (``state_fingerprint``);
+* the **storage layout** -- every protocol-state series equals a plain
+  per-repository loop over the cached entries, whatever order the arena
+  recycled its rows in;
 * the **execution mode** -- serial vs ``jobs=2`` sweeps merge to
   bit-identical summaries (full ``fingerprint``, backend included);
 * the **probes themselves** -- enabling them never changes the run's
@@ -32,7 +32,6 @@ from repro.obs.probes import (
     snapshot_state,
 )
 from repro.obs.telemetry import LogBucketSketch
-from repro.sim import kernels
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
@@ -81,28 +80,6 @@ def test_pow2_sketch_empty_and_order_independent():
     assert a.to_dict() == b.to_dict()
     with pytest.raises(ValueError):
         pow2_sketch([-1.0])
-
-
-# ------------------------------------------------- cross-backend equality
-def test_state_bit_identical_arena_vs_reference():
-    cfg = _config(n_peers=250, n_queries=350, seed=1)
-    arena_run = run_experiment(cfg, probes=True)
-    with kernels.reference_mode():
-        ref_run = run_experiment(cfg, probes=True)
-    assert len(arena_run.probes.ticks) >= 2
-    # Tick-by-tick: the comparable state section is identical...
-    for ta, tr in zip(arena_run.probes.ticks, ref_run.probes.ticks):
-        sa = {k: v for k, v in ta.items() if k != "backend"}
-        sr = {k: v for k, v in tr.items() if k != "backend"}
-        assert sa == sr
-    # ...and so is the whole-series fingerprint.
-    assert (
-        arena_run.probes.state_fingerprint()
-        == ref_run.probes.state_fingerprint()
-    )
-    # The backend sections legitimately differ (only the arena has one).
-    assert "arena" in arena_run.probes.ticks[0]["backend"]
-    assert "arena" not in ref_run.probes.ticks[0]["backend"]
 
 
 def test_probes_do_not_change_run_results():
@@ -243,33 +220,25 @@ def test_recorder_leaves_no_pending_events():
         ProbeRecorder(0.0)
 
 
-# ------------------------------------------- arena health under churn
-def test_arena_health_under_churn_and_capped_caches():
-    asap = dataclasses.replace(
-        scaled_config(
-            "asap_rw",
-            "crawled",
-            n_peers=200,
-            n_queries=400,
-            seed=4,
-            use_physical_network=False,
-        ).asap,
-        cache_capacity=8,  # force eviction pressure -> free-list churn
+# ------------------------------------------- live cells under churn
+def _capped_config(n_queries, seed):
+    base = scaled_config(
+        "asap_rw",
+        "crawled",
+        n_peers=200,
+        n_queries=n_queries,
+        seed=seed,
+        use_physical_network=False,
     )
-    cfg = dataclasses.replace(
-        scaled_config(
-            "asap_rw",
-            "crawled",
-            n_peers=200,
-            n_queries=400,
-            seed=4,
-            use_physical_network=False,
-        ),
-        asap=asap,
-        probe_interval_s=10.0,
-    )
-    # Snapshot the live algorithm at end-of-run via the runner's probes,
-    # then audit the arena directly for the deep invariants.
+    # Capacity 8 forces eviction pressure -> free-list churn.
+    asap = dataclasses.replace(base.asap, cache_capacity=8)
+    return dataclasses.replace(base, asap=asap)
+
+
+def _replay(cfg, every_s, check):
+    """Replay ``cfg``'s trace on a hand-built cell, calling
+    ``check(algo, overlay, now)`` every ``every_s`` simulated seconds.
+    Returns the live ``(algo, engine)`` at end of run."""
     from repro.sim.metrics import BandwidthLedger
     from repro.simulation.runner import build_algorithm
     from repro.network.topology import build_topology
@@ -278,7 +247,12 @@ def test_arena_health_under_churn_and_capped_caches():
     from repro.sim.random import RandomStreams
     from repro.workload.edonkey import synthesize_content
     from repro.workload.generator import generate_trace
-    from repro.workload.trace import JoinEvent, LeaveEvent, QueryEvent
+    from repro.workload.trace import (
+        ContentChangeEvent,
+        JoinEvent,
+        LeaveEvent,
+        QueryEvent,
+    )
 
     streams = RandomStreams(seed=cfg.seed)
     topology = build_topology(
@@ -287,19 +261,24 @@ def test_arena_health_under_churn_and_capped_caches():
     overlay = Overlay(topology, None)
     dist = synthesize_content(cfg.edonkey, streams.get("content"))
     trace = generate_trace(dist, cfg.trace, streams.get("trace"))
-    ledger = BandwidthLedger()
     algo = build_algorithm(
-        cfg, overlay, dist.index, ledger, streams.get("algorithm"), dist.interests
+        cfg, overlay, dist.index, BandwidthLedger(), streams.get("algorithm"),
+        dist.interests,
     )
     engine = SimulationEngine()
     algo.warmup(engine, start=0.0, duration=cfg.warmup_s)
-
-    checked = {"n": 0}
 
     def handle(event):
         now = engine.now
         if isinstance(event, QueryEvent):
             algo.search(event.node, event.terms, now)
+        elif isinstance(event, ContentChangeEvent):
+            doc = dist.index.document(event.doc_id)
+            if event.added:
+                dist.index.place(event.node, event.doc_id, notify=False)
+            else:
+                dist.index.remove(event.node, event.doc_id, notify=False)
+            algo.on_content_change(event.node, doc, event.added, now)
         elif isinstance(event, JoinEvent):
             overlay.join(event.node)
             algo.on_join(event.node, now)
@@ -307,20 +286,83 @@ def test_arena_health_under_churn_and_capped_caches():
             overlay.leave(event.node)
             algo.on_leave(event.node, now)
 
-    def audit_now():
+    for event in trace.events:
+        engine.schedule_at(cfg.warmup_s + event.time, lambda e=event: handle(e))
+    horizon = cfg.warmup_s + trace.duration + 1.0
+    for t in np.arange(5.0, horizon, every_s):
+        engine.schedule_at(
+            float(t), lambda: check(algo, overlay, engine.now), name="check"
+        )
+    engine.run(until=horizon)
+    return algo, engine
+
+
+def test_state_matches_per_repo_loop():
+    """Every per-entry, staleness and coverage series of a snapshot equals a
+    straight loop over the repositories -- no arena rows, no cacher bitsets,
+    no popcounts -- under churn with recycled rows."""
+    checked = {"n": 0}
+
+    def check(algo, overlay, now):
+        snap = snapshot_state(algo, now)
+        repos, store = algo.repos, algo.store
+        ages, lags = [], []
+        for repo in repos:
+            for source in repo.sources():
+                ages.append(now - repo.entry(source).cached_at)
+            for source in repo.behind:
+                lag = store.version(source) - repo.entry(source).version
+                if lag > 0:
+                    lags.append(float(lag))
+        assert snap["entries"] == len(ages)
+        assert snap["staleness"] == {
+            "behind": sum(len(repo.behind) for repo in repos),
+            "age_s": pow2_sketch(ages).to_dict(),
+            "version_lag": pow2_sketch(lags).to_dict(),
+        }
+        replication, fractions = [], []
+        audience_total = covered_total = 0
+        for source in sorted(algo._advertised):
+            topics = store.topics(source)
+            if not store.is_sharer(source) or not topics:
+                continue
+            audience = {
+                node
+                for node in range(overlay.n)
+                if overlay.is_live(node) and algo.interests[node] & topics
+            }
+            holders = {node for node in range(overlay.n) if source in repos[node]}
+            replication.append(float(len(holders)))
+            audience.discard(source)
+            audience_total += len(audience)
+            covered_total += len(holders & audience)
+            if audience:
+                fractions.append(len(holders & audience) / len(audience))
+        assert snap["coverage"] == {
+            "sources": len(replication),
+            "audience": audience_total,
+            "covered": covered_total,
+            "holders": int(sum(replication)),
+            "replication": pow2_sketch(replication).to_dict(),
+            "fraction": pow2_sketch(fractions).to_dict(),
+        }
+        checked["n"] += 1
+
+    algo, _ = _replay(_capped_config(n_queries=250, seed=1), 20.0, check)
+    assert checked["n"] > 3
+    assert algo.arena.stats()["free_list_depth"] > 0  # rows were recycled
+
+
+def test_arena_health_under_churn_and_capped_caches():
+    cfg = _capped_config(n_queries=400, seed=4)
+    checked = {"n": 0}
+
+    def audit_now(algo, overlay, now):
         report = check_arena_health(algo)
         assert report["ok"], report
         checked["n"] += 1
 
-    for event in trace.events:
-        if isinstance(event, (QueryEvent, JoinEvent, LeaveEvent)):
-            engine.schedule_at(
-                cfg.warmup_s + event.time, lambda e=event: handle(e)
-            )
-    horizon = cfg.warmup_s + trace.duration + 1.0
-    for t in np.arange(5.0, horizon, 12.0):
-        engine.schedule_at(float(t), audit_now, name="health")
-    engine.run(until=horizon)
+    algo, engine = _replay(cfg, 12.0, audit_now)
 
     assert checked["n"] > 5
     report = check_arena_health(algo)
@@ -338,10 +380,3 @@ def test_arena_health_under_churn_and_capped_caches():
     assert snap["occupancy"]["total"] == stats["rows_live"]
     assert snap["occupancy"]["max"] <= 8
     assert snap["occupancy"]["at_capacity"] > 0
-
-
-def test_check_arena_health_reference_backend_is_trivial():
-    with kernels.reference_mode():
-        cfg = _config(n_peers=100, n_queries=100, seed=0)
-        result = run_experiment(cfg, probes=True)
-    assert result.probes.ticks  # the run itself probed fine

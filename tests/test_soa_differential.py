@@ -1,7 +1,7 @@
 """Differential tests: struct-of-arrays peer state vs the object oracle.
 
 The pooled-arena storage (``repro.asap.arena``) promises **bit-identical**
-observable behaviour to the object-backed classes it replaces:
+observable behaviour to the plain object model in ``tests/oracles/``:
 
 * :class:`ArenaRepository` vs :class:`AdsRepository` under randomized
   accept/snapshot/remove/evict/lookup op sequences (including content
@@ -9,38 +9,33 @@ observable behaviour to the object-backed classes it replaces:
 * the lazy copy-on-write counting filters in :class:`SourceFilterStore`
   vs eagerly materialised ones (bitmaps, set-bit counts, patch diffs);
 * ``match_at_version``'s vectorised gather (with and without the
-  ``current`` short-circuit hint) vs the reference per-position loop;
+  ``current`` short-circuit hint) vs the per-position loop;
 * :class:`InterestState` CSR gathers vs per-node set loops;
 * :class:`CacherSet`/:class:`CacherIndex` vs plain Python sets;
 * whole runs: blake2b run fingerprints must be bit-equal between the
-  arena backend (the default) and the object backend selected by
-  ``kernels.reference_mode()`` -- churn enabled throughout.
-
-Acceptance-scale runs (10k-peer fingerprints, 30k serial-vs-jobs=2) are
-env-gated behind ``REPRO_SOA_ACCEPTANCE=1``: they prove the issue's bars
-but take minutes, so the default suite keeps the same comparisons at
-250 peers.
+  product and ``oracle_arm()`` (object-backed repositories, one method
+  call per ad) -- churn enabled throughout.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, CacherSet
-from repro.asap.repository import AdsRepository
 from repro.asap.store import SourceFilterStore
-from repro.sim import kernels
 from repro.sim.random import RandomStreams
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 from repro.workload.edonkey import synthesize_content
 from repro.workload.interests import InterestState
 
+from tests.oracles import oracle_arm
+from tests.oracles.repository import AdsRepository, snapshot
+from tests.oracles.store import match_at_version_reference
+
 SEEDS = [0, 1, 2]
-ACCEPTANCE = os.environ.get("REPRO_SOA_ACCEPTANCE", "0") == "1"
 
 
 def make_store(seed, n_nodes=60):
@@ -92,17 +87,6 @@ def churn_store(store, dist, rng, n_changes=12, holdings=None):
         if ad is not None:
             ads.append(ad)
     return ads
-
-
-def snapshot(repo):
-    """Comparable repository state: entries (in iteration order) + behind."""
-    return (
-        [
-            (s, e.version, tuple(sorted(e.topics)), e.cached_at)
-            for s, e in repo.entries.items()
-        ],
-        sorted(repo.behind),
-    )
 
 
 # ------------------------------------------------------- repository vs oracle
@@ -188,8 +172,8 @@ class TestRepositoryDifferential:
                 ref.accept(ad, now)
         # Churn *after* caching: cached versions fall behind the store.
         churn_store(store, dist, rng, n_changes=25)
-        for s, e in ref.entries.items():
-            if e.version < store.version(s):
+        for s in ref.sources():
+            if ref.entry(s).version < store.version(s):
                 soa.mark_behind(s)
                 ref.mark_behind(s)
         assert sorted(soa.behind) == sorted(ref.behind)
@@ -233,7 +217,7 @@ class TestLazyCountingFilters:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_match_at_version_paths_agree(self, seed):
-        """Vectorised gather == reference per-position loop == hinted
+        """Vectorised gather == per-position loop oracle == hinted
         short-circuit, at every (source, historical version)."""
         store, dist = make_store(seed)
         rng = np.random.default_rng(seed + 9)
@@ -248,8 +232,7 @@ class TestLazyCountingFilters:
                     hinted = store.match_at_version(
                         s, v, positions, current=bool(current[s])
                     )
-                    with kernels.reference_mode():
-                        slow = store.match_at_version(s, v, positions)
+                    slow = match_at_version_reference(store, s, v, positions)
                     assert fast == slow == hinted
 
 
@@ -351,7 +334,7 @@ class TestArena:
 # ----------------------------------------------------------- whole-run equal
 def run_fingerprint(config, reference=False):
     if reference:
-        with kernels.reference_mode():
+        with oracle_arm():
             result = run_experiment(config, audit=True)
     else:
         result = run_experiment(config, audit=True)
@@ -376,9 +359,8 @@ class TestRunFingerprints:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("algorithm", ["asap_fld", "asap_rw", "asap_gsa"])
     def test_arena_vs_object_backend(self, algorithm, seed):
-        """Construction + execution under reference mode selects the
-        object backend and reference paths end to end; the default is the
-        arena.  Bit-equal fingerprints prove the storage swap invisible."""
+        """``oracle_arm()`` builds the object-backed oracle protocol end to
+        end; bit-equal fingerprints prove the arena storage invisible."""
         config = soa_config(algorithm, seed)
         assert run_fingerprint(config, reference=True) == run_fingerprint(
             config
@@ -397,29 +379,3 @@ class TestRunFingerprints:
         assert run_fingerprint(config, reference=True) == run_fingerprint(
             config
         )
-
-
-@pytest.mark.skipif(
-    not ACCEPTANCE, reason="acceptance scale; set REPRO_SOA_ACCEPTANCE=1"
-)
-class TestAcceptanceScale:
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_10k_fingerprints_bit_equal(self, seed):
-        """Issue bar: SoA-vs-reference fingerprints at 10k peers, churn on."""
-        config = soa_config("asap_rw", seed, n_peers=10000, n_queries=600)
-        assert run_fingerprint(config, reference=True) == run_fingerprint(
-            config
-        )
-
-    def test_30k_serial_vs_jobs2_bit_equal(self):
-        """Issue bar: a two-worker sweep reproduces serial fingerprints at
-        30k peers exactly."""
-        from repro.experiments.parallel import run_cells
-
-        configs = [
-            soa_config("asap_rw", seed, n_peers=30000, n_queries=300)
-            for seed in (5, 6)
-        ]
-        serial = [run_fingerprint(c) for c in configs]
-        outcomes = run_cells(configs, jobs=2, audit=True)
-        assert serial == [r.fingerprint for r in outcomes]

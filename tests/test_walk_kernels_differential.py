@@ -1,4 +1,4 @@
-"""Differential tests: kernel walk paths vs the retained reference loops.
+"""Differential tests: kernel walk paths vs the per-step loops they replaced.
 
 The vectorised kernels (repro.sim.kernels) promise **bit-identical**
 results to the per-step loops they replaced: same visited sets, same
@@ -9,14 +9,16 @@ in the same order, so any divergence is a kernel bug, not noise.
 Covered here, over multiple seeds:
 
 * ASAP(RW) and ASAP(GSA) ad delivery: ``deliver`` (kernel) vs
-  ``deliver_reference`` (retained loop);
+  ``tests.oracles.delivery.deliver_reference`` (per-step loop);
 * random-walk search: ``_search_impl`` (kernel + post-hoc truncation) vs
-  ``_search_loop`` (retained heap loop);
+  ``_search_loop`` (the heap loop the product keeps for overlays with
+  non-positive edge latency);
 * a churn case: deliveries/searches interleaved with join/leave events,
   exercising the per-epoch WalkCsr cache invalidation;
-* the zero-latency fallback: with non-positive edge latencies the search
-  must route through the reference loop (the truncation proof needs
-  strictly positive latencies).
+* the zero-latency fallback: with non-positive edge latencies
+  ``csr.lats_positive`` is false and the search must route through
+  ``_search_loop`` (the truncation proof needs strictly positive
+  latencies).
 """
 
 import numpy as np
@@ -30,6 +32,8 @@ from repro.search.base import MessageSizes
 from repro.search.random_walk import RandomWalkSearch
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
+
+from tests.oracles.delivery import deliver_reference
 
 SEEDS = [0, 1, 2, 3]
 FORWARDER_KINDS = ["rw", "gsa"]
@@ -49,6 +53,13 @@ def make_ad(source=3):
         version=1,
         n_set_bits=40,
     )
+
+
+def deliver(fw, path, *args, **kwargs):
+    """Run one delivery on the kernel path or on its loop oracle."""
+    if path == "deliver":
+        return fw.deliver(*args, **kwargs)
+    return deliver_reference(fw, *args, **kwargs)
 
 
 def ledger_state(ledger):
@@ -73,7 +84,7 @@ class TestDeliveryDifferential:
             fw = make_forwarder(
                 kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(seed)
             )
-            reports.append(getattr(fw, path)(ad, now=50.0, budget=800))
+            reports.append(deliver(fw, path, ad, now=50.0, budget=800))
             states.append(ledger_state(fw.ledger))
         kernel, reference = reports
         assert kernel.visited == reference.visited
@@ -89,7 +100,7 @@ class TestDeliveryDifferential:
             kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(0)
         )
         for path in ("deliver", "deliver_reference"):
-            report = getattr(fw, path)(make_ad(source=3), now=0.0)
+            report = deliver(fw, path, make_ad(source=3), now=0.0)
             assert report.messages == 0 and report.visited == frozenset()
 
     @pytest.mark.parametrize("kind", FORWARDER_KINDS)
@@ -103,7 +114,7 @@ class TestDeliveryDifferential:
             kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(0)
         )
         for path in ("deliver", "deliver_reference"):
-            report = getattr(fw, path)(make_ad(source=0), now=0.0)
+            report = deliver(fw, path, make_ad(source=0), now=0.0)
             assert report.messages == 0 and report.visited == frozenset()
         assert fw.ledger._buckets == {}
 
@@ -123,7 +134,7 @@ class TestDeliveryDifferential:
             )
             reports = []
             for i, node in enumerate(leaves.tolist()):
-                reports.append(getattr(fw, path)(ad, now=10.0 * i, budget=400))
+                reports.append(deliver(fw, path, ad, now=10.0 * i, budget=400))
                 ov.leave(node)
                 if i % 3 == 0:
                     ov.join(node)  # immediate rejoin: another epoch bump
@@ -180,12 +191,17 @@ class TestRandomWalkSearchDifferential:
 
         assert run("_search_impl") == run("_search_loop")
 
-    def test_zero_latency_falls_back_to_reference(self):
+    def test_zero_latency_falls_back_to_search_loop(self, monkeypatch):
+        """``csr.lats_positive`` -- observed, not configured -- selects
+        ``_search_loop``; the kernel is never entered."""
+        from repro.sim import kernels
+
         ov = make_overlay(1, default_edge_latency_ms=0.0)
         algo = build_search(ov, (7,), 1, ttl=64)
         assert not ov.walk_csr().lats_positive
-        # The kernel path must agree even here, because it *is* the
-        # reference loop under the fallback guard.
+        monkeypatch.setattr(
+            kernels, "rw_search", lambda *a, **k: pytest.fail("kernel entered")
+        )
         out_impl = algo._search_impl(0, ["rock"], 0.0)
         algo2 = build_search(make_overlay(1, default_edge_latency_ms=0.0), (7,), 1, ttl=64)
         out_loop = algo2._search_loop(0, ["rock"], 0.0)
@@ -223,11 +239,16 @@ class TestGsaDrawSizing:
         # mattered if a walker could ever take a second step.
         report = fw.deliver(make_ad(), now=0.0, budget=5)
         assert report.messages <= 5
-        ref = GsaAdForwarder(
-            make_overlay(seed),
-            BandwidthLedger(),
-            MessageSizes(),
-            np.random.default_rng(seed),
-        ).deliver_reference(make_ad(), now=0.0, budget=5)
+        ref = deliver_reference(
+            GsaAdForwarder(
+                make_overlay(seed),
+                BandwidthLedger(),
+                MessageSizes(),
+                np.random.default_rng(seed),
+            ),
+            make_ad(),
+            now=0.0,
+            budget=5,
+        )
         assert report.visited == ref.visited
         assert report.messages == ref.messages

@@ -1,20 +1,20 @@
-"""Scale-up bench: wall-clock and peak RSS from 10k to 100k peers.
+"""Scale-up bench: wall-clock and peak RSS at the paper's 10,000 peers.
 
-The struct-of-arrays peer state (``repro.asap.arena``) exists so that a
-100k-peer ASAP cell fits in single-digit GB; this bench is the committed
-evidence.  Each (algorithm, n_peers) cell runs in a **fresh subprocess**
-so ``resource.getrusage`` peak RSS is that cell's own high-water mark,
-not the session's, and measures
+ASAP's ads caches are one dense peer x source state
+(``repro.asap.state``, 21 bytes per pair, Theta(n^2) whatever the cache
+capacity), so the largest supported cell is the one whose state fits the
+8 GB bar below (~20k peers; larger ASAP cells are refused up front with
+a ``ValueError`` naming the bytes).  Each (algorithm, n_peers) cell runs
+in a **fresh subprocess** so ``resource.getrusage`` peak RSS is that
+cell's own high-water mark, not the session's, and measures
 
 * end-to-end wall-clock and the replay phase alone,
 * peak RSS (MB),
-* arena utilisation (rows live/allocated, free-list depth, pool bytes)
-  for ASAP cells -- the direct pair-count at scale.
+* ads-state size (cached pairs, dense state bytes) for ASAP cells.
 
 Configuration is deliberately *not* the proportional scale-down of
 ``scaled_config``: the paper's delivery budget unit M0 = 3000 is pinned
-at every size (scaling it with N is what makes cache state explode
-quadratically; the paper itself fixes M0 against system size, Section
+at every size (the paper itself fixes M0 against system size, Section
 IV-A), and the physical-network substrate is off (its all-pairs state is
 O(N^2) and orthogonal to peer-state memory).
 
@@ -25,24 +25,15 @@ the repo root -- the committed trajectory the perf-regression gate
 
 Scale control (environment variables):
 
-* ``REPRO_BENCH_SCALEUP_SIZES``   -- comma list (default
-  ``10000,30000,100000``; CI smoke passes something smaller)
+* ``REPRO_BENCH_SCALEUP_SIZES``   -- comma list (default ``10000``; CI
+  smoke passes something smaller)
 * ``REPRO_BENCH_SCALEUP_ALGOS``   -- comma list (default
   ``flooding,asap_rw``; ASAP(RW) is the paper's headline scheme and the
   cache-heaviest of the budget-walk forwarders)
 * ``REPRO_BENCH_SCALEUP_QUERIES`` -- queries per cell (default
   ``max(200, n_peers // 50)``)
-* ``REPRO_BENCH_SCALEUP_ASAP_CACHE`` -- ASAP cache capacity at
-  beyond-paper scale (default 200; ``none`` = unbounded everywhere).
-  At 10k (the paper's scale) the cache is always unbounded -- the
-  paper's primary configuration, which the arena brings to ~4.2 GB.
-  Beyond it, unbounded state is *inherently* out of budget: pinned
-  M0 = 3000 yields ~4,000 cached pairs per node independent of N
-  (~400M pairs at 100k -- over 6 GB of raw rows before any index), so
-  the 30k/100k ASAP cells run the paper's limited-cache variant
-  (Section IV evaluates exactly this knob), at full delivery volume.
 * ``REPRO_BENCH_SCALEUP_MAX_RSS_GB`` -- per-cell peak-RSS bar
-  (default 8.0, the issue's acceptance budget)
+  (default 8.0)
 * ``REPRO_BENCH_SCALEUP_SEED``    -- root seed (default 0)
 * ``REPRO_BENCH_SCALEUP_RECORD``  -- 0 skips the trajectory append
 """
@@ -60,9 +51,7 @@ from conftest import BENCH_SCHEMA_VERSION, write_result
 
 SIZES = [
     int(s)
-    for s in os.environ.get(
-        "REPRO_BENCH_SCALEUP_SIZES", "10000,30000,100000"
-    ).split(",")
+    for s in os.environ.get("REPRO_BENCH_SCALEUP_SIZES", "10000").split(",")
     if s
 ]
 ALGOS = [
@@ -86,20 +75,11 @@ def _queries(n_peers: int) -> int:
     return max(200, n_peers // 50)
 
 
-def _cache_capacity(algorithm: str, n_peers: int):
-    """ASAP cache bound per cell -- ``None`` means unbounded."""
-    if not algorithm.startswith("asap") or n_peers <= 10000:
-        return None
-    raw = os.environ.get("REPRO_BENCH_SCALEUP_ASAP_CACHE", "200")
-    return None if raw.lower() in ("none", "unbounded") else int(raw)
-
-
 def _run_cell(algorithm: str, n_peers: int) -> dict:
     """One cell in a fresh interpreter; returns its JSON measurement."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    capacity = _cache_capacity(algorithm, n_peers)
     proc = subprocess.run(
         [
             sys.executable,
@@ -109,7 +89,6 @@ def _run_cell(algorithm: str, n_peers: int) -> dict:
             str(n_peers),
             str(_queries(n_peers)),
             str(SEED),
-            "none" if capacity is None else str(capacity),
         ],
         env=env,
         capture_output=True,
@@ -122,9 +101,7 @@ def _run_cell(algorithm: str, n_peers: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _cell_main(
-    algorithm: str, n_peers: int, n_queries: int, seed: int, capacity
-) -> None:
+def _cell_main(algorithm: str, n_peers: int, n_queries: int, seed: int) -> None:
     """Subprocess body: run the cell, print one JSON line."""
     import dataclasses
     import resource
@@ -145,9 +122,7 @@ def _cell_main(
     # scale-down exists for small differential cells, not scale-up.
     config = dataclasses.replace(
         config,
-        asap=dataclasses.replace(
-            config.asap, budget_unit=3000, cache_capacity=capacity
-        ),
+        asap=dataclasses.replace(config.asap, budget_unit=3000),
     )
     phase_times: dict = {}
     t0 = time.perf_counter()
@@ -159,7 +134,6 @@ def _cell_main(
         "n_peers": n_peers,
         "n_queries": n_queries,
         "seed": seed,
-        "cache_capacity": capacity,
         "wall_s": wall_s,
         "replay_s": phase_times.get("replay_s"),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -194,20 +168,18 @@ def bench_scaleup(benchmark):
         f"(fresh subprocess per cell; budget unit pinned at M0=3000; "
         f"peak-RSS bar {MAX_RSS_GB:.1f} GB)",
         "",
-        f"{'cell':<22} {'queries':>8} {'cache':>6} {'wall s':>9} "
-        f"{'replay s':>9} {'peak RSS MB':>12} {'arena rows':>11} "
-        f"{'pool MB':>8}",
+        f"{'cell':<22} {'queries':>8} {'wall s':>9} "
+        f"{'replay s':>9} {'peak RSS MB':>12} {'cached pairs':>13} "
+        f"{'state MB':>9}",
     ]
     for cell in cells:
         arena = cell.get("arena") or {}
-        cap = cell.get("cache_capacity")
         lines.append(
             f"{cell['algorithm'] + '/' + str(cell['n_peers']):<22} "
-            f"{cell['n_queries']:>8d} {'inf' if cap is None else cap:>6} "
-            f"{cell['wall_s']:>9.1f} "
+            f"{cell['n_queries']:>8d} {cell['wall_s']:>9.1f} "
             f"{(cell['replay_s'] or 0.0):>9.1f} {cell['peak_rss_mb']:>12.1f} "
-            f"{arena.get('rows_live', 0):>11d} "
-            f"{arena.get('pool_bytes', 0) / 1e6:>8.1f}"
+            f"{arena.get('rows_live', 0):>13d} "
+            f"{arena.get('pool_bytes', 0) / 1e6:>9.1f}"
         )
 
     data = {
@@ -237,16 +209,9 @@ def bench_scaleup(benchmark):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 7 and sys.argv[1] == "--cell":
-        cap = sys.argv[6]
+    if len(sys.argv) >= 6 and sys.argv[1] == "--cell":
         _cell_main(
-            sys.argv[2],
-            int(sys.argv[3]),
-            int(sys.argv[4]),
-            int(sys.argv[5]),
-            None if cap == "none" else int(cap),
+            sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
         )
     else:  # pragma: no cover - convenience direct run
-        raise SystemExit(
-            "run via pytest or with --cell <algo> <n> <q> <seed> <capacity>"
-        )
+        raise SystemExit("run via pytest or with --cell <algo> <n> <q> <seed>")

@@ -21,9 +21,9 @@ reported but never gated on.
 vs ``BENCH_SCALEUP.json``:
 
 1. **absolute bar** -- every cell's peak RSS must stay under
-   ``--max-scaleup-rss-gb`` (default 8.0, the struct-of-arrays
-   acceptance budget for the 100k-peer cells; CI's reduced-scale smoke
-   keeps the same bar -- memory only shrinks with cell size);
+   ``--max-scaleup-rss-gb`` (default 8.0, the bar ASAP's dense ads state
+   is sized against; CI's reduced-scale smoke keeps the same bar --
+   memory only shrinks with cell size);
 2. **trend bar** -- each fresh cell whose (algorithm, n_peers, cache)
    triple matches a committed baseline cell must not exceed that cell's
    peak RSS by more than ``--scaleup-tolerance`` (default 0.25

@@ -11,7 +11,7 @@ filters actually run at.
 
 This example replays one ASAP(RW) cell under churn with probes on, prints
 the coverage ramp (warm-up filling the caches, then steady state) and the
-arena's storage gauges, and shows the two determinism guarantees the layer
+size of the dense ads state, and shows the two determinism guarantees the layer
 is built on:
 
 * the protocol-state series is a pure function of the seeded config --
@@ -57,14 +57,15 @@ def main() -> None:
         f"(paper ceiling {summary.ticks[-1]['bloom']['fp_ceiling']:.2e})"
     )
 
-    # How the state is stored: every cached (peer, source) pair is one row
-    # of the pooled arena; evicted rows go to a free list and are reused.
-    arena = summary.ticks[-1]["backend"]["arena"]
+    # How the state is stored: one dense peer x source relation, so its
+    # size is fixed by the peer count and the fill is what varies.
+    stored = summary.ticks[-1]["backend"]["arena"]
     print(
-        f"\narena: {arena['rows_live']} live rows of {arena['rows_allocated']} "
-        f"ever allocated, {arena['free_list_depth']} on the free list, "
-        f"{arena['pool_bytes'] / 1e6:.2f} MB pooled, slot index "
-        f"{'consistent' if arena['slot_index_consistent'] else 'BROKEN (bug!)'}"
+        f"\nads state: {stored['rows_live']} cached pairs in "
+        f"{stored['pool_rows']} dense cells "
+        f"({stored['rows_live'] / stored['pool_rows']:.0%} fill, "
+        f"{stored['pool_bytes'] / 1e6:.2f} MB), occupancy counters "
+        f"{'consistent' if stored['slot_index_consistent'] else 'BROKEN (bug!)'}"
     )
 
     # Guarantee 1: the protocol-state series depends only on the config.

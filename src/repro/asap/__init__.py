@@ -7,9 +7,9 @@ Structure:
 * :mod:`repro.asap.store` -- the per-simulation source-filter store: every
   source's counting filter, current version, patch history, and the packed
   filter matrix answering "which sources match this query" in one shot;
-* :mod:`repro.asap.arena` -- the per-node ads cache (interest-based
+* :mod:`repro.asap.state` -- every node's ads cache (interest-based
   selective caching, version merging, staleness tracking, optional
-  capacity-bounded eviction) over one pooled struct-of-arrays store;
+  capacity-bounded eviction) as one dense peer x source relation;
 * :mod:`repro.asap.delivery` -- ad forwarding over the overlay by flooding,
   random walk or GSA, with the total-budget limit (M0 = 3,000 per topic);
 * :mod:`repro.asap.protocol` -- the search algorithm of Table I: local ads

@@ -68,32 +68,25 @@ class CacheDiagnostics:
 def diagnose(algo: AsapSearch) -> CacheDiagnostics:
     """Compute cache statistics for every node of an ASAP instance."""
     n = algo.overlay.n
-    sizes = np.array([len(algo.repos[v]) for v in range(n)], dtype=np.int64)
-    behind = sum(len(algo.repos[v].behind) for v in range(n))
+    state = algo.state
     live = algo.overlay.live_mask
-    stale = sum(
-        1
-        for v in range(n)
-        for s in algo.repos[v].sources()
-        if not live[s]
-    )
+    held = state.version >= 0
+    sizes = state.occupancy
 
-    # Audience coverage: for each advertised sharer, what fraction of the
-    # live nodes interested in its topics cache its ad?
+    # Audience coverage: for each sharer, what fraction of the live nodes
+    # interested in its topics cache its ad?
     coverages: List[float] = []
     for source in range(n):
         topics = algo.store.topics(source)
         if not topics or not algo.store.is_sharer(source):
             continue
-        audience = [
-            v
-            for v in range(n)
-            if v != source and live[v] and (set(topics) & algo.interests[v])
-        ]
-        if not audience:
-            continue
-        cached = sum(1 for v in audience if source in algo.repos[v])
-        coverages.append(cached / len(audience))
+        audience = algo.interests.mask_for(topics) & live
+        audience[source] = False
+        if audience.any():
+            coverages.append(
+                np.count_nonzero(held[audience, source])
+                / np.count_nonzero(audience)
+            )
 
     return CacheDiagnostics(
         n_nodes=n,
@@ -101,7 +94,7 @@ def diagnose(algo: AsapSearch) -> CacheDiagnostics:
         mean_entries=float(sizes.mean()) if n else 0.0,
         median_entries=float(np.median(sizes)) if n else 0.0,
         max_entries=int(sizes.max()) if n else 0,
-        behind_entries=behind,
-        stale_source_entries=stale,
+        behind_entries=int(np.count_nonzero(state.behind)),
+        stale_source_entries=int(np.count_nonzero(held[:, ~live])),
         mean_source_coverage=float(np.mean(coverages)) if coverages else 0.0,
     )

@@ -33,20 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex
 from repro.asap.delivery import AdForwarder, make_forwarder
+from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState
 from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
-from repro.sim import kernels
 from repro.sim.engine import PeriodicTimer, SimulationEngine
 from repro.sim.metrics import ASAP_LOAD_CATEGORIES, TrafficCategory
-from repro.bloom.compressed import compressed_filter_size
 
 __all__ = ["AsapParams", "AsapSearch"]
 
@@ -88,6 +86,8 @@ class AsapParams:
             raise ValueError("refresh_budget_fraction must be in [0, 1]")
         if self.max_confirmations < 1:
             raise ValueError("max_confirmations must be >= 1")
+        if self.cache_capacity is not None and self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1 (or None for unbounded)")
         if self.more_results_threshold < 1:
             raise ValueError("more_results_threshold must be >= 1")
         if not 0.0 <= self.fresh_join_fraction <= 1.0:
@@ -119,20 +119,19 @@ class AsapSearch(SearchAlgorithm):
             raise ValueError("interests length must equal overlay size")
         self.params = params or AsapParams()
         self.name = _SCHEME_NAMES[self.params.forwarder]
-        self.interests = interests
+        self.interests = InterestState(interests)
         self.store = SourceFilterStore(overlay.n, content)
-        self.arena = AdsArena(initial_rows=4 * max(overlay.n, 16))
-        self.repos: List[ArenaRepository] = [
-            ArenaRepository(
-                owner=i,
-                interests=interests[i],
-                store=self.store,
-                arena=self.arena,
-                capacity=self.params.cache_capacity,
-            )
-            for i in range(overlay.n)
+        # The one container of per-(peer, source) cache state; ``repos``
+        # are its rows under the per-node repository surface.
+        self.state = AdsState(
+            overlay.n,
+            self.interests.bitmasks,
+            self.store,
+            capacity=self.params.cache_capacity,
+        )
+        self.repos: List[RepositoryView] = [
+            RepositoryView(self.state, i) for i in range(overlay.n)
         ]
-        self.cachers = CacherIndex(overlay.n)
         self.forwarder: AdForwarder = make_forwarder(
             self.params.forwarder,
             overlay,
@@ -146,27 +145,12 @@ class AsapSearch(SearchAlgorithm):
         self._engine: Optional[SimulationEngine] = None
         self._timers: Dict[int, PeriodicTimer] = {}
         self._advertised: Set[int] = set()  # sources that ever sent a full ad
-        # Interest-mask caches for the batched dissemination path.  Node
-        # interests are fixed at construction, so the (n, n_classes) CSR-
-        # native interest matrix -- and the OR of its columns over an ad's
-        # topic set -- is built once and reused for every delivery of that
-        # topic set.
-        self._interest_state = InterestState(interests)
-        self._topic_members: Dict[int, np.ndarray] = {}
-        self._interest_masks: Dict[frozenset, np.ndarray] = {}
-        self._interest_sets: Dict[frozenset, frozenset] = {}
-        # compressed_filter_size is a pure function of (set bits, m) and m
-        # is fixed per run; the ads-reply loop hits a handful of distinct
-        # set-bit counts thousands of times.
-        self._filter_size_memo: Dict[int, float] = {}
-        # Ads-reply size per (source, version): the filter's set-bit count
-        # only changes when the source's version bumps, so the pair keys
-        # the full n_set_bits -> compressed-size derivation.
-        self._reply_size_memo: Dict[Tuple[int, int], float] = {}
-        # Every repo shares the run-level cache capacity; ``None`` (the
-        # default -- the paper's caches are unbounded) unlocks the
-        # eviction-free fast path in the batched receiver merge.
-        self._no_capacity = self.params.cache_capacity is None
+
+    @property
+    def arena(self) -> AdsState:
+        """Not an option: the name ``benchmarks/e2e/traced.py`` reads
+        ``stats()`` through.  Use :attr:`state`."""
+        return self.state
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the protocol and its ad forwarder."""
@@ -179,219 +163,51 @@ class AsapSearch(SearchAlgorithm):
         self.forwarder.telemetry = telemetry
 
     # ------------------------------------------------------------- delivery
-    def _topic_mask(self, topic: int) -> np.ndarray:
-        mask = self._topic_members.get(topic)
-        if mask is None:
-            mask = self._interest_state.members(topic)
-            self._topic_members[topic] = mask
-        return mask
-
-    def _interest_mask(self, topics: frozenset) -> np.ndarray:
-        """Boolean per-node mask of ``interested_in(topics)`` answers."""
-        mask = self._interest_masks.get(topics)
-        if mask is None:
-            mask = np.zeros(len(self.interests), dtype=bool)
-            for topic in topics:
-                mask |= self._topic_mask(topic)
-            self._interest_masks[topics] = mask
-        return mask
-
-    def _interest_set(self, topics: frozenset) -> frozenset:
-        """The node ids behind :meth:`_interest_mask`, as a frozenset."""
-        nodes = self._interest_sets.get(topics)
-        if nodes is None:
-            mask = self._interest_mask(topics)
-            nodes = frozenset(np.nonzero(mask)[0].tolist())
-            self._interest_sets[topics] = nodes
-        return nodes
-
     def _disseminate(
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> None:
-        """Deliver an ad and update every receiver's cache.
-
-        Receivers that detect a version gap (a patch or refresh whose
-        version outruns their cached copy) repair by pulling a fresh full ad
-        from the source -- the unicast anti-entropy that keeps caches exact
-        and contributes the steady trickle of full-ad bytes in Figure 7's
-        breakdown.
-
-        The receiver merge runs array-at-a-time over the pooled repository
-        state: the store version, source liveness and per-node interest
-        answers are identical for every receiver of one delivery, so they
-        are computed once and the per-receiver work collapses to the
-        version-merge branch of :meth:`ArenaRepository.accept` inlined with
-        those invariants hoisted.  :meth:`_accept_each` is that merge
-        without the inlining -- value-identical, one ``accept`` per receiver.
-        """
+        """Deliver an ad and update every receiver's cache."""
         report = self.forwarder.deliver(ad, now, budget=budget)
-        src = ad.source
-        repos = self.repos
-        cachers_src = self.cachers[src]
-        ad_version = ad.version
-        ad_topics = ad.topics
-        # The receiver loops below are ``store_entry``/entry-proxy
-        # operations inlined against the pooled arrays (one topic-set
-        # interning per delivery, no per-receiver proxy objects) --
-        # value-identical, just without the dispatch.  Array handles are
-        # hoisted per branch, after any ``reserve`` that could grow them.
-        arena = self.arena
-        code = arena.intern_topics(ad_topics)
-        # Invariant across the receiver loop: repairs read the store but
-        # nothing below writes it, and churn never interleaves mid-event.
-        behind_after = ad_version < self.store.version(src)
-        if ad.ad_type is AdType.FULL:
-            if behind_after or not report.visited:
-                # Not taken by the lifecycle above: a full ad is minted and
-                # delivered in one event, so it cannot trail the store, and
-                # an empty delivery has nobody to merge into.
-                self._accept_each(ad, now, report.visited)
-                return
-            interested = self._interest_mask(ad_topics)
-            # Repair-free fast path (fresh full ad, the overwhelmingly
-            # common delivery): the only receivers that change state
-            # are the interested nodes plus existing holders (holders
-            # are always members of ``cachers[src]`` -- every entry
-            # store/remove updates it).  Per-receiver effects --
-            # including capped-cache evictions, which touch only the
-            # receiver's own repo and the victims' cacher bits -- are
-            # value-identical and order-independent, so the loop runs
-            # over the vectorised interest gather instead of the whole
-            # visited set.
-            varr = report.visited_arr
-            if varr is None:
-                varr = np.fromiter(
-                    report.visited, np.int64, len(report.visited)
-                )
-            uninterested_holders = cachers_src.difference(
-                self._interest_set(ad_topics)
-            )
-            # Walk-based deliveries can revisit the source; the kernel
-            # gather drops it so the loop below needs no per-node guard
-            # (sources never cache themselves).
-            receivers = kernels.interested_receivers(
-                varr, interested, exclude=src
-            ).tolist()
-            if uninterested_holders:
-                visited_fs = report.visited
-                receivers += [
-                    node
-                    for node in uninterested_holders
-                    if node in visited_fs
-                ]
-            # Reserve the worst-case alloc burst up front so ``_grow``
-            # cannot swap the arrays out from under the hoisted handles.
-            arena.reserve(len(receivers))
-            a_version = arena.version
-            a_topics_code = arena.topics_code
-            a_cached_at = arena.cached_at
-            no_capacity = self._no_capacity
-            cachers = self.cachers
-            for node in receivers:
-                repo = repos[node]
-                slot = repo._slot
-                row = slot.get(src)
-                if row is None:
-                    row = arena.alloc()
-                    slot[src] = row
-                    if not no_capacity:
-                        repo._order_append(src, row)
-                # Unconditional overwrite: storing a fresh entry and
-                # replacing an existing entry's fields in place are
-                # value-identical.
-                a_version[row] = ad_version
-                a_topics_code[row] = code
-                a_cached_at[row] = now
-                behind = repo.behind
-                if behind:
-                    behind.discard(src)
-                if not no_capacity and len(slot) > repo.capacity:
-                    for ev in repo._evict(protect=src):
-                        cachers[ev].discard(node)
-            cachers_src.update(receivers)
-        else:
-            is_patch = ad.ad_type is AdType.PATCH
-            live_src = self.overlay.is_live(src)
-            repair_plan = None
-            # No allocations happen in this branch (patches/refreshes only
-            # mutate existing rows; repair pulls reuse the row in place),
-            # so the handles stay valid for the whole loop.
-            a_version = arena.version
-            a_topics_code = arena.topics_code
-            a_cached_at = arena.cached_at
-            for node in report.visited:
-                if node not in cachers_src:
-                    # Only holders react to patches/refreshes, and every
-                    # holder is a member of ``cachers[src]`` -- one set
-                    # probe replaces the repo/entry lookup for the (large)
-                    # uninterested majority of the flood's receivers.
-                    continue
-                repo = repos[node]
-                row = repo._slot.get(src)
-                if row is None:
-                    # No base entry: patches and refreshes are no-ops (and
-                    # the source never caches itself).
-                    continue
-                if is_patch:
-                    held = a_version[row]
-                    if ad_version == held + 1:
-                        a_version[row] = ad_version
-                        a_topics_code[row] = code
-                        a_cached_at[row] = now
-                        if behind_after:
-                            repo.behind.add(src)
-                        else:
-                            repo.behind.discard(src)
-                    elif ad_version > held:
-                        repo.behind.add(src)
-                        a_cached_at[row] = now
-                else:  # REFRESH: renew recency, detect missed patches
-                    a_cached_at[row] = now
-                    if ad_version > a_version[row]:
-                        repo.behind.add(src)
-                cachers_src.add(node)
-                if live_src and src in repo.behind:
-                    if repair_plan is None:
-                        repair_plan = self._repair_plan(src)
-                    self._repair_entry(node, src, now, plan=repair_plan)
-        if ad.ad_type is AdType.PATCH:
-            # Cachers the delivery missed now lag the source's filter.
-            for node in cachers_src - set(report.visited):
-                repos[node].mark_behind(src)
+        self._merge_ad(ad, now, report.visited, report.visited_arr)
 
-    def _accept_each(self, ad: Ad, now: float, receivers) -> None:
-        """Merge a delivered ad into ``receivers``' caches, one ``accept`` each.
+    def _merge_ad(
+        self,
+        ad: Ad,
+        now: float,
+        receivers: Collection[int],
+        receivers_arr: Optional[np.ndarray] = None,
+    ) -> None:
+        """Merge a delivered ad into the caches of ``receivers``.
 
-        The general receiver merge: any ad type, any subset of the visited
-        nodes (the super-peer variant passes only its caching tier).
-        :meth:`_disseminate` inlines these steps for the hot cases; the
-        differential tests drive whole runs through this loop instead, as
-        that inlining's oracle.
+        The version merge itself is one masked write per ad type
+        (:meth:`AdsState.accept`).  Receivers left with a version gap (a
+        patch or refresh whose version outruns their cached copy) then
+        repair by pulling the missed patches from the source -- the unicast
+        anti-entropy that keeps caches exact and contributes the steady
+        trickle of full-ad bytes in Figure 7's breakdown.  Repair pulls run
+        in ``receivers`` iteration order (they write the ledger and the
+        trace); ``receivers_arr`` is the same ids as an array, when the
+        caller already has one.
         """
+        if receivers_arr is None:
+            receivers_arr = np.fromiter(receivers, np.int64, len(receivers))
         src = ad.source
-        cachers_src = self.cachers[src]
-        live_src = self.overlay.is_live(src)
-        for node in receivers:
-            repo = self.repos[node]
-            stored, evicted = repo.accept(ad, now)
-            if stored:
-                cachers_src.add(node)
-            for evicted_source in evicted:
-                self.cachers[evicted_source].discard(node)
-            if live_src and src in repo.behind:
-                self._repair_entry(node, src, now)
+        state = self.state
+        state.accept(ad, now, receivers_arr)
+        if self.overlay.is_live(src):
+            lagging = set(receivers_arr[state.behind[receivers_arr, src]].tolist())
+            if lagging:
+                # Repairs read the store but nothing here writes it, so one
+                # plan serves every pull this delivery triggers.
+                plan = self._repair_plan(src)
+                for node in receivers:
+                    if node in lagging:
+                        self._repair_entry(node, src, now, plan)
         if ad.ad_type is AdType.PATCH:
-            # Cachers the delivery missed now lag the source's filter.
-            for node in cachers_src - set(receivers):
-                self.repos[node].mark_behind(src)
+            state.mark_missed(src, receivers_arr)
 
     def _repair_plan(self, source: int) -> Dict[str, object]:
-        """Hoist the per-source half of :meth:`_repair_entry`.
-
-        Everything here reads only store state, which is constant across
-        one delivery's receiver loop -- so one plan serves every repair
-        pull that a single dissemination triggers.
-        """
+        """The per-source half of :meth:`_repair_entry` (store reads only)."""
         full = self.store.make_full_ad(source)
         if full is None:
             return {"full": None}
@@ -407,11 +223,7 @@ class AsapSearch(SearchAlgorithm):
         }
 
     def _repair_entry(
-        self,
-        node: int,
-        source: int,
-        now: float,
-        plan: Optional[Dict[str, object]] = None,
+        self, node: int, source: int, now: float, plan: Dict[str, object]
     ) -> None:
         """Heal a version gap by pulling the missed patches from the source.
 
@@ -419,10 +231,7 @@ class AsapSearch(SearchAlgorithm):
         missed (2 bytes per bit, as on any patch ad); when the cache is so
         far behind that a fresh full ad is smaller, the source sends that
         instead.  Either way the entry ends at the current version.
-
-        ``plan`` optionally carries the per-source invariants precomputed
-        by :meth:`_repair_plan`; omitted, they are derived here exactly as
-        the batched caller would have.
+        ``plan`` is the source's :meth:`_repair_plan`.
         """
         repo = self.repos[node]
         entry = repo.entry(source)
@@ -433,13 +242,10 @@ class AsapSearch(SearchAlgorithm):
             now, TrafficCategory.ADS_REQUEST, self.sizes.ads_request, messages=1
         )
         lat = self.overlay.direct_latency_ms(node, source)
-        if plan is None:
-            plan = self._repair_plan(source)
         full = plan["full"]
         if full is None:
             # Source shares nothing any more: the stale entry is worthless.
             repo.remove(source)
-            self.cachers[source].discard(node)
             if self.tracer.enabled:
                 self.tracer.event(
                     "ad", "repair", now,
@@ -477,13 +283,7 @@ class AsapSearch(SearchAlgorithm):
                 reply_bytes=float(reply_bytes),
                 reply_category=category.value,
             )
-        stored, evicted = repo.accept_snapshot(
-            source, plan["version"], plan["topics"], now
-        )
-        if stored:
-            self.cachers[source].add(node)
-        for ev in evicted:
-            self.cachers[ev].discard(node)
+        repo.accept_snapshot(source, plan["version"], plan["topics"], now)
 
     def _issue_full_ad(self, source: int, now: float) -> None:
         ad = self.store.make_full_ad(source)
@@ -645,35 +445,14 @@ class AsapSearch(SearchAlgorithm):
         lists sources the requester just disproved by confirmation -- they
         travel in the request digest, so neighbours do not send them back.
 
-        The per-neighbour merge loop inlines
-        :meth:`ArenaRepository.accept_snapshot` and ``interested_in`` with
-        the requester-side invariants (interest set, slot dict, store
-        handles) hoisted, and memoizes the compressed-filter reply size per
-        set-bit count (``tests/oracles/asap.py`` keeps the
-        method-call-per-ad loop it is checked against).
+        Per neighbour the exchange is a masked row difference -- what the
+        neighbour offers, minus what the requester holds or just disproved
+        -- merged by :meth:`AdsState.accept_snapshot`, whose interest
+        filter decides what the reply actually carries.
         """
-        exclude = exclude or set()
-        repo = self.repos[node]
-        repos = self.repos
-        repo_interests = repo.interests
-        repo_behind = repo.behind
-        repo_capacity = repo.capacity
+        state = self.state
         store = self.store
-        store_version = store._version
-        # Hoisted arena handles: the novel-ad merge below reads and writes
-        # the pooled arrays directly (no per-ad entry proxies, topic codes
-        # copied neighbour-row -> own-row without re-interning).  Array
-        # handles are re-fetched per neighbour after reserving the
-        # worst-case alloc burst, since ``_grow`` replaces the arrays.
-        arena = self.arena
-        topics_list = arena._topics_list
-        arena_alloc = arena.alloc
-        repo_slot = repo._slot
-        cachers = self.cachers
         ad_header = self.sizes.ad_header
-        filter_bits = store.hasher.m
-        size_memo = self._filter_size_memo
-        reply_size_memo = self._reply_size_memo
         ledger = self.ledger
         telemetry = self.telemetry if self.telemetry.enabled else None
         neighbors = self._neighbors_within_h(node)
@@ -682,7 +461,7 @@ class AsapSearch(SearchAlgorithm):
         total_bytes = 0.0
         request_total = 0.0
         request_size = self.sizes.ads_request + int(
-            math.ceil(len(repo) * self.params.digest_bytes_per_entry)
+            math.ceil(len(self.repos[node]) * self.params.digest_bytes_per_entry)
         )
         current_match = (
             store.match_current(positions) if positions is not None else None
@@ -694,61 +473,31 @@ class AsapSearch(SearchAlgorithm):
             ledger.record(
                 now, TrafficCategory.ADS_REQUEST, request_size, messages=1
             )
-            nbr_slot = repos[nbr]._slot
             if positions is None:
-                offered = nbr_slot.keys() - repo_slot.keys()
+                offered = state.version[nbr] >= 0
             else:
-                offered = set(repos[nbr].lookup(positions, current_match))
-                offered -= repo_slot.keys()
+                offered = state.lookup(nbr, positions, current_match)
+            offered &= state.version[node] < 0
+            offered[node] = False
             if exclude:
-                offered -= exclude
-            offered.discard(node)
-            novel = sorted(offered)
-            arena.reserve(len(novel))
-            a_version = arena.version
-            a_topics_code = arena.topics_code
-            a_cached_at = arena.cached_at
-            reply_bytes = float(ad_header)  # reply envelope
+                offered[list(exclude)] = False
+            novel = np.flatnonzero(offered)
+            stored, _ = state.accept_snapshot(
+                node,
+                novel,
+                state.version[nbr, novel],
+                state.topics_code[nbr, novel],
+                now,
+            )
+            novel = novel[stored]
+            # The reply carries each source's *current* filter, after the
+            # reply envelope; bytes add up in ascending source order.
+            ads = ad_header + store.full_ad_payload_bytes(novel)
+            reply_bytes = float(
+                np.cumsum(np.concatenate(([ad_header], ads)), dtype=np.float64)[-1]
+            )
             rtt = 2.0 * one_way
-            for s in novel:
-                row = nbr_slot[s]
-                code = a_topics_code[row]
-                topics = topics_list[code]
-                if repo_interests.isdisjoint(topics):
-                    continue
-                # accept_snapshot, inlined: ``s != node`` and interest
-                # already hold, and ``novel`` is recomputed against the
-                # requester's slot dict per neighbour, so ``s`` is never
-                # held here -- always a fresh row, always stored.
-                version = a_version[row]
-                repo_slot[s] = mine_row = arena_alloc()
-                if repo_capacity is not None:
-                    repo._order_append(s, mine_row)
-                a_version[mine_row] = version
-                a_topics_code[mine_row] = code
-                a_cached_at[mine_row] = now
-                if version < store_version[s]:
-                    repo_behind.add(s)
-                else:
-                    repo_behind.discard(s)
-                # The reply carries the source's *current* filter; its
-                # set-bit count -- and therefore the compressed size -- can
-                # only change when the source's version bumps, so (s,
-                # version) keys the whole derivation.
-                size_key = (s, int(store_version[s]))
-                size = reply_size_memo.get(size_key)
-                if size is None:
-                    n_set = store.n_set_bits(s)
-                    size = size_memo.get(n_set)
-                    if size is None:
-                        size = compressed_filter_size(n_set, filter_bits)
-                        size_memo[n_set] = size
-                    reply_size_memo[size_key] = size
-                reply_bytes += ad_header + size
-                cachers[s].add(node)
-                if repo_capacity is not None:
-                    for ev in repo._evict(protect=s):
-                        cachers[ev].discard(node)
+            for s in novel.tolist():
                 if s not in new_sources or rtt < new_sources[s]:
                     new_sources[s] = rtt
             n_messages += 1
@@ -851,7 +600,6 @@ class AsapSearch(SearchAlgorithm):
                 if not self.overlay.is_live(s):
                     # Departed source: retire the stale ad.
                     repo.remove(s)
-                    self.cachers[s].discard(requester)
                     if traced:
                         stats["failed_dead"] += 1
                     if telemetry.enabled:
@@ -881,7 +629,6 @@ class AsapSearch(SearchAlgorithm):
                 else:
                     # False positive or cross-document term split.
                     repo.remove(s)
-                    self.cachers[s].discard(requester)
                     if traced:
                         stats[classify_failure(s)] += 1
 

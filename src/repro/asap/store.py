@@ -16,7 +16,7 @@ multiset (paper Section III-B).  The store centralises, for all sources:
 
 The store is pure state: it emits :class:`~repro.asap.ads.Ad` objects on
 content changes but never touches the network -- delivery and caching
-policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.arena`.
+policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.state`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
+from repro.bloom.compressed import BYTES_PER_INDEX, raw_bitmap_size
 from repro.bloom.filter import CountingBloomFilter
 from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M
 from repro.bloom.matrix import FilterMatrix
@@ -118,6 +119,12 @@ class SourceFilterStore:
 
     def n_set_bits(self, source: int) -> int:
         return int(self._n_set[source])
+
+    def full_ad_payload_bytes(self, sources: np.ndarray) -> np.ndarray:
+        """:func:`compressed_filter_size` of each source's current filter."""
+        return np.minimum(
+            raw_bitmap_size(self.hasher.m), self._n_set[sources] * BYTES_PER_INDEX
+        )
 
     def is_sharer(self, source: int) -> bool:
         """Free-riders have a null filter and nothing to advertise."""

@@ -80,8 +80,13 @@ class SuperPeerAsapSearch(AsapSearch):
                 self._super_of[node] = self._nearest_super(node)
         # Super peers aggregate their leaves' interests so they cache every
         # ad any of their leaves would want.
-        for leaf, sp in self._super_of.items():
-            self.repos[sp].interests |= set(self.interests[leaf])
+        own = self.interests.bitmasks
+        self.state.interest_bits = own.copy()
+        np.bitwise_or.at(
+            self.state.interest_bits,
+            list(self._super_of.values()),
+            own[list(self._super_of)],
+        )
 
     # ------------------------------------------------------------- plumbing
     def _nearest_super(self, node: int) -> int:
@@ -111,7 +116,7 @@ class SuperPeerAsapSearch(AsapSearch):
     def _disseminate(self, ad, now, budget=None) -> None:
         """Deliver an ad but let only super peers cache it."""
         report = self.forwarder.deliver(ad, now, budget=budget)
-        self._accept_each(
+        self._merge_ad(
             ad, now, [v for v in report.visited if self._is_super[v]]
         )
 

@@ -201,15 +201,13 @@ def build_report(
         if focus_profile is not None and focus_profile.arena:
             a = focus_profile.arena
             memory_lines += [
-                f"  arena rows live/allocated {a.get('rows_live', 0):>10} / "
-                f"{a.get('rows_allocated', 0)}",
-                f"  arena free-list depth     {a.get('free_list_depth', 0):>10}",
-                f"  arena pool size           "
+                f"  cached (peer, source)     {a.get('rows_live', 0):>10} pairs",
+                f"  dense ads-state size      "
                 f"{a.get('pool_bytes', 0) / 1e6:>10.1f} MB",
             ]
         sections += [
-            "Memory (struct-of-arrays peer state; arena rows are pooled "
-            "(peer, source) cache pairs):",
+            "Memory (ads caches are one dense peer x source state, "
+            "Theta(n^2) bytes whatever the fill):",
             "",
             "```",
             *memory_lines,

@@ -13,10 +13,10 @@ Six layers, all opt-in and zero-cost when disabled:
   windowed load series, quantile sketches and heavy-hitter hotspots,
   mergeable across cells (``run_experiment(config, telemetry=True)``,
   ``python -m repro.obs.report telemetry``, ``runall --telemetry``);
-* :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots over the
-  struct-of-arrays arena: per-source ad coverage, staleness sketches,
-  measured Bloom FP rate and cache health, bit-identical across storage
-  backends and across serial/parallel execution
+* :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots reduced
+  from the dense ads state: per-source ad coverage, staleness sketches,
+  measured Bloom FP rate and cache health, bit-identical across
+  serial/parallel execution
   (``run_experiment(config, probes=True)``, ``runall --probes``,
   ``report telemetry --probes``);
 * :mod:`repro.obs.analyze` + :mod:`repro.obs.audit` -- causal lifecycle

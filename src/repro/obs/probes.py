@@ -2,10 +2,10 @@
 
 The tracing/telemetry layers watch the *event stream*; this module watches
 the *state*.  A :class:`ProbeRecorder` wakes up every ``interval_s``
-simulated seconds and scans the algorithm's live structures -- the pooled
-:class:`~repro.asap.arena.AdsArena` rows, the per-node repositories, the
-cacher index, and the :class:`~repro.asap.store.SourceFilterStore` -- into
-one deterministic snapshot per tick:
+simulated seconds and reduces the algorithm's live structures -- the dense
+peer x source :class:`~repro.asap.state.AdsState` and the
+:class:`~repro.asap.store.SourceFilterStore` -- into one deterministic
+snapshot per tick:
 
 * **coverage** -- per advertised sharer, how many nodes hold its ad
   (replication factor) and what fraction of its live, interested audience
@@ -16,16 +16,16 @@ one deterministic snapshot per tick:
   it implies, against the paper's ``(1/2)^k`` ceiling (Section III-B);
 * **occupancy** -- per-node cache occupancy and eviction pressure
   (nodes pinned at capacity);
-* **backend** -- arena free-list / slot-index health and engine gauges
-  (live and raw queue depth, events processed).
+* **backend** -- ads-state size / occupancy-counter health and engine
+  gauges (live and raw queue depth, events processed).
 
 Determinism contract.  Snapshots are read-only, consume no randomness, and
 schedule exactly zero events when probing is off, so enabling probes never
 changes a run's results.  Every per-entry series feeds an order-independent
 sketch (sorted sums, power-of-two buckets derived from ``frexp`` -- pure bit
 manipulation), so a snapshot depends only on the multiset of cached
-entries, never on arena row order; ``tests/test_obs_probes.py`` checks it
-against a plain per-repository loop.  Cell summaries merge in input order
+entries, never on their storage order; ``tests/test_obs_probes.py`` checks
+it against a plain per-repository loop.  Cell summaries merge in input order
 exactly like :func:`repro.obs.telemetry.merge_summaries`, so ``--jobs N``
 output is bit-identical to serial.
 
@@ -63,11 +63,6 @@ __all__ = [
 #: Bump when the snapshot/summary JSON shape changes.
 PROBE_SCHEMA_VERSION = 1
 
-#: Per-byte popcount table for packed cacher bitsets.
-_POPCOUNT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1).astype(np.int64)
-
 
 def pow2_sketch(values) -> LogBucketSketch:
     """A gamma-2 :class:`LogBucketSketch` built bit-deterministically.
@@ -76,8 +71,7 @@ def pow2_sketch(values) -> LogBucketSketch:
     arithmetic, no transcendental calls), and the running total is summed
     over the *sorted* value array -- so two callers feeding the same
     multiset of float64 values get bit-identical sketches regardless of
-    the order the values arrive in (arena rows are recycled, so row order
-    is not stable across otherwise identical states).
+    the order the values arrive in.
     """
     sketch = LogBucketSketch(gamma=2.0)
     if isinstance(values, np.ndarray):
@@ -132,57 +126,33 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     if not _is_asap(algorithm):
         return state
 
-    repos = algorithm.repos
     store = algorithm.store
     n = int(overlay.n)
     live_mask = overlay.live_mask
+    cache = algorithm.state
+    held = cache.version >= 0
 
-    # --- per-entry series: one vectorized pass over the live arena rows.
-    arena = algorithm.arena
-    top = arena._top
-    row_live = np.ones(top, dtype=bool)
-    if arena._free:
-        row_live[np.asarray(arena._free, dtype=np.int64)] = False
-    cached_at = arena.cached_at[:top][row_live]
-    entries_total = int(cached_at.size)
-    ages = now - cached_at
+    # --- per-entry series.
+    ages = now - cache.cached_at[held]
+    entries_total = int(ages.size)
 
-    # --- staleness: behind counts + version lag over behind entries,
-    # gathered as (source, row) pairs so numpy does the subtraction.
-    behind_total = 0
-    src_idx: List[int] = []
-    row_idx: List[int] = []
-    for repo in repos:
-        behind = repo.behind
-        if not behind:
-            continue
-        behind_total += len(behind)
-        slot = repo._slot
-        common = behind & slot.keys()
-        src_idx.extend(common)
-        row_idx.extend(map(slot.__getitem__, common))
-    if src_idx:
-        lag = store._version[
-            np.asarray(src_idx, dtype=np.int64)
-        ] - arena.version[np.asarray(row_idx, dtype=np.int64)].astype(np.int64)
-        lags = lag[lag > 0].astype(np.float64)
-    else:
-        lags = np.zeros(0, dtype=np.float64)
+    # --- staleness: behind counts + version lag over behind entries.
+    peers, sources = np.nonzero(cache.behind)
+    lag = store._version[sources] - cache.version[peers, sources]
+    lags = lag[lag > 0].astype(np.float64)
 
     # --- occupancy / eviction pressure.
-    occupancy = np.fromiter((len(r) for r in repos), dtype=np.int64, count=n)
-    capacity = getattr(algorithm.params, "cache_capacity", None)
+    occupancy = cache.occupancy
+    capacity = cache.capacity
     at_capacity = (
         int(np.count_nonzero(occupancy >= capacity)) if capacity else 0
     )
 
     # --- coverage: replication factor + live-audience coverage per
-    # advertised sharer.  Sources are grouped by (interned) topic set --
-    # topic populations are tiny -- and each group's cacher bitsets are
-    # stacked into chunked uint8 matrices so the AND + popcount runs
-    # array-at-a-time.
-    cachers = algorithm.cachers
-    sources = audience_total = covered_total = holders_total = 0
+    # advertised sharer.  Sources are grouped by topic set -- topic
+    # populations are tiny -- so each group shares one audience mask and
+    # its holder counts are column sums.
+    sources_n = audience_total = covered_total = holders_total = 0
     replication: List[float] = []
     fractions: List[float] = []
     groups: Dict[frozenset, List[int]] = {}
@@ -192,31 +162,15 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
         topics = store.topics(source)
         if topics:
             groups.setdefault(topics, []).append(source)
-    chunk = 512  # bounds the popcount transients at n/8 * chunk * 8 bytes
     for topics, members in groups.items():
-        amask = algorithm._interest_mask(topics) & live_mask
-        packed = np.packbits(amask, bitorder="little")
-        mask_count = int(np.count_nonzero(amask))
+        amask = algorithm.interests.mask_for(topics) & live_mask
         m_arr = np.asarray(members, dtype=np.int64)
-        audience_vec = mask_count - amask[m_arr].astype(np.int64)
-        sources += len(members)
+        columns = held[:, m_arr]
+        holders_vec = columns.sum(axis=0)
+        covered_vec = columns[amask].sum(axis=0)
+        audience_vec = np.count_nonzero(amask) - amask[m_arr].astype(np.int64)
+        sources_n += len(members)
         audience_total += int(audience_vec.sum())
-        holders_vec = np.zeros(len(members), dtype=np.int64)
-        covered_vec = np.zeros(len(members), dtype=np.int64)
-        stack = np.zeros((min(chunk, len(members)), packed.size), np.uint8)
-        for start in range(0, len(members), chunk):
-            block = members[start : start + chunk]
-            stack[: len(block)] = 0
-            for i, source in enumerate(block):
-                if source in cachers:
-                    stack[i] = np.frombuffer(
-                        cachers[source]._bits, dtype=np.uint8
-                    )
-            sub = stack[: len(block)]
-            holders_vec[start : start + chunk] = _POPCOUNT[sub].sum(axis=1)
-            covered_vec[start : start + chunk] = _POPCOUNT[
-                sub & packed
-            ].sum(axis=1)
         holders_total += int(holders_vec.sum())
         covered_total += int(covered_vec.sum())
         replication.extend(holders_vec.astype(np.float64).tolist())
@@ -243,7 +197,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
                 "per_node": pow2_sketch(occupancy).to_dict(),
             },
             "coverage": {
-                "sources": sources,
+                "sources": sources_n,
                 "audience": audience_total,
                 "covered": covered_total,
                 "holders": holders_total,
@@ -251,7 +205,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
                 "fraction": pow2_sketch(fractions).to_dict(),
             },
             "staleness": {
-                "behind": behind_total,
+                "behind": int(peers.size),
                 "age_s": pow2_sketch(ages).to_dict(),
                 "version_lag": pow2_sketch(lags).to_dict(),
             },
@@ -268,16 +222,18 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
 
 
 def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
-    """Backend/introspection gauges: arena health + engine queue state.
+    """Backend/introspection gauges: ads-state size + engine queue state.
 
     Kept apart from the protocol-state section: these describe how the
-    state is stored (row recycling, queue depth), not what it is.
+    state is stored and scheduled, not what it is.
     """
     backend: Dict[str, Any] = {}
     if _is_asap(algorithm):
-        stats = dict(algorithm.arena.stats())
-        occupancy = sum(len(r) for r in algorithm.repos)
-        stats["slot_index_consistent"] = bool(stats["rows_live"] == occupancy)
+        cache = algorithm.state
+        stats = dict(cache.stats())
+        stats["slot_index_consistent"] = bool(
+            stats["rows_live"] == np.count_nonzero(cache.version >= 0)
+        )
         backend["arena"] = stats
     if engine is not None:
         backend["engine"] = {
@@ -289,37 +245,32 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
 
 
 def check_arena_health(algorithm) -> Dict[str, Any]:
-    """Deep slot-index audit: every slot row live, unique, in-pool.
+    """Audit the invariants the dense ads state can still break.
 
-    Used by the churn/recycling tests; O(entries), so not part of the
-    periodic snapshot.  Returns a report dict with ``ok`` plus the
-    individual invariants (live-count == occupancy, no dangling slots,
-    no double-allocated rows, free rows disjoint from slots).
+    That every (peer, source) pair has exactly one cell is structural;
+    what the merge code must keep true is checked here: each peer's
+    occupancy counter equals its held count, ``behind`` only flags held
+    entries, no cache exceeds the capacity, and no peer caches itself.
+    O(n^2), so not part of the periodic snapshot.
     """
-    arena = algorithm.arena
-    rows = [
-        row for repo in algorithm.repos for row in repo._slot.values()
-    ]
-    free = set(arena._free)
-    stats = arena.stats()
-    occupancy = len(rows)
-    unique = len(set(rows))
-    in_pool = all(0 <= row < arena._top for row in rows)
-    disjoint = not any(row in free for row in rows)
+    cache = algorithm.state
+    held = cache.version >= 0
     report = {
-        "rows_live": stats["rows_live"],
-        "occupancy": occupancy,
-        "live_matches_occupancy": stats["rows_live"] == occupancy,
-        "rows_unique": unique == occupancy,
-        "rows_in_pool": in_pool,
-        "free_disjoint": disjoint,
-        "free_list_depth": stats["free_list_depth"],
+        "rows_live": int(cache.occupancy.sum()),
+        "occupancy": int(np.count_nonzero(held)),
+        "live_matches_occupancy": bool(
+            np.array_equal(cache.occupancy, held.sum(axis=1))
+        ),
+        "behind_subset_of_held": not bool((cache.behind & ~held).any()),
+        "within_capacity": cache.capacity is None
+        or bool((cache.occupancy <= cache.capacity).all()),
+        "diagonal_empty": not bool(held.diagonal().any()),
     }
-    report["ok"] = bool(
+    report["ok"] = (
         report["live_matches_occupancy"]
-        and report["rows_unique"]
-        and in_pool
-        and disjoint
+        and report["behind_subset_of_held"]
+        and report["within_capacity"]
+        and report["diagonal_empty"]
     )
     return report
 
@@ -424,7 +375,7 @@ class ProbeSummary:
         """Identity of the protocol-state series only.
 
         Excludes the backend gauges, so it depends on what the caches hold
-        at each tick and not on how the arena laid the rows out.
+        at each tick and not on how the state is stored.
         """
         doc = {
             "schema": PROBE_SCHEMA_VERSION,

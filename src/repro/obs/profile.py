@@ -91,9 +91,8 @@ class RunProfile:
     engine_events: int = 0
     engine_pending_live: int = 0
     sim_end_s: float = 0.0
-    # Process peak RSS (MB) at finish() time and, for ASAP runs on the
-    # pooled struct-of-arrays backend, the arena utilisation snapshot
-    # (rows allocated / live / free-list depth / pool bytes ...).
+    # Process peak RSS (MB) at finish() time and, for ASAP runs, the
+    # ``AdsState.stats()`` snapshot (live pairs, dense state bytes ...).
     peak_rss_mb: float = 0.0
     arena: Dict[str, int] = field(default_factory=dict)
 
@@ -125,10 +124,9 @@ class RunProfile:
         if self.arena:
             a = self.arena
             lines.append(
-                f"  ads arena: {a.get('rows_live', 0)} live rows of "
-                f"{a.get('rows_allocated', 0)} allocated "
-                f"(free-list depth {a.get('free_list_depth', 0)}, pool "
-                f"{a.get('pool_bytes', 0) / 1e6:.1f} MB, "
+                f"  ads state: {a.get('rows_live', 0)} cached pairs of "
+                f"{a.get('pool_rows', 0)} dense cells "
+                f"({a.get('pool_bytes', 0) / 1e6:.1f} MB, "
                 f"{a.get('topic_sets_interned', 0)} topic sets interned)"
             )
         for title, buckets in (("phase", self.phases), ("subsystem", self.subsystems)):
@@ -164,12 +162,12 @@ def merge_profiles(profiles: Iterable[RunProfile]) -> RunProfile:
         merged.engine_pending_live += profile.engine_pending_live
         merged.sim_end_s = max(merged.sim_end_s, profile.sim_end_s)
         # Peak RSS is a per-process high-water mark: the sweep-level figure
-        # is the worst cell, not a sum.  Arena stats keep the largest
-        # snapshot whole (mixing rows from different pools is meaningless).
+        # is the worst cell, not a sum.  Ads-state stats keep the fullest
+        # snapshot whole (mixing pairs from different cells is meaningless).
         merged.peak_rss_mb = max(merged.peak_rss_mb, profile.peak_rss_mb)
         if profile.arena and profile.arena.get(
-            "rows_allocated", 0
-        ) >= merged.arena.get("rows_allocated", 0):
+            "rows_live", 0
+        ) >= merged.arena.get("rows_live", 0):
             merged.arena = dict(profile.arena)
         for buckets, add in (
             (merged.subsystems, profile.subsystems),

@@ -49,7 +49,6 @@ __all__ = [
     "flood_bfs",
     "flood_frontier",
     "flood_rings",
-    "interested_receivers",
     "rw_delivery",
     "rw_search",
     "segmented_cumsum",
@@ -262,23 +261,6 @@ def distinct_nodes(csr: WalkCsr, nodes: np.ndarray) -> np.ndarray:
     if len(nodes) == 0:
         return np.empty(0, dtype=np.int64)
     return np.nonzero(np.bincount(nodes, minlength=csr.n))[0]
-
-
-def interested_receivers(
-    visited: np.ndarray, interest_mask: np.ndarray, exclude: int
-) -> np.ndarray:
-    """Visited nodes whose interest-mask bit is set, minus ``exclude``.
-
-    The gather half of ASAP's batched receiver merge: ``visited`` is a
-    delivery's sorted visited array (kernel paths carry one on the
-    :class:`~repro.asap.delivery.DeliveryReport`), ``interest_mask`` a
-    per-node boolean column from :class:`repro.workload.interests.
-    InterestState`, and ``exclude`` the ad's source (walk deliveries can
-    revisit it; sources never cache themselves).  Equivalent reference:
-    ``[v for v in visited if interest_mask[v] and v != exclude]``.
-    """
-    sel = visited[interest_mask[visited]]
-    return sel[sel != exclude]
 
 
 # --------------------------------------------------------------- delivery

@@ -27,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.asap.protocol import AsapParams, AsapSearch
+from repro.asap.state import require_state_fits
 from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -165,6 +166,9 @@ def run_experiment(
       content synthesis.
     """
     t_phase = time.perf_counter()
+    if config.is_asap:
+        # Before minutes of substrate and workload construction.
+        require_state_fits(config.n_peers)
     streams = RandomStreams(seed=config.seed)
     if audit and tracer is None:
         tracer = Tracer(keep=True)
@@ -314,9 +318,8 @@ def run_experiment(
     if profiler is not None:
         run_profile = profiler.finish(engine)
         run_profile.peak_rss_mb = peak_rss_mb()
-        arena = getattr(algorithm, "arena", None)
-        if arena is not None:
-            run_profile.arena = arena.stats()
+        if isinstance(algorithm, AsapSearch):
+            run_profile.arena = algorithm.state.stats()
         if progress is not None:
             progress(run_profile.format_table())
     diagnostics = None

@@ -28,6 +28,7 @@ __all__ = [
     "class_node_counts",
     "interest_node_counts",
     "sample_classes",
+    "topic_bits",
 ]
 
 #: The 14 semantic classes (eDonkey-era content categories).
@@ -97,61 +98,44 @@ def assign_interests(
     return interests
 
 
+def topic_bits(topics: Iterable[int]) -> int:
+    """A topic (or interest) set as a bitmask, one bit per class."""
+    bits = 0
+    for topic in topics:
+        bits |= 1 << topic
+    return bits
+
+
 class InterestState:
-    """CSR-native per-node interest state.
+    """Per-node interests as one bitmask per node.
 
     List-of-set interests are perfect for construction-time sampling but
     hostile to the delivery hot path: answering "which of these 9,000
     visited nodes care about topics T?" by probing Python sets is O(visits)
-    pointer chasing.  This holds the same assignment as a packed
-    ``(n_nodes, n_classes)`` boolean matrix plus one interest *bitmask* per
-    node, so per-delivery interest answers are numpy gathers
-    (:func:`repro.sim.kernels.interested_receivers`) and the memory cost is
-    ~n_nodes x 14 bytes instead of one ``set`` object (216+ bytes) per node.
-
-    The matrix is bit-for-bit the same predicate as the sets: ``matrix[i,
-    c] == (c in interests[i])`` for every node and class.
+    pointer chasing.  ``bitmasks[i]`` has bit ``c`` set iff ``c in
+    interests[i]``, so interest answers for any node array are one AND
+    against :func:`topic_bits` and the memory cost is 8 bytes per node
+    instead of one ``set`` object (216+ bytes).
     """
 
-    __slots__ = ("n_nodes", "n_classes", "matrix", "bitmasks")
+    __slots__ = ("n_nodes", "n_classes", "bitmasks")
 
     def __init__(
         self, interests: Sequence[Set[int]], n_classes: int | None = None
     ) -> None:
         top = max((max(s) for s in interests if s), default=-1) + 1
         self.n_classes = max(N_CLASSES, top) if n_classes is None else n_classes
-        if top > self.n_classes:
+        if top > self.n_classes or self.n_classes > 63:
             raise ValueError("interest class out of range")
         self.n_nodes = len(interests)
-        self.matrix = np.zeros((self.n_nodes, self.n_classes), dtype=bool)
-        self.bitmasks = np.zeros(self.n_nodes, dtype=np.int64)
-        for i, classes in enumerate(interests):
-            mask = 0
-            for c in classes:
-                self.matrix[i, c] = True
-                mask |= 1 << c
-            self.bitmasks[i] = mask
-
-    def members(self, topic: int) -> np.ndarray:
-        """Boolean per-node column: who holds interest ``topic``."""
-        if not 0 <= topic < self.n_classes:
-            return np.zeros(self.n_nodes, dtype=bool)
-        return self.matrix[:, topic].copy()
+        self.bitmasks = np.fromiter(
+            map(topic_bits, interests), dtype=np.int64, count=self.n_nodes
+        )
 
     def mask_for(self, topics: Iterable[int]) -> np.ndarray:
-        """Boolean per-node mask: who intersects the topic set (OR of columns)."""
-        out = np.zeros(self.n_nodes, dtype=bool)
-        for topic in topics:
-            if 0 <= topic < self.n_classes:
-                out |= self.matrix[:, topic]
-        return out
-
-    def topic_bits(self, topics: Iterable[int]) -> int:
-        """The topic set as a bitmask (pairs with ``bitmasks`` AND-tests)."""
-        bits = 0
-        for topic in topics:
-            bits |= 1 << topic
-        return bits
+        """Boolean per-node mask: who intersects the topic set."""
+        bits = topic_bits(t for t in topics if 0 <= t < self.n_classes)
+        return (self.bitmasks & bits) != 0
 
 
 def class_node_counts(

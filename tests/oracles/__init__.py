@@ -4,7 +4,7 @@
 in-tree twins live here, imported by tests only:
 
 * :mod:`tests.oracles.repository` -- the object-per-entry ads cache
-  (:class:`~repro.asap.arena.ArenaRepository`'s model);
+  (the model of one :class:`~repro.asap.state.AdsState` row);
 * :mod:`tests.oracles.store` -- per-position historical filter probes;
 * :mod:`tests.oracles.flood` -- full-edge-array Bellman-Ford floods;
 * :mod:`tests.oracles.delivery` -- per-step ad-delivery loops;

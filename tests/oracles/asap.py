@@ -2,19 +2,20 @@
 
 :class:`OracleAsapSearch` is :class:`~repro.asap.protocol.AsapSearch` with
 every optimised layer swapped for its plain predecessor -- one
-:class:`~tests.oracles.repository.CacheEntry` object per cached ad, plain
-``set`` cacher indexes, per-step delivery loops, one ``accept`` per
-receiver, one ``accept_snapshot`` per offered ad.  Repository, cacher,
-ledger state and every return value must match the product bit for bit.
+:class:`~tests.oracles.repository.CacheEntry` object per cached ad in one
+repository object per node (the inherited dense state stays empty),
+per-step delivery loops, one ``accept`` per receiver, one
+``accept_snapshot`` per offered ad.  Repository and ledger state and every
+return value must match the product bit for bit.
 """
 
 import math
-from collections import defaultdict
 from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.asap.ads import AdType
 from repro.asap.protocol import AsapSearch
 from repro.bloom.compressed import compressed_filter_size
 from repro.sim.metrics import TrafficCategory
@@ -33,18 +34,26 @@ class OracleAsapSearch(AsapSearch):
         self.repos = [
             AdsRepository(
                 owner=i,
-                interests=self.interests[i],
+                interests={c for c in range(63) if bits >> c & 1},
                 store=self.store,
                 capacity=self.params.cache_capacity,
             )
-            for i in range(self.overlay.n)
+            for i, bits in enumerate(self.interests.bitmasks.tolist())
         ]
-        self.cachers = defaultdict(set)
         self.forwarder.deliver = partial(deliver_reference, self.forwarder)
 
-    def _disseminate(self, ad, now, budget=None) -> None:
-        report = self.forwarder.deliver(ad, now, budget=budget)
-        self._accept_each(ad, now, report.visited)
+    def _merge_ad(self, ad, now, receivers, receivers_arr=None) -> None:
+        src = ad.source
+        live_src = self.overlay.is_live(src)
+        for node in receivers:
+            repo = self.repos[node]
+            repo.accept(ad, now)
+            if live_src and src in repo.behind:
+                self._repair_entry(node, src, now, self._repair_plan(src))
+        if ad.ad_type is AdType.PATCH:
+            # Cachers the delivery missed now lag the source's filter.
+            for node in set(range(self.overlay.n)) - set(receivers):
+                self.repos[node].mark_behind(src)
 
     def _ads_request(
         self,
@@ -89,18 +98,14 @@ class OracleAsapSearch(AsapSearch):
                 entry = nbr_repo.entries[s]
                 if not repo.interested_in(entry.topics):
                     continue
-                stored, evicted = repo.accept_snapshot(
+                stored, _ = repo.accept_snapshot(
                     s, entry.version, entry.topics, now
                 )
                 reply_bytes += self.sizes.ad_header + compressed_filter_size(
                     self.store.n_set_bits(s), self.store.hasher.m
                 )
-                if stored:
-                    self.cachers[s].add(node)
-                    for ev in evicted:
-                        self.cachers[ev].discard(node)
-                    if s not in new_sources or rtt < new_sources[s]:
-                        new_sources[s] = rtt
+                if stored and (s not in new_sources or rtt < new_sources[s]):
+                    new_sources[s] = rtt
             n_messages += 1
             total_bytes += reply_bytes
             self.ledger.record(

@@ -1,8 +1,9 @@
 """Ads-cache oracle: one object per cached ad (paper Sections III-B/III-C).
 
-The plain model :class:`repro.asap.arena.ArenaRepository` is checked
-against op for op -- same contract, same insertion-ordered iteration, same
-LRU tie-breaks; never imported by ``src/repro``.
+The plain model a :class:`repro.asap.state.RepositoryView` (one row of the
+dense :class:`~repro.asap.state.AdsState`) is checked against op for op --
+same contract, same insertion-ordered iteration, same LRU tie-breaks; never
+imported by ``src/repro``.
 
 A node "selectively stores interesting ads received from other peers": an ad
 is cached only when its topic set intersects the node's interests.  The

@@ -159,7 +159,6 @@ class TestAdsRequestFallback:
         algo, content, ledger = build_asap(overlay=overlay, holder=2)
         run_warmup(algo)
         algo.repos[0].remove(2)
-        algo.cachers[2].discard(0)
         out = algo.search(0, ["rock"], now=20.0)
         assert out.success
         assert 2 in algo.repos[0]  # merged from neighbour 1
@@ -197,7 +196,6 @@ class TestAdsRequestFallback:
         # Wipe caches of nodes 0 and 1; node 2 (two hops away) still has it.
         for node in (0, 1):
             algo.repos[node].remove(3)
-            algo.cachers[3].discard(node)
         out = algo.search(0, ["rock"], now=20.0)
         assert out.success
 

@@ -3,14 +3,29 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from repro.asap.ads import Ad, AdType
-from repro.asap.arena import AdsArena, ArenaRepository
+from repro.asap.protocol import AsapParams
+from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
+from repro.simulation.config import scaled_config
 from repro.workload.content import ContentIndex, Document
+from repro.workload.interests import InterestState
+
+from tests.oracles.repository import AdsRepository
 
 
-def make_repo(**kwargs):
-    return ArenaRepository(arena=AdsArena(), **kwargs)
+def make_repo(owner, interests, store, capacity=None):
+    """One row of a fresh dense state: the product's per-node repository."""
+    bits = InterestState([interests] * store.n_nodes).bitmasks
+    return RepositoryView(AdsState(store.n_nodes, bits, store, capacity), owner)
+
+
+#: The quirk tests run against the product view and its object model.
+BOTH = pytest.mark.parametrize(
+    "make", [make_repo, AdsRepository], ids=["product", "oracle"]
+)
 
 
 @pytest.fixture
@@ -162,9 +177,67 @@ class TestEviction:
         _, evicted = repo.accept(full_ad(3, {0}), now=3.0)
         assert evicted == [2]
 
-    def test_bad_capacity(self, store):
-        with pytest.raises(ValueError):
-            make_repo(owner=0, interests={0}, store=store, capacity=0)
+    def test_bad_capacity(self):
+        with pytest.raises(ValueError, match="cache_capacity"):
+            AsapParams(cache_capacity=0)
+        config = scaled_config("asap_rw", "random", n_peers=50)
+        with pytest.raises(ValueError, match="cache_capacity"):
+            dataclasses.replace(
+                config, asap=dataclasses.replace(config.asap, cache_capacity=-3)
+            )
+
+    @BOTH
+    def test_ties_evict_the_earliest_inserted(self, store, make):
+        """A bootstrap ads exchange stamps many entries with one ``now``:
+        the victim among equals is the one inserted first."""
+        store = SourceFilterStore(5, store.content)
+        repo = make(owner=0, interests={0}, store=store, capacity=3)
+        for source in (3, 1, 2):  # insertion order, not id order
+            repo.accept_snapshot(source, 0, frozenset({0}), now=5.0)
+        assert list(repo.sources()) == [3, 1, 2]
+        # Re-storing an existing source keeps its position ...
+        repo.accept(full_ad(3, {0}), now=5.0)
+        assert list(repo.sources()) == [3, 1, 2]
+        # ... while remove + re-insert moves it to the end.
+        repo.remove(1)
+        repo.accept(full_ad(1, {0}), now=5.0)
+        assert list(repo.sources()) == [3, 2, 1]
+        _, evicted = repo.accept(full_ad(4, {0}), now=5.0)
+        assert evicted == [3]  # first inserted, although re-stored later
+        _, evicted = repo.accept_snapshot(3, 0, frozenset({0}), now=5.0)
+        assert evicted == [2]  # 1 went behind 2 when it was re-inserted
+        assert list(repo.sources()) == [1, 4, 3]
+
+
+class TestBehindIsStoredState:
+    @BOTH
+    def test_offline_content_change_marks_nobody(self, store, make):
+        """A source that changes content while offline bumps the store but
+        disseminates nothing: its cachers are *not* behind -- ``behind`` is
+        what deliveries told the cache, never ``version < store.version``
+        -- until a refresh or patch reaches them."""
+        by_refresh = make(owner=0, interests={0}, store=store)
+        by_patch = make(owner=3, interests={0}, store=store)
+        for repo in (by_refresh, by_patch):
+            repo.accept(store.make_full_ad(1), now=1.0)
+        doc = Document(doc_id=60, class_id=0, keywords=("offline-kw",))
+        store.content.register_document(doc)
+        store.content.place(1, 60, notify=False)
+        store.apply_content_change(1, doc, added=True)  # patch never delivered
+        assert store.version(1) == 1
+        for repo in (by_refresh, by_patch):
+            assert repo.entry(1).version == 0
+            assert 1 not in repo.behind
+            # Evaluated against the *current* filter, like any fresh entry.
+            pos = store.hasher.positions_array(["offline-kw"])
+            assert repo.lookup(pos, store.match_current(pos)) == [1]
+        by_refresh.accept(store.make_refresh_ad(1), now=2.0)
+        assert 1 in by_refresh.behind
+        doc2 = Document(doc_id=61, class_id=0, keywords=("later-kw",))
+        store.content.register_document(doc2)
+        store.content.place(1, 61, notify=False)
+        by_patch.accept(store.apply_content_change(1, doc2, added=True), now=3.0)
+        assert 1 in by_patch.behind  # v2 on a v0 entry: a gap
 
 
 class TestLookup:

@@ -1,10 +1,13 @@
 """Model-based (hypothesis stateful) tests for the ASAP cache machinery.
 
-The system under test is the (SourceFilterStore, ArenaRepository) pair: a
+The system under test is the (SourceFilterStore, repository) pair: a
 source's content evolves through document adds/removes (emitting patch
-ads), while a cache receives an arbitrary interleaving of full ads, patch
-ads, refresh ads and nothing at all.  The *model* is brutally simple: the
-ground-truth keyword multiset per source.  Invariant checked after every
+ads, or nothing while the source is offline), while a cache receives an
+arbitrary interleaving of full ads, patch ads, refresh ads and nothing at
+all.  Every delivery goes to the product's dense-state row *and* to the
+object model in ``tests/oracles/repository.py``, which must agree on every
+return value and on the resulting state.  The *model* is brutally simple:
+the ground-truth keyword multiset per source.  Invariant checked after every
 step: for any query over current keywords, the repository lookup plus
 exact version reconstruction never disagrees with what the cached version
 of the filter genuinely contained -- i.e. cached ads answer membership
@@ -23,11 +26,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.asap.arena import AdsArena, ArenaRepository
+from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
 from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
 from repro.workload.content import ContentIndex, Document
+from repro.workload.interests import InterestState
+
+from tests.oracles.repository import AdsRepository, snapshot
 
 SOURCE = 1
 CACHER = 0
@@ -42,9 +48,14 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         self.hasher = BloomHasher(m=512, k=4)
         self.index = ContentIndex()
         self.store = SourceFilterStore(2, self.index, hasher=self.hasher)
-        self.repo = ArenaRepository(
-            owner=CACHER, interests={0}, store=self.store, arena=AdsArena()
+        bits = InterestState([{0}, {0}]).bitmasks
+        self.repo = RepositoryView(AdsState(2, bits, self.store), CACHER)
+        self.oracle = AdsRepository(
+            owner=CACHER, interests={0}, store=self.store
         )
+        # The source changed content while offline: the store moved on and
+        # no patch was ever minted for delivery.
+        self.unannounced = False
         self.next_doc = 0
         self.docs_on_source: dict = {}  # doc_id -> Document
         self.clock = 0.0
@@ -60,9 +71,16 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         v = self.store.version(SOURCE)
         self.version_bitmaps[v] = self.store.matrix.row_bits(SOURCE)
 
+    def _accept(self, ad) -> None:
+        now = self._now()
+        assert self.repo.accept(ad, now) == self.oracle.accept(ad, now)
+
     # ----------------------------------------------------------- content ops
-    @rule(kws=st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=3, unique=True))
-    def add_document(self, kws) -> None:
+    @rule(
+        kws=st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=3, unique=True),
+        online=st.booleans(),
+    )
+    def add_document(self, kws, online) -> None:
         doc = Document(doc_id=self.next_doc, class_id=0, keywords=tuple(kws))
         self.next_doc += 1
         self.index.register_document(doc)
@@ -70,8 +88,11 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         self.docs_on_source[doc.doc_id] = doc
         ad = self.store.apply_content_change(SOURCE, doc, added=True)
         if ad is not None:
-            self.pending_patches.append(ad)
             self._snapshot_current()
+            if online:
+                self.pending_patches.append(ad)
+            else:
+                self.unannounced = True
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def remove_document(self, pick) -> None:
@@ -90,28 +111,34 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
     def deliver_full_ad(self) -> None:
         ad = self.store.make_full_ad(SOURCE)
         if ad is not None:
-            self.repo.accept(ad, self._now())
+            self._accept(ad)
+            self.unannounced = False
 
     @rule()
     def deliver_next_patch(self) -> None:
         if self.pending_patches:
-            self.repo.accept(self.pending_patches.pop(0), self._now())
+            self._accept(self.pending_patches.pop(0))
 
     @rule()
     def drop_next_patch(self) -> None:
         """The delivery missed this cache: it must become 'behind'."""
         if self.pending_patches:
             ad = self.pending_patches.pop(0)
-            if ad.source in self.repo:
-                self.repo.mark_behind(ad.source)
+            self.repo.mark_behind(ad.source)
+            self.oracle.mark_behind(ad.source)
 
     @rule()
     def deliver_refresh(self) -> None:
         ad = self.store.make_refresh_ad(SOURCE)
         if ad is not None:
-            self.repo.accept(ad, self._now())
+            self._accept(ad)
+            self.unannounced = False
 
     # -------------------------------------------------------------- invariant
+    @invariant()
+    def product_matches_object_model(self) -> None:
+        assert snapshot(self.repo) == snapshot(self.oracle)
+
     @invariant()
     def cached_version_reconstruction_is_exact(self) -> None:
         entry = self.repo.entry(SOURCE)
@@ -144,9 +171,11 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
                 "behind flag set while entry is current and store never moved"
             )
         if actually_behind and not behind:
-            # An undelivered patch exists but nobody told the cache yet --
-            # allowed only while the patch is still pending delivery.
-            assert self.pending_patches, (
+            # Nobody told the cache yet -- allowed only while a patch is
+            # still pending delivery, or the source changed offline and
+            # has not re-announced itself (``behind`` is what deliveries
+            # said, not ``version < store.version``).
+            assert self.pending_patches or self.unannounced, (
                 "cache silently stale: store moved on, no pending delivery, "
                 "no behind flag"
             )

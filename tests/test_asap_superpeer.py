@@ -10,6 +10,7 @@ from repro.network.topology import crawled_topology, random_topology
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import BandwidthLedger
 from repro.workload.content import ContentIndex, Document
+from repro.workload.interests import topic_bits
 
 
 def build(n=80, holder=40, super_fraction=0.2, seed=0, forwarder="fld"):
@@ -108,8 +109,15 @@ class TestHierarchicalCaching:
             params=AsapParams(forwarder="fld"),
             super_fraction=0.1,
         )
+        caching = algo.state.interest_bits
         for leaf, sp in algo._super_of.items():
-            assert set(interests[leaf]) <= algo.repos[sp].interests
+            leaf_bits = topic_bits(interests[leaf])
+            assert caching[sp] & leaf_bits == leaf_bits
+            assert caching[sp] & topic_bits(interests[sp])
+        # A node's own interests (the probes' audience) stay unaggregated.
+        assert algo.interests.bitmasks.tolist() == [
+            topic_bits(s) for s in interests
+        ]
 
 
 class TestHierarchicalSearch:

@@ -7,9 +7,9 @@ plain implementations they replaced, across every layer:
 * flooding and expanding-ring search: frontier/incremental-ring kernels
   (``flood_frontier``/``flood_rings``) vs the full-edge-array Bellman-Ford
   (``flood_reach_reference``);
-* ASAP dissemination and ads requests: inlined array-at-a-time merges on
-  the arena vs ``OracleAsapSearch`` (object-backed, one method call per
-  ad), down to repository, cacher and ledger state;
+* ASAP dissemination and ads requests: masked writes on the dense ads
+  state vs ``OracleAsapSearch`` (object-backed, one method call per ad),
+  down to repository, cacher and ledger state;
 * whole runs: blake2b run fingerprints must be bit-equal between the
   product and ``oracle_arm()`` (which swaps every oracle in at once, so
   the composition is covered, not just each kernel in isolation), and
@@ -178,8 +178,14 @@ class TestAsapStateDifferential:
                     ov.join(max(0, i - 7))
                     algo.on_join(max(0, i - 7), 25.0 + i)
             repo_state = [snapshot(repo) for repo in algo.repos]
+            # A source's cachers: the product's state column vs the
+            # oracle's per-repository membership scan.
+            nodes = range(config.n_peers)
             cacher_state = {
-                s: sorted(nodes) for s, nodes in algo.cachers.items() if nodes
+                s: [v for v in nodes if s in algo.repos[v]]
+                if reference
+                else algo.state.holders(s).tolist()
+                for s in nodes
             }
             return repo_state, cacher_state, ledger_state(ledger)
 

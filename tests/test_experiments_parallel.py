@@ -8,6 +8,7 @@ equality of full ``RunSummary`` dataclasses (float equality, not approx).
 
 import pytest
 
+from repro.asap.state import BYTES_PER_PAIR, MAX_STATE_BYTES, require_state_fits
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.experiments.parallel import CellFailure, resolve_jobs, run_cells
 from repro.experiments.runall import build_report
@@ -94,6 +95,23 @@ class TestCrashIsolation:
         assert failure.config.algorithm == "bogus"
         assert "ValueError" in failure.traceback
         assert "bogus" in failure.describe()
+
+    def test_oversized_asap_cell_is_a_named_failure(self):
+        """ASAP's ads state is dense (Theta(n^2) bytes): a peer count past
+        the memory bar is refused before any substrate is built, with the
+        bytes it would need, and the sweep carries on."""
+        n = 30_000
+        need = n * n * BYTES_PER_PAIR
+        assert need > MAX_STATE_BYTES
+        require_state_fits(20_000)  # what the 8 GB bar was sized for
+        with pytest.raises(ValueError, match=f"{need:,} bytes"):
+            require_state_fits(n)
+        too_big = scaled_config("asap_rw", "random", n_peers=n, n_queries=10)
+        failure, sibling = run_cells([too_big, _tiny("flooding")], jobs=1)
+        assert isinstance(failure, CellFailure)
+        assert "ValueError" in failure.error
+        assert f"{need:,} bytes" in failure.error and "30000 peers" in failure.error
+        assert sibling.algorithm == "flooding"
 
     def test_replication_failure_raises_with_traceback(self, monkeypatch):
         # RunConfig validation catches bad configs before any worker runs,

@@ -73,6 +73,21 @@ def golden_configs():
             small_config("asap_rw", seed), capacity=12
         )
     configs["asap_sp_rw/seed0/default_churn"] = small_config("asap_sp_rw", 0)
+    # Recorded at 930cac6, the last commit with the arena-row ads cache:
+    # eviction interleaved with repairs and rejoin ads requests, aggregated
+    # super-peer interests under eviction, and a patch-heavy trace (version
+    # gaps, ``mark_behind``, repair pulls).
+    for algorithm in ("asap_fld", "asap_rw", "asap_gsa"):
+        configs[f"{algorithm}/seed0/heavy_churn/bounded_cache"] = _bounded_cache(
+            _heavy_churn(small_config(algorithm, 0))
+        )
+    configs["asap_sp_fld/seed0/default_churn/bounded_cache"] = _bounded_cache(
+        small_config("asap_sp_fld", 0)
+    )
+    base = small_config("asap_rw", 0)
+    configs["asap_rw/seed0/default_churn/content_change_x3"] = dataclasses.replace(
+        base, trace=dataclasses.replace(base.trace, content_change_fraction=0.30)
+    )
     return configs
 
 

@@ -1,19 +1,18 @@
-"""Protocol-state probes: determinism, sketches, merging, arena health.
+"""Protocol-state probes: determinism, sketches, merging, ads-state health.
 
 The probe layer's contract (ISSUE 10) is determinism across everything
 that should not matter:
 
 * the **storage layout** -- every protocol-state series equals a plain
-  per-repository loop over the cached entries, whatever order the arena
-  recycled its rows in;
+  per-repository loop over the cached entries;
 * the **execution mode** -- serial vs ``jobs=2`` sweeps merge to
   bit-identical summaries (full ``fingerprint``, backend included);
 * the **probes themselves** -- enabling them never changes the run's
   results (outcomes, ledger, audit fingerprint).
 
-Plus the snapshot-visible arena invariants under churn + capped caches:
-live-count == occupancy, no dangling or double-allocated slots, and
-free-list rows actually recycled.
+Plus the invariants the dense ads state can still break, audited under
+churn + capped caches: occupancy counters == held counts, ``behind`` only
+on held entries, caches within capacity, nobody caching itself.
 """
 
 import dataclasses
@@ -230,7 +229,7 @@ def _capped_config(n_queries, seed):
         seed=seed,
         use_physical_network=False,
     )
-    # Capacity 8 forces eviction pressure -> free-list churn.
+    # Capacity 8 forces eviction pressure.
     asap = dataclasses.replace(base.asap, cache_capacity=8)
     return dataclasses.replace(base, asap=asap)
 
@@ -299,13 +298,17 @@ def _replay(cfg, every_s, check):
 
 def test_state_matches_per_repo_loop():
     """Every per-entry, staleness and coverage series of a snapshot equals a
-    straight loop over the repositories -- no arena rows, no cacher bitsets,
-    no popcounts -- under churn with recycled rows."""
+    straight loop over the repositories -- no masks, no column sums --
+    under churn with evictions."""
     checked = {"n": 0}
 
     def check(algo, overlay, now):
         snap = snapshot_state(algo, now)
         repos, store = algo.repos, algo.store
+        interests = [
+            {c for c in range(63) if bits >> c & 1}
+            for bits in algo.interests.bitmasks.tolist()
+        ]
         ages, lags = [], []
         for repo in repos:
             for source in repo.sources():
@@ -329,7 +332,7 @@ def test_state_matches_per_repo_loop():
             audience = {
                 node
                 for node in range(overlay.n)
-                if overlay.is_live(node) and algo.interests[node] & topics
+                if overlay.is_live(node) and interests[node] & topics
             }
             holders = {node for node in range(overlay.n) if source in repos[node]}
             replication.append(float(len(holders)))
@@ -348,9 +351,8 @@ def test_state_matches_per_repo_loop():
         }
         checked["n"] += 1
 
-    algo, _ = _replay(_capped_config(n_queries=250, seed=1), 20.0, check)
+    _replay(_capped_config(n_queries=250, seed=1), 20.0, check)
     assert checked["n"] > 3
-    assert algo.arena.stats()["free_list_depth"] > 0  # rows were recycled
 
 
 def test_arena_health_under_churn_and_capped_caches():
@@ -368,15 +370,30 @@ def test_arena_health_under_churn_and_capped_caches():
     report = check_arena_health(algo)
     assert report["ok"], report
     assert report["live_matches_occupancy"]
-    # Capped caches at capacity 8 over 200 peers must have evicted: the
-    # free list saw traffic and rows were recycled rather than leaked.
-    stats = algo.arena.stats()
-    assert stats["rows_allocated"] > stats["rows_live"]
-    assert stats["rows_allocated"] < cfg.n_peers * 8 * 4, (
-        "rows never recycled: allocation grew without bound"
-    )
-    # Snapshot agrees with the direct audit.
+    assert report["behind_subset_of_held"]
+    assert report["within_capacity"] and report["diagonal_empty"]
+    # Snapshot agrees with the direct audit; capacity 8 over 200 peers
+    # means the caches are full and evicting.
+    stats = algo.state.stats()
+    assert stats["rows_allocated"] == stats["rows_live"] == report["occupancy"]
+    assert stats["free_list_depth"] == 0
     snap = snapshot_state(algo, engine.now)
     assert snap["occupancy"]["total"] == stats["rows_live"]
     assert snap["occupancy"]["max"] <= 8
     assert snap["occupancy"]["at_capacity"] > 0
+    # Each invariant is live: break it and the audit says which.
+    cache = algo.state
+    peer = int(np.argmax(cache.occupancy))
+    source = int(np.flatnonzero(cache.version[peer] >= 0)[0])
+    cache.occupancy[peer] += 1
+    assert not check_arena_health(algo)["live_matches_occupancy"]
+    assert not check_arena_health(algo)["within_capacity"]
+    cache.occupancy[peer] -= 1
+    cache.version[peer, peer] = 0
+    cache.occupancy[peer] += 1
+    assert not check_arena_health(algo)["diagonal_empty"]
+    cache.remove(peer, peer)
+    cache.version[peer, source] = -1
+    cache.behind[peer, source] = True
+    broken = check_arena_health(algo)
+    assert not broken["behind_subset_of_held"] and not broken["ok"]

@@ -3,19 +3,22 @@
 There is no process-wide switch between an optimised path and its
 predecessor, no second ads-repository backend, and no ``*_reference`` twin
 in product code: oracles live in ``tests/oracles/`` and are imported by
-tests only.  Every assertion here fails at the last commit that still had
-``kernels.reference_mode()``.
+tests only.  The first three guards fail at the last commit that still had
+``kernels.reference_mode()``; the ads-cache one at the last commit that
+kept arena rows, slot dicts, behind sets and a cacher index in step by
+hand.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 
 import repro
 import repro.asap
-from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex
 from repro.asap.protocol import AsapSearch
+from repro.asap.state import AdsState, RepositoryView
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
 from repro.sim import kernels
@@ -57,17 +60,64 @@ def test_asap_has_one_repository_backend():
     assert not hasattr(repro.asap, "AdsRepository")
     assert not hasattr(repro.asap, "CacheEntry")
     assert not (SRC / "asap" / "repository.py").exists()
-    n = 12
+    algo = _small_asap()
+    assert type(algo.state) is AdsState
+    assert all(
+        type(repo) is RepositoryView and repo.state is algo.state
+        for repo in algo.repos
+    )
+
+
+def _small_asap(n=12):
     overlay = Overlay(
         random_topology(n=n, avg_degree=3.0, rng=np.random.default_rng(0)),
         default_edge_latency_ms=10.0,
     )
-    algo = AsapSearch(
+    return AsapSearch(
         overlay, ContentIndex(), BandwidthLedger(), interests=[{0}] * n
     )
-    assert isinstance(algo.arena, AdsArena)
-    assert isinstance(algo.cachers, CacherIndex)
-    assert all(
-        type(repo) is ArenaRepository and repo.arena is algo.arena
-        for repo in algo.repos
+
+
+def test_asap_holds_one_container_of_per_pair_state():
+    """The ads cache is one relation stored once: ``AsapSearch`` owns a
+    single :class:`AdsState`, the per-node repositories are stateless rows
+    of it, and nothing in ``repro.asap`` allocates rows, keeps a per-peer
+    index, or hand-syncs an inverse (source -> cachers) index."""
+    algo = _small_asap()
+    n = algo.overlay.n
+
+    def holds_pair_state(value):
+        if isinstance(value, np.ndarray):
+            return value.size >= n * n
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)) and len(value) == n:
+            return any(isinstance(v, (dict, set, list, np.ndarray)) for v in value)
+        return False
+
+    owners = [name for name, value in vars(algo).items() if holds_pair_state(value)]
+    assert owners == []
+    pair_arrays = [
+        name
+        for name in AdsState.__slots__
+        if holds_pair_state(getattr(algo.state, name))
+    ]
+    assert sorted(pair_arrays) == [
+        "behind", "cached_at", "seq", "topics_code", "version",
+    ]
+    assert RepositoryView.__slots__ == ("state", "owner")
+    assert not hasattr(algo, "cachers")
+
+    banned = re.compile(
+        r"_slot\b|_free\b|_order_src|\balloc\(|\brelease\(|\breserve\("
+        r"|cachers\[[^\]]*\]\.(add|discard|update)"
+        r"|_interest_masks|_interest_sets|_topic_members|_no_capacity"
     )
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted((SRC / "asap").glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+    assert not (SRC / "asap" / "arena.py").exists()

@@ -1,17 +1,17 @@
-"""Differential tests: struct-of-arrays peer state vs the object oracle.
+"""Differential tests: dense peer x source ads state vs the object oracle.
 
-The pooled-arena storage (``repro.asap.arena``) promises **bit-identical**
+The dense state (``repro.asap.state``) promises **bit-identical**
 observable behaviour to the plain object model in ``tests/oracles/``:
 
-* :class:`ArenaRepository` vs :class:`AdsRepository` under randomized
+* a :class:`RepositoryView` row vs :class:`AdsRepository` under randomized
   accept/snapshot/remove/evict/lookup op sequences (including content
   churn, so behind-entry evaluation at historical versions is exercised);
 * the lazy copy-on-write counting filters in :class:`SourceFilterStore`
   vs eagerly materialised ones (bitmaps, set-bit counts, patch diffs);
 * ``match_at_version``'s vectorised gather (with and without the
   ``current`` short-circuit hint) vs the per-position loop;
-* :class:`InterestState` CSR gathers vs per-node set loops;
-* :class:`CacherSet`/:class:`CacherIndex` vs plain Python sets;
+* :class:`InterestState` bitmask answers vs per-node set loops;
+* a source's cacher column (:meth:`AdsState.holders`) vs a Python set;
 * whole runs: blake2b run fingerprints must be bit-equal between the
   product and ``oracle_arm()`` (object-backed repositories, one method
   call per ad) -- churn enabled throughout.
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.arena import AdsArena, ArenaRepository, CacherIndex, CacherSet
+from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
 from repro.sim.random import RandomStreams
 from repro.simulation.config import scaled_config
@@ -47,6 +47,12 @@ def make_store(seed, n_nodes=60):
     dist = synthesize_content(config.edonkey, streams.get("content"))
     store = SourceFilterStore(n_nodes, dist.index)
     return store, dist
+
+
+def make_state(store, interests, capacity=None):
+    """A dense state whose every peer has the same ``interests``."""
+    bits = InterestState([interests] * store.n_nodes).bitmasks
+    return AdsState(store.n_nodes, bits, store, capacity)
 
 
 def churn_store(store, dist, rng, n_changes=12, holdings=None):
@@ -101,11 +107,7 @@ class TestRepositoryDifferential:
         n = store.n_nodes
         owner = 0
         interests = dist.interests[owner] or {0}
-        arena = AdsArena(initial_rows=16)  # force mid-sequence growth
-        soa = ArenaRepository(
-            owner=owner, interests=interests, store=store,
-            arena=arena, capacity=capacity,
-        )
+        soa = RepositoryView(make_state(store, interests, capacity), owner)
         ref = AdsRepository(
             owner=owner, interests=interests, store=store, capacity=capacity,
         )
@@ -159,10 +161,7 @@ class TestRepositoryDifferential:
         evaluated at their recorded historical versions."""
         store, dist = make_store(seed)
         rng = np.random.default_rng(seed + 7)
-        arena = AdsArena(initial_rows=16)
-        soa = ArenaRepository(
-            owner=1, interests=set(range(20)), store=store, arena=arena,
-        )
+        soa = RepositoryView(make_state(store, set(range(20))), 1)
         ref = AdsRepository(owner=1, interests=set(range(20)), store=store)
         now = 1.0
         for src in range(store.n_nodes):
@@ -248,7 +247,7 @@ class TestInterestState:
             expected = np.fromiter(
                 (topic in s for s in interests), dtype=bool, count=len(interests)
             )
-            assert np.array_equal(state.members(topic), expected)
+            assert np.array_equal(state.mask_for((topic,)), expected)
         rng = np.random.default_rng(seed)
         for _ in range(10):
             topics = frozenset(
@@ -266,69 +265,58 @@ class TestInterestState:
 class TestCacherSet:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_ops_match_python_set(self, seed):
+        """A source's cachers are a column of the state: after any mix of
+        batched full ads, evictions and removals it lists exactly the
+        peers a hand-kept set says hold the source."""
+        store, _ = make_store(seed)
         rng = np.random.default_rng(seed)
-        n = 300
-        bits = CacherSet(n)
-        oracle = set()
-        for _ in range(2000):
+        n = store.n_nodes
+        state = make_state(store, {0}, capacity=3)
+        sharers = [s for s in range(n) if store.is_sharer(s)][:6]
+        oracle = {s: set() for s in sharers}
+        now = 0.0
+        for _ in range(600):
+            now += 1.0
+            src = sharers[int(rng.integers(0, len(sharers)))]
             node = int(rng.integers(0, n))
-            op = rng.random()
-            if op < 0.5:
-                bits.add(node)
-                oracle.add(node)
-            elif op < 0.7:
-                bits.discard(node)
-                oracle.discard(node)
-            elif op < 0.8:
-                batch = rng.integers(0, n, size=5).tolist()
-                bits.update(batch)
-                oracle.update(batch)
-            assert (node in bits) == (node in oracle)
-        assert sorted(bits) == sorted(oracle)
-        assert len(bits) == len(oracle)
-        assert bool(bits) == bool(oracle)
-        other = set(range(0, n, 3))
-        assert bits.difference(other) == oracle - other
-        assert (bits - other) == oracle - other
-
-    def test_cacher_index_is_defaultdict_like(self):
-        idx = CacherIndex(50)
-        assert 3 not in idx
-        idx[3].add(7)
-        assert 3 in idx and 7 in idx[3]
-        idx[9]  # plain access materialises, like defaultdict(set)
-        assert sorted(idx.keys()) == [3, 9]
-        assert {s: sorted(ns) for s, ns in idx.items()} == {3: [7], 9: []}
+            if rng.random() < 0.7:
+                ad = dataclasses.replace(
+                    store.make_full_ad(src), topics=frozenset({0})
+                )
+                peers = np.unique(rng.integers(0, n, size=5))
+                stored, evicted = state.accept(ad, now, peers)
+                oracle[src].update(peers[stored].tolist())
+                for peer, victim in evicted:
+                    oracle[victim].discard(peer)
+            else:
+                state.remove(node, src)
+                oracle[src].discard(node)
+            assert (node in oracle[src]) == (src in RepositoryView(state, node))
+        for src in sharers:
+            assert state.holders(src).tolist() == sorted(oracle[src])
+        assert any(oracle.values())
 
 
-# ------------------------------------------------------------------ the arena
+# ------------------------------------------------------------ topic interning
 class TestArena:
-    def test_alloc_release_reserve(self):
-        arena = AdsArena(initial_rows=16)
-        rows = [arena.alloc() for _ in range(40)]  # forces growth
-        assert len(set(rows)) == 40
-        assert len(arena.version) >= 40
-        for r in rows[:10]:
-            arena.release(r)
-        stats = arena.stats()
-        assert stats["free_list_depth"] == 10
-        assert stats["rows_live"] == 30
-        # Freed rows recycle LIFO before fresh ones.
-        assert arena.alloc() == rows[9]
-        handle = arena.version
-        arena.reserve(9)  # fits in the free list: no growth
-        assert arena.version is handle
-        arena.reserve(10 * len(arena.version))
-        assert len(arena.version) >= 10 * len(handle)
-
     def test_topic_interning_round_trips(self):
-        arena = AdsArena()
+        store, _ = make_store(0, n_nodes=10)
+        state = make_state(store, {0})
         a = frozenset({1, 2})
         b = frozenset({3})
-        ca, cb = arena.intern_topics(a), arena.intern_topics(b)
+        ca, cb = state.intern_topics(a), state.intern_topics(b)
         assert ca != cb
-        assert arena.intern_topics(frozenset({2, 1})) == ca
-        assert arena.topics_of(ca) == a and arena.topics_of(cb) == b
+        assert state.intern_topics(frozenset({2, 1})) == ca
+        assert state.topics_of(ca) == a and state.topics_of(cb) == b
+        assert state.code_bits[ca] == 0b110 and state.code_bits[cb] == 0b1000
+        # More codes than the bitmask table started with.
+        codes = [
+            state.intern_topics(frozenset({i, j}))
+            for i in range(13)
+            for j in range(i + 1, 14)
+        ]
+        assert len(set(codes)) == len(codes) > 64
+        assert state.code_bits[codes[-1]] == (1 << 12) | (1 << 13)
 
 
 # ----------------------------------------------------------- whole-run equal
@@ -360,7 +348,7 @@ class TestRunFingerprints:
     @pytest.mark.parametrize("algorithm", ["asap_fld", "asap_rw", "asap_gsa"])
     def test_arena_vs_object_backend(self, algorithm, seed):
         """``oracle_arm()`` builds the object-backed oracle protocol end to
-        end; bit-equal fingerprints prove the arena storage invisible."""
+        end; bit-equal fingerprints prove the dense storage invisible."""
         config = soa_config(algorithm, seed)
         assert run_fingerprint(config, reference=True) == run_fingerprint(
             config
@@ -368,10 +356,10 @@ class TestRunFingerprints:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_arena_vs_object_backend_capped_cache(self, seed):
-        """The paper's limited-cache variant: the capped dissemination fast
-        path and the vectorised eviction scan (insertion-ordered mirror)
-        must pick bit-identical victims to the object backend's ``min``
-        walk across a full churning run."""
+        """The paper's limited-cache variant: the masked writes and the
+        (``cached_at``, insertion ``seq``) eviction scan must pick
+        bit-identical victims to the object backend's ``min`` walk across
+        a full churning run."""
         config = soa_config("asap_rw", seed)
         config = dataclasses.replace(
             config, asap=dataclasses.replace(config.asap, cache_capacity=12)

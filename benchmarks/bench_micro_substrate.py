@@ -7,7 +7,8 @@ vectorised kernels that make paper-scale replay tractable:
 * all-sources Bloom match through the packed filter matrix;
 * single-filter Bloom membership (the vectorised-gather query path);
 * hierarchical latency batch queries;
-* trace synthesis throughput;
+* stub-domain materialisation (all 1,296 domains of the paper's network);
+* content synthesis throughput (1k peers; 2k peers = one ``baselines_2k`` cell);
 * engine event dispatch, unobserved vs observed (repro.obs overhead).
 """
 
@@ -88,6 +89,23 @@ def bench_latency_pairwise_10k(benchmark):
     write_bench_stats("micro_latency_pairwise_10k", benchmark, pairs=len(us))
 
 
+def bench_stub_domains_all_1296(benchmark):
+    """Every stub domain of the paper's network, built from nothing:
+    Bernoulli mask -> dense adjacency -> frontier-product hop matrix ->
+    gateway draw, 1,296 times (a 10k-peer cell touches ~1,260 of them)."""
+
+    def build() -> TransitStubNetwork:
+        net = TransitStubNetwork(seed=0)
+        net.materialise(np.arange(net.params.n_stub_domains))
+        return net
+
+    net = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert (net._gateway >= 0).all()
+    write_bench_stats(
+        "micro_stub_domains_all_1296", benchmark, domains=len(net._gateway)
+    )
+
+
 def _dispatch_events(n_events: int, observer=None) -> int:
     engine = SimulationEngine()
     if observer is not None:
@@ -134,4 +152,21 @@ def bench_content_synthesis_1k(benchmark):
         "micro_content_synthesis_1k",
         benchmark,
         mean_replicas=float(dist.index.mean_replica_count()),
+    )
+
+
+def bench_content_synthesis_2k(benchmark):
+    """The content snapshot of one ``baselines_2k`` cell (2,000 peers,
+    ~12.8k documents); the benchmark builds it once per cell."""
+    dist = benchmark.pedantic(
+        lambda: synthesize_content(
+            EdonkeyParams(n_peers=2_000, avg_docs_per_peer=10.0),
+            np.random.default_rng(3),
+        ),
+        rounds=3,
+        iterations=1,
+    )
+    assert dist.index.mean_replica_count() == pytest.approx(1.28, abs=0.05)
+    write_bench_stats(
+        "micro_content_synthesis_2k", benchmark, documents=dist.index.n_documents
     )

@@ -7,11 +7,11 @@ between two nodes in *different* stub domains always decomposes as::
       --(transit core shortest path)--> transit_v
       --(5ms)--> gateway_v --(intra-stub)--> v
 
-Each segment is exact: intra-stub distances come from per-domain BFS APSP,
-and the core segment from Dijkstra APSP over the 144 transit nodes.  Nodes
-in the *same* stub domain use the intra-domain shortest path directly (which
-by the triangle inequality within the domain is never worse than detouring
-through the gateway).
+Each segment is exact: intra-stub distances come from per-domain all-pairs
+hop matrices, the core segment from Dijkstra APSP over the 144 transit
+nodes.  Nodes in the *same* stub domain use the intra-domain shortest path
+directly (which by the triangle inequality within the domain is never worse
+than detouring through the gateway).
 
 The model exposes both a scalar ``latency_ms(u, v)`` and a vectorised
 ``pairwise_ms(us, vs)``.  The vector path precomputes, per registered node,
@@ -54,21 +54,24 @@ class LatencyModel:
         Registration is idempotent and lazy per stub domain: only domains
         that actually contain registered nodes are materialised.
         """
-        net = self._net
-        for node in nodes:
-            node = int(node)
-            if not np.isnan(self._offset_ms[node]):
-                continue
-            if net.is_transit(node):
-                self._offset_ms[node] = 0.0
-                self._anchor[node] = node
-                self._domain[node] = -1
-            else:
-                self._offset_ms[node] = (
-                    net.gateway_distance_ms(node) + net.params.lat_transit_stub_ms
-                )
-                self._anchor[node] = net.transit_anchor(node)
-                self._domain[node] = net.stub_domain_of(node)
+        net, p = self._net, self._net.params
+        nodes = np.unique(np.fromiter(nodes, dtype=np.int64))
+        if len(nodes) and not 0 <= nodes[0] <= nodes[-1] < p.n_nodes:
+            raise ValueError(
+                f"physical node id out of range in {nodes[[0, -1]].tolist()}"
+            )
+        nodes = nodes[np.isnan(self._offset_ms[nodes])]
+        transit = nodes[nodes < p.n_transit]
+        self._offset_ms[transit] = 0.0
+        self._anchor[transit] = transit
+        stub = nodes[nodes >= p.n_transit]
+        domain, local = net.stub_coordinates(stub)
+        self._offset_ms[stub] = (
+            net.gateway_hops(domain, local) * p.lat_intra_stub_ms
+            + p.lat_transit_stub_ms
+        )
+        self._anchor[stub] = domain // p.stub_domains_per_transit
+        self._domain[stub] = domain
 
     def _ensure(self, node: int) -> None:
         if np.isnan(self._offset_ms[node]):
@@ -99,7 +102,7 @@ class LatencyModel:
             raise ValueError(f"shape mismatch: {us.shape} vs {vs.shape}")
         unregistered = np.isnan(self._offset_ms[us]) | np.isnan(self._offset_ms[vs])
         if np.any(unregistered):
-            self.register(np.unique(np.concatenate([us[unregistered], vs[unregistered]])))
+            self.register(np.concatenate([us[unregistered], vs[unregistered]]))
         out = (
             self._offset_ms[us]
             + self._core[self._anchor[us], self._anchor[vs]]
@@ -108,9 +111,12 @@ class LatencyModel:
         # Same-stub-domain pairs: exact intra-domain distance.
         same = (self._domain[us] >= 0) & (self._domain[us] == self._domain[vs])
         if np.any(same):
-            idx = np.nonzero(same)[0]
-            for i in idx:
-                out[i] = self._net.intra_domain_distance_ms(int(us[i]), int(vs[i]))
+            domain, local_u = self._net.stub_coordinates(us[same])
+            _, local_v = self._net.stub_coordinates(vs[same])
+            out[same] = (
+                self._net.stub_hops(domain, local_u, local_v)
+                * self._net.params.lat_intra_stub_ms
+            )
         out[us == vs] = 0.0
         return out
 

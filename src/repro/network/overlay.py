@@ -87,30 +87,21 @@ class Overlay:
         else:
             self._edge_lat_ms = np.full(len(edges), default_edge_latency_ms)
 
-        # Static adjacency with parallel latency arrays (for walkers).
-        self._adj_nodes: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(self._n)
-        ]
-        self._adj_lat: List[np.ndarray] = [
-            np.empty(0, dtype=np.float64) for _ in range(self._n)
-        ]
-        buckets_n: List[List[int]] = [[] for _ in range(self._n)]
-        buckets_l: List[List[float]] = [[] for _ in range(self._n)]
-        for (u, v), lat_ms in zip(edges, self._edge_lat_ms):
-            buckets_n[u].append(int(v))
-            buckets_l[u].append(float(lat_ms))
-            buckets_n[v].append(int(u))
-            buckets_l[v].append(float(lat_ms))
-        for i in range(self._n):
-            order = np.argsort(buckets_n[i])
-            self._adj_nodes[i] = np.array(buckets_n[i], dtype=np.int64)[order]
-            self._adj_lat[i] = np.array(buckets_l[i], dtype=np.float64)[order]
+        # Static adjacency with parallel latency arrays (for walkers): both
+        # directions of every edge sorted by (node, neighbour), cut per node.
+        self._full_sorted_cache: Optional[Tuple[np.ndarray, ...]] = None
+        src, dst, lat = self._full_sorted_edges()
+        order = np.lexsort((dst, src))
+        cuts = np.cumsum(np.bincount(src, minlength=self._n))[:-1]
+        self._adj_nodes: List[np.ndarray] = np.split(
+            dst[order].astype(np.int64, copy=False), cuts
+        )
+        self._adj_lat: List[np.ndarray] = np.split(lat[order], cuts)
 
         self._live_edge_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
         self._live_degree_cache: Optional[Tuple[int, np.ndarray]] = None
         self._live_csr_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
         self._walk_csr_cache: Optional[Tuple[int, WalkCsr]] = None
-        self._full_sorted_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._live_nodes_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------- liveness

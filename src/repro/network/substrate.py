@@ -9,7 +9,8 @@ construction in every externally observable way (their only mutation is
 lazy, order-independent materialisation of per-domain graphs and per-node
 anchor/offset entries, each derived from named RNG substreams).  Rebuilding
 them per run therefore repeats identical work -- transit-core APSP, stub
-domain BFS, node registration -- that dominated sweep profiles.
+domain hop matrices, node registration (~0.15 s for the ~1,000 domains of a
+2,000-peer cell; docs/PERFORMANCE.md, "Set-up path").
 
 This module memoises the pair behind a content-addressed key
 ``(TransitStubParams, seed)``:

@@ -24,17 +24,22 @@ Laziness
 Only the transit core (144 nodes) is materialised eagerly.  Each of the
 1,296 stub-domain graphs is generated on first touch from its own named RNG
 substream, so results are deterministic regardless of access order and a
-scaled-down experiment that touches 50 domains never pays for 1,296.
+scaled-down experiment that touches 50 domains never pays for 1,296.  A
+materialised domain is its gateway and its all-pairs hop matrix, one slice
+each of two network-wide arrays, so the latency model reads any batch of
+(domain, node, node) triples with one gather (docs/PERFORMANCE.md,
+"Set-up path", has what building them costs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from repro.sim.random import RandomStreams
 
@@ -117,19 +122,68 @@ def _connect_components(
         adjacency[v].add(u)
 
 
+#: Hop count of a pair no path joins (graphs here are forced connected, so
+#: it only ever shows between :func:`_hop_matrix` and the bridging step).
+UNREACHABLE = np.iinfo(np.int32).max
+
+
+def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts of a small dense boolean adjacency matrix.
+
+    Breadth-first from every node at once: the nodes first reached at
+    distance ``d + 1`` are ``frontier @ adjacency`` minus those already
+    reached (float32 so the product is one BLAS call; a stub domain at the
+    paper's parameters has diameter 3-4, so the loop runs that often).
+    """
+    n = len(adjacency)
+    neighbours = adjacency.astype(np.float32)
+    reached = np.eye(n, dtype=bool)
+    hops = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    hops[reached] = 0
+    frontier, distance = reached, 0
+    while frontier.any():
+        distance += 1
+        frontier = (frontier.astype(np.float32) @ neighbours > 0) & ~reached
+        hops[frontier] = distance
+        reached = reached | frontier
+    return hops
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per graph size."""
+    return np.triu_indices(n, k=1)
+
+
 def _random_graph(
     n: int, p: float, rng: np.random.Generator
-) -> List[Set[int]]:
-    """Erdos-Renyi G(n, p) as adjacency sets, forced connected."""
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    if n > 1 and p > 0:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        for u, v in zip(iu[mask], ju[mask]):
-            adjacency[int(u)].add(int(v))
-            adjacency[int(v)].add(int(u))
-    _connect_components(n, adjacency, rng)
-    return adjacency
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Erdos-Renyi G(n, p), forced connected: ``(adjacency, hop matrix)``.
+
+    The adjacency is a dense symmetric boolean matrix.  A disconnected draw
+    (about one stub domain in 10^7 at the paper's parameters, most at
+    deliberately sparse ones) is bridged by :func:`_connect_components` over
+    adjacency sets filled in the draw's own edge order, which fixes the
+    order it discovers components in and therefore what its ``rng.choice``
+    calls return.
+    """
+    adjacency = np.zeros((n, n), dtype=bool)
+    iu, ju = _upper_triangle(n)
+    # p == 0 draws nothing, as it never has.
+    mask = rng.random(len(iu)) < p if p > 0 else np.zeros(len(iu), dtype=bool)
+    iu, ju = iu[mask], ju[mask]
+    adjacency[iu, ju] = adjacency[ju, iu] = True
+    hops = _hop_matrix(adjacency)
+    if hops.max(initial=0) == UNREACHABLE:
+        sets: List[Set[int]] = [set() for _ in range(n)]
+        for u, v in zip(iu.tolist(), ju.tolist()):
+            sets[u].add(v)
+            sets[v].add(u)
+        _connect_components(n, sets, rng)
+        for u, nbrs in enumerate(sets):
+            adjacency[u, list(nbrs)] = True
+        hops = _hop_matrix(adjacency)
+    return adjacency, hops
 
 
 @dataclass
@@ -151,6 +205,11 @@ class TransitStubNetwork:
     def __init__(self, params: TransitStubParams | None = None, seed: int = 0) -> None:
         self.params = params or TransitStubParams()
         self._streams = RandomStreams(seed=seed)
+        n_domains, size = self.params.n_stub_domains, self.params.stub_nodes_per_domain
+        # Per stub domain: gateway local index (-1 = not yet materialised) and
+        # hop matrix (``zeros``: a page is committed when its domain is built).
+        self._gateway = np.full(n_domains, -1, dtype=np.int64)
+        self._hops = np.zeros((n_domains, size, size), dtype=np.int32)
         self._stub_cache: Dict[int, StubDomain] = {}
         self._core_dist: np.ndarray | None = None
         self._build_transit_core()
@@ -164,11 +223,11 @@ class TransitStubNetwork:
         # Intra-domain edges.
         for dom in range(p.n_transit_domains):
             base = dom * p.transit_nodes_per_domain
-            adjacency = _random_graph(p.transit_nodes_per_domain, p.p_transit_edge, rng)
-            for u, nbrs in enumerate(adjacency):
-                for v in nbrs:
-                    if u < v:
-                        edges.append((base + u, base + v, p.lat_intra_transit_ms))
+            adjacency, _ = _random_graph(
+                p.transit_nodes_per_domain, p.p_transit_edge, rng
+            )
+            for u, v in zip(*np.nonzero(np.triu(adjacency))):
+                edges.append((base + int(u), base + int(v), p.lat_intra_transit_ms))
         # Inter-domain edges: the 9 domains form a complete graph at domain
         # level; each domain pair is joined by one edge between random
         # member transit nodes.
@@ -238,27 +297,46 @@ class TransitStubNetwork:
             raise ValueError(f"physical node id {node} out of range")
 
     # ------------------------------------------------------------ stub graphs
-    def stub_domain(self, domain_id: int) -> StubDomain:
-        """Materialise (and cache) a stub domain's graph and hop distances."""
-        cached = self._stub_cache.get(domain_id)
-        if cached is not None:
-            return cached
-        if not 0 <= domain_id < self.params.n_stub_domains:
-            raise ValueError(f"bad stub domain id {domain_id}")
-        p = self.params
-        rng = self._streams.get(f"stub-domain-{domain_id}")
-        size = p.stub_nodes_per_domain
-        adjacency = _random_graph(size, p.p_stub_edge, rng)
-        gateway = int(rng.integers(size))
-        hops = _bfs_all_pairs(size, adjacency)
-        domain = StubDomain(
-            domain_id=domain_id,
-            first_node=p.n_transit + domain_id * size,
-            gateway_local=gateway,
-            hop_distances=hops,
+    def stub_coordinates(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(stub-domain id, local index)`` of an array of stub node ids."""
+        return np.divmod(
+            nodes - self.params.n_transit, self.params.stub_nodes_per_domain
         )
-        self._stub_cache[domain_id] = domain
-        return domain
+
+    def materialise(self, domain_ids: np.ndarray) -> None:
+        """Generate the stub domains among ``domain_ids`` not yet built."""
+        p, size = self.params, self.params.stub_nodes_per_domain
+        domain_ids = np.asarray(domain_ids)
+        bad = (domain_ids < 0) | (domain_ids >= p.n_stub_domains)
+        if bad.any():
+            raise ValueError(f"bad stub domain id {domain_ids[bad][0]}")
+        missing = np.unique(domain_ids[self._gateway[domain_ids] < 0])
+        for domain_id in missing.tolist():
+            rng = self._streams.get(f"stub-domain-{domain_id}")
+            _, self._hops[domain_id] = _random_graph(size, p.p_stub_edge, rng)
+            self._gateway[domain_id] = gateway = int(rng.integers(size))
+            self._stub_cache[domain_id] = StubDomain(
+                domain_id, p.n_transit + domain_id * size, gateway,
+                self._hops[domain_id],
+            )
+
+    def stub_hops(
+        self, domains: np.ndarray, local_u: np.ndarray, local_v: np.ndarray
+    ) -> np.ndarray:
+        """Hop counts between local indices of stub domains (aligned arrays)."""
+        self.materialise(domains)
+        return self._hops[domains, local_u, local_v]
+
+    def gateway_hops(self, domains: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """Hop counts from local indices to their domains' gateways."""
+        self.materialise(domains)
+        return self._hops[domains, local, self._gateway[domains]]
+
+    def stub_domain(self, domain_id: int) -> StubDomain:
+        """A stub domain's gateway and hop distances, built on first touch."""
+        if domain_id not in self._stub_cache:
+            self.materialise([domain_id])
+        return self._stub_cache[domain_id]
 
     def gateway_distance_ms(self, node: int) -> float:
         """Latency from a stub node to its domain gateway (0 for the gateway)."""
@@ -275,27 +353,3 @@ class TransitStubNetwork:
         return domain.distance_ms(
             self.local_index(u), self.local_index(v), self.params.lat_intra_stub_ms
         )
-
-
-def _bfs_all_pairs(n: int, adjacency: List[Set[int]]) -> np.ndarray:
-    """All-pairs hop counts on a small unweighted graph (used per stub domain).
-
-    Delegates to scipy's C-level shortest-path kernel: registering a
-    10,000-node experiment touches ~1,000 stub domains, and per-domain
-    Python BFS dominated profiles.  Unreachable pairs map to INT32_MAX
-    (stub domains are forced connected, so this is belt and braces).
-    """
-    rows: List[int] = []
-    cols: List[int] = []
-    for u, nbrs in enumerate(adjacency):
-        for v in nbrs:
-            rows.append(u)
-            cols.append(v)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    dist = shortest_path(graph, method="D", directed=False, unweighted=True)
-    hops = np.full((n, n), np.iinfo(np.int32).max, dtype=np.int32)
-    finite = np.isfinite(dist)
-    hops[finite] = dist[finite].astype(np.int32)
-    return hops

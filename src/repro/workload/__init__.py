@@ -12,6 +12,8 @@ every statistic the paper states, then lays down the same event mix:
   interests, sharers' interests are the classes of their own content);
 * :mod:`repro.workload.edonkey` -- the content distribution: ~1.28 copies
   per document, 89% single-copy, interest-clustered replica placement;
+* :mod:`repro.workload.sampling` -- the one weighted sampler: cached
+  probability tables and draws that are ``Generator.choice`` draw for draw;
 * :mod:`repro.workload.trace` -- trace event types and containers;
 * :mod:`repro.workload.generator` -- chronological trace construction:
   30,000 Poisson(lambda=8) queries, 10% followed by content changes, 1,000

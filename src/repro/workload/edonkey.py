@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.workload.content import ContentIndex, Document
 from repro.workload.interests import CLASS_WEIGHTS, N_CLASSES, assign_interests
+from repro.workload.sampling import draw_distinct, zipf_table
 
 __all__ = [
     "ContentDistribution",
@@ -67,6 +68,14 @@ class EdonkeyParams:
             raise ValueError("single_copy_fraction must be in (0, 1]")
         if self.avg_docs_per_peer <= 0:
             raise ValueError("avg_docs_per_peer must be positive")
+        if self.max_copies < 2:
+            raise ValueError("max_copies must be >= 2")
+        if self.vocab_per_class < 1:
+            raise ValueError("vocab_per_class must be >= 1")
+        if not 1 <= self.min_class_keywords <= self.max_class_keywords:
+            raise ValueError("need 1 <= min_class_keywords <= max_class_keywords")
+        if not 1 <= self.min_interests <= self.max_interests <= N_CLASSES:
+            raise ValueError(f"need 1 <= min_interests <= max_interests <= {N_CLASSES}")
 
 
 @dataclass
@@ -157,10 +166,7 @@ def make_document(
     """Create a document: unique title token + Zipf-drawn class keywords."""
     n_kw = int(rng.integers(min_kw, max_kw + 1))
     v = len(class_vocab)
-    ranks = np.arange(1, v + 1, dtype=np.float64)
-    weights = ranks**-zipf_s
-    weights /= weights.sum()
-    idx = rng.choice(v, size=min(n_kw, v), replace=False, p=weights)
+    idx = draw_distinct(rng, zipf_table(v, zipf_s), min(n_kw, v))
     keywords = (f"title{doc_id}",) + tuple(class_vocab[i] for i in sorted(idx))
     return Document(doc_id=doc_id, class_id=class_id, keywords=keywords)
 
@@ -196,7 +202,8 @@ def synthesize_content(
             continue
         for c in interests[node]:
             sharers_by_class[c].append(node)
-    class_has_sharers = np.array([len(s) > 0 for s in sharers_by_class])
+    pools = [np.array(s, dtype=np.int64) for s in sharers_by_class]
+    class_has_sharers = np.array([len(pool) > 0 for pool in pools])
 
     n_sharers = int(np.count_nonzero(~free_rider))
     n_docs = max(1, int(round(n_sharers * params.avg_docs_per_peer / params.mean_copies)))
@@ -228,7 +235,7 @@ def synthesize_content(
             zipf_s=params.keyword_zipf_s,
         )
         index.register_document(doc)
-        pool = sharers_by_class[c]
+        pool = pools[c]
         k = min(int(copy_counts[doc_id]), len(pool))
         if k == 0:
             continue

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.workload.content import Document
 from repro.workload.edonkey import ContentDistribution, make_document
+from repro.workload.sampling import draw_one, zipf_table
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -113,9 +114,7 @@ def _zipf_index(rng: np.random.Generator, n: int, s: float) -> int:
     """Sample an index in [0, n) with P(i) ~ (i+1)^-s (rank-Zipf)."""
     if n == 1:
         return 0
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    w = ranks**-s
-    return int(rng.choice(n, p=w / w.sum()))
+    return draw_one(rng, zipf_table(n, s))
 
 
 def _pick_query(

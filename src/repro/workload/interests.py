@@ -19,6 +19,8 @@ from typing import Dict, Iterable, List, Sequence, Set
 
 import numpy as np
 
+from repro.workload.sampling import Table, draw_distinct, table
+
 __all__ = [
     "CLASS_WEIGHTS",
     "InterestState",
@@ -57,6 +59,11 @@ CLASS_WEIGHTS = np.array(
 )
 assert abs(CLASS_WEIGHTS.sum() - 1.0) < 1e-9
 assert len(CLASS_WEIGHTS) == N_CLASSES
+_CLASS_TABLE = table(CLASS_WEIGHTS)
+
+
+def _class_table(weights: np.ndarray | None) -> Table:
+    return _CLASS_TABLE if weights is None else table(weights)
 
 
 def sample_classes(
@@ -65,10 +72,7 @@ def sample_classes(
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample ``n`` distinct classes by popularity weight."""
-    w = CLASS_WEIGHTS if weights is None else np.asarray(weights, dtype=np.float64)
-    if n > len(w):
-        raise ValueError(f"cannot sample {n} distinct classes from {len(w)}")
-    return rng.choice(len(w), size=n, replace=False, p=w / w.sum())
+    return np.array(draw_distinct(rng, _class_table(weights), n), dtype=np.int64)
 
 
 def assign_interests(
@@ -91,10 +95,11 @@ def assign_interests(
         raise ValueError("free_rider mask length mismatch")
     if not 1 <= min_interests <= max_interests:
         raise ValueError("need 1 <= min_interests <= max_interests")
+    classes = _class_table(weights)
     interests: List[Set[int]] = []
     for _ in range(n_nodes):
         k = int(rng.integers(min_interests, max_interests + 1))
-        interests.append(set(int(c) for c in sample_classes(rng, k, weights)))
+        interests.append(set(draw_distinct(rng, classes, k)))
     return interests
 
 

@@ -15,12 +15,15 @@ Fingerprints hash floats, so they are only comparable under the numpy
 
 import dataclasses
 import functools
+import hashlib
 import json
 from pathlib import Path
 
 import numpy
 import pytest
 
+from repro.network.latency import LatencyModel
+from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
 from repro.simulation.config import ALGORITHMS
 from repro.simulation.runner import run_experiment
 
@@ -88,7 +91,67 @@ def golden_configs():
     configs["asap_rw/seed0/default_churn/content_change_x3"] = dataclasses.replace(
         base, trace=dataclasses.replace(base.trace, content_change_fraction=0.30)
     )
+    # The rows above all run on the flat-latency overlay; these four pin the
+    # transit-stub / ``LatencyModel`` / per-edge-latency path end to end.
+    # Recorded at dd64a2c, the last commit with set-of-sets stub graphs, the
+    # scipy hop matrices and the per-node ``register`` loop.
+    for algorithm in ("flooding", "random_walk", "asap_rw", "asap_fld"):
+        configs[f"{algorithm}/seed0/physical_network"] = dataclasses.replace(
+            small_config(algorithm, 0), use_physical_network=True
+        )
     return configs
+
+
+#: Nearly every G(8, 0.12) draw is disconnected, so this network freezes the
+#: ``_connect_components`` branch the paper's parameters almost never take.
+SPARSE_STUBS = TransitStubParams(stub_nodes_per_domain=8, p_stub_edge=0.12)
+SUBSTRATES = {
+    "paper/seed0": (None, 0),
+    "paper/seed1": (None, 1),
+    "paper/seed2": (None, 2),
+    "sparse_stubs/seed0": (SPARSE_STUBS, 0),
+}
+
+
+def substrate_digest(params, seed):
+    """blake2b over what the physical substrate hands the overlay: stub
+    graphs (gateway + hop matrix of the first 64 domains), the latency
+    model's registered offsets/anchors, and batch and scalar latencies over
+    a fixed pair sample with same-domain, unregistered and ``u == v`` pairs."""
+    net = TransitStubNetwork(params, seed=seed)
+    latency = LatencyModel(net)
+    p = net.params
+    digest = hashlib.blake2b(digest_size=16)
+
+    def feed(values, dtype):
+        digest.update(numpy.ascontiguousarray(values, dtype=dtype).tobytes())
+
+    for domain_id in range(64):
+        domain = net.stub_domain(domain_id)
+        feed([domain.gateway_local], numpy.int64)
+        feed(domain.hop_distances, numpy.int64)
+    rng = numpy.random.default_rng(20070910)
+    nodes = numpy.concatenate(
+        [numpy.arange(4), rng.choice(numpy.arange(4, p.n_nodes), 496, replace=False)]
+    )
+    latency.register(nodes)
+    feed(latency._offset_ms[nodes], numpy.float64)
+    feed(latency._anchor[nodes], numpy.int64)
+    feed(latency._domain[nodes], numpy.int64)
+    us, vs = nodes[rng.integers(len(nodes), size=(2, 3000))]
+    size = p.stub_nodes_per_domain
+    first = p.n_transit + size * rng.integers(p.n_stub_domains, size=400)
+    same_u = first + rng.integers(size, size=400)
+    same_v = first + rng.integers(size, size=400)
+    feed(
+        latency.pairwise_ms(
+            numpy.concatenate([us, same_u]), numpy.concatenate([vs, same_v])
+        ),
+        numpy.float64,
+    )
+    scalar_pairs = list(zip(us[:60], vs[:60])) + list(zip(same_u[:60], same_v[:60]))
+    feed([latency.latency_ms(u, v) for u, v in scalar_pairs], numpy.float64)
+    return digest.hexdigest()
 
 
 def _major_minor(version):
@@ -119,6 +182,21 @@ def test_run_fingerprint_matches_golden(name):
     assert fingerprint == _golden()["fingerprints"][name]
 
 
+def test_golden_file_covers_the_substrates():
+    assert sorted(_golden()["substrate_digests"]) == sorted(SUBSTRATES)
+
+
+@pytest.mark.parametrize("name", list(SUBSTRATES))
+def test_substrate_digest_matches_golden(name):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden digests recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    assert substrate_digest(*SUBSTRATES[name]) == _golden()["substrate_digests"][name]
+
+
 if __name__ == "__main__":
     payload = {
         "numpy_version": numpy.__version__,
@@ -126,7 +204,13 @@ if __name__ == "__main__":
             name: run_experiment(config, audit=True).fingerprint
             for name, config in CONFIGS.items()
         },
+        "substrate_digests": {
+            name: substrate_digest(*args) for name, args in SUBSTRATES.items()
+        },
     }
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"recorded {len(payload['fingerprints'])} fingerprints to {GOLDEN_PATH}")
+    print(
+        f"recorded {len(payload['fingerprints'])} fingerprints and "
+        f"{len(payload['substrate_digests'])} substrate digests to {GOLDEN_PATH}"
+    )

@@ -118,6 +118,28 @@ class TestVectorised:
         model.register([0, net.params.n_transit])  # second call is a no-op
         assert model.latency_ms(0, net.params.n_transit) > 0
 
+    def test_register_takes_any_iterable_and_rejects_bad_ids(self, net):
+        model = LatencyModel(net)
+        stub = net.params.n_transit
+        model.register(node for node in (stub + 3, 1, stub + 3))
+        model.register({stub + 9, 2})
+        assert model.latency_ms(1, stub + 3) == LatencyModel(net).latency_ms(1, stub + 3)
+        for bad in (-1, net.n_nodes):
+            with pytest.raises(ValueError):
+                model.register([0, bad])
+
+    def test_same_domain_pairs_in_2d_batches(self, net):
+        """The same-domain branch is a gather, so it follows any shape."""
+        p = net.params
+        first = p.n_transit + 2 * p.stub_nodes_per_domain
+        locals_ = np.arange(p.stub_nodes_per_domain)
+        us, vs = np.meshgrid(first + locals_, first + locals_, indexing="ij")
+        got = LatencyModel(net).pairwise_ms(us, vs)
+        assert got.shape == us.shape
+        for i in locals_:
+            for j in locals_:
+                assert got[i, j] == net.intra_domain_distance_ms(first + i, first + j)
+
     def test_all_latencies_nonnegative(self, model, net):
         rng = np.random.default_rng(11)
         us = rng.integers(0, net.n_nodes, size=500)
@@ -136,4 +158,5 @@ class TestPaperScale:
         assert np.all(np.isfinite(lat))
         assert np.all(lat >= 0)
         # Only the touched domains were materialised.
-        assert len(net._stub_cache) <= 50
+        assert 0 < len(net._stub_cache) <= 50
+        assert np.count_nonzero(net._gateway >= 0) == len(net._stub_cache)

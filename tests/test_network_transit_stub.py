@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.network import transit_stub
 from repro.network.transit_stub import (
+    UNREACHABLE,
     StubDomain,
     TransitStubNetwork,
     TransitStubParams,
-    _bfs_all_pairs,
+    _hop_matrix,
     _random_graph,
 )
+
+from tests.oracles.hops import hop_matrix_reference
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +124,7 @@ class TestStubDomains:
 
     def test_hop_distances_connected(self, small_net):
         domain = small_net.stub_domain(0)
-        assert np.all(domain.hop_distances < np.iinfo(np.int32).max)
+        assert np.all(domain.hop_distances < UNREACHABLE)
         assert np.all(np.diag(domain.hop_distances) == 0)
 
     def test_gateway_distance_zero_for_gateway(self, small_net):
@@ -187,25 +191,137 @@ class TestStubDomains:
             small_net.stub_domain(small_net.params.n_stub_domains)
 
 
+def _adjacency_of(domain: StubDomain) -> np.ndarray:
+    """A materialised domain keeps only its hop matrix; its edges are the
+    pairs one hop apart."""
+    return domain.hop_distances == 1
+
+
+class TestHopMatricesAgainstOracle:
+    """Every materialised domain's hop matrix equals scipy's all-pairs
+    shortest paths over the same edges."""
+
+    def test_small_network_every_domain(self, small_net):
+        for domain_id in range(small_net.params.n_stub_domains):
+            domain = small_net.stub_domain(domain_id)
+            expected = hop_matrix_reference(_adjacency_of(domain))
+            assert np.array_equal(domain.hop_distances, expected)
+            assert domain.hop_distances.max() < UNREACHABLE
+
+    def test_paper_parameters_every_domain(self):
+        net = TransitStubNetwork(seed=3)
+        all_domains = np.arange(net.params.n_stub_domains)
+        net.materialise(all_domains)
+        assert (net._gateway >= 0).all()
+        assert (net._gateway < net.params.stub_nodes_per_domain).all()
+        for domain_id in all_domains:
+            hops = net._hops[domain_id]
+            assert np.array_equal(hops, hop_matrix_reference(hops == 1))
+        assert net._hops.max() < UNREACHABLE
+
+    def test_materialise_is_idempotent_and_batch_equals_single(self):
+        params = TransitStubParams(stub_nodes_per_domain=12, p_stub_edge=0.2)
+        batch = TransitStubNetwork(params, seed=5)
+        batch.materialise(np.array([7, 3, 7, 40]))
+        before = batch._hops.copy(), batch._gateway.copy()
+        batch.materialise(np.array([3, 40]))
+        assert np.array_equal(batch._hops, before[0])
+        assert np.array_equal(batch._gateway, before[1])
+        single = TransitStubNetwork(params, seed=5)
+        for domain_id in (40, 3, 7):
+            domain = single.stub_domain(domain_id)
+            assert domain.gateway_local == batch._gateway[domain_id]
+            assert np.array_equal(domain.hop_distances, batch._hops[domain_id])
+        assert np.count_nonzero(batch._gateway >= 0) == 3
+
+    def test_vector_gathers_match_scalar_queries(self, small_net):
+        p = small_net.params
+        stub = np.arange(p.n_transit, p.n_nodes)
+        domain, local = small_net.stub_coordinates(stub)
+        to_gateway = small_net.gateway_hops(domain, local) * p.lat_intra_stub_ms
+        to_first = small_net.stub_hops(domain, local, np.zeros_like(local))
+        for i, node in enumerate(stub.tolist()):
+            assert domain[i] == small_net.stub_domain_of(node)
+            assert local[i] == small_net.local_index(node)
+            assert to_gateway[i] == small_net.gateway_distance_ms(node)
+            first = node - int(local[i])
+            assert to_first[i] * p.lat_intra_stub_ms == (
+                small_net.intra_domain_distance_ms(node, first)
+            )
+
+    def test_materialise_rejects_bad_ids(self, small_net):
+        for bad in (-1, small_net.params.n_stub_domains):
+            with pytest.raises(ValueError):
+                small_net.materialise(np.array([0, bad]))
+
+
+class TestDisconnectedDraws:
+    """Sparse draws take the set-rebuilding ``_connect_components`` branch;
+    connected ones never build a set."""
+
+    def _count_bridging_calls(self, monkeypatch, params, n_domains):
+        calls = []
+        real = transit_stub._connect_components
+
+        def spy(n, adjacency, rng):
+            calls.append(n)
+            return real(n, adjacency, rng)
+
+        monkeypatch.setattr(transit_stub, "_connect_components", spy)
+        net = TransitStubNetwork(params, seed=0)
+        core_calls = len(calls)
+        net.materialise(np.arange(n_domains))
+        return net, len(calls) - core_calls
+
+    def test_sparse_parameters_bridge_and_end_connected(self, monkeypatch):
+        params = TransitStubParams(stub_nodes_per_domain=8, p_stub_edge=0.12)
+        net, bridged = self._count_bridging_calls(monkeypatch, params, 64)
+        assert bridged >= 60  # P(G(8, 0.12) connected) is about 0.1 %
+        assert net._hops[:64].max() < UNREACHABLE
+        for hops in net._hops[:64]:
+            assert np.array_equal(hops, hop_matrix_reference(hops == 1))
+
+    def test_paper_parameters_never_bridge(self, monkeypatch):
+        _, bridged = self._count_bridging_calls(
+            monkeypatch, TransitStubParams(), 200
+        )
+        assert bridged == 0
+
+
 class TestGraphHelpers:
     def test_random_graph_connected(self):
         rng = np.random.default_rng(0)
         for p in (0.0, 0.05, 0.4):
-            adj = _random_graph(30, p, rng)
-            hops = _bfs_all_pairs(30, adj)
-            assert np.all(hops < np.iinfo(np.int32).max)
+            adjacency, hops = _random_graph(30, p, rng)
+            assert np.all(hops < UNREACHABLE)
+            assert np.array_equal(hops, hop_matrix_reference(adjacency))
 
     def test_random_graph_symmetric(self):
         rng = np.random.default_rng(1)
-        adj = _random_graph(20, 0.3, rng)
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                assert u in adj[v]
+        adjacency, _ = _random_graph(20, 0.3, rng)
+        assert np.array_equal(adjacency, adjacency.T)
+        assert not adjacency.diagonal().any()
 
     def test_bfs_all_pairs_path_graph(self):
         # 0-1-2-3 path
-        adj = [{1}, {0, 2}, {1, 3}, {2}]
-        hops = _bfs_all_pairs(4, adj)
-        assert hops[0, 3] == 3
-        assert hops[1, 2] == 1
-        assert np.array_equal(hops, hops.T)
+        adjacency = np.zeros((4, 4), dtype=bool)
+        for u in range(3):
+            adjacency[u, u + 1] = adjacency[u + 1, u] = True
+        for hops in (_hop_matrix(adjacency), hop_matrix_reference(adjacency)):
+            assert hops[0, 3] == 3
+            assert hops[1, 2] == 1
+            assert np.array_equal(hops, hops.T)
+
+    def test_hop_matrix_marks_unreachable_pairs(self):
+        adjacency = np.zeros((3, 3), dtype=bool)
+        adjacency[0, 1] = adjacency[1, 0] = True
+        hops = _hop_matrix(adjacency)
+        assert hops[0, 2] == hops[2, 1] == UNREACHABLE
+        assert np.array_equal(hops, hop_matrix_reference(adjacency))
+
+    def test_degenerate_sizes(self):
+        rng = np.random.default_rng(2)
+        adjacency, hops = _random_graph(1, 0.4, rng)
+        assert adjacency.shape == hops.shape == (1, 1) and hops[0, 0] == 0
+        adjacency, hops = _random_graph(2, 0.0, rng)
+        assert hops[0, 1] == 1  # bridged

@@ -1,5 +1,7 @@
 """Tests for run configuration and scaling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation.config import (
@@ -33,6 +35,20 @@ class TestRunConfig:
     def test_edonkey_peer_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must match"):
             RunConfig(algorithm="flooding", n_peers=500)
+
+    def test_nonsense_content_parameters_never_reach_a_run_config(self):
+        """``RunConfig`` takes a built ``EdonkeyParams``, so a cell with
+        impossible content parameters fails while it is being described."""
+        good = paper_config("flooding")
+        for nonsense in (
+            dict(max_copies=1),
+            dict(vocab_per_class=0),
+            dict(min_class_keywords=4, max_class_keywords=2),
+            dict(min_interests=3, max_interests=2),
+            dict(max_interests=99),
+        ):
+            with pytest.raises(ValueError):
+                replace(good, edonkey=replace(good.edonkey, **nonsense))
 
     def test_is_asap(self):
         assert paper_config("asap_rw").is_asap

@@ -6,7 +6,8 @@ in product code: oracles live in ``tests/oracles/`` and are imported by
 tests only.  The first three guards fail at the last commit that still had
 ``kernels.reference_mode()``; the ads-cache one at the last commit that
 kept arena rows, slot dicts, behind sets and a cacher index in step by
-hand.
+hand; the stub-graph and weighted-sampler ones at the last commit with a
+scipy hop-matrix helper in ``transit_stub`` and per-call Zipf tables.
 """
 
 import ast
@@ -19,6 +20,7 @@ import repro
 import repro.asap
 from repro.asap.protocol import AsapSearch
 from repro.asap.state import AdsState, RepositoryView
+from repro.network import transit_stub
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
 from repro.sim import kernels
@@ -121,3 +123,61 @@ def test_asap_holds_one_container_of_per_pair_state():
     ]
     assert hits == []
     assert not (SRC / "asap" / "arena.py").exists()
+
+
+def _calls(tree, attr):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr
+    ]
+
+
+def test_src_has_one_stub_graph_builder():
+    """Transit domains and stub domains are drawn by the same
+    ``_random_graph`` and measured by the same ``_hop_matrix``; scipy stays
+    only for the 144-node core Dijkstra and the hop oracle is test code."""
+    assert not hasattr(transit_stub, "_bfs_all_pairs")
+    scipy_imports, triangle_draws, hop_builders = {}, [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                scipy_imports.setdefault(path.name, []).extend(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("scipy") for a in node.names), path
+        triangle_draws += [path.name for _ in _calls(tree, "triu_indices")]
+        hop_builders += [
+            f"{path.name}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and re.search(r"hop_matrix|all_pairs|shortest_path", node.name)
+        ]
+    assert scipy_imports == {"transit_stub.py": ["csr_matrix", "dijkstra"]}
+    assert triangle_draws == ["transit_stub.py"]
+    assert hop_builders == ["transit_stub.py:_hop_matrix"]
+
+
+def test_src_has_one_weighted_sampler():
+    """Per-item weighted draws and weighted draws without replacement go
+    through ``repro.workload.sampling``; the only ``choice(..., p=...)``
+    calls left in ``src/`` are one-shot bulk draws with replacement."""
+    zipf_tables = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call in _calls(tree, "choice"):
+            keywords = {kw.arg for kw in call.keywords}
+            if "p" in keywords:
+                assert "size" in keywords and "replace" not in keywords, (
+                    f"{path}:{call.lineno}"
+                )
+        zipf_tables += [
+            f"{path.name}:{call.lineno}" for call in _calls(tree, "zipf_table")
+        ]
+        if path.parent.name == "workload" and path.name != "sampling.py":
+            assert not _calls(tree, "searchsorted"), path
+    # One table constructor, asked for by the keyword and the query draw.
+    assert len(zipf_tables) == 2 and {t.split(":")[0] for t in zipf_tables} == {
+        "edonkey.py", "generator.py",
+    }

@@ -83,6 +83,40 @@ class TestParams:
         with pytest.raises(ValueError):
             EdonkeyParams(avg_docs_per_peer=0)
 
+    @pytest.mark.parametrize(
+        "nonsense, message",
+        [
+            (dict(max_copies=1), "max_copies"),
+            (dict(vocab_per_class=0), "vocab_per_class"),
+            (dict(min_class_keywords=0), "min_class_keywords"),
+            (dict(min_class_keywords=6, max_class_keywords=5), "min_class_keywords"),
+            (dict(min_interests=0), "min_interests"),
+            (dict(min_interests=5, max_interests=4), "min_interests"),
+            (dict(max_interests=15), "max_interests <= 14"),
+        ],
+    )
+    def test_nonsense_content_parameters_rejected_up_front(self, nonsense, message):
+        """These used to surface half-way through synthesis, as ``low >=
+        high`` from ``rng.integers`` or "cannot sample 15 distinct classes"."""
+        with pytest.raises(ValueError, match=message):
+            EdonkeyParams(**nonsense)
+
+    def test_boundary_content_parameters_accepted_and_synthesise(self):
+        params = EdonkeyParams(
+            n_peers=30,
+            avg_docs_per_peer=3.0,
+            max_copies=3,  # 2 passes here but leaves the replica tail no room
+            mean_copies=1.14,
+            vocab_per_class=1,
+            min_class_keywords=1,
+            max_class_keywords=1,
+            min_interests=14,
+            max_interests=14,
+        )
+        dist = synthesize_content(params, np.random.default_rng(0))
+        assert all(len(s) == 14 for s in dist.interests)
+        assert all(len(d.keywords) == 2 for d in dist.index.all_documents())
+
 
 class TestSynthesis:
     @pytest.fixture(scope="class")

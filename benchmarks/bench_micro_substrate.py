@@ -7,6 +7,10 @@ vectorised kernels that make paper-scale replay tractable:
 * all-sources Bloom match through the packed filter matrix;
 * single-filter Bloom membership (the vectorised-gather query path);
 * hierarchical latency batch queries;
+* ASAP(RW) walk stepping on a 3,000-peer overlay at the paper's M0 = 3,000:
+  one delivery on the list recurrence, the same delivery in lockstep, and
+  a full lockstep chunk (``lane_step_ns`` is the number docs/PERFORMANCE.md
+  cites);
 * stub-domain materialisation (all 1,296 domains of the paper's network);
 * content synthesis throughput (1k peers; 2k peers = one ``baselines_2k`` cell);
 * engine event dispatch, unobserved vs observed (repro.obs overhead).
@@ -25,6 +29,7 @@ from repro.network.topology import random_topology
 from repro.network.transit_stub import TransitStubNetwork
 from repro.obs.profile import Profiler
 from repro.search.flooding import flood_reach
+from repro.sim import kernels
 from repro.sim.engine import SimulationEngine
 from repro.workload.edonkey import EdonkeyParams, synthesize_content
 
@@ -87,6 +92,74 @@ def bench_latency_pairwise_10k(benchmark):
     out = benchmark(model.pairwise_ms, us, vs)
     assert np.all(np.isfinite(out))
     write_bench_stats("micro_latency_pairwise_10k", benchmark, pairs=len(us))
+
+
+@pytest.fixture(scope="module")
+def walk_3k():
+    """A 3,000-peer random overlay and the full ads of one lockstep chunk:
+    1-4 topics each, ``|T| x 3,000`` messages over 5 walkers."""
+    topo = random_topology(3000, avg_degree=5.0, rng=np.random.default_rng(0))
+    csr = Overlay(topo, default_edge_latency_ms=20.0).walk_csr()
+    rng = np.random.default_rng(1)
+    per_walker, sources = [], []
+    while kernels.lockstep_fits(
+        len(sources) + 1, 5 * (sum(per_walker) + 2400), csr.n
+    ):
+        per_walker.append(600 * int(rng.integers(1, 5)))
+        sources.append(int(rng.integers(csr.n)))
+    nows = np.sort(rng.random(len(sources)) * 30.0).tolist()
+    return csr, sources, per_walker, nows, rng.random(5 * sum(per_walker))
+
+
+def _write_walk_stats(name, benchmark, lanes, lane_steps):
+    stats = getattr(benchmark, "stats", None)
+    write_bench_stats(
+        name,
+        benchmark,
+        lanes=lanes,
+        lane_steps=lane_steps,
+        **(
+            {"lane_step_ns": 1e9 * stats.stats.median / lane_steps}
+            if stats is not None
+            else {}
+        ),
+    )
+
+
+def bench_walk_single_delivery_3k(benchmark, walk_3k):
+    """One ``|T| = 2`` delivery on the plain-list recurrence."""
+    csr, sources, _, nows, draws = walk_3k
+    block = draws[:6000].reshape(5, 1200)
+    _, messages, _ = benchmark(
+        kernels.rw_delivery, csr, sources[0], block, nows[0], 424
+    )
+    _write_walk_stats("micro_walk_single_delivery_3k", benchmark, 5, messages)
+
+
+def bench_walk_lockstep_one_ad_3k(benchmark, walk_3k):
+    """The same delivery as a five-lane lockstep batch: why deliveries that
+    are not known ahead of time stay on the list recurrence."""
+    csr, sources, _, nows, draws = walk_3k
+    (result,) = benchmark(
+        kernels.rw_delivery_batch,
+        csr, sources[:1], [1200], 5, draws[:6000], nows[:1], [424],
+    )
+    _write_walk_stats("micro_walk_lockstep_one_ad_3k", benchmark, 5, result[1])
+
+
+def bench_walk_lockstep_chunk_3k(benchmark, walk_3k):
+    """A full chunk (``LOCKSTEP_CHUNK_BYTES``) of warm-up ads in lockstep."""
+    csr, sources, per_walker, nows, draws = walk_3k
+    results = benchmark(
+        kernels.rw_delivery_batch,
+        csr, sources, per_walker, 5, draws, nows, [424] * len(sources),
+    )
+    _write_walk_stats(
+        "micro_walk_lockstep_chunk_3k",
+        benchmark,
+        5 * len(sources),
+        sum(messages for _, messages, _ in results),
+    )
 
 
 def bench_stub_domains_all_1296(benchmark):

@@ -17,29 +17,33 @@ ASAP's background load appear smooth in the Figure 10 reproduction rather
 than spiking at delivery start.
 
 The walk-based forwarders run on the shared walk kernels
-(:mod:`repro.sim.kernels`): stepping over plain-list CSR mirrors with
-vectorised latency/bucket/visited post-processing.  The per-step loops
-they replaced live in ``tests/oracles/delivery.py``; the differential tests
+(:mod:`repro.sim.kernels`).  A single delivery steps over plain-list CSR
+mirrors with vectorised latency/bucket/visited post-processing; the
+warm-up's full ads, which ASAP(RW) knows ahead of time, are stepped
+together in lockstep (:meth:`RandomWalkAdForwarder.plan_full_ads`) and
+handed out one per event.  The per-step loops both replaced live in
+``tests/oracles/delivery.py``; the differential tests
 (``tests/test_walk_kernels_differential.py``) assert each forwarder
 reproduces its loop bit-for-bit (visited sets, message counts, per-second
-ledger buckets).
+ledger buckets, RNG state).
 """
 
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.asap.ads import Ad
+from repro.asap.ads import Ad, AdType
 from repro.network.overlay import Overlay
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.search.base import MessageSizes
 from repro.sim import kernels
+from repro.sim.engine import SimulationError
 from repro.sim.metrics import BandwidthLedger
 
 __all__ = [
@@ -97,6 +101,20 @@ class AdForwarder(abc.ABC):
     def default_budget(self, ad: Ad) -> int:
         """Total message budget for one delivery of ``ad``."""
         return max(1, len(ad.topics))  # overridden by budgeted forwarders
+
+    def plan_full_ads(
+        self,
+        events: Iterable[Tuple[float, int, int]],
+        make_ad: Callable[[int], Optional[Ad]],
+    ) -> None:
+        """Announce the warm-up's scheduled full ads.
+
+        ``events`` are the engine's ``(time, seq, source)`` of the events
+        that will each deliver ``make_ad(source)`` with the default budget.
+        A forwarder whose deliveries do not depend on each other may compute
+        them together (see :class:`RandomWalkAdForwarder`); the default
+        ignores the announcement.
+        """
 
     def _trace_delivery(
         self,
@@ -222,10 +240,54 @@ class _WalkForwarderBase(AdForwarder):
         return max(1, len(ad.topics)) * self.budget_unit
 
 
+@dataclass(slots=True)
+class _PlannedWalk:
+    """One ad of a stepped chunk, waiting for its event."""
+
+    source: int
+    now: float
+    per_walker: int
+    ad_size: float
+    walk: Tuple[np.ndarray, int, Dict[int, float]]  # rw_delivery's result
+
+
 class RandomWalkAdForwarder(_WalkForwarderBase):
-    """ASAP(RW): walkers carry the ad; every visited node receives it."""
+    """ASAP(RW): walkers carry the ad; every visited node receives it.
+
+    A walk reads the epoch's :class:`~repro.sim.kernels.WalkCsr` and its
+    uniforms, never cache state, so deliveries that are *known ahead of
+    time* need not be walked one by one: :meth:`plan_full_ads` registers
+    the warm-up's full-ad events, and the first of them to reach
+    :meth:`deliver` draws and steps a whole chunk of the ads after it with
+    :func:`repro.sim.kernels.rw_delivery_batch`.  Each ad's ledger
+    record, trace event and report still happen at its own event, inside
+    its own :meth:`deliver`.  Every other delivery (refresh, patch, join)
+    takes the per-event kernel: it interleaves with queries and ads
+    requests that read the merged state, so there is nothing to step it
+    with.
+    """
 
     kind = "rw"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Registered full-ad events not yet stepped, last to fire first.
+        self._plan: List[Tuple[float, int, int]] = []
+        self._make_ad: Optional[Callable[[int], Optional[Ad]]] = None
+        # The stepped chunk: walks in event order, the CSR they ran on and
+        # the RNG state the chunk's draw left behind.
+        self._stepped: Deque[_PlannedWalk] = deque()
+        self._stepped_csr: Optional[kernels.WalkCsr] = None
+        self._stepped_rng: Optional[dict] = None
+        self._draws = np.empty(0)
+
+    def plan_full_ads(
+        self,
+        events: Iterable[Tuple[float, int, int]],
+        make_ad: Callable[[int], Optional[Ad]],
+    ) -> None:
+        self._plan = sorted(events, reverse=True)
+        self._make_ad = make_ad
 
     def deliver(
         self, ad: Ad, now: float, budget: Optional[int] = None
@@ -236,15 +298,27 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
         per_walker = max(1, total_budget // self.walkers)
         ad_size = ad.size_bytes(self.sizes)
         csr = self.overlay.walk_csr()
-        draws = self.rng.random((self.walkers, per_walker))
-        visited_arr, n_messages, buckets = kernels.rw_delivery(
-            csr, ad.source, draws, now, ad_size
-        )
-        # visited_arr is sorted; drop the source (if present) in place
-        # rather than round-tripping through a mutable set.
-        k = int(np.searchsorted(visited_arr, ad.source))
-        if k < len(visited_arr) and visited_arr[k] == ad.source:
-            visited_arr = np.delete(visited_arr, k)
+        plan = self._plan
+        while plan and plan[-1][0] < now:
+            plan.pop()  # its event fired without a delivery (source gone)
+        if (
+            not self._stepped
+            and plan
+            and plan[-1][0] == now
+            and plan[-1][2] == ad.source
+            and ad.ad_type is AdType.FULL
+            and budget is None
+        ):
+            self._step_chunk(csr)
+        if self._stepped:
+            visited_arr, n_messages, buckets = self._take_stepped(
+                csr, ad, now, per_walker, ad_size
+            )
+        else:
+            draws = self.rng.random((self.walkers, per_walker))
+            visited_arr, n_messages, buckets = kernels.rw_delivery(
+                csr, ad.source, draws, now, ad_size
+            )
         self._record(ad, buckets, n_messages)
         report = DeliveryReport(
             visited=frozenset(visited_arr.tolist()),
@@ -255,6 +329,90 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
         if self.tracer.enabled:
             self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
         return report
+
+    def _step_chunk(self, csr: kernels.WalkCsr) -> None:
+        """Draw and step the next chunk of planned ads, in event order.
+
+        The chunk's uniforms are one flat ``rng.random`` -- the
+        ``(walkers, per_walker)`` blocks the ads' own deliveries would have
+        drawn one after the other, provided nothing else draws from the
+        algorithm stream before the chunk's last event, which
+        :meth:`_take_stepped` checks.
+        """
+        plan = self._plan
+        sources: List[int] = []
+        times: List[float] = []
+        per_walkers: List[int] = []
+        ad_sizes: List[float] = []
+        total = 0
+        while plan:
+            when, _, source = plan[-1]
+            ad = self._make_ad(source) if self.overlay.is_live(source) else None
+            if ad is not None:  # else its own delivery would draw nothing
+                per_walker = max(1, self.default_budget(ad) // self.walkers)
+                grown = total + self.walkers * per_walker
+                if sources and not kernels.lockstep_fits(
+                    len(sources) + 1, grown, csr.n
+                ):
+                    break
+                total = grown
+                sources.append(source)
+                times.append(when)
+                per_walkers.append(per_walker)
+                ad_sizes.append(ad.size_bytes(self.sizes))
+            plan.pop()
+        if len(self._draws) < total:
+            self._draws = np.empty(total)
+        draws = self._draws[:total]
+        self.rng.random(out=draws)
+        walks = kernels.rw_delivery_batch(
+            csr, sources, per_walkers, self.walkers, draws, times, ad_sizes
+        )
+        self._stepped.extend(
+            map(_PlannedWalk, sources, times, per_walkers, ad_sizes, walks)
+        )
+        self._stepped_csr = csr
+        self._stepped_rng = self.rng.bit_generator.state
+        if not plan:
+            self._draws = np.empty(0)  # the window is over: release the buffer
+
+    def _take_stepped(
+        self,
+        csr: kernels.WalkCsr,
+        ad: Ad,
+        now: float,
+        per_walker: int,
+        ad_size: float,
+    ) -> Tuple[np.ndarray, int, Dict[int, float]]:
+        """The stepped walk of this delivery, if it still is this delivery's.
+
+        While a chunk is outstanding its uniforms are already drawn, so the
+        only delivery that may happen is the chunk's next ad, on the
+        overlay and content the chunk was stepped on, with nothing drawn
+        from the algorithm stream since.
+        """
+        planned = self._stepped.popleft()
+        if (planned.source, planned.now) != (ad.source, now):
+            cause = (
+                "another delivery came first (expected the full ad of "
+                f"{planned.source} at t={planned.now})"
+            )
+        elif csr is not self._stepped_csr:
+            cause = "the overlay changed (join/leave)"
+        elif (planned.per_walker, planned.ad_size) != (per_walker, ad_size):
+            cause = "the ad's topics, size or budget changed"
+        elif self.rng.bit_generator.state != self._stepped_rng:
+            cause = "the algorithm RNG stream was drawn from"
+        else:
+            return planned.walk
+        raise SimulationError(
+            f"delivering source {ad.source} at t={now}: the warm-up full ads "
+            f"were walked ahead as one chunk, and before its last event {cause}."
+            "  The chunk's uniforms are already drawn, so the run cannot go on "
+            "as the per-event schedule would; keep the warm-up window free of "
+            "churn, content change and other draws from the algorithm stream."
+        )
+
 
 class GsaAdForwarder(_WalkForwarderBase):
     """ASAP(GSA): walkers replicate the ad to each visited node's neighbours.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -317,27 +317,46 @@ class AsapSearch(SearchAlgorithm):
         merging its neighbours' caches -- this is the gossip step that makes
         local lookups hit at query time.
         """
+        self._schedule_warmup(
+            engine, start, duration, bootstraps=lambda node: True,
+            refreshes=lambda node: True,
+        )
+
+    def _schedule_warmup(
+        self,
+        engine: SimulationEngine,
+        start: float,
+        duration: float,
+        bootstraps: Callable[[int], bool],
+        refreshes: Callable[[int], bool],
+    ) -> None:
+        """The one warm-up schedule: per live node, ascending, a full ad
+        (sharers), a bootstrap ads request (if ``bootstraps(node)``) and a
+        refresh timer (if ``refreshes(node)``), each drawing its jitter
+        from the algorithm stream in that order.  The full-ad events are
+        announced to the forwarder, which may walk them together."""
         self._engine = engine
         rng = self.rng
-        # One vectorised live gather instead of n is_live probes; the
-        # ascending order matches the range loop it replaces, so the rng
-        # draw sequence -- and every jittered schedule -- is unchanged.
+        full_ads: List[Tuple[float, int, int]] = []
         for node in self.overlay.live_nodes().tolist():
             if self.store.is_sharer(node):
                 at = start + float(rng.random()) * max(0.6 * duration, 1e-9)
-                engine.schedule_at(
+                event = engine.schedule_at(
                     at,
                     lambda n=node: self._issue_full_ad(n, self._engine.now),
                     name=f"full-ad-{node}",
                 )
-            if self.params.bootstrap_ads_request:
+                full_ads.append((event.time, event.seq, node))
+            if self.params.bootstrap_ads_request and bootstraps(node):
                 at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
                 engine.schedule_at(
                     at,
                     lambda n=node: self._ads_request(n, self._engine.now),
                     name=f"bootstrap-{node}",
                 )
-            self._start_refresh_timer(node, phase_base=start + duration)
+            if refreshes(node):
+                self._start_refresh_timer(node, phase_base=start + duration)
+        self.forwarder.plan_full_ads(full_ads, self.store.make_full_ad)
 
     def _start_refresh_timer(self, node: int, phase_base: float) -> None:
         if self._engine is None or node in self._timers:

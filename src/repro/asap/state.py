@@ -243,20 +243,28 @@ class AdsState:
             return []
         if self._next_seq + k > _SEQ_LIMIT:
             raise OverflowError("ads-cache insertion counter exhausted")
-        peers, sources = np.broadcast_arrays(peers, sources)
-        peers, sources = peers[fresh], sources[fresh]
+        # Keep the id an id: only the index array is narrowed to the fresh
+        # entries, which take insertion numbers in its order.
+        if isinstance(peers, np.ndarray):
+            peers = peers[fresh]
+            self.occupancy[peers] += 1  # distinct receivers of one ad
+            last = sources
+        else:
+            sources = sources[fresh]
+            self.occupancy[peers] += k
+            peers = np.array([peers])
+            last = sources[-1]
         self.seq[peers, sources] = np.arange(
             self._next_seq, self._next_seq + k, dtype=np.uint32
         )
         self._next_seq += k
-        np.add.at(self.occupancy, peers, 1)
         if self.capacity is None:
             return []
         crowded = np.unique(peers[self.occupancy[peers] > self.capacity])
         if crowded.size == 0:
             return []
         # Never the entry just stored (the last one, for a batch).
-        return self._evict(crowded, protect=int(sources[-1]))
+        return self._evict(crowded, protect=int(last))
 
     def _evict(self, crowded: np.ndarray, protect: int) -> Evicted:
         """Drop the over-capacity peers' least recently refreshed entries.

@@ -121,28 +121,12 @@ class SuperPeerAsapSearch(AsapSearch):
         )
 
     def warmup(self, engine, start: float, duration: float) -> None:
-        """As in flat ASAP, except only super peers bootstrap caches."""
-        self._engine = engine
-        rng = self.rng
-        for node in range(self.overlay.n):
-            if not self.overlay.is_live(node):
-                continue
-            if self.store.is_sharer(node):
-                at = start + float(rng.random()) * max(0.6 * duration, 1e-9)
-                engine.schedule_at(
-                    at,
-                    lambda n=node: self._issue_full_ad(n, self._engine.now),
-                    name=f"full-ad-{node}",
-                )
-            if self.params.bootstrap_ads_request and self._is_super[node]:
-                at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
-                engine.schedule_at(
-                    at,
-                    lambda n=node: self._ads_request(n, self._engine.now),
-                    name=f"bootstrap-{node}",
-                )
-            if self.store.is_sharer(node):
-                self._start_refresh_timer(node, phase_base=start + duration)
+        """As in flat ASAP, except only super peers bootstrap caches and
+        only sharers keep a refresh timer."""
+        self._schedule_warmup(
+            engine, start, duration, bootstraps=self.is_super_peer,
+            refreshes=self.store.is_sharer,
+        )
 
     # ---------------------------------------------------------------- search
     def _search_impl(

@@ -10,20 +10,45 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
 
 * **Neighbour selection is an irreducible recurrence** -- the node visited
   at step ``t+1`` depends on the node at step ``t`` -- so it cannot be
-  expressed as one NumPy expression along the step axis, and lockstep
-  NumPy across the paper's 5 walkers loses to per-element overhead.  The
-  kernel therefore runs the recurrence over *plain-list* mirrors of the
-  live-CSR arrays (:class:`WalkCsr`), which makes each step a handful of
-  list indexings instead of NumPy scalar extractions (~7x cheaper per
-  step), and consumes the pre-drawn ``(walkers, steps)`` uniform matrix in
-  exactly the reference order so trajectories are **bit-identical**.
-* **Everything after the recurrence is vectorised**: per-step edge
-  latencies are gathered with fancy indexing, elapsed time is a per-walker
-  ``np.cumsum`` (NumPy's cumsum accumulates strictly left-to-right, so the
-  floats match the reference loop's sequential additions bit-for-bit),
-  per-second byte bucketing is an ``np.bincount`` over truncated arrival
-  seconds, and visited sets come from a single ``bincount``/``nonzero``
-  pass.
+  expressed as one NumPy expression along the step axis.  What can be
+  vectorised is the *lane* axis: independent walkers advancing one step
+  together.  Whether that pays is a matter of how many lanes there are,
+  because one lockstep step is eight array operations whatever the lane
+  count -- 3.8 us per step with five lanes on a 3,000-peer overlay --
+  against 0.19 us per lane-step of the list recurrence below (the
+  ``micro_walk`` numbers of ``BENCH_SCALEUP.json``):
+
+  - **one delivery or one search** has the paper's 5 walkers, and
+    lockstep loses (768 ns per lane-step against 189).  These run the
+    recurrence over *plain-list* mirrors of the live-CSR arrays
+    (:class:`WalkCsr`), a handful of list indexings per step instead of
+    NumPy scalar extractions (~7x cheaper), consuming the pre-drawn
+    ``(walkers, steps)`` uniform matrix in exactly the per-step loops'
+    order: :func:`rw_delivery`, :func:`rw_search`, :func:`chain_steps`;
+  - **many deliveries known ahead of time** -- ASAP(RW)'s warm-up, one
+    full ad per sharer, none of which reads cache state -- are hundreds
+    of lanes, and lockstep wins (41 ns per lane-step at 320 lanes):
+    :func:`rw_delivery_batch` steps a chunk of ads together over the
+    array form of the same CSR (:attr:`WalkCsr.lockstep`), under a fixed
+    working-set budget (``LOCKSTEP_CHUNK_BYTES``, ``LOCKSTEP_BLOCK``).
+
+  Which of the two runs is decided by what is known -- a planned batch
+  exists or it does not -- never by a flag.  The other two walk idioms
+  stay as they are for cause: ``GsaAdForwarder.deliver``'s walker *w+1*
+  skips what walker *w* already reached (one visited table per delivery,
+  so its lanes are not independent), and :func:`rw_search` stops at the
+  first hit (most of a lockstep batch would be thrown away).
+* **Trajectories are bit-identical** on every path: ``int(u * deg)`` on
+  the same IEEE values picks the edge, and a batch consumes one flat draw
+  that is the concatenation of the blocks its deliveries would have drawn
+  one after the other.
+* **Everything after the recurrence is vectorised, once**: elapsed time is
+  a left-to-right running sum per walker (``np.cumsum`` for a single
+  delivery, one add per step for a batch -- the same sequential float
+  additions either way), arrival seconds are :func:`arrival_seconds`,
+  per-second bytes are :func:`bucket_dict` over a ``bincount``, and the
+  receivers are :func:`receivers` over one flag or count per node.  The
+  single and the batch kernel share those three functions.
 
 The kernels are pure functions over :class:`WalkCsr` + a draw matrix; all
 ledger writes stay in the callers, so the per-step loops the differential
@@ -43,13 +68,18 @@ chain_iter = chain_iter_.from_iterable
 __all__ = [
     "WalkCsr",
     "RwSearchResult",
+    "arrival_seconds",
     "bucket_bytes",
+    "bucket_dict",
     "chain_nodes",
     "chain_steps",
     "flood_bfs",
     "flood_frontier",
     "flood_rings",
+    "lockstep_fits",
+    "receivers",
     "rw_delivery",
+    "rw_delivery_batch",
     "rw_search",
     "segmented_cumsum",
 ]
@@ -90,6 +120,7 @@ class WalkCsr:
         "_lat_l",
         "_nbr",
         "_dgf",
+        "_lockstep",
         "n",
         "lats_positive",
     )
@@ -108,6 +139,7 @@ class WalkCsr:
         self._lat_l: Optional[List[float]] = None
         self._nbr: Optional[List[List[int]]] = None
         self._dgf: Optional[List[float]] = None
+        self._lockstep: Optional[Tuple[np.ndarray, ...]] = None
         # Positive latencies guarantee strictly increasing per-walker
         # arrival times, which the post-hoc search truncation relies on.
         self.lats_positive = bool(np.all(lats > 0.0)) if len(lats) else True
@@ -126,6 +158,31 @@ class WalkCsr:
         # converts the int operand to the same float -- degrees are far
         # below 2**53) but without a len() call per step.
         self._dgf = [float(d) for d in self._dg]
+
+    @property
+    def lockstep(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, degf, nbr, lat)``: the CSR with an absorbing node ``n``.
+
+        What :func:`rw_delivery_batch` gathers from.  Edge ``E`` (one past
+        the live edges) leads to node ``n`` at zero latency, and every node
+        without a live neighbour -- ``n`` included -- has degree 0.0 and
+        edge range starting at ``E``; so ``start[v] + int(u * degf[v])`` is
+        the walk's own edge choice on a node that has neighbours, and parks
+        a stranded lane on ``n`` for good without a branch in the step.
+        """
+        if self._lockstep is None:
+            n, n_edges = self.n, len(self.indices)
+            degf = np.zeros(n + 1)
+            degf[:n] = self.deg
+            start = np.full(n + 1, n_edges, dtype=np.int64)
+            np.copyto(start[:n], self.indptr[:-1], where=self.deg > 0)
+            self._lockstep = (
+                start,
+                degf,
+                np.append(self.indices, n).astype(np.int64, copy=False),
+                np.append(self.lats, 0.0),
+            )
+        return self._lockstep
 
     @property
     def ip(self) -> List[int]:
@@ -230,37 +287,64 @@ def segmented_cumsum(values: np.ndarray, lens: List[int]) -> np.ndarray:
     return out
 
 
+def arrival_seconds(now, elapsed_ms: np.ndarray, out=None) -> np.ndarray:
+    """Ledger second of every arrival: ``int(now + e / 1000)``, truncated.
+
+    ``now`` is a scalar or broadcasts against ``elapsed_ms`` (one start
+    time per lane); the float operations are the per-step loops' own.
+    """
+    seconds = np.divide(elapsed_ms, 1000.0, out=out)
+    np.add(now, seconds, out=seconds)
+    return seconds.astype(np.int64)
+
+
+def bucket_dict(
+    first_second: int, counts: np.ndarray, size_bytes: float
+) -> Dict[int, float]:
+    """``{second: bytes}`` from per-second message counts, ascending.
+
+    ``counts[i]`` messages of ``size_bytes`` landed in second
+    ``first_second + i``.  For integral ``size_bytes`` (every wire size in
+    this codebase is a whole number of bytes) ``count * size`` equals the
+    per-step loops' repeated float addition exactly; a non-integral size
+    takes the ordered-add path: a bucket's value is ``size`` added to
+    itself ``count`` times from zero, whatever steps fed it, which is the
+    ``count``-th entry of a left-to-right ``np.cumsum``.
+    """
+    hit = np.flatnonzero(counts)
+    if not len(hit):
+        return {}
+    times = counts[hit]
+    if float(size_bytes) == float(int(size_bytes)):
+        nbytes = times * float(size_bytes)
+    else:
+        nbytes = np.cumsum(np.full(int(times.max()), float(size_bytes)))[times - 1]
+    return dict(zip((hit + first_second).tolist(), nbytes.tolist()))
+
+
 def bucket_bytes(
     now: float, elapsed_ms: np.ndarray, size_bytes: float
 ) -> Dict[int, float]:
     """Per-second byte buckets: ``{int(now + e/1000): k * size_bytes}``.
 
-    Equivalent to the reference loops' ``buckets[int(now + e/1000)] +=
-    size`` accumulation.  For integral ``size_bytes`` (every wire size in
-    this codebase is a whole number of bytes) ``count * size`` equals the
-    repeated float addition exactly; non-integral sizes take an
-    ``np.add.at`` path that performs the additions per element, in step
-    order, to preserve the reference's accumulation order.
+    Equivalent to the per-step loops' ``buckets[int(now + e/1000)] +=
+    size`` accumulation (see :func:`bucket_dict`).
     """
     if len(elapsed_ms) == 0:
         return {}
-    secs = (now + elapsed_ms / 1000.0).astype(np.int64)
+    secs = arrival_seconds(now, elapsed_ms)
     smin = int(secs.min())
-    if float(size_bytes) == float(int(size_bytes)):
-        counts = np.bincount(secs - smin)
-        nz = np.nonzero(counts)[0]
-        return {int(s) + smin: float(counts[s]) * size_bytes for s in nz}
-    acc = np.zeros(int(secs.max()) - smin + 1, dtype=np.float64)
-    np.add.at(acc, secs - smin, size_bytes)
-    nz = np.nonzero(acc)[0]
-    return {int(s) + smin: float(acc[s]) for s in nz}
+    return bucket_dict(smin, np.bincount(secs - smin), size_bytes)
 
 
-def distinct_nodes(csr: WalkCsr, nodes: np.ndarray) -> np.ndarray:
-    """Distinct node ids in ``nodes`` (ascending), via one bincount pass."""
-    if len(nodes) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(np.bincount(nodes, minlength=csr.n))[0]
+def receivers(seen: np.ndarray, source: int) -> np.ndarray:
+    """Ascending ids of the nodes marked in ``seen``, ``source`` dropped.
+
+    ``seen`` holds one flag or visit count per node and is cleared at
+    ``source`` (a walk that returns home delivers nothing there).
+    """
+    seen[source] = 0
+    return np.flatnonzero(seen)
 
 
 # --------------------------------------------------------------- delivery
@@ -274,10 +358,14 @@ def rw_delivery(
     """ASAP(RW) delivery: every walker walks its full draw row.
 
     Returns ``(visited_nodes, n_messages, buckets)`` where
-    ``visited_nodes`` are the distinct nodes stepped onto (``source``
-    included if a walk returned to it -- the caller excludes it, matching
-    the reference), ``n_messages`` counts every step, and ``buckets`` maps
-    ledger seconds to bytes.
+    ``visited_nodes`` are the distinct nodes stepped onto other than
+    ``source``, ascending, ``n_messages`` counts every step, and
+    ``buckets`` maps ledger seconds to bytes.
+
+    This is the kernel of a *single* delivery: five lanes are too few for
+    NumPy to step (see the module docstring), so the recurrence runs over
+    the plain-list mirrors.  Deliveries known ahead of time go through
+    :func:`rw_delivery_batch`, which shares the post-processing below.
     """
     walkers = draws.shape[0]
     nbr = csr.nbr
@@ -321,8 +409,146 @@ def rw_delivery(
     jarr = csr.indptr[prev] + (u * csr.deg[prev]).astype(np.int64)
     elapsed = segmented_cumsum(csr.lats[jarr], lens)
     buckets = bucket_bytes(now, elapsed, size_bytes)
-    visited = distinct_nodes(csr, nodes)
+    visited = receivers(np.bincount(nodes, minlength=csr.n), source)
     return visited, total, buckets
+
+
+#: Working-set budget of one lockstep chunk, in bytes: 8 per draw plus one
+#: visited flag per (ad, node).  Everything else the batch kernel touches
+#: is sized by ``LOCKSTEP_BLOCK``.  A constant, not a knob: larger chunks
+#: buy lanes (a step costs about the same however few lanes it advances)
+#: only with resident memory, and peak RSS is gated (docs/PERFORMANCE.md,
+#: "A bounded working set").
+LOCKSTEP_CHUNK_BYTES = 4 << 20
+#: Lane-steps advanced between two post-processing passes (a block is
+#: ``max(1, LOCKSTEP_BLOCK // lanes)`` steps of every lane still walking).
+LOCKSTEP_BLOCK = 1 << 15
+
+
+def lockstep_fits(n_ads: int, total_draws: int, n: int) -> bool:
+    """Whether ``n_ads`` ads drawing ``total_draws`` uniforms fit a chunk."""
+    return 8 * total_draws + n_ads * (n + 1) <= LOCKSTEP_CHUNK_BYTES
+
+
+def rw_delivery_batch(
+    csr: WalkCsr,
+    sources: Sequence[int],
+    per_walker: Sequence[int],
+    walkers: int,
+    draws: np.ndarray,
+    nows: Sequence[float],
+    sizes: Sequence[float],
+) -> List[Tuple[np.ndarray, int, Dict[int, float]]]:
+    """Many ASAP(RW) deliveries on one ``csr``, stepped in lockstep.
+
+    Ad ``a`` starts ``walkers`` walkers at ``sources[a]`` at time
+    ``nows[a]``, each taking ``per_walker[a]`` steps; ``draws`` is the
+    flat concatenation of the ads' ``(walkers, per_walker[a])`` uniform
+    blocks in ad order -- the stream a sequence of :func:`rw_delivery`
+    calls would have drawn.  Returns one :func:`rw_delivery` result per
+    ad, equal to it bit for bit.
+
+    Every (ad, walker) pair is a lane.  Lanes are ordered longest first,
+    so the lanes still walking at a step are a prefix, and one step of
+    all of them is eight array operations into reused buffers: gather
+    degree and edge-range start at the lanes' nodes, ``int(u * deg)``,
+    gather the chosen edge's head and latency, add the latency to the
+    lanes' elapsed time (sequential adds: the floats of
+    :func:`segmented_cumsum`).  Steps run in blocks of about
+    ``LOCKSTEP_BLOCK`` lane-steps; after each block the visited nodes are
+    scattered into one flag per (ad, node) and the arrival seconds counted
+    per (ad, second) by one ``bincount`` -- flags and counts add up across
+    blocks, so only ``(node, elapsed)`` per lane is carried and nothing
+    per lane-step outlives its block.  A stranded lane parks on the
+    absorbing node of :attr:`WalkCsr.lockstep`; its steps from then on
+    are counted into a bin that is thrown away.
+    """
+    n_ads = len(sources)
+    if not n_ads:
+        return []
+    start, degf, nbr, lat = csr.lockstep
+    n = csr.n
+    sources = np.asarray(sources, dtype=np.int64)
+    per_walker = np.asarray(per_walker, dtype=np.int64)
+    nows = np.asarray(nows, dtype=np.float64)
+
+    order = np.argsort(-per_walker, kind="stable")
+    lens = np.repeat(per_walker[order], walkers)
+    first = np.cumsum(walkers * per_walker) - walkers * per_walker
+    # Lane (a, w) reads draws[first[a] + w * per_walker[a] + step].
+    pos = np.repeat(first[order], walkers) + lens * np.tile(
+        np.arange(walkers), n_ads
+    )
+    lane_ad = np.repeat(order, walkers)
+    lane_now = np.repeat(nows[order], walkers)
+    lane_seen = lane_ad * (n + 1)
+    node = np.repeat(sources[order], walkers)
+    elapsed = np.zeros(len(node))
+
+    seen = np.zeros((n_ads, n + 1), dtype=bool)
+    seen_flat = seen.reshape(-1)
+    base = int(nows.min())
+    counts = np.zeros((n_ads, 64), dtype=np.int64)
+    lane_count = lane_ad * counts.shape[1] - base
+
+    cells = max(LOCKSTEP_BLOCK, len(node))
+    u_buf, e_buf = np.empty(cells), np.empty(cells)
+    v_buf, key_buf = np.empty(cells, np.int64), np.empty(cells, np.int64)
+    deg_k, lat_k = np.empty(len(node)), np.empty(len(node))
+    edge_k, start_k = np.empty(len(node), np.int64), np.empty(len(node), np.int64)
+    ramp = _arange(max(1, LOCKSTEP_BLOCK // walkers))[:, None]
+
+    step = 0
+    for stop in np.unique(lens).tolist():
+        k = int(np.count_nonzero(lens >= stop))
+        d, l, j, s = deg_k[:k], lat_k[:k], edge_k[:k], start_k[:k]
+        while step < stop:
+            b = min(max(1, LOCKSTEP_BLOCK // k), stop - step)
+            u = u_buf[: b * k].reshape(b, k)
+            e = e_buf[: b * k].reshape(b, k)
+            v = v_buf[: b * k].reshape(b, k)
+            key = key_buf[: b * k].reshape(b, k)
+            np.add(pos[:k], ramp[:b], out=key)
+            draws.take(key, out=u, mode="clip")
+            pos[:k] += b
+            cur, at = node[:k], elapsed[:k]
+            for i in range(b):
+                degf.take(cur, out=d, mode="clip")
+                np.multiply(u[i], d, d)
+                j[...] = d  # int(u * deg): the cast truncates
+                start.take(cur, out=s, mode="clip")
+                np.add(j, s, j)
+                cur = nbr.take(j, out=v[i], mode="clip")
+                lat.take(j, out=l, mode="clip")
+                at = np.add(at, l, e[i])
+            node[:k] = cur
+            elapsed[:k] = at
+            step += b
+
+            np.add(v, lane_seen[:k], out=key)
+            seen_flat[key] = True
+            secs = arrival_seconds(lane_now[:k], e, out=u)
+            span = int(secs.max()) - base + 1
+            if span > counts.shape[1]:
+                grown = np.zeros((n_ads, 2 * span), dtype=np.int64)
+                grown[:, : counts.shape[1]] = counts
+                counts = grown
+                lane_count = lane_ad * counts.shape[1] - base
+            np.add(secs, lane_count[:k], out=key)
+            if cur.max() == n:  # some lane is parked: void its steps
+                key[v == n] = counts.size
+            counts += np.bincount(key.reshape(-1), minlength=counts.size + 1)[
+                :-1
+            ].reshape(counts.shape)
+
+    return [
+        (
+            receivers(seen[a, :n], int(sources[a])),
+            int(counts[a].sum()),
+            bucket_dict(base, counts[a], sizes[a]),
+        )
+        for a in range(n_ads)
+    ]
 
 
 # ----------------------------------------------------------------- search

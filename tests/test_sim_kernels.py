@@ -138,15 +138,15 @@ class TestBucketBytes:
         assert buckets == {0: 1.0, 1: 0.5}
 
 
-class TestDistinctNodes:
-    def test_sorted_unique(self):
-        csr = path_csr()
-        out = kernels.distinct_nodes(csr, np.array([3, 1, 3, 0, 1]))
-        assert list(out) == [0, 1, 3]
+class TestReceivers:
+    def test_sorted_unique_source_dropped(self):
+        seen = np.bincount(np.array([3, 1, 3, 0, 1]), minlength=5)
+        assert list(kernels.receivers(seen, 1)) == [0, 3]
+        flags = np.array([True, False, True, True])
+        assert list(kernels.receivers(flags, 1)) == [0, 2, 3]
 
     def test_empty(self):
-        csr = path_csr()
-        assert len(kernels.distinct_nodes(csr, np.empty(0, dtype=np.int64))) == 0
+        assert len(kernels.receivers(np.zeros(4, dtype=np.int64), 0)) == 0
 
 
 class TestRwDelivery:

@@ -7,7 +7,9 @@ tests only.  The first three guards fail at the last commit that still had
 ``kernels.reference_mode()``; the ads-cache one at the last commit that
 kept arena rows, slot dicts, behind sets and a cacher index in step by
 hand; the stub-graph and weighted-sampler ones at the last commit with a
-scipy hop-matrix helper in ``transit_stub`` and per-call Zipf tables.
+scipy hop-matrix helper in ``transit_stub`` and per-call Zipf tables; the
+walk post-processing one at the last commit where ``deliver`` dropped the
+source itself and ``bucket_bytes`` was the only way to a bucket dict.
 """
 
 import ast
@@ -181,3 +183,49 @@ def test_src_has_one_weighted_sampler():
     assert len(zipf_tables) == 2 and {t.split(":")[0] for t in zipf_tables} == {
         "edonkey.py", "generator.py",
     }
+
+
+def test_src_has_one_walk_post_processing():
+    """The single-delivery kernel and the lockstep batch turn a walk into
+    ``(receivers, buckets)`` through the same three functions; neither
+    carries its own seconds truncation, count-to-bytes rule or source
+    drop, and the forwarder does none of it."""
+    tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(name):
+        return {
+            getattr(call.func, "attr", getattr(call.func, "id", None))
+            for call in ast.walk(functions[name])
+            if isinstance(call, ast.Call)
+        }
+
+    def ms_to_s(name):
+        return [
+            node for node in ast.walk(functions[name])
+            if isinstance(node, ast.Constant) and node.value == 1000.0
+        ]
+
+    assert {"receivers", "bucket_bytes"} <= called("rw_delivery")
+    assert {"receivers", "bucket_dict", "arrival_seconds"} <= called(
+        "rw_delivery_batch"
+    )
+    assert {"arrival_seconds", "bucket_dict"} <= called("bucket_bytes")
+    own_rules = {"nonzero", "flatnonzero", "delete", "searchsorted", "at", "zip"}
+    for kernel in ("rw_delivery", "rw_delivery_batch", "bucket_bytes"):
+        assert not called(kernel) & own_rules, kernel
+        assert not ms_to_s(kernel), kernel
+    assert [name for name in functions if ms_to_s(name)] == ["arrival_seconds"]
+
+    forwarder = ast.parse((SRC / "asap" / "delivery.py").read_text())
+    rw = next(
+        node for node in forwarder.body
+        if isinstance(node, ast.ClassDef) and node.name == "RandomWalkAdForwarder"
+    )
+    calls = {
+        getattr(call.func, "attr", None)
+        for call in ast.walk(rw) if isinstance(call, ast.Call)
+    }
+    assert not calls & (own_rules | {"bincount"})

@@ -13,6 +13,10 @@ Covered here, over multiple seeds:
 * random-walk search: ``_search_impl`` (kernel + post-hoc truncation) vs
   ``_search_loop`` (the heap loop the product keeps for overlays with
   non-positive edge latency);
+* the warm-up batch: a window of planned full ads stepped in lockstep
+  behind ``RandomWalkAdForwarder.deliver`` vs the per-step loop run ad by
+  ad -- reports, ledger and the RNG state after the window -- and the three
+  ways a stepped walk goes stale;
 * a churn case: deliveries/searches interleaved with join/leave events,
   exercising the per-epoch WalkCsr cache invalidation;
 * the zero-latency fallback: with non-positive edge latencies
@@ -23,13 +27,21 @@ Covered here, over multiple seeds:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.delivery import GsaAdForwarder, RandomWalkAdForwarder, make_forwarder
 from repro.network.overlay import Overlay
-from repro.network.topology import OverlayTopology, random_topology
+from repro.network.topology import (
+    OverlayTopology,
+    crawled_topology,
+    powerlaw_topology,
+    random_topology,
+)
 from repro.search.base import MessageSizes
 from repro.search.random_walk import RandomWalkSearch
+from repro.sim import kernels
+from repro.sim.engine import SimulationError
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
 
@@ -149,6 +161,327 @@ class TestDeliveryDifferential:
         assert k_state == r_state
 
 
+# ------------------------------------------------------- lockstep warm-up batch
+TOPOLOGIES = {
+    "random": lambda n, rng: random_topology(n=n, avg_degree=4.0, rng=rng),
+    "powerlaw": lambda n, rng: powerlaw_topology(n=n, rng=rng),
+    "crawled": lambda n, rng: crawled_topology(n=n, rng=rng),
+}
+
+
+def varied_overlay(kind, n, seed, isolate=None):
+    """An overlay with one random latency per edge (so elapsed-time sums
+    are sensitive to addition order); ``isolate`` loses every neighbour."""
+    rng = np.random.default_rng(2000 + seed)
+    topo = TOPOLOGIES[kind](n, rng)
+    ov = Overlay(topo, edge_latencies_ms=rng.uniform(2.0, 180.0, len(topo.edges)))
+    if isolate is not None:
+        for v in ov.neighbors(isolate).tolist():
+            ov.leave(v)
+    return ov
+
+
+def warmup_window(n, n_ads, seed, isolate=None):
+    """``n_ads`` full ads with 1-4 topics at jittered times, as
+    ``[(time, seq, Ad)]`` in scheduling (not dispatch) order."""
+    rng = np.random.default_rng(3000 + seed)
+    sources = rng.choice(n, size=n_ads, replace=False).tolist()
+    if isolate is not None:
+        sources[n_ads // 2] = isolate
+    return [
+        (
+            float(rng.random() * 40.0),
+            seq,
+            Ad(
+                source=source,
+                ad_type=AdType.FULL,
+                topics=frozenset(range(int(rng.integers(1, 5)))),
+                version=1,
+                n_set_bits=int(rng.integers(5, 400)),
+            ),
+        )
+        for seq, source in enumerate(sources)
+    ]
+
+
+def run_window(ov, window, seed, planned, sizes=None, budget_unit=40):
+    """Deliver the window in dispatch order: planned (one lockstep batch
+    behind ``deliver``) or ad by ad through the per-step loop oracle."""
+    fw = RandomWalkAdForwarder(
+        ov, BandwidthLedger(), sizes or MessageSizes(),
+        np.random.default_rng(seed), budget_unit=budget_unit,
+    )
+    by_source = {ad.source: ad for _, _, ad in window}
+    if planned:
+        fw.plan_full_ads(
+            [(t, seq, ad.source) for t, seq, ad in window], by_source.get
+        )
+    reports = [
+        (fw.deliver if planned else lambda *a: deliver_reference(fw, *a))(ad, t)
+        for t, _, ad in sorted(window, key=lambda e: e[:2])
+    ]
+    return reports, ledger_state(fw.ledger), fw.rng.bit_generator.state
+
+
+def assert_same_window(batch, oracle):
+    (b_reports, b_ledger, b_rng), (o_reports, o_ledger, o_rng) = batch, oracle
+    for b, o in zip(b_reports, o_reports):
+        assert b.visited == o.visited
+        # Iteration order of ``visited`` decides repair order downstream.
+        assert list(b.visited) == list(o.visited)
+        assert (b.messages, b.bytes) == (o.messages, o.bytes)
+        if b.visited_arr is not None:
+            assert b.visited_arr.tolist() == sorted(o.visited)
+    assert b_ledger == o_ledger
+    assert b_rng == o_rng
+
+
+class TestLockstepBatchDifferential:
+    """Warm-up full ads stepped together == the per-step loop, ad by ad."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_batch_matches_loop_oracle(self, kind, seed):
+        window = warmup_window(300, 60, seed)
+        assert len({len(ad.topics) for _, _, ad in window}) > 1  # mixed |T|
+        batch = run_window(varied_overlay(kind, 300, seed), window, seed, True)
+        oracle = run_window(varied_overlay(kind, 300, seed), window, seed, False)
+        assert sum(r.messages for r in batch[0]) > 0
+        assert_same_window(batch, oracle)
+
+    @pytest.mark.parametrize("chunk_bytes,block", [(1, 1), (6000, 7), (40000, 64)])
+    def test_every_chunk_and_block_boundary(self, monkeypatch, chunk_bytes, block):
+        """Caps forced tiny: one ad per chunk / one step per block, then
+        a few; every carry of (node, elapsed) and every flag/count
+        accumulation across blocks is exercised."""
+        monkeypatch.setattr(kernels, "LOCKSTEP_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(kernels, "LOCKSTEP_BLOCK", block)
+        window = warmup_window(120, 25, 5)
+        batch = run_window(varied_overlay("crawled", 120, 5), window, 5, True)
+        oracle = run_window(varied_overlay("crawled", 120, 5), window, 5, False)
+        assert_same_window(batch, oracle)
+
+    def test_isolated_source_strands(self):
+        """A live source with no live neighbour sends nothing -- but its
+        draws are still consumed, as its own delivery would."""
+        window = warmup_window(150, 20, 7, isolate=11)
+        batch = run_window(
+            varied_overlay("random", 150, 7, isolate=11), window, 7, True
+        )
+        oracle = run_window(
+            varied_overlay("random", 150, 7, isolate=11), window, 7, False
+        )
+        stranded = [
+            r for r, (_, _, ad) in zip(batch[0], sorted(window, key=lambda e: e[:2]))
+            if ad.source == 11
+        ]
+        assert [(r.messages, r.visited) for r in stranded] == [(0, frozenset())]
+        assert_same_window(batch, oracle)
+
+    def test_lanes_stranding_mid_walk(self):
+        """Kernel level: on a directed CSR a walker can step onto a node
+        with no way out; it must stop charging there."""
+        # 0 -> 1 -> 2 (sink), 3 -> 0; node 4 isolated.
+        indptr = np.array([0, 1, 2, 2, 3, 3])
+        indices = np.array([1, 2, 0])
+        lats = np.array([400.0, 700.0, 300.0])
+        csr = kernels.WalkCsr(indptr, indices, lats)
+        draws = np.random.default_rng(0).random(2 * (5 + 3 + 4))
+        got = kernels.rw_delivery_batch(
+            csr, [3, 0, 4], [5, 3, 4], 2, draws, [0.0, 0.5, 0.9], [10, 10, 10]
+        )
+        offset = 0
+        for (visited, n_messages, buckets), source, steps, now in zip(
+            got, [3, 0, 4], [5, 3, 4], [0.0, 0.5, 0.9]
+        ):
+            block = draws[offset : offset + 2 * steps].reshape(2, steps)
+            offset += 2 * steps
+            want = kernels.rw_delivery(csr, source, block, now, 10)
+            assert visited.tolist() == want[0].tolist()
+            assert (n_messages, buckets) == want[1:]
+        assert [g[1] for g in got] == [6, 4, 0]
+
+    def test_non_integral_ad_size(self):
+        sizes = MessageSizes(ad_header=24.3)
+        window = warmup_window(150, 20, 8)
+        batch = run_window(varied_overlay("powerlaw", 150, 8), window, 8, True, sizes)
+        oracle = run_window(varied_overlay("powerlaw", 150, 8), window, 8, False, sizes)
+        assert any(
+            nbytes != round(nbytes)
+            for cats in batch[1][0].values() for nbytes in cats.values()
+        )
+        assert_same_window(batch, oracle)
+
+    def test_single_ad_window(self):
+        window = warmup_window(100, 1, 9)
+        batch = run_window(varied_overlay("random", 100, 9), window, 9, True)
+        oracle = run_window(varied_overlay("random", 100, 9), window, 9, False)
+        assert_same_window(batch, oracle)
+
+    def test_unplanned_deliveries_stay_per_event(self):
+        """Refresh-budget and off-schedule deliveries never enter a batch,
+        before, between or after chunks."""
+        window = warmup_window(120, 12, 10)
+        extra = make_ad(source=window[0][2].source)
+
+        def run(planned):
+            ov = varied_overlay("random", 120, 10)
+            fw = RandomWalkAdForwarder(
+                ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(3),
+                budget_unit=40,
+            )
+            if planned:
+                fw.plan_full_ads(
+                    [(t, seq, ad.source) for t, seq, ad in window],
+                    {ad.source: ad for _, _, ad in window}.get,
+                )
+            step = fw.deliver if planned else lambda *a, **k: deliver_reference(fw, *a, **k)
+            reports = [step(extra, -1.0, budget=30)]
+            reports += [step(ad, t) for t, _, ad in sorted(window, key=lambda e: e[:2])]
+            reports.append(step(extra, 99.0))
+            return reports, ledger_state(fw.ledger), fw.rng.bit_generator.state
+
+        assert_same_window(run(True), run(False))
+
+
+class TestLockstepBatchProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(8, 90),
+        chunk_bytes=st.integers(1, 60_000),
+        block=st.integers(1, 400),
+        budget_unit=st.integers(1, 60),
+    )
+    def test_batch_matches_loop_oracle(self, seed, n, chunk_bytes, block, budget_unit):
+        window = warmup_window(n, max(1, n // 3), seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "LOCKSTEP_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(kernels, "LOCKSTEP_BLOCK", block)
+            batch = run_window(
+                varied_overlay("random", n, seed), window, seed, True,
+                budget_unit=budget_unit,
+            )
+        oracle = run_window(
+            varied_overlay("random", n, seed), window, seed, False,
+            budget_unit=budget_unit,
+        )
+        assert_same_window(batch, oracle)
+
+
+class TestPlannedWalkStaleness:
+    """A stepped walk is applied only to the delivery it was stepped for."""
+
+    def forwarder(self):
+        window = warmup_window(120, 8, 4)
+        ov = varied_overlay("random", 120, 4)
+        fw = RandomWalkAdForwarder(
+            ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(4),
+            budget_unit=40,
+        )
+        fw.plan_full_ads(
+            [(t, seq, ad.source) for t, seq, ad in window],
+            {ad.source: ad for _, _, ad in window}.get,
+        )
+        ordered = [(t, ad) for t, _, ad in sorted(window, key=lambda e: e[:2])]
+        fw.deliver(ordered[0][1], ordered[0][0])  # steps the whole window
+        return fw, ov, ordered
+
+    def test_overlay_churn_mid_window(self):
+        fw, ov, ordered = self.forwarder()
+        sources = {ad.source for _, ad in ordered}
+        ov.leave(next(v for v in range(ov.n) if v not in sources))
+        with pytest.raises(SimulationError, match="overlay changed"):
+            fw.deliver(ordered[1][1], ordered[1][0])
+
+    def test_content_change_mid_window(self):
+        fw, _, ordered = self.forwarder()
+        t, ad = ordered[1]
+        grown = Ad(
+            source=ad.source, ad_type=AdType.FULL, version=2,
+            topics=frozenset(range(len(ad.topics) + 1)), n_set_bits=ad.n_set_bits,
+        )
+        with pytest.raises(SimulationError, match="topics, size or budget"):
+            fw.deliver(grown, t)
+        fw, _, ordered = self.forwarder()
+        t, ad = ordered[1]
+        heavier = Ad(
+            source=ad.source, ad_type=AdType.FULL, version=2,
+            topics=ad.topics, n_set_bits=ad.n_set_bits + 1,
+        )
+        with pytest.raises(SimulationError, match="topics, size or budget"):
+            fw.deliver(heavier, t)
+
+    def test_algorithm_stream_drawn_mid_window(self):
+        fw, _, ordered = self.forwarder()
+        fw.rng.random()
+        with pytest.raises(SimulationError, match="RNG stream"):
+            fw.deliver(ordered[1][1], ordered[1][0])
+
+    def test_other_delivery_mid_window(self):
+        fw, _, ordered = self.forwarder()
+        with pytest.raises(SimulationError, match="expected the full ad"):
+            fw.deliver(ordered[2][1], ordered[2][0])
+
+    def test_undisturbed_window_completes(self):
+        fw, _, ordered = self.forwarder()
+        for t, ad in ordered[1:]:
+            assert fw.deliver(ad, t).messages > 0
+
+
+class TestWarmupSchedule:
+    """Flat and super-peer ASAP share one warm-up schedule, so both cells'
+    full ads reach the forwarder as a plan and are walked in the batch."""
+
+    @pytest.mark.parametrize("algorithm", ["asap_rw", "asap_sp_rw"])
+    def test_warmup_full_ads_are_walked_in_the_batch(self, monkeypatch, algorithm):
+        from repro.simulation.runner import run_experiment
+        from tests.test_engine_batching_differential import small_config
+
+        stepped, single = [], []
+        batch, one = kernels.rw_delivery_batch, kernels.rw_delivery
+
+        def spy_batch(csr, sources, *args):
+            stepped.extend(sources)
+            return batch(csr, sources, *args)
+
+        def spy_one(csr, source, draws, now, size):
+            single.append(now)
+            return one(csr, source, draws, now, size)
+
+        monkeypatch.setattr(kernels, "rw_delivery_batch", spy_batch)
+        monkeypatch.setattr(kernels, "rw_delivery", spy_one)
+        config = small_config(algorithm, 0)
+        result = run_experiment(config, profile=True)
+        # Full-ad events fire only in warm-up (joins issue theirs inline).
+        full_ads = result.profile.subsystems["full-ad"].events
+        assert len(stepped) == len(set(stepped)) == full_ads > 100
+        assert single and min(single) >= config.warmup_s
+
+    def test_churn_inside_the_window_is_refused(self):
+        """A hand-driven warm-up that takes a node down mid-window must not
+        get walks stepped on the overlay as it was."""
+        from repro.asap.protocol import AsapParams, AsapSearch
+        from repro.sim.engine import SimulationEngine
+
+        ov = make_overlay(0, n=60)
+        content = ContentIndex()
+        for doc_id in range(30):
+            content.register_document(
+                Document(doc_id=doc_id, class_id=0, keywords=(f"kw{doc_id}",))
+            )
+            content.place(doc_id, doc_id)
+        algo = AsapSearch(
+            ov, content, BandwidthLedger(), rng=np.random.default_rng(0),
+            interests=[{0}] * 60, params=AsapParams(forwarder="rw", budget_unit=20),
+        )
+        engine = SimulationEngine()
+        algo.warmup(engine, start=0.0, duration=100.0)
+        engine.schedule_at(20.0, lambda: ov.leave(59), name="trace")
+        with pytest.raises(SimulationError, match="overlay changed"):
+            engine.run(until=100.0)
+
+
 # -------------------------------------------------------------------- search
 def build_search(ov, holders, seed, **kwargs):
     content = ContentIndex()
@@ -194,8 +527,6 @@ class TestRandomWalkSearchDifferential:
     def test_zero_latency_falls_back_to_search_loop(self, monkeypatch):
         """``csr.lats_positive`` -- observed, not configured -- selects
         ``_search_loop``; the kernel is never entered."""
-        from repro.sim import kernels
-
         ov = make_overlay(1, default_edge_latency_ms=0.0)
         algo = build_search(ov, (7,), 1, ttl=64)
         assert not ov.walk_csr().lats_positive

@@ -11,15 +11,24 @@ vectorised kernels that make paper-scale replay tractable:
   one delivery on the list recurrence, the same delivery in lockstep, and
   a full lockstep chunk (``lane_step_ns`` is the number docs/PERFORMANCE.md
   cites);
+* the ads-cache merge (``AdsState.accept``) in absolute microseconds per
+  call (``us_per_call``): a full ad stored into one column at 1k / 3k / 10k
+  peers, a full ad that evicts at every receiver at capacity 60 and at
+  capacity 2,000, and one REFRESH;
 * stub-domain materialisation (all 1,296 domains of the paper's network);
 * content synthesis throughput (1k peers; 2k peers = one ``baselines_2k`` cell);
 * engine event dispatch, unobserved vs observed (repro.obs overhead).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import write_bench_stats
+from repro.asap.ads import Ad, AdType
+from repro.asap.state import AdsState
+from repro.asap.store import SourceFilterStore
 from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
 from repro.bloom.matrix import FilterMatrix
@@ -31,7 +40,9 @@ from repro.obs.profile import Profiler
 from repro.search.flooding import flood_reach
 from repro.sim import kernels
 from repro.sim.engine import SimulationEngine
+from repro.workload.content import ContentIndex
 from repro.workload.edonkey import EdonkeyParams, synthesize_content
+from repro.workload.interests import InterestState
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +170,97 @@ def bench_walk_lockstep_chunk_3k(benchmark, walk_3k):
         benchmark,
         5 * len(sources),
         sum(messages for _, messages, _ in results),
+    )
+
+
+_TOPICS = frozenset({0})
+
+
+def _merge_fixture(n_peers, n_receivers, capacity=None):
+    """A dense ads state whose every peer wants ``_TOPICS``, the receivers
+    of one ad (ascending, the share of peers a full ad reaches and
+    interests), and a clock that only moves forward."""
+    store = SourceFilterStore(n_peers, ContentIndex())
+    bits = InterestState([set(_TOPICS)] * n_peers).bitmasks
+    state = AdsState(n_peers, bits, store, capacity)
+    receivers = np.sort(
+        np.random.default_rng(5).choice(n_peers, n_receivers, replace=False)
+    )
+    return state, receivers, itertools.count(1.0)
+
+
+def _write_call_stats(name, benchmark, **data):
+    stats = getattr(benchmark, "stats", None)
+    if stats is not None:
+        data["us_per_call"] = 1e6 * stats.stats.median
+    write_bench_stats(name, benchmark, **data)
+
+
+@pytest.mark.parametrize("n_peers", [1_000, 3_000, 10_000])
+def bench_merge_full_ad_column(benchmark, n_peers):
+    """One full ad into the caches of 40 % of the peers, none of which
+    holds the source: a column of the row-major state (pages committed)."""
+    state, receivers, clock = _merge_fixture(n_peers, int(0.4 * n_peers))
+    state.accept(Ad(0, AdType.FULL, _TOPICS, 0), next(clock), receivers)
+    spare = iter(np.setdiff1d(np.arange(1, n_peers), receivers).tolist())
+
+    def next_ad():
+        return (Ad(next(spare), AdType.FULL, _TOPICS, 0), next(clock), receivers), {}
+
+    stored, evicted = benchmark.pedantic(
+        state.accept, setup=next_ad, rounds=200, iterations=1
+    )
+    assert stored.all() and not evicted
+    _write_call_stats(
+        f"micro_merge_full_ad_column_{n_peers // 1000}k", benchmark,
+        n_peers=n_peers, receivers=len(receivers),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_peers,capacity,n_receivers", [(600, 60, 160), (3_000, 2_000, 800)]
+)
+def bench_merge_full_ad_evicts(benchmark, n_peers, capacity, n_receivers):
+    """One full ad to receivers that are all at capacity: every one of
+    them evicts its least recently refreshed entry."""
+    state, receivers, clock = _merge_fixture(n_peers, n_receivers, capacity)
+    held = np.setdiff1d(np.arange(n_peers), receivers)[:capacity]
+    code = np.full(capacity, state.intern_topics(_TOPICS))
+    for peer in receivers.tolist():
+        state.accept_snapshot(
+            peer, held, np.zeros(capacity, dtype=np.int64), code, next(clock)
+        )
+    spare = iter(np.setdiff1d(np.arange(n_peers), held).tolist())
+
+    def next_ad():
+        return (Ad(next(spare), AdType.FULL, _TOPICS, 0), next(clock), receivers), {}
+
+    stored, evicted = benchmark.pedantic(
+        state.accept, setup=next_ad, rounds=100, iterations=1
+    )
+    assert len(evicted) >= n_receivers - 1
+    assert (state.occupancy[receivers] == capacity).all()
+    _write_call_stats(
+        f"micro_merge_full_ad_evicts_cap{capacity}", benchmark,
+        n_peers=n_peers, capacity=capacity, receivers=n_receivers,
+    )
+
+
+def bench_merge_refresh_600(benchmark):
+    """One REFRESH of an up-to-date source at 130 cachers: the commonest
+    merge of a steady-state cell, and a renewal of recency alone."""
+    state, receivers, clock = _merge_fixture(600, 130)
+    state.accept(Ad(7, AdType.FULL, _TOPICS, 0), next(clock), receivers)
+    refresh = Ad(7, AdType.REFRESH, _TOPICS, 0)
+    stored, _ = benchmark.pedantic(
+        state.accept,
+        setup=lambda: ((refresh, next(clock), receivers), {}),
+        rounds=2000,
+        iterations=1,
+    )
+    assert stored.sum() == len(receivers) - (7 in receivers)
+    _write_call_stats(
+        "micro_merge_refresh_600", benchmark, n_peers=600, receivers=len(receivers)
     )
 
 

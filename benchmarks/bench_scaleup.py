@@ -1,14 +1,16 @@
 """Scale-up bench: wall-clock and peak RSS at the paper's 10,000 peers.
 
 ASAP's ads caches are one dense peer x source state
-(``repro.asap.state``, 21 bytes per pair, Theta(n^2) whatever the cache
-capacity), so the largest supported cell is the one whose state fits the
-8 GB bar below (~20k peers; larger ASAP cells are refused up front with
-a ``ValueError`` naming the bytes).  Each (algorithm, n_peers) cell runs
-in a **fresh subprocess** so ``resource.getrusage`` peak RSS is that
-cell's own high-water mark, not the session's, and measures
+(``repro.asap.state``, 16 bytes per pair, Theta(n^2) whatever the cache
+capacity: 1.6 GB at 10,000 peers), so the largest supported cell is the
+one whose state fits the 8 GB bar below (~23k peers; larger ASAP cells are
+refused up front with a ``ValueError`` naming the bytes).  Each
+(algorithm, n_peers) cell runs in a **fresh subprocess** so
+``resource.getrusage`` peak RSS is that cell's own high-water mark, not
+the session's, and measures
 
-* end-to-end wall-clock and the replay phase alone,
+* end-to-end wall-clock, and the set-up and replay phases alone (the
+  state's pages are committed when it is built, so judge a cell by wall),
 * peak RSS (MB),
 * ads-state size (cached pairs, dense state bytes) for ASAP cells.
 
@@ -135,6 +137,7 @@ def _cell_main(algorithm: str, n_peers: int, n_queries: int, seed: int) -> None:
         "n_queries": n_queries,
         "seed": seed,
         "wall_s": wall_s,
+        "setup_s": phase_times.get("setup_s"),
         "replay_s": phase_times.get("replay_s"),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
@@ -168,7 +171,7 @@ def bench_scaleup(benchmark):
         f"(fresh subprocess per cell; budget unit pinned at M0=3000; "
         f"peak-RSS bar {MAX_RSS_GB:.1f} GB)",
         "",
-        f"{'cell':<22} {'queries':>8} {'wall s':>9} "
+        f"{'cell':<22} {'queries':>8} {'wall s':>9} {'setup s':>9} "
         f"{'replay s':>9} {'peak RSS MB':>12} {'cached pairs':>13} "
         f"{'state MB':>9}",
     ]
@@ -177,6 +180,7 @@ def bench_scaleup(benchmark):
         lines.append(
             f"{cell['algorithm'] + '/' + str(cell['n_peers']):<22} "
             f"{cell['n_queries']:>8d} {cell['wall_s']:>9.1f} "
+            f"{(cell['setup_s'] or 0.0):>9.1f} "
             f"{(cell['replay_s'] or 0.0):>9.1f} {cell['peak_rss_mb']:>12.1f} "
             f"{arena.get('rows_live', 0):>13d} "
             f"{arena.get('pool_bytes', 0) / 1e6:>9.1f}"

@@ -70,7 +70,7 @@ def diagnose(algo: AsapSearch) -> CacheDiagnostics:
     n = algo.overlay.n
     state = algo.state
     live = algo.overlay.live_mask
-    held = state.version >= 0
+    held = state.held_mask()
     sizes = state.occupancy
 
     # Audience coverage: for each sharer, what fraction of the live nodes
@@ -94,7 +94,7 @@ def diagnose(algo: AsapSearch) -> CacheDiagnostics:
         mean_entries=float(sizes.mean()) if n else 0.0,
         median_entries=float(np.median(sizes)) if n else 0.0,
         max_entries=int(sizes.max()) if n else 0,
-        behind_entries=int(np.count_nonzero(state.behind)),
+        behind_entries=int(np.count_nonzero(state.behind_mask())),
         stale_source_entries=int(np.count_nonzero(held[:, ~live])),
         mean_source_coverage=float(np.mean(coverages)) if coverages else 0.0,
     )

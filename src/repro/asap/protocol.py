@@ -195,7 +195,9 @@ class AsapSearch(SearchAlgorithm):
         state = self.state
         state.accept(ad, now, receivers_arr)
         if self.overlay.is_live(src):
-            lagging = set(receivers_arr[state.behind[receivers_arr, src]].tolist())
+            lagging = set(
+                receivers_arr[state.behind_mask(receivers_arr, src)].tolist()
+            )
             if lagging:
                 # Repairs read the store but nothing here writes it, so one
                 # plan serves every pull this delivery triggers.
@@ -234,8 +236,8 @@ class AsapSearch(SearchAlgorithm):
         ``plan`` is the source's :meth:`_repair_plan`.
         """
         repo = self.repos[node]
-        entry = repo.entry(source)
-        if entry is None:
+        cached_version = repo.version(source)
+        if cached_version < 0:
             return
         request_bytes = float(self.sizes.ads_request)
         self.ledger.record(
@@ -257,7 +259,7 @@ class AsapSearch(SearchAlgorithm):
         missed_bits = sum(
             n_bits
             for version, n_bits in plan["history"]
-            if version > entry.version
+            if version > cached_version
         )
         patch_reply = self.sizes.ad_header + 2 * missed_bits
         full_reply = plan["full_reply"]
@@ -466,16 +468,20 @@ class AsapSearch(SearchAlgorithm):
 
         Per neighbour the exchange is a masked row difference -- what the
         neighbour offers, minus what the requester holds or just disproved
-        -- merged by :meth:`AdsState.accept_snapshot`, whose interest
-        filter decides what the reply actually carries.
+        -- handed to :meth:`AdsState.adopt`, whose interest filter decides
+        what the reply actually carries.  The source map is built only
+        where it is read: by the query fallback, and for the trace's count.
         """
         state = self.state
         store = self.store
         ad_header = self.sizes.ad_header
+        whole_header = float(ad_header) == float(int(ad_header))
         ledger = self.ledger
         telemetry = self.telemetry if self.telemetry.enabled else None
         neighbors = self._neighbors_within_h(node)
-        new_sources: Dict[int, float] = {}
+        new_sources: Optional[Dict[int, float]] = (
+            {} if positions is not None or self.tracer.enabled else None
+        )
         n_messages = 0
         total_bytes = 0.0
         request_total = 0.0
@@ -486,40 +492,43 @@ class AsapSearch(SearchAlgorithm):
             store.match_current(positions) if positions is not None else None
         )
         for nbr, one_way in neighbors:
-            n_messages += 1
+            n_messages += 2
             total_bytes += request_size
             request_total += request_size
             ledger.record(
                 now, TrafficCategory.ADS_REQUEST, request_size, messages=1
             )
             if positions is None:
-                offered = state.version[nbr] >= 0
+                offered = state.entry[nbr] >= 0
             else:
                 offered = state.lookup(nbr, positions, current_match)
-            offered &= state.version[node] < 0
+            offered &= state.entry[node] < 0
             offered[node] = False
             if exclude:
                 offered[list(exclude)] = False
             novel = np.flatnonzero(offered)
-            stored, _ = state.accept_snapshot(
-                node,
-                novel,
-                state.version[nbr, novel],
-                state.topics_code[nbr, novel],
-                now,
-            )
+            stored, _ = state.adopt(node, nbr, novel, now)
             novel = novel[stored]
             # The reply carries each source's *current* filter, after the
-            # reply envelope; bytes add up in ascending source order.
-            ads = ad_header + store.full_ad_payload_bytes(novel)
-            reply_bytes = float(
-                np.cumsum(np.concatenate(([ad_header], ads)), dtype=np.float64)[-1]
-            )
+            # reply envelope; bytes add up in ascending source order, which
+            # only a non-integral header can tell from their exact sum.
+            payload = store.full_ad_payload_bytes(novel)
+            if whole_header:
+                reply_bytes = float(
+                    int(ad_header) * (len(novel) + 1) + int(payload.sum())
+                )
+            else:
+                reply_bytes = float(
+                    np.cumsum(
+                        np.concatenate(([ad_header], ad_header + payload)),
+                        dtype=np.float64,
+                    )[-1]
+                )
             rtt = 2.0 * one_way
-            for s in novel.tolist():
-                if s not in new_sources or rtt < new_sources[s]:
-                    new_sources[s] = rtt
-            n_messages += 1
+            if new_sources is not None:
+                for s in novel.tolist():
+                    if s not in new_sources or rtt < new_sources[s]:
+                        new_sources[s] = rtt
             total_bytes += reply_bytes
             ledger.record(
                 now + rtt / 1000.0,
@@ -546,7 +555,7 @@ class AsapSearch(SearchAlgorithm):
                 request_bytes=request_total,
                 reply_bytes=total_bytes - request_total,
             )
-        return new_sources, n_messages, total_bytes
+        return new_sources or {}, n_messages, total_bytes
 
     # ---------------------------------------------------------------- search
     def _search_impl(

@@ -3,11 +3,28 @@
 A node "selectively stores interesting ads received from other peers": an
 ad is cached only when its topic set intersects the node's interests.  The
 paper's cache is one relation, ``(node, source) -> (version, topics,
-cached_at, behind)``, and :class:`AdsState` stores it as exactly that:
-``n x n`` arrays indexed ``[peer, source]``.  Measured fill is 30-46 % of
-all pairs, so dense cells (21 bytes) are smaller than any per-pair index,
-a node's repository is a row, a source's cacher set is a column, and every
-protocol step is a masked read or write.
+recency, behind)``, and :class:`AdsState` stores a cached pair as two
+``int64`` words in ``n x n`` arrays indexed ``[peer, source]``:
+
+``entry``
+    ``version << 32 | topic code << 1 | behind``; ``-1`` when the peer does
+    not cache the source.  ``entry >= 0`` is "held", ``entry & 1 == 0`` is
+    "held and not behind" (absent is all ones), and a cached version is
+    compared against ``ad.version << 32`` without unpacking a word.
+``stamp``
+    ``clock tick << 32 | insertion number``; ``INT64_MAX`` when absent.
+    The tick is the index of the write's ``now`` in the list of distinct
+    write times, the insertion number counts first-time stores, so
+    ascending ``stamp`` is the least-recently-refreshed order with ties on
+    time (a bootstrap ads exchange stamps hundreds of entries with one
+    ``now``) going to the entry inserted first.  A renewal writes the tick
+    alone, through an ``int32`` view of the stamps' high halves; an entry
+    that is overwritten keeps its insertion number the same way.
+
+Measured fill is 30-46 % of all pairs, so dense cells (16 bytes) are
+smaller than any per-pair index, a node's repository is a row, a source's
+cacher set is a column, and every merge rule is one gather and one or two
+scatters.
 
 Version merging follows the paper: a **full** ad replaces the entry
 outright; a **patch** applies only as the successor version (a gap leaves
@@ -19,12 +36,15 @@ store's patch history -- and failed confirmations are how stale entries are
 ultimately retired.  ``behind`` is stored, not derived from versions: a
 source that changes content while offline bumps the store and marks nobody.
 
-With a capacity bound the least recently refreshed entry is evicted; ties
-on ``cached_at`` (a bootstrap ads exchange stamps hundreds of entries with
-one ``now``) go to the entry inserted first, which ``seq`` records.
+With a capacity bound the entry with the smallest stamp is evicted: a row
+``argmin`` per crowded receiver of one ad, one ``argpartition`` for a
+receiver an ads exchange left over by many.  Ticks order writes only under
+a clock that never runs backwards, so a write whose ``now`` precedes the
+last one raises :class:`~repro.sim.engine.SimulationError`.
 
-The memory is Theta(n^2) whatever the capacity, so peer counts whose state
-would not fit :data:`MAX_STATE_BYTES` are refused up front.
+The memory is Theta(n^2) whatever the capacity, and both arrays are
+committed when they are built (neither "absent" is zero), so peer counts
+whose state would not fit :data:`MAX_STATE_BYTES` are refused up front.
 
 The plain object model this is checked against op-for-op lives in
 ``tests/oracles/repository.py``; whole-run behaviour is frozen by
@@ -34,12 +54,14 @@ The plain object model this is checked against op-for-op lives in
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.store import SourceFilterStore
+from repro.sim.engine import SimulationError
 from repro.workload.interests import topic_bits
 
 __all__ = [
@@ -51,15 +73,24 @@ __all__ = [
     "require_state_fits",
 ]
 
-#: version + topics_code + cached_at + behind + seq.
-BYTES_PER_PAIR = 4 + 4 + 8 + 1 + 4
+#: entry + stamp.
+BYTES_PER_PAIR = 8 + 8
 
 #: The peak-RSS bar of the scale-up gate (``benchmarks/bench_scaleup.py``):
-#: about 20,000 peers.
+#: about 23,000 peers.
 MAX_STATE_BYTES = 8 * 2**30
 
-_ABSENT = -1
+_ABSENT = -1  # entry of a pair that caches nothing
+_NEVER = np.iinfo(np.int64).max  # its stamp: after every held entry's
+_FIELD_MAX = 2**31 - 1  # version and topic code (entry), clock tick (stamp)
 _SEQ_LIMIT = np.iinfo(np.uint32).max
+#: Sign bit | behind bit: ``word & _HELD_BEHIND == 1`` iff held and behind.
+_HELD_BEHIND = np.int64(-(2**63) + 1)
+#: Which ``int32`` half of an ``int64`` stamp holds the tick.
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
+
+_ALL = slice(None)
+_VERSION_OVERFLOW = "ad version does not fit an ads-cache entry"
 
 
 def require_state_fits(n_peers: int) -> None:
@@ -95,8 +126,8 @@ class AdsState:
     """
 
     __slots__ = (
-        "n", "capacity", "store", "interest_bits", "version", "topics_code",
-        "cached_at", "behind", "seq", "occupancy", "code_bits", "_next_seq",
+        "n", "capacity", "store", "interest_bits", "entry", "stamp",
+        "occupancy", "code_bits", "_tick_half", "_times", "_next_seq",
         "_code_of", "_topics",
     )
 
@@ -112,12 +143,12 @@ class AdsState:
         self.capacity = capacity
         self.store = store
         self.interest_bits = interest_bits
-        self.version = np.full((n, n), _ABSENT, dtype=np.int32)
-        self.topics_code = np.zeros((n, n), dtype=np.int32)
-        self.cached_at = np.zeros((n, n), dtype=np.float64)
-        self.behind = np.zeros((n, n), dtype=bool)
-        self.seq = np.zeros((n, n), dtype=np.uint32)
+        self.entry = np.full((n, n), _ABSENT, dtype=np.int64)
+        self.stamp = np.full((n, n), _NEVER, dtype=np.int64)
+        self._tick_half = self.stamp.view(np.int32)[:, _HIGH_HALF::2]
         self.occupancy = np.zeros(n, dtype=np.int64)
+        # Distinct write times, ascending; a stamp's tick indexes them.
+        self._times: List[float] = [-math.inf]
         self._next_seq = 0
         # Interned topic sets: ads re-use a small population of frozensets
         # (the semantic classes of each source's content).
@@ -131,6 +162,8 @@ class AdsState:
         code = self._code_of.get(topics)
         if code is None:
             code = len(self._topics)
+            if code > _FIELD_MAX:
+                raise OverflowError("ads-cache topic codes exhausted")
             self._topics.append(frozenset(topics))
             self._code_of[self._topics[code]] = code
             if code == len(self.code_bits):
@@ -144,9 +177,26 @@ class AdsState:
         return self._topics[code]
 
     # ------------------------------------------------------------- views
+    def held_mask(self, peers=_ALL, sources=_ALL) -> np.ndarray:
+        """Which of ``[peers, sources]`` (default: every pair) are cached."""
+        return self.entry[peers, sources] >= 0
+
+    def behind_mask(self, peers=_ALL, sources=_ALL) -> np.ndarray:
+        """Which of ``[peers, sources]`` are cached and lag their source."""
+        return (self.entry[peers, sources] & _HELD_BEHIND) == 1
+
+    def versions(self, peers, sources):
+        """Cached versions at ``[peers, sources]``; -1 where nothing is."""
+        return self.entry[peers, sources] >> 32
+
+    def ages(self, now: float) -> np.ndarray:
+        """Seconds since each held entry was last refreshed, row-major."""
+        times = np.asarray(self._times)
+        return now - times[self.stamp[self.entry >= 0] >> 32]
+
     def holders(self, source: int) -> np.ndarray:
         """The source's cachers (ascending peer ids): one column."""
-        return np.flatnonzero(self.version[:, source] >= 0)
+        return np.flatnonzero(self.entry[:, source] >= 0)
 
     def stats(self) -> Dict[str, int]:
         """State size.  ``rows_*``/``free_list_depth``/``pool_*`` are the
@@ -164,6 +214,31 @@ class AdsState:
         }
 
     # ------------------------------------------------------------- merge
+    def _tick(self, now: float) -> int:
+        """The tick of a write at ``now``: its index in the write times."""
+        times = self._times
+        if now > times[-1]:
+            if len(times) >= _FIELD_MAX:  # every stamp stays below _NEVER
+                raise OverflowError("ads-cache clock ticks exhausted")
+            times.append(now)
+        elif now != times[-1]:
+            raise SimulationError(
+                f"ads state written at t={now}, before its last write at "
+                f"t={times[-1]}: recency stamps need a clock that never "
+                f"runs backwards"
+            )
+        return len(times) - 1
+
+    def _pack(self, versions, codes, sources):
+        """Entry words for ``versions`` (31 bits: the callers check) of
+        ``sources``; whether they lag is judged against the store, never
+        carried over."""
+        return (
+            versions << 32
+            | codes << 1
+            | (versions < self.store._version[sources])
+        )
+
     def accept(
         self, ad: Ad, now: float, peers: np.ndarray
     ) -> Tuple[np.ndarray, Evicted]:
@@ -173,32 +248,43 @@ class AdsState:
         updated an entry, and the entries evicted to make room.
         """
         src = ad.source
-        held = self.version[peers, src] >= 0
+        if ad.version > _FIELD_MAX:
+            raise OverflowError(_VERSION_OVERFLOW)
+        tick = self._tick(now)
+        words = self.entry[peers, src]
+        held = words >= 0
         if ad.ad_type is AdType.FULL:
-            # The interest filter decides whether to START caching a
-            # source; updates to an entry already held are always relevant
-            # (e.g. a source whose topic set shrank to empty must still
-            # reach its cachers, or they would stay silently stale).
-            code = self.intern_topics(ad.topics)
-            wanted = (self.interest_bits[peers] & self.code_bits[code]) != 0
-            stored = (held | wanted) & (peers != src)
-            return stored, self._store(peers[stored], src, ad.version, code, now)
+            # Updates to an entry already held are always relevant (e.g. a
+            # source whose topic set shrank to empty must still reach its
+            # cachers, or they would stay silently stale); whether to
+            # START caching a source is the fresh-insert arm's decision.
+            word = self._pack(ad.version, self.intern_topics(ad.topics), src)
+            cachers = peers[held]
+            self.entry[cachers, src] = word
+            self._tick_half[cachers, src] = tick
+            fresh = ~held & (peers != src)
+            started, evicted = self._insert(peers[fresh], src, word, tick)
+            held[fresh] = started
+            return held, evicted
 
         # Patches and refreshes are meaningless without a base entry.
         cachers = peers[held]
-        cached = self.version[cachers, src]
-        newer = ad.version > cached
+        cached = words[held]
+        newer = cached < (ad.version << 32)  # the ad outruns the cached copy
         if ad.ad_type is AdType.PATCH:
-            successor = cachers[cached + 1 == ad.version]
-            self.behind[cachers[newer], src] = True  # a gap: cannot merge
-            self.cached_at[cachers[newer], src] = now
-            self.version[successor, src] = ad.version
-            self.topics_code[successor, src] = self.intern_topics(ad.topics)
-            self.behind[successor, src] = ad.version < self.store._version[src]
+            lagging = cachers[newer]
+            self.entry[lagging, src] = cached[newer] | 1  # a gap: cannot merge
+            self._tick_half[lagging, src] = tick
+            successor = cachers[newer & (cached >= ((ad.version - 1) << 32))]
+            self.entry[successor, src] = self._pack(
+                ad.version, self.intern_topics(ad.topics), src
+            )
             # Older patches carry nothing new.
         else:  # REFRESH: renew recency; detect missed patches.
-            self.cached_at[cachers, src] = now
-            self.behind[cachers[newer], src] = True
+            self._tick_half[cachers, src] = tick
+            lagging = cachers[newer]
+            if lagging.size:
+                self.entry[lagging, src] |= 1
         return held, []
 
     def accept_snapshot(
@@ -214,94 +300,118 @@ class AdsState:
         Each is semantically a full ad at the *supplier's* cached version
         (which may itself be behind the source's current filter); an entry
         the peer already holds at that version or later is only renewed.
+        Held entries are renewed before new ones are inserted, whatever the
+        array order: a batch that mixes the two under a capacity bound is
+        merged as if the held sources came first (no caller mixes them).
         """
-        wanted = (self.code_bits[codes] & self.interest_bits[peer]) != 0
-        wanted &= sources != peer
-        stored = wanted & (self.version[peer, sources] < versions)
-        self.cached_at[peer, sources[wanted & ~stored]] = now
-        return stored, self._store(
-            peer, sources[stored], versions[stored], codes[stored], now
+        if versions.max(initial=0) > _FIELD_MAX:
+            raise OverflowError(_VERSION_OVERFLOW)
+        tick = self._tick(now)
+        words = self._pack(versions, codes, sources)
+        mine = self.entry[peer, sources]
+        held = mine >= 0
+        renewed = held & self._wants(peer, codes)
+        self._tick_half[peer, sources[renewed]] = tick
+        stored = renewed & (mine < (versions << 32))  # never downgrade
+        self.entry[peer, sources[stored]] = words[stored]
+        if held.all():  # a repair pull
+            return stored, []
+        fresh = ~held & (sources != peer)
+        started, evicted = self._insert(peer, sources[fresh], words[fresh], tick)
+        stored[fresh] = started
+        return stored, evicted
+
+    def adopt(
+        self, peer: int, supplier: int, sources: np.ndarray, now: float
+    ) -> Tuple[np.ndarray, Evicted]:
+        """The ads exchange: ``peer`` starts caching ``supplier``'s entries
+        for ``sources``.  The supplier holds them all; ``peer`` holds none
+        and is none of them.  The supplier's words go through as they are,
+        but for the behind bit."""
+        words = self.entry[supplier, sources]
+        behind = words < (self.store._version[sources] << 32)
+        return self._insert(
+            peer, sources, (words & ~1) | behind, self._tick(now)
         )
 
-    def _store(self, peers, sources, versions, codes, now: float) -> Evicted:
-        """Create or overwrite the entries at ``[peers, sources]``.
+    def _wants(self, peers, codes) -> np.ndarray:
+        """The interest filter: do the ads' topics meet the peers' own?"""
+        return (self.interest_bits[peers] & self.code_bits[codes]) != 0
+
+    def _insert(self, peers, sources, words, tick: int) -> Tuple[np.ndarray, Evicted]:
+        """Start caching ``words`` at ``[peers, sources]``, absent so far
+        and off the diagonal (nobody caches itself).
 
         One of ``peers``/``sources`` is an index array, the other an id
-        (one ad to many receivers, or many ads to one receiver).  Every
-        entry is stamped ``now``, which under the engine's monotone clock
-        is >= any ``cached_at`` already present -- so evicting after the
-        whole write picks the victims a store-evict-store-evict sequence
-        would.
+        (one ad to many receivers, or many ads to one receiver).  Returns
+        which were interesting enough to store and what that evicted.  The
+        new entries take the current tick and the next insertion numbers in
+        array order, so they carry the largest stamps of their rows:
+        evicting after the whole write picks the victims a
+        store-evict-store-evict sequence would, and never the last entry
+        stored while the capacity is at least 1.
         """
-        fresh = self.version[peers, sources] < 0
-        self.version[peers, sources] = versions
-        self.topics_code[peers, sources] = codes
-        self.cached_at[peers, sources] = now
-        self.behind[peers, sources] = versions < self.store._version[sources]
-        k = int(np.count_nonzero(fresh))
+        stored = self._wants(peers, (words >> 1) & _FIELD_MAX)
+        k = int(np.count_nonzero(stored))
         if k == 0:
-            return []
+            return stored, []
         if self._next_seq + k > _SEQ_LIMIT:
             raise OverflowError("ads-cache insertion counter exhausted")
-        # Keep the id an id: only the index array is narrowed to the fresh
-        # entries, which take insertion numbers in its order.
-        if isinstance(peers, np.ndarray):
-            peers = peers[fresh]
+        one_ad = isinstance(peers, np.ndarray)
+        if one_ad:
+            peers = peers[stored]
             self.occupancy[peers] += 1  # distinct receivers of one ad
-            last = sources
         else:
-            sources = sources[fresh]
+            sources = sources[stored]
+            words = words[stored]
             self.occupancy[peers] += k
-            peers = np.array([peers])
-            last = sources[-1]
-        self.seq[peers, sources] = np.arange(
-            self._next_seq, self._next_seq + k, dtype=np.uint32
-        )
+        first = tick << 32 | self._next_seq
+        self.entry[peers, sources] = words
+        self.stamp[peers, sources] = np.arange(first, first + k)
         self._next_seq += k
         if self.capacity is None:
-            return []
-        crowded = np.unique(peers[self.occupancy[peers] > self.capacity])
-        if crowded.size == 0:
-            return []
-        # Never the entry just stored (the last one, for a batch).
-        return self._evict(crowded, protect=int(last))
+            return stored, []
+        return stored, self._evict(peers)
 
-    def _evict(self, crowded: np.ndarray, protect: int) -> Evicted:
-        """Drop the over-capacity peers' least recently refreshed entries.
-
-        Ties on ``cached_at`` go to the earliest insert.  Caches are within
-        capacity between operations, so after one :meth:`_store` every
-        crowded peer is over by the same count (one receiver per ad, or a
-        single receiver) and their held entries gather into a rectangle.
-        """
-        excess = int(self.occupancy[crowded[0]]) - self.capacity
-        rows = crowded[:, None]
-        held = np.nonzero(self.version[crowded] >= 0)[1].reshape(len(crowded), -1)
-        cached_at = self.cached_at[rows, held]
-        cached_at[held == protect] = np.inf
-        oldest = np.lexsort((self.seq[rows, held], cached_at))[:, :excess]
-        victims = np.take_along_axis(held, oldest, axis=1)
-        self.version[rows, victims] = _ABSENT
-        self.behind[rows, victims] = False
+    def _evict(self, peers) -> Evicted:
+        """Drop the least recently refreshed entries of the ``peers`` that
+        one :meth:`_insert` left over capacity: crowded peers ascending,
+        each one's victims by ascending stamp."""
+        if isinstance(peers, np.ndarray):
+            # Caches are within capacity between operations, so each
+            # receiver of one ad is over by exactly its new entry.
+            crowded = np.sort(peers[self.occupancy[peers] > self.capacity])
+            if crowded.size == 0:
+                return []
+            victims = self.stamp[crowded].argmin(axis=1)
+            excess = 1
+            evicted = list(zip(crowded.tolist(), victims.tolist()))
+        else:
+            crowded = peers
+            excess = int(self.occupancy[peers]) - self.capacity
+            if excess <= 0:
+                return []
+            row = self.stamp[peers]
+            victims = np.argpartition(row, excess - 1)[:excess]
+            victims = victims[np.argsort(row[victims])]
+            evicted = [(peers, source) for source in victims.tolist()]
+        self.entry[crowded, victims] = _ABSENT
+        self.stamp[crowded, victims] = _NEVER
         self.occupancy[crowded] -= excess
-        return [
-            (peer, source)
-            for peer, sources in zip(crowded.tolist(), victims.tolist())
-            for source in sources
-        ]
+        return evicted
 
     def remove(self, peer: int, source: int) -> None:
-        """Drop an entry (eviction, or a failed confirmation)."""
-        if self.version[peer, source] >= 0:
-            self.version[peer, source] = _ABSENT
-            self.behind[peer, source] = False
+        """Drop an entry (a failed confirmation)."""
+        if self.entry[peer, source] >= 0:
+            self.entry[peer, source] = _ABSENT
+            self.stamp[peer, source] = _NEVER
             self.occupancy[peer] -= 1
 
     def mark_missed(self, source: int, reached: np.ndarray) -> None:
         """A patch went out: cachers it did not reach now lag the source."""
-        missed = self.version[:, source] >= 0
+        missed = self.entry[:, source] >= 0
         missed[reached] = False
-        self.behind[missed, source] = True
+        self.entry[missed, source] |= 1
 
     # ------------------------------------------------------------ lookup
     def lookup(
@@ -316,12 +426,13 @@ class AdsState:
         current answer as a hint that lets the store skip the bit gather
         when no later patch touches the queried positions.
         """
-        behind = self.behind[peer]
-        hits = (self.version[peer] >= 0) & current_match & ~behind
-        for source in np.flatnonzero(behind).tolist():
+        row = self.entry[peer]
+        flags = row & _HELD_BEHIND  # 0: held and current, 1: held and behind
+        hits = (flags == 0) & current_match
+        for source in np.flatnonzero(flags == 1).tolist():
             hits[source] = self.store.match_at_version(
                 source,
-                int(self.version[peer, source]),
+                int(row[source]) >> 32,
                 positions,
                 current=bool(current_match[source]),
             )
@@ -341,28 +452,36 @@ class RepositoryView:
         return int(self.state.occupancy[self.owner])
 
     def __contains__(self, source: int) -> bool:
-        return bool(self.state.version[self.owner, source] >= 0)
+        return bool(self.state.entry[self.owner, source] >= 0)
 
     def sources(self) -> List[int]:
         """Cached sources in insertion order."""
-        held = np.flatnonzero(self.state.version[self.owner] >= 0)
-        return held[np.argsort(self.state.seq[self.owner, held])].tolist()
+        stamps = self.state.stamp[self.owner]
+        held = np.flatnonzero(stamps != _NEVER)
+        return held[np.argsort(stamps[held] & _SEQ_LIMIT)].tolist()
+
+    def version(self, source: int) -> int:
+        """The cached version of ``source``; -1 when it is not cached."""
+        return int(self.state.entry[self.owner, source]) >> 32
 
     def entry(self, source: int) -> Optional[CachedAd]:
-        state, owner = self.state, self.owner
-        if source not in self:
+        state = self.state
+        word = int(state.entry[self.owner, source])
+        if word < 0:
             return None
         return CachedAd(
             source=source,
-            version=int(state.version[owner, source]),
-            topics=state.topics_of(int(state.topics_code[owner, source])),
-            cached_at=float(state.cached_at[owner, source]),
+            version=word >> 32,
+            topics=state.topics_of((word >> 1) & _FIELD_MAX),
+            cached_at=state._times[int(state.stamp[self.owner, source]) >> 32],
         )
 
     @property
     def behind(self) -> FrozenSet[int]:
         """Cached sources known to have patched past this cache."""
-        return frozenset(np.flatnonzero(self.state.behind[self.owner]).tolist())
+        return frozenset(
+            np.flatnonzero(self.state.behind_mask(self.owner)).tolist()
+        )
 
     def accept(self, ad: Ad, now: float) -> Tuple[bool, List[int]]:
         stored, evicted = self.state.accept(ad, now, np.array([self.owner]))
@@ -383,7 +502,7 @@ class RepositoryView:
     def mark_behind(self, source: int) -> None:
         """The source patched past us without reaching this cache."""
         if source in self:
-            self.state.behind[self.owner, source] = True
+            self.state.entry[self.owner, source] |= 1
 
     def remove(self, source: int) -> None:
         self.state.remove(self.owner, source)

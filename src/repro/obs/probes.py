@@ -130,15 +130,15 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     n = int(overlay.n)
     live_mask = overlay.live_mask
     cache = algorithm.state
-    held = cache.version >= 0
+    held = cache.held_mask()
 
     # --- per-entry series.
-    ages = now - cache.cached_at[held]
+    ages = cache.ages(now)
     entries_total = int(ages.size)
 
     # --- staleness: behind counts + version lag over behind entries.
-    peers, sources = np.nonzero(cache.behind)
-    lag = store._version[sources] - cache.version[peers, sources]
+    peers, sources = np.nonzero(cache.behind_mask())
+    lag = store._version[sources] - cache.versions(peers, sources)
     lags = lag[lag > 0].astype(np.float64)
 
     # --- occupancy / eviction pressure.
@@ -232,7 +232,7 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
         cache = algorithm.state
         stats = dict(cache.stats())
         stats["slot_index_consistent"] = bool(
-            stats["rows_live"] == np.count_nonzero(cache.version >= 0)
+            stats["rows_live"] == np.count_nonzero(cache.held_mask())
         )
         backend["arena"] = stats
     if engine is not None:
@@ -249,26 +249,30 @@ def check_arena_health(algorithm) -> Dict[str, Any]:
 
     That every (peer, source) pair has exactly one cell is structural;
     what the merge code must keep true is checked here: each peer's
-    occupancy counter equals its held count, ``behind`` only flags held
-    entries, no cache exceeds the capacity, and no peer caches itself.
+    occupancy counter equals its held count, a pair has a recency stamp
+    exactly when it has an entry (``behind`` is a bit of the entry word,
+    so it cannot outlive one), no cache exceeds the capacity, and no peer
+    caches itself.
     O(n^2), so not part of the periodic snapshot.
     """
     cache = algorithm.state
-    held = cache.version >= 0
+    held = cache.held_mask()
     report = {
         "rows_live": int(cache.occupancy.sum()),
         "occupancy": int(np.count_nonzero(held)),
         "live_matches_occupancy": bool(
             np.array_equal(cache.occupancy, held.sum(axis=1))
         ),
-        "behind_subset_of_held": not bool((cache.behind & ~held).any()),
+        "stamped_iff_held": bool(
+            np.array_equal(cache.stamp != np.iinfo(np.int64).max, held)
+        ),
         "within_capacity": cache.capacity is None
         or bool((cache.occupancy <= cache.capacity).all()),
         "diagonal_empty": not bool(held.diagonal().any()),
     }
     report["ok"] = (
         report["live_matches_occupancy"]
-        and report["behind_subset_of_held"]
+        and report["stamped_iff_held"]
         and report["within_capacity"]
         and report["diagonal_empty"]
     )

@@ -80,6 +80,11 @@ class AdsRepository:
     def entry(self, source: int) -> Optional[CacheEntry]:
         return self.entries.get(source)
 
+    def version(self, source: int) -> int:
+        """The cached version of ``source``; -1 when it is not cached."""
+        entry = self.entries.get(source)
+        return -1 if entry is None else entry.version
+
     def interested_in(self, topics: FrozenSet[int]) -> bool:
         """Nonempty intersection between ad topics and owner interests."""
         return bool(self.interests & topics)

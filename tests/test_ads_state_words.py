@@ -1,0 +1,331 @@
+"""The two-word ads state: eviction order, the clock it needs, field widths.
+
+``AdsState`` ranks a row's entries by one ``int64`` stamp (clock tick |
+insertion number) and evicts by ``argmin`` / ``argpartition``; the object
+model in ``tests/oracles/repository.py`` walks its dict with ``min`` one
+victim at a time.  They must agree on every victim *and on the order
+victims are reported in* (the list is audited and traced), at capacities
+from 1 to the thousands, when
+
+* a burst shares one ``now`` (a bootstrap ads exchange),
+* an entry is re-stored (keeps its place among equals) or removed and
+  re-inserted (goes to the end),
+* one full ad crowds hundreds of receivers at once,
+* one receiver ends up over by dozens.
+
+Ticks only rank writes under a clock that never runs backwards, so a write
+that precedes the last one is a named error, as is a field that would not
+fit its half word.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.asap import state as state_module
+from repro.asap.ads import Ad, AdType
+from repro.asap.state import AdsState, RepositoryView
+from repro.asap.store import SourceFilterStore
+from repro.search.base import MessageSizes
+from repro.sim.engine import SimulationError
+from repro.sim.metrics import TrafficCategory
+from repro.simulation.config import scaled_config
+from repro.simulation.runner import run_experiment
+from repro.workload.content import ContentIndex
+from repro.workload.interests import InterestState
+
+from tests.oracles import oracle_arm
+from tests.oracles.repository import AdsRepository, snapshot
+from tests.test_single_code_path import _small_asap
+
+WANTED = frozenset({0})
+UNWANTED = frozenset({1})
+
+
+def make_ad(kind, source, version=0, topics=WANTED):
+    changed = (1, 2) if kind is AdType.PATCH else ()
+    return Ad(
+        source=source, ad_type=kind, topics=topics, version=version,
+        changed_positions=changed,
+    )
+
+
+class LockStep:
+    """One dense state and one oracle repository per peer, fed the same
+    operations; every return value is compared on the spot."""
+
+    def __init__(self, n, capacity):
+        self.store = SourceFilterStore(n, ContentIndex())
+        bits = InterestState([{0}] * n).bitmasks
+        self.state = AdsState(n, bits, self.store, capacity)
+        self.oracles = [
+            AdsRepository(owner=i, interests={0}, store=self.store, capacity=capacity)
+            for i in range(n)
+        ]
+
+    def accept(self, ad, now, peers):
+        """One ad to many receivers; returns the evicted pairs."""
+        peers = np.asarray(sorted(peers), dtype=np.int64)
+        stored, evicted = self.state.accept(ad, now, peers)
+        want_stored, want_evicted = [], []
+        for peer in peers.tolist():
+            ok, victims = self.oracles[peer].accept(ad, now)
+            want_stored.append(ok)
+            want_evicted += [(peer, victim) for victim in victims]
+        assert stored.tolist() == want_stored
+        assert evicted == want_evicted
+        return evicted
+
+    def snapshot(self, peer, sources, now, version=0, topics=WANTED):
+        """Many ads to one receiver (a reply, or repair pulls)."""
+        sources = np.asarray(sources, dtype=np.int64)
+        stored, evicted = self.state.accept_snapshot(
+            peer,
+            sources,
+            np.full(len(sources), version),
+            np.full(len(sources), self.state.intern_topics(topics)),
+            now,
+        )
+        want = [
+            self.oracles[peer].accept_snapshot(s, version, topics, now)
+            for s in sources.tolist()
+        ]
+        return self._same_row(peer, stored, evicted, want)
+
+    def exchange(self, peer, supplier, now):
+        """The ads exchange: whatever ``supplier`` holds and ``peer`` lacks."""
+        mine, theirs = self.oracles[peer], self.oracles[supplier]
+        novel = sorted(set(theirs.entries) - set(mine.entries) - {peer})
+        stored, evicted = self.state.adopt(
+            peer, supplier, np.asarray(novel, dtype=np.int64), now
+        )
+        want = []
+        for s in novel:
+            entry = theirs.entries[s]
+            want.append(mine.accept_snapshot(s, entry.version, entry.topics, now))
+        return self._same_row(peer, stored, evicted, want)
+
+    def _same_row(self, peer, stored, evicted, want):
+        assert stored.tolist() == [ok for ok, _ in want]
+        victims = [victim for _, gone in want for victim in gone]
+        assert evicted == [(peer, victim) for victim in victims]
+        return victims
+
+    def remove(self, peer, source):
+        self.state.remove(peer, source)
+        self.oracles[peer].remove(source)
+
+    def check(self, peers):
+        for peer in peers:
+            assert snapshot(RepositoryView(self.state, peer)) == snapshot(
+                self.oracles[peer]
+            )
+        assert (self.state.occupancy == [len(o) for o in self.oracles]).all()
+
+
+#: (capacity, peers, receivers of one full ad).
+SHAPES = [(1, 320, 300), (2, 320, 300), (60, 400, 300), (2000, 2040, 100)]
+
+
+@pytest.mark.parametrize("capacity,n,n_receivers", SHAPES)
+class TestEvictionDifferential:
+    def test_full_ad_crowds_many_receivers(self, capacity, n, n_receivers):
+        pair = LockStep(n, capacity)
+        receivers = range(n - n_receivers, n)
+        # Fill every receiver to the brim, seven sources to a ``now`` ...
+        for source in range(capacity):
+            pair.accept(make_ad(AdType.FULL, source), source // 7, receivers)
+        now = capacity // 7 + 1
+        # ... renew one of the oldest at every other receiver ...
+        pair.accept(make_ad(AdType.REFRESH, 0), now, receivers[::2])
+        # ... then each further full ad evicts once per crowded receiver.
+        most = 0
+        for source in range(capacity, capacity + 10):
+            evicted = pair.accept(make_ad(AdType.FULL, source), now, receivers)
+            most = max(most, len(evicted))
+            assert [peer for peer, _ in evicted] == sorted(p for p, _ in evicted)
+        assert most >= n_receivers - 10
+        pair.check(receivers)
+
+    def test_one_receiver_over_by_dozens(self, capacity, n, n_receivers):
+        pair = LockStep(n, capacity)
+        peer = n - 1
+        held = list(range(capacity))
+        # A bootstrap: four same-``now`` bursts fill the cache, two of them
+        # in descending source order (so stamp order is not index order).
+        for burst in range(4):
+            step = 1 if burst % 2 else -1
+            pair.snapshot(peer, held[burst::4][::step], now=1.0 + burst // 2)
+        # Re-stored entries keep their place among equals, an uninteresting
+        # ad starts nothing, a removed and re-inserted entry goes last.
+        pair.accept(make_ad(AdType.FULL, held[0], version=1), 2.0, [peer])
+        pair.snapshot(peer, [capacity + 35], now=2.0, topics=UNWANTED)
+        pair.remove(peer, held[-1])
+        pair.snapshot(peer, [held[-1]], now=2.0)
+        pair.check([peer])
+        # Over by dozens at one ``now``, new and already-held sources mixed.
+        batch = held[:3] + list(range(capacity, capacity + 30))
+        victims = pair.snapshot(peer, batch, now=2.0, version=1)
+        assert len(victims) == 30
+        pair.check([peer])
+        # The same through the exchange, from a neighbour's full cache.
+        supplier = n - 2
+        theirs = [s for s in range(n - 3, 0, -1) if s not in batch][:capacity]
+        pair.snapshot(supplier, theirs, now=2.0)
+        pair.store._version[theirs[::3]] += 1  # patched since: adopted behind
+        victims = pair.exchange(peer, supplier, now=3.0)
+        assert len(victims) >= min(capacity, 30)
+        pair.check([peer, supplier])
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["full", "stale_full", "patch", "refresh", "snapshot",
+                         "exchange", "remove", "bump"]),
+        st.integers(0, 11),  # source / supplier
+        st.integers(0, 11),  # peer
+        st.integers(0, 4095),  # receiver set, as a bitmask
+        st.booleans(),  # does the clock move first?
+        st.booleans(),  # topics the peers want?
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), capacity=st.one_of(st.none(), st.integers(1, 5)), ops=OPS)
+def test_any_op_sequence_matches_the_oracle(n, capacity, ops):
+    pair = LockStep(n, capacity)
+    now = 0.0
+    for kind, a, b, mask, tick, wanted in ops:
+        source, peer = a % n, b % n
+        peers = [p for p in range(n) if mask >> p & 1]
+        topics = WANTED if wanted else UNWANTED
+        now += tick
+        version = pair.store.version(source)
+        if kind == "bump":
+            pair.store._version[source] += 1
+        elif kind == "remove":
+            pair.remove(peer, source)
+        elif kind == "exchange":
+            if source != peer:
+                pair.exchange(peer, source, now)
+        elif kind == "snapshot":
+            # Held sources first: that is the order a mixed batch merges in.
+            lacks = lambda s: s not in pair.oracles[peer]
+            pair.snapshot(peer, sorted(peers, key=lacks), now, version, topics)
+        else:
+            ad_type = {"full": AdType.FULL, "stale_full": AdType.FULL,
+                       "patch": AdType.PATCH, "refresh": AdType.REFRESH}[kind]
+            if kind == "stale_full":
+                version = max(0, version - 1)
+            pair.accept(make_ad(ad_type, source, version, topics), now, peers)
+    pair.check(range(n))
+
+
+class TestWords:
+    def test_layout_and_half_word_renewal(self):
+        pair = LockStep(4, None)
+        state = pair.state
+        pair.accept(make_ad(AdType.FULL, 1, version=3), 5.0, [0, 2])
+        pair.accept(make_ad(AdType.FULL, 3), 5.0, [0])
+        code = state.intern_topics(WANTED)
+        assert state.entry[0, 1] == 3 << 32 | code << 1
+        assert state.entry[0, 2] == -1 and state.stamp[0, 2] == np.iinfo(np.int64).max
+        # Same ``now``, same tick; insertion numbers in store order.
+        assert (state.stamp[[0, 2, 0], [1, 1, 3]] == [1 << 32 | 0, 1 << 32 | 1, 1 << 32 | 2]).all()
+        # A refresh from further on marks the gap and moves the tick alone.
+        pair.accept(make_ad(AdType.REFRESH, 1, version=4), 9.0, [0, 2, 3])
+        assert state.entry[0, 1] == 3 << 32 | code << 1 | 1
+        assert state.stamp[0, 1] == 2 << 32 | 0 and state.stamp[2, 1] == 2 << 32 | 1
+        assert state.stamp[0, 3] == 1 << 32 | 2
+        assert RepositoryView(state, 0).entry(1).cached_at == 9.0
+        assert state.ages(10.0).tolist() == [1.0, 5.0, 1.0]
+        # So does overwriting the entry; only a new insert draws a number.
+        pair.accept(make_ad(AdType.FULL, 1, version=4), 9.0, [0])
+        assert state.stamp[0, 1] == 2 << 32 | 0
+        pair.remove(0, 1)
+        pair.accept(make_ad(AdType.FULL, 1, version=4), 9.0, [0])
+        assert state.stamp[0, 1] == 2 << 32 | 3
+        assert state.held_mask().sum() == state.occupancy.sum() == 3
+        assert np.argwhere(state.behind_mask()).tolist() == [[2, 1]]
+
+    def test_a_field_that_would_overflow_is_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_FIELD_MAX", 2)
+        pair = LockStep(4, None)
+        state = pair.state
+        with pytest.raises(OverflowError, match="version"):
+            state.accept(make_ad(AdType.REFRESH, 1, version=3), 1.0, np.array([0]))
+        with pytest.raises(OverflowError, match="version"):
+            RepositoryView(state, 0).accept_snapshot(1, 3, WANTED, 1.0)
+        for topic in range(3):
+            state.intern_topics(frozenset({topic}))
+        with pytest.raises(OverflowError, match="topic codes"):
+            state.intern_topics(frozenset({5}))
+        state.accept(make_ad(AdType.FULL, 1), 1.0, np.array([0]))
+        state.accept(make_ad(AdType.REFRESH, 1), 1.0, np.array([0]))
+        with pytest.raises(OverflowError, match="clock ticks"):
+            state.accept(make_ad(AdType.REFRESH, 1), 2.0, np.array([0]))
+        state._next_seq = np.iinfo(np.uint32).max - 1
+        with pytest.raises(OverflowError, match="insertion counter"):
+            state.accept(make_ad(AdType.FULL, 2), 1.0, np.array([0, 1, 3]))
+
+
+class TestClockNeverRunsBackwards:
+    """Recency is a tick, not a float: a write from the past would be
+    stamped as the newest, so it is refused by name."""
+
+    def test_accept(self):
+        state = LockStep(4, 2).state
+        state.accept(make_ad(AdType.FULL, 1), 5.0, np.array([0, 2]))
+        state.accept(make_ad(AdType.REFRESH, 1), 5.0, np.array([0]))  # a tie is fine
+        for kind in AdType:
+            with pytest.raises(SimulationError, match="t=4.5.*last write at t=5.0"):
+                state.accept(make_ad(kind, 1), 4.5, np.array([0]))
+        assert RepositoryView(state, 0).entry(1).cached_at == 5.0
+
+    def test_accept_snapshot(self):
+        repo = RepositoryView(LockStep(4, 2).state, 0)
+        repo.accept_snapshot(1, 0, WANTED, now=5.0)
+        with pytest.raises(SimulationError, match="never\\s+runs backwards"):
+            repo.accept_snapshot(2, 0, WANTED, now=4.0)
+        assert 2 not in repo
+
+    def test_exchange_path(self):
+        algo = _small_asap()
+        ad = make_ad(AdType.FULL, 0)
+        algo._merge_ad(ad, 5.0, list(range(1, 12)))
+        algo._ads_request(3, 5.0)
+        with pytest.raises(SimulationError, match="runs backwards"):
+            algo._ads_request(4, 4.0)
+        with pytest.raises(SimulationError, match="runs backwards"):
+            algo.state.adopt(4, 3, np.array([0]), 4.0)
+        algo._ads_request(4, 5.0)
+
+
+def test_non_integral_ad_header_keeps_reply_bytes_exact():
+    """An integral header lets the exchange sum a reply's bytes as
+    integers; any other adds them in ascending source order, like the
+    oracle's loop -- the ADS_REPLY ledger must not tell the two apart."""
+    config = scaled_config(
+        "asap_rw", "random", n_peers=150, n_queries=80, seed=3,
+        use_physical_network=False, warmup_s=40.0,
+    )
+    config = dataclasses.replace(config, sizes=MessageSizes(ad_header=24.3))
+    product = run_experiment(config)
+    with oracle_arm():
+        oracle = run_experiment(config)
+    replies = product.ledger.category_totals()[TrafficCategory.ADS_REPLY]
+    assert replies != round(replies)
+    assert product.ledger.category_totals() == oracle.ledger.category_totals()
+    window = (0, int(config.warmup_s) + 60)
+    assert np.array_equal(
+        product.ledger.series([TrafficCategory.ADS_REPLY], *window).bytes_per_second,
+        oracle.ledger.series([TrafficCategory.ADS_REPLY], *window).bytes_per_second,
+    )
+    assert [o.cost_bytes for o in product.outcomes] == [
+        o.cost_bytes for o in oracle.outcomes
+    ]

@@ -140,6 +140,13 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         assert snapshot(self.repo) == snapshot(self.oracle)
 
     @invariant()
+    def clock_only_moves_forward(self) -> None:
+        """The dense state ranks recency by clock tick and refuses a write
+        from the past: the machine must never generate one."""
+        times = self.repo.state._times
+        assert times == sorted(set(times)) and times[-1] <= self.clock
+
+    @invariant()
     def cached_version_reconstruction_is_exact(self) -> None:
         entry = self.repo.entry(SOURCE)
         if entry is None:

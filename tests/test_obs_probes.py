@@ -11,8 +11,9 @@ that should not matter:
   results (outcomes, ledger, audit fingerprint).
 
 Plus the invariants the dense ads state can still break, audited under
-churn + capped caches: occupancy counters == held counts, ``behind`` only
-on held entries, caches within capacity, nobody caching itself.
+churn + capped caches: occupancy counters == held counts, a recency stamp
+exactly where there is an entry, caches within capacity, nobody caching
+itself.
 """
 
 import dataclasses
@@ -370,7 +371,7 @@ def test_arena_health_under_churn_and_capped_caches():
     report = check_arena_health(algo)
     assert report["ok"], report
     assert report["live_matches_occupancy"]
-    assert report["behind_subset_of_held"]
+    assert report["stamped_iff_held"]
     assert report["within_capacity"] and report["diagonal_empty"]
     # Snapshot agrees with the direct audit; capacity 8 over 200 peers
     # means the caches are full and evicting.
@@ -384,16 +385,19 @@ def test_arena_health_under_churn_and_capped_caches():
     # Each invariant is live: break it and the audit says which.
     cache = algo.state
     peer = int(np.argmax(cache.occupancy))
-    source = int(np.flatnonzero(cache.version[peer] >= 0)[0])
+    source = int(np.flatnonzero(cache.entry[peer] >= 0)[0])
     cache.occupancy[peer] += 1
     assert not check_arena_health(algo)["live_matches_occupancy"]
     assert not check_arena_health(algo)["within_capacity"]
     cache.occupancy[peer] -= 1
-    cache.version[peer, peer] = 0
+    cache.entry[peer, peer] = cache.stamp[peer, peer] = 0
     cache.occupancy[peer] += 1
     assert not check_arena_health(algo)["diagonal_empty"]
     cache.remove(peer, peer)
-    cache.version[peer, source] = -1
-    cache.behind[peer, source] = True
+    assert check_arena_health(algo)["ok"]
+    # An entry dropped without its recency stamp would still be ranked.
+    cache.entry[peer, source] = -1
+    cache.occupancy[peer] -= 1
     broken = check_arena_health(algo)
-    assert not broken["behind_subset_of_held"] and not broken["ok"]
+    assert broken["live_matches_occupancy"]
+    assert not broken["stamped_iff_held"] and not broken["ok"]

@@ -101,14 +101,17 @@ def test_asap_holds_one_container_of_per_pair_state():
 
     owners = [name for name, value in vars(algo).items() if holds_pair_state(value)]
     assert owners == []
+    # Two words per pair; the int32 view of the stamps' high halves that
+    # renewals write through owns no memory.
     pair_arrays = [
         name
         for name in AdsState.__slots__
         if holds_pair_state(getattr(algo.state, name))
+        and getattr(algo.state, name).base is None
     ]
-    assert sorted(pair_arrays) == [
-        "behind", "cached_at", "seq", "topics_code", "version",
-    ]
+    assert sorted(pair_arrays) == ["entry", "stamp"]
+    assert algo.state.entry.dtype == algo.state.stamp.dtype == np.int64
+    assert np.shares_memory(algo.state._tick_half, algo.state.stamp)
     assert RepositoryView.__slots__ == ("state", "owner")
     assert not hasattr(algo, "cachers")
 
@@ -116,6 +119,7 @@ def test_asap_holds_one_container_of_per_pair_state():
         r"_slot\b|_free\b|_order_src|\balloc\(|\brelease\(|\breserve\("
         r"|cachers\[[^\]]*\]\.(add|discard|update)"
         r"|_interest_masks|_interest_sets|_topic_members|_no_capacity"
+        r"|\blexsort\b"
     )
     hits = [
         f"{path.name}:{lineno}: {line.strip()}"
@@ -125,6 +129,8 @@ def test_asap_holds_one_container_of_per_pair_state():
     ]
     assert hits == []
     assert not (SRC / "asap" / "arena.py").exists()
+    # One fresh-insert arm: insertion numbers are handed out in one place.
+    assert (SRC / "asap" / "state.py").read_text().count("np.arange(") == 1
 
 
 def _calls(tree, attr):

@@ -112,6 +112,36 @@ SUBSTRATES = {
     "sparse_stubs/seed0": (SPARSE_STUBS, 0),
 }
 
+#: The run fingerprints above freeze the trace; which peer, link and window
+#: telemetry charges, and what the probes read from the caches, were pinned
+#: only arm against arm (serial vs ``--jobs 2``).  These rows -- one per
+#: algorithm and one per protocol regime -- freeze both across commits.
+#: Recorded at a38191f, the last commit where every host module fed tracer
+#: and telemetry separately.
+OBS_ROWS = (
+    "flooding/seed0/default_churn",
+    "random_walk/seed0/default_churn",
+    "gsa/seed0/default_churn",
+    "expanding_ring/seed0/default_churn",
+    "asap_fld/seed0/default_churn",
+    "asap_rw/seed0/default_churn",
+    "asap_gsa/seed0/default_churn",
+    "asap_rw/seed0/heavy_churn",
+    "asap_rw/seed0/default_churn/bounded_cache",
+    "asap_rw/seed0/default_churn/content_change_x3",
+    "asap_sp_rw/seed0/default_churn",
+    "asap_rw/seed0/physical_network",
+)
+
+
+def obs_fingerprints(config):
+    """Telemetry and probe-state identity of one telemetry + probes run."""
+    result = run_experiment(config, telemetry=True, probes=True)
+    return {
+        "telemetry": result.telemetry.fingerprint(),
+        "probes": result.probes.state_fingerprint(),
+    }
+
 
 def substrate_digest(params, seed):
     """blake2b over what the physical substrate hands the overlay: stub
@@ -182,6 +212,22 @@ def test_run_fingerprint_matches_golden(name):
     assert fingerprint == _golden()["fingerprints"][name]
 
 
+def test_golden_file_covers_the_obs_rows():
+    assert sorted(_golden()["obs_fingerprints"]) == sorted(OBS_ROWS)
+    assert set(OBS_ROWS) <= set(CONFIGS)
+
+
+@pytest.mark.parametrize("name", OBS_ROWS)
+def test_obs_fingerprints_match_golden(name):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden fingerprints recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    assert obs_fingerprints(CONFIGS[name]) == _golden()["obs_fingerprints"][name]
+
+
 def test_golden_file_covers_the_substrates():
     assert sorted(_golden()["substrate_digests"]) == sorted(SUBSTRATES)
 
@@ -207,10 +253,14 @@ if __name__ == "__main__":
         "substrate_digests": {
             name: substrate_digest(*args) for name, args in SUBSTRATES.items()
         },
+        "obs_fingerprints": {
+            name: obs_fingerprints(CONFIGS[name]) for name in OBS_ROWS
+        },
     }
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     print(
-        f"recorded {len(payload['fingerprints'])} fingerprints and "
-        f"{len(payload['substrate_digests'])} substrate digests to {GOLDEN_PATH}"
+        f"recorded {len(payload['fingerprints'])} fingerprints, "
+        f"{len(payload['substrate_digests'])} substrate digests and "
+        f"{len(payload['obs_fingerprints'])} telemetry / probe rows to {GOLDEN_PATH}"
     )

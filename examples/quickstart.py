@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.asap import AsapParams, AsapSearch
 from repro.network import Overlay, build_topology
-from repro.obs import Tracer
+from repro.obs import Instrumentation, Tracer
 from repro.sim import BandwidthLedger, SimulationEngine
 from repro.workload import EdonkeyParams, synthesize_content
 
@@ -59,7 +59,7 @@ def main(argv=None) -> None:
     tracer = None
     if args.trace:
         tracer = Tracer()
-        asap.set_tracer(tracer)
+        asap.attach(Instrumentation(tracer=tracer))
 
     # 4. Warm-up: every sharer advertises; every node bootstraps its cache.
     engine = SimulationEngine()

@@ -39,8 +39,6 @@ import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.network.overlay import Overlay
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.search.base import MessageSizes
 from repro.sim import kernels
 from repro.sim.engine import SimulationError
@@ -85,8 +83,8 @@ class AdForwarder(abc.ABC):
         self.ledger = ledger
         self.sizes = sizes
         self.rng = rng
-        self.tracer: Tracer = NULL_TRACER
-        self.telemetry: Telemetry = NULL_TELEMETRY
+        # The run's repro.obs.Instrumentation (AsapSearch.attach sets it).
+        self.obs = None
 
     @abc.abstractmethod
     def deliver(
@@ -116,54 +114,38 @@ class AdForwarder(abc.ABC):
         ignores the announcement.
         """
 
-    def _trace_delivery(
+    def _finish(
         self,
         ad: Ad,
         now: float,
-        report: "DeliveryReport",
+        visited_arr: np.ndarray,
+        n_messages: int,
+        ad_size: float,
+        buckets: Dict[int, float],
         budget: Optional[int] = None,
-    ) -> None:
-        """Emit one ad-lifecycle trace event per delivery (when tracing).
-
-        ``budget`` is the delivery's *effective* message cap -- for walk
-        forwarders that is ``walkers * max(1, total_budget // walkers)``,
-        which can exceed the nominal budget when it is smaller than the
-        walker count.  The auditor's walk-budget invariant checks
-        ``messages <= budget`` on every event that carries one.
-        """
-        self.tracer.event(
-            "ad",
-            f"deliver.{getattr(self, 'kind', 'base')}",
-            now,
-            source=int(ad.source),
-            ad_type=ad.ad_type.value,
-            topics=len(ad.topics),
-            visited=len(report.visited),
-            messages=report.messages,
-            bytes=report.bytes,
-            budget=budget,
-        )
-
-    def _record(self, ad: Ad, buckets: Dict[int, float], n_messages: int) -> None:
-        for second, nbytes in buckets.items():
-            self.ledger.record(second + 0.5, ad.category, nbytes, messages=0)
-        # Message count recorded once; bytes live in the buckets above.
+    ) -> DeliveryReport:
+        """The tail of every delivery: charge the ledger the per-second
+        ``buckets`` (each of the ``n_messages`` hops carried the whole
+        ad), build the report, tell the instrumentation.  ``budget`` is the
+        effective message cap of a walk delivery."""
         if n_messages and not buckets:
             raise AssertionError("messages without bytes")
+        for second, nbytes in buckets.items():
+            self.ledger.record(second + 0.5, ad.category, nbytes, messages=0)
         if buckets:
-            first = min(buckets)
-            self.ledger.record(first + 0.5, ad.category, 0.0, messages=n_messages)
-            # Single telemetry chokepoint for every forwarder: attribute
-            # the delivery's bytes to the advertising source (per-window
-            # byte series come from the ledger fold, not from here).
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.record_delivery(
-                    first + 0.5,
-                    int(ad.source),
-                    float(sum(buckets.values())),
-                    n_messages,
-                )
+            # Message count recorded once; bytes live in the buckets above.
+            self.ledger.record(
+                min(buckets) + 0.5, ad.category, 0.0, messages=n_messages
+            )
+        report = DeliveryReport(
+            visited=frozenset(visited_arr.tolist()),
+            messages=n_messages,
+            bytes=float(n_messages * ad_size),
+            visited_arr=visited_arr,
+        )
+        if self.obs is not None:
+            self.obs.ad_delivered(self.kind, ad, now, report, buckets, budget)
+        return report
 
 
 class FloodAdForwarder(AdForwarder):
@@ -190,31 +172,12 @@ class FloodAdForwarder(AdForwarder):
         first_hop, n_messages = kernels.flood_bfs(
             self.overlay.walk_csr(), ad.source, self.ttl
         )
-        visited_arr = np.nonzero(first_hop > 0)[0]
-        return self._finish(
-            ad, now, frozenset(visited_arr.tolist()), n_messages,
-            visited_arr=visited_arr,
-        )
-
-    def _finish(
-        self,
-        ad: Ad,
-        now: float,
-        visited: frozenset,
-        n_messages: int,
-        visited_arr: Optional[np.ndarray] = None,
-    ) -> DeliveryReport:
         ad_size = ad.size_bytes(self.sizes)
-        total_bytes = float(n_messages * ad_size)
-        if n_messages:
-            self._record(ad, {int(now): total_bytes}, n_messages)
-        report = DeliveryReport(
-            visited=visited, messages=n_messages, bytes=total_bytes,
-            visited_arr=visited_arr,
+        # The whole flood lands in the second it starts.
+        buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
+        return self._finish(
+            ad, now, np.nonzero(first_hop > 0)[0], n_messages, ad_size, buckets
         )
-        if self.tracer.enabled:
-            self._trace_delivery(ad, now, report)
-        return report
 
 
 class _WalkForwarderBase(AdForwarder):
@@ -319,16 +282,10 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
             visited_arr, n_messages, buckets = kernels.rw_delivery(
                 csr, ad.source, draws, now, ad_size
             )
-        self._record(ad, buckets, n_messages)
-        report = DeliveryReport(
-            visited=frozenset(visited_arr.tolist()),
-            messages=n_messages,
-            bytes=float(n_messages * ad_size),
-            visited_arr=visited_arr,
+        return self._finish(
+            ad, now, visited_arr, n_messages, ad_size, buckets,
+            budget=self.walkers * per_walker,
         )
-        if self.tracer.enabled:
-            self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
-        return report
 
     def _step_chunk(self, csr: kernels.WalkCsr) -> None:
         """Draw and step the next chunk of planned ads, in event order.
@@ -491,16 +448,11 @@ class GsaAdForwarder(_WalkForwarderBase):
                     buckets[second] += n_push * ad_size
         visited[source] = 0
         visited_ids = np.nonzero(np.frombuffer(visited, dtype=np.uint8))[0]
-        self._record(ad, buckets, n_messages)
-        report = DeliveryReport(
-            visited=frozenset(visited_ids.tolist()),
-            messages=n_messages,
-            bytes=float(n_messages * ad_size),
-            visited_arr=visited_ids,
+        return self._finish(
+            ad, now, visited_ids, n_messages, ad_size, buckets,
+            budget=self.walkers * per_walker,
         )
-        if self.tracer.enabled:
-            self._trace_delivery(ad, now, report, budget=self.walkers * per_walker)
-        return report
+
 
 def make_forwarder(
     kind: str,

@@ -152,15 +152,10 @@ class AsapSearch(SearchAlgorithm):
         ``stats()`` through.  Use :attr:`state`."""
         return self.state
 
-    def set_tracer(self, tracer) -> None:
-        """Attach a tracer to the protocol and its ad forwarder."""
-        super().set_tracer(tracer)
-        self.forwarder.tracer = tracer
-
-    def set_telemetry(self, telemetry) -> None:
-        """Attach telemetry to the protocol and its ad forwarder."""
-        super().set_telemetry(telemetry)
-        self.forwarder.telemetry = telemetry
+    def attach(self, obs) -> None:
+        """Report the protocol's and its ad forwarder's actions to ``obs``."""
+        super().attach(obs)
+        self.forwarder.obs = obs
 
     # ------------------------------------------------------------- delivery
     def _disseminate(
@@ -248,44 +243,25 @@ class AsapSearch(SearchAlgorithm):
         if full is None:
             # Source shares nothing any more: the stale entry is worthless.
             repo.remove(source)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "ad", "repair", now,
-                    node=int(node), source=int(source),
-                    request_bytes=request_bytes,
-                    reply_bytes=0.0, reply_category=None,
-                )
-            return
-        missed_bits = sum(
-            n_bits
-            for version, n_bits in plan["history"]
-            if version > cached_version
-        )
-        patch_reply = self.sizes.ad_header + 2 * missed_bits
-        full_reply = plan["full_reply"]
-        if patch_reply <= full_reply:
-            category, reply_bytes = TrafficCategory.PATCH_AD, patch_reply
+            category, reply_bytes = None, 0.0
         else:
-            category, reply_bytes = TrafficCategory.FULL_AD, full_reply
-        self.ledger.record(
-            now + 2.0 * lat / 1000.0, category, reply_bytes, messages=1
-        )
-        if self.telemetry.enabled:
-            # The source serves the repair; the request came from ``node``.
-            self.telemetry.record_repair(
-                now, int(source), request_bytes + float(reply_bytes)
+            missed_bits = sum(
+                n_bits
+                for version, n_bits in plan["history"]
+                if version > cached_version
             )
-        if self.tracer.enabled:
-            # The byte split lets the auditor attribute request and reply
-            # to their ledger categories without re-deriving the sizes.
-            self.tracer.event(
-                "ad", "repair", now,
-                node=int(node), source=int(source),
-                request_bytes=request_bytes,
-                reply_bytes=float(reply_bytes),
-                reply_category=category.value,
+            patch_reply = self.sizes.ad_header + 2 * missed_bits
+            full_reply = plan["full_reply"]
+            if patch_reply <= full_reply:
+                category, reply_bytes = TrafficCategory.PATCH_AD, patch_reply
+            else:
+                category, reply_bytes = TrafficCategory.FULL_AD, full_reply
+            self.ledger.record(
+                now + 2.0 * lat / 1000.0, category, reply_bytes, messages=1
             )
-        repo.accept_snapshot(source, plan["version"], plan["topics"], now)
+            repo.accept_snapshot(source, plan["version"], plan["topics"], now)
+        if self.obs is not None:
+            self.obs.repair(now, node, source, request_bytes, reply_bytes, category)
 
     def _issue_full_ad(self, source: int, now: float) -> None:
         ad = self.store.make_full_ad(source)
@@ -470,17 +446,22 @@ class AsapSearch(SearchAlgorithm):
         neighbour offers, minus what the requester holds or just disproved
         -- handed to :meth:`AdsState.adopt`, whose interest filter decides
         what the reply actually carries.  The source map is built only
-        where it is read: by the query fallback, and for the trace's count.
+        where it is read, by the query fallback; an observed run keeps each
+        neighbour's exchange for the instrumentation.
         """
         state = self.state
         store = self.store
         ad_header = self.sizes.ad_header
         whole_header = float(ad_header) == float(int(ad_header))
         ledger = self.ledger
-        telemetry = self.telemetry if self.telemetry.enabled else None
+        obs = self.obs
+        # Observed: (neighbour, request + reply bytes, sources adopted).
+        served: Optional[List[Tuple[int, float, np.ndarray]]] = (
+            None if obs is None else []
+        )
         neighbors = self._neighbors_within_h(node)
         new_sources: Optional[Dict[int, float]] = (
-            {} if positions is not None or self.tracer.enabled else None
+            None if positions is None else {}
         )
         n_messages = 0
         total_bytes = 0.0
@@ -536,24 +517,12 @@ class AsapSearch(SearchAlgorithm):
                 reply_bytes,
                 messages=1,
             )
-            if telemetry is not None:
-                # The serving neighbour pays for the reply it assembled.
-                telemetry.record_ads_request(
-                    now, int(nbr), request_size + reply_bytes
-                )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "ad",
-                "ads_request",
-                now,
-                node=int(node),
-                scope="query" if positions is not None else "bootstrap",
-                neighbors=len(neighbors),
-                new_sources=len(new_sources),
-                messages=n_messages,
-                cost_bytes=total_bytes,
-                request_bytes=request_total,
-                reply_bytes=total_bytes - request_total,
+            if served is not None:
+                served.append((nbr, request_size + reply_bytes, novel))
+        if obs is not None:
+            obs.ads_exchange(
+                now, node, "query" if positions is not None else "bootstrap",
+                served, n_messages, total_bytes, request_total,
             )
         return new_sources or {}, n_messages, total_bytes
 
@@ -575,15 +544,7 @@ class AsapSearch(SearchAlgorithm):
         total_bytes = 0.0
         confirmed: List[Tuple[int, float]] = []  # (source, response_ms)
         tried: Set[int] = set()
-        # Confirmation accounting for the trace (attempted / confirmed /
-        # failure classes); only maintained when tracing is on.
-        stats = {
-            "attempted": 0,
-            "confirmed": 0,
-            "failed_dead": 0,
-            "failed_bloom_fp": 0,
-            "failed_split": 0,
-        }
+        obs = self.obs
 
         def classify_failure(s: int) -> str:
             """A live source's filter matched but its content did not:
@@ -600,8 +561,6 @@ class AsapSearch(SearchAlgorithm):
 
         def confirm_round(cands: Dict[int, float]) -> None:
             nonlocal n_messages, total_bytes
-            traced = self.tracer.enabled
-            telemetry = self.telemetry
             cap = self.params.max_confirmations
             pending = [s for s in cands if s not in tried]
             if not pending:
@@ -623,42 +582,30 @@ class AsapSearch(SearchAlgorithm):
                     self.sizes.confirmation_request,
                     messages=1,
                 )
-                if traced:
-                    stats["attempted"] += 1
+                exchanged = self.sizes.confirmation_request
                 if not self.overlay.is_live(s):
                     # Departed source: retire the stale ad.
                     repo.remove(s)
-                    if traced:
-                        stats["failed_dead"] += 1
-                    if telemetry.enabled:
-                        telemetry.record_confirmation(
-                            now, requester, int(s),
-                            self.sizes.confirmation_request,
-                        )
-                    continue
-                n_messages += 1
-                total_bytes += self.sizes.confirmation_reply
-                self.ledger.record(
-                    now + 2.0 * lat / 1000.0,
-                    TrafficCategory.CONFIRMATION,
-                    self.sizes.confirmation_reply,
-                    messages=1,
-                )
-                if telemetry.enabled:
-                    telemetry.record_confirmation(
-                        now, requester, int(s),
-                        self.sizes.confirmation_request
-                        + self.sizes.confirmation_reply,
-                    )
-                if self.content.node_matches(s, terms):
-                    confirmed.append((s, cands[s] + 2.0 * lat))
-                    if traced:
-                        stats["confirmed"] += 1
+                    verdict = "failed_dead"
                 else:
-                    # False positive or cross-document term split.
-                    repo.remove(s)
-                    if traced:
-                        stats[classify_failure(s)] += 1
+                    n_messages += 1
+                    total_bytes += self.sizes.confirmation_reply
+                    self.ledger.record(
+                        now + 2.0 * lat / 1000.0,
+                        TrafficCategory.CONFIRMATION,
+                        self.sizes.confirmation_reply,
+                        messages=1,
+                    )
+                    exchanged += self.sizes.confirmation_reply
+                    if self.content.node_matches(s, terms):
+                        confirmed.append((s, cands[s] + 2.0 * lat))
+                        verdict = "confirmed"
+                    else:
+                        # False positive or cross-document term split.
+                        repo.remove(s)
+                        verdict = classify_failure
+                if obs is not None:
+                    obs.confirmation(now, requester, s, exchanged, verdict)
 
         confirm_round(avail)
 
@@ -677,11 +624,8 @@ class AsapSearch(SearchAlgorithm):
                 }
                 confirm_round(round2)
 
-        if self.tracer.enabled:
-            # Nested inside the query span: ties the confirmation byte
-            # movement (ledger_delta) back to individual attempts and feeds
-            # the measured Bloom false-positive rate.
-            self.tracer.event("query", "confirm_stats", now, **stats)
+        if obs is not None:
+            obs.confirm_stats(now)
         if not confirmed:
             return self._failure(n_messages, total_bytes)
         response_time = min(t for _, t in confirmed)

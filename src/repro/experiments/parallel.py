@@ -32,6 +32,7 @@ mergeable in the parent (:func:`repro.obs.profile.merge_profiles`).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -127,30 +128,14 @@ def _run_cell(
                 status_fn=status_fn,
                 label=cell_label(config),
             )
-        if trace_dir is None and not audit:
-            return run_experiment(
-                config,
-                profile=profile,
-                collect_diagnostics=collect_diagnostics,
-                telemetry=tel,
-                probes=probes,
-            )
-        from repro.obs.trace import Tracer
+        with contextlib.ExitStack() as stack:
+            # ``audit`` alone lets run_experiment keep its own tracer.
+            tracer = None
+            if trace_dir is not None:
+                from repro.obs.trace import Tracer
 
-        if trace_dir is None:
-            tracer = Tracer(keep=True)
-            return run_experiment(
-                config,
-                tracer=tracer,
-                profile=profile,
-                collect_diagnostics=collect_diagnostics,
-                audit=audit,
-                telemetry=tel,
-                probes=probes,
-            )
-        path = os.path.join(trace_dir, cell_trace_name(config))
-        with open(path, "w") as fh:
-            tracer = Tracer(stream=fh, keep=True)
+                path = os.path.join(trace_dir, cell_trace_name(config))
+                tracer = Tracer(stream=stack.enter_context(open(path, "w")))
             return run_experiment(
                 config,
                 tracer=tracer,

@@ -141,7 +141,7 @@ def build_report(
     sections += ["## Shape checks", ""] + checks + [""]
 
     if scale.telemetry:
-        from repro.obs.telemetry import merge_summaries
+        from repro.obs import merge_summaries
 
         log("telemetry")
         sections += ["## Telemetry", ""]

@@ -1,18 +1,26 @@
-"""Observability for the simulation stack: tracing, profiling, metrics.
+"""Observability for the simulation stack: one seam, several sinks.
 
-Six layers, all opt-in and zero-cost when disabled:
+The simulator reports its **actions** -- query resolved, ad delivered, ads
+exchange, repair, confirmation, churn, engine dispatch -- to a single
+:class:`~repro.obs.instrument.Instrumentation`; every host carries one
+``obs`` attribute (``None`` unless the run is observed) and nothing else.
+What a trace record looks like, and which peer telemetry charges, is
+decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
 
 * :mod:`repro.obs.trace`   -- structured event/span tracing to JSONL
   (optionally gzip-compressed, ``trace.jsonl.gz``);
 * :mod:`repro.obs.profile` -- per-subsystem / per-phase run accounting,
   attached to :class:`repro.simulation.results.RunResult` as a
   :class:`RunProfile`;
-* :mod:`repro.obs.metrics` -- counters / gauges / histograms exported as
-  JSON and Prometheus text via ``python -m repro.obs.report``;
 * :mod:`repro.obs.telemetry` -- constant-memory streaming telemetry:
   windowed load series, quantile sketches and heavy-hitter hotspots,
   mergeable across cells (``run_experiment(config, telemetry=True)``,
-  ``python -m repro.obs.report telemetry``, ``runall --telemetry``);
+  ``python -m repro.obs.report telemetry``, ``runall --telemetry``).
+
+Beside it, reading the run rather than listening to it:
+
+* :mod:`repro.obs.metrics` -- counters / gauges / histograms exported as
+  JSON and Prometheus text via ``python -m repro.obs.report``;
 * :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots reduced
   from the dense ads state: per-source ad coverage, staleness sketches,
   measured Bloom FP rate and cache health, bit-identical across
@@ -32,6 +40,7 @@ from repro.obs.audit import (
     audit_run,
     run_fingerprint,
 )
+from repro.obs.instrument import TRACE_RECORDS, Instrumentation
 from repro.obs.metrics import (
     CounterMetric,
     DEFAULT_BUCKETS,
@@ -60,8 +69,6 @@ from repro.obs.profile import (
 )
 from repro.obs.telemetry import (
     LogBucketSketch,
-    NULL_TELEMETRY,
-    NullTelemetry,
     SpaceSaving,
     Telemetry,
     TelemetrySummary,
@@ -69,8 +76,6 @@ from repro.obs.telemetry import (
     quantile_nearest_rank,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TraceRecord,
     Tracer,
@@ -86,12 +91,9 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "GaugeMetric",
     "HistogramMetric",
+    "Instrumentation",
     "LogBucketSketch",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NULL_TRACER",
-    "NullTelemetry",
-    "NullTracer",
     "PROBE_SCHEMA_VERSION",
     "PhaseStats",
     "ProbeRecorder",
@@ -100,6 +102,7 @@ __all__ = [
     "RunProfile",
     "SpaceSaving",
     "Span",
+    "TRACE_RECORDS",
     "Telemetry",
     "TelemetrySummary",
     "TraceAnalysis",

@@ -1,9 +1,9 @@
 """Run profiling: wall-clock and event-count accounting per subsystem.
 
-The profiler is an **engine observer**: :class:`repro.sim.engine.
-SimulationEngine` calls ``event_begin``/``event_end`` around every
-dispatched event when an observer is installed (and pays a single branch
-when none is).  Each dispatch is attributed to
+The profiler times **engine dispatch**: the run's
+:class:`~repro.obs.instrument.Instrumentation` is the engine's observer and
+hands it ``event_begin``/``event_end`` around every dispatched event (an
+unobserved engine pays a single branch).  Each dispatch is attributed to
 
 * a **subsystem**, derived from the event's scheduling name with trailing
   per-node suffixes stripped (``full-ad-123`` -> ``full-ad``,
@@ -23,8 +23,6 @@ import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
-
-from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = [
     "PhaseStats",
@@ -183,23 +181,14 @@ def merge_profiles(profiles: Iterable[RunProfile]) -> RunProfile:
 
 
 class Profiler:
-    """Engine observer accumulating per-subsystem/per-phase dispatch costs.
-
-    Optionally mirrors each dispatch into a tracer (``trace_dispatch``);
-    that is off by default because engine-event records dominate trace
-    volume at scale.
-    """
+    """Accumulates per-subsystem / per-phase dispatch costs."""
 
     def __init__(
         self,
         warmup_s: float = 0.0,
-        tracer: Tracer = NULL_TRACER,
-        trace_dispatch: bool = False,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.warmup_s = warmup_s
-        self.tracer = tracer
-        self.trace_dispatch = trace_dispatch and tracer.enabled
         self._clock = clock
         self._subsystems: Dict[str, PhaseStats] = {}
         self._phases: Dict[str, PhaseStats] = {
@@ -231,15 +220,6 @@ class Profiler:
         ]
         phase.events += 1
         phase.wall_s += dt
-        if self.trace_dispatch:
-            self.tracer.event(
-                "engine",
-                "dispatch",
-                event.time,
-                event_name=event.name,
-                seq=event.seq,
-                dur_s=dt,
-            )
 
     # ------------------------------------------------------------------ final
     def finish(self, engine=None) -> RunProfile:

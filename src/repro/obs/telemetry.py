@@ -4,10 +4,11 @@ Tracing (:mod:`repro.obs.trace`) records *every* event and reconstructs the
 paper's load figures by replay -- exact, but O(events) in memory and output
 size, which cannot survive the ROADMAP's 100k-1M-peer scale-up or a live
 service mode.  This module is the complementary **aggregated** path: a
-constant-memory, opt-in :class:`Telemetry` accumulator that is updated
-inline at the existing hook sites (engine dispatch, query execution, ad
-delivery, confirmations, churn) and summarises into a small, mergeable,
-deterministic :class:`TelemetrySummary`:
+constant-memory, opt-in :class:`Telemetry` accumulator that the run's
+:class:`~repro.obs.instrument.Instrumentation` updates inline, action by
+action (engine dispatch, query, ad delivery, confirmation, ads exchange,
+repair, churn), and that summarises into a small, mergeable, deterministic
+:class:`TelemetrySummary`:
 
 * **time-windowed load series** -- messages / bytes / queries per window,
   globally and per traffic category (the Fig. 9 "load variation over time"
@@ -18,12 +19,11 @@ deterministic :class:`TelemetrySummary`:
 * **top-K heavy hitters** -- Space-Saving-style trackers naming the
   hottest peers and links, globally and per window.
 
-Design rules (mirroring :mod:`repro.obs.trace`):
+Design rules:
 
-1. **Zero cost when disabled.**  Every hook site guards on
-   ``telemetry.enabled`` (plain attribute, one load + one branch);
-   :data:`NULL_TELEMETRY` is the shared disabled singleton.
-2. **Cheap when enabled.**  Inline updates are O(1) dict increments.  The
+1. **Absent when off.**  A run without telemetry holds no accumulator; the
+   hosts' one ``obs is not None`` branch per action site is all it pays.
+2. **Cheap when on.**  Inline updates are O(1) dict increments.  The
    per-category byte series is *not* double-counted inline: every byte
    already flows through :class:`~repro.sim.metrics.BandwidthLedger`'s
    per-second buckets, so :meth:`Telemetry.summary` folds those buckets
@@ -56,8 +56,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 __all__ = [
     "LogBucketSketch",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "SpaceSaving",
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
@@ -343,8 +341,9 @@ class Telemetry:
     """The live, mutable telemetry accumulator attached to one run.
 
     Construct with ``window_s`` (window width in simulation seconds) and
-    attach via ``run_experiment(..., telemetry=True)`` or directly with
-    ``algorithm.set_telemetry(t)`` / ``engine.set_telemetry(t)``.  Call
+    attach via ``run_experiment(..., telemetry=True)`` or by hand inside an
+    ``Instrumentation(telemetry=t)`` given to ``algorithm.attach`` and
+    ``engine.set_observer``.  Call
     :meth:`summary` once the run completes to freeze it into a mergeable
     :class:`TelemetrySummary`.
 
@@ -354,8 +353,6 @@ class Telemetry:
     hotspots -- this is how ``run_cells --live`` streams per-cell state
     out of worker processes.
     """
-
-    enabled: bool = True
 
     def __init__(
         self,
@@ -399,7 +396,7 @@ class Telemetry:
             win = self._windows[w] = _WindowStats(self.window_hh_capacity)
         return win
 
-    # ------------------------------------------------------------ hook sites
+    # ---------------------------------------------- fed by Instrumentation
     def record_engine_event(self, t: float) -> None:
         """One engine dispatch at simulation time ``t`` (hot path)."""
         self.engine_events += 1
@@ -871,48 +868,3 @@ def merge_summaries(
             continue
         merged = s if merged is None else merged.merge(s)
     return merged
-
-
-class NullTelemetry(Telemetry):
-    """The disabled accumulator: every hook site no-ops through it.
-
-    Hot paths guard on ``telemetry.enabled`` and never call the record
-    methods; these overrides keep un-guarded (cold) call sites side-effect
-    free, mirroring :class:`~repro.obs.trace.NullTracer`.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def record_engine_event(self, t):  # type: ignore[override]
-        return None
-
-    def record_query(self, t, requester, outcome):  # type: ignore[override]
-        return None
-
-    def record_peer_bytes(self, t, node, nbytes):  # type: ignore[override]
-        return None
-
-    def record_link(self, t, src, dst, nbytes):  # type: ignore[override]
-        return None
-
-    def record_confirmation(self, t, requester, target, nbytes):  # type: ignore[override]
-        return None
-
-    def record_delivery(self, t, source, nbytes, messages):  # type: ignore[override]
-        return None
-
-    def record_ads_request(self, t, node, nbytes):  # type: ignore[override]
-        return None
-
-    def record_repair(self, t, source, nbytes):  # type: ignore[override]
-        return None
-
-    def record_churn(self, t, joined):  # type: ignore[override]
-        return None
-
-
-#: Shared disabled telemetry; components default to this.
-NULL_TELEMETRY = NullTelemetry()

@@ -1,21 +1,20 @@
 """Structured event tracing for the simulation stack.
 
 A :class:`Tracer` collects typed trace records -- point **events** and
-nested **spans** -- from instrumented subsystems (engine dispatch, ad
-delivery, query execution, churn) and serialises them as JSONL, one record
-per line.  The design goals, in order:
+nested **spans** -- and serialises them as JSONL, one record per line.  It
+is a sink: the simulator never calls it directly but reports its actions
+(query, ad delivery, ads exchange, repair, churn) to the run's
+:class:`~repro.obs.instrument.Instrumentation`, which writes the records
+listed in :data:`~repro.obs.instrument.TRACE_RECORDS`.  An untraced run
+holds no tracer at all, so there is no disabled mode to pay for.  The
+design goals:
 
-1. **Zero cost when disabled.**  Every instrumentation site guards on
-   ``tracer.enabled`` (a plain attribute, no property indirection) before
-   building any record, so the disabled path is one attribute load and one
-   branch.  :data:`NULL_TRACER` is the shared disabled singleton every
-   component starts with.
-2. **Deterministic structure.**  Record ids are a simple counter and span
+1. **Deterministic structure.**  Record ids are a simple counter and span
    nesting is an explicit ``parent``/``depth`` chain, so under the engine's
    deterministic ``(time, seq)`` event ordering two runs of the same seed
    produce structurally identical traces (wall-clock durations differ, the
    tree does not).
-3. **Streamable.**  Records can be mirrored to a file object as they are
+2. **Streamable.**  Records can be mirrored to a file object as they are
    produced (``stream=...``), so multi-minute runs need not hold the trace
    in memory (``keep=False`` drops the in-memory copy).
 
@@ -47,8 +46,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Union
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TRACE_SCHEMA_VERSION",
     "TraceRecord",
@@ -170,8 +167,6 @@ class Tracer:
         Wall-clock source for span durations (injectable for deterministic
         tests); defaults to :func:`time.perf_counter`.
     """
-
-    enabled: bool = True
 
     def __init__(
         self,
@@ -298,47 +293,6 @@ class Tracer:
     def counts_by_category(self) -> Dict[str, int]:
         """Record count per category; tracked even when ``keep=False``."""
         return dict(self._counts)
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: every instrumentation site no-ops through it.
-
-    Hot paths guard on ``tracer.enabled`` and never call the record
-    methods; these overrides exist so that un-guarded (cold) call sites
-    are still free of side effects.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def event(self, category, name, t, **attrs):  # type: ignore[override]
-        return None
-
-    def span(self, category, name, t, **attrs):  # type: ignore[override]
-        return _NULL_SPAN
-
-
-class _NullSpan:
-    """Inert span returned by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    def annotate(self, **attrs):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-#: Shared disabled tracer; components default to this.
-NULL_TRACER = NullTracer()
 
 
 def read_trace_lines(lines: Iterable[str]) -> List[TraceRecord]:

@@ -22,8 +22,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.overlay import Overlay
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex
 
@@ -103,8 +101,8 @@ class SearchAlgorithm(abc.ABC):
         self.ledger = ledger
         self.sizes = sizes or MessageSizes()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.tracer: Tracer = NULL_TRACER
-        self.telemetry: Telemetry = NULL_TELEMETRY
+        # The run's repro.obs.Instrumentation; None while nobody observes.
+        self.obs = None
 
     # ------------------------------------------------------------ interface
     def search(
@@ -113,46 +111,15 @@ class SearchAlgorithm(abc.ABC):
         """Execute one search request issued at simulation time ``now``.
 
         This is a template method: the per-algorithm logic lives in
-        :meth:`_search_impl`; when a tracer is attached each request is
-        wrapped in a ``query`` span annotated with the outcome's message
-        (hop) and byte costs.  With the default null tracer the wrapper is
+        :meth:`_search_impl`.  An observed run (see :meth:`attach`) resolves
+        the request through its instrumentation, which wraps it in a
+        ``query`` span and counts its outcome; unobserved, the wrapper is
         one attribute load and one branch.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            outcome = self._search_impl(requester, terms, now)
-        else:
-            with tracer.span(
-                "query", self.name, now, requester=int(requester), terms=len(terms)
-            ) as span:
-                # Snapshot the ledger around the request so the span carries
-                # the exact per-category byte movement this search caused --
-                # the auditor's conservation check sums these deltas (plus
-                # the top-level ad-lifecycle events) and compares against
-                # the ledger's own totals.
-                before = self.ledger.category_totals()
-                outcome = self._search_impl(requester, terms, now)
-                after = self.ledger.category_totals()
-                delta = {
-                    cat.value: moved
-                    for cat, total in after.items()
-                    if (moved := total - before.get(cat, 0.0)) != 0.0
-                }
-                span.annotate(
-                    success=outcome.success,
-                    messages=outcome.messages,
-                    cost_bytes=outcome.cost_bytes,
-                    results=outcome.results,
-                    local_hit=outcome.local_hit,
-                    response_time_ms=(
-                        outcome.response_time_ms if outcome.success else None
-                    ),
-                    ledger_delta=delta,
-                )
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.record_query(now, int(requester), outcome)
-        return outcome
+        obs = self.obs
+        if obs is None:
+            return self._search_impl(requester, terms, now)
+        return obs.query(self, requester, terms, now)
 
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
@@ -166,13 +133,11 @@ class SearchAlgorithm(abc.ABC):
             f"{type(self).__name__} must implement _search_impl()"
         )
 
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach a tracer (subclasses propagate it to their components)."""
-        self.tracer = tracer
-
-    def set_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach a telemetry accumulator (subclasses propagate it)."""
-        self.telemetry = telemetry
+    def attach(self, obs) -> None:
+        """Report this algorithm's actions to ``obs``, a
+        :class:`repro.obs.Instrumentation` (subclasses pass it on to their
+        components); ``None`` detaches."""
+        self.obs = obs
 
     def warmup(self, engine, start: float, duration: float) -> None:
         """Pre-trace preparation (ASAP's initial ad dissemination).

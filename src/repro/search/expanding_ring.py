@@ -78,13 +78,12 @@ class ExpandingRingSearch(SearchAlgorithm):
                     response_bytes,
                     messages=response_msgs,
                 )
-                telemetry = self.telemetry
-                if telemetry.enabled:
-                    telemetry.record_peer_bytes(now, requester, total_bytes)
-                    for v, h in zip(hits.tolist(), hit_hops.tolist()):
-                        telemetry.record_peer_bytes(
-                            now, v, h * self.sizes.query_response
-                        )
+                if self.obs is not None:
+                    replies = hit_hops * self.sizes.query_response
+                    self.obs.query_traffic(
+                        now, requester, total_bytes,
+                        zip(hits.tolist(), replies.tolist()),
+                    )
                 response_time = elapsed_ms + 2.0 * float(arrival[hits].min())
                 return SearchOutcome(
                     success=True,
@@ -100,6 +99,6 @@ class ExpandingRingSearch(SearchAlgorithm):
             ring_horizon = 2.0 * float(finite.max()) if len(finite) else 0.0
             elapsed_ms += ring_horizon
 
-        if self.telemetry.enabled:
-            self.telemetry.record_peer_bytes(now, requester, total_bytes)
+        if self.obs is not None:
+            self.obs.query_traffic(now, requester, total_bytes)
         return self._failure(total_msgs, total_bytes)

@@ -95,21 +95,21 @@ class FloodingSearch(SearchAlgorithm):
             now, TrafficCategory.QUERY, query_bytes, messages=n_query_msgs
         )
 
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            # The requester fans the query out; charge the flood to it.
-            telemetry.record_peer_bytes(now, requester, query_bytes)
-
         matching = self._matching_live_nodes(terms, exclude=requester)
         hits = _reached_hits(matching, first_hop)
-        if not len(hits):
-            return self._failure(n_query_msgs, query_bytes)
-
         # Responses travel the reverse path: hop(v) transmissions each, and
         # the response reaches the requester after another arrival[v].
         # Integer sum and float min are order-independent, so the gathered
         # forms equal a per-hit loop bit for bit.
         hit_hops = first_hop[hits]
+        if self.obs is not None:
+            self.obs.query_traffic(
+                now, requester, query_bytes,
+                zip(hits.tolist(), (hit_hops * self.sizes.query_response).tolist()),
+            )
+        if not len(hits):
+            return self._failure(n_query_msgs, query_bytes)
+
         response_msgs = int(hit_hops.sum())
         response_bytes = response_msgs * self.sizes.query_response
         self.ledger.record(
@@ -118,12 +118,6 @@ class FloodingSearch(SearchAlgorithm):
             response_bytes,
             messages=response_msgs,
         )
-        if telemetry.enabled:
-            # Each responder sends hop(v) reverse-path transmissions.
-            for v, h in zip(hits.tolist(), hit_hops.tolist()):
-                telemetry.record_peer_bytes(
-                    now, v, h * self.sizes.query_response
-                )
         response_time = 2.0 * float(arrival[hits].min())
         return SearchOutcome(
             success=True,

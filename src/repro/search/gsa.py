@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.search.base import SearchAlgorithm, SearchOutcome
-from repro.sim.metrics import TrafficCategory
+from repro.search.random_walk import finish_walk
 
 __all__ = ["GsaSearch"]
 
@@ -147,35 +147,6 @@ class GsaSearch(SearchAlgorithm):
             if budgets[w] > 0:
                 heapq.heappush(heap, (arrival, w))
 
-        for second, nbytes in buckets.items():
-            self.ledger.record(second + 0.5, TrafficCategory.QUERY, nbytes, messages=0)
-        self.ledger.record(now, TrafficCategory.QUERY, 0.0, messages=n_messages)
-
-        cost_bytes = n_messages * self.sizes.query
-        telemetry = self.telemetry
-        if hit_node is None:
-            if telemetry.enabled:
-                telemetry.record_peer_bytes(now, requester, cost_bytes)
-            return self._failure(n_messages, cost_bytes)
-
-        # Reply bytes arrive at the requester after the direct reply hop.
-        reply_lat = self.overlay.direct_latency_ms(hit_node, requester)
-        self.ledger.record(
-            now + (hit_time_ms + reply_lat) / 1000.0,
-            TrafficCategory.QUERY_RESPONSE,
-            self.sizes.query_response,
-            messages=1,
-        )
-        if telemetry.enabled:
-            telemetry.record_peer_bytes(now, requester, cost_bytes)
-            telemetry.record_peer_bytes(now, int(hit_node), self.sizes.query_response)
-            telemetry.record_link(
-                now, int(hit_node), requester, self.sizes.query_response
-            )
-        return SearchOutcome(
-            success=True,
-            response_time_ms=hit_time_ms + reply_lat,
-            messages=n_messages + 1,
-            cost_bytes=cost_bytes + self.sizes.query_response,
-            results=1,
+        return finish_walk(
+            self, requester, now, n_messages, buckets, hit_time_ms, hit_node
         )

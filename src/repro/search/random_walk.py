@@ -38,7 +38,7 @@ from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
-__all__ = ["RandomWalkSearch"]
+__all__ = ["RandomWalkSearch", "finish_walk"]
 
 
 class RandomWalkSearch(SearchAlgorithm):
@@ -76,8 +76,10 @@ class RandomWalkSearch(SearchAlgorithm):
         res = kernels.rw_search(
             csr, requester, draws, match, now, self.sizes.query
         )
-        return self._finish(requester, now, res.n_messages, res.buckets,
-                            res.hit_time_ms, res.hit_node)
+        return finish_walk(
+            self, requester, now, res.n_messages, res.buckets,
+            res.hit_time_ms, res.hit_node,
+        )
 
     def _search_loop(
         self, requester: int, terms: Sequence[str], now: float
@@ -127,7 +129,8 @@ class RandomWalkSearch(SearchAlgorithm):
             if steps_taken[w] < self.ttl:
                 heapq.heappush(heap, (elapsed, w))
 
-        return self._finish(
+        return finish_walk(
+            self,
             requester,
             now,
             n_messages,
@@ -136,49 +139,49 @@ class RandomWalkSearch(SearchAlgorithm):
             hit_node,
         )
 
-    def _finish(
-        self,
-        requester: int,
-        now: float,
-        n_messages: int,
-        buckets: Dict[int, float],
-        hit_time_ms: Optional[float],
-        hit_node: Optional[int],
-    ) -> SearchOutcome:
-        """Shared accounting tail: ledger records + outcome construction."""
-        for second, nbytes in buckets.items():
-            self.ledger.record(second + 0.5, TrafficCategory.QUERY, nbytes, messages=0)
-        # Message counts recorded once (byte buckets already carry the bytes).
-        self.ledger.record(now, TrafficCategory.QUERY, 0.0, messages=n_messages)
 
-        cost_bytes = n_messages * self.sizes.query
-        telemetry = self.telemetry
-        if hit_node is None:
-            if telemetry.enabled:
-                telemetry.record_peer_bytes(now, requester, cost_bytes)
-            return self._failure(n_messages, cost_bytes)
+def finish_walk(
+    search: SearchAlgorithm,
+    requester: int,
+    now: float,
+    n_messages: int,
+    buckets: Dict[int, float],
+    hit_time_ms: Optional[float],
+    hit_node: Optional[int],
+) -> SearchOutcome:
+    """The accounting tail of a walk search (this one and GSA): ledger
+    records and outcome from the walk's per-second byte ``buckets`` and its
+    first hit, if any (``hit_node`` None otherwise)."""
+    ledger, sizes = search.ledger, search.sizes
+    for second, nbytes in buckets.items():
+        ledger.record(second + 0.5, TrafficCategory.QUERY, nbytes, messages=0)
+    # Message counts recorded once (byte buckets already carry the bytes).
+    ledger.record(now, TrafficCategory.QUERY, 0.0, messages=n_messages)
 
-        # Direct reply from the hit node to the requester, recorded at the
-        # reply's arrival (hit + reply hop), not at the hit instant.
-        reply_lat = self.overlay.direct_latency_ms(hit_node, requester)
-        self.ledger.record(
-            now + (hit_time_ms + reply_lat) / 1000.0,
-            TrafficCategory.QUERY_RESPONSE,
-            self.sizes.query_response,
-            messages=1,
+    cost_bytes = n_messages * sizes.query
+    if search.obs is not None:
+        # The hit node answers the requester directly.
+        search.obs.query_traffic(
+            now, requester, cost_bytes,
+            [] if hit_node is None else [(hit_node, sizes.query_response)],
+            direct=True,
         )
-        if telemetry.enabled:
-            # Walk traffic is charged to the initiating requester; the hit
-            # node pays for its direct reply.
-            telemetry.record_peer_bytes(now, requester, cost_bytes)
-            telemetry.record_peer_bytes(now, int(hit_node), self.sizes.query_response)
-            telemetry.record_link(
-                now, int(hit_node), requester, self.sizes.query_response
-            )
-        return SearchOutcome(
-            success=True,
-            response_time_ms=hit_time_ms + reply_lat,
-            messages=n_messages + 1,
-            cost_bytes=cost_bytes + self.sizes.query_response,
-            results=1,
-        )
+    if hit_node is None:
+        return search._failure(n_messages, cost_bytes)
+
+    # Direct reply from the hit node to the requester, recorded at the
+    # reply's arrival (hit + reply hop), not at the hit instant.
+    reply_lat = search.overlay.direct_latency_ms(hit_node, requester)
+    ledger.record(
+        now + (hit_time_ms + reply_lat) / 1000.0,
+        TrafficCategory.QUERY_RESPONSE,
+        sizes.query_response,
+        messages=1,
+    )
+    return SearchOutcome(
+        success=True,
+        response_time_ms=hit_time_ms + reply_lat,
+        messages=n_messages + 1,
+        cost_bytes=cost_bytes + sizes.query_response,
+        results=1,
+    )

@@ -90,10 +90,6 @@ class SimulationEngine:
         # Observer with event_begin(event)/event_end(event); None keeps the
         # dispatch loop on its unobserved fast path (a single branch).
         self._observer: Optional[Any] = None
-        # Streaming telemetry accumulator (repro.obs.telemetry.Telemetry);
-        # None keeps dispatch on the fast path -- one extra branch, same
-        # discipline as the observer slot.
-        self._telemetry: Optional[Any] = None
 
     def _note_cancel(self) -> None:
         self._cancelled_in_heap += 1
@@ -108,9 +104,9 @@ class SimulationEngine:
         """Install (or, with None, remove) a dispatch observer.
 
         The observer's ``event_begin(event)`` / ``event_end(event)`` are
-        called around every executed event.  Used by the profiler and
-        tracer in :mod:`repro.obs`; when no observer is installed the
-        dispatch loop pays one branch and nothing else.
+        called around every executed event.  An observed run installs its
+        :class:`repro.obs.Instrumentation` here; when no observer is
+        installed the dispatch loop pays one branch and nothing else.
         """
         if observer is not None and (
             not callable(getattr(observer, "event_begin", None))
@@ -120,26 +116,6 @@ class SimulationEngine:
                 "observer must provide event_begin(event) and event_end(event)"
             )
         self._observer = observer
-
-    @property
-    def telemetry(self) -> Optional[Any]:
-        """The installed telemetry accumulator (None when disabled)."""
-        return self._telemetry
-
-    def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Install (or, with None, remove) a telemetry accumulator.
-
-        ``telemetry.record_engine_event(t)`` is called after every executed
-        event; disabled accumulators (``enabled`` false) are normalised to
-        None so the dispatch loop keeps its single-branch fast path.
-        """
-        if telemetry is not None and not getattr(telemetry, "enabled", False):
-            telemetry = None
-        if telemetry is not None and not callable(
-            getattr(telemetry, "record_engine_event", None)
-        ):
-            raise SimulationError("telemetry must provide record_engine_event(t)")
-        self._telemetry = telemetry
 
     # ------------------------------------------------------------------ clock
     @property
@@ -242,8 +218,6 @@ class SimulationEngine:
             observer.event_begin(event)
             event.callback()
             observer.event_end(event)
-        if self._telemetry is not None:
-            self._telemetry.record_engine_event(event.time)
         return True
 
     def run(self, until: Optional[float] = None) -> float:

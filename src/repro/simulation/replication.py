@@ -141,7 +141,7 @@ def run_replications(
     }
     merged_telemetry = None
     if telemetry:
-        from repro.obs.telemetry import merge_summaries
+        from repro.obs import merge_summaries
 
         merged_telemetry = merge_summaries(telemetries)
     return ReplicatedSummary(

@@ -28,9 +28,10 @@ import numpy as np
 
 from repro.asap.protocol import AsapParams, AsapSearch
 from repro.asap.state import require_state_fits
+from repro.obs.instrument import Instrumentation
 from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 from repro.network.overlay import Overlay
 from repro.network.substrate import get_substrate
 from repro.network.topology import build_topology
@@ -131,13 +132,18 @@ def run_experiment(
 ) -> RunResult:
     """Execute one full trace replay and return its results.
 
-    Observability (all opt-in, zero-cost when off):
+    Observability is opt-in.  Tracer, telemetry and profiler are sinks of
+    one :class:`repro.obs.Instrumentation`, which the engine takes as its
+    dispatch observer and -- when a tracer or telemetry wants the
+    algorithm's actions -- the algorithm as its ``obs``; with none of them
+    the run holds no instrumentation at all:
 
     * ``tracer`` -- a :class:`repro.obs.trace.Tracer`; ad lifecycle, query
       spans and churn events are recorded into it;
-    * ``profile`` -- install a :class:`repro.obs.profile.Profiler` as the
-      engine observer and attach the resulting ``RunProfile`` to the
-      returned :class:`RunResult` (also implied by ``tracer``);
+    * ``profile`` -- time every engine dispatch with a
+      :class:`repro.obs.profile.Profiler` and attach the resulting
+      ``RunProfile`` to the returned :class:`RunResult` (also implied by
+      ``tracer``);
     * ``collect_diagnostics`` -- snapshot ASAP cache diagnostics into
       ``RunResult.cache_diagnostics`` after the replay (ASAP runs only);
     * ``audit`` -- trace the run (an internal keep-in-memory tracer is
@@ -172,11 +178,10 @@ def run_experiment(
     streams = RandomStreams(seed=config.seed)
     if audit and tracer is None:
         tracer = Tracer(keep=True)
-    tracer = tracer if tracer is not None else NULL_TRACER
-    if audit and (not tracer.enabled or not tracer.keep):
+    if audit and not tracer.keep:
         raise ValueError(
-            "audit=True needs the trace records in memory; pass an enabled "
-            "Tracer built with keep=True (streaming can be enabled alongside)."
+            "audit=True needs the trace records in memory; pass a Tracer "
+            "built with keep=True (streaming can be enabled alongside)."
         )
 
     # --- substrate -------------------------------------------------------
@@ -203,25 +208,24 @@ def run_experiment(
         config, overlay, content, ledger, streams.get("algorithm"), dist.interests
     )
 
-    if tracer.enabled:
-        algorithm.set_tracer(tracer)
-
     tel: Optional[Telemetry] = None
     if telemetry:
         tel = telemetry if isinstance(telemetry, Telemetry) else Telemetry()
-        if not tel.enabled:
-            tel = None
-    if tel is not None:
-        algorithm.set_telemetry(tel)
+    profiler: Optional[Profiler] = None
+    if profile or tracer is not None:
+        profiler = Profiler(warmup_s=config.warmup_s)
+    seam: Optional[Instrumentation] = None
+    if tracer is not None or tel is not None or profiler is not None:
+        seam = Instrumentation(tracer, tel, profiler)
+    if tracer is not None or tel is not None:
+        # Not for the profiler alone: it watches engine dispatch, no sink
+        # wants the protocol's actions, and the sites should not pay a call.
+        algorithm.attach(seam)
 
     # --- replay ------------------------------------------------------------
     engine = SimulationEngine()
-    if tel is not None:
-        engine.set_telemetry(tel)
-    profiler: Optional[Profiler] = None
-    if profile or tracer.enabled:
-        profiler = Profiler(warmup_s=config.warmup_s, tracer=tracer)
-        engine.set_observer(profiler)
+    if seam is not None:
+        engine.set_observer(seam)
     if config.model_keepalives:
         from repro.network.keepalive import KeepaliveTraffic
 
@@ -241,6 +245,7 @@ def run_experiment(
 
     def handle(event) -> None:
         now = engine.now
+        obs = algorithm.obs
         if isinstance(event, QueryEvent):
             outcome = algorithm.search(event.node, event.terms, now)
             outcomes.append(outcome)
@@ -252,36 +257,20 @@ def run_experiment(
                 content.place(event.node, event.doc_id, notify=False)
             else:
                 content.remove(event.node, event.doc_id, notify=False)
-            if tracer.enabled:
-                tracer.event(
-                    "churn",
-                    "content_add" if event.added else "content_remove",
-                    now,
-                    node=int(event.node),
-                    doc_id=int(event.doc_id),
-                )
+            if obs is not None:
+                obs.content_changed(now, event.node, event.doc_id, event.added)
             algorithm.on_content_change(event.node, doc, event.added, now)
         elif isinstance(event, JoinEvent):
             overlay.join(event.node)
             live_tracker.record_change(now, +1)
-            if tracer.enabled:
-                tracer.event(
-                    "churn", "join", now,
-                    node=int(event.node), live=overlay.live_count(),
-                )
-            if tel is not None:
-                tel.record_churn(now, joined=True)
+            if obs is not None:
+                obs.churn(now, event.node, True, overlay.live_count())
             algorithm.on_join(event.node, now)
         elif isinstance(event, LeaveEvent):
             overlay.leave(event.node)
             live_tracker.record_change(now, -1)
-            if tracer.enabled:
-                tracer.event(
-                    "churn", "leave", now,
-                    node=int(event.node), live=overlay.live_count(),
-                )
-            if tel is not None:
-                tel.record_churn(now, joined=False)
+            if obs is not None:
+                obs.churn(now, event.node, False, overlay.live_count())
             algorithm.on_leave(event.node, now)
         else:  # pragma: no cover - trace types are closed
             raise TypeError(f"unknown trace event {type(event).__name__}")

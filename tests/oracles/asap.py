@@ -66,6 +66,7 @@ class OracleAsapSearch(AsapSearch):
         repo = self.repos[node]
         neighbors = self._neighbors_within_h(node)
         new_sources: Dict[int, float] = {}
+        served = []  # (neighbour, request + reply bytes, sources adopted)
         n_messages = 0
         total_bytes = 0.0
         request_total = 0.0
@@ -94,6 +95,7 @@ class OracleAsapSearch(AsapSearch):
             ]
             reply_bytes = float(self.sizes.ad_header)  # reply envelope
             rtt = 2.0 * one_way
+            adopted = []
             for s in novel:
                 entry = nbr_repo.entries[s]
                 if not repo.interested_in(entry.topics):
@@ -104,8 +106,10 @@ class OracleAsapSearch(AsapSearch):
                 reply_bytes += self.sizes.ad_header + compressed_filter_size(
                     self.store.n_set_bits(s), self.store.hasher.m
                 )
-                if stored and (s not in new_sources or rtt < new_sources[s]):
-                    new_sources[s] = rtt
+                if stored:
+                    adopted.append(s)
+                    if s not in new_sources or rtt < new_sources[s]:
+                        new_sources[s] = rtt
             n_messages += 1
             total_bytes += reply_bytes
             self.ledger.record(
@@ -114,23 +118,12 @@ class OracleAsapSearch(AsapSearch):
                 reply_bytes,
                 messages=1,
             )
-            if self.telemetry.enabled:
-                # The serving neighbour pays for the reply it assembled.
-                self.telemetry.record_ads_request(
-                    now, int(nbr), request_size + reply_bytes
-                )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "ad",
-                "ads_request",
-                now,
-                node=int(node),
-                scope="query" if positions is not None else "bootstrap",
-                neighbors=len(neighbors),
-                new_sources=len(new_sources),
-                messages=n_messages,
-                cost_bytes=total_bytes,
-                request_bytes=request_total,
-                reply_bytes=total_bytes - request_total,
+            served.append(
+                (nbr, request_size + reply_bytes, np.array(adopted, dtype=np.int64))
+            )
+        if self.obs is not None:
+            self.obs.ads_exchange(
+                now, node, "query" if positions is not None else "bootstrap",
+                served, n_messages, total_bytes, request_total,
             )
         return new_sources, n_messages, total_bytes

@@ -2,10 +2,11 @@
 
 Each function is the pre-kernel body of the matching forwarder's
 ``deliver`` (``fw`` is the forwarder): same rng draws in the same order,
-same ledger writes through the forwarder's own ``_record``/``_finish``, so
-reports and per-second ledger buckets must match bit for bit.  Visited sets
-are built in ascending order like the kernels' so that iterating them --
-which orders the receivers' repair traffic -- is arm-independent too.
+same ledger writes and instrumentation through the forwarder's own
+``_finish``, so reports and per-second ledger buckets must match bit for
+bit.  Visited sets are built in ascending order like the kernels' so that
+iterating them -- which orders the receivers' repair traffic -- is
+arm-independent too.
 """
 
 from collections import defaultdict
@@ -30,10 +31,11 @@ def _deliver_fld(
     first_hop, _, n_messages = flood_reach_reference(
         fw.overlay, ad.source, fw.ttl
     )
-    visited = frozenset(
-        int(v) for v in np.nonzero(first_hop > 0)[0]
+    ad_size = ad.size_bytes(fw.sizes)
+    buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
+    return fw._finish(
+        ad, now, np.nonzero(first_hop > 0)[0], n_messages, ad_size, buckets
     )
-    return fw._finish(ad, now, visited, n_messages)
 
 
 def _deliver_rw(
@@ -67,15 +69,10 @@ def _deliver_rw(
             n_messages += 1
             buckets[int(now + elapsed_ms / 1000.0)] += ad_size
     visited.discard(ad.source)
-    fw._record(ad, buckets, n_messages)
-    report = DeliveryReport(
-        visited=frozenset(sorted(visited)),
-        messages=n_messages,
-        bytes=float(n_messages * ad_size),
+    return fw._finish(
+        ad, now, np.array(sorted(visited), dtype=np.int64), n_messages,
+        ad_size, buckets, budget=fw.walkers * per_walker,
     )
-    if fw.tracer.enabled:
-        fw._trace_delivery(ad, now, report, budget=fw.walkers * per_walker)
-    return report
 
 
 def _deliver_gsa(
@@ -131,15 +128,10 @@ def _deliver_gsa(
                 remaining -= n_push
                 buckets[int(now + elapsed_ms / 1000.0)] += n_push * ad_size
     visited.discard(ad.source)
-    fw._record(ad, buckets, n_messages)
-    report = DeliveryReport(
-        visited=frozenset(sorted(visited)),
-        messages=n_messages,
-        bytes=float(n_messages * ad_size),
+    return fw._finish(
+        ad, now, np.array(sorted(visited), dtype=np.int64), n_messages,
+        ad_size, buckets, budget=fw.walkers * per_walker,
     )
-    if fw.tracer.enabled:
-        fw._trace_delivery(ad, now, report, budget=fw.walkers * per_walker)
-    return report
 
 
 _BY_KIND = {"fld": _deliver_fld, "rw": _deliver_rw, "gsa": _deliver_gsa}

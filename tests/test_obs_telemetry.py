@@ -18,8 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.parallel import run_cells
 from repro.obs.telemetry import (
     LogBucketSketch,
-    NULL_TELEMETRY,
-    NullTelemetry,
     SpaceSaving,
     TELEMETRY_SCHEMA_VERSION,
     Telemetry,
@@ -188,13 +186,9 @@ class TestSpaceSaving:
 
 
 # --------------------------------------------------------------------------
-# Telemetry accumulator + the disabled path
+# Telemetry accumulator
 # --------------------------------------------------------------------------
 class TestTelemetryAccumulator:
-    def test_null_is_disabled(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
-
     def test_window_s_must_be_positive(self):
         with pytest.raises(ValueError):
             Telemetry(window_s=0)

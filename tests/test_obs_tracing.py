@@ -1,5 +1,5 @@
-"""Tracing layer: disabled no-op semantics, span nesting, JSONL round-trip,
-and the engine observer / live-pending satellites."""
+"""Tracing layer: span nesting, JSONL round-trip, and the engine observer /
+live-pending satellites."""
 
 import io
 
@@ -7,8 +7,6 @@ import pytest
 
 from repro.obs.profile import Profiler, RunProfile, subsystem_of
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     TRACE_SCHEMA_VERSION,
     TraceRecord,
     Tracer,
@@ -17,27 +15,6 @@ from repro.obs.trace import (
     read_trace_lines,
 )
 from repro.sim.engine import SimulationEngine, SimulationError
-
-
-# ------------------------------------------------------------ disabled path
-def test_null_tracer_is_disabled_and_records_nothing():
-    assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.event("ad", "deliver", 1.0, bytes=10) is None
-    with NULL_TRACER.span("query", "flooding", 2.0) as span:
-        span.annotate(success=True)
-    assert NULL_TRACER.records == []
-
-
-def test_null_span_annotate_chains():
-    span = NullTracer().span("query", "x", 0.0)
-    assert span.annotate(a=1).annotate(b=2) is span
-
-
-def test_enabled_guard_is_plain_attribute():
-    # Hot paths do `if tracer.enabled:`; both classes must expose it as a
-    # cheap class attribute, not a property.
-    assert isinstance(Tracer.__dict__.get("enabled"), bool)
-    assert isinstance(NullTracer.__dict__.get("enabled"), bool)
 
 
 # ----------------------------------------------------------------- recording
@@ -276,16 +253,6 @@ def test_profiler_buckets_by_phase_and_subsystem():
     # Renderers stay in sync with the data.
     assert "dispatched 5 events" in profile.format_table()
     assert profile.to_dict()["phases"]["warmup"]["events"] == 2
-
-
-def test_profiler_can_mirror_dispatch_into_tracer():
-    tracer = Tracer()
-    profiler = Profiler(warmup_s=0.0, tracer=tracer, trace_dispatch=True)
-    _run_engine_with(profiler, n=3)
-    dispatch = [r for r in tracer.records if r.name == "dispatch"]
-    assert len(dispatch) == 3
-    assert dispatch[0].category == "engine"
-    assert dispatch[0].attrs["event_name"] == "tick-0"
 
 
 @pytest.mark.parametrize(

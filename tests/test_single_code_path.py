@@ -9,7 +9,9 @@ kept arena rows, slot dicts, behind sets and a cacher index in step by
 hand; the stub-graph and weighted-sampler ones at the last commit with a
 scipy hop-matrix helper in ``transit_stub`` and per-call Zipf tables; the
 walk post-processing one at the last commit where ``deliver`` dropped the
-source itself and ``bucket_bytes`` was the only way to a bucket dict.
+source itself and ``bucket_bytes`` was the only way to a bucket dict; the
+instrumentation-seam ones at the last commit where nine host modules fed
+tracer and telemetry one ``.enabled`` guard at a time.
 """
 
 import ast
@@ -22,6 +24,8 @@ import repro
 import repro.asap
 from repro.asap.protocol import AsapSearch
 from repro.asap.state import AdsState, RepositoryView
+from repro.obs.telemetry import Telemetry
+from repro.sim.engine import SimulationEngine
 from repro.network import transit_stub
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
@@ -235,3 +239,84 @@ def test_src_has_one_walk_post_processing():
         for call in ast.walk(rw) if isinstance(call, ast.Call)
     }
     assert not calls & (own_rules | {"bincount"})
+
+
+# --------------------------------------------------- one instrumentation seam
+def _src_trees():
+    return [
+        (path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+    ]
+
+
+def test_src_reads_no_enabled_flag():
+    """A sink is attached or it is absent; nothing asks one whether it is on."""
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "enabled"
+    ]
+    assert reads == []
+
+
+def test_only_obs_and_the_run_builders_import_the_sinks():
+    """Tracer and telemetry are built by ``run_experiment`` and ``_run_cell``
+    and written by ``repro.obs``; every other module reaches them through
+    its ``obs`` attribute, or not at all."""
+    sinks = {"repro.obs.trace", "repro.obs.telemetry"}
+    allowed = {"simulation/runner.py", "experiments/parallel.py"}
+    importers = set()
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = {node.module}
+            elif isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            else:
+                continue
+            if modules & sinks and not name.startswith("obs/"):
+                importers.add(name)
+    assert importers == allowed
+
+
+def test_hosts_feed_no_sink_directly():
+    """Outside ``repro.obs`` nothing calls a ``Telemetry.record_*`` method
+    or a tracer, and nothing holds one."""
+    feeds = {name for name in vars(Telemetry) if name.startswith("record_")}
+    feeds |= {"event", "span"}
+    hits = []
+    for name, tree in _src_trees():
+        if name.startswith("obs/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in feeds:
+                    hits.append(f"{name}:{node.lineno} .{node.func.attr}()")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("tracer", "telemetry")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                hits.append(f"{name}:{node.lineno} self.{node.attr}")
+    assert hits == []
+
+
+def test_hosts_carry_one_obs_attribute():
+    algo = _small_asap()
+    for host in (algo, algo.forwarder):
+        assert host.obs is None
+        assert not hasattr(host, "tracer") and not hasattr(host, "telemetry")
+        assert not hasattr(host, "set_tracer") and not hasattr(host, "set_telemetry")
+    assert not hasattr(algo.forwarder, "_trace_delivery")
+    marker = object()
+    algo.attach(marker)
+    assert algo.obs is marker and algo.forwarder.obs is marker
+
+
+def test_engine_has_one_observer_slot_and_no_telemetry_slot():
+    engine = SimulationEngine()
+    assert engine.observer is None
+    for name in ("telemetry", "set_telemetry", "_telemetry"):
+        assert not hasattr(engine, name)

@@ -283,9 +283,10 @@ class Instrumentation:
 
         ``reply_category`` is the ledger category of the reply (patch or
         full ad), ``None`` when the source shares nothing any more and sent
-        none.  The source serves the repair and is charged for it.
+        none.  The source serves the repair and is charged for it -- for
+        the request alone when it had nothing to reply with.
         """
-        if self.telemetry is not None and reply_category is not None:
+        if self.telemetry is not None:
             self.telemetry.record_repair(
                 now, int(source), request_bytes + float(reply_bytes)
             )

@@ -117,7 +117,9 @@ SUBSTRATES = {
 #: only arm against arm (serial vs ``--jobs 2``).  These rows -- one per
 #: algorithm and one per protocol regime -- freeze both across commits.
 #: Recorded at a38191f, the last commit where every host module fed tracer
-#: and telemetry separately.
+#: and telemetry separately; the ``content_change_x3`` telemetry row alone
+#: was re-recorded one commit after the seam, when a repair that gets no
+#: reply started to count (574 ``repairs`` instead of 570).
 OBS_ROWS = (
     "flooding/seed0/default_churn",
     "random_walk/seed0/default_churn",

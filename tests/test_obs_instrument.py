@@ -244,6 +244,29 @@ def test_repair_reaches_both_sinks_with_the_byte_split():
     ]
 
 
+def test_a_repair_that_gets_no_reply_still_reaches_both_sinks():
+    tracer, telemetry = _sinks()
+    Instrumentation(tracer, telemetry).repair(8.0, 2, 9, 60.0, 0.0, None)
+    assert telemetry.calls == [("repair", (8.0, 9, 60.0))]
+    assert tracer.records[0].attrs["reply_category"] is None
+
+
+def test_telemetry_counts_every_repair_the_trace_records():
+    """The cell where sources stop sharing between a patch and its repairs:
+    the window table's ``repairs`` used to skip the pulls that got no reply
+    (570 against 574 trace records)."""
+    tracer = Tracer()
+    result = run_experiment(
+        CONFIGS["asap_rw/seed0/default_churn/content_change_x3"],
+        tracer=tracer, telemetry=True,
+    )
+    repairs = [r for r in tracer.records if r.name == "repair"]
+    unanswered = [r for r in repairs if r.attrs["reply_category"] is None]
+    assert len(repairs) == 574 and len(unanswered) == 4
+    windows = result.telemetry.windows.values()
+    assert sum(w["repairs"] for w in windows) == len(repairs)
+
+
 def test_churn_and_content_change():
     tracer, telemetry = _sinks()
     obs = Instrumentation(tracer, telemetry)

@@ -349,13 +349,30 @@ def _replication_metrics(reg: MetricsRegistry, config, args) -> None:
     ).set(merged.wall_s)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cell_parser() -> argparse.ArgumentParser:
+    """The flags that name one cell, shared by ``run``, ``audit`` and
+    ``telemetry`` (an argparse parent parser)."""
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--algorithm", default="asap_rw")
+    cell.add_argument("--topology", default="crawled")
+    cell.add_argument("--peers", type=int, default=120)
+    cell.add_argument("--queries", type=int, default=60)
+    cell.add_argument("--seed", type=int, default=0)
+    cell.add_argument(
+        "--no-physical-network",
+        action="store_true",
+        help="skip the transit-stub substrate (faster smoke runs)",
+    )
+    return cell
+
+
+def _cell_config(args: argparse.Namespace):
+    """The :class:`RunConfig` of the cell ``_cell_parser``'s flags name."""
     # Imported lazily: the diff subcommand must work without the heavy
     # simulation stack (numpy/scipy) ever loading.
     from repro.simulation.config import scaled_config
-    from repro.simulation.runner import run_experiment
 
-    config = scaled_config(
+    return scaled_config(
         args.algorithm,
         args.topology,
         n_peers=args.peers,
@@ -363,6 +380,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         use_physical_network=not args.no_physical_network,
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.simulation.runner import run_experiment
+
+    config = _cell_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -456,17 +479,9 @@ def _load_baseline_fingerprint(path: Path) -> str:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.obs.analyze import analyze_trace
-    from repro.simulation.config import scaled_config
     from repro.simulation.runner import run_experiment
 
-    config = scaled_config(
-        args.algorithm,
-        args.topology,
-        n_peers=args.peers,
-        n_queries=args.queries,
-        seed=args.seed,
-        use_physical_network=not args.no_physical_network,
-    )
+    config = _cell_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
@@ -508,16 +523,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
     from repro.experiments.parallel import CellFailure, run_cells
     from repro.obs.telemetry import merge_summaries
-    from repro.simulation.config import scaled_config
 
-    config = scaled_config(
-        args.algorithm,
-        args.topology,
-        n_peers=args.peers,
-        n_queries=args.queries,
-        seed=args.seed,
-        use_physical_network=not args.no_physical_network,
-    )
+    config = _cell_config(args)
     if args.probe_interval is not None:
         config = replace(config, probe_interval_s=args.probe_interval)
     out_dir = Path(args.out)
@@ -546,9 +553,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     # Input-order fold: bit-identical no matter how --jobs scheduled cells.
     summary = merge_summaries(o.telemetry for o in outcomes)
     if summary is None:
-        # Every cell came back without a telemetry section (e.g. the
-        # accumulator was disabled in this build): report it instead of
-        # crashing on the absent summary.
+        # No cell, no summary (``--replications 0``): report it instead
+        # of crashing on the absent summary.
         print(
             "no telemetry collected: none of the cells produced a "
             "telemetry section",
@@ -633,12 +639,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment and export metrics")
-    run_p.add_argument("--algorithm", default="asap_rw")
-    run_p.add_argument("--topology", default="crawled")
-    run_p.add_argument("--peers", type=int, default=120)
-    run_p.add_argument("--queries", type=int, default=60)
-    run_p.add_argument("--seed", type=int, default=0)
+    cell = _cell_parser()
+
+    run_p = sub.add_parser(
+        "run", parents=[cell], help="run one experiment and export metrics"
+    )
     run_p.add_argument(
         "--replications",
         type=int,
@@ -654,11 +659,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--out", default="obs-report")
     run_p.add_argument(
         "--trace", action="store_true", help="also write trace.jsonl"
-    )
-    run_p.add_argument(
-        "--no-physical-network",
-        action="store_true",
-        help="skip the transit-stub substrate (faster smoke runs)",
     )
     run_p.set_defaults(func=_cmd_run)
 
@@ -676,13 +676,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff_p.set_defaults(func=_cmd_diff)
 
     audit_p = sub.add_parser(
-        "audit", help="run one experiment under the invariant auditor"
+        "audit",
+        parents=[cell],
+        help="run one experiment under the invariant auditor",
     )
-    audit_p.add_argument("--algorithm", default="asap_rw")
-    audit_p.add_argument("--topology", default="crawled")
-    audit_p.add_argument("--peers", type=int, default=120)
-    audit_p.add_argument("--queries", type=int, default=60)
-    audit_p.add_argument("--seed", type=int, default=0)
     audit_p.add_argument("--out", default="obs-audit")
     audit_p.add_argument(
         "--baseline",
@@ -690,23 +687,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stored audit.json (or bare fingerprint file) to compare the "
         "run fingerprint against; mismatch exits non-zero",
     )
-    audit_p.add_argument(
-        "--no-physical-network",
-        action="store_true",
-        help="skip the transit-stub substrate (faster smoke runs)",
-    )
     audit_p.set_defaults(func=_cmd_audit)
 
     tel_p = sub.add_parser(
         "telemetry",
+        parents=[cell],
         help="run with streaming telemetry and export windowed load, "
         "sketches and hotspots (no trace file)",
     )
-    tel_p.add_argument("--algorithm", default="asap_rw")
-    tel_p.add_argument("--topology", default="crawled")
-    tel_p.add_argument("--peers", type=int, default=120)
-    tel_p.add_argument("--queries", type=int, default=60)
-    tel_p.add_argument("--seed", type=int, default=0)
     tel_p.add_argument(
         "--replications",
         type=int,
@@ -745,11 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=20,
         help="cap on printed window-table rows (sampled evenly)",
-    )
-    tel_p.add_argument(
-        "--no-physical-network",
-        action="store_true",
-        help="skip the transit-stub substrate (faster smoke runs)",
     )
     tel_p.set_defaults(func=_cmd_telemetry)
 

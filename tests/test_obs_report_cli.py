@@ -144,3 +144,23 @@ def test_diff_tolerance_fails_on_one_sided_series(tmp_path):
          "labels": {}, "value": 0.0},
     ]}))
     assert main(["diff", str(a), str(b), "--tolerance", "1e9"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command,artifact",
+    [
+        ("run", "metrics.json"),
+        ("audit", "audit.json"),
+        ("telemetry", "telemetry.json"),
+    ],
+)
+def test_cell_flags_are_shared(command, artifact, tmp_path, capsys):
+    """``run``, ``audit`` and ``telemetry`` name their cell with the same
+    flags (one parent parser) and build the same config from them."""
+    out = tmp_path / command
+    assert main([command, *COMMON, "--seed", "3", "--out", str(out)]) == 0
+    assert (out / artifact).stat().st_size > 0
+    # A flag outside the shared set is still an error, not silently eaten.
+    with pytest.raises(SystemExit):
+        main([command, *COMMON, "--no-such-cell-flag"])
+    capsys.readouterr()

@@ -113,7 +113,7 @@ def bench_telemetry_overhead(benchmark):
             dict(data, recorded_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
         )
 
-    # The summary really carried the run (not a null object).
+    # The summary really carried the run.
     assert summary.totals["queries"] == N_QUERIES
     assert summary.windows
     # The acceptance bar: enabled telemetry stays within budget.

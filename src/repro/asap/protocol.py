@@ -456,9 +456,7 @@ class AsapSearch(SearchAlgorithm):
         ledger = self.ledger
         obs = self.obs
         # Observed: (neighbour, request + reply bytes, sources adopted).
-        served: Optional[List[Tuple[int, float, np.ndarray]]] = (
-            None if obs is None else []
-        )
+        served = None if obs is None else []
         neighbors = self._neighbors_within_h(node)
         new_sources: Optional[Dict[int, float]] = (
             None if positions is None else {}

@@ -214,18 +214,17 @@ def run_experiment(
     profiler: Optional[Profiler] = None
     if profile or tracer is not None:
         profiler = Profiler(warmup_s=config.warmup_s)
-    seam: Optional[Instrumentation] = None
-    if tracer is not None or tel is not None or profiler is not None:
-        seam = Instrumentation(tracer, tel, profiler)
-    if tracer is not None or tel is not None:
-        # Not for the profiler alone: it watches engine dispatch, no sink
-        # wants the protocol's actions, and the sites should not pay a call.
-        algorithm.attach(seam)
 
     # --- replay ------------------------------------------------------------
     engine = SimulationEngine()
-    if seam is not None:
+    if profiler is not None or tel is not None:
+        seam = Instrumentation(tracer, tel, profiler)
         engine.set_observer(seam)
+        if tracer is not None or tel is not None:
+            # Not for the profiler alone: it watches engine dispatch, no
+            # sink wants the protocol's actions, and the action sites
+            # should not pay a call each.
+            algorithm.attach(seam)
     if config.model_keepalives:
         from repro.network.keepalive import KeepaliveTraffic
 

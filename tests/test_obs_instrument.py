@@ -338,11 +338,11 @@ def test_telemetry_run_never_builds_a_trace_record(monkeypatch):
 # ------------------------------------------------------- the record catalogue
 def _emitted(name):
     tracer = Tracer()
-    result = run_experiment(CONFIGS[name], tracer=tracer)
+    run_experiment(CONFIGS[name], tracer=tracer)
     return {
         (r.category, "<algorithm>" if r.kind == "span" else r.name)
         for r in tracer.records
-    }, result
+    }
 
 
 def test_traced_runs_emit_exactly_the_declared_records():
@@ -353,7 +353,7 @@ def test_traced_runs_emit_exactly_the_declared_records():
         "asap_gsa/seed0/default_churn",
         "flooding/seed0/default_churn",
     ):
-        emitted |= _emitted(name)[0]
+        emitted |= _emitted(name)
     assert emitted == TRACE_RECORDS
 
 

@@ -1,58 +1,27 @@
-"""Shared fixtures for the figure-reproduction benchmark harness.
+"""Shared result emitters for the perf benches under ``benchmarks/``.
 
-All grid figures (4, 5, 6, 8, 9, and 10's series) read from one memoised
-``ExperimentGrid``, so one ``pytest benchmarks/ --benchmark-only`` session
-simulates each (algorithm, topology) cell exactly once.
+(The paper's figures and ablations are not here: ``python -m
+repro.experiments.runall`` regenerates them, and the committed reports are
+``benchmarks/results/report-*.{md,csv}``.)
 
-Scale control (environment variables):
-
-* ``REPRO_BENCH_PEERS``   -- overlay size (default 400; paper: 10000)
-* ``REPRO_BENCH_QUERIES`` -- trace length (default 800; paper: 30000)
-* ``REPRO_BENCH_SEED``    -- root seed (default 0)
-
-Each figure bench writes its paper-style table to
-``benchmarks/results/<figure>.txt`` plus a machine-readable twin
-``<figure>.json`` (schema-versioned, sorted keys) via
-:func:`write_json_result` -- the shared emitter every bench uses, so
+Every bench writes a machine-readable ``benchmarks/results/<name>.json``
+(schema-versioned, sorted keys) via :func:`write_json_result`, so
 downstream tooling (perf-regression gates, trend charts) parses one
-format.
+format; a bench that prints a table also writes ``<name>.txt``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from enum import Enum
 from pathlib import Path
 
-import pytest
-
-from repro.experiments import ExperimentGrid, ExperimentScale
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Version of the machine-readable result envelope written next to every
-#: ``.txt`` table.  Bump when the envelope's shape changes.
+#: Version of the machine-readable result envelope.  Bump when the
+#: envelope's shape changes.
 BENCH_SCHEMA_VERSION = 1
-
-
-def bench_scale() -> ExperimentScale:
-    return ExperimentScale(
-        n_peers=int(os.environ.get("REPRO_BENCH_PEERS", "400")),
-        n_queries=int(os.environ.get("REPRO_BENCH_QUERIES", "800")),
-        seed=int(os.environ.get("REPRO_BENCH_SEED", "0")),
-    )
-
-
-@pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    return bench_scale()
-
-
-@pytest.fixture(scope="session")
-def grid(scale) -> ExperimentGrid:
-    return ExperimentGrid.shared(scale)
 
 
 def _jsonable(obj):
@@ -76,18 +45,16 @@ def _jsonable(obj):
 
 
 def write_json_result(name: str, data, extra: dict | None = None) -> Path:
-    """Write ``benchmarks/results/<name>.json``: the machine-readable twin.
+    """Write ``benchmarks/results/<name>.json``.
 
-    The envelope is deterministic (schema-versioned, sorted keys) and
-    records the scale knobs the session ran at, so a stored result is
-    comparable against a later run of the same scale.
+    The envelope is deterministic (schema-versioned, sorted keys).  It
+    carries a ``scale`` only when the bench passes the one it ran at
+    through ``extra``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    s = bench_scale()
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
         "name": name,
-        "scale": {"n_peers": s.n_peers, "n_queries": s.n_queries, "seed": s.seed},
         "data": _jsonable(data),
     }
     if extra:
@@ -98,7 +65,7 @@ def write_json_result(name: str, data, extra: dict | None = None) -> Path:
 
 
 def write_result(name: str, text: str, data=None) -> None:
-    """Persist a figure's table under benchmarks/results/ (+ JSON twin)."""
+    """Persist a bench's table under benchmarks/results/ (+ JSON twin)."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     write_json_result(name, data if data is not None else {"text": text})

@@ -1,30 +1,35 @@
-"""CSV export of figure data (for external plotting tools).
+"""CSV twin of the report: every table as ``(figure, series, x, y)`` rows.
 
 The text tables in :mod:`repro.experiments.report` are for terminals; this
-module flattens every figure type into rows of ``(figure, series, x, y)``
-and writes standard CSV, so gnuplot/pandas/spreadsheets can regenerate the
-paper's bar charts and time series without depending on this package.
+module flattens every figure type into rows and writes standard CSV, so
+gnuplot/pandas/spreadsheets can regenerate the paper's bar charts and time
+series without depending on this package -- and reads the rows back into
+``{figure: {series: {x: y}}}``, the shape the campaign's claims are checked
+on (:func:`repro.experiments.campaign.check_claims`).  Floats are written
+with ``repr``, so a value survives the round trip bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.experiments.figures import (
     BreakdownFigure,
     GridFigure,
     RealtimeLoadFigure,
+    SweepFigure,
     WorkloadFigure,
 )
 
-__all__ = ["figure_rows", "figure_to_csv", "write_figure_csv"]
+__all__ = ["figure_rows", "figures_to_csv", "read_tables"]
 
 Row = Tuple[str, str, str, float]
 
-AnyFigure = Union[WorkloadFigure, GridFigure, BreakdownFigure, RealtimeLoadFigure]
+AnyFigure = Union[
+    WorkloadFigure, GridFigure, BreakdownFigure, RealtimeLoadFigure, SweepFigure
+]
 
 
 def figure_rows(fig: AnyFigure) -> List[Row]:
@@ -51,18 +56,30 @@ def figure_rows(fig: AnyFigure) -> List[Row]:
             for name, series in fig.series.items()
             for i, v in enumerate(series)
         ]
+    if isinstance(fig, SweepFigure):
+        label, *measured = (key for key, _header, _width, _kind in fig.columns)
+        return [
+            (fig.figure, key, str(row[label]), float(row[key]))
+            for key in measured
+            for row in fig.rows
+        ]
     raise TypeError(f"unknown figure type {type(fig).__name__}")
 
 
-def figure_to_csv(fig: AnyFigure) -> str:
-    """Render a figure as CSV text with a header row."""
+def figures_to_csv(figs: Iterable[AnyFigure]) -> str:
+    """Render figures as one CSV text with a header row."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["figure", "series", "x", "y"])
-    writer.writerows(figure_rows(fig))
+    for fig in figs:
+        writer.writerows(figure_rows(fig))
     return buf.getvalue()
 
 
-def write_figure_csv(fig: AnyFigure, path: Union[str, Path]) -> None:
-    """Write a figure's CSV to ``path``."""
-    Path(path).write_text(figure_to_csv(fig))
+def read_tables(csv_text: str) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """``{figure: {series: {x: y}}}`` from :func:`figures_to_csv` text, in row order."""
+    tables: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for row in csv.DictReader(io.StringIO(csv_text)):
+        series = tables.setdefault(row["figure"], {}).setdefault(row["series"], {})
+        series[row["x"]] = float(row["y"])
+    return tables

@@ -1,8 +1,10 @@
-"""One driver per paper figure.
+"""How finished cells reduce to the paper's figures.
 
-Every figure function returns a small result object carrying the raw data
-and a ``format_table()`` renderer, so tests can assert on numbers and the
-benchmark harness can print paper-style output.
+Every reducer returns a small result object carrying the raw data and a
+``format_table()`` renderer, so tests can assert on numbers and the report
+can print paper-style output.  Which cells a figure needs and which of the
+paper's claims its table must satisfy is the campaign table's business
+(:mod:`repro.experiments.campaign`).
 
 Scaling: the paper runs 10,000 peers x 30,000 queries.  The default
 :class:`ExperimentScale` is laptop-sized; pass ``ExperimentScale.paper()``
@@ -13,18 +15,17 @@ comparisons the reproduction validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.experiments.parallel import CellFailure, run_cells
 from repro.experiments.report import format_bar_chart, format_breakdown, format_grid_table
-from repro.sim.metrics import TrafficCategory
 from repro.sim.random import RandomStreams
 from repro.simulation.config import ALGORITHMS, TOPOLOGIES, RunConfig, paper_config, scaled_config
 from repro.simulation.results import RunResult
-from repro.simulation.runner import run_experiment
-from repro.workload.edonkey import EdonkeyParams, synthesize_content
+from repro.workload.edonkey import synthesize_content
 from repro.workload.interests import (
     N_CLASSES,
     SEMANTIC_CLASSES,
@@ -39,14 +40,13 @@ __all__ = [
     "WorkloadFigure",
     "BreakdownFigure",
     "RealtimeLoadFigure",
+    "SweepFigure",
+    "GRID_FIGURES",
+    "FIG10_ALGORITHMS",
     "fig2_semantic_classes",
     "fig3_node_interests",
-    "fig4_success_rate",
-    "fig5_response_time",
-    "fig6_search_cost",
+    "grid_figure",
     "fig7_load_breakdown",
-    "fig8_avg_system_load",
-    "fig9_load_variation",
     "fig10_realtime_load",
 ]
 
@@ -79,7 +79,8 @@ class ExperimentScale:
 
     @staticmethod
     def paper() -> "ExperimentScale":
-        """The paper's full configuration (hours of runtime in Python)."""
+        """The paper's full configuration: minutes per cell, ~2 GB for an
+        ASAP cell (BENCH_SCALEUP.json records one cell per algorithm)."""
         return ExperimentScale(n_peers=10_000, n_queries=30_000)
 
     def config(self, algorithm: str, topology: str) -> RunConfig:
@@ -94,71 +95,43 @@ class ExperimentScale:
             use_physical_network=self.use_physical_network,
         )
 
+    def cells(self) -> List[RunConfig]:
+        """The full (algorithm x topology) product."""
+        return [self.config(a, t) for a in self.algorithms for t in self.topologies]
+
 
 class ExperimentGrid:
-    """Memoised (algorithm x topology) grid of trace replays.
+    """Memoised trace replays, keyed by :class:`RunConfig`.
 
-    Figures 4-9 all read from this grid; each cell simulates once.
+    A cell -- a figure's (algorithm, topology) cell at the scale, or one
+    fixed-size cell of an ablation sweep -- simulates once, and only ever
+    through :func:`~repro.experiments.parallel.run_cells` (an in-process
+    loop at ``scale.jobs == 1``), with the scale's observability flags.
     """
-
-    _shared: Dict[ExperimentScale, "ExperimentGrid"] = {}
 
     def __init__(self, scale: ExperimentScale | None = None) -> None:
         self.scale = scale or ExperimentScale()
-        self._results: Dict[Tuple[str, str], RunResult] = {}
-
-    @classmethod
-    def shared(cls, scale: ExperimentScale | None = None) -> "ExperimentGrid":
-        """A process-wide grid per scale, so benches share simulations."""
-        scale = scale or ExperimentScale()
-        grid = cls._shared.get(scale)
-        if grid is None:
-            grid = cls(scale)
-            cls._shared[scale] = grid
-        return grid
-
-    def result(self, algorithm: str, topology: str) -> RunResult:
-        key = (algorithm, topology)
-        cached = self._results.get(key)
-        if cached is None:
-            cached = run_experiment(
-                self.scale.config(algorithm, topology),
-                profile=self.scale.profile,
-                audit=self.scale.audit,
-                telemetry=self.scale.telemetry,
-                probes=self.scale.probes,
-            )
-            self._results[key] = cached
-        return cached
+        self._results: Dict[RunConfig, RunResult] = {}
 
     def prefetch(
         self,
-        cells: Optional[List[Tuple[str, str]]] = None,
+        configs: Optional[Iterable[RunConfig]] = None,
         progress=None,
         live=None,
     ) -> "ExperimentGrid":
-        """Populate missing cells, in parallel when ``scale.jobs != 1``.
+        """Populate the missing ones of ``configs`` in one fan-out.
 
-        ``cells`` defaults to the scale's full (algorithm x topology)
-        product.  Results are identical to on-demand serial population --
-        each cell runs the same config through the same runner -- so
-        figures read from a prefetched grid exactly as before, just
-        without the wall-clock serialisation.  A failed cell raises with
-        the worker's config and traceback; sibling cells are kept.
+        ``configs`` defaults to the scale's full (algorithm x topology)
+        product.  A failed cell raises with the worker's config and
+        traceback; sibling cells are kept.
         """
-        from repro.experiments.parallel import CellFailure, run_cells
-
-        if cells is None:
-            cells = [
-                (algo, topo)
-                for algo in self.scale.algorithms
-                for topo in self.scale.topologies
-            ]
-        missing = [key for key in dict.fromkeys(cells) if key not in self._results]
+        if configs is None:
+            configs = self.scale.cells()
+        missing = [c for c in dict.fromkeys(configs) if c not in self._results]
         if not missing:
             return self
         outcomes = run_cells(
-            [self.scale.config(algo, topo) for algo, topo in missing],
+            missing,
             jobs=self.scale.jobs,
             profile=self.scale.profile,
             audit=self.scale.audit,
@@ -168,11 +141,11 @@ class ExperimentGrid:
             progress=progress,
         )
         failures = []
-        for key, outcome in zip(missing, outcomes):
+        for config, outcome in zip(missing, outcomes):
             if isinstance(outcome, CellFailure):
                 failures.append(outcome)
             else:
-                self._results[key] = outcome
+                self._results[config] = outcome
         if failures:
             report = "\n\n".join(
                 f"{f.describe()}\n{f.traceback}" for f in failures
@@ -182,23 +155,25 @@ class ExperimentGrid:
             )
         return self
 
-    def metric(
-        self, extract, algorithms=None, topologies=None
-    ) -> Dict[str, Dict[str, float]]:
-        """``{algorithm_name: {topology: extract(result)}}`` over the grid."""
-        algorithms = algorithms or self.scale.algorithms
-        topologies = topologies or self.scale.topologies
-        if self.scale.jobs != 1:
-            self.prefetch([(a, t) for a in algorithms for t in topologies])
+    def cell(self, config: RunConfig) -> RunResult:
+        """The finished cell for ``config``, simulated now if it is missing."""
+        return self.prefetch([config])._results[config]
+
+    def result(self, algorithm: str, topology: str) -> RunResult:
+        return self.cell(self.scale.config(algorithm, topology))
+
+    def results(self) -> Dict[RunConfig, RunResult]:
+        """Every populated cell, in the order it was first asked for."""
+        return dict(self._results)
+
+    def metric(self, extract) -> Dict[str, Dict[str, float]]:
+        """``{algorithm_name: {topology: extract(result)}}`` over the scale's grid."""
+        self.prefetch()
         out: Dict[str, Dict[str, float]] = {}
-        for algo in algorithms:
-            row: Dict[str, float] = {}
-            name = None
-            for topo in topologies:
-                result = self.result(algo, topo)
-                name = result.algorithm
-                row[topo] = float(extract(result))
-            out[name or algo] = row
+        for algo in self.scale.algorithms:
+            row = {t: self.result(algo, t) for t in self.scale.topologies}
+            name = next(iter(row.values())).algorithm
+            out[name] = {t: float(extract(result)) for t, result in row.items()}
         return out
 
 
@@ -252,24 +227,6 @@ class BreakdownFigure:
     title: str
     fractions: Dict[str, float]
 
-    @property
-    def ad_delivery_fraction(self) -> float:
-        return sum(
-            v
-            for k, v in self.fractions.items()
-            if k in ("full_ad", "patch_ad", "refresh_ad")
-        )
-
-    @property
-    def patch_refresh_fraction(self) -> float:
-        return self.fractions.get("patch_ad", 0.0) + self.fractions.get(
-            "refresh_ad", 0.0
-        )
-
-    @property
-    def full_ad_fraction(self) -> float:
-        return self.fractions.get("full_ad", 0.0)
-
     def format_table(self) -> str:
         return format_breakdown(f"{self.figure}: {self.title}", self.fractions)
 
@@ -295,6 +252,10 @@ class RealtimeLoadFigure:
         lines.append(
             format_bar_chart("  peak over window", peaks, unit="B/node/s", precision=1)
         )
+        lines += ["", "per-second series (B/node/s):"]
+        for name, s in self.series.items():
+            preview = " ".join(f"{x:.0f}" for x in s[:25])
+            lines.append(f"  {name:<12} {preview} ...")
         return "\n".join(lines)
 
     @property
@@ -302,18 +263,44 @@ class RealtimeLoadFigure:
         return max((len(s) for s in self.series.values()), default=0)
 
 
+@dataclass
+class SweepFigure:
+    """An ablation: one row per swept value, one column per quantity.
+
+    ``columns`` are ``(key, header, width, kind)``: a cell renders as
+    ``f"{row[key]:>{width}{kind}}"`` under its right-aligned header.  The
+    first column labels the row (the swept value).
+    """
+
+    figure: str
+    title: str
+    columns: Tuple[Tuple[str, str, int, str], ...]
+    rows: List[Dict[str, object]]
+
+    def format_table(self) -> str:
+        lines = [
+            self.title,
+            " ".join(f"{header:>{width}}" for _, header, width, _ in self.columns),
+        ]
+        for row in self.rows:
+            lines.append(
+                " ".join(
+                    f"{row[key]:>{width}{kind}}" for key, _, width, kind in self.columns
+                )
+            )
+        return "\n".join(lines)
+
+
 # ------------------------------------------------------------- fig 2 and 3
 def _workload_for_scale(scale: ExperimentScale):
-    from dataclasses import replace as dc_replace
-
-    params = dc_replace(EdonkeyParams(), n_peers=scale.n_peers, avg_docs_per_peer=10.0)
+    """The content every cell of the scale shares (same parameters, same stream)."""
+    params = scale.config(ALGORITHMS[0], TOPOLOGIES[0]).edonkey
     rng = RandomStreams(seed=scale.seed).get("content")
     return synthesize_content(params, rng)
 
 
-def fig2_semantic_classes(scale: ExperimentScale | None = None) -> WorkloadFigure:
+def fig2_semantic_classes(scale: ExperimentScale) -> WorkloadFigure:
     """Figure 2: nodes whose shared contents fall in each semantic class."""
-    scale = scale or ExperimentScale()
     dist = _workload_for_scale(scale)
     node_classes = [dist.sharing_classes(n) for n in range(dist.n_peers)]
     counts = class_node_counts(node_classes, N_CLASSES)
@@ -325,9 +312,8 @@ def fig2_semantic_classes(scale: ExperimentScale | None = None) -> WorkloadFigur
     )
 
 
-def fig3_node_interests(scale: ExperimentScale | None = None) -> WorkloadFigure:
+def fig3_node_interests(scale: ExperimentScale) -> WorkloadFigure:
     """Figure 3: number of nodes holding each of the 14 interests."""
-    scale = scale or ExperimentScale()
     dist = _workload_for_scale(scale)
     counts = interest_node_counts(dist.interests, N_CLASSES)
     return WorkloadFigure(
@@ -339,48 +325,43 @@ def fig3_node_interests(scale: ExperimentScale | None = None) -> WorkloadFigure:
 
 
 # ------------------------------------------------------------- fig 4 to 9
-def fig4_success_rate(grid: ExperimentGrid | None = None) -> GridFigure:
-    """Figure 4: search success rate per algorithm and topology."""
-    grid = grid or ExperimentGrid.shared()
-    return GridFigure(
-        figure="Figure 4",
-        title="search success rate",
-        unit="fraction",
-        values=grid.metric(lambda r: r.success_rate()),
-        precision=3,
-    )
+#: Figures 4, 5, 6, 8 and 9 read the same grid and differ only in
+#: ``(title, unit, what to extract from a cell, printed precision)``.
+GRID_FIGURES = {
+    "Figure 4": ("search success rate", "fraction", lambda r: r.success_rate(), 3),
+    "Figure 5": (
+        "average search response time", "ms", lambda r: r.avg_response_time_ms(), 1,
+    ),
+    "Figure 6": (
+        "search cost (bandwidth per search)", "bytes", lambda r: r.avg_cost_bytes(), 0,
+    ),
+    "Figure 8": ("average system load", "B/node/s", lambda r: r.load_summary().mean, 1),
+    "Figure 9": (
+        "system load variation (standard deviation)",
+        "B/node/s",
+        lambda r: r.load_summary().std,
+        1,
+    ),
+}
 
 
-def fig5_response_time(grid: ExperimentGrid | None = None) -> GridFigure:
-    """Figure 5: average response time of successful searches."""
-    grid = grid or ExperimentGrid.shared()
-    return GridFigure(
-        figure="Figure 5",
-        title="average search response time",
-        unit="ms",
-        values=grid.metric(lambda r: r.avg_response_time_ms()),
-        precision=1,
-    )
+def grid_figure(figure: str, grid: ExperimentGrid) -> GridFigure:
+    """One of :data:`GRID_FIGURES` over the scale's (algorithm x topology) grid."""
+    title, unit, extract, precision = GRID_FIGURES[figure]
+    return GridFigure(figure, title, unit, grid.metric(extract), precision)
 
 
-def fig6_search_cost(grid: ExperimentGrid | None = None) -> GridFigure:
-    """Figure 6: average bandwidth consumed per search."""
-    grid = grid or ExperimentGrid.shared()
-    return GridFigure(
-        figure="Figure 6",
-        title="search cost (bandwidth per search)",
-        unit="bytes",
-        values=grid.metric(lambda r: r.avg_cost_bytes()),
-        precision=0,
-    )
-
-
-def fig7_load_breakdown(grid: ExperimentGrid | None = None) -> BreakdownFigure:
+def fig7_load_breakdown(grid: ExperimentGrid) -> BreakdownFigure:
     """Figure 7: breakdown of ASAP(RW) system load on the crawled overlay."""
-    grid = grid or ExperimentGrid.shared()
     result = grid.result("asap_rw", "crawled")
+    # Largest share first, as the table prints it: the run's own category
+    # order is a set's, which differs from one process to the next.
     fractions = {
-        cat.value: frac for cat, frac in result.ad_breakdown().items() if frac > 0
+        cat.value: frac
+        for cat, frac in sorted(
+            result.ad_breakdown().items(), key=lambda kv: (-kv[1], kv[0].value)
+        )
+        if frac > 0
     }
     return BreakdownFigure(
         figure="Figure 7",
@@ -389,39 +370,18 @@ def fig7_load_breakdown(grid: ExperimentGrid | None = None) -> BreakdownFigure:
     )
 
 
-def fig8_avg_system_load(grid: ExperimentGrid | None = None) -> GridFigure:
-    """Figure 8: average system load (bytes per node per second)."""
-    grid = grid or ExperimentGrid.shared()
-    return GridFigure(
-        figure="Figure 8",
-        title="average system load",
-        unit="B/node/s",
-        values=grid.metric(lambda r: r.load_summary().mean),
-        precision=1,
-    )
-
-
-def fig9_load_variation(grid: ExperimentGrid | None = None) -> GridFigure:
-    """Figure 9: system-load standard deviation."""
-    grid = grid or ExperimentGrid.shared()
-    return GridFigure(
-        figure="Figure 9",
-        title="system load variation (standard deviation)",
-        unit="B/node/s",
-        values=grid.metric(lambda r: r.load_summary().std),
-        precision=1,
-    )
-
-
 # ------------------------------------------------------------------ fig 10
+#: The four lines of the paper's Figure 10.
+FIG10_ALGORITHMS: Tuple[str, ...] = ("flooding", "random_walk", "gsa", "asap_rw")
+
+
 def fig10_realtime_load(
-    grid: ExperimentGrid | None = None,
+    grid: ExperimentGrid,
     window_s: int = 100,
     topology: str = "crawled",
-    algorithms: Tuple[str, ...] = ("flooding", "random_walk", "gsa", "asap_rw"),
+    algorithms: Tuple[str, ...] = FIG10_ALGORITHMS,
 ) -> RealtimeLoadFigure:
     """Figure 10: real-time per-node load over a 100-second snapshot."""
-    grid = grid or ExperimentGrid.shared()
     series: Dict[str, np.ndarray] = {}
     start = None
     for algo in algorithms:

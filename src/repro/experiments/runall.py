@@ -1,20 +1,27 @@
-"""Regenerate every paper figure in one command.
+"""Regenerate the whole evaluation in one command.
 
 Usage::
 
     python -m repro.experiments.runall [--peers N] [--queries Q] [--seed S]
                                        [--jobs J] [--profile] [--telemetry]
-                                       [--probes] [--live]
+                                       [--probes] [--live] [--audit]
                                        [--output report.md]
 
-Runs the full (algorithm x topology) grid once, renders all ten figures,
-and writes a markdown report (tables + qualitative checks).  This is the
-scriptable counterpart of ``pytest benchmarks/ --benchmark-only``.
+Walks the one table of entries (:data:`repro.experiments.campaign.ENTRIES`:
+Figures 2-10 and six ablations): the union of every entry's cells goes
+through ``run_cells`` once, every entry is rendered, and every claim the
+paper makes of a table is listed ``[x]`` (holds), ``[ ]`` (does not) or
+``n/a`` (it names an algorithm or overlay outside the scale).  The claims
+are calibrated at the default 400 x 800 scale and do not touch the exit
+code -- ``tests/test_campaign_claims.py`` and CI enforce them there.
+``--output report.md`` also writes the same tables as ``report.csv``
+(``figure, series, x, y`` rows); the report body is deterministic, so a
+committed report can be compared byte for byte (``benchmarks/results/``).
 
-``--jobs J`` fans the independent grid cells out across ``J`` worker
-processes (``0`` = all cores; default 1 = serial).  Cells share the cached
-physical substrate and every figure is bit-identical to a serial run --
-all randomness flows from per-cell seeds (see docs/PERFORMANCE.md).
+``--jobs J`` fans the independent cells out across ``J`` worker processes
+(``0`` = all cores; default 1 = serial).  Cells share the cached physical
+substrate and every table is bit-identical to a serial run -- all
+randomness flows from per-cell seeds (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -22,37 +29,30 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.experiments.figures import (
-    ExperimentGrid,
-    ExperimentScale,
-    fig2_semantic_classes,
-    fig3_node_interests,
-    fig4_success_rate,
-    fig5_response_time,
-    fig6_search_cost,
-    fig7_load_breakdown,
-    fig8_avg_system_load,
-    fig9_load_variation,
-    fig10_realtime_load,
-)
+from repro.experiments.ablations import BASE as ABLATION_BASE
+from repro.experiments.campaign import ENTRIES, check_claims, run_campaign
+from repro.experiments.export import AnyFigure, figures_to_csv, read_tables
+from repro.experiments.figures import ExperimentGrid, ExperimentScale
+from repro.simulation.config import RunConfig
 
-__all__ = ["main", "build_report"]
+__all__ = ["main", "build_report", "render_report", "write_report"]
 
 
-def _report_cells(scale: ExperimentScale) -> List[tuple]:
-    """Every grid cell the report reads, including fig 7/10 extras."""
-    cells = [
-        (algo, topo)
-        for algo in scale.algorithms
-        for topo in scale.topologies
+def _cell_name(config: RunConfig, scale: ExperimentScale) -> str:
+    """``algorithm/topology``; an ablation cell also says what it varies."""
+    name = f"{config.algorithm}/{config.topology}"
+    if config == scale.config(config.algorithm, config.topology):
+        return name
+    varied = [
+        f"{f.name}={getattr(config.asap, f.name)}"
+        for f in fields(config.asap)
+        if getattr(config.asap, f.name) != getattr(ABLATION_BASE.asap, f.name)
     ]
-    cells.append(("asap_rw", "crawled"))  # figure 7
-    for algo in ("flooding", "random_walk", "gsa", "asap_rw"):  # figure 10
-        cells.append((algo, "crawled"))
-    return list(dict.fromkeys(cells))
+    return f"{name} [{config.n_peers} peers, {', '.join(varied) or 'default'}]"
 
 
 def build_report(
@@ -61,18 +61,21 @@ def build_report(
     grid: Optional[ExperimentGrid] = None,
     live=None,
 ) -> str:
-    """Run everything and return the markdown report.
+    """Run the campaign and return the markdown report.
 
-    Pass a ``grid`` to reuse (and afterwards inspect) the populated cells
-    -- ``main`` does this to gate its exit code on audit violations.
+    Pass a ``grid`` to reuse (and afterwards inspect) the populated cells.
     ``live`` is an optional ``callable(str)`` that receives one-line sweep
     status updates while cells execute (implies telemetry collection).
     """
-    log = progress or (lambda _msg: None)
     grid = grid if grid is not None else ExperimentGrid(scale)
-    if scale.jobs != 1 or live is not None:
-        log(f"populating grid ({scale.jobs} jobs)")
-        grid.prefetch(_report_cells(scale), progress=log, live=live)
+    return render_report(grid, run_campaign(grid, progress=progress, live=live))
+
+
+def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
+    """The markdown report of a finished campaign (``run_campaign``'s result)."""
+    scale = grid.scale
+    cells = grid.results()
+    in_scale = set(scale.cells())
     sections: List[str] = [
         "# ASAP reproduction report",
         "",
@@ -81,74 +84,51 @@ def build_report(
         f"- seed: {scale.seed}",
         f"- algorithms: {', '.join(scale.algorithms)}",
         f"- topologies: {', '.join(scale.topologies)}",
+        f"- ablations: fixed {ABLATION_BASE.n_peers} peers / "
+        f"{ABLATION_BASE.trace.n_queries} queries, whatever the scale above",
         "",
     ]
+    for entry in ENTRIES:
+        sections += ["```", figures[entry.name].format_table(), "```", ""]
+        added = [
+            f"{c.algorithm}/{c.topology}"
+            for c in entry.cells(scale)
+            if c not in in_scale and c == scale.config(c.algorithm, c.topology)
+        ]
+        if added:
+            sections += [
+                f"_{entry.name} added cells outside the scale's grid: "
+                f"{', '.join(added)}_",
+                "",
+            ]
 
-    log("figures 2-3 (workload)")
-    for fig_fn in (fig2_semantic_classes, fig3_node_interests):
-        sections += ["```", fig_fn(scale).format_table(), "```", ""]
+    tables = read_tables(figures_to_csv(figures.values()))
+    marks = {True: "- [x]", False: "- [ ]", None: "- n/a"}
+    sections += [
+        "## Claims",
+        "",
+        "_Thresholds are calibrated at the default 400 x 800 scale; `n/a`: the "
+        "claim names an algorithm or overlay this scale did not run._",
+        "",
+    ]
+    sections += [f"{marks[held]} {line}" for line, held in check_claims(tables, scale)]
+    sections.append("")
 
-    grid_figs = (
-        fig4_success_rate,
-        fig5_response_time,
-        fig6_search_cost,
-        fig8_avg_system_load,
-        fig9_load_variation,
-    )
-    for fig_fn in grid_figs:
-        log(fig_fn.__name__)
-        sections += ["```", fig_fn(grid).format_table(), "```", ""]
-
-    log("figure 7 (breakdown)")
-    fig7 = fig7_load_breakdown(grid)
-    sections += ["```", fig7.format_table(), "```", ""]
-
-    log("figure 10 (real-time load)")
-    fig10 = fig10_realtime_load(grid)
-    sections += ["```", fig10.format_table(), "```", ""]
-
-    # Qualitative shape checks mirrored from the benchmark assertions.
-    checks: List[str] = []
-    v4 = fig4_success_rate(grid).values
-    v5 = fig5_response_time(grid).values
-    v6 = fig6_search_cost(grid).values
-    v8 = fig8_avg_system_load(grid).values
-
-    def check(name: str, ok: bool) -> None:
-        checks.append(f"- [{'x' if ok else ' '}] {name}")
-
-    topos = list(scale.topologies)
-    check(
-        "ASAP response time >= 50% below flooding on every topology",
-        all(v5["ASAP(RW)"][t] < 0.5 * v5["flooding"][t] for t in topos),
-    )
-    check(
-        "ASAP search cost >= 30x below flooding on every topology",
-        all(v6["ASAP(RW)"][t] * 30 <= v6["flooding"][t] for t in topos),
-    )
-    check(
-        "ASAP(RW) success above random walk everywhere",
-        all(v4["ASAP(RW)"][t] > v4["random_walk"][t] for t in topos),
-    )
-    check(
-        "ASAP(RW) load below the random-walk baseline everywhere",
-        all(v8["ASAP(RW)"][t] < v8["random_walk"][t] for t in topos),
-    )
-    check(
-        "patch+refresh ads dominate full ads in ASAP(RW) load",
-        fig7.patch_refresh_fraction > fig7.full_ad_fraction,
-    )
-    sections += ["## Shape checks", ""] + checks + [""]
-
+    # The campaign's cells on the crawled overlay, by algorithm id (the
+    # telemetry and protocol-state sections compare algorithms there).
+    on_crawled = {
+        algo: cells[scale.config(algo, "crawled")]
+        for algo in scale.algorithms
+        if scale.config(algo, "crawled") in cells
+    }
+    focus = cells[scale.config("asap_rw", "crawled")]  # Figure 7's cell
     if scale.telemetry:
         from repro.obs import merge_summaries
 
-        log("telemetry")
         sections += ["## Telemetry", ""]
         # The Figure 9 view from streaming sketches alone -- per-window
         # load and in-window hotspots for the warmed-up ASAP(RW) system,
         # no JSONL trace involved.
-        focus = grid.result("asap_rw", "crawled")
         if focus.telemetry is not None:
             sections += [
                 "Per-window load for `asap_rw/crawled` (streaming "
@@ -164,10 +144,9 @@ def build_report(
                 "",
             ]
         rows = []
-        for algo in scale.algorithms:
-            tel = grid.result(algo, "crawled").telemetry
-            if tel is not None:
-                rows.append(f"  {algo:<12} {tel.load_std_bpns():>12.2f}")
+        for algo, result in on_crawled.items():
+            if result.telemetry is not None:
+                rows.append(f"  {algo:<12} {result.telemetry.load_std_bpns():>12.2f}")
         if rows:
             sections += [
                 "Load variation from telemetry windows "
@@ -179,10 +158,7 @@ def build_report(
                 "```",
                 "",
             ]
-        merged = merge_summaries(
-            grid.result(algo, topo).telemetry
-            for algo, topo in _report_cells(scale)
-        )
+        merged = merge_summaries(r.telemetry for r in cells.values())
         if merged is not None:
             sections += [
                 "Sweep-wide hotspots (all cells merged, deterministic "
@@ -218,12 +194,10 @@ def build_report(
     if scale.probes:
         from repro.obs.probes import merge_probe_summaries
 
-        log("protocol state")
         sections += ["## Protocol state", ""]
         # The state-level view of the paper's pre-positioning claim: ad
         # coverage, staleness and cache health over simulated time for the
         # warmed-up ASAP(RW) system (repro.obs.probes).
-        focus = grid.result("asap_rw", "crawled")
         if focus.probes is not None and focus.probes.ticks:
             sections += [
                 "State snapshots for `asap_rw/crawled` (ad coverage, "
@@ -235,8 +209,8 @@ def build_report(
                 "",
             ]
         rows = []
-        for algo in scale.algorithms:
-            probes = grid.result(algo, "crawled").probes
+        for algo, result in on_crawled.items():
+            probes = result.probes
             if probes is None:
                 continue
             head = probes.headline()
@@ -259,10 +233,7 @@ def build_report(
                 "```",
                 "",
             ]
-        merged = merge_probe_summaries(
-            grid.result(algo, topo).probes
-            for algo, topo in _report_cells(scale)
-        )
+        merged = merge_probe_summaries(r.probes for r in cells.values())
         if merged is not None:
             sections += [
                 "Sweep-wide probe summary (all cells merged, deterministic "
@@ -274,17 +245,15 @@ def build_report(
             ]
 
     if scale.audit:
-        log("audit")
         sections += ["## Audit", ""]
         any_violation = False
-        for algo, topo in _report_cells(scale):
-            result = grid.result(algo, topo)
+        for config, result in cells.items():
             report = result.audit
             if report is None:
                 continue
             status = "PASS" if report.ok else "FAIL"
             sections.append(
-                f"- `{result.algorithm}/{topo}` {status} "
+                f"- `{_cell_name(config, scale)}` {status} "
                 f"fingerprint `{result.fingerprint}`"
             )
             for v in report.violations:
@@ -297,23 +266,20 @@ def build_report(
     if scale.profile:
         from repro.obs.profile import merge_profiles
 
-        log("run profiles")
         sections += ["## Run profiles", ""]
         profiles = []
-        for algo in scale.algorithms:
-            for topo in scale.topologies:
-                result = grid.result(algo, topo)
-                if result.profile is None:
-                    continue
-                profiles.append(result.profile)
-                sections += [
-                    f"### {result.algorithm} / {topo}",
-                    "",
-                    "```",
-                    result.profile.format_table(),
-                    "```",
-                    "",
-                ]
+        for config, result in cells.items():
+            if result.profile is None:
+                continue
+            profiles.append(result.profile)
+            sections += [
+                f"### {_cell_name(config, scale)}",
+                "",
+                "```",
+                result.profile.format_table(),
+                "```",
+                "",
+            ]
         if profiles:
             # Per-cell profiles are exact wherever the cell ran; the merge
             # totals CPU-seconds across workers, so the sweep-level view
@@ -327,6 +293,14 @@ def build_report(
                 "",
             ]
     return "\n".join(sections)
+
+
+def write_report(output: Path, grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> Path:
+    """Write the markdown report to ``output`` and its tables beside it as ``.csv``."""
+    output.write_text(render_report(grid, figures) + "\n")
+    csv_path = output.with_suffix(".csv")
+    csv_path.write_text(figures_to_csv(figures.values()))
+    return csv_path
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -387,23 +361,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     live = None
     if args.live:
         live = lambda msg: print(f"[live] {msg}", file=sys.stderr)  # noqa: E731
-    report = build_report(
-        scale,
+    figures = run_campaign(
+        grid,
         progress=lambda msg: print(f"[runall] {msg}", file=sys.stderr),
-        grid=grid,
         live=live,
     )
-    elapsed = time.time() - start
-    report += f"\n_generated in {elapsed:.0f}s_\n"
+    # Wall-clock goes to stderr: the report body stays byte-comparable.
+    print(f"[runall] generated in {time.time() - start:.0f}s", file=sys.stderr)
     if args.output is not None:
-        args.output.write_text(report)
-        print(f"report written to {args.output}", file=sys.stderr)
+        csv_path = write_report(args.output, grid, figures)
+        print(f"report written to {args.output} and {csv_path}", file=sys.stderr)
     else:
-        print(report)
+        print(render_report(grid, figures))
     if args.audit:
         bad = [
-            f"{r.algorithm}/{r.topology}"
-            for r in grid._results.values()
+            _cell_name(config, scale)
+            for config, r in grid.results().items()
             if r.audit is not None and not r.audit.ok
         ]
         if bad:

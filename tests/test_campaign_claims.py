@@ -1,0 +1,184 @@
+"""The paper's claims, enforced on the one campaign and on the committed reports.
+
+``python -m repro.experiments.runall`` lists every claim but keeps its exit
+code for audit violations (the thresholds are calibrated at the default
+400 x 800 scale and legitimately fail at a smoke scale).  This module is
+where they bind:
+
+* one default-scale campaign per session: every claim holds, and its report
+  and CSV equal the committed ``benchmarks/results/report-400x800.{md,csv}``
+  byte for byte -- the drift guard (regenerate the two files with
+  ``runall --jobs 2 --output benchmarks/results/report-400x800.md`` when a
+  change moves a table on purpose);
+* the same claims on the larger committed CSVs, without simulating;
+* every figure-table cell of EXPERIMENTS.md is in the CSV it cites.
+"""
+
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.experiments import ENTRIES, ExperimentGrid, ExperimentScale, check_claims, run_campaign
+from repro.experiments.export import figures_to_csv, read_tables
+from repro.experiments.runall import render_report
+
+REPO = Path(__file__).resolve().parent.parent
+RESULTS = REPO / "benchmarks" / "results"
+
+#: The committed reports and the scale each was generated at.
+COMMITTED = {
+    "report-400x800": ExperimentScale(),
+    "report-2000x6000": ExperimentScale(n_peers=2000, n_queries=6000),
+    "report-10000x30000-crawled": replace(
+        ExperimentScale.paper(),
+        algorithms=("flooding", "random_walk", "gsa", "asap_rw"),
+        topologies=("crawled",),
+    ),
+}
+
+#: Claims a committed report does not meet: findings, reported in
+#: EXPERIMENTS.md ("Known deviations"), not thresholds to loosen.
+FINDINGS = {
+    "report-10000x30000-crawled": set(),
+}
+
+
+def _tables(report: str):
+    return read_tables((RESULTS / f"{report}.csv").read_text())
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    grid = ExperimentGrid(ExperimentScale(jobs=2))
+    return grid, run_campaign(grid)
+
+
+class TestDefaultScaleCampaign:
+    def test_csv_equals_the_committed_one(self, campaign):
+        _grid, figures = campaign
+        committed = (RESULTS / "report-400x800.csv").read_text()
+        assert figures_to_csv(figures.values()) == committed
+
+    def test_report_equals_the_committed_one(self, campaign):
+        grid, figures = campaign
+        committed = (RESULTS / "report-400x800.md").read_text()
+        assert render_report(grid, figures) + "\n" == committed
+
+    def test_every_claim_holds(self, campaign):
+        grid, figures = campaign
+        verdicts = check_claims(read_tables(figures_to_csv(figures.values())), grid.scale)
+        assert len(verdicts) == 42  # the retired pytest wrappers' assertions
+        assert [line for line, held in verdicts if held is not True] == []
+
+    def test_ablation_cells_shared_the_fan_out(self, campaign):
+        grid, _figures = campaign
+        # 18 grid cells (Figures 7 and 10 read four of them) + 9 distinct
+        # ablation cells: the four sweeps' twelve rows share one default.
+        assert len(grid.results()) == 18 + 9
+
+
+class TestCommittedReports:
+    @pytest.mark.parametrize("report", sorted(COMMITTED))
+    def test_claims_hold_on_the_committed_csv(self, report):
+        verdicts = check_claims(_tables(report), COMMITTED[report])
+        failed = {line for line, held in verdicts if held is False}
+        assert failed == FINDINGS.get(report, set())
+
+    def test_full_grids_leave_no_claim_unevaluated(self):
+        for report in ("report-400x800", "report-2000x6000"):
+            verdicts = check_claims(_tables(report), COMMITTED[report])
+            assert all(held is not None for _line, held in verdicts)
+
+    def test_paper_scale_evaluates_the_headline_orderings(self):
+        """ROADMAP 2(e): the orderings the narrowed 10,000 x 30,000 report can
+        speak to are evaluated there, not skipped."""
+        verdicts = dict(
+            check_claims(
+                _tables("report-10000x30000-crawled"),
+                COMMITTED["report-10000x30000-crawled"],
+            )
+        )
+        for line in (
+            "Figure 4: ASAP(RW) > random_walk on every overlay",
+            "Figure 5: every ASAP scheme >= 50% shorter than flooding on every overlay",
+            "Figure 6: flooding >= 30x every ASAP scheme on every overlay",
+            "Figure 8: ASAP(RW) < random_walk on every overlay",
+            "Figure 9: flooding > ASAP(RW) on every overlay",
+            "Figure 10: peak ASAP(RW) < peak flooding",
+        ):
+            assert verdicts[line] is not None, line
+        # ASAP(FLD) and ASAP(GSA) were not run at this scale.
+        assert verdicts["Figure 8: ASAP(FLD) > ASAP(GSA) on every overlay"] is None
+
+    def test_a_swapped_row_fails_its_claims(self):
+        """The claims are not vacuous: hand flooding's response times to
+        ASAP(RW) and the Figure 5 line goes ``False``, nothing else moves."""
+        tables = _tables("report-400x800")
+        before = check_claims(tables, COMMITTED["report-400x800"])
+        fig5 = tables["Figure 5"]
+        fig5["flooding"], fig5["ASAP(RW)"] = fig5["ASAP(RW)"], fig5["flooding"]
+        after = check_claims(tables, COMMITTED["report-400x800"])
+        assert [a for a, b in zip(after, before) if a != b] == [
+            ("Figure 5: every ASAP scheme >= 50% shorter than flooding on every overlay", False)
+        ]
+
+    def test_every_entry_has_a_table_in_every_committed_csv(self):
+        for report in COMMITTED:
+            assert list(_tables(report)) == [entry.name for entry in ENTRIES]
+
+
+# ---------------------------------------------------------------------------
+# EXPERIMENTS.md cites only committed numbers.  A table is preceded by a
+# marker comment naming its source:
+#
+#   <!-- table: Figure 4 @ report-400x800 -->          rows = series, columns = x
+#   <!-- table: Figure 4 @ crawled by report -->       that x: rows = series, columns = reports
+#   <!-- table: Figure 7 @ fraction by report -->      that series: rows = x, columns = reports
+#   <!-- table: Figure 10 @ report-400x800 stats -->   rows = series, columns = mean / peak
+#
+# A cell is compared at the precision it is printed with; "--" is "not run".
+_MARKER = re.compile(r"<!-- table: (?P<figure>[^@]+) @ (?P<source>[^>]+?) -->\n\n?(?P<table>(?:\|.*\n)+)")
+
+
+def _doc_tables():
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    for match in _MARKER.finditer(text):
+        rows = [
+            [cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in match["table"].splitlines()
+        ]
+        yield match["figure"].strip(), match["source"].strip(), rows[0][1:], rows[2:]
+
+
+def _matches(cell: str, value: float) -> bool:
+    text = cell.replace(",", "").replace("**", "")
+    if text.endswith("%"):
+        text, value = text[:-1], 100.0 * value
+    decimals = len(text.partition(".")[2])
+    return f"{value:.{decimals}f}" == text
+
+
+def test_experiments_md_tables_come_from_the_committed_csvs():
+    cited = set()
+    csvs = {report: _tables(report) for report in COMMITTED}
+    for figure, source, header, rows in _doc_tables():
+        cited.add(figure)
+        for row in rows:
+            series = row[0].strip("`")
+            for column, cell in zip(header, row[1:]):
+                if cell == "--":
+                    continue
+                column = column.strip("`")
+                if source.endswith(" by report"):
+                    table, fixed = csvs[column][figure], source.split()[0]
+                    value = table[fixed][series] if fixed in table else table[series][fixed]
+                elif source.endswith(" stats"):
+                    values = np.array(list(csvs[source.split()[0]][figure][series].values()))
+                    value = {"mean": values.mean(), "peak": values.max()}[column]
+                else:
+                    value = csvs[source][figure][series][column]
+                assert _matches(cell, value), (figure, source, series, column, cell, value)
+    assert cited == {entry.name for entry in ENTRIES}  # a table for every entry

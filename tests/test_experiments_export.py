@@ -1,4 +1,4 @@
-"""Tests for the CSV figure export."""
+"""Tests for the CSV twin of the report: rows out, tables back in."""
 
 import csv
 import io
@@ -6,11 +6,12 @@ import io
 import numpy as np
 import pytest
 
-from repro.experiments.export import figure_rows, figure_to_csv, write_figure_csv
+from repro.experiments.export import figure_rows, figures_to_csv, read_tables
 from repro.experiments.figures import (
     BreakdownFigure,
     GridFigure,
     RealtimeLoadFigure,
+    SweepFigure,
     WorkloadFigure,
 )
 
@@ -52,6 +53,16 @@ def realtime_fig():
     )
 
 
+@pytest.fixture
+def sweep_fig():
+    return SweepFigure(
+        figure="Ablation cache",
+        title="Ablation: cache",
+        columns=(("capacity", "capacity", 9, ""), ("success", "success", 9, ".3f")),
+        rows=[{"capacity": 8, "success": 0.25}, {"capacity": "inf", "success": 0.75}],
+    )
+
+
 class TestFigureRows:
     def test_workload_rows(self, workload_fig):
         rows = figure_rows(workload_fig)
@@ -73,6 +84,17 @@ class TestFigureRows:
         assert ("Figure 10", "flooding", "61", 2.0) in rows
         assert ("Figure 10", "ASAP(RW)", "60", 0.5) in rows
 
+    def test_sweep_rows_are_labelled_by_the_first_column(self, sweep_fig):
+        assert figure_rows(sweep_fig) == [
+            ("Ablation cache", "success", "8", 0.25),
+            ("Ablation cache", "success", "inf", 0.75),
+        ]
+        assert sweep_fig.format_table().splitlines()[1:] == [
+            " capacity   success",
+            "        8     0.250",
+            "      inf     0.750",
+        ]
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             figure_rows("not a figure")  # type: ignore[arg-type]
@@ -80,14 +102,21 @@ class TestFigureRows:
 
 class TestCsvRendering:
     def test_header_and_parseability(self, grid_fig):
-        text = figure_to_csv(grid_fig)
+        text = figures_to_csv([grid_fig])
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["figure", "series", "x", "y"]
         assert len(rows) == 3
 
-    def test_write_to_file(self, tmp_path, workload_fig):
-        path = tmp_path / "fig2.csv"
-        write_figure_csv(workload_fig, path)
+    def test_write_to_file(self, tmp_path, workload_fig, grid_fig, realtime_fig):
+        """Several figures share one CSV; reading the file back gives every
+        value bit for bit, in row order."""
+        realtime_fig.series["flooding"][0] = 0.1 + 0.2  # not a short decimal
+        path = tmp_path / "report.csv"
+        path.write_text(figures_to_csv([workload_fig, grid_fig, realtime_fig]))
         content = path.read_text()
-        assert "movie" in content
-        assert content.startswith("figure,series,x,y")
+        assert content.startswith("figure,series,x,y\n") and "\r" not in content
+        tables = read_tables(content)
+        assert list(tables) == ["Figure 2", "Figure 4", "Figure 10"]
+        assert tables["Figure 2"] == {"count": {"movie": 10.0, "audio": 4.0}}
+        assert tables["Figure 4"]["flooding"] == {"random": 0.9, "crawled": 0.8}
+        assert tables["Figure 10"]["flooding"] == {"60": 0.1 + 0.2, "61": 2.0}

@@ -9,9 +9,11 @@ equality of full ``RunSummary`` dataclasses (float equality, not approx).
 import pytest
 
 from repro.asap.state import BYTES_PER_PAIR, MAX_STATE_BYTES, require_state_fits
+from repro.experiments.campaign import run_campaign
+from repro.experiments.export import figures_to_csv
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.experiments.parallel import CellFailure, resolve_jobs, run_cells
-from repro.experiments.runall import build_report
+from repro.experiments.runall import render_report
 from repro.simulation import run_replications, scaled_config
 
 
@@ -162,9 +164,42 @@ class TestGridParallelism:
     def test_prefetch_is_idempotent(self):
         grid = ExperimentGrid(ExperimentScale(jobs=2, **self.SCALE_KW))
         grid.prefetch()
-        results = dict(grid._results)
+        results = grid.results()
+        assert list(results) == grid.scale.cells()  # keyed by RunConfig
         grid.prefetch()  # all cells cached: no recompute, same objects
-        assert all(grid._results[k] is results[k] for k in results)
+        assert all(grid.results()[k] is results[k] for k in results)
+
+    def test_serial_grid_populates_through_run_cells_too(self, monkeypatch):
+        """One population path: ``result()`` on a serial grid is a
+        ``run_cells`` call with the scale's flags, not a runner call."""
+        import repro.experiments.figures as figures_mod
+
+        calls = []
+        real = figures_mod.run_cells
+
+        def spy(configs, **kwargs):
+            calls.append((list(configs), kwargs))
+            return real(configs, **kwargs)
+
+        monkeypatch.setattr(figures_mod, "run_cells", spy)
+        grid = ExperimentGrid(ExperimentScale(profile=True, **self.SCALE_KW))
+        result = grid.result("flooding", "random")
+        assert result.profile is not None
+        assert grid.result("flooding", "random") is result
+        ((configs, kwargs),) = calls
+        assert configs == [grid.scale.config("flooding", "random")]
+        assert kwargs["jobs"] == 1 and kwargs["profile"] is True
+
+    def test_failed_cell_raises_with_config_and_traceback_siblings_kept(self):
+        grid = ExperimentGrid(ExperimentScale(**self.SCALE_KW))
+        good = grid.scale.config("flooding", "random")
+        with pytest.raises(RuntimeError) as exc:
+            grid.prefetch([good, _bogus_config()])
+        message = str(exc.value)
+        assert "1 grid cell(s) failed" in message
+        assert "bogus/random (seed 0) failed" in message  # the config...
+        assert "Traceback" in message and "ValueError" in message  # ...and why
+        assert list(grid.results()) == [good]
 
     def test_metric_triggers_prefetch(self):
         grid = ExperimentGrid(ExperimentScale(jobs=2, **self.SCALE_KW))
@@ -182,6 +217,13 @@ class TestRunallParallel:
             algorithms=("flooding", "random_walk", "asap_rw"),
             topologies=("random",),
         )
-        serial = build_report(ExperimentScale(**kw))
-        parallel = build_report(ExperimentScale(jobs=2, **kw))
-        assert parallel == serial
+
+        def campaign(scale):
+            grid = ExperimentGrid(scale)
+            figures = run_campaign(grid)
+            return render_report(grid, figures), figures_to_csv(figures.values())
+
+        serial_md, serial_csv = campaign(ExperimentScale(**kw))
+        parallel_md, parallel_csv = campaign(ExperimentScale(jobs=2, **kw))
+        assert parallel_md == serial_md
+        assert parallel_csv == serial_csv

@@ -1,8 +1,10 @@
 """The paper's headline claims, tested across independent seeds.
 
-Single-seed shape checks live in the benchmarks; this suite asserts the
-abstract's quantitative claims hold *for every seed* at test scale -- the
-strongest statement the reproduction makes:
+Single-seed shape claims belong to the campaign's entries
+(``repro.experiments.campaign.ENTRIES``, enforced at the default scale and on
+the committed reports by ``tests/test_campaign_claims.py``); this suite
+asserts the abstract's quantitative claims hold *for every seed* at test
+scale -- the strongest statement the reproduction makes:
 
 * "ASAP improves the search performance by more than 62% in terms of
   response time" (vs flooding/GSA);

@@ -320,3 +320,58 @@ def test_engine_has_one_observer_slot_and_no_telemetry_slot():
     assert engine.observer is None
     for name in ("telemetry", "set_telemetry", "_telemetry"):
         assert not hasattr(engine, name)
+
+
+# --------------------------------------------------------------------------
+# One way to regenerate the evaluation (fails at the last commit that still
+# had fourteen pytest wrappers, three env knobs and a grid that filled itself
+# two ways).
+REPO = SRC.parent.parent
+
+
+def test_evaluation_has_no_pytest_wrappers_or_scale_knobs():
+    benches = REPO / "benchmarks"
+    wrappers = sorted(
+        p.name for pat in ("bench_fig*", "bench_ablation*") for p in benches.glob(pat)
+    )
+    assert wrappers == []
+    knob = re.compile("REPRO_BENCH_" + "(PEERS|QUERIES|SEED)")
+    roots = [REPO / d for d in ("src", "benchmarks", "tests", "docs", "examples", ".github")]
+    files = [p for root in roots for p in root.rglob("*") if p.is_file()]
+    files += [REPO / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    hits = [
+        str(p.relative_to(REPO))
+        for p in files
+        if p.suffix in (".py", ".md", ".yml", ".toml", ".json", ".txt", ".csv")
+        and knob.search(p.read_text(errors="ignore"))
+    ]
+    assert hits == []
+
+
+def test_experiments_call_the_runner_in_one_place():
+    callers = {
+        path.name: n
+        for path in sorted((SRC / "experiments").glob("*.py"))
+        if (n := path.read_text().count("run_experiment("))
+    }
+    assert callers == {"parallel.py": 1}
+
+
+def test_experiment_grid_has_no_process_wide_state():
+    from repro.experiments import ExperimentGrid
+
+    shared = {
+        name
+        for name, value in vars(ExperimentGrid).items()
+        if isinstance(value, (dict, list, set, classmethod, staticmethod))
+    }
+    assert shared == set()
+
+
+def test_design_index_lists_exactly_the_campaign_entries():
+    from repro.experiments import ENTRIES
+
+    design = (REPO / "DESIGN.md").read_text()
+    index = design[design.index("## 4. Per-experiment index"):design.index("## 6. ")]
+    listed = re.findall(r"^\| `([^`]+)` \|", index, flags=re.M)
+    assert listed == [entry.name for entry in ENTRIES]

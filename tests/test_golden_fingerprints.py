@@ -24,7 +24,7 @@ import pytest
 
 from repro.network.latency import LatencyModel
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
-from repro.simulation.config import ALGORITHMS
+from repro.simulation.config import ALGORITHMS, scaled_config
 from repro.simulation.runner import run_experiment
 
 from tests.test_engine_batching_differential import small_config
@@ -45,6 +45,20 @@ def _bounded_cache(config, capacity=None):
         capacity = config.n_peers // 10
     return dataclasses.replace(
         config, asap=dataclasses.replace(config.asap, cache_capacity=capacity)
+    )
+
+
+def _paper_ratio(algorithm, seed=0):
+    """The paper's workload ratios on the 250-peer cell: 3 queries per peer
+    and three times its content-change rate, so a cache row holds many
+    behind entries at several versions of one source."""
+    config = scaled_config(
+        algorithm, "random", n_peers=250, n_queries=750, seed=seed,
+        use_physical_network=False, warmup_s=40.0,
+    )
+    return dataclasses.replace(
+        config,
+        trace=dataclasses.replace(config.trace, content_change_fraction=0.30),
     )
 
 
@@ -99,6 +113,16 @@ def golden_configs():
         configs[f"{algorithm}/seed0/physical_network"] = dataclasses.replace(
             small_config(algorithm, 0), use_physical_network=True
         )
+    # Every row above runs one query per peer and at most 75 content changes,
+    # where a lookup meets a few behind entries and a delivery one or two
+    # lagging receivers.  Recorded at 975ab19, the last commit that replayed
+    # a source's patch history per behind entry and repaired one receiver
+    # per call.
+    configs["asap_rw/seed0/paper_ratio"] = _paper_ratio("asap_rw")
+    configs["asap_gsa/seed0/paper_ratio/bounded_cache"] = _bounded_cache(
+        _paper_ratio("asap_gsa")
+    )
+    configs["asap_sp_rw/seed0/paper_ratio"] = _paper_ratio("asap_sp_rw")
     return configs
 
 
@@ -119,7 +143,8 @@ SUBSTRATES = {
 #: Recorded at a38191f, the last commit where every host module fed tracer
 #: and telemetry separately; the ``content_change_x3`` telemetry row alone
 #: was re-recorded one commit after the seam, when a repair that gets no
-#: reply started to count (574 ``repairs`` instead of 570).
+#: reply started to count (574 ``repairs`` instead of 570).  The
+#: ``paper_ratio`` row joined at 975ab19 with its run fingerprint.
 OBS_ROWS = (
     "flooding/seed0/default_churn",
     "random_walk/seed0/default_churn",
@@ -133,6 +158,7 @@ OBS_ROWS = (
     "asap_rw/seed0/default_churn/content_change_x3",
     "asap_sp_rw/seed0/default_churn",
     "asap_rw/seed0/physical_network",
+    "asap_rw/seed0/paper_ratio",
 )
 
 

@@ -96,6 +96,11 @@ class AsapParams:
 
 _SCHEME_NAMES = {"fld": "ASAP(FLD)", "rw": "ASAP(RW)", "gsa": "ASAP(GSA)"}
 
+#: What answers a repair pull, indexed by "the missed patches are no larger".
+_REPLY_CATEGORY = np.array(
+    [TrafficCategory.FULL_AD, TrafficCategory.PATCH_AD], dtype=object
+)
+
 
 class AsapSearch(SearchAlgorithm):
     """The advertisement-based search algorithm."""
@@ -179,10 +184,8 @@ class AsapSearch(SearchAlgorithm):
         patch or refresh whose version outruns their cached copy) then
         repair by pulling the missed patches from the source -- the unicast
         anti-entropy that keeps caches exact and contributes the steady
-        trickle of full-ad bytes in Figure 7's breakdown.  Repair pulls run
-        in ``receivers`` iteration order (they write the ledger and the
-        trace); ``receivers_arr`` is the same ids as an array, when the
-        caller already has one.
+        trickle of full-ad bytes in Figure 7's breakdown.  ``receivers_arr``
+        is the same ids as an array, when the caller already has one.
         """
         if receivers_arr is None:
             receivers_arr = np.fromiter(receivers, np.int64, len(receivers))
@@ -194,74 +197,63 @@ class AsapSearch(SearchAlgorithm):
                 receivers_arr[state.behind_mask(receivers_arr, src)].tolist()
             )
             if lagging:
-                # Repairs read the store but nothing here writes it, so one
-                # plan serves every pull this delivery triggers.
-                plan = self._repair_plan(src)
-                for node in receivers:
-                    if node in lagging:
-                        self._repair_entry(node, src, now, plan)
+                # In ``receivers`` iteration order: the order the pulls are
+                # booked and an observed run is told about them in.
+                self._repair(
+                    src,
+                    now,
+                    np.fromiter(
+                        (v for v in receivers if v in lagging), np.int64, len(lagging)
+                    ),
+                )
         if ad.ad_type is AdType.PATCH:
             state.mark_missed(src, receivers_arr)
 
-    def _repair_plan(self, source: int) -> Dict[str, object]:
-        """The per-source half of :meth:`_repair_entry` (store reads only)."""
+    def _repair(self, source: int, now: float, lagging: np.ndarray) -> None:
+        """Heal the version gaps of ``lagging``, the receivers of one
+        delivery that hold ``source`` behind, in one step.
+
+        Each pulls from the source the changed-bit lists of every patch its
+        cache missed (2 bytes per bit, as on any patch ad); a cache so far
+        behind that a fresh full ad is smaller is sent that instead.
+        Either way the entry ends at the current version.
+        """
+        sizes, ledger, state = self.sizes, self.ledger, self.state
+        k = len(lagging)
+        ledger.record_each(
+            np.full(k, now), TrafficCategory.ADS_REQUEST,
+            np.full(k, float(sizes.ads_request)),
+        )
+        reply, categories = np.zeros(k), np.full(k, None)
         full = self.store.make_full_ad(source)
         if full is None:
-            return {"full": None}
-        return {
-            "full": full,
-            "full_reply": full.size_bytes(self.sizes),
-            "history": [
-                (version, len(changed))
-                for version, changed in self.store.patch_history(source)
-            ],
-            "version": self.store.version(source),
-            "topics": self.store.topics(source),
-        }
-
-    def _repair_entry(
-        self, node: int, source: int, now: float, plan: Dict[str, object]
-    ) -> None:
-        """Heal a version gap by pulling the missed patches from the source.
-
-        The reply carries the changed-bit lists of every patch the cache
-        missed (2 bytes per bit, as on any patch ad); when the cache is so
-        far behind that a fresh full ad is smaller, the source sends that
-        instead.  Either way the entry ends at the current version.
-        ``plan`` is the source's :meth:`_repair_plan`.
-        """
-        repo = self.repos[node]
-        cached_version = repo.version(source)
-        if cached_version < 0:
-            return
-        request_bytes = float(self.sizes.ads_request)
-        self.ledger.record(
-            now, TrafficCategory.ADS_REQUEST, self.sizes.ads_request, messages=1
-        )
-        lat = self.overlay.direct_latency_ms(node, source)
-        full = plan["full"]
-        if full is None:
-            # Source shares nothing any more: the stale entry is worthless.
-            repo.remove(source)
-            category, reply_bytes = None, 0.0
+            # Source shares nothing any more: the stale entries are worthless.
+            for node in lagging.tolist():
+                state.remove(node, source)
         else:
-            missed_bits = sum(
-                n_bits
-                for version, n_bits in plan["history"]
-                if version > cached_version
+            patch_reply = sizes.ad_header + 2 * self.store.missed_patch_bits(
+                source, state.versions(lagging, source)
             )
-            patch_reply = self.sizes.ad_header + 2 * missed_bits
-            full_reply = plan["full_reply"]
-            if patch_reply <= full_reply:
-                category, reply_bytes = TrafficCategory.PATCH_AD, patch_reply
-            else:
-                category, reply_bytes = TrafficCategory.FULL_AD, full_reply
-            self.ledger.record(
-                now + 2.0 * lat / 1000.0, category, reply_bytes, messages=1
+            full_reply = full.size_bytes(sizes)
+            as_patch = patch_reply <= full_reply
+            reply = np.where(as_patch, patch_reply, full_reply)
+            categories = _REPLY_CATEGORY[as_patch.astype(np.intp)]
+            # (receiver, source): the float sum a scalar pull would make.
+            lats = self.overlay.direct_latencies_ms(lagging, source)
+            arrival = now + 2.0 * lats / 1000.0
+            for chose_patch, category in enumerate(_REPLY_CATEGORY):
+                sent = as_patch == chose_patch
+                ledger.record_each(arrival[sent], category, reply[sent])
+            state.accept_repair(
+                lagging, source, full.version, state.intern_topics(full.topics), now
             )
-            repo.accept_snapshot(source, plan["version"], plan["topics"], now)
         if self.obs is not None:
-            self.obs.repair(now, node, source, request_bytes, reply_bytes, category)
+            for node, nbytes, category in zip(
+                lagging.tolist(), reply.tolist(), categories.tolist()
+            ):
+                self.obs.repair(
+                    now, node, source, float(sizes.ads_request), nbytes, category
+                )
 
     def _issue_full_ad(self, source: int, now: float) -> None:
         ad = self.store.make_full_ad(source)
@@ -423,6 +415,7 @@ class AsapSearch(SearchAlgorithm):
         now: float,
         exclude: Optional[Set[int]] = None,
         positions: Optional[np.ndarray] = None,
+        match: Optional[np.ndarray] = None,
     ) -> Tuple[Dict[int, float], int, float]:
         """Ask neighbours within h hops for novel ads.
 
@@ -431,11 +424,12 @@ class AsapSearch(SearchAlgorithm):
         * **bootstrap/join** (``positions is None``) -- neighbours return
           every cached ad whose topics overlap the requester's interests:
           the paper's "brand new node" cache transfer;
-        * **query fallback** (``positions`` given) -- neighbours return only
-          cached ads whose filter matches all query-term positions, i.e.
-          they run the requester's lookup on their own cache.  This keeps
-          per-search fallback cost to a few small messages, consistent with
-          the paper's reported search cost.
+        * **query fallback** (``positions`` given, with the store's
+          ``match`` for them, which the search already has) -- neighbours
+          return only cached ads whose filter matches all query-term
+          positions, i.e. they run the requester's lookup on their own
+          cache.  This keeps per-search fallback cost to a few small
+          messages, consistent with the paper's reported search cost.
 
         Returns ``(new_source -> availability_ms, messages, bytes)`` where
         availability is the supplying neighbour's reply RTT.  ``exclude``
@@ -467,9 +461,6 @@ class AsapSearch(SearchAlgorithm):
         request_size = self.sizes.ads_request + int(
             math.ceil(len(self.repos[node]) * self.params.digest_bytes_per_entry)
         )
-        current_match = (
-            store.match_current(positions) if positions is not None else None
-        )
         for nbr, one_way in neighbors:
             n_messages += 2
             total_bytes += request_size
@@ -480,7 +471,7 @@ class AsapSearch(SearchAlgorithm):
             if positions is None:
                 offered = state.entry[nbr] >= 0
             else:
-                offered = state.lookup(nbr, positions, current_match)
+                offered = state.lookup(nbr, match)
             offered &= state.entry[node] < 0
             offered[node] = False
             if exclude:
@@ -532,10 +523,12 @@ class AsapSearch(SearchAlgorithm):
             return self._local_outcome()
 
         positions = self.store.hasher.positions_array(terms)
-        current_match = self.store.match_current(positions)
+        # One gather answers for every filter version any cache may hold;
+        # nothing below writes the store, so it serves the whole search.
+        match = self.store.match_current(positions)
         repo = self.repos[requester]
 
-        candidates = repo.lookup(positions, current_match)
+        candidates = repo.lookup(positions, match)
         avail = {s: 0.0 for s in candidates}
 
         n_messages = 0
@@ -609,12 +602,12 @@ class AsapSearch(SearchAlgorithm):
 
         if len(confirmed) < self.params.more_results_threshold:
             new_sources, req_msgs, req_bytes = self._ads_request(
-                requester, now, exclude=tried, positions=positions
+                requester, now, exclude=tried, positions=positions, match=match
             )
             n_messages += req_msgs
             total_bytes += req_bytes
             if new_sources:
-                fresh = repo.lookup(positions, self.store.match_current(positions))
+                fresh = repo.lookup(positions, match)
                 round2 = {
                     s: new_sources.get(s, 0.0)
                     for s in fresh

@@ -31,8 +31,8 @@ outright; a **patch** applies only as the successor version (a gap leaves
 the entry *behind*); a **refresh** renews recency and detects missed
 patches; a neighbour's **snapshot** (ads-request reply, repair pull) is a
 full ad at the neighbour's version that never downgrades.  A behind entry
-is still usable -- lookups evaluate it at its recorded version via the
-store's patch history -- and failed confirmations are how stale entries are
+is still usable -- lookups read the filter column the store keeps for its
+recorded version -- and failed confirmations are how stale entries are
 ultimately retired.  ``behind`` is stored, not derived from versions: a
 source that changes content while offline bumps the store and marks nobody.
 
@@ -314,12 +314,23 @@ class AdsState:
         self._tick_half[peer, sources[renewed]] = tick
         stored = renewed & (mine < (versions << 32))  # never downgrade
         self.entry[peer, sources[stored]] = words[stored]
-        if held.all():  # a repair pull
+        if held.all():
             return stored, []
         fresh = ~held & (sources != peer)
         started, evicted = self._insert(peer, sources[fresh], words[fresh], tick)
         stored[fresh] = started
         return stored, evicted
+
+    def accept_repair(
+        self, peers: np.ndarray, source: int, version: int, code: int, now: float
+    ) -> None:
+        """``source`` answered the repair pulls of ``peers``, which all hold
+        it: the one-source form of :meth:`accept_snapshot`.  A peer the
+        source's topics no longer interest keeps its entry as it is."""
+        wanted = peers[self._wants(peers, code)]
+        self._tick_half[wanted, source] = self._tick(now)
+        stale = wanted[self.entry[wanted, source] < (version << 32)]
+        self.entry[stale, source] = self._pack(version, code, source)
 
     def adopt(
         self, peer: int, supplier: int, sources: np.ndarray, now: float
@@ -414,28 +425,22 @@ class AdsState:
         self.entry[missed, source] |= 1
 
     # ------------------------------------------------------------ lookup
-    def lookup(
-        self, peer: int, positions: np.ndarray, current_match: np.ndarray
-    ) -> np.ndarray:
-        """Mask of sources whose ad cached at ``peer`` matches all positions.
+    def lookup(self, peer: int, match: np.ndarray) -> np.ndarray:
+        """Mask of sources whose ad cached at ``peer`` matches the query.
 
-        ``current_match`` is the store's vectorised current-filter match
-        over all sources.  Up-to-date entries are decided by it directly;
-        behind entries are evaluated exactly at their cached version via
-        the store's patch history (a handful of sources at most), with the
-        current answer as a hint that lets the store skip the bit gather
-        when no later patch touches the queried positions.
+        ``match`` is the store's answer for the query's positions over
+        every filter column (:meth:`SourceFilterStore.match_current`).  An
+        up-to-date entry reads its source's current column, a behind entry
+        the column that keeps the version it cached: one gather however
+        many lag -- 227 per lookup on the paper's ASAP(RW) cell
+        (``BENCH_SCALEUP.json``; ``--probes`` reports a run's total as
+        ``staleness.behind``).
         """
         row = self.entry[peer]
         flags = row & _HELD_BEHIND  # 0: held and current, 1: held and behind
-        hits = (flags == 0) & current_match
-        for source in np.flatnonzero(flags == 1).tolist():
-            hits[source] = self.store.match_at_version(
-                source,
-                int(row[source]) >> 32,
-                positions,
-                current=bool(current_match[source]),
-            )
+        hits = (flags == 0) & match[: self.n]
+        behind = np.flatnonzero(flags == 1)
+        hits[behind] = match[self.store.columns_of(behind, row[behind] >> 32)]
         return hits
 
 
@@ -507,10 +512,7 @@ class RepositoryView:
     def remove(self, source: int) -> None:
         self.state.remove(self.owner, source)
 
-    def lookup(
-        self, positions: np.ndarray, current_match: np.ndarray
-    ) -> List[int]:
-        """Sorted sources whose cached ad matches all query-term positions."""
-        return np.flatnonzero(
-            self.state.lookup(self.owner, positions, current_match)
-        ).tolist()
+    def lookup(self, positions: np.ndarray, match: np.ndarray) -> List[int]:
+        """Sorted sources whose cached ad matches all query-term positions;
+        ``match`` is the store's ``match_current(positions)``."""
+        return np.flatnonzero(self.state.lookup(self.owner, match)).tolist()

@@ -4,14 +4,16 @@ Every sharing peer maintains a counting Bloom filter over its keyword
 multiset (paper Section III-B).  The store centralises, for all sources:
 
 * the counting filter (supports keyword removal on document removal);
-* the *current* plain bitmap, mirrored into a packed
-  :class:`~repro.bloom.matrix.FilterMatrix` so "which sources' current
-  filters match these query terms" is one vectorised call;
-* the current version number and the full patch history
-  ``[(version, changed-bit set), ...]`` -- enough to answer membership
-  questions against *any historical version* exactly, which is how cached
-  ads that missed patches are evaluated without storing per-cacher filter
+* the plain bitmap of the *current* version and of every superseded one,
+  each a column of a packed :class:`~repro.bloom.matrix.FilterMatrix`, so
+  "which filters match these query terms" is one vectorised call that
+  answers for *any historical version* exactly -- which is how cached ads
+  that missed patches are evaluated (227 of them per lookup on the paper's
+  ASAP(RW) cell, ``BENCH_SCALEUP.json``) without storing per-cacher filter
   snapshots;
+* the current version number, the ``(source, version) -> column`` table
+  and the patch history ``[(version, changed-bit set), ...]``, which sizes
+  the repair pull of a cache that lags;
 * the current topic set T (the semantic classes of the node's content).
 
 The store is pure state: it emits :class:`~repro.asap.ads.Ad` objects on
@@ -21,7 +23,7 @@ policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.state`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +34,11 @@ from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M
 from repro.bloom.matrix import FilterMatrix
 from repro.workload.content import ContentIndex, Document
 
-__all__ = ["SourceFilterStore"]
+__all__ = ["FilterVersionError", "SourceFilterStore"]
+
+
+class FilterVersionError(LookupError):
+    """A filter version its source never issued was asked for."""
 
 
 class SourceFilterStore:
@@ -40,14 +46,14 @@ class SourceFilterStore:
 
     The packed :class:`FilterMatrix` is the *authoritative* current-bitmap
     store: bootstrap scatters each source's keyword positions straight into
-    its row and the per-source set-bit counts live in one int64 array.  The
+    its column and the per-source set-bit counts live in one int64 array.  The
     counting filter -- 4 bytes x m = ~46 KB per source, the dominant
     per-source cost at scale -- materialises lazily, copy-on-write style:
     only when a source's content actually churns is its counting copy built
     (by replaying the recorded bootstrap documents, an order-independent
     sum that lands on bit-identical counts), then kept and updated eagerly.
     Sources that never churn -- the vast majority of a run -- stay as one
-    packed matrix row plus a count.
+    packed matrix column plus a count.
     """
 
     def __init__(
@@ -67,13 +73,16 @@ class SourceFilterStore:
         # ids pin the exact t=0 keyword multiset).
         self._base_docs: Dict[int, Tuple[int, ...]] = {}
         self._version = np.zeros(n_nodes, dtype=np.int64)
-        # source -> [(version, frozenset(changed positions)), ...] ascending.
-        self._patches: Dict[int, List[Tuple[int, FrozenSet[int]]]] = {}
+        # [source, version] -> matrix column; a source's current version is
+        # its own column.  Widened (doubling) as versions are issued.
+        self._column = np.arange(n_nodes)[:, None]
+        # source -> [(version, changed positions), ...] ascending.
+        self._patches: Dict[int, List[Tuple[int, np.ndarray]]] = {}
         self._topics: Dict[int, Set[int]] = {}
         self._bootstrap()
 
     def _bootstrap(self) -> None:
-        """Build filter rows and topics from the initial content placement."""
+        """Build filter columns and topics from the initial content placement."""
         positions_of = self.hasher.positions
         for node in range(self.n_nodes):
             docs = self.content.docs_on(node)
@@ -131,47 +140,36 @@ class SourceFilterStore:
         return bool(self._n_set[source] > 0)
 
     def patch_history(self, source: int) -> List[Tuple[int, FrozenSet[int]]]:
-        return list(self._patches.get(source, ()))
+        return [
+            (version, frozenset(changed.tolist()))
+            for version, changed in self._patches.get(source, ())
+        ]
 
     def match_current(self, positions: np.ndarray) -> np.ndarray:
-        """Which sources' *current* filters contain all positions."""
+        """Which filters contain all positions: entry ``s < n_nodes`` is
+        source ``s``'s *current* filter, the rest are superseded versions
+        at their :meth:`columns_of`."""
         return self.matrix.match_all(positions)
 
-    def match_at_version(
-        self,
-        source: int,
-        version: int,
-        positions: Sequence[int],
-        current: Optional[bool] = None,
-    ) -> bool:
-        """Does the filter as of ``version`` contain all ``positions``?
-
-        Reconstructs historical bits exactly: a position's value at
-        ``version`` is its current value XOR the parity of flips recorded by
-        patches issued after ``version``.  The parities of all later
-        patches are merged in one pass over the history (symmetric
-        difference accumulates odd-flip positions), so evaluating a stale
-        cached ad costs O(history + positions), not O(history x positions).
-        """
-        flipped_odd: Set[int] = set()
-        for v, changed in self._patches.get(source, ()):
-            if v > version:
-                flipped_odd.symmetric_difference_update(changed)
-        if current is not None and (
-            not flipped_odd or flipped_odd.isdisjoint(positions)
-        ):
-            # No later patch flips any queried position, so the historical
-            # bits at ``positions`` equal the current ones -- the caller's
-            # precomputed current-filter answer is the exact result.
-            return bool(current)
-        pos = np.asarray(positions, dtype=np.int64)
-        bits = self.matrix.get_bits(source, pos)
-        if flipped_odd:
-            flip = np.fromiter(
-                (int(p) in flipped_odd for p in pos), dtype=bool, count=len(pos)
+    def columns_of(self, sources: np.ndarray, versions: np.ndarray) -> np.ndarray:
+        """Where :meth:`match_current` answers for ``sources``' filters as
+        of ``versions`` (aligned arrays)."""
+        unknown = (versions < 0) | (versions > self._version[sources])
+        if unknown.any():
+            at = int(np.flatnonzero(unknown)[0])
+            raise FilterVersionError(
+                f"source {sources[at]} never issued filter version "
+                f"{versions[at]} (it is at {self._version[sources[at]]})"
             )
-            bits = bits ^ flip
-        return bool(bits.all())
+        return self._column[sources, versions]
+
+    def missed_patch_bits(self, source: int, versions: np.ndarray) -> np.ndarray:
+        """Changed bits of every patch ``source`` issued after each of
+        ``versions``: what the repair pull of a cache that old carries."""
+        issued = np.cumsum(
+            [0] + [len(changed) for _, changed in self._patches.get(source, ())]
+        )
+        return issued[-1] - issued[versions]
 
     # -------------------------------------------------------------- ad minting
     def make_full_ad(self, source: int) -> Optional[Ad]:
@@ -223,8 +221,15 @@ class SourceFilterStore:
             return None
         self._version[node] += 1
         version = int(self._version[node])
-        self._patches.setdefault(node, []).append(
-            (version, frozenset(int(p) for p in changed))
+        self._patches.setdefault(node, []).append((version, changed))
+        # The superseded version stays searchable: its bits move to a
+        # history column before the patch flips the current one.
+        if version == self._column.shape[1]:
+            self._column = np.concatenate(
+                [self._column, np.full_like(self._column, -1)], axis=1
+            )
+        self._column[node, version - 1 : version + 1] = (
+            self.matrix.snapshot(node), node,
         )
         self.matrix.flip_bits(node, changed)
         return Ad(

@@ -3,15 +3,22 @@
 Every ASAP lookup asks, for each cached ad, "does this filter contain all
 query-term positions?"  Done per-ad in Python that is the simulator's
 bottleneck; done once globally it is a handful of NumPy gathers.  The
-:class:`FilterMatrix` keeps one packed row (m/8 bytes) per source -- 14 MB
-for 10,000 sources at m = 11,542 -- and answers ``match_all(positions)``
-for *all* sources simultaneously.  Per-query work is
-O(n_sources * n_positions / 8) byte-ops, entirely inside NumPy.
+:class:`FilterMatrix` keeps one packed column (m/8 bytes) per filter --
+14 MB for 10,000 sources at m = 11,542 -- stored position-major
+(``[byte, filter]``), so ``match_all(positions)`` reads one contiguous run
+per queried bit and answers for *all* filters simultaneously.  Per-query
+work is O(n_filters * n_positions) byte-ops, entirely inside NumPy.
 
-The matrix reflects each source's *current* filter; staleness of cached
-copies (a cache holding version v while the source is at version v+2) is
-reconciled by the ads repository using the source's patch history, which
-only ever involves a few dirty sources per query.
+Columns ``0 .. n_sources - 1`` are the sources' *current* filters.  A
+cache that missed a patch still holds the filter it was sent, so a
+superseded version is not dropped: :meth:`FilterMatrix.snapshot` copies a
+column aside before a patch flips its bits, and ``match_all`` answers for
+those history columns, numbered on from ``n_sources``, in the same vector.
+Which ``(source, version)`` a history column holds is the caller's record
+(:class:`repro.asap.store.SourceFilterStore`); on the paper's ASAP(RW) cell
+a lookup reads 227 of them (``BENCH_SCALEUP.json``).  History lives in an
+array of its own, doubled when full, so growing it never copies the
+current filters (peak RSS is a gated metric).
 """
 
 from __future__ import annotations
@@ -24,9 +31,13 @@ from repro.bloom.hashing import BloomHasher
 
 __all__ = ["FilterMatrix"]
 
+#: History columns allocated by the first snapshot; doubled when full.
+_FIRST_HISTORY = 16
+
 
 class FilterMatrix:
-    """One packed filter row per source; vectorised all-sources match tests."""
+    """One packed filter column per source, then one per superseded version;
+    vectorised all-filters match tests."""
 
     def __init__(self, n_sources: int, hasher: BloomHasher) -> None:
         if n_sources < 0:
@@ -34,103 +45,105 @@ class FilterMatrix:
         self.hasher = hasher
         self.n_sources = n_sources
         self._n_bytes = (hasher.m + 7) // 8
-        self._rows = np.zeros((n_sources, self._n_bytes), dtype=np.uint8)
+        self._cols = np.zeros((self._n_bytes, n_sources), dtype=np.uint8)
+        self._history = np.zeros((self._n_bytes, 0), dtype=np.uint8)
+        self.n_columns = n_sources  # in use: sources, then snapshots
+
+    def _checked(self, positions: Sequence[int]) -> np.ndarray:
+        pos = np.asarray(positions, dtype=np.int64)
+        if len(pos) and (pos.min() < 0 or pos.max() >= self.hasher.m):
+            raise ValueError("bit position out of range")
+        return pos
 
     # ------------------------------------------------------------- updates
     def set_row(self, source: int, bits: np.ndarray) -> None:
-        """Replace ``source``'s row with a boolean bit array of length m."""
+        """Replace ``source``'s filter with a boolean bit array of length m."""
         if len(bits) != self.hasher.m:
             raise ValueError(
                 f"bit array length {len(bits)} != filter length {self.hasher.m}"
             )
-        self._rows[source] = np.packbits(
+        self._cols[:, source] = np.packbits(
             np.asarray(bits, dtype=np.uint8), bitorder="little"
         )
 
     def set_row_positions(self, source: int, positions: Sequence[int]) -> None:
-        """Replace ``source``'s row with exactly the given set positions.
+        """Replace ``source``'s filter with exactly the given set positions.
 
         The vectorised *add* primitive: with the matrix as the authoritative
         current-filter store, bootstrapping a source is one scatter of its
         keyword positions -- no per-source filter object, no m-length
         boolean intermediate.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        self._rows[source] = 0
-        if len(pos) == 0:
-            return
-        if pos.min() < 0 or pos.max() >= self.hasher.m:
-            raise ValueError("bit position out of range")
-        np.bitwise_or.at(
-            self._rows[source], pos >> 3, (1 << (pos & 7)).astype(np.uint8)
-        )
+        pos = self._checked(positions)
+        column = self._cols[:, source]
+        column[:] = 0
+        np.bitwise_or.at(column, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
 
     def flip_bits(self, source: int, positions: Sequence[int]) -> None:
-        """Flip the given bit positions in ``source``'s row (patch apply)."""
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) == 0:
-            return
-        if pos.min() < 0 or pos.max() >= self.hasher.m:
-            raise ValueError("bit position out of range")
-        bytes_idx = pos >> 3
-        masks = (1 << (pos & 7)).astype(np.uint8)
+        """Flip the given bit positions of ``source``'s filter (patch apply)."""
+        pos = self._checked(positions)
         # Positions are unique within a patch, so XOR per position is safe;
         # accumulate per byte to handle several positions in one byte.
-        np.bitwise_xor.at(self._rows[source], bytes_idx, masks)
+        np.bitwise_xor.at(
+            self._cols[:, source], pos >> 3, (1 << (pos & 7)).astype(np.uint8)
+        )
 
     def clear_row(self, source: int) -> None:
-        self._rows[source] = 0
+        self._cols[:, source] = 0
+
+    def snapshot(self, source: int) -> int:
+        """Copy ``source``'s current filter into a new history column and
+        return that column's index (the next one after those in use)."""
+        used = self.n_columns - self.n_sources
+        if used == self._history.shape[1]:
+            grown = np.zeros(
+                (self._n_bytes, 2 * used or _FIRST_HISTORY), dtype=np.uint8
+            )
+            grown[:, :used] = self._history
+            self._history = grown
+        self._history[:, used] = self._cols[:, source]
+        self.n_columns += 1
+        return self.n_columns - 1
 
     # -------------------------------------------------------------- queries
+    def _column(self, column: int) -> np.ndarray:
+        """The packed bytes of a current filter or of a snapshot."""
+        if column < self.n_sources:
+            return self._cols[:, column]
+        return self._history[:, column - self.n_sources]
+
     def get_bit(self, source: int, position: int) -> bool:
         if not 0 <= position < self.hasher.m:
             raise ValueError("bit position out of range")
-        return bool((self._rows[source, position >> 3] >> (position & 7)) & 1)
-
-    def get_bits(self, source: int, positions: np.ndarray) -> np.ndarray:
-        """Boolean values of ``positions`` in ``source``'s row (one gather).
-
-        The vectorised *contains* primitive; pairs with the patch-history
-        parity flip in :meth:`repro.asap.store.SourceFilterStore.
-        match_at_version` to evaluate a row at any historical version.
-        """
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) == 0:
-            return np.ones(0, dtype=bool)
-        if pos.min() < 0 or pos.max() >= self.hasher.m:
-            raise ValueError("bit position out of range")
-        return (self._rows[source, pos >> 3] >> (pos & 7).astype(np.uint8)) & 1 != 0
-
-    def contains_all(self, source: int, positions: np.ndarray) -> bool:
-        """Does ``source``'s current row have every position set?"""
-        return bool(self.get_bits(source, positions).all())
+        return bool((self._column(source)[position >> 3] >> (position & 7)) & 1)
 
     def row_bits(self, source: int) -> np.ndarray:
-        """Unpacked boolean bit array for one source."""
-        return np.unpackbits(self._rows[source], bitorder="little")[
+        """Unpacked boolean bit array of one source (or snapshot column)."""
+        return np.unpackbits(self._column(source), bitorder="little")[
             : self.hasher.m
         ].astype(bool)
 
     def match_all(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean vector: which sources have ALL ``positions`` set.
+        """Boolean vector over every column in use -- the ``n_sources``
+        current filters, then the snapshots: which have ALL ``positions`` set.
 
-        An empty position set matches every source (vacuous truth), which
+        An empty position set matches every filter (vacuous truth), which
         the callers treat as "no query terms" and reject earlier.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) == 0:
-            return np.ones(self.n_sources, dtype=bool)
-        if pos.min() < 0 or pos.max() >= self.hasher.m:
-            raise ValueError("bit position out of range")
-        bytes_idx = pos >> 3
-        masks = (1 << (pos & 7)).astype(np.uint8)
-        gathered = self._rows[:, bytes_idx]  # (n_sources, n_positions)
-        return np.all(gathered & masks == masks, axis=1)
+        pos = self._checked(positions)
+        rows, masks = pos >> 3, (1 << (pos & 7)).astype(np.uint8)[:, None]
+        n = self.n_sources
+        match = np.empty(self.n_columns, dtype=bool)
+        history = self._history[:, : self.n_columns - n]
+        for cols, out in ((self._cols, match[:n]), (history, match[n:])):
+            # (n_positions, n_filters): one contiguous run per queried bit.
+            np.all(cols[rows] & masks == masks, axis=0, out=out)
+        return match
 
     def match_terms(self, terms: Iterable[str]) -> np.ndarray:
-        """Which sources' filters contain every term (paper's match rule)."""
+        """Which filters contain every term (paper's match rule)."""
         return self.match_all(self.hasher.positions_array(terms))
 
     def matching_sources(self, terms: Iterable[str]) -> np.ndarray:
-        """Source ids whose filters match all ``terms``."""
-        return np.nonzero(self.match_terms(terms))[0]
+        """Source ids whose current filters match all ``terms``."""
+        return np.nonzero(self.match_terms(terms)[: self.n_sources])[0]

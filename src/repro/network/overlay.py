@@ -298,14 +298,14 @@ class Overlay:
         phys = self.topology.physical_ids
         return self.latency.latency_ms(int(phys[u]), int(phys[v]))
 
-    def direct_latencies_ms(self, u: int, vs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`direct_latency_ms` from ``u`` to each of ``vs``."""
-        vs = np.asarray(vs, dtype=np.int64)
-        if self.latency is None:
-            out = np.full(vs.shape, self.default_edge_latency_ms, dtype=np.float64)
-            out[vs == u] = 0.0
-            return out
-        phys = self.topology.physical_ids
-        return self.latency.pairwise_ms(
-            np.full(vs.shape, phys[u], dtype=np.int64), phys[vs]
+    def direct_latencies_ms(self, us, vs) -> np.ndarray:
+        """Vectorised :meth:`direct_latency_ms` from ``us`` to ``vs``, ids or
+        id arrays broadcast together: one node to many, or many to one.
+        The two are different float sums, so orientation is the caller's."""
+        us, vs = np.broadcast_arrays(
+            np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         )
+        if self.latency is None:
+            return np.where(us == vs, 0.0, self.default_edge_latency_ms)
+        phys = self.topology.physical_ids
+        return self.latency.pairwise_ms(phys[us], phys[vs])

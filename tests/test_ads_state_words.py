@@ -308,13 +308,18 @@ class TestClockNeverRunsBackwards:
 
 def test_non_integral_ad_header_keeps_reply_bytes_exact():
     """An integral header lets the exchange sum a reply's bytes as
-    integers; any other adds them in ascending source order, like the
-    oracle's loop -- the ADS_REPLY ledger must not tell the two apart."""
+    integers and a delivery book its repair pulls a second at a time; any
+    other adds them in ascending source order and pull by pull, like the
+    oracle's loops -- the ADS_REPLY, PATCH_AD and FULL_AD ledgers must not
+    tell the two apart."""
     config = scaled_config(
-        "asap_rw", "random", n_peers=150, n_queries=80, seed=3,
+        "asap_rw", "random", n_peers=150, n_queries=240, seed=3,
         use_physical_network=False, warmup_s=40.0,
     )
-    config = dataclasses.replace(config, sizes=MessageSizes(ad_header=24.3))
+    config = dataclasses.replace(
+        config, sizes=MessageSizes(ad_header=24.3),
+        trace=dataclasses.replace(config.trace, content_change_fraction=0.3),
+    )
     product = run_experiment(config)
     with oracle_arm():
         oracle = run_experiment(config)
@@ -322,10 +327,14 @@ def test_non_integral_ad_header_keeps_reply_bytes_exact():
     assert replies != round(replies)
     assert product.ledger.category_totals() == oracle.ledger.category_totals()
     window = (0, int(config.warmup_s) + 60)
-    assert np.array_equal(
-        product.ledger.series([TrafficCategory.ADS_REPLY], *window).bytes_per_second,
-        oracle.ledger.series([TrafficCategory.ADS_REPLY], *window).bytes_per_second,
-    )
+    for category in (
+        TrafficCategory.ADS_REPLY, TrafficCategory.PATCH_AD, TrafficCategory.FULL_AD
+    ):
+        assert np.array_equal(
+            product.ledger.series([category], *window).bytes_per_second,
+            oracle.ledger.series([category], *window).bytes_per_second,
+        )
+    assert dict(product.ledger._buckets) == dict(oracle.ledger._buckets)
     assert [o.cost_bytes for o in product.outcomes] == [
         o.cost_bytes for o in oracle.outcomes
     ]

@@ -34,6 +34,7 @@ from repro.workload.content import ContentIndex, Document
 from repro.workload.interests import InterestState
 
 from tests.oracles.repository import AdsRepository, snapshot
+from tests.test_asap_ads_store import match_at_version
 
 SOURCE = 1
 CACHER = 0
@@ -160,7 +161,7 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         for kw in KEYWORDS:
             positions = self.hasher.positions(kw)
             want = all(expected_bits[p] for p in positions)
-            got = self.store.match_at_version(SOURCE, entry.version, positions)
+            got = match_at_version(self.store, SOURCE, entry.version, positions)
             assert got == want, (
                 f"kw={kw} version={entry.version}: reconstruction {got} != "
                 f"snapshot {want}"

@@ -131,6 +131,27 @@ class TestWithRandomTopology:
         out = ov.direct_latencies_ms(0, np.array([0, 3, 7]))
         assert list(out) == [0.0, 9.0, 9.0]
 
+    def test_direct_latencies_keep_the_orientation_they_are_asked_in(self):
+        """Many to one is the scalar call receiver by receiver, one to many
+        the scalar call target by target: with a latency model ``(u, v)``
+        and ``(v, u)`` add the same three floats in a different order."""
+        from repro.network.substrate import get_substrate
+        from repro.network.topology import build_topology
+
+        substrate = get_substrate(seed=0)
+        topo = build_topology(
+            "random", 300, rng=np.random.default_rng(6), network=substrate.network
+        )
+        ov = Overlay(topo, substrate.latency)
+        others = np.arange(1, 300)
+        to_one = ov.direct_latencies_ms(others, 0)
+        from_one = ov.direct_latencies_ms(0, others)
+        assert to_one.tolist() == [ov.direct_latency_ms(v, 0) for v in others]
+        assert from_one.tolist() == [ov.direct_latency_ms(0, v) for v in others]
+        assert np.allclose(to_one, from_one) and len(set(to_one.tolist())) > 10
+        flat = Overlay(topo, default_edge_latency_ms=9.0)
+        assert flat.direct_latencies_ms(np.array([0, 3, 7]), 3).tolist() == [9.0, 0.0, 9.0]
+
     def test_direct_latency_ignores_explicit_edge_latencies(self):
         # Explicit edge_latencies_ms describe *overlay edges* only; direct
         # (off-overlay) hops must use the flat default, not whatever

@@ -44,6 +44,27 @@ class TestBandwidthLedger:
         assert led.total_messages([TrafficCategory.QUERY]) == 5
         assert led.total_messages() == 6
 
+    @pytest.mark.parametrize("sizes", [[60.0, 40.0, 1418.0], [24.3, 60.7, 0.1]])
+    def test_record_each_leaves_what_the_records_would(self, sizes):
+        """Whole-byte sizes are booked a second at a time, any other
+        message by message: the floats are those of ``record`` in order,
+        also in a bucket and a total that already hold bytes."""
+        rng = np.random.default_rng(8)
+        times = 3.0 + 2.5 * rng.random(200)
+        nbytes = rng.choice(sizes, size=200)
+        each, batch = BandwidthLedger(), BandwidthLedger()
+        for led in (each, batch):
+            led.record(3.5, TrafficCategory.PATCH_AD, sizes[1])
+        for at, size in zip(times.tolist(), nbytes.tolist()):
+            each.record(at, TrafficCategory.PATCH_AD, size)
+        batch.record_each(times[:120], TrafficCategory.PATCH_AD, nbytes[:120])
+        batch.record_each(times[120:], TrafficCategory.PATCH_AD, nbytes[120:])
+        batch.record_each(times[:0], TrafficCategory.FULL_AD, nbytes[:0])
+        assert dict(batch._buckets) == dict(each._buckets)
+        assert sorted(batch._buckets) == [3, 4, 5]
+        assert batch.category_totals() == each.category_totals()
+        assert batch.total_messages() == each.total_messages() == 201
+
     def test_negative_bytes_rejected(self):
         led = BandwidthLedger()
         with pytest.raises(ValueError):

@@ -50,6 +50,19 @@ class TestRunConfig:
             with pytest.raises(ValueError):
                 replace(good, edonkey=replace(good.edonkey, **nonsense))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("flood_ttl", 0), ("rw_walkers", 0), ("rw_ttl", -3), ("gsa_budget", 0),
+         ("keepalive_period_s", 0.0), ("keepalive_period_s", -30.0)],
+    )
+    def test_nonsense_search_parameters_fail_before_set_up(self, field, value):
+        """Whatever the algorithm: the cell is refused while it is being
+        described, not by a constructor after 15 s of set-up."""
+        for algorithm in ("flooding", "asap_rw"):
+            with pytest.raises(ValueError, match=field):
+                replace(paper_config(algorithm), **{field: value})
+        replace(paper_config("gsa"), **{field: 1})
+
     def test_is_asap(self):
         assert paper_config("asap_rw").is_asap
         assert not paper_config("gsa").is_asap

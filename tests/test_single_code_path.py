@@ -11,7 +11,10 @@ scipy hop-matrix helper in ``transit_stub`` and per-call Zipf tables; the
 walk post-processing one at the last commit where ``deliver`` dropped the
 source itself and ``bucket_bytes`` was the only way to a bucket dict; the
 instrumentation-seam ones at the last commit where nine host modules fed
-tracer and telemetry one ``.enabled`` guard at a time.
+tracer and telemetry one ``.enabled`` guard at a time; the stale-ad ones at
+the last commit that replayed a source's patch history for every behind
+entry of every lookup and repaired a delivery's lagging receivers one
+Python call at a time.
 """
 
 import ast
@@ -24,6 +27,7 @@ import repro
 import repro.asap
 from repro.asap.protocol import AsapSearch
 from repro.asap.state import AdsState, RepositoryView
+from repro.asap.store import SourceFilterStore
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.network import transit_stub
@@ -320,6 +324,52 @@ def test_engine_has_one_observer_slot_and_no_telemetry_slot():
     assert engine.observer is None
     for name in ("telemetry", "set_telemetry", "_telemetry"):
         assert not hasattr(engine, name)
+
+
+# ------------------------------------------------- stale ads at array speed
+def _method(tree, cls, name):
+    owner = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls
+    )
+    return next(
+        n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == name
+    )
+
+
+def test_asap_replays_no_patch_history():
+    """A filter version is a matrix column; the patch-parity replay that
+    rebuilt one per behind entry is an oracle (``tests/oracles/store.py``)."""
+    replays = [
+        f"{path.name}:{lineno}"
+        for path in sorted((SRC / "asap").glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "symmetric_difference_update" in line
+    ]
+    assert replays == []
+    assert not hasattr(SourceFilterStore, "match_at_version")
+
+
+def test_a_lookup_is_loop_free():
+    tree = ast.parse((SRC / "asap" / "state.py").read_text())
+    loops = [
+        node for node in ast.walk(_method(tree, "AdsState", "lookup"))
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert loops == []
+
+
+def test_a_delivery_repairs_its_lagging_receivers_in_one_step():
+    """The pull-per-receiver repair is an oracle (``tests/oracles/asap.py``)."""
+    assert not hasattr(AsapSearch, "_repair_entry")
+    assert not hasattr(AsapSearch, "_repair_plan")
+    tree = ast.parse((SRC / "asap" / "protocol.py").read_text())
+    assert len(_calls(_method(tree, "AsapSearch", "_merge_ad"), "_repair")) == 1
+
+
+def test_a_search_matches_its_positions_once():
+    tree = ast.parse((SRC / "asap" / "protocol.py").read_text())
+    assert len(_calls(tree, "match_current")) == 1
+    assert len(_calls(_method(tree, "AsapSearch", "_search_impl"), "match_current")) == 1
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,9 @@ observable behaviour to the plain object model in ``tests/oracles/``:
   churn, so behind-entry evaluation at historical versions is exercised);
 * the lazy copy-on-write counting filters in :class:`SourceFilterStore`
   vs eagerly materialised ones (bitmaps, set-bit counts, patch diffs);
-* ``match_at_version``'s vectorised gather (with and without the
-  ``current`` short-circuit hint) vs the per-position loop;
+* the store's history columns (every superseded filter version, matched
+  in the same gather as the current ones) vs the per-position
+  patch-parity replay;
 * :class:`InterestState` bitmask answers vs per-node set loops;
 * a source's cacher column (:meth:`AdsState.holders`) vs a Python set;
 * whole runs: blake2b run fingerprints must be bit-equal between the
@@ -216,8 +217,8 @@ class TestLazyCountingFilters:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_match_at_version_paths_agree(self, seed):
-        """Vectorised gather == per-position loop oracle == hinted
-        short-circuit, at every (source, historical version)."""
+        """The version's matrix column == the per-position parity replay,
+        at every (source, historical version)."""
         store, dist = make_store(seed)
         rng = np.random.default_rng(seed + 9)
         versions_before = [store.version(s) for s in range(store.n_nodes)]
@@ -227,12 +228,9 @@ class TestLazyCountingFilters:
             current = store.match_current(positions)
             for s in range(store.n_nodes):
                 for v in {versions_before[s], store.version(s)}:
-                    fast = store.match_at_version(s, v, positions)
-                    hinted = store.match_at_version(
-                        s, v, positions, current=bool(current[s])
-                    )
+                    column = store.columns_of(np.array([s]), np.array([v]))[0]
                     slow = match_at_version_reference(store, s, v, positions)
-                    assert fast == slow == hinted
+                    assert current[column] == slow
 
 
 # ------------------------------------------------------------- interest state

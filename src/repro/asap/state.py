@@ -440,7 +440,8 @@ class AdsState:
         flags = row & _HELD_BEHIND  # 0: held and current, 1: held and behind
         hits = (flags == 0) & match[: self.n]
         behind = np.flatnonzero(flags == 1)
-        hits[behind] = match[self.store.columns_of(behind, row[behind] >> 32)]
+        if behind.size:
+            hits[behind] = match[self.store.columns_of(behind, row[behind] >> 32)]
         return hits
 
 

@@ -71,13 +71,12 @@ class FilterMatrix:
 
         The vectorised *add* primitive: with the matrix as the authoritative
         current-filter store, bootstrapping a source is one scatter of its
-        keyword positions -- no per-source filter object, no m-length
-        boolean intermediate.
+        keyword positions and one packed column write -- no per-source
+        filter object.
         """
-        pos = self._checked(positions)
-        column = self._cols[:, source]
-        column[:] = 0
-        np.bitwise_or.at(column, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        bits = np.zeros(8 * self._n_bytes, dtype=bool)
+        bits[self._checked(positions)] = True
+        self._cols[:, source] = np.packbits(bits, bitorder="little")
 
     def flip_bits(self, source: int, positions: Sequence[int]) -> None:
         """Flip the given bit positions of ``source``'s filter (patch apply)."""

@@ -199,13 +199,8 @@ class AsapSearch(SearchAlgorithm):
             if lagging:
                 # In ``receivers`` iteration order: the order the pulls are
                 # booked and an observed run is told about them in.
-                self._repair(
-                    src,
-                    now,
-                    np.fromiter(
-                        (v for v in receivers if v in lagging), np.int64, len(lagging)
-                    ),
-                )
+                ordered = (v for v in receivers if v in lagging)
+                self._repair(src, now, np.fromiter(ordered, np.int64, len(lagging)))
         if ad.ad_type is AdType.PATCH:
             state.mark_missed(src, receivers_arr)
 

@@ -74,9 +74,9 @@ class FilterMatrix:
         keyword positions and one packed column write -- no per-source
         filter object.
         """
-        bits = np.zeros(8 * self._n_bytes, dtype=bool)
+        bits = np.zeros(self.hasher.m, dtype=bool)
         bits[self._checked(positions)] = True
-        self._cols[:, source] = np.packbits(bits, bitorder="little")
+        self.set_row(source, bits)
 
     def flip_bits(self, source: int, positions: Sequence[int]) -> None:
         """Flip the given bit positions of ``source``'s filter (patch apply)."""
@@ -93,7 +93,8 @@ class FilterMatrix:
     def snapshot(self, source: int) -> int:
         """Copy ``source``'s current filter into a new history column and
         return that column's index (the next one after those in use)."""
-        used = self.n_columns - self.n_sources
+        column = self.n_columns
+        used = column - self.n_sources
         if used == self._history.shape[1]:
             grown = np.zeros(
                 (self._n_bytes, 2 * used or _FIRST_HISTORY), dtype=np.uint8
@@ -101,8 +102,8 @@ class FilterMatrix:
             grown[:, :used] = self._history
             self._history = grown
         self._history[:, used] = self._cols[:, source]
-        self.n_columns += 1
-        return self.n_columns - 1
+        self.n_columns = column + 1
+        return column
 
     # -------------------------------------------------------------- queries
     def _column(self, column: int) -> np.ndarray:

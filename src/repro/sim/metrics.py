@@ -142,11 +142,11 @@ class BandwidthLedger:
         codebase) add up to the same floats in any order and are booked a
         second at a time; any other size is added message by message.
         """
-        counts = np.ones(len(times), dtype=np.int64)
         if np.array_equal(nbytes, np.floor(nbytes)):
             times, second = np.unique(times.astype(np.int64), return_inverse=True)
-            nbytes = np.bincount(second, weights=nbytes)
-            counts = np.bincount(second)
+            nbytes, counts = np.bincount(second, weights=nbytes), np.bincount(second)
+        else:
+            counts = np.ones(len(times), dtype=np.int64)
         for time, total, count in zip(times.tolist(), nbytes.tolist(), counts.tolist()):
             self.record(time, category, total, messages=count)
 

@@ -2,9 +2,8 @@
 """Multi-seed replication: the headline comparison with error bars.
 
 The paper reports single runs; this example replays flooding and ASAP(RW)
-under several independent seeds and reports each metric as mean ± std, plus
-cache diagnostics for the final ASAP instance -- the form in which a
-reviewer would want the comparison.
+under several independent seeds and reports each metric as mean ± std --
+the form in which a reviewer would want the comparison.
 
 Run:  python examples/replicated_comparison.py [n_seeds]
 """

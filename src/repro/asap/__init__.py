@@ -18,7 +18,6 @@ Structure:
 """
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.diagnostics import CacheDiagnostics, diagnose
 from repro.asap.delivery import (
     AdForwarder,
     DeliveryReport,
@@ -37,14 +36,12 @@ __all__ = [
     "AdType",
     "AsapParams",
     "AsapSearch",
-    "CacheDiagnostics",
     "DeliveryReport",
     "FloodAdForwarder",
     "GsaAdForwarder",
     "RandomWalkAdForwarder",
     "SourceFilterStore",
     "SuperPeerAsapSearch",
-    "diagnose",
     "elect_super_peers",
     "make_forwarder",
 ]

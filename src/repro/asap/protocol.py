@@ -65,7 +65,6 @@ class AsapParams:
     refresh_budget_fraction: float = 0.1
     max_confirmations: int = 8  # nearest ads confirmed per round
     cache_capacity: Optional[int] = None  # ads-cache bound (None = unbounded)
-    ads_request_on_join: bool = True
     bootstrap_ads_request: bool = True  # warm-up ends with an ads request
     # Fraction of join events treated as genuinely new peers (never seen
     # before): they must advertise with a full ad, while ordinary rejoins
@@ -73,7 +72,6 @@ class AsapParams:
     # trickle of full-ad traffic in the warmed-up system (Figure 7).
     fresh_join_fraction: float = 0.03
     more_results_threshold: int = 1  # fallback when fewer results confirmed
-    digest_bytes_per_entry: float = 0.25  # cache digest in the ads request
 
     def __post_init__(self) -> None:
         if self.forwarder not in ("fld", "rw", "gsa"):
@@ -95,6 +93,9 @@ class AsapParams:
 
 
 _SCHEME_NAMES = {"fld": "ASAP(FLD)", "rw": "ASAP(RW)", "gsa": "ASAP(GSA)"}
+
+#: Bytes per cached source in the digest an ads request carries.
+DIGEST_BYTES_PER_ENTRY = 0.25
 
 #: What answers a repair pull, indexed by "the missed patches are no larger".
 _REPLY_CATEGORY = np.array(
@@ -282,21 +283,22 @@ class AsapSearch(SearchAlgorithm):
         merging its neighbours' caches -- this is the gossip step that makes
         local lookups hit at query time.
         """
-        self._schedule_warmup(
-            engine, start, duration, bootstraps=lambda node: True,
-            refreshes=lambda node: True,
-        )
+        self._schedule_warmup(engine, start, duration, refreshes=lambda node: True)
+
+    def _bootstraps(self, node: int) -> bool:
+        """Does ``node`` fill its cache with an ads request, at warm-up and
+        on every join?"""
+        return True
 
     def _schedule_warmup(
         self,
         engine: SimulationEngine,
         start: float,
         duration: float,
-        bootstraps: Callable[[int], bool],
         refreshes: Callable[[int], bool],
     ) -> None:
         """The one warm-up schedule: per live node, ascending, a full ad
-        (sharers), a bootstrap ads request (if ``bootstraps(node)``) and a
+        (sharers), a bootstrap ads request (if ``_bootstraps(node)``) and a
         refresh timer (if ``refreshes(node)``), each drawing its jitter
         from the algorithm stream in that order.  The full-ad events are
         announced to the forwarder, which may walk them together."""
@@ -312,7 +314,7 @@ class AsapSearch(SearchAlgorithm):
                     name=f"full-ad-{node}",
                 )
                 full_ads.append((event.time, event.seq, node))
-            if self.params.bootstrap_ads_request and bootstraps(node):
+            if self.params.bootstrap_ads_request and self._bootstraps(node):
                 at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
                 engine.schedule_at(
                     at,
@@ -361,7 +363,7 @@ class AsapSearch(SearchAlgorithm):
             self._issue_full_ad(node, now)
         else:
             self._issue_refresh_ad(node, now)
-        if self.params.ads_request_on_join:
+        if self._bootstraps(node):
             self._ads_request(node, now)
         if self._engine is not None and node not in self._timers:
             self._start_refresh_timer(node, phase_base=now)
@@ -440,8 +442,7 @@ class AsapSearch(SearchAlgorithm):
         """
         state = self.state
         store = self.store
-        ad_header = self.sizes.ad_header
-        whole_header = float(ad_header) == float(int(ad_header))
+        ad_header = int(self.sizes.ad_header)
         ledger = self.ledger
         obs = self.obs
         # Observed: (neighbour, request + reply bytes, sources adopted).
@@ -454,7 +455,7 @@ class AsapSearch(SearchAlgorithm):
         total_bytes = 0.0
         request_total = 0.0
         request_size = self.sizes.ads_request + int(
-            math.ceil(len(self.repos[node]) * self.params.digest_bytes_per_entry)
+            math.ceil(len(self.repos[node]) * DIGEST_BYTES_PER_ENTRY)
         )
         for nbr, one_way in neighbors:
             n_messages += 2
@@ -475,20 +476,9 @@ class AsapSearch(SearchAlgorithm):
             stored, _ = state.adopt(node, nbr, novel, now)
             novel = novel[stored]
             # The reply carries each source's *current* filter, after the
-            # reply envelope; bytes add up in ascending source order, which
-            # only a non-integral header can tell from their exact sum.
+            # reply envelope.
             payload = store.full_ad_payload_bytes(novel)
-            if whole_header:
-                reply_bytes = float(
-                    int(ad_header) * (len(novel) + 1) + int(payload.sum())
-                )
-            else:
-                reply_bytes = float(
-                    np.cumsum(
-                        np.concatenate(([ad_header], ad_header + payload)),
-                        dtype=np.float64,
-                    )[-1]
-                )
+            reply_bytes = float(ad_header * (len(novel) + 1) + int(payload.sum()))
             rtt = 2.0 * one_way
             if new_sources is not None:
                 for s in novel.tolist():

@@ -121,12 +121,14 @@ class SuperPeerAsapSearch(AsapSearch):
         )
 
     def warmup(self, engine, start: float, duration: float) -> None:
-        """As in flat ASAP, except only super peers bootstrap caches and
-        only sharers keep a refresh timer."""
+        """As in flat ASAP, except only sharers keep a refresh timer."""
         self._schedule_warmup(
-            engine, start, duration, bootstraps=self.is_super_peer,
-            refreshes=self.store.is_sharer,
+            engine, start, duration, refreshes=self.store.is_sharer
         )
+
+    def _bootstraps(self, node: int) -> bool:
+        """Only super peers hold a cache to fill."""
+        return self.is_super_peer(node)
 
     # ---------------------------------------------------------------- search
     def _search_impl(
@@ -171,15 +173,4 @@ class SuperPeerAsapSearch(AsapSearch):
         # unchanged (delivery lands on super peers only).
         if not self._is_super[node]:
             self._super_of[node] = self._nearest_super(node)
-        fresh = (
-            node not in self._advertised
-            or float(self.rng.random()) < self.params.fresh_join_fraction
-        )
-        if fresh:
-            self._issue_full_ad(node, now)
-        else:
-            self._issue_refresh_ad(node, now)
-        if self.params.ads_request_on_join and self._is_super[node]:
-            self._ads_request(node, now)
-        if self._engine is not None and node not in self._timers:
-            self._start_refresh_timer(node, phase_base=now)
+        super().on_join(node, now)

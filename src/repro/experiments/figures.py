@@ -15,7 +15,7 @@ comparisons the reproduction validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -85,7 +85,10 @@ class ExperimentScale:
 
     def config(self, algorithm: str, topology: str) -> RunConfig:
         if self.n_peers == 10_000 and self.n_queries == 30_000:
-            return paper_config(algorithm, topology, seed=self.seed)
+            return replace(
+                paper_config(algorithm, topology, seed=self.seed),
+                use_physical_network=self.use_physical_network,
+            )
         return scaled_config(
             algorithm,
             topology,

@@ -25,9 +25,9 @@ module exploits that:
 
 What travels back from a worker is the full :class:`~repro.simulation.
 results.RunResult` -- summary inputs, bandwidth ledger, optional
-:class:`~repro.obs.profile.RunProfile` and cache diagnostics -- all plain
-data, so ``--profile`` accounting under parallelism is exact per cell and
-mergeable in the parent (:func:`repro.obs.profile.merge_profiles`).
+:class:`~repro.obs.profile.RunProfile` -- all plain data, so ``--profile``
+accounting under parallelism is exact per cell and mergeable in the parent
+(:func:`repro.obs.profile.merge_profiles`).
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def cell_label(config: RunConfig) -> str:
 def _run_cell(
     config: RunConfig,
     profile: bool,
-    collect_diagnostics: bool,
     audit: bool = False,
     trace_dir: Optional[str] = None,
     telemetry: bool = False,
@@ -140,7 +139,6 @@ def _run_cell(
                 config,
                 tracer=tracer,
                 profile=profile,
-                collect_diagnostics=collect_diagnostics,
                 audit=audit,
                 telemetry=tel,
                 probes=probes,
@@ -165,7 +163,6 @@ def run_cells(
     jobs: Optional[int] = 1,
     *,
     profile: bool = False,
-    collect_diagnostics: bool = False,
     audit: bool = False,
     trace_dir: Optional[str] = None,
     telemetry: bool = False,
@@ -215,8 +212,8 @@ def run_cells(
                     )
                 )
             outcome = _run_cell(
-                config, profile, collect_diagnostics, audit, trace_dir,
-                telemetry, None, status_fn, probes,
+                config, profile, audit, trace_dir, telemetry, None, status_fn,
+                probes,
             )
             _log_outcome(log, i, len(configs), outcome)
             results.append(outcome)
@@ -236,8 +233,7 @@ def run_cells(
         with ProcessPoolExecutor(max_workers=n_jobs, mp_context=mp_context) as pool:
             future_index = {
                 pool.submit(
-                    _run_cell, config, profile, collect_diagnostics, audit,
-                    trace_dir, telemetry,
+                    _run_cell, config, profile, audit, trace_dir, telemetry,
                     os.path.join(status_dir, f"cell{i}.json")
                     if status_dir is not None
                     else None,

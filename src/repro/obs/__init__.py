@@ -19,8 +19,9 @@ decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
 
 Beside it, reading the run rather than listening to it:
 
-* :mod:`repro.obs.metrics` -- counters / gauges / histograms exported as
-  JSON and Prometheus text via ``python -m repro.obs.report``;
+* :mod:`repro.obs.report` -- ``python -m repro.obs.report run`` writes the
+  result objects' own dicts (summary, ledger, profile) as ``run.json`` and
+  ``diff`` compares any two JSON artifacts leaf by leaf;
 * :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots reduced
   from the dense ads state: per-source ad coverage, staleness sketches,
   measured Bloom FP rate and cache health, bit-identical across
@@ -41,15 +42,6 @@ from repro.obs.audit import (
     run_fingerprint,
 )
 from repro.obs.instrument import TRACE_RECORDS, Instrumentation
-from repro.obs.metrics import (
-    CounterMetric,
-    DEFAULT_BUCKETS,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    diff_flat,
-    flatten,
-)
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
@@ -87,13 +79,8 @@ from repro.obs.trace import (
 __all__ = [
     "AuditReport",
     "AuditViolation",
-    "CounterMetric",
-    "DEFAULT_BUCKETS",
-    "GaugeMetric",
-    "HistogramMetric",
     "Instrumentation",
     "LogBucketSketch",
-    "MetricsRegistry",
     "PROBE_SCHEMA_VERSION",
     "PhaseStats",
     "ProbeRecorder",
@@ -111,8 +98,6 @@ __all__ = [
     "analyze_trace",
     "audit_run",
     "check_arena_health",
-    "diff_flat",
-    "flatten",
     "merge_probe_summaries",
     "merge_profiles",
     "merge_summaries",

@@ -14,7 +14,7 @@ unobserved engine pays a single branch).  Each dispatch is attributed to
 
 ``finish()`` freezes the accumulated accounting into a :class:`RunProfile`
 -- a plain-data summary attached to ``RunResult`` and renderable as a
-table or a dict for the metrics exporter.
+table or a dict (``run.json``'s ``profile``).
 """
 
 from __future__ import annotations

@@ -1,21 +1,23 @@
-"""Metrics-export CLI: snapshot a run into JSON + Prometheus reports.
+"""Run-report CLI: each fact of a run serialised once, as JSON.
 
 ``python -m repro.obs.report run`` executes one configured trace replay
-with profiling (and optionally tracing) enabled, then snapshots the
-bandwidth ledger, ASAP cache diagnostics, search outcomes and the run
-profile into a :class:`~repro.obs.metrics.MetricsRegistry`, written as
+with profiling (and optionally tracing) enabled and writes
 
-* ``metrics.json`` -- the registry's JSON form (machine-readable, and the
-  input format of ``diff``);
-* ``metrics.prom`` -- Prometheus text exposition format (scrapeable /
-  pushable to a gateway);
-* ``trace.jsonl``  -- the structured trace, when ``--trace`` is given.
+* ``run.json``    -- :func:`run_report`: the dicts the result objects already
+  expose -- ``RunSummary.row()``, the bandwidth ledger's per-category
+  totals, ``RunProfile.to_dict()`` and, with ``--replications N``, the
+  across-seed :class:`~repro.simulation.replication.MetricSpread` of every
+  summary metric over seeds ``seed .. seed+N-1`` (``--jobs J`` workers; each
+  seed is simulated once, the run above being the first);
+* ``trace.jsonl`` -- the structured trace, when ``--trace`` is given.
 
 ``python -m repro.obs.report diff a.json b.json`` compares two JSON
-reports series-by-series -- the quick answer to "what changed between
-these two runs?".  ``--tolerance T`` makes the exit code a drift gate:
-non-zero when any series differs by more than ``T`` (absolute) or exists
-on one side only.
+artifacts of this CLI -- ``run.json``, ``telemetry.json``, ``state.json``,
+``audit.json`` or any other nested JSON -- numeric leaf by numeric leaf
+under dotted keys (:func:`flatten`): the quick answer to "what changed
+between these two runs?".  ``--tolerance T`` makes the exit code a drift
+gate: non-zero when any leaf differs by more than ``T`` (absolute) or
+exists on one side only.
 
 ``python -m repro.obs.report audit`` runs one experiment with the
 invariant auditor (:mod:`repro.obs.audit`) attached, writes
@@ -34,13 +36,9 @@ gzip-compressed (``trace.jsonl.gz``); readers detect the suffix.
 ``--replications N`` seeds, optionally across ``--jobs J`` workers) with
 streaming telemetry (:mod:`repro.obs.telemetry`) -- constant-memory
 windowed load series, quantile sketches and heavy-hitter hotspots, no
-trace file -- and writes ``telemetry.json`` + ``telemetry.prom`` next to
-a Fig-9-style per-window table on stdout.  ``--live`` streams a status
-line to stderr while cells run.
-
-``--replications N --jobs J`` additionally replays seeds ``seed .. seed+N-1``
-across ``J`` worker processes and folds the across-seed metric spread plus
-the merged run profiles into the report (``repro_replication_*`` series).
+trace file -- and writes ``telemetry.json`` next to a Fig-9-style
+per-window table, the hotspots and the sketch quantiles on stdout.
+``--live`` streams a status line to stderr while cells run.
 
 Examples::
 
@@ -48,7 +46,7 @@ Examples::
         --queries 60 --out obs-out --trace
     python -m repro.obs.report run --algorithm asap_rw --peers 120 \
         --queries 60 --replications 4 --jobs 2 --out obs-rep
-    python -m repro.obs.report diff obs-out/metrics.json other/metrics.json
+    python -m repro.obs.report diff obs-out/run.json other/run.json
     python -m repro.obs.report audit --algorithm asap_rw --peers 120 \
         --queries 60 --out obs-audit --baseline baselines/asap_rw.json
     python -m repro.obs.report analyze --trace obs-audit/trace.jsonl
@@ -61,292 +59,114 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry, diff_flat, flatten
+from repro.obs.profile import merge_profiles
 from repro.obs.trace import Tracer
 
-__all__ = ["build_registry", "main", "render_diff", "telemetry_registry"]
-
-#: Response-time buckets in milliseconds (spans LAN RTTs to multi-ring
-#: flood timeouts at the scales the reproduction runs).
-_RESPONSE_TIME_BUCKETS_MS = (
-    50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 30000.0,
-)
+__all__ = ["diff_rows", "flatten", "main", "render_diff", "run_report"]
 
 
-def build_registry(result, run_labels: Optional[dict] = None) -> MetricsRegistry:
-    """Snapshot a :class:`~repro.simulation.results.RunResult` into metrics.
+def run_report(config, result, others: Sequence = ()) -> dict:
+    """What ``run.json`` holds: each fact of one run, from the object that
+    owns it.
 
-    Includes ledger category totals (bytes and messages), per-query
-    outcome statistics, the measurement-window load summary, and -- when
-    present on the result -- the run profile's per-phase/per-subsystem
-    accounting and the ASAP cache diagnostics.
+    ``result`` is the profiled run of ``config``; ``others`` are the
+    profiled results of the same cell under the further seeds of a
+    replicated run, whose spread the report then carries.
     """
-    labels = dict(run_labels or {})
-    labels.setdefault("algorithm", result.algorithm)
-    labels.setdefault("topology", result.topology)
-    reg = MetricsRegistry()
+    # Imported lazily: the diff subcommand must work without the heavy
+    # simulation stack (numpy/scipy) ever loading.
+    from repro.simulation.replication import summary_spreads
 
-    info = reg.gauge(
-        "repro_run_info",
-        "Constant 1; labels identify the run.",
-        n_peers=str(result.n_peers),
-        **labels,
-    )
-    info.set(1)
-
-    # --- ledger ----------------------------------------------------------
-    for category, nbytes in sorted(
-        result.ledger.category_totals().items(), key=lambda kv: kv[0].value
-    ):
-        reg.counter(
-            "repro_ledger_bytes_total",
-            "Bytes transmitted per traffic category over the whole run.",
-            category=category.value,
-        ).inc(nbytes)
-        reg.counter(
-            "repro_ledger_messages_total",
-            "Messages transmitted per traffic category over the whole run.",
-            category=category.value,
-        ).inc(result.ledger.total_messages([category]))
-
-    for category, nbytes in sorted(
-        result.category_bytes_in_window().items(), key=lambda kv: kv[0].value
-    ):
-        reg.counter(
-            "repro_window_load_bytes_total",
-            "System-load bytes per category inside the measurement window.",
-            category=category.value,
-        ).inc(nbytes)
-
-    # --- queries ---------------------------------------------------------
-    reg.counter(
-        "repro_queries_total", "Search requests replayed.", **labels
-    ).inc(result.n_queries)
-    successes = [o for o in result.outcomes if o.success]
-    reg.counter(
-        "repro_queries_succeeded_total", "Search requests with >= 1 result.", **labels
-    ).inc(len(successes))
-    reg.gauge(
-        "repro_query_success_rate", "Fraction of successful searches.", **labels
-    ).set(result.success_rate())
-    reg.gauge(
-        "repro_query_avg_cost_bytes", "Mean per-search bandwidth.", **labels
-    ).set(result.avg_cost_bytes())
-    hist = reg.histogram(
-        "repro_query_response_time_ms",
-        "Response time of successful searches (milliseconds).",
-        buckets=_RESPONSE_TIME_BUCKETS_MS,
-        **labels,
-    )
-    for o in successes:
-        hist.observe(o.response_time_ms)
-
-    # --- system load -----------------------------------------------------
-    load = result.load_summary()
-    for field_name in ("mean", "std", "peak"):
-        reg.gauge(
-            "repro_load_bytes_per_node_per_second",
-            "Measurement-window system load (paper Section V-B).",
-            stat=field_name,
-            **labels,
-        ).set(getattr(load, field_name))
-
-    # --- run profile -----------------------------------------------------
-    if result.profile is not None:
-        p = result.profile
-        reg.counter(
-            "repro_profile_dispatched_events_total",
-            "Events dispatched by the simulation engine.",
-            **labels,
-        ).inc(p.events)
-        reg.gauge(
-            "repro_profile_wall_seconds",
-            "Wall-clock seconds spent inside event callbacks.",
-            **labels,
-        ).set(p.wall_s)
-        reg.gauge(
-            "repro_engine_pending_live",
-            "Live (non-cancelled) events still queued at run end.",
-            **labels,
-        ).set(p.engine_pending_live)
-        for phase, stats in sorted(p.phases.items()):
-            reg.counter(
-                "repro_profile_phase_events_total",
-                "Dispatched events per trace phase.",
-                phase=phase,
-            ).inc(stats.events)
-            reg.gauge(
-                "repro_profile_phase_wall_seconds",
-                "Wall-clock seconds per trace phase.",
-                phase=phase,
-            ).set(stats.wall_s)
-        for subsystem, stats in sorted(p.subsystems.items()):
-            reg.counter(
-                "repro_profile_subsystem_events_total",
-                "Dispatched events per subsystem (event-name family).",
-                subsystem=subsystem,
-            ).inc(stats.events)
-            reg.gauge(
-                "repro_profile_subsystem_wall_seconds",
-                "Wall-clock seconds per subsystem.",
-                subsystem=subsystem,
-            ).set(stats.wall_s)
-
-    # --- ASAP cache diagnostics -----------------------------------------
-    if result.cache_diagnostics is not None:
-        for key, value in result.cache_diagnostics.to_dict().items():
-            reg.gauge(
-                "repro_asap_cache_" + key,
-                "ASAP ads-cache diagnostic (see repro.asap.diagnostics).",
-            ).set(value)
-
-    return reg
+    summary = result.summarize()
+    ledger = result.ledger
+    totals = ledger.category_totals()
+    report = {
+        "cell": {
+            "algorithm": config.algorithm,
+            "topology": config.topology,
+            "n_peers": config.n_peers,
+            "seed": config.seed,
+        },
+        "summary": {**summary.row(), "n_queries": summary.n_queries},
+        "ledger": {
+            "bytes": {cat.value: nbytes for cat, nbytes in totals.items()},
+            "messages": {cat.value: ledger.total_messages([cat]) for cat in totals},
+            "window_load_bytes": {
+                cat.value: nbytes
+                for cat, nbytes in result.category_bytes_in_window().items()
+            },
+        },
+        "profile": result.profile.to_dict(),
+    }
+    if others:
+        spreads = summary_spreads([summary] + [r.summarize() for r in others])
+        merged = merge_profiles([result.profile] + [r.profile for r in others])
+        report["replications"] = {
+            "metrics": {name: asdict(spread) for name, spread in spreads.items()},
+            "events": merged.events,
+            "wall_s": merged.wall_s,
+        }
+    return report
 
 
-#: Quantiles exported for every telemetry sketch.
-_TELEMETRY_QUANTILES = (0.5, 0.9, 0.99)
+def flatten(doc, prefix: str = "") -> Dict[str, float]:
+    """Dotted key -> numeric leaf of a nested JSON value.
 
-
-def telemetry_registry(summary, run_labels: Optional[dict] = None) -> MetricsRegistry:
-    """Snapshot a :class:`~repro.obs.telemetry.TelemetrySummary` into metrics.
-
-    Exports the run-total counters, per-category byte totals, sketch
-    quantiles (response time, per-search cost, per-delivery bytes, per-peer
-    attributed load) and the top-K heavy-hitter peers/links -- everything a
-    scrape needs to chart load balance without storing a trace.
+    Lists contribute their indices as key parts, a flag counts as 0 / 1,
+    and leaves that are not numbers (strings, ``null``) are ignored.  This
+    is the comparison key-space of ``repro.obs.report diff``.
     """
-    labels = dict(run_labels or {})
-    reg = MetricsRegistry()
-    reg.gauge(
-        "repro_telemetry_cells", "Runs merged into this summary.", **labels
-    ).set(summary.cells)
-    reg.gauge(
-        "repro_telemetry_windows", "Time windows covered.", **labels
-    ).set(len(summary.windows))
-    reg.gauge(
-        "repro_telemetry_window_seconds", "Window width (simulation s).", **labels
-    ).set(summary.window_s)
-    reg.gauge(
-        "repro_telemetry_load_std_bpns",
-        "Std dev of per-window load per node per second (Figure 9).",
-        **labels,
-    ).set(summary.load_std_bpns())
-    for key, value in sorted(summary.totals.items()):
-        if isinstance(value, dict):
-            for sub, v in sorted(value.items()):
-                reg.counter(
-                    f"repro_telemetry_{key}_total",
-                    "Telemetry run total per traffic category.",
-                    category=str(sub),
-                ).inc(v)
-        else:
-            reg.counter(
-                "repro_telemetry_events_total",
-                "Telemetry run-total counters.",
-                kind=str(key),
-            ).inc(value)
-    sketches = (
-        ("response_time_ms", summary.response_time_ms),
-        ("query_cost_bytes", summary.query_cost_bytes),
-        ("delivery_bytes", summary.delivery_bytes),
-        ("per_peer_bytes", summary.per_peer_bytes),
-    )
-    for name, sketch in sketches:
-        if sketch.count == 0:
-            continue
-        for q in _TELEMETRY_QUANTILES:
-            reg.gauge(
-                f"repro_telemetry_{name}",
-                "Streaming sketch quantile (relative error <= gamma-1).",
-                quantile=f"{q:g}",
-            ).set(sketch.quantile(q))
-    for key, count, _err in summary.hot_peers.top(summary.top_k):
-        reg.gauge(
-            "repro_telemetry_hot_peer_bytes",
-            "Bytes attributed to the hottest peers (Space-Saving top-K).",
-            peer=str(key),
-        ).set(count)
-    for key, count, _err in summary.hot_links.top(summary.top_k):
-        reg.gauge(
-            "repro_telemetry_hot_link_bytes",
-            "Bytes attributed to the hottest links (Space-Saving top-K).",
-            link=str(key),
-        ).set(count)
-    return reg
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {prefix: float(doc)} if isinstance(doc, (int, float)) else {}
+    out: Dict[str, float] = {}
+    for key, value in items:
+        out.update(flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
 
 
-def render_diff(a: dict, b: dict, label_a: str = "a", label_b: str = "b") -> str:
-    """Human-readable series-by-series diff of two JSON reports."""
-    rows = diff_flat(flatten(a), flatten(b))
+def diff_rows(
+    a: Dict[str, float], b: Dict[str, float], tolerance: float = 0.0
+) -> List[Tuple[str, Optional[float], Optional[float]]]:
+    """Rows ``(key, value_a, value_b)``, sorted by key, for every key that
+    exists on one side only or whose values differ by more than
+    ``tolerance`` (two NaNs do not differ)."""
+    rows = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if (
+            va is None
+            or vb is None
+            or math.isnan(va) != math.isnan(vb)
+            or abs(vb - va) > tolerance
+        ):
+            rows.append((key, va, vb))
+    return rows
+
+
+def render_diff(a, b, label_a: str = "a", label_b: str = "b") -> str:
+    """Human-readable leaf-by-leaf diff of two JSON documents."""
+    rows = diff_rows(flatten(a), flatten(b))
     if not rows:
         return "reports are identical"
     name_w = max(len(r[0]) for r in rows)
-    lines = [f"{'series':<{name_w}}  {label_a:>14}  {label_b:>14}  {'delta':>14}"]
-    for series, va, vb in rows:
+    wa, wb = max(14, len(label_a)), max(14, len(label_b))
+    lines = [f"{'key':<{name_w}}  {label_a:>{wa}}  {label_b:>{wb}}  {'delta':>14}"]
+    for key, va, vb in rows:
         sa = "-" if va is None else f"{va:g}"
         sb = "-" if vb is None else f"{vb:g}"
         delta = "-" if va is None or vb is None else f"{vb - va:+g}"
-        lines.append(f"{series:<{name_w}}  {sa:>14}  {sb:>14}  {delta:>14}")
+        lines.append(f"{key:<{name_w}}  {sa:>{wa}}  {sb:>{wb}}  {delta:>14}")
     return "\n".join(lines)
-
-
-def _replication_metrics(reg: MetricsRegistry, config, args) -> None:
-    """Run the extra seeds (in parallel) and export their spread + profile.
-
-    Seeds ``seed+1 .. seed+replications-1`` fan out across ``--jobs``
-    worker processes; the registry gains ``repro_replication_*`` gauges
-    (mean/std/min/max per summary metric) and merged sweep-profile totals,
-    so ``--profile``-style accounting stays correct under parallelism.
-    """
-    from dataclasses import replace
-
-    from repro.experiments.parallel import CellFailure, run_cells
-    from repro.obs.profile import merge_profiles
-    from repro.simulation.replication import _NUMERIC_FIELDS, MetricSpread
-
-    configs = [
-        replace(config, seed=config.seed + i) for i in range(args.replications)
-    ]
-    outcomes = run_cells(
-        configs,
-        jobs=args.jobs,
-        profile=True,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    failures = [o for o in outcomes if isinstance(o, CellFailure)]
-    for failure in failures:
-        print(failure.describe(), file=sys.stderr)
-        print(failure.traceback, file=sys.stderr)
-    results = [o for o in outcomes if not isinstance(o, CellFailure)]
-    summaries = [r.summarize() for r in results]
-
-    reg.gauge(
-        "repro_replication_runs", "Replications aggregated in this report."
-    ).set(len(summaries))
-    reg.gauge(
-        "repro_replication_failures", "Replications that crashed."
-    ).set(len(failures))
-    for name in _NUMERIC_FIELDS:
-        spread = MetricSpread.of([getattr(s, name) for s in summaries])
-        for stat in ("mean", "std", "min", "max"):
-            reg.gauge(
-                "repro_replication_" + name,
-                "Across-seed spread of a RunSummary metric.",
-                stat=stat,
-            ).set(getattr(spread, stat))
-    merged = merge_profiles([r.profile for r in results if r.profile])
-    reg.counter(
-        "repro_replication_dispatched_events_total",
-        "Engine events dispatched across all replications.",
-    ).inc(merged.events)
-    reg.gauge(
-        "repro_replication_wall_seconds",
-        "Callback CPU-seconds summed across all replications' workers.",
-    ).set(merged.wall_s)
 
 
 def _cell_parser() -> argparse.ArgumentParser:
@@ -368,9 +188,7 @@ def _cell_parser() -> argparse.ArgumentParser:
 
 def _cell_config(args: argparse.Namespace):
     """The :class:`RunConfig` of the cell ``_cell_parser``'s flags name."""
-    # Imported lazily: the diff subcommand must work without the heavy
-    # simulation stack (numpy/scipy) ever loading.
-    from repro.simulation.config import scaled_config
+    from repro.simulation.config import scaled_config  # lazy, as in run_report
 
     return scaled_config(
         args.algorithm,
@@ -380,6 +198,24 @@ def _cell_config(args: argparse.Namespace):
         seed=args.seed,
         use_physical_network=not args.no_physical_network,
     )
+
+
+def _run_seeds(config, seeds, jobs: int, **observe) -> Optional[list]:
+    """``config`` under each of ``seeds`` through ``run_cells``, in seed
+    order; ``None``, after printing every traceback, if a cell crashed."""
+    from repro.experiments.parallel import CellFailure, run_cells
+
+    outcomes = run_cells(
+        [replace(config, seed=seed) for seed in seeds],
+        jobs=jobs,
+        progress=lambda msg: print(msg, file=sys.stderr),
+        **observe,
+    )
+    failures = [o for o in outcomes if isinstance(o, CellFailure)]
+    for failure in failures:
+        print(failure.describe(), file=sys.stderr)
+        print(failure.traceback, file=sys.stderr)
+    return None if failures else outcomes
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -400,30 +236,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config,
             tracer=tracer,
             profile=True,
-            collect_diagnostics=True,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     finally:
         if stream is not None:
             stream.close()
 
-    registry = build_registry(result, run_labels={"seed": str(args.seed)})
-    if args.replications > 1:
-        _replication_metrics(registry, config, args)
-    json_path = out_dir / "metrics.json"
-    prom_path = out_dir / "metrics.prom"
-    json_path.write_text(registry.to_json() + "\n")
-    prom_path.write_text(registry.to_prometheus())
+    # The run above is seed ``seed``; any others fan out across --jobs.
+    others = _run_seeds(
+        config,
+        range(config.seed + 1, config.seed + args.replications),
+        args.jobs,
+        profile=True,
+    )
+    if others is None:
+        return 1
+    report = run_report(config, result, others)
+    json_path = out_dir / "run.json"
+    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     print(f"wrote {json_path}", file=sys.stderr)
-    print(f"wrote {prom_path}", file=sys.stderr)
     if args.trace:
         print(f"wrote {trace_path}", file=sys.stderr)
-    summary = result.summarize()
+    summary = report["summary"]
     print(
-        f"{summary.algorithm}/{summary.topology}: "
-        f"success={summary.success_rate:.1%} "
-        f"load={summary.load_mean_bpns:.1f} B/node/s"
+        f"{summary['algorithm']}/{summary['topology']}: "
+        f"success={summary['success_rate']:.1%} "
+        f"load={summary['load_mean_bpns']:.1f} B/node/s"
     )
     return 0
 
@@ -431,34 +270,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     a = json.loads(Path(args.a).read_text())
     b = json.loads(Path(args.b).read_text())
-    # Degrade gracefully on JSON that is not a metrics registry export
-    # (e.g. a telemetry.json or state.json was passed by mistake): name
-    # the offending file instead of dying on a KeyError inside flatten().
-    missing = [
-        path
-        for path, doc in ((args.a, a), (args.b, b))
-        if not (isinstance(doc, dict) and isinstance(doc.get("metrics"), list))
-    ]
-    if missing:
-        for path in missing:
-            print(
-                f"{path}: no 'metrics' section -- not a metrics.json "
-                "registry export (see `report run`); nothing to diff",
-                file=sys.stderr,
-            )
-        return 1
-    print(render_diff(a, b, label_a=Path(args.a).stem, label_b=Path(args.b).stem))
+    print(render_diff(a, b, label_a=args.a, label_b=args.b))
     if args.tolerance is None:
         return 0  # informational diff, no gate
-    rows = diff_flat(flatten(a), flatten(b))
-    drifted = [
-        series
-        for series, va, vb in rows
-        if va is None or vb is None or abs(vb - va) > args.tolerance
-    ]
+    drifted = diff_rows(flatten(a), flatten(b), args.tolerance)
     if drifted:
         print(
-            f"{len(drifted)} series drifted beyond tolerance {args.tolerance:g}",
+            f"{len(drifted)} value(s) drifted beyond tolerance {args.tolerance:g}",
             file=sys.stderr,
         )
         return 1
@@ -519,9 +337,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.experiments.parallel import CellFailure, run_cells
     from repro.obs.telemetry import merge_summaries
 
     config = _cell_config(args)
@@ -533,22 +348,15 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     live = None
     if args.live:
         live = lambda msg: print(f"[live] {msg}", file=sys.stderr)  # noqa: E731
-    configs = [
-        replace(config, seed=config.seed + i) for i in range(args.replications)
-    ]
-    outcomes = run_cells(
-        configs,
-        jobs=args.jobs,
+    outcomes = _run_seeds(
+        config,
+        range(config.seed, config.seed + args.replications),
+        args.jobs,
         telemetry=True,
         probes=args.probes,
         live=live,
-        progress=lambda msg: print(msg, file=sys.stderr),
     )
-    failures = [o for o in outcomes if isinstance(o, CellFailure)]
-    for failure in failures:
-        print(failure.describe(), file=sys.stderr)
-        print(failure.traceback, file=sys.stderr)
-    if failures:
+    if outcomes is None:
         return 1
     # Input-order fold: bit-identical no matter how --jobs scheduled cells.
     summary = merge_summaries(o.telemetry for o in outcomes)
@@ -566,18 +374,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     json_path.write_text(
         json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
     )
-    prom_path = out_dir / "telemetry.prom"
-    registry = telemetry_registry(
-        summary,
-        run_labels={
-            "algorithm": args.algorithm,
-            "topology": args.topology,
-            "seed": str(args.seed),
-        },
-    )
-    prom_path.write_text(registry.to_prometheus())
     print(f"wrote {json_path}", file=sys.stderr)
-    print(f"wrote {prom_path}", file=sys.stderr)
 
     print(
         f"{args.algorithm}/{args.topology} telemetry over "
@@ -587,6 +384,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     print(summary.format_window_table(max_rows=args.max_rows))
     print()
     print(summary.format_hotspots())
+    print()
+    print(summary.format_sketches())
 
     if args.probes:
         from repro.obs.probes import merge_probe_summaries
@@ -642,13 +441,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     cell = _cell_parser()
 
     run_p = sub.add_parser(
-        "run", parents=[cell], help="run one experiment and export metrics"
+        "run", parents=[cell], help="run one experiment and write run.json"
     )
     run_p.add_argument(
         "--replications",
         type=int,
         default=1,
-        help="extra seeds to aggregate into repro_replication_* metrics",
+        help="seeds seed..seed+N-1 whose spread run.json reports (default 1)",
     )
     run_p.add_argument(
         "--jobs",
@@ -662,14 +461,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run_p.set_defaults(func=_cmd_run)
 
-    diff_p = sub.add_parser("diff", help="diff two metrics.json reports")
+    diff_p = sub.add_parser("diff", help="diff two JSON artifacts of this CLI")
     diff_p.add_argument("a")
     diff_p.add_argument("b")
     diff_p.add_argument(
         "--tolerance",
         type=float,
         default=None,
-        help="gate mode: exit non-zero when any series differs by more "
+        help="gate mode: exit non-zero when any value differs by more "
         "than this (absolute) or exists on one side only; omit for a "
         "purely informational diff (always exit 0); 0 fails on any drift",
     )

@@ -795,6 +795,27 @@ class TelemetrySummary:
             lines.append(f"  link {_key_str(key):>12}  {count:>12}{suffix}")
         return "\n".join(lines)
 
+    def format_sketches(self) -> str:
+        """Count, mean and p50 / p90 / p99 of the four quantile sketches
+        (text); the full sketches are in :meth:`to_dict`."""
+        lines = [
+            f"{'sketch':<18}  {'count':>8}  {'mean':>12}  {'p50':>12}  "
+            f"{'p90':>12}  {'p99':>12}"
+        ]
+        for name in (
+            "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes"
+        ):
+            digest = getattr(self, name).summary_dict()
+            cells = [
+                "-" if digest[key] is None else f"{digest[key]:.1f}"
+                for key in ("mean", "p50", "p90", "p99")
+            ]
+            lines.append(
+                f"{name:<18}  {digest['count']:>8}  "
+                + "  ".join(f"{cell:>12}" for cell in cells)
+            )
+        return "\n".join(lines)
+
     def load_std_bpns(self) -> float:
         """Std dev of per-window load per node per second (Fig. 9 metric)."""
         vals = [

@@ -48,8 +48,13 @@ class MessageSizes:
             "ads_request",
             "ad_header",
         ):
-            if getattr(self, name) <= 0:
+            size = getattr(self, name)
+            if size <= 0:
                 raise ValueError(f"message size {name} must be positive")
+            if size != int(size):
+                raise ValueError(
+                    f"message size {name} must be a whole number of bytes, got {size}"
+                )
 
 
 @dataclass(frozen=True, slots=True)

@@ -304,21 +304,15 @@ def bucket_dict(
     """``{second: bytes}`` from per-second message counts, ascending.
 
     ``counts[i]`` messages of ``size_bytes`` landed in second
-    ``first_second + i``.  For integral ``size_bytes`` (every wire size in
-    this codebase is a whole number of bytes) ``count * size`` equals the
-    per-step loops' repeated float addition exactly; a non-integral size
-    takes the ordered-add path: a bucket's value is ``size`` added to
-    itself ``count`` times from zero, whatever steps fed it, which is the
-    ``count``-th entry of a left-to-right ``np.cumsum``.
+    ``first_second + i``.  A wire size is a whole number of bytes
+    (:class:`~repro.search.base.MessageSizes` refuses any other), so
+    ``count * size`` equals the per-step loops' repeated float addition
+    exactly.
     """
     hit = np.flatnonzero(counts)
     if not len(hit):
         return {}
-    times = counts[hit]
-    if float(size_bytes) == float(int(size_bytes)):
-        nbytes = times * float(size_bytes)
-    else:
-        nbytes = np.cumsum(np.full(int(times.max()), float(size_bytes)))[times - 1]
+    nbytes = counts[hit] * float(size_bytes)
     return dict(zip((hit + first_second).tolist(), nbytes.tolist()))
 
 

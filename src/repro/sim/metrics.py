@@ -138,15 +138,11 @@ class BandwidthLedger:
         """One message of ``nbytes[i]`` at ``times[i]`` for every ``i``: the
         ledger :meth:`record` called in that order leaves.
 
-        Sizes that are whole numbers of bytes (every wire size in this
-        codebase) add up to the same floats in any order and are booked a
-        second at a time; any other size is added message by message.
+        Wire sizes are whole numbers of bytes, which add up to the same
+        floats in any order, so the messages are booked a second at a time.
         """
-        if np.array_equal(nbytes, np.floor(nbytes)):
-            times, second = np.unique(times.astype(np.int64), return_inverse=True)
-            nbytes, counts = np.bincount(second, weights=nbytes), np.bincount(second)
-        else:
-            counts = np.ones(len(times), dtype=np.int64)
+        times, second = np.unique(times.astype(np.int64), return_inverse=True)
+        nbytes, counts = np.bincount(second, weights=nbytes), np.bincount(second)
         for time, total, count in zip(times.tolist(), nbytes.tolist(), counts.tolist()):
             self.record(time, category, total, messages=count)
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.simulation.config import RunConfig
 from repro.simulation.results import RunSummary
 
-__all__ = ["MetricSpread", "ReplicatedSummary", "run_replications"]
+__all__ = ["MetricSpread", "ReplicatedSummary", "run_replications", "summary_spreads"]
 
 #: RunSummary fields that are aggregated numerically.
 _NUMERIC_FIELDS = (
@@ -60,6 +60,14 @@ class MetricSpread:
 
     def __str__(self) -> str:
         return f"{self.mean:.3g} ± {self.std:.2g} (n={self.n})"
+
+
+def summary_spreads(summaries: Sequence[RunSummary]) -> Dict[str, MetricSpread]:
+    """The across-run spread of every numeric :class:`RunSummary` field."""
+    return {
+        name: MetricSpread.of([getattr(s, name) for s in summaries])
+        for name in _NUMERIC_FIELDS
+    }
 
 
 @dataclass
@@ -135,10 +143,6 @@ def run_replications(
             fingerprints.append(outcome.fingerprint)
         if telemetry:
             telemetries.append(outcome.telemetry)
-    metrics = {
-        name: MetricSpread.of([getattr(s, name) for s in summaries])
-        for name in _NUMERIC_FIELDS
-    }
     merged_telemetry = None
     if telemetry:
         from repro.obs import merge_summaries
@@ -148,7 +152,7 @@ def run_replications(
         algorithm=summaries[0].algorithm,
         topology=config.topology,
         seeds=seeds,
-        metrics=metrics,
+        metrics=summary_spreads(summaries),
         summaries=summaries,
         audits=audits,
         fingerprints=fingerprints,

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.asap.diagnostics import CacheDiagnostics
 from repro.obs.profile import RunProfile
 from repro.search.base import SearchOutcome
 from repro.sim.metrics import BandwidthLedger, LoadSeries, TrafficCategory
@@ -74,7 +73,6 @@ class RunResult:
     t_end: int  # exclusive
     # Observability extras, populated when the runner is asked for them.
     profile: Optional[RunProfile] = None  # per-subsystem/phase accounting
-    cache_diagnostics: Optional[CacheDiagnostics] = None  # ASAP runs only
     # Invariant audit + deterministic run fingerprint (run_experiment
     # with audit=True); the report is an repro.obs.audit.AuditReport.
     audit: Optional[object] = None

@@ -123,7 +123,6 @@ def run_experiment(
     *,
     tracer: Optional[Tracer] = None,
     profile: bool = False,
-    collect_diagnostics: bool = False,
     audit: bool = False,
     telemetry=False,
     probes=False,
@@ -144,8 +143,6 @@ def run_experiment(
       :class:`repro.obs.profile.Profiler` and attach the resulting
       ``RunProfile`` to the returned :class:`RunResult` (also implied by
       ``tracer``);
-    * ``collect_diagnostics`` -- snapshot ASAP cache diagnostics into
-      ``RunResult.cache_diagnostics`` after the replay (ASAP runs only);
     * ``audit`` -- trace the run (an internal keep-in-memory tracer is
       created unless one is passed) and run the invariant auditor
       (:func:`repro.obs.audit.audit_run`) over it, attaching the
@@ -310,11 +307,6 @@ def run_experiment(
             run_profile.arena = algorithm.state.stats()
         if progress is not None:
             progress(run_profile.format_table())
-    diagnostics = None
-    if collect_diagnostics and isinstance(algorithm, AsapSearch):
-        from repro.asap.diagnostics import diagnose
-
-        diagnostics = diagnose(algorithm)
 
     result = RunResult(
         algorithm=algorithm.name,
@@ -327,7 +319,6 @@ def run_experiment(
         t_start=t_start,
         t_end=t_end,
         profile=run_profile,
-        cache_diagnostics=diagnostics,
     )
     if recorder is not None:
         result.probes = recorder.summary()

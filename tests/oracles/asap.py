@@ -16,7 +16,7 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro.asap.ads import AdType
-from repro.asap.protocol import AsapSearch
+from repro.asap.protocol import DIGEST_BYTES_PER_ENTRY, AsapSearch
 from repro.bloom.compressed import compressed_filter_size
 from repro.sim.metrics import TrafficCategory
 
@@ -132,7 +132,7 @@ class OracleAsapSearch(AsapSearch):
         total_bytes = 0.0
         request_total = 0.0
         request_size = self.sizes.ads_request + int(
-            math.ceil(len(repo) * self.params.digest_bytes_per_entry)
+            math.ceil(len(repo) * DIGEST_BYTES_PER_ENTRY)
         )
         for nbr, one_way in neighbors:
             n_messages += 1

@@ -18,8 +18,6 @@ that precedes the last one is a named error, as is a field that would not
 fit its half word.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,15 +27,10 @@ from repro.asap import state as state_module
 from repro.asap.ads import Ad, AdType
 from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
-from repro.search.base import MessageSizes
 from repro.sim.engine import SimulationError
-from repro.sim.metrics import TrafficCategory
-from repro.simulation.config import scaled_config
-from repro.simulation.runner import run_experiment
 from repro.workload.content import ContentIndex
 from repro.workload.interests import InterestState
 
-from tests.oracles import oracle_arm
 from tests.oracles.repository import AdsRepository, snapshot
 from tests.test_single_code_path import _small_asap
 
@@ -304,37 +297,3 @@ class TestClockNeverRunsBackwards:
         with pytest.raises(SimulationError, match="runs backwards"):
             algo.state.adopt(4, 3, np.array([0]), 4.0)
         algo._ads_request(4, 5.0)
-
-
-def test_non_integral_ad_header_keeps_reply_bytes_exact():
-    """An integral header lets the exchange sum a reply's bytes as
-    integers and a delivery book its repair pulls a second at a time; any
-    other adds them in ascending source order and pull by pull, like the
-    oracle's loops -- the ADS_REPLY, PATCH_AD and FULL_AD ledgers must not
-    tell the two apart."""
-    config = scaled_config(
-        "asap_rw", "random", n_peers=150, n_queries=240, seed=3,
-        use_physical_network=False, warmup_s=40.0,
-    )
-    config = dataclasses.replace(
-        config, sizes=MessageSizes(ad_header=24.3),
-        trace=dataclasses.replace(config.trace, content_change_fraction=0.3),
-    )
-    product = run_experiment(config)
-    with oracle_arm():
-        oracle = run_experiment(config)
-    replies = product.ledger.category_totals()[TrafficCategory.ADS_REPLY]
-    assert replies != round(replies)
-    assert product.ledger.category_totals() == oracle.ledger.category_totals()
-    window = (0, int(config.warmup_s) + 60)
-    for category in (
-        TrafficCategory.ADS_REPLY, TrafficCategory.PATCH_AD, TrafficCategory.FULL_AD
-    ):
-        assert np.array_equal(
-            product.ledger.series([category], *window).bytes_per_second,
-            oracle.ledger.series([category], *window).bytes_per_second,
-        )
-    assert dict(product.ledger._buckets) == dict(oracle.ledger._buckets)
-    assert [o.cost_bytes for o in product.outcomes] == [
-        o.cost_bytes for o in oracle.outcomes
-    ]

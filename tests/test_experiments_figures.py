@@ -33,6 +33,13 @@ def grid():
     return ExperimentGrid(TINY)
 
 
+def test_the_papers_size_keeps_the_scales_network_choice():
+    flat = ExperimentScale(
+        n_peers=10_000, n_queries=30_000, use_physical_network=False
+    )
+    assert flat.config("flooding", "crawled").use_physical_network is False
+
+
 class TestReportFormatting:
     def test_grid_table_alignment(self):
         table = format_grid_table(

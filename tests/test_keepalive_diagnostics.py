@@ -1,13 +1,14 @@
-"""Tests for keep-alive traffic modelling and ASAP cache diagnostics."""
+"""Tests for keep-alive traffic modelling and the cache-state snapshot of a
+hand-warmed ASAP instance."""
 
 import numpy as np
 import pytest
 
-from repro.asap.diagnostics import diagnose
 from repro.asap.protocol import AsapParams, AsapSearch
 from repro.network.keepalive import KeepaliveTraffic
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
+from repro.obs.probes import snapshot_state
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import (
     ASAP_LOAD_CATEGORIES,
@@ -113,22 +114,15 @@ class TestDiagnostics:
         return algo
 
     def test_counts_after_warmup(self, warmed_asap):
-        diag = diagnose(warmed_asap)
-        assert diag.n_nodes == 30
-        assert diag.total_entries > 0
-        assert diag.max_entries >= diag.median_entries
-        assert diag.behind_entries == 0  # no patches yet
+        snap = snapshot_state(warmed_asap, now=10.0)
+        assert snap["nodes"] == 30
+        assert snap["entries"] > 0
+        assert snap["occupancy"]["total"] == snap["entries"]
+        assert snap["occupancy"]["max"] >= np.median(warmed_asap.state.occupancy)
+        assert snap["staleness"]["behind"] == 0  # no patches yet
 
     def test_full_flood_coverage_near_one(self, warmed_asap):
-        diag = diagnose(warmed_asap)
-        assert diag.mean_source_coverage > 0.9  # flood reaches everyone
-
-    def test_stale_entries_counted_after_departure(self, warmed_asap):
-        warmed_asap.overlay.leave(5)
-        diag = diagnose(warmed_asap)
-        assert diag.stale_source_entries > 0
-
-    def test_format_table(self, warmed_asap):
-        text = diagnose(warmed_asap).format_table()
-        assert "cache diagnostics" in text
-        assert "coverage" in text
+        coverage = snapshot_state(warmed_asap, now=10.0)["coverage"]
+        assert coverage["sources"] == 2
+        # A flood reaches everyone.
+        assert coverage["covered"] / coverage["audience"] > 0.9

@@ -1,4 +1,5 @@
-"""CLI subcommands: audit (violations + baseline gate), analyze, diff gate."""
+"""CLI subcommands: audit (violations + baseline gate), analyze, telemetry,
+the diff gate over every artifact."""
 
 import json
 
@@ -92,11 +93,18 @@ def test_telemetry_writes_artifacts(tmp_path, capsys):
     assert data["schema"] == 1
     assert data["cells"] == 1
     assert data["totals"]["queries"] == 12
-    prom = (out / "telemetry.prom").read_text()
-    assert "repro_telemetry_events_total" in prom
-    assert 'kind="queries"' in prom
-    # No trace artifact: telemetry is the trace-free path.
-    assert not (out / "trace.jsonl").exists()
+    # The sketch quantiles no file but telemetry.json's raw buckets holds.
+    sketches = {
+        line.split()[0]: line.split()[1:]
+        for line in printed[printed.index("sketch "):].splitlines()[1:5]
+    }
+    assert list(sketches) == [
+        "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes",
+    ]
+    assert sketches["query_cost_bytes"][0] == "12"
+    assert int(sketches["response_time_ms"][0]) == data["response_time_ms"]["count"]
+    # One artifact, no trace: telemetry is the trace-free path.
+    assert [p.name for p in out.iterdir()] == ["telemetry.json"]
 
 
 def test_telemetry_replications_merge(tmp_path):
@@ -111,19 +119,10 @@ def test_telemetry_replications_merge(tmp_path):
     assert data["totals"]["queries"] == 24
 
 
-def _write_metrics(path, value):
-    path.write_text(json.dumps({
-        "metrics": [
-            {"name": "m_total", "type": "counter", "help": "",
-             "labels": {}, "value": value},
-        ]
-    }))
-
-
 def test_diff_tolerance_gate(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    _write_metrics(a, 100.0)
-    _write_metrics(b, 100.5)
+    a.write_text(json.dumps({"totals": {"bytes": 100.0}}))
+    b.write_text(json.dumps({"totals": {"bytes": 100.5}}))
     # No tolerance flag: informational, always 0.
     assert main(["diff", str(a), str(b)]) == 0
     # Within tolerance: 0; beyond it: 1.
@@ -134,22 +133,80 @@ def test_diff_tolerance_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_diff_tolerance_fails_on_one_sided_series(tmp_path):
+def test_diff_tolerance_fails_on_one_sided_series(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    _write_metrics(a, 1.0)
-    b.write_text(json.dumps({"metrics": [
-        {"name": "m_total", "type": "counter", "help": "",
-         "labels": {}, "value": 1.0},
-        {"name": "extra", "type": "gauge", "help": "",
-         "labels": {}, "value": 0.0},
-    ]}))
+    a.write_text(json.dumps({"totals": {"bytes": 1.0}}))
+    b.write_text(json.dumps({"totals": {"bytes": 1.0, "extra": 0.0}}))
     assert main(["diff", str(a), str(b), "--tolerance", "1e9"]) == 1
+    assert "totals.extra" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def artifacts(audit_out, tmp_path_factory):
+    """One of each JSON artifact the CLI writes."""
+    out = tmp_path_factory.mktemp("artifacts")
+    assert main(["run", *COMMON, "--out", str(out)]) == 0
+    assert main([
+        "telemetry", *COMMON, "--probes", "--probe-interval", "5", "--out", str(out),
+    ]) == 0
+    return {
+        "run.json": out / "run.json",
+        "telemetry.json": out / "telemetry.json",
+        "state.json": out / "state.json",
+        "audit.json": audit_out / "audit.json",
+    }
+
+
+def _first_numeric_leaf(doc, path=()):
+    """``(path, value)`` of the first number (or flag) in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            found = _first_numeric_leaf(value, path + (key,))
+            if found is not None:
+                return found
+        elif isinstance(value, (int, float)):
+            return path + (key,), value
+    return None
+
+
+@pytest.mark.parametrize(
+    "name", ["run.json", "telemetry.json", "state.json", "audit.json"]
+)
+def test_diff_reads_every_artifact(name, artifacts, tmp_path, capsys):
+    original = artifacts[name]
+    capsys.readouterr()
+    assert main(["diff", str(original), str(original), "--tolerance", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "reports are identical"
+
+    # One changed leaf: exactly that dotted key is listed.
+    doc = json.loads(original.read_text())
+    path, value = _first_numeric_leaf(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value + 2
+    changed = tmp_path / name
+    changed.write_text(json.dumps(doc))
+    assert main(["diff", str(original), str(changed), "--tolerance", "0"]) == 1
+    assert main(["diff", str(original), str(changed), "--tolerance", "2"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in listed] == [
+        "key", ".".join(map(str, path)), "key", ".".join(map(str, path)),
+    ]
+    assert listed[1].split()[-1] == "+2"
+
+    # A key on one side only fails any tolerance.
+    del node[path[-1]]
+    changed.write_text(json.dumps(doc))
+    assert main(["diff", str(original), str(changed), "--tolerance", "1e12"]) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "command,artifact",
     [
-        ("run", "metrics.json"),
+        ("run", "run.json"),
         ("audit", "audit.json"),
         ("telemetry", "telemetry.json"),
     ],

@@ -1,5 +1,6 @@
 """Tests for the shared search interface and message-size model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,15 @@ class TestMessageSizes:
             MessageSizes(query=0)
         with pytest.raises(ValueError):
             MessageSizes(ad_header=-5)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MessageSizes)])
+    def test_a_size_is_a_whole_number_of_bytes(self, field):
+        """24.3 bytes cannot be sent: the bucket, ledger and ads-reply sums
+        rely on whole sizes adding up to the same float in any order."""
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            MessageSizes(**{field: 24.3})
+        assert getattr(MessageSizes(**{field: 24}), field) == 24
+        assert getattr(MessageSizes(**{field: 24.0}), field) == 24
 
 
 class TestSearchOutcome:

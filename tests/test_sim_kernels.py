@@ -132,11 +132,6 @@ class TestBucketBytes:
             expect[s] = expect.get(s, 0.0) + size
         assert buckets == expect
 
-    def test_fractional_size(self):
-        elapsed = np.array([100.0, 200.0, 1500.0])
-        buckets = kernels.bucket_bytes(0.0, elapsed, 0.5)
-        assert buckets == {0: 1.0, 1: 0.5}
-
 
 class TestReceivers:
     def test_sorted_unique_source_dropped(self):

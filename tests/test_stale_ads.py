@@ -24,7 +24,6 @@ from repro.bloom import matrix as matrix_module
 from repro.network.overlay import Overlay
 from repro.network.substrate import get_substrate
 from repro.network.topology import build_topology
-from repro.search.base import MessageSizes
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
 
@@ -217,7 +216,7 @@ class Arms:
     pull-per-receiver arm: physical latencies (so replies straddle seconds),
     receivers handed over in a shuffled order beside their sorted array."""
 
-    def __init__(self, sizes=None):
+    def __init__(self):
         substrate = get_substrate(seed=0)
         topology = build_topology(
             "random", N, rng=np.random.default_rng(3), network=substrate.network
@@ -228,7 +227,7 @@ class Arms:
             content = ContentIndex()
             algo = cls(
                 Overlay(topology, substrate.latency), content, BandwidthLedger(),
-                sizes=sizes, rng=np.random.default_rng(0),
+                rng=np.random.default_rng(0),
                 interests=[set(i) for i in self.interests],
             )
             algo.attach(Repairs())
@@ -291,12 +290,11 @@ def staggered(arms, rounds):
     return everyone
 
 
-@pytest.mark.parametrize("sizes", [MessageSizes(), MessageSizes(ads_request=60.7, ad_header=24.3)])
-def test_batched_repair_books_what_the_pulls_would(sizes):
-    """Whole-byte sizes are booked a second at a time, any other pull by
-    pull: either way every bucket holds the float the pulls would have left,
-    also a bucket (and a category total) that held bytes before."""
-    arms = Arms(sizes)
+def test_batched_repair_books_what_the_pulls_would():
+    """The pulls are booked a second at a time: every bucket holds the float
+    the pulls would have left one by one, also a bucket (and a category
+    total) that held bytes before."""
+    arms = Arms()
     everyone = staggered(arms, rounds=4)
     product = arms.check()
     lag = product.store.version(SOURCE) - product.state.versions(
@@ -332,10 +330,8 @@ def test_batched_repair_books_what_the_pulls_would(sizes):
         if TrafficCategory.PATCH_AD in bucket
     }
     assert len(replies) >= 2  # they straddle a second boundary
-    whole = sizes == MessageSizes()
-    assert all((nbytes == round(nbytes)) == whole for nbytes in replies.values())
     requests = product.ledger.category_totals()[TrafficCategory.ADS_REQUEST]
-    assert (requests == len(told) * sizes.ads_request) == whole
+    assert requests == len(told) * product.sizes.ads_request
 
 
 def test_full_ad_answers_a_pull_that_missed_more_than_it_holds():

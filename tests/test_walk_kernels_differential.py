@@ -204,11 +204,11 @@ def warmup_window(n, n_ads, seed, isolate=None):
     ]
 
 
-def run_window(ov, window, seed, planned, sizes=None, budget_unit=40):
+def run_window(ov, window, seed, planned, budget_unit=40):
     """Deliver the window in dispatch order: planned (one lockstep batch
     behind ``deliver``) or ad by ad through the per-step loop oracle."""
     fw = RandomWalkAdForwarder(
-        ov, BandwidthLedger(), sizes or MessageSizes(),
+        ov, BandwidthLedger(), MessageSizes(),
         np.random.default_rng(seed), budget_unit=budget_unit,
     )
     by_source = {ad.source: ad for _, _, ad in window}
@@ -300,17 +300,6 @@ class TestLockstepBatchDifferential:
             assert visited.tolist() == want[0].tolist()
             assert (n_messages, buckets) == want[1:]
         assert [g[1] for g in got] == [6, 4, 0]
-
-    def test_non_integral_ad_size(self):
-        sizes = MessageSizes(ad_header=24.3)
-        window = warmup_window(150, 20, 8)
-        batch = run_window(varied_overlay("powerlaw", 150, 8), window, 8, True, sizes)
-        oracle = run_window(varied_overlay("powerlaw", 150, 8), window, 8, False, sizes)
-        assert any(
-            nbytes != round(nbytes)
-            for cats in batch[1][0].values() for nbytes in cats.values()
-        )
-        assert_same_window(batch, oracle)
 
     def test_single_ad_window(self):
         window = warmup_window(100, 1, 9)

@@ -225,11 +225,8 @@ def bench_merge_full_ad_evicts(benchmark, n_peers, capacity, n_receivers):
     them evicts its least recently refreshed entry."""
     state, receivers, clock = _merge_fixture(n_peers, n_receivers, capacity)
     held = np.setdiff1d(np.arange(n_peers), receivers)[:capacity]
-    code = np.full(capacity, state.intern_topics(_TOPICS))
-    for peer in receivers.tolist():
-        state.accept_snapshot(
-            peer, held, np.zeros(capacity, dtype=np.int64), code, next(clock)
-        )
+    for source in held.tolist():
+        state.accept(Ad(source, AdType.FULL, _TOPICS, 0), next(clock), receivers)
     spare = iter(np.setdiff1d(np.arange(n_peers), held).tolist())
 
     def next_ad():

@@ -19,7 +19,7 @@ import time
 
 from conftest import write_result
 from repro.experiments.parallel import run_cells
-from repro.network.substrate import clear_substrate_cache, substrate_cache_stats
+from repro.network.substrate import clear_substrate_cache, get_substrate
 from repro.simulation import scaled_config
 
 N_PEERS = 150
@@ -37,7 +37,7 @@ def _sweep(jobs):
     start = time.perf_counter()
     outcomes = run_cells(configs, jobs=jobs)
     wall_s = time.perf_counter() - start
-    stats = substrate_cache_stats()
+    stats = get_substrate.cache_info()
     return {
         "jobs": jobs,
         "wall_s": wall_s,

@@ -65,7 +65,7 @@ def main(argv=None) -> None:
     engine = SimulationEngine()
     asap.warmup(engine, start=0.0, duration=30.0)
     engine.run(until=30.0)
-    cache_sizes = [len(asap.repos[n]) for n in range(n_peers)]
+    cache_sizes = asap.state.occupancy[:n_peers].tolist()
     print(f"after warm-up: ads cache holds {np.mean(cache_sizes):.0f} ads "
           f"on average (max {max(cache_sizes)})")
 

@@ -43,8 +43,8 @@ def main() -> None:
     supers = [n for n in range(n_peers) if algo.is_super_peer(n)]
     leaves = [n for n in range(n_peers) if not algo.is_super_peer(n)]
     print(f"{len(supers)} super peers carry all ads; {len(leaves)} leaves carry none")
-    leaf_cached = sum(len(algo.repos[n]) for n in leaves)
-    super_cached = sum(len(algo.repos[n]) for n in supers)
+    leaf_cached = int(algo.state.occupancy[leaves].sum())
+    super_cached = int(algo.state.occupancy[supers].sum())
     print(f"cache entries: super tier {super_cached}, leaf tier {leaf_cached}")
 
     # Issue the same queries from a leaf and from a super peer.

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.delivery import AdForwarder, make_forwarder
-from repro.asap.state import AdsState, RepositoryView
+from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState
 from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
@@ -127,17 +127,14 @@ class AsapSearch(SearchAlgorithm):
         self.name = _SCHEME_NAMES[self.params.forwarder]
         self.interests = InterestState(interests)
         self.store = SourceFilterStore(overlay.n, content)
-        # The one container of per-(peer, source) cache state; ``repos``
-        # are its rows under the per-node repository surface.
+        # The one container of per-(peer, source) cache state: a node's
+        # repository is its row.
         self.state = AdsState(
             overlay.n,
             self.interests.bitmasks,
             self.store,
             capacity=self.params.cache_capacity,
         )
-        self.repos: List[RepositoryView] = [
-            RepositoryView(self.state, i) for i in range(overlay.n)
-        ]
         self.forwarder: AdForwarder = make_forwarder(
             self.params.forwarder,
             overlay,
@@ -455,7 +452,7 @@ class AsapSearch(SearchAlgorithm):
         total_bytes = 0.0
         request_total = 0.0
         request_size = self.sizes.ads_request + int(
-            math.ceil(len(self.repos[node]) * DIGEST_BYTES_PER_ENTRY)
+            math.ceil(int(state.occupancy[node]) * DIGEST_BYTES_PER_ENTRY)
         )
         for nbr, one_way in neighbors:
             n_messages += 2
@@ -511,9 +508,9 @@ class AsapSearch(SearchAlgorithm):
         # One gather answers for every filter version any cache may hold;
         # nothing below writes the store, so it serves the whole search.
         match = self.store.match_current(positions)
-        repo = self.repos[requester]
+        state = self.state
 
-        candidates = repo.lookup(positions, match)
+        candidates = np.flatnonzero(state.lookup(requester, match)).tolist()
         avail = {s: 0.0 for s in candidates}
 
         n_messages = 0
@@ -561,7 +558,7 @@ class AsapSearch(SearchAlgorithm):
                 exchanged = self.sizes.confirmation_request
                 if not self.overlay.is_live(s):
                     # Departed source: retire the stale ad.
-                    repo.remove(s)
+                    state.remove(requester, s)
                     verdict = "failed_dead"
                 else:
                     n_messages += 1
@@ -578,7 +575,7 @@ class AsapSearch(SearchAlgorithm):
                         verdict = "confirmed"
                     else:
                         # False positive or cross-document term split.
-                        repo.remove(s)
+                        state.remove(requester, s)
                         verdict = classify_failure
                 if obs is not None:
                     obs.confirmation(now, requester, s, exchanged, verdict)
@@ -592,7 +589,7 @@ class AsapSearch(SearchAlgorithm):
             n_messages += req_msgs
             total_bytes += req_bytes
             if new_sources:
-                fresh = repo.lookup(positions, match)
+                fresh = np.flatnonzero(state.lookup(requester, match)).tolist()
                 round2 = {
                     s: new_sources.get(s, 0.0)
                     for s in fresh

@@ -29,8 +29,10 @@ scatters.
 Version merging follows the paper: a **full** ad replaces the entry
 outright; a **patch** applies only as the successor version (a gap leaves
 the entry *behind*); a **refresh** renews recency and detects missed
-patches; a neighbour's **snapshot** (ads-request reply, repair pull) is a
-full ad at the neighbour's version that never downgrades.  A behind entry
+patches; an **ads-request reply** starts caching the neighbour's entries at
+the neighbour's versions (:meth:`AdsState.adopt`) and a **repair pull**
+brings a held entry up to the source's full ad, never downgrading
+(:meth:`AdsState.accept_repair`).  A behind entry
 is still usable -- lookups read the filter column the store keeps for its
 recorded version -- and failed confirmations are how stale entries are
 ultimately retired.  ``behind`` is stored, not derived from versions: a
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,9 +69,7 @@ from repro.workload.interests import topic_bits
 __all__ = [
     "AdsState",
     "BYTES_PER_PAIR",
-    "CachedAd",
     "MAX_STATE_BYTES",
-    "RepositoryView",
     "require_state_fits",
 ]
 
@@ -90,7 +90,6 @@ _HELD_BEHIND = np.int64(-(2**63) + 1)
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 _ALL = slice(None)
-_VERSION_OVERFLOW = "ad version does not fit an ads-cache entry"
 
 
 def require_state_fits(n_peers: int) -> None:
@@ -104,15 +103,6 @@ def require_state_fits(n_peers: int) -> None:
         )
 
 
-class CachedAd(NamedTuple):
-    """One cached ad as read from the state (a copy, not a live view)."""
-
-    source: int
-    version: int
-    topics: FrozenSet[int]
-    cached_at: float
-
-
 Evicted = List[Tuple[int, int]]  # (peer, source) pairs, in eviction order
 
 
@@ -121,8 +111,8 @@ class AdsState:
 
     ``interest_bits[peer]`` is the peer's caching filter as a topic bitmask
     (its own interests; a super peer's also cover its leaves').  All merge
-    operations take index *arrays*; the per-node scalar surface is
-    :class:`RepositoryView`, the same code with one-element arrays.
+    operations take index *arrays*; one node's repository is row ``peer``,
+    and a scalar call is the same code with a one-element array.
     """
 
     __slots__ = (
@@ -194,10 +184,6 @@ class AdsState:
         times = np.asarray(self._times)
         return now - times[self.stamp[self.entry >= 0] >> 32]
 
-    def holders(self, source: int) -> np.ndarray:
-        """The source's cachers (ascending peer ids): one column."""
-        return np.flatnonzero(self.entry[:, source] >= 0)
-
     def stats(self) -> Dict[str, int]:
         """State size.  ``rows_*``/``free_list_depth``/``pool_*`` are the
         names ``benchmarks/e2e/traced.py`` reads; dense cells are never
@@ -249,7 +235,7 @@ class AdsState:
         """
         src = ad.source
         if ad.version > _FIELD_MAX:
-            raise OverflowError(_VERSION_OVERFLOW)
+            raise OverflowError("ad version does not fit an ads-cache entry")
         tick = self._tick(now)
         words = self.entry[peers, src]
         held = words >= 0
@@ -287,46 +273,14 @@ class AdsState:
                 self.entry[lagging, src] |= 1
         return held, []
 
-    def accept_snapshot(
-        self,
-        peer: int,
-        sources: np.ndarray,
-        versions: np.ndarray,
-        codes: np.ndarray,
-        now: float,
-    ) -> Tuple[np.ndarray, Evicted]:
-        """Merge entries ``peer`` obtained from a neighbour or the source.
-
-        Each is semantically a full ad at the *supplier's* cached version
-        (which may itself be behind the source's current filter); an entry
-        the peer already holds at that version or later is only renewed.
-        Held entries are renewed before new ones are inserted, whatever the
-        array order: a batch that mixes the two under a capacity bound is
-        merged as if the held sources came first (no caller mixes them).
-        """
-        if versions.max(initial=0) > _FIELD_MAX:
-            raise OverflowError(_VERSION_OVERFLOW)
-        tick = self._tick(now)
-        words = self._pack(versions, codes, sources)
-        mine = self.entry[peer, sources]
-        held = mine >= 0
-        renewed = held & self._wants(peer, codes)
-        self._tick_half[peer, sources[renewed]] = tick
-        stored = renewed & (mine < (versions << 32))  # never downgrade
-        self.entry[peer, sources[stored]] = words[stored]
-        if held.all():
-            return stored, []
-        fresh = ~held & (sources != peer)
-        started, evicted = self._insert(peer, sources[fresh], words[fresh], tick)
-        stored[fresh] = started
-        return stored, evicted
-
     def accept_repair(
         self, peers: np.ndarray, source: int, version: int, code: int, now: float
     ) -> None:
         """``source`` answered the repair pulls of ``peers``, which all hold
-        it: the one-source form of :meth:`accept_snapshot`.  A peer the
-        source's topics no longer interest keeps its entry as it is."""
+        it, with its full ad at ``version`` (topic ``code``).  Each peer the
+        topics still interest renews the entry's recency and, where its
+        copy is older, takes the version (never a downgrade); a peer they
+        no longer interest keeps its entry as it is."""
         wanted = peers[self._wants(peers, code)]
         self._tick_half[wanted, source] = self._tick(now)
         stale = wanted[self.entry[wanted, source] < (version << 32)]
@@ -444,76 +398,3 @@ class AdsState:
             hits[behind] = match[self.store.columns_of(behind, row[behind] >> 32)]
         return hits
 
-
-class RepositoryView:
-    """One node's ads repository: row ``owner`` of an :class:`AdsState`."""
-
-    __slots__ = ("state", "owner")
-
-    def __init__(self, state: AdsState, owner: int) -> None:
-        self.state = state
-        self.owner = owner
-
-    def __len__(self) -> int:
-        return int(self.state.occupancy[self.owner])
-
-    def __contains__(self, source: int) -> bool:
-        return bool(self.state.entry[self.owner, source] >= 0)
-
-    def sources(self) -> List[int]:
-        """Cached sources in insertion order."""
-        stamps = self.state.stamp[self.owner]
-        held = np.flatnonzero(stamps != _NEVER)
-        return held[np.argsort(stamps[held] & _SEQ_LIMIT)].tolist()
-
-    def version(self, source: int) -> int:
-        """The cached version of ``source``; -1 when it is not cached."""
-        return int(self.state.entry[self.owner, source]) >> 32
-
-    def entry(self, source: int) -> Optional[CachedAd]:
-        state = self.state
-        word = int(state.entry[self.owner, source])
-        if word < 0:
-            return None
-        return CachedAd(
-            source=source,
-            version=word >> 32,
-            topics=state.topics_of((word >> 1) & _FIELD_MAX),
-            cached_at=state._times[int(state.stamp[self.owner, source]) >> 32],
-        )
-
-    @property
-    def behind(self) -> FrozenSet[int]:
-        """Cached sources known to have patched past this cache."""
-        return frozenset(
-            np.flatnonzero(self.state.behind_mask(self.owner)).tolist()
-        )
-
-    def accept(self, ad: Ad, now: float) -> Tuple[bool, List[int]]:
-        stored, evicted = self.state.accept(ad, now, np.array([self.owner]))
-        return bool(stored[0]), [source for _, source in evicted]
-
-    def accept_snapshot(
-        self, source: int, version: int, topics: FrozenSet[int], now: float
-    ) -> Tuple[bool, List[int]]:
-        stored, evicted = self.state.accept_snapshot(
-            self.owner,
-            np.array([source]),
-            np.array([version]),
-            np.array([self.state.intern_topics(topics)]),
-            now,
-        )
-        return bool(stored[0]), [source for _, source in evicted]
-
-    def mark_behind(self, source: int) -> None:
-        """The source patched past us without reaching this cache."""
-        if source in self:
-            self.state.entry[self.owner, source] |= 1
-
-    def remove(self, source: int) -> None:
-        self.state.remove(self.owner, source)
-
-    def lookup(self, positions: np.ndarray, match: np.ndarray) -> List[int]:
-        """Sorted sources whose cached ad matches all query-term positions;
-        ``match`` is the store's ``match_current(positions)``."""
-        return np.flatnonzero(self.state.lookup(self.owner, match)).tolist()

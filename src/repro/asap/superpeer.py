@@ -49,7 +49,7 @@ def elect_super_peers(
     if len(live) == 0:
         raise ValueError("no live nodes to elect from")
     n_supers = max(1, int(round(fraction * len(live))))
-    degrees = np.array([overlay.live_degree(int(v)) for v in live], dtype=np.float64)
+    degrees = overlay.walk_csr().deg[live].astype(np.float64)
     degrees += rng.random(len(live)) * 0.5  # deterministic tie-break jitter
     order = np.argsort(-degrees)
     return np.sort(live[order[:n_supers]])

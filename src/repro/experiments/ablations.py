@@ -219,7 +219,7 @@ def _run_superpeer(fraction):
         if isinstance(e, QueryEvent)
     ]
     successes = [o for o in outcomes if o.success]
-    cached_entries = sum(len(r) for r in algo.repos)
+    cached_entries = int(algo.state.occupancy.sum())
     return {
         "fraction": fraction,
         "success": len(successes) / len(outcomes),

@@ -324,7 +324,7 @@ ENTRIES: Tuple[Entry, ...] = (
 )
 
 
-def run_campaign(grid: ExperimentGrid, progress=None, live=None) -> Dict[str, AnyFigure]:
+def run_campaign(grid: ExperimentGrid, progress=None) -> Dict[str, AnyFigure]:
     """Populate every entry's cells in one fan-out; ``{entry name: figure}``.
 
     The grid's memo is keyed by ``RunConfig``, so a cell several entries
@@ -336,7 +336,7 @@ def run_campaign(grid: ExperimentGrid, progress=None, live=None) -> Dict[str, An
     log = progress or (lambda _msg: None)
     cells = [c for entry in ENTRIES for c in entry.cells(grid.scale)]
     log(f"populating {len(dict.fromkeys(cells))} cells ({grid.scale.jobs} jobs)")
-    grid.prefetch(cells, progress=progress, live=live)
+    grid.prefetch(cells, progress=progress)
     figures = {}
     for entry in ENTRIES:
         log(entry.name)

@@ -120,7 +120,6 @@ class ExperimentGrid:
         self,
         configs: Optional[Iterable[RunConfig]] = None,
         progress=None,
-        live=None,
     ) -> "ExperimentGrid":
         """Populate the missing ones of ``configs`` in one fan-out.
 
@@ -140,7 +139,6 @@ class ExperimentGrid:
             audit=self.scale.audit,
             telemetry=self.scale.telemetry,
             probes=self.scale.probes,
-            live=live,
             progress=progress,
         )
         failures = []

@@ -33,14 +33,12 @@ accounting under parallelism is exact per cell and mergeable in the parent
 from __future__ import annotations
 
 import contextlib
-import json
 import multiprocessing
 import os
-import tempfile
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.network.substrate import get_substrate
 from repro.simulation.config import RunConfig
@@ -90,7 +88,7 @@ def cell_trace_name(config: RunConfig) -> str:
 
 
 def cell_label(config: RunConfig) -> str:
-    """Short human-readable cell identity for telemetry and live status."""
+    """Short human-readable cell identity for a telemetry summary."""
     return f"{config.algorithm}/{config.topology}/seed{config.seed}"
 
 
@@ -100,8 +98,6 @@ def _run_cell(
     audit: bool = False,
     trace_dir: Optional[str] = None,
     telemetry: bool = False,
-    status_path: Optional[str] = None,
-    status_fn: Optional[Callable[[Dict], None]] = None,
     probes: bool = False,
 ) -> CellOutcome:
     """Worker body: run one cell, trading exceptions for a CellFailure.
@@ -112,21 +108,10 @@ def _run_cell(
     :class:`~repro.obs.audit.AuditReport` and fingerprint (an audit
     *violation* is a finding on a successful run, not a CellFailure).
     With ``telemetry``, the cell accumulates streaming telemetry and the
-    result carries its :class:`~repro.obs.telemetry.TelemetrySummary`;
-    ``status_path`` additionally streams live status snapshots to that
-    file (read by the parent's ``--live`` polling loop; the snapshots are
-    transient and never affect the returned summary).
+    result carries its :class:`~repro.obs.telemetry.TelemetrySummary`,
+    labelled with the cell.
     """
     try:
-        tel = False
-        if telemetry or status_path is not None or status_fn is not None:
-            from repro.obs.telemetry import Telemetry
-
-            tel = Telemetry(
-                status_path=status_path,
-                status_fn=status_fn,
-                label=cell_label(config),
-            )
         with contextlib.ExitStack() as stack:
             # ``audit`` alone lets run_experiment keep its own tracer.
             tracer = None
@@ -135,14 +120,17 @@ def _run_cell(
 
                 path = os.path.join(trace_dir, cell_trace_name(config))
                 tracer = Tracer(stream=stack.enter_context(open(path, "w")))
-            return run_experiment(
+            result = run_experiment(
                 config,
                 tracer=tracer,
                 profile=profile,
                 audit=audit,
-                telemetry=tel,
+                telemetry=telemetry,
                 probes=probes,
             )
+        if result.telemetry is not None:
+            result.telemetry.labels = [cell_label(config)]
+        return result
     except Exception as exc:
         return CellFailure(
             config=config, error=repr(exc), traceback=traceback.format_exc()
@@ -167,7 +155,6 @@ def run_cells(
     trace_dir: Optional[str] = None,
     telemetry: bool = False,
     probes: bool = False,
-    live: Optional[Callable[[str], None]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[CellOutcome]:
     """Run independent cells, serially or across a process pool.
@@ -188,10 +175,8 @@ def run_cells(
     across workers.  ``probes=True`` does the same for protocol-state
     snapshots (each result carries a
     :class:`~repro.obs.probes.ProbeSummary`, same input-order merge
-    guarantee).  ``live`` is an optional ``callable(str)`` receiving a
-    one-line status rendering (per-cell progress and current hotspots,
-    streamed out of worker processes through per-cell snapshot files);
-    it implies telemetry collection.
+    guarantee).  ``progress`` is an optional ``callable(str)`` receiving
+    one line per finished cell.
     """
     configs = list(configs)
     n_jobs = min(resolve_jobs(jobs), len(configs))
@@ -199,22 +184,11 @@ def run_cells(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         trace_dir = str(trace_dir)
-    telemetry = telemetry or live is not None
 
     if n_jobs <= 1:
         results: List[CellOutcome] = []
         for i, config in enumerate(configs):
-            status_fn = None
-            if live is not None:
-                status_fn = (
-                    lambda snap, _i=i, _n=len(configs): live(
-                        f"[{_i + 1}/{_n}] {_format_snapshot(snap)}"
-                    )
-                )
-            outcome = _run_cell(
-                config, profile, audit, trace_dir, telemetry, None, status_fn,
-                probes,
-            )
+            outcome = _run_cell(config, profile, audit, trace_dir, telemetry, probes)
             _log_outcome(log, i, len(configs), outcome)
             results.append(outcome)
         return results
@@ -227,92 +201,22 @@ def run_cells(
     mp_context = None
     if "fork" in multiprocessing.get_all_start_methods():
         mp_context = multiprocessing.get_context("fork")
-    status_dir = tempfile.mkdtemp(prefix="repro-live-") if live is not None else None
     slots: List[Optional[CellOutcome]] = [None] * len(configs)
-    try:
-        with ProcessPoolExecutor(max_workers=n_jobs, mp_context=mp_context) as pool:
-            future_index = {
-                pool.submit(
-                    _run_cell, config, profile, audit, trace_dir, telemetry,
-                    os.path.join(status_dir, f"cell{i}.json")
-                    if status_dir is not None
-                    else None,
-                    None,
-                    probes,
-                ): i
-                for i, config in enumerate(configs)
-            }
-            pending = set(future_index)
-            done_count = 0
-            while pending:
-                # With a live sink, poll on a short timeout so in-flight
-                # cells stream status between completions.
-                done, pending = wait(
-                    pending,
-                    timeout=1.0 if live is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    i = future_index[future]
-                    # _run_cell converts cell exceptions to CellFailure; an
-                    # exception here means the pool itself broke (e.g. a
-                    # worker was killed), which is not attributable to one
-                    # cell.
-                    slots[i] = future.result()
-                    done_count += 1
-                    _log_outcome(log, done_count - 1, len(configs), slots[i])
-                if live is not None:
-                    line = _render_live_line(
-                        status_dir, future_index, slots, done_count, len(configs)
-                    )
-                    if line:
-                        live(line)
-    finally:
-        if status_dir is not None:
-            _cleanup_dir(status_dir)
+    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=mp_context) as pool:
+        future_index = {
+            pool.submit(
+                _run_cell, config, profile, audit, trace_dir, telemetry, probes
+            ): i
+            for i, config in enumerate(configs)
+        }
+        for done, future in enumerate(as_completed(future_index)):
+            i = future_index[future]
+            # _run_cell converts cell exceptions to CellFailure; an
+            # exception here means the pool itself broke (e.g. a worker was
+            # killed), which is not attributable to one cell.
+            slots[i] = future.result()
+            _log_outcome(log, done, len(configs), slots[i])
     return [outcome for outcome in slots if outcome is not None]
-
-
-def _format_snapshot(snap: Dict) -> str:
-    """One cell's status snapshot as a compact human-readable fragment."""
-    hot = ",".join(str(peer) for peer, _count in snap.get("hot_peers", [])[:3])
-    return (
-        f"{snap.get('label', '?')} t={snap.get('t', 0.0):.0f}s "
-        f"ev={snap.get('engine_events', 0)} q={snap.get('queries', 0)}"
-        + (f" hot=[{hot}]" if hot else "")
-    )
-
-
-def _render_live_line(
-    status_dir: str,
-    future_index: Dict,
-    slots: List[Optional[CellOutcome]],
-    done_count: int,
-    total: int,
-) -> str:
-    """Compose the sweep-wide live status line from per-cell snapshots."""
-    running = []
-    for future, i in sorted(future_index.items(), key=lambda kv: kv[1]):
-        if slots[i] is not None:
-            continue
-        path = os.path.join(status_dir, f"cell{i}.json")
-        try:
-            with open(path) as fh:
-                running.append(_format_snapshot(json.load(fh)))
-        except (OSError, ValueError):
-            continue  # not started yet, or snapshot mid-replace
-    parts = [f"{done_count}/{total} cells done"]
-    if running:
-        parts.append("; ".join(running[:3]))
-        if len(running) > 3:
-            parts.append(f"(+{len(running) - 3} more)")
-    return " | ".join(parts)
-
-
-def _cleanup_dir(path: str) -> None:
-    import shutil
-
-    shutil.rmtree(path, ignore_errors=True)
 
 
 def _log_outcome(

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments.runall [--peers N] [--queries Q] [--seed S]
                                        [--jobs J] [--profile] [--telemetry]
-                                       [--probes] [--live] [--audit]
+                                       [--probes] [--audit]
                                        [--output report.md]
 
 Walks the one table of entries (:data:`repro.experiments.campaign.ENTRIES`:
@@ -59,16 +59,13 @@ def build_report(
     scale: ExperimentScale,
     progress=None,
     grid: Optional[ExperimentGrid] = None,
-    live=None,
 ) -> str:
     """Run the campaign and return the markdown report.
 
     Pass a ``grid`` to reuse (and afterwards inspect) the populated cells.
-    ``live`` is an optional ``callable(str)`` that receives one-line sweep
-    status updates while cells execute (implies telemetry collection).
     """
     grid = grid if grid is not None else ExperimentGrid(scale)
-    return render_report(grid, run_campaign(grid, progress=progress, live=live))
+    return render_report(grid, run_campaign(grid, progress=progress))
 
 
 def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
@@ -338,12 +335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record protocol-state snapshots in every cell and append a "
         "state section (ad coverage, staleness, cache health per tick)",
     )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="stream a live sweep status line (per-cell progress and "
-        "current hotspots) to stderr while cells run; implies --telemetry",
-    )
     args = parser.parse_args(argv)
 
     scale = ExperimentScale(
@@ -352,19 +343,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         profile=args.profile,
         audit=args.audit,
-        telemetry=args.telemetry or args.live,
+        telemetry=args.telemetry,
         probes=args.probes,
         jobs=args.jobs,
     )
     start = time.time()
     grid = ExperimentGrid(scale)
-    live = None
-    if args.live:
-        live = lambda msg: print(f"[live] {msg}", file=sys.stderr)  # noqa: E731
     figures = run_campaign(
-        grid,
-        progress=lambda msg: print(f"[runall] {msg}", file=sys.stderr),
-        live=live,
+        grid, progress=lambda msg: print(f"[runall] {msg}", file=sys.stderr)
     )
     # Wall-clock goes to stderr: the report body stays byte-comparable.
     print(f"[runall] generated in {time.time() - start:.0f}s", file=sys.stderr)

@@ -13,8 +13,8 @@ reimplements that stack from scratch:
 * :mod:`repro.network.topology` -- the three logical overlays used in the
   paper: ``random`` (avg degree 5), ``powerlaw`` (avg degree 5, alpha =
   -0.74) and ``crawled`` (Limewire-like, avg degree 3.35).
-* :mod:`repro.network.overlay` -- the churn-aware overlay runtime with
-  vectorised live-edge views used by the search algorithms.
+* :mod:`repro.network.overlay` -- the churn-aware overlay runtime: liveness
+  and the one per-epoch CSR of the live graph every search algorithm reads.
 """
 
 from repro.network.keepalive import KeepaliveTraffic
@@ -22,11 +22,8 @@ from repro.network.latency import LatencyModel
 from repro.network.overlay import Overlay
 from repro.network.substrate import (
     Substrate,
-    SubstrateCache,
-    SubstrateCacheStats,
     clear_substrate_cache,
     get_substrate,
-    substrate_cache_stats,
 )
 from repro.network.topology import (
     OverlayTopology,
@@ -43,8 +40,6 @@ __all__ = [
     "Overlay",
     "OverlayTopology",
     "Substrate",
-    "SubstrateCache",
-    "SubstrateCacheStats",
     "TransitStubNetwork",
     "TransitStubParams",
     "build_topology",
@@ -53,5 +48,4 @@ __all__ = [
     "get_substrate",
     "powerlaw_topology",
     "random_topology",
-    "substrate_cache_stats",
 ]

@@ -56,8 +56,8 @@ class KeepaliveTraffic:
         )
 
     def _sweep(self) -> None:
-        src, _, _ = self.overlay.live_edges()
-        n_pings = len(src)  # both directions of every live edge
+        # Both directions of every live edge.
+        n_pings = len(self.overlay.walk_csr().indices)
         if n_pings:
             self.ledger.record(
                 self._engine.now,
@@ -74,5 +74,5 @@ class KeepaliveTraffic:
         n_live = self.overlay.live_count()
         if n_live == 0:
             return 0.0
-        src, _, _ = self.overlay.live_edges()
-        return len(src) * self.ping_bytes / self.period_s / n_live
+        n_pings = len(self.overlay.walk_csr().indices)
+        return n_pings * self.ping_bytes / self.period_s / n_live

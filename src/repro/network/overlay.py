@@ -1,17 +1,18 @@
-"""Churn-aware overlay runtime with vectorised live-edge views.
+"""Churn-aware overlay runtime: liveness plus one per-epoch view of it.
 
-The search algorithms' hot loops (hop-bounded Bellman-Ford floods, walker
-steps) operate on NumPy views of the *live* overlay.  Liveness only changes
+The search algorithms' hot loops (hop-bounded floods, walker steps, ad
+deliveries) all read the *live* overlay as one CSR.  Liveness only changes
 at churn events -- about 2,000 times over a 30,000-request trace -- so the
-runtime caches the filtered edge arrays per *epoch* (a counter bumped on
-every join/leave) and the ~15 searches between consecutive churn events all
-reuse the same cache.  This is the central optimisation that makes the
-paper-scale replay tractable in Python (see DESIGN.md section 6).
+runtime keeps exactly one derived structure, the CSR of the current *epoch*
+(a counter bumped on every join/leave), and the ~15 searches between
+consecutive churn events all reuse it: one cache to invalidate per churn
+event.  This is the central optimisation that makes the paper-scale replay
+tractable in Python (see DESIGN.md section 6).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,32 +78,29 @@ class Overlay:
                     f"edge_latencies_ms length {len(edge_latencies_ms)} != "
                     f"edge count {len(edges)}"
                 )
-            self._edge_lat_ms = edge_latencies_ms.copy()
+            edge_lat = edge_latencies_ms
         elif latency is not None:
             phys = topology.physical_ids
             latency.register(phys)
-            self._edge_lat_ms = latency.pairwise_ms(
-                phys[edges[:, 0]], phys[edges[:, 1]]
-            )
+            edge_lat = latency.pairwise_ms(phys[edges[:, 0]], phys[edges[:, 1]])
         else:
-            self._edge_lat_ms = np.full(len(edges), default_edge_latency_ms)
+            edge_lat = np.full(len(edges), default_edge_latency_ms)
 
-        # Static adjacency with parallel latency arrays (for walkers): both
-        # directions of every edge sorted by (node, neighbour), cut per node.
-        self._full_sorted_cache: Optional[Tuple[np.ndarray, ...]] = None
-        src, dst, lat = self._full_sorted_edges()
-        order = np.lexsort((dst, src))
-        cuts = np.cumsum(np.bincount(src, minlength=self._n))[:-1]
-        self._adj_nodes: List[np.ndarray] = np.split(
-            dst[order].astype(np.int64, copy=False), cuts
-        )
-        self._adj_lat: List[np.ndarray] = np.split(lat[order], cuts)
-
-        self._live_edge_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
-        self._live_degree_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._live_csr_cache: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
-        self._walk_csr_cache: Optional[Tuple[int, WalkCsr]] = None
-        self._live_nodes_cache: Optional[Tuple[int, np.ndarray]] = None
+        # Both directions of every edge, stably sorted by source once: an
+        # epoch's CSR is a liveness mask over these (see :meth:`walk_csr`).
+        if len(edges):
+            src = np.concatenate([edges[:, 0], edges[:, 1]])
+            dst = np.concatenate([edges[:, 1], edges[:, 0]])
+            lat = np.concatenate([edge_lat, edge_lat])
+            order = np.argsort(src, kind="stable")
+            self._sorted_edges = (src[order], dst[order], lat[order])
+        else:
+            self._sorted_edges = (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64),
+            )
+        self._csr_cache: Optional[Tuple[int, WalkCsr]] = None
 
     # ------------------------------------------------------------- liveness
     @property
@@ -121,17 +119,12 @@ class Overlay:
         return int(np.count_nonzero(self._live))
 
     def live_nodes(self) -> np.ndarray:
-        """Ascending live node ids, cached per churn epoch (do not mutate).
+        """Ascending live node ids.
 
-        Large-N callers (ASAP warm-up scheduling, scale benches) iterate
-        this instead of probing :meth:`is_live` n times.
+        Large-N callers (ASAP warm-up scheduling, super-peer election)
+        iterate this instead of probing :meth:`is_live` n times.
         """
-        cached = self._live_nodes_cache
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]
-        nodes = np.nonzero(self._live)[0]
-        self._live_nodes_cache = (self.epoch, nodes)
-        return nodes
+        return np.flatnonzero(self._live)
 
     def join(self, node: int) -> None:
         """Bring ``node`` online (no-op error if already live)."""
@@ -147,139 +140,45 @@ class Overlay:
         self._live[node] = False
         self.epoch += 1
 
-    # ----------------------------------------------------------- edge views
-    def live_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed live edge arrays ``(src, dst, latency_ms)``.
-
-        Both directions of every undirected edge whose endpoints are both
-        live.  Cached per epoch; the cache hit rate between churn events is
-        what keeps trace replay fast.
-        """
-        cached = self._live_edge_cache
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]  # type: ignore[return-value]
-        edges = self.topology.edges
-        if len(edges):
-            alive = self._live[edges[:, 0]] & self._live[edges[:, 1]]
-            u = edges[alive, 0]
-            v = edges[alive, 1]
-            w = self._edge_lat_ms[alive]
-            src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
-            lat = np.concatenate([w, w])
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-            lat = np.empty(0, dtype=np.float64)
-        result = (src, dst, lat)
-        self._live_edge_cache = (self.epoch, result)
-        return result
-
-    def live_degrees(self) -> np.ndarray:
-        """Live degree of every node (0 for offline nodes), cached per epoch.
-
-        The flooding message-count formula sums ``deg_live - 1`` over all
-        forwarding nodes; this vector makes that a single fancy-indexed sum.
-        """
-        cached = self._live_degree_cache
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]
-        src, _, _ = self.live_edges()
-        deg = np.bincount(src, minlength=self._n).astype(np.int64)
-        deg[~self._live] = 0
-        self._live_degree_cache = (self.epoch, deg)
-        return deg
-
-    def live_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Live neighbours of ``node`` with their edge latencies (ms)."""
-        nbrs = self._adj_nodes[node]
-        lats = self._adj_lat[node]
-        mask = self._live[nbrs]
-        return nbrs[mask], lats[mask]
-
-    def live_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR view of the live subgraph: ``(indptr, indices, latencies)``.
+    # ------------------------------------------------------- the live graph
+    def walk_csr(self) -> WalkCsr:
+        """The live subgraph as a CSR, built once per churn epoch.
 
         ``indices[indptr[u]:indptr[u+1]]`` are u's live neighbours, with
-        per-edge latencies alongside.  Offline nodes have empty rows (the
-        CSR covers live-to-live edges only; unlike :meth:`live_neighbors`
-        it is not defined for offline sources).  Cached per epoch.  This is the walk-step hot path: a random-walk step costs
-        one integer draw plus three array indexings instead of a boolean
-        mask over the adjacency -- the difference between minutes and hours
-        at paper scale (10,000 warm-up deliveries x thousands of steps).
+        per-edge latencies in ``lats`` alongside; an offline node's row is
+        empty (the CSR covers live-to-live edges only).  Every flood, walk,
+        ring, delivery and search between two churn events shares the one
+        :class:`repro.sim.kernels.WalkCsr` (its plain-list mirrors for the
+        stepping recurrence are built on first use): a walk step costs one
+        integer draw plus three indexings instead of a boolean mask over
+        the adjacency -- the difference between minutes and hours at paper
+        scale (10,000 warm-up deliveries x thousands of steps).
         """
-        cached = self._live_csr_cache
+        cached = self._csr_cache
         if cached is not None and cached[0] == self.epoch:
-            return cached[1]  # type: ignore[return-value]
+            return cached[1]
         # Mask the once-sorted full-graph edge arrays instead of re-sorting
         # per epoch: a stable sort of a subsequence equals the subsequence
         # of the stable sort, so each node's live neighbour order -- which
         # the walk kernels' seeded trajectories depend on -- is bit-for-bit
         # what sorting the live edges directly would produce.
-        src_s, dst_s, lat_s = self._full_sorted_edges()
-        if len(src_s):
-            alive = self._live[src_s] & self._live[dst_s]
-            indices = dst_s[alive]
-            lats = lat_s[alive]
-            counts = np.bincount(src_s[alive], minlength=self._n)
-        else:
-            indices = src_s
-            lats = lat_s
-            counts = np.zeros(self._n, dtype=np.int64)
+        src_s, dst_s, lat_s = self._sorted_edges
+        alive = self._live[src_s] & self._live[dst_s]
         indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        result = (indptr, indices, lats)
-        self._live_csr_cache = (self.epoch, result)
-        return result
-
-    def _full_sorted_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed full-graph ``(src, dst, lat)`` stably sorted by src.
-
-        Built once per overlay (liveness masking per epoch happens in
-        :meth:`live_csr`); matches the concatenation order of
-        :meth:`live_edges` so masked rows keep the historical neighbour
-        order.
-        """
-        cached = self._full_sorted_cache
-        if cached is None:
-            edges = self.topology.edges
-            if len(edges):
-                src = np.concatenate([edges[:, 0], edges[:, 1]])
-                dst = np.concatenate([edges[:, 1], edges[:, 0]])
-                lat = np.concatenate([self._edge_lat_ms, self._edge_lat_ms])
-                order = np.argsort(src, kind="stable")
-                cached = (src[order], dst[order], lat[order])
-            else:
-                cached = (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                )
-            self._full_sorted_cache = cached
-        return cached
-
-    def walk_csr(self) -> WalkCsr:
-        """The live CSR prepared for the walk kernels, cached per epoch.
-
-        Wraps :meth:`live_csr` in a :class:`repro.sim.kernels.WalkCsr`
-        (plain-list mirrors for the stepping recurrence + the NumPy arrays
-        for vectorised post-processing).  The list mirrors cost O(E) to
-        build, so like the other live views they are built once per churn
-        epoch and shared by every delivery/search until the next
-        join/leave.
-        """
-        cached = self._walk_csr_cache
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]
-        csr = WalkCsr(*self.live_csr())
-        self._walk_csr_cache = (self.epoch, csr)
+        np.cumsum(np.bincount(src_s[alive], minlength=self._n), out=indptr[1:])
+        csr = WalkCsr(indptr, dst_s[alive], lat_s[alive])
+        self._csr_cache = (self.epoch, csr)
         return csr
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """All wired neighbours regardless of liveness."""
-        return self._adj_nodes[node]
-
-    def live_degree(self, node: int) -> int:
-        return int(np.count_nonzero(self._live[self._adj_nodes[node]]))
+    def live_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Live neighbours of ``node`` with their edge latencies (ms): its
+        row of the epoch's CSR, in CSR order (not ascending ids -- callers
+        that need an order sort), and empty for an offline ``node``."""
+        # Through the class: a harness that times searches' reads wraps the
+        # instance's ``walk_csr`` name, which this is not one of.
+        csr = Overlay.walk_csr(self)
+        lo, hi = csr.indptr[node], csr.indptr[node + 1]
+        return csr.indices[lo:hi], csr.lats[lo:hi]
 
     # -------------------------------------------------------------- latency
     def direct_latency_ms(self, u: int, v: int) -> float:

@@ -108,7 +108,7 @@ def pow2_sketch(values) -> LogBucketSketch:
 
 
 def _is_asap(algorithm) -> bool:
-    return hasattr(algorithm, "repos") and hasattr(algorithm, "store")
+    return hasattr(algorithm, "state") and hasattr(algorithm, "store")
 
 
 def snapshot_state(algorithm, now: float) -> Dict[str, Any]:

@@ -38,7 +38,6 @@ streaming telemetry (:mod:`repro.obs.telemetry`) -- constant-memory
 windowed load series, quantile sketches and heavy-hitter hotspots, no
 trace file -- and writes ``telemetry.json`` next to a Fig-9-style
 per-window table, the hotspots and the sketch quantiles on stdout.
-``--live`` streams a status line to stderr while cells run.
 
 Examples::
 
@@ -345,16 +344,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    live = None
-    if args.live:
-        live = lambda msg: print(f"[live] {msg}", file=sys.stderr)  # noqa: E731
     outcomes = _run_seeds(
         config,
         range(config.seed, config.seed + args.replications),
         args.jobs,
         telemetry=True,
         probes=args.probes,
-        live=live,
     )
     if outcomes is None:
         return 1
@@ -520,11 +515,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="snapshot cadence in simulated seconds (default: the "
         "RunConfig default, 60; short traces need a tighter cadence -- "
         "the trace lasts ~n_queries/8 simulated seconds)",
-    )
-    tel_p.add_argument(
-        "--live",
-        action="store_true",
-        help="stream per-cell progress/hotspot status lines to stderr",
     )
     tel_p.add_argument("--out", default="obs-telemetry")
     tel_p.add_argument(

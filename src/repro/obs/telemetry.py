@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "LogBucketSketch",
@@ -66,6 +65,16 @@ __all__ = [
 
 #: Version of the ``TelemetrySummary.to_dict`` schema.
 TELEMETRY_SCHEMA_VERSION = 1
+
+#: Window width in simulation seconds.
+WINDOW_S = 10.0
+#: Relative-error base of every quantile sketch.
+GAMMA = 1.05
+#: Hot peers / links listed by the report.
+TOP_K = 8
+#: Heavy-hitter capacities: whole run, and per window.
+HH_CAPACITY = 64
+WINDOW_HH_CAPACITY = 16
 
 
 def quantile_nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -322,7 +331,7 @@ class _WindowStats:
                  "leaves", "repairs", "ads_requests", "confirmations",
                  "engine_events", "peers", "links")
 
-    def __init__(self, hh_capacity: int) -> None:
+    def __init__(self) -> None:
         self.queries = 0
         self.hits = 0
         self.local_hits = 0
@@ -333,67 +342,37 @@ class _WindowStats:
         self.ads_requests = 0
         self.confirmations = 0
         self.engine_events = 0
-        self.peers = SpaceSaving(hh_capacity)
-        self.links = SpaceSaving(hh_capacity)
+        self.peers = SpaceSaving(WINDOW_HH_CAPACITY)
+        self.links = SpaceSaving(WINDOW_HH_CAPACITY)
 
 
 class Telemetry:
     """The live, mutable telemetry accumulator attached to one run.
 
-    Construct with ``window_s`` (window width in simulation seconds) and
-    attach via ``run_experiment(..., telemetry=True)`` or by hand inside an
+    Attach via ``run_experiment(..., telemetry=True)`` or by hand inside an
     ``Instrumentation(telemetry=t)`` given to ``algorithm.attach`` and
-    ``engine.set_observer``.  Call
-    :meth:`summary` once the run completes to freeze it into a mergeable
-    :class:`TelemetrySummary`.
-
-    ``status_path``/``status_fn`` enable the live view: every
-    ``status_interval_s`` of simulation time the accumulator writes (or
-    calls back with) a compact JSON snapshot of progress and current
-    hotspots -- this is how ``run_cells --live`` streams per-cell state
-    out of worker processes.
+    ``engine.set_observer``.  Call :meth:`summary` once the run completes to
+    freeze it into a mergeable :class:`TelemetrySummary`.  ``label`` names
+    the cell in the summary.
     """
 
-    def __init__(
-        self,
-        window_s: float = 10.0,
-        gamma: float = 1.05,
-        top_k: int = 8,
-        hh_capacity: int = 64,
-        window_hh_capacity: int = 16,
-        status_path: Optional[str] = None,
-        status_fn: Optional[Callable[[Dict[str, Any]], None]] = None,
-        status_interval_s: float = 60.0,
-        label: str = "",
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        self.window_s = float(window_s)
-        self.gamma = gamma
-        self.top_k = top_k
-        self.hh_capacity = hh_capacity
-        self.window_hh_capacity = window_hh_capacity
+    def __init__(self, label: str = "") -> None:
         self.label = label
         self._windows: Dict[int, _WindowStats] = {}
-        self.response_time_ms = LogBucketSketch(gamma)
-        self.query_cost_bytes = LogBucketSketch(gamma)
-        self.delivery_bytes = LogBucketSketch(gamma)
-        self.hot_peers = SpaceSaving(hh_capacity)
-        self.hot_links = SpaceSaving(hh_capacity)
+        self.response_time_ms = LogBucketSketch(GAMMA)
+        self.query_cost_bytes = LogBucketSketch(GAMMA)
+        self.delivery_bytes = LogBucketSketch(GAMMA)
+        self.hot_peers = SpaceSaving(HH_CAPACITY)
+        self.hot_links = SpaceSaving(HH_CAPACITY)
         self._peer_bytes: Dict[int, float] = {}  # node -> attributed bytes
         self.engine_events = 0
-        self._status_path = status_path
-        self._status_fn = status_fn
-        self._status_interval = float(status_interval_s)
-        self._status_next = 0.0
-        self._status_t = 0.0
 
     # ------------------------------------------------------------- internals
     def _window(self, t: float) -> _WindowStats:
-        w = int(t // self.window_s)
+        w = int(t // WINDOW_S)
         win = self._windows.get(w)
         if win is None:
-            win = self._windows[w] = _WindowStats(self.window_hh_capacity)
+            win = self._windows[w] = _WindowStats()
         return win
 
     # ---------------------------------------------- fed by Instrumentation
@@ -401,10 +380,6 @@ class Telemetry:
         """One engine dispatch at simulation time ``t`` (hot path)."""
         self.engine_events += 1
         self._window(t).engine_events += 1
-        if t >= self._status_next:
-            self._status_t = t
-            self._status_next = t + self._status_interval
-            self._emit_status()
 
     def record_query(self, t: float, requester: int, outcome: Any) -> None:
         """One completed search request (called from the ``search`` template)."""
@@ -468,32 +443,6 @@ class Telemetry:
         else:
             win.leaves += 1
 
-    # ------------------------------------------------------------- live view
-    def status_snapshot(self) -> Dict[str, Any]:
-        """Compact progress + hotspot snapshot for the live status line."""
-        return {
-            "label": self.label,
-            "t": self._status_t,
-            "engine_events": self.engine_events,
-            "queries": sum(w.queries for w in self._windows.values()),
-            "hot_peers": [
-                [_key_str(k), c] for k, c, _ in self.hot_peers.top(3)
-            ],
-        }
-
-    def _emit_status(self) -> None:
-        if self._status_fn is None and self._status_path is None:
-            return
-        snap = self.status_snapshot()
-        if self._status_fn is not None:
-            self._status_fn(snap)
-        if self._status_path is not None:
-            # Atomic replace so the polling parent never reads a torn file.
-            tmp = f"{self._status_path}.tmp"
-            with open(tmp, "w") as fh:
-                json.dump(snap, fh, separators=(",", ":"))
-            os.replace(tmp, self._status_path)
-
     # --------------------------------------------------------------- summary
     def summary(
         self,
@@ -535,10 +484,10 @@ class Telemetry:
         if ledger is not None:
             load_cats = frozenset(load_categories) if load_categories else frozenset()
             for second, by_cat in ledger._buckets.items():
-                w = int(second // self.window_s)
+                w = int(second // WINDOW_S)
                 win = windows.get(w)
                 if win is None:
-                    win = windows[w] = _empty_window(self.window_hh_capacity)
+                    win = windows[w] = _empty_window()
                 for cat, nbytes in by_cat.items():
                     name = cat.value
                     win["bytes"][name] = win["bytes"].get(name, 0.0) + nbytes
@@ -546,11 +495,11 @@ class Telemetry:
                         win["load_bytes"] += nbytes
         if live_counts is not None and t_end is not None:
             for second in range(t_start, t_end):
-                w = int(second // self.window_s)
+                w = int(second // WINDOW_S)
                 win = windows.get(w)
                 if win is not None:
                     win["live_node_seconds"] += int(live_counts[second - t_start])
-        per_peer = LogBucketSketch(self.gamma)
+        per_peer = LogBucketSketch(GAMMA)
         for node in sorted(self._peer_bytes):
             per_peer.add(self._peer_bytes[node])
         totals: Dict[str, Any] = {
@@ -572,7 +521,7 @@ class Telemetry:
         # Freeze heavy hitters with canonical string keys so every summary
         # (fresh or merged) sorts and merges over the same key domain.
         return TelemetrySummary(
-            window_s=self.window_s,
+            window_s=WINDOW_S,
             windows={w: windows[w] for w in sorted(windows)},
             response_time_ms=self.response_time_ms,
             query_cost_bytes=self.query_cost_bytes,
@@ -581,14 +530,13 @@ class Telemetry:
             hot_peers=SpaceSaving.from_state_dict(self.hot_peers.state_dict()),
             hot_links=SpaceSaving.from_state_dict(self.hot_links.state_dict()),
             totals=totals,
-            top_k=self.top_k,
             cells=1,
             labels=[self.label] if self.label else [],
         )
 
 
-def _empty_window(hh_capacity: int = 16) -> Dict[str, Any]:
-    empty_hh = {"capacity": hh_capacity, "floor": 0, "counts": {}, "errors": {}}
+def _empty_window() -> Dict[str, Any]:
+    empty_hh = {"capacity": WINDOW_HH_CAPACITY, "floor": 0, "counts": {}, "errors": {}}
     return {
         "queries": 0, "hits": 0, "local_hits": 0, "deliveries": 0,
         "joins": 0, "leaves": 0, "repairs": 0, "ads_requests": 0,
@@ -625,7 +573,6 @@ class TelemetrySummary:
         hot_peers: SpaceSaving,
         hot_links: SpaceSaving,
         totals: Dict[str, Any],
-        top_k: int = 8,
         cells: int = 1,
         labels: Optional[List[str]] = None,
     ) -> None:
@@ -638,7 +585,6 @@ class TelemetrySummary:
         self.hot_peers = hot_peers
         self.hot_links = hot_links
         self.totals = totals
-        self.top_k = top_k
         self.cells = cells
         self.labels = labels or []
 
@@ -703,7 +649,6 @@ class TelemetrySummary:
             hot_peers=hp,
             hot_links=hl,
             totals=totals,
-            top_k=self.top_k,
             cells=self.cells + other.cells,
             labels=self.labels + other.labels,
         )
@@ -784,7 +729,7 @@ class TelemetrySummary:
 
     def format_hotspots(self, n: Optional[int] = None) -> str:
         """Top-K hottest peers and links over the whole run (text)."""
-        n = n or self.top_k
+        n = n or TOP_K
         lines = ["hottest peers (bytes attributed):"]
         for key, count, err in self.hot_peers.top(n):
             suffix = f" (±{err})" if err else ""

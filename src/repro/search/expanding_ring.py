@@ -35,8 +35,10 @@ class ExpandingRingSearch(SearchAlgorithm):
         super().__init__(*args, **kwargs)
         if not ttl_sequence:
             raise ValueError("need at least one ring TTL")
-        if list(ttl_sequence) != sorted(ttl_sequence) or ttl_sequence[0] < 1:
-            raise ValueError("ttl_sequence must be increasing positive TTLs")
+        if ttl_sequence[0] < 1 or any(
+            a >= b for a, b in zip(ttl_sequence, ttl_sequence[1:])
+        ):
+            raise ValueError("ttl_sequence must be strictly increasing positive TTLs")
         self.ttl_sequence = tuple(ttl_sequence)
 
     def _search_impl(

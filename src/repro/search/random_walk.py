@@ -91,7 +91,8 @@ class RandomWalkSearch(SearchAlgorithm):
 
         matching = self._matching_live_nodes(terms, exclude=requester)
         rng = self.rng
-        indptr, indices, lats = self.overlay.live_csr()
+        csr = self.overlay.walk_csr()
+        indptr, indices, lats = csr.indptr, csr.indices, csr.lats
 
         # Heap of (elapsed_ms, walker_id); walker state kept in arrays.
         heap = [(0.0, w) for w in range(self.walkers)]

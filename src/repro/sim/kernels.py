@@ -95,8 +95,8 @@ CHUNK_STEPS = 16
 class WalkCsr:
     """A live-CSR view prepared for the walk kernels.
 
-    Wraps the ``(indptr, indices, latencies)`` arrays of
-    :meth:`repro.network.overlay.Overlay.live_csr` and mirrors them into
+    Wraps the ``(indptr, indices, latencies)`` arrays that
+    :meth:`repro.network.overlay.Overlay.walk_csr` builds and mirrors them into
     plain Python lists: the stepping recurrence indexes lists (fast
     scalars), while the vectorised post-processing fancy-indexes the NumPy
     arrays.  Build once per churn epoch and reuse (the overlay caches it,
@@ -736,21 +736,12 @@ def _frontier_edges(
     return np.repeat(starts - offsets, lens) + _arange(total), lens
 
 
-def _flood_messages(csr: WalkCsr, first_hop: np.ndarray, source: int, ttl: int) -> int:
-    """The flood's transmission count from first-reception hops.
-
-    ``deg(source) + sum over nodes first reached at hop < ttl of (deg-1)``
-    -- identical to the reference formula (same ``first_hop``, same live
-    degrees: ``np.diff(indptr)`` equals the bincount over live sources).
-    """
-    forwarding = (first_hop >= 1) & (first_hop < ttl)
-    return int(csr.deg[source]) + int(np.sum(csr.deg[forwarding] - 1))
-
-
-def flood_frontier(
-    csr: WalkCsr, source: int, ttl: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Frontier-restricted flood: ``(first_hop, arrival_ms, n_messages)``.
+def _flood(
+    csr: WalkCsr, source: int, ttl_sequence: Sequence[int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
+    """One frontier-restricted flood from ``source``, stopped at each TTL
+    of the ascending ``ttl_sequence``: yields the flood's own ``(first_hop,
+    arrival_ms, n_messages)`` -- the arrays the next rounds write.
 
     Bit-identical to the reference hop-bounded Bellman-Ford that relaxes
     *every* live edge each round (``np.minimum.at`` over the full edge
@@ -763,6 +754,11 @@ def flood_frontier(
     bit.  Floods reach a small fraction of a 10k-node overlay within
     TTL 6, which is why touching only frontier edges is ~2x faster than
     relaxing all of them every round.
+
+    ``n_messages`` is ``deg(source) + sum over nodes first reached at hop
+    < ttl of (deg - 1)``, accumulated as nodes are first reached -- the
+    integer sum a full-array mask over ``first_hop`` would produce, without
+    two dense n-length passes per flood.
     """
     n = csr.n
     arrival = np.full(n, np.inf)
@@ -770,53 +766,69 @@ def flood_frontier(
     first_hop = np.full(n, -1, dtype=np.int64)
     first_hop[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    fwd = 0  # running sum of (deg - 1) over forwarding nodes (hop < ttl)
-    for h in range(1, ttl + 1):
-        if len(frontier) == 1:
-            # Hop 1 is always a singleton and churned overlays shrink
-            # later frontiers too; a contiguous CSR slice skips the
-            # ragged gather entirely (same values: one node's edge range).
-            u = frontier[0]
-            a = csr.indptr[u]
-            b = a + csr.deg[u]
-            if a == b:
+    h = 0
+    exhausted = False
+    fwd = int(csr.deg[source])  # + (deg - 1) over nodes reached before hop h
+    newly = frontier[:0]  # first reached at hop h: forwarders once h < ttl
+    for ttl in ttl_sequence:
+        while h < ttl and not exhausted:
+            if len(frontier) == 1:
+                # Hop 1 is always a singleton and churned overlays shrink
+                # later frontiers too; a contiguous CSR slice skips the
+                # ragged gather entirely (same values: one node's edge range).
+                u = frontier[0]
+                a = csr.indptr[u]
+                b = a + csr.deg[u]
+                if a == b:
+                    exhausted = True
+                    break
+                targets = csr.indices[a:b]
+                relaxed = arrival[u] + csr.lats[a:b]
+            else:
+                fe = _frontier_edges(csr, frontier)
+                if fe is None:
+                    exhausted = True
+                    break
+                eids, lens = fe
+                relaxed = np.repeat(arrival[frontier], lens) + csr.lats[eids]
+                targets = csr.indices[eids]
+            # Only the relaxed targets can change, so when the frontier is
+            # small the changed-node scan restricts to them (``unique``
+            # yields the same sorted node ids the full-array ``nonzero``
+            # would).  Once the flood saturates -- target count comparable
+            # to n -- sorting the targets costs more than scanning the
+            # dense arrays, so the scan adapts; both branches produce
+            # identical ``changed`` arrays.
+            if len(targets) * 16 < n:
+                uniq = np.unique(targets)
+                old_t = arrival[uniq]
+                np.minimum.at(arrival, targets, relaxed)
+                changed = uniq[arrival[uniq] < old_t]
+            else:
+                old = arrival.copy()
+                np.minimum.at(arrival, targets, relaxed)
+                changed = np.nonzero(arrival < old)[0]
+            if not len(changed):
+                exhausted = True
                 break
-            targets = csr.indices[a:b]
-            relaxed = arrival[u] + csr.lats[a:b]
-        else:
-            fe = _frontier_edges(csr, frontier)
-            if fe is None:
-                break
-            eids, lens = fe
-            relaxed = np.repeat(arrival[frontier], lens) + csr.lats[eids]
-            targets = csr.indices[eids]
-        # Only the relaxed targets can change, so when the frontier is
-        # small the changed-node scan restricts to them (``unique`` yields
-        # the same sorted node ids the full-array ``nonzero`` would).  Once
-        # the flood saturates -- target count comparable to n -- sorting
-        # the targets costs more than scanning the dense arrays, so the
-        # scan adapts; both branches produce identical ``changed`` arrays.
-        if len(targets) * 16 < n:
-            uniq = np.unique(targets)
-            old_t = arrival[uniq]
-            np.minimum.at(arrival, targets, relaxed)
-            changed = uniq[arrival[uniq] < old_t]
-        else:
-            old = arrival.copy()
-            np.minimum.at(arrival, targets, relaxed)
-            changed = np.nonzero(arrival < old)[0]
-        if not len(changed):
-            break
-        newly = changed[first_hop[changed] < 0]
-        first_hop[newly] = h
+            h += 1
+            if len(newly):
+                fwd += int(csr.deg[newly].sum()) - len(newly)
+            newly = changed[first_hop[changed] < 0]
+            first_hop[newly] = h
+            frontier = changed
         if h < ttl and len(newly):
-            # Accumulate the message formula's forwarding term as nodes
-            # are first reached -- the same integer sum the full-array
-            # ``_flood_messages`` mask would produce, without two dense
-            # n-length passes per flood.
+            # The flood died out below this TTL: its last arrivals count too.
             fwd += int(csr.deg[newly].sum()) - len(newly)
-        frontier = changed
-    return first_hop, arrival, int(csr.deg[source]) + fwd
+            newly = newly[:0]
+        yield first_hop, arrival, fwd
+
+
+def flood_frontier(
+    csr: WalkCsr, source: int, ttl: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One flood: ``(first_hop, arrival_ms, n_messages)`` at ``ttl``."""
+    return next(_flood(csr, source, (ttl,)))
 
 
 def flood_bfs(csr: WalkCsr, source: int, ttl: int) -> Tuple[np.ndarray, int]:
@@ -872,58 +884,9 @@ def flood_rings(
     (1, 2, 4, 6) sequence costs 6 relaxation rounds instead of 13.  Each
     snapshot is bit-identical to a standalone :func:`flood_frontier` at
     that TTL -- running ``h`` frontier rounds is exactly what the
-    standalone kernel does, and early exhaustion (an empty frontier)
+    standalone flood does, and early exhaustion (an empty frontier)
     freezes the state that every later ring would recompute.  The yielded
     arrays are copies; callers may keep them across rings.
     """
-    n = csr.n
-    arrival = np.full(n, np.inf)
-    arrival[source] = 0.0
-    first_hop = np.full(n, -1, dtype=np.int64)
-    first_hop[source] = 0
-    frontier: Optional[np.ndarray] = np.array([source], dtype=np.int64)
-    h = 0
-    for ttl in ttl_sequence:
-        while h < ttl and frontier is not None:
-            if len(frontier) == 1:
-                u = frontier[0]
-                a = csr.indptr[u]
-                b = a + csr.deg[u]
-                if a == b:
-                    frontier = None
-                    break
-                h += 1
-                targets = csr.indices[a:b]
-                relaxed = arrival[u] + csr.lats[a:b]
-            else:
-                fe = _frontier_edges(csr, frontier)
-                if fe is None:
-                    frontier = None
-                    break
-                h += 1
-                eids, lens = fe
-                relaxed = np.repeat(arrival[frontier], lens) + csr.lats[eids]
-                targets = csr.indices[eids]
-            # Same adaptive changed scan as flood_frontier (the snapshots
-            # must stay bit-identical to the standalone kernel, so the two
-            # relaxation loops evolve in lockstep).
-            if len(targets) * 16 < n:
-                uniq = np.unique(targets)
-                old_t = arrival[uniq]
-                np.minimum.at(arrival, targets, relaxed)
-                changed = uniq[arrival[uniq] < old_t]
-            else:
-                old = arrival.copy()
-                np.minimum.at(arrival, targets, relaxed)
-                changed = np.nonzero(arrival < old)[0]
-            if not len(changed):
-                frontier = None
-                break
-            newly = changed[first_hop[changed] < 0]
-            first_hop[newly] = h
-            frontier = changed
-        yield (
-            first_hop.copy(),
-            arrival.copy(),
-            _flood_messages(csr, first_hop, source, ttl),
-        )
+    for first_hop, arrival, n_messages in _flood(csr, source, ttl_sequence):
+        yield first_hop.copy(), arrival.copy(), n_messages

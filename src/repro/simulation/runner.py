@@ -124,7 +124,7 @@ def run_experiment(
     tracer: Optional[Tracer] = None,
     profile: bool = False,
     audit: bool = False,
-    telemetry=False,
+    telemetry: bool = False,
     probes=False,
     progress=None,
     phase_times: Optional[dict] = None,
@@ -148,10 +148,10 @@ def run_experiment(
       (:func:`repro.obs.audit.audit_run`) over it, attaching the
       :class:`~repro.obs.audit.AuditReport` and the run fingerprint to
       the result;
-    * ``telemetry`` -- ``True`` (a default-windowed accumulator is
-      created) or a :class:`repro.obs.telemetry.Telemetry` instance; the
-      streaming aggregates (windowed load, quantile sketches, hotspot
-      heavy hitters) are frozen into ``RunResult.telemetry`` as a
+    * ``telemetry`` -- accumulate with a
+      :class:`repro.obs.telemetry.Telemetry`; the streaming aggregates
+      (windowed load, quantile sketches, hotspot heavy hitters) are
+      frozen into ``RunResult.telemetry`` as a
       :class:`~repro.obs.telemetry.TelemetrySummary` -- the constant-
       memory alternative to full tracing;
     * ``probes`` -- schedule periodic protocol-state snapshots
@@ -205,9 +205,7 @@ def run_experiment(
         config, overlay, content, ledger, streams.get("algorithm"), dist.interests
     )
 
-    tel: Optional[Telemetry] = None
-    if telemetry:
-        tel = telemetry if isinstance(telemetry, Telemetry) else Telemetry()
+    tel = Telemetry() if telemetry else None
     profiler: Optional[Profiler] = None
     if profile or tracer is not None:
         profiler = Profiler(warmup_s=config.warmup_s)

@@ -26,6 +26,24 @@ from tests.oracles.repository import AdsRepository
 __all__ = ["OracleAsapSearch"]
 
 
+class _RepoRows:
+    """What ``AsapSearch._search_impl`` reads of its ``AdsState`` -- a row
+    lookup and a removal -- answered by the repository objects, for the
+    query whose term ``positions`` it is built with."""
+
+    def __init__(self, repos, positions: np.ndarray) -> None:
+        self.repos = repos
+        self.positions = positions
+
+    def lookup(self, peer: int, match: np.ndarray) -> np.ndarray:
+        hits = np.zeros(len(self.repos), dtype=bool)
+        hits[self.repos[peer].lookup(self.positions, match)] = True
+        return hits
+
+    def remove(self, peer: int, source: int) -> None:
+        self.repos[peer].remove(source)
+
+
 class OracleAsapSearch(AsapSearch):
     """Object-backed, method-call-per-ad ASAP."""
 
@@ -41,6 +59,14 @@ class OracleAsapSearch(AsapSearch):
             for i, bits in enumerate(self.interests.bitmasks.tolist())
         ]
         self.forwarder.deliver = partial(deliver_reference, self.forwarder)
+
+    def _search_impl(self, requester, terms, now):
+        dense = self.state
+        self.state = _RepoRows(self.repos, self.store.hasher.positions_array(terms))
+        try:
+            return super()._search_impl(requester, terms, now)
+        finally:
+            self.state = dense
 
     def _merge_ad(self, ad, now, receivers, receivers_arr=None) -> None:
         src = ad.source

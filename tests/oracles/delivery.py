@@ -48,7 +48,8 @@ def _deliver_rw(
     per_walker = max(1, total_budget // fw.walkers)
     ad_size = ad.size_bytes(fw.sizes)
     rng = fw.rng
-    indptr, indices, lats = fw.overlay.live_csr()
+    csr = fw.overlay.walk_csr()
+    indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
     buckets: Dict[int, float] = defaultdict(float)
     n_messages = 0
@@ -85,7 +86,8 @@ def _deliver_gsa(
     per_walker = max(1, total_budget // fw.walkers)
     ad_size = ad.size_bytes(fw.sizes)
     rng = fw.rng
-    indptr, indices, lats = fw.overlay.live_csr()
+    csr = fw.overlay.walk_csr()
+    indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
     buckets: Dict[int, float] = defaultdict(float)
     n_messages = 0

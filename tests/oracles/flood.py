@@ -1,4 +1,6 @@
-"""Flood oracle: hop-bounded Bellman-Ford over the full live edge arrays.
+"""Flood oracle: hop-bounded Bellman-Ford over the full live edge arrays
+(the rows of the epoch's ``WalkCsr``, which ``test_overlay_stateful.py``
+checks against ``topology.edges`` + the live mask on its own).
 
 The pre-kernel implementation of :func:`repro.search.flooding.flood_reach`
 (same contract, bit-identical outputs): TTL rounds of ``np.minimum.at``
@@ -38,16 +40,20 @@ def _flood_edges(n, src, dst, lat, deg, source: int, ttl: int) -> Flood:
     return first_hop, arrival, n_messages
 
 
+def _csr_edges(csr: WalkCsr):
+    """``(src, dst, lat, deg)``: the CSR's rows unrolled into edge arrays,
+    degrees counted from them (not read from ``csr.deg``)."""
+    src = np.repeat(np.arange(csr.n), np.diff(csr.indptr))
+    return src, csr.indices, csr.lats, np.bincount(src, minlength=csr.n)
+
+
 def flood_reach_reference(overlay: Overlay, source: int, ttl: int) -> Flood:
     """``(first_hop, arrival_ms, n_messages)`` of one flood from ``source``."""
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     if not overlay.is_live(source):
         raise ValueError(f"flood source {source} is offline")
-    src, dst, lat = overlay.live_edges()
-    return _flood_edges(
-        overlay.n, src, dst, lat, overlay.live_degrees(), source, ttl
-    )
+    return _flood_edges(overlay.n, *_csr_edges(overlay.walk_csr()), source, ttl)
 
 
 def flood_rings_reference(
@@ -55,8 +61,6 @@ def flood_rings_reference(
 ) -> Iterator[Flood]:
     """One from-scratch flood per ring: the oracle for
     :func:`repro.sim.kernels.flood_rings`, which continues one flood."""
-    src = np.repeat(np.arange(csr.n), csr.deg)
+    edges = _csr_edges(csr)
     for ttl in ttls:
-        yield _flood_edges(
-            csr.n, src, csr.indices, csr.lats, csr.deg, source, ttl
-        )
+        yield _flood_edges(csr.n, *edges, source, ttl)

@@ -1,9 +1,9 @@
 """Ads-cache oracle: one object per cached ad (paper Sections III-B/III-C).
 
-The plain model a :class:`repro.asap.state.RepositoryView` (one row of the
-dense :class:`~repro.asap.state.AdsState`) is checked against op for op --
-same contract, same insertion-ordered iteration, same LRU tie-breaks; never
-imported by ``src/repro``.
+The plain model one row of the dense :class:`~repro.asap.state.AdsState`
+is checked against op for op -- same contract, same insertion-ordered
+iteration, same LRU tie-breaks; never imported by ``src/repro``.
+:class:`StateRow` reads such a row in this model's terms.
 
 A node "selectively stores interesting ads received from other peers": an ad
 is cached only when its topic set intersects the node's interests.  The
@@ -37,7 +37,7 @@ from repro.asap.store import SourceFilterStore
 
 from tests.oracles.store import match_at_version_reference
 
-__all__ = ["AdsRepository", "CacheEntry", "snapshot"]
+__all__ = ["AdsRepository", "CacheEntry", "StateRow", "snapshot"]
 
 
 @dataclass(slots=True)
@@ -229,6 +229,54 @@ class AdsRepository:
             if match_at_version_reference(self.store, s, entry.version, positions):
                 hits.append(s)
         return sorted(set(hits))
+
+
+class StateRow:
+    """Row ``owner`` of an :class:`~repro.asap.state.AdsState`, read the way
+    an :class:`AdsRepository` is.  Read-only: tests write through the state's
+    own array calls."""
+
+    def __init__(self, state, owner: int) -> None:
+        self.state = state
+        self.owner = owner
+
+    def __len__(self) -> int:
+        return int(self.state.occupancy[self.owner])
+
+    def __contains__(self, source: int) -> bool:
+        return bool(self.state.held_mask(self.owner, source))
+
+    def sources(self) -> List[int]:
+        """Cached sources in insertion order (a stamp's low 32 bits)."""
+        held = np.flatnonzero(self.state.held_mask(self.owner))
+        order = self.state.stamp[self.owner, held] & 0xFFFFFFFF
+        return held[np.argsort(order)].tolist()
+
+    def version(self, source: int) -> int:
+        return int(self.state.versions(self.owner, source))
+
+    def entry(self, source: int) -> Optional[CacheEntry]:
+        state = self.state
+        word = int(state.entry[self.owner, source])
+        if word < 0:
+            return None
+        return CacheEntry(
+            source=source,
+            version=word >> 32,
+            topics=state.topics_of((word >> 1) & 0x7FFFFFFF),
+            cached_at=state._times[int(state.stamp[self.owner, source]) >> 32],
+        )
+
+    @property
+    def behind(self) -> FrozenSet[int]:
+        return frozenset(
+            np.flatnonzero(self.state.behind_mask(self.owner)).tolist()
+        )
+
+    def lookup(self, match: np.ndarray) -> List[int]:
+        """Sorted sources whose cached ad matches; ``match`` is the store's
+        ``match_current`` of the query positions."""
+        return np.flatnonzero(self.state.lookup(self.owner, match)).tolist()
 
 
 def snapshot(repo):

@@ -25,13 +25,13 @@ from hypothesis import strategies as st
 
 from repro.asap import state as state_module
 from repro.asap.ads import Ad, AdType
-from repro.asap.state import AdsState, RepositoryView
+from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.sim.engine import SimulationError
 from repro.workload.content import ContentIndex
 from repro.workload.interests import InterestState
 
-from tests.oracles.repository import AdsRepository, snapshot
+from tests.oracles.repository import AdsRepository, StateRow, snapshot
 from tests.test_single_code_path import _small_asap
 
 WANTED = frozenset({0})
@@ -50,12 +50,15 @@ class LockStep:
     """One dense state and one oracle repository per peer, fed the same
     operations; every return value is compared on the spot."""
 
-    def __init__(self, n, capacity):
+    def __init__(self, n, capacity, interests=None):
         self.store = SourceFilterStore(n, ContentIndex())
-        bits = InterestState([{0}] * n).bitmasks
+        interests = interests or [{0}] * n
+        bits = InterestState(interests).bitmasks
         self.state = AdsState(n, bits, self.store, capacity)
         self.oracles = [
-            AdsRepository(owner=i, interests={0}, store=self.store, capacity=capacity)
+            AdsRepository(
+                owner=i, interests=interests[i], store=self.store, capacity=capacity
+            )
             for i in range(n)
         ]
 
@@ -72,26 +75,32 @@ class LockStep:
         assert evicted == want_evicted
         return evicted
 
-    def snapshot(self, peer, sources, now, version=0, topics=WANTED):
-        """Many ads to one receiver (a reply, or repair pulls)."""
-        sources = np.asarray(sources, dtype=np.int64)
-        stored, evicted = self.state.accept_snapshot(
-            peer,
-            sources,
-            np.full(len(sources), version),
-            np.full(len(sources), self.state.intern_topics(topics)),
-            now,
+    def repair(self, peers, source, now, topics=WANTED):
+        """``source`` answers the repair pulls of ``peers``, which all hold
+        it, with its full ad at the store's version: one array call against
+        one oracle ``accept_snapshot`` per peer."""
+        version = self.store.version(source)
+        self.state.accept_repair(
+            np.asarray(peers, dtype=np.int64), source, version,
+            self.state.intern_topics(topics), now,
         )
-        want = [
-            self.oracles[peer].accept_snapshot(s, version, topics, now)
-            for s in sources.tolist()
-        ]
-        return self._same_row(peer, stored, evicted, want)
+        for peer in peers:
+            assert source in self.oracles[peer]
+            _, evicted = self.oracles[peer].accept_snapshot(
+                source, version, topics, now
+            )
+            assert evicted == []  # a held entry is rewritten in place
+        self.check(peers)
 
-    def exchange(self, peer, supplier, now):
-        """The ads exchange: whatever ``supplier`` holds and ``peer`` lacks."""
+    def exchange(self, peer, supplier, now, sources=None):
+        """The ads exchange: whatever ``supplier`` holds and ``peer`` lacks
+        (ascending, as the protocol offers them), or the ``sources`` of
+        those named, in that order."""
         mine, theirs = self.oracles[peer], self.oracles[supplier]
         novel = sorted(set(theirs.entries) - set(mine.entries) - {peer})
+        if sources is not None:
+            assert set(sources) <= set(novel)
+            novel = list(sources)
         stored, evicted = self.state.adopt(
             peer, supplier, np.asarray(novel, dtype=np.int64), now
         )
@@ -113,7 +122,7 @@ class LockStep:
 
     def check(self, peers):
         for peer in peers:
-            assert snapshot(RepositoryView(self.state, peer)) == snapshot(
+            assert snapshot(StateRow(self.state, peer)) == snapshot(
                 self.oracles[peer]
             )
         assert (self.state.occupancy == [len(o) for o in self.oracles]).all()
@@ -144,31 +153,41 @@ class TestEvictionDifferential:
         pair.check(receivers)
 
     def test_one_receiver_over_by_dozens(self, capacity, n, n_receivers):
-        pair = LockStep(n, capacity)
-        peer = n - 1
+        interests = [{0}] * n
+        interests[n - 4] = {0, 1}
+        pair = LockStep(n, capacity, interests)
+        peer, supplier, donor, other = n - 1, n - 2, n - 3, n - 4
         held = list(range(capacity))
-        # A bootstrap: four same-``now`` bursts fill the cache, two of them
-        # in descending source order (so stamp order is not index order).
+        for source in held:
+            pair.accept(make_ad(AdType.FULL, source), 0.5, [donor])
+        # A bootstrap: four same-``now`` replies fill the cache from the
+        # donor's, two of them in descending source order (so stamp order
+        # is not index order).
         for burst in range(4):
             step = 1 if burst % 2 else -1
-            pair.snapshot(peer, held[burst::4][::step], now=1.0 + burst // 2)
+            pair.exchange(
+                peer, donor, now=1.0 + burst // 2, sources=held[burst::4][::step]
+            )
         # Re-stored entries keep their place among equals, an uninteresting
         # ad starts nothing, a removed and re-inserted entry goes last.
         pair.accept(make_ad(AdType.FULL, held[0], version=1), 2.0, [peer])
-        pair.snapshot(peer, [capacity + 35], now=2.0, topics=UNWANTED)
+        pair.accept(make_ad(AdType.FULL, capacity + 35, topics=UNWANTED), 2.0, [other])
+        assert pair.exchange(peer, other, now=2.0) == []
+        assert capacity + 35 not in pair.oracles[peer]
         pair.remove(peer, held[-1])
-        pair.snapshot(peer, [held[-1]], now=2.0)
+        pair.exchange(peer, donor, now=2.0, sources=[held[-1]])
         pair.check([peer])
-        # Over by dozens at one ``now``, new and already-held sources mixed.
-        batch = held[:3] + list(range(capacity, capacity + 30))
-        victims = pair.snapshot(peer, batch, now=2.0, version=1)
-        assert len(victims) == 30
-        pair.check([peer])
-        # The same through the exchange, from a neighbour's full cache.
-        supplier = n - 2
-        theirs = [s for s in range(n - 3, 0, -1) if s not in batch][:capacity]
-        pair.snapshot(supplier, theirs, now=2.0)
-        pair.store._version[theirs[::3]] += 1  # patched since: adopted behind
+        # Repair pulls rewrite held entries in place: a current one only
+        # renews, an older one takes the version, neither moves in line.
+        pair.store._version[held[:3]] = 1
+        for source in held[:3]:
+            pair.repair([peer, donor], source, now=2.0)
+        # Over by dozens at one ``now``: a neighbour's full cache of sources
+        # the peer lacks, every third patched since (adopted behind).
+        theirs = [s for s in range(n - 5, 0, -1) if s not in held][:capacity]
+        for source in theirs:
+            pair.accept(make_ad(AdType.FULL, source), 2.0, [supplier])
+        pair.store._version[theirs[::3]] += 1
         victims = pair.exchange(peer, supplier, now=3.0)
         assert len(victims) >= min(capacity, 30)
         pair.check([peer, supplier])
@@ -176,7 +195,7 @@ class TestEvictionDifferential:
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["full", "stale_full", "patch", "refresh", "snapshot",
+        st.sampled_from(["full", "stale_full", "patch", "refresh", "repair",
                          "exchange", "remove", "bump"]),
         st.integers(0, 11),  # source / supplier
         st.integers(0, 11),  # peer
@@ -191,7 +210,10 @@ OPS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 12), capacity=st.one_of(st.none(), st.integers(1, 5)), ops=OPS)
 def test_any_op_sequence_matches_the_oracle(n, capacity, ops):
-    pair = LockStep(n, capacity)
+    # Every third peer also wants what the others do not.
+    pair = LockStep(
+        n, capacity, [{0, 1} if p % 3 == 0 else {0} for p in range(n)]
+    )
     now = 0.0
     for kind, a, b, mask, tick, wanted in ops:
         source, peer = a % n, b % n
@@ -206,10 +228,11 @@ def test_any_op_sequence_matches_the_oracle(n, capacity, ops):
         elif kind == "exchange":
             if source != peer:
                 pair.exchange(peer, source, now)
-        elif kind == "snapshot":
-            # Held sources first: that is the order a mixed batch merges in.
-            lacks = lambda s: s not in pair.oracles[peer]
-            pair.snapshot(peer, sorted(peers, key=lacks), now, version, topics)
+        elif kind == "repair":
+            # Whoever of the receivers holds the source, behind or current.
+            holding = [p for p in peers if source in pair.oracles[p]]
+            if holding:
+                pair.repair(holding, source, now, topics)
         else:
             ad_type = {"full": AdType.FULL, "stale_full": AdType.FULL,
                        "patch": AdType.PATCH, "refresh": AdType.REFRESH}[kind]
@@ -235,7 +258,7 @@ class TestWords:
         assert state.entry[0, 1] == 3 << 32 | code << 1 | 1
         assert state.stamp[0, 1] == 2 << 32 | 0 and state.stamp[2, 1] == 2 << 32 | 1
         assert state.stamp[0, 3] == 1 << 32 | 2
-        assert RepositoryView(state, 0).entry(1).cached_at == 9.0
+        assert StateRow(state, 0).entry(1).cached_at == 9.0
         assert state.ages(10.0).tolist() == [1.0, 5.0, 1.0]
         # So does overwriting the entry; only a new insert draws a number.
         pair.accept(make_ad(AdType.FULL, 1, version=4), 9.0, [0])
@@ -252,8 +275,6 @@ class TestWords:
         state = pair.state
         with pytest.raises(OverflowError, match="version"):
             state.accept(make_ad(AdType.REFRESH, 1, version=3), 1.0, np.array([0]))
-        with pytest.raises(OverflowError, match="version"):
-            RepositoryView(state, 0).accept_snapshot(1, 3, WANTED, 1.0)
         for topic in range(3):
             state.intern_topics(frozenset({topic}))
         with pytest.raises(OverflowError, match="topic codes"):
@@ -278,14 +299,20 @@ class TestClockNeverRunsBackwards:
         for kind in AdType:
             with pytest.raises(SimulationError, match="t=4.5.*last write at t=5.0"):
                 state.accept(make_ad(kind, 1), 4.5, np.array([0]))
-        assert RepositoryView(state, 0).entry(1).cached_at == 5.0
+        assert StateRow(state, 0).entry(1).cached_at == 5.0
 
     def test_accept_snapshot(self):
-        repo = RepositoryView(LockStep(4, 2).state, 0)
-        repo.accept_snapshot(1, 0, WANTED, now=5.0)
+        """A neighbour's or the source's copy: a repair pull of a held
+        entry, an adoption of an absent one."""
+        pair = LockStep(4, 2)
+        pair.accept(make_ad(AdType.FULL, 1), 5.0, [0, 2])
+        pair.accept(make_ad(AdType.FULL, 3), 5.0, [2])
         with pytest.raises(SimulationError, match="never\\s+runs backwards"):
-            repo.accept_snapshot(2, 0, WANTED, now=4.0)
-        assert 2 not in repo
+            pair.state.accept_repair(np.array([0]), 1, 0, 0, 4.0)
+        with pytest.raises(SimulationError, match="never\\s+runs backwards"):
+            pair.state.adopt(0, 2, np.array([3]), 4.0)
+        assert 3 not in StateRow(pair.state, 0)
+        pair.check(range(4))
 
     def test_exchange_path(self):
         algo = _small_asap()

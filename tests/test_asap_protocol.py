@@ -62,7 +62,7 @@ class TestWarmupAndLookup:
         # Flood delivery on a clique reaches everyone; all are interested.
         for node in range(algo.overlay.n):
             if node != 1:
-                assert 1 in algo.repos[node]
+                assert algo.state.held_mask(node, 1)
 
     def test_one_hop_search_after_warmup(self):
         algo, _, _ = build_asap()
@@ -90,16 +90,16 @@ class TestWarmupAndLookup:
         interests = [{0}] + [{5} for _ in range(5)]  # only node 0 cares
         algo, _, _ = build_asap(interests=interests)
         run_warmup(algo)
-        assert 1 in algo.repos[0]
+        assert algo.state.held_mask(0, 1)
         for node in range(2, 6):
-            assert 1 not in algo.repos[node]
+            assert not algo.state.held_mask(node, 1)
 
     def test_free_riders_issue_no_ads(self):
         algo, content, ledger = build_asap()
         # Node 5 shares nothing; warm-up must not advertise for it.
         run_warmup(algo)
         for node in range(algo.overlay.n):
-            assert 5 not in algo.repos[node]
+            assert not algo.state.held_mask(node, 5)
 
 
 class TestConfirmation:
@@ -116,7 +116,7 @@ class TestConfirmation:
         # the confirmed result.
         if out.success:
             assert out.results >= 1
-        assert 1 not in algo.repos[0]  # dead source retired from the cache
+        assert not algo.state.held_mask(0, 1)  # dead source retired from the cache
 
     def test_false_positive_retired(self):
         algo, content, _ = build_asap()
@@ -126,7 +126,7 @@ class TestConfirmation:
         content.remove(1, 1, notify=False)
         out = algo.search(0, ["rock"], now=20.0)
         assert not out.success
-        assert 1 not in algo.repos[0]
+        assert not algo.state.held_mask(0, 1)
 
     def test_cross_document_term_split_rejected(self):
         """Bloom filter matches terms spanning two docs; confirmation fails."""
@@ -158,10 +158,10 @@ class TestAdsRequestFallback:
         overlay = Overlay(topo, default_edge_latency_ms=10.0)
         algo, content, ledger = build_asap(overlay=overlay, holder=2)
         run_warmup(algo)
-        algo.repos[0].remove(2)
+        algo.state.remove(0, 2)
         out = algo.search(0, ["rock"], now=20.0)
         assert out.success
-        assert 2 in algo.repos[0]  # merged from neighbour 1
+        assert algo.state.held_mask(0, 2)  # merged from neighbour 1
         assert ledger.total_bytes([TrafficCategory.ADS_REQUEST]) > 0
         assert ledger.total_bytes([TrafficCategory.ADS_REPLY]) > 0
         # Response: ads request RTT (2 x 10) + confirmation RTT (2 x 10).
@@ -181,7 +181,7 @@ class TestAdsRequestFallback:
         params = AsapParams(forwarder="fld", ads_request_hops=0)
         algo, _, ledger = build_asap(overlay=overlay, holder=2, params=params)
         run_warmup(algo)
-        algo.repos[0].remove(2)
+        algo.state.remove(0, 2)
         out = algo.search(0, ["rock"], now=20.0)
         assert not out.success
         assert ledger.total_bytes([TrafficCategory.ADS_REQUEST]) == 0
@@ -195,7 +195,7 @@ class TestAdsRequestFallback:
         run_warmup(algo)
         # Wipe caches of nodes 0 and 1; node 2 (two hops away) still has it.
         for node in (0, 1):
-            algo.repos[node].remove(3)
+            algo.state.remove(node, 3)
         out = algo.search(0, ["rock"], now=20.0)
         assert out.success
 
@@ -235,7 +235,7 @@ class TestChurnHandling:
         content.place(1, 9, notify=False)
         algo.on_content_change(1, doc, added=True, now=25.0)
         algo.overlay.join(0)
-        assert 1 in algo.repos[0].behind
+        assert algo.state.behind_mask(0, 1)
         # The old content still matches at the cached version.
         out = algo.search(0, ["rock"], now=30.0)
         assert out.success

@@ -26,14 +26,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.asap.state import AdsState, RepositoryView
+from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
 from repro.workload.content import ContentIndex, Document
 from repro.workload.interests import InterestState
 
-from tests.oracles.repository import AdsRepository, snapshot
+from tests.oracles.repository import AdsRepository, StateRow, snapshot
 from tests.test_asap_ads_store import match_at_version
 
 SOURCE = 1
@@ -50,7 +50,7 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         self.index = ContentIndex()
         self.store = SourceFilterStore(2, self.index, hasher=self.hasher)
         bits = InterestState([{0}, {0}]).bitmasks
-        self.repo = RepositoryView(AdsState(2, bits, self.store), CACHER)
+        self.repo = StateRow(AdsState(2, bits, self.store), CACHER)
         self.oracle = AdsRepository(
             owner=CACHER, interests={0}, store=self.store
         )
@@ -74,7 +74,8 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
 
     def _accept(self, ad) -> None:
         now = self._now()
-        assert self.repo.accept(ad, now) == self.oracle.accept(ad, now)
+        stored, evicted = self.repo.state.accept(ad, now, np.array([CACHER]))
+        assert (bool(stored[0]), evicted) == self.oracle.accept(ad, now)
 
     # ----------------------------------------------------------- content ops
     @rule(
@@ -125,7 +126,7 @@ class CacheConsistencyMachine(RuleBasedStateMachine):
         """The delivery missed this cache: it must become 'behind'."""
         if self.pending_patches:
             ad = self.pending_patches.pop(0)
-            self.repo.mark_behind(ad.source)
+            self.repo.state.mark_missed(ad.source, np.array([], dtype=np.int64))
             self.oracle.mark_behind(ad.source)
 
     @rule()

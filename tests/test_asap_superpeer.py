@@ -78,9 +78,9 @@ class TestHierarchicalCaching:
         warm(algo)
         for node in range(algo.overlay.n):
             if not algo.is_super_peer(node) and node != 40:
-                assert len(algo.repos[node]) == 0, f"leaf {node} cached ads"
+                assert algo.state.occupancy[node] == 0, f"leaf {node} cached ads"
         cached_on_supers = sum(
-            len(algo.repos[int(s)]) for s in algo._supers
+            int(algo.state.occupancy[s]) for s in algo._supers
         )
         assert cached_on_supers > 0
 

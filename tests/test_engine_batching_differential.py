@@ -28,7 +28,7 @@ from repro.simulation.runner import run_experiment
 
 from tests.oracles import oracle_arm
 from tests.oracles.flood import flood_reach_reference
-from tests.oracles.repository import snapshot
+from tests.oracles.repository import StateRow, snapshot
 from tests.test_walk_kernels_differential import ledger_state, make_overlay
 
 SEEDS = [0, 1, 2]
@@ -177,14 +177,17 @@ class TestAsapStateDifferential:
                 if i % 11 == 0 and not ov.is_live(max(0, i - 7)):
                     ov.join(max(0, i - 7))
                     algo.on_join(max(0, i - 7), 25.0 + i)
-            repo_state = [snapshot(repo) for repo in algo.repos]
+            nodes = range(config.n_peers)
+            repos = (
+                algo.repos if reference else [StateRow(algo.state, v) for v in nodes]
+            )
+            repo_state = [snapshot(repo) for repo in repos]
             # A source's cachers: the product's state column vs the
             # oracle's per-repository membership scan.
-            nodes = range(config.n_peers)
             cacher_state = {
-                s: [v for v in nodes if s in algo.repos[v]]
+                s: [v for v in nodes if s in repos[v]]
                 if reference
-                else algo.state.holders(s).tolist()
+                else np.flatnonzero(algo.state.held_mask(sources=s)).tolist()
                 for s in nodes
             }
             return repo_state, cacher_state, ledger_state(ledger)

@@ -69,13 +69,8 @@ class TestBuildReport:
 
 
 @pytest.fixture(scope="module")
-def live_lines():
-    return []
-
-
-@pytest.fixture(scope="module")
-def observed(live_lines):
-    """One campaign with the auditor, telemetry and a live sink all on."""
+def observed():
+    """One campaign with the auditor and telemetry both on."""
     scale = ExperimentScale(
         n_peers=60,
         n_queries=30,
@@ -87,7 +82,7 @@ def observed(live_lines):
         telemetry=True,
     )
     grid = ExperimentGrid(scale)
-    return grid, build_report(scale, grid=grid, live=live_lines.append)
+    return grid, build_report(scale, grid=grid)
 
 
 class TestAuditSection:
@@ -115,9 +110,6 @@ class TestTelemetrySection:
         assert "Sweep-wide hotspots" in report
         for result in grid.results().values():
             assert result.telemetry is not None
-
-    def test_live_callback_streams_during_build(self, observed, live_lines):
-        assert live_lines  # per-cell status reached the sink
 
 
 class TestMain:

@@ -31,8 +31,8 @@ class TestKeepalive:
         engine = SimulationEngine()
         ka = KeepaliveTraffic(engine, overlay, ledger, period_s=10.0, ping_bytes=40)
         engine.run(until=35.0)  # sweeps at 10, 20, 30
-        src, _, _ = overlay.live_edges()
-        expected = 3 * len(src) * 40
+        n_directed = 2 * len(overlay.topology.edges)  # every node is live
+        expected = 3 * n_directed * 40
         assert ledger.total_bytes([TrafficCategory.KEEPALIVE]) == expected
 
     def test_excluded_from_every_load_category(self):
@@ -78,8 +78,8 @@ class TestKeepalive:
         engine = SimulationEngine()
         ka = KeepaliveTraffic(engine, overlay, ledger, period_s=10.0, ping_bytes=40)
         rate = ka.expected_bytes_per_node_per_second()
-        src, _, _ = overlay.live_edges()
-        assert rate == pytest.approx(len(src) * 40 / 10.0 / 40)
+        n_directed = 2 * len(overlay.topology.edges)
+        assert rate == pytest.approx(n_directed * 40 / 10.0 / 40)
 
     def test_invalid_params(self):
         overlay = make_overlay()

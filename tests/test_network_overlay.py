@@ -57,28 +57,37 @@ class TestLiveness:
         assert ov.epoch == e0 + 2
 
 
+def live_pairs(ov):
+    """Directed ``(u, v)`` pairs of the epoch's CSR, row by row."""
+    csr = ov.walk_csr()
+    src = np.repeat(np.arange(ov.n), csr.deg)
+    return list(zip(src.tolist(), csr.indices.tolist()))
+
+
 class TestEdgeViews:
     def test_live_edges_both_directions(self):
         ov = make_path_overlay(n=3)
-        src, dst, lat = ov.live_edges()
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        assert pairs == {(0, 1), (1, 0), (1, 2), (2, 1)}
-        assert len(lat) == 4
+        assert set(live_pairs(ov)) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        assert len(ov.walk_csr().lats) == 4
 
     def test_live_edges_exclude_dead_endpoint(self):
         ov = make_path_overlay(n=3)
         ov.leave(1)
-        src, dst, _ = ov.live_edges()
-        assert len(src) == 0 and len(dst) == 0
+        csr = ov.walk_csr()
+        assert len(csr.indices) == 0 and not csr.deg.any()
 
     def test_live_edges_cached_within_epoch(self):
+        """The one cache: the epoch's CSR is one object until the next
+        churn event, whoever reads it, and nothing else is keyed on epoch."""
         ov = make_path_overlay()
-        a = ov.live_edges()
-        b = ov.live_edges()
-        assert a[0] is b[0]  # same arrays back (cache hit)
+        a = ov.walk_csr()
+        nbrs, _ = ov.live_neighbors(1)
+        assert ov.walk_csr() is a  # same object back (cache hit)
+        assert nbrs.base is a.indices  # a row view, not a second structure
         ov.leave(3)
-        c = ov.live_edges()
-        assert c[0] is not a[0]
+        c = ov.walk_csr()
+        assert c is not a
+        assert ov.live_neighbors(2)[0].tolist() == [1]
 
     def test_live_neighbors_filters(self):
         ov = make_path_overlay(n=4)
@@ -87,32 +96,32 @@ class TestEdgeViews:
         assert list(nbrs) == [0]
         assert len(lats) == 1
 
+    def test_live_neighbors_of_an_offline_node_is_empty(self):
+        ov = make_path_overlay(n=4)
+        ov.leave(1)
+        nbrs, lats = ov.live_neighbors(1)
+        assert len(nbrs) == 0 and len(lats) == 0
+
     def test_live_degree(self):
         ov = make_path_overlay(n=4)
-        assert ov.live_degree(1) == 2
+        assert ov.walk_csr().deg[1] == 2
         ov.leave(0)
-        assert ov.live_degree(1) == 1
-
-    def test_neighbors_ignores_liveness(self):
-        ov = make_path_overlay(n=4)
-        ov.leave(0)
-        assert list(ov.neighbors(1)) == [0, 2]
+        assert ov.walk_csr().deg.tolist() == [0, 1, 2, 1]
 
     def test_default_edge_latency(self):
         ov = make_path_overlay(default_edge_latency_ms=7.0)
-        _, _, lat = ov.live_edges()
-        assert np.all(lat == 7.0)
+        assert np.all(ov.walk_csr().lats == 7.0)
 
 
 class TestWithRandomTopology:
     def test_live_edge_count_shrinks_under_churn(self):
         topo = random_topology(200, avg_degree=5.0, rng=np.random.default_rng(0))
         ov = Overlay(topo)
-        full = len(ov.live_edges()[0])
+        full = len(ov.walk_csr().indices)
         rng = np.random.default_rng(1)
         for node in rng.choice(200, size=50, replace=False):
             ov.leave(int(node))
-        reduced = len(ov.live_edges()[0])
+        reduced = len(ov.walk_csr().indices)
         assert reduced < full
 
     def test_adjacency_latency_alignment(self):
@@ -172,11 +181,11 @@ class TestWithRandomTopology:
         ov.leave(7)
         csr2 = ov.walk_csr()
         assert csr2 is not csr1  # churn invalidates the cache
-        # Mirrors agree with the live CSR arrays after the churn event.
-        indptr, indices, lats = ov.live_csr()
-        assert csr2.ip == indptr.tolist()
-        assert csr2.ix == indices.tolist()
-        assert csr2.lat_l == lats.tolist()
-        assert csr2.dg == np.diff(indptr).tolist()
+        # Mirrors agree with the CSR arrays after the churn event.
+        assert csr2.ip == csr2.indptr.tolist()
+        assert csr2.ix == csr2.indices.tolist()
+        assert csr2.lat_l == csr2.lats.tolist()
+        assert csr2.dg == np.diff(csr2.indptr).tolist()
+        assert csr2.dg[7] == 0 and 7 not in csr2.ix
         assert csr2.n == ov.n
         assert csr2.lats_positive

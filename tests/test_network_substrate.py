@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.latency import LatencyModel
-from repro.network.substrate import (
-    SubstrateCache,
-    clear_substrate_cache,
-    get_substrate,
-    substrate_cache_stats,
-)
+from repro.network.substrate import clear_substrate_cache, get_substrate
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
 from repro.simulation import run_experiment, scaled_config
 
@@ -35,14 +30,14 @@ class TestSubstrateCache:
         assert a is b
         assert a.network is b.network
         assert a.latency is b.latency
-        stats = substrate_cache_stats()
-        assert stats.misses == 1 and stats.hits == 1 and stats.size == 1
+        info = get_substrate.cache_info()
+        assert info.misses == 1 and info.hits == 1 and info.currsize == 1
 
     def test_different_seed_misses(self):
         a = get_substrate(SMALL, seed=0)
         b = get_substrate(SMALL, seed=1)
         assert a.network is not b.network
-        assert substrate_cache_stats().misses == 2
+        assert get_substrate.cache_info().misses == 2
 
     def test_different_params_miss(self):
         other = TransitStubParams(
@@ -52,10 +47,14 @@ class TestSubstrateCache:
             stub_nodes_per_domain=6,
         )
         assert get_substrate(SMALL, 0) is not get_substrate(other, 0)
-        assert substrate_cache_stats().misses == 2
+        assert get_substrate.cache_info().misses == 2
 
     def test_default_params_key(self):
-        assert get_substrate(seed=3) is get_substrate(seed=3)
+        """Every spelling of the default substrate is one cache key."""
+        a = get_substrate(seed=0)
+        assert get_substrate(None, 0) is a
+        assert get_substrate(TransitStubParams(), np.int64(0)) is a
+        assert get_substrate.cache_info().misses == 1
 
     def test_cached_latency_equals_fresh(self):
         cached = get_substrate(SMALL, seed=5)
@@ -73,20 +72,17 @@ class TestSubstrateCache:
         )
 
     def test_lru_eviction(self):
-        cache = SubstrateCache(maxsize=2)
-        cache.get(SMALL, 0)
-        cache.get(SMALL, 1)
-        cache.get(SMALL, 0)  # refresh seed 0
-        cache.get(SMALL, 2)  # evicts seed 1 (least recently used)
-        stats = cache.stats()
-        assert stats.evictions == 1 and stats.size == 2
-        a = cache.get(SMALL, 0)
-        assert cache.stats().hits == 2  # seed-0 refresh + this lookup
-        assert a.seed == 0
-
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            SubstrateCache(maxsize=0)
+        """Eight substrates are kept; the least recently used one goes."""
+        for seed in range(8):
+            get_substrate(SMALL, seed)
+        get_substrate(SMALL, 0)  # refresh seed 0
+        get_substrate(SMALL, 8)  # evicts seed 1 (least recently used)
+        info = get_substrate.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 9, 8)
+        assert get_substrate(SMALL, 0).seed == 0
+        assert get_substrate.cache_info().hits == 2  # seed-0 refresh + this lookup
+        get_substrate(SMALL, 1)
+        assert get_substrate.cache_info().misses == 10  # seed 1 was rebuilt
 
 
 class TestRunnerIntegration:
@@ -98,9 +94,9 @@ class TestRunnerIntegration:
                 algorithm, "random", n_peers=40, n_queries=10, seed=4
             )
             run_experiment(config)
-        stats = substrate_cache_stats()
-        assert stats.misses == 1
-        assert stats.hits == 2
+        info = get_substrate.cache_info()
+        assert info.misses == 1
+        assert info.hits == 2
 
     def test_distinct_seeds_build_distinct_substrates(self):
         for seed in (0, 1):
@@ -108,7 +104,7 @@ class TestRunnerIntegration:
                 "flooding", "random", n_peers=40, n_queries=10, seed=seed
             )
             run_experiment(config)
-        assert substrate_cache_stats().misses == 2
+        assert get_substrate.cache_info().misses == 2
 
     def test_cached_run_matches_fresh_run(self):
         config = scaled_config(

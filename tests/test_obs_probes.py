@@ -35,6 +35,8 @@ from repro.obs.telemetry import LogBucketSketch
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
+from tests.oracles.repository import StateRow
+
 
 def _config(algorithm="asap_rw", n_peers=200, n_queries=300, seed=0, **kw):
     cfg = scaled_config(
@@ -305,7 +307,8 @@ def test_state_matches_per_repo_loop():
 
     def check(algo, overlay, now):
         snap = snapshot_state(algo, now)
-        repos, store = algo.repos, algo.store
+        repos = [StateRow(algo.state, node) for node in range(overlay.n)]
+        store = algo.store
         interests = [
             {c for c in range(63) if bits >> c & 1}
             for bits in algo.interests.bitmasks.tolist()

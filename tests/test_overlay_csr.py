@@ -1,4 +1,5 @@
-"""Differential tests: live_csr vs live_neighbors under churn."""
+"""Differential tests: the epoch's CSR and its rows (``live_neighbors``)
+vs the wired edges filtered by liveness, under churn."""
 
 import numpy as np
 import pytest
@@ -8,69 +9,73 @@ from repro.network.topology import random_topology
 
 
 @pytest.fixture
-def overlay():
+def lats():
+    return np.random.default_rng(1).uniform(1.0, 50.0, size=10_000)
+
+
+@pytest.fixture
+def overlay(lats):
     topo = random_topology(60, avg_degree=4.0, rng=np.random.default_rng(0))
-    lats = np.random.default_rng(1).uniform(1.0, 50.0, size=len(topo.edges))
-    return Overlay(topo, edge_latencies_ms=lats)
+    return Overlay(topo, edge_latencies_ms=lats[: len(topo.edges)])
 
 
-def csr_neighbors(overlay, node):
-    indptr, indices, lats = overlay.live_csr()
-    lo, hi = indptr[node], indptr[node + 1]
-    return indices[lo:hi], lats[lo:hi]
+def wired_live_neighbors(overlay, lats, node):
+    """``[(neighbour, latency)]`` of ``node`` from ``topology.edges``, the
+    fixture's per-edge latencies and the live mask alone."""
+    live = overlay.live_mask
+    if not live[node]:
+        return []
+    return sorted(
+        (int(v) if u == node else int(u), float(lat))
+        for (u, v), lat in zip(overlay.topology.edges, lats)
+        if node in (u, v) and live[u] and live[v]
+    )
 
 
-def assert_views_agree(overlay):
-    """The two views agree for live sources; offline rows are empty in CSR.
-
-    (live_neighbors also answers for offline sources -- used when a
-    rejoining node looks for attachment points -- while the CSR covers
-    live-to-live edges only, which is all walk steps need.)
-    """
+def assert_views_agree(overlay, lats):
+    """Every CSR row, and ``live_neighbors`` reading it, is the node's wired
+    neighbours that are live, latencies edge-aligned; an offline node's row
+    is empty (the CSR covers live-to-live edges only)."""
+    csr = overlay.walk_csr()
     for node in range(overlay.n):
-        c_nbrs, c_lats = csr_neighbors(overlay, node)
-        if not overlay.is_live(node):
-            assert len(c_nbrs) == 0
-            continue
-        nbrs, lats = overlay.live_neighbors(node)
-        want = sorted(zip(nbrs.tolist(), lats.tolist()))
-        got = sorted(zip(c_nbrs.tolist(), c_lats.tolist()))
-        assert got == want, f"node {node}: CSR {got} != mask view {want}"
+        lo, hi = csr.indptr[node], csr.indptr[node + 1]
+        row = sorted(zip(csr.indices[lo:hi].tolist(), csr.lats[lo:hi].tolist()))
+        assert row == wired_live_neighbors(overlay, lats, node), f"node {node}"
+        nbrs, nl = overlay.live_neighbors(node)
+        assert sorted(zip(nbrs.tolist(), nl.tolist())) == row
 
 
 class TestLiveCsr:
-    def test_agrees_when_all_live(self, overlay):
-        assert_views_agree(overlay)
+    def test_agrees_when_all_live(self, overlay, lats):
+        assert_views_agree(overlay, lats)
 
-    def test_agrees_under_churn(self, overlay):
+    def test_agrees_under_churn(self, overlay, lats):
         rng = np.random.default_rng(2)
         for node in rng.choice(60, size=20, replace=False):
             overlay.leave(int(node))
-        assert_views_agree(overlay)
+        assert_views_agree(overlay, lats)
         # Offline nodes expose no outgoing edges in the CSR.
-        indptr, _, _ = overlay.live_csr()
-        for node in range(60):
-            if not overlay.is_live(node):
-                assert indptr[node + 1] == indptr[node]
+        assert not overlay.walk_csr().deg[~overlay.live_mask].any()
 
-    def test_cache_invalidation_on_epoch(self, overlay):
-        a = overlay.live_csr()
-        b = overlay.live_csr()
-        assert a[0] is b[0]  # cache hit within an epoch
+    def test_cache_invalidation_on_epoch(self, overlay, lats):
+        a = overlay.walk_csr()
+        assert overlay.walk_csr() is a  # cache hit within an epoch
         overlay.leave(0)
-        c = overlay.live_csr()
-        assert c[0] is not a[0]
-        assert_views_agree(overlay)
+        assert overlay.walk_csr() is not a
+        assert_views_agree(overlay, lats)
 
     def test_rejoin_restores_edges(self, overlay):
-        before = overlay.live_csr()[0].copy()
+        before = overlay.walk_csr()
         overlay.leave(5)
         overlay.join(5)
-        after = overlay.live_csr()[0]
-        assert np.array_equal(before, after)
+        after = overlay.walk_csr()
+        assert np.array_equal(before.indptr, after.indptr)
+        assert np.array_equal(before.indices, after.indices)
+        assert np.array_equal(before.lats, after.lats)
 
     def test_total_directed_edges(self, overlay):
-        indptr, indices, _ = overlay.live_csr()
-        src, _, _ = overlay.live_edges()
-        assert indptr[-1] == len(src)
-        assert len(indices) == len(src)
+        csr = overlay.walk_csr()
+        live = overlay.live_mask
+        edges = overlay.topology.edges
+        n_live_edges = int(np.count_nonzero(live[edges[:, 0]] & live[edges[:, 1]]))
+        assert csr.indptr[-1] == len(csr.indices) == 2 * n_live_edges

@@ -1,18 +1,23 @@
-"""Model-based test: overlay live-edge views under arbitrary churn.
+"""Model-based test: the overlay's one per-epoch view under arbitrary churn.
 
-The overlay caches filtered edge arrays and degree vectors per epoch; this
-machine churns nodes arbitrarily and checks every cached view against a
-from-scratch recomputation -- the exact bug class (stale caches) that the
-epoch counter exists to prevent.
+The overlay caches one structure per epoch -- the live CSR -- and
+``live_neighbors`` reads its rows; this machine churns nodes arbitrarily and
+checks both against a from-scratch recomputation from ``topology.edges`` and
+the model's own live mask -- the exact bug class (a stale cache) that the
+epoch counter exists to prevent -- and that an epoch builds its CSR once.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.network import overlay as overlay_module
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
+from repro.sim.kernels import WalkCsr
 
 N = 25
 
@@ -21,9 +26,33 @@ class OverlayChurnMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         topo = random_topology(N, avg_degree=4.0, rng=np.random.default_rng(7))
-        self.overlay = Overlay(topo, default_edge_latency_ms=10.0)
+        self.edge_lats = np.random.default_rng(8).uniform(1.0, 50.0, len(topo.edges))
+        self.overlay = Overlay(topo, edge_latencies_ms=self.edge_lats)
         self.edges = topo.edges
         self.model_live = np.ones(N, dtype=bool)
+        self.builds = 0
+        self.epochs_read = set()
+
+        def counting(*args):
+            self.builds += 1
+            return WalkCsr(*args)
+
+        self.patch = mock.patch.object(overlay_module, "WalkCsr", counting)
+        self.patch.start()
+
+    def teardown(self) -> None:
+        if hasattr(self, "patch"):
+            self.patch.stop()
+
+    def wired_live(self, node):
+        """``[(neighbour, latency)]`` of ``node`` by the model alone."""
+        if not self.model_live[node]:
+            return []
+        return sorted(
+            (int(v) if u == node else int(u), float(lat))
+            for (u, v), lat in zip(self.edges, self.edge_lats)
+            if node in (u, v) and self.model_live[u] and self.model_live[v]
+        )
 
     @rule(node=st.integers(min_value=0, max_value=N - 1))
     def toggle(self, node) -> None:
@@ -34,51 +63,32 @@ class OverlayChurnMachine(RuleBasedStateMachine):
             self.overlay.join(node)
             self.model_live[node] = True
 
-    @rule()
-    def touch_caches(self) -> None:
-        """Exercise the cached views so stale reuse would be possible."""
-        self.overlay.live_edges()
-        self.overlay.live_degrees()
+    @rule(node=st.integers(min_value=0, max_value=N - 1))
+    def touch_cache(self, node) -> None:
+        """Read the cached view so stale reuse would be possible."""
+        self.overlay.live_neighbors(node)
+        self.epochs_read.add(self.overlay.epoch)
 
     @invariant()
-    def live_edges_match_model(self) -> None:
-        src, dst, lat = self.overlay.live_edges()
-        got = set(zip(src.tolist(), dst.tolist()))
-        want = set()
-        for u, v in self.edges:
-            if self.model_live[u] and self.model_live[v]:
-                want.add((int(u), int(v)))
-                want.add((int(v), int(u)))
-        assert got == want
-        assert len(lat) == len(src)
-
-    @invariant()
-    def degrees_match_model(self) -> None:
-        deg = self.overlay.live_degrees()
+    def csr_matches_model(self) -> None:
+        csr = self.overlay.walk_csr()
+        self.epochs_read.add(self.overlay.epoch)
+        assert csr.deg.tolist() == [len(self.wired_live(v)) for v in range(N)]
         for node in range(N):
-            if not self.model_live[node]:
-                assert deg[node] == 0
-            else:
-                expected = sum(
-                    1
-                    for u, v in self.edges
-                    if (u == node and self.model_live[v])
-                    or (v == node and self.model_live[u])
-                )
-                assert deg[node] == expected
+            lo, hi = csr.indptr[node], csr.indptr[node + 1]
+            row = zip(csr.indices[lo:hi].tolist(), csr.lats[lo:hi].tolist())
+            assert sorted(row) == self.wired_live(node)
 
     @invariant()
     def neighbors_match_model(self) -> None:
         for node in range(0, N, 5):
             nbrs, lats = self.overlay.live_neighbors(node)
-            expected = sorted(
-                int(v) if u == node else int(u)
-                for u, v in self.edges
-                if (u == node and self.model_live[v])
-                or (v == node and self.model_live[u])
-            )
-            assert sorted(nbrs.tolist()) == expected
-            assert len(lats) == len(nbrs)
+            assert sorted(zip(nbrs.tolist(), lats.tolist())) == self.wired_live(node)
+
+    @invariant()
+    def one_build_per_epoch_read(self) -> None:
+        assert self.overlay.walk_csr() is self.overlay.walk_csr()
+        assert self.builds == len(self.epochs_read)
 
     @invariant()
     def live_count_matches(self) -> None:

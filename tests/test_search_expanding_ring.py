@@ -91,6 +91,18 @@ class TestRings:
                 ov, ContentIndex(), BandwidthLedger(), ttl_sequence=(4, 2)
             )
 
+    def test_a_repeated_ring_is_rejected(self):
+        """``(2, 2)`` is sorted but would flood, charge and wait out the
+        TTL-2 ring twice."""
+        ov = path_overlay()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExpandingRingSearch(
+                ov, ContentIndex(), BandwidthLedger(), ttl_sequence=(2, 2)
+            )
+        ExpandingRingSearch(
+            ov, ContentIndex(), BandwidthLedger(), ttl_sequence=(1, 2, 4, 6)
+        )
+
     def test_runner_integration(self):
         from repro.simulation import run_experiment, scaled_config
 

@@ -16,7 +16,10 @@ the last commit that replayed a source's patch history for every behind
 entry of every lookup and repaired a delivery's lagging receivers one
 Python call at a time; the one-serialisation ones at the last commit that
 copied every result dict into a metrics registry, read the cache state a
-second way and kept an arm for wire sizes that are not whole bytes.
+second way and kept an arm for wire sizes that are not whole bytes; the
+one-view / one-surface ones at the last commit where the overlay held the
+live graph five ways, every node had a ``RepositoryView`` object, two flood
+loops were kept in step by a comment and a live status view polled workers.
 """
 
 import ast
@@ -30,7 +33,8 @@ import pytest
 import repro
 import repro.asap
 from repro.asap.protocol import AsapSearch
-from repro.asap.state import AdsState, RepositoryView
+from repro.asap import state as ads_state
+from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.experiments.parallel import run_cells
 from repro.obs.telemetry import Telemetry
@@ -81,10 +85,6 @@ def test_asap_has_one_repository_backend():
     assert not (SRC / "asap" / "repository.py").exists()
     algo = _small_asap()
     assert type(algo.state) is AdsState
-    assert all(
-        type(repo) is RepositoryView and repo.state is algo.state
-        for repo in algo.repos
-    )
 
 
 def _small_asap(n=12):
@@ -99,8 +99,8 @@ def _small_asap(n=12):
 
 def test_asap_holds_one_container_of_per_pair_state():
     """The ads cache is one relation stored once: ``AsapSearch`` owns a
-    single :class:`AdsState`, the per-node repositories are stateless rows
-    of it, and nothing in ``repro.asap`` allocates rows, keeps a per-peer
+    single :class:`AdsState`, a node's repository is a row of it, and
+    nothing in ``repro.asap`` allocates rows, keeps a per-peer
     index, or hand-syncs an inverse (source -> cachers) index."""
     algo = _small_asap()
     n = algo.overlay.n
@@ -127,7 +127,6 @@ def test_asap_holds_one_container_of_per_pair_state():
     assert sorted(pair_arrays) == ["entry", "stamp"]
     assert algo.state.entry.dtype == algo.state.stamp.dtype == np.int64
     assert np.shares_memory(algo.state._tick_half, algo.state.stamp)
-    assert RepositoryView.__slots__ == ("state", "owner")
     assert not hasattr(algo, "cachers")
 
     banned = re.compile(
@@ -435,6 +434,77 @@ def test_wire_sizes_are_whole_bytes_with_no_second_arm():
         source = inspect.getsource(function)
         for arm in ("cumsum", "floor", "whole_header"):
             assert arm not in source, (function.__qualname__, arm)
+
+
+# ------------------------------- one view of the overlay, one ads surface
+def test_overlay_holds_one_epoch_keyed_cache():
+    """The per-epoch ``WalkCsr`` is the only derived view of the live graph:
+    one ``(epoch, value)`` slot, no per-node Python list, none of the views
+    it replaced."""
+    overlay = _small_asap().overlay
+    overlay.walk_csr()
+    overlay.live_neighbors(0)
+    caches = [
+        name
+        for name, value in vars(overlay).items()
+        if name.endswith("_cache")
+        or (isinstance(value, tuple) and len(value) == 2 and value[0] == overlay.epoch)
+    ]
+    assert caches == ["_csr_cache"]
+    assert not any(isinstance(value, list) for value in vars(overlay).values())
+    for gone in (
+        "live_edges", "live_degrees", "live_csr", "neighbors", "live_degree",
+        "_adj_nodes",
+    ):
+        assert not hasattr(overlay, gone), gone
+
+
+def test_ads_state_is_the_only_surface_of_the_cache():
+    """No per-node wrapper object, and no merge path the product never runs."""
+    for gone in ("RepositoryView", "CachedAd"):
+        assert not hasattr(ads_state, gone) and gone not in ads_state.__all__
+    assert not hasattr(AdsState, "accept_snapshot")
+    algo = _small_asap()
+    assert not hasattr(algo, "repos")
+    n = algo.overlay.n
+    per_node_objects = [
+        name
+        for name, value in vars(algo).items()
+        if isinstance(value, (list, tuple, dict))
+        and len(value) == n
+        and not isinstance(next(iter(value), None), (int, float, str, type(None)))
+    ]
+    assert per_node_objects == []
+
+
+def test_the_flood_relaxation_is_written_once():
+    tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
+    relaxers = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr == "at"
+            and getattr(call.func.value, "attr", None) == "minimum"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        )
+    ]
+    assert relaxers == ["_flood"]
+
+
+def test_src_has_no_live_status_view_and_no_thread():
+    banned = re.compile(r"status_path|status_fn|--live|\bthreading\b")
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+    assert list(inspect.signature(Telemetry.__init__).parameters) == ["self", "label"]
+    assert "live" not in inspect.signature(run_cells).parameters
 
 
 # --------------------------------------------------------------------------

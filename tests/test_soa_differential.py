@@ -3,8 +3,8 @@
 The dense state (``repro.asap.state``) promises **bit-identical**
 observable behaviour to the plain object model in ``tests/oracles/``:
 
-* a :class:`RepositoryView` row vs :class:`AdsRepository` under randomized
-  accept/snapshot/remove/evict/lookup op sequences (including content
+* a row of :class:`AdsState` vs :class:`AdsRepository` under randomized
+  accept/adopt/repair/remove/evict/lookup op sequences (including content
   churn, so behind-entry evaluation at historical versions is exercised);
 * the lazy copy-on-write counting filters in :class:`SourceFilterStore`
   vs eagerly materialised ones (bitmaps, set-bit counts, patch diffs);
@@ -12,7 +12,7 @@ observable behaviour to the plain object model in ``tests/oracles/``:
   in the same gather as the current ones) vs the per-position
   patch-parity replay;
 * :class:`InterestState` bitmask answers vs per-node set loops;
-* a source's cacher column (:meth:`AdsState.holders`) vs a Python set;
+* a source's cacher column (``held_mask(sources=s)``) vs a Python set;
 * whole runs: blake2b run fingerprints must be bit-equal between the
   product and ``oracle_arm()`` (object-backed repositories, one method
   call per ad) -- churn enabled throughout.
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.state import AdsState, RepositoryView
+from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.sim.random import RandomStreams
 from repro.simulation.config import scaled_config
@@ -33,7 +33,7 @@ from repro.workload.edonkey import synthesize_content
 from repro.workload.interests import InterestState
 
 from tests.oracles import oracle_arm
-from tests.oracles.repository import AdsRepository, snapshot
+from tests.oracles.repository import AdsRepository, StateRow, snapshot
 from tests.oracles.store import match_at_version_reference
 
 SEEDS = [0, 1, 2]
@@ -106,13 +106,23 @@ class TestRepositoryDifferential:
         store, dist = make_store(seed)
         rng = np.random.default_rng(seed + 100)
         n = store.n_nodes
-        owner = 0
+        owner, supplier = 0, 1
         interests = dist.interests[owner] or {0}
-        soa = RepositoryView(make_state(store, interests, capacity), owner)
+        state = make_state(store, interests, capacity)
+        me = np.array([owner])
+        soa = StateRow(state, owner)
         ref = AdsRepository(
             owner=owner, interests=interests, store=store, capacity=capacity,
         )
+
+        def accept(ad):
+            stored, evicted = state.accept(ad, now, me)
+            got = bool(stored[0]), [victim for _, victim in evicted]
+            assert got == ref.accept(ad, now)
+
         holdings = {}
+        ran = {"repair": 0, "adopt": 0}
+        sharers = [s for s in range(n) if store.is_sharer(s)]
         now = 0.0
         for step in range(400):
             now += float(rng.random())
@@ -130,31 +140,48 @@ class TestRepositoryDifferential:
                         version=max(0, ad.version - 1),
                         n_set_bits=ad.n_set_bits, filter_bits=ad.filter_bits,
                     )
-                assert soa.accept(ad, now) == ref.accept(ad, now)
+                accept(ad)
             elif op < 0.6:
                 ad = store.make_refresh_ad(src)
                 if ad is None:
                     continue
-                assert soa.accept(ad, now) == ref.accept(ad, now)
+                accept(ad)
             elif op < 0.75:
+                # The source's or a neighbour's copy, the two ways the
+                # product merges one: a repair pull of a held entry, an
+                # adoption of an absent one from a supplier's row.
+                src = sharers[int(rng.integers(0, len(sharers)))]
                 version = store.version(src)
                 topics = store.topics(src)
-                assert soa.accept_snapshot(
-                    src, version, topics, now
-                ) == ref.accept_snapshot(src, version, topics, now)
+                if src in ref:
+                    state.accept_repair(
+                        me, src, version, state.intern_topics(topics), now
+                    )
+                    assert ref.accept_snapshot(src, version, topics, now)[1] == []
+                    ran["repair"] += 1
+                elif src not in (owner, supplier) and store.is_sharer(src):
+                    state.accept(store.make_full_ad(src), now, np.array([supplier]))
+                    if state.held_mask(supplier, src):
+                        stored, evicted = state.adopt(
+                            owner, supplier, np.array([src]), now
+                        )
+                        got = bool(stored[0]), [victim for _, victim in evicted]
+                        assert got == ref.accept_snapshot(src, version, topics, now)
+                        ran["adopt"] += 1
             elif op < 0.85:
-                soa.remove(src)
+                state.remove(owner, src)
                 ref.remove(src)
             else:
                 for ad in churn_store(
                     store, dist, rng, n_changes=2, holdings=holdings
                 ):
-                    assert soa.accept(ad, now) == ref.accept(ad, now)
+                    accept(ad)
             if step % 50 == 0:
                 assert snapshot(soa) == snapshot(ref)
         assert snapshot(soa) == snapshot(ref)
         assert len(soa) == len(ref)
         assert sorted(soa.sources()) == sorted(ref.sources())
+        assert min(ran.values()) >= 3, ran
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lookup_with_behind_entries(self, seed):
@@ -162,27 +189,26 @@ class TestRepositoryDifferential:
         evaluated at their recorded historical versions."""
         store, dist = make_store(seed)
         rng = np.random.default_rng(seed + 7)
-        soa = RepositoryView(make_state(store, set(range(20))), 1)
+        state = make_state(store, set(range(20)))
+        soa = StateRow(state, 1)
         ref = AdsRepository(owner=1, interests=set(range(20)), store=store)
         now = 1.0
         for src in range(store.n_nodes):
             ad = store.make_full_ad(src)
             if ad is not None:
-                soa.accept(ad, now)
+                state.accept(ad, now, np.array([1]))
                 ref.accept(ad, now)
         # Churn *after* caching: cached versions fall behind the store.
         churn_store(store, dist, rng, n_changes=25)
         for s in ref.sources():
             if ref.entry(s).version < store.version(s):
-                soa.mark_behind(s)
+                state.mark_missed(s, np.array([], dtype=np.int64))
                 ref.mark_behind(s)
         assert sorted(soa.behind) == sorted(ref.behind)
         for terms in (["rock"], ["live", "rock"], ["concert"], ["mp3"]):
             positions = store.hasher.positions_array(terms)
             current = store.match_current(positions)
-            assert soa.lookup(positions, current) == ref.lookup(
-                positions, current
-            )
+            assert soa.lookup(current) == ref.lookup(positions, current)
 
 
 # --------------------------------------------------------- store lazy filters
@@ -289,9 +315,9 @@ class TestCacherSet:
             else:
                 state.remove(node, src)
                 oracle[src].discard(node)
-            assert (node in oracle[src]) == (src in RepositoryView(state, node))
+            assert (node in oracle[src]) == bool(state.held_mask(node, src))
         for src in sharers:
-            assert state.holders(src).tolist() == sorted(oracle[src])
+            assert np.flatnonzero(state.held_mask(sources=src)).tolist() == sorted(oracle[src])
         assert any(oracle.values())
 
 

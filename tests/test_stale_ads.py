@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asap.protocol import AsapSearch
-from repro.asap.state import RepositoryView
 from repro.asap.store import FilterVersionError, SourceFilterStore
 from repro.bloom.hashing import BloomHasher
 from repro.bloom import matrix as matrix_module
@@ -28,7 +27,7 @@ from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
 
 from tests.oracles.asap import OracleAsapSearch
-from tests.oracles.repository import AdsRepository
+from tests.oracles.repository import AdsRepository, StateRow
 from tests.oracles.store import match_at_version_reference
 from tests.test_soa_differential import churn_store, make_state, make_store
 
@@ -147,16 +146,20 @@ def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
         for src in range(store.n_nodes):
             ad = store.make_full_ad(src)
             if ad is not None and src != peer:
-                assert RepositoryView(state, peer).accept(ad, float(now)) == oracles[
-                    peer
-                ].accept(ad, float(now))
+                stored, evicted = state.accept(ad, float(now), np.array([peer]))
+                assert (bool(stored[0]), [v for _, v in evicted]) == oracles[peer].accept(
+                    ad, float(now)
+                )
         churn_store(store, dist, rng, n_changes=600, holdings=holdings)
-    for peer in peers:
-        view, oracle = RepositoryView(state, peer), oracles[peer]
-        for src in oracle.sources():
-            if oracle.entry(src).version < store.version(src):
-                view.mark_behind(src)
-                oracle.mark_behind(src)
+    for src in range(store.n_nodes):
+        # A patch that reached only the caches already at its version.
+        lagging = [
+            p for p in peers
+            if src in oracles[p] and oracles[p].entry(src).version < store.version(src)
+        ]
+        state.mark_missed(src, np.setdiff1d(peers, lagging))
+        for peer in lagging:
+            oracles[peer].mark_behind(src)
     behind = state.behind_mask(peers)
     assert behind.sum(axis=1).min() >= 100
     cached = state.versions(np.array(peers)[:, None], np.arange(store.n_nodes))
@@ -171,7 +174,7 @@ def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
         positions = store.hasher.positions_array(terms)
         match = store.match_current(positions)
         for peer in peers:
-            got = RepositoryView(state, peer).lookup(positions, match)
+            got = StateRow(state, peer).lookup(match)
             assert got == oracles[peer].lookup(positions, match)
             stale_hits += int(behind[peer, got].sum())
             # Answering a behind entry from the current filter would differ.
@@ -183,12 +186,30 @@ def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
 
 
 # ----------------------------------------- a delivery repairs in one step
+class PulledRow(StateRow):
+    """What ``OracleAsapSearch._repair_entry`` asks of the receiver's
+    repository, as one-element array calls on the product's state."""
+
+    def remove(self, source):
+        self.state.remove(self.owner, source)
+
+    def accept_snapshot(self, source, version, topics, now):
+        self.state.accept_repair(
+            np.array([self.owner]), source, version,
+            self.state.intern_topics(topics), now,
+        )
+
+
 class PullPerReceiver(AsapSearch):
     """The product with its batched repair swapped for the oracle's: one
     plan per pull, one pull per lagging receiver, in the order given."""
 
     _repair_plan = OracleAsapSearch._repair_plan
     _repair_entry = OracleAsapSearch._repair_entry
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.repos = [PulledRow(self.state, i) for i in range(self.overlay.n)]
 
     def _repair(self, source, now, lagging):
         for node in lagging.tolist():

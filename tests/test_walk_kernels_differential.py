@@ -176,7 +176,7 @@ def varied_overlay(kind, n, seed, isolate=None):
     topo = TOPOLOGIES[kind](n, rng)
     ov = Overlay(topo, edge_latencies_ms=rng.uniform(2.0, 180.0, len(topo.edges)))
     if isolate is not None:
-        for v in ov.neighbors(isolate).tolist():
+        for v in ov.live_neighbors(isolate)[0].tolist():
             ov.leave(v)
     return ov
 

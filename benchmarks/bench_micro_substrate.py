@@ -5,7 +5,6 @@ vectorised kernels that make paper-scale replay tractable:
 
 * hop-bounded Bellman-Ford flood computation over a live overlay;
 * all-sources Bloom match through the packed filter matrix;
-* single-filter Bloom membership (the vectorised-gather query path);
 * hierarchical latency batch queries;
 * ASAP(RW) walk stepping on a 3,000-peer overlay at the paper's M0 = 3,000:
   one delivery on the list recurrence, the same delivery in lockstep, and
@@ -29,7 +28,6 @@ from conftest import write_bench_stats
 from repro.asap.ads import Ad, AdType
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
-from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
 from repro.bloom.matrix import FilterMatrix
 from repro.network.latency import LatencyModel
@@ -64,32 +62,12 @@ def bench_filter_matrix_match_10k(benchmark):
     rng = np.random.default_rng(1)
     vocab = [f"kw{i}" for i in range(500)]
     for s in range(0, 10_000, 7):  # populate a representative subset
-        f = BloomFilter(hasher)
-        f.add_all(rng.choice(vocab, size=30, replace=False))
-        mat.set_row(s, f.bits_view())
+        terms = rng.choice(vocab, size=30, replace=False)
+        mat.set_row_positions(s, hasher.positions_array(terms))
     positions = hasher.positions_array(["kw3", "kw77"])
     result = benchmark(mat.match_all, positions)
     assert result.shape == (10_000,)
     write_bench_stats("micro_filter_matrix_match_10k", benchmark, rows=10_000)
-
-
-def bench_bloom_contains_all_1k_queries(benchmark):
-    """Per-filter membership over 1k multi-term queries: one position
-    gather per query (``_bits[positions].all()``) instead of a Python
-    loop over k bits per term."""
-    hasher = BloomHasher()
-    filt = BloomFilter(hasher)
-    rng = np.random.default_rng(4)
-    vocab = [f"kw{i}" for i in range(2_000)]
-    filt.add_all(rng.choice(vocab, size=400, replace=False))
-    queries = [list(rng.choice(vocab, size=3, replace=False)) for _ in range(1_000)]
-
-    def probe() -> int:
-        return sum(1 for q in queries if filt.contains_all(q))
-
-    hits = benchmark(probe)
-    assert 0 <= hits <= len(queries)
-    write_bench_stats("micro_bloom_contains_all_1k", benchmark, queries=len(queries))
 
 
 def bench_latency_pairwise_10k(benchmark):

@@ -5,8 +5,9 @@ Structure:
 * :mod:`repro.asap.ads` -- the ad tuple (I, C, T, v): full / patch / refresh
   ads, topics, version numbers and wire sizes;
 * :mod:`repro.asap.store` -- the per-simulation source-filter store: every
-  source's counting filter, current version, patch history, and the packed
-  filter matrix answering "which sources match this query" in one shot;
+  source's current version, patch history and topics, and the packed filter
+  matrix whose columns are the filters, answering "which sources match this
+  query" in one shot;
 * :mod:`repro.asap.state` -- every node's ads cache (interest-based
   selective caching, version merging, staleness tracking, optional
   capacity-bounded eviction) as one dense peer x source relation;

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Tuple
 
 from repro.bloom.compressed import compressed_filter_size, patch_size
+from repro.bloom.hashing import PAPER_M
 from repro.search.base import MessageSizes
 from repro.sim.metrics import TrafficCategory
 
@@ -55,7 +56,7 @@ class Ad:
     version: int
     changed_positions: Tuple[int, ...] = ()  # patch payload
     n_set_bits: int = 0  # full-ad payload size input
-    filter_bits: int = 11542  # m, for the raw-bitmap size bound
+    filter_bits: int = PAPER_M  # m, for the raw-bitmap size bound
 
     def __post_init__(self) -> None:
         if self.version < 0:

@@ -20,9 +20,10 @@ Lifecycle:
 
 * **warm-up** -- every sharer disseminates its full ad at a jittered time
   inside the warm-up window, then starts a jittered periodic refresh timer;
-* **content change** -- the source's counting filter updates; if the bitmap
-  changed, a patch ad is disseminated; cachers the delivery missed are
-  marked *behind* (their entries are evaluated at their recorded version);
+* **content change** -- the source's filter column is brought in line with
+  the content index (changed first); if the bitmap changed, a patch ad is
+  disseminated; cachers the delivery missed are marked *behind* (their
+  entries are evaluated at their recorded version);
 * **join** -- the node disseminates a full ad (sharers) and bootstraps its
   cache with an ads request to its neighbours;
 * **leave** -- nothing is sent; the node's cached ads survive for a rejoin

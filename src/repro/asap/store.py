@@ -1,9 +1,12 @@
 """The per-simulation source-filter store.
 
 Every sharing peer maintains a counting Bloom filter over its keyword
-multiset (paper Section III-B).  The store centralises, for all sources:
+multiset (paper Section III-B) so that a removed document's keywords can
+leave its ad.  Here the :class:`~repro.workload.content.ContentIndex` is
+every peer's document multiset already, so a bit's count is never stored: a
+bit is set exactly when some document the peer currently shares has a
+keyword hashing there.  The store centralises, for all sources:
 
-* the counting filter (supports keyword removal on document removal);
 * the plain bitmap of the *current* version and of every superseded one,
   each a column of a packed :class:`~repro.bloom.matrix.FilterMatrix`, so
   "which filters match these query terms" is one vectorised call that
@@ -29,7 +32,6 @@ import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.bloom.compressed import BYTES_PER_INDEX, raw_bitmap_size
-from repro.bloom.filter import CountingBloomFilter
 from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M
 from repro.bloom.matrix import FilterMatrix
 from repro.workload.content import ContentIndex, Document
@@ -42,18 +44,14 @@ class FilterVersionError(LookupError):
 
 
 class SourceFilterStore:
-    """Counting filters, versions, patch history and topics for all sources.
+    """Filter bitmaps, versions, patch history and topics for all sources.
 
-    The packed :class:`FilterMatrix` is the *authoritative* current-bitmap
-    store: bootstrap scatters each source's keyword positions straight into
-    its column and the per-source set-bit counts live in one int64 array.  The
-    counting filter -- 4 bytes x m = ~46 KB per source, the dominant
-    per-source cost at scale -- materialises lazily, copy-on-write style:
-    only when a source's content actually churns is its counting copy built
-    (by replaying the recorded bootstrap documents, an order-independent
-    sum that lands on bit-identical counts), then kept and updated eagerly.
-    Sources that never churn -- the vast majority of a run -- stay as one
-    packed matrix column plus a count.
+    The packed :class:`FilterMatrix` is the one copy of every bitmap: a
+    source's current filter is its column, its set-bit count one entry of an
+    int64 array.  A content change derives its patch from that column and the
+    content index (changed first, as the runner does): an added document
+    flips its positions that are clear, a removed one those that no document
+    the node still shares hashes to.
     """
 
     def __init__(
@@ -66,12 +64,7 @@ class SourceFilterStore:
         self.n_nodes = n_nodes
         self.content = content
         self.matrix = FilterMatrix(n_nodes, self.hasher)
-        self._counting: Dict[int, CountingBloomFilter] = {}
         self._n_set = np.zeros(n_nodes, dtype=np.int64)
-        # Initial doc placement per source: the replay source for lazy
-        # counting-filter materialisation (documents are immutable, so the
-        # ids pin the exact t=0 keyword multiset).
-        self._base_docs: Dict[int, Tuple[int, ...]] = {}
         self._version = np.zeros(n_nodes, dtype=np.int64)
         # [source, version] -> matrix column; a source's current version is
         # its own column.  Widened (doubling) as versions are issued.
@@ -81,43 +74,25 @@ class SourceFilterStore:
         self._topics: Dict[int, Set[int]] = {}
         self._bootstrap()
 
+    def _shared_positions(self, node: int) -> np.ndarray:
+        """The bit positions ``node``'s current documents hash to (unordered)."""
+        positions_of = self.hasher.positions
+        document = self.content.document
+        pos: Set[int] = set()
+        for doc_id in self.content.docs_on(node):
+            for term in document(doc_id).keywords:
+                pos.update(positions_of(term))
+        return np.fromiter(pos, dtype=np.int64, count=len(pos))
+
     def _bootstrap(self) -> None:
         """Build filter columns and topics from the initial content placement."""
-        positions_of = self.hasher.positions
         for node in range(self.n_nodes):
-            docs = self.content.docs_on(node)
-            if not docs:
+            pos = self._shared_positions(node)
+            if not len(pos):
                 continue
-            topics: Set[int] = set()
-            pos: Set[int] = set()
-            for doc_id in docs:
-                doc = self.content.document(doc_id)
-                for term in doc.keywords:
-                    pos.update(positions_of(term))
-                topics.add(doc.class_id)
-            self._base_docs[node] = tuple(docs)
-            self._topics[node] = topics
+            self._topics[node] = self.content.node_classes(node)
             self._n_set[node] = len(pos)
-            self.matrix.set_row_positions(
-                node, np.fromiter(pos, dtype=np.int64, count=len(pos))
-            )
-
-    def _cf(self, node: int) -> CountingBloomFilter:
-        """The source's counting filter, materialised on first churn.
-
-        Replaying the bootstrap documents reproduces the eager filter
-        exactly: per-bit counts are sums of insertions, so any replay order
-        gives identical counts (and therefore identical bitmaps and
-        diffs).  Post-materialisation changes apply eagerly, so this runs
-        at most once per churned source.
-        """
-        cf = self._counting.get(node)
-        if cf is None:
-            cf = CountingBloomFilter(self.hasher)
-            for doc_id in self._base_docs.get(node, ()):
-                cf.add_all(self.content.document(doc_id).keywords)
-            self._counting[node] = cf
-        return cf
+            self.matrix.set_row_positions(node, pos)
 
     # --------------------------------------------------------------- queries
     def version(self, source: int) -> int:
@@ -199,24 +174,37 @@ class SourceFilterStore:
     def apply_content_change(
         self, node: int, doc: Document, added: bool
     ) -> Optional[Ad]:
-        """Update the source's filter for a document add/remove.
+        """Update the source's filter for a document add/remove the content
+        index already shows.
 
-        Returns the patch ad to disseminate, or None when the plain bitmap
-        did not change (e.g. removing a document whose keywords all remain
-        covered by other documents -- counting filter semantics).
+        Returns the patch ad to disseminate, or None when the bitmap did not
+        change (e.g. removing a document whose keywords all remain covered by
+        other documents -- counting filter semantics).  Raises ``ValueError``,
+        before anything is written, when the index or the column disagrees
+        with the change.
         """
-        cf = self._cf(node)
-        if node not in self._topics:
-            self._topics[node] = set()
-        before = cf.bitmap_bits().copy()
+        if (doc.doc_id in self.content.docs_on(node)) != added:
+            raise ValueError(
+                f"node {node} {'does not hold' if added else 'still holds'} "
+                f"document {doc.doc_id} in the content index: change the "
+                f"index before the filter"
+            )
+        mine = self.hasher.positions_array(doc.keywords)
+        is_set = self.matrix.row_bits(node)[mine]
         if added:
-            cf.add_all(doc.keywords)
+            changed = mine[~is_set]
+            self._n_set[node] += len(changed)
         else:
-            cf.remove_all(doc.keywords)
-        changed = cf.diff_positions(before)
-        self._n_set[node] = cf.n_set
+            if not is_set.all():
+                raise ValueError(
+                    f"node {node}'s filter never held document {doc.doc_id}: "
+                    f"bit {mine[~is_set][0]} of its keywords is clear"
+                )
+            # A bit stays set while some document still shared hashes there.
+            changed = mine[~np.isin(mine, self._shared_positions(node))]
+            self._n_set[node] -= len(changed)
         # Topics track the node's current content classes exactly.
-        self._topics[node] = set(self.content.node_classes(node))
+        self._topics[node] = self.content.node_classes(node)
         if len(changed) == 0:
             return None
         self._version[node] += 1
@@ -237,6 +225,6 @@ class SourceFilterStore:
             ad_type=AdType.PATCH,
             topics=self.topics(node),
             version=version,
-            changed_positions=tuple(int(p) for p in sorted(changed)),
+            changed_positions=tuple(changed.tolist()),
             filter_bits=self.hasher.m,
         )

@@ -5,38 +5,30 @@ ASAP summarises a peer's shared keywords in a fixed-length Bloom filter
 minimum false-positive rate of 0.39%).  This subpackage provides:
 
 * :mod:`repro.bloom.hashing` -- the universal hash family all peers agree on;
-* :mod:`repro.bloom.filter` -- plain and counting Bloom filters (sources keep
-  a counting filter so keyword removal is possible; the plain bitmap is what
-  travels in a full ad);
+* :mod:`repro.bloom.matrix` -- a packed bit-matrix with one column per
+  source filter (and per superseded version of one) enabling vectorised
+  "which sources match this query" tests, the hot path of every ASAP lookup
+  in the simulator.  A source's column is the only copy of its filter: the
+  counts of the paper's counting filter are the content index's document
+  sets (:mod:`repro.asap.store`);
 * :mod:`repro.bloom.compressed` -- wire-format sizes: the sparse
   "(i, x)-tuples, only i transmitted" encoding for peers with few keywords,
-  and patch (changed-bit list) encoding for incremental updates;
-* :mod:`repro.bloom.matrix` -- a packed bit-matrix over all sources enabling
-  vectorised "which sources match this query" tests, the hot path of every
-  ASAP lookup in the simulator.
+  and patch (changed-bit list) encoding for incremental updates.
+
+The one-object-per-filter plain and counting filters the matrix is tested
+against live in ``tests/oracles/bloom.py``.
 """
 
 from repro.bloom.compressed import compressed_filter_size, patch_size
-from repro.bloom.filter import BloomFilter, CountingBloomFilter
 from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M, optimal_bits
 from repro.bloom.matrix import FilterMatrix
-from repro.bloom.variable import (
-    UniversalHashFamily,
-    VariableLengthBloomFilter,
-    default_length_pool,
-)
 
 __all__ = [
-    "BloomFilter",
     "BloomHasher",
-    "CountingBloomFilter",
     "FilterMatrix",
     "PAPER_K",
     "PAPER_M",
-    "UniversalHashFamily",
-    "VariableLengthBloomFilter",
     "compressed_filter_size",
-    "default_length_pool",
     "optimal_bits",
     "patch_size",
 ]

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-from repro.bloom.filter import BloomFilter
-
 __all__ = [
     "BYTES_PER_INDEX",
     "compressed_filter_size",
@@ -51,11 +49,6 @@ def compressed_filter_size(n_set_bits: int, m_bits: int) -> int:
     Free-riders have a null filter (0 set bits) and pay 0 payload bytes.
     """
     return min(raw_bitmap_size(m_bits), sparse_size(n_set_bits))
-
-
-def filter_wire_size(filt: BloomFilter) -> int:
-    """Convenience overload taking a live filter object."""
-    return compressed_filter_size(filt.n_set, filt.m)
 
 
 def patch_size(n_changed_bits: int) -> int:

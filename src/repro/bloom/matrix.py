@@ -87,9 +87,6 @@ class FilterMatrix:
             self._cols[:, source], pos >> 3, (1 << (pos & 7)).astype(np.uint8)
         )
 
-    def clear_row(self, source: int) -> None:
-        self._cols[:, source] = 0
-
     def snapshot(self, source: int) -> int:
         """Copy ``source``'s current filter into a new history column and
         return that column's index (the next one after those in use)."""
@@ -143,7 +140,3 @@ class FilterMatrix:
     def match_terms(self, terms: Iterable[str]) -> np.ndarray:
         """Which filters contain every term (paper's match rule)."""
         return self.match_all(self.hasher.positions_array(terms))
-
-    def matching_sources(self, terms: Iterable[str]) -> np.ndarray:
-        """Source ids whose current filters match all ``terms``."""
-        return np.nonzero(self.match_terms(terms)[: self.n_sources])[0]

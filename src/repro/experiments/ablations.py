@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.asap.protocol import AsapParams
 from repro.asap.superpeer import SuperPeerAsapSearch
-from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import PAPER_M, BloomHasher
 from repro.experiments.figures import ExperimentGrid, SweepFigure
 from repro.network.latency import LatencyModel
@@ -148,13 +147,17 @@ BLOOM_LENGTHS: Tuple[int, ...] = (2048, 4096, 8192, PAPER_M, 2 * PAPER_M)
 
 def _empirical_fpr(m: int, k: int = 8) -> dict:
     hasher = BloomHasher(m=m, k=k)
-    filt = BloomFilter(hasher)
-    filt.add_all(f"member-{i}" for i in range(BLOOM_KEYWORDS))
-    false_hits = sum(1 for i in range(BLOOM_PROBES) if f"absent-{i}" in filt)
+    bits = np.zeros(m, dtype=bool)
+    bits[hasher.positions_array(f"member-{i}" for i in range(BLOOM_KEYWORDS))] = True
+    false_hits = sum(
+        bool(bits[hasher.positions_vector(f"absent-{i}")].all())
+        for i in range(BLOOM_PROBES)
+    )
+    fill = np.count_nonzero(bits) / m
     return {
         "m": m,
-        "fill": filt.fill_ratio(),
-        "predicted": filt.false_positive_rate(),
+        "fill": fill,
+        "predicted": float(fill**k),
         "observed": false_hits / BLOOM_PROBES,
     }
 

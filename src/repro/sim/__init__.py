@@ -14,12 +14,11 @@ control plane every experiment in the reproduction runs on:
 """
 
 from repro.sim.engine import Event, PeriodicTimer, SimulationEngine
-from repro.sim.metrics import BandwidthLedger, Counter, LoadSeries, TrafficCategory
+from repro.sim.metrics import BandwidthLedger, LoadSeries, TrafficCategory
 from repro.sim.random import RandomStreams
 
 __all__ = [
     "BandwidthLedger",
-    "Counter",
     "Event",
     "LoadSeries",
     "PeriodicTimer",

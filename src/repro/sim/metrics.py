@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "BandwidthLedger",
-    "Counter",
     "LoadSeries",
     "LoadSummary",
     "TrafficCategory",
@@ -81,22 +80,6 @@ ASAP_SEARCH_COST_CATEGORIES: frozenset = frozenset(
         TrafficCategory.ADS_REPLY,
     }
 )
-
-
-class Counter:
-    """A labelled monotonic counter with helpers for rate computation."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, value={self.value})"
 
 
 class BandwidthLedger:

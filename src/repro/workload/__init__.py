@@ -31,7 +31,6 @@ from repro.workload.interests import (
     class_node_counts,
     interest_node_counts,
 )
-from repro.workload.serialize import load_trace, save_trace
 from repro.workload.stats import WorkloadStats, compute_stats, interest_similarity
 from repro.workload.trace import (
     ContentChangeEvent,
@@ -63,7 +62,5 @@ __all__ = [
     "generate_trace",
     "interest_node_counts",
     "interest_similarity",
-    "load_trace",
-    "save_trace",
     "synthesize_content",
 ]

@@ -6,6 +6,10 @@ in-tree twins live here, imported by tests only:
 * :mod:`tests.oracles.repository` -- the object-per-entry ads cache
   (the model of one :class:`~repro.asap.state.AdsState` row);
 * :mod:`tests.oracles.store` -- per-position historical filter probes;
+* :mod:`tests.oracles.bloom` -- one object per filter: the plain bitmap and
+  Section III-B's counting filter (the model of one
+  :class:`~repro.bloom.matrix.FilterMatrix` column and of the patches
+  :class:`~repro.asap.store.SourceFilterStore` mints for it);
 * :mod:`tests.oracles.flood` -- full-edge-array Bellman-Ford floods;
 * :mod:`tests.oracles.delivery` -- per-step ad-delivery loops;
 * :mod:`tests.oracles.hops` -- scipy all-pairs hop counts of a stub graph;

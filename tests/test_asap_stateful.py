@@ -28,11 +28,11 @@ from hypothesis.stateful import (
 
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
-from repro.bloom.filter import BloomFilter
 from repro.bloom.hashing import BloomHasher
 from repro.workload.content import ContentIndex, Document
 from repro.workload.interests import InterestState
 
+from tests.oracles.bloom import BloomFilter
 from tests.oracles.repository import AdsRepository, StateRow, snapshot
 from tests.test_asap_ads_store import match_at_version
 

@@ -1,11 +1,12 @@
-"""Tests for plain and counting Bloom filters."""
+"""Tests for the plain and counting Bloom filter oracles (``tests/oracles/bloom.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bloom.filter import BloomFilter, CountingBloomFilter
 from repro.bloom.hashing import BloomHasher
+
+from tests.oracles.bloom import BloomFilter, CountingBloomFilter
 
 SMALL = BloomHasher(m=1024, k=4)
 

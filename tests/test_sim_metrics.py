@@ -7,24 +7,10 @@ from repro.sim.metrics import (
     ASAP_LOAD_CATEGORIES,
     BASELINE_LOAD_CATEGORIES,
     BandwidthLedger,
-    Counter,
     LiveCountTracker,
     LoadSeries,
     TrafficCategory,
 )
-
-
-class TestCounter:
-    def test_add(self):
-        c = Counter("hits")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-
-    def test_negative_rejected(self):
-        c = Counter("hits")
-        with pytest.raises(ValueError):
-            c.add(-1)
 
 
 class TestBandwidthLedger:

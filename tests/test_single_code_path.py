@@ -19,7 +19,9 @@ copied every result dict into a metrics registry, read the cache state a
 second way and kept an arm for wire sizes that are not whole bytes; the
 one-view / one-surface ones at the last commit where the overlay held the
 live graph five ways, every node had a ``RepositoryView`` object, two flood
-loops were kept in step by a comment and a live status view polled workers.
+loops were kept in step by a comment and a live status view polled workers;
+the filter-is-its-column ones at the last commit where ``repro.bloom`` shipped
+per-filter objects and the store kept a counting copy of each churned source.
 """
 
 import ast
@@ -32,6 +34,8 @@ import pytest
 
 import repro
 import repro.asap
+import repro.bloom
+import repro.workload
 from repro.asap.protocol import AsapSearch
 from repro.asap import state as ads_state
 from repro.asap.state import AdsState
@@ -44,9 +48,10 @@ from repro.network import transit_stub
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
 from repro.sim import kernels
+from repro.sim import metrics as sim_metrics
 from repro.sim.metrics import BandwidthLedger
 from repro.simulation.runner import run_experiment
-from repro.workload.content import ContentIndex
+from repro.workload.content import ContentIndex, Document
 
 SRC = Path(repro.__file__).parent
 
@@ -505,6 +510,70 @@ def test_src_has_no_live_status_view_and_no_thread():
     assert hits == []
     assert list(inspect.signature(Telemetry.__init__).parameters) == ["self", "label"]
     assert "live" not in inspect.signature(run_cells).parameters
+
+
+# ----------------------------------------- a source's filter is its column
+def _imports(path):
+    """``module`` or ``module.name`` of every import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_src_has_no_per_filter_object():
+    """``repro.bloom`` is the hasher, the matrix and the wire sizes: the
+    one-object-per-filter classes are oracles (``tests/oracles/bloom.py``)."""
+    classes, imports = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        classes += [
+            f"{path.relative_to(SRC)} {node.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("BloomFilter")
+        ]
+        imports += [
+            f"{path.relative_to(SRC)} {name}"
+            for name in _imports(path)
+            if name.startswith(("repro.bloom.filter", "repro.bloom.variable"))
+        ]
+    assert classes == [] and imports == []
+    assert sorted(p.name for p in (SRC / "bloom").glob("*.py")) == [
+        "__init__.py", "compressed.py", "hashing.py", "matrix.py",
+    ]
+    assert sorted(repro.bloom.__all__) == [
+        "BloomHasher", "FilterMatrix", "PAPER_K", "PAPER_M",
+        "compressed_filter_size", "optimal_bits", "patch_size",
+    ]
+
+
+def test_the_store_holds_no_per_source_filter_object():
+    """A churned source costs its history columns and patch arrays, not a
+    counting copy of its filter: state is the matrix, the index and arrays."""
+    content = ContentIndex()
+    content.register_document(Document(0, 0, ("a", "b")))
+    content.place(1, 0, notify=False)
+    store = SourceFilterStore(3, content)
+    content.remove(1, 0, notify=False)
+    assert store.apply_content_change(1, content.document(0), added=False)
+    for gone in ("_counting", "_base_docs", "_cf"):
+        assert not hasattr(store, gone), gone
+    allowed = (int, np.ndarray, dict, type(store.hasher), type(store.matrix), ContentIndex)
+    assert all(isinstance(value, allowed) for value in vars(store).values())
+    held = [v for d in vars(store).values() if isinstance(d, dict) for v in d.values()]
+    assert all(isinstance(value, (list, set)) for value in held)
+    # (No file under src/ imports from tests: the oracle-imports guard above.)
+    imported = _imports(SRC / "asap" / "store.py")
+    assert not [name for name in imported if name.endswith("Filter")]
+
+
+def test_names_with_no_caller_but_their_own_test_are_gone():
+    assert not (SRC / "workload" / "serialize.py").exists()
+    assert not hasattr(repro.workload, "serialize")
+    for gone in ("save_trace", "load_trace"):
+        assert gone not in repro.workload.__all__
+    assert not hasattr(sim_metrics, "Counter")
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,6 @@ observable behaviour to the plain object model in ``tests/oracles/``:
 * a row of :class:`AdsState` vs :class:`AdsRepository` under randomized
   accept/adopt/repair/remove/evict/lookup op sequences (including content
   churn, so behind-entry evaluation at historical versions is exercised);
-* the lazy copy-on-write counting filters in :class:`SourceFilterStore`
-  vs eagerly materialised ones (bitmaps, set-bit counts, patch diffs);
 * the store's history columns (every superseded filter version, matched
   in the same gather as the current ones) vs the per-position
   patch-parity replay;
@@ -56,41 +54,31 @@ def make_state(store, interests, capacity=None):
     return AdsState(store.n_nodes, bits, store, capacity)
 
 
-def churn_store(store, dist, rng, n_changes=12, holdings=None):
-    """Apply random document adds/removes; returns the minted patch ads.
-
-    ``holdings`` tracks each node's current documents across calls (the
-    filter only holds keywords of documents the node actually has, so
-    removals must come from the live holding set, not the static index).
-    """
-    if holdings is None:
-        holdings = {}
+def churn_store(store, dist, rng, n_changes=12):
+    """Apply random document adds/removes, the index first and then the
+    filter (``runner.handle``'s order); returns the minted patch ads."""
+    index = dist.index
     ads = []
     for _ in range(n_changes):
         node = int(rng.integers(0, store.n_nodes))
-        if node not in holdings:
-            holdings[node] = set(dist.index.docs_on(node))
-        held = sorted(holdings[node])
+        held = sorted(index.docs_on(node))
         if held and rng.random() < 0.5:
             doc_id = held[int(rng.integers(0, len(held)))]
-            holdings[node].discard(doc_id)
-            ad = store.apply_content_change(
-                node, dist.index.document(doc_id), added=False
-            )
+            index.remove(node, doc_id, notify=False)
+            added = False
         else:
             # Add a copy of some other node's document (often a no-op
             # bitmap change when every keyword is already covered --
             # counting-filter semantics both arms must agree on).
-            pool = sorted(dist.index.docs_on(int(rng.integers(0, store.n_nodes))))
+            pool = sorted(index.docs_on(int(rng.integers(0, store.n_nodes))))
             if not pool:
                 continue
             doc_id = pool[int(rng.integers(0, len(pool)))]
-            if doc_id in holdings[node]:
+            if doc_id in held:
                 continue
-            holdings[node].add(doc_id)
-            ad = store.apply_content_change(
-                node, dist.index.document(doc_id), added=True
-            )
+            index.place(node, doc_id, notify=False)
+            added = True
+        ad = store.apply_content_change(node, index.document(doc_id), added)
         if ad is not None:
             ads.append(ad)
     return ads
@@ -120,7 +108,6 @@ class TestRepositoryDifferential:
             got = bool(stored[0]), [victim for _, victim in evicted]
             assert got == ref.accept(ad, now)
 
-        holdings = {}
         ran = {"repair": 0, "adopt": 0}
         sharers = [s for s in range(n) if store.is_sharer(s)]
         now = 0.0
@@ -172,9 +159,7 @@ class TestRepositoryDifferential:
                 state.remove(owner, src)
                 ref.remove(src)
             else:
-                for ad in churn_store(
-                    store, dist, rng, n_changes=2, holdings=holdings
-                ):
+                for ad in churn_store(store, dist, rng, n_changes=2):
                     accept(ad)
             if step % 50 == 0:
                 assert snapshot(soa) == snapshot(ref)
@@ -211,36 +196,8 @@ class TestRepositoryDifferential:
             assert soa.lookup(current) == ref.lookup(positions, current)
 
 
-# --------------------------------------------------------- store lazy filters
-class TestLazyCountingFilters:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_lazy_matches_eager_after_churn(self, seed):
-        """Two identically-seeded stores, one churned (forcing counting
-        materialisation) twin op streams: bitmaps, counts, versions and
-        patch histories stay equal; untouched sources never materialise."""
-        store_a, dist_a = make_store(seed)
-        store_b, dist_b = make_store(seed)
-        # Force eager materialisation on one arm before any churn.
-        for node in range(store_b.n_nodes):
-            store_b._cf(node)
-        rng_a = np.random.default_rng(seed + 55)
-        rng_b = np.random.default_rng(seed + 55)
-        ads_a = churn_store(store_a, dist_a, rng_a, n_changes=20)
-        ads_b = churn_store(store_b, dist_b, rng_b, n_changes=20)
-        assert ads_a == ads_b
-        for node in range(store_a.n_nodes):
-            assert store_a.version(node) == store_b.version(node)
-            assert store_a.n_set_bits(node) == store_b.n_set_bits(node)
-            assert store_a.topics(node) == store_b.topics(node)
-            assert store_a.patch_history(node) == store_b.patch_history(node)
-            assert np.array_equal(
-                store_a.matrix.row_bits(node), store_b.matrix.row_bits(node)
-            )
-        # Only churned sources paid for a counting filter.
-        assert set(store_a._counting) <= set(store_b._counting)
-        churned = {ad.source for ad in ads_a}
-        assert churned <= set(store_a._counting)
-
+# ------------------------------------------------------ store history columns
+class TestHistoryColumns:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_match_at_version_paths_agree(self, seed):
         """The version's matrix column == the per-position parity replay,

@@ -2,7 +2,9 @@
 
 * every filter version is a matrix column -- the store's history columns vs
   the patch-parity replay of ``tests/oracles/store.py`` and vs the bitmaps
-  the filter actually had;
+  the filter actually had; the patch each content change mints, derived from
+  the content index and the column, vs the counting filter of
+  ``tests/oracles/bloom.py`` fed the same documents;
 * a lookup reads behind entries off those columns in one gather -- rows
   with a hundred behind entries at several versions of one source vs the
   object repository of ``tests/oracles/repository.py``;
@@ -10,6 +12,9 @@
   ``entry`` / ``stamp`` words and the order ``obs.repair`` is told in vs
   the pull-per-receiver repair of ``tests/oracles/asap.py``.
 """
+
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +29,14 @@ from repro.network.overlay import Overlay
 from repro.network.substrate import get_substrate
 from repro.network.topology import build_topology
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
+from repro.simulation import runner
 from repro.workload.content import ContentIndex, Document
 
 from tests.oracles.asap import OracleAsapSearch
+from tests.oracles.bloom import BloomFilter, CountingBloomFilter
 from tests.oracles.repository import AdsRepository, StateRow
 from tests.oracles.store import match_at_version_reference
+from tests.test_golden_fingerprints import golden_configs
 from tests.test_soa_differential import churn_store, make_state, make_store
 
 KEYWORDS = [f"kw{i}" for i in range(24)]
@@ -36,17 +44,26 @@ KEYWORDS = [f"kw{i}" for i in range(24)]
 
 # ------------------------------------------------ every version is a column
 class VersionedStore:
-    """A store plus the bitmap each source really had at each version."""
+    """A store plus the bitmap each source really had at each version, and
+    per source the counting filter of Section III-B fed the same documents."""
 
-    def __init__(self, n_nodes=3, m=256):
+    def __init__(self, n_nodes=3, m=256, k=3):
         self.index = ContentIndex()
-        self.store = SourceFilterStore(n_nodes, self.index, BloomHasher(m=m, k=3))
+        self.store = SourceFilterStore(n_nodes, self.index, BloomHasher(m=m, k=k))
         self.held = {node: [] for node in range(n_nodes)}
         self.bitmaps = {node: [self.store.matrix.row_bits(node)] for node in self.held}
+        self.counting = {
+            node: CountingBloomFilter(self.store.hasher) for node in self.held
+        }
 
     def change(self, node, keywords, add):
+        """One content change, index first; returns the patch ad (or None),
+        which is what the counting filter says it must be."""
         if add:
-            doc = Document(len(self.index.all_documents()), 0, tuple(keywords))
+            doc = Document(
+                len(self.index.all_documents()), ord(keywords[0][-1]) % 4,
+                tuple(keywords),
+            )
             self.index.register_document(doc)
             self.index.place(node, doc.doc_id, notify=False)
             self.held[node].append(doc)
@@ -54,9 +71,25 @@ class VersionedStore:
             doc = self.held[node].pop(0)
             self.index.remove(node, doc.doc_id, notify=False)
         else:
-            return
-        if self.store.apply_content_change(node, doc, add) is not None:
-            self.bitmaps[node].append(self.store.matrix.row_bits(node))
+            return None
+        store, counting = self.store, self.counting[node]
+        before = counting.bitmap_bits()
+        (counting.add_all if add else counting.remove_all)(doc.keywords)
+        flipped = counting.diff_positions(before)
+        ad = store.apply_content_change(node, doc, add)
+        if len(flipped):
+            self.bitmaps[node].append(store.matrix.row_bits(node))
+            assert ad.changed_positions == tuple(flipped.tolist())
+            assert ad.version == len(self.bitmaps[node]) - 1
+            assert ad.topics == store.topics(node)
+        else:
+            assert ad is None
+        assert store.version(node) == len(self.bitmaps[node]) - 1
+        assert np.array_equal(store.matrix.row_bits(node), counting.bitmap_bits())
+        assert store.n_set_bits(node) == counting.n_set
+        assert store.is_sharer(node) == bool(self.held[node])
+        assert store.topics(node) == {held.class_id for held in self.held[node]}
+        return ad
 
     def check(self, rng, n_queries=12):
         store = self.store
@@ -127,6 +160,101 @@ def test_a_version_never_issued_is_a_named_error():
             store.columns_of(np.array([1, source]), np.array([0, version]))
 
 
+def test_the_changes_a_counting_filter_exists_for():
+    """A free-rider's first document, an add and a removal whose keywords
+    all stay covered, a keyword whose double hash repeats a position, and a
+    sharer's last document: ``change`` checks each against the counting
+    filter, here they are made to happen."""
+    versioned = VersionedStore(n_nodes=2, m=255, k=8)
+    store = versioned.store
+    folded = next(
+        kw for kw in (f"fold{i}" for i in itertools.count())
+        if len(set(store.hasher.positions(kw))) < store.hasher.k
+    )
+    assert not store.is_sharer(0) and store.make_full_ad(0) is None
+    first = versioned.change(0, ["kw1"], add=True)
+    assert first.version == 1 and store.is_sharer(0)
+    assert store.make_full_ad(0).n_set_bits == len(first.changed_positions)
+    assert versioned.change(0, ["kw1", "kw2"], add=True) is not None
+    assert versioned.change(0, ["kw1"], add=True) is None
+    ad = versioned.change(0, [folded, "kw2"], add=True)
+    assert set(ad.changed_positions) == set(store.hasher.positions(folded)) - set(
+        store.hasher.positions_array(["kw1", "kw2"]).tolist()
+    )
+    # Removals take the oldest document: ["kw1"] and ["kw1", "kw2"] go while
+    # a later ["kw1"] and [folded, "kw2"] still cover every keyword of theirs.
+    assert versioned.change(0, (), add=False) is None
+    assert versioned.change(0, (), add=False) is None
+    assert store.version(0) == 3
+    gone = versioned.change(0, (), add=False)  # the last ["kw1"]
+    assert set(gone.changed_positions) == set(store.hasher.positions("kw1")) - set(
+        store.hasher.positions_array([folded, "kw2"]).tolist()
+    )
+    last = versioned.change(0, (), add=False)
+    assert last.version == 5 and not store.is_sharer(0) and store.topics(0) == set()
+    assert store.n_set_bits(0) == 0 and store.make_full_ad(0) is None
+    assert not store.matrix.row_bits(0).any() and store.version(1) == 0
+    versioned.check(np.random.default_rng(0))
+
+
+def test_a_change_the_index_or_the_column_contradicts_writes_nothing():
+    versioned = VersionedStore()
+    store, index = versioned.store, versioned.index
+    versioned.change(1, ["kw0", "kw1"], add=True)
+    versioned.change(1, ["kw2"], add=True)
+    held, unplaced, behind_its_back = (
+        index.document(0), Document(7, 0, ("kw3",)), Document(8, 0, ("kw0", "kw4")),
+    )
+    index.register_document(unplaced)
+    index.register_document(behind_its_back)
+
+    def frozen():
+        return (
+            store.matrix.row_bits(1).tolist(), store.matrix.n_columns,
+            store.n_set_bits(1), store.version(1), store.patch_history(1),
+            store.topics(1),
+        )
+
+    before = frozen()
+    for doc, added, message in (
+        (unplaced, True, "node 1 does not hold document 7"),
+        (held, False, "node 1 still holds document 0"),
+        (unplaced, False, "node 1's filter never held document 7"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            store.apply_content_change(1, doc, added)
+        assert frozen() == before
+    # Placed and removed without the store hearing of the placement: kw0's
+    # bits are set (document 0), kw4's never were.
+    index.place(1, 8, notify=False)
+    index.remove(1, 8, notify=False)
+    with pytest.raises(ValueError, match="node 1's filter never held document 8"):
+        store.apply_content_change(1, behind_its_back, added=False)
+    assert frozen() == before
+
+
+def test_set_bit_counts_are_the_columns_popcounts_after_a_churn_cell():
+    """After a golden cell's 225 content changes every column is the Bloom
+    filter of what its source shares now, and ``n_set_bits`` its popcount."""
+    built = []
+    build = runner.build_algorithm
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    with mock.patch.object(runner, "build_algorithm", keep):
+        runner.run_experiment(golden_configs()["asap_rw/seed0/paper_ratio"])
+    store = built[0].store
+    assert sum(store.version(s) for s in range(store.n_nodes)) > 100
+    for source in range(store.n_nodes):
+        shared = BloomFilter(store.hasher)
+        for doc_id in store.content.docs_on(source):
+            shared.add_all(store.content.document(doc_id).keywords)
+        assert np.array_equal(store.matrix.row_bits(source), shared.bits_view())
+        assert store.n_set_bits(source) == shared.n_set
+
+
 # --------------------------------------------- a lookup is one more gather
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
@@ -141,7 +269,6 @@ def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
     oracles = [
         AdsRepository(owner=p, interests=interests, store=store) for p in peers
     ]
-    holdings = {}
     for now, peer in enumerate(peers, 1):
         for src in range(store.n_nodes):
             ad = store.make_full_ad(src)
@@ -150,7 +277,7 @@ def test_lookup_reads_a_hundred_behind_entries_at_several_versions(seed):
                 assert (bool(stored[0]), [v for _, v in evicted]) == oracles[peer].accept(
                     ad, float(now)
                 )
-        churn_store(store, dist, rng, n_changes=600, holdings=holdings)
+        churn_store(store, dist, rng, n_changes=600)
     for src in range(store.n_nodes):
         # A patch that reached only the caches already at its version.
         lagging = [

@@ -10,6 +10,9 @@ vectorised kernels that make paper-scale replay tractable:
   one delivery on the list recurrence, the same delivery in lockstep, and
   a full lockstep chunk (``lane_step_ns`` is the number docs/PERFORMANCE.md
   cites);
+* single walks in absolute microseconds per call: a full-TTL random-walk
+  search miss at 2,000 peers, and a new epoch's walk rows after one
+  ``leave`` at 10,000 peers;
 * the ads-cache merge (``AdsState.accept``) in absolute microseconds per
   call (``us_per_call``): a full ad stored into one column at 1k / 3k / 10k
   peers, a full ad that evicts at every receiver at capacity 60 and at
@@ -149,6 +152,39 @@ def bench_walk_lockstep_chunk_3k(benchmark, walk_3k):
         5 * len(sources),
         sum(messages for _, messages, _ in results),
     )
+
+
+def bench_walk_search_miss_2k(benchmark, overlay_2k):
+    """One random-walk search that matches nothing: 5 walkers walk their
+    full TTL of 205 (the paper's 1,024 scaled to 2,000 peers), in four
+    rounds of 16, 32, 64 and 93 steps, one ``walk_block`` each."""
+    csr = overlay_2k.walk_csr()
+    draws = np.random.default_rng(4).random((5, 205))
+    match = np.zeros(csr.n, dtype=bool)
+    res = benchmark(kernels.rw_search, csr, 0, draws, match, 0.0, 100)
+    assert res.hit_node is None and res.n_messages == 5 * 205
+    _write_call_stats(
+        "micro_walk_search_miss_2k", benchmark, lanes=5, lane_steps=res.n_messages
+    )
+
+
+def bench_walk_epoch_rows_10k(benchmark):
+    """The walk rows of a new epoch after one ``leave`` on a 10,000-peer
+    overlay whose previous epoch's rows were read: the CSR mask plus the
+    churned neighbourhood's rows, not every row."""
+    topo = random_topology(10_000, avg_degree=5.0, rng=np.random.default_rng(0))
+    overlay = Overlay(topo, default_edge_latency_ms=20.0)
+    leaving = iter(range(1, 10_000, 7))
+
+    def churned():
+        overlay.walk_csr().nbr
+        overlay.leave(next(leaving))
+        return (), {}
+
+    benchmark.pedantic(
+        lambda: overlay.walk_csr().nbr, setup=churned, rounds=200, iterations=1
+    )
+    _write_call_stats("micro_walk_epoch_rows_10k", benchmark, n_peers=10_000)
 
 
 _TOPICS = frozenset({0})

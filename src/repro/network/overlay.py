@@ -100,7 +100,11 @@ class Overlay:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
+        # v's topology neighbours are ``dst[topo_ptr[v]:topo_ptr[v + 1]]``.
+        self._topo_ptr = np.searchsorted(self._sorted_edges[0], np.arange(self._n + 1))
         self._csr_cache: Optional[Tuple[int, WalkCsr]] = None
+        # The nodes whose CSR row churn changed since the cached epoch.
+        self._touched = np.zeros(self._n, dtype=bool)
 
     # ------------------------------------------------------------- liveness
     @property
@@ -130,15 +134,22 @@ class Overlay:
         """Bring ``node`` online (no-op error if already live)."""
         if self._live[node]:
             raise ValueError(f"node {node} is already live")
-        self._live[node] = True
-        self.epoch += 1
+        self._churn(node)
 
     def leave(self, node: int) -> None:
         """Take ``node`` offline."""
         if not self._live[node]:
             raise ValueError(f"node {node} is already offline")
-        self._live[node] = False
+        self._churn(node)
+
+    def _churn(self, node: int) -> None:
+        """Flip ``node``'s liveness: a new epoch, whose CSR rows differ from
+        the last one's at ``node`` and its topology neighbours at most."""
+        self._live[node] = not self._live[node]
         self.epoch += 1
+        lo, hi = self._topo_ptr[node : node + 2].tolist()
+        self._touched[node] = True
+        self._touched[self._sorted_edges[1][lo:hi]] = True
 
     # ------------------------------------------------------- the live graph
     def walk_csr(self) -> WalkCsr:
@@ -148,11 +159,15 @@ class Overlay:
         per-edge latencies in ``lats`` alongside; an offline node's row is
         empty (the CSR covers live-to-live edges only).  Every flood, walk,
         ring, delivery and search between two churn events shares the one
-        :class:`repro.sim.kernels.WalkCsr` (its plain-list mirrors for the
-        stepping recurrence are built on first use): a walk step costs one
-        integer draw plus three indexings instead of a boolean mask over
+        :class:`repro.sim.kernels.WalkCsr`: a walk step costs one integer
+        draw plus a couple of list indexings instead of a boolean mask over
         the adjacency -- the difference between minutes and hours at paper
-        scale (10,000 warm-up deliveries x thousands of steps).
+        scale (10,000 warm-up deliveries x thousands of steps).  Its
+        plain-list rows for the stepping recurrence are built on first use
+        from the previous epoch's rows (:meth:`WalkCsr.carry`): only the
+        rows of nodes that joined or left since, and of their topology
+        neighbours, are rebuilt.  The new epoch holds those row lists, not
+        the previous ``WalkCsr``.
         """
         cached = self._csr_cache
         if cached is not None and cached[0] == self.epoch:
@@ -166,7 +181,9 @@ class Overlay:
         alive = self._live[src_s] & self._live[dst_s]
         indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src_s[alive], minlength=self._n), out=indptr[1:])
-        csr = WalkCsr(indptr, dst_s[alive], lat_s[alive])
+        touched, self._touched = self._touched, np.zeros(self._n, dtype=bool)
+        rows = None if cached is None else cached[1].carry(touched)
+        csr = WalkCsr(indptr, dst_s[alive], lat_s[alive], rows)
         self._csr_cache = (self.epoch, csr)
         return csr
 

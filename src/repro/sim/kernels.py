@@ -20,11 +20,13 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
 
   - **one delivery or one search** has the paper's 5 walkers, and
     lockstep loses (768 ns per lane-step against 189).  These run the
-    recurrence over *plain-list* mirrors of the live-CSR arrays
-    (:class:`WalkCsr`), a handful of list indexings per step instead of
-    NumPy scalar extractions (~7x cheaper), consuming the pre-drawn
-    ``(walkers, steps)`` uniform matrix in exactly the per-step loops'
-    order: :func:`rw_delivery`, :func:`rw_search`, :func:`chain_steps`;
+    recurrence over *plain-list* rows of the live CSR (:class:`WalkCsr`,
+    carried across churn epochs with only the churned neighbourhood
+    rebuilt), a handful of list indexings per step instead of NumPy
+    scalar extractions (~7x cheaper), consuming the pre-drawn ``(walkers,
+    steps)`` uniform matrix in exactly the per-step loops' order:
+    :func:`walk_block` (under :func:`rw_delivery` and every round of
+    :func:`rw_search`) and :func:`chain_steps`;
   - **many deliveries known ahead of time** -- ASAP(RW)'s warm-up, one
     full ad per sharer, none of which reads cache state -- are hundreds
     of lanes, and lockstep wins (41 ns per lane-step at 320 lanes):
@@ -42,9 +44,10 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
   the same IEEE values picks the edge, and a batch consumes one flat draw
   that is the concatenation of the blocks its deliveries would have drawn
   one after the other.
-* **Everything after the recurrence is vectorised, once**: elapsed time is
-  a left-to-right running sum per walker (``np.cumsum`` for a single
-  delivery, one add per step for a batch -- the same sequential float
+* **Everything after the recurrence is vectorised, once per round**, not
+  once per walker: elapsed time is a left-to-right running sum per walker
+  (one ``np.cumsum(axis=1)`` over a single walk's ``(walkers, width)``
+  block, one add per step for a batch -- the same sequential float
   additions either way), arrival seconds are :func:`arrival_seconds`,
   per-second bytes are :func:`bucket_dict` over a ``bincount``, and the
   receivers are :func:`receivers` over one flag or count per node.  The
@@ -81,7 +84,7 @@ __all__ = [
     "rw_delivery",
     "rw_delivery_batch",
     "rw_search",
-    "segmented_cumsum",
+    "walk_block",
 ]
 
 #: First-chunk size for chunked walks (doubles every round).  Small at
@@ -92,21 +95,35 @@ __all__ = [
 CHUNK_STEPS = 16
 
 
+#: A previous epoch's ``(nbr, dgf)`` rows and the mask of the rows that
+#: churn may have changed since (see :meth:`WalkCsr.carry`).
+_Rows = Tuple[List[List[int]], List[float], np.ndarray]
+
+
 class WalkCsr:
     """A live-CSR view prepared for the walk kernels.
 
     Wraps the ``(indptr, indices, latencies)`` arrays that
-    :meth:`repro.network.overlay.Overlay.walk_csr` builds and mirrors them into
-    plain Python lists: the stepping recurrence indexes lists (fast
-    scalars), while the vectorised post-processing fancy-indexes the NumPy
-    arrays.  Build once per churn epoch and reuse (the overlay caches it,
-    and all kernel consumers -- walk, flood and ring -- share the same
-    per-epoch instance).
+    :meth:`repro.network.overlay.Overlay.walk_csr` builds once per churn
+    epoch (every kernel consumer -- walk, flood and ring -- shares that
+    instance) and derives three forms of them, each on first use, so an
+    epoch pays only for what its readers index:
 
-    The list mirrors cost O(E) to build but only the walk kernels need
-    them; the flood/ring kernels consume the NumPy arrays directly.  They
-    are therefore built lazily on first access, so churn epochs that only
-    see floods never pay for them.
+    * the **rows** of the list recurrence: ``nbr[u]``, u's live neighbours
+      as a plain list (one small-list index per step), and ``dgf[u]``,
+      their count as a float (``u * dgf[node]`` is then the reference's
+      ``u * deg`` -- Python converts the int to the same float, degrees
+      being far below 2**53 -- without a ``len()`` per step);
+    * the **flat mirrors** ``ip``, ``dg``, ``ix``, ``lat_l`` (the arrays
+      as plain lists) that GSA's per-step loops index;
+    * the **array form** :attr:`lockstep` that :func:`walk_block` and the
+      batch kernel gather from.
+
+    A join or leave changes the rows of its node and of that node's
+    topology neighbours, nothing else, so a new epoch's rows start from
+    ``carried`` -- the last built rows and the mask of rows to rebuild
+    (:meth:`carry`) -- and rebuild only those.  Without them (the first
+    epoch, a CSR built by hand) every row is rebuilt: one build path.
     """
 
     __slots__ = (
@@ -120,13 +137,19 @@ class WalkCsr:
         "_lat_l",
         "_nbr",
         "_dgf",
+        "_carried",
         "_lockstep",
         "n",
         "lats_positive",
+        "__weakref__",
     )
 
     def __init__(
-        self, indptr: np.ndarray, indices: np.ndarray, lats: np.ndarray
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        lats: np.ndarray,
+        carried: Optional[_Rows] = None,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
@@ -139,36 +162,58 @@ class WalkCsr:
         self._lat_l: Optional[List[float]] = None
         self._nbr: Optional[List[List[int]]] = None
         self._dgf: Optional[List[float]] = None
+        self._carried = carried
         self._lockstep: Optional[Tuple[np.ndarray, ...]] = None
         # Positive latencies guarantee strictly increasing per-walker
         # arrival times, which the post-hoc search truncation relies on.
         self.lats_positive = bool(np.all(lats > 0.0)) if len(lats) else True
+
+    def carry(self, touched: np.ndarray) -> Optional[_Rows]:
+        """What the next epoch's rows start from, ``touched`` marking the
+        rows churn changed since this epoch: this epoch's rows if they
+        were built, else what this epoch would have started from (so the
+        marks of epochs nobody walked add up); None if neither exists."""
+        if self._nbr is not None:
+            return self._nbr, self._dgf, touched
+        if self._carried is None:
+            return None
+        nbr, dgf, before = self._carried
+        return nbr, dgf, before | touched
+
+    def _build_rows(self) -> None:
+        if self._carried is None:
+            nbr, dgf = [None] * self.n, [0.0] * self.n
+            rebuild = np.arange(self.n)
+        else:
+            nbr, dgf, touched = self._carried
+            nbr, dgf = nbr.copy(), dgf.copy()  # the epoch they came from keeps its own
+            rebuild = np.flatnonzero(touched)
+        edges = _frontier_edges(self, rebuild)
+        flat = [] if edges is None else self.indices[edges[0]].tolist()
+        lens = self.deg[rebuild]
+        ends = np.cumsum(lens).tolist()
+        for u, k, end in zip(rebuild.tolist(), lens.tolist(), ends):
+            nbr[u] = flat[end - k : end]
+            dgf[u] = float(k)
+        self._nbr, self._dgf, self._carried = nbr, dgf, None
 
     def _build_lists(self) -> None:
         self._ip = self.indptr.tolist()
         self._dg = self.deg.tolist()
         self._ix = self.indices.tolist()
         self._lat_l = self.lats.tolist()
-        # Per-node neighbour lists: one small-list index per step instead
-        # of three big-list indexings (see chain_nodes).
-        ix, ip = self._ix, self._ip
-        self._nbr = [ix[ip[u] : ip[u + 1]] for u in range(self.n)]
-        # Degrees as floats: ``u * dgf[node]`` is then a float*float
-        # multiply, identical to the reference's ``u * deg`` (Python
-        # converts the int operand to the same float -- degrees are far
-        # below 2**53) but without a len() call per step.
-        self._dgf = [float(d) for d in self._dg]
 
     @property
     def lockstep(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(start, degf, nbr, lat)``: the CSR with an absorbing node ``n``.
 
-        What :func:`rw_delivery_batch` gathers from.  Edge ``E`` (one past
-        the live edges) leads to node ``n`` at zero latency, and every node
-        without a live neighbour -- ``n`` included -- has degree 0.0 and
-        edge range starting at ``E``; so ``start[v] + int(u * degf[v])`` is
-        the walk's own edge choice on a node that has neighbours, and parks
-        a stranded lane on ``n`` for good without a branch in the step.
+        What :func:`walk_block` and :func:`rw_delivery_batch` gather from.
+        Edge ``E`` (one past the live edges) leads to node ``n`` at zero
+        latency, and every node without a live neighbour -- ``n``
+        included -- has degree 0.0 and edge range starting at ``E``; so
+        ``start[v] + int(u * degf[v])`` is the walk's own edge choice on a
+        node that has neighbours, and parks a stranded lane on ``n`` for
+        good without a branch in the step.
         """
         if self._lockstep is None:
             n, n_edges = self.n, len(self.indices)
@@ -211,13 +256,13 @@ class WalkCsr:
     @property
     def nbr(self) -> List[List[int]]:
         if self._nbr is None:
-            self._build_lists()
+            self._build_rows()
         return self._nbr
 
     @property
     def dgf(self) -> List[float]:
         if self._dgf is None:
-            self._build_lists()
+            self._build_rows()
         return self._dgf
 
 
@@ -252,12 +297,10 @@ def chain_nodes(
 ) -> Tuple[int, int]:
     """Like :func:`chain_steps` but appends *node ids* instead of edge ids.
 
-    The leanest form of the recurrence (one small-list index per step);
-    used by :func:`rw_delivery`, which recovers the edge ids afterwards in
-    one vectorised pass (the edge chosen at a step is a pure function of
-    the step's start node and uniform:
-    ``indptr[prev] + int(u * deg[prev])``).  Returns
-    ``(steps_taken, final_node)``.
+    The careful form of :func:`walk_block`'s recurrence, for the rare
+    walker that strands (the edge ids are recovered afterwards: the edge
+    chosen at a step is a pure function of the step's start node and
+    uniform).  Returns ``(steps_taken, final_node)``.
     """
     nbr = csr.nbr
     append = out.append
@@ -272,19 +315,56 @@ def chain_nodes(
     return len(out) - before, node
 
 
-def segmented_cumsum(values: np.ndarray, lens: List[int]) -> np.ndarray:
-    """Per-segment running sums of ``values`` (segments laid end to end).
+def walk_block(
+    csr: WalkCsr, origins: Sequence[int], draws: np.ndarray, elapsed
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One round of single walks, stepped by lane and post-processed as a block.
 
-    Each segment restarts at zero; within a segment ``np.cumsum``
-    accumulates left-to-right, reproducing the reference loops'
-    ``elapsed += lat`` additions bit-for-bit.
+    Lane ``i`` starts at node ``origins[i]`` at ``elapsed`` ms (a scalar
+    or one value per lane) and walks row ``i`` of the ``(lanes, width)``
+    uniforms ``draws``.  Returns ``(nodes, arrivals)``, both ``(lanes,
+    width)``: the node each step lands on and its arrival in ms.
+
+    The recurrence runs per lane as a list comprehension over
+    :attr:`WalkCsr.nbr` (its loop runs in C, leaving the index arithmetic
+    in Python; an empty neighbour list raises IndexError -- ``int(u *
+    0.0) == 0`` -- so a walker that strands is recomputed by
+    :func:`chain_nodes` and padded with the absorbing node ``n``).
+    Everything after it is one pass over the block: the edge of each step
+    is ``start[prev] + int(u * degf[prev])`` gathered from
+    :attr:`WalkCsr.lockstep` -- the IEEE multiply and truncation of the
+    step itself, and the zero-latency edge into ``n`` on a padded step --
+    then ``elapsed`` is folded into column 0 and ``np.cumsum(axis=1)``
+    adds strictly left to right per row: the reference loops' own
+    ``elapsed += lat``.  A padded step arrives at ``inf``, so it is no
+    message, no arrival and, node ``n`` being past every real node, no
+    receiver.
     """
-    out = np.empty_like(values)
-    offset = 0
-    for length in lens:
-        np.cumsum(values[offset : offset + length], out=out[offset : offset + length])
-        offset += length
-    return out
+    nbr, dgf, n = csr.nbr, csr.dgf, csr.n
+    lanes, width = draws.shape
+    chains: List[List[int]] = []
+    stranded = False
+    for node, row in zip(origins, draws.tolist()):
+        origin = node
+        try:
+            chains.append([node := nbr[node][int(u * dgf[node])] for u in row])
+        except IndexError:
+            chain: List[int] = []
+            chain_nodes(csr, origin, row, chain)
+            chains.append(chain + [n] * (width - len(chain)))
+            stranded = True
+    nodes = np.fromiter(chain_iter(chains), np.int64, lanes * width)
+    nodes = nodes.reshape(lanes, width)
+    prev = np.empty_like(nodes)
+    prev[:, 0] = origins
+    prev[:, 1:] = nodes[:, :-1]
+    start, degf, _, lat = csr.lockstep
+    steps = lat[start[prev] + (draws * degf[prev]).astype(np.int64)]
+    steps[:, 0] += elapsed
+    arrivals = np.cumsum(steps, axis=1)
+    if stranded:
+        arrivals[nodes == n] = math.inf
+    return nodes, arrivals
 
 
 def arrival_seconds(now, elapsed_ms: np.ndarray, out=None) -> np.ndarray:
@@ -357,54 +437,14 @@ def rw_delivery(
     ``buckets`` maps ledger seconds to bytes.
 
     This is the kernel of a *single* delivery: five lanes are too few for
-    NumPy to step (see the module docstring), so the recurrence runs over
-    the plain-list mirrors.  Deliveries known ahead of time go through
+    NumPy to step (see the module docstring), so its walkers are one
+    :func:`walk_block`.  Deliveries known ahead of time go through
     :func:`rw_delivery_batch`, which shares the post-processing below.
     """
-    walkers = draws.shape[0]
-    nbr = csr.nbr
-    dgf = csr.dgf
-    chains: List[List[int]] = []
-    lens: List[int] = []
-    for w in range(walkers):
-        row = draws[w].tolist()
-        node = source
-        try:
-            # The recurrence as a list comprehension: the comprehension
-            # loop runs in C, leaving only the per-step index arithmetic
-            # in Python (~20% faster than an explicit for loop).  An
-            # empty neighbour list raises IndexError (int(u * 0.0) == 0),
-            # which only happens when the walker strands -- rare enough
-            # to recompute that walker with the careful loop.
-            chain = [node := nbr[node][int(u * dgf[node])] for u in row]
-        except IndexError:
-            chain = []
-            chain_nodes(csr, source, row, chain)
-        chains.append(chain)
-        lens.append(len(chain))
-    total = sum(lens)
-    if not total:
-        return np.empty(0, dtype=np.int64), 0, {}
-    nodes = np.fromiter(chain_iter(chains), np.int64, total)
-    # Recover the edge ids vectorised: step t started at the previous
-    # step's node (the walker's source for t=0) and chose edge
-    # ``indptr[prev] + int(u * deg[prev])`` -- the same IEEE multiply and
-    # truncation chain_nodes used, just batched.
-    prev = np.empty(len(nodes), dtype=np.int64)
-    prev[1:] = nodes[:-1]
-    u_parts: List[np.ndarray] = []
-    offset = 0
-    for w, taken in enumerate(lens):
-        if taken:
-            prev[offset] = source
-            u_parts.append(draws[w, :taken])
-            offset += taken
-    u = u_parts[0] if len(u_parts) == 1 else np.concatenate(u_parts)
-    jarr = csr.indptr[prev] + (u * csr.deg[prev]).astype(np.int64)
-    elapsed = segmented_cumsum(csr.lats[jarr], lens)
-    buckets = bucket_bytes(now, elapsed, size_bytes)
-    visited = receivers(np.bincount(nodes, minlength=csr.n), source)
-    return visited, total, buckets
+    nodes, arrivals = walk_block(csr, [source] * len(draws), draws, 0.0)
+    stepped = arrivals[arrivals < math.inf]
+    seen = np.bincount(nodes.reshape(-1), minlength=csr.n + 1)[: csr.n]
+    return receivers(seen, source), len(stepped), bucket_bytes(now, stepped, size_bytes)
 
 
 #: Working-set budget of one lockstep chunk, in bytes: 8 per draw plus one
@@ -448,7 +488,7 @@ def rw_delivery_batch(
     degree and edge-range start at the lanes' nodes, ``int(u * deg)``,
     gather the chosen edge's head and latency, add the latency to the
     lanes' elapsed time (sequential adds: the floats of
-    :func:`segmented_cumsum`).  Steps run in blocks of about
+    :func:`walk_block`'s row cumsum).  Steps run in blocks of about
     ``LOCKSTEP_BLOCK`` lane-steps; after each block the visited nodes are
     scattered into one flag per (ad, node) and the arrival seconds counted
     per (ad, second) by one ``bincount`` -- flags and counts add up across
@@ -578,125 +618,63 @@ def rw_search(
     heap loop otherwise).  Trajectories are computed in geometrically
     growing chunks (``CHUNK_STEPS``, then doubling): early hits waste at
     most one chunk's worth of steps per walker, while a full-TTL miss
-    pays the per-chunk vectorisation overhead only ``O(log(ttl))`` times.
-    Walkers whose elapsed time has passed the best known hit are retired
-    at chunk boundaries.  The heap semantics of the reference
-    implementation are recovered post hoc (see docs/PERFORMANCE.md for
-    the proof sketch):
+    pays the per-round overhead only ``O(log(ttl))`` times.  A round is
+    one :func:`walk_block` of the walkers still walking; its arrivals
+    land in one ``(walkers, ttl)`` array (``inf`` where not stepped) and
+    its hits come from one ``match`` gather.  Walkers that stranded, or
+    whose elapsed time has passed the best known hit, are retired at
+    round boundaries.  The heap semantics of the reference implementation
+    are recovered post hoc (see docs/PERFORMANCE.md for the proof sketch):
 
     * with strictly positive latencies, the final hit time equals the
       minimum match arrival over the walkers' *full* trajectories;
     * a step is charged iff its start time (the previous arrival) is
-      strictly before the hit time;
+      strictly before the hit time: ``min(taken, count(arrival < hit) +
+      1)`` steps per walker, arrivals being strictly increasing;
     * among simultaneous earliest matches, the winner is the event with
       the lexicographically smallest ``(start_time, walker)`` -- exactly
       the first one the reference heap would process.
     """
     walkers, ttl = draws.shape
-    lats = csr.lats
-    nbr = csr.nbr
-    dgf = csr.dgf
-
-    arrival_segs: List[List[np.ndarray]] = [[] for _ in range(walkers)]
-    positions = [start] * walkers
-    elapsed_end = [0.0] * walkers
-    steps_taken = [0] * walkers
-    active = [csr.dg[start] > 0] * walkers
+    match = np.append(match, False)  # the absorbing node never matches
+    arrivals = np.full((walkers, ttl), math.inf)
+    lanes = np.arange(walkers if csr.dgf[start] else 0)
+    at, ends = [start] * walkers, 0.0
     hit_time = math.inf
-    # Candidate match events: (arrival, start_time, walker, node).
-    candidates: List[Tuple[float, float, int, int]] = []
+    hits: List[Tuple[int, int, int]] = []  # (walker, step, node) on a match
 
-    t0 = 0
-    chunk = CHUNK_STEPS
-    while t0 < ttl and any(active):
+    t0, chunk = 0, CHUNK_STEPS
+    while t0 < ttl and len(lanes):
         t1 = min(ttl, t0 + chunk)
-        for w in range(walkers):
-            if not active[w]:
-                continue
-            row = draws[w, t0:t1].tolist()
-            start_node = positions[w]
-            node = start_node
-            try:
-                # Same listcomp recurrence as rw_delivery (strand -> rare
-                # IndexError -> recompute with the careful loop).
-                seg: List[int] = [
-                    node := nbr[node][int(u * dgf[node])] for u in row
-                ]
-            except IndexError:
-                seg = []
-                _, node = chain_nodes(csr, start_node, row, seg)
-            taken = len(seg)
-            if taken:
-                seg_nodes = np.fromiter(seg, np.int64, taken)
-                # Recover the chunk's edge ids vectorised (as rw_delivery).
-                prev = np.empty(taken, dtype=np.int64)
-                prev[0] = start_node
-                prev[1:] = seg_nodes[:-1]
-                u_arr = draws[w, t0 : t0 + taken]
-                jarr = csr.indptr[prev] + (u_arr * csr.deg[prev]).astype(np.int64)
-                seg_lat = lats[jarr]
-                # Chained cumsum: folding the offset into the first element
-                # reproduces the reference's sequential additions exactly
-                # (cumsum accumulates left-to-right).
-                prev_end = elapsed_end[w]
-                seg_lat[0] += prev_end
-                arr = np.cumsum(seg_lat)
-                hits = np.nonzero(match[seg_nodes])[0]
-                for k in hits.tolist():
-                    a = float(arr[k])
-                    s = float(arr[k - 1]) if k > 0 else prev_end
-                    candidates.append((a, s, w, int(seg_nodes[k])))
-                    if a < hit_time:
-                        hit_time = a
-                arrival_segs[w].append(arr)
-                positions[w] = node
-                elapsed_end[w] = float(arr[-1])
-                steps_taken[w] += taken
-            if taken < len(row) or steps_taken[w] >= ttl:
-                active[w] = False  # stranded or TTL exhausted
-        if hit_time < math.inf:
-            for w in range(walkers):
-                if active[w] and elapsed_end[w] >= hit_time:
-                    active[w] = False  # every future step starts too late
-        t0 = t1
-        chunk *= 2
+        nodes, arr = walk_block(csr, at, draws[lanes, t0:t1], ends)
+        arrivals[lanes, t0:t1] = arr
+        rows, cols = np.nonzero(match[nodes])
+        if len(rows):
+            hit_time = min(hit_time, float(arr[rows, cols].min()))
+            hits += zip(
+                lanes[rows].tolist(), (cols + t0).tolist(), nodes[rows, cols].tolist()
+            )
+        # A stranded walker ends at inf; one that has reached the hit
+        # would start every further step too late.
+        keep = arr[:, -1] < hit_time
+        lanes, at, ends = lanes[keep], nodes[keep, -1].tolist(), arr[keep, -1]
+        t0, chunk = t1, 2 * chunk
 
-    charged_arrivals: List[np.ndarray] = []
-    n_messages = 0
-    for w in range(walkers):
-        if not arrival_segs[w]:
-            continue
-        arr = (
-            arrival_segs[w][0]
-            if len(arrival_segs[w]) == 1
-            else np.concatenate(arrival_segs[w])
-        )
-        if hit_time < math.inf:
-            # Steps whose start (previous arrival, 0 for the first) is
-            # strictly before the hit; arrivals are strictly increasing.
-            charged = min(len(arr), int(np.searchsorted(arr, hit_time, "left")) + 1)
-        else:
-            charged = len(arr)
-        if charged:
-            charged_arrivals.append(arr[:charged])
-            n_messages += charged
-
-    if charged_arrivals:
-        all_arr = (
-            charged_arrivals[0]
-            if len(charged_arrivals) == 1
-            else np.concatenate(charged_arrivals)
-        )
-        buckets = bucket_bytes(now, all_arr, query_bytes)
-    else:
-        buckets = {}
-
-    if math.isinf(hit_time) or not candidates:
-        return RwSearchResult(n_messages, buckets, None, None)
-    best = min(
-        ((s, w, node) for a, s, w, node in candidates if a == hit_time),
+    stepped = arrivals[:, :t0]
+    charged = np.minimum(
+        np.count_nonzero(stepped < math.inf, axis=1),
+        np.count_nonzero(stepped < hit_time, axis=1) + 1,
     )
-    return RwSearchResult(n_messages, buckets, hit_time, best[2])
+    cells = stepped[np.arange(t0) < charged[:, None]]
+    buckets = bucket_bytes(now, cells, query_bytes)
+    if not hits:
+        return RwSearchResult(len(cells), buckets, None, None)
+    _, _, node = min(
+        (arrivals[w, t - 1] if t else 0.0, w, node)
+        for w, t, node in hits
+        if arrivals[w, t] == hit_time
+    )
+    return RwSearchResult(len(cells), buckets, hit_time, node)
 
 
 # ------------------------------------------------------------------ flooding

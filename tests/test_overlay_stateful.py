@@ -5,8 +5,13 @@ The overlay caches one structure per epoch -- the live CSR -- and
 checks both against a from-scratch recomputation from ``topology.edges`` and
 the model's own live mask -- the exact bug class (a stale cache) that the
 epoch counter exists to prevent -- and that an epoch builds its CSR once.
+The walk rows an epoch carries over from the last one that built them, with
+only the churned neighbourhoods rebuilt, must equal a fresh build, however
+many churn events and unread epochs lie between two reads.
 """
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,7 +22,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.network import overlay as overlay_module
 from repro.network.overlay import Overlay
 from repro.network.topology import random_topology
+from repro.simulation.runner import run_experiment
 from repro.sim.kernels import WalkCsr
+
+from tests.test_engine_batching_differential import small_config
 
 N = 25
 
@@ -54,14 +62,30 @@ class OverlayChurnMachine(RuleBasedStateMachine):
             if node in (u, v) and self.model_live[u] and self.model_live[v]
         )
 
-    @rule(node=st.integers(min_value=0, max_value=N - 1))
-    def toggle(self, node) -> None:
+    def flip(self, node) -> None:
         if self.model_live[node]:
             self.overlay.leave(node)
             self.model_live[node] = False
         else:
             self.overlay.join(node)
             self.model_live[node] = True
+
+    @rule(node=st.integers(min_value=0, max_value=N - 1))
+    def toggle(self, node) -> None:
+        self.flip(node)
+
+    @rule(
+        nodes=st.lists(st.integers(min_value=0, max_value=N - 1), min_size=2, max_size=6),
+        build=st.booleans(),
+    )
+    def churn_between_reads(self, nodes, build) -> None:
+        """Several churn events before the rows are read again; the epochs
+        in between get a CSR nobody walks (as a flood would) or none."""
+        for node in nodes:
+            self.flip(node)
+            if build:
+                self.overlay.walk_csr()
+                self.epochs_read.add(self.overlay.epoch)
 
     @rule(node=st.integers(min_value=0, max_value=N - 1))
     def touch_cache(self, node) -> None:
@@ -78,6 +102,14 @@ class OverlayChurnMachine(RuleBasedStateMachine):
             lo, hi = csr.indptr[node], csr.indptr[node + 1]
             row = zip(csr.indices[lo:hi].tolist(), csr.lats[lo:hi].tolist())
             assert sorted(row) == self.wired_live(node)
+
+    @invariant()
+    def carried_rows_match_a_fresh_build(self) -> None:
+        csr = self.overlay.walk_csr()
+        self.epochs_read.add(self.overlay.epoch)
+        fresh = WalkCsr(csr.indptr, csr.indices, csr.lats)
+        assert csr.nbr == fresh.nbr
+        assert csr.dgf == fresh.dgf
 
     @invariant()
     def neighbors_match_model(self) -> None:
@@ -99,3 +131,31 @@ OverlayChurnMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=25, deadline=None
 )
 TestOverlayChurn = OverlayChurnMachine.TestCase
+
+
+def test_a_new_epoch_holds_the_previous_rows_not_the_previous_csr():
+    overlay = Overlay(random_topology(N, avg_degree=4.0, rng=np.random.default_rng(3)))
+    old = overlay.walk_csr()
+    rows = old.nbr
+    before = [list(row) for row in rows]
+    gone = weakref.ref(old)
+    del old
+    overlay.leave(4)
+    new = overlay.walk_csr()
+    gc.collect()
+    assert gone() is None
+    assert new.nbr is not rows and rows == before  # copied, then patched
+    assert new.nbr[4] == [] and all(4 not in row for row in new.nbr)
+
+
+def test_a_random_walk_cell_builds_rows_and_no_flat_mirrors(monkeypatch):
+    built = []
+
+    def recording(*args):
+        built.append(WalkCsr(*args))
+        return built[-1]
+
+    monkeypatch.setattr(overlay_module, "WalkCsr", recording)
+    run_experiment(small_config("random_walk", 0))
+    assert sum(csr._nbr is not None for csr in built) > 1
+    assert all(csr._ix is None for csr in built)

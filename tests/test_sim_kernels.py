@@ -2,7 +2,8 @@
 
 The end-to-end guarantees live in tests/test_walk_kernels_differential.py;
 these tests pin the individual building blocks: the stepping recurrence,
-chained cumsum exactness, byte bucketing, and the search result shape.
+the block post-processing (cumsum exactness, stranded lanes), byte
+bucketing, and the search result shape.
 """
 
 import math
@@ -96,20 +97,50 @@ class TestChainSteps:
         assert out[0] == 99 and len(out) == 3
 
 
-class TestSegmentedCumsum:
-    def test_restarts_per_segment(self):
-        vals = np.array([1.0, 2.0, 3.0, 10.0, 20.0], dtype=np.float64)
-        out = kernels.segmented_cumsum(vals, [3, 2])
-        assert list(out) == [1.0, 3.0, 6.0, 10.0, 30.0]
+def sink_csr():
+    """Directed: 3 -> 0 -> 1 -> 2 (no way out of 2); node 4 isolated."""
+    return WalkCsr(
+        np.array([0, 1, 2, 2, 3, 3]), np.array([1, 2, 0]), np.array([400.0, 700.0, 300.0])
+    )
 
-    def test_bitwise_matches_sequential_addition(self):
+
+class TestWalkBlock:
+    def test_fold_and_row_cumsum_equal_sequential_addition(self):
+        """Each row continues from its own elapsed time: the column-0 fold
+        plus ``cumsum(axis=1)`` is the per-step loop's ``elapsed += lat``,
+        bit for bit, on the step loop's own trajectory."""
         rng = np.random.default_rng(11)
-        vals = rng.random(1000) * 37.3
-        out = kernels.segmented_cumsum(vals, [1000])
-        acc = 0.0
-        for i, v in enumerate(vals.tolist()):
-            acc += v
-            assert out[i] == acc  # exact, not approx: same IEEE op order
+        topo = random_topology(n=300, avg_degree=4.0, rng=rng)
+        lats = rng.random(len(topo.edges)) * 37.3 + 0.01
+        csr = Overlay(topo, edge_latencies_ms=lats).walk_csr()
+        origins = [0, 5, 9, 0]
+        elapsed = np.array([0.0, 12.345, 1000.0 / 7.0, 3.1])
+        draws = rng.random((4, 1000))
+        nodes, arrivals = kernels.walk_block(csr, origins, draws, elapsed)
+        for lane, (node, at) in enumerate(zip(origins, elapsed.tolist())):
+            for step, u in enumerate(draws[lane].tolist()):
+                lo = int(csr.indptr[node])
+                j = lo + int(u * (int(csr.indptr[node + 1]) - lo))
+                node, at = int(csr.indices[j]), at + float(csr.lats[j])
+                assert nodes[lane, step] == node
+                assert arrivals[lane, step] == at  # exact: same IEEE op order
+
+    def test_padded_steps_add_no_message_arrival_or_receiver(self):
+        csr = sink_csr()
+        draws = np.random.default_rng(0).random((3, 5))
+        nodes, arrivals = kernels.walk_block(csr, [3, 0, 4], draws, 0.0)
+        assert nodes.tolist() == [[0, 1, 2, 5, 5], [1, 2, 5, 5, 5], [5] * 5]
+        inf = float("inf")
+        assert arrivals.tolist() == [
+            [300.0, 700.0, 1400.0, inf, inf],
+            [400.0, 1100.0, inf, inf, inf],
+            [inf] * 5,
+        ]
+        visited, n_messages, buckets = kernels.rw_delivery(csr, 3, draws[:2], 0.0, 10)
+        assert (visited.tolist(), n_messages, buckets) == ([0, 1, 2], 6, {0: 40.0, 1: 20.0})
+        assert kernels.rw_delivery(csr, 4, draws, 0.0, 10)[1:] == (0, {})
+        miss = kernels.rw_search(csr, 3, draws[:2], np.zeros(5, dtype=bool), 0.0, 10)
+        assert (miss.n_messages, miss.buckets, miss.hit_node) == (6, {0: 40.0, 1: 20.0}, None)
 
 
 class TestBucketBytes:

@@ -21,7 +21,9 @@ one-view / one-surface ones at the last commit where the overlay held the
 live graph five ways, every node had a ``RepositoryView`` object, two flood
 loops were kept in step by a comment and a live status view polled workers;
 the filter-is-its-column ones at the last commit where ``repro.bloom`` shipped
-per-filter objects and the store kept a counting copy of each churned source.
+per-filter objects and the store kept a counting copy of each churned source;
+the single-walk ones at the last commit where ``rw_search`` post-processed
+each walker's chunk on its own and the flat mirrors built the walk rows.
 """
 
 import ast
@@ -214,7 +216,9 @@ def test_src_has_one_walk_post_processing():
     """The single-delivery kernel and the lockstep batch turn a walk into
     ``(receivers, buckets)`` through the same three functions; neither
     carries its own seconds truncation, count-to-bytes rule or source
-    drop, and the forwarder does none of it."""
+    drop, and the forwarder does none of it.  A single delivery and every
+    round of a search are one ``walk_block``: no running sum or
+    concatenation per walker."""
     tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -243,6 +247,12 @@ def test_src_has_one_walk_post_processing():
         assert not called(kernel) & own_rules, kernel
         assert not ms_to_s(kernel), kernel
     assert [name for name in functions if ms_to_s(name)] == ["arrival_seconds"]
+    assert {"walk_block", "bucket_bytes"} <= called("rw_search")
+    assert "walk_block" in called("rw_delivery")
+    for kernel in ("rw_delivery", "rw_search"):
+        assert not called(kernel) & {"cumsum", "concatenate", "searchsorted"}, kernel
+    assert not hasattr(kernels, "segmented_cumsum")
+    assert "segmented_cumsum" not in kernels.__all__
 
     forwarder = ast.parse((SRC / "asap" / "delivery.py").read_text())
     rw = next(
@@ -462,6 +472,19 @@ def test_overlay_holds_one_epoch_keyed_cache():
         "_adj_nodes",
     ):
         assert not hasattr(overlay, gone), gone
+
+
+def test_walk_rows_are_built_apart_from_the_flat_mirrors():
+    """The recurrence's rows are carried across epochs; GSA's flat mirrors
+    are a separate build, so a cell that only steps single walks never
+    pays for them."""
+    tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
+    written = {
+        node.attr
+        for node in ast.walk(_method(tree, "WalkCsr", "_build_lists"))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert written == {"_ip", "_dg", "_ix", "_lat_l"}
 
 
 def test_ads_state_is_the_only_surface_of_the_cache():

@@ -38,6 +38,7 @@ from repro.network.topology import (
     powerlaw_topology,
     random_topology,
 )
+from repro.search import random_walk
 from repro.search.base import MessageSizes
 from repro.search.random_walk import RandomWalkSearch
 from repro.sim import kernels
@@ -541,6 +542,123 @@ class TestRandomWalkSearchDifferential:
             if TrafficCategory.QUERY_RESPONSE in cats
         ]
         assert reply_seconds == [int(now + out.response_time_ms / 1000.0)]
+
+
+class FixedDraws:
+    """An RNG whose ``random((walkers, ttl))`` returns the given uniforms."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws.copy()
+
+
+def branches(*specs):
+    """Directed rows: requester 0 has one out-edge per ``(length, end,
+    lat)`` spec, into a path of ``length`` nodes at ``lat`` ms a hop that
+    ends in a sink (``end == "sink"``: a walker strands there) or in a
+    two-node cycle it walks for ever.  Returns ``(rows, paths)``, a row
+    being ``[(head, lat)]``."""
+    rows, paths = [[]], []
+    for length, end, lat in specs:
+        path = list(range(len(rows), len(rows) + length))
+        rows += [[] for _ in path]
+        for tail, head in zip([0] + path, path):
+            rows[tail].append((head, lat))
+        if end == "loop":
+            rows[path[-1]].append((len(rows), lat))
+            rows.append([(path[-1], lat)])
+        paths.append(path)
+    return rows, paths
+
+
+class TestRandomWalkSearchStrandsAndTies:
+    """``_search_impl`` against ``_search_loop`` where the random-overlay
+    cases never go: walkers that strand (a directed CSR with sinks) while
+    others walk on, and exact ties among the earliest arrivals.  The first
+    uniform of each walker picks its branch; on one-way paths the rest
+    cannot change the walk."""
+
+    def run_both(self, monkeypatch, rows, picks, match, ttl=128):
+        n = len(rows)
+        csr = kernels.WalkCsr(
+            np.cumsum([0] + [len(r) for r in rows]),
+            np.array([h for r in rows for h, _ in r], dtype=np.int64),
+            np.array([lat for r in rows for _, lat in r]),
+        )
+        assert csr.lats_positive
+        draws = np.random.default_rng(len(picks)).random((len(picks), ttl))
+        draws[:, 0] = (np.array(picks) + 0.5) / len(rows[0])
+        finished = []
+        finish = random_walk.finish_walk
+
+        def spy(search, requester, now, n_messages, buckets, hit_time, hit_node):
+            finished.append((n_messages, dict(buckets), hit_time, hit_node))
+            return finish(search, requester, now, n_messages, buckets, hit_time, hit_node)
+
+        monkeypatch.setattr(random_walk, "finish_walk", spy)
+        results = []
+        for path in ("_search_impl", "_search_loop"):
+            topo = OverlayTopology("directed", n, np.empty((0, 2), np.int64), np.arange(n))
+            ov = Overlay(topo)
+            ov.walk_csr = lambda: csr
+            algo = build_search(ov, match, 0, walkers=len(picks), ttl=ttl)
+            algo.rng = FixedDraws(draws)
+            out = getattr(algo, path)(0, ["rock"], 100.0)
+            results.append((outcome_tuple(out), ledger_state(algo.ledger)))
+        assert results[0] == results[1]
+        assert finished[0] == finished[1]
+        return finished[0]
+
+    @pytest.mark.parametrize("sink_depth", [3, 20])
+    def test_strands_mid_round_then_a_hit(self, monkeypatch, sink_depth):
+        rows, paths = branches(
+            (sink_depth, "sink", 10.0), (40, "loop", 10.0), (7, "loop", 10.0)
+        )
+        hit = paths[1][29]  # step 30: mid round two, after every strand
+        n_messages, _, hit_time, hit_node = self.run_both(
+            monkeypatch, rows, [0, 1, 2, 0, 2], [hit]
+        )
+        assert (hit_time, hit_node) == (300.0, hit)
+        # Each stranded walker pays its path; the others stop at the hit.
+        assert n_messages == 2 * sink_depth + 3 * 30
+
+    def test_miss_while_some_strand(self, monkeypatch):
+        rows, _ = branches((5, "sink", 10.0), (3, "loop", 7.5))
+        n_messages, _, hit_time, _ = self.run_both(
+            monkeypatch, rows, [0, 1, 0, 1, 1], [], ttl=100
+        )
+        assert (n_messages, hit_time) == (2 * 5 + 3 * 100, None)
+
+    def test_miss_where_every_walker_strands(self, monkeypatch):
+        rows, _ = branches((3, "sink", 10.0), (20, "sink", 11.0), (50, "sink", 9.0))
+        n_messages, buckets, hit_time, _ = self.run_both(
+            monkeypatch, rows, [0, 1, 2, 1, 0], []
+        )
+        assert (n_messages, hit_time) == (3 + 20 + 50 + 20 + 3, None)
+        assert sum(buckets.values()) == n_messages * MessageSizes().query
+
+    def test_tie_goes_to_the_lower_walker(self, monkeypatch):
+        """Flat latencies: walkers 0 and 1 reach a match at the same step
+        from the same start time; walker 0's node wins though its id is
+        the larger."""
+        rows, paths = branches(*[(5, "loop", 10.0)] * 3)
+        _, _, hit_time, hit_node = self.run_both(
+            monkeypatch, rows, [2, 0, 1], [paths[0][2], paths[2][2]]
+        )
+        assert (hit_time, hit_node) == (30.0, paths[2][2])
+
+    def test_tie_goes_to_the_earlier_start(self, monkeypatch):
+        """Two matches arrive at 30 ms, one on a 30 ms hop from time 0, one
+        on a 15 ms hop from 15 ms: the earlier start wins whatever the
+        walker order."""
+        rows, paths = branches((1, "loop", 30.0), (2, "loop", 15.0))
+        _, _, hit_time, hit_node = self.run_both(
+            monkeypatch, rows, [1, 0], [paths[0][0], paths[1][1]]
+        )
+        assert (hit_time, hit_node) == (30.0, paths[0][0])
 
 
 # -------------------------------------------------------- draw-sizing audit

@@ -17,7 +17,6 @@ reimplements that stack from scratch:
   and the one per-epoch CSR of the live graph every search algorithm reads.
 """
 
-from repro.network.keepalive import KeepaliveTraffic
 from repro.network.latency import LatencyModel
 from repro.network.overlay import Overlay
 from repro.network.substrate import (
@@ -35,7 +34,6 @@ from repro.network.topology import (
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
 
 __all__ = [
-    "KeepaliveTraffic",
     "LatencyModel",
     "Overlay",
     "OverlayTopology",

@@ -158,7 +158,7 @@ class Overlay:
         ``indices[indptr[u]:indptr[u+1]]`` are u's live neighbours, with
         per-edge latencies in ``lats`` alongside; an offline node's row is
         empty (the CSR covers live-to-live edges only).  Every flood, walk,
-        ring, delivery and search between two churn events shares the one
+        delivery and search between two churn events shares the one
         :class:`repro.sim.kernels.WalkCsr`: a walk step costs one integer
         draw plus a couple of list indexings instead of a boolean mask over
         the adjacency -- the difference between minutes and hours at paper

@@ -30,9 +30,6 @@ Attribution rules (matching the instrumentation sites):
   reply in ``reply_category``;
 * a top-level ``ads_request`` event splits into ``ads_request`` and
   ``ads_reply`` bytes.
-
-``KEEPALIVE`` and ``DOWNLOAD`` traffic is untraced (modelled outside the
-algorithms); consumers treat those categories as unchecked.
 """
 
 from __future__ import annotations
@@ -60,9 +57,6 @@ AD_TYPE_CATEGORY = {
     "patch": "patch_ad",
     "refresh": "refresh_ad",
 }
-
-#: Categories no instrumentation site traces (excluded from conservation).
-UNTRACED_CATEGORIES = frozenset({"keepalive", "download"})
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ Invariant catalog
     purely from the trace (query-span ``ledger_delta`` annotations plus
     top-level ad-lifecycle events -- see :mod:`repro.obs.analyze`) must
     equal the :class:`~repro.sim.metrics.BandwidthLedger` totals the
-    figures are built from.  ``keepalive``/``download`` traffic is
-    untraced and therefore unchecked.
+    figures are built from, for every category the ledger holds.
 ``query_resolution``
     Every replayed query produced exactly one ``query`` span, in replay
     order, whose annotated outcome (success, messages, cost, results)
@@ -60,11 +59,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.analyze import (
-    TraceAnalysis,
-    UNTRACED_CATEGORIES,
-    analyze_trace,
-)
+from repro.obs.analyze import TraceAnalysis, analyze_trace
 from repro.obs.trace import TraceRecord
 
 __all__ = [
@@ -184,8 +179,6 @@ def _check_conservation(
     }
     status = "pass"
     for cat in sorted(set(trace_totals) | set(ledger_totals)):
-        if cat in UNTRACED_CATEGORIES:
-            continue
         traced = trace_totals.get(cat, 0.0)
         recorded = ledger_totals.get(cat, 0.0)
         if not _close(traced, recorded):

@@ -14,13 +14,11 @@ figure's metrics aggregate over.
 """
 
 from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
-from repro.search.expanding_ring import ExpandingRingSearch
 from repro.search.flooding import FloodingSearch, flood_reach
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import RandomWalkSearch
 
 __all__ = [
-    "ExpandingRingSearch",
     "FloodingSearch",
     "GsaSearch",
     "MessageSizes",

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain as chain_iter_
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +78,6 @@ __all__ = [
     "chain_steps",
     "flood_bfs",
     "flood_frontier",
-    "flood_rings",
     "lockstep_fits",
     "receivers",
     "rw_delivery",
@@ -105,7 +104,7 @@ class WalkCsr:
 
     Wraps the ``(indptr, indices, latencies)`` arrays that
     :meth:`repro.network.overlay.Overlay.walk_csr` builds once per churn
-    epoch (every kernel consumer -- walk, flood and ring -- shares that
+    epoch (every kernel consumer -- walk and flood -- shares that
     instance) and derives three forms of them, each on first use, so an
     epoch pays only for what its readers index:
 
@@ -714,12 +713,11 @@ def _frontier_edges(
     return np.repeat(starts - offsets, lens) + _arange(total), lens
 
 
-def _flood(
-    csr: WalkCsr, source: int, ttl_sequence: Sequence[int]
-) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
-    """One frontier-restricted flood from ``source``, stopped at each TTL
-    of the ascending ``ttl_sequence``: yields the flood's own ``(first_hop,
-    arrival_ms, n_messages)`` -- the arrays the next rounds write.
+def flood_frontier(
+    csr: WalkCsr, source: int, ttl: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One frontier-restricted flood from ``source``: ``(first_hop,
+    arrival_ms, n_messages)`` at ``ttl``.
 
     Bit-identical to the reference hop-bounded Bellman-Ford that relaxes
     *every* live edge each round (``np.minimum.at`` over the full edge
@@ -744,69 +742,53 @@ def _flood(
     first_hop = np.full(n, -1, dtype=np.int64)
     first_hop[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    h = 0
-    exhausted = False
     fwd = int(csr.deg[source])  # + (deg - 1) over nodes reached before hop h
     newly = frontier[:0]  # first reached at hop h: forwarders once h < ttl
-    for ttl in ttl_sequence:
-        while h < ttl and not exhausted:
-            if len(frontier) == 1:
-                # Hop 1 is always a singleton and churned overlays shrink
-                # later frontiers too; a contiguous CSR slice skips the
-                # ragged gather entirely (same values: one node's edge range).
-                u = frontier[0]
-                a = csr.indptr[u]
-                b = a + csr.deg[u]
-                if a == b:
-                    exhausted = True
-                    break
-                targets = csr.indices[a:b]
-                relaxed = arrival[u] + csr.lats[a:b]
-            else:
-                fe = _frontier_edges(csr, frontier)
-                if fe is None:
-                    exhausted = True
-                    break
-                eids, lens = fe
-                relaxed = np.repeat(arrival[frontier], lens) + csr.lats[eids]
-                targets = csr.indices[eids]
-            # Only the relaxed targets can change, so when the frontier is
-            # small the changed-node scan restricts to them (``unique``
-            # yields the same sorted node ids the full-array ``nonzero``
-            # would).  Once the flood saturates -- target count comparable
-            # to n -- sorting the targets costs more than scanning the
-            # dense arrays, so the scan adapts; both branches produce
-            # identical ``changed`` arrays.
-            if len(targets) * 16 < n:
-                uniq = np.unique(targets)
-                old_t = arrival[uniq]
-                np.minimum.at(arrival, targets, relaxed)
-                changed = uniq[arrival[uniq] < old_t]
-            else:
-                old = arrival.copy()
-                np.minimum.at(arrival, targets, relaxed)
-                changed = np.nonzero(arrival < old)[0]
-            if not len(changed):
-                exhausted = True
+    for h in range(1, ttl + 1):
+        if len(frontier) == 1:
+            # Hop 1 is always a singleton and churned overlays shrink later
+            # frontiers too; a contiguous CSR slice skips the ragged gather
+            # entirely (same values: one node's edge range).
+            u = frontier[0]
+            a = csr.indptr[u]
+            b = a + csr.deg[u]
+            if a == b:
                 break
-            h += 1
-            if len(newly):
-                fwd += int(csr.deg[newly].sum()) - len(newly)
-            newly = changed[first_hop[changed] < 0]
-            first_hop[newly] = h
-            frontier = changed
-        if h < ttl and len(newly):
-            # The flood died out below this TTL: its last arrivals count too.
+            targets = csr.indices[a:b]
+            relaxed = arrival[u] + csr.lats[a:b]
+        else:
+            fe = _frontier_edges(csr, frontier)
+            if fe is None:
+                break
+            eids, lens = fe
+            relaxed = np.repeat(arrival[frontier], lens) + csr.lats[eids]
+            targets = csr.indices[eids]
+        # Only the relaxed targets can change, so when the frontier is small
+        # the changed-node scan restricts to them (``unique`` yields the same
+        # sorted node ids the full-array ``nonzero`` would).  Once the flood
+        # saturates -- target count comparable to n -- sorting the targets
+        # costs more than scanning the dense arrays, so the scan adapts;
+        # both branches produce identical ``changed`` arrays.
+        if len(targets) * 16 < n:
+            uniq = np.unique(targets)
+            old_t = arrival[uniq]
+            np.minimum.at(arrival, targets, relaxed)
+            changed = uniq[arrival[uniq] < old_t]
+        else:
+            old = arrival.copy()
+            np.minimum.at(arrival, targets, relaxed)
+            changed = np.nonzero(arrival < old)[0]
+        if not len(changed):
+            break
+        if len(newly):
             fwd += int(csr.deg[newly].sum()) - len(newly)
-            newly = newly[:0]
-        yield first_hop, arrival, fwd
-
-
-def flood_frontier(
-    csr: WalkCsr, source: int, ttl: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One flood: ``(first_hop, arrival_ms, n_messages)`` at ``ttl``."""
-    return next(_flood(csr, source, (ttl,)))
+        newly = changed[first_hop[changed] < 0]
+        first_hop[newly] = h
+        frontier = changed
+    else:
+        return first_hop, arrival, fwd
+    # The flood died out below its TTL: its last arrivals forward too.
+    return first_hop, arrival, fwd + int(csr.deg[newly].sum()) - len(newly)
 
 
 def flood_bfs(csr: WalkCsr, source: int, ttl: int) -> Tuple[np.ndarray, int]:
@@ -849,22 +831,3 @@ def flood_bfs(csr: WalkCsr, source: int, ttl: int) -> Tuple[np.ndarray, int]:
         if h < ttl:
             fwd += int(csr.deg[frontier].sum()) - len(frontier)
     return first_hop, int(csr.deg[source]) + fwd
-
-
-def flood_rings(
-    csr: WalkCsr, source: int, ttl_sequence: Sequence[int]
-) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
-    """Incremental expanding-ring floods: one snapshot per ring TTL.
-
-    Yields ``(first_hop, arrival_ms, n_messages)`` for each TTL in the
-    (ascending) ``ttl_sequence``, continuing the same Bellman-Ford state
-    between rings instead of re-flooding from scratch: the paper's
-    (1, 2, 4, 6) sequence costs 6 relaxation rounds instead of 13.  Each
-    snapshot is bit-identical to a standalone :func:`flood_frontier` at
-    that TTL -- running ``h`` frontier rounds is exactly what the
-    standalone flood does, and early exhaustion (an empty frontier)
-    freezes the state that every later ring would recompute.  The yielded
-    arrays are copies; callers may keep them across rings.
-    """
-    for first_hop, arrival, n_messages in _flood(csr, source, ttl_sequence):
-        yield first_hop.copy(), arrival.copy(), n_messages

@@ -38,8 +38,8 @@ class TrafficCategory(str, enum.Enum):
     * Baselines: only ``QUERY`` traffic counts as system load.
     * ASAP: ad-delivery traffic (``FULL_AD``/``PATCH_AD``/``REFRESH_AD``)
       plus search traffic (``CONFIRMATION``/``ADS_REQUEST``) counts.
-    * ``DOWNLOAD`` and ``KEEPALIVE`` exist for completeness but are excluded
-      from load, exactly as footnote 1 of the paper specifies.
+    * Download and keep-alive traffic, which footnote 1 of the paper
+      excludes from load, is not modelled at all.
     """
 
     QUERY = "query"
@@ -50,8 +50,6 @@ class TrafficCategory(str, enum.Enum):
     CONFIRMATION = "confirmation"
     ADS_REQUEST = "ads_request"
     ADS_REPLY = "ads_reply"
-    DOWNLOAD = "download"
-    KEEPALIVE = "keepalive"
 
 
 #: Categories counted as "system load" for ASAP schemes (paper Section V-B).

@@ -36,7 +36,6 @@ EXTENDED_ALGORITHMS: Tuple[str, ...] = ALGORITHMS + (
     "asap_sp_fld",
     "asap_sp_rw",
     "asap_sp_gsa",
-    "expanding_ring",
 )
 
 #: Overlay names from the paper.
@@ -75,7 +74,9 @@ class RunConfig:
     topology: str = "crawled"
     n_peers: int = PAPER_N_PEERS
     seed: int = 0
-    warmup_s: float = 300.0
+    # No default: a warm-up shorter than the ad walks lets warm-up traffic
+    # bleed into the measured window (see estimate_warmup_s).
+    warmup_s: float = field(kw_only=True)
     use_physical_network: bool = True
     edonkey: EdonkeyParams = field(default_factory=EdonkeyParams)
     trace: TraceParams = field(default_factory=TraceParams)
@@ -85,12 +86,6 @@ class RunConfig:
     rw_ttl: int = 1024
     gsa_budget: int = 8_000
     asap: AsapParams = field(default_factory=AsapParams)
-    # Footnote 1: keep-alive traffic exists but is excluded from system
-    # load; enable to model it in the ledger (load figures are unaffected).
-    model_keepalives: bool = False
-    keepalive_period_s: float = 30.0
-    # Footnote 1 likewise excludes download traffic; enable to model it.
-    model_downloads: bool = False
     # Not an option: a constant kept while benchmarks/e2e/traced.py:197 reads it.
     scheduler: str = field(default="heap", init=False)
     # Cadence of the protocol-state probes (repro.obs.probes) in simulated
@@ -125,8 +120,6 @@ class RunConfig:
         for name in ("flood_ttl", "rw_walkers", "rw_ttl", "gsa_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.keepalive_period_s <= 0:
-            raise ValueError("keepalive_period_s must be > 0")
 
     @property
     def is_asap(self) -> bool:

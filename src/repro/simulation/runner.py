@@ -79,10 +79,6 @@ def build_algorithm(
             walkers=config.rw_walkers,
             ttl=config.rw_ttl,
         )
-    if config.algorithm == "expanding_ring":
-        from repro.search.expanding_ring import ExpandingRingSearch
-
-        return ExpandingRingSearch(overlay, content, ledger, config.sizes, rng)
     if config.algorithm == "gsa":
         return GsaSearch(
             overlay,
@@ -220,19 +216,7 @@ def run_experiment(
             # sink wants the protocol's actions, and the action sites
             # should not pay a call each.
             algorithm.attach(seam)
-    if config.model_keepalives:
-        from repro.network.keepalive import KeepaliveTraffic
-
-        KeepaliveTraffic(
-            engine, overlay, ledger, period_s=config.keepalive_period_s
-        )
     algorithm.warmup(engine, start=0.0, duration=config.warmup_s)
-
-    downloads = None
-    if config.model_downloads:
-        from repro.workload.downloads import DownloadModel
-
-        downloads = DownloadModel(ledger, streams.get("downloads"))
 
     outcomes: List[SearchOutcome] = []
     live_tracker = LiveCountTracker(initial=overlay.live_count())
@@ -241,10 +225,7 @@ def run_experiment(
         now = engine.now
         obs = algorithm.obs
         if isinstance(event, QueryEvent):
-            outcome = algorithm.search(event.node, event.terms, now)
-            outcomes.append(outcome)
-            if downloads is not None and outcome.success:
-                downloads.on_search_success(now)
+            outcomes.append(algorithm.search(event.node, event.terms, now))
         elif isinstance(event, ContentChangeEvent):
             doc = content.document(event.doc_id)
             if event.added:

@@ -7,14 +7,14 @@ The pre-kernel implementation of :func:`repro.search.flooding.flood_reach`
 over every live edge, no frontier bookkeeping.
 """
 
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.network.overlay import Overlay
 from repro.sim.kernels import WalkCsr
 
-__all__ = ["flood_reach_reference", "flood_rings_reference"]
+__all__ = ["flood_reach_reference"]
 
 Flood = Tuple[np.ndarray, np.ndarray, int]
 
@@ -54,13 +54,3 @@ def flood_reach_reference(overlay: Overlay, source: int, ttl: int) -> Flood:
     if not overlay.is_live(source):
         raise ValueError(f"flood source {source} is offline")
     return _flood_edges(overlay.n, *_csr_edges(overlay.walk_csr()), source, ttl)
-
-
-def flood_rings_reference(
-    csr: WalkCsr, source: int, ttls: Sequence[int]
-) -> Iterator[Flood]:
-    """One from-scratch flood per ring: the oracle for
-    :func:`repro.sim.kernels.flood_rings`, which continues one flood."""
-    edges = _csr_edges(csr)
-    for ttl in ttls:
-        yield _flood_edges(csr.n, *edges, source, ttl)

@@ -78,10 +78,6 @@ def golden_configs():
     # ``tests.oracles.oracle_arm``), recorded at the last commit whose
     # ``src/`` carried the reference arm itself, where both were asserted
     # equal: pinned so product and oracle cannot drift together.
-    for seed in (0, 1, 2):
-        configs[f"expanding_ring/seed{seed}/default_churn"] = small_config(
-            "expanding_ring", seed
-        )
     for algorithm in ("asap_fld", "asap_rw", "asap_gsa"):
         configs[f"{algorithm}/seed2/default_churn"] = small_config(algorithm, 2)
     for seed in SEEDS:
@@ -149,7 +145,6 @@ OBS_ROWS = (
     "flooding/seed0/default_churn",
     "random_walk/seed0/default_churn",
     "gsa/seed0/default_churn",
-    "expanding_ring/seed0/default_churn",
     "asap_fld/seed0/default_churn",
     "asap_rw/seed0/default_churn",
     "asap_gsa/seed0/default_churn",

@@ -107,8 +107,6 @@ class TestBandwidthLedger:
 
     def test_load_category_sets_are_disjoint(self):
         assert not (ASAP_LOAD_CATEGORIES & BASELINE_LOAD_CATEGORIES)
-        assert TrafficCategory.DOWNLOAD not in ASAP_LOAD_CATEGORIES
-        assert TrafficCategory.KEEPALIVE not in BASELINE_LOAD_CATEGORIES
 
 
 class TestLoadSeries:

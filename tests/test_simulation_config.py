@@ -26,15 +26,22 @@ class TestRunConfig:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            RunConfig(algorithm="chord")
+            RunConfig(algorithm="chord", warmup_s=300.0)
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            RunConfig(algorithm="flooding", topology="hypercube")
+            RunConfig(algorithm="flooding", topology="hypercube", warmup_s=300.0)
 
     def test_edonkey_peer_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must match"):
-            RunConfig(algorithm="flooding", n_peers=500)
+            RunConfig(algorithm="flooding", n_peers=500, warmup_s=300.0)
+
+    def test_warmup_has_no_default(self):
+        """A hand-built config cannot take a warm-up shorter than its ad
+        walks without saying so: only ``paper_config`` / ``scaled_config``
+        compute one (``estimate_warmup_s``)."""
+        with pytest.raises(TypeError, match="warmup_s"):
+            RunConfig(algorithm="asap_rw")
 
     def test_nonsense_content_parameters_never_reach_a_run_config(self):
         """``RunConfig`` takes a built ``EdonkeyParams``, so a cell with
@@ -52,8 +59,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("flood_ttl", 0), ("rw_walkers", 0), ("rw_ttl", -3), ("gsa_budget", 0),
-         ("keepalive_period_s", 0.0), ("keepalive_period_s", -30.0)],
+        [("flood_ttl", 0), ("rw_walkers", 0), ("rw_ttl", -3), ("gsa_budget", 0)],
     )
     def test_nonsense_search_parameters_fail_before_set_up(self, field, value):
         """Whatever the algorithm: the cell is refused while it is being
@@ -79,8 +85,8 @@ class TestRunConfig:
 
     def test_scheduler_is_a_constant_not_an_option(self):
         assert paper_config("flooding").scheduler == "heap"
-        with pytest.raises(TypeError):
-            RunConfig(algorithm="flooding", scheduler="heap")
+        with pytest.raises(TypeError, match="scheduler"):
+            RunConfig(algorithm="flooding", scheduler="heap", warmup_s=300.0)
 
 
 class TestScaledConfig:

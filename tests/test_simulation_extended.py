@@ -31,9 +31,8 @@ class TestExtendedConfig:
         assert not paper_config("asap_rw").is_superpeer
 
     def test_extended_contains_paper_six(self):
-        # The paper's six schemes plus three super-peer variants and the
-        # expanding-ring baseline from its reference [21].
-        assert len(EXTENDED_ALGORITHMS) == 10
+        # The paper's six schemes plus the three super-peer variants.
+        assert len(EXTENDED_ALGORITHMS) == 9
         assert EXTENDED_ALGORITHMS[:6] == (
             "flooding", "random_walk", "gsa", "asap_fld", "asap_rw", "asap_gsa"
         )

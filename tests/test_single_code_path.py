@@ -23,10 +23,13 @@ loops were kept in step by a comment and a live status view polled workers;
 the filter-is-its-column ones at the last commit where ``repro.bloom`` shipped
 per-filter objects and the store kept a counting copy of each churned source;
 the single-walk ones at the last commit where ``rw_search`` post-processed
-each walker's chunk on its own and the flat mirrors built the walk rows.
+each walker's chunk on its own and the flat mirrors built the walk rows;
+the paper's-schemes-only ones at the last commit that shipped expanding-ring
+search, keep-alive and download traffic models and a default warm-up.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -52,6 +55,7 @@ from repro.network.topology import random_topology
 from repro.sim import kernels
 from repro.sim import metrics as sim_metrics
 from repro.sim.metrics import BandwidthLedger
+from repro.simulation.config import RunConfig
 from repro.simulation.runner import run_experiment
 from repro.workload.content import ContentIndex, Document
 
@@ -519,7 +523,7 @@ def test_the_flood_relaxation_is_written_once():
             if isinstance(call, ast.Call)
         )
     ]
-    assert relaxers == ["_flood"]
+    assert relaxers == ["flood_frontier"]
 
 
 def test_src_has_no_live_status_view_and_no_thread():
@@ -597,6 +601,48 @@ def test_names_with_no_caller_but_their_own_test_are_gone():
     for gone in ("save_trace", "load_trace"):
         assert gone not in repro.workload.__all__
     assert not hasattr(sim_metrics, "Counter")
+
+
+# ------------------------------------------------ the paper's schemes only
+def test_src_models_no_traffic_the_paper_does_not_measure():
+    """No expanding-ring search (cited, never evaluated) and no keep-alive
+    or download model (footnote 1 excludes both from load)."""
+    gone = re.compile(
+        r"ExpandingRingSearch|expanding_ring|flood_rings|KeepaliveTraffic"
+        r"|DownloadModel|DownloadParams|model_keepalives|keepalive_period_s"
+        r"|model_downloads|UNTRACED_CATEGORIES"
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert hits == []
+    assert [c.name for c in sim_metrics.TrafficCategory] == [
+        "QUERY", "QUERY_RESPONSE", "FULL_AD", "PATCH_AD", "REFRESH_AD",
+        "CONFIRMATION", "ADS_REQUEST", "ADS_REPLY",
+    ]
+
+
+def test_run_config_has_fifteen_fields_and_warmup_has_no_default():
+    settable = {f.name: f for f in dataclasses.fields(RunConfig) if f.init}
+    assert sorted(settable) == sorted([
+        "algorithm", "topology", "n_peers", "seed", "warmup_s",
+        "use_physical_network", "edonkey", "trace", "sizes", "flood_ttl",
+        "rw_walkers", "rw_ttl", "gsa_budget", "asap", "probe_interval_s",
+    ])
+    warmup = settable["warmup_s"]
+    assert warmup.default is dataclasses.MISSING
+    assert warmup.default_factory is dataclasses.MISSING
+
+
+def test_kernels_define_no_generator_function():
+    generators = [
+        name for name, value in vars(kernels).items()
+        if inspect.isgeneratorfunction(value)
+    ]
+    assert generators == []
 
 
 # --------------------------------------------------------------------------

@@ -17,15 +17,16 @@ ASAP's background load appear smooth in the Figure 10 reproduction rather
 than spiking at delivery start.
 
 The walk-based forwarders run on the shared walk kernels
-(:mod:`repro.sim.kernels`).  A single delivery steps over plain-list CSR
-mirrors with vectorised latency/bucket/visited post-processing; the
-warm-up's full ads, which ASAP(RW) knows ahead of time, are stepped
-together in lockstep (:meth:`RandomWalkAdForwarder.plan_full_ads`) and
-handed out one per event.  The per-step loops both replaced live in
-``tests/oracles/delivery.py``; the differential tests
-(``tests/test_walk_kernels_differential.py``) assert each forwarder
-reproduces its loop bit-for-bit (visited sets, message counts, per-second
-ledger buckets, RNG state).
+(:mod:`repro.sim.kernels`).  A single ASAP(RW) delivery steps over the
+epoch's carried plain-list rows with vectorised latency/bucket/visited
+post-processing; the warm-up's full ads, which ASAP(RW) knows ahead of
+time, are stepped together in lockstep
+(:meth:`RandomWalkAdForwarder.plan_full_ads`) and handed out one per
+event.  ASAP(GSA) steps the same rows one step at a time.  The per-step
+loops over the CSR arrays live in ``tests/oracles/delivery.py``; the
+differential tests (``tests/test_walk_kernels_differential.py``) assert
+each forwarder reproduces its loop bit-for-bit (visited sets, message
+counts, per-second ledger buckets, RNG state).
 """
 
 from __future__ import annotations
@@ -374,19 +375,20 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
 class GsaAdForwarder(_WalkForwarderBase):
     """ASAP(GSA): walkers replicate the ad to each visited node's neighbours.
 
-    ``deliver`` is the partially-vectorised fast path: walk trajectories
-    come from the shared kernel chain (generated in chunks, since one-hop
-    replication usually exhausts the budget well before the draw matrix),
-    while the visited-set replication remains a per-step loop over a
-    bytearray membership table.
+    ``deliver`` is one plain per-step loop per walker over its draw row and
+    the epoch's carried rows (:class:`~repro.sim.kernels.WalkCsr`): a step
+    takes edge ``k = int(u * dgf[node])`` of ``nbr[node]`` at latency
+    ``nbr_lat[node][k]``, then pushes the ad to the neighbours of the new
+    node this delivery has not reached, in row order, at most the
+    walker's remaining budget of them.  Walker *w+1* skips what walker *w*
+    reached (one bytearray visited table per delivery), so the walkers
+    are not independent lanes; and a delivery is small (a refresh walk is
+    a dozen steps), so the loop stays per step.
 
     Draw sizing: a delivery takes at most ``per_walker`` walk steps per
     walker (each step consumes at least one unit of that walker's budget),
     so the ``(walkers, per_walker)`` draw matrix can never be out-run and
-    every uniform is consumed at most once.  (An earlier revision indexed
-    the row modulo ``per_walker``, which *looked* like it could re-consume
-    draws; the bound above means the wrap was unreachable and removing it
-    leaves every seeded trajectory unchanged.)
+    every uniform is consumed at most once.
     """
 
     kind = "gsa"
@@ -400,31 +402,23 @@ class GsaAdForwarder(_WalkForwarderBase):
         per_walker = max(1, total_budget // self.walkers)
         ad_size = ad.size_bytes(self.sizes)
         csr = self.overlay.walk_csr()
-        ip, dg, ix, lat_l = csr.ip, csr.dg, csr.ix, csr.lat_l
+        nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
         source = ad.source
         visited = bytearray(csr.n)
         buckets: Dict[int, float] = defaultdict(float)
         n_messages = 0
         draws = self.rng.random((self.walkers, per_walker))
-        chunk = kernels.CHUNK_STEPS
-        for w in range(self.walkers):
-            row = draws[w].tolist()
-            chain: list = []
-            gen_node = source
-            ci = 0
+        for row in draws.tolist():
+            node = source
             elapsed_ms = 0.0
             remaining = per_walker
-            while remaining > 0:
-                if ci == len(chain):
-                    taken, gen_node = kernels.chain_steps(
-                        csr, gen_node, row[ci : ci + chunk], chain
-                    )
-                    if not taken:
-                        break  # stranded on a node with no live neighbours
-                j = chain[ci]
-                ci += 1
-                node = ix[j]
-                elapsed_ms += lat_l[j]
+            for u in row:
+                d = dgf[node]
+                if not d:
+                    break  # stranded on a node with no live neighbours
+                k = int(u * d)
+                elapsed_ms += nbr_lat[node][k]
+                node = nbr[node][k]
                 visited[node] = 1
                 n_messages += 1
                 remaining -= 1
@@ -433,9 +427,8 @@ class GsaAdForwarder(_WalkForwarderBase):
                 # One-hop replication from the visited node, skipping nodes
                 # this delivery already reached (budget buys distinct
                 # coverage).
-                lo = ip[node]
                 n_push = 0
-                for p in ix[lo : lo + dg[node]]:
+                for p in nbr[node]:
                     if n_push >= remaining:
                         break
                     if visited[p] or p == source:
@@ -446,6 +439,8 @@ class GsaAdForwarder(_WalkForwarderBase):
                     n_messages += n_push
                     remaining -= n_push
                     buckets[second] += n_push * ad_size
+                if not remaining:
+                    break
         visited[source] = 0
         visited_ids = np.nonzero(np.frombuffer(visited, dtype=np.uint8))[0]
         return self._finish(

@@ -55,6 +55,11 @@ class OverlayTopology:
                 raise ValueError("edge endpoint out of range")
             if np.any(self.edges[:, 0] >= self.edges[:, 1]):
                 raise ValueError("edges must be canonical (u < v)")
+            keys = np.sort(self.edges[:, 0].astype(np.int64) * self.n + self.edges[:, 1])
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if len(repeated):
+                u, v = divmod(int(keys[repeated[0]]), self.n)
+                raise ValueError(f"edge ({u}, {v}) appears more than once")
 
     @property
     def n_edges(self) -> int:

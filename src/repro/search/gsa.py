@@ -23,15 +23,15 @@ Implementation notes:
 * The walk is genuinely event-ordered (walkers interleave through a heap
   and share the ``seen`` set, so execution order matters); it cannot be
   truncated post hoc like the plain random walk.  Instead the hot loop
-  runs over the walk kernel's plain-list CSR mirrors
-  (:meth:`Overlay.walk_csr`) with bytearray membership tables for ``seen``
-  and the matching set -- same semantics, a fraction of the per-step cost.
+  runs over the epoch's carried plain-list rows (:meth:`Overlay.walk_csr`:
+  ``nbr[u]`` and the aligned latencies ``nbr_lat[u]``) with bytearray
+  membership tables for ``seen`` and the matching set.  The heap loop
+  over the flat CSR arrays is ``tests/oracles/gsa.py``, the differential
+  this loop is checked against.
 * Draw sizing: a walker executes at most ``per_walker`` steps (each step
   consumes at least one budget unit), so the ``(walkers, per_walker)``
   draw matrix is always long enough and every uniform is consumed at most
-  once.  (An earlier revision indexed the row modulo ``per_walker``; the
-  bound above means that wrap was unreachable, so removing it changes no
-  seeded trajectory.)
+  once.
 * The reply's bytes land in the ledger at the reply's *arrival* time
   (hit time + direct reply hop), matching the random-walk baseline.
 """
@@ -77,7 +77,7 @@ class GsaSearch(SearchAlgorithm):
         rng = self.rng
         per_walker = max(1, self.budget // self.walkers)
         csr = self.overlay.walk_csr()
-        ip, dg, ix, lat_l = csr.ip, csr.dg, csr.ix, csr.lat_l
+        nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
         query_size = self.sizes.query
 
         heap = [(0.0, w) for w in range(self.walkers)]
@@ -104,13 +104,13 @@ class GsaSearch(SearchAlgorithm):
             if elapsed >= hit_time_ms or budgets[w] <= 0:
                 continue
             node = positions[w]
-            deg = dg[node]
-            if deg == 0:
+            d = dgf[node]
+            if not d:
                 continue
-            j = ip[node] + int(rows[w][steps[w]] * deg)
+            k = int(rows[w][steps[w]] * d)
             steps[w] += 1
-            nxt = ix[j]
-            arrival = elapsed + lat_l[j]
+            nxt = nbr[node][k]
+            arrival = elapsed + nbr_lat[node][k]
             positions[w] = nxt
             budgets[w] -= 1
             n_messages += 1
@@ -123,10 +123,9 @@ class GsaSearch(SearchAlgorithm):
 
             # One-hop lookahead: probe the new node's not-yet-seen live
             # neighbours.
-            lo2 = ip[nxt]
             n_probed = 0
             budget_w = budgets[w]
-            for k, p in enumerate(ix[lo2 : lo2 + dg[nxt]]):
+            for k, p in enumerate(nbr[nxt]):
                 if n_probed >= budget_w:
                     break
                 if seen[p]:
@@ -135,7 +134,7 @@ class GsaSearch(SearchAlgorithm):
                 n_probed += 1
                 if match_flags[p]:
                     # Probe out + answer back to the visited node.
-                    t = arrival + 2.0 * lat_l[lo2 + k]
+                    t = arrival + 2.0 * nbr_lat[nxt][k]
                     if t < hit_time_ms:
                         hit_time_ms = t
                         hit_node = p

@@ -25,8 +25,8 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
     rebuilt), a handful of list indexings per step instead of NumPy
     scalar extractions (~7x cheaper), consuming the pre-drawn ``(walkers,
     steps)`` uniform matrix in exactly the per-step loops' order:
-    :func:`walk_block` (under :func:`rw_delivery` and every round of
-    :func:`rw_search`) and :func:`chain_steps`;
+    :func:`walk_block`, under :func:`rw_delivery` and every round of
+    :func:`rw_search`;
   - **many deliveries known ahead of time** -- ASAP(RW)'s warm-up, one
     full ad per sharer, none of which reads cache state -- are hundreds
     of lanes, and lockstep wins (41 ns per lane-step at 320 lanes):
@@ -35,11 +35,11 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
     working-set budget (``LOCKSTEP_CHUNK_BYTES``, ``LOCKSTEP_BLOCK``).
 
   Which of the two runs is decided by what is known -- a planned batch
-  exists or it does not -- never by a flag.  The other two walk idioms
-  stay as they are for cause: ``GsaAdForwarder.deliver``'s walker *w+1*
-  skips what walker *w* already reached (one visited table per delivery,
-  so its lanes are not independent), and :func:`rw_search` stops at the
-  first hit (most of a lockstep batch would be thrown away).
+  exists or it does not -- never by a flag.  :func:`rw_search` stays off
+  lockstep because it stops at the first hit (most of a lockstep batch
+  would be thrown away).  GSA's two loops (``GsaAdForwarder.deliver``
+  and ``GsaSearch``) step over the same rows one step at a time: their
+  walkers share one visited table, so their lanes are not independent.
 * **Trajectories are bit-identical** on every path: ``int(u * deg)`` on
   the same IEEE values picks the edge, and a batch consumes one flat draw
   that is the concatenation of the blocks its deliveries would have drawn
@@ -75,7 +75,6 @@ __all__ = [
     "bucket_bytes",
     "bucket_dict",
     "chain_nodes",
-    "chain_steps",
     "flood_bfs",
     "flood_frontier",
     "lockstep_fits",
@@ -94,9 +93,9 @@ __all__ = [
 CHUNK_STEPS = 16
 
 
-#: A previous epoch's ``(nbr, dgf)`` rows and the mask of the rows that
-#: churn may have changed since (see :meth:`WalkCsr.carry`).
-_Rows = Tuple[List[List[int]], List[float], np.ndarray]
+#: A previous epoch's ``(nbr, dgf, nbr_lat)`` rows and the mask of the rows
+#: that churn may have changed since (see :meth:`WalkCsr.carry`).
+_Rows = Tuple[List[List[int]], List[float], List[List[float]], np.ndarray]
 
 
 class WalkCsr:
@@ -105,16 +104,16 @@ class WalkCsr:
     Wraps the ``(indptr, indices, latencies)`` arrays that
     :meth:`repro.network.overlay.Overlay.walk_csr` builds once per churn
     epoch (every kernel consumer -- walk and flood -- shares that
-    instance) and derives three forms of them, each on first use, so an
+    instance) and derives two forms of them, each on first use, so an
     epoch pays only for what its readers index:
 
-    * the **rows** of the list recurrence: ``nbr[u]``, u's live neighbours
-      as a plain list (one small-list index per step), and ``dgf[u]``,
-      their count as a float (``u * dgf[node]`` is then the reference's
-      ``u * deg`` -- Python converts the int to the same float, degrees
-      being far below 2**53 -- without a ``len()`` per step);
-    * the **flat mirrors** ``ip``, ``dg``, ``ix``, ``lat_l`` (the arrays
-      as plain lists) that GSA's per-step loops index;
+    * the **rows** of every Python-stepped walk: ``nbr[u]``, u's live
+      neighbours as a plain list (one small-list index per step),
+      ``nbr_lat[u]``, the latencies of those edges in the same order, and
+      ``dgf[u]``, their count as a float (``u * dgf[node]`` is then the
+      reference's ``u * deg`` -- Python converts the int to the same
+      float, degrees being far below 2**53 -- without a ``len()`` per
+      step);
     * the **array form** :attr:`lockstep` that :func:`walk_block` and the
       batch kernel gather from.
 
@@ -130,12 +129,9 @@ class WalkCsr:
         "indices",
         "lats",
         "deg",
-        "_ip",
-        "_dg",
-        "_ix",
-        "_lat_l",
         "_nbr",
         "_dgf",
+        "_nbr_lat",
         "_carried",
         "_lockstep",
         "n",
@@ -155,12 +151,9 @@ class WalkCsr:
         self.lats = lats
         self.deg: np.ndarray = np.diff(indptr)
         self.n = len(indptr) - 1
-        self._ip: Optional[List[int]] = None
-        self._dg: Optional[List[int]] = None
-        self._ix: Optional[List[int]] = None
-        self._lat_l: Optional[List[float]] = None
         self._nbr: Optional[List[List[int]]] = None
         self._dgf: Optional[List[float]] = None
+        self._nbr_lat: Optional[List[List[float]]] = None
         self._carried = carried
         self._lockstep: Optional[Tuple[np.ndarray, ...]] = None
         # Positive latencies guarantee strictly increasing per-walker
@@ -173,34 +166,32 @@ class WalkCsr:
         were built, else what this epoch would have started from (so the
         marks of epochs nobody walked add up); None if neither exists."""
         if self._nbr is not None:
-            return self._nbr, self._dgf, touched
+            return self._nbr, self._dgf, self._nbr_lat, touched
         if self._carried is None:
             return None
-        nbr, dgf, before = self._carried
-        return nbr, dgf, before | touched
+        *rows, before = self._carried
+        return *rows, before | touched
 
     def _build_rows(self) -> None:
         if self._carried is None:
-            nbr, dgf = [None] * self.n, [0.0] * self.n
+            nbr, dgf, nbr_lat = [None] * self.n, [0.0] * self.n, [None] * self.n
             rebuild = np.arange(self.n)
         else:
-            nbr, dgf, touched = self._carried
-            nbr, dgf = nbr.copy(), dgf.copy()  # the epoch they came from keeps its own
+            nbr, dgf, nbr_lat, touched = self._carried
+            # The epoch they came from keeps its own.
+            nbr, dgf, nbr_lat = nbr.copy(), dgf.copy(), nbr_lat.copy()
             rebuild = np.flatnonzero(touched)
         edges = _frontier_edges(self, rebuild)
         flat = [] if edges is None else self.indices[edges[0]].tolist()
+        flat_lat = [] if edges is None else self.lats[edges[0]].tolist()
         lens = self.deg[rebuild]
         ends = np.cumsum(lens).tolist()
         for u, k, end in zip(rebuild.tolist(), lens.tolist(), ends):
             nbr[u] = flat[end - k : end]
+            nbr_lat[u] = flat_lat[end - k : end]
             dgf[u] = float(k)
-        self._nbr, self._dgf, self._carried = nbr, dgf, None
-
-    def _build_lists(self) -> None:
-        self._ip = self.indptr.tolist()
-        self._dg = self.deg.tolist()
-        self._ix = self.indices.tolist()
-        self._lat_l = self.lats.tolist()
+        self._nbr, self._dgf, self._nbr_lat = nbr, dgf, nbr_lat
+        self._carried = None
 
     @property
     def lockstep(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -229,30 +220,6 @@ class WalkCsr:
         return self._lockstep
 
     @property
-    def ip(self) -> List[int]:
-        if self._ip is None:
-            self._build_lists()
-        return self._ip
-
-    @property
-    def dg(self) -> List[int]:
-        if self._dg is None:
-            self._build_lists()
-        return self._dg
-
-    @property
-    def ix(self) -> List[int]:
-        if self._ix is None:
-            self._build_lists()
-        return self._ix
-
-    @property
-    def lat_l(self) -> List[float]:
-        if self._lat_l is None:
-            self._build_lists()
-        return self._lat_l
-
-    @property
     def nbr(self) -> List[List[int]]:
         if self._nbr is None:
             self._build_rows()
@@ -264,42 +231,24 @@ class WalkCsr:
             self._build_rows()
         return self._dgf
 
-
-def chain_steps(
-    csr: WalkCsr, node: int, row: List[float], out: List[int]
-) -> Tuple[int, int]:
-    """Walk one walker along ``row``'s uniforms, appending edge ids to ``out``.
-
-    Starts at ``node``; each uniform ``u`` selects live neighbour
-    ``floor(u * degree)`` exactly as the reference loops do
-    (``int(u * deg)`` on the same IEEE values, so the trajectory is
-    bit-identical).  Stops early if the walker strands on a node with no
-    live neighbours.  Returns ``(steps_taken, final_node)``.
-    """
-    ip = csr.ip
-    dgf = csr.dgf
-    ix = csr.ix
-    append = out.append
-    before = len(out)
-    for u in row:
-        d = dgf[node]
-        if not d:
-            break
-        j = ip[node] + int(u * d)
-        append(j)
-        node = ix[j]
-    return len(out) - before, node
+    @property
+    def nbr_lat(self) -> List[List[float]]:
+        if self._nbr_lat is None:
+            self._build_rows()
+        return self._nbr_lat
 
 
 def chain_nodes(
     csr: WalkCsr, node: int, row: List[float], out: List[int]
 ) -> Tuple[int, int]:
-    """Like :func:`chain_steps` but appends *node ids* instead of edge ids.
+    """Walk one walker along ``row``'s uniforms, appending node ids to ``out``.
 
-    The careful form of :func:`walk_block`'s recurrence, for the rare
-    walker that strands (the edge ids are recovered afterwards: the edge
-    chosen at a step is a pure function of the step's start node and
-    uniform).  Returns ``(steps_taken, final_node)``.
+    Starts at ``node``; each uniform ``u`` selects live neighbour
+    ``floor(u * degree)`` exactly as the reference loops do.  The careful
+    form of :func:`walk_block`'s recurrence, for the rare walker that
+    strands on a node with no live neighbours (the edge ids are recovered
+    afterwards: the edge chosen at a step is a pure function of the
+    step's start node and uniform).  Returns ``(steps_taken, final_node)``.
     """
     nbr = csr.nbr
     append = out.append

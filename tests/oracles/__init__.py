@@ -12,6 +12,7 @@ in-tree twins live here, imported by tests only:
   :class:`~repro.asap.store.SourceFilterStore` mints for it);
 * :mod:`tests.oracles.flood` -- full-edge-array Bellman-Ford floods;
 * :mod:`tests.oracles.delivery` -- per-step ad-delivery loops;
+* :mod:`tests.oracles.gsa` -- the GSA search heap loop over flat CSR lists;
 * :mod:`tests.oracles.hops` -- scipy all-pairs hop counts of a stub graph;
 * :mod:`tests.oracles.asap` -- the method-call-per-ad protocol built on
   all of the above.

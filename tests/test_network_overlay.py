@@ -181,11 +181,13 @@ class TestWithRandomTopology:
         ov.leave(7)
         csr2 = ov.walk_csr()
         assert csr2 is not csr1  # churn invalidates the cache
-        # Mirrors agree with the CSR arrays after the churn event.
-        assert csr2.ip == csr2.indptr.tolist()
-        assert csr2.ix == csr2.indices.tolist()
-        assert csr2.lat_l == csr2.lats.tolist()
-        assert csr2.dg == np.diff(csr2.indptr).tolist()
-        assert csr2.dg[7] == 0 and 7 not in csr2.ix
+        # The rows agree with the CSR arrays after the churn event.
+        for u in range(csr2.n):
+            lo, hi = csr2.indptr[u], csr2.indptr[u + 1]
+            assert csr2.nbr[u] == csr2.indices[lo:hi].tolist()
+            assert csr2.nbr_lat[u] == csr2.lats[lo:hi].tolist()
+            assert csr2.dgf[u] == hi - lo
+        assert csr2.dgf[7] == 0.0 and csr2.nbr[7] == csr2.nbr_lat[7] == []
+        assert not any(7 in row for row in csr2.nbr)
         assert csr2.n == ov.n
         assert csr2.lats_positive

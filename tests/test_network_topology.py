@@ -40,6 +40,17 @@ class TestOverlayTopology:
                 physical_ids=np.arange(2),
             )
 
+    def test_validation_rejects_repeated_edges(self):
+        """Each walk row holds a neighbour once, so a topology may list an
+        edge once."""
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) appears more than once"):
+            OverlayTopology(
+                name="x",
+                n=4,
+                edges=np.array([[1, 2], [0, 3], [1, 2]]),
+                physical_ids=np.arange(4),
+            )
+
     def test_degrees_and_average(self):
         topo = OverlayTopology(
             name="tri",

@@ -110,6 +110,11 @@ class OverlayChurnMachine(RuleBasedStateMachine):
         fresh = WalkCsr(csr.indptr, csr.indices, csr.lats)
         assert csr.nbr == fresh.nbr
         assert csr.dgf == fresh.dgf
+        assert csr.nbr_lat == fresh.nbr_lat
+        for u in range(N):
+            lo, hi = csr.indptr[u], csr.indptr[u + 1]
+            assert csr.nbr_lat[u] == csr.lats[lo:hi].tolist()
+            assert len(set(csr.nbr[u])) == len(csr.nbr[u])
 
     @invariant()
     def neighbors_match_model(self) -> None:
@@ -158,4 +163,4 @@ def test_a_random_walk_cell_builds_rows_and_no_flat_mirrors(monkeypatch):
     monkeypatch.setattr(overlay_module, "WalkCsr", recording)
     run_experiment(small_config("random_walk", 0))
     assert sum(csr._nbr is not None for csr in built) > 1
-    assert all(csr._ix is None for csr in built)
+    assert not any(hasattr(csr, "_ix") for csr in built)

@@ -30,12 +30,15 @@ def random_csr(seed=0, n=200, deg=4.0, lat=15.0):
 
 class TestWalkCsr:
     def test_mirrors_match_arrays(self):
+        """The rows mirror the CSR arrays, one slice of each per node."""
         csr = random_csr()
-        assert csr.ip == csr.indptr.tolist()
-        assert csr.ix == csr.indices.tolist()
-        assert csr.lat_l == csr.lats.tolist()
-        assert csr.dg == np.diff(csr.indptr).tolist()
         assert csr.n == len(csr.indptr) - 1
+        for u in range(csr.n):
+            lo, hi = csr.indptr[u], csr.indptr[u + 1]
+            assert csr.nbr[u] == csr.indices[lo:hi].tolist()
+            assert csr.nbr_lat[u] == csr.lats[lo:hi].tolist()
+            assert csr.dgf[u] == float(hi - lo)
+        assert sum(map(len, csr.nbr)) == len(csr.indices)
 
     def test_lats_positive_flag(self):
         assert random_csr(lat=15.0).lats_positive
@@ -48,53 +51,6 @@ class TestWalkCsr:
             physical_ids=np.arange(3),
         )
         assert Overlay(topo).walk_csr().lats_positive
-
-
-class TestChainSteps:
-    def test_reference_trajectory(self):
-        """chain_steps must consume draws exactly like the per-step loop."""
-        csr = random_csr(seed=3)
-        rng = np.random.default_rng(7)
-        row = rng.random(500)
-        out = []
-        taken, final = kernels.chain_steps(csr, 0, row.tolist(), out)
-
-        node = 0
-        expect = []
-        for u in row:
-            lo = csr.indptr[node]
-            deg = csr.indptr[node + 1] - lo
-            if deg == 0:
-                break
-            j = lo + int(u * deg)
-            expect.append(int(j))
-            node = int(csr.indices[j])
-        assert out == expect
-        assert taken == len(expect)
-        assert final == node
-
-    def test_strands_on_isolated_node(self):
-        # Path 0-1 with node 1's only neighbour taken offline strands the
-        # walker immediately: degree 0 means zero steps.
-        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
-        topo = OverlayTopology(
-            name="p3", n=3, edges=edges, physical_ids=np.arange(3)
-        )
-        ov = Overlay(topo, default_edge_latency_ms=5.0)
-        ov.leave(1)
-        csr = ov.walk_csr()
-        out = []
-        taken, final = kernels.chain_steps(csr, 0, [0.5, 0.5], out)
-        assert taken == 0
-        assert final == 0
-        assert out == []
-
-    def test_appends_after_existing_content(self):
-        csr = path_csr()
-        out = [99]
-        taken, _ = kernels.chain_steps(csr, 2, [0.0, 0.0], out)
-        assert taken == 2
-        assert out[0] == 99 and len(out) == 3
 
 
 def sink_csr():

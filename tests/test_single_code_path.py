@@ -478,17 +478,14 @@ def test_overlay_holds_one_epoch_keyed_cache():
         assert not hasattr(overlay, gone), gone
 
 
-def test_walk_rows_are_built_apart_from_the_flat_mirrors():
-    """The recurrence's rows are carried across epochs; GSA's flat mirrors
-    are a separate build, so a cell that only steps single walks never
-    pays for them."""
-    tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
-    written = {
-        node.attr
-        for node in ast.walk(_method(tree, "WalkCsr", "_build_lists"))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-    }
-    assert written == {"_ip", "_dg", "_ix", "_lat_l"}
+def test_every_python_stepped_walk_reads_the_carried_rows():
+    """``WalkCsr`` has two forms, the carried rows and ``lockstep``: no flat
+    list mirrors of the CSR arrays, and no edge-id chain for GSA to read."""
+    for gone in ("ip", "dg", "ix", "lat_l", "_build_lists"):
+        assert not hasattr(kernels.WalkCsr, gone), gone
+    assert not hasattr(kernels, "chain_steps")
+    assert "chain_steps" not in kernels.__all__
+    assert "CHUNK_STEPS" not in (SRC / "asap" / "delivery.py").read_text()
 
 
 def test_ads_state_is_the_only_surface_of_the_cache():

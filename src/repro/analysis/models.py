@@ -1,96 +1,16 @@
-"""Closed-form models: flood reach, walk coverage, query load, Bloom FPR.
+"""Closed-form models: Bloom false-positive rate and one-hop round trip.
 
-Every function documents which part of the paper (or which standard result)
-it encodes; ``tests/test_analysis_models.py`` validates each against the
-simulator where a simulated counterpart exists.
+Each is read by a campaign claim (:mod:`repro.experiments.campaign`): the
+Bloom model by "Ablation bloom", the round-trip model by "Figure 5".
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.network.transit_stub import TransitStubParams
 
-__all__ = [
-    "bloom_false_positive_rate",
-    "expected_flood_messages_per_node",
-    "expected_flood_reach",
-    "expected_one_hop_rtt_ms",
-    "expected_walk_coverage",
-    "paper_query_load_estimate",
-]
-
-
-def expected_flood_reach(
-    avg_degree: float,
-    ttl: int,
-    n_nodes: Optional[int] = None,
-    excess_degree: Optional[float] = None,
-) -> float:
-    """Nodes reached by a deduplicating flood on a random overlay.
-
-    Branching-process estimate: hop 1 reaches d nodes; each subsequent hop
-    multiplies by the *excess degree* q = E[d(d-1)]/E[d] - the expected
-    onward fan-out of a node reached along an edge (size-biased).  The
-    default ``q = d - 1`` is the regular-graph/tree assumption the paper's
-    own Section III-A arithmetic uses; for Poisson-degree (Erdos-Renyi)
-    overlays pass ``excess_degree = avg_degree``.  Capped at the system
-    size; an upper bound once the flood wraps around.
-    """
-    if ttl < 0:
-        raise ValueError("ttl must be >= 0")
-    if avg_degree < 1:
-        raise ValueError("avg_degree must be >= 1")
-    q = excess_degree if excess_degree is not None else avg_degree - 1.0
-    reached = 0.0
-    for h in range(1, ttl + 1):
-        reached += avg_degree * q ** (h - 1)
-        if n_nodes is not None and reached >= n_nodes - 1:
-            return float(n_nodes - 1)
-    return reached
-
-
-def expected_flood_messages_per_node(
-    request_rate: float,
-    avg_degree: float,
-    ttl: int,
-    n_nodes: int,
-) -> float:
-    """Section III-A's overload estimate, generalised.
-
-    The paper computes ``20 * (5-1)^7 / 24,578 ~ 13`` query messages handled
-    per node per second for the Kazaa-sized network: requests/second times
-    the branching volume (d-1)^ttl, spread over all nodes.
-    """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if request_rate < 0:
-        raise ValueError("request_rate must be >= 0")
-    return request_rate * (avg_degree - 1) ** ttl / n_nodes
-
-
-def paper_query_load_estimate() -> float:
-    """The exact arithmetic from Section III-A (~13 messages/node/s)."""
-    return expected_flood_messages_per_node(
-        request_rate=20.0, avg_degree=5.0, ttl=7, n_nodes=24_578
-    )
-
-
-def expected_walk_coverage(n_nodes: int, total_steps: float) -> float:
-    """Distinct nodes visited by ``total_steps`` uniform random-walk steps.
-
-    The standard occupancy estimate n * (1 - exp(-L/n)) -- treats step
-    destinations as uniform draws.  On real overlays walks revisit more
-    (degree-biased stationary distribution, backtracking), so this is an
-    *optimistic* bound; measurements land around 75-100% of it.  It is the
-    model behind ad-coverage sizing (budget M0 vs the local-hit rate).
-    """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if total_steps < 0:
-        raise ValueError("total_steps must be >= 0")
-    return n_nodes * (1.0 - math.exp(-total_steps / n_nodes))
+__all__ = ["bloom_false_positive_rate", "expected_one_hop_rtt_ms"]
 
 
 def bloom_false_positive_rate(n_items: int, m_bits: int, k: int) -> float:
@@ -112,8 +32,8 @@ def expected_one_hop_rtt_ms(params: TransitStubParams | None = None) -> float:
     access links, one expected transit traversal (most node pairs sit in
     different transit domains: ~1 inter-domain 50 ms link plus ~1 intra
     20 ms hop each side), doubled for the round trip.  A coarse but useful
-    sizing model -- the simulator's measured ASAP RTTs (~200 ms) sit within
-    ~15% of it.
+    sizing model -- the "Figure 5" claim holds every ASAP scheme's measured
+    response time within 15% of it.
     """
     p = params or TransitStubParams()
     intra_stub_hops = 1.5  # expected gateway distance on ER(40, 0.4)

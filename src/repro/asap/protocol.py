@@ -50,47 +50,45 @@ from repro.sim.metrics import ASAP_LOAD_CATEGORIES, TrafficCategory
 __all__ = ["AsapParams", "AsapSearch"]
 
 
+#: The paper's fixed protocol constants (Section IV-A).
+AD_TTL = 6  # ad flooding TTL (ASAP(FLD))
+AD_WALKERS = 5  # walkers per ad delivery (RW/GSA)
+# Refresh ads only need to re-reach nodes that already cache the source
+# (any interested node acquired the ad during dissemination/bootstrap),
+# so they walk with a small fraction of the full delivery budget.
+REFRESH_BUDGET_FRACTION = 0.1
+MAX_CONFIRMATIONS = 8  # nearest ads confirmed per round
+# Fraction of join events treated as genuinely new peers (never seen
+# before): they must advertise with a full ad, while ordinary rejoins only
+# re-announce liveness with a refresh ad.  This is the steady trickle of
+# full-ad traffic in the warmed-up system (Figure 7).
+FRESH_JOIN_FRACTION = 0.03
+MORE_RESULTS_THRESHOLD = 1  # ads request when fewer results confirmed
+
+
 @dataclass(frozen=True)
 class AsapParams:
-    """ASAP protocol knobs.  Defaults are the paper's (Section IV-A)."""
+    """The ASAP knobs the ablations sweep.  Defaults are the paper's (Section IV-A)."""
 
     forwarder: str = "rw"  # fld | rw | gsa
-    ad_ttl: int = 6  # ad flooding TTL (ASAP(FLD))
-    ad_walkers: int = 5  # walkers per ad delivery (RW/GSA)
     budget_unit: int = 3000  # M0: per-topic delivery budget
     ads_request_hops: int = 1  # h: ads-request radius
     refresh_period_s: float = 600.0  # periodic refresh-ad interval
-    # Refresh ads only need to re-reach nodes that already cache the source
-    # (any interested node acquired the ad during dissemination/bootstrap),
-    # so they walk with a small fraction of the full delivery budget.
-    refresh_budget_fraction: float = 0.1
-    max_confirmations: int = 8  # nearest ads confirmed per round
     cache_capacity: Optional[int] = None  # ads-cache bound (None = unbounded)
-    bootstrap_ads_request: bool = True  # warm-up ends with an ads request
-    # Fraction of join events treated as genuinely new peers (never seen
-    # before): they must advertise with a full ad, while ordinary rejoins
-    # only re-announce liveness with a refresh ad.  This is the steady
-    # trickle of full-ad traffic in the warmed-up system (Figure 7).
-    fresh_join_fraction: float = 0.03
-    more_results_threshold: int = 1  # fallback when fewer results confirmed
 
     def __post_init__(self) -> None:
         if self.forwarder not in ("fld", "rw", "gsa"):
             raise ValueError(f"unknown forwarder {self.forwarder!r}")
+        # The forwarders reject it too -- after the substrate, overlay,
+        # content and trace have been built, and ASAP(FLD) never reads it.
+        if self.budget_unit < 1:
+            raise ValueError("budget_unit must be >= 1")
         if self.ads_request_hops < 0:
             raise ValueError("ads_request_hops must be >= 0")
         if self.refresh_period_s <= 0:
             raise ValueError("refresh_period_s must be positive")
-        if not 0.0 <= self.refresh_budget_fraction <= 1.0:
-            raise ValueError("refresh_budget_fraction must be in [0, 1]")
-        if self.max_confirmations < 1:
-            raise ValueError("max_confirmations must be >= 1")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1 (or None for unbounded)")
-        if self.more_results_threshold < 1:
-            raise ValueError("more_results_threshold must be >= 1")
-        if not 0.0 <= self.fresh_join_fraction <= 1.0:
-            raise ValueError("fresh_join_fraction must be in [0, 1]")
 
 
 _SCHEME_NAMES = {"fld": "ASAP(FLD)", "rw": "ASAP(RW)", "gsa": "ASAP(GSA)"}
@@ -142,8 +140,8 @@ class AsapSearch(SearchAlgorithm):
             ledger,
             self.sizes,
             self.rng,
-            ttl=self.params.ad_ttl,
-            walkers=self.params.ad_walkers,
+            ttl=AD_TTL,
+            walkers=AD_WALKERS,
             budget_unit=self.params.budget_unit,
         )
         self._engine: Optional[SimulationEngine] = None
@@ -263,10 +261,7 @@ class AsapSearch(SearchAlgorithm):
         if self.params.forwarder in ("rw", "gsa"):
             budget = max(
                 1,
-                int(
-                    self.forwarder.default_budget(ad)
-                    * self.params.refresh_budget_fraction
-                ),
+                int(self.forwarder.default_budget(ad) * REFRESH_BUDGET_FRACTION),
             )
         self._disseminate(ad, now, budget=budget)
 
@@ -276,10 +271,9 @@ class AsapSearch(SearchAlgorithm):
 
         Full ads go out at jittered times in the first 60% of the window so
         even the slowest walk delivery completes before measurement starts.
-        If ``bootstrap_ads_request`` is set, every node then performs the
-        "brand new node" ads request (Section III-C) late in the window,
-        merging its neighbours' caches -- this is the gossip step that makes
-        local lookups hit at query time.
+        Every node then performs the "brand new node" ads request (Section
+        III-C) late in the window, merging its neighbours' caches -- this is
+        the gossip step that makes local lookups hit at query time.
         """
         self._schedule_warmup(engine, start, duration, refreshes=lambda node: True)
 
@@ -312,7 +306,7 @@ class AsapSearch(SearchAlgorithm):
                     name=f"full-ad-{node}",
                 )
                 full_ads.append((event.time, event.seq, node))
-            if self.params.bootstrap_ads_request and self._bootstraps(node):
+            if self._bootstraps(node):
                 at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
                 engine.schedule_at(
                     at,
@@ -355,7 +349,7 @@ class AsapSearch(SearchAlgorithm):
         # full ad.
         fresh = (
             node not in self._advertised
-            or float(self.rng.random()) < self.params.fresh_join_fraction
+            or float(self.rng.random()) < FRESH_JOIN_FRACTION
         )
         if fresh:
             self._issue_full_ad(node, now)
@@ -535,7 +529,6 @@ class AsapSearch(SearchAlgorithm):
 
         def confirm_round(cands: Dict[int, float]) -> None:
             nonlocal n_messages, total_bytes
-            cap = self.params.max_confirmations
             pending = [s for s in cands if s not in tried]
             if not pending:
                 return
@@ -544,7 +537,7 @@ class AsapSearch(SearchAlgorithm):
             lats = self.overlay.direct_latencies_ms(
                 requester, np.asarray(pending, dtype=np.int64)
             )
-            idx = np.argsort(lats, kind="stable")[:cap]
+            idx = np.argsort(lats, kind="stable")[:MAX_CONFIRMATIONS]
             ordered = [(pending[i], float(lats[i])) for i in idx]
             for s, lat in ordered:
                 tried.add(s)
@@ -583,7 +576,7 @@ class AsapSearch(SearchAlgorithm):
 
         confirm_round(avail)
 
-        if len(confirmed) < self.params.more_results_threshold:
+        if len(confirmed) < MORE_RESULTS_THRESHOLD:
             new_sources, req_msgs, req_bytes = self._ads_request(
                 requester, now, exclude=tried, positions=positions, match=match
             )

@@ -25,8 +25,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bloom.hashing import PAPER_M
+from repro.analysis import bloom_false_positive_rate, expected_one_hop_rtt_ms
+from repro.bloom.hashing import PAPER_K, PAPER_M
 from repro.experiments.ablations import (
+    BLOOM_KEYWORDS,
     ablation_bloom,
     ablation_superpeer,
     sweep_cells,
@@ -95,6 +97,15 @@ def _no_cells(_scale: ExperimentScale) -> List[RunConfig]:
     return []
 
 
+def _bloom_model_holds(table: Table, _scale) -> bool:
+    """Section III-B's closed form, from the filter's parameters alone."""
+    for m, observed in table["observed"].items():
+        model = bloom_false_positive_rate(BLOOM_KEYWORDS, int(m), PAPER_K)
+        if abs(observed - model) >= max(0.02, model):
+            return False
+    return True
+
+
 def _grid_entry(figure: str, everywhere: Dict[str, Callable], narrowed=((), {})) -> Entry:
     """A grid figure; ``narrowed = (overlays, claims)`` holds on those overlays only."""
     only, some = narrowed
@@ -123,14 +134,33 @@ ENTRIES: Tuple[Entry, ...] = (
             "the two most popular classes are among the four media classes": (
                 lambda t, _: np.all(np.argsort(-_values(t, "count"))[:2] < 4)
             ),
+            # Section IV-B's eDonkey snapshot: random walk starves on it.
+            "mean copies per placed document within 0.06 of 1.28": lambda t, _: (
+                abs(t["workload"]["mean copies"] - 1.28) <= 0.06
+            ),
+            "single-copy fraction within 0.03 of 0.89": lambda t, _: (
+                abs(t["workload"]["single-copy fraction"] - 0.89) <= 0.03
+            ),
+            # Section III-B sizes the fixed filter for |K_max| = 1,000.
+            "largest sharer keyword set <= 1,000": lambda t, _: (
+                t["workload"]["largest keyword set"] <= 1000
+            ),
         },
     ),
     Entry(
         "Figure 3",
         _no_cells,
         lambda g: fig3_node_interests(g.scale),
-        # Every peer holds at least one interest (free-riders get random ones).
-        {"counts sum to >= n_peers": lambda t, s: _values(t, "count").sum() >= s.n_peers},
+        {
+            # Every peer holds at least one interest (free-riders get random ones).
+            "counts sum to >= n_peers": lambda t, s: _values(t, "count").sum() >= s.n_peers,
+            # Observation 4: peers sharing a class have similar interests,
+            # which is what routes ads to their consumers.
+            "same-class Jaccard >= 1.5x random-pair Jaccard": lambda t, _: (
+                t["clustering"]["same-class jaccard"]
+                >= 1.5 * t["clustering"]["random-pair jaccard"]
+            ),
+        },
     ),
     _grid_entry(
         "Figure 4",  # success rate
@@ -159,6 +189,10 @@ ENTRIES: Tuple[Entry, ...] = (
             ),
             # Random walk is the slowest scheme.
             "random_walk >= flooding": lambda v: v["random_walk"] >= v["flooding"],
+            # An ASAP search is about one confirmation round trip.
+            "every ASAP scheme within 15% of the one-hop round-trip model": _every_asap(
+                lambda v, asap: abs(v[asap] / expected_one_hop_rtt_ms() - 1.0) < 0.15
+            ),
         },
     ),
     _grid_entry(
@@ -302,6 +336,8 @@ ENTRIES: Tuple[Entry, ...] = (
                     abs(t["observed"][m] - p) < max(0.02, p) for m, p in t["predicted"].items()
                 )
             ),
+            f"|observed - model({BLOOM_KEYWORDS}, m, {PAPER_K})| < max(0.02, model) "
+            "at every length": _bloom_model_holds,
         },
     ),
     Entry(

@@ -38,7 +38,7 @@ def figure_rows(fig: AnyFigure) -> List[Row]:
         return [
             (fig.figure, "count", label, float(count))
             for label, count in zip(fig.labels, fig.counts)
-        ]
+        ] + [(fig.figure, fig.series, x, float(y)) for x, y in fig.measured.items()]
     if isinstance(fig, GridFigure):
         return [
             (fig.figure, algorithm, topology, float(value))

@@ -31,6 +31,7 @@ from repro.workload.interests import (
     SEMANTIC_CLASSES,
     class_node_counts,
     interest_node_counts,
+    interest_similarity,
 )
 
 __all__ = [
@@ -181,20 +182,25 @@ class ExperimentGrid:
 # --------------------------------------------------------------- containers
 @dataclass
 class WorkloadFigure:
-    """Figures 2 and 3: per-class node counts."""
+    """Figures 2 and 3: per-class node counts, plus one ``series`` of the
+    workload statistics the figure's claims read beside them."""
 
     figure: str
     title: str
     labels: Tuple[str, ...]
     counts: np.ndarray
+    series: str
+    measured: Dict[str, float]
 
     def format_table(self) -> str:
-        return format_bar_chart(
+        chart = format_bar_chart(
             f"{self.figure}: {self.title}",
             {label: float(c) for label, c in zip(self.labels, self.counts)},
             unit="nodes",
             precision=0,
         )
+        measured = ", ".join(f"{x} {y:.4g}" for x, y in self.measured.items())
+        return f"{chart}\n  {self.series}: {measured}"
 
 
 @dataclass
@@ -301,27 +307,41 @@ def _workload_for_scale(scale: ExperimentScale):
 
 
 def fig2_semantic_classes(scale: ExperimentScale) -> WorkloadFigure:
-    """Figure 2: nodes whose shared contents fall in each semantic class."""
+    """Figure 2: nodes whose shared contents fall in each semantic class,
+    and the eDonkey statistics of Section IV-B the evaluation rests on."""
     dist = _workload_for_scale(scale)
+    index = dist.index
     node_classes = [dist.sharing_classes(n) for n in range(dist.n_peers)]
-    counts = class_node_counts(node_classes, N_CLASSES)
     return WorkloadFigure(
         figure="Figure 2",
         title="distribution of 14 semantic classes among peers",
         labels=SEMANTIC_CLASSES,
-        counts=counts,
+        counts=class_node_counts(node_classes, N_CLASSES),
+        series="workload",
+        measured={
+            "mean copies": index.mean_replica_count(),
+            "single-copy fraction": index.single_copy_fraction(),
+            # |K_p| of the largest sharer (the fixed filter is sized for 1,000)
+            "largest keyword set": float(
+                max(len(index.node_keywords(n)) for n in range(dist.n_peers))
+            ),
+        },
     )
 
 
 def fig3_node_interests(scale: ExperimentScale) -> WorkloadFigure:
-    """Figure 3: number of nodes holding each of the 14 interests."""
+    """Figure 3: number of nodes holding each of the 14 interests, and how
+    much more alike the interests of peers sharing one class are."""
     dist = _workload_for_scale(scale)
-    counts = interest_node_counts(dist.interests, N_CLASSES)
+    node_classes = [dist.sharing_classes(n) for n in range(dist.n_peers)]
+    rng = RandomStreams(seed=scale.seed).get("interest-similarity")
     return WorkloadFigure(
         figure="Figure 3",
         title="distribution of 14 node interests among peers",
         labels=SEMANTIC_CLASSES,
-        counts=counts,
+        counts=interest_node_counts(dist.interests, N_CLASSES),
+        series="clustering",
+        measured=interest_similarity(dist.interests, node_classes, rng),
     )
 
 

@@ -31,7 +31,7 @@ Invariant catalog
     ``confirmation`` byte delta must be exactly explained by the nested
     ``confirm_stats`` accounting (requests to ``attempted`` sources,
     replies from the live ones), and attempts per query are bounded by
-    two rounds of ``max_confirmations``.
+    two rounds of ``MAX_CONFIRMATIONS``.
 ``bloom_fp_rate``
     The measured Bloom false-positive rate (confirm failures on live
     sources where a query term exists in none of the source's documents)
@@ -59,8 +59,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.asap.protocol import MAX_CONFIRMATIONS
 from repro.obs.analyze import TraceAnalysis, analyze_trace
 from repro.obs.trace import TraceRecord
+from repro.search.random_walk import WALKERS
 
 __all__ = [
     "AuditReport",
@@ -253,11 +255,9 @@ def _check_walk_budget(
     # Per-query caps for the walk-based baselines (+1 for the direct reply).
     cap = None
     if config is not None and config.algorithm == "random_walk":
-        cap = config.rw_walkers * config.rw_ttl + 1
+        cap = WALKERS * config.rw_ttl + 1
     elif config is not None and config.algorithm == "gsa":
-        cap = (
-            config.rw_walkers * max(1, config.gsa_budget // config.rw_walkers) + 1
-        )
+        cap = WALKERS * max(1, config.gsa_budget // WALKERS) + 1
     if cap is not None:
         for q in analysis.queries:
             if q.messages > cap:
@@ -304,7 +304,7 @@ def _check_confirmation_discipline(
     if config is None or not config.is_asap:
         return "skipped"
     status = "pass"
-    max_attempts = 2 * config.asap.max_confirmations  # two confirm rounds
+    max_attempts = 2 * MAX_CONFIRMATIONS  # two confirm rounds
     req = float(config.sizes.confirmation_request)
     rep = float(config.sizes.confirmation_reply)
     # Super-peer leaf routing charges its extra leaf<->super hop to the

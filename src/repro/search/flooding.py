@@ -70,12 +70,16 @@ def _reached_hits(matching: set, first_hop: np.ndarray) -> np.ndarray:
     return marr[first_hop[marr] >= 0]
 
 
+#: The paper's flooding TTL (Section IV-A).
+FLOOD_TTL = 6
+
+
 class FloodingSearch(SearchAlgorithm):
     """Flooding with the paper's TTL of 6."""
 
     name = "flooding"
 
-    def __init__(self, *args, ttl: int = 6, **kwargs) -> None:
+    def __init__(self, *args, ttl: int = FLOOD_TTL, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if ttl < 1:
             raise ValueError("ttl must be >= 1")

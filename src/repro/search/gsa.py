@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.search.base import SearchAlgorithm, SearchOutcome
-from repro.search.random_walk import finish_walk
+from repro.search.random_walk import WALKERS, finish_walk
 
 __all__ = ["GsaSearch"]
 
@@ -57,7 +57,7 @@ class GsaSearch(SearchAlgorithm):
     name = "gsa"
 
     def __init__(
-        self, *args, budget: int = 8000, walkers: int = 5, **kwargs
+        self, *args, budget: int = 8000, walkers: int = WALKERS, **kwargs
     ) -> None:
         super().__init__(*args, **kwargs)
         if budget < 1:

@@ -38,7 +38,10 @@ from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
-__all__ = ["RandomWalkSearch", "finish_walk"]
+__all__ = ["RandomWalkSearch", "WALKERS", "finish_walk"]
+
+#: The paper's walkers per query, random walk and GSA alike (Section IV-A).
+WALKERS = 5
 
 
 class RandomWalkSearch(SearchAlgorithm):
@@ -46,7 +49,7 @@ class RandomWalkSearch(SearchAlgorithm):
 
     name = "random_walk"
 
-    def __init__(self, *args, walkers: int = 5, ttl: int = 1024, **kwargs) -> None:
+    def __init__(self, *args, walkers: int = WALKERS, ttl: int = 1024, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if walkers < 1:
             raise ValueError("need at least one walker")

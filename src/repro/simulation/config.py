@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.asap.protocol import AsapParams
+from repro.asap.protocol import AD_WALKERS, AsapParams
 from repro.search.base import MessageSizes
 from repro.workload.edonkey import EdonkeyParams
 from repro.workload.generator import TraceParams
@@ -47,7 +47,6 @@ PAPER_N_PEERS = 10_000
 
 def estimate_warmup_s(
     budget_unit: int,
-    walkers: int = 5,
     max_topics: int = 4,
     avg_step_latency_s: float = 0.1,
     jitter_fraction: float = 0.6,
@@ -55,14 +54,14 @@ def estimate_warmup_s(
 ) -> float:
     """Warm-up long enough for every initial ad walk to complete.
 
-    A walk-delivered full ad takes ``max_topics * budget_unit / walkers``
+    A walk-delivered full ad takes ``max_topics * budget_unit / AD_WALKERS``
     sequential steps at ~100 ms per overlay hop on the transit-stub
     network.  Issuance is jittered over the first ``jitter_fraction`` of
     the window, so the window must cover jitter + the longest walk + slack
     -- otherwise warm-up traffic bleeds into the measurement window and
     corrupts the system-load figures.
     """
-    max_walk_s = max_topics * budget_unit / walkers * avg_step_latency_s
+    max_walk_s = max_topics * budget_unit / AD_WALKERS * avg_step_latency_s
     return (max_walk_s + slack_s) / (1.0 - jitter_fraction)
 
 
@@ -81,8 +80,6 @@ class RunConfig:
     edonkey: EdonkeyParams = field(default_factory=EdonkeyParams)
     trace: TraceParams = field(default_factory=TraceParams)
     sizes: MessageSizes = field(default_factory=MessageSizes)
-    flood_ttl: int = 6
-    rw_walkers: int = 5
     rw_ttl: int = 1024
     gsa_budget: int = 8_000
     asap: AsapParams = field(default_factory=AsapParams)
@@ -117,7 +114,7 @@ class RunConfig:
             raise ValueError("probe_interval_s must be > 0")
         # The algorithm constructors reject these too -- after the
         # substrate, overlay, content and trace have been built.
-        for name in ("flood_ttl", "rw_walkers", "rw_ttl", "gsa_budget"):
+        for name in ("rw_ttl", "gsa_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -143,7 +140,7 @@ def paper_config(algorithm: str, topology: str = "crawled", seed: int = 0) -> Ru
         algorithm=algorithm,
         topology=topology,
         seed=seed,
-        warmup_s=estimate_warmup_s(asap.budget_unit, walkers=asap.ad_walkers),
+        warmup_s=estimate_warmup_s(asap.budget_unit),
     )
 
 
@@ -187,9 +184,7 @@ def scaled_config(
         refresh_period_s=max(10.0, 600.0 * factor),
     )
     if warmup_s is None:
-        warmup_s = max(
-            30.0, estimate_warmup_s(asap.budget_unit, walkers=asap.ad_walkers)
-        )
+        warmup_s = max(30.0, estimate_warmup_s(asap.budget_unit))
     return RunConfig(
         algorithm=algorithm,
         topology=topology,

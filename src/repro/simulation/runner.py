@@ -66,9 +66,7 @@ def build_algorithm(
 ) -> SearchAlgorithm:
     """Instantiate the algorithm named by ``config.algorithm``."""
     if config.algorithm == "flooding":
-        return FloodingSearch(
-            overlay, content, ledger, config.sizes, rng, ttl=config.flood_ttl
-        )
+        return FloodingSearch(overlay, content, ledger, config.sizes, rng)
     if config.algorithm == "random_walk":
         return RandomWalkSearch(
             overlay,
@@ -76,7 +74,6 @@ def build_algorithm(
             ledger,
             config.sizes,
             rng,
-            walkers=config.rw_walkers,
             ttl=config.rw_ttl,
         )
     if config.algorithm == "gsa":
@@ -87,7 +84,6 @@ def build_algorithm(
             config.sizes,
             rng,
             budget=config.gsa_budget,
-            walkers=config.rw_walkers,
         )
     # ASAP variants (flat or hierarchical).
     params = replace(config.asap, forwarder=config.asap_forwarder)
@@ -229,9 +225,9 @@ def run_experiment(
         elif isinstance(event, ContentChangeEvent):
             doc = content.document(event.doc_id)
             if event.added:
-                content.place(event.node, event.doc_id, notify=False)
+                content.place(event.node, event.doc_id)
             else:
-                content.remove(event.node, event.doc_id, notify=False)
+                content.remove(event.node, event.doc_id)
             if obs is not None:
                 obs.content_changed(now, event.node, event.doc_id, event.added)
             algorithm.on_content_change(event.node, doc, event.added, now)

@@ -8,8 +8,9 @@ every statistic the paper states, then lays down the same event mix:
 * :mod:`repro.workload.content` -- documents, keywords, and the mutable
   global content index (who holds what, inverted keyword index);
 * :mod:`repro.workload.interests` -- the 14 semantic classes, their skewed
-  popularity, and node-interest assignment (free-riders get random
-  interests, sharers' interests are the classes of their own content);
+  popularity, node-interest assignment (free-riders get random interests,
+  sharers' interests are the classes of their own content) and the
+  interest-clustering measurement Figure 3 reports;
 * :mod:`repro.workload.edonkey` -- the content distribution: ~1.28 copies
   per document, 89% single-copy, interest-clustered replica placement;
 * :mod:`repro.workload.sampling` -- the one weighted sampler: cached
@@ -30,8 +31,8 @@ from repro.workload.interests import (
     assign_interests,
     class_node_counts,
     interest_node_counts,
+    interest_similarity,
 )
-from repro.workload.stats import WorkloadStats, compute_stats, interest_similarity
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -55,10 +56,8 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "TraceParams",
-    "WorkloadStats",
     "assign_interests",
     "class_node_counts",
-    "compute_stats",
     "generate_trace",
     "interest_node_counts",
     "interest_similarity",

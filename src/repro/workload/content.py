@@ -11,16 +11,16 @@ visited node satisfies a query; ASAP's content-confirmation step consults it
 to validate Bloom-filter hits; the trace generator consults it to guarantee
 that every query has a live matching holder.
 
-Content-change notifications (needed by ASAP to trigger patch ads) are
-delivered through a simple listener list -- the simulation runner registers
-the active algorithm as a listener.
+The index only records changes: the simulation runner applies a content
+change here first and then tells the active algorithm
+(``algorithm.on_content_change``), which for ASAP issues the patch ad.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 __all__ = ["ContentIndex", "Document"]
 
@@ -40,10 +40,6 @@ class Document:
             raise ValueError("negative class id")
 
 
-#: Listener signature: (node, document, added: bool) -> None.
-ContentListener = Callable[[int, Document, bool], None]
-
-
 class ContentIndex:
     """Mutable "who holds what" index with an inverted keyword index."""
 
@@ -52,7 +48,6 @@ class ContentIndex:
         self._holders: Dict[int, Set[int]] = {}
         self._node_docs: Dict[int, Set[int]] = {}
         self._kw_docs: Dict[str, Set[int]] = {}
-        self._listeners: List[ContentListener] = []
 
     # ------------------------------------------------------------- documents
     def register_document(self, doc: Document) -> None:
@@ -75,36 +70,27 @@ class ContentIndex:
         return self._documents.values()
 
     # ------------------------------------------------------------ placement
-    def place(self, node: int, doc_id: int, notify: bool = True) -> None:
+    # ``notify`` is not an option: it is accepted and ignored while
+    # benchmarks/e2e/traced.py:235/237 passes it.
+    def place(self, node: int, doc_id: int, notify: bool = False) -> None:
         """Node starts sharing a copy of ``doc_id``."""
-        doc = self._documents.get(doc_id)
-        if doc is None:
+        if doc_id not in self._documents:
             raise KeyError(f"unknown document {doc_id}")
         holders = self._holders[doc_id]
         if node in holders:
             raise ValueError(f"node {node} already holds document {doc_id}")
         holders.add(node)
         self._node_docs.setdefault(node, set()).add(doc_id)
-        if notify:
-            for listener in self._listeners:
-                listener(node, doc, True)
 
-    def remove(self, node: int, doc_id: int, notify: bool = True) -> None:
+    def remove(self, node: int, doc_id: int, notify: bool = False) -> None:
         """Node stops sharing its copy of ``doc_id``."""
-        doc = self._documents.get(doc_id)
-        if doc is None:
+        if doc_id not in self._documents:
             raise KeyError(f"unknown document {doc_id}")
         holders = self._holders[doc_id]
         if node not in holders:
             raise ValueError(f"node {node} does not hold document {doc_id}")
         holders.discard(node)
         self._node_docs[node].discard(doc_id)
-        if notify:
-            for listener in self._listeners:
-                listener(node, doc, False)
-
-    def add_listener(self, listener: ContentListener) -> None:
-        self._listeners.append(listener)
 
     # --------------------------------------------------------------- queries
     def holders(self, doc_id: int) -> FrozenSet[int]:

@@ -244,7 +244,7 @@ def synthesize_content(
         else:
             holders = rng.choice(pool, size=k, replace=False).tolist()
         for node in holders:
-            index.place(int(node), doc_id, notify=False)
+            index.place(int(node), doc_id)
 
     return ContentDistribution(
         params=params,

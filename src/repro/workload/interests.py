@@ -29,6 +29,7 @@ __all__ = [
     "assign_interests",
     "class_node_counts",
     "interest_node_counts",
+    "interest_similarity",
     "sample_classes",
     "topic_bits",
 ]
@@ -167,3 +168,48 @@ def interest_node_counts(
         for c in node_interests:
             counts[c] += 1
     return counts
+
+
+def interest_similarity(
+    interests: Sequence[Set[int]],
+    node_classes: Sequence[Iterable[int]],
+    rng: np.random.Generator,
+    n_pairs: int = 2000,
+) -> Dict[str, float]:
+    """Interest clustering (paper observation 4, Section III-A).
+
+    The mean Jaccard similarity of interests between (a) random peer pairs
+    and (b) pairs that share content of one class (``node_classes[i]``, as
+    for :func:`class_node_counts`) -- the latter should be markedly higher
+    if interest clustering holds.
+    """
+    n = len(interests)
+
+    def jaccard(a, b) -> float:
+        union = a | b
+        return len(a & b) / len(union) if union else 0.0
+
+    random_pairs = [
+        jaccard(interests[int(u)], interests[int(v)])
+        for u, v in rng.integers(0, n, size=(n_pairs, 2))
+        if u != v
+    ]
+
+    # Pairs connected through a shared document class.
+    by_class: Dict[int, List[int]] = {}
+    for node, classes in enumerate(node_classes):
+        for c in classes:
+            by_class.setdefault(c, []).append(node)
+    same_class: List[float] = []
+    for c in sorted(by_class):
+        members = by_class[c]
+        if len(members) < 2:
+            continue
+        for _ in range(min(200, len(members))):
+            u, v = rng.choice(members, size=2, replace=False)
+            same_class.append(jaccard(interests[int(u)], interests[int(v)]))
+
+    return {
+        "same-class jaccard": float(np.mean(same_class)) if same_class else 0.0,
+        "random-pair jaccard": float(np.mean(random_pairs)) if random_pairs else 0.0,
+    }

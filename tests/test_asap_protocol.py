@@ -308,8 +308,4 @@ class TestSchemes:
         with pytest.raises(ValueError):
             AsapParams(refresh_period_s=0)
         with pytest.raises(ValueError):
-            AsapParams(refresh_budget_fraction=2.0)
-        with pytest.raises(ValueError):
-            AsapParams(max_confirmations=0)
-        with pytest.raises(ValueError):
             AsapParams(ads_request_hops=-1)

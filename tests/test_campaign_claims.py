@@ -70,7 +70,9 @@ class TestDefaultScaleCampaign:
     def test_every_claim_holds(self, campaign):
         grid, figures = campaign
         verdicts = check_claims(read_tables(figures_to_csv(figures.values())), grid.scale)
-        assert len(verdicts) == 42  # the retired pytest wrappers' assertions
+        # the retired pytest wrappers' 42 assertions, the two analytic models
+        # and the four workload statistics
+        assert len(verdicts) == 48
         assert [line for line, held in verdicts if held is not True] == []
 
     def test_ablation_cells_shared_the_fan_out(self, campaign):
@@ -108,6 +110,10 @@ class TestCommittedReports:
             "Figure 8: ASAP(RW) < random_walk on every overlay",
             "Figure 9: flooding > ASAP(RW) on every overlay",
             "Figure 10: peak ASAP(RW) < peak flooding",
+            # the analytic models read rows the paper-scale report has
+            "Figure 5: every ASAP scheme within 15% of the one-hop round-trip model "
+            "on every overlay",
+            "Ablation bloom: |observed - model(700, m, 8)| < max(0.02, model) at every length",
         ):
             assert verdicts[line] is not None, line
         # ASAP(FLD) and ASAP(GSA) were not run at this scale.
@@ -122,8 +128,62 @@ class TestCommittedReports:
         fig5["flooding"], fig5["ASAP(RW)"] = fig5["ASAP(RW)"], fig5["flooding"]
         after = check_claims(tables, COMMITTED["report-400x800"])
         assert [a for a, b in zip(after, before) if a != b] == [
-            ("Figure 5: every ASAP scheme >= 50% shorter than flooding on every overlay", False)
+            ("Figure 5: every ASAP scheme >= 50% shorter than flooding on every overlay", False),
+            (
+                "Figure 5: every ASAP scheme within 15% of the one-hop round-trip model "
+                "on every overlay",
+                False,
+            ),
         ]
+
+    @pytest.mark.parametrize(
+        "rows, claim",
+        [
+            (
+                [("Figure 2", "workload", "mean copies", 1.35)],
+                "Figure 2: mean copies per placed document within 0.06 of 1.28",
+            ),
+            (
+                [("Figure 2", "workload", "single-copy fraction", 0.85)],
+                "Figure 2: single-copy fraction within 0.03 of 0.89",
+            ),
+            (
+                [("Figure 2", "workload", "largest keyword set", 1001.0)],
+                "Figure 2: largest sharer keyword set <= 1,000",
+            ),
+            (
+                [("Figure 3", "clustering", "same-class jaccard", 0.25)],
+                "Figure 3: same-class Jaccard >= 1.5x random-pair Jaccard",
+            ),
+            (
+                [("Figure 5", "ASAP(GSA)", "powerlaw", 240.0)],
+                "Figure 5: every ASAP scheme within 15% of the one-hop round-trip model "
+                "on every overlay",
+            ),
+            # The two Bloom claims read the same observed row; a filter whose
+            # fill drifts from the closed form moves both measured rows.
+            (
+                [
+                    ("Ablation bloom", "observed", "4096", 0.25),
+                    ("Ablation bloom", "predicted", "4096", 0.25),
+                ],
+                "Ablation bloom: |observed - model(700, m, 8)| < max(0.02, model) "
+                "at every length",
+            ),
+        ],
+        ids=["mean-copies", "single-copy", "keyword-set", "clustering", "rtt-model",
+             "bloom-model"],
+    )
+    def test_a_doctored_statistic_fails_exactly_its_claim(self, rows, claim):
+        """Each claim that reads a model or a workload statistic can fail:
+        move its row out of bounds and exactly that line goes ``False``."""
+        tables = _tables("report-400x800")
+        before = check_claims(tables, COMMITTED["report-400x800"])
+        for figure, series, x, y in rows:
+            assert x in tables[figure][series]
+            tables[figure][series][x] = y
+        after = check_claims(tables, COMMITTED["report-400x800"])
+        assert [a for a, b in zip(after, before) if a != b] == [(claim, False)]
 
     def test_every_entry_has_a_table_in_every_committed_csv(self):
         for report in COMMITTED:

@@ -23,6 +23,8 @@ def workload_fig():
         title="classes",
         labels=("movie", "audio"),
         counts=np.array([10, 4]),
+        series="workload",
+        measured={"mean copies": 1.25},
     )
 
 
@@ -67,7 +69,8 @@ class TestFigureRows:
     def test_workload_rows(self, workload_fig):
         rows = figure_rows(workload_fig)
         assert ("Figure 2", "count", "movie", 10.0) in rows
-        assert len(rows) == 2
+        assert rows[-1] == ("Figure 2", "workload", "mean copies", 1.25)
+        assert len(rows) == 3
 
     def test_grid_rows(self, grid_fig):
         rows = figure_rows(grid_fig)
@@ -117,6 +120,9 @@ class TestCsvRendering:
         assert content.startswith("figure,series,x,y\n") and "\r" not in content
         tables = read_tables(content)
         assert list(tables) == ["Figure 2", "Figure 4", "Figure 10"]
-        assert tables["Figure 2"] == {"count": {"movie": 10.0, "audio": 4.0}}
+        assert tables["Figure 2"] == {
+            "count": {"movie": 10.0, "audio": 4.0},
+            "workload": {"mean copies": 1.25},
+        }
         assert tables["Figure 4"]["flooding"] == {"random": 0.9, "crawled": 0.8}
         assert tables["Figure 10"]["flooding"] == {"60": 0.1 + 0.2, "61": 2.0}

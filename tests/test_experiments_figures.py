@@ -108,6 +108,7 @@ class TestWorkloadFigures:
         out = fig.format_table()
         assert "Figure 2" in out
         assert "movie" in out
+        assert out.splitlines()[-1].startswith("  workload: mean copies ")
 
 
 class TestGridFigures:

@@ -1,6 +1,7 @@
 """Edge cases and small contracts not covered by the main suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
 from repro.sim.engine import ms
 from repro.sim.metrics import BandwidthLedger
+from repro.simulation.config import paper_config
 from repro.simulation.results import RunResult
 from repro.workload.content import ContentIndex, Document
 
@@ -142,10 +144,14 @@ class TestRandomTopologyWithLatencyOverride:
 
 
 class TestAsapParamValidation:
-    def test_fresh_join_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            AsapParams(fresh_join_fraction=1.5)
-        with pytest.raises(ValueError):
-            AsapParams(fresh_join_fraction=-0.1)
-        AsapParams(fresh_join_fraction=0.0)  # boundary OK
-        AsapParams(fresh_join_fraction=1.0)
+    def test_budget_unit_is_refused_before_set_up(self):
+        """A non-positive M0 is refused while the cell is described -- ASAP(FLD)
+        never reads it, and the walk forwarders only after minutes of set-up."""
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="budget_unit"):
+                AsapParams(budget_unit=bad)
+            for algorithm in ("asap_fld", "asap_rw"):
+                config = paper_config(algorithm)
+                with pytest.raises(ValueError, match="budget_unit"):
+                    replace(config, asap=replace(config.asap, budget_unit=bad))
+        AsapParams(budget_unit=1)  # boundary OK

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.audit import AuditViolation, audit_run, run_fingerprint
 from repro.obs.trace import Tracer
+from repro.search.random_walk import WALKERS
 from repro.sim.metrics import TrafficCategory
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
@@ -135,7 +136,7 @@ def test_per_query_walk_cap_fires_for_random_walk():
     config = _cfg("random_walk", seed=2)
     tracer, result = _traced_run(config)
     assert result.audit.ok
-    cap = config.rw_walkers * config.rw_ttl + 1
+    cap = WALKERS * config.rw_ttl + 1
     tampered = []
     for r in tracer.records:
         if r.category == "query" and r.kind == "span":

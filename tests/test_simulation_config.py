@@ -19,7 +19,6 @@ class TestRunConfig:
         assert cfg.n_peers == PAPER_N_PEERS
         assert cfg.trace.n_queries == 30_000
         assert cfg.trace.n_joins == 1_000
-        assert cfg.flood_ttl == 6
         assert cfg.rw_ttl == 1024
         assert cfg.gsa_budget == 8_000
         assert cfg.asap.budget_unit == 3_000
@@ -59,7 +58,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("flood_ttl", 0), ("rw_walkers", 0), ("rw_ttl", -3), ("gsa_budget", 0)],
+        [("rw_ttl", -3), ("gsa_budget", 0)],
     )
     def test_nonsense_search_parameters_fail_before_set_up(self, field, value):
         """Whatever the algorithm: the cell is refused while it is being

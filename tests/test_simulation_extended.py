@@ -68,23 +68,6 @@ class TestAsapConfigVariants:
         # Capacity is enforced everywhere it applies.
         # (Indirect: the run completes without violating repo invariants.)
 
-    def test_more_results_threshold_two(self):
-        """Demanding >= 2 results triggers the fallback more often and can
-        only increase per-search cost."""
-        base = run_experiment(small_cfg("asap_fld", n_queries=100, seed=5))
-        cfg = small_cfg("asap_fld", n_queries=100, seed=5)
-        cfg = replace(cfg, asap=replace(cfg.asap, more_results_threshold=2))
-        greedy = run_experiment(cfg)
-        assert greedy.avg_cost_bytes() >= base.avg_cost_bytes()
-        assert greedy.success_rate() >= base.success_rate() - 0.02
-
-    def test_no_bootstrap_hurts_success(self):
-        cfg = small_cfg("asap_rw", n_queries=100, seed=6)
-        cold = replace(cfg, asap=replace(cfg.asap, bootstrap_ads_request=False))
-        warm_result = run_experiment(cfg)
-        cold_result = run_experiment(cold)
-        assert cold_result.success_rate() <= warm_result.success_rate() + 0.02
-
     def test_zero_churn_trace(self):
         cfg = small_cfg("asap_rw", n_queries=60)
         cfg = replace(cfg, trace=replace(cfg.trace, n_joins=0, n_leaves=0))

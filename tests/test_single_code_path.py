@@ -25,7 +25,10 @@ per-filter objects and the store kept a counting copy of each churned source;
 the single-walk ones at the last commit where ``rw_search`` post-processed
 each walker's chunk on its own and the flat mirrors built the walk rows;
 the paper's-schemes-only ones at the last commit that shipped expanding-ring
-search, keep-alive and download traffic models and a default warm-up.
+search, keep-alive and download traffic models and a default warm-up; the
+every-module-backs-a-claim ones at the last commit that shipped flood-reach
+and walk-coverage models and workload statistics no claim read, nine
+single-valued protocol options and a content-listener list nobody joined.
 """
 
 import ast
@@ -41,7 +44,7 @@ import repro
 import repro.asap
 import repro.bloom
 import repro.workload
-from repro.asap.protocol import AsapSearch
+from repro.asap.protocol import AsapParams, AsapSearch
 from repro.asap import state as ads_state
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
@@ -622,16 +625,35 @@ def test_src_models_no_traffic_the_paper_does_not_measure():
     ]
 
 
-def test_run_config_has_fifteen_fields_and_warmup_has_no_default():
+def test_run_config_has_thirteen_fields_and_warmup_has_no_default():
     settable = {f.name: f for f in dataclasses.fields(RunConfig) if f.init}
     assert sorted(settable) == sorted([
         "algorithm", "topology", "n_peers", "seed", "warmup_s",
-        "use_physical_network", "edonkey", "trace", "sizes", "flood_ttl",
-        "rw_walkers", "rw_ttl", "gsa_budget", "asap", "probe_interval_s",
+        "use_physical_network", "edonkey", "trace", "sizes", "rw_ttl",
+        "gsa_budget", "asap", "probe_interval_s",
     ])
     warmup = settable["warmup_s"]
     assert warmup.default is dataclasses.MISSING
     assert warmup.default_factory is dataclasses.MISSING
+
+
+def test_asap_params_holds_only_what_the_ablations_sweep_or_the_runner_sets():
+    """``budget_unit``, ``ads_request_hops``, ``cache_capacity`` and
+    ``refresh_period_s`` are swept by the ablations, ``forwarder`` is set by
+    the runner; the paper's other constants are module constants."""
+    assert [f.name for f in dataclasses.fields(AsapParams)] == [
+        "forwarder", "budget_unit", "ads_request_hops", "refresh_period_s",
+        "cache_capacity",
+    ]
+
+
+def test_content_index_notifies_nobody():
+    """The runner tells the algorithm about a content change
+    (``on_content_change``); the index keeps no listener list."""
+    index = ContentIndex()
+    assert not hasattr(index, "add_listener")
+    assert "_listeners" not in vars(index)
+    assert not hasattr(repro.workload.content, "ContentListener")
 
 
 def test_kernels_define_no_generator_function():
@@ -695,3 +717,77 @@ def test_design_index_lists_exactly_the_campaign_entries():
     index = design[design.index("## 4. Per-experiment index"):design.index("## 6. ")]
     listed = re.findall(r"^\| `([^`]+)` \|", index, flags=re.M)
     assert listed == [entry.name for entry in ENTRIES]
+
+
+# --------------------------------------------- every module backs a claim
+# ``src/repro`` holds only what the evaluation or the observability CLI
+# reaches: a module only its own unit test imports cannot catch the
+# simulator drifting.  (Fails at the last commit that shipped
+# ``repro.analysis.models`` with flood/walk models no claim read and
+# ``repro.workload.stats``.)
+def _module_path(name):
+    rel = Path(*name.split(".")[1:])
+    for path in (SRC / rel.with_suffix(".py"), SRC / rel / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _imported_module(module, name):
+    """The module ``from module import name`` reaches: the submodule itself,
+    the module a package's ``__init__`` re-exports ``name`` from, or
+    ``module``."""
+    if _module_path(f"{module}.{name}") is not None:
+        return f"{module}.{name}"
+    path = _module_path(module)
+    if path.name != "__init__.py":
+        return module
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and name in (a.asname or a.name for a in node.names):
+            return _imported_module(node.module, name)
+    raise LookupError(f"{module} does not re-export {name}")
+
+
+def _reached(roots):
+    """Modules reached from ``roots`` by following imports (``__init__``
+    bodies are resolved through, never walked)."""
+    seen, todo = set(), list(roots)
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(ast.parse(_module_path(module).read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                names = [_imported_module(node.module, a.name) for a in node.names]
+            else:
+                continue
+            todo += [
+                n for n in names
+                if n.split(".")[0] == "repro" and _module_path(n).name != "__init__.py"
+            ]
+    return seen
+
+
+def test_every_src_module_is_reached_from_runall_or_the_report():
+    modules = {
+        ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    reached = _reached(["repro.experiments.runall", "repro.obs.report"])
+    assert sorted(modules - reached) == []
+    assert reached <= modules
+
+
+def test_analytic_models_and_workload_statistics_back_claims():
+    import repro.analysis
+
+    assert sorted(repro.analysis.__all__) == [
+        "bloom_false_positive_rate", "expected_one_hop_rtt_ms",
+    ]
+    assert not (SRC / "workload" / "stats.py").exists()
+    for gone in ("WorkloadStats", "compute_stats"):
+        assert gone not in repro.workload.__all__

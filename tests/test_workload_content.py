@@ -66,22 +66,15 @@ class TestPlacement:
         with pytest.raises(KeyError):
             idx.remove(1, 99)
 
-    def test_listeners_notified(self):
+    def test_notify_is_accepted_and_ignored(self):
+        """``notify`` only records the change, whatever its value: the
+        runner tells the algorithm itself (``on_content_change``)."""
         idx = ContentIndex()
         idx.register_document(doc(1))
-        calls = []
-        idx.add_listener(lambda node, d, added: calls.append((node, d.doc_id, added)))
-        idx.place(5, 1)
-        idx.remove(5, 1)
-        assert calls == [(5, 1, True), (5, 1, False)]
-
-    def test_notify_false_suppresses(self):
-        idx = ContentIndex()
-        idx.register_document(doc(1))
-        calls = []
-        idx.add_listener(lambda *a: calls.append(a))
-        idx.place(5, 1, notify=False)
-        assert calls == []
+        idx.place(5, 1, notify=True)
+        assert idx.holders(1) == {5}
+        idx.remove(5, 1, notify=False)
+        assert idx.holders(1) == frozenset()
 
 
 class TestMatching:

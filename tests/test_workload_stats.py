@@ -1,10 +1,22 @@
-"""Tests for workload statistics and interest-clustering measurements."""
+"""Tests for workload statistics and interest-clustering measurements.
+
+Figure 2 reports the eDonkey statistics through the ``ContentIndex``
+methods that compute them, and Figure 3 the interest clustering through
+:func:`repro.workload.interests.interest_similarity`; the campaign's claims
+bound both at the report's scales.  These tests pin the computations on a
+distribution of their own.
+"""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.experiments.campaign import ENTRIES
+from repro.experiments.export import figures_to_csv, read_tables
+from repro.experiments.figures import ExperimentScale, fig2_semantic_classes
 from repro.workload.edonkey import EdonkeyParams, synthesize_content
-from repro.workload.stats import compute_stats, interest_similarity
+from repro.workload.interests import interest_similarity
 
 
 @pytest.fixture(scope="module")
@@ -15,54 +27,83 @@ def dist():
     )
 
 
-@pytest.fixture(scope="module")
-def stats(dist):
-    return compute_stats(dist)
+def _figure2_verdicts(doctor=None):
+    """The Figure 2 claims on a 500-peer scale's own table (``doctor``
+    edits the table first)."""
+    scale = ExperimentScale(n_peers=500)
+    table = read_tables(figures_to_csv([fig2_semantic_classes(scale)]))["Figure 2"]
+    if doctor is not None:
+        doctor(table)
+    (entry,) = [e for e in ENTRIES if e.name == "Figure 2"]
+    return {text: bool(holds(table, scale)) for text, holds in entry.claims.items()}
+
+
+def _copies(dist):
+    """Copies of every placed document."""
+    counts = (dist.index.replica_count(d.doc_id) for d in dist.index.all_documents())
+    return [c for c in counts if c > 0]
 
 
 class TestComputeStats:
-    def test_counts(self, stats, dist):
-        assert stats.n_peers == 500
-        assert stats.n_documents == dist.index.n_documents
-        assert 0 < stats.n_placed_documents <= stats.n_documents
+    def test_counts(self, dist):
+        assert dist.n_peers == 500
+        assert 0 < len(_copies(dist)) <= dist.index.n_documents
 
-    def test_paper_statistics(self, stats):
-        assert stats.mean_copies == pytest.approx(1.28, abs=0.05)
-        assert stats.single_copy_fraction == pytest.approx(0.89, abs=0.03)
-        assert stats.free_rider_fraction == pytest.approx(0.2, abs=0.06)
+    def test_paper_statistics(self, dist):
+        assert dist.index.mean_replica_count() == pytest.approx(1.28, abs=0.05)
+        assert dist.index.single_copy_fraction() == pytest.approx(0.89, abs=0.03)
+        assert dist.free_rider.mean() == pytest.approx(0.2, abs=0.06)
 
-    def test_replica_histogram_consistent(self, stats):
-        assert sum(stats.replica_histogram) == stats.n_placed_documents
-        assert stats.replica_histogram[0] == pytest.approx(
-            stats.single_copy_fraction * stats.n_placed_documents, abs=1
+    def test_replica_histogram_consistent(self, dist):
+        copies = _copies(dist)
+        histogram = Counter(copies)
+        assert sum(histogram.values()) == len(copies)
+        assert histogram[1] == pytest.approx(
+            dist.index.single_copy_fraction() * len(copies), abs=1
+        )
+        assert dist.index.mean_replica_count() == pytest.approx(
+            sum(c * n for c, n in histogram.items()) / len(copies)
         )
 
-    def test_docs_per_sharer(self, stats):
-        assert stats.docs_per_sharer_mean == pytest.approx(10.0, rel=0.15)
-        assert stats.docs_per_sharer_median <= stats.docs_per_sharer_mean * 1.5
+    def test_docs_per_sharer(self, dist):
+        sharers = np.nonzero(~dist.free_rider)[0]
+        docs = np.array([len(dist.index.docs_on(int(n))) for n in sharers])
+        assert docs.mean() == pytest.approx(10.0, rel=0.15)
+        assert np.median(docs) <= docs.mean() * 1.5
 
-    def test_keyword_budget_within_filter_design(self, stats):
+    def test_keyword_budget_within_filter_design(self, dist):
         # |K_p| must stay under the fixed filter's 1,000-keyword design point.
-        assert 0 < stats.keywords_per_sharer_mean
-        assert stats.max_keyword_set <= 1000
+        sizes = [len(dist.index.node_keywords(n)) for n in range(dist.n_peers)]
+        assert 0 < max(sizes) <= 1000
 
-    def test_check_paper_shape_passes(self, stats):
-        assert stats.check_paper_shape() == []
+    def test_check_paper_shape_passes(self):
+        """Figure 2's claims -- the paper's workload statistics -- hold at a
+        scale no committed report uses."""
+        assert all(_figure2_verdicts().values())
 
-    def test_check_paper_shape_flags_deviations(self, stats):
-        violations = stats.check_paper_shape(mean_copies_target=3.0)
-        assert violations and "mean copies" in violations[0]
+    def test_check_paper_shape_flags_deviations(self):
+        def more_copies(table):
+            table["workload"]["mean copies"] = 3.0
+
+        failed = [text for text, held in _figure2_verdicts(more_copies).items() if not held]
+        assert failed == ["mean copies per placed document within 0.06 of 1.28"]
 
 
 class TestInterestSimilarity:
+    def _measure(self, dist, seed):
+        node_classes = [dist.sharing_classes(n) for n in range(dist.n_peers)]
+        return interest_similarity(
+            dist.interests, node_classes, np.random.default_rng(seed)
+        )
+
     def test_clustering_is_detectable(self, dist):
-        sims = interest_similarity(dist, np.random.default_rng(1))
+        sims = self._measure(dist, 1)
         # Peers sharing a content class have markedly more similar
         # interests than random pairs (observation 4).
-        assert sims["same_class_jaccard"] > sims["random_pair_jaccard"]
+        assert sims["same-class jaccard"] > sims["random-pair jaccard"]
 
     def test_values_in_unit_interval(self, dist):
-        sims = interest_similarity(dist, np.random.default_rng(2))
+        sims = self._measure(dist, 2)
         for v in sims.values():
             assert 0.0 <= v <= 1.0
 
@@ -73,6 +114,7 @@ class TestEmptyDistribution:
             EdonkeyParams(n_peers=10, free_rider_fraction=0.95, avg_docs_per_peer=2.0),
             np.random.default_rng(3),
         )
-        stats = compute_stats(dist)
-        assert stats.n_peers == 10
-        assert 0.0 <= stats.free_rider_fraction <= 1.0
+        assert dist.n_peers == 10
+        assert 0.0 <= dist.free_rider.mean() <= 1.0
+        assert 0.0 <= dist.index.single_copy_fraction() <= 1.0
+        assert dist.index.mean_replica_count() >= 0.0

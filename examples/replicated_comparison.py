@@ -9,8 +9,11 @@ Run:  python examples/replicated_comparison.py [n_seeds]
 """
 
 import sys
+from dataclasses import replace
 
-from repro.simulation import run_replications, scaled_config
+from repro.experiments.parallel import run_cells
+from repro.simulation import scaled_config
+from repro.simulation.replication import format_spreads, summary_spreads
 
 N_PEERS = 250
 N_QUERIES = 300
@@ -23,8 +26,17 @@ def main() -> None:
     results = {}
     for algo in ("flooding", "asap_rw"):
         cfg = scaled_config(algo, "crawled", n_peers=N_PEERS, n_queries=N_QUERIES)
-        results[algo] = run_replications(cfg, n_seeds=n_seeds)
-        print(results[algo].format_table())
+        seeds = [cfg.seed + i for i in range(n_seeds)]
+        summaries = [
+            result.summarize()
+            for result in run_cells([replace(cfg, seed=seed) for seed in seeds])
+        ]
+        results[algo] = summary_spreads(summaries)
+        print(format_spreads(
+            f"{summaries[0].algorithm} on {cfg.topology} "
+            f"({n_seeds} replications, seeds {seeds})",
+            results[algo],
+        ))
         print()
 
     flood = results["flooding"]

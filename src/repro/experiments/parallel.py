@@ -113,13 +113,15 @@ def _run_cell(
     """
     try:
         with contextlib.ExitStack() as stack:
-            # ``audit`` alone lets run_experiment keep its own tracer.
+            # ``audit`` alone lets run_experiment keep its own tracer; a
+            # streamed trace is held in memory only for the auditor.
             tracer = None
             if trace_dir is not None:
                 from repro.obs.trace import Tracer
 
                 path = os.path.join(trace_dir, cell_trace_name(config))
-                tracer = Tracer(stream=stack.enter_context(open(path, "w")))
+                stream = stack.enter_context(open(path, "w"))
+                tracer = Tracer(stream=stream, keep=audit)
             result = run_experiment(
                 config,
                 tracer=tracer,

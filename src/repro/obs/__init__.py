@@ -14,24 +14,21 @@ decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
   :class:`RunProfile`;
 * :mod:`repro.obs.telemetry` -- constant-memory streaming telemetry:
   windowed load series, quantile sketches and heavy-hitter hotspots,
-  mergeable across cells (``run_experiment(config, telemetry=True)``,
-  ``python -m repro.obs.report telemetry``, ``runall --telemetry``).
+  mergeable across cells.
 
 Beside it, reading the run rather than listening to it:
 
-* :mod:`repro.obs.report` -- ``python -m repro.obs.report run`` writes the
-  result objects' own dicts (summary, ledger, profile) as ``run.json`` and
-  ``diff`` compares any two JSON artifacts leaf by leaf;
 * :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots reduced
   from the dense ads state: per-source ad coverage, staleness sketches,
   measured Bloom FP rate and cache health, bit-identical across
-  serial/parallel execution
-  (``run_experiment(config, probes=True)``, ``runall --probes``,
-  ``report telemetry --probes``);
+  serial/parallel execution;
 * :mod:`repro.obs.analyze` + :mod:`repro.obs.audit` -- causal lifecycle
   reconstruction from traces, runtime invariant checks and deterministic
-  run fingerprints (``run_experiment(config, audit=True)``,
-  ``python -m repro.obs.report audit`` / ``analyze``).
+  run fingerprints;
+* :mod:`repro.obs.report` -- ``python -m repro.obs.report run`` replays a
+  cell under N seeds in one ``run_cells`` call with ``runall``'s observer
+  flags and writes ``run.json``; ``diff`` compares two JSON documents leaf
+  by leaf and ``analyze`` summarises a trace.
 """
 
 from repro.obs.analyze import TraceAnalysis, analyze_trace

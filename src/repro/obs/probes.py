@@ -31,11 +31,11 @@ output is bit-identical to serial.
 
 Usage::
 
-    result = run_experiment(config, probes=True)
+    (result,) = run_cells([config], probes=True)
     result.probes.format_state_table()      # Fig-style coverage/staleness
     result.probes.fingerprint()             # baseline-able identity
 
-or via the CLIs: ``runall --probes`` / ``report telemetry --probes``.
+or via the CLIs: ``runall --probes`` / ``report run --probes``.
 """
 
 from __future__ import annotations

@@ -1,73 +1,69 @@
 """Run-report CLI: each fact of a run serialised once, as JSON.
 
-``python -m repro.obs.report run`` executes one configured trace replay
-with profiling (and optionally tracing) enabled and writes
+``python -m repro.obs.report run`` is the one subcommand that simulates:
+one :func:`~repro.experiments.parallel.run_cells` call replays the cell
+under seeds ``seed .. seed+N-1`` (``--replications N``, ``--jobs J``
+workers), profiled, with ``runall``'s observer flags, and writes
+``run.json``:
 
-* ``run.json``    -- :func:`run_report`: the dicts the result objects already
-  expose -- ``RunSummary.row()``, the bandwidth ledger's per-category
-  totals, ``RunProfile.to_dict()`` and, with ``--replications N``, the
-  across-seed :class:`~repro.simulation.replication.MetricSpread` of every
-  summary metric over seeds ``seed .. seed+N-1`` (``--jobs J`` workers; each
-  seed is simulated once, the run above being the first);
-* ``trace.jsonl`` -- the structured trace, when ``--trace`` is given.
+* ``cell`` / ``summary`` / ``ledger`` / ``profile`` -- :func:`run_report`:
+  the dicts seed ``seed``'s result objects already expose;
+* ``replications`` -- with ``N > 1``, the across-seed
+  :class:`~repro.simulation.replication.MetricSpread` of every summary
+  metric and the merged profile's events and wall;
+* ``audit`` -- with ``--audit``, each seed's invariant-audit report and
+  fingerprint (:mod:`repro.obs.audit`), in seed order;
+* ``telemetry`` / ``state`` -- with ``--telemetry`` / ``--probes``, the
+  seed-order merge of the streaming telemetry (:mod:`repro.obs.telemetry`)
+  and of the protocol-state snapshots taken every ``--probe-interval``
+  simulated seconds (:mod:`repro.obs.probes`).
+
+``--trace`` streams each seed's trace to its own ``cell_trace_name`` JSONL
+file next to ``run.json``.  The command prints each section's table and
+exits non-zero on a crashed cell, an audit violation, or a probe series
+with no tick.
 
 ``python -m repro.obs.report diff a.json b.json`` compares two JSON
-artifacts of this CLI -- ``run.json``, ``telemetry.json``, ``state.json``,
-``audit.json`` or any other nested JSON -- numeric leaf by numeric leaf
-under dotted keys (:func:`flatten`): the quick answer to "what changed
-between these two runs?".  ``--tolerance T`` makes the exit code a drift
-gate: non-zero when any leaf differs by more than ``T`` (absolute) or
-exists on one side only.
-
-``python -m repro.obs.report audit`` runs one experiment with the
-invariant auditor (:mod:`repro.obs.audit`) attached, writes
-``audit.json`` + ``trace.jsonl`` + ``analyze.json``, and exits non-zero
-on any violation.  ``--baseline FILE`` additionally compares the run's
-deterministic fingerprint against a stored one (a previous ``audit.json``
-or a bare fingerprint file) and fails on drift -- the CI hook for
-"did the simulation's semantics change?".
+documents -- two ``run.json`` files, or any other nested JSON -- numeric
+leaf by numeric leaf under dotted keys (:func:`flatten`): the quick answer
+to "what changed between these two runs?".  ``--tolerance T`` makes the
+exit code a drift gate: non-zero when any leaf differs by more than ``T``
+(absolute) or exists on one side only.
 
 ``python -m repro.obs.report analyze`` reconstructs causal lifecycles
-(:mod:`repro.obs.analyze`) from an existing ``trace.jsonl`` -- no
-simulation stack needed -- and emits the JSON summary.  Traces may be
-gzip-compressed (``trace.jsonl.gz``); readers detect the suffix.
-
-``python -m repro.obs.report telemetry`` runs one experiment (or
-``--replications N`` seeds, optionally across ``--jobs J`` workers) with
-streaming telemetry (:mod:`repro.obs.telemetry`) -- constant-memory
-windowed load series, quantile sketches and heavy-hitter hotspots, no
-trace file -- and writes ``telemetry.json`` next to a Fig-9-style
-per-window table, the hotspots and the sketch quantiles on stdout.
+(:mod:`repro.obs.analyze`) from an existing trace -- no simulation stack
+needed -- and emits the JSON summary.  Traces may be gzip-compressed
+(``.jsonl.gz``); readers detect the suffix.
 
 Examples::
 
     python -m repro.obs.report run --algorithm asap_rw --peers 120 \
-        --queries 60 --out obs-out --trace
+        --queries 60 --out obs-out --audit --trace
+    python -m repro.obs.report analyze \
+        --trace obs-out/asap_rw-crawled-seed0.jsonl
     python -m repro.obs.report run --algorithm asap_rw --peers 120 \
-        --queries 60 --replications 4 --jobs 2 --out obs-rep
-    python -m repro.obs.report diff obs-out/run.json other/run.json
-    python -m repro.obs.report audit --algorithm asap_rw --peers 120 \
-        --queries 60 --out obs-audit --baseline baselines/asap_rw.json
-    python -m repro.obs.report analyze --trace obs-audit/trace.jsonl
-    python -m repro.obs.report telemetry --algorithm asap_rw --peers 120 \
-        --queries 60 --replications 3 --jobs 2 --out obs-telemetry
+        --queries 60 --replications 3 --jobs 2 --telemetry --probes \
+        --probe-interval 5 --out obs-rep
+    python -m repro.obs.report diff obs-out/run.json obs-rep/run.json
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import merge_profiles
-from repro.obs.trace import Tracer
 
 __all__ = ["diff_rows", "flatten", "main", "render_diff", "run_report"]
+
+#: Cap on the printed window- and state-table rows (sampled evenly).
+MAX_ROWS = 20
 
 
 def run_report(config, result, others: Sequence = ()) -> dict:
@@ -169,8 +165,7 @@ def render_diff(a, b, label_a: str = "a", label_b: str = "b") -> str:
 
 
 def _cell_parser() -> argparse.ArgumentParser:
-    """The flags that name one cell, shared by ``run``, ``audit`` and
-    ``telemetry`` (an argparse parent parser)."""
+    """The flags that name one cell (an argparse parent parser)."""
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--algorithm", default="asap_rw")
     cell.add_argument("--topology", default="crawled")
@@ -189,7 +184,7 @@ def _cell_config(args: argparse.Namespace):
     """The :class:`RunConfig` of the cell ``_cell_parser``'s flags name."""
     from repro.simulation.config import scaled_config  # lazy, as in run_report
 
-    return scaled_config(
+    config = scaled_config(
         args.algorithm,
         args.topology,
         n_peers=args.peers,
@@ -197,73 +192,108 @@ def _cell_config(args: argparse.Namespace):
         seed=args.seed,
         use_physical_network=not args.no_physical_network,
     )
+    if args.probe_interval is not None:
+        config = replace(config, probe_interval_s=args.probe_interval)
+    return config
 
 
-def _run_seeds(config, seeds, jobs: int, **observe) -> Optional[list]:
-    """``config`` under each of ``seeds`` through ``run_cells``, in seed
-    order; ``None``, after printing every traceback, if a cell crashed."""
-    from repro.experiments.parallel import CellFailure, run_cells
-
-    outcomes = run_cells(
-        [replace(config, seed=seed) for seed in seeds],
-        jobs=jobs,
-        progress=lambda msg: print(msg, file=sys.stderr),
-        **observe,
-    )
-    failures = [o for o in outcomes if isinstance(o, CellFailure)]
-    for failure in failures:
-        print(failure.describe(), file=sys.stderr)
-        print(failure.traceback, file=sys.stderr)
-    return None if failures else outcomes
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.simulation.runner import run_experiment
+    from repro.experiments.parallel import CellFailure, cell_trace_name, run_cells
 
     config = _cell_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    log = partial(print, file=sys.stderr)
 
-    tracer = None
-    trace_path = out_dir / "trace.jsonl"
-    stream = None
-    if args.trace:
-        stream = io.open(trace_path, "w")
-        tracer = Tracer(stream=stream, keep=False)
-    try:
-        result = run_experiment(
-            config,
-            tracer=tracer,
-            profile=True,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-    finally:
-        if stream is not None:
-            stream.close()
-
-    # The run above is seed ``seed``; any others fan out across --jobs.
-    others = _run_seeds(
-        config,
-        range(config.seed + 1, config.seed + args.replications),
+    seeds = list(range(config.seed, config.seed + args.replications))
+    configs = [replace(config, seed=seed) for seed in seeds]
+    results = run_cells(
+        configs,
         args.jobs,
         profile=True,
+        audit=args.audit,
+        telemetry=args.telemetry,
+        probes=args.probes,
+        trace_dir=out_dir if args.trace else None,
+        progress=log,
     )
-    if others is None:
+    failures = [r for r in results if isinstance(r, CellFailure)]
+    for failure in failures:
+        log(failure.describe())
+        log(failure.traceback)
+    if failures:
         return 1
-    report = run_report(config, result, others)
-    json_path = out_dir / "run.json"
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    log(results[0].profile.format_table())
 
-    print(f"wrote {json_path}", file=sys.stderr)
-    if args.trace:
-        print(f"wrote {trace_path}", file=sys.stderr)
+    report = run_report(config, results[0], results[1:])
     summary = report["summary"]
-    print(
+    tables = [
         f"{summary['algorithm']}/{summary['topology']}: "
         f"success={summary['success_rate']:.1%} "
         f"load={summary['load_mean_bpns']:.1f} B/node/s"
-    )
-    return 0
+    ]
+    if "replications" in report:
+        from repro.simulation.replication import MetricSpread, format_spreads
+
+        metrics = report["replications"]["metrics"]
+        tables.append(format_spreads(
+            f"{summary['algorithm']} on {config.topology} "
+            f"({len(seeds)} replications, seeds {seeds})",
+            {name: MetricSpread(**spread) for name, spread in metrics.items()},
+        ))
+    exit_code = 0
+    if args.audit:
+        report["audit"] = [r.audit.to_dict() for r in results]
+        tables += [r.audit.format_table() for r in results]
+        violations = sum(len(r.audit.violations) for r in results)
+        if violations:
+            log(f"{violations} audit violation(s)")
+            exit_code = 1
+    if args.telemetry:
+        from repro.obs.telemetry import merge_summaries
+
+        # Seed-order fold: bit-identical no matter how --jobs scheduled cells.
+        telemetry = merge_summaries(r.telemetry for r in results)
+        report["telemetry"] = telemetry.to_dict()
+        tables += [
+            f"telemetry over {telemetry.cells} cell(s), "
+            f"fingerprint {telemetry.fingerprint()}",
+            telemetry.format_window_table(max_rows=MAX_ROWS),
+            telemetry.format_hotspots(),
+            telemetry.format_sketches(),
+        ]
+    if args.probes:
+        from repro.obs.probes import merge_probe_summaries
+
+        state = merge_probe_summaries(r.probes for r in results)
+        report["state"] = state.to_dict()
+        tables += [
+            f"protocol state over {state.cells} cell(s), "
+            f"{len(state.ticks)} tick(s), fingerprint {state.fingerprint()}",
+            state.format_state_table(max_rows=MAX_ROWS),
+        ]
+        if not state.ticks:
+            log(
+                f"--probes recorded no tick: the {config.probe_interval_s:g} s "
+                f"probe interval exceeds the {max(r.t_end for r in results)} s "
+                "simulated horizon; pass a shorter --probe-interval"
+            )
+            exit_code = 1
+
+    json_path = out_dir / "run.json"
+    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    log(f"wrote {json_path}")
+    if args.trace:
+        log("wrote " + ", ".join(str(out_dir / cell_trace_name(c)) for c in configs))
+    print("\n\n".join(tables))
+    return exit_code
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -279,135 +309,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _load_baseline_fingerprint(path: Path) -> str:
-    """A stored fingerprint: a previous ``audit.json`` or a bare hex string."""
-    text = path.read_text().strip()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return text
-    if isinstance(data, dict) and "fingerprint" in data:
-        return str(data["fingerprint"])
-    return text
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import analyze_trace
-    from repro.simulation.runner import run_experiment
-
-    config = _cell_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.jsonl"
-    with io.open(trace_path, "w") as stream:
-        tracer = Tracer(stream=stream, keep=True)
-        result = run_experiment(config, tracer=tracer, audit=True)
-    report = result.audit
-
-    audit_path = out_dir / "audit.json"
-    audit_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    analyze_path = out_dir / "analyze.json"
-    analyze_path.write_text(
-        json.dumps(analyze_trace(tracer.records).to_dict(), indent=2) + "\n"
-    )
-    for path in (trace_path, audit_path, analyze_path):
-        print(f"wrote {path}", file=sys.stderr)
-    print(report.format_table())
-
-    exit_code = 0
-    if not report.ok:
-        print(f"{len(report.violations)} audit violation(s)", file=sys.stderr)
-        exit_code = 1
-    if args.baseline is not None:
-        expected = _load_baseline_fingerprint(Path(args.baseline))
-        if report.fingerprint != expected:
-            print(
-                f"fingerprint drift: baseline {expected} != run "
-                f"{report.fingerprint}",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        else:
-            print("fingerprint matches baseline", file=sys.stderr)
-    return exit_code
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import merge_summaries
-
-    config = _cell_config(args)
-    if args.probe_interval is not None:
-        config = replace(config, probe_interval_s=args.probe_interval)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    outcomes = _run_seeds(
-        config,
-        range(config.seed, config.seed + args.replications),
-        args.jobs,
-        telemetry=True,
-        probes=args.probes,
-    )
-    if outcomes is None:
-        return 1
-    # Input-order fold: bit-identical no matter how --jobs scheduled cells.
-    summary = merge_summaries(o.telemetry for o in outcomes)
-    if summary is None:
-        # No cell, no summary (``--replications 0``): report it instead
-        # of crashing on the absent summary.
-        print(
-            "no telemetry collected: none of the cells produced a "
-            "telemetry section",
-            file=sys.stderr,
-        )
-        return 1
-
-    json_path = out_dir / "telemetry.json"
-    json_path.write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {json_path}", file=sys.stderr)
-
-    print(
-        f"{args.algorithm}/{args.topology} telemetry over "
-        f"{summary.cells} cell(s), fingerprint {summary.fingerprint()}"
-    )
-    print()
-    print(summary.format_window_table(max_rows=args.max_rows))
-    print()
-    print(summary.format_hotspots())
-    print()
-    print(summary.format_sketches())
-
-    if args.probes:
-        from repro.obs.probes import merge_probe_summaries
-
-        probe_summary = merge_probe_summaries(
-            getattr(o, "probes", None) for o in outcomes
-        )
-        if probe_summary is None:
-            print(
-                "no probe snapshots collected: none of the cells produced "
-                "a state section",
-                file=sys.stderr,
-            )
-            return 1
-        state_path = out_dir / "state.json"
-        state_path.write_text(
-            json.dumps(probe_summary.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {state_path}", file=sys.stderr)
-        print()
-        print(
-            f"protocol state over {probe_summary.cells} cell(s), "
-            f"{len(probe_summary.ticks)} tick(s), "
-            f"fingerprint {probe_summary.fingerprint()}"
-        )
-        print()
-        print(probe_summary.format_state_table(max_rows=args.max_rows))
     return 0
 
 
@@ -433,30 +334,60 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cell = _cell_parser()
-
     run_p = sub.add_parser(
-        "run", parents=[cell], help="run one experiment and write run.json"
+        "run",
+        parents=[_cell_parser()],
+        help="run one cell under N seeds and write run.json",
     )
     run_p.add_argument(
         "--replications",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="seeds seed..seed+N-1 whose spread run.json reports (default 1)",
+        help="seeds seed..seed+N-1 to run; run.json reports their spread "
+        "and merges their observer sections (default 1)",
     )
     run_p.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for --replications (0 = all cores)",
+        help="worker processes for --replications (0 = all cores); every "
+        "section is bit-identical to --jobs 1",
+    )
+    run_p.add_argument(
+        "--audit",
+        action="store_true",
+        help="run the invariant auditor on every seed; exit non-zero on "
+        "any violation",
+    )
+    run_p.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="collect streaming telemetry (windowed load, sketches, "
+        "hotspots) on every seed",
+    )
+    run_p.add_argument(
+        "--probes",
+        action="store_true",
+        help="record protocol-state snapshots on every seed; exit non-zero "
+        "when none falls inside the replay",
+    )
+    run_p.add_argument(
+        "--probe-interval",
+        type=float,
+        default=None,
+        help="snapshot cadence in simulated seconds (default: the "
+        "RunConfig default, 60; short traces need a tighter cadence -- "
+        "the trace lasts ~n_queries/8 simulated seconds)",
     )
     run_p.add_argument("--out", default="obs-report")
     run_p.add_argument(
-        "--trace", action="store_true", help="also write trace.jsonl"
+        "--trace",
+        action="store_true",
+        help="also stream each seed's trace to its own JSONL file in --out",
     )
     run_p.set_defaults(func=_cmd_run)
 
-    diff_p = sub.add_parser("diff", help="diff two JSON artifacts of this CLI")
+    diff_p = sub.add_parser("diff", help="diff two JSON documents leaf by leaf")
     diff_p.add_argument("a")
     diff_p.add_argument("b")
     diff_p.add_argument(
@@ -469,67 +400,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     diff_p.set_defaults(func=_cmd_diff)
 
-    audit_p = sub.add_parser(
-        "audit",
-        parents=[cell],
-        help="run one experiment under the invariant auditor",
-    )
-    audit_p.add_argument("--out", default="obs-audit")
-    audit_p.add_argument(
-        "--baseline",
-        default=None,
-        help="stored audit.json (or bare fingerprint file) to compare the "
-        "run fingerprint against; mismatch exits non-zero",
-    )
-    audit_p.set_defaults(func=_cmd_audit)
-
-    tel_p = sub.add_parser(
-        "telemetry",
-        parents=[cell],
-        help="run with streaming telemetry and export windowed load, "
-        "sketches and hotspots (no trace file)",
-    )
-    tel_p.add_argument(
-        "--replications",
-        type=int,
-        default=1,
-        help="seeds seed..seed+N-1 to run and merge (default 1)",
-    )
-    tel_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for --replications (0 = all cores); the "
-        "merged summary is bit-identical to --jobs 1",
-    )
-    tel_p.add_argument(
-        "--probes",
-        action="store_true",
-        help="also record protocol-state snapshots (repro.obs.probes) and "
-        "export the merged state series to state.json",
-    )
-    tel_p.add_argument(
-        "--probe-interval",
-        type=float,
-        default=None,
-        help="snapshot cadence in simulated seconds (default: the "
-        "RunConfig default, 60; short traces need a tighter cadence -- "
-        "the trace lasts ~n_queries/8 simulated seconds)",
-    )
-    tel_p.add_argument("--out", default="obs-telemetry")
-    tel_p.add_argument(
-        "--max-rows",
-        type=int,
-        default=20,
-        help="cap on printed window-table rows (sampled evenly)",
-    )
-    tel_p.set_defaults(func=_cmd_telemetry)
-
     analyze_p = sub.add_parser(
-        "analyze", help="summarise causal lifecycles from a trace.jsonl"
+        "analyze", help="summarise causal lifecycles from a trace file"
     )
     analyze_p.add_argument(
-        "--trace", required=True, help="trace.jsonl (or .jsonl.gz) path"
+        "--trace", required=True, help="trace JSONL (or .jsonl.gz) path"
     )
     analyze_p.add_argument(
         "--out", default=None, help="write the JSON summary here (default stdout)"

@@ -349,7 +349,7 @@ class _WindowStats:
 class Telemetry:
     """The live, mutable telemetry accumulator attached to one run.
 
-    Attach via ``run_experiment(..., telemetry=True)`` or by hand inside an
+    Attach via ``run_cells(configs, telemetry=True)`` or by hand inside an
     ``Instrumentation(telemetry=t)`` given to ``algorithm.attach`` and
     ``engine.set_observer``.  Call :meth:`summary` once the run completes to
     freeze it into a mergeable :class:`TelemetrySummary`.  ``label`` names

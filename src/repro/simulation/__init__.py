@@ -12,19 +12,17 @@
 """
 
 from repro.simulation.config import ALGORITHMS, RunConfig, paper_config, scaled_config
-from repro.simulation.replication import MetricSpread, ReplicatedSummary, run_replications
+from repro.simulation.replication import MetricSpread
 from repro.simulation.results import RunResult, RunSummary
 from repro.simulation.runner import run_experiment
 
 __all__ = [
     "ALGORITHMS",
     "MetricSpread",
-    "ReplicatedSummary",
     "RunConfig",
     "RunResult",
     "RunSummary",
     "paper_config",
     "run_experiment",
-    "run_replications",
     "scaled_config",
 ]

@@ -2,23 +2,22 @@
 
 Single-seed numbers from a stochastic simulator are anecdotes; the paper
 reports single runs (common in 2007), but a reproduction should expose the
-seed-to-seed spread.  :func:`run_replications` executes the same
-configuration under independent seeds and aggregates each
-:class:`~repro.simulation.results.RunSummary` field into mean, standard
-deviation and extremes.
+seed-to-seed spread.  :func:`summary_spreads` aggregates each
+:class:`~repro.simulation.results.RunSummary` field of the same
+configuration under independent seeds (``run_cells`` over
+``replace(config, seed=s)``) into mean, standard deviation and extremes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.simulation.config import RunConfig
 from repro.simulation.results import RunSummary
 
-__all__ = ["MetricSpread", "ReplicatedSummary", "run_replications", "summary_spreads"]
+__all__ = ["MetricSpread", "format_spreads", "summary_spreads"]
 
 #: RunSummary fields that are aggregated numerically.
 _NUMERIC_FIELDS = (
@@ -70,92 +69,9 @@ def summary_spreads(summaries: Sequence[RunSummary]) -> Dict[str, MetricSpread]:
     }
 
 
-@dataclass
-class ReplicatedSummary:
-    """Aggregated summaries of one configuration across seeds."""
-
-    algorithm: str
-    topology: str
-    seeds: List[int]
-    metrics: Dict[str, MetricSpread]
-    summaries: List[RunSummary]
-    # Per-seed audit reports + fingerprints when run with audit=True
-    # (repro.obs.audit.AuditReport entries, in seed order).
-    audits: List[object] = field(default_factory=list)
-    fingerprints: List[str] = field(default_factory=list)
-    # Per-seed telemetry summaries (telemetry=True), in seed order, plus
-    # their deterministic input-order merge across all seeds.
-    telemetries: List[object] = field(default_factory=list)
-    telemetry: object = None
-
-    def __getitem__(self, metric: str) -> MetricSpread:
-        return self.metrics[metric]
-
-    def format_table(self) -> str:
-        lines = [
-            f"{self.algorithm} on {self.topology} "
-            f"({len(self.seeds)} replications, seeds {self.seeds})"
-        ]
-        width = max(len(m) for m in self.metrics) + 2
-        for name, spread in self.metrics.items():
-            lines.append(f"  {name:<{width}} {spread}")
-        return "\n".join(lines)
-
-
-def run_replications(
-    config: RunConfig,
-    n_seeds: int = 5,
-    jobs: int = 1,
-    audit: bool = False,
-    telemetry: bool = False,
-) -> ReplicatedSummary:
-    """Run ``config`` under ``n_seeds`` independent seeds and aggregate.
-
-    Seeds are ``config.seed, config.seed + 1, ...`` -- deterministic, so a
-    replicated result is itself reproducible.  ``jobs > 1`` fans the seeds
-    out across worker processes (``0`` means all cores); every seed derives
-    its own randomness, so the aggregate is bit-identical to ``jobs=1``.
-    A failed replication raises, carrying the worker's traceback.
-
-    ``telemetry=True`` collects a streaming telemetry summary per seed and
-    merges them in seed order into ``ReplicatedSummary.telemetry``.
-    """
-    # Imported here to break the package cycle (parallel builds on runner).
-    from repro.experiments.parallel import CellFailure, run_cells
-
-    if n_seeds < 1:
-        raise ValueError("need at least one replication")
-    seeds = [config.seed + i for i in range(n_seeds)]
-    configs = [replace(config, seed=seed) for seed in seeds]
-    outcomes = run_cells(configs, jobs=jobs, audit=audit, telemetry=telemetry)
-    summaries: List[RunSummary] = []
-    audits: List[object] = []
-    fingerprints: List[str] = []
-    telemetries: List[object] = []
-    for outcome in outcomes:
-        if isinstance(outcome, CellFailure):
-            raise RuntimeError(
-                f"replication {outcome.describe()}\n{outcome.traceback}"
-            )
-        summaries.append(outcome.summarize())
-        if audit:
-            audits.append(outcome.audit)
-            fingerprints.append(outcome.fingerprint)
-        if telemetry:
-            telemetries.append(outcome.telemetry)
-    merged_telemetry = None
-    if telemetry:
-        from repro.obs import merge_summaries
-
-        merged_telemetry = merge_summaries(telemetries)
-    return ReplicatedSummary(
-        algorithm=summaries[0].algorithm,
-        topology=config.topology,
-        seeds=seeds,
-        metrics=summary_spreads(summaries),
-        summaries=summaries,
-        audits=audits,
-        fingerprints=fingerprints,
-        telemetries=telemetries,
-        telemetry=merged_telemetry,
+def format_spreads(title: str, spreads: Dict[str, MetricSpread]) -> str:
+    """``title`` over one ``metric  mean ± std (n=N)`` line per metric."""
+    width = max(len(name) for name in spreads) + 2
+    return "\n".join(
+        [title] + [f"  {name:<{width}} {spread}" for name, spread in spreads.items()]
     )

@@ -14,7 +14,8 @@ from repro.experiments.export import figures_to_csv
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.experiments.parallel import CellFailure, resolve_jobs, run_cells
 from repro.experiments.runall import render_report
-from repro.simulation import run_replications, scaled_config
+from repro.simulation import scaled_config
+from repro.simulation.replication import summary_spreads
 
 
 def _tiny(algorithm, seed=0, physical=False):
@@ -115,10 +116,13 @@ class TestCrashIsolation:
         assert f"{need:,} bytes" in failure.error and "30000 peers" in failure.error
         assert sibling.algorithm == "flooding"
 
-    def test_replication_failure_raises_with_traceback(self, monkeypatch):
+    def test_replication_failure_raises_with_traceback(
+        self, monkeypatch, tmp_path, capsys
+    ):
         # RunConfig validation catches bad configs before any worker runs,
         # so inject a runtime failure into the (serial) cell runner instead.
         import repro.experiments.parallel as parallel_mod
+        from repro.obs.report import main
 
         real = parallel_mod.run_experiment
 
@@ -128,19 +132,25 @@ class TestCrashIsolation:
             return real(config, **kwargs)
 
         monkeypatch.setattr(parallel_mod, "run_experiment", flaky)
-        with pytest.raises(RuntimeError, match="injected replication failure"):
-            run_replications(_tiny("flooding"), n_seeds=2, jobs=1)
+        ok, failed = run_cells([_tiny("flooding", seed=s) for s in (0, 1)])
+        assert ok.algorithm == "flooding"
+        assert "injected replication failure" in failed.traceback
+        # A replicated report fails as a whole, traceback on stderr.
+        assert main([
+            "run", "--algorithm", "flooding", "--topology", "random",
+            "--peers", "120", "--queries", "40", "--no-physical-network",
+            "--replications", "2", "--out", str(tmp_path),
+        ]) == 1
+        assert "ValueError: injected replication failure" in capsys.readouterr().err
 
 
 class TestReplicationParallelism:
     def test_parallel_replications_bit_identical(self):
-        config = _tiny("flooding")
-        serial = run_replications(config, n_seeds=3, jobs=1)
-        parallel = run_replications(config, n_seeds=3, jobs=2)
-        assert serial.seeds == parallel.seeds
-        assert serial.summaries == parallel.summaries
-        for name, spread in serial.metrics.items():
-            assert spread == parallel.metrics[name]
+        configs = [_tiny("flooding", seed=s) for s in (0, 1, 2)]
+        serial = [r.summarize() for r in run_cells(configs, jobs=1)]
+        parallel = [r.summarize() for r in run_cells(configs, jobs=2)]
+        assert serial == parallel
+        assert summary_spreads(serial) == summary_spreads(parallel)
 
 
 class TestGridParallelism:

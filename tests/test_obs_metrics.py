@@ -131,9 +131,10 @@ def test_report_cli_run_and_diff(tmp_path, capsys):
     ]
     assert main(common + ["--seed", "0", "--out", str(out_a), "--trace"]) == 0
     assert main(common + ["--seed", "1", "--out", str(out_b)]) == 0
-    assert sorted(p.name for p in out_a.iterdir()) == ["run.json", "trace.jsonl"]
+    trace_name = "random_walk-random-seed0.jsonl"  # cell_trace_name
+    assert sorted(p.name for p in out_a.iterdir()) == [trace_name, "run.json"]
     assert sorted(p.name for p in out_b.iterdir()) == ["run.json"]
-    trace_lines = (out_a / "trace.jsonl").read_text().splitlines()
+    trace_lines = (out_a / trace_name).read_text().splitlines()
     assert trace_lines and all(json.loads(ln)["kind"] for ln in trace_lines)
     report = json.loads((out_a / "run.json").read_text())
     assert report["summary"]["n_queries"] == 10

@@ -1,5 +1,6 @@
-"""CLI subcommands: audit (violations + baseline gate), analyze, telemetry,
-the diff gate over every artifact."""
+"""CLI subcommands: ``run`` with runall's observer flags (audit, telemetry,
+probes, trace), ``analyze`` over its trace, the diff gate over ``run.json``
+and each of its sections."""
 
 import json
 
@@ -11,63 +12,57 @@ COMMON = [
     "--algorithm", "asap_rw", "--topology", "random",
     "--peers", "40", "--queries", "12", "--no-physical-network",
 ]
+TRACE = "asap_rw-random-seed0.jsonl"
+BASE_KEYS = {"cell", "summary", "ledger", "profile"}
 
 
 @pytest.fixture(scope="module")
 def audit_out(tmp_path_factory):
+    """One traced run with every observer on."""
     out = tmp_path_factory.mktemp("audit") / "run"
-    code = main(["audit", *COMMON, "--seed", "0", "--out", str(out)])
+    code = main([
+        "run", *COMMON, "--seed", "0", "--audit", "--trace",
+        "--telemetry", "--probes", "--probe-interval", "5", "--out", str(out),
+    ])
     assert code == 0
     return out
 
 
 def test_audit_writes_artifacts(audit_out):
-    report = json.loads((audit_out / "audit.json").read_text())
+    assert sorted(p.name for p in audit_out.iterdir()) == [TRACE, "run.json"]
+    (report,) = json.loads((audit_out / "run.json").read_text())["audit"]
     assert report["ok"] is True
     assert len(report["fingerprint"]) == 32
     assert report["checks"]["ledger_conservation"] == "pass"
-    assert (audit_out / "trace.jsonl").stat().st_size > 0
-    analysis = json.loads((audit_out / "analyze.json").read_text())
-    assert analysis["queries"] == 12
+    assert (audit_out / TRACE).stat().st_size > 0
 
 
-def test_audit_baseline_match_and_mismatch(audit_out, tmp_path):
-    out2 = tmp_path / "again"
-    assert main([
-        "audit", *COMMON, "--seed", "0", "--out", str(out2),
-        "--baseline", str(audit_out / "audit.json"),
-    ]) == 0
-    # A different seed fingerprints differently -> gate trips.
-    out3 = tmp_path / "drift"
-    assert main([
-        "audit", *COMMON, "--seed", "9", "--out", str(out3),
-        "--baseline", str(audit_out / "audit.json"),
-    ]) == 1
+def test_audit_baseline_match_and_mismatch(audit_out, tmp_path, capsys):
+    """A stored ``run.json`` is the baseline: the same seed reproduces its
+    fingerprint, another seed does not."""
+    baseline = json.loads((audit_out / "run.json").read_text())["audit"][0]
 
+    def fingerprint(seed):
+        out = tmp_path / f"seed{seed}"
+        assert main(["run", *COMMON, "--seed", str(seed), "--audit", "--out", str(out)]) == 0
+        return json.loads((out / "run.json").read_text())["audit"][0]["fingerprint"]
 
-def test_audit_baseline_accepts_bare_fingerprint(audit_out, tmp_path):
-    fp = json.loads((audit_out / "audit.json").read_text())["fingerprint"]
-    bare = tmp_path / "baseline.txt"
-    bare.write_text(fp + "\n")
-    out = tmp_path / "bare"
-    assert main([
-        "audit", *COMMON, "--seed", "0", "--out", str(out),
-        "--baseline", str(bare),
-    ]) == 0
+    assert fingerprint(0) == baseline["fingerprint"]
+    assert fingerprint(9) != baseline["fingerprint"]
+    capsys.readouterr()
 
 
 def test_analyze_reads_trace_without_sim_stack(audit_out, tmp_path, capsys):
     out_file = tmp_path / "analysis.json"
     assert main([
-        "analyze", "--trace", str(audit_out / "trace.jsonl"),
-        "--out", str(out_file),
+        "analyze", "--trace", str(audit_out / TRACE), "--out", str(out_file),
     ]) == 0
     data = json.loads(out_file.read_text())
     assert data["queries"] == 12
     assert "category_bytes" in data
     # stdout mode
     capsys.readouterr()
-    assert main(["analyze", "--trace", str(audit_out / "trace.jsonl")]) == 0
+    assert main(["analyze", "--trace", str(audit_out / TRACE)]) == 0
     assert json.loads(capsys.readouterr().out)["queries"] == 12
 
 
@@ -76,7 +71,7 @@ def test_analyze_reads_gzip_trace(audit_out, tmp_path, capsys):
 
     gz = tmp_path / "trace.jsonl.gz"
     with gzip.open(gz, "wt") as fh:
-        fh.write((audit_out / "trace.jsonl").read_text())
+        fh.write((audit_out / TRACE).read_text())
     capsys.readouterr()
     assert main(["analyze", "--trace", str(gz)]) == 0
     assert json.loads(capsys.readouterr().out)["queries"] == 12
@@ -84,16 +79,16 @@ def test_analyze_reads_gzip_trace(audit_out, tmp_path, capsys):
 
 def test_telemetry_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "tel"
-    code = main(["telemetry", *COMMON, "--seed", "0", "--out", str(out)])
+    code = main(["run", *COMMON, "--seed", "0", "--telemetry", "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
     assert "B/node/s" in printed
     assert "hottest peers" in printed
-    data = json.loads((out / "telemetry.json").read_text())
+    data = json.loads((out / "run.json").read_text())["telemetry"]
     assert data["schema"] == 1
     assert data["cells"] == 1
     assert data["totals"]["queries"] == 12
-    # The sketch quantiles no file but telemetry.json's raw buckets holds.
+    # The sketch quantiles no file but run.json's raw buckets holds.
     sketches = {
         line.split()[0]: line.split()[1:]
         for line in printed[printed.index("sketch "):].splitlines()[1:5]
@@ -104,19 +99,31 @@ def test_telemetry_writes_artifacts(tmp_path, capsys):
     assert sketches["query_cost_bytes"][0] == "12"
     assert int(sketches["response_time_ms"][0]) == data["response_time_ms"]["count"]
     # One artifact, no trace: telemetry is the trace-free path.
-    assert [p.name for p in out.iterdir()] == ["telemetry.json"]
+    assert [p.name for p in out.iterdir()] == ["run.json"]
 
 
-def test_telemetry_replications_merge(tmp_path):
+def test_telemetry_replications_merge(tmp_path, capsys):
     out = tmp_path / "tel-rep"
     code = main([
-        "telemetry", *COMMON, "--seed", "0",
+        "run", *COMMON, "--seed", "0", "--telemetry",
         "--replications", "2", "--jobs", "2", "--out", str(out),
     ])
     assert code == 0
-    data = json.loads((out / "telemetry.json").read_text())
+    data = json.loads((out / "run.json").read_text())["telemetry"]
     assert data["cells"] == 2
     assert data["totals"]["queries"] == 24
+    assert data["labels"] == ["asap_rw/random/seed0", "asap_rw/random/seed1"]
+    capsys.readouterr()
+
+
+def test_probes_with_no_tick_fail_naming_interval_and_horizon(tmp_path, capsys):
+    """The default 60 s cadence never fires inside a ~33 s replay: that is
+    an empty state series, not a result."""
+    out = tmp_path / "no-tick"
+    assert main(["run", *COMMON, "--probes", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads((out / "run.json").read_text())["state"]["ticks"] == []
+    assert "60 s probe interval" in err and "s simulated horizon" in err
 
 
 def test_diff_tolerance_gate(tmp_path, capsys):
@@ -143,18 +150,19 @@ def test_diff_tolerance_fails_on_one_sided_series(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def artifacts(audit_out, tmp_path_factory):
-    """One of each JSON artifact the CLI writes."""
+    """``run.json`` and each observer section of it as a document of its
+    own: ``diff`` reads any nested JSON."""
     out = tmp_path_factory.mktemp("artifacts")
-    assert main(["run", *COMMON, "--out", str(out)]) == 0
-    assert main([
-        "telemetry", *COMMON, "--probes", "--probe-interval", "5", "--out", str(out),
-    ]) == 0
-    return {
-        "run.json": out / "run.json",
-        "telemetry.json": out / "telemetry.json",
-        "state.json": out / "state.json",
-        "audit.json": audit_out / "audit.json",
+    doc = json.loads((audit_out / "run.json").read_text())
+    sections = {
+        "run.json": doc,
+        "telemetry.json": doc["telemetry"],
+        "state.json": doc["state"],
+        "audit.json": doc["audit"][0],
     }
+    for name, section in sections.items():
+        (out / name).write_text(json.dumps(section))
+    return {name: out / name for name in sections}
 
 
 def _first_numeric_leaf(doc, path=()):
@@ -204,20 +212,35 @@ def test_diff_reads_every_artifact(name, artifacts, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,artifact",
+    "flags,sections",
     [
-        ("run", "run.json"),
-        ("audit", "audit.json"),
-        ("telemetry", "telemetry.json"),
+        ([], set()),
+        (["--audit"], {"audit"}),
+        (["--telemetry"], {"telemetry"}),
+        (["--probes", "--probe-interval", "5"], {"state"}),
+        (["--audit", "--telemetry", "--probes", "--probe-interval", "5"],
+         {"audit", "telemetry", "state"}),
     ],
+    ids=["none", "audit", "telemetry", "probes", "all"],
 )
-def test_cell_flags_are_shared(command, artifact, tmp_path, capsys):
-    """``run``, ``audit`` and ``telemetry`` name their cell with the same
-    flags (one parent parser) and build the same config from them."""
-    out = tmp_path / command
-    assert main([command, *COMMON, "--seed", "3", "--out", str(out)]) == 0
-    assert (out / artifact).stat().st_size > 0
-    # A flag outside the shared set is still an error, not silently eaten.
+def test_run_observer_flags(flags, sections, tmp_path, capsys):
+    """Each observer flag adds exactly its section to ``run.json``, for the
+    cell the shared flags name."""
+    out = tmp_path / "run"
+    assert main(["run", *COMMON, "--seed", "3", *flags, "--out", str(out)]) == 0
+    doc = json.loads((out / "run.json").read_text())
+    assert set(doc) == BASE_KEYS | sections
+    assert doc["cell"] == {
+        "algorithm": "asap_rw", "topology": "random", "n_peers": 40, "seed": 3,
+    }
+    assert doc["summary"]["n_queries"] == 12
+    if "audit" in sections:
+        assert [report["ok"] for report in doc["audit"]] == [True]
+    if "telemetry" in sections:
+        assert doc["telemetry"]["labels"] == ["asap_rw/random/seed3"]
+    if "state" in sections:
+        assert doc["state"]["interval_s"] == 5 and doc["state"]["ticks"]
+    # A flag outside the run's set is still an error, not silently eaten.
     with pytest.raises(SystemExit):
-        main([command, *COMMON, "--no-such-cell-flag"])
+        main(["run", *COMMON, "--no-such-cell-flag"])
     capsys.readouterr()

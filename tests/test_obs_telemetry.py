@@ -25,7 +25,7 @@ from repro.obs.telemetry import (
     merge_summaries,
     quantile_nearest_rank,
 )
-from repro.simulation import run_experiment, run_replications, scaled_config
+from repro.simulation import run_experiment, scaled_config
 
 
 def _tiny(algorithm="asap_rw", seed=0, n_queries=30):
@@ -293,12 +293,21 @@ class TestSerialParallelBitEquality:
         # A sweep's summary names its cells; a lone run's names none.
         assert merged_s.labels == [f"asap_rw/random/seed{s}" for s in (0, 1, 2)]
 
-    def test_replications_merge_matches_manual_fold(self, configs):
-        rep = run_replications(configs[0], n_seeds=2, jobs=2, telemetry=True)
-        assert rep.telemetry.to_json() == merge_summaries(
-            rep.telemetries
-        ).to_json()
-        assert rep.telemetry.cells == 2
+    def test_replications_merge_matches_manual_fold(self, configs, tmp_path, capsys):
+        from repro.obs.report import main
+
+        assert main([
+            "run", "--algorithm", "asap_rw", "--topology", "random",
+            "--peers", "100", "--queries", "30", "--no-physical-network",
+            "--replications", "2", "--jobs", "2", "--telemetry",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        merged = json.loads((tmp_path / "run.json").read_text())["telemetry"]
+        seeds = run_cells(configs[:2], telemetry=True)
+        fold = merge_summaries(r.telemetry for r in seeds)
+        assert merged == json.loads(fold.to_json())
+        assert merged["cells"] == 2
 
 
 # --------------------------------------------------------------------------

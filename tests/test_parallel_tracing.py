@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.parallel import cell_trace_name, run_cells
 from repro.obs.audit import audit_run
 from repro.obs.trace import read_trace
-from repro.simulation import run_replications, scaled_config
+from repro.simulation import scaled_config
 
 
 def _cfg(algorithm, seed):
@@ -70,11 +70,12 @@ def test_trace_filenames_are_deterministic():
 
 
 def test_replications_collect_audits_and_fingerprints():
-    config = _cfg("flooding", 0)
-    summary = run_replications(config, n_seeds=2, jobs=2, audit=True)
-    assert len(summary.audits) == 2
-    assert all(report.ok for report in summary.audits)
-    assert len(set(summary.fingerprints)) == 2  # one per seed, all distinct
-    # Without audit, the lists stay empty (no silent half-population).
-    plain = run_replications(config, n_seeds=2, jobs=1)
-    assert plain.audits == [] and plain.fingerprints == []
+    seeds = [_cfg("flooding", 0), _cfg("flooding", 1)]
+    audited = run_cells(seeds, jobs=2, audit=True)
+    assert all(r.audit.ok for r in audited)
+    # One per seed, all distinct, in seed order.
+    assert [r.fingerprint for r in audited] == [r.audit.fingerprint for r in audited]
+    assert len({r.fingerprint for r in audited}) == 2
+    # Without audit, nothing is half-populated.
+    plain = run_cells(seeds, jobs=1)
+    assert [(r.audit, r.fingerprint) for r in plain] == [(None, None)] * 2

@@ -28,7 +28,9 @@ the paper's-schemes-only ones at the last commit that shipped expanding-ring
 search, keep-alive and download traffic models and a default warm-up; the
 every-module-backs-a-claim ones at the last commit that shipped flood-reach
 and walk-coverage models and workload statistics no claim read, nine
-single-valued protocol options and a content-listener list nobody joined.
+single-valued protocol options and a content-listener list nobody joined;
+the one-driver ones at the last commit whose ``report`` ran a cell from three
+subcommands and shipped ``run_replications``.
 """
 
 import ast
@@ -690,13 +692,29 @@ def test_evaluation_has_no_pytest_wrappers_or_scale_knobs():
     assert hits == []
 
 
-def test_experiments_call_the_runner_in_one_place():
+def test_src_calls_the_runner_in_one_place():
+    """Every cell -- runall's, each seed of ``report run`` -- is replayed by
+    ``run_cells``' worker body."""
+    texts = {str(path.relative_to(SRC)): path.read_text() for path in SRC.rglob("*.py")}
     callers = {
-        path.name: n
-        for path in sorted((SRC / "experiments").glob("*.py"))
-        if (n := path.read_text().count("run_experiment("))
+        name: n
+        for name, text in texts.items()
+        if (n := text.count("run_experiment(") - text.count("def run_experiment("))
     }
-    assert callers == {"parallel.py": 1}
+    assert callers == {"experiments/parallel.py": 1}
+
+
+def test_the_report_has_one_simulating_subcommand_and_no_seed_driver(capsys):
+    import repro.simulation
+    from repro.obs.report import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert re.search(r"\{(.*)\}", usage).group(1).split(",") == ["run", "diff", "analyze"]
+    for gone in ("run_replications", "ReplicatedSummary"):
+        assert not hasattr(repro.simulation, gone)
+        assert not hasattr(repro.simulation.replication, gone)
 
 
 def test_experiment_grid_has_no_process_wide_state():

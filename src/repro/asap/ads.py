@@ -26,7 +26,7 @@ from typing import FrozenSet, Tuple
 
 from repro.bloom.compressed import compressed_filter_size, patch_size
 from repro.bloom.hashing import PAPER_M
-from repro.search.base import MessageSizes
+from repro.search.base import AD_HEADER_BYTES
 from repro.sim.metrics import TrafficCategory
 
 __all__ = ["Ad", "AdType"]
@@ -76,9 +76,9 @@ class Ad:
             return patch_size(len(self.changed_positions))
         return 0  # refresh: empty content information
 
-    def size_bytes(self, sizes: MessageSizes) -> int:
+    def size_bytes(self) -> int:
         """Total wire size: header + payload."""
-        return sizes.ad_header + self.payload_bytes()
+        return AD_HEADER_BYTES + self.payload_bytes()
 
     @property
     def category(self) -> TrafficCategory:

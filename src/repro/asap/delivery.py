@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.network.overlay import Overlay
-from repro.search.base import MessageSizes
 from repro.sim import kernels
 from repro.sim.engine import SimulationError
 from repro.sim.metrics import BandwidthLedger
@@ -77,12 +76,10 @@ class AdForwarder(abc.ABC):
         self,
         overlay: Overlay,
         ledger: BandwidthLedger,
-        sizes: MessageSizes,
         rng: np.random.Generator,
     ) -> None:
         self.overlay = overlay
         self.ledger = ledger
-        self.sizes = sizes
         self.rng = rng
         # The run's repro.obs.Instrumentation (AsapSearch.attach sets it).
         self.obs = None
@@ -173,7 +170,7 @@ class FloodAdForwarder(AdForwarder):
         first_hop, n_messages = kernels.flood_bfs(
             self.overlay.walk_csr(), ad.source, self.ttl
         )
-        ad_size = ad.size_bytes(self.sizes)
+        ad_size = ad.size_bytes()
         # The whole flood lands in the second it starts.
         buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
         return self._finish(
@@ -260,7 +257,7 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
         total_budget = budget if budget is not None else self.default_budget(ad)
         per_walker = max(1, total_budget // self.walkers)
-        ad_size = ad.size_bytes(self.sizes)
+        ad_size = ad.size_bytes()
         csr = self.overlay.walk_csr()
         plan = self._plan
         while plan and plan[-1][0] < now:
@@ -317,7 +314,7 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
                 sources.append(source)
                 times.append(when)
                 per_walkers.append(per_walker)
-                ad_sizes.append(ad.size_bytes(self.sizes))
+                ad_sizes.append(ad.size_bytes())
             plan.pop()
         if len(self._draws) < total:
             self._draws = np.empty(total)
@@ -400,7 +397,7 @@ class GsaAdForwarder(_WalkForwarderBase):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
         total_budget = budget if budget is not None else self.default_budget(ad)
         per_walker = max(1, total_budget // self.walkers)
-        ad_size = ad.size_bytes(self.sizes)
+        ad_size = ad.size_bytes()
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
         source = ad.source
@@ -453,7 +450,6 @@ def make_forwarder(
     kind: str,
     overlay: Overlay,
     ledger: BandwidthLedger,
-    sizes: MessageSizes,
     rng: np.random.Generator,
     ttl: int = 6,
     walkers: int = 5,
@@ -461,13 +457,13 @@ def make_forwarder(
 ) -> AdForwarder:
     """Build a forwarder by the paper's scheme name: fld | rw | gsa."""
     if kind == "fld":
-        return FloodAdForwarder(overlay, ledger, sizes, rng, ttl=ttl)
+        return FloodAdForwarder(overlay, ledger, rng, ttl=ttl)
     if kind == "rw":
         return RandomWalkAdForwarder(
-            overlay, ledger, sizes, rng, walkers=walkers, budget_unit=budget_unit
+            overlay, ledger, rng, walkers=walkers, budget_unit=budget_unit
         )
     if kind == "gsa":
         return GsaAdForwarder(
-            overlay, ledger, sizes, rng, walkers=walkers, budget_unit=budget_unit
+            overlay, ledger, rng, walkers=walkers, budget_unit=budget_unit
         )
     raise ValueError(f"unknown forwarder kind {kind!r}; choose fld, rw or gsa")

@@ -43,7 +43,14 @@ from repro.asap.delivery import AdForwarder, make_forwarder
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState
-from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
+from repro.search.base import (
+    AD_HEADER_BYTES,
+    ADS_REQUEST_BYTES,
+    CONFIRMATION_REPLY_BYTES,
+    CONFIRMATION_REQUEST_BYTES,
+    SearchAlgorithm,
+    SearchOutcome,
+)
 from repro.sim.engine import PeriodicTimer, SimulationEngine
 from repro.sim.metrics import ASAP_LOAD_CATEGORIES, TrafficCategory
 
@@ -112,12 +119,11 @@ class AsapSearch(SearchAlgorithm):
         overlay,
         content,
         ledger,
-        sizes: MessageSizes | None = None,
         rng: Optional[np.random.Generator] = None,
         interests: Optional[List[Set[int]]] = None,
         params: AsapParams | None = None,
     ) -> None:
-        super().__init__(overlay, content, ledger, sizes, rng)
+        super().__init__(overlay, content, ledger, rng)
         if interests is None:
             raise ValueError("ASAP requires per-node interests")
         if len(interests) != overlay.n:
@@ -138,7 +144,6 @@ class AsapSearch(SearchAlgorithm):
             self.params.forwarder,
             overlay,
             ledger,
-            self.sizes,
             self.rng,
             ttl=AD_TTL,
             walkers=AD_WALKERS,
@@ -210,11 +215,11 @@ class AsapSearch(SearchAlgorithm):
         behind that a fresh full ad is smaller is sent that instead.
         Either way the entry ends at the current version.
         """
-        sizes, ledger, state = self.sizes, self.ledger, self.state
+        ledger, state = self.ledger, self.state
         k = len(lagging)
         ledger.record_each(
             np.full(k, now), TrafficCategory.ADS_REQUEST,
-            np.full(k, float(sizes.ads_request)),
+            np.full(k, float(ADS_REQUEST_BYTES)),
         )
         reply, categories = np.zeros(k), np.full(k, None)
         full = self.store.make_full_ad(source)
@@ -223,10 +228,10 @@ class AsapSearch(SearchAlgorithm):
             for node in lagging.tolist():
                 state.remove(node, source)
         else:
-            patch_reply = sizes.ad_header + 2 * self.store.missed_patch_bits(
+            patch_reply = AD_HEADER_BYTES + 2 * self.store.missed_patch_bits(
                 source, state.versions(lagging, source)
             )
-            full_reply = full.size_bytes(sizes)
+            full_reply = full.size_bytes()
             as_patch = patch_reply <= full_reply
             reply = np.where(as_patch, patch_reply, full_reply)
             categories = _REPLY_CATEGORY[as_patch.astype(np.intp)]
@@ -244,7 +249,7 @@ class AsapSearch(SearchAlgorithm):
                 lagging.tolist(), reply.tolist(), categories.tolist()
             ):
                 self.obs.repair(
-                    now, node, source, float(sizes.ads_request), nbytes, category
+                    now, node, source, float(ADS_REQUEST_BYTES), nbytes, category
                 )
 
     def _issue_full_ad(self, source: int, now: float) -> None:
@@ -434,7 +439,6 @@ class AsapSearch(SearchAlgorithm):
         """
         state = self.state
         store = self.store
-        ad_header = int(self.sizes.ad_header)
         ledger = self.ledger
         obs = self.obs
         # Observed: (neighbour, request + reply bytes, sources adopted).
@@ -446,7 +450,7 @@ class AsapSearch(SearchAlgorithm):
         n_messages = 0
         total_bytes = 0.0
         request_total = 0.0
-        request_size = self.sizes.ads_request + int(
+        request_size = ADS_REQUEST_BYTES + int(
             math.ceil(int(state.occupancy[node]) * DIGEST_BYTES_PER_ENTRY)
         )
         for nbr, one_way in neighbors:
@@ -470,7 +474,7 @@ class AsapSearch(SearchAlgorithm):
             # The reply carries each source's *current* filter, after the
             # reply envelope.
             payload = store.full_ad_payload_bytes(novel)
-            reply_bytes = float(ad_header * (len(novel) + 1) + int(payload.sum()))
+            reply_bytes = float(AD_HEADER_BYTES * (len(novel) + 1) + int(payload.sum()))
             rtt = 2.0 * one_way
             if new_sources is not None:
                 for s in novel.tolist():
@@ -542,28 +546,28 @@ class AsapSearch(SearchAlgorithm):
             for s, lat in ordered:
                 tried.add(s)
                 n_messages += 1
-                total_bytes += self.sizes.confirmation_request
+                total_bytes += CONFIRMATION_REQUEST_BYTES
                 self.ledger.record(
                     now,
                     TrafficCategory.CONFIRMATION,
-                    self.sizes.confirmation_request,
+                    CONFIRMATION_REQUEST_BYTES,
                     messages=1,
                 )
-                exchanged = self.sizes.confirmation_request
+                exchanged = CONFIRMATION_REQUEST_BYTES
                 if not self.overlay.is_live(s):
                     # Departed source: retire the stale ad.
                     state.remove(requester, s)
                     verdict = "failed_dead"
                 else:
                     n_messages += 1
-                    total_bytes += self.sizes.confirmation_reply
+                    total_bytes += CONFIRMATION_REPLY_BYTES
                     self.ledger.record(
                         now + 2.0 * lat / 1000.0,
                         TrafficCategory.CONFIRMATION,
-                        self.sizes.confirmation_reply,
+                        CONFIRMATION_REPLY_BYTES,
                         messages=1,
                     )
-                    exchanged += self.sizes.confirmation_reply
+                    exchanged += CONFIRMATION_REPLY_BYTES
                     if self.content.node_matches(s, terms):
                         confirmed.append((s, cands[s] + 2.0 * lat))
                         verdict = "confirmed"

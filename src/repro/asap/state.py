@@ -163,9 +163,6 @@ class AdsState:
             self.code_bits[code] = topic_bits(topics)
         return code
 
-    def topics_of(self, code: int) -> FrozenSet[int]:
-        return self._topics[code]
-
     # ------------------------------------------------------------- views
     def held_mask(self, peers=_ALL, sources=_ALL) -> np.ndarray:
         """Which of ``[peers, sources]`` (default: every pair) are cached."""

@@ -114,12 +114,6 @@ class SourceFilterStore:
         """Free-riders have a null filter and nothing to advertise."""
         return bool(self._n_set[source] > 0)
 
-    def patch_history(self, source: int) -> List[Tuple[int, FrozenSet[int]]]:
-        return [
-            (version, frozenset(changed.tolist()))
-            for version, changed in self._patches.get(source, ())
-        ]
-
     def match_current(self, positions: np.ndarray) -> np.ndarray:
         """Which filters contain all positions: entry ``s < n_nodes`` is
         source ``s``'s *current* filter, the rest are superseded versions

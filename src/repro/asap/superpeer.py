@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.asap.protocol import AsapParams, AsapSearch
 from repro.network.overlay import Overlay
-from repro.search.base import SearchOutcome
+from repro.search.base import QUERY_BYTES, QUERY_RESPONSE_BYTES, SearchOutcome
 from repro.sim.metrics import TrafficCategory
 
 __all__ = ["SuperPeerAsapSearch", "elect_super_peers"]
@@ -144,13 +144,13 @@ class SuperPeerAsapSearch(AsapSearch):
         sp = self.super_peer_of(requester)
         leaf_rtt = 2.0 * self.overlay.direct_latency_ms(requester, sp)
         self.ledger.record(
-            now, TrafficCategory.CONFIRMATION, self.sizes.query, messages=1
+            now, TrafficCategory.CONFIRMATION, QUERY_BYTES, messages=1
         )
         inner = super()._search_impl(sp, terms, now)
         self.ledger.record(
-            now, TrafficCategory.CONFIRMATION, self.sizes.query_response, messages=1
+            now, TrafficCategory.CONFIRMATION, QUERY_RESPONSE_BYTES, messages=1
         )
-        extra_bytes = self.sizes.query + self.sizes.query_response
+        extra_bytes = QUERY_BYTES + QUERY_RESPONSE_BYTES
         if not inner.success:
             return SearchOutcome(
                 success=False,

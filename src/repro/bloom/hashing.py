@@ -67,7 +67,6 @@ class BloomHasher:
         self.k = k
         # Per-instance memo keyed on the term; bounded to keep memory sane.
         self._positions_cached = lru_cache(maxsize=1 << 16)(self._positions_uncached)
-        self._vector_cached = lru_cache(maxsize=1 << 16)(self._vector_uncached)
 
     def _positions_uncached(self, term: str) -> Tuple[int, ...]:
         digest = hashlib.blake2b(term.encode("utf-8"), digest_size=16).digest()
@@ -80,19 +79,6 @@ class BloomHasher:
     def positions(self, term: str) -> Tuple[int, ...]:
         """The ``k`` bit positions keyword ``term`` maps to."""
         return self._positions_cached(term)
-
-    def _vector_uncached(self, term: str) -> np.ndarray:
-        vec = np.array(self._positions_cached(term), dtype=np.int64)
-        vec.setflags(write=False)  # cached and shared: guard against mutation
-        return vec
-
-    def positions_vector(self, term: str) -> np.ndarray:
-        """:meth:`positions` as a read-only int64 array (memoised).
-
-        This feeds the vectorised membership gather on the filter hot path
-        (one fancy-index per term instead of a Python loop over k bits).
-        """
-        return self._vector_cached(term)
 
     def positions_array(self, terms: Iterable[str]) -> np.ndarray:
         """Unique bit positions for a set of terms (for vectorised tests)."""

@@ -23,7 +23,7 @@ current filters (peak RSS is a gated metric).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class FilterMatrix:
             return self._cols[:, column]
         return self._history[:, column - self.n_sources]
 
-    def get_bit(self, source: int, position: int) -> bool:
-        if not 0 <= position < self.hasher.m:
-            raise ValueError("bit position out of range")
-        return bool((self._column(source)[position >> 3] >> (position & 7)) & 1)
-
     def row_bits(self, source: int) -> np.ndarray:
         """Unpacked boolean bit array of one source (or snapshot column)."""
         return np.unpackbits(self._column(source), bitorder="little")[
@@ -136,7 +131,3 @@ class FilterMatrix:
             # (n_positions, n_filters): one contiguous run per queried bit.
             np.all(cols[rows] & masks == masks, axis=0, out=out)
         return match
-
-    def match_terms(self, terms: Iterable[str]) -> np.ndarray:
-        """Which filters contain every term (paper's match rule)."""
-        return self.match_all(self.hasher.positions_array(terms))

@@ -150,7 +150,7 @@ def _empirical_fpr(m: int, k: int = 8) -> dict:
     bits = np.zeros(m, dtype=bool)
     bits[hasher.positions_array(f"member-{i}" for i in range(BLOOM_KEYWORDS))] = True
     false_hits = sum(
-        bool(bits[hasher.positions_vector(f"absent-{i}")].all())
+        bool(bits[hasher.positions_array([f"absent-{i}"])].all())
         for i in range(BLOOM_PROBES)
     )
     fill = np.count_nonzero(bits) / m

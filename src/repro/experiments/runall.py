@@ -39,7 +39,7 @@ from repro.experiments.export import AnyFigure, figures_to_csv, read_tables
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.simulation.config import RunConfig
 
-__all__ = ["main", "build_report", "render_report", "write_report"]
+__all__ = ["main", "render_report", "write_report"]
 
 
 def _cell_name(config: RunConfig, scale: ExperimentScale) -> str:
@@ -53,19 +53,6 @@ def _cell_name(config: RunConfig, scale: ExperimentScale) -> str:
         if getattr(config.asap, f.name) != getattr(ABLATION_BASE.asap, f.name)
     ]
     return f"{name} [{config.n_peers} peers, {', '.join(varied) or 'default'}]"
-
-
-def build_report(
-    scale: ExperimentScale,
-    progress=None,
-    grid: Optional[ExperimentGrid] = None,
-) -> str:
-    """Run the campaign and return the markdown report.
-
-    Pass a ``grid`` to reuse (and afterwards inspect) the populated cells.
-    """
-    grid = grid if grid is not None else ExperimentGrid(scale)
-    return render_report(grid, run_campaign(grid, progress=progress))
 
 
 def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:

@@ -13,16 +13,16 @@ nodes.  Nodes in the *same* stub domain use the intra-domain shortest path
 directly (which by the triangle inequality within the domain is never worse
 than detouring through the gateway).
 
-The model exposes both a scalar ``latency_ms(u, v)`` and a vectorised
-``pairwise_ms(us, vs)``.  The vector path precomputes, per registered node,
-its *anchor* transit node and its *offset* (latency to reach that anchor) so
-a batch of M pairs costs a handful of NumPy gathers -- this is the hot path
+The model answers one query, the vectorised ``pairwise_ms(us, vs)``; a
+single pair is a batch of one.  It precomputes, per registered node, its
+*anchor* transit node and its *offset* (latency to reach that anchor) so a
+batch of M pairs costs a handful of NumPy gathers -- this is the hot path
 feeding per-edge overlay latencies and confirmation RTTs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -73,35 +73,18 @@ class LatencyModel:
         self._anchor[stub] = domain // p.stub_domains_per_transit
         self._domain[stub] = domain
 
-    def _ensure(self, node: int) -> None:
-        if np.isnan(self._offset_ms[node]):
-            self.register([node])
-
     # --------------------------------------------------------------- queries
-    def latency_ms(self, u: int, v: int) -> float:
-        """Exact one-way latency between physical nodes ``u`` and ``v``."""
-        u, v = int(u), int(v)
-        if u == v:
-            return 0.0
-        self._ensure(u)
-        self._ensure(v)
-        du, dv = self._domain[u], self._domain[v]
-        if du >= 0 and du == dv:
-            return self._net.intra_domain_distance_ms(u, v)
-        return float(
-            self._offset_ms[u]
-            + self._core[self._anchor[u], self._anchor[v]]
-            + self._offset_ms[v]
-        )
-
     def pairwise_ms(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`latency_ms` over aligned arrays of node ids."""
+        """Exact one-way latencies between aligned node ids ``us[i]`` and
+        ``vs[i]``, in the ids' shape (0-d ids give a 0-d array)."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
             raise ValueError(f"shape mismatch: {us.shape} vs {vs.shape}")
+        shape = us.shape
+        us, vs = us.ravel(), vs.ravel()
         unregistered = np.isnan(self._offset_ms[us]) | np.isnan(self._offset_ms[vs])
-        if np.any(unregistered):
+        if unregistered.any():
             self.register(np.concatenate([us[unregistered], vs[unregistered]]))
         out = (
             self._offset_ms[us]
@@ -110,7 +93,7 @@ class LatencyModel:
         )
         # Same-stub-domain pairs: exact intra-domain distance.
         same = (self._domain[us] >= 0) & (self._domain[us] == self._domain[vs])
-        if np.any(same):
+        if same.any():
             domain, local_u = self._net.stub_coordinates(us[same])
             _, local_v = self._net.stub_coordinates(vs[same])
             out[same] = (
@@ -118,9 +101,4 @@ class LatencyModel:
                 * self._net.params.lat_intra_stub_ms
             )
         out[us == vs] = 0.0
-        return out
-
-    def one_to_many_ms(self, u: int, vs: np.ndarray) -> np.ndarray:
-        """Latency from one node to many (convenience over pairwise_ms)."""
-        vs = np.asarray(vs, dtype=np.int64)
-        return self.pairwise_ms(np.full(vs.shape, u, dtype=np.int64), vs)
+        return out.reshape(shape)

@@ -65,41 +65,12 @@ class OverlayTopology:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def average_degree(self) -> float:
-        return 2.0 * self.n_edges / self.n if self.n else 0.0
-
-    def adjacency(self) -> List[np.ndarray]:
-        """Per-node sorted neighbour arrays."""
-        nbrs: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(int(v))
-            nbrs[v].append(int(u))
-        return [np.array(sorted(ns), dtype=np.int64) for ns in nbrs]
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
         if len(self.edges):
             np.add.at(deg, self.edges[:, 0], 1)
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(int(v))
-        return count == self.n
 
 
 # --------------------------------------------------------------------- utils

@@ -28,14 +28,16 @@ scaled-down experiment that touches 50 domains never pays for 1,296.  A
 materialised domain is its gateway and its all-pairs hop matrix, one slice
 each of two network-wide arrays, so the latency model reads any batch of
 (domain, node, node) triples with one gather (docs/PERFORMANCE.md,
-"Set-up path", has what building them costs).
+"Set-up path", has what building them costs).  The network answers only
+such vectorised queries (:meth:`TransitStubNetwork.stub_hops`,
+:meth:`TransitStubNetwork.gateway_hops`); one node is a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,7 +45,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.sim.random import RandomStreams
 
-__all__ = ["TransitStubNetwork", "TransitStubParams", "StubDomain"]
+__all__ = ["TransitStubNetwork", "TransitStubParams"]
 
 
 @dataclass(frozen=True)
@@ -186,19 +188,6 @@ def _random_graph(
     return adjacency, hops
 
 
-@dataclass
-class StubDomain:
-    """A materialised stub domain: local graph, gateway and distances."""
-
-    domain_id: int
-    first_node: int  # global id of local index 0
-    gateway_local: int  # local index of the gateway stub node
-    hop_distances: np.ndarray  # (size, size) BFS hop counts
-
-    def distance_ms(self, local_u: int, local_v: int, hop_ms: float) -> float:
-        return float(self.hop_distances[local_u, local_v]) * hop_ms
-
-
 class TransitStubNetwork:
     """The physical internet every experiment's latencies derive from."""
 
@@ -210,7 +199,6 @@ class TransitStubNetwork:
         # hop matrix (``zeros``: a page is committed when its domain is built).
         self._gateway = np.full(n_domains, -1, dtype=np.int64)
         self._hops = np.zeros((n_domains, size, size), dtype=np.int32)
-        self._stub_cache: Dict[int, StubDomain] = {}
         self._core_dist: np.ndarray | None = None
         self._build_transit_core()
 
@@ -263,39 +251,6 @@ class TransitStubNetwork:
     def n_nodes(self) -> int:
         return self.params.n_nodes
 
-    def is_transit(self, node: int) -> bool:
-        self._check_node(node)
-        return node < self.params.n_transit
-
-    def stub_domain_of(self, node: int) -> int:
-        """Stub-domain id of a stub node (raises for transit nodes)."""
-        self._check_node(node)
-        if node < self.params.n_transit:
-            raise ValueError(f"node {node} is a transit node, not a stub node")
-        return (node - self.params.n_transit) // self.params.stub_nodes_per_domain
-
-    def local_index(self, node: int) -> int:
-        """Index of a stub node within its stub domain."""
-        if node < self.params.n_transit:
-            raise ValueError(f"node {node} is a transit node")
-        return (node - self.params.n_transit) % self.params.stub_nodes_per_domain
-
-    def transit_of_domain(self, domain_id: int) -> int:
-        """The transit node a stub domain hangs off."""
-        if not 0 <= domain_id < self.params.n_stub_domains:
-            raise ValueError(f"bad stub domain id {domain_id}")
-        return domain_id // self.params.stub_domains_per_transit
-
-    def transit_anchor(self, node: int) -> int:
-        """The transit node through which ``node`` reaches the core."""
-        if self.is_transit(node):
-            return node
-        return self.transit_of_domain(self.stub_domain_of(node))
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.params.n_nodes:
-            raise ValueError(f"physical node id {node} out of range")
-
     # ------------------------------------------------------------ stub graphs
     def stub_coordinates(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(stub-domain id, local index)`` of an array of stub node ids."""
@@ -314,11 +269,7 @@ class TransitStubNetwork:
         for domain_id in missing.tolist():
             rng = self._streams.get(f"stub-domain-{domain_id}")
             _, self._hops[domain_id] = _random_graph(size, p.p_stub_edge, rng)
-            self._gateway[domain_id] = gateway = int(rng.integers(size))
-            self._stub_cache[domain_id] = StubDomain(
-                domain_id, p.n_transit + domain_id * size, gateway,
-                self._hops[domain_id],
-            )
+            self._gateway[domain_id] = int(rng.integers(size))
 
     def stub_hops(
         self, domains: np.ndarray, local_u: np.ndarray, local_v: np.ndarray
@@ -331,25 +282,3 @@ class TransitStubNetwork:
         """Hop counts from local indices to their domains' gateways."""
         self.materialise(domains)
         return self._hops[domains, local, self._gateway[domains]]
-
-    def stub_domain(self, domain_id: int) -> StubDomain:
-        """A stub domain's gateway and hop distances, built on first touch."""
-        if domain_id not in self._stub_cache:
-            self.materialise([domain_id])
-        return self._stub_cache[domain_id]
-
-    def gateway_distance_ms(self, node: int) -> float:
-        """Latency from a stub node to its domain gateway (0 for the gateway)."""
-        domain = self.stub_domain(self.stub_domain_of(node))
-        local = self.local_index(node)
-        return domain.distance_ms(local, domain.gateway_local, self.params.lat_intra_stub_ms)
-
-    def intra_domain_distance_ms(self, u: int, v: int) -> float:
-        """Exact latency between two stub nodes of the same stub domain."""
-        du = self.stub_domain_of(u)
-        if du != self.stub_domain_of(v):
-            raise ValueError(f"nodes {u} and {v} are in different stub domains")
-        domain = self.stub_domain(du)
-        return domain.distance_ms(
-            self.local_index(u), self.local_index(v), self.params.lat_intra_stub_ms
-        )

@@ -43,7 +43,6 @@ from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
     ProbeSummary,
-    check_arena_health,
     merge_probe_summaries,
     pow2_sketch,
     snapshot_backend,
@@ -94,7 +93,6 @@ __all__ = [
     "Tracer",
     "analyze_trace",
     "audit_run",
-    "check_arena_health",
     "merge_probe_summaries",
     "merge_profiles",
     "merge_summaries",

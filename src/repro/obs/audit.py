@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.asap.protocol import MAX_CONFIRMATIONS
 from repro.obs.analyze import TraceAnalysis, analyze_trace
 from repro.obs.trace import TraceRecord
+from repro.search.base import CONFIRMATION_REPLY_BYTES, CONFIRMATION_REQUEST_BYTES
 from repro.search.random_walk import WALKERS
 
 __all__ = [
@@ -305,8 +306,8 @@ def _check_confirmation_discipline(
         return "skipped"
     status = "pass"
     max_attempts = 2 * MAX_CONFIRMATIONS  # two confirm rounds
-    req = float(config.sizes.confirmation_request)
-    rep = float(config.sizes.confirmation_reply)
+    req = float(CONFIRMATION_REQUEST_BYTES)
+    rep = float(CONFIRMATION_REPLY_BYTES)
     # Super-peer leaf routing charges its extra leaf<->super hop to the
     # confirmation category, so the exact byte tie-in only holds for the
     # flat protocol.

@@ -9,11 +9,11 @@ schemes, all reimplemented here with the paper's parameters:
   et al. (hybrid walk with one-hop lookahead), per-query budget 8,000.
 
 :mod:`repro.search.base` defines the shared algorithm interface, the
-message-size model, and :class:`SearchOutcome` -- the per-query record every
+message-size constants, and :class:`SearchOutcome` -- the per-query record every
 figure's metrics aggregate over.
 """
 
-from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
+from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.search.flooding import FloodingSearch, flood_reach
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import RandomWalkSearch
@@ -21,7 +21,6 @@ from repro.search.random_walk import RandomWalkSearch
 __all__ = [
     "FloodingSearch",
     "GsaSearch",
-    "MessageSizes",
     "RandomWalkSearch",
     "SearchAlgorithm",
     "SearchOutcome",

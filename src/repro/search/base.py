@@ -6,8 +6,8 @@ Every algorithm (baselines and ASAP variants) implements
 invokes.  Bandwidth flows through the shared :class:`BandwidthLedger`; the
 per-search cost and the global load series both derive from it.
 
-The paper reports bandwidth but never tabulates message sizes, so
-:class:`MessageSizes` centralises our documented size model (DESIGN.md
+The paper reports bandwidth but never tabulates message sizes, so the
+``*_BYTES`` constants below are our documented size model (DESIGN.md
 section 2) -- every byte the simulator accounts for is computed from these
 constants plus the Bloom-filter wire sizes.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,36 +25,18 @@ from repro.network.overlay import Overlay
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex
 
-__all__ = ["MessageSizes", "SearchAlgorithm", "SearchOutcome"]
+__all__ = ["SearchAlgorithm", "SearchOutcome"]
 
 
-@dataclass(frozen=True)
-class MessageSizes:
-    """Bytes per message type (DESIGN.md section 2)."""
-
-    query: int = 100  # Gnutella-style header + search terms
-    query_response: int = 80
-    confirmation_request: int = 80
-    confirmation_reply: int = 80
-    ads_request: int = 60
-    ad_header: int = 24  # identity + topics + version + type
-
-    def __post_init__(self) -> None:
-        for name in (
-            "query",
-            "query_response",
-            "confirmation_request",
-            "confirmation_reply",
-            "ads_request",
-            "ad_header",
-        ):
-            size = getattr(self, name)
-            if size <= 0:
-                raise ValueError(f"message size {name} must be positive")
-            if size != int(size):
-                raise ValueError(
-                    f"message size {name} must be a whole number of bytes, got {size}"
-                )
+#: Bytes per message type (DESIGN.md section 2).  Whole numbers: the byte
+#: buckets (``kernels.bucket_dict``) rely on whole sizes adding up to the
+#: same float in any order.
+QUERY_BYTES = 100  # Gnutella-style header + search terms
+QUERY_RESPONSE_BYTES = 80
+CONFIRMATION_REQUEST_BYTES = 80
+CONFIRMATION_REPLY_BYTES = 80
+ADS_REQUEST_BYTES = 60
+AD_HEADER_BYTES = 24  # identity + topics + version + type
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,13 +80,11 @@ class SearchAlgorithm(abc.ABC):
         overlay: Overlay,
         content: ContentIndex,
         ledger: BandwidthLedger,
-        sizes: MessageSizes | None = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.overlay = overlay
         self.content = content
         self.ledger = ledger
-        self.sizes = sizes or MessageSizes()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         # The run's repro.obs.Instrumentation; None while nobody observes.
         self.obs = None

@@ -28,7 +28,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.overlay import Overlay
-from repro.search.base import SearchAlgorithm, SearchOutcome
+from repro.search.base import (
+    QUERY_BYTES,
+    QUERY_RESPONSE_BYTES,
+    SearchAlgorithm,
+    SearchOutcome,
+)
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
@@ -94,7 +99,7 @@ class FloodingSearch(SearchAlgorithm):
         first_hop, arrival, n_query_msgs = flood_reach(
             self.overlay, requester, self.ttl
         )
-        query_bytes = n_query_msgs * self.sizes.query
+        query_bytes = n_query_msgs * QUERY_BYTES
         self.ledger.record(
             now, TrafficCategory.QUERY, query_bytes, messages=n_query_msgs
         )
@@ -109,13 +114,13 @@ class FloodingSearch(SearchAlgorithm):
         if self.obs is not None:
             self.obs.query_traffic(
                 now, requester, query_bytes,
-                zip(hits.tolist(), (hit_hops * self.sizes.query_response).tolist()),
+                zip(hits.tolist(), (hit_hops * QUERY_RESPONSE_BYTES).tolist()),
             )
         if not len(hits):
             return self._failure(n_query_msgs, query_bytes)
 
         response_msgs = int(hit_hops.sum())
-        response_bytes = response_msgs * self.sizes.query_response
+        response_bytes = response_msgs * QUERY_RESPONSE_BYTES
         self.ledger.record(
             now,
             TrafficCategory.QUERY_RESPONSE,

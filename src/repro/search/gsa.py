@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.search.base import SearchAlgorithm, SearchOutcome
+from repro.search.base import QUERY_BYTES, SearchAlgorithm, SearchOutcome
 from repro.search.random_walk import WALKERS, finish_walk
 
 __all__ = ["GsaSearch"]
@@ -78,7 +78,7 @@ class GsaSearch(SearchAlgorithm):
         per_walker = max(1, self.budget // self.walkers)
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
-        query_size = self.sizes.query
+        query_size = QUERY_BYTES
 
         heap = [(0.0, w) for w in range(self.walkers)]
         positions = [requester] * self.walkers

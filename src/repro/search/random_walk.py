@@ -34,7 +34,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.search.base import SearchAlgorithm, SearchOutcome
+from repro.search.base import (
+    QUERY_BYTES,
+    QUERY_RESPONSE_BYTES,
+    SearchAlgorithm,
+    SearchOutcome,
+)
 from repro.sim import kernels
 from repro.sim.metrics import TrafficCategory
 
@@ -77,7 +82,7 @@ class RandomWalkSearch(SearchAlgorithm):
             match[list(matching)] = True
 
         res = kernels.rw_search(
-            csr, requester, draws, match, now, self.sizes.query
+            csr, requester, draws, match, now, QUERY_BYTES
         )
         return finish_walk(
             self, requester, now, res.n_messages, res.buckets,
@@ -124,7 +129,7 @@ class RandomWalkSearch(SearchAlgorithm):
             positions[w] = nxt
             steps_taken[w] += 1
             n_messages += 1
-            buckets[int(now + elapsed / 1000.0)] += self.sizes.query
+            buckets[int(now + elapsed / 1000.0)] += QUERY_BYTES
             if nxt in matching and elapsed < hit_time_ms:
                 hit_time_ms = elapsed
                 hit_node = nxt
@@ -156,18 +161,18 @@ def finish_walk(
     """The accounting tail of a walk search (this one and GSA): ledger
     records and outcome from the walk's per-second byte ``buckets`` and its
     first hit, if any (``hit_node`` None otherwise)."""
-    ledger, sizes = search.ledger, search.sizes
+    ledger = search.ledger
     for second, nbytes in buckets.items():
         ledger.record(second + 0.5, TrafficCategory.QUERY, nbytes, messages=0)
     # Message counts recorded once (byte buckets already carry the bytes).
     ledger.record(now, TrafficCategory.QUERY, 0.0, messages=n_messages)
 
-    cost_bytes = n_messages * sizes.query
+    cost_bytes = n_messages * QUERY_BYTES
     if search.obs is not None:
         # The hit node answers the requester directly.
         search.obs.query_traffic(
             now, requester, cost_bytes,
-            [] if hit_node is None else [(hit_node, sizes.query_response)],
+            [] if hit_node is None else [(hit_node, QUERY_RESPONSE_BYTES)],
             direct=True,
         )
     if hit_node is None:
@@ -179,13 +184,13 @@ def finish_walk(
     ledger.record(
         now + (hit_time_ms + reply_lat) / 1000.0,
         TrafficCategory.QUERY_RESPONSE,
-        sizes.query_response,
+        QUERY_RESPONSE_BYTES,
         messages=1,
     )
     return SearchOutcome(
         success=True,
         response_time_ms=hit_time_ms + reply_lat,
         messages=n_messages + 1,
-        cost_bytes=cost_bytes + sizes.query_response,
+        cost_bytes=cost_bytes + QUERY_RESPONSE_BYTES,
         results=1,
     )

@@ -271,10 +271,6 @@ class PeriodicTimer:
         first = period if phase is None else phase
         self._pending = engine.schedule_after(first, self._fire, name=name)
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def _fire(self) -> None:
         if self._stopped:
             return

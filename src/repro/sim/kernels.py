@@ -332,8 +332,8 @@ def bucket_dict(
     """``{second: bytes}`` from per-second message counts, ascending.
 
     ``counts[i]`` messages of ``size_bytes`` landed in second
-    ``first_second + i``.  A wire size is a whole number of bytes
-    (:class:`~repro.search.base.MessageSizes` refuses any other), so
+    ``first_second + i``.  A wire size is a whole number of bytes (the
+    ``*_BYTES`` constants of :mod:`repro.search.base`; a test pins them), so
     ``count * size`` equals the per-step loops' repeated float addition
     exactly.
     """

@@ -145,16 +145,6 @@ class BandwidthLedger:
         """Bytes per category over the whole run (Figure 7 input)."""
         return dict(self._totals)
 
-    def breakdown_fractions(
-        self, categories: Optional[Iterable[TrafficCategory]] = None
-    ) -> Dict[TrafficCategory, float]:
-        """Fraction of bytes per category among ``categories`` (or all)."""
-        cats = list(categories) if categories is not None else list(self._totals)
-        total = sum(self._totals.get(c, 0.0) for c in cats)
-        if total == 0:
-            return {c: 0.0 for c in cats}
-        return {c: self._totals.get(c, 0.0) / total for c in cats}
-
     def series(
         self,
         categories: Iterable[TrafficCategory],

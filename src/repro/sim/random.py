@@ -67,7 +67,3 @@ class RandomStreams:
         """Return a *new* generator for ``name``, resetting its stream state."""
         self._cache.pop(name, None)
         return self.get(name)
-
-    def child(self, name: str) -> "RandomStreams":
-        """Derive an independent child factory (e.g. one per repetition)."""
-        return RandomStreams(seed=(self._seed * 1_000_003 + stable_hash32(name)) % (2**63))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.asap.protocol import AD_WALKERS, AsapParams
-from repro.search.base import MessageSizes
 from repro.workload.edonkey import EdonkeyParams
 from repro.workload.generator import TraceParams
 
@@ -79,7 +78,6 @@ class RunConfig:
     use_physical_network: bool = True
     edonkey: EdonkeyParams = field(default_factory=EdonkeyParams)
     trace: TraceParams = field(default_factory=TraceParams)
-    sizes: MessageSizes = field(default_factory=MessageSizes)
     rw_ttl: int = 1024
     gsa_budget: int = 8_000
     asap: AsapParams = field(default_factory=AsapParams)

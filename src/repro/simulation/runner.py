@@ -66,13 +66,12 @@ def build_algorithm(
 ) -> SearchAlgorithm:
     """Instantiate the algorithm named by ``config.algorithm``."""
     if config.algorithm == "flooding":
-        return FloodingSearch(overlay, content, ledger, config.sizes, rng)
+        return FloodingSearch(overlay, content, ledger, rng)
     if config.algorithm == "random_walk":
         return RandomWalkSearch(
             overlay,
             content,
             ledger,
-            config.sizes,
             rng,
             ttl=config.rw_ttl,
         )
@@ -81,7 +80,6 @@ def build_algorithm(
             overlay,
             content,
             ledger,
-            config.sizes,
             rng,
             budget=config.gsa_budget,
         )
@@ -94,7 +92,6 @@ def build_algorithm(
             overlay,
             content,
             ledger,
-            config.sizes,
             rng,
             interests=interests,
             params=params,
@@ -103,7 +100,6 @@ def build_algorithm(
         overlay,
         content,
         ledger,
-        config.sizes,
         rng,
         interests=interests,
         params=params,
@@ -118,7 +114,6 @@ def run_experiment(
     audit: bool = False,
     telemetry: bool = False,
     probes=False,
-    progress=None,
     phase_times: Optional[dict] = None,
 ) -> RunResult:
     """Execute one full trace replay and return its results.
@@ -152,8 +147,6 @@ def run_experiment(
       ``RunResult.probes`` as a mergeable
       :class:`~repro.obs.probes.ProbeSummary`; snapshots are read-only,
       so results are identical with probes on or off;
-    * ``progress`` -- optional ``callable(str)``; receives the rendered
-      run profile when profiling is on;
     * ``phase_times`` -- optional dict filled with wall-clock phase
       durations (``setup_s``: substrate/topology/workload construction
       and warm-up scheduling; ``replay_s``: the engine run).  Benchmarks
@@ -280,8 +273,6 @@ def run_experiment(
         run_profile.peak_rss_mb = peak_rss_mb()
         if isinstance(algorithm, AsapSearch):
             run_profile.arena = algorithm.state.stats()
-        if progress is not None:
-            progress(run_profile.format_table())
 
     result = RunResult(
         algorithm=algorithm.name,

@@ -99,9 +99,6 @@ class ContentIndex:
     def docs_on(self, node: int) -> FrozenSet[int]:
         return frozenset(self._node_docs.get(node, ()))
 
-    def replica_count(self, doc_id: int) -> int:
-        return len(self._holders.get(doc_id, ()))
-
     def docs_matching(self, terms: Iterable[str]) -> Set[int]:
         """Documents containing ALL ``terms`` (the paper's match semantics)."""
         term_list = list(terms)

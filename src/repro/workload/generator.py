@@ -55,8 +55,14 @@ class TraceParams:
             raise ValueError("need at least one query")
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
-        if not 0.0 <= self.content_change_fraction <= 1.0:
-            raise ValueError("content_change_fraction must be in [0, 1]")
+        for name in (
+            "content_change_fraction",
+            "addition_fraction",
+            "title_term_prob",
+            "min_live_fraction",
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.n_joins < 0 or self.n_leaves < 0:
             raise ValueError("churn counts must be non-negative")
         if self.max_terms < 1:
@@ -85,7 +91,6 @@ class _GeneratorState:
         self.class_docs: Dict[int, List[int]] = {}
         for doc in self.index.all_documents():
             self.class_docs.setdefault(doc.class_id, []).append(doc.doc_id)
-        self.next_doc_id = dist.next_doc_id
 
     # ------------------------------------------------------------ mutation
     def apply_join(self, node: int) -> None:
@@ -198,7 +203,7 @@ def _pick_content_change(
     sharing = state.dist.sharing_classes(node) or state.dist.interests[node]
     class_id = int(rng.choice(sorted(sharing)))
     doc = make_document(
-        state.next_doc_id,
+        state.dist.next_doc_id,
         class_id,
         state.dist.class_vocab[class_id],
         rng,
@@ -206,7 +211,8 @@ def _pick_content_change(
         max_kw=state.dist.params.max_class_keywords,
         zipf_s=state.dist.params.keyword_zipf_s,
     )
-    state.next_doc_id += 1
+    # The distribution's counter, so a later trace over it mints fresh ids.
+    state.dist.next_doc_id += 1
     state.index.register_document(doc)  # metadata only; placement is replayed
     state.add_document(node, doc)
     return ContentChangeEvent(time=time, node=node, doc_id=doc.doc_id, added=True)

@@ -30,7 +30,6 @@ __all__ = [
     "class_node_counts",
     "interest_node_counts",
     "interest_similarity",
-    "sample_classes",
     "topic_bits",
 ]
 
@@ -65,15 +64,6 @@ _CLASS_TABLE = table(CLASS_WEIGHTS)
 
 def _class_table(weights: np.ndarray | None) -> Table:
     return _CLASS_TABLE if weights is None else table(weights)
-
-
-def sample_classes(
-    rng: np.random.Generator,
-    n: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sample ``n`` distinct classes by popularity weight."""
-    return np.array(draw_distinct(rng, _class_table(weights), n), dtype=np.int64)
 
 
 def assign_interests(

@@ -92,10 +92,6 @@ class Trace:
         return sum(1 for e in self.events if isinstance(e, QueryEvent))
 
     @property
-    def n_content_changes(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, ContentChangeEvent))
-
-    @property
     def n_joins(self) -> int:
         return sum(1 for e in self.events if isinstance(e, JoinEvent))
 

@@ -18,10 +18,12 @@ import numpy as np
 from repro.asap.ads import AdType
 from repro.asap.protocol import DIGEST_BYTES_PER_ENTRY, AsapSearch
 from repro.bloom.compressed import compressed_filter_size
+from repro.search.base import AD_HEADER_BYTES, ADS_REQUEST_BYTES
 from repro.sim.metrics import TrafficCategory
 
 from tests.oracles.delivery import deliver_reference
 from tests.oracles.repository import AdsRepository
+from tests.oracles.store import patch_history
 
 __all__ = ["OracleAsapSearch"]
 
@@ -88,10 +90,10 @@ class OracleAsapSearch(AsapSearch):
             return {"full": None}
         return {
             "full": full,
-            "full_reply": full.size_bytes(self.sizes),
+            "full_reply": full.size_bytes(),
             "history": [
                 (version, len(changed))
-                for version, changed in self.store.patch_history(source)
+                for version, changed in patch_history(self.store, source)
             ],
             "version": self.store.version(source),
             "topics": self.store.topics(source),
@@ -112,9 +114,9 @@ class OracleAsapSearch(AsapSearch):
         cached_version = repo.version(source)
         if cached_version < 0:
             return
-        request_bytes = float(self.sizes.ads_request)
+        request_bytes = float(ADS_REQUEST_BYTES)
         self.ledger.record(
-            now, TrafficCategory.ADS_REQUEST, self.sizes.ads_request, messages=1
+            now, TrafficCategory.ADS_REQUEST, ADS_REQUEST_BYTES, messages=1
         )
         lat = self.overlay.direct_latency_ms(node, source)
         full = plan["full"]
@@ -128,7 +130,7 @@ class OracleAsapSearch(AsapSearch):
                 for version, n_bits in plan["history"]
                 if version > cached_version
             )
-            patch_reply = self.sizes.ad_header + 2 * missed_bits
+            patch_reply = AD_HEADER_BYTES + 2 * missed_bits
             full_reply = plan["full_reply"]
             if patch_reply <= full_reply:
                 category, reply_bytes = TrafficCategory.PATCH_AD, patch_reply
@@ -157,7 +159,7 @@ class OracleAsapSearch(AsapSearch):
         n_messages = 0
         total_bytes = 0.0
         request_total = 0.0
-        request_size = self.sizes.ads_request + int(
+        request_size = ADS_REQUEST_BYTES + int(
             math.ceil(len(repo) * DIGEST_BYTES_PER_ENTRY)
         )
         for nbr, one_way in neighbors:
@@ -177,7 +179,7 @@ class OracleAsapSearch(AsapSearch):
                 for s in sorted(set(offered) - repo.entries.keys() - exclude)
                 if s != node
             ]
-            reply_bytes = float(self.sizes.ad_header)  # reply envelope
+            reply_bytes = float(AD_HEADER_BYTES)  # reply envelope
             rtt = 2.0 * one_way
             adopted = []
             for s in novel:
@@ -187,7 +189,7 @@ class OracleAsapSearch(AsapSearch):
                 stored, _ = repo.accept_snapshot(
                     s, entry.version, entry.topics, now
                 )
-                reply_bytes += self.sizes.ad_header + compressed_filter_size(
+                reply_bytes += AD_HEADER_BYTES + compressed_filter_size(
                     self.store.n_set_bits(s), self.store.hasher.m
                 )
                 if stored:

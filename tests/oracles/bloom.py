@@ -52,7 +52,7 @@ class BloomFilter:
 
     # -------------------------------------------------------------- queries
     def __contains__(self, term: str) -> bool:
-        return bool(self._bits[self.hasher.positions_vector(term)].all())
+        return bool(self._bits[self.hasher.positions_array([term])].all())
 
     def contains_all(self, terms: Iterable[str]) -> bool:
         """The paper's match rule: filter returns true for ALL query terms.
@@ -157,7 +157,7 @@ class CountingBloomFilter:
 
     # -------------------------------------------------------------- queries
     def __contains__(self, term: str) -> bool:
-        return bool((self._counts[self.hasher.positions_vector(term)] > 0).all())
+        return bool((self._counts[self.hasher.positions_array([term])] > 0).all())
 
     def contains_all(self, terms: Iterable[str]) -> bool:
         return bool((self._counts[self.hasher.positions_array(terms)] > 0).all())

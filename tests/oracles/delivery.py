@@ -31,7 +31,7 @@ def _deliver_fld(
     first_hop, _, n_messages = flood_reach_reference(
         fw.overlay, ad.source, fw.ttl
     )
-    ad_size = ad.size_bytes(fw.sizes)
+    ad_size = ad.size_bytes()
     buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
     return fw._finish(
         ad, now, np.nonzero(first_hop > 0)[0], n_messages, ad_size, buckets
@@ -46,7 +46,7 @@ def _deliver_rw(
         return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
-    ad_size = ad.size_bytes(fw.sizes)
+    ad_size = ad.size_bytes()
     rng = fw.rng
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats
@@ -84,7 +84,7 @@ def _deliver_gsa(
         return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
-    ad_size = ad.size_bytes(fw.sizes)
+    ad_size = ad.size_bytes()
     rng = fw.rng
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats

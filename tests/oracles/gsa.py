@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from typing import Dict, Optional, Sequence
 
-from repro.search.base import SearchOutcome
+from repro.search.base import QUERY_BYTES, SearchOutcome
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import finish_walk
 
@@ -33,7 +33,7 @@ def gsa_search_reference(
     csr = self.overlay.walk_csr()
     ip, dg = csr.indptr.tolist(), csr.deg.tolist()
     ix, lat_l = csr.indices.tolist(), csr.lats.tolist()
-    query_size = self.sizes.query
+    query_size = QUERY_BYTES
 
     heap = [(0.0, w) for w in range(self.walkers)]
     positions = [requester] * self.walkers

@@ -263,7 +263,7 @@ class StateRow:
         return CacheEntry(
             source=source,
             version=word >> 32,
-            topics=state.topics_of((word >> 1) & 0x7FFFFFFF),
+            topics=state._topics[(word >> 1) & 0x7FFFFFFF],
             cached_at=state._times[int(state.stamp[self.owner, source]) >> 32],
         )
 

@@ -1,10 +1,20 @@
 """Source-filter-store oracle: historical membership by per-position probes."""
 
-from typing import Sequence, Set
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from repro.asap.store import SourceFilterStore
 
-__all__ = ["match_at_version_reference"]
+__all__ = ["match_at_version_reference", "patch_history"]
+
+
+def patch_history(
+    store: SourceFilterStore, source: int
+) -> List[Tuple[int, FrozenSet[int]]]:
+    """``source``'s patches as ``[(version, changed positions), ...]``."""
+    return [
+        (version, frozenset(changed.tolist()))
+        for version, changed in store._patches.get(source, ())
+    ]
 
 
 def match_at_version_reference(
@@ -17,11 +27,12 @@ def match_at_version_reference(
     position at a time, with no ``current`` hint.
     """
     flipped_odd: Set[int] = set()
-    for v, changed in store.patch_history(source):
+    for v, changed in patch_history(store, source):
         if v > version:
             flipped_odd.symmetric_difference_update(changed)
+    bits = store.matrix.row_bits(source)
     for pos in positions:
-        bit = store.matrix.get_bit(source, int(pos))
+        bit = bool(bits[int(pos)])
         if int(pos) in flipped_odd:
             bit = not bit
         if not bit:

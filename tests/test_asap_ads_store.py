@@ -7,11 +7,10 @@ from repro.asap.ads import Ad, AdType
 from repro.asap.store import SourceFilterStore
 from repro.bloom.compressed import compressed_filter_size
 from repro.bloom.hashing import BloomHasher
-from repro.search.base import MessageSizes
+from repro.search.base import AD_HEADER_BYTES
 from repro.sim.metrics import TrafficCategory
 from repro.workload.content import ContentIndex, Document
 
-SIZES = MessageSizes()
 
 
 def match_at_version(store, source, version, positions):
@@ -32,7 +31,7 @@ class TestAd:
             filter_bits=11542,
         )
         assert ad.payload_bytes() == compressed_filter_size(10, 11542)
-        assert ad.size_bytes(SIZES) == SIZES.ad_header + 20
+        assert ad.size_bytes() == AD_HEADER_BYTES + 20
 
     def test_patch_ad_size(self):
         ad = Ad(
@@ -48,7 +47,7 @@ class TestAd:
     def test_refresh_ad_is_header_only(self):
         ad = Ad(source=1, ad_type=AdType.REFRESH, topics=frozenset({0}), version=2)
         assert ad.payload_bytes() == 0
-        assert ad.size_bytes(SIZES) == SIZES.ad_header
+        assert ad.size_bytes() == AD_HEADER_BYTES
         assert ad.category is TrafficCategory.REFRESH_AD
 
     def test_patch_requires_positions(self):

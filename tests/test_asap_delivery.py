@@ -12,10 +12,8 @@ from repro.asap.delivery import (
 )
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
-from repro.search.base import MessageSizes
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 
-SIZES = MessageSizes()
 
 
 def path_overlay(n=5, lat=10.0):
@@ -45,30 +43,30 @@ def rng():
 class TestFloodForwarder:
     def test_reaches_everyone_within_ttl(self):
         ov = path_overlay(5)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), SIZES, rng(), ttl=6)
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=6)
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset({1, 2, 3, 4})
 
     def test_ttl_limits_visited(self):
         ov = path_overlay(5)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), SIZES, rng(), ttl=2)
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=2)
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset({1, 2})
 
     def test_bytes_are_messages_times_ad_size(self):
         ov = path_overlay(5)
         ledger = BandwidthLedger()
-        fwd = FloodAdForwarder(ov, ledger, SIZES, rng(), ttl=6)
+        fwd = FloodAdForwarder(ov, ledger, rng(), ttl=6)
         ad = full_ad(0)
         report = fwd.deliver(ad, now=0.0)
-        expected = report.messages * ad.size_bytes(SIZES)
+        expected = report.messages * ad.size_bytes()
         assert report.bytes == expected
         assert ledger.total_bytes([TrafficCategory.FULL_AD]) == expected
 
     def test_dead_source_delivers_nothing(self):
         ov = path_overlay(3)
         ov.leave(0)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), SIZES, rng())
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng())
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset() and report.messages == 0
 
@@ -78,7 +76,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(100, avg_degree=5.0, rng=np.random.default_rng(1))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=5, budget_unit=20
+            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=20
         )
         ad = full_ad(0, topics=(0, 1))  # budget = 2 * 20 = 40
         report = fwd.deliver(ad, now=0.0)
@@ -88,7 +86,7 @@ class TestRandomWalkForwarder:
     def test_default_budget_scales_with_topics(self):
         ov = path_overlay(3)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=5, budget_unit=100
+            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=100
         )
         assert fwd.default_budget(full_ad(0, topics=(0,))) == 100
         assert fwd.default_budget(full_ad(0, topics=(0, 1, 2))) == 300
@@ -97,7 +95,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(50, avg_degree=4.0, rng=np.random.default_rng(2))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=5, budget_unit=1000
+            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=1000
         )
         report = fwd.deliver(full_ad(0), now=0.0, budget=10)
         assert report.messages <= 10
@@ -106,7 +104,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(50, avg_degree=4.0, rng=np.random.default_rng(3))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=2, budget_unit=30
+            ov, BandwidthLedger(), rng(), walkers=2, budget_unit=30
         )
         report = fwd.deliver(full_ad(7), now=0.0)
         assert 7 not in report.visited
@@ -118,7 +116,7 @@ class TestRandomWalkForwarder:
         ov = Overlay(topo, default_edge_latency_ms=50.0)  # slow links
         ledger = BandwidthLedger()
         fwd = RandomWalkAdForwarder(
-            ov, ledger, SIZES, rng(), walkers=1, budget_unit=100
+            ov, ledger, rng(), walkers=1, budget_unit=100
         )
         fwd.deliver(full_ad(0), now=0.0)  # 100 steps x 50ms = 5s walk
         series = ledger.series([TrafficCategory.FULL_AD])
@@ -130,7 +128,7 @@ class TestRandomWalkForwarder:
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         ledger = BandwidthLedger()
         fwd = RandomWalkAdForwarder(
-            ov, ledger, SIZES, rng(), walkers=2, budget_unit=10
+            ov, ledger, rng(), walkers=2, budget_unit=10
         )
         fwd.deliver(refresh_ad(0), now=0.0)
         assert ledger.total_bytes([TrafficCategory.REFRESH_AD]) > 0
@@ -141,7 +139,7 @@ class TestRandomWalkForwarder:
         ov.leave(1)
         # Source 0 alive but isolated: walkers cannot move.
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=3, budget_unit=10
+            ov, BandwidthLedger(), rng(), walkers=3, budget_unit=10
         )
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.messages == 0 and report.visited == frozenset()
@@ -152,7 +150,7 @@ class TestGsaForwarder:
         topo = random_topology(100, avg_degree=5.0, rng=np.random.default_rng(6))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = GsaAdForwarder(
-            ov, BandwidthLedger(), SIZES, rng(), walkers=5, budget_unit=20
+            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=20
         )
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.messages <= 20
@@ -161,7 +159,7 @@ class TestGsaForwarder:
         topo = random_topology(300, avg_degree=5.0, rng=np.random.default_rng(7))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         gsa = GsaAdForwarder(
-            ov, BandwidthLedger(), SIZES, np.random.default_rng(8), walkers=5,
+            ov, BandwidthLedger(), np.random.default_rng(8), walkers=5,
             budget_unit=100,
         )
         report = gsa.deliver(full_ad(0), now=0.0)
@@ -179,10 +177,10 @@ class TestGsaForwarder:
         ov = Overlay(topo, default_edge_latency_ms=50.0)
         led_rw, led_gsa = BandwidthLedger(), BandwidthLedger()
         walk = RandomWalkAdForwarder(
-            ov, led_rw, SIZES, np.random.default_rng(8), walkers=1, budget_unit=100
+            ov, led_rw, np.random.default_rng(8), walkers=1, budget_unit=100
         )
         gsa = GsaAdForwarder(
-            ov, led_gsa, SIZES, np.random.default_rng(8), walkers=1, budget_unit=100
+            ov, led_gsa, np.random.default_rng(8), walkers=1, budget_unit=100
         )
         walk.deliver(full_ad(0), now=0.0)
         gsa.deliver(full_ad(0), now=0.0)
@@ -196,24 +194,24 @@ class TestMakeForwarder:
         ov = path_overlay(3)
         ledger = BandwidthLedger()
         assert isinstance(
-            make_forwarder("fld", ov, ledger, SIZES, rng()), FloodAdForwarder
+            make_forwarder("fld", ov, ledger, rng()), FloodAdForwarder
         )
         assert isinstance(
-            make_forwarder("rw", ov, ledger, SIZES, rng()), RandomWalkAdForwarder
+            make_forwarder("rw", ov, ledger, rng()), RandomWalkAdForwarder
         )
         assert isinstance(
-            make_forwarder("gsa", ov, ledger, SIZES, rng()), GsaAdForwarder
+            make_forwarder("gsa", ov, ledger, rng()), GsaAdForwarder
         )
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_forwarder("chord", path_overlay(3), BandwidthLedger(), SIZES, rng())
+            make_forwarder("chord", path_overlay(3), BandwidthLedger(), rng())
 
     def test_invalid_params(self):
         ov = path_overlay(3)
         with pytest.raises(ValueError):
-            FloodAdForwarder(ov, BandwidthLedger(), SIZES, rng(), ttl=0)
+            FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=0)
         with pytest.raises(ValueError):
-            RandomWalkAdForwarder(ov, BandwidthLedger(), SIZES, rng(), walkers=0)
+            RandomWalkAdForwarder(ov, BandwidthLedger(), rng(), walkers=0)
         with pytest.raises(ValueError):
-            GsaAdForwarder(ov, BandwidthLedger(), SIZES, rng(), budget_unit=0)
+            GsaAdForwarder(ov, BandwidthLedger(), rng(), budget_unit=0)

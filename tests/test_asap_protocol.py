@@ -6,7 +6,7 @@ import pytest
 from repro.asap.protocol import AsapParams, AsapSearch
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
-from repro.search.base import MessageSizes
+from repro.search.base import CONFIRMATION_REPLY_BYTES, CONFIRMATION_REQUEST_BYTES
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
@@ -77,8 +77,7 @@ class TestWarmupAndLookup:
         algo, _, ledger = build_asap()
         run_warmup(algo)
         out = algo.search(0, ["rock"], now=20.0)
-        sizes = MessageSizes()
-        assert out.cost_bytes == sizes.confirmation_request + sizes.confirmation_reply
+        assert out.cost_bytes == CONFIRMATION_REQUEST_BYTES + CONFIRMATION_REPLY_BYTES
 
     def test_local_content_short_circuits(self):
         algo, _, _ = build_asap()

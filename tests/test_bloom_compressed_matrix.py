@@ -61,7 +61,7 @@ class TestFilterMatrix:
         f = BloomFilter(hasher)
         f.add("hit")
         mat.set_row(1, f.bits_view())
-        match = mat.match_terms(["hit"])
+        match = mat.match_all(hasher.positions_array(["hit"]))
         assert list(match) == [False, True, False]
 
     def test_match_requires_all_terms(self, hasher):
@@ -72,7 +72,7 @@ class TestFilterMatrix:
         g = BloomFilter(hasher)
         g.add_all(["a", "b"])
         mat.set_row(1, g.bits_view())
-        assert list(mat.match_terms(["a", "b"])) == [False, True]
+        assert list(mat.match_all(hasher.positions_array(["a", "b"]))) == [False, True]
 
     def test_matches_scalar_filter_semantics(self, hasher):
         """Matrix results agree with per-filter contains_all for random data."""
@@ -88,22 +88,22 @@ class TestFilterMatrix:
             mat.set_row(s, f.bits_view())
         for _ in range(50):
             terms = list(rng.choice(vocab, size=rng.integers(1, 4), replace=False))
-            got = mat.match_terms(terms)
+            got = mat.match_all(hasher.positions_array(terms))
             want = [f.contains_all(terms) for f in filters]
             assert list(got) == want
 
     def test_flip_bits_applies_patch(self, hasher):
         mat = FilterMatrix(1, hasher)
         mat.flip_bits(0, [3, 8, 10])
-        assert mat.get_bit(0, 3) and mat.get_bit(0, 8) and mat.get_bit(0, 10)
+        assert mat.row_bits(0)[3] and mat.row_bits(0)[8] and mat.row_bits(0)[10]
         mat.flip_bits(0, [8])
-        assert not mat.get_bit(0, 8)
+        assert not mat.row_bits(0)[8]
 
     def test_flip_bits_multiple_in_same_byte(self, hasher):
         mat = FilterMatrix(1, hasher)
         mat.flip_bits(0, [0, 1, 2, 7])  # all in byte 0
         for p in (0, 1, 2, 7):
-            assert mat.get_bit(0, p)
+            assert mat.row_bits(0)[p]
 
     def test_flip_empty_is_noop(self, hasher):
         mat = FilterMatrix(1, hasher)

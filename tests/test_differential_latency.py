@@ -4,8 +4,9 @@ The latency model exploits the transit-stub structure (per-domain APSP +
 transit-core APSP + gateway decomposition).  This test materialises the
 *entire* physical graph of a small configuration as an explicit edge list
 -- transit edges, transit-to-gateway access links, and every intra-stub
-edge (recovered from the per-domain hop matrices) -- runs textbook Dijkstra
-over it, and checks the hierarchical model agrees on every node pair.
+edge (the pairs one hop apart in the materialised hop matrices) -- runs
+textbook Dijkstra over it, and checks the hierarchical model agrees on every
+node pair.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from repro.network.latency import LatencyModel
+from repro.network.overlay import Overlay
+from repro.network.topology import OverlayTopology
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
 
 
@@ -31,21 +34,16 @@ def build_flat_graph(net: TransitStubNetwork) -> np.ndarray:
     for u, v, w in net._transit_edges:
         add(u, v, w)
 
+    size = p.stub_nodes_per_domain
+    net.materialise(np.arange(p.n_stub_domains))
     for domain_id in range(p.n_stub_domains):
-        domain = net.stub_domain(domain_id)
-        size = p.stub_nodes_per_domain
+        first = p.n_transit + domain_id * size
         # Access link: transit node <-> gateway stub node.
-        transit = net.transit_of_domain(domain_id)
-        add(transit, domain.first_node + domain.gateway_local, p.lat_transit_stub_ms)
+        transit = domain_id // p.stub_domains_per_transit
+        add(transit, first + int(net._gateway[domain_id]), p.lat_transit_stub_ms)
         # Intra-domain edges: hop distance exactly 1.
-        for i in range(size):
-            for j in range(i + 1, size):
-                if domain.hop_distances[i, j] == 1:
-                    add(
-                        domain.first_node + i,
-                        domain.first_node + j,
-                        p.lat_intra_stub_ms,
-                    )
+        for i, j in zip(*np.nonzero(np.triu(net._hops[domain_id] == 1))):
+            add(first + int(i), first + int(j), p.lat_intra_stub_ms)
 
     n = p.n_nodes
     graph = csr_matrix((data, (rows, cols)), shape=(n, n))
@@ -77,11 +75,21 @@ def test_all_pairs_agree(small):
 
 
 def test_scalar_queries_agree(small):
+    """``Overlay.direct_latency_ms`` -- one pair through the vector path --
+    over an overlay placed on every physical node."""
     net, model, flat = small
+    n = net.n_nodes
+    topology = OverlayTopology(
+        "all", n, np.empty((0, 2), dtype=np.int64), np.arange(n)[::-1].copy()
+    )
+    overlay = Overlay(topology, latency=model)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        u, v = rng.integers(0, net.n_nodes, size=2)
-        assert model.latency_ms(int(u), int(v)) == pytest.approx(flat[u, v])
+        u, v = rng.integers(0, n, size=2)
+        assert overlay.direct_latency_ms(int(u), int(v)) == pytest.approx(
+            flat[n - 1 - u, n - 1 - v]
+        )
+        assert overlay.direct_latency_ms(u, u) == 0.0
 
 
 def test_flat_graph_is_connected(small):

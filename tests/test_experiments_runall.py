@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import ENTRIES, ExperimentGrid, ExperimentScale
-from repro.experiments.runall import build_report, main
+from repro.experiments import run_campaign
+from repro.experiments.runall import main, render_report
 
 # A subset scale on purpose: neither flooding nor a crawled overlay, so the
 # report must add Figure 7's and Figure 10's cells and mark the claims that
@@ -25,7 +26,8 @@ def progress():
 
 @pytest.fixture(scope="module")
 def report(progress):
-    return build_report(TINY, progress=progress.append)
+    grid = ExperimentGrid(TINY)
+    return render_report(grid, run_campaign(grid, progress=progress.append))
 
 
 class TestBuildReport:
@@ -82,7 +84,7 @@ def observed():
         telemetry=True,
     )
     grid = ExperimentGrid(scale)
-    return grid, build_report(scale, grid=grid)
+    return grid, render_report(grid, run_campaign(grid))
 
 
 class TestAuditSection:

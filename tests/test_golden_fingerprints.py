@@ -180,9 +180,9 @@ def substrate_digest(params, seed):
         digest.update(numpy.ascontiguousarray(values, dtype=dtype).tobytes())
 
     for domain_id in range(64):
-        domain = net.stub_domain(domain_id)
-        feed([domain.gateway_local], numpy.int64)
-        feed(domain.hop_distances, numpy.int64)
+        net.materialise(numpy.array([domain_id]))
+        feed([net._gateway[domain_id]], numpy.int64)
+        feed(net._hops[domain_id], numpy.int64)
     rng = numpy.random.default_rng(20070910)
     nodes = numpy.concatenate(
         [numpy.arange(4), rng.choice(numpy.arange(4, p.n_nodes), 496, replace=False)]
@@ -203,7 +203,7 @@ def substrate_digest(params, seed):
         numpy.float64,
     )
     scalar_pairs = list(zip(us[:60], vs[:60])) + list(zip(same_u[:60], same_v[:60]))
-    feed([latency.latency_ms(u, v) for u, v in scalar_pairs], numpy.float64)
+    feed([latency.pairwise_ms(u, v) for u, v in scalar_pairs], numpy.float64)
     return digest.hexdigest()
 
 

@@ -161,6 +161,24 @@ class TestWithRandomTopology:
         flat = Overlay(topo, default_edge_latency_ms=9.0)
         assert flat.direct_latencies_ms(np.array([0, 3, 7]), 3).tolist() == [9.0, 0.0, 9.0]
 
+    def test_two_scalar_ids_broadcast_on_the_physical_network(self):
+        """``direct_latencies_ms(3, 5)`` broadcasts two ids to a 0-d batch
+        over the latency model, as it does over the flat default."""
+        from repro.network.substrate import get_substrate
+        from repro.network.topology import build_topology
+
+        substrate = get_substrate(seed=7)
+        topo = build_topology(
+            "crawled", 200, rng=np.random.default_rng(7), network=substrate.network
+        )
+        ov = Overlay(topo, substrate.latency)
+        got = ov.direct_latencies_ms(3, 5)
+        assert got.shape == ()
+        assert got == ov.direct_latencies_ms([3], [5])[0] == ov.direct_latency_ms(3, 5)
+        assert ov.direct_latencies_ms(3, 3) == 0.0
+        flat = Overlay(topo, default_edge_latency_ms=9.0)
+        assert flat.direct_latencies_ms(3, 5) == 9.0
+
     def test_direct_latency_ignores_explicit_edge_latencies(self):
         # Explicit edge_latencies_ms describe *overlay edges* only; direct
         # (off-overlay) hops must use the flat default, not whatever

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.network import transit_stub
+from repro.network.latency import LatencyModel
 from repro.network.transit_stub import (
     UNREACHABLE,
-    StubDomain,
     TransitStubNetwork,
     TransitStubParams,
     _hop_matrix,
@@ -51,39 +51,57 @@ class TestParams:
             TransitStubParams(stub_nodes_per_domain=0)
 
 
+def _domain(net, domain_id):
+    """A stub domain's ``(gateway local index, hop matrix)``, built on first
+    touch."""
+    net.materialise(np.array([domain_id]))
+    return int(net._gateway[domain_id]), net._hops[domain_id]
+
+
 class TestIdScheme:
     def test_transit_detection(self, small_net):
+        """Transit ids anchor at themselves with no offset; stub ids belong
+        to a stub domain."""
         p = small_net.params
-        assert small_net.is_transit(0)
-        assert small_net.is_transit(p.n_transit - 1)
-        assert not small_net.is_transit(p.n_transit)
+        model = LatencyModel(small_net)
+        nodes = np.array([0, p.n_transit - 1, p.n_transit])
+        model.register(nodes)
+        assert model._anchor[nodes[:2]].tolist() == [0, p.n_transit - 1]
+        assert model._offset_ms[nodes[:2]].tolist() == [0.0, 0.0]
+        assert model._domain[nodes].tolist() == [-1, -1, 0]
 
     def test_stub_domain_of(self, small_net):
         p = small_net.params
         first_stub = p.n_transit
-        assert small_net.stub_domain_of(first_stub) == 0
-        assert small_net.stub_domain_of(first_stub + p.stub_nodes_per_domain) == 1
         last = p.n_nodes - 1
-        assert small_net.stub_domain_of(last) == p.n_stub_domains - 1
+        nodes = np.array([first_stub, first_stub + p.stub_nodes_per_domain, last])
+        domain, local = small_net.stub_coordinates(nodes)
+        assert domain.tolist() == [0, 1, p.n_stub_domains - 1]
+        assert local.tolist() == [0, 0, p.stub_nodes_per_domain - 1]
 
     def test_stub_domain_of_transit_raises(self, small_net):
+        domain, local = small_net.stub_coordinates(np.array([0]))
         with pytest.raises(ValueError):
-            small_net.stub_domain_of(0)
+            small_net.gateway_hops(domain, local)
 
     def test_transit_anchor_of_transit_is_itself(self, small_net):
-        assert small_net.transit_anchor(3) == 3
+        model = LatencyModel(small_net)
+        model.register([3])
+        assert model._anchor[3] == 3
 
     def test_transit_anchor_of_stub(self, small_net):
         p = small_net.params
         # stub domain 0 and 1 hang off transit node 0; domains 2,3 off node 1.
         node_in_domain_2 = p.n_transit + 2 * p.stub_nodes_per_domain
-        assert small_net.transit_anchor(node_in_domain_2) == 1
+        model = LatencyModel(small_net)
+        model.register([node_in_domain_2])
+        assert model._anchor[node_in_domain_2] == 1
 
     def test_out_of_range_rejected(self, small_net):
-        with pytest.raises(ValueError):
-            small_net.is_transit(small_net.n_nodes)
-        with pytest.raises(ValueError):
-            small_net.is_transit(-1)
+        model = LatencyModel(small_net)
+        for bad in (small_net.n_nodes, -1):
+            with pytest.raises(ValueError):
+                model.register([bad])
 
 
 class TestTransitCore:
@@ -120,41 +138,33 @@ class TestTransitCore:
 
 class TestStubDomains:
     def test_domain_is_cached(self, small_net):
-        assert small_net.stub_domain(0) is small_net.stub_domain(0)
+        gateway, hops = _domain(small_net, 0)
+        before = hops.copy()
+        assert _domain(small_net, 0)[0] == gateway
+        assert np.array_equal(_domain(small_net, 0)[1], before)
 
     def test_hop_distances_connected(self, small_net):
-        domain = small_net.stub_domain(0)
-        assert np.all(domain.hop_distances < UNREACHABLE)
-        assert np.all(np.diag(domain.hop_distances) == 0)
+        _, hops = _domain(small_net, 0)
+        assert np.all(hops < UNREACHABLE)
+        assert np.all(np.diag(hops) == 0)
 
     def test_gateway_distance_zero_for_gateway(self, small_net):
-        domain = small_net.stub_domain(0)
-        gw_global = domain.first_node + domain.gateway_local
-        assert small_net.gateway_distance_ms(gw_global) == 0.0
+        gateway, _ = _domain(small_net, 0)
+        assert small_net.gateway_hops(np.array([0]), np.array([gateway]))[0] == 0
 
     def test_gateway_distance_positive_for_others(self, small_net):
-        domain = small_net.stub_domain(0)
-        p = small_net.params
-        for j in range(p.stub_nodes_per_domain):
-            node = domain.first_node + j
-            d = small_net.gateway_distance_ms(node)
-            if j == domain.gateway_local:
-                assert d == 0.0
-            else:
-                assert d >= p.lat_intra_stub_ms
+        gateway, _ = _domain(small_net, 0)
+        size = small_net.params.stub_nodes_per_domain
+        local = np.arange(size)
+        hops = small_net.gateway_hops(np.zeros(size, dtype=np.int64), local)
+        assert hops[gateway] == 0
+        assert (np.delete(hops, gateway) >= 1).all()
 
     def test_intra_domain_distance_symmetric(self, small_net):
-        p = small_net.params
-        a = p.n_transit
-        b = p.n_transit + 3
-        assert small_net.intra_domain_distance_ms(a, b) == small_net.intra_domain_distance_ms(b, a)
-
-    def test_intra_domain_cross_domain_raises(self, small_net):
-        p = small_net.params
-        a = p.n_transit
-        b = p.n_transit + p.stub_nodes_per_domain  # next domain
-        with pytest.raises(ValueError):
-            small_net.intra_domain_distance_ms(a, b)
+        domain = np.array([0])
+        a, b = np.array([0]), np.array([3])
+        hops = small_net.stub_hops
+        assert hops(domain, a, b) == hops(domain, b, a)
 
     def test_determinism_independent_of_access_order(self):
         params = TransitStubParams(
@@ -166,11 +176,11 @@ class TestStubDomains:
         net1 = TransitStubNetwork(params, seed=7)
         net2 = TransitStubNetwork(params, seed=7)
         # Touch domains in different orders.
-        net1.stub_domain(0)
-        d1_3 = net1.stub_domain(3)
-        d2_3 = net2.stub_domain(3)  # touched first here
-        assert d1_3.gateway_local == d2_3.gateway_local
-        assert np.array_equal(d1_3.hop_distances, d2_3.hop_distances)
+        _domain(net1, 0)
+        gateway1, hops1 = _domain(net1, 3)
+        gateway2, hops2 = _domain(net2, 3)  # touched first here
+        assert gateway1 == gateway2
+        assert np.array_equal(hops1, hops2)
 
     def test_different_seeds_differ(self):
         params = TransitStubParams(
@@ -179,22 +189,13 @@ class TestStubDomains:
             stub_domains_per_transit=2,
             stub_nodes_per_domain=10,
         )
-        a = TransitStubNetwork(params, seed=1).stub_domain(0)
-        b = TransitStubNetwork(params, seed=2).stub_domain(0)
-        assert (
-            a.gateway_local != b.gateway_local
-            or not np.array_equal(a.hop_distances, b.hop_distances)
-        )
+        gateway_a, hops_a = _domain(TransitStubNetwork(params, seed=1), 0)
+        gateway_b, hops_b = _domain(TransitStubNetwork(params, seed=2), 0)
+        assert gateway_a != gateway_b or not np.array_equal(hops_a, hops_b)
 
     def test_bad_domain_id(self, small_net):
         with pytest.raises(ValueError):
-            small_net.stub_domain(small_net.params.n_stub_domains)
-
-
-def _adjacency_of(domain: StubDomain) -> np.ndarray:
-    """A materialised domain keeps only its hop matrix; its edges are the
-    pairs one hop apart."""
-    return domain.hop_distances == 1
+            _domain(small_net, small_net.params.n_stub_domains)
 
 
 class TestHopMatricesAgainstOracle:
@@ -202,11 +203,12 @@ class TestHopMatricesAgainstOracle:
     shortest paths over the same edges."""
 
     def test_small_network_every_domain(self, small_net):
+        # A materialised domain keeps only its hop matrix; its edges are the
+        # pairs one hop apart.
         for domain_id in range(small_net.params.n_stub_domains):
-            domain = small_net.stub_domain(domain_id)
-            expected = hop_matrix_reference(_adjacency_of(domain))
-            assert np.array_equal(domain.hop_distances, expected)
-            assert domain.hop_distances.max() < UNREACHABLE
+            _, hops = _domain(small_net, domain_id)
+            assert np.array_equal(hops, hop_matrix_reference(hops == 1))
+            assert hops.max() < UNREACHABLE
 
     def test_paper_parameters_every_domain(self):
         net = TransitStubNetwork(seed=3)
@@ -229,9 +231,9 @@ class TestHopMatricesAgainstOracle:
         assert np.array_equal(batch._gateway, before[1])
         single = TransitStubNetwork(params, seed=5)
         for domain_id in (40, 3, 7):
-            domain = single.stub_domain(domain_id)
-            assert domain.gateway_local == batch._gateway[domain_id]
-            assert np.array_equal(domain.hop_distances, batch._hops[domain_id])
+            gateway, hops = _domain(single, domain_id)
+            assert gateway == batch._gateway[domain_id]
+            assert np.array_equal(hops, batch._hops[domain_id])
         assert np.count_nonzero(batch._gateway >= 0) == 3
 
     def test_vector_gathers_match_scalar_queries(self, small_net):
@@ -241,13 +243,11 @@ class TestHopMatricesAgainstOracle:
         to_gateway = small_net.gateway_hops(domain, local) * p.lat_intra_stub_ms
         to_first = small_net.stub_hops(domain, local, np.zeros_like(local))
         for i, node in enumerate(stub.tolist()):
-            assert domain[i] == small_net.stub_domain_of(node)
-            assert local[i] == small_net.local_index(node)
-            assert to_gateway[i] == small_net.gateway_distance_ms(node)
-            first = node - int(local[i])
-            assert to_first[i] * p.lat_intra_stub_ms == (
-                small_net.intra_domain_distance_ms(node, first)
-            )
+            d, j = divmod(node - p.n_transit, p.stub_nodes_per_domain)
+            assert (domain[i], local[i]) == (d, j)
+            gateway, hops = _domain(small_net, d)
+            assert to_gateway[i] == hops[j, gateway] * p.lat_intra_stub_ms
+            assert to_first[i] == hops[j, 0]
 
     def test_materialise_rejects_bad_ids(self, small_net):
         for bad in (-1, small_net.params.n_stub_domains):

@@ -26,7 +26,6 @@ from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
     ProbeSummary,
-    check_arena_health,
     merge_probe_summaries,
     pow2_sketch,
     snapshot_state,
@@ -36,6 +35,7 @@ from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
 from tests.oracles.repository import StateRow
+from tests.oracles.state import check_arena_health
 
 
 def _config(algorithm="asap_rw", n_peers=200, n_queries=300, seed=0, **kw):

@@ -100,9 +100,10 @@ class TestLedgerProperties:
         ledger = BandwidthLedger()
         for t, cat, b in events:
             ledger.record(t, cat, b)
-        frac = ledger.breakdown_fractions()
-        total = sum(frac.values())
-        assert total == 0.0 or abs(total - 1.0) < 1e-9
+        totals = ledger.category_totals()
+        assert np.isclose(
+            sum(totals.values()), ledger.total_bytes(), rtol=1e-12, atol=1e-9
+        )
 
 
 class TestLiveCountProperties:

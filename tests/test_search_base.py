@@ -1,6 +1,5 @@
 """Tests for the shared search interface and message-size model."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,31 +7,33 @@ import pytest
 
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology
-from repro.search.base import MessageSizes, SearchAlgorithm, SearchOutcome
+from repro.search import base
+from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.sim.metrics import BandwidthLedger
 from repro.workload.content import ContentIndex, Document
 
 
+MESSAGE_TYPES = (
+    "query", "query_response", "confirmation_request", "confirmation_reply",
+    "ads_request", "ad_header",
+)
+
+
 class TestMessageSizes:
     def test_defaults_positive(self):
-        sizes = MessageSizes()
-        assert sizes.query == 100
-        assert sizes.ads_request == 60
+        """The DESIGN.md section 2 table."""
+        sizes = {name: getattr(base, f"{name.upper()}_BYTES") for name in MESSAGE_TYPES}
+        assert sizes == {
+            "query": 100, "query_response": 80, "confirmation_request": 80,
+            "confirmation_reply": 80, "ads_request": 60, "ad_header": 24,
+        }
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            MessageSizes(query=0)
-        with pytest.raises(ValueError):
-            MessageSizes(ad_header=-5)
-
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MessageSizes)])
+    @pytest.mark.parametrize("field", MESSAGE_TYPES)
     def test_a_size_is_a_whole_number_of_bytes(self, field):
         """24.3 bytes cannot be sent: the bucket, ledger and ads-reply sums
         rely on whole sizes adding up to the same float in any order."""
-        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
-            MessageSizes(**{field: 24.3})
-        assert getattr(MessageSizes(**{field: 24}), field) == 24
-        assert getattr(MessageSizes(**{field: 24.0}), field) == 24
+        size = getattr(base, f"{field.upper()}_BYTES")
+        assert type(size) is int and size > 0
 
 
 class TestSearchOutcome:

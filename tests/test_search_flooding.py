@@ -5,7 +5,6 @@ import pytest
 
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
-from repro.search.base import MessageSizes
 from repro.search.flooding import FloodingSearch, flood_reach
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document

@@ -319,7 +319,7 @@ class TestPeriodicTimer:
         eng.schedule_at(2.5, timer.stop)
         eng.run(until=10.0)
         assert times == [1.0, 2.0]
-        assert timer.stopped
+        assert eng.pending_live == 0
 
     def test_callback_can_stop_own_timer(self):
         eng = SimulationEngine()

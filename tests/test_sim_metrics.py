@@ -94,16 +94,17 @@ class TestBandwidthLedger:
         led.record(0.0, TrafficCategory.FULL_AD, 85)
         led.record(0.0, TrafficCategory.PATCH_AD, 900)
         led.record(0.0, TrafficCategory.REFRESH_AD, 15)
-        frac = led.breakdown_fractions(
+        totals = led.category_totals()
+        total = led.total_bytes(
             [TrafficCategory.FULL_AD, TrafficCategory.PATCH_AD, TrafficCategory.REFRESH_AD]
         )
-        assert frac[TrafficCategory.FULL_AD] == pytest.approx(0.085)
-        assert sum(frac.values()) == pytest.approx(1.0)
+        assert totals[TrafficCategory.FULL_AD] / total == pytest.approx(0.085)
+        assert sum(totals.values()) == total == 1000.0
 
     def test_breakdown_empty_is_zero(self):
         led = BandwidthLedger()
-        frac = led.breakdown_fractions([TrafficCategory.QUERY])
-        assert frac[TrafficCategory.QUERY] == 0.0
+        assert led.total_bytes([TrafficCategory.QUERY]) == 0.0
+        assert led.category_totals() == {}
 
     def test_load_category_sets_are_disjoint(self):
         assert not (ASAP_LOAD_CATEGORIES & BASELINE_LOAD_CATEGORIES)

@@ -51,14 +51,6 @@ class TestRandomStreams:
         again = s.fresh("x").random(5)
         assert np.array_equal(first, again)
 
-    def test_child_is_deterministic_and_distinct(self):
-        s = RandomStreams(seed=11)
-        c1 = s.child("rep0").get("walk").random(5)
-        c2 = RandomStreams(seed=11).child("rep0").get("walk").random(5)
-        assert np.array_equal(c1, c2)
-        parent = RandomStreams(seed=11).get("walk").random(5)
-        assert not np.array_equal(c1, parent)
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomStreams(seed="42")  # type: ignore[arg-type]

@@ -288,7 +288,7 @@ class TestArena:
         ca, cb = state.intern_topics(a), state.intern_topics(b)
         assert ca != cb
         assert state.intern_topics(frozenset({2, 1})) == ca
-        assert state.topics_of(ca) == a and state.topics_of(cb) == b
+        assert state._topics[ca] == a and state._topics[cb] == b
         assert state.code_bits[ca] == 0b110 and state.code_bits[cb] == 0b1000
         # More codes than the bitmask table started with.
         codes = [

@@ -28,6 +28,7 @@ from repro.bloom import matrix as matrix_module
 from repro.network.overlay import Overlay
 from repro.network.substrate import get_substrate
 from repro.network.topology import build_topology
+from repro.search.base import ADS_REQUEST_BYTES
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.simulation import runner
 from repro.workload.content import ContentIndex, Document
@@ -35,7 +36,7 @@ from repro.workload.content import ContentIndex, Document
 from tests.oracles.asap import OracleAsapSearch
 from tests.oracles.bloom import BloomFilter, CountingBloomFilter
 from tests.oracles.repository import AdsRepository, StateRow
-from tests.oracles.store import match_at_version_reference
+from tests.oracles.store import match_at_version_reference, patch_history
 from tests.test_golden_fingerprints import golden_configs
 from tests.test_soa_differential import churn_store, make_state, make_store
 
@@ -211,7 +212,7 @@ def test_a_change_the_index_or_the_column_contradicts_writes_nothing():
     def frozen():
         return (
             store.matrix.row_bits(1).tolist(), store.matrix.n_columns,
-            store.n_set_bits(1), store.version(1), store.patch_history(1),
+            store.n_set_bits(1), store.version(1), patch_history(store, 1),
             store.topics(1),
         )
 
@@ -466,7 +467,7 @@ def test_batched_repair_books_what_the_pulls_would():
     assert {t[5] for t in told} == {TrafficCategory.PATCH_AD}
     assert len({t[4] for t in told}) == 4  # one reply size per gap
     assert not product.state.behind_mask(np.asarray(everyone), SOURCE).any()
-    # (receiver, source): ``latency_ms(u, v)`` adds u's offset first.
+    # (receiver, source): ``pairwise_ms(us, vs)`` adds us's offsets first.
     assert [np.ndim(us) for us, _ in asked] == [1, 1]
     assert [np.ndim(vs) or vs for _, vs in asked] == [SOURCE, SOURCE]
     assert sorted(np.concatenate([us for us, _ in asked]).tolist()) == sorted(
@@ -479,7 +480,7 @@ def test_batched_repair_books_what_the_pulls_would():
     }
     assert len(replies) >= 2  # they straddle a second boundary
     requests = product.ledger.category_totals()[TrafficCategory.ADS_REQUEST]
-    assert requests == len(told) * product.sizes.ads_request
+    assert requests == len(told) * ADS_REQUEST_BYTES
 
 
 def test_full_ad_answers_a_pull_that_missed_more_than_it_holds():
@@ -499,7 +500,7 @@ def test_full_ad_answers_a_pull_that_missed_more_than_it_holds():
     product = arms.check()
     told = {t[1]: t for t in product.obs.told[before:]}
     assert sorted(told) == list(everyone)
-    full = product.store.make_full_ad(SOURCE).size_bytes(product.sizes)
+    full = product.store.make_full_ad(SOURCE).size_bytes()
     for node, (_, _, _, _, reply_bytes, category) in told.items():
         if node % 2:
             assert category is TrafficCategory.FULL_AD and reply_bytes == full
@@ -532,7 +533,7 @@ def test_a_source_that_shares_nothing_any_more_is_dropped_for_a_request():
     after = product.ledger.category_totals()
     assert after[TrafficCategory.ADS_REQUEST] - replies.get(
         TrafficCategory.ADS_REQUEST, 0.0
-    ) == len(told) * product.sizes.ads_request
+    ) == len(told) * ADS_REQUEST_BYTES
     for category in (TrafficCategory.PATCH_AD, TrafficCategory.FULL_AD):
         assert after.get(category, 0.0) == replies.get(category, 0.0)
 

@@ -46,7 +46,7 @@ from repro.network.topology import (
     random_topology,
 )
 from repro.search import gsa, random_walk
-from repro.search.base import MessageSizes
+from repro.search.base import QUERY_BYTES
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import RandomWalkSearch
 from repro.sim import kernels
@@ -146,7 +146,7 @@ class TestDeliveryDifferential:
         for path in ("deliver", "deliver_reference"):
             ov = make_overlay(seed)
             fw = make_forwarder(
-                kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(seed)
+                kind, ov, BandwidthLedger(), np.random.default_rng(seed)
             )
             reports.append(deliver(fw, path, ad, now=50.0, budget=800))
             states.append(ledger_state(fw.ledger))
@@ -161,7 +161,7 @@ class TestDeliveryDifferential:
         ov = make_overlay(9)
         ov.leave(3)
         fw = make_forwarder(
-            kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(0)
+            kind, ov, BandwidthLedger(), np.random.default_rng(0)
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=3), now=0.0)
@@ -175,7 +175,7 @@ class TestDeliveryDifferential:
         ov = Overlay(topo, default_edge_latency_ms=5.0)
         ov.leave(1)
         fw = make_forwarder(
-            kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(0)
+            kind, ov, BandwidthLedger(), np.random.default_rng(0)
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=0), now=0.0)
@@ -194,7 +194,7 @@ class TestDeliveryDifferential:
         def run(path):
             ov = make_overlay(2)
             fw = make_forwarder(
-                kind, ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(5)
+                kind, ov, BandwidthLedger(), np.random.default_rng(5)
             )
             reports = []
             for i, node in enumerate(leaves.tolist()):
@@ -220,8 +220,8 @@ def gsa_delivery_both(make_overlay_, ad, budget, seed=0, walkers=5, now=50.0):
     arms = []
     for path in ("deliver", "deliver_reference"):
         fw = GsaAdForwarder(
-            make_overlay_(), BandwidthLedger(), MessageSizes(),
-            np.random.default_rng(seed), walkers=walkers,
+            make_overlay_(), BandwidthLedger(), np.random.default_rng(seed),
+            walkers=walkers,
         )
         report = deliver(fw, path, ad, now=now, budget=budget)
         arms.append((
@@ -300,8 +300,8 @@ def run_window(ov, window, seed, planned, budget_unit=40):
     """Deliver the window in dispatch order: planned (one lockstep batch
     behind ``deliver``) or ad by ad through the per-step loop oracle."""
     fw = RandomWalkAdForwarder(
-        ov, BandwidthLedger(), MessageSizes(),
-        np.random.default_rng(seed), budget_unit=budget_unit,
+        ov, BandwidthLedger(), np.random.default_rng(seed),
+        budget_unit=budget_unit,
     )
     by_source = {ad.source: ad for _, _, ad in window}
     if planned:
@@ -404,7 +404,7 @@ class TestLockstepBatchDifferential:
         def run(planned):
             ov = varied_overlay("random", 120, 10)
             fw = RandomWalkAdForwarder(
-                ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(3),
+                ov, BandwidthLedger(), np.random.default_rng(3),
                 budget_unit=40,
             )
             if planned:
@@ -453,7 +453,7 @@ class TestPlannedWalkStaleness:
         window = warmup_window(120, 8, 4)
         ov = varied_overlay("random", 120, 4)
         fw = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(4),
+            ov, BandwidthLedger(), np.random.default_rng(4),
             budget_unit=40,
         )
         fw.plan_full_ads(
@@ -715,7 +715,7 @@ class TestRandomWalkSearchStrandsAndTies:
             monkeypatch, rows, [0, 1, 2, 1, 0], []
         )
         assert (n_messages, hit_time) == (3 + 20 + 50 + 20 + 3, None)
-        assert sum(buckets.values()) == n_messages * MessageSizes().query
+        assert sum(buckets.values()) == n_messages * QUERY_BYTES
 
     def test_tie_goes_to_the_lower_walker(self, monkeypatch):
         """Flat latencies: walkers 0 and 1 reach a match at the same step
@@ -790,7 +790,7 @@ class TestGsaSearchDifferential:
         def run(rows):
             ov = varied_overlay("powerlaw", 300, 3)
             algo = build_search(ov, (20, 150, 260), 3, cls=GsaSearch, budget=300)
-            fw = GsaAdForwarder(ov, algo.ledger, MessageSizes(), np.random.default_rng(9))
+            fw = GsaAdForwarder(ov, algo.ledger, np.random.default_rng(9))
             search = algo._search_impl if rows else lambda *a: gsa_search_reference(algo, *a)
             seen = []
             for i, node in enumerate(order):
@@ -864,7 +864,7 @@ class TestGsaDrawSizing:
         modulo wrap and stays bit-identical to the reference."""
         ov = make_overlay(seed)
         fw = GsaAdForwarder(
-            ov, BandwidthLedger(), MessageSizes(), np.random.default_rng(seed)
+            ov, BandwidthLedger(), np.random.default_rng(seed)
         )
         # Tiny budget: per_walker == 1, the regime where a wrap would have
         # mattered if a walker could ever take a second step.
@@ -874,7 +874,6 @@ class TestGsaDrawSizing:
             GsaAdForwarder(
                 make_overlay(seed),
                 BandwidthLedger(),
-                MessageSizes(),
                 np.random.default_rng(seed),
             ),
             make_ad(),

@@ -40,7 +40,7 @@ def _figure2_verdicts(doctor=None):
 
 def _copies(dist):
     """Copies of every placed document."""
-    counts = (dist.index.replica_count(d.doc_id) for d in dist.index.all_documents())
+    counts = (len(dist.index.holders(d.doc_id)) for d in dist.index.all_documents())
     return [c for c in counts if c > 0]
 
 

@@ -11,8 +11,8 @@ from repro.workload.interests import (
     assign_interests,
     class_node_counts,
     interest_node_counts,
-    sample_classes,
 )
+from repro.workload.sampling import draw_distinct, table
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -26,12 +26,12 @@ class TestInterests:
     def test_sample_classes_distinct(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            classes = sample_classes(rng, 4)
-            assert len(set(classes.tolist())) == 4
+            classes = draw_distinct(rng, table(CLASS_WEIGHTS), 4)
+            assert len(set(classes)) == 4
 
     def test_sample_too_many(self):
         with pytest.raises(ValueError):
-            sample_classes(np.random.default_rng(0), N_CLASSES + 1)
+            draw_distinct(np.random.default_rng(0), table(CLASS_WEIGHTS), N_CLASSES + 1)
 
     def test_assign_interests_bounds(self):
         rng = np.random.default_rng(1)
@@ -82,7 +82,7 @@ class TestTraceContainer:
         ]
         trace = Trace(events=events, initially_live=np.ones(3, dtype=bool), duration=2.0)
         assert trace.n_queries == 1
-        assert trace.n_content_changes == 1
+        assert sum(isinstance(e, ContentChangeEvent) for e in trace) == 1
         assert trace.n_joins == 1
         assert trace.n_leaves == 1
         assert len(trace) == 4
@@ -125,7 +125,8 @@ def trace(dist):
 class TestGenerateTrace:
     def test_event_counts_near_targets(self, trace):
         assert trace.n_queries >= 570  # a few query slots may be dropped
-        assert trace.n_content_changes >= 0.08 * trace.n_queries
+        changes = sum(isinstance(e, ContentChangeEvent) for e in trace)
+        assert changes >= 0.08 * trace.n_queries
         assert 0 < trace.n_leaves <= 40
         assert trace.n_joins <= trace.n_leaves  # joins recycle departed nodes
 
@@ -218,3 +219,34 @@ class TestGenerateTrace:
             TraceParams(n_joins=-1)
         with pytest.raises(ValueError):
             TraceParams(max_terms=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["content_change_fraction", "addition_fraction", "title_term_prob",
+         "min_live_fraction"],
+    )
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_fractions_outside_unit_interval_rejected(self, field, value):
+        """Rejected by name: ``min_live_fraction=1.5`` would drop every churn
+        slot without a word."""
+        with pytest.raises(ValueError, match=f"{field} must be in"):
+            TraceParams(**{field: value})
+        TraceParams(**{field: 1.0})
+        TraceParams(**{field: 0.0})
+
+    def test_a_second_trace_over_one_distribution_mints_fresh_ids(self):
+        d = synthesize_content(
+            EdonkeyParams(n_peers=100, avg_docs_per_peer=3.0),
+            np.random.default_rng(5),
+        )
+        params = TraceParams(n_queries=100, n_joins=5, n_leaves=5)
+        first = generate_trace(d, params, np.random.default_rng(6))
+        assert d.next_doc_id == d.index.n_documents
+        second = generate_trace(d, params, np.random.default_rng(7))
+        assert d.next_doc_id == d.index.n_documents
+        added = [
+            [e.doc_id for e in trace if isinstance(e, ContentChangeEvent) and e.added]
+            for trace in (first, second)
+        ]
+        assert added[0] and added[1]
+        assert not set(added[0]) & set(added[1])

@@ -22,10 +22,10 @@ import numpy as np
 
 from repro.experiments.parallel import CellFailure, run_cells
 from repro.experiments.report import format_bar_chart, format_breakdown, format_grid_table
+from repro.network.substrate import get_workload
 from repro.sim.random import RandomStreams
 from repro.simulation.config import ALGORITHMS, TOPOLOGIES, RunConfig, paper_config, scaled_config
 from repro.simulation.results import RunResult
-from repro.workload.edonkey import synthesize_content
 from repro.workload.interests import (
     N_CLASSES,
     SEMANTIC_CLASSES,
@@ -300,10 +300,12 @@ class SweepFigure:
 
 # ------------------------------------------------------------- fig 2 and 3
 def _workload_for_scale(scale: ExperimentScale):
-    """The content every cell of the scale shares (same parameters, same stream)."""
-    params = scale.config(ALGORITHMS[0], TOPOLOGIES[0]).edonkey
-    rng = RandomStreams(seed=scale.seed).get("content")
-    return synthesize_content(params, rng)
+    """The content every cell of the scale replays: the shared workload
+    itself.  The documents its trace registers have no holder, so no
+    statistic below sees them."""
+    config = scale.config(ALGORITHMS[0], TOPOLOGIES[0])
+    content, _trace = get_workload(config.edonkey, config.trace, config.seed)
+    return content
 
 
 def fig2_semantic_classes(scale: ExperimentScale) -> WorkloadFigure:

@@ -13,10 +13,12 @@ module exploits that:
   :func:`~repro.simulation.runner.run_experiment`; pickling preserves float
   bits).
 * Workers are forked where the platform allows it, so they inherit the
-  parent's already-built :mod:`repro.network.substrate` cache through
+  parent's already-built :mod:`repro.network.substrate` caches through
   copy-on-write memory instead of rebuilding the transit-stub network and
-  APSP tables per cell.  :func:`run_cells` pre-warms the cache in the
-  parent for exactly the substrates the configs will need.
+  APSP tables, or a workload several cells share, per cell.
+  :func:`run_cells` pre-warms the caches in the parent for exactly the
+  substrates the configs will need and the workloads two or more of them
+  replay.
 * A failing cell is **isolated**: it reports a :class:`CellFailure`
   carrying its config and formatted traceback in its slot of the result
   list, and sibling cells complete normally.
@@ -36,11 +38,12 @@ import contextlib
 import multiprocessing
 import os
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.network.substrate import get_substrate
+from repro.network.substrate import get_substrate, get_workload
 from repro.simulation.config import RunConfig
 from repro.simulation.results import RunResult
 from repro.simulation.runner import run_experiment
@@ -148,6 +151,22 @@ def _prewarm_substrates(configs: Sequence[RunConfig]) -> None:
             get_substrate(seed=config.seed)
 
 
+def _prewarm_workloads(configs: Sequence[RunConfig]) -> None:
+    """Build in the parent each workload that more than one cell replays,
+    as many as the cache keeps.
+
+    A workload only one cell needs is left to its worker, so a sweep over
+    seeds still synthesises in parallel, and so is one the cache would
+    evict before the fork.  One that cannot be built is left too: each of
+    its cells then reports the error as a CellFailure.
+    """
+    keys = Counter((c.edonkey, c.trace, c.seed) for c in configs)
+    shared = [key for key, cells in keys.items() if cells > 1]
+    for key in shared[: get_workload.cache_info().maxsize]:
+        with contextlib.suppress(Exception):
+            get_workload(*key)
+
+
 def run_cells(
     configs: Sequence[RunConfig],
     jobs: Optional[int] = 1,
@@ -196,7 +215,8 @@ def run_cells(
         return results
 
     _prewarm_substrates(configs)
-    # Fork keeps the inherited substrate cache; platforms without fork
+    _prewarm_workloads(configs)
+    # Fork keeps the inherited caches; platforms without fork
     # (Windows, some macOS setups) fall back to the default start method,
     # where workers rebuild their own substrate once and then share it
     # across the cells they execute.

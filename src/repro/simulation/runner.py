@@ -6,7 +6,8 @@ the queries and collect the results"):
 1. obtain the GT-ITM physical network and latency model (shared across
    runs via the process-wide :mod:`repro.network.substrate` cache);
 2. build the logical overlay (random / powerlaw / crawled) over it;
-3. synthesise the eDonkey-like content distribution and the query trace;
+3. obtain the eDonkey-like content distribution and the query trace (the
+   same cache: every cell with this seed and workload shares them);
 4. instantiate the algorithm under test;
 5. schedule ASAP's warm-up (initial ad dissemination) in ``[0, warmup_s)``,
    then every trace event at ``warmup_s + event.time``, and run the engine;
@@ -33,7 +34,7 @@ from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer
 from repro.network.overlay import Overlay
-from repro.network.substrate import get_substrate
+from repro.network.substrate import get_substrate, get_workload
 from repro.network.topology import build_topology
 from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.search.flooding import FloodingSearch
@@ -44,8 +45,6 @@ from repro.sim.metrics import BandwidthLedger, LiveCountTracker
 from repro.sim.random import RandomStreams
 from repro.simulation.config import RunConfig
 from repro.simulation.results import RunResult
-from repro.workload.edonkey import synthesize_content
-from repro.workload.generator import generate_trace
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -180,9 +179,11 @@ def run_experiment(
     overlay = Overlay(topology, latency)
 
     # --- workload ---------------------------------------------------------
-    dist = synthesize_content(config.edonkey, streams.get("content"))
-    trace = generate_trace(dist, config.trace, streams.get("trace"))
-    content = dist.index
+    # A pure function of (edonkey, trace, seed), shared read-only by every
+    # cell that has those three (see repro.network.substrate); replay moves
+    # documents, so this cell places and removes them on its own fork.
+    dist, trace = get_workload(config.edonkey, config.trace, config.seed)
+    content = dist.index.fork()
 
     # --- algorithm ---------------------------------------------------------
     ledger = BandwidthLedger()

@@ -48,10 +48,27 @@ class ContentIndex:
         self._holders: Dict[int, Set[int]] = {}
         self._node_docs: Dict[int, Set[int]] = {}
         self._kw_docs: Dict[str, Set[int]] = {}
+        self._forked = False
+
+    def fork(self) -> "ContentIndex":
+        """An index whose placements change apart from this one's.
+
+        Only placements are copied: the documents and the keyword index are
+        shared, so the fork registers no documents.
+        """
+        twin = ContentIndex.__new__(ContentIndex)
+        twin._documents = self._documents
+        twin._kw_docs = self._kw_docs
+        twin._holders = {d: set(h) for d, h in self._holders.items()}
+        twin._node_docs = {n: set(d) for n, d in self._node_docs.items()}
+        twin._forked = True
+        return twin
 
     # ------------------------------------------------------------- documents
     def register_document(self, doc: Document) -> None:
         """Register document metadata (does not place it on any node)."""
+        if self._forked:
+            raise ValueError("a forked index shares its documents read-only")
         if doc.doc_id in self._documents:
             raise ValueError(f"document {doc.doc_id} already registered")
         self._documents[doc.doc_id] = doc

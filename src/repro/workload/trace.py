@@ -73,7 +73,6 @@ class Trace:
     """A time-ordered event sequence plus bookkeeping the runner needs."""
 
     events: List[TraceEvent]
-    initially_live: "object"  # np.ndarray bool mask over nodes
     duration: float
 
     def __post_init__(self) -> None:

@@ -123,17 +123,28 @@ class TestRunFingerprints:
 class TestSerialVsParallelFingerprints:
     def test_jobs2_bit_equal(self):
         """A two-worker sweep reproduces the serial fingerprints exactly,
-        batched paths and all."""
+        batched paths and all.  The cells share one seed, so the sweep's
+        workers replay the workload the parent built once; the serial
+        fingerprints are taken with a cold workload cache per cell, and a
+        serial sweep that shares the workload -- ASAP(FLD) replaying its
+        content changes and churn before flooding -- matches them too."""
         from repro.experiments.parallel import run_cells
+        from repro.network.substrate import clear_substrate_cache
 
         configs = [
             small_config(algo, seed=2)
-            for algo in ("flooding", "asap_fld", "asap_rw")
+            for algo in ("asap_fld", "flooding", "asap_rw")
         ]
-        serial = [run_fingerprint(c) for c in configs]
+        cold = []
+        for config in configs:
+            clear_substrate_cache()
+            cold.append(run_fingerprint(config))
+        clear_substrate_cache()
+        warm = [r.fingerprint for r in run_cells(configs, jobs=1, audit=True)]
+        clear_substrate_cache()
         outcomes = run_cells(configs, jobs=2, audit=True)
         parallel = [r.fingerprint for r in outcomes]
-        assert serial == parallel
+        assert cold == warm == parallel
 
 
 # ----------------------------------------------- protocol-level state equal

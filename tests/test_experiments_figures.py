@@ -85,23 +85,24 @@ class TestWorkloadFigures:
         assert np.all(f3.counts >= f2.counts)
 
     def test_describes_the_content_the_cells_replay(self, monkeypatch):
-        """Figures 2-3 synthesise with the parameters of the scale's own
-        cells: ``paper_config`` shares 25 documents per peer, a scaled
-        config 10 (the parent hard-coded 10 at every scale)."""
+        """Figures 2-3 read the shared workload of the scale's own cells:
+        ``paper_config`` shares 25 documents per peer, a scaled config 10
+        (an earlier version hard-coded 10 at every scale)."""
         import repro.experiments.figures as figures_mod
 
         seen = []
 
-        def capture(params, rng):
-            seen.append(params)
+        def capture(edonkey, trace, seed):
+            seen.append((edonkey, trace, seed))
             raise LookupError("captured")  # skip the 10,000-peer synthesis
 
-        monkeypatch.setattr(figures_mod, "synthesize_content", capture)
+        monkeypatch.setattr(figures_mod, "get_workload", capture)
         for scale in (ExperimentScale.paper(), ExperimentScale(n_peers=200)):
             with pytest.raises(LookupError, match="captured"):
                 fig3_node_interests(scale)
-            assert seen[-1] == scale.config("asap_rw", "crawled").edonkey
-        assert [p.avg_docs_per_peer for p in seen] == [25.0, 10.0]
+            for cell in scale.cells():
+                assert seen[-1] == (cell.edonkey, cell.trace, cell.seed)
+        assert [edonkey.avg_docs_per_peer for edonkey, _, _ in seen] == [25.0, 10.0]
 
     def test_format(self):
         fig = fig2_semantic_classes(ExperimentScale(n_peers=150))

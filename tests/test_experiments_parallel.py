@@ -6,6 +6,8 @@ config seed and workers run the exact same runner.  These tests assert
 equality of full ``RunSummary`` dataclasses (float equality, not approx).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.asap.state import BYTES_PER_PAIR, MAX_STATE_BYTES, require_state_fits
@@ -115,6 +117,20 @@ class TestCrashIsolation:
         assert "ValueError" in failure.error
         assert f"{need:,} bytes" in failure.error and "30000 peers" in failure.error
         assert sibling.algorithm == "flooding"
+
+    def test_unbuildable_shared_workload_fails_only_its_cells(self):
+        """Two cells share a workload whose replica targets no distribution
+        meets: the parent's build before the fork raises, and each of the
+        two cells reports that error while their sibling completes."""
+        bad = [
+            replace(c, edonkey=replace(c.edonkey, mean_copies=1.0))
+            for c in (_tiny("flooding", seed=5), _tiny("random_walk", seed=5))
+        ]
+        outcomes = run_cells(bad + [_tiny("flooding")], jobs=2)
+        assert [type(o).__name__ for o in outcomes] == [
+            "CellFailure", "CellFailure", "RunResult",
+        ]
+        assert all("targets unreachable" in o.error for o in outcomes[:2])
 
     def test_replication_failure_raises_with_traceback(
         self, monkeypatch, tmp_path, capsys

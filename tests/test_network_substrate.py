@@ -1,12 +1,20 @@
-"""Tests for the process-wide substrate cache."""
+"""Tests for the process-wide substrate and workload caches."""
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.network.latency import LatencyModel
-from repro.network.substrate import clear_substrate_cache, get_substrate
+from repro.network.substrate import clear_substrate_cache, get_substrate, get_workload
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
+from repro.sim.random import RandomStreams
 from repro.simulation import run_experiment, scaled_config
+from repro.workload.content import Document
+from repro.workload.edonkey import synthesize_content
+from repro.workload.generator import generate_trace
+from repro.workload.trace import ContentChangeEvent, JoinEvent
 
 SMALL = TransitStubParams(
     n_transit_domains=2,
@@ -111,3 +119,107 @@ class TestRunnerIntegration:
         first = run_experiment(config).summarize()  # cold cache
         second = run_experiment(config).summarize()  # warm cache
         assert first == second
+
+
+def _churning(algorithm, seed=3):
+    """A cell whose trace adds and removes documents and churns peers."""
+    config = scaled_config(
+        algorithm, "random", n_peers=150, n_queries=150, seed=seed,
+        use_physical_network=False,
+    )
+    trace = replace(
+        config.trace, content_change_fraction=0.3, n_joins=20, n_leaves=20
+    )
+    return replace(config, trace=trace)
+
+
+def _snapshot(content, trace):
+    """Everything of a cached workload a replay could touch, by value."""
+    index = content.index
+    return copy.deepcopy(
+        (
+            index._documents, index._kw_docs, index._holders, index._node_docs,
+            content.interests, content.free_rider.tolist(), content.next_doc_id,
+            trace.events, trace.duration,
+        )
+    )
+
+
+class TestWorkloadCache:
+    def test_same_key_shares_one_instance(self):
+        config = _churning("flooding")
+        a = get_workload(config.edonkey, config.trace, config.seed)
+        b = get_workload(config.edonkey, config.trace, np.int64(config.seed))
+        assert a[0] is b[0] and a[1] is b[1]
+        info = get_workload.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_equals_direct_synthesis(self):
+        """The cache draws exactly what the two builders draw on the
+        seed's named streams."""
+        config = _churning("flooding")
+        content, trace = get_workload(config.edonkey, config.trace, config.seed)
+        streams = RandomStreams(seed=config.seed)
+        direct = synthesize_content(config.edonkey, streams.get("content"))
+        direct_trace = generate_trace(direct, config.trace, streams.get("trace"))
+        assert trace.events == direct_trace.events
+        assert content.interests == direct.interests
+        assert np.array_equal(content.free_rider, direct.free_rider)
+        for doc in direct.index.all_documents():
+            assert content.index.document(doc.doc_id) == doc
+            assert content.index.holders(doc.doc_id) == direct.index.holders(doc.doc_id)
+
+    def test_shared_state_is_read_only(self):
+        config = _churning("flooding")
+        content, _ = get_workload(config.edonkey, config.trace, config.seed)
+        with pytest.raises(ValueError, match="read-only"):
+            content.free_rider[0] = not content.free_rider[0]
+        fork = content.index.fork()
+        with pytest.raises(ValueError, match="read-only"):
+            fork.register_document(Document(10**9, 0, ("fresh",)))
+
+    def test_a_replay_leaves_the_shared_workload_as_built(self):
+        """ASAP(FLD) replays content changes and churn on the shared
+        workload; a flooding cell of the same seed after it equals its
+        cold-cache self, and the cached workload is unchanged."""
+        fld, flooding = _churning("asap_fld"), _churning("flooding")
+        content, trace = get_workload(fld.edonkey, fld.trace, fld.seed)
+        changes = [e for e in trace.events if isinstance(e, ContentChangeEvent)]
+        assert any(e.added for e in changes) and not all(e.added for e in changes)
+        assert any(isinstance(e, JoinEvent) for e in trace.events)
+        before = _snapshot(content, trace)
+
+        run_experiment(fld, audit=True)
+        warm = run_experiment(flooding, audit=True)
+        assert get_workload.cache_info().misses == 1
+        assert _snapshot(content, trace) == before
+
+        clear_substrate_cache()
+        cold = run_experiment(flooding, audit=True)
+        assert get_workload.cache_info().misses == 1
+        assert warm.fingerprint == cold.fingerprint
+        assert warm.summarize() == cold.summarize()
+
+    def test_run_cells_builds_shared_workloads_before_forking(self):
+        """The parent builds each workload two cells share, as many as the
+        cache keeps; a workload of one cell is its worker's to build."""
+        from repro.experiments.parallel import run_cells
+
+        configs = [
+            _churning(algorithm, seed)
+            for seed in (0, 1, 2)
+            for algorithm in ("flooding", "random_walk")
+        ]
+        outcomes = run_cells(configs + [_churning("flooding", seed=4)], jobs=2)
+        assert all(o.n_peers == 150 for o in outcomes)
+        info = get_workload.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_clear_empties_both_caches(self):
+        config = _churning("flooding")
+        run_experiment(replace(config, use_physical_network=True))
+        assert get_substrate.cache_info().currsize == 1
+        assert get_workload.cache_info().currsize == 1
+        clear_substrate_cache()
+        assert get_substrate.cache_info().currsize == 0
+        assert get_workload.cache_info().currsize == 0

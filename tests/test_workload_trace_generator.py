@@ -1,5 +1,7 @@
 """Tests for trace events, interest statistics and the trace generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestTraceContainer:
             QueryEvent(time=1.0, node=2, terms=("b",), target_doc=1),
         ]
         with pytest.raises(ValueError):
-            Trace(events=events, initially_live=np.ones(3, dtype=bool), duration=2.0)
+            Trace(events=events, duration=2.0)
 
     def test_trace_counters(self):
         events = [
@@ -80,7 +82,7 @@ class TestTraceContainer:
             LeaveEvent(time=1.0, node=2),
             JoinEvent(time=2.0, node=2),
         ]
-        trace = Trace(events=events, initially_live=np.ones(3, dtype=bool), duration=2.0)
+        trace = Trace(events=events, duration=2.0)
         assert trace.n_queries == 1
         assert sum(isinstance(e, ContentChangeEvent) for e in trace) == 1
         assert trace.n_joins == 1
@@ -250,3 +252,32 @@ class TestGenerateTrace:
         ]
         assert added[0] and added[1]
         assert not set(added[0]) & set(added[1])
+
+
+def test_generator_draws_are_pinned():
+    """Event digest and RNG end state of a trace with additions, removals
+    and churn, recorded before the sharer scan and the live-node list
+    became arrays: any change to what the generator draws, or in which
+    order, moves one of them."""
+    dist = synthesize_content(EdonkeyParams(n_peers=800), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    params = TraceParams(
+        n_queries=600, content_change_fraction=0.3, n_joins=200, n_leaves=200
+    )
+    trace = generate_trace(dist, params, rng)
+    digest = hashlib.blake2b(digest_size=16)
+    for e in trace.events:
+        digest.update(f"{type(e).__name__},{e.time.hex()},{e.node}".encode())
+        if isinstance(e, QueryEvent):
+            digest.update(f",{'+'.join(e.terms)},{e.target_doc}".encode())
+        elif isinstance(e, ContentChangeEvent):
+            digest.update(f",{e.doc_id},{int(e.added)}".encode())
+        digest.update(b";")
+    changes = [e for e in trace.events if isinstance(e, ContentChangeEvent)]
+    assert (trace.n_joins, trace.n_leaves, len(changes)) == (200, 200, 180)
+    assert sum(e.added for e in changes) == 116
+    assert digest.hexdigest() == "8ad537b950c3674bc63208c29b247930"
+    assert rng.bit_generator.state["state"] == {
+        "state": 55437594148921474749113774264297999445,
+        "inc": 278272906083703887290699702293328866393,
+    }

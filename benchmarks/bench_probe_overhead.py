@@ -38,6 +38,7 @@ import time
 from pathlib import Path
 
 from conftest import BENCH_SCHEMA_VERSION, write_json_result
+from repro.obs.probes import state_fingerprint
 from repro.simulation import run_experiment, scaled_config
 
 N_PEERS = int(os.environ.get("REPRO_BENCH_PROBES_PEERS", "10000"))
@@ -102,10 +103,12 @@ def bench_probe_overhead(benchmark):
         "disabled_s": disabled_s,
         "enabled_s": enabled_s,
         "overhead_frac": overhead,
-        "ticks": len(summary.ticks),
-        "interval_s": summary.interval_s,
-        "state_fingerprint": summary.state_fingerprint(),
-        "summary_json_bytes": len(summary.to_json()),
+        "ticks": len(summary["ticks"]),
+        "interval_s": summary["interval_s"],
+        "state_fingerprint": state_fingerprint(summary),
+        "summary_json_bytes": len(
+            json.dumps(summary, sort_keys=True, separators=(",", ":"))
+        ),
     }
     write_json_result(
         "probe_overhead",
@@ -118,8 +121,8 @@ def bench_probe_overhead(benchmark):
         )
 
     # The summary really carried the run (not a null object).
-    assert summary.ticks, "no probe snapshots recorded"
-    assert summary.ticks[-1]["entries"] > 0
+    assert summary["ticks"], "no probe snapshots recorded"
+    assert summary["ticks"][-1]["entries"] > 0
     # The acceptance bar: enabled probes stay within budget.
     assert overhead <= MAX_OVERHEAD, (
         f"probe overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} "

@@ -141,7 +141,7 @@ def _cell_main(algorithm: str, n_peers: int, n_queries: int, seed: int) -> None:
         "replay_s": phase_times.get("replay_s"),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
-        "arena": dict(profile.arena) if profile is not None else {},
+        "arena": dict(profile.state) if profile is not None else {},
         "success_rate": result.summarize().success_rate,
     }
     print(json.dumps(out))

@@ -24,6 +24,7 @@ Run:  python examples/state_probes.py
 
 from dataclasses import replace
 
+from repro.obs.probes import format_state_table, headline, state_fingerprint
 from repro.simulation import run_experiment, scaled_config
 
 N_PEERS = 250
@@ -47,19 +48,19 @@ def main() -> None:
     summary = result.probes
 
     print("state snapshots (one row per probe tick):")
-    print(summary.format_state_table(max_rows=10))
-    head = summary.headline()
+    print(format_state_table(summary, max_rows=10))
+    head = headline(summary)
     print(
         f"\nfinal tick: {head['coverage_fraction']:.1%} of live interested "
         f"audiences covered, replication p50 {head['replication_p50']:.0f} "
         f"holders/source,\nad age p50/p90 {head['age_p50_s']:.0f}/"
         f"{head['age_p90_s']:.0f}s, mean Bloom FP {head['fp_mean']:.2e} "
-        f"(paper ceiling {summary.ticks[-1]['bloom']['fp_ceiling']:.2e})"
+        f"(paper ceiling {summary['ticks'][-1]['bloom']['fp_ceiling']:.2e})"
     )
 
     # How the state is stored: one dense peer x source relation, so its
     # size is fixed by the peer count and the fill is what varies.
-    stored = summary.ticks[-1]["backend"]["arena"]
+    stored = summary["ticks"][-1]["backend"]["arena"]
     print(
         f"\nads state: {stored['rows_live']} cached pairs in "
         f"{stored['pool_rows']} dense cells "
@@ -70,11 +71,11 @@ def main() -> None:
 
     # Guarantee 1: the protocol-state series depends only on the config.
     again = run_experiment(cfg, probes=True)
-    match = summary.state_fingerprint() == again.probes.state_fingerprint()
+    match = state_fingerprint(summary) == state_fingerprint(again.probes)
     print(
         f"re-run state fingerprint: "
         f"{'bit-identical' if match else 'MISMATCH (bug!)'} "
-        f"({summary.state_fingerprint()})"
+        f"({state_fingerprint(summary)})"
     )
 
     # Guarantee 2: probing is free of side effects on the run.
@@ -88,7 +89,7 @@ def main() -> None:
     )
 
     print(
-        "\nPin summary.fingerprint() in CI to catch protocol-state drift;"
+        "\nPin state_fingerprint(summary) in CI to catch protocol-state drift;"
         "\nsee docs/OBSERVABILITY.md section 6 for the full series glossary."
     )
 

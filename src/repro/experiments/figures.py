@@ -68,11 +68,11 @@ class ExperimentScale:
     # RunResult then carries an AuditReport and a run fingerprint.
     audit: bool = False
     # Collect streaming telemetry in every cell (repro.obs.telemetry):
-    # each RunResult then carries a mergeable TelemetrySummary -- the
+    # each RunResult then carries a mergeable summary document -- the
     # trace-free path to the Fig. 9 per-window load view and hotspots.
     telemetry: bool = False
     # Record protocol-state snapshots in every cell (repro.obs.probes):
-    # each RunResult then carries a mergeable ProbeSummary -- per-tick ad
+    # each RunResult then carries a mergeable summary document -- per-tick ad
     # coverage, staleness and cache-health series.
     probes: bool = False
     # Worker processes for grid population (1 = serial, 0 = all cores).

@@ -91,7 +91,7 @@ def cell_trace_name(config: RunConfig) -> str:
 
 
 def cell_label(config: RunConfig) -> str:
-    """Short human-readable cell identity for a telemetry summary."""
+    """Short human-readable cell identity for a summary document."""
     return f"{config.algorithm}/{config.topology}/seed{config.seed}"
 
 
@@ -110,9 +110,8 @@ def _run_cell(
     with ``audit``, the returned result carries the cell's
     :class:`~repro.obs.audit.AuditReport` and fingerprint (an audit
     *violation* is a finding on a successful run, not a CellFailure).
-    With ``telemetry``, the cell accumulates streaming telemetry and the
-    result carries its :class:`~repro.obs.telemetry.TelemetrySummary`,
-    labelled with the cell.
+    The result's telemetry and probe summaries (``telemetry``,
+    ``probes``) are labelled with the cell.
     """
     try:
         with contextlib.ExitStack() as stack:
@@ -133,8 +132,9 @@ def _run_cell(
                 telemetry=telemetry,
                 probes=probes,
             )
-        if result.telemetry is not None:
-            result.telemetry.labels = [cell_label(config)]
+        for doc in (result.telemetry, result.probes):
+            if doc is not None:
+                doc["labels"] = [cell_label(config)]
         return result
     except Exception as exc:
         return CellFailure(
@@ -190,14 +190,12 @@ def run_cells(
     each cell's trace to its own deterministically named JSONL file in
     that directory (created if missing).
 
-    ``telemetry=True`` collects streaming telemetry per cell; each result
-    carries a :class:`~repro.obs.telemetry.TelemetrySummary` whose merge
-    (in input order) is bit-identical whether the cells ran serially or
-    across workers.  ``probes=True`` does the same for protocol-state
-    snapshots (each result carries a
-    :class:`~repro.obs.probes.ProbeSummary`, same input-order merge
-    guarantee).  ``progress`` is an optional ``callable(str)`` receiving
-    one line per finished cell.
+    ``telemetry=True`` collects streaming telemetry per cell and
+    ``probes=True`` protocol-state snapshots; each result carries the
+    summary document, whose input-order merge
+    (:func:`~repro.obs.telemetry.merge_summaries`) is bit-identical
+    whether the cells ran serially or across workers.  ``progress`` is an
+    optional ``callable(str)`` receiving one line per finished cell.
     """
     configs = list(configs)
     n_jobs = min(resolve_jobs(jobs), len(configs))

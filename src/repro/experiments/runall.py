@@ -37,6 +37,7 @@ from repro.experiments.ablations import BASE as ABLATION_BASE
 from repro.experiments.campaign import ENTRIES, check_claims, run_campaign
 from repro.experiments.export import AnyFigure, figures_to_csv, read_tables
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
+from repro.obs import fingerprint, merge_summaries
 from repro.simulation.config import RunConfig
 
 __all__ = ["main", "render_report", "write_report"]
@@ -107,7 +108,7 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
     }
     focus = cells[scale.config("asap_rw", "crawled")]  # Figure 7's cell
     if scale.telemetry:
-        from repro.obs import merge_summaries
+        from repro.obs import format_hotspots, format_window_table, load_std_bpns
 
         sections += ["## Telemetry", ""]
         # The Figure 9 view from streaming sketches alone -- per-window
@@ -119,18 +120,18 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
                 "telemetry; the Figure 9 time axis):",
                 "",
                 "```",
-                focus.telemetry.format_window_table(max_rows=12),
+                format_window_table(focus.telemetry, max_rows=12),
                 "```",
                 "",
                 "```",
-                focus.telemetry.format_hotspots(8),
+                format_hotspots(focus.telemetry, 8),
                 "```",
                 "",
             ]
         rows = []
         for algo, result in on_crawled.items():
             if result.telemetry is not None:
-                rows.append(f"  {algo:<12} {result.telemetry.load_std_bpns():>12.2f}")
+                rows.append(f"  {algo:<12} {load_std_bpns(result.telemetry):>12.2f}")
         if rows:
             sections += [
                 "Load variation from telemetry windows "
@@ -146,10 +147,10 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
         if merged is not None:
             sections += [
                 "Sweep-wide hotspots (all cells merged, deterministic "
-                f"input-order merge; fingerprint `{merged.fingerprint()}`):",
+                f"input-order merge; fingerprint `{fingerprint(merged)}`):",
                 "",
                 "```",
-                merged.format_hotspots(8),
+                format_hotspots(merged, 8),
                 "```",
                 "",
             ]
@@ -158,8 +159,8 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
 
         memory_lines = [f"  peak RSS (sweep process)  {peak_rss_mb():>10.1f} MB"]
         focus_profile = getattr(focus, "profile", None)
-        if focus_profile is not None and focus_profile.arena:
-            a = focus_profile.arena
+        if focus_profile is not None and focus_profile.state:
+            a = focus_profile.state
             memory_lines += [
                 f"  cached (peer, source)     {a.get('rows_live', 0):>10} pairs",
                 f"  dense ads-state size      "
@@ -176,19 +177,19 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
         ]
 
     if scale.probes:
-        from repro.obs.probes import merge_probe_summaries
+        from repro.obs.probes import format_state_table, headline
 
         sections += ["## Protocol state", ""]
         # The state-level view of the paper's pre-positioning claim: ad
         # coverage, staleness and cache health over simulated time for the
         # warmed-up ASAP(RW) system (repro.obs.probes).
-        if focus.probes is not None and focus.probes.ticks:
+        if focus.probes is not None and focus.probes["ticks"]:
             sections += [
                 "State snapshots for `asap_rw/crawled` (ad coverage, "
                 "staleness, cache health per probe tick):",
                 "",
                 "```",
-                focus.probes.format_state_table(max_rows=12),
+                format_state_table(focus.probes, max_rows=12),
                 "```",
                 "",
             ]
@@ -197,7 +198,7 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
             probes = result.probes
             if probes is None:
                 continue
-            head = probes.headline()
+            head = headline(probes)
             if head["coverage_fraction"] is None:
                 continue
             rows.append(
@@ -217,14 +218,14 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
                 "```",
                 "",
             ]
-        merged = merge_probe_summaries(r.probes for r in cells.values())
+        merged = merge_summaries(r.probes for r in cells.values())
         if merged is not None:
             sections += [
                 "Sweep-wide probe summary (all cells merged, deterministic "
-                f"input-order merge; fingerprint `{merged.fingerprint()}`):",
+                f"input-order merge; fingerprint `{fingerprint(merged)}`):",
                 "",
-                f"- cells: {merged.cells}, ticks: {len(merged.ticks)}, "
-                f"interval: {merged.interval_s:.0f}s",
+                f"- cells: {merged['cells']}, ticks: {len(merged['ticks'])}, "
+                f"interval: {merged['interval_s']:.0f}s",
                 "",
             ]
 
@@ -334,6 +335,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         probes=args.probes,
         jobs=args.jobs,
     )
+    try:
+        scale.cells()  # a nonsense cell is a usage error, not a traceback
+    except ValueError as exc:
+        parser.error(str(exc))
     start = time.time()
     grid = ExperimentGrid(scale)
     figures = run_campaign(

@@ -13,8 +13,7 @@ decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
   attached to :class:`repro.simulation.results.RunResult` as a
   :class:`RunProfile`;
 * :mod:`repro.obs.telemetry` -- constant-memory streaming telemetry:
-  windowed load series, quantile sketches and heavy-hitter hotspots,
-  mergeable across cells.
+  windowed load series, quantile sketches and heavy-hitter hotspots.
 
 Beside it, reading the run rather than listening to it:
 
@@ -29,6 +28,10 @@ Beside it, reading the run rather than listening to it:
   cell under N seeds in one ``run_cells`` call with ``runall``'s observer
   flags and writes ``run.json``; ``diff`` compares two JSON documents leaf
   by leaf and ``analyze`` summarises a trace.
+
+Telemetry and probes each end as a JSON summary document per cell, which
+``RunResult`` carries and ``run.json`` holds; one :func:`merge_summaries`
+folds either kind across cells and one :func:`fingerprint` digests it.
 """
 
 from repro.obs.analyze import TraceAnalysis, analyze_trace
@@ -42,8 +45,6 @@ from repro.obs.instrument import TRACE_RECORDS, Instrumentation
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
-    ProbeSummary,
-    merge_probe_summaries,
     pow2_sketch,
     snapshot_backend,
     snapshot_state,
@@ -59,7 +60,10 @@ from repro.obs.telemetry import (
     LogBucketSketch,
     SpaceSaving,
     Telemetry,
-    TelemetrySummary,
+    fingerprint,
+    format_hotspots,
+    format_window_table,
+    load_std_bpns,
     merge_summaries,
     quantile_nearest_rank,
 )
@@ -80,20 +84,21 @@ __all__ = [
     "PROBE_SCHEMA_VERSION",
     "PhaseStats",
     "ProbeRecorder",
-    "ProbeSummary",
     "Profiler",
     "RunProfile",
     "SpaceSaving",
     "Span",
     "TRACE_RECORDS",
     "Telemetry",
-    "TelemetrySummary",
     "TraceAnalysis",
     "TraceRecord",
     "Tracer",
     "analyze_trace",
     "audit_run",
-    "merge_probe_summaries",
+    "fingerprint",
+    "format_hotspots",
+    "format_window_table",
+    "load_std_bpns",
     "merge_profiles",
     "merge_summaries",
     "open_text_maybe_gzip",

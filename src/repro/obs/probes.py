@@ -25,38 +25,38 @@ changes a run's results.  Every per-entry series feeds an order-independent
 sketch (sorted sums, power-of-two buckets derived from ``frexp`` -- pure bit
 manipulation), so a snapshot depends only on the multiset of cached
 entries, never on their storage order; ``tests/test_obs_probes.py`` checks
-it against a plain per-repository loop.  Cell summaries merge in input order
-exactly like :func:`repro.obs.telemetry.merge_summaries`, so ``--jobs N``
-output is bit-identical to serial.
+it against a plain per-repository loop.  A cell's summary is a JSON document
+(:meth:`ProbeRecorder.summary`); cell summaries merge in input order with
+:func:`repro.obs.telemetry.merge_summaries`, the fold telemetry uses, so
+``--jobs N`` output is bit-identical to serial.
 
 Usage::
 
     (result,) = run_cells([config], probes=True)
-    result.probes.format_state_table()      # Fig-style coverage/staleness
-    result.probes.fingerprint()             # baseline-able identity
+    format_state_table(result.probes)       # Fig-style coverage/staleness
+    state_fingerprint(result.probes)        # baseline-able identity
 
 or via the CLIs: ``runall --probes`` / ``report run --probes``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.telemetry import LogBucketSketch
+from repro.obs.telemetry import LogBucketSketch, fingerprint
 
 __all__ = [
     "PROBE_SCHEMA_VERSION",
     "ProbeRecorder",
-    "ProbeSummary",
-    "merge_probe_summaries",
+    "format_state_table",
+    "headline",
     "pow2_sketch",
     "snapshot_backend",
     "snapshot_state",
+    "state_fingerprint",
 ]
 
 #: Bump when the snapshot/summary JSON shape changes.
@@ -243,214 +243,90 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
     return backend
 
 
-# --------------------------------------------------------------- summaries
-def _is_sketch_dict(d: Dict[str, Any]) -> bool:
-    return "gamma" in d and "buckets" in d
+# ------------------------------------------------------------- renderers
+def state_fingerprint(doc: Dict[str, Any]) -> str:
+    """Identity of a probe summary's protocol-state series only.
 
-
-def _merge_value(key: str, a, b):
-    """Merge rule per snapshot field; associative under input-order folds."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        if _is_sketch_dict(a):
-            sa = LogBucketSketch.from_dict(a)
-            sa.merge(LogBucketSketch.from_dict(b))
-            return sa.to_dict()
-        out = dict(a)
-        for sub, value in b.items():
-            out[sub] = _merge_value(sub, out[sub], value) if sub in out else value
-        return out
-    if isinstance(a, bool) and isinstance(b, bool):
-        return a and b
-    if key == "t" or key.endswith("_ceiling"):
-        return a  # identical across cells by construction
-    if key == "max" or key.endswith("_max"):
-        return max(a, b)
-    if key == "min" or key.endswith("_min"):
-        return min(a, b)
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a + b
-    return a
-
-
-def _strip_backend(tick: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in tick.items() if k != "backend"}
-
-
-class ProbeSummary:
-    """Frozen, mergeable digest of one or more cells' probe snapshots.
-
-    Plain data: ticks are JSON-ready dicts (see :func:`snapshot_state` /
-    :func:`snapshot_backend`).  ``merge`` aligns ticks by snapshot time and
-    folds counters/sketches exactly like
-    :class:`~repro.obs.telemetry.TelemetrySummary` -- associative over an
-    input-order fold, so parallel sweeps reproduce serial output bit for
-    bit.
+    Excludes the labels and the backend gauges, so it depends on what the
+    caches hold at each tick and not on how the state is stored.
     """
+    return fingerprint({
+        **{k: v for k, v in doc.items() if k != "labels"},
+        "ticks": [
+            {k: v for k, v in tick.items() if k != "backend"} for tick in doc["ticks"]
+        ],
+    })
 
-    __slots__ = ("interval_s", "cells", "labels", "ticks")
 
-    def __init__(
-        self,
-        interval_s: float,
-        ticks: Sequence[Dict[str, Any]],
-        cells: int = 1,
-        labels: Sequence[str] = (),
-    ) -> None:
-        self.interval_s = float(interval_s)
-        self.cells = int(cells)
-        self.labels = list(labels)
-        self.ticks = list(ticks)
+def _state_ticks(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
+    return [tick for tick in doc["ticks"] if "coverage" in tick]
 
-    # ------------------------------------------------------------- merging
-    def merge(self, other: "ProbeSummary") -> "ProbeSummary":
-        if other.interval_s != self.interval_s:
-            raise ValueError(
-                f"cannot merge probe summaries with interval "
-                f"{self.interval_s} != {other.interval_s}"
-            )
-        by_t: Dict[float, Dict[str, Any]] = {t["t"]: t for t in self.ticks}
-        for tick in other.ticks:
-            t = tick["t"]
-            if t in by_t:
-                by_t[t] = _merge_value("tick", by_t[t], tick)
-            else:
-                by_t[t] = tick
-        return ProbeSummary(
-            interval_s=self.interval_s,
-            ticks=[by_t[t] for t in sorted(by_t)],
-            cells=self.cells + other.cells,
-            labels=self.labels + other.labels,
-        )
 
-    # -------------------------------------------------------------- export
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": PROBE_SCHEMA_VERSION,
-            "interval_s": self.interval_s,
-            "cells": self.cells,
-            "labels": list(self.labels),
-            "ticks": list(self.ticks),
-        }
+def headline(doc: Dict[str, Any]) -> Dict[str, Optional[float]]:
+    """Scalars from the final tick (the warmed-up steady state)."""
+    out: Dict[str, Optional[float]] = {
+        "ticks": float(len(doc["ticks"])),
+        "coverage_fraction": None,
+        "replication_p50": None,
+        "age_p50_s": None,
+        "age_p90_s": None,
+        "fp_mean": None,
+        "entries": None,
+        "behind": None,
+    }
+    state_ticks = _state_ticks(doc)
+    if not state_ticks:
+        return out
+    last = state_ticks[-1]
+    cov = last["coverage"]
+    if cov["audience"]:
+        out["coverage_fraction"] = cov["covered"] / cov["audience"]
+    repl = LogBucketSketch.from_dict(cov["replication"])
+    if repl.count:
+        out["replication_p50"] = repl.quantile(0.5)
+    ages = LogBucketSketch.from_dict(last["staleness"]["age_s"])
+    if ages.count:
+        out["age_p50_s"] = ages.quantile(0.5)
+        out["age_p90_s"] = ages.quantile(0.9)
+    bloom = last["bloom"]
+    if bloom["sharers"]:
+        out["fp_mean"] = bloom["fp_sum"] / bloom["sharers"]
+    out["entries"] = float(last["entries"])
+    out["behind"] = float(last["staleness"]["behind"])
+    return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def fingerprint(self) -> str:
-        """Deterministic identity of the full summary (state + backend)."""
-        return blake2b(self.to_json().encode(), digest_size=16).hexdigest()
-
-    def state_fingerprint(self) -> str:
-        """Identity of the protocol-state series only.
-
-        Excludes the backend gauges, so it depends on what the caches hold
-        at each tick and not on how the state is stored.
-        """
-        doc = {
-            "schema": PROBE_SCHEMA_VERSION,
-            "interval_s": self.interval_s,
-            "cells": self.cells,
-            "ticks": [_strip_backend(t) for t in self.ticks],
-        }
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return blake2b(payload.encode(), digest_size=16).hexdigest()
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "ProbeSummary":
-        if data.get("schema") != PROBE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported probe schema {data.get('schema')!r} "
-                f"(expected {PROBE_SCHEMA_VERSION})"
-            )
-        return ProbeSummary(
-            interval_s=data["interval_s"],
-            ticks=list(data["ticks"]),
-            cells=int(data["cells"]),
-            labels=list(data.get("labels", ())),
-        )
-
-    # ----------------------------------------------------------- rendering
-    def headline(self) -> Dict[str, Optional[float]]:
-        """Scalars from the final tick (the warmed-up steady state)."""
-        out: Dict[str, Optional[float]] = {
-            "ticks": float(len(self.ticks)),
-            "coverage_fraction": None,
-            "replication_p50": None,
-            "age_p50_s": None,
-            "age_p90_s": None,
-            "fp_mean": None,
-            "entries": None,
-            "behind": None,
-        }
-        state_ticks = [t for t in self.ticks if "coverage" in t]
-        if not state_ticks:
-            return out
-        last = state_ticks[-1]
-        cov = last["coverage"]
-        if cov["audience"]:
-            out["coverage_fraction"] = cov["covered"] / cov["audience"]
+def format_state_table(doc: Dict[str, Any], max_rows: int = 12) -> str:
+    """Fig-style per-tick table: coverage, staleness, cache, bloom."""
+    header = (
+        f"{'t':>8} {'entries':>9} {'behind':>7} {'cover%':>7} "
+        f"{'repl p50':>9} {'age p50':>8} {'age p90':>8} "
+        f"{'at cap':>7} {'fp mean':>9}"
+    )
+    rows = _state_ticks(doc)
+    if not rows:
+        return header + "\n  (no ASAP state ticks recorded)"
+    if len(rows) > max_rows:  # sample evenly, always keeping the last
+        idx = np.linspace(0, len(rows) - 1, max_rows).round().astype(int)
+        rows = [rows[i] for i in dict.fromkeys(idx.tolist())]
+    lines = [header]
+    for tick in rows:
+        cov = tick["coverage"]
+        frac = cov["covered"] / cov["audience"] if cov["audience"] else 0.0
         repl = LogBucketSketch.from_dict(cov["replication"])
-        if repl.count:
-            out["replication_p50"] = repl.quantile(0.5)
-        ages = LogBucketSketch.from_dict(last["staleness"]["age_s"])
-        if ages.count:
-            out["age_p50_s"] = ages.quantile(0.5)
-            out["age_p90_s"] = ages.quantile(0.9)
-        bloom = last["bloom"]
-        if bloom["sharers"]:
-            out["fp_mean"] = bloom["fp_sum"] / bloom["sharers"]
-        out["entries"] = float(last["entries"])
-        out["behind"] = float(last["staleness"]["behind"])
-        return out
-
-    def format_state_table(self, max_rows: int = 12) -> str:
-        """Fig-style per-tick table: coverage, staleness, cache, bloom."""
-        header = (
-            f"{'t':>8} {'entries':>9} {'behind':>7} {'cover%':>7} "
-            f"{'repl p50':>9} {'age p50':>8} {'age p90':>8} "
-            f"{'at cap':>7} {'fp mean':>9}"
+        ages = LogBucketSketch.from_dict(tick["staleness"]["age_s"])
+        bloom = tick["bloom"]
+        fp_mean = bloom["fp_sum"] / bloom["sharers"] if bloom["sharers"] else 0.0
+        p50 = repl.quantile(0.5) if repl.count else math.nan
+        a50 = ages.quantile(0.5) if ages.count else math.nan
+        a90 = ages.quantile(0.9) if ages.count else math.nan
+        lines.append(
+            f"{tick['t']:>8.0f} {tick['entries']:>9d} "
+            f"{tick['staleness']['behind']:>7d} {frac:>7.1%} "
+            f"{p50:>9.1f} {a50:>8.1f} {a90:>8.1f} "
+            f"{tick['occupancy']['at_capacity']:>7d} {fp_mean:>9.5f}"
         )
-        ticks = [t for t in self.ticks if "coverage" in t]
-        if not ticks:
-            return header + "\n  (no ASAP state ticks recorded)"
-        rows = ticks
-        if len(rows) > max_rows:  # sample evenly, always keeping the last
-            idx = np.linspace(0, len(rows) - 1, max_rows).round().astype(int)
-            rows = [rows[i] for i in dict.fromkeys(idx.tolist())]
-        lines = [header]
-        for tick in rows:
-            cov = tick["coverage"]
-            frac = cov["covered"] / cov["audience"] if cov["audience"] else 0.0
-            repl = LogBucketSketch.from_dict(cov["replication"])
-            ages = LogBucketSketch.from_dict(tick["staleness"]["age_s"])
-            bloom = tick["bloom"]
-            fp_mean = bloom["fp_sum"] / bloom["sharers"] if bloom["sharers"] else 0.0
-            p50 = repl.quantile(0.5) if repl.count else math.nan
-            a50 = ages.quantile(0.5) if ages.count else math.nan
-            a90 = ages.quantile(0.9) if ages.count else math.nan
-            lines.append(
-                f"{tick['t']:>8.0f} {tick['entries']:>9d} "
-                f"{tick['staleness']['behind']:>7d} {frac:>7.1%} "
-                f"{p50:>9.1f} {a50:>8.1f} {a90:>8.1f} "
-                f"{tick['occupancy']['at_capacity']:>7d} {fp_mean:>9.5f}"
-            )
-        return "\n".join(lines)
-
-
-def merge_probe_summaries(
-    summaries: Iterable[Optional[ProbeSummary]],
-) -> Optional[ProbeSummary]:
-    """Left-fold ``merge`` in input order, skipping ``None`` entries.
-
-    Input-order determinism is the parallel-execution contract: cells
-    merged in config order give bit-identical output no matter which
-    worker ran which cell (same guarantee as ``merge_summaries``).
-    """
-    merged: Optional[ProbeSummary] = None
-    for summary in summaries:
-        if summary is None:
-            continue
-        merged = summary if merged is None else merged.merge(summary)
-    return merged
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------- recorder
@@ -464,11 +340,10 @@ class ProbeRecorder:
     the same queue depth with probes on or off).
     """
 
-    def __init__(self, interval_s: float, label: str = "") -> None:
+    def __init__(self, interval_s: float) -> None:
         if interval_s <= 0:
             raise ValueError(f"probe interval must be positive: {interval_s}")
         self.interval_s = float(interval_s)
-        self.label = label
         self.snapshots: List[Dict[str, Any]] = []
         self._engine = None
         self._algorithm = None
@@ -496,11 +371,12 @@ class ProbeRecorder:
         self.snapshots.append(snap)
         self._schedule_next()
 
-    def summary(self) -> ProbeSummary:
-        labels = [self.label] if self.label else []
-        return ProbeSummary(
-            interval_s=self.interval_s,
-            ticks=list(self.snapshots),
-            cells=1,
-            labels=labels,
-        )
+    def summary(self) -> Dict[str, Any]:
+        """The mergeable summary document: one cell's ticks, in time order."""
+        return {
+            "schema": PROBE_SCHEMA_VERSION,
+            "interval_s": self.interval_s,
+            "cells": 1,
+            "labels": [],
+            "ticks": list(self.snapshots),
+        }

@@ -92,7 +92,7 @@ class RunProfile:
     # Process peak RSS (MB) at finish() time and, for ASAP runs, the
     # ``AdsState.stats()`` snapshot (live pairs, dense state bytes ...).
     peak_rss_mb: float = 0.0
-    arena: Dict[str, int] = field(default_factory=dict)
+    state: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -102,7 +102,7 @@ class RunProfile:
             "engine_pending_live": self.engine_pending_live,
             "sim_end_s": self.sim_end_s,
             "peak_rss_mb": self.peak_rss_mb,
-            "arena": dict(sorted(self.arena.items())),
+            "state": dict(sorted(self.state.items())),
             "subsystems": {k: v.to_dict() for k, v in sorted(self.subsystems.items())},
             "phases": {k: v.to_dict() for k, v in sorted(self.phases.items())},
         }
@@ -119,8 +119,8 @@ class RunProfile:
         )
         if self.peak_rss_mb > 0:
             lines.append(f"  memory: peak RSS {self.peak_rss_mb:.1f} MB")
-        if self.arena:
-            a = self.arena
+        if self.state:
+            a = self.state
             lines.append(
                 f"  ads state: {a.get('rows_live', 0)} cached pairs of "
                 f"{a.get('pool_rows', 0)} dense cells "
@@ -163,10 +163,10 @@ def merge_profiles(profiles: Iterable[RunProfile]) -> RunProfile:
         # is the worst cell, not a sum.  Ads-state stats keep the fullest
         # snapshot whole (mixing pairs from different cells is meaningless).
         merged.peak_rss_mb = max(merged.peak_rss_mb, profile.peak_rss_mb)
-        if profile.arena and profile.arena.get(
+        if profile.state and profile.state.get(
             "rows_live", 0
-        ) >= merged.arena.get("rows_live", 0):
-            merged.arena = dict(profile.arena)
+        ) >= merged.state.get("rows_live", 0):
+            merged.state = dict(profile.state)
         for buckets, add in (
             (merged.subsystems, profile.subsystems),
             (merged.phases, profile.phases),

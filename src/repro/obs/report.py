@@ -59,6 +59,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import merge_profiles
+from repro.obs.telemetry import (
+    fingerprint,
+    format_hotspots,
+    format_sketches,
+    format_window_table,
+    merge_summaries,
+)
 
 __all__ = ["diff_rows", "flatten", "main", "render_diff", "run_report"]
 
@@ -207,7 +214,7 @@ def _positive_int(text: str) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import CellFailure, cell_trace_name, run_cells
 
-    config = _cell_config(args)
+    config = args.config
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = partial(print, file=sys.stderr)
@@ -256,30 +263,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if violations:
             log(f"{violations} audit violation(s)")
             exit_code = 1
+    # Seed-order folds: bit-identical no matter how --jobs scheduled cells.
     if args.telemetry:
-        from repro.obs.telemetry import merge_summaries
-
-        # Seed-order fold: bit-identical no matter how --jobs scheduled cells.
-        telemetry = merge_summaries(r.telemetry for r in results)
-        report["telemetry"] = telemetry.to_dict()
+        telemetry = report["telemetry"] = merge_summaries(
+            r.telemetry for r in results
+        )
         tables += [
-            f"telemetry over {telemetry.cells} cell(s), "
-            f"fingerprint {telemetry.fingerprint()}",
-            telemetry.format_window_table(max_rows=MAX_ROWS),
-            telemetry.format_hotspots(),
-            telemetry.format_sketches(),
+            f"telemetry over {telemetry['cells']} cell(s), "
+            f"fingerprint {fingerprint(telemetry)}",
+            format_window_table(telemetry, max_rows=MAX_ROWS),
+            format_hotspots(telemetry),
+            format_sketches(telemetry),
         ]
     if args.probes:
-        from repro.obs.probes import merge_probe_summaries
+        from repro.obs.probes import format_state_table
 
-        state = merge_probe_summaries(r.probes for r in results)
-        report["state"] = state.to_dict()
+        state = report["state"] = merge_summaries(r.probes for r in results)
         tables += [
-            f"protocol state over {state.cells} cell(s), "
-            f"{len(state.ticks)} tick(s), fingerprint {state.fingerprint()}",
-            state.format_state_table(max_rows=MAX_ROWS),
+            f"protocol state over {state['cells']} cell(s), "
+            f"{len(state['ticks'])} tick(s), fingerprint {fingerprint(state)}",
+            format_state_table(state, max_rows=MAX_ROWS),
         ]
-        if not state.ticks:
+        if not state["ticks"]:
             log(
                 f"--probes recorded no tick: the {config.probe_interval_s:g} s "
                 f"probe interval exceeds the {max(r.t_end for r in results)} s "
@@ -412,6 +417,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     analyze_p.set_defaults(func=_cmd_analyze)
 
     args = parser.parse_args(argv)
+    if args.command == "run":
+        try:
+            args.config = _cell_config(args)
+        except ValueError as exc:  # a nonsense cell, e.g. --peers 5
+            run_p.error(str(exc))
     return args.func(args)
 
 

@@ -8,7 +8,7 @@ constant-memory, opt-in :class:`Telemetry` accumulator that the run's
 :class:`~repro.obs.instrument.Instrumentation` updates inline, action by
 action (engine dispatch, query, ad delivery, confirmation, ads exchange,
 repair, churn), and that summarises into a small, mergeable, deterministic
-:class:`TelemetrySummary`:
+JSON document (:meth:`Telemetry.summary`):
 
 * **time-windowed load series** -- messages / bytes / queries per window,
   globally and per traffic category (the Fig. 9 "load variation over time"
@@ -28,13 +28,13 @@ Design rules:
    already flows through :class:`~repro.sim.metrics.BandwidthLedger`'s
    per-second buckets, so :meth:`Telemetry.summary` folds those buckets
    into windows exactly, at zero inline cost.
-3. **Deterministic, associative merge.**  A :class:`TelemetrySummary`
-   contains only integer counts, ordered floats and sorted structures;
-   merging sums them key-wise.  Merging per-cell summaries in input order
-   is therefore bit-identical whether the cells ran serially or under
-   ``run_cells --jobs N`` (the PR 2 determinism contract), and each
-   summary carries a blake2b fingerprint over its canonical JSON form
-   (the PR 4 fingerprint idiom).
+3. **Deterministic, associative merge.**  A summary document holds only
+   integer counts, ordered floats and sorted structures; :func:`merge`
+   sums them key-wise.  Merging per-cell summaries in input order
+   (:func:`merge_summaries`) is therefore bit-identical whether the cells
+   ran serially or under ``run_cells --jobs N``, and :func:`fingerprint`
+   is blake2b over the canonical JSON form.  The same merge and
+   fingerprint serve the probe summaries of :mod:`repro.obs.probes`.
 
 The heavy-hitter tracker is Space-Saving with amortised batch eviction:
 admissions go into a plain dict; when the dict exceeds twice the capacity
@@ -58,12 +58,17 @@ __all__ = [
     "SpaceSaving",
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
-    "TelemetrySummary",
+    "fingerprint",
+    "format_hotspots",
+    "format_sketches",
+    "format_window_table",
+    "load_std_bpns",
+    "merge",
     "merge_summaries",
     "quantile_nearest_rank",
 ]
 
-#: Version of the ``TelemetrySummary.to_dict`` schema.
+#: Version of the :meth:`Telemetry.summary` document schema.
 TELEMETRY_SCHEMA_VERSION = 1
 
 #: Window width in simulation seconds.
@@ -286,17 +291,17 @@ class SpaceSaving:
         if len(counts) > 2 * self.capacity:
             self._compact()
 
-    def to_dict(self, top_n: Optional[int] = None) -> Dict[str, Any]:
-        return {
-            "capacity": self.capacity,
-            "floor": self.floor,
-            "top": [
-                [_key_str(k), c, e] for k, c, e in self.top(top_n)
-            ],
-        }
+    def to_dict(self) -> Dict[str, Any]:
+        """Every retained key as ``[key, count, error]``, heaviest first
+        (count desc, then canonical key string asc)."""
+        top = sorted(
+            ([_key_str(k), c, self.errors.get(k, 0)] for k, c in self.counts.items()),
+            key=lambda row: (-row[1], row[0]),
+        )
+        return {"capacity": self.capacity, "floor": self.floor, "top": top}
 
     def state_dict(self) -> Dict[str, Any]:
-        """Full retained state (for lossless summary merging)."""
+        """Full retained state under canonical key strings."""
         return {
             "capacity": self.capacity,
             "floor": self.floor,
@@ -310,10 +315,15 @@ class SpaceSaving:
 
     @staticmethod
     def from_state_dict(d: Dict[str, Any]) -> "SpaceSaving":
+        """Rebuild from :meth:`state_dict` or :meth:`to_dict` form."""
         ss = SpaceSaving(capacity=int(d["capacity"]))
         ss.floor = int(d["floor"])
-        ss.counts = {k: int(v) for k, v in d["counts"].items()}
-        ss.errors = {k: int(v) for k, v in d["errors"].items()}
+        if "top" in d:
+            ss.counts = {k: int(c) for k, c, _ in d["top"]}
+            ss.errors = {k: int(e) for k, _, e in d["top"] if e}
+        else:
+            ss.counts = {k: int(v) for k, v in d["counts"].items()}
+            ss.errors = {k: int(v) for k, v in d["errors"].items()}
         return ss
 
 
@@ -352,12 +362,10 @@ class Telemetry:
     Attach via ``run_cells(configs, telemetry=True)`` or by hand inside an
     ``Instrumentation(telemetry=t)`` given to ``algorithm.attach`` and
     ``engine.set_observer``.  Call :meth:`summary` once the run completes to
-    freeze it into a mergeable :class:`TelemetrySummary`.  ``label`` names
-    the cell in the summary.
+    freeze it into a mergeable summary document.
     """
 
-    def __init__(self, label: str = "") -> None:
-        self.label = label
+    def __init__(self) -> None:
         self._windows: Dict[int, _WindowStats] = {}
         self.response_time_ms = LogBucketSketch(GAMMA)
         self.query_cost_bytes = LogBucketSketch(GAMMA)
@@ -451,8 +459,8 @@ class Telemetry:
         t_start: int = 0,
         t_end: Optional[int] = None,
         load_categories: Optional[Iterable[Any]] = None,
-    ) -> "TelemetrySummary":
-        """Freeze into a mergeable :class:`TelemetrySummary`.
+    ) -> Dict[str, Any]:
+        """Freeze into a mergeable summary document (plain JSON data).
 
         ``ledger`` supplies the exact per-category byte/message series: its
         per-second buckets are folded into windows here, so the inline hook
@@ -518,21 +526,20 @@ class Telemetry:
                 )
             }
             totals["messages"] = int(ledger.total_messages())
-        # Freeze heavy hitters with canonical string keys so every summary
-        # (fresh or merged) sorts and merges over the same key domain.
-        return TelemetrySummary(
-            window_s=WINDOW_S,
-            windows={w: windows[w] for w in sorted(windows)},
-            response_time_ms=self.response_time_ms,
-            query_cost_bytes=self.query_cost_bytes,
-            delivery_bytes=self.delivery_bytes,
-            per_peer_bytes=per_peer,
-            hot_peers=SpaceSaving.from_state_dict(self.hot_peers.state_dict()),
-            hot_links=SpaceSaving.from_state_dict(self.hot_links.state_dict()),
-            totals=totals,
-            cells=1,
-            labels=[self.label] if self.label else [],
-        )
+        return {
+            "schema": TELEMETRY_SCHEMA_VERSION,
+            "window_s": WINDOW_S,
+            "cells": 1,
+            "labels": [],
+            "totals": totals,
+            "windows": {str(w): windows[w] for w in sorted(windows)},
+            "response_time_ms": self.response_time_ms.to_dict(),
+            "query_cost_bytes": self.query_cost_bytes.to_dict(),
+            "delivery_bytes": self.delivery_bytes.to_dict(),
+            "per_peer_bytes": per_peer.to_dict(),
+            "hot_peers": self.hot_peers.to_dict(),
+            "hot_links": self.hot_links.to_dict(),
+        }
 
 
 def _empty_window() -> Dict[str, Any]:
@@ -547,290 +554,161 @@ def _empty_window() -> Dict[str, Any]:
     }
 
 
-_WINDOW_COUNTERS = (
-    "queries", "hits", "local_hits", "deliveries", "joins", "leaves",
-    "repairs", "ads_requests", "confirmations", "engine_events", "messages",
-)
+# ------------------------------------------------- summary documents
+def fingerprint(doc: Dict[str, Any]) -> str:
+    """blake2b over the canonical JSON form of a summary document."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
-class TelemetrySummary:
-    """Frozen, mergeable digest of one (or several merged) runs.
+def merge(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
+    """Fold summary document ``b`` into ``a``: a new document, which may
+    share values only one side holds with that side; neither input is
+    modified.
 
-    Everything in here is plain data: it pickles across process boundaries,
-    merges associatively in input order, serialises deterministically via
-    :meth:`to_dict` (sorted keys throughout) and fingerprints with blake2b
-    over its canonical JSON form.
+    One rule set serves telemetry and probe summaries: ``schema``,
+    ``window_s`` and ``interval_s`` must match; labels concatenate; probe
+    ticks align by ``t``; sketches merge as sketches and heavy-hitter
+    states as Space-Saving; flags AND; ``t`` and ``*_ceiling`` keep the
+    left value, ``max`` / ``min`` fields take the extreme; every other
+    number adds.  Associative under an input-order fold.
     """
+    return _fold("", a, b)
 
-    def __init__(
-        self,
-        window_s: float,
-        windows: Dict[int, Dict[str, Any]],
-        response_time_ms: LogBucketSketch,
-        query_cost_bytes: LogBucketSketch,
-        delivery_bytes: LogBucketSketch,
-        per_peer_bytes: LogBucketSketch,
-        hot_peers: SpaceSaving,
-        hot_links: SpaceSaving,
-        totals: Dict[str, Any],
-        cells: int = 1,
-        labels: Optional[List[str]] = None,
-    ) -> None:
-        self.window_s = window_s
-        self.windows = windows
-        self.response_time_ms = response_time_ms
-        self.query_cost_bytes = query_cost_bytes
-        self.delivery_bytes = delivery_bytes
-        self.per_peer_bytes = per_peer_bytes
-        self.hot_peers = hot_peers
-        self.hot_links = hot_links
-        self.totals = totals
-        self.cells = cells
-        self.labels = labels or []
 
-    # ----------------------------------------------------------------- merge
-    def merge(self, other: "TelemetrySummary") -> "TelemetrySummary":
-        """Return a new summary folding ``other`` into this one.
+_MUST_MATCH = ("schema", "window_s", "interval_s")
 
-        Window counters and sketch buckets add key-wise; heavy hitters
-        merge per Space-Saving.  Associative (exactly so while distinct
-        heavy-hitter keys fit within capacity) and performed in the order
-        given, so folding per-cell summaries left-to-right yields the same
-        bits regardless of how the cells themselves were scheduled.
-        """
-        if other.window_s != self.window_s:
-            raise ValueError(
-                f"window mismatch: {self.window_s} != {other.window_s}"
-            )
-        windows: Dict[int, Dict[str, Any]] = {}
-        for w in sorted(set(self.windows) | set(other.windows)):
-            a = self.windows.get(w)
-            b = other.windows.get(w)
-            if a is None:
-                windows[w] = _copy_window(b)
-                continue
-            if b is None:
-                windows[w] = _copy_window(a)
-                continue
-            win = _copy_window(a)
-            for name in _WINDOW_COUNTERS:
-                win[name] += b[name]
-            for cat, v in b["bytes"].items():
-                win["bytes"][cat] = win["bytes"].get(cat, 0.0) + v
-            win["load_bytes"] += b["load_bytes"]
-            win["live_node_seconds"] += b["live_node_seconds"]
-            pa = SpaceSaving.from_state_dict(win["top_peers"])
-            pa.merge(SpaceSaving.from_state_dict(b["top_peers"]))
-            win["top_peers"] = pa.state_dict()
-            la = SpaceSaving.from_state_dict(win["top_links"])
-            la.merge(SpaceSaving.from_state_dict(b["top_links"]))
-            win["top_links"] = la.state_dict()
-            windows[w] = win
-        rt = _copy_sketch(self.response_time_ms)
-        rt.merge(other.response_time_ms)
-        qc = _copy_sketch(self.query_cost_bytes)
-        qc.merge(other.query_cost_bytes)
-        db = _copy_sketch(self.delivery_bytes)
-        db.merge(other.delivery_bytes)
-        pp = _copy_sketch(self.per_peer_bytes)
-        pp.merge(other.per_peer_bytes)
-        hp = SpaceSaving.from_state_dict(self.hot_peers.state_dict())
-        hp.merge(other.hot_peers)
-        hl = SpaceSaving.from_state_dict(self.hot_links.state_dict())
-        hl.merge(other.hot_links)
-        totals = _merge_totals(self.totals, other.totals)
-        return TelemetrySummary(
-            window_s=self.window_s,
-            windows=windows,
-            response_time_ms=rt,
-            query_cost_bytes=qc,
-            delivery_bytes=db,
-            per_peer_bytes=pp,
-            hot_peers=hp,
-            hot_links=hl,
-            totals=totals,
-            cells=self.cells + other.cells,
-            labels=self.labels + other.labels,
-        )
 
-    # ------------------------------------------------------------- serialise
-    def to_dict(self) -> Dict[str, Any]:
-        """Deterministic plain-dict form (sorted keys at every level)."""
+def _fold(key: str, a: Any, b: Any) -> Any:
+    if key in _MUST_MATCH:
+        if a != b:
+            raise ValueError(f"cannot merge summaries: {key} {a!r} != {b!r}")
+        return a
+    if key == "labels":
+        return a + b
+    if key == "ticks":
+        by_t = {tick["t"]: tick for tick in a}
+        for tick in b:
+            t = tick["t"]
+            by_t[t] = _fold("", by_t[t], tick) if t in by_t else tick
+        return [by_t[t] for t in sorted(by_t)]
+    if isinstance(a, dict):
+        if "buckets" in a:  # LogBucketSketch.to_dict()
+            sketch = LogBucketSketch.from_dict(a)
+            sketch.merge(LogBucketSketch.from_dict(b))
+            return sketch.to_dict()
+        if "floor" in a:  # SpaceSaving.to_dict() or .state_dict()
+            hh = SpaceSaving.from_state_dict(a)
+            hh.merge(SpaceSaving.from_state_dict(b))
+            return hh.to_dict() if "top" in a else hh.state_dict()
         return {
-            "schema": TELEMETRY_SCHEMA_VERSION,
-            "window_s": self.window_s,
-            "cells": self.cells,
-            "labels": list(self.labels),
-            "totals": _sorted_dict(self.totals),
-            "windows": {
-                str(w): _window_to_dict(self.windows[w])
-                for w in sorted(self.windows)
-            },
-            "response_time_ms": self.response_time_ms.to_dict(),
-            "query_cost_bytes": self.query_cost_bytes.to_dict(),
-            "delivery_bytes": self.delivery_bytes.to_dict(),
-            "per_peer_bytes": self.per_peer_bytes.to_dict(),
-            "hot_peers": self.hot_peers.to_dict(),
-            "hot_links": self.hot_links.to_dict(),
+            k: _fold(k, a[k], b[k]) if k in a and k in b else a.get(k, b.get(k))
+            for k in {**a, **b}
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def fingerprint(self) -> str:
-        """blake2b over the canonical JSON form (the PR 4 idiom)."""
-        return blake2b(self.to_json().encode(), digest_size=16).hexdigest()
-
-    # --------------------------------------------------------------- queries
-    def window_rows(self) -> List[Dict[str, Any]]:
-        """Per-window rows (ascending), with per-node-per-second load."""
-        rows = []
-        for w in sorted(self.windows):
-            win = self.windows[w]
-            nodesec = win["live_node_seconds"]
-            load_bpns = win["load_bytes"] / nodesec if nodesec else None
-            peers = SpaceSaving.from_state_dict(win["top_peers"])
-            rows.append(
-                {
-                    "window": w,
-                    "t_start": w * self.window_s,
-                    "load_bytes": win["load_bytes"],
-                    "load_bpns": load_bpns,
-                    "queries": win["queries"],
-                    "hits": win["hits"],
-                    "deliveries": win["deliveries"],
-                    "joins": win["joins"],
-                    "leaves": win["leaves"],
-                    "top_peers": [[k, c] for k, c, _ in peers.top(3)],
-                }
-            )
-        return rows
-
-    def format_window_table(self, max_rows: Optional[int] = None) -> str:
-        """A Fig-9-style per-window load table (text)."""
-        rows = [r for r in self.window_rows() if r["load_bytes"] > 0 or r["queries"] > 0]
-        if max_rows is not None and len(rows) > max_rows:
-            step = math.ceil(len(rows) / max_rows)
-            rows = rows[::step]
-        lines = [
-            f"{'t[s]':>8}  {'load[B]':>12}  {'B/node/s':>9}  {'queries':>7}  "
-            f"{'hits':>5}  {'ads':>5}  {'churn':>5}  hottest peers"
-        ]
-        for r in rows:
-            bpns = f"{r['load_bpns']:.1f}" if r["load_bpns"] is not None else "-"
-            churn = r["joins"] + r["leaves"]
-            hot = ",".join(k for k, _ in r["top_peers"]) or "-"
-            lines.append(
-                f"{r['t_start']:>8.0f}  {r['load_bytes']:>12.0f}  {bpns:>9}  "
-                f"{r['queries']:>7}  {r['hits']:>5}  {r['deliveries']:>5}  "
-                f"{churn:>5}  {hot}"
-            )
-        return "\n".join(lines)
-
-    def format_hotspots(self, n: Optional[int] = None) -> str:
-        """Top-K hottest peers and links over the whole run (text)."""
-        n = n or TOP_K
-        lines = ["hottest peers (bytes attributed):"]
-        for key, count, err in self.hot_peers.top(n):
-            suffix = f" (±{err})" if err else ""
-            lines.append(f"  peer {_key_str(key):>12}  {count:>12}{suffix}")
-        lines.append("hottest links (bytes attributed):")
-        for key, count, err in self.hot_links.top(n):
-            suffix = f" (±{err})" if err else ""
-            lines.append(f"  link {_key_str(key):>12}  {count:>12}{suffix}")
-        return "\n".join(lines)
-
-    def format_sketches(self) -> str:
-        """Count, mean and p50 / p90 / p99 of the four quantile sketches
-        (text); the full sketches are in :meth:`to_dict`."""
-        lines = [
-            f"{'sketch':<18}  {'count':>8}  {'mean':>12}  {'p50':>12}  "
-            f"{'p90':>12}  {'p99':>12}"
-        ]
-        for name in (
-            "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes"
-        ):
-            digest = getattr(self, name).summary_dict()
-            cells = [
-                "-" if digest[key] is None else f"{digest[key]:.1f}"
-                for key in ("mean", "p50", "p90", "p99")
-            ]
-            lines.append(
-                f"{name:<18}  {digest['count']:>8}  "
-                + "  ".join(f"{cell:>12}" for cell in cells)
-            )
-        return "\n".join(lines)
-
-    def load_std_bpns(self) -> float:
-        """Std dev of per-window load per node per second (Fig. 9 metric)."""
-        vals = [
-            r["load_bpns"] for r in self.window_rows() if r["load_bpns"] is not None
-        ]
-        if not vals:
-            return math.nan
-        mean = sum(vals) / len(vals)
-        return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
-
-
-def _copy_window(win: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(win)
-    out["bytes"] = dict(win["bytes"])
-    out["top_peers"] = {
-        "capacity": win["top_peers"]["capacity"],
-        "floor": win["top_peers"]["floor"],
-        "counts": dict(win["top_peers"]["counts"]),
-        "errors": dict(win["top_peers"]["errors"]),
-    }
-    out["top_links"] = {
-        "capacity": win["top_links"]["capacity"],
-        "floor": win["top_links"]["floor"],
-        "counts": dict(win["top_links"]["counts"]),
-        "errors": dict(win["top_links"]["errors"]),
-    }
-    return out
-
-
-def _copy_sketch(sketch: LogBucketSketch) -> LogBucketSketch:
-    return LogBucketSketch.from_dict(sketch.to_dict())
-
-
-def _merge_totals(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key), b.get(key)
-        if isinstance(va, dict) or isinstance(vb, dict):
-            out[key] = _merge_totals(va or {}, vb or {})
-        else:
-            out[key] = (va or 0) + (vb or 0)
-    return out
-
-
-def _sorted_dict(d: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        k: _sorted_dict(v) if isinstance(v, dict) else v
-        for k, v in sorted(d.items())
-    }
-
-
-def _window_to_dict(win: Dict[str, Any]) -> Dict[str, Any]:
-    out = {k: win[k] for k in sorted(win) if k not in ("top_peers", "top_links", "bytes")}
-    out["bytes"] = _sorted_dict(win["bytes"])
-    out["top_peers"] = _sorted_dict(win["top_peers"])
-    out["top_links"] = _sorted_dict(win["top_links"])
-    return out
+    if isinstance(a, bool):
+        return a and b
+    if key == "t" or key.endswith("_ceiling"):
+        return a
+    if key == "max" or key.endswith("_max"):
+        return max(a, b)
+    if key == "min" or key.endswith("_min"):
+        return min(a, b)
+    return a + b
 
 
 def merge_summaries(
-    summaries: Iterable[Optional["TelemetrySummary"]],
-) -> Optional["TelemetrySummary"]:
-    """Fold summaries left-to-right (input order -- the determinism contract).
-
-    ``None`` entries are skipped; an empty input yields ``None`` (the merge
-    identity), so ``merge_summaries([])`` composes cleanly.
-    """
-    merged: Optional[TelemetrySummary] = None
-    for s in summaries:
-        if s is None:
-            continue
-        merged = s if merged is None else merged.merge(s)
+    docs: Iterable[Optional[Dict[str, Any]]],
+) -> Optional[Dict[str, Any]]:
+    """Fold summary documents left-to-right (input order -- the
+    determinism contract), skipping ``None``; an empty input yields
+    ``None`` (the merge identity)."""
+    merged: Optional[Dict[str, Any]] = None
+    for doc in docs:
+        if doc is not None:
+            merged = doc if merged is None else merge(merged, doc)
     return merged
+
+
+# ------------------------------------------- telemetry renderers
+def _window_rows(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Per-window rows (ascending), with per-node-per-second load."""
+    rows = []
+    for w in sorted(doc["windows"], key=int):
+        win = doc["windows"][w]
+        nodesec = win["live_node_seconds"]
+        peers = SpaceSaving.from_state_dict(win["top_peers"])
+        rows.append(
+            {
+                "t_start": int(w) * doc["window_s"],
+                "load_bytes": win["load_bytes"],
+                "load_bpns": win["load_bytes"] / nodesec if nodesec else None,
+                "queries": win["queries"],
+                "hits": win["hits"],
+                "deliveries": win["deliveries"],
+                "churn": win["joins"] + win["leaves"],
+                "top_peers": [k for k, _, _ in peers.top(3)],
+            }
+        )
+    return rows
+
+
+def format_window_table(doc: Dict[str, Any], max_rows: Optional[int] = None) -> str:
+    """A Fig-9-style per-window load table (text)."""
+    rows = [r for r in _window_rows(doc) if r["load_bytes"] > 0 or r["queries"] > 0]
+    if max_rows is not None and len(rows) > max_rows:
+        rows = rows[:: math.ceil(len(rows) / max_rows)]
+    lines = [
+        f"{'t[s]':>8}  {'load[B]':>12}  {'B/node/s':>9}  {'queries':>7}  "
+        f"{'hits':>5}  {'ads':>5}  {'churn':>5}  hottest peers"
+    ]
+    for r in rows:
+        bpns = f"{r['load_bpns']:.1f}" if r["load_bpns"] is not None else "-"
+        lines.append(
+            f"{r['t_start']:>8.0f}  {r['load_bytes']:>12.0f}  {bpns:>9}  "
+            f"{r['queries']:>7}  {r['hits']:>5}  {r['deliveries']:>5}  "
+            f"{r['churn']:>5}  {','.join(r['top_peers']) or '-'}"
+        )
+    return "\n".join(lines)
+
+
+def format_hotspots(doc: Dict[str, Any], n: Optional[int] = None) -> str:
+    """Top-K hottest peers and links over the whole run (text)."""
+    n = n or TOP_K
+    lines = []
+    for kind in ("peer", "link"):
+        lines.append(f"hottest {kind}s (bytes attributed):")
+        for key, count, err in doc[f"hot_{kind}s"]["top"][:n]:
+            suffix = f" (±{err})" if err else ""
+            lines.append(f"  {kind} {key:>12}  {count:>12}{suffix}")
+    return "\n".join(lines)
+
+
+def format_sketches(doc: Dict[str, Any]) -> str:
+    """Count, mean and p50 / p90 / p99 of the four quantile sketches
+    (text); the full sketches are in the document."""
+    lines = [
+        f"{'sketch':<18}  {'count':>8}  {'mean':>12}  {'p50':>12}  "
+        f"{'p90':>12}  {'p99':>12}"
+    ]
+    for name in (
+        "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes"
+    ):
+        digest = LogBucketSketch.from_dict(doc[name]).summary_dict()
+        cells = [
+            "-" if digest[key] is None else f"{digest[key]:.1f}"
+            for key in ("mean", "p50", "p90", "p99")
+        ]
+        lines.append(
+            f"{name:<18}  {digest['count']:>8}  "
+            + "  ".join(f"{cell:>12}" for cell in cells)
+        )
+    return "\n".join(lines)
+
+
+def load_std_bpns(doc: Dict[str, Any]) -> float:
+    """Std dev of per-window load per live node-second (Fig. 9 metric)."""
+    vals = [r["load_bpns"] for r in _window_rows(doc) if r["load_bpns"] is not None]
+    if not vals:
+        return math.nan
+    mean = sum(vals) / len(vals)
+    return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))

@@ -226,15 +226,6 @@ class LoadSeries:
             duration=len(per_node),
         )
 
-    def window(self, start: int, length: int) -> "LoadSeries":
-        """A sub-series of ``length`` seconds starting at absolute ``start``."""
-        lo = start - self.t_start
-        if lo < 0 or lo + length > len(self.bytes_per_second):
-            raise ValueError("window out of range")
-        return LoadSeries(
-            t_start=start, bytes_per_second=self.bytes_per_second[lo : lo + length]
-        )
-
 
 @dataclass
 class LiveCountTracker:

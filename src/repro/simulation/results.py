@@ -78,13 +78,13 @@ class RunResult:
     audit: Optional[object] = None
     fingerprint: Optional[str] = None
     # Streaming telemetry digest (run_experiment with telemetry=True);
-    # a repro.obs.telemetry.TelemetrySummary -- windowed load series,
+    # a repro.obs.telemetry summary document -- windowed load series,
     # quantile sketches and hotspot heavy hitters, mergeable across cells.
-    telemetry: Optional[object] = None
+    telemetry: Optional[dict] = None
     # Protocol-state snapshot series (run_experiment with probes=True);
-    # a repro.obs.probes.ProbeSummary -- per-tick ad coverage, staleness,
-    # Bloom FP and cache-health series, mergeable across cells.
-    probes: Optional[object] = None
+    # a repro.obs.probes summary document -- per-tick ad coverage,
+    # staleness, Bloom FP and cache-health series, mergeable across cells.
+    probes: Optional[dict] = None
 
     # ------------------------------------------------------------- metrics
     @property

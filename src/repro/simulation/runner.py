@@ -137,15 +137,13 @@ def run_experiment(
     * ``telemetry`` -- accumulate with a
       :class:`repro.obs.telemetry.Telemetry`; the streaming aggregates
       (windowed load, quantile sketches, hotspot heavy hitters) are
-      frozen into ``RunResult.telemetry`` as a
-      :class:`~repro.obs.telemetry.TelemetrySummary` -- the constant-
-      memory alternative to full tracing;
+      frozen into ``RunResult.telemetry`` as a mergeable summary
+      document -- the constant-memory alternative to full tracing;
     * ``probes`` -- schedule periodic protocol-state snapshots
       (:class:`repro.obs.probes.ProbeRecorder`, cadence
       ``config.probe_interval_s``) and freeze them into
-      ``RunResult.probes`` as a mergeable
-      :class:`~repro.obs.probes.ProbeSummary`; snapshots are read-only,
-      so results are identical with probes on or off;
+      ``RunResult.probes`` as a mergeable summary document; snapshots
+      are read-only, so results are identical with probes on or off;
     * ``phase_times`` -- optional dict filled with wall-clock phase
       durations (``setup_s``: substrate/topology/workload construction
       and warm-up scheduling; ``replay_s``: the engine run).  Benchmarks
@@ -248,10 +246,7 @@ def run_experiment(
     if probes:
         from repro.obs.probes import ProbeRecorder
 
-        recorder = ProbeRecorder(
-            config.probe_interval_s,
-            label=f"{config.algorithm}/{config.topology}/seed{config.seed}",
-        )
+        recorder = ProbeRecorder(config.probe_interval_s)
         recorder.attach(
             engine, algorithm, until=config.warmup_s + trace.duration + 1.0
         )
@@ -273,7 +268,7 @@ def run_experiment(
         run_profile = profiler.finish(engine)
         run_profile.peak_rss_mb = peak_rss_mb()
         if isinstance(algorithm, AsapSearch):
-            run_profile.arena = algorithm.state.stats()
+            run_profile.state = algorithm.state.stats()
 
     result = RunResult(
         algorithm=algorithm.name,

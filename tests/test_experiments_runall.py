@@ -144,3 +144,9 @@ class TestMain:
             main(["--scheduler", "heap"])
         assert exc.value.code == 2  # argparse usage error
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_nonsense_cell_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--peers", "5"])
+        assert exc.value.code == 2  # argparse usage error, not a traceback
+        assert "n_peers must be >= 10" in capsys.readouterr().err

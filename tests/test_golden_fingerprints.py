@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy
@@ -24,6 +25,9 @@ import pytest
 
 from repro.network.latency import LatencyModel
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
+from repro.obs.probes import state_fingerprint
+from repro.obs.report import main as report_main
+from repro.obs.telemetry import fingerprint
 from repro.simulation.config import ALGORITHMS, scaled_config
 from repro.simulation.runner import run_experiment
 
@@ -161,9 +165,27 @@ def obs_fingerprints(config):
     """Telemetry and probe-state identity of one telemetry + probes run."""
     result = run_experiment(config, telemetry=True, probes=True)
     return {
-        "telemetry": result.telemetry.fingerprint(),
-        "probes": result.probes.state_fingerprint(),
+        "telemetry": fingerprint(result.telemetry),
+        "probes": state_fingerprint(result.probes),
     }
+
+
+#: The rows above pin single cells; this ``report run`` pins the input-order
+#: merge of two seeds' telemetry and probe documents (``--jobs 2``), whose
+#: ``run.json`` sections it digests whole, labels and backend included.
+#: Recorded at a139b44, the last commit with a summary class per observer.
+MERGED_RUN = (
+    "run", "--telemetry", "--probes", "--probe-interval", "5",
+    "--peers", "60", "--queries", "30", "--replications", "2", "--jobs", "2",
+    "--no-physical-network",
+)
+
+
+def merged_obs_fingerprints(out_dir):
+    """Fingerprints of ``MERGED_RUN``'s ``telemetry`` and ``state`` sections."""
+    assert report_main([*MERGED_RUN, "--out", str(out_dir)]) == 0
+    doc = json.loads((Path(out_dir) / "run.json").read_text())
+    return {"telemetry": fingerprint(doc["telemetry"]), "state": fingerprint(doc["state"])}
 
 
 def substrate_digest(params, seed):
@@ -251,6 +273,17 @@ def test_obs_fingerprints_match_golden(name):
     assert obs_fingerprints(CONFIGS[name]) == _golden()["obs_fingerprints"][name]
 
 
+def test_merged_obs_fingerprints_match_golden(tmp_path, capsys):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden fingerprints recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    assert merged_obs_fingerprints(tmp_path) == _golden()["merged_obs_fingerprints"]
+    capsys.readouterr()
+
+
 def test_golden_file_covers_the_substrates():
     assert sorted(_golden()["substrate_digests"]) == sorted(SUBSTRATES)
 
@@ -280,6 +313,8 @@ if __name__ == "__main__":
             name: obs_fingerprints(CONFIGS[name]) for name in OBS_ROWS
         },
     }
+    with tempfile.TemporaryDirectory() as out_dir:
+        payload["merged_obs_fingerprints"] = merged_obs_fingerprints(out_dir)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     print(

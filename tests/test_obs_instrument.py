@@ -263,7 +263,7 @@ def test_telemetry_counts_every_repair_the_trace_records():
     repairs = [r for r in tracer.records if r.name == "repair"]
     unanswered = [r for r in repairs if r.attrs["reply_category"] is None]
     assert len(repairs) == 574 and len(unanswered) == 4
-    windows = result.telemetry.windows.values()
+    windows = result.telemetry["windows"].values()
     assert sum(w["repairs"] for w in windows) == len(repairs)
 
 
@@ -332,7 +332,7 @@ def test_telemetry_run_never_builds_a_trace_record(monkeypatch):
     result = run_experiment(
         CONFIGS["asap_rw/seed0/default_churn/content_change_x3"], telemetry=True
     )
-    assert result.telemetry.totals["queries"] == len(result.outcomes)
+    assert result.telemetry["totals"]["queries"] == len(result.outcomes)
 
 
 # ------------------------------------------------------- the record catalogue

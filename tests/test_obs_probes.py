@@ -17,6 +17,7 @@ itself.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -25,12 +26,13 @@ import pytest
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
-    ProbeSummary,
-    merge_probe_summaries,
+    format_state_table,
+    headline,
     pow2_sketch,
     snapshot_state,
+    state_fingerprint,
 )
-from repro.obs.telemetry import LogBucketSketch
+from repro.obs.telemetry import LogBucketSketch, fingerprint, merge, merge_summaries
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
@@ -100,11 +102,11 @@ def test_merged_summary_bit_identical_serial_vs_jobs2():
     configs = [_config(n_peers=120, n_queries=200, seed=s) for s in (0, 1)]
     serial = run_cells(configs, jobs=1, probes=True)
     parallel = run_cells(configs, jobs=2, probes=True)
-    merged_serial = merge_probe_summaries(r.probes for r in serial)
-    merged_parallel = merge_probe_summaries(r.probes for r in parallel)
-    assert merged_serial.fingerprint() == merged_parallel.fingerprint()
-    assert merged_serial.cells == 2
-    assert merged_serial.labels == [
+    merged_serial = merge_summaries(r.probes for r in serial)
+    merged_parallel = merge_summaries(r.probes for r in parallel)
+    assert fingerprint(merged_serial) == fingerprint(merged_parallel)
+    assert merged_serial["cells"] == 2
+    assert merged_serial["labels"] == [
         "asap_rw/crawled/seed0",
         "asap_rw/crawled/seed1",
     ]
@@ -116,14 +118,14 @@ def test_merge_aligns_ticks_and_folds_sketches():
     cfg_b = _config(n_peers=120, n_queries=200, seed=1)
     a = run_experiment(cfg_a, probes=True).probes
     b = run_experiment(cfg_b, probes=True).probes
-    merged = a.merge(b)
-    assert merged.cells == 2
+    merged = merge(a, b)
+    assert merged["cells"] == 2
     # Shared ticks fold: counters sum, sketches merge.
-    shared_t = {t["t"] for t in a.ticks} & {t["t"] for t in b.ticks}
+    shared_t = {t["t"] for t in a["ticks"]} & {t["t"] for t in b["ticks"]}
     for t in sorted(shared_t):
-        ta = next(x for x in a.ticks if x["t"] == t)
-        tb = next(x for x in b.ticks if x["t"] == t)
-        tm = next(x for x in merged.ticks if x["t"] == t)
+        ta = next(x for x in a["ticks"] if x["t"] == t)
+        tb = next(x for x in b["ticks"] if x["t"] == t)
+        tm = next(x for x in merged["ticks"] if x["t"] == t)
         assert tm["entries"] == ta["entries"] + tb["entries"]
         sm = LogBucketSketch.from_dict(tm["staleness"]["age_s"])
         sa = LogBucketSketch.from_dict(ta["staleness"]["age_s"])
@@ -131,36 +133,46 @@ def test_merge_aligns_ticks_and_folds_sketches():
         assert sm.count == sa.count + sb.count
         assert sm.max == max(sa.max, sb.max)
     # The merge is associative with the left fold used by run_cells.
-    assert merge_probe_summaries([a, b]).fingerprint() == merged.fingerprint()
-    assert merge_probe_summaries([None, a, None, b]) is not None
-    assert merge_probe_summaries([]) is None
-    assert merge_probe_summaries([None]) is None
+        # Flags AND, extremes take the extreme, the paper ceiling is kept.
+        assert tm["backend"]["arena"]["slot_index_consistent"] is True
+        assert tm["bloom"]["fp_max"] == max(ta["bloom"]["fp_max"], tb["bloom"]["fp_max"])
+        assert tm["bloom"]["fp_ceiling"] == ta["bloom"]["fp_ceiling"]
+    # The merge is associative with the left fold used by run_cells.
+    assert fingerprint(merge_summaries([a, b])) == fingerprint(merged)
+    assert merge_summaries([None, a, None, b]) is not None
+    assert merge_summaries([]) is None
+    assert merge_summaries([None]) is None
 
 
 def test_merge_rejects_interval_mismatch():
-    a = ProbeSummary(interval_s=10.0, ticks=[])
-    b = ProbeSummary(interval_s=20.0, ticks=[])
-    with pytest.raises(ValueError):
-        a.merge(b)
+    a = ProbeRecorder(10.0).summary()
+    b = ProbeRecorder(20.0).summary()
+    with pytest.raises(ValueError, match="interval_s"):
+        merge(a, b)
 
 
 def test_summary_roundtrip_and_schema():
     cfg = _config(n_peers=120, n_queries=150, seed=0)
-    summary = run_experiment(cfg, probes=True).probes
-    doc = summary.to_dict()
+    doc = run_experiment(cfg, probes=True).probes
     assert doc["schema"] == PROBE_SCHEMA_VERSION
-    back = ProbeSummary.from_dict(doc)
-    assert back.fingerprint() == summary.fingerprint()
-    with pytest.raises(ValueError):
-        ProbeSummary.from_dict(dict(doc, schema=999))
+    # What run.json holds is the document itself, fingerprints and all.
+    back = json.loads(json.dumps(doc))
+    assert fingerprint(back) == fingerprint(doc)
+    assert state_fingerprint(back) == state_fingerprint(doc)
+    # The state identity ignores labels and backend gauges; the full one not.
+    relabelled = dict(doc, labels=["elsewhere"])
+    assert state_fingerprint(relabelled) == state_fingerprint(doc)
+    assert fingerprint(relabelled) != fingerprint(doc)
+    with pytest.raises(ValueError, match="schema"):
+        merge(doc, dict(doc, schema=999))
 
 
 # ----------------------------------------------------------- snapshot body
 def test_snapshot_state_contents():
     cfg = _config(n_peers=150, n_queries=250, seed=3)
     summary = run_experiment(cfg, probes=True).probes
-    assert summary.ticks, "expected at least one probe tick"
-    for k, tick in enumerate(summary.ticks, start=1):
+    assert summary["ticks"], "expected at least one probe tick"
+    for k, tick in enumerate(summary["ticks"], start=1):
         assert tick["t"] == pytest.approx(15.0 * k)
         assert 0 < tick["live"] <= tick["nodes"] == 150
         cov = tick["coverage"]
@@ -179,22 +191,22 @@ def test_snapshot_state_contents():
         assert set(backend["engine"]) == {
             "pending_live", "pending_events", "events_processed"
         }
-    head = summary.headline()
+    head = headline(summary)
     assert head["coverage_fraction"] is not None
     assert 0.0 <= head["coverage_fraction"] <= 1.0
-    table = summary.format_state_table()
+    table = format_state_table(summary)
     assert "cover%" in table and len(table.splitlines()) >= 2
 
 
 def test_snapshot_state_non_asap_algorithm():
     cfg = _config(algorithm="flooding", n_peers=100, n_queries=150, seed=0)
     summary = run_experiment(cfg, probes=True).probes
-    assert summary.ticks
-    tick = summary.ticks[0]
+    assert summary["ticks"]
+    tick = summary["ticks"][0]
     assert "coverage" not in tick  # flooding keeps no ad state
     assert tick["nodes"] == 100
-    assert summary.headline()["coverage_fraction"] is None
-    assert "(no ASAP state ticks recorded)" in summary.format_state_table()
+    assert headline(summary)["coverage_fraction"] is None
+    assert "(no ASAP state ticks recorded)" in format_state_table(summary)
 
 
 def test_recorder_leaves_no_pending_events():
@@ -213,7 +225,7 @@ def test_recorder_leaves_no_pending_events():
     class _Algo:
         overlay = _Overlay()
 
-    recorder = ProbeRecorder(10.0, label="unit")
+    recorder = ProbeRecorder(10.0)
     recorder.attach(engine, _Algo(), until=35.0)
     engine.run(until=35.0)
     assert engine.pending_live == 0

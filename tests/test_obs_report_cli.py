@@ -126,6 +126,26 @@ def test_probes_with_no_tick_fail_naming_interval_and_horizon(tmp_path, capsys):
     assert "60 s probe interval" in err and "s simulated horizon" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--probe-interval", "0"], "probe_interval_s must be > 0"),
+        (["--peers", "5"], "n_peers must be >= 10"),
+        (["--replications", "0"], "must be at least 1"),
+    ],
+    ids=["probe-interval-0", "peers-5", "replications-0"],
+)
+def test_nonsense_cell_is_a_usage_error(flags, message, tmp_path, capsys):
+    """A cell ``RunConfig`` rejects exits 2 with its message, not a
+    traceback, and writes nothing."""
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *COMMON, *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diff_tolerance_gate(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps({"totals": {"bytes": 100.0}}))

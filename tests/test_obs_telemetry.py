@@ -1,9 +1,9 @@
 """Streaming telemetry: sketches, heavy hitters and the merge contract.
 
 The load-bearing guarantee mirrors the parallel layer's: per-cell
-telemetry summaries merged **in input order** are bit-identical whether
-the cells ran serially or under ``run_cells --jobs N``.  These tests pin
-that (full ``to_json()`` string equality), plus the algebra that makes it
+telemetry summary documents merged **in input order** are bit-identical
+whether the cells ran serially or under ``run_cells --jobs N``.  These tests
+pin that (canonical JSON string equality), plus the algebra that makes it
 work: key-wise integer merges that are associative with an empty-merge
 identity, and heavy hitters that stay exact while distinct keys fit
 within capacity.
@@ -21,11 +21,20 @@ from repro.obs.telemetry import (
     SpaceSaving,
     TELEMETRY_SCHEMA_VERSION,
     Telemetry,
-    TelemetrySummary,
+    fingerprint,
+    format_hotspots,
+    format_window_table,
+    load_std_bpns,
+    merge,
     merge_summaries,
     quantile_nearest_rank,
 )
 from repro.simulation import run_experiment, scaled_config
+
+
+def _json(doc):
+    """The canonical JSON form :func:`fingerprint` digests."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _tiny(algorithm="asap_rw", seed=0, n_queries=30):
@@ -183,6 +192,9 @@ class TestSpaceSaving:
             ss.add(i % 6, i)
         clone = SpaceSaving.from_state_dict(ss.state_dict())
         assert clone.state_dict() == ss.state_dict()
+        # The top-list form run-wide summaries hold is just as lossless.
+        clone = SpaceSaving.from_state_dict(ss.to_dict())
+        assert clone.state_dict() == ss.state_dict()
 
 
 # --------------------------------------------------------------------------
@@ -195,31 +207,31 @@ class TestTelemetryAccumulator:
         t.record_engine_event(9.9)
         t.record_engine_event(10.0)
         summary = t.summary()
-        assert summary.windows[0]["engine_events"] == 2
-        assert summary.windows[1]["engine_events"] == 1
+        assert summary["windows"]["0"]["engine_events"] == 2
+        assert summary["windows"]["1"]["engine_events"] == 1
 
     def test_summary_freezes_string_keys(self):
         t = Telemetry()
         t.record_peer_bytes(0.0, 7, 100.0)
         t.record_link(0.0, 7, 9, 100.0)
         summary = t.summary()
-        assert summary.hot_peers.top(1)[0][0] == "7"
-        assert summary.hot_links.top(1)[0][0] == "7->9"
+        assert summary["hot_peers"]["top"][0][0] == "7"
+        assert summary["hot_links"]["top"][0][0] == "7->9"
 
 
 # --------------------------------------------------------------------------
 # Merge semantics (satellite: associativity, identity, serial == jobs 2)
 # --------------------------------------------------------------------------
-def _synthetic_summary(seed: int) -> TelemetrySummary:
+def _synthetic_summary(seed: int) -> dict:
     """A small summary whose heavy hitters stay within the exact regime."""
-    t = Telemetry(label=f"s{seed}")
+    t = Telemetry()
     for i in range(20):
         t.record_engine_event(float(seed + i))
         t.record_peer_bytes(float(i), (seed * 3 + i) % 10, 100.0 + i)
         t.record_link(float(i), i % 5, (i + 1) % 5, 50.0 + seed)
     t.record_churn(2.0, joined=True)
     t.record_delivery(4.0, seed % 10, 512.0, 4)
-    return t.summary()
+    return dict(t.summary(), labels=[f"s{seed}"])
 
 
 class TestMergeSemantics:
@@ -231,47 +243,54 @@ class TestMergeSemantics:
 
     def test_merge_is_associative_in_exact_regime(self):
         a, b, c = (_synthetic_summary(i) for i in range(3))
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.to_json() == right.to_json()
+        left = merge(merge(a, b), c)
+        right = merge(a, merge(b, c))
+        assert _json(left) == _json(right)
+        assert left["labels"] == ["s0", "s1", "s2"]
+        # Merging builds a new document: the inputs are left as they were.
+        assert _json(a) == _json(_synthetic_summary(0))
 
     def test_merge_is_commutative_on_counters(self):
         a, b = _synthetic_summary(0), _synthetic_summary(1)
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.totals == ba.totals
+        ab, ba = merge(a, b), merge(b, a)
+        assert ab["totals"] == ba["totals"]
         assert {w: {k: v for k, v in win.items() if isinstance(v, (int, float))}
-                for w, win in ab.windows.items()} == \
+                for w, win in ab["windows"].items()} == \
                {w: {k: v for k, v in win.items() if isinstance(v, (int, float))}
-                for w, win in ba.windows.items()}
+                for w, win in ba["windows"].items()}
 
     def test_merge_sums_window_counters(self):
         a, b = _synthetic_summary(0), _synthetic_summary(0)
-        merged = a.merge(b)
-        assert merged.totals["engine_events"] == 2 * a.totals["engine_events"]
-        assert merged.windows[0]["engine_events"] == 2 * a.windows[0]["engine_events"]
-        assert merged.cells == 2
+        merged = merge(a, b)
+        assert merged["totals"]["engine_events"] == 2 * a["totals"]["engine_events"]
+        assert (
+            merged["windows"]["0"]["engine_events"]
+            == 2 * a["windows"]["0"]["engine_events"]
+        )
+        assert merged["cells"] == 2
 
     def test_merge_rejects_window_mismatch(self):
         """Summaries that did not come from this process may be windowed
         differently (a ``telemetry.json`` of another build)."""
         a = Telemetry().summary()
-        b = Telemetry().summary()
-        b.window_s = a.window_s / 2
-        with pytest.raises(ValueError, match="window mismatch"):
-            a.merge(b)
+        b = dict(Telemetry().summary(), window_s=a["window_s"] / 2)
+        with pytest.raises(ValueError, match="window_s"):
+            merge(a, b)
+        with pytest.raises(ValueError, match="schema"):
+            merge(a, dict(a, schema=TELEMETRY_SCHEMA_VERSION + 1))
 
     def test_schema_and_fingerprint(self):
         s = _synthetic_summary(0)
-        d = s.to_dict()
-        assert d["schema"] == TELEMETRY_SCHEMA_VERSION
-        assert s.fingerprint() == _synthetic_summary(0).fingerprint()
-        assert s.fingerprint() != _synthetic_summary(1).fingerprint()
+        assert s["schema"] == TELEMETRY_SCHEMA_VERSION
+        assert fingerprint(s) == fingerprint(_synthetic_summary(0))
+        assert fingerprint(s) != fingerprint(_synthetic_summary(1))
 
     def test_to_json_is_canonical(self):
+        """The fingerprint survives the JSON round trip ``run.json`` makes
+        and ignores key order."""
         s = _synthetic_summary(0)
-        assert json.loads(s.to_json()) == json.loads(
-            json.dumps(s.to_dict(), sort_keys=True)
-        )
+        assert fingerprint(json.loads(json.dumps(s))) == fingerprint(s)
+        assert fingerprint(dict(reversed(list(s.items())))) == fingerprint(s)
 
 
 class TestSerialParallelBitEquality:
@@ -285,13 +304,13 @@ class TestSerialParallelBitEquality:
         serial = run_cells(configs, jobs=1, telemetry=True)
         parallel = run_cells(configs, jobs=2, telemetry=True)
         for s, p in zip(serial, parallel):
-            assert s.telemetry.to_json() == p.telemetry.to_json()
+            assert _json(s.telemetry) == _json(p.telemetry)
         merged_s = merge_summaries(r.telemetry for r in serial)
         merged_p = merge_summaries(r.telemetry for r in parallel)
-        assert merged_s.to_json() == merged_p.to_json()
-        assert merged_s.fingerprint() == merged_p.fingerprint()
+        assert _json(merged_s) == _json(merged_p)
+        assert fingerprint(merged_s) == fingerprint(merged_p)
         # A sweep's summary names its cells; a lone run's names none.
-        assert merged_s.labels == [f"asap_rw/random/seed{s}" for s in (0, 1, 2)]
+        assert merged_s["labels"] == [f"asap_rw/random/seed{s}" for s in (0, 1, 2)]
 
     def test_replications_merge_matches_manual_fold(self, configs, tmp_path, capsys):
         from repro.obs.report import main
@@ -306,7 +325,7 @@ class TestSerialParallelBitEquality:
         merged = json.loads((tmp_path / "run.json").read_text())["telemetry"]
         seeds = run_cells(configs[:2], telemetry=True)
         fold = merge_summaries(r.telemetry for r in seeds)
-        assert merged == json.loads(fold.to_json())
+        assert merged == json.loads(_json(fold))
         assert merged["cells"] == 2
 
 
@@ -322,17 +341,17 @@ class TestRunExperimentTelemetry:
         assert run_experiment(_tiny(n_queries=5)).telemetry is None
 
     def test_summary_attached(self, result):
-        assert isinstance(result.telemetry, TelemetrySummary)
-        assert result.telemetry.labels == []
+        assert isinstance(result.telemetry, dict)
+        assert result.telemetry["labels"] == []
 
     def test_totals_agree_with_result(self, result):
-        tel = result.telemetry
-        assert tel.totals["queries"] == result.n_queries
-        assert tel.totals["hits"] == sum(
+        totals = result.telemetry["totals"]
+        assert totals["queries"] == result.n_queries
+        assert totals["hits"] == sum(
             1 for o in result.outcomes if o.success
         )
-        assert tel.totals["messages"] == int(result.ledger.total_messages())
-        assert tel.totals["bytes"] == {
+        assert totals["messages"] == int(result.ledger.total_messages())
+        assert totals["bytes"] == {
             cat.value: float(v)
             for cat, v in result.ledger.category_totals().items()
         }
@@ -340,9 +359,8 @@ class TestRunExperimentTelemetry:
     def test_window_load_matches_ledger_series(self, result):
         # Windows fold the ledger's per-second buckets over the WHOLE run
         # (warm-up included); the sum must equal the full-run series.
-        tel = result.telemetry
         series = result.ledger.series(result.load_categories)
-        windowed = sum(w["load_bytes"] for w in tel.windows.values())
+        windowed = sum(w["load_bytes"] for w in result.telemetry["windows"].values())
         assert windowed == pytest.approx(float(series.bytes_per_second.sum()))
 
     def test_response_time_sketch_brackets_exact_extremes(self, result):
@@ -353,18 +371,18 @@ class TestRunExperimentTelemetry:
             for o in result.outcomes
             if o.success and not o.local_hit
         ]
-        tel = result.telemetry
-        assert tel.response_time_ms.count == len(times)
-        assert tel.response_time_ms.min == pytest.approx(min(times))
-        assert tel.response_time_ms.max == pytest.approx(max(times))
+        sketch = result.telemetry["response_time_ms"]
+        assert sketch["count"] == len(times)
+        assert sketch["min"] == pytest.approx(min(times))
+        assert sketch["max"] == pytest.approx(max(times))
 
     def test_fig9_metric_available_without_trace(self, result):
         # The measurement window exists, so the Fig-9 std is a number.
-        assert not math.isnan(result.telemetry.load_std_bpns())
+        assert not math.isnan(load_std_bpns(result.telemetry))
 
     def test_window_table_renders(self, result):
-        table = result.telemetry.format_window_table(max_rows=6)
+        table = format_window_table(result.telemetry, max_rows=6)
         assert "B/node/s" in table
         assert len(table.splitlines()) <= 7
-        hotspots = result.telemetry.format_hotspots(3)
+        hotspots = format_hotspots(result.telemetry, 3)
         assert "hottest peers" in hotspots

@@ -139,17 +139,6 @@ class TestLoadSeries:
         summary = series.summarize(np.array([], dtype=np.int64))
         assert summary.mean == 0.0 and summary.duration == 0
 
-    def test_window(self):
-        series = LoadSeries(t_start=10, bytes_per_second=np.arange(5.0))
-        win = series.window(12, 2)
-        assert win.t_start == 12
-        assert list(win.bytes_per_second) == [2.0, 3.0]
-
-    def test_window_out_of_range(self):
-        series = LoadSeries(t_start=0, bytes_per_second=np.arange(3.0))
-        with pytest.raises(ValueError):
-            series.window(2, 5)
-
 
 class TestLiveCountTracker:
     def test_constant_when_no_churn(self):

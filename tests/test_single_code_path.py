@@ -543,7 +543,7 @@ def test_src_has_no_live_status_view_and_no_thread():
         if banned.search(line)
     ]
     assert hits == []
-    assert list(inspect.signature(Telemetry.__init__).parameters) == ["self", "label"]
+    assert list(inspect.signature(Telemetry.__init__).parameters) == ["self"]
     assert "live" not in inspect.signature(run_cells).parameters
 
 

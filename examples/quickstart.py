@@ -10,16 +10,18 @@ confirmation, and the resulting response time -- the paper's core idea in
 Run:  python examples/quickstart.py [--trace trace.jsonl]
 
 With ``--trace``, ad deliveries and the query span are recorded through
-``repro.obs`` and written as JSONL (see docs/OBSERVABILITY.md).
+``repro.obs`` and streamed to the file as JSONL, gzip-compressed when the
+path ends in ``.gz`` (see docs/OBSERVABILITY.md).
 """
 
 import argparse
+from collections import Counter
 
 import numpy as np
 
 from repro.asap import AsapParams, AsapSearch
 from repro.network import Overlay, build_topology
-from repro.obs import Instrumentation, Tracer
+from repro.obs import Instrumentation, Tracer, jsonl_writer, open_text_maybe_gzip
 from repro.sim import BandwidthLedger, SimulationEngine
 from repro.workload import EdonkeyParams, synthesize_content
 
@@ -28,10 +30,24 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="write a structured JSONL trace of the run to PATH",
+        help="write a structured JSONL trace of the run to PATH "
+        "(gzip-compressed when PATH ends in .gz)",
     )
     args = parser.parse_args(argv)
+    if not args.trace:
+        demo(tracer=None)
+        return
+    by_category = Counter()
+    with open_text_maybe_gzip(args.trace, "w") as fh:
+        demo(Tracer(
+            jsonl_writer(fh),
+            lambda record: by_category.update([record.category]),
+        ))
+    by_cat = ", ".join(f"{cat}={n}" for cat, n in sorted(by_category.items()))
+    print(f"trace: {by_category.total()} records ({by_cat}) -> {args.trace}")
 
+
+def demo(tracer) -> None:
     rng = np.random.default_rng(7)
     n_peers = 200
 
@@ -56,9 +72,7 @@ def main(argv=None) -> None:
         interests=dist.interests,
         params=AsapParams(forwarder="rw", budget_unit=150),
     )
-    tracer = None
-    if args.trace:
-        tracer = Tracer()
+    if tracer is not None:
         asap.attach(Instrumentation(tracer=tracer))
 
     # 4. Warm-up: every sharer advertises; every node bootstraps its cache.
@@ -96,13 +110,6 @@ def main(argv=None) -> None:
         print("search failed (no matching ad anywhere within reach)")
 
     print(f"\ntotal warm-up + search bandwidth: {ledger.total_bytes():,.0f} bytes")
-
-    if tracer is not None:
-        tracer.dump(args.trace)
-        by_cat = ", ".join(
-            f"{cat}={n}" for cat, n in sorted(tracer.counts_by_category().items())
-        )
-        print(f"trace: {len(tracer.records)} records ({by_cat}) -> {args.trace}")
 
 
 if __name__ == "__main__":

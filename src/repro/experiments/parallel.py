@@ -115,15 +115,14 @@ def _run_cell(
     """
     try:
         with contextlib.ExitStack() as stack:
-            # ``audit`` alone lets run_experiment keep its own tracer; a
-            # streamed trace is held in memory only for the auditor.
+            # ``audit`` alone lets run_experiment build its own tracer.
             tracer = None
             if trace_dir is not None:
-                from repro.obs.trace import Tracer
+                from repro.obs.trace import Tracer, jsonl_writer, open_text_maybe_gzip
 
                 path = os.path.join(trace_dir, cell_trace_name(config))
-                stream = stack.enter_context(open(path, "w"))
-                tracer = Tracer(stream=stream, keep=audit)
+                stream = stack.enter_context(open_text_maybe_gzip(path, "w"))
+                tracer = Tracer(jsonl_writer(stream))
             result = run_experiment(
                 config,
                 tracer=tracer,

@@ -7,8 +7,10 @@ exchange, repair, confirmation, churn, engine dispatch -- to a single
 What a trace record looks like, and which peer telemetry charges, is
 decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
 
-* :mod:`repro.obs.trace`   -- structured event/span tracing to JSONL
-  (optionally gzip-compressed, ``trace.jsonl.gz``);
+* :mod:`repro.obs.trace`   -- structured event/span tracing: each record
+  goes to the tracer's sinks as it completes -- a JSONL file (optionally
+  gzip-compressed, ``trace.jsonl.gz``), the auditor's fold -- and is kept
+  nowhere;
 * :mod:`repro.obs.profile` -- per-subsystem / per-phase run accounting,
   attached to :class:`repro.simulation.results.RunResult` as a
   :class:`RunProfile`;
@@ -21,9 +23,9 @@ Beside it, reading the run rather than listening to it:
   from the dense ads state: per-source ad coverage, staleness sketches,
   measured Bloom FP rate and cache health, bit-identical across
   serial/parallel execution;
-* :mod:`repro.obs.analyze` + :mod:`repro.obs.audit` -- causal lifecycle
-  reconstruction from traces, runtime invariant checks and deterministic
-  run fingerprints;
+* :mod:`repro.obs.audit` -- one streaming fold over a trace, fed live by
+  the tracer or from a file: the lifecycle summary, the runtime invariant
+  checks and the deterministic run fingerprint;
 * :mod:`repro.obs.report` -- ``python -m repro.obs.report run`` replays a
   cell under N seeds in one ``run_cells`` call with ``runall``'s observer
   flags and writes ``run.json``; ``diff`` compares two JSON documents leaf
@@ -34,13 +36,7 @@ Telemetry and probes each end as a JSON summary document per cell, which
 folds either kind across cells and one :func:`fingerprint` digests it.
 """
 
-from repro.obs.analyze import TraceAnalysis, analyze_trace
-from repro.obs.audit import (
-    AuditReport,
-    AuditViolation,
-    audit_run,
-    run_fingerprint,
-)
+from repro.obs.audit import AuditReport, AuditViolation, TraceFold
 from repro.obs.instrument import TRACE_RECORDS, Instrumentation
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
@@ -71,6 +67,7 @@ from repro.obs.trace import (
     Span,
     TraceRecord,
     Tracer,
+    jsonl_writer,
     open_text_maybe_gzip,
     read_trace,
     read_trace_lines,
@@ -90,14 +87,13 @@ __all__ = [
     "Span",
     "TRACE_RECORDS",
     "Telemetry",
-    "TraceAnalysis",
+    "TraceFold",
     "TraceRecord",
     "Tracer",
-    "analyze_trace",
-    "audit_run",
     "fingerprint",
     "format_hotspots",
     "format_window_table",
+    "jsonl_writer",
     "load_std_bpns",
     "merge_profiles",
     "merge_summaries",
@@ -108,6 +104,5 @@ __all__ = [
     "snapshot_state",
     "read_trace",
     "read_trace_lines",
-    "run_fingerprint",
     "subsystem_of",
 ]

@@ -1,20 +1,48 @@
-"""Runtime invariant auditing + deterministic run fingerprints.
+"""Trace summaries, invariant audits and run fingerprints: one fold.
 
-:func:`audit_run` cross-checks a completed run's trace against the
-simulator's own accounting and returns machine-readable
-:class:`AuditViolation` findings instead of asserting -- so a violation
-survives pickling across worker processes (like
-:class:`~repro.experiments.parallel.CellFailure` does) and can gate CI.
+A :class:`TraceFold` is fed a run's trace records one at a time -- live,
+as the tracer emits them (an audited ``run_experiment`` makes
+:meth:`TraceFold.feed` one of the tracer's sinks), or from a JSONL file
+(``report analyze``).  It keeps totals, the confirmation counts of the
+queries still open and, per query, the few scalars the checks and the
+quantiles read, in compact arrays -- never the records -- so its memory
+does not grow with the trace.  At the end:
+
+* :meth:`TraceFold.summary` is what ``report analyze`` prints: query
+  resolution (hit / local hit / miss), hop and response-time quantiles,
+  per-category bytes, ad deliveries with per-source staleness windows,
+  ads exchanges, confirmation totals and churn counts;
+* :meth:`TraceFold.audit` cross-checks those against the run's own
+  accounting and returns machine-readable :class:`AuditViolation`
+  findings instead of asserting -- so a violation survives pickling
+  across worker processes (like
+  :class:`~repro.experiments.parallel.CellFailure` does) and can gate CI.
+
+Byte attribution
+----------------
+
+The one rule that turns trace records into
+:class:`~repro.sim.metrics.BandwidthLedger` bytes, matching the
+instrumentation sites:
+
+* a ``query`` span carries ``ledger_delta`` -- the exact per-category
+  byte movement of that search, covering nested ads requests, repairs and
+  confirmations, so nested ``ad`` events are *not* counted again;
+* a top-level ``deliver.*`` event's bytes belong to its ad type's
+  category (full -> ``full_ad``, patch -> ``patch_ad``,
+  refresh -> ``refresh_ad``);
+* a top-level ``repair`` event splits into ``ads_request`` bytes plus a
+  reply in ``reply_category``;
+* a top-level ``ads_request`` event splits into ``ads_request`` and
+  ``ads_reply`` bytes.
 
 Invariant catalog
 -----------------
 
 ``ledger_conservation``
     Per-:class:`~repro.sim.metrics.TrafficCategory` byte totals derived
-    purely from the trace (query-span ``ledger_delta`` annotations plus
-    top-level ad-lifecycle events -- see :mod:`repro.obs.analyze`) must
-    equal the :class:`~repro.sim.metrics.BandwidthLedger` totals the
-    figures are built from, for every category the ledger holds.
+    purely from the trace by the rule above must equal the ledger totals
+    the figures are built from, for every category the ledger holds.
 ``query_resolution``
     Every replayed query produced exactly one ``query`` span, in replay
     order, whose annotated outcome (success, messages, cost, results)
@@ -44,11 +72,12 @@ Invariant catalog
 Fingerprints
 ------------
 
-:func:`run_fingerprint` digests the trace *structure* (every record
-minus wall-clock fields) plus the run's metric totals.  Wall-clock
-(``dur_s``) is excluded, so the same (config, seed) produces an
-identical fingerprint across serial and parallel execution, across
-hosts, and across runs -- any drift means semantics changed.
+:meth:`TraceFold.fingerprint` is a rolling blake2b over the trace
+*structure* (every record minus wall-clock fields, in emission order)
+plus the run's metric totals.  Wall-clock (``dur_s``) is excluded, so the
+same (config, seed) produces an identical fingerprint across serial and
+parallel execution, across hosts, and across runs -- any drift means
+semantics changed.
 """
 
 from __future__ import annotations
@@ -56,21 +85,29 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.asap.protocol import MAX_CONFIRMATIONS
-from repro.obs.analyze import TraceAnalysis, analyze_trace
+from repro.obs.telemetry import quantile_nearest_rank
 from repro.obs.trace import TraceRecord
 from repro.search.base import CONFIRMATION_REPLY_BYTES, CONFIRMATION_REQUEST_BYTES
 from repro.search.random_walk import WALKERS
 
 __all__ = [
+    "AD_TYPE_CATEGORY",
     "AuditReport",
     "AuditViolation",
-    "audit_run",
-    "run_fingerprint",
+    "TraceFold",
 ]
+
+#: Ad type (``Ad.ad_type.value``) -> ledger category (``TrafficCategory.value``).
+AD_TYPE_CATEGORY = {
+    "full": "full_ad",
+    "patch": "patch_ad",
+    "refresh": "refresh_ad",
+}
 
 #: Conservation tolerance: trace and ledger sum the same floats in a
 #: different order, so allow tiny drift (absolute bytes + relative).
@@ -129,191 +166,146 @@ class AuditReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------- fingerprint
-def run_fingerprint(records: Sequence[TraceRecord], result) -> str:
-    """Deterministic digest of trace structure + metric totals.
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL_BYTES)
 
-    Wall-clock fields (the record's ``dur_s`` and any ``dur_s`` attr) are
-    excluded; everything else -- record ids, nesting, simulation times,
-    annotations, ledger totals, outcome counts -- is covered.
+
+def _stats(values: Sequence[float]) -> Dict[str, float]:
+    if not values:
+        return {"n": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "max": 0.0}
+    ordered = sorted(values)
+    return {
+        "n": len(ordered),
+        "mean": sum(ordered) / len(ordered),
+        "p50": quantile_nearest_rank(ordered, 0.50),
+        "p90": quantile_nearest_rank(ordered, 0.90),
+        "max": float(ordered[-1]),
+    }
+
+
+def _add(totals: Dict[str, float], key: str, value: float) -> None:
+    totals[key] = totals.get(key, 0.0) + value
+
+
+class TraceFold:
+    """One pass over a run's trace records; see the module docstring.
+
+    ``config`` (the run's :class:`~repro.simulation.config.RunConfig`)
+    enables the budget- and protocol-parameter checks; without it those
+    degrade gracefully (delivery budgets are still checked from the trace
+    attrs), which is all ``report analyze`` needs.  ``records`` are fed at
+    once, in order: ``TraceFold(config, read_trace(path))``.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for r in records:
+
+    def __init__(self, config=None, records: Iterable[TraceRecord] = ()) -> None:
+        self.config = config
+        self._asap = config is not None and config.is_asap
+        # Per-query caps for the walk-based baselines (+1 for the direct reply).
+        self._query_cap: Optional[int] = None
+        if config is not None and config.algorithm == "random_walk":
+            self._query_cap = WALKERS * config.rw_ttl + 1
+        elif config is not None and config.algorithm == "gsa":
+            self._query_cap = WALKERS * max(1, config.gsa_budget // WALKERS) + 1
+        self._hash = hashlib.blake2b(digest_size=16)
+        self._schemas: Dict[int, int] = {}
+        # confirm_stats counts by parent span id, until that span closes.
+        self._confirm_waiting: Dict[int, Dict[str, int]] = {}
+        # Per query, in span order: what query_resolution and the quantiles read.
+        self._span_ids = array("q")
+        self._success = array("b")
+        self._messages = array("q")
+        self._cost = array("d")
+        self._results = array("q")
+        self._response_ms = array("d")  # successful queries only
+        self._resolution = {"hit": 0, "local": 0, "miss": 0}
+        # Bytes per attribution rule, kept apart so category_bytes() lists
+        # query categories first, as report analyze always has.
+        self._query_bytes: Dict[str, float] = {}
+        self._delivery_bytes: Dict[str, float] = {}
+        self._exchange_bytes: Dict[str, float] = {}
+        self._delivery_times: Dict[int, array] = {}  # source -> delivery times
+        self._by_type = dict.fromkeys(AD_TYPE_CATEGORY, 0)
+        self._deliveries = 0
+        self._exchanges = {"repairs": 0, "ads_requests": 0}
+        self._confirm_totals: Dict[str, int] = {}
+        self._churn: Dict[str, int] = {}
+        self._live: Optional[int] = None
+        # Violations found on the way, per check, in the order found.
+        self._query_overruns: List[AuditViolation] = []
+        self._delivery_overruns: List[AuditViolation] = []
+        self._confirm_findings: List[AuditViolation] = []
+        self._churn_findings: List[AuditViolation] = []
+        for record in records:
+            self.feed(record)
+
+    # ---------------------------------------------------------------- feeding
+    def feed(self, r: TraceRecord) -> None:
+        """Fold in the next record; a :class:`~repro.obs.trace.Tracer` sink."""
         attrs = {k: v for k, v in r.attrs.items() if k != "dur_s"}
-        h.update(
+        self._hash.update(
             json.dumps(
                 [r.kind, r.category, r.name, r.t, r.id, r.parent, r.depth, attrs],
                 sort_keys=True,
                 separators=(",", ":"),
             ).encode()
+            + b"\n"
         )
-        h.update(b"\n")
-    totals = {
-        cat.value: total for cat, total in result.ledger.category_totals().items()
-    }
-    successes = sum(1 for o in result.outcomes if o.success)
-    h.update(
-        json.dumps(
-            {
-                "algorithm": result.algorithm,
-                "topology": result.topology,
-                "n_queries": len(result.outcomes),
-                "successes": successes,
-                "ledger": totals,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-    )
-    return h.hexdigest()
+        self._schemas[r.schema] = self._schemas.get(r.schema, 0) + 1
+        stats = self._confirm_waiting.pop(r.id, None) if r.kind == "span" else None
+        if r.category == "query":
+            if r.kind == "event" and r.name == "confirm_stats":
+                if r.parent is not None:
+                    self._confirm_waiting[r.parent] = dict(r.attrs)
+            elif r.kind == "span":
+                self._query(r, stats)
+        elif r.category == "ad" and r.name.startswith("deliver."):
+            self._delivery(r)
+        elif r.category == "ad" and r.name in ("repair", "ads_request"):
+            self._exchange(r)
+        elif r.category == "churn":
+            self._churn_event(r)
 
-
-# --------------------------------------------------------------------- checks
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL_BYTES)
-
-
-def _check_conservation(
-    analysis: TraceAnalysis, result, violations: List[AuditViolation]
-) -> str:
-    trace_totals = analysis.category_bytes()
-    ledger_totals = {
-        cat.value: total for cat, total in result.ledger.category_totals().items()
-    }
-    status = "pass"
-    for cat in sorted(set(trace_totals) | set(ledger_totals)):
-        traced = trace_totals.get(cat, 0.0)
-        recorded = ledger_totals.get(cat, 0.0)
-        if not _close(traced, recorded):
-            status = "fail"
-            violations.append(
-                AuditViolation(
-                    check="ledger_conservation",
-                    message=(
-                        f"category {cat!r}: trace-derived {traced:.1f} B != "
-                        f"ledger {recorded:.1f} B "
-                        f"(delta {recorded - traced:+.1f} B)"
-                    ),
-                    details={
-                        "category": cat,
-                        "trace_bytes": traced,
-                        "ledger_bytes": recorded,
-                    },
-                )
-            )
-    return status
-
-
-def _check_query_resolution(
-    analysis: TraceAnalysis, result, violations: List[AuditViolation]
-) -> str:
-    queries = analysis.queries
-    outcomes = result.outcomes
-    if len(queries) != len(outcomes):
-        violations.append(
-            AuditViolation(
-                check="query_resolution",
-                message=(
-                    f"{len(outcomes)} queries replayed but {len(queries)} "
-                    "query spans in the trace -- a query was resolved "
-                    "zero or multiple times"
-                ),
-                details={"outcomes": len(outcomes), "spans": len(queries)},
-            )
-        )
-        return "fail"
-    status = "pass"
-    for i, (q, o) in enumerate(zip(queries, outcomes)):
-        mismatches = {}
-        if q.success != o.success:
-            mismatches["success"] = [q.success, o.success]
-        if q.messages != o.messages:
-            mismatches["messages"] = [q.messages, o.messages]
-        if not _close(q.cost_bytes, o.cost_bytes):
-            mismatches["cost_bytes"] = [q.cost_bytes, o.cost_bytes]
-        if q.results != o.results:
-            mismatches["results"] = [q.results, o.results]
-        if mismatches:
-            status = "fail"
-            violations.append(
-                AuditViolation(
-                    check="query_resolution",
-                    message=(
-                        f"query #{i} (span {q.span_id}): trace annotation "
-                        f"disagrees with the collected outcome on "
-                        f"{sorted(mismatches)}"
-                    ),
-                    details={"index": i, "span_id": q.span_id, **mismatches},
-                )
-            )
-    return status
-
-
-def _check_walk_budget(
-    analysis: TraceAnalysis, config, violations: List[AuditViolation]
-) -> str:
-    status = "pass"
-    # Per-query caps for the walk-based baselines (+1 for the direct reply).
-    cap = None
-    if config is not None and config.algorithm == "random_walk":
-        cap = WALKERS * config.rw_ttl + 1
-    elif config is not None and config.algorithm == "gsa":
-        cap = WALKERS * max(1, config.gsa_budget // WALKERS) + 1
-    if cap is not None:
-        for q in analysis.queries:
-            if q.messages > cap:
-                status = "fail"
-                violations.append(
-                    AuditViolation(
-                        check="walk_budget",
-                        message=(
-                            f"query span {q.span_id} sent {q.messages} "
-                            f"messages, exceeding the walk budget of {cap}"
-                        ),
-                        details={
-                            "span_id": q.span_id,
-                            "messages": q.messages,
-                            "budget": cap,
-                        },
-                    )
-                )
-    for d in analysis.deliveries:
-        if d.budget is not None and d.messages > d.budget:
-            status = "fail"
-            violations.append(
+    def _query(self, r: TraceRecord, stats: Optional[Dict[str, int]]) -> None:
+        a = r.attrs
+        success = bool(a.get("success", False))
+        messages = int(a.get("messages", 0))
+        self._span_ids.append(r.id)
+        self._success.append(success)
+        self._messages.append(messages)
+        self._cost.append(float(a.get("cost_bytes", 0.0)))
+        self._results.append(int(a.get("results", 0)))
+        response_ms = a.get("response_time_ms")
+        if success and response_ms is not None:
+            self._response_ms.append(response_ms)
+        if a.get("local_hit", False):
+            self._resolution["local"] += 1
+        else:
+            self._resolution["hit" if success else "miss"] += 1
+        ledger_delta = a.get("ledger_delta") or {}
+        for cat, delta in ledger_delta.items():
+            _add(self._query_bytes, cat, delta)
+        stats = stats or {}
+        for key, value in stats.items():
+            self._confirm_totals[key] = self._confirm_totals.get(key, 0) + value
+        cap = self._query_cap
+        if cap is not None and messages > cap:
+            self._query_overruns.append(
                 AuditViolation(
                     check="walk_budget",
                     message=(
-                        f"{d.ad_type} ad delivery from source {d.source} at "
-                        f"t={d.t:.1f} sent {d.messages} messages, exceeding "
-                        f"its effective budget of {d.budget}"
+                        f"query span {r.id} sent {messages} "
+                        f"messages, exceeding the walk budget of {cap}"
                     ),
-                    details={
-                        "source": d.source,
-                        "t": d.t,
-                        "messages": d.messages,
-                        "budget": d.budget,
-                    },
+                    details={"span_id": r.id, "messages": messages, "budget": cap},
                 )
             )
-    return status
+        if self._asap:
+            self._check_confirmations(r.id, stats, ledger_delta)
 
-
-def _check_confirmation_discipline(
-    analysis: TraceAnalysis, result, config, violations: List[AuditViolation]
-) -> str:
-    if config is None or not config.is_asap:
-        return "skipped"
-    status = "pass"
-    max_attempts = 2 * MAX_CONFIRMATIONS  # two confirm rounds
-    req = float(CONFIRMATION_REQUEST_BYTES)
-    rep = float(CONFIRMATION_REPLY_BYTES)
-    # Super-peer leaf routing charges its extra leaf<->super hop to the
-    # confirmation category, so the exact byte tie-in only holds for the
-    # flat protocol.
-    flat = not config.is_superpeer
-    for q in analysis.queries:
-        stats = q.confirm_stats or {}
+    def _check_confirmations(
+        self, span_id: int, stats: Dict[str, int], ledger_delta: Dict[str, float]
+    ) -> None:
+        found = self._confirm_findings
         attempted = stats.get("attempted", 0)
         dead = stats.get("failed_dead", 0)
         resolved = (
@@ -323,72 +315,305 @@ def _check_confirmation_discipline(
             + stats.get("failed_split", 0)
         )
         if attempted != resolved:
-            status = "fail"
-            violations.append(
+            found.append(
                 AuditViolation(
                     check="confirmation_discipline",
                     message=(
-                        f"query span {q.span_id}: {attempted} confirmation "
+                        f"query span {span_id}: {attempted} confirmation "
                         f"attempts but {resolved} classified outcomes"
                     ),
-                    details={"span_id": q.span_id, **stats},
+                    details={"span_id": span_id, **stats},
                 )
             )
-            continue
+            return
+        max_attempts = 2 * MAX_CONFIRMATIONS  # two confirm rounds
         if attempted > max_attempts:
-            status = "fail"
-            violations.append(
+            found.append(
                 AuditViolation(
                     check="confirmation_discipline",
                     message=(
-                        f"query span {q.span_id} attempted {attempted} "
+                        f"query span {span_id} attempted {attempted} "
                         f"confirmations, above the two-round cap of "
                         f"{max_attempts}"
                     ),
-                    details={"span_id": q.span_id, "attempted": attempted,
+                    details={"span_id": span_id, "attempted": attempted,
                              "cap": max_attempts},
                 )
             )
-        if flat:
-            expected = attempted * req + (attempted - dead) * rep
-            observed = q.ledger_delta.get("confirmation", 0.0)
-            if not _close(expected, observed):
-                status = "fail"
-                violations.append(
+        # Super-peer leaf routing charges its extra leaf<->super hop to the
+        # confirmation category, so the exact byte tie-in only holds for the
+        # flat protocol.
+        if self.config.is_superpeer:
+            return
+        expected = (
+            attempted * float(CONFIRMATION_REQUEST_BYTES)
+            + (attempted - dead) * float(CONFIRMATION_REPLY_BYTES)
+        )
+        observed = ledger_delta.get("confirmation", 0.0)
+        if not _close(expected, observed):
+            found.append(
+                AuditViolation(
+                    check="confirmation_discipline",
+                    message=(
+                        f"query span {span_id}: {observed:.1f} "
+                        f"confirmation bytes moved but the confirm "
+                        f"accounting explains {expected:.1f} B -- "
+                        "confirmation traffic without a cached ad"
+                    ),
+                    details={
+                        "span_id": span_id,
+                        "observed_bytes": observed,
+                        "expected_bytes": expected,
+                        **stats,
+                    },
+                )
+            )
+
+    def _delivery(self, r: TraceRecord) -> None:
+        a = r.attrs
+        source = int(a.get("source", -1))
+        ad_type = a.get("ad_type", "full")
+        messages = int(a.get("messages", 0))
+        budget = a.get("budget")
+        self._deliveries += 1
+        if ad_type in self._by_type:
+            self._by_type[ad_type] += 1
+        self._delivery_times.setdefault(source, array("d")).append(r.t)
+        if r.parent is None:
+            _add(
+                self._delivery_bytes,
+                AD_TYPE_CATEGORY[ad_type],
+                float(a.get("bytes", 0.0)),
+            )
+        if budget is not None and messages > budget:
+            self._delivery_overruns.append(
+                AuditViolation(
+                    check="walk_budget",
+                    message=(
+                        f"{ad_type} ad delivery from source {source} at "
+                        f"t={r.t:.1f} sent {messages} messages, exceeding "
+                        f"its effective budget of {budget}"
+                    ),
+                    details={
+                        "source": source,
+                        "t": r.t,
+                        "messages": messages,
+                        "budget": budget,
+                    },
+                )
+            )
+
+    def _exchange(self, r: TraceRecord) -> None:
+        a = r.attrs
+        repair = r.name == "repair"
+        self._exchanges["repairs" if repair else "ads_requests"] += 1
+        if r.parent is not None:
+            return
+        _add(self._exchange_bytes, "ads_request", float(a.get("request_bytes", 0.0)))
+        reply_bytes = float(a.get("reply_bytes", 0.0))
+        if not repair:
+            _add(self._exchange_bytes, "ads_reply", reply_bytes)
+        elif a.get("reply_category") is not None:
+            _add(self._exchange_bytes, a["reply_category"], reply_bytes)
+
+    def _churn_event(self, r: TraceRecord) -> None:
+        kind = r.name
+        self._churn[kind] = self._churn.get(kind, 0) + 1
+        live = r.attrs.get("live")
+        if kind not in ("join", "leave") or live is None:
+            return
+        prev = self._live
+        if prev is not None:
+            expected = prev + (1 if kind == "join" else -1)
+            if live != expected:
+                node = int(r.attrs.get("node", -1))
+                self._churn_findings.append(
                     AuditViolation(
-                        check="confirmation_discipline",
+                        check="churn_consistency",
                         message=(
-                            f"query span {q.span_id}: {observed:.1f} "
-                            f"confirmation bytes moved but the confirm "
-                            f"accounting explains {expected:.1f} B -- "
-                            "confirmation traffic without a cached ad"
+                            f"{kind} of node {node} at t={r.t:.1f} "
+                            f"reports {live} live peers; expected "
+                            f"{expected} after {prev}"
                         ),
                         details={
-                            "span_id": q.span_id,
-                            "observed_bytes": observed,
-                            "expected_bytes": expected,
-                            **stats,
+                            "t": r.t,
+                            "node": node,
+                            "kind": kind,
+                            "live": live,
+                            "expected": expected,
                         },
                     )
                 )
-    return status
+        self._live = live
 
+    # ---------------------------------------------------------------- summary
+    def category_bytes(self) -> Dict[str, float]:
+        """Per-category byte totals derived purely from the trace: query
+        deltas, then top-level deliveries, then top-level exchanges."""
+        totals = dict(self._query_bytes)
+        for part in (self._delivery_bytes, self._exchange_bytes):
+            for cat, nbytes in part.items():
+                _add(totals, cat, nbytes)
+        return totals
 
-def _check_bloom_fp_rate(
-    analysis: TraceAnalysis, config, violations: List[AuditViolation]
-) -> str:
-    if config is not None and not config.is_asap:
-        return "skipped"
-    totals = analysis.confirm_totals()
-    live_attempts = totals.get("attempted", 0) - totals.get("failed_dead", 0)
-    if live_attempts < _BLOOM_MIN_SAMPLES:
-        return "skipped"
-    from repro.bloom.hashing import PAPER_K, min_false_positive_rate
+    def summary(self) -> Dict[str, Any]:
+        """The JSON-ready lifecycle summary ``report analyze`` prints."""
+        # The gap between successive deliveries of one source's ad bounds
+        # how stale a cached copy can get before the next full/patch/refresh
+        # reaches its consumers.
+        gaps: List[float] = []
+        for times in self._delivery_times.values():
+            ordered = sorted(times)
+            gaps.extend(b - a for a, b in zip(ordered, ordered[1:]))
+        return {
+            "queries": len(self._span_ids),
+            "resolution": dict(self._resolution),
+            "hops": _stats([float(m) for m in self._messages]),
+            "response_time_ms": _stats(self._response_ms),
+            "category_bytes": self.category_bytes(),
+            "deliveries": {
+                "count": self._deliveries,
+                "by_type": dict(self._by_type),
+                "staleness_window_s": _stats(gaps),
+            },
+            "exchanges": dict(self._exchanges),
+            "confirmations": dict(self._confirm_totals),
+            "churn": dict(self._churn),
+            "schema_versions": {
+                str(k): v for k, v in sorted(self._schemas.items())
+            },
+        }
 
-    measured = totals.get("failed_bloom_fp", 0) / live_attempts
-    configured_min = min_false_positive_rate(PAPER_K)
-    if measured > _BLOOM_MAX_RATE:
-        violations.append(
+    # ------------------------------------------------------------------ audit
+    def fingerprint(self, result) -> str:
+        """Deterministic digest of the trace fed so far + ``result``'s totals.
+
+        Wall-clock fields (the record's ``dur_s`` and any ``dur_s`` attr)
+        are excluded; everything else -- record ids, nesting, simulation
+        times, annotations, ledger totals, outcome counts -- is covered.
+        """
+        h = self._hash.copy()
+        totals = {
+            cat.value: total for cat, total in result.ledger.category_totals().items()
+        }
+        h.update(
+            json.dumps(
+                {
+                    "algorithm": result.algorithm,
+                    "topology": result.topology,
+                    "n_queries": len(result.outcomes),
+                    "successes": sum(1 for o in result.outcomes if o.success),
+                    "ledger": totals,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            ).encode()
+        )
+        return h.hexdigest()
+
+    def audit(self, result) -> AuditReport:
+        """Audit the run the fed trace belongs to against its RunResult."""
+        findings = {
+            "ledger_conservation": self._conservation(result),
+            "query_resolution": self._query_resolution(result),
+            "walk_budget": self._query_overruns + self._delivery_overruns,
+            "confirmation_discipline": (
+                list(self._confirm_findings) if self._asap else None
+            ),
+            "bloom_fp_rate": self._bloom_fp_rate(),
+            "churn_consistency": list(self._churn_findings),
+        }
+        return AuditReport(
+            checks={
+                name: "skipped" if found is None else "fail" if found else "pass"
+                for name, found in findings.items()
+            },
+            violations=[v for found in findings.values() if found for v in found],
+            fingerprint=self.fingerprint(result),
+        )
+
+    def _conservation(self, result) -> List[AuditViolation]:
+        trace_totals = self.category_bytes()
+        ledger_totals = {
+            cat.value: total for cat, total in result.ledger.category_totals().items()
+        }
+        found = []
+        for cat in sorted(set(trace_totals) | set(ledger_totals)):
+            traced = trace_totals.get(cat, 0.0)
+            recorded = ledger_totals.get(cat, 0.0)
+            if not _close(traced, recorded):
+                found.append(
+                    AuditViolation(
+                        check="ledger_conservation",
+                        message=(
+                            f"category {cat!r}: trace-derived {traced:.1f} B != "
+                            f"ledger {recorded:.1f} B "
+                            f"(delta {recorded - traced:+.1f} B)"
+                        ),
+                        details={
+                            "category": cat,
+                            "trace_bytes": traced,
+                            "ledger_bytes": recorded,
+                        },
+                    )
+                )
+        return found
+
+    def _query_resolution(self, result) -> List[AuditViolation]:
+        outcomes = result.outcomes
+        n_spans = len(self._span_ids)
+        if n_spans != len(outcomes):
+            return [
+                AuditViolation(
+                    check="query_resolution",
+                    message=(
+                        f"{len(outcomes)} queries replayed but {n_spans} "
+                        "query spans in the trace -- a query was resolved "
+                        "zero or multiple times"
+                    ),
+                    details={"outcomes": len(outcomes), "spans": n_spans},
+                )
+            ]
+        found = []
+        for i, o in enumerate(outcomes):
+            span_id = self._span_ids[i]
+            mismatches = {}
+            if bool(self._success[i]) != o.success:
+                mismatches["success"] = [bool(self._success[i]), o.success]
+            if self._messages[i] != o.messages:
+                mismatches["messages"] = [self._messages[i], o.messages]
+            if not _close(self._cost[i], o.cost_bytes):
+                mismatches["cost_bytes"] = [self._cost[i], o.cost_bytes]
+            if self._results[i] != o.results:
+                mismatches["results"] = [self._results[i], o.results]
+            if mismatches:
+                found.append(
+                    AuditViolation(
+                        check="query_resolution",
+                        message=(
+                            f"query #{i} (span {span_id}): trace annotation "
+                            f"disagrees with the collected outcome on "
+                            f"{sorted(mismatches)}"
+                        ),
+                        details={"index": i, "span_id": span_id, **mismatches},
+                    )
+                )
+        return found
+
+    def _bloom_fp_rate(self) -> Optional[List[AuditViolation]]:
+        if self.config is not None and not self._asap:
+            return None
+        totals = self._confirm_totals
+        live_attempts = totals.get("attempted", 0) - totals.get("failed_dead", 0)
+        if live_attempts < _BLOOM_MIN_SAMPLES:
+            return None
+        from repro.bloom.hashing import PAPER_K, min_false_positive_rate
+
+        measured = totals.get("failed_bloom_fp", 0) / live_attempts
+        configured_min = min_false_positive_rate(PAPER_K)
+        if measured <= _BLOOM_MAX_RATE:
+            return []
+        return [
             AuditViolation(
                 check="bloom_fp_rate",
                 message=(
@@ -405,68 +630,4 @@ def _check_bloom_fp_rate(
                     "bloom_fp_failures": totals.get("failed_bloom_fp", 0),
                 },
             )
-        )
-        return "fail"
-    return "pass"
-
-
-def _check_churn_consistency(
-    analysis: TraceAnalysis, violations: List[AuditViolation]
-) -> str:
-    prev: Optional[int] = None
-    status = "pass"
-    for ev in analysis.churn:
-        if ev.kind not in ("join", "leave") or ev.live is None:
-            continue
-        if prev is not None:
-            expected = prev + (1 if ev.kind == "join" else -1)
-            if ev.live != expected:
-                status = "fail"
-                violations.append(
-                    AuditViolation(
-                        check="churn_consistency",
-                        message=(
-                            f"{ev.kind} of node {ev.node} at t={ev.t:.1f} "
-                            f"reports {ev.live} live peers; expected "
-                            f"{expected} after {prev}"
-                        ),
-                        details={
-                            "t": ev.t,
-                            "node": ev.node,
-                            "kind": ev.kind,
-                            "live": ev.live,
-                            "expected": expected,
-                        },
-                    )
-                )
-        prev = ev.live
-    return status
-
-
-# ----------------------------------------------------------------- audit_run
-def audit_run(
-    records: Sequence[TraceRecord], result, config=None
-) -> AuditReport:
-    """Audit one completed run: trace records + its RunResult (+ config).
-
-    ``config`` (the run's :class:`~repro.simulation.config.RunConfig`)
-    enables the budget- and protocol-parameter checks; without it those
-    degrade gracefully (delivery budgets still checked from trace attrs).
-    """
-    analysis = analyze_trace(records)
-    violations: List[AuditViolation] = []
-    checks = {
-        "ledger_conservation": _check_conservation(analysis, result, violations),
-        "query_resolution": _check_query_resolution(analysis, result, violations),
-        "walk_budget": _check_walk_budget(analysis, config, violations),
-        "confirmation_discipline": _check_confirmation_discipline(
-            analysis, result, config, violations
-        ),
-        "bloom_fp_rate": _check_bloom_fp_rate(analysis, config, violations),
-        "churn_consistency": _check_churn_consistency(analysis, violations),
-    }
-    return AuditReport(
-        checks=checks,
-        violations=violations,
-        fingerprint=run_fingerprint(records, result),
-    )
+        ]

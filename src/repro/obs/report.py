@@ -30,10 +30,10 @@ to "what changed between these two runs?".  ``--tolerance T`` makes the
 exit code a drift gate: non-zero when any leaf differs by more than ``T``
 (absolute) or exists on one side only.
 
-``python -m repro.obs.report analyze`` reconstructs causal lifecycles
-(:mod:`repro.obs.analyze`) from an existing trace -- no simulation stack
-needed -- and emits the JSON summary.  Traces may be gzip-compressed
-(``.jsonl.gz``); readers detect the suffix.
+``python -m repro.obs.report analyze`` feeds an existing trace file to the
+auditor's fold (:class:`~repro.obs.audit.TraceFold`) -- the same fold
+``--audit`` feeds live -- and emits its JSON lifecycle summary.  Traces may
+be gzip-compressed (``.jsonl.gz``); readers detect the suffix.
 
 Examples::
 
@@ -318,12 +318,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # Pure trace processing: works without the simulation stack.
-    from repro.obs.analyze import analyze_trace
+    # The auditor's fold, fed from the file instead of a live tracer.
+    from repro.obs.audit import TraceFold
     from repro.obs.trace import read_trace
 
-    analysis = analyze_trace(read_trace(args.trace))
-    text = json.dumps(analysis.to_dict(), indent=2) + "\n"
+    summary = TraceFold(records=read_trace(args.trace)).summary()
+    text = json.dumps(summary, indent=2) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Structured event tracing for the simulation stack.
 
-A :class:`Tracer` collects typed trace records -- point **events** and
-nested **spans** -- and serialises them as JSONL, one record per line.  It
-is a sink: the simulator never calls it directly but reports its actions
+A :class:`Tracer` builds typed trace records -- point **events** and
+nested **spans** -- and hands each to its own sinks; on disk a trace is
+JSONL, one record per line.  The tracer is itself a sink of the seam: the
+simulator never calls it directly but reports its actions
 (query, ad delivery, ads exchange, repair, churn) to the run's
 :class:`~repro.obs.instrument.Instrumentation`, which writes the records
 listed in :data:`~repro.obs.instrument.TRACE_RECORDS`.  An untraced run
@@ -14,9 +15,10 @@ design goals:
    deterministic ``(time, seq)`` event ordering two runs of the same seed
    produce structurally identical traces (wall-clock durations differ, the
    tree does not).
-2. **Streamable.**  Records can be mirrored to a file object as they are
-   produced (``stream=...``), so multi-minute runs need not hold the trace
-   in memory (``keep=False`` drops the in-memory copy).
+2. **Streamed, never kept.**  Each record goes to the tracer's sinks the
+   moment it completes -- a JSONL file (:func:`jsonl_writer`), the
+   auditor's fold (:class:`~repro.obs.audit.TraceFold`) -- and nowhere
+   else, so a traced run's memory does not grow with its trace.
 
 Record schema (one JSON object per line)::
 
@@ -29,7 +31,7 @@ Record schema (one JSON object per line)::
 spent inside the span (profiling signal, not simulated latency).
 
 ``schema`` versions the record format so downstream consumers
-(:mod:`repro.obs.analyze`, :mod:`repro.obs.audit`) can evolve it safely:
+(:mod:`repro.obs.audit`, ``report analyze``) can evolve it safely:
 readers ignore unknown keys, and records without a ``schema`` key parse
 as version 0 (the PR 1 format, which differs from v1 only by the absence
 of the field).
@@ -43,13 +45,16 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Union,
+)
 
 __all__ = [
     "Span",
     "TRACE_SCHEMA_VERSION",
     "TraceRecord",
     "Tracer",
+    "jsonl_writer",
     "open_text_maybe_gzip",
     "read_trace",
     "read_trace_lines",
@@ -153,16 +158,16 @@ class Span:
 
 
 class Tracer:
-    """Collects trace records; see the module docstring for the schema.
+    """Builds trace records and hands each, as it completes, to every sink.
 
     Parameters
     ----------
-    stream:
-        Optional text file object; every record is written to it as one
-        JSONL line the moment it completes.
-    keep:
-        Keep records in ``self.records`` (default).  Disable for long runs
-        that only need the stream.
+    sinks:
+        Callables fed each record in emission order: :func:`jsonl_writer`
+        for a trace file, the auditor's
+        :meth:`~repro.obs.audit.TraceFold.feed`, a list's ``append``.  The
+        tracer keeps no record itself; an audited ``run_experiment``
+        appends its fold to ``self.sinks``.
     clock:
         Wall-clock source for span durations (injectable for deterministic
         tests); defaults to :func:`time.perf_counter`.
@@ -170,22 +175,13 @@ class Tracer:
 
     def __init__(
         self,
-        stream: Optional[TextIO] = None,
-        keep: bool = True,
+        *sinks: Callable[[TraceRecord], Any],
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        self.records: List[TraceRecord] = []
-        self._stream = stream
-        self._keep = keep
+        self.sinks: List[Callable[[TraceRecord], Any]] = list(sinks)
         self._clock = clock
         self._next_id = 1
         self._stack: List[Span] = []  # open spans, innermost last
-        self._counts: Dict[str, int] = {}  # per-category, tracked even when keep=False
-
-    @property
-    def keep(self) -> bool:
-        """Whether records are retained in ``self.records``."""
-        return self._keep
 
     # -------------------------------------------------------------- recording
     def event(self, category: str, name: str, t: float, **attrs: Any) -> TraceRecord:
@@ -250,73 +246,41 @@ class Tracer:
         return i
 
     def _emit(self, record: TraceRecord) -> None:
-        self._counts[record.category] = self._counts.get(record.category, 0) + 1
-        if self._keep:
-            self.records.append(record)
-        if self._stream is not None:
-            self._stream.write(record.to_json() + "\n")
-
-    # ----------------------------------------------------------------- output
-    def _require_keep(self, what: str) -> None:
-        if not self._keep:
-            raise ValueError(
-                f"{what} needs in-memory records, but this Tracer was built "
-                "with keep=False (stream-only); read the streamed JSONL "
-                "instead, or construct the Tracer with keep=True."
-            )
-
-    def to_jsonl(self) -> str:
-        """The kept records as a JSONL string (requires ``keep=True``)."""
-        self._require_keep("to_jsonl()")
-        return "".join(r.to_json() + "\n" for r in self.records)
-
-    def dump(self, path: Union[str, Path]) -> None:
-        """Write the kept records to ``path`` as JSONL (requires ``keep=True``).
-
-        A ``.gz`` suffix selects transparent gzip compression (large-cell
-        traces compress ~20x; every reader in :mod:`repro.obs` accepts
-        either form).  ``mtime=0`` and writing through ``fileobj`` (which
-        keeps the filename out of the gzip header) make compressed output
-        byte-identical across runs of the same seed.
-        """
-        self._require_keep("dump()")
-        path = Path(path)
-        if path.suffix == ".gz":
-            with open(path, "wb") as raw:
-                with gzip.GzipFile(
-                    filename="", fileobj=raw, mode="wb", mtime=0
-                ) as fh:
-                    fh.write(self.to_jsonl().encode())
-        else:
-            path.write_text(self.to_jsonl())
-
-    def counts_by_category(self) -> Dict[str, int]:
-        """Record count per category; tracked even when ``keep=False``."""
-        return dict(self._counts)
+        for sink in self.sinks:
+            sink(record)
 
 
-def read_trace_lines(lines: Iterable[str]) -> List[TraceRecord]:
-    """Parse JSONL lines into trace records (blank lines skipped)."""
-    return [TraceRecord.from_json(ln) for ln in lines if ln.strip()]
+def jsonl_writer(fh: TextIO) -> Callable[[TraceRecord], Any]:
+    """A sink writing each record to the text file ``fh`` as one JSONL line."""
+    return lambda record: fh.write(record.to_json() + "\n")
+
+
+def read_trace_lines(lines: Iterable[str]) -> Iterator[TraceRecord]:
+    """Parse JSONL lines into trace records, lazily (blank lines skipped)."""
+    return (TraceRecord.from_json(ln) for ln in lines if ln.strip())
 
 
 def open_text_maybe_gzip(path: Union[str, Path], mode: str = "r") -> TextIO:
-    """Open ``path`` as text, transparently gunzipping on a ``.gz`` suffix.
+    """Open ``path`` as text, through gzip on a ``.gz`` suffix.
 
-    The single chokepoint for every trace reader and writer in
-    :mod:`repro.obs` (analyze, audit, report), so ``.jsonl`` and
-    ``.jsonl.gz`` are interchangeable everywhere.
+    The single chokepoint for every trace reader and writer, so ``.jsonl``
+    and ``.jsonl.gz`` are interchangeable everywhere.  Written gzip carries
+    ``mtime=0`` and no file name in its header, so the same records give
+    the same bytes on every run.
     """
     path = Path(path)
-    if path.suffix == ".gz":
+    if path.suffix != ".gz":
+        return io.open(path, mode)
+    if "r" in mode:
         return gzip.open(path, mode + "t")
-    return io.open(path, mode)
+    raw = open(path, mode + "b")
+    gz = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
+    gz.myfileobj = raw  # closed with the GzipFile, as a file it opened itself
+    return io.TextIOWrapper(gz)
 
 
-def read_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Load a JSONL trace file written by :meth:`Tracer.dump` or a stream.
-
-    Accepts plain ``.jsonl`` and gzip-compressed ``.jsonl.gz`` files.
-    """
+def read_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
+    """Yield the records of a JSONL trace file (``.jsonl`` or ``.jsonl.gz``)
+    one at a time; the file stays open until the last one is read."""
     with open_text_maybe_gzip(path) as fh:
-        return read_trace_lines(fh)
+        yield from read_trace_lines(fh)

@@ -129,9 +129,9 @@ def run_experiment(
       :class:`repro.obs.profile.Profiler` and attach the resulting
       ``RunProfile`` to the returned :class:`RunResult` (also implied by
       ``tracer``);
-    * ``audit`` -- trace the run (an internal keep-in-memory tracer is
-      created unless one is passed) and run the invariant auditor
-      (:func:`repro.obs.audit.audit_run`) over it, attaching the
+    * ``audit`` -- trace the run (into ``tracer`` if one is passed) and
+      fold each record into the invariant auditor
+      (:class:`repro.obs.audit.TraceFold`) as it is emitted, attaching the
       :class:`~repro.obs.audit.AuditReport` and the run fingerprint to
       the result;
     * ``telemetry`` -- accumulate with a
@@ -155,13 +155,14 @@ def run_experiment(
         # Before minutes of substrate and workload construction.
         require_state_fits(config.n_peers)
     streams = RandomStreams(seed=config.seed)
-    if audit and tracer is None:
-        tracer = Tracer(keep=True)
-    if audit and not tracer.keep:
-        raise ValueError(
-            "audit=True needs the trace records in memory; pass a Tracer "
-            "built with keep=True (streaming can be enabled alongside)."
-        )
+    fold = None
+    if audit:
+        from repro.obs.audit import TraceFold
+
+        fold = TraceFold(config)
+        if tracer is None:
+            tracer = Tracer()
+        tracer.sinks.append(fold.feed)
 
     # --- substrate -------------------------------------------------------
     # The physical network is fully determined by (params, seed) and its
@@ -257,6 +258,8 @@ def run_experiment(
     engine.run(until=config.warmup_s + trace.duration + 1.0)
     if phase_times is not None:
         phase_times["replay_s"] = time.perf_counter() - t_phase
+    if fold is not None:
+        tracer.sinks.remove(fold.feed)  # a passed tracer outlives this run
 
     # --- collect ------------------------------------------------------------
     t_start = int(config.warmup_s)
@@ -292,10 +295,8 @@ def run_experiment(
             t_end=t_end,
             load_categories=algorithm.load_categories,
         )
-    if audit:
-        from repro.obs.audit import audit_run
-
-        report = audit_run(tracer.records, result, config)
+    if fold is not None:
+        report = fold.audit(result)
         result.audit = report
         result.fingerprint = report.fingerprint
     return result

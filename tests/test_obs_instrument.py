@@ -44,11 +44,13 @@ class FakeProfiler:
 
 
 def _sinks():
-    return Tracer(clock=lambda: 0.0), FakeTelemetry()
+    """A tracer whose records land in the returned list, and a telemetry."""
+    records = []
+    return Tracer(records.append, clock=lambda: 0.0), FakeTelemetry(), records
 
 
-def _records(tracer):
-    return [(r.kind, r.category, r.name, r.t, r.attrs) for r in tracer.records]
+def _records(records):
+    return [(r.kind, r.category, r.name, r.t, r.attrs) for r in records]
 
 
 # ------------------------------------------------------------------ actions
@@ -62,9 +64,9 @@ def test_engine_dispatch_reaches_profiler_then_telemetry():
     assert profiler.calls == [("begin", "refresh-7"), ("end", "refresh-7")]
     assert telemetry.calls == [("engine_event", (12.5,))]
     # No sink, no work -- and no tracer record for a dispatch, ever.
-    tracer = Tracer()
-    Instrumentation(tracer=tracer).event_end(event)
-    assert tracer.records == []
+    records = []
+    Instrumentation(tracer=Tracer(records.append)).event_end(event)
+    assert records == []
 
 
 class _OneShotSearch:
@@ -85,12 +87,12 @@ class _OneShotSearch:
 
 
 def test_query_wraps_the_search_in_a_span_and_counts_the_outcome():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     obs = Instrumentation(tracer, telemetry)
     outcome = SearchOutcome(True, 42.0, 3, 300.0, 1)
     search = _OneShotSearch(outcome, obs)
     assert obs.query(search, np.int64(5), ("a", "b"), 9.0) is outcome
-    stats, span = tracer.records
+    stats, span = records
     assert (stats.category, stats.name, stats.parent) == ("query", "confirm_stats", span.id)
     assert (span.kind, span.category, span.name, span.t) == ("span", "query", "toy", 9.0)
     assert span.attrs == {
@@ -110,7 +112,7 @@ def test_query_without_a_tracer_only_counts():
 
 
 def test_query_traffic_charges_requester_then_each_responder_and_link():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     obs = Instrumentation(tracer, telemetry)
     obs.query_traffic(1.0, 7, 900, [(3, 160), (4, 80)])
     assert telemetry.calls == [
@@ -125,11 +127,11 @@ def test_query_traffic_charges_requester_then_each_responder_and_link():
         ("peer_bytes", (2.0, 3, 80)),
         ("link", (2.0, 3, 7, 80)),
     ]
-    assert tracer.records == []  # the query span already carries the cost
+    assert records == []  # the query span already carries the cost
 
 
 def test_confirmations_are_classified_for_the_tracer_and_charged_to_telemetry():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     obs = Instrumentation(tracer, telemetry)
     classified = []
 
@@ -141,9 +143,9 @@ def test_confirmations_are_classified_for_the_tracer_and_charged_to_telemetry():
     obs.confirmation(3.0, 1, 9, 80, "failed_dead")
     obs.confirmation(3.0, 1, 10, 160, classify)
     assert classified == [10]
-    assert tracer.records == []  # counted, not yet written
+    assert records == []  # counted, not yet written
     obs.confirm_stats(3.0)
-    assert _records(tracer) == [
+    assert _records(records) == [
         ("event", "query", "confirm_stats", 3.0, {
             "attempted": 3, "confirmed": 1, "failed_dead": 1,
             "failed_bloom_fp": 0, "failed_split": 1,
@@ -156,7 +158,7 @@ def test_confirmations_are_classified_for_the_tracer_and_charged_to_telemetry():
     ]
     # The counters restart with the next search; zero attempts still report.
     obs.confirm_stats(4.0)
-    assert tracer.records[-1].attrs["attempted"] == 0
+    assert records[-1].attrs["attempted"] == 0
 
 
 def test_failure_cause_is_not_evaluated_without_a_tracer():
@@ -182,14 +184,14 @@ def _delivery(n_messages=3):
 
 
 def test_ad_delivered_books_telemetry_where_the_ledger_booked_the_messages():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     ad, report = _delivery()
     Instrumentation(tracer, telemetry).ad_delivered(
         "rw", ad, 10.2, report, {12: 24.0, 11: 48.0}, 5
     )
     # First bucket + 0.5 with the buckets' sum: not ``now``, not report.bytes.
     assert telemetry.calls == [("delivery", (11.5, 4, 72.0, 3))]
-    assert _records(tracer) == [
+    assert _records(records) == [
         ("event", "ad", "deliver.rw", 10.2, {
             "source": 4, "ad_type": "refresh", "topics": 2, "visited": 2,
             "messages": 3, "bytes": 72.0, "budget": 5,
@@ -198,16 +200,16 @@ def test_ad_delivered_books_telemetry_where_the_ledger_booked_the_messages():
 
 
 def test_a_delivery_that_sent_nothing_is_traced_but_not_charged():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     ad, report = _delivery(n_messages=0)
     Instrumentation(tracer, telemetry).ad_delivered("fld", ad, 10.2, report, {}, None)
     assert telemetry.calls == []
-    assert [r.name for r in tracer.records] == ["deliver.fld"]
-    assert tracer.records[0].attrs["budget"] is None
+    assert [r.name for r in records] == ["deliver.fld"]
+    assert records[0].attrs["budget"] is None
 
 
 def test_ads_exchange_charges_each_neighbour_and_counts_distinct_sources():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     served = [
         (np.int64(2), 400.0, np.array([7, 8])),
         (3, 100.0, np.array([], dtype=np.int64)),
@@ -221,7 +223,7 @@ def test_ads_exchange_charges_each_neighbour_and_counts_distinct_sources():
         ("ads_request", (6.0, 3, 100.0)),
         ("ads_request", (6.0, 5, 250.0)),
     ]
-    assert _records(tracer) == [
+    assert _records(records) == [
         ("event", "ad", "ads_request", 6.0, {
             "node": 1, "scope": "bootstrap", "neighbors": 3, "new_sources": 3,
             "messages": 6, "cost_bytes": 750.0, "request_bytes": 180.0,
@@ -231,12 +233,12 @@ def test_ads_exchange_charges_each_neighbour_and_counts_distinct_sources():
 
 
 def test_repair_reaches_both_sinks_with_the_byte_split():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     Instrumentation(tracer, telemetry).repair(
         8.0, np.int64(2), np.int64(9), 60.0, 44, TrafficCategory.PATCH_AD
     )
     assert telemetry.calls == [("repair", (8.0, 9, 104.0))]
-    assert _records(tracer) == [
+    assert _records(records) == [
         ("event", "ad", "repair", 8.0, {
             "node": 2, "source": 9, "request_bytes": 60.0,
             "reply_bytes": 44.0, "reply_category": "patch_ad",
@@ -245,22 +247,22 @@ def test_repair_reaches_both_sinks_with_the_byte_split():
 
 
 def test_a_repair_that_gets_no_reply_still_reaches_both_sinks():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     Instrumentation(tracer, telemetry).repair(8.0, 2, 9, 60.0, 0.0, None)
     assert telemetry.calls == [("repair", (8.0, 9, 60.0))]
-    assert tracer.records[0].attrs["reply_category"] is None
+    assert records[0].attrs["reply_category"] is None
 
 
 def test_telemetry_counts_every_repair_the_trace_records():
     """The cell where sources stop sharing between a patch and its repairs:
     the window table's ``repairs`` used to skip the pulls that got no reply
     (570 against 574 trace records)."""
-    tracer = Tracer()
+    records = []
     result = run_experiment(
         CONFIGS["asap_rw/seed0/default_churn/content_change_x3"],
-        tracer=tracer, telemetry=True,
+        tracer=Tracer(records.append), telemetry=True,
     )
-    repairs = [r for r in tracer.records if r.name == "repair"]
+    repairs = [r for r in records if r.name == "repair"]
     unanswered = [r for r in repairs if r.attrs["reply_category"] is None]
     assert len(repairs) == 574 and len(unanswered) == 4
     windows = result.telemetry["windows"].values()
@@ -268,13 +270,13 @@ def test_telemetry_counts_every_repair_the_trace_records():
 
 
 def test_churn_and_content_change():
-    tracer, telemetry = _sinks()
+    tracer, telemetry, records = _sinks()
     obs = Instrumentation(tracer, telemetry)
     obs.churn(5.0, np.int64(3), True, 99)
     obs.churn(6.0, 3, False, 98)
     obs.content_changed(7.0, np.int64(3), np.int64(41), False)
     assert telemetry.calls == [("churn", (5.0, True)), ("churn", (6.0, False))]
-    assert _records(tracer) == [
+    assert _records(records) == [
         ("event", "churn", "join", 5.0, {"node": 3, "live": 99}),
         ("event", "churn", "leave", 6.0, {"node": 3, "live": 98}),
         ("event", "churn", "content_remove", 7.0, {"node": 3, "doc_id": 41}),
@@ -337,11 +339,11 @@ def test_telemetry_run_never_builds_a_trace_record(monkeypatch):
 
 # ------------------------------------------------------- the record catalogue
 def _emitted(name):
-    tracer = Tracer()
-    run_experiment(CONFIGS[name], tracer=tracer)
+    records = []
+    run_experiment(CONFIGS[name], tracer=Tracer(records.append))
     return {
         (r.category, "<algorithm>" if r.kind == "span" else r.name)
-        for r in tracer.records
+        for r in records
     }
 
 

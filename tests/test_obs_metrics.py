@@ -75,13 +75,15 @@ def _tiny_config(algorithm="asap_rw"):
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    tracer = Tracer()
-    result = run_experiment(_tiny_config(), tracer=tracer, profile=True)
-    return result, tracer
+    records = []
+    result = run_experiment(
+        _tiny_config(), tracer=Tracer(records.append), profile=True
+    )
+    return result, records
 
 
 def test_run_experiment_attaches_profile_and_diagnostics(tiny_result):
-    result, tracer = tiny_result
+    result, records = tiny_result
     assert result.profile is not None
     assert result.profile.events > 0
     assert result.profile.engine_events == result.profile.events
@@ -89,11 +91,11 @@ def test_run_experiment_attaches_profile_and_diagnostics(tiny_result):
     # The tracer saw query spans (plus nested confirm_stats events) and
     # ad events.
     spans = [
-        r for r in tracer.records
+        r for r in records
         if r.category == "query" and r.kind == "span"
     ]
     assert len(spans) == 15
-    assert tracer.counts_by_category().get("ad", 0) > 0
+    assert any(r.category == "ad" for r in records)
 
 
 @pytest.mark.parametrize("algorithm", ["asap_rw", "random_walk"])

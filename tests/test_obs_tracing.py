@@ -2,6 +2,9 @@
 live-pending satellites."""
 
 import io
+import json
+import types
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     TraceRecord,
     Tracer,
+    jsonl_writer,
     open_text_maybe_gzip,
     read_trace,
     read_trace_lines,
@@ -19,24 +23,26 @@ from repro.sim.engine import SimulationEngine, SimulationError
 
 # ----------------------------------------------------------------- recording
 def test_event_records_fields():
-    tracer = Tracer()
+    records = []
+    tracer = Tracer(records.append)
     rec = tracer.event("churn", "join", 12.5, node=3, live=99)
     assert rec.kind == "event"
     assert rec.category == "churn"
     assert rec.t == 12.5
     assert rec.parent is None and rec.depth == 0
     assert rec.attrs == {"node": 3, "live": 99}
-    assert tracer.records == [rec]
+    assert records == [rec]
 
 
 def test_span_nesting_parent_and_depth():
-    tracer = Tracer()
+    records = []
+    tracer = Tracer(records.append)
     with tracer.span("query", "outer", 1.0) as outer:
         tracer.event("ad", "inner-event", 1.0)
         with tracer.span("ad", "inner", 1.5):
             pass
     # Emission order: inner event, inner span (on close), outer span.
-    ev, inner, outer_rec = tracer.records
+    ev, inner, outer_rec = records
     assert ev.parent == outer.id and ev.depth == 1
     assert inner.parent == outer.id and inner.depth == 1
     assert outer_rec.parent is None and outer_rec.depth == 0
@@ -45,27 +51,30 @@ def test_span_nesting_parent_and_depth():
 
 def test_span_duration_uses_injected_clock():
     ticks = iter([10.0, 10.25])
-    tracer = Tracer(clock=lambda: next(ticks))
+    records = []
+    tracer = Tracer(records.append, clock=lambda: next(ticks))
     with tracer.span("query", "q", 0.0):
         pass
-    assert tracer.records[0].dur_s == pytest.approx(0.25)
+    assert records[0].dur_s == pytest.approx(0.25)
 
 
 def test_span_records_error_attr_on_exception():
-    tracer = Tracer()
+    records = []
+    tracer = Tracer(records.append)
     with pytest.raises(RuntimeError):
         with tracer.span("query", "boom", 0.0):
             raise RuntimeError("x")
-    assert tracer.records[0].attrs["error"] == "RuntimeError"
+    assert records[0].attrs["error"] == "RuntimeError"
 
 
 def test_ids_are_sequential_and_deterministic():
     def build():
-        t = Tracer(clock=lambda: 0.0)
+        records = []
+        t = Tracer(records.append, clock=lambda: 0.0)
         with t.span("query", "q", 0.0):
             t.event("ad", "a", 0.0)
         t.event("churn", "c", 1.0)
-        return [(r.id, r.kind, r.name, r.parent, r.depth) for r in t.records]
+        return [(r.id, r.kind, r.name, r.parent, r.depth) for r in records]
 
     assert build() == build()
     ids = [row[0] for row in build()]
@@ -73,52 +82,74 @@ def test_ids_are_sequential_and_deterministic():
 
 
 def test_counts_by_category():
-    tracer = Tracer()
+    """Every sink sees every record, in emission order: here a per-category
+    counter beside a list."""
+    counts, records = Counter(), []
+    tracer = Tracer(lambda r: counts.update([r.category]), records.append)
     tracer.event("ad", "x", 0.0)
     tracer.event("ad", "y", 0.0)
-    tracer.event("churn", "z", 0.0)
-    assert tracer.counts_by_category() == {"ad": 2, "churn": 1}
+    with tracer.span("query", "q", 1.0):
+        tracer.event("churn", "z", 1.0)
+    assert counts == {"ad": 2, "churn": 1, "query": 1}
+    assert [r.name for r in records] == ["x", "y", "z", "q"]
 
 
 # ------------------------------------------------------------ JSONL round-trip
+def _write(path, records):
+    with open_text_maybe_gzip(path, "w") as fh:
+        write = jsonl_writer(fh)
+        for r in records:
+            write(r)
+
+
 def test_jsonl_round_trip_in_memory():
-    tracer = Tracer(clock=lambda: 0.0)
+    buf, records = io.StringIO(), []
+    tracer = Tracer(jsonl_writer(buf), records.append, clock=lambda: 0.0)
     with tracer.span("query", "q", 3.0, requester=7) as s:
         s.annotate(success=True)
     tracer.event("ad", "deliver.rw", 4.0, bytes=120)
-    parsed = read_trace_lines(tracer.to_jsonl().splitlines())
-    assert parsed == tracer.records
+    parsed = list(read_trace_lines(buf.getvalue().splitlines()))
+    assert parsed == records
 
 
 def test_jsonl_round_trip_via_file(tmp_path):
-    tracer = Tracer()
+    records = []
+    tracer = Tracer(records.append)
     tracer.event("engine", "dispatch", 1.0, event_name="trace", seq=0)
     path = tmp_path / "trace.jsonl"
-    tracer.dump(path)
-    assert read_trace(path) == tracer.records
+    _write(path, records)
+    assert list(read_trace(path)) == records
 
 
 def test_gzip_round_trip_via_file(tmp_path):
-    tracer = Tracer()
+    records = []
+    tracer = Tracer(records.append)
     for i in range(50):
         tracer.event("engine", "dispatch", float(i), event_name="t", seq=i)
     plain = tmp_path / "trace.jsonl"
     gz = tmp_path / "trace.jsonl.gz"
-    tracer.dump(plain)
-    tracer.dump(gz)
-    assert read_trace(gz) == tracer.records == read_trace(plain)
+    _write(plain, records)
+    _write(gz, records)
+    assert list(read_trace(gz)) == records == list(read_trace(plain))
     # Actually compressed, not just renamed.
     assert gz.read_bytes()[:2] == b"\x1f\x8b"
     assert gz.stat().st_size < plain.stat().st_size
 
 
 def test_gzip_dump_is_deterministic(tmp_path):
-    tracer = Tracer()
-    tracer.event("engine", "dispatch", 1.0, event_name="t", seq=0)
+    """Streaming a trace through the one gzip writer twice gives the same
+    bytes: mtime 0 and no file name in the header."""
     a, b = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
-    tracer.dump(a)
-    tracer.dump(b)  # mtime=0 in the gzip header keeps bytes identical
+    for path in (a, b):
+        with open_text_maybe_gzip(path, "w") as fh:
+            tracer = Tracer(jsonl_writer(fh), clock=lambda: 0.0)
+            tracer.event("engine", "dispatch", 1.0, event_name="t", seq=0)
+            with tracer.span("query", "q", 2.0):
+                pass
     assert a.read_bytes() == b.read_bytes()
+    header = a.read_bytes()[:10]
+    assert header[3] == 0  # FLG: no FNAME (nor any other optional field)
+    assert header[4:8] == b"\x00\x00\x00\x00"  # MTIME
 
 
 def test_open_text_maybe_gzip_writes_and_reads(tmp_path):
@@ -134,14 +165,29 @@ def test_open_text_maybe_gzip_writes_and_reads(tmp_path):
 
 
 def test_streaming_without_keep(tmp_path):
+    """The tracer hands records on and keeps none itself."""
     buf = io.StringIO()
-    tracer = Tracer(stream=buf, keep=False)
+    tracer = Tracer(jsonl_writer(buf))
     tracer.event("ad", "deliver", 0.5, bytes=1)
     with tracer.span("query", "q", 1.0):
         pass
-    assert tracer.records == []  # nothing retained in memory
-    parsed = read_trace_lines(buf.getvalue().splitlines())
+    assert not hasattr(tracer, "records")
+    parsed = list(read_trace_lines(buf.getvalue().splitlines()))
     assert [r.name for r in parsed] == ["deliver", "q"]
+
+
+def test_read_trace_is_lazy(tmp_path):
+    """Records come off the file one at a time, not as a list."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"kind":"event","cat":"ad","name":"n","t":0.0,"id":1,'
+        '"parent":null,"depth":0}\nnot json\n'
+    )
+    records = read_trace(path)
+    assert isinstance(records, types.GeneratorType)
+    assert next(records).name == "n"
+    with pytest.raises(json.JSONDecodeError):
+        next(records)
 
 
 def test_record_from_json_tolerates_missing_optionals():
@@ -154,11 +200,12 @@ def test_record_from_json_tolerates_missing_optionals():
 
 # ------------------------------------------------------------ schema version
 def test_records_carry_current_schema_version():
-    tracer = Tracer()
+    buf = io.StringIO()
+    tracer = Tracer(jsonl_writer(buf))
     rec = tracer.event("ad", "x", 0.0)
     assert rec.schema == TRACE_SCHEMA_VERSION
-    parsed = read_trace_lines(tracer.to_jsonl().splitlines())
-    assert parsed[0].schema == TRACE_SCHEMA_VERSION
+    (parsed,) = read_trace_lines(buf.getvalue().splitlines())
+    assert parsed.schema == TRACE_SCHEMA_VERSION
     assert '"schema":1' in rec.to_json()
 
 
@@ -180,27 +227,6 @@ def test_unknown_json_keys_are_ignored_forward_compat():
     assert rec.schema == 7
     assert rec.attrs == {"a": 1}
     assert not hasattr(rec, "future_field")
-
-
-# --------------------------------------------------------- keep=False footgun
-def test_keep_false_raises_on_in_memory_outputs(tmp_path):
-    tracer = Tracer(stream=io.StringIO(), keep=False)
-    tracer.event("ad", "x", 0.0)
-    with pytest.raises(ValueError, match="keep=False"):
-        tracer.to_jsonl()
-    with pytest.raises(ValueError, match="keep=False"):
-        tracer.dump(tmp_path / "t.jsonl")
-
-
-def test_keep_false_still_tracks_counts():
-    tracer = Tracer(stream=io.StringIO(), keep=False)
-    tracer.event("ad", "x", 0.0)
-    tracer.event("ad", "y", 0.0)
-    with tracer.span("query", "q", 1.0):
-        pass
-    assert tracer.records == []
-    assert tracer.keep is False
-    assert tracer.counts_by_category() == {"ad": 2, "query": 1}
 
 
 # ----------------------------------------------- engine observer integration

@@ -1,10 +1,13 @@
 """Parallel tracing + auditing: per-worker trace streams, fingerprint
 determinism across serial and --jobs N execution."""
 
+import json
+
 import pytest
 
 from repro.experiments.parallel import cell_trace_name, run_cells
-from repro.obs.audit import audit_run
+from repro.obs.audit import TraceFold
+from repro.obs.report import main as report_main
 from repro.obs.trace import read_trace
 from repro.simulation import scaled_config
 
@@ -46,16 +49,24 @@ def test_fingerprints_bit_identical_serial_vs_jobs2(serial_and_parallel):
     assert len({r.fingerprint for r in serial}) == len(serial)
 
 
-def test_per_cell_trace_files_audit_clean(serial_and_parallel):
+def test_per_cell_trace_files_audit_clean(serial_and_parallel, tmp_path):
     configs, _, serial_dir, parallel, par_dir = serial_and_parallel
     for config, outcome in zip(configs, parallel):
         name = cell_trace_name(config)
-        records = read_trace(par_dir / name)
+        records = list(read_trace(par_dir / name))
         assert records, "streamed trace must not be empty"
-        report = audit_run(records, outcome, config)
+        fold = TraceFold(config, records)
+        report = fold.audit(outcome)
         assert report.ok, report.format_table()
-        # Re-auditing the streamed file reproduces the worker's fingerprint.
-        assert report.fingerprint == outcome.fingerprint
+        # One fold, two feeds: re-feeding the streamed file reproduces the
+        # worker's live report, not only its fingerprint.
+        assert report.to_dict() == outcome.audit.to_dict()
+        # ``report analyze`` is that fold's summary of the file.
+        analyzed = tmp_path / f"{name}.analyze.json"
+        assert report_main(
+            ["analyze", "--trace", str(par_dir / name), "--out", str(analyzed)]
+        ) == 0
+        assert json.loads(analyzed.read_text()) == fold.summary()
         # The serial stream wrote structurally identical trace content
         # (only wall-clock durations may differ between executions).
         serial_records = read_trace(serial_dir / name)

@@ -277,8 +277,9 @@ def bench_merge_refresh_600(benchmark):
 
 def bench_stub_domains_all_1296(benchmark):
     """Every stub domain of the paper's network, built from nothing:
-    Bernoulli mask -> dense adjacency -> frontier-product hop matrix ->
-    gateway draw, 1,296 times (a 10k-peer cell touches ~1,260 of them)."""
+    Bernoulli masks -> one boolean adjacency stack -> batched breadth-first
+    connectivity -> gateway draws -> batched breadth-first gateway rows, for
+    all 1,296 (a 10k-peer cell touches ~1,260 of them)."""
 
     def build() -> TransitStubNetwork:
         net = TransitStubNetwork(seed=0)

@@ -7,10 +7,11 @@ between two nodes in *different* stub domains always decomposes as::
       --(transit core shortest path)--> transit_v
       --(5ms)--> gateway_v --(intra-stub)--> v
 
-Each segment is exact: intra-stub distances come from per-domain all-pairs
-hop matrices, the core segment from Dijkstra APSP over the 144 transit
-nodes.  Nodes in the *same* stub domain use the intra-domain shortest path
-directly (which by the triangle inequality within the domain is never worse
+Each segment is exact: intra-stub distances come from each domain's
+breadth-first hop counts to its gateway, the core segment from Dijkstra APSP
+over the 144 transit nodes.  Nodes in the *same* stub domain use the
+intra-domain shortest path directly (a breadth-first pass over the domain's
+adjacency; by the triangle inequality within the domain it is never worse
 than detouring through the gateway).
 
 The model answers one query, the vectorised ``pairwise_ms(us, vs)``; a

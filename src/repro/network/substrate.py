@@ -13,7 +13,7 @@ cell that asks for it:
   lazy, order-independent materialisation of per-domain graphs and
   per-node anchor/offset entries, each derived from named RNG
   substreams).  Building one repeats the transit-core APSP, stub-domain
-  hop matrices and node registration (~0.15 s for the ~1,000 domains of a
+  gateway rows and node registration (~0.07 s for the ~1,000 domains of a
   2,000-peer cell; docs/PERFORMANCE.md, "Set-up path");
 * the **workload** -- the eDonkey-like content snapshot and the query
   trace over it, a pure function of ``(EdonkeyParams, TraceParams, seed)``

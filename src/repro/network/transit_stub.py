@@ -25,11 +25,16 @@ Only the transit core (144 nodes) is materialised eagerly.  Each of the
 1,296 stub-domain graphs is generated on first touch from its own named RNG
 substream, so results are deterministic regardless of access order and a
 scaled-down experiment that touches 50 domains never pays for 1,296.  A
-materialised domain is its gateway and its all-pairs hop matrix, one slice
-each of two network-wide arrays, so the latency model reads any batch of
-(domain, node, node) triples with one gather (docs/PERFORMANCE.md,
-"Set-up path", has what building them costs).  The network answers only
-such vectorised queries (:meth:`TransitStubNetwork.stub_hops`,
+materialised domain keeps only what a latency needs: its gateway, every
+node's hop count to that gateway, and its adjacency (packed eight nodes to
+a byte), one slice each of three network-wide arrays.  A batch of missing
+domains is built together: the edge masks of all of them go into one
+boolean stack, and one breadth-first pass (:func:`_bfs`) over the stack
+gives every domain's connectivity, a second every gateway row.  The rare
+same-domain pair runs the same :func:`_bfs` from its first node over the
+stored adjacency (docs/PERFORMANCE.md, "Set-up path", has what each step
+costs).  The network answers only vectorised queries
+(:meth:`TransitStubNetwork.stub_hops`,
 :meth:`TransitStubNetwork.gateway_hops`); one node is a batch of one.
 """
 
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -124,28 +129,30 @@ def _connect_components(
         adjacency[v].add(u)
 
 
-#: Hop count of a pair no path joins (graphs here are forced connected, so
-#: it only ever shows between :func:`_hop_matrix` and the bridging step).
+#: Hop count of a node no path reaches (graphs here are forced connected, so
+#: it only ever shows between a draw and its bridging step).
 UNREACHABLE = np.iinfo(np.int32).max
 
 
-def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts of a small dense boolean adjacency matrix.
+def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop counts from one source per graph of a stack of boolean adjacency
+    matrices: ``(k, n, n)`` and ``(k,)`` local indices give ``(k, n)`` int32.
 
-    Breadth-first from every node at once: the nodes first reached at
-    distance ``d + 1`` are ``frontier @ adjacency`` minus those already
-    reached (float32 so the product is one BLAS call; a stub domain at the
-    paper's parameters has diameter 3-4, so the loop runs that often).
+    Breadth-first over the whole stack in lockstep: the nodes first reached
+    at distance ``d + 1`` are ``frontier @ adjacency`` minus those already
+    reached (one boolean matmul per level for every graph; a stub domain at
+    the paper's parameters has diameter 3-4, so the loop runs that often).
     """
-    n = len(adjacency)
-    neighbours = adjacency.astype(np.float32)
-    reached = np.eye(n, dtype=bool)
-    hops = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    hops[reached] = 0
+    k, n = adjacency.shape[:2]
+    rows = np.arange(k)
+    hops = np.full((k, n), UNREACHABLE, dtype=np.int32)
+    reached = np.zeros((k, n), dtype=bool)
+    reached[rows, sources] = True
+    hops[rows, sources] = 0
     frontier, distance = reached, 0
     while frontier.any():
         distance += 1
-        frontier = (frontier.astype(np.float32) @ neighbours > 0) & ~reached
+        frontier = np.matmul(frontier[:, None, :], adjacency)[:, 0] & ~reached
         hops[frontier] = distance
         reached = reached | frontier
     return hops
@@ -157,35 +164,38 @@ def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
-def _random_graph(
-    n: int, p: float, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Erdos-Renyi G(n, p), forced connected: ``(adjacency, hop matrix)``.
+def _random_graphs(
+    n: int, p: float, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Erdos-Renyi G(n, p) per generator, forced connected: a
+    ``(len(rngs), n, n)`` stack of dense symmetric boolean adjacencies.
 
-    The adjacency is a dense symmetric boolean matrix.  A disconnected draw
-    (about one stub domain in 10^7 at the paper's parameters, most at
-    deliberately sparse ones) is bridged by :func:`_connect_components` over
-    adjacency sets filled in the draw's own edge order, which fixes the
-    order it discovers components in and therefore what its ``rng.choice``
-    calls return.
+    Each graph draws its upper-triangle Bernoulli mask from its own
+    generator, straight into one row of a boolean stack, and one
+    :func:`_bfs` from node 0 tells every graph's connectivity.  A
+    disconnected draw (about one stub domain in 10^7 at the paper's
+    parameters, most at deliberately sparse ones) is bridged by
+    :func:`_connect_components` over adjacency sets filled in the draw's
+    own edge order, which fixes the order it discovers components in and
+    therefore what its ``rng.choice`` calls return.
     """
-    adjacency = np.zeros((n, n), dtype=bool)
     iu, ju = _upper_triangle(n)
-    # p == 0 draws nothing, as it never has.
-    mask = rng.random(len(iu)) < p if p > 0 else np.zeros(len(iu), dtype=bool)
-    iu, ju = iu[mask], ju[mask]
-    adjacency[iu, ju] = adjacency[ju, iu] = True
-    hops = _hop_matrix(adjacency)
-    if hops.max(initial=0) == UNREACHABLE:
+    masks = np.zeros((len(rngs), len(iu)), dtype=bool)
+    if p > 0:  # p == 0 draws nothing, as it never has.
+        for mask, rng in zip(masks, rngs):
+            np.less(rng.random(len(iu)), p, out=mask)
+    adjacency = np.zeros((len(rngs), n, n), dtype=bool)
+    adjacency[:, iu, ju] = adjacency[:, ju, iu] = masks
+    reach = _bfs(adjacency, np.zeros(len(rngs), dtype=np.int64))
+    for g in np.flatnonzero(reach.max(axis=1) == UNREACHABLE).tolist():
         sets: List[Set[int]] = [set() for _ in range(n)]
-        for u, v in zip(iu.tolist(), ju.tolist()):
+        for u, v in zip(iu[masks[g]].tolist(), ju[masks[g]].tolist()):
             sets[u].add(v)
             sets[v].add(u)
-        _connect_components(n, sets, rng)
+        _connect_components(n, sets, rngs[g])
         for u, nbrs in enumerate(sets):
-            adjacency[u, list(nbrs)] = True
-        hops = _hop_matrix(adjacency)
-    return adjacency, hops
+            adjacency[g, u, list(nbrs)] = True
+    return adjacency
 
 
 class TransitStubNetwork:
@@ -195,10 +205,12 @@ class TransitStubNetwork:
         self.params = params or TransitStubParams()
         self._streams = RandomStreams(seed=seed)
         n_domains, size = self.params.n_stub_domains, self.params.stub_nodes_per_domain
-        # Per stub domain: gateway local index (-1 = not yet materialised) and
-        # hop matrix (``zeros``: a page is committed when its domain is built).
+        # Per stub domain (``zeros``: a page is committed when its domain is
+        # built): gateway local index (-1 = not yet materialised), every
+        # node's hop count to it, and the adjacency, eight nodes to a byte.
         self._gateway = np.full(n_domains, -1, dtype=np.int64)
-        self._hops = np.zeros((n_domains, size, size), dtype=np.int32)
+        self._gateway_hops = np.zeros((n_domains, size), dtype=np.int32)
+        self._adjacency = np.zeros((n_domains, size, (size + 7) // 8), dtype=np.uint8)
         self._core_dist: np.ndarray | None = None
         self._build_transit_core()
 
@@ -211,9 +223,9 @@ class TransitStubNetwork:
         # Intra-domain edges.
         for dom in range(p.n_transit_domains):
             base = dom * p.transit_nodes_per_domain
-            adjacency, _ = _random_graph(
-                p.transit_nodes_per_domain, p.p_transit_edge, rng
-            )
+            adjacency = _random_graphs(
+                p.transit_nodes_per_domain, p.p_transit_edge, [rng]
+            )[0]
             for u, v in zip(*np.nonzero(np.triu(adjacency))):
                 edges.append((base + int(u), base + int(v), p.lat_intra_transit_ms))
         # Inter-domain edges: the 9 domains form a complete graph at domain
@@ -259,26 +271,37 @@ class TransitStubNetwork:
         )
 
     def materialise(self, domain_ids: np.ndarray) -> None:
-        """Generate the stub domains among ``domain_ids`` not yet built."""
+        """Generate the stub domains among ``domain_ids`` not yet built, as
+        one batch: every domain draws from its own stream, in the order it
+        always has (edge mask, any bridging, then its gateway)."""
         p, size = self.params, self.params.stub_nodes_per_domain
         domain_ids = np.asarray(domain_ids)
         bad = (domain_ids < 0) | (domain_ids >= p.n_stub_domains)
         if bad.any():
             raise ValueError(f"bad stub domain id {domain_ids[bad][0]}")
         missing = np.unique(domain_ids[self._gateway[domain_ids] < 0])
-        for domain_id in missing.tolist():
-            rng = self._streams.get(f"stub-domain-{domain_id}")
-            _, self._hops[domain_id] = _random_graph(size, p.p_stub_edge, rng)
-            self._gateway[domain_id] = int(rng.integers(size))
+        if not len(missing):
+            return
+        rngs = [self._streams.get(f"stub-domain-{d}") for d in missing.tolist()]
+        adjacency = _random_graphs(size, p.p_stub_edge, rngs)
+        gateway = np.array([rng.integers(size) for rng in rngs], dtype=np.int64)
+        self._gateway[missing] = gateway
+        self._gateway_hops[missing] = _bfs(adjacency, gateway)
+        self._adjacency[missing] = np.packbits(adjacency, axis=-1)
 
     def stub_hops(
         self, domains: np.ndarray, local_u: np.ndarray, local_v: np.ndarray
     ) -> np.ndarray:
-        """Hop counts between local indices of stub domains (aligned arrays)."""
+        """Hop counts between local indices of stub domains (aligned arrays):
+        one breadth-first pass from each pair's ``u``."""
         self.materialise(domains)
-        return self._hops[domains, local_u, local_v]
+        size = self.params.stub_nodes_per_domain
+        adjacency = np.unpackbits(
+            self._adjacency[domains], axis=-1, count=size
+        ).view(bool)
+        return _bfs(adjacency, local_u)[np.arange(len(adjacency)), local_v]
 
     def gateway_hops(self, domains: np.ndarray, local: np.ndarray) -> np.ndarray:
         """Hop counts from local indices to their domains' gateways."""
         self.materialise(domains)
-        return self._hops[domains, local, self._gateway[domains]]
+        return self._gateway_hops[domains, local]

@@ -49,20 +49,44 @@ class ContentIndex:
         self._node_docs: Dict[int, Set[int]] = {}
         self._kw_docs: Dict[str, Set[int]] = {}
         self._forked = False
+        # The two placement maps as they stood at this index's last fork
+        # (or its own creation by one), which both sides then read and
+        # neither writes; None if it never forked.
+        self._shared: Tuple[Dict[int, Set[int]], Dict[int, Set[int]]] | None = None
 
     def fork(self) -> "ContentIndex":
         """An index whose placements change apart from this one's.
 
-        Only placements are copied: the documents and the keyword index are
-        shared, so the fork registers no documents.
+        Nothing is copied: the documents and the keyword index are shared
+        for good, so the fork registers no documents, and the placement maps
+        and their sets are shared copy-on-write.  Whichever side first
+        changes a placement copies the two maps (pointers only), and each
+        set the first time it changes it, so neither side ever writes what
+        the other reads.
         """
         twin = ContentIndex.__new__(ContentIndex)
         twin._documents = self._documents
         twin._kw_docs = self._kw_docs
-        twin._holders = {d: set(h) for d, h in self._holders.items()}
-        twin._node_docs = {n: set(d) for n, d in self._node_docs.items()}
+        twin._holders, twin._node_docs = self._holders, self._node_docs
         twin._forked = True
+        self._shared = twin._shared = (self._holders, self._node_docs)
         return twin
+
+    def _writable(self, doc_id: int, node: int) -> Tuple[Set[int], Set[int]]:
+        """``doc_id``'s holder set and ``node``'s document set, each this
+        index's own: copied first if the last fork shares it."""
+        if self._shared is None:
+            return self._holders[doc_id], self._node_docs.setdefault(node, set())
+        shared_holders, shared_docs = self._shared
+        if self._holders is shared_holders:
+            self._holders, self._node_docs = dict(shared_holders), dict(shared_docs)
+        holders = self._holders[doc_id]
+        if holders is shared_holders.get(doc_id):
+            holders = self._holders[doc_id] = set(holders)
+        docs = self._node_docs.get(node)
+        if docs is None or docs is shared_docs.get(node):
+            docs = self._node_docs[node] = set(docs or ())
+        return holders, docs
 
     # ------------------------------------------------------------- documents
     def register_document(self, doc: Document) -> None:
@@ -93,21 +117,21 @@ class ContentIndex:
         """Node starts sharing a copy of ``doc_id``."""
         if doc_id not in self._documents:
             raise KeyError(f"unknown document {doc_id}")
-        holders = self._holders[doc_id]
-        if node in holders:
+        if node in self._holders[doc_id]:
             raise ValueError(f"node {node} already holds document {doc_id}")
+        holders, docs = self._writable(doc_id, node)
         holders.add(node)
-        self._node_docs.setdefault(node, set()).add(doc_id)
+        docs.add(doc_id)
 
     def remove(self, node: int, doc_id: int, notify: bool = False) -> None:
         """Node stops sharing its copy of ``doc_id``."""
         if doc_id not in self._documents:
             raise KeyError(f"unknown document {doc_id}")
-        holders = self._holders[doc_id]
-        if node not in holders:
+        if node not in self._holders[doc_id]:
             raise ValueError(f"node {node} does not hold document {doc_id}")
+        holders, docs = self._writable(doc_id, node)
         holders.discard(node)
-        self._node_docs[node].discard(doc_id)
+        docs.discard(doc_id)
 
     # --------------------------------------------------------------- queries
     def holders(self, doc_id: int) -> FrozenSet[int]:

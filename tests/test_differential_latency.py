@@ -1,10 +1,10 @@
 """Differential test: hierarchical latency model vs flat Dijkstra.
 
-The latency model exploits the transit-stub structure (per-domain APSP +
-transit-core APSP + gateway decomposition).  This test materialises the
+The latency model exploits the transit-stub structure (per-domain breadth-first
+hop counts + transit-core APSP + gateway decomposition).  This test materialises the
 *entire* physical graph of a small configuration as an explicit edge list
 -- transit edges, transit-to-gateway access links, and every intra-stub
-edge (the pairs one hop apart in the materialised hop matrices) -- runs
+edge (the pairs one hop apart in each domain's ``stub_hops``) -- runs
 textbook Dijkstra over it, and checks the hierarchical model agrees on every
 node pair.
 """
@@ -18,6 +18,8 @@ from repro.network.latency import LatencyModel
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology
 from repro.network.transit_stub import TransitStubNetwork, TransitStubParams
+
+from tests.oracles.hops import domain_hops
 
 
 def build_flat_graph(net: TransitStubNetwork) -> np.ndarray:
@@ -35,14 +37,14 @@ def build_flat_graph(net: TransitStubNetwork) -> np.ndarray:
         add(u, v, w)
 
     size = p.stub_nodes_per_domain
-    net.materialise(np.arange(p.n_stub_domains))
     for domain_id in range(p.n_stub_domains):
         first = p.n_transit + domain_id * size
+        gateway, hops = domain_hops(net, domain_id)
         # Access link: transit node <-> gateway stub node.
         transit = domain_id // p.stub_domains_per_transit
-        add(transit, first + int(net._gateway[domain_id]), p.lat_transit_stub_ms)
+        add(transit, first + gateway, p.lat_transit_stub_ms)
         # Intra-domain edges: hop distance exactly 1.
-        for i, j in zip(*np.nonzero(np.triu(net._hops[domain_id] == 1))):
+        for i, j in zip(*np.nonzero(np.triu(hops == 1))):
             add(first + int(i), first + int(j), p.lat_intra_stub_ms)
 
     n = p.n_nodes

@@ -31,6 +31,7 @@ from repro.obs.telemetry import fingerprint
 from repro.simulation.config import ALGORITHMS, scaled_config
 from repro.simulation.runner import run_experiment
 
+from tests.oracles.hops import domain_hops
 from tests.test_engine_batching_differential import small_config
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "run_fingerprints.json"
@@ -190,7 +191,7 @@ def merged_obs_fingerprints(out_dir):
 
 def substrate_digest(params, seed):
     """blake2b over what the physical substrate hands the overlay: stub
-    graphs (gateway + hop matrix of the first 64 domains), the latency
+    graphs (gateway + all-pairs ``stub_hops`` of the first 64 domains), the latency
     model's registered offsets/anchors, and batch and scalar latencies over
     a fixed pair sample with same-domain, unregistered and ``u == v`` pairs."""
     net = TransitStubNetwork(params, seed=seed)
@@ -202,9 +203,9 @@ def substrate_digest(params, seed):
         digest.update(numpy.ascontiguousarray(values, dtype=dtype).tobytes())
 
     for domain_id in range(64):
-        net.materialise(numpy.array([domain_id]))
-        feed([net._gateway[domain_id]], numpy.int64)
-        feed(net._hops[domain_id], numpy.int64)
+        gateway, hops = domain_hops(net, domain_id)
+        feed([gateway], numpy.int64)
+        feed(hops, numpy.int64)
     rng = numpy.random.default_rng(20070910)
     nodes = numpy.concatenate(
         [numpy.arange(4), rng.choice(numpy.arange(4, p.n_nodes), 496, replace=False)]

@@ -1,6 +1,7 @@
 """Tests for the process-wide substrate and workload caches."""
 
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,56 @@ class TestWorkloadCache:
         assert get_workload.cache_info().misses == 1
         assert warm.fingerprint == cold.fingerprint
         assert warm.summarize() == cold.summarize()
+
+    def test_a_fork_shares_every_set_until_it_changes_it(self):
+        """``fork()`` shares the parent's holder and node-document sets;
+        ``place`` / ``remove`` copy a set the first time they change it,
+        and neither the parent nor a sibling fork sees the change."""
+        config = _churning("flooding")
+        parent = get_workload(config.edonkey, config.trace, config.seed)[0].index
+        before = copy.deepcopy((parent._holders, parent._node_docs))
+        fork, sibling = parent.fork(), parent.fork()
+        for d, holders in parent._holders.items():
+            assert fork._holders[d] is holders
+        for n, docs in parent._node_docs.items():
+            assert fork._node_docs[n] is docs
+
+        doc_id, node = next((d, min(h)) for d, h in parent._holders.items() if h)
+        other = next(d for d in parent._holders if node not in parent._holders[d])
+        fork.remove(node, doc_id)
+        fork.place(node, other)
+        copied = fork._holders[doc_id]
+        fork.place(node, doc_id)  # a set is copied once
+        assert fork._holders[doc_id] is copied
+        for d, holders in parent._holders.items():
+            assert (fork._holders[d] is holders) == (d not in (doc_id, other))
+        for n, docs in parent._node_docs.items():
+            assert (fork._node_docs[n] is docs) == (n != node)
+        assert fork.docs_on(node) == parent.docs_on(node) | {other}
+        assert fork.holders(other) == parent.holders(other) | {node}
+        assert (parent._holders, parent._node_docs) == before
+        assert (sibling._holders, sibling._node_docs) == before
+
+        # The parent's own later change copies as well: the fork keeps
+        # what it had.
+        parent.remove(node, doc_id)
+        assert node in fork.holders(doc_id) and node in sibling.holders(doc_id)
+        assert (sibling._holders, sibling._node_docs) == before
+
+    def test_a_fork_allocates_no_placement(self):
+        """Forking ``baselines_2k``'s 2,000-peer seed-0 workload (~12.5k
+        documents) allocates under 200 kB; copying its placements would
+        allocate ~4.5 MB."""
+        config = scaled_config("flooding", "crawled", n_peers=2000, n_queries=1000, seed=0)
+        config = replace(config, trace=replace(config.trace, content_change_fraction=0.10))
+        index = get_workload(config.edonkey, config.trace, config.seed)[0].index
+        tracemalloc.start()
+        try:
+            index.fork()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_run_cells_builds_shared_workloads_before_forking(self):
         """The parent builds each workload two cells share, as many as the

@@ -9,11 +9,11 @@ from repro.network.transit_stub import (
     UNREACHABLE,
     TransitStubNetwork,
     TransitStubParams,
-    _hop_matrix,
-    _random_graph,
+    _bfs,
+    _random_graphs,
 )
 
-from tests.oracles.hops import hop_matrix_reference
+from tests.oracles.hops import domain_hops, hop_matrix_reference
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +51,16 @@ class TestParams:
             TransitStubParams(stub_nodes_per_domain=0)
 
 
-def _domain(net, domain_id):
-    """A stub domain's ``(gateway local index, hop matrix)``, built on first
-    touch."""
-    net.materialise(np.array([domain_id]))
-    return int(net._gateway[domain_id]), net._hops[domain_id]
+def _all_pairs(adjacency):
+    """All-pairs hop counts of one graph: :func:`_bfs` from every node."""
+    n = len(adjacency)
+    return _bfs(np.broadcast_to(adjacency, (n, n, n)), np.arange(n))
+
+
+def _random_graph(n, p, rng):
+    """One forced-connected G(n, p) and its all-pairs hop counts."""
+    adjacency = _random_graphs(n, p, [rng])[0]
+    return adjacency, _all_pairs(adjacency)
 
 
 class TestIdScheme:
@@ -138,22 +143,22 @@ class TestTransitCore:
 
 class TestStubDomains:
     def test_domain_is_cached(self, small_net):
-        gateway, hops = _domain(small_net, 0)
+        gateway, hops = domain_hops(small_net, 0)
         before = hops.copy()
-        assert _domain(small_net, 0)[0] == gateway
-        assert np.array_equal(_domain(small_net, 0)[1], before)
+        assert domain_hops(small_net, 0)[0] == gateway
+        assert np.array_equal(domain_hops(small_net, 0)[1], before)
 
     def test_hop_distances_connected(self, small_net):
-        _, hops = _domain(small_net, 0)
+        _, hops = domain_hops(small_net, 0)
         assert np.all(hops < UNREACHABLE)
         assert np.all(np.diag(hops) == 0)
 
     def test_gateway_distance_zero_for_gateway(self, small_net):
-        gateway, _ = _domain(small_net, 0)
+        gateway, _ = domain_hops(small_net, 0)
         assert small_net.gateway_hops(np.array([0]), np.array([gateway]))[0] == 0
 
     def test_gateway_distance_positive_for_others(self, small_net):
-        gateway, _ = _domain(small_net, 0)
+        gateway, _ = domain_hops(small_net, 0)
         size = small_net.params.stub_nodes_per_domain
         local = np.arange(size)
         hops = small_net.gateway_hops(np.zeros(size, dtype=np.int64), local)
@@ -176,9 +181,9 @@ class TestStubDomains:
         net1 = TransitStubNetwork(params, seed=7)
         net2 = TransitStubNetwork(params, seed=7)
         # Touch domains in different orders.
-        _domain(net1, 0)
-        gateway1, hops1 = _domain(net1, 3)
-        gateway2, hops2 = _domain(net2, 3)  # touched first here
+        domain_hops(net1, 0)
+        gateway1, hops1 = domain_hops(net1, 3)
+        gateway2, hops2 = domain_hops(net2, 3)  # touched first here
         assert gateway1 == gateway2
         assert np.array_equal(hops1, hops2)
 
@@ -189,24 +194,23 @@ class TestStubDomains:
             stub_domains_per_transit=2,
             stub_nodes_per_domain=10,
         )
-        gateway_a, hops_a = _domain(TransitStubNetwork(params, seed=1), 0)
-        gateway_b, hops_b = _domain(TransitStubNetwork(params, seed=2), 0)
+        gateway_a, hops_a = domain_hops(TransitStubNetwork(params, seed=1), 0)
+        gateway_b, hops_b = domain_hops(TransitStubNetwork(params, seed=2), 0)
         assert gateway_a != gateway_b or not np.array_equal(hops_a, hops_b)
 
     def test_bad_domain_id(self, small_net):
         with pytest.raises(ValueError):
-            _domain(small_net, small_net.params.n_stub_domains)
+            domain_hops(small_net, small_net.params.n_stub_domains)
 
 
 class TestHopMatricesAgainstOracle:
-    """Every materialised domain's hop matrix equals scipy's all-pairs
+    """Every materialised domain's hop counts equal scipy's all-pairs
     shortest paths over the same edges."""
 
     def test_small_network_every_domain(self, small_net):
-        # A materialised domain keeps only its hop matrix; its edges are the
-        # pairs one hop apart.
+        # A domain's edges are the pairs one hop apart.
         for domain_id in range(small_net.params.n_stub_domains):
-            _, hops = _domain(small_net, domain_id)
+            _, hops = domain_hops(small_net, domain_id)
             assert np.array_equal(hops, hop_matrix_reference(hops == 1))
             assert hops.max() < UNREACHABLE
 
@@ -216,25 +220,50 @@ class TestHopMatricesAgainstOracle:
         net.materialise(all_domains)
         assert (net._gateway >= 0).all()
         assert (net._gateway < net.params.stub_nodes_per_domain).all()
-        for domain_id in all_domains:
-            hops = net._hops[domain_id]
+        for domain_id in all_domains.tolist():
+            gateway, hops = domain_hops(net, domain_id)
+            assert gateway == net._gateway[domain_id]
             assert np.array_equal(hops, hop_matrix_reference(hops == 1))
-        assert net._hops.max() < UNREACHABLE
+            assert hops.max() < UNREACHABLE
+        # Built, a domain keeps no hop matrix: no array of the network is
+        # (domain, node, node).
+        size = net.params.stub_nodes_per_domain
+        shapes = [a.shape for a in vars(net).values() if isinstance(a, np.ndarray)]
+        assert (len(all_domains), size, size) not in shapes
 
-    def test_materialise_is_idempotent_and_batch_equals_single(self):
-        params = TransitStubParams(stub_nodes_per_domain=12, p_stub_edge=0.2)
-        batch = TransitStubNetwork(params, seed=5)
-        batch.materialise(np.array([7, 3, 7, 40]))
-        before = batch._hops.copy(), batch._gateway.copy()
-        batch.materialise(np.array([3, 40]))
-        assert np.array_equal(batch._hops, before[0])
-        assert np.array_equal(batch._gateway, before[1])
-        single = TransitStubNetwork(params, seed=5)
-        for domain_id in (40, 3, 7):
-            gateway, hops = _domain(single, domain_id)
-            assert gateway == batch._gateway[domain_id]
-            assert np.array_equal(hops, batch._hops[domain_id])
-        assert np.count_nonzero(batch._gateway >= 0) == 3
+    def test_materialise_is_idempotent_and_batch_equals_single(self, monkeypatch):
+        """One batch builds every domain as building it alone does, in
+        batches that mix connected draws with draws ``_connect_components``
+        bridges."""
+        calls = []
+        real = transit_stub._connect_components
+        monkeypatch.setattr(
+            transit_stub, "_connect_components",
+            lambda n, adjacency, rng: calls.append(n) or real(n, adjacency, rng),
+        )
+        dense = TransitStubParams(stub_nodes_per_domain=12, p_stub_edge=0.2)
+        # The golden file's SPARSE_STUBS at seed 0: of the six domains, the
+        # draws of 178, 200 and 252 are connected and the others bridge.
+        sparse = TransitStubParams(stub_nodes_per_domain=8, p_stub_edge=0.12)
+        for params, seed, domains, bridging in (
+            (dense, 5, [7, 3, 7, 40], {3, 7}),
+            (sparse, 0, [178, 3, 200, 64, 7, 252, 3], {3, 7, 64}),
+        ):
+            batch = TransitStubNetwork(params, seed=seed)
+            before = len(calls)
+            batch.materialise(np.array(domains))
+            assert len(calls) - before == len(bridging)
+            built = {d: domain_hops(batch, d) for d in domains}
+            batch.materialise(np.array(domains[1:]))
+            assert np.count_nonzero(batch._gateway >= 0) == len(built)
+            single = TransitStubNetwork(params, seed=seed)
+            for domain_id in sorted(built, reverse=True):
+                before = len(calls)
+                gateway, hops = domain_hops(single, domain_id)
+                assert (len(calls) > before) == (domain_id in bridging)
+                assert gateway == built[domain_id][0] == domain_hops(batch, domain_id)[0]
+                assert np.array_equal(hops, built[domain_id][1])
+                assert np.array_equal(hops, domain_hops(batch, domain_id)[1])
 
     def test_vector_gathers_match_scalar_queries(self, small_net):
         p = small_net.params
@@ -245,7 +274,7 @@ class TestHopMatricesAgainstOracle:
         for i, node in enumerate(stub.tolist()):
             d, j = divmod(node - p.n_transit, p.stub_nodes_per_domain)
             assert (domain[i], local[i]) == (d, j)
-            gateway, hops = _domain(small_net, d)
+            gateway, hops = domain_hops(small_net, d)
             assert to_gateway[i] == hops[j, gateway] * p.lat_intra_stub_ms
             assert to_first[i] == hops[j, 0]
 
@@ -276,9 +305,10 @@ class TestDisconnectedDraws:
     def test_sparse_parameters_bridge_and_end_connected(self, monkeypatch):
         params = TransitStubParams(stub_nodes_per_domain=8, p_stub_edge=0.12)
         net, bridged = self._count_bridging_calls(monkeypatch, params, 64)
-        assert bridged >= 60  # P(G(8, 0.12) connected) is about 0.1 %
-        assert net._hops[:64].max() < UNREACHABLE
-        for hops in net._hops[:64]:
+        assert bridged >= 60  # P(G(8, 0.12) connected) is about 1.5 %
+        for domain_id in range(64):
+            _, hops = domain_hops(net, domain_id)
+            assert hops.max() < UNREACHABLE
             assert np.array_equal(hops, hop_matrix_reference(hops == 1))
 
     def test_paper_parameters_never_bridge(self, monkeypatch):
@@ -307,7 +337,7 @@ class TestGraphHelpers:
         adjacency = np.zeros((4, 4), dtype=bool)
         for u in range(3):
             adjacency[u, u + 1] = adjacency[u + 1, u] = True
-        for hops in (_hop_matrix(adjacency), hop_matrix_reference(adjacency)):
+        for hops in (_all_pairs(adjacency), hop_matrix_reference(adjacency)):
             assert hops[0, 3] == 3
             assert hops[1, 2] == 1
             assert np.array_equal(hops, hops.T)
@@ -315,7 +345,7 @@ class TestGraphHelpers:
     def test_hop_matrix_marks_unreachable_pairs(self):
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 0] = True
-        hops = _hop_matrix(adjacency)
+        hops = _all_pairs(adjacency)
         assert hops[0, 2] == hops[2, 1] == UNREACHABLE
         assert np.array_equal(hops, hop_matrix_reference(adjacency))
 

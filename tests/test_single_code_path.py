@@ -176,9 +176,12 @@ def _calls(tree, attr):
 
 def test_src_has_one_stub_graph_builder():
     """Transit domains and stub domains are drawn by the same
-    ``_random_graph`` and measured by the same ``_hop_matrix``; scipy stays
-    only for the 144-node core Dijkstra and the hop oracle is test code."""
+    ``_random_graphs`` and measured by one breadth-first helper, ``_bfs``,
+    which serves connectivity, gateway rows and same-domain pairs; no
+    all-pairs hop matrix is built.  scipy stays only for the 144-node core
+    Dijkstra and the hop oracle is test code."""
     assert not hasattr(transit_stub, "_bfs_all_pairs")
+    assert not hasattr(transit_stub, "_hop_matrix")
     scipy_imports, triangle_draws, hop_builders = {}, [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -196,7 +199,13 @@ def test_src_has_one_stub_graph_builder():
         ]
     assert scipy_imports == {"transit_stub.py": ["csr_matrix", "dijkstra"]}
     assert triangle_draws == ["transit_stub.py"]
-    assert hop_builders == ["transit_stub.py:_hop_matrix"]
+    assert hop_builders == []
+    callers = {
+        node.name: len(_calls(node, "_bfs"))
+        for node in ast.walk(ast.parse(Path(transit_stub.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef) and _calls(node, "_bfs")
+    }
+    assert callers == {"_random_graphs": 1, "materialise": 1, "stub_hops": 1}
 
 
 def test_src_has_one_weighted_sampler():

@@ -19,6 +19,8 @@ vectorised kernels that make paper-scale replay tractable:
   capacity 2,000, and one REFRESH;
 * stub-domain materialisation (all 1,296 domains of the paper's network);
 * content synthesis throughput (1k peers; 2k peers = one ``baselines_2k`` cell);
+* the source-filter store's bootstrap over that 2,000-peer content, in
+  absolute milliseconds (``ms_per_call``);
 * engine event dispatch, unobserved vs observed (repro.obs overhead).
 """
 
@@ -356,4 +358,26 @@ def bench_content_synthesis_2k(benchmark):
     assert dist.index.mean_replica_count() == pytest.approx(1.28, abs=0.05)
     write_bench_stats(
         "micro_content_synthesis_2k", benchmark, documents=dist.index.n_documents
+    )
+
+
+def bench_store_bootstrap_2k(benchmark):
+    """Every source's filter, set-bit count and topics over the content of
+    one 2,000-peer cell (~12.8k documents, ~16k copies): each distinct
+    keyword hashed once, then one scatter per block of 256 sources."""
+    content = synthesize_content(
+        EdonkeyParams(n_peers=2_000, avg_docs_per_peer=10.0),
+        np.random.default_rng(3),
+    ).index
+    store = benchmark.pedantic(
+        SourceFilterStore, args=(2_000, content), rounds=5, iterations=1
+    )
+    assert store.is_sharer(int(np.flatnonzero(store._n_set)[0]))
+    stats = getattr(benchmark, "stats", None)
+    write_bench_stats(
+        "micro_store_bootstrap_2k",
+        benchmark,
+        n_peers=2_000,
+        sharers=int(np.count_nonzero(store._n_set)),
+        **({"ms_per_call": 1e3 * stats.stats.median} if stats is not None else {}),
     )

@@ -19,6 +19,17 @@ keyword hashing there.  The store centralises, for all sources:
   the repair pull of a cache that lags;
 * the current topic set T (the semantic classes of the node's content).
 
+Building the store is array passes over the content index: every distinct
+keyword of the placed documents is hashed once into the hasher's
+keyword-position table (:meth:`~repro.bloom.hashing.BloomHasher.rows`), the
+copies ``(node, doc)`` join it into ``(node, position)`` pairs one block of
+256 nodes at a time, and each block is one scatter into the matrix;
+set-bit counts are the packed columns' popcounts and topics the documents'
+classes.  A removal reads the node's remaining documents' rows of the same
+table.  ``tests/oracles/store.py`` keeps the per-node union loop this
+replaced, and ``tests/test_store_bootstrap_differential.py`` holds the two
+equal.
+
 The store is pure state: it emits :class:`~repro.asap.ads.Ad` objects on
 content changes but never touches the network -- delivery and caching
 policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.state`.
@@ -26,6 +37,8 @@ policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.state`.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -37,6 +50,10 @@ from repro.bloom.matrix import FilterMatrix
 from repro.workload.content import ContentIndex, Document
 
 __all__ = ["FilterVersionError", "SourceFilterStore"]
+
+#: Sources per bootstrap scatter block: a ``(256, m)`` bit block is 2.9 MB
+#: at the paper's m.
+_BLOCK_NODES = 256
 
 
 class FilterVersionError(LookupError):
@@ -74,25 +91,47 @@ class SourceFilterStore:
         self._topics: Dict[int, Set[int]] = {}
         self._bootstrap()
 
-    def _shared_positions(self, node: int) -> np.ndarray:
-        """The bit positions ``node``'s current documents hash to (unordered)."""
-        positions_of = self.hasher.positions
-        document = self.content.document
-        pos: Set[int] = set()
-        for doc_id in self.content.docs_on(node):
-            for term in document(doc_id).keywords:
-                pos.update(positions_of(term))
-        return np.fromiter(pos, dtype=np.int64, count=len(pos))
-
     def _bootstrap(self) -> None:
-        """Build filter columns and topics from the initial content placement."""
-        for node in range(self.n_nodes):
-            pos = self._shared_positions(node)
-            if not len(pos):
+        """Filter columns, set-bit counts and topics of the initial placement.
+
+        The copies ``(node, doc)`` join the documents' rows of the
+        hasher's keyword-position table into ``(node, table row)`` pairs one
+        block of nodes at a time, so the working set stays a
+        ``(_BLOCK_NODES, m)`` bit block and its pairs, and each block is one
+        scatter into the matrix.
+        """
+        nodes, doc_ids = (np.array(a, dtype=np.int64) for a in self.content.copies())
+        inside = (nodes >= 0) & (nodes < self.n_nodes)
+        nodes, doc_ids = nodes[inside], doc_ids[inside]
+        order = np.argsort(nodes, kind="stable")
+        nodes, doc_ids = nodes[order], doc_ids[order]
+        ids, copy_doc = np.unique(doc_ids, return_inverse=True)
+        docs = list(map(self.content.document, ids.tolist()))
+        keywords = list(map(attrgetter("keywords"), docs))
+        rows = self.hasher.rows(list(chain.from_iterable(keywords)))
+        table = self.hasher.table
+        n_keywords = np.fromiter(map(len, keywords), np.int64, len(keywords))
+        ends = np.cumsum(n_keywords)
+        bounds = np.searchsorted(nodes, np.arange(0, self.n_nodes, _BLOCK_NODES))
+        for first, lo, hi in zip(
+            range(0, self.n_nodes, _BLOCK_NODES), bounds, [*bounds[1:], len(nodes)]
+        ):
+            if lo == hi:
                 continue
-            self._topics[node] = self.content.node_classes(node)
-            self._n_set[node] = len(pos)
-            self.matrix.set_row_positions(node, pos)
+            which = copy_doc[lo:hi]
+            count = n_keywords[which]
+            # Copy i's keywords are its document's run of ``rows``.
+            slots = np.repeat(ends[which] - np.cumsum(count), count)
+            slots += np.arange(len(slots))
+            block = min(_BLOCK_NODES, self.n_nodes - first)
+            self._n_set[first : first + block] = self.matrix.set_columns(
+                first, block, np.repeat(nodes[lo:hi], count), table[rows[slots]]
+            )
+        # Topics: the classes of each sharer's documents.
+        classes = np.fromiter(map(attrgetter("class_id"), docs), np.int64, len(docs))
+        n_classes = int(classes.max()) + 1 if len(docs) else 1
+        for code in np.unique(nodes * n_classes + classes[copy_doc]).tolist():
+            self._topics.setdefault(code // n_classes, set()).add(code % n_classes)
 
     # --------------------------------------------------------------- queries
     def version(self, source: int) -> int:
@@ -195,7 +234,11 @@ class SourceFilterStore:
                     f"bit {mine[~is_set][0]} of its keywords is clear"
                 )
             # A bit stays set while some document still shared hashes there.
-            changed = mine[~np.isin(mine, self._shared_positions(node))]
+            document = self.content.document
+            still = self.hasher.rows(
+                [t for d in self.content.docs_on(node) for t in document(d).keywords]
+            )
+            changed = mine[~np.isin(mine, self.hasher.table[still])]
             self._n_set[node] -= len(changed)
         # Topics track the node's current content classes exactly.
         self._topics[node] = self.content.node_classes(node)

@@ -51,32 +51,39 @@ class FilterMatrix:
 
     def _checked(self, positions: Sequence[int]) -> np.ndarray:
         pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) and (pos.min() < 0 or pos.max() >= self.hasher.m):
+        if pos.size and (pos.min() < 0 or pos.max() >= self.hasher.m):
             raise ValueError("bit position out of range")
         return pos
 
     # ------------------------------------------------------------- updates
-    def set_row(self, source: int, bits: np.ndarray) -> None:
-        """Replace ``source``'s filter with a boolean bit array of length m."""
-        if len(bits) != self.hasher.m:
-            raise ValueError(
-                f"bit array length {len(bits)} != filter length {self.hasher.m}"
-            )
-        self._cols[:, source] = np.packbits(
-            np.asarray(bits, dtype=np.uint8), bitorder="little"
-        )
-
-    def set_row_positions(self, source: int, positions: Sequence[int]) -> None:
-        """Replace ``source``'s filter with exactly the given set positions.
+    def set_columns(
+        self, first: int, count: int, sources: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Replace the filters of sources ``first .. first + count - 1`` with
+        exactly the bits the pairs set -- row ``i`` of ``positions`` is bits
+        of source ``sources[i]`` -- and return their set-bit counts.
 
         The vectorised *add* primitive: with the matrix as the authoritative
-        current-filter store, bootstrapping a source is one scatter of its
-        keyword positions and one packed column write -- no per-source
-        filter object.
+        current-filter store, bootstrapping a block of sources is one
+        scatter of their keyword positions into a ``(count, m)`` bit block
+        and one packed write -- no per-source filter object.
         """
-        bits = np.zeros(self.hasher.m, dtype=bool)
-        bits[self._checked(positions)] = True
-        self.set_row(source, bits)
+        pos = self._checked(positions)
+        local = np.asarray(sources, dtype=np.int64) - first
+        if local.size and (local.min() < 0 or local.max() >= count):
+            raise ValueError(f"source outside {first} .. {first + count - 1}")
+        bits = np.zeros((count, self.hasher.m), dtype=bool)
+        bits[local[:, None], pos] = True
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        self._cols[:, first : first + count] = packed.T
+        return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+
+    def set_row_positions(self, source: int, positions: Sequence[int]) -> None:
+        """Replace ``source``'s filter with exactly the given set positions
+        (the one-source case of :meth:`set_columns`)."""
+        self.set_columns(
+            source, 1, np.array([source]), np.asarray(positions).reshape(1, -1)
+        )
 
     def flip_bits(self, source: int, positions: Sequence[int]) -> None:
         """Flip the given bit positions of ``source``'s filter (patch apply)."""

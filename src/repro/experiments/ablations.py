@@ -148,11 +148,9 @@ BLOOM_LENGTHS: Tuple[int, ...] = (2048, 4096, 8192, PAPER_M, 2 * PAPER_M)
 def _empirical_fpr(m: int, k: int = 8) -> dict:
     hasher = BloomHasher(m=m, k=k)
     bits = np.zeros(m, dtype=bool)
-    bits[hasher.positions_array(f"member-{i}" for i in range(BLOOM_KEYWORDS))] = True
-    false_hits = sum(
-        bool(bits[hasher.positions_array([f"absent-{i}"])].all())
-        for i in range(BLOOM_PROBES)
-    )
+    bits[hasher.positions_of([f"member-{i}" for i in range(BLOOM_KEYWORDS)])] = True
+    probes = hasher.positions_of([f"absent-{i}" for i in range(BLOOM_PROBES)])
+    false_hits = int(bits[probes].all(axis=1).sum())
     fill = np.count_nonzero(bits) / m
     return {
         "m": m,

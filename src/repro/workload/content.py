@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 __all__ = ["ContentIndex", "Document"]
 
@@ -89,16 +89,46 @@ class ContentIndex:
         return holders, docs
 
     # ------------------------------------------------------------- documents
+    def fill(
+        self,
+        documents: Iterable[Document],
+        copies: Iterable[Tuple[int, int]] = (),
+    ) -> None:
+        """Register ``documents``, then place each ``(node, doc_id)`` copy.
+
+        The index's one construction path: :meth:`register_document` and
+        :meth:`place` are its one-item cases, so every dict and set fills in
+        the order those calls, made item by item, would fill it.  Each item
+        is checked before it is written; an error leaves the items before
+        it in place.
+        """
+        known, holders, kw_docs = self._documents, self._holders, self._kw_docs
+        for doc in documents:
+            if self._forked:
+                raise ValueError("a forked index shares its documents read-only")
+            doc_id = doc.doc_id
+            if doc_id in known:
+                raise ValueError(f"document {doc_id} already registered")
+            known[doc_id] = doc
+            holders[doc_id] = set()
+            for kw in doc.keywords:
+                docs = kw_docs.get(kw)
+                if docs is None:
+                    kw_docs[kw] = {doc_id}
+                else:
+                    docs.add(doc_id)
+        for node, doc_id in copies:
+            if doc_id not in known:
+                raise KeyError(f"unknown document {doc_id}")
+            if node in self._holders[doc_id]:
+                raise ValueError(f"node {node} already holds document {doc_id}")
+            held, docs = self._writable(doc_id, node)
+            held.add(node)
+            docs.add(doc_id)
+
     def register_document(self, doc: Document) -> None:
         """Register document metadata (does not place it on any node)."""
-        if self._forked:
-            raise ValueError("a forked index shares its documents read-only")
-        if doc.doc_id in self._documents:
-            raise ValueError(f"document {doc.doc_id} already registered")
-        self._documents[doc.doc_id] = doc
-        self._holders[doc.doc_id] = set()
-        for kw in doc.keywords:
-            self._kw_docs.setdefault(kw, set()).add(doc.doc_id)
+        self.fill((doc,))
 
     def document(self, doc_id: int) -> Document:
         return self._documents[doc_id]
@@ -115,13 +145,7 @@ class ContentIndex:
     # benchmarks/e2e/traced.py:235/237 passes it.
     def place(self, node: int, doc_id: int, notify: bool = False) -> None:
         """Node starts sharing a copy of ``doc_id``."""
-        if doc_id not in self._documents:
-            raise KeyError(f"unknown document {doc_id}")
-        if node in self._holders[doc_id]:
-            raise ValueError(f"node {node} already holds document {doc_id}")
-        holders, docs = self._writable(doc_id, node)
-        holders.add(node)
-        docs.add(doc_id)
+        self.fill((), ((node, doc_id),))
 
     def remove(self, node: int, doc_id: int, notify: bool = False) -> None:
         """Node stops sharing its copy of ``doc_id``."""
@@ -139,6 +163,16 @@ class ContentIndex:
 
     def docs_on(self, node: int) -> FrozenSet[int]:
         return frozenset(self._node_docs.get(node, ()))
+
+    def copies(self) -> Tuple[List[int], List[int]]:
+        """Every placed copy as aligned ``(nodes, doc_ids)`` lists, node by
+        node in the index's order."""
+        nodes: List[int] = []
+        doc_ids: List[int] = []
+        for node, docs in self._node_docs.items():
+            nodes += [node] * len(docs)
+            doc_ids += docs
+        return nodes, doc_ids
 
     def docs_matching(self, terms: Iterable[str]) -> Set[int]:
         """Documents containing ALL ``terms`` (the paper's match semantics)."""

@@ -22,7 +22,9 @@ queries range from highly selective (title token included) to broad
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,10 +68,13 @@ class EdonkeyParams:
             raise ValueError("mean_copies must be >= 1")
         if not 0.0 < self.single_copy_fraction <= 1.0:
             raise ValueError("single_copy_fraction must be in (0, 1]")
-        if self.avg_docs_per_peer <= 0:
-            raise ValueError("avg_docs_per_peer must be positive")
-        if self.max_copies < 2:
-            raise ValueError("max_copies must be >= 2")
+        if not 0 < self.avg_docs_per_peer < math.inf:
+            raise ValueError("avg_docs_per_peer must be positive and finite")
+        _check_replica_targets(
+            self.mean_copies, self.single_copy_fraction, self.max_copies
+        )
+        if not math.isfinite(self.keyword_zipf_s):
+            raise ValueError("keyword_zipf_s must be finite")
         if self.vocab_per_class < 1:
             raise ValueError("vocab_per_class must be >= 1")
         if not 1 <= self.min_class_keywords <= self.max_class_keywords:
@@ -98,6 +103,31 @@ class ContentDistribution:
         return self.index.node_classes(node)
 
 
+def _check_replica_targets(
+    mean_copies: float, single_fraction: float, max_copies: int
+) -> None:
+    """Raise ``ValueError`` unless some PMF of the calibrated shape meets
+    both replica targets."""
+    if max_copies < 2:
+        raise ValueError("max_copies must be >= 2")
+    tail_mass = 1.0 - single_fraction
+    if tail_mass <= 0:
+        if abs(mean_copies - 1.0) > 1e-9:
+            raise ValueError("single_fraction=1 forces mean_copies=1")
+        return
+    needed_tail_mean = (mean_copies - single_fraction) / tail_mass
+    # Tail means outside (2, uniform-mean) are unreachable by c^-a; the
+    # uniform mean of 2 .. max_copies is (2 + max_copies) / 2.
+    uniform_mean = (2 + max_copies) / 2
+    if not 2.0 < needed_tail_mean < uniform_mean:
+        raise ValueError(
+            f"replica targets unreachable (mean_copies={mean_copies}, "
+            f"single_copy_fraction={single_fraction}, max_copies={max_copies}): "
+            f"tail mean {needed_tail_mean:.3f} must lie in (2, "
+            f"{uniform_mean:.3f}); raise max_copies or adjust targets"
+        )
+
+
 def calibrate_replica_distribution(
     mean_copies: float,
     single_fraction: float,
@@ -110,24 +140,14 @@ def calibrate_replica_distribution(
     ``mean_copies``.  Raises if the targets are inconsistent (e.g. a mean
     below what P(1) alone forces).
     """
-    if max_copies < 2:
-        raise ValueError("max_copies must be >= 2")
+    _check_replica_targets(mean_copies, single_fraction, max_copies)
     tail_mass = 1.0 - single_fraction
     if tail_mass <= 0:
-        if abs(mean_copies - 1.0) > 1e-9:
-            raise ValueError("single_fraction=1 forces mean_copies=1")
         pmf = np.zeros(max_copies)
         pmf[0] = 1.0
         return pmf
     needed_tail_mean = (mean_copies - single_fraction) / tail_mass
     cs = np.arange(2, max_copies + 1, dtype=np.float64)
-    if needed_tail_mean <= 2.0 or needed_tail_mean >= cs.mean():
-        # Tail means outside (2, uniform-mean) are unreachable by c^-a.
-        if not 2.0 < needed_tail_mean < float(cs.mean()):
-            raise ValueError(
-                f"targets unreachable: tail mean {needed_tail_mean:.3f} must lie "
-                f"in (2, {cs.mean():.3f}); raise max_copies or adjust targets"
-            )
 
     def tail_mean(a: float) -> float:
         w = cs**-a
@@ -222,29 +242,30 @@ def synthesize_content(
     doc_classes = rng.choice(N_CLASSES, size=n_docs, p=class_weights)
 
     vocab = _build_vocab(N_CLASSES, params.vocab_per_class)
-    index = ContentIndex()
-    for doc_id in range(n_docs):
-        c = int(doc_classes[doc_id])
-        doc = make_document(
-            doc_id,
-            c,
-            vocab[c],
-            rng,
-            min_kw=params.min_class_keywords,
-            max_kw=params.max_class_keywords,
-            zipf_s=params.keyword_zipf_s,
+    # Each document's keyword draws, then its holder draws, in doc-id order
+    # (the content stream's order); the index is filled in one pass after.
+    docs: List[Document] = []
+    copies: List[Tuple[int, int]] = []
+    for doc_id, c in enumerate(doc_classes.tolist()):
+        docs.append(
+            make_document(
+                doc_id,
+                c,
+                vocab[c],
+                rng,
+                min_kw=params.min_class_keywords,
+                max_kw=params.max_class_keywords,
+                zipf_s=params.keyword_zipf_s,
+            )
         )
-        index.register_document(doc)
         pool = pools[c]
         k = min(int(copy_counts[doc_id]), len(pool))
-        if k == 0:
-            continue
         if k == 1:
-            holders = [pool[int(rng.integers(len(pool)))]]
-        else:
-            holders = rng.choice(pool, size=k, replace=False).tolist()
-        for node in holders:
-            index.place(int(node), doc_id)
+            copies.append((int(pool[rng.integers(len(pool))]), doc_id))
+        elif k > 1:
+            copies += zip(rng.choice(pool, size=k, replace=False).tolist(), repeat(doc_id))
+    index = ContentIndex()
+    index.fill(docs, copies)
 
     return ContentDistribution(
         params=params,

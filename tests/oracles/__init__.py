@@ -5,7 +5,8 @@ in-tree twins live here, imported by tests only:
 
 * :mod:`tests.oracles.repository` -- the object-per-entry ads cache
   (the model of one :class:`~repro.asap.state.AdsState` row);
-* :mod:`tests.oracles.store` -- per-position historical filter probes;
+* :mod:`tests.oracles.store` -- per-position historical filter probes,
+  and the per-node keyword-union loop that built every source's filter;
 * :mod:`tests.oracles.bloom` -- one object per filter: the plain bitmap and
   Section III-B's counting filter (the model of one
   :class:`~repro.bloom.matrix.FilterMatrix` column and of the patches

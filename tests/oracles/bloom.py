@@ -11,6 +11,7 @@ plain-bitmap value flipped between two versions
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from typing import Iterable, List, Sequence, Tuple
 
@@ -18,7 +19,16 @@ import numpy as np
 
 from repro.bloom.hashing import BloomHasher, PAPER_K, PAPER_M
 
-__all__ = ["BloomFilter", "CountingBloomFilter"]
+__all__ = ["BloomFilter", "CountingBloomFilter", "positions_reference"]
+
+
+def positions_reference(term: str, m: int, k: int) -> Tuple[int, ...]:
+    """The double-hashing positions of ``term`` in Python integers: no
+    reduction before the sum, so nothing can overflow."""
+    digest = hashlib.blake2b(term.encode("utf-8"), digest_size=16).digest()
+    a = int.from_bytes(digest[:8], "little")
+    b = int.from_bytes(digest[8:], "little") | 1
+    return tuple((a + i * b) % m for i in range(k))
 
 
 class BloomFilter:

@@ -1,10 +1,68 @@
-"""Source-filter-store oracle: historical membership by per-position probes."""
+"""Source-filter-store oracles: historical membership by per-position
+probes, and each source's filter as the union of its documents' keyword
+positions, built one node at a time."""
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.asap.store import SourceFilterStore
+from repro.bloom.hashing import BloomHasher
+from repro.workload.content import ContentIndex
 
-__all__ = ["match_at_version_reference", "patch_history"]
+from tests.oracles.bloom import positions_reference
+
+__all__ = [
+    "bootstrap_reference",
+    "match_at_version_reference",
+    "patch_history",
+    "removed_positions_reference",
+    "shared_positions_reference",
+]
+
+
+def shared_positions_reference(
+    content: ContentIndex, hasher: BloomHasher, node: int
+) -> Set[int]:
+    """The bit positions ``node``'s current documents hash to."""
+    pos: Set[int] = set()
+    for doc_id in content.docs_on(node):
+        for term in content.document(doc_id).keywords:
+            pos.update(positions_reference(term, hasher.m, hasher.k))
+    return pos
+
+
+def bootstrap_reference(
+    n_nodes: int, content: ContentIndex, hasher: BloomHasher
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Set[int]]]:
+    """What a fresh store over ``content`` holds: its packed current filter
+    columns ``(ceil(m / 8), n_nodes)``, set-bit counts and topics, from the
+    per-node union loop."""
+    cols = np.zeros(((hasher.m + 7) // 8, n_nodes), dtype=np.uint8)
+    n_set = np.zeros(n_nodes, dtype=np.int64)
+    topics: Dict[int, Set[int]] = {}
+    for node in range(n_nodes):
+        pos = shared_positions_reference(content, hasher, node)
+        if not pos:
+            continue
+        bits = np.zeros(hasher.m, dtype=bool)
+        bits[sorted(pos)] = True
+        cols[:, node] = np.packbits(bits, bitorder="little")
+        n_set[node] = len(pos)
+        topics[node] = content.node_classes(node)
+    return cols, n_set, topics
+
+
+def removed_positions_reference(
+    content: ContentIndex, hasher: BloomHasher, node: int, keywords: Sequence[str]
+) -> Set[int]:
+    """The bits a removed document with ``keywords`` clears in ``node``'s
+    filter, once the index no longer shows it: those no document the node
+    still shares hashes to."""
+    mine: Set[int] = set()
+    for term in keywords:
+        mine.update(positions_reference(term, hasher.m, hasher.k))
+    return mine - shared_positions_reference(content, hasher, node)
 
 
 def patch_history(

@@ -60,7 +60,7 @@ class TestFilterMatrix:
         mat = FilterMatrix(3, hasher)
         f = BloomFilter(hasher)
         f.add("hit")
-        mat.set_row(1, f.bits_view())
+        mat.set_row_positions(1, f.set_bits())
         match = mat.match_all(hasher.positions_array(["hit"]))
         assert list(match) == [False, True, False]
 
@@ -68,10 +68,10 @@ class TestFilterMatrix:
         mat = FilterMatrix(2, hasher)
         f = BloomFilter(hasher)
         f.add("a")
-        mat.set_row(0, f.bits_view())
+        mat.set_row_positions(0, f.set_bits())
         g = BloomFilter(hasher)
         g.add_all(["a", "b"])
-        mat.set_row(1, g.bits_view())
+        mat.set_row_positions(1, g.set_bits())
         assert list(mat.match_all(hasher.positions_array(["a", "b"]))) == [False, True]
 
     def test_matches_scalar_filter_semantics(self, hasher):
@@ -85,7 +85,7 @@ class TestFilterMatrix:
             f = BloomFilter(hasher)
             f.add_all(rng.choice(vocab, size=rng.integers(0, 10), replace=False))
             filters.append(f)
-            mat.set_row(s, f.bits_view())
+            mat.set_row_positions(s, f.set_bits())
         for _ in range(50):
             terms = list(rng.choice(vocab, size=rng.integers(1, 4), replace=False))
             got = mat.match_all(hasher.positions_array(terms))
@@ -114,7 +114,7 @@ class TestFilterMatrix:
         mat = FilterMatrix(2, hasher)
         f = BloomFilter(hasher)
         f.add_all(["x", "y"])
-        mat.set_row(0, f.bits_view())
+        mat.set_row_positions(0, f.set_bits())
         assert np.array_equal(mat.row_bits(0), f.bits_view())
 
     def test_empty_positions_match_everything(self, hasher):
@@ -128,10 +128,28 @@ class TestFilterMatrix:
         with pytest.raises(ValueError):
             mat.flip_bits(0, [-1])
 
-    def test_row_length_validation(self, hasher):
-        mat = FilterMatrix(1, hasher)
-        with pytest.raises(ValueError):
-            mat.set_row(0, np.zeros(10, dtype=bool))
+    def test_set_columns_validation(self, hasher):
+        mat = FilterMatrix(4, hasher)
+        with pytest.raises(ValueError, match="source outside 1 .. 2"):
+            mat.set_columns(1, 2, np.array([1, 3]), np.array([[0], [1]]))
+        with pytest.raises(ValueError, match="out of range"):
+            mat.set_columns(1, 2, np.array([1]), np.array([[hasher.m]]))
+        with pytest.raises(ValueError, match="out of range"):
+            mat.set_row_positions(0, [-1])
+        assert not mat.match_all(np.array([0])).any()
+
+    def test_set_columns_writes_exactly_its_block(self, hasher):
+        """Pairs in any order, repeats included; the block's other bits and
+        every column outside it are cleared or left alone as promised."""
+        mat = FilterMatrix(5, hasher)
+        mat.set_row_positions(0, [7])
+        mat.set_row_positions(3, [9])
+        n_set = mat.set_columns(
+            1, 3, np.array([2, 1, 2]), np.array([[5, 6], [6, 6], [5, 100]])
+        )
+        assert n_set.tolist() == [1, 3, 0]
+        on = {s: set(np.flatnonzero(mat.row_bits(s)).tolist()) for s in range(5)}
+        assert on == {0: {7}, 1: {6}, 2: {5, 6, 100}, 3: set(), 4: set()}
 
     @given(
         st.lists(
@@ -144,7 +162,7 @@ class TestFilterMatrix:
         mat = FilterMatrix(1, hasher)
         rng = np.random.default_rng(1)
         initial = rng.random(512) < 0.3
-        mat.set_row(0, initial)
+        mat.set_row_positions(0, np.flatnonzero(initial))
         mat.flip_bits(0, positions)
         mat.flip_bits(0, positions)
         assert np.array_equal(mat.row_bits(0), initial)
@@ -160,10 +178,10 @@ class TestFilterMatrix:
         mat = FilterMatrix(2, hasher)
         bits = np.zeros(512, dtype=bool)
         bits[positions] = True
-        mat.set_row(0, bits)  # row 0 has exactly these bits
+        mat.set_row_positions(0, positions)  # row 0 has exactly these bits
         assert mat.match_all(np.array(positions))[0]
         missing = np.array(positions[:1])
         partial = bits.copy()
         partial[missing] = False
-        mat.set_row(1, partial)
+        mat.set_row_positions(1, np.flatnonzero(partial))
         assert not mat.match_all(np.array(positions))[1]

@@ -6,7 +6,6 @@ config seed and workers run the exact same runner.  These tests assert
 equality of full ``RunSummary`` dataclasses (float equality, not approx).
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -118,19 +117,28 @@ class TestCrashIsolation:
         assert f"{need:,} bytes" in failure.error and "30000 peers" in failure.error
         assert sibling.algorithm == "flooding"
 
-    def test_unbuildable_shared_workload_fails_only_its_cells(self):
-        """Two cells share a workload whose replica targets no distribution
-        meets: the parent's build before the fork raises, and each of the
-        two cells reports that error while their sibling completes."""
-        bad = [
-            replace(c, edonkey=replace(c.edonkey, mean_copies=1.0))
-            for c in (_tiny("flooding", seed=5), _tiny("random_walk", seed=5))
-        ]
+    def test_unbuildable_shared_workload_fails_only_its_cells(self, monkeypatch):
+        """Two cells share a workload whose build raises: the parent's build
+        before the fork raises, and each of the two cells reports that
+        error while their sibling completes.  (``EdonkeyParams`` rejects
+        every config known to fail synthesis, so the failure is injected;
+        the forked workers inherit it.)"""
+        from repro.network import substrate
+
+        build = substrate._build_workload
+
+        def unbuildable(edonkey, trace, seed):
+            if seed == 5:
+                raise ValueError("no content distribution for seed 5")
+            return build(edonkey, trace, seed)
+
+        monkeypatch.setattr(substrate, "_build_workload", unbuildable)
+        bad = [_tiny("flooding", seed=5), _tiny("random_walk", seed=5)]
         outcomes = run_cells(bad + [_tiny("flooding")], jobs=2)
         assert [type(o).__name__ for o in outcomes] == [
             "CellFailure", "CellFailure", "RunResult",
         ]
-        assert all("targets unreachable" in o.error for o in outcomes[:2])
+        assert all("no content distribution for seed 5" in o.error for o in outcomes[:2])
 
     def test_replication_failure_raises_with_traceback(
         self, monkeypatch, tmp_path, capsys

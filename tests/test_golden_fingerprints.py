@@ -30,6 +30,8 @@ from repro.obs.report import main as report_main
 from repro.obs.telemetry import fingerprint
 from repro.simulation.config import ALGORITHMS, scaled_config
 from repro.simulation.runner import run_experiment
+from repro.sim.random import RandomStreams
+from repro.workload.edonkey import synthesize_content
 
 from tests.oracles.hops import domain_hops
 from tests.test_engine_batching_differential import small_config
@@ -230,6 +232,42 @@ def substrate_digest(params, seed):
     return digest.hexdigest()
 
 
+#: Synthesised workloads, pinned item by item in iteration order: set-up
+#: code may fill the content index any way it likes as long as every dict
+#: and set iterates as these recorded ones did.  Recorded at d141133, the
+#: last commit that built the index one ``register_document`` / ``place``
+#: call at a time.
+CONTENTS = {
+    f"{n_peers}/seed{seed}": (n_peers, seed)
+    for n_peers in (1000, 2000)
+    for seed in SEEDS
+}
+
+
+def content_digest(n_peers, seed):
+    """blake2b over a seed's ``ContentDistribution`` as ``run_experiment``
+    synthesises it: documents, the keyword index, holders and node
+    documents, each in its dict's and every set's iteration order, the
+    interests and free-riders, and the content stream's final state."""
+    config = scaled_config("asap_rw", "crawled", n_peers=n_peers, seed=seed)
+    rng = RandomStreams(seed).get("content")
+    dist = synthesize_content(config.edonkey, rng)
+    index = dist.index
+    digest = hashlib.blake2b(digest_size=16)
+    for section in (
+        [[d.doc_id, d.class_id, d.keywords] for d in index._documents.values()],
+        [[kw, list(docs)] for kw, docs in index._kw_docs.items()],
+        [[doc_id, list(nodes)] for doc_id, nodes in index._holders.items()],
+        [[node, list(docs)] for node, docs in index._node_docs.items()],
+        [list(classes) for classes in dist.interests],
+        dist.free_rider.tolist(),
+        dist.next_doc_id,
+        rng.bit_generator.state,
+    ):
+        digest.update(json.dumps(section).encode())
+    return digest.hexdigest()
+
+
 def _major_minor(version):
     return version.split(".")[:2]
 
@@ -300,6 +338,21 @@ def test_substrate_digest_matches_golden(name):
     assert substrate_digest(*SUBSTRATES[name]) == _golden()["substrate_digests"][name]
 
 
+def test_golden_file_covers_the_contents():
+    assert sorted(_golden()["content_digests"]) == sorted(CONTENTS)
+
+
+@pytest.mark.parametrize("name", list(CONTENTS))
+def test_content_digest_matches_golden(name):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden digests recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    assert content_digest(*CONTENTS[name]) == _golden()["content_digests"][name]
+
+
 if __name__ == "__main__":
     payload = {
         "numpy_version": numpy.__version__,
@@ -316,10 +369,14 @@ if __name__ == "__main__":
     }
     with tempfile.TemporaryDirectory() as out_dir:
         payload["merged_obs_fingerprints"] = merged_obs_fingerprints(out_dir)
+    payload["content_digests"] = {
+        name: content_digest(*args) for name, args in CONTENTS.items()
+    }
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     print(
         f"recorded {len(payload['fingerprints'])} fingerprints, "
-        f"{len(payload['substrate_digests'])} substrate digests and "
+        f"{len(payload['substrate_digests'])} substrate digests, "
+        f"{len(payload['content_digests'])} content digests and "
         f"{len(payload['obs_fingerprints'])} telemetry / probe rows to {GOLDEN_PATH}"
     )

@@ -30,7 +30,9 @@ every-module-backs-a-claim ones at the last commit that shipped flood-reach
 and walk-coverage models and workload statistics no claim read, nine
 single-valued protocol options and a content-listener list nobody joined;
 the one-driver ones at the last commit whose ``report`` ran a cell from three
-subcommands and shipped ``run_replications``.
+subcommands and shipped ``run_replications``; the keyword-hash one at the
+last commit that hashed keywords one term at a time in Python integers and
+built every source's filter in a per-node loop (``_shared_positions``).
 """
 
 import ast
@@ -610,6 +612,60 @@ def test_the_store_holds_no_per_source_filter_object():
     # (No file under src/ imports from tests: the oracle-imports guard above.)
     imported = _imports(SRC / "asap" / "store.py")
     assert not [name for name in imported if name.endswith("Filter")]
+
+
+def _enclosing_functions(tree, predicate):
+    """``name`` of the innermost function around each node ``predicate``
+    accepts (``None`` at module level)."""
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if predicate(node):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            yield max(around, key=lambda f: f.lineno).name if around else None
+
+
+def test_the_keyword_hash_is_written_once():
+    """The double-hashing formula (every ``% m``) and the BLAKE2b digest of
+    a keyword are written once, in ``BloomHasher.positions_of``, called
+    where ``rows`` adds terms to the keyword-position table that
+    ``positions``, ``positions_array`` and the store read, and by the
+    Bloom-length ablation for its members and probes -- no per-node union
+    loop (``_shared_positions``, now ``tests/oracles/store.py``).
+    The two other BLAKE2b calls digest JSON for ``repro.obs``
+    fingerprints."""
+
+    def mod_m(node):
+        right = getattr(node, "right", None)
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mod)
+            and "m" in (getattr(right, "id", None), getattr(right, "attr", None))
+        )
+
+    def blake2b(node):
+        return "blake2b" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    formula, digests, loops, hashes = [], [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(SRC).as_posix()
+        formula += [f"{where}:{f}" for f in _enclosing_functions(tree, mod_m)]
+        digests += [f"{where}:{f}" for f in _enclosing_functions(tree, blake2b)]
+        loops += [where for _ in _calls(tree, "_shared_positions")]
+        hashes += [where for _ in _calls(tree, "positions_of")]
+    assert sorted(set(formula)) == ["bloom/hashing.py:positions_of"]
+    assert sorted(digests) == [
+        "bloom/hashing.py:positions_of", "obs/audit.py:__init__", "obs/telemetry.py:fingerprint",
+    ]
+    assert loops == [] and not hasattr(SourceFilterStore, "_shared_positions")
+    assert hashes == ["bloom/hashing.py", "experiments/ablations.py", "experiments/ablations.py"]
+    hashing = ast.parse(inspect.getsource(repro.bloom.BloomHasher))
+    callers = {
+        node.name: [c.func.attr for c in _calls(node, "positions_of")]
+        for node in ast.walk(hashing)
+        if isinstance(node, ast.FunctionDef) and _calls(node, "positions_of")
+    }
+    assert callers == {"rows": ["positions_of"]}
 
 
 def test_names_with_no_caller_but_their_own_test_are_gone():

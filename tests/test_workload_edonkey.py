@@ -101,6 +101,29 @@ class TestParams:
         with pytest.raises(ValueError, match=message):
             EdonkeyParams(**nonsense)
 
+    @pytest.mark.parametrize(
+        "nonsense, message",
+        [
+            (dict(mean_copies=1.0), r"replica targets unreachable \(mean_copies=1.0"),
+            (dict(mean_copies=40.0), r"tail mean 355.545 must lie in \(2, 31.000\)"),
+            (dict(max_copies=2, mean_copies=1.5), r"max_copies=2\): tail mean 5.545"),
+            (dict(mean_copies=float("nan")), "replica targets unreachable"),
+            (dict(single_copy_fraction=1.0), "forces mean_copies=1"),
+            (dict(keyword_zipf_s=float("nan")), "keyword_zipf_s must be finite"),
+            (dict(keyword_zipf_s=float("inf")), "keyword_zipf_s must be finite"),
+            (dict(avg_docs_per_peer=float("inf")), "avg_docs_per_peer must be positive and finite"),
+            (dict(avg_docs_per_peer=float("nan")), "avg_docs_per_peer must be positive and finite"),
+        ],
+    )
+    def test_params_synthesis_cannot_meet_rejected_up_front(self, nonsense, message):
+        """These used to pass and fail only inside ``synthesize_content``,
+        after the substrate and overlay were built: unreachable replica
+        targets in ``calibrate_replica_distribution``, a NaN exponent as
+        "weights must be ... finite", an infinite document count as a bare
+        ``OverflowError``."""
+        with pytest.raises(ValueError, match=message):
+            EdonkeyParams(**nonsense)
+
     def test_boundary_content_parameters_accepted_and_synthesise(self):
         params = EdonkeyParams(
             n_peers=30,

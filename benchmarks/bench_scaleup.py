@@ -1,13 +1,13 @@
 """Scale-up bench: wall-clock and peak RSS at the paper's 10,000 peers.
 
 ASAP's ads caches are one dense peer x source state
-(``repro.asap.state``, 16 bytes per pair, Theta(n^2) whatever the cache
-capacity: 1.6 GB at 10,000 peers), so the largest supported cell is the
-one whose state fits the 8 GB bar below (~23k peers; larger ASAP cells are
-refused up front with a ``ValueError`` naming the bytes).  Each
-(algorithm, n_peers) cell runs in a **fresh subprocess** so
-``resource.getrusage`` peak RSS is that cell's own high-water mark, not
-the session's, and measures
+(``repro.asap.state``, 8 bytes per pair unbounded, Theta(n^2) whatever the
+cache capacity: 0.8 GB at 10,000 peers), so the largest supported cell is
+the one whose state fits the 8 GB bar below (~32k peers; larger ASAP cells
+are refused up front with a ``ValueError`` naming the bytes).  Each
+(algorithm, n_peers) cell runs in a **fresh subprocess** so its peak RSS
+(``repro.obs.profile.peak_rss_mb``) is that cell's own high-water mark,
+not the session's, and measures
 
 * end-to-end wall-clock, and the set-up and replay phases alone (the
   state's pages are committed when it is built, so judge a cell by wall),
@@ -106,8 +106,8 @@ def _run_cell(algorithm: str, n_peers: int) -> dict:
 def _cell_main(algorithm: str, n_peers: int, n_queries: int, seed: int) -> None:
     """Subprocess body: run the cell, print one JSON line."""
     import dataclasses
-    import resource
 
+    from repro.obs.profile import peak_rss_mb
     from repro.simulation.config import scaled_config
     from repro.simulation.runner import run_experiment
 
@@ -139,8 +139,7 @@ def _cell_main(algorithm: str, n_peers: int, n_queries: int, seed: int) -> None:
         "wall_s": wall_s,
         "setup_s": phase_times.get("setup_s"),
         "replay_s": phase_times.get("replay_s"),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
         "arena": dict(profile.state) if profile is not None else {},
         "success_rate": result.summarize().success_rate,
     }

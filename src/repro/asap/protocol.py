@@ -42,7 +42,7 @@ from repro.asap.ads import Ad, AdType
 from repro.asap.delivery import AdForwarder, make_forwarder
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
-from repro.workload.interests import InterestState
+from repro.workload.interests import InterestState, topic_bits
 from repro.search.base import (
     AD_HEADER_BYTES,
     ADS_REQUEST_BYTES,
@@ -242,7 +242,7 @@ class AsapSearch(SearchAlgorithm):
                 sent = as_patch == chose_patch
                 ledger.record_each(arrival[sent], category, reply[sent])
             state.accept_repair(
-                lagging, source, full.version, state.intern_topics(full.topics), now
+                lagging, source, full.version, topic_bits(full.topics), now
             )
         if self.obs is not None:
             for node, nbytes, category in zip(

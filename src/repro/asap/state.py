@@ -3,28 +3,31 @@
 A node "selectively stores interesting ads received from other peers": an
 ad is cached only when its topic set intersects the node's interests.  The
 paper's cache is one relation, ``(node, source) -> (version, topics,
-recency, behind)``, and :class:`AdsState` stores a cached pair as two
-``int64`` words in ``n x n`` arrays indexed ``[peer, source]``:
+recency, behind)``, and :class:`AdsState` stores a pair in 8 bytes, one
+``int32`` in each of two ``n x n`` arrays indexed ``[peer, source]``:
 
 ``entry``
-    ``version << 32 | topic code << 1 | behind``; ``-1`` when the peer does
-    not cache the source.  ``entry >= 0`` is "held", ``entry & 1 == 0`` is
-    "held and not behind" (absent is all ones), and a cached version is
-    compared against ``ad.version << 32`` without unpacking a word.
+    ``version << 15 | class mask << 1 | behind``, ``-1`` when absent.  The
+    mask is the ad's topic set, one bit per semantic class, so the interest
+    filter is one AND.  ``entry >= 0`` is "held", ``entry & 1 == 0`` "held
+    and not behind", and a cached version is compared against
+    ``ad.version << 15`` without unpacking a cell.
 ``stamp``
-    ``clock tick << 32 | insertion number``; ``INT64_MAX`` when absent.
-    The tick is the index of the write's ``now`` in the list of distinct
-    write times, the insertion number counts first-time stores, so
-    ascending ``stamp`` is the least-recently-refreshed order with ties on
-    time (a bootstrap ads exchange stamps hundreds of entries with one
-    ``now``) going to the entry inserted first.  A renewal writes the tick
-    alone, through an ``int32`` view of the stamps' high halves; an entry
-    that is overwritten keeps its insertion number the same way.
+    The tick of the entry's last write (the index of its ``now`` among the
+    distinct write times), ``INT32_MAX`` when absent: ascending is the
+    least-recently-refreshed order.
 
-Measured fill is 30-46 % of all pairs, so dense cells (16 bytes) are
-smaller than any per-pair index, a node's repository is a row, a source's
-cacher set is a column, and every merge rule is one gather and one or two
-scatters.
+With a capacity bound the entry with the smallest (stamp, insertion number)
+is evicted: a row ``argmin`` per crowded receiver of one ad, one
+``argpartition`` for a receiver an ads exchange left over by many.  The
+``uint32`` insertion numbers (``seq``; an overwritten entry keeps its own)
+break ties on time, such as the hundreds of entries a bootstrap exchange
+stores at one ``now``; only a bounded cache allocates them, 12 bytes a
+pair.  Versions above 65,535, classes beyond the 14 and ticks that reach
+``INT32_MAX`` raise :class:`OverflowError` by name.  Measured fill is
+30-46 % of all pairs, so dense cells are smaller than any per-pair index,
+a node's repository is a row, a source's cacher set a column, and every
+merge rule one gather and one or two scatters.
 
 Version merging follows the paper: a **full** ad replaces the entry
 outright; a **patch** applies only as the successor version (a gap leaves
@@ -38,15 +41,12 @@ recorded version -- and failed confirmations are how stale entries are
 ultimately retired.  ``behind`` is stored, not derived from versions: a
 source that changes content while offline bumps the store and marks nobody.
 
-With a capacity bound the entry with the smallest stamp is evicted: a row
-``argmin`` per crowded receiver of one ad, one ``argpartition`` for a
-receiver an ads exchange left over by many.  Ticks order writes only under
-a clock that never runs backwards, so a write whose ``now`` precedes the
-last one raises :class:`~repro.sim.engine.SimulationError`.
-
-The memory is Theta(n^2) whatever the capacity, and both arrays are
-committed when they are built (neither "absent" is zero), so peer counts
-whose state would not fit :data:`MAX_STATE_BYTES` are refused up front.
+Ticks order writes only under a clock that never runs backwards, so a
+write whose ``now`` precedes the last one raises
+:class:`~repro.sim.engine.SimulationError`.  The memory is Theta(n^2)
+whatever the capacity, and ``entry`` and ``stamp`` are committed when they
+are built (neither "absent" is zero), so peer counts whose state would not
+fit :data:`MAX_STATE_BYTES` are refused up front.
 
 The plain object model this is checked against op-for-op lives in
 ``tests/oracles/repository.py``; whole-run behaviour is frozen by
@@ -56,15 +56,14 @@ The plain object model this is checked against op-for-op lives in
 from __future__ import annotations
 
 import math
-import sys
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
 from repro.asap.store import SourceFilterStore
 from repro.sim.engine import SimulationError
-from repro.workload.interests import topic_bits
+from repro.workload.interests import N_CLASSES, topic_bits
 
 __all__ = [
     "AdsState",
@@ -73,33 +72,40 @@ __all__ = [
     "require_state_fits",
 ]
 
-#: entry + stamp.
-BYTES_PER_PAIR = 8 + 8
+#: entry + stamp; a bounded cache adds 4 for its insertion numbers.
+BYTES_PER_PAIR = 4 + 4
 
 #: The peak-RSS bar of the scale-up gate (``benchmarks/bench_scaleup.py``):
-#: about 23,000 peers.
+#: 32,768 peers unbounded, 26,754 bounded.
 MAX_STATE_BYTES = 8 * 2**30
 
+_CLASS_BITS = N_CLASSES  # 14
+_SHIFT = _CLASS_BITS + 1  # where an entry's version starts
+_CLASS_MASK = (1 << _CLASS_BITS) - 1
+_VERSION_MAX = np.iinfo(np.int32).max >> _SHIFT  # 65,535
 _ABSENT = -1  # entry of a pair that caches nothing
-_NEVER = np.iinfo(np.int64).max  # its stamp: after every held entry's
-_FIELD_MAX = 2**31 - 1  # version and topic code (entry), clock tick (stamp)
+_NEVER = np.iinfo(np.int32).max  # its stamp: after every held entry's
+_TICK_MAX = _NEVER - 1
 _SEQ_LIMIT = np.iinfo(np.uint32).max
-#: Sign bit | behind bit: ``word & _HELD_BEHIND == 1`` iff held and behind.
-_HELD_BEHIND = np.int64(-(2**63) + 1)
-#: Which ``int32`` half of an ``int64`` stamp holds the tick.
-_HIGH_HALF = 1 if sys.byteorder == "little" else 0
+#: Sign bit | behind bit: ``cell & _HELD_BEHIND == 1`` iff held and behind.
+_HELD_BEHIND = np.int32(-(2**31) + 1)
 
 _ALL = slice(None)
 
 
-def require_state_fits(n_peers: int) -> None:
-    """Refuse a peer count whose dense ads state exceeds the memory bar."""
-    need = n_peers * n_peers * BYTES_PER_PAIR
+def require_state_fits(n_peers: int, capacity: Optional[int] = None) -> None:
+    """Refuse a peer count whose dense ads state exceeds the memory bar;
+    ``capacity`` is the cell's cache bound (``None``: unbounded)."""
+    per_pair = BYTES_PER_PAIR + (0 if capacity is None else 4)
+    need = n_peers * n_peers * per_pair
     if need > MAX_STATE_BYTES:
+        cache = "an unbounded" if capacity is None else "a bounded"
         raise ValueError(
             f"ASAP keeps a dense peer x source ads state: {n_peers} peers "
-            f"need {need:,} bytes, over the supported {MAX_STATE_BYTES:,} "
-            f"(at most {math.isqrt(MAX_STATE_BYTES // BYTES_PER_PAIR)} peers)"
+            f"need {need:,} bytes at {per_pair} a pair, over the supported "
+            f"{MAX_STATE_BYTES:,} (at most "
+            f"{math.isqrt(MAX_STATE_BYTES // per_pair)} peers with {cache} "
+            f"ads cache)"
         )
 
 
@@ -116,9 +122,8 @@ class AdsState:
     """
 
     __slots__ = (
-        "n", "capacity", "store", "interest_bits", "entry", "stamp",
-        "occupancy", "code_bits", "_tick_half", "_times", "_next_seq",
-        "_code_of", "_topics",
+        "n", "capacity", "store", "interest_bits", "entry", "stamp", "seq",
+        "occupancy", "_times", "_next_seq",
     )
 
     def __init__(
@@ -128,40 +133,18 @@ class AdsState:
         store: SourceFilterStore,
         capacity: Optional[int] = None,
     ) -> None:
-        require_state_fits(n)
+        require_state_fits(n, capacity)
         self.n = n
         self.capacity = capacity
         self.store = store
         self.interest_bits = interest_bits
-        self.entry = np.full((n, n), _ABSENT, dtype=np.int64)
-        self.stamp = np.full((n, n), _NEVER, dtype=np.int64)
-        self._tick_half = self.stamp.view(np.int32)[:, _HIGH_HALF::2]
+        self.entry = np.full((n, n), _ABSENT, dtype=np.int32)
+        self.stamp = np.full((n, n), _NEVER, dtype=np.int32)
+        self.seq = None if capacity is None else np.zeros((n, n), dtype=np.uint32)
         self.occupancy = np.zeros(n, dtype=np.int64)
-        # Distinct write times, ascending; a stamp's tick indexes them.
+        # Distinct write times, ascending; a stamp indexes them.
         self._times: List[float] = [-math.inf]
         self._next_seq = 0
-        # Interned topic sets: ads re-use a small population of frozensets
-        # (the semantic classes of each source's content).
-        self._code_of: Dict[FrozenSet[int], int] = {}
-        self._topics: List[FrozenSet[int]] = []
-        self.code_bits = np.zeros(64, dtype=np.int64)  # topic bitmask per code
-
-    # ------------------------------------------------------------ topics
-    def intern_topics(self, topics: FrozenSet[int]) -> int:
-        """Code for a topic set; one code per distinct frozenset."""
-        code = self._code_of.get(topics)
-        if code is None:
-            code = len(self._topics)
-            if code > _FIELD_MAX:
-                raise OverflowError("ads-cache topic codes exhausted")
-            self._topics.append(frozenset(topics))
-            self._code_of[self._topics[code]] = code
-            if code == len(self.code_bits):
-                self.code_bits = np.concatenate(
-                    [self.code_bits, np.zeros_like(self.code_bits)]
-                )
-            self.code_bits[code] = topic_bits(topics)
-        return code
 
     # ------------------------------------------------------------- views
     def held_mask(self, peers=_ALL, sources=_ALL) -> np.ndarray:
@@ -174,12 +157,12 @@ class AdsState:
 
     def versions(self, peers, sources):
         """Cached versions at ``[peers, sources]``; -1 where nothing is."""
-        return self.entry[peers, sources] >> 32
+        return self.entry[peers, sources] >> _SHIFT
 
     def ages(self, now: float) -> np.ndarray:
         """Seconds since each held entry was last refreshed, row-major."""
         times = np.asarray(self._times)
-        return now - times[self.stamp[self.entry >= 0] >> 32]
+        return now - times[self.stamp[self.entry >= 0]]
 
     def stats(self) -> Dict[str, int]:
         """State size.  ``rows_*``/``free_list_depth``/``pool_*`` are the
@@ -192,8 +175,9 @@ class AdsState:
             "rows_live": live,
             "free_list_depth": 0,
             "pool_rows": self.n * self.n,
-            "pool_bytes": self.n * self.n * BYTES_PER_PAIR,
-            "topic_sets_interned": len(self._topics),
+            "pool_bytes": sum(
+                a.nbytes for a in (self.entry, self.stamp, self.seq) if a is not None
+            ),
         }
 
     # ------------------------------------------------------------- merge
@@ -201,7 +185,7 @@ class AdsState:
         """The tick of a write at ``now``: its index in the write times."""
         times = self._times
         if now > times[-1]:
-            if len(times) >= _FIELD_MAX:  # every stamp stays below _NEVER
+            if len(times) > _TICK_MAX:  # every stamp stays below _NEVER
                 raise OverflowError("ads-cache clock ticks exhausted")
             times.append(now)
         elif now != times[-1]:
@@ -212,15 +196,18 @@ class AdsState:
             )
         return len(times) - 1
 
-    def _pack(self, versions, codes, sources):
-        """Entry words for ``versions`` (31 bits: the callers check) of
-        ``sources``; whether they lag is judged against the store, never
-        carried over."""
-        return (
-            versions << 32
-            | codes << 1
-            | (versions < self.store._version[sources])
-        )
+    def _pack(self, version: int, topics: int, source: int) -> int:
+        """The entry of ``source``'s ad at ``version`` over the classes
+        ``topics`` (a mask); whether it lags is judged against the store,
+        never carried over."""
+        if version > _VERSION_MAX:
+            raise OverflowError("ad version does not fit an ads-cache entry")
+        if topics >> _CLASS_BITS:
+            raise OverflowError(
+                f"ad topic class beyond the {_CLASS_BITS} an ads-cache entry holds"
+            )
+        behind = version < self.store._version[source]
+        return version << _SHIFT | topics << 1 | int(behind)
 
     def accept(
         self, ad: Ad, now: float, peers: np.ndarray
@@ -231,8 +218,7 @@ class AdsState:
         updated an entry, and the entries evicted to make room.
         """
         src = ad.source
-        if ad.version > _FIELD_MAX:
-            raise OverflowError("ad version does not fit an ads-cache entry")
+        word = self._pack(ad.version, topic_bits(ad.topics), src)
         tick = self._tick(now)
         words = self.entry[peers, src]
         held = words >= 0
@@ -241,10 +227,9 @@ class AdsState:
             # source whose topic set shrank to empty must still reach its
             # cachers, or they would stay silently stale); whether to
             # START caching a source is the fresh-insert arm's decision.
-            word = self._pack(ad.version, self.intern_topics(ad.topics), src)
             cachers = peers[held]
             self.entry[cachers, src] = word
-            self._tick_half[cachers, src] = tick
+            self.stamp[cachers, src] = tick
             fresh = ~held & (peers != src)
             started, evicted = self._insert(peers[fresh], src, word, tick)
             held[fresh] = started
@@ -253,52 +238,49 @@ class AdsState:
         # Patches and refreshes are meaningless without a base entry.
         cachers = peers[held]
         cached = words[held]
-        newer = cached < (ad.version << 32)  # the ad outruns the cached copy
+        newer = cached < (ad.version << _SHIFT)  # the ad outruns the cached copy
         if ad.ad_type is AdType.PATCH:
             lagging = cachers[newer]
             self.entry[lagging, src] = cached[newer] | 1  # a gap: cannot merge
-            self._tick_half[lagging, src] = tick
-            successor = cachers[newer & (cached >= ((ad.version - 1) << 32))]
-            self.entry[successor, src] = self._pack(
-                ad.version, self.intern_topics(ad.topics), src
-            )
+            self.stamp[lagging, src] = tick
+            successor = cachers[newer & (cached >= ((ad.version - 1) << _SHIFT))]
+            self.entry[successor, src] = word
             # Older patches carry nothing new.
         else:  # REFRESH: renew recency; detect missed patches.
-            self._tick_half[cachers, src] = tick
+            self.stamp[cachers, src] = tick
             lagging = cachers[newer]
             if lagging.size:
                 self.entry[lagging, src] |= 1
         return held, []
 
     def accept_repair(
-        self, peers: np.ndarray, source: int, version: int, code: int, now: float
+        self, peers: np.ndarray, source: int, version: int, topics: int, now: float
     ) -> None:
         """``source`` answered the repair pulls of ``peers``, which all hold
-        it, with its full ad at ``version`` (topic ``code``).  Each peer the
-        topics still interest renews the entry's recency and, where its
-        copy is older, takes the version (never a downgrade); a peer they
-        no longer interest keeps its entry as it is."""
-        wanted = peers[self._wants(peers, code)]
-        self._tick_half[wanted, source] = self._tick(now)
-        stale = wanted[self.entry[wanted, source] < (version << 32)]
-        self.entry[stale, source] = self._pack(version, code, source)
+        it, with its full ad at ``version`` over the class mask ``topics``.
+        Each peer the topics still interest renews the entry's recency and,
+        where its copy is older, takes the version (never a downgrade); a
+        peer they no longer interest keeps its entry as it is."""
+        word = self._pack(version, topics, source)
+        wanted = peers[self._wants(peers, topics)]
+        self.stamp[wanted, source] = self._tick(now)
+        stale = wanted[self.entry[wanted, source] < (version << _SHIFT)]
+        self.entry[stale, source] = word
 
     def adopt(
         self, peer: int, supplier: int, sources: np.ndarray, now: float
     ) -> Tuple[np.ndarray, Evicted]:
         """The ads exchange: ``peer`` starts caching ``supplier``'s entries
         for ``sources``.  The supplier holds them all; ``peer`` holds none
-        and is none of them.  The supplier's words go through as they are,
+        and is none of them.  The supplier's cells go through as they are,
         but for the behind bit."""
         words = self.entry[supplier, sources]
-        behind = words < (self.store._version[sources] << 32)
-        return self._insert(
-            peer, sources, (words & ~1) | behind, self._tick(now)
-        )
+        behind = words < (self.store._version[sources] << _SHIFT)
+        return self._insert(peer, sources, (words & ~1) | behind, self._tick(now))
 
-    def _wants(self, peers, codes) -> np.ndarray:
-        """The interest filter: do the ads' topics meet the peers' own?"""
-        return (self.interest_bits[peers] & self.code_bits[codes]) != 0
+    def _wants(self, peers, topics) -> np.ndarray:
+        """The interest filter: do the ads' class masks meet the peers'?"""
+        return (self.interest_bits[peers] & topics) != 0
 
     def _insert(self, peers, sources, words, tick: int) -> Tuple[np.ndarray, Evicted]:
         """Start caching ``words`` at ``[peers, sources]``, absent so far
@@ -307,17 +289,15 @@ class AdsState:
         One of ``peers``/``sources`` is an index array, the other an id
         (one ad to many receivers, or many ads to one receiver).  Returns
         which were interesting enough to store and what that evicted.  The
-        new entries take the current tick and the next insertion numbers in
-        array order, so they carry the largest stamps of their rows:
+        new entries take the next insertion numbers in array order, so
         evicting after the whole write picks the victims a
-        store-evict-store-evict sequence would, and never the last entry
-        stored while the capacity is at least 1.
+        store-evict-store-evict sequence would, never the last one stored.
         """
-        stored = self._wants(peers, (words >> 1) & _FIELD_MAX)
+        stored = self._wants(peers, (words >> 1) & _CLASS_MASK)
         k = int(np.count_nonzero(stored))
         if k == 0:
             return stored, []
-        if self._next_seq + k > _SEQ_LIMIT:
+        if self.seq is not None and self._next_seq + k > _SEQ_LIMIT:
             raise OverflowError("ads-cache insertion counter exhausted")
         one_ad = isinstance(peers, np.ndarray)
         if one_ad:
@@ -327,25 +307,43 @@ class AdsState:
             sources = sources[stored]
             words = words[stored]
             self.occupancy[peers] += k
-        first = tick << 32 | self._next_seq
         self.entry[peers, sources] = words
-        self.stamp[peers, sources] = np.arange(first, first + k)
-        self._next_seq += k
-        if self.capacity is None:
+        self.stamp[peers, sources] = tick
+        if self.seq is None:
             return stored, []
+        self.seq[peers, sources] = np.arange(self._next_seq, self._next_seq + k)
+        self._next_seq += k
         return stored, self._evict(peers)
+
+    def _rank(self, peers) -> np.ndarray:
+        """Rows ``peers`` as eviction keys: stamp << 32 | insertion number."""
+        return self.stamp[peers].astype(np.int64) << 32 | self.seq[peers]
+
+    def _oldest(self, peers: np.ndarray) -> np.ndarray:
+        """Each row's first victim.  The stamps decide it unless a row's
+        smallest stamp is tied, which a crowded receiver of one ad seldom
+        has, and only such rows read the insertion numbers."""
+        rows = self.stamp[peers]
+        first = rows.argmin(axis=1)[:, None]
+        low = np.take_along_axis(rows, first, axis=1)[:, 0]
+        np.put_along_axis(rows, first, _NEVER, axis=1)
+        victims = first[:, 0]
+        tied = np.flatnonzero(rows.min(axis=1) == low)
+        if tied.size:
+            victims[tied] = self._rank(peers[tied]).argmin(axis=1)
+        return victims
 
     def _evict(self, peers) -> Evicted:
         """Drop the least recently refreshed entries of the ``peers`` that
         one :meth:`_insert` left over capacity: crowded peers ascending,
-        each one's victims by ascending stamp."""
+        each one's victims in eviction order."""
         if isinstance(peers, np.ndarray):
             # Caches are within capacity between operations, so each
             # receiver of one ad is over by exactly its new entry.
             crowded = np.sort(peers[self.occupancy[peers] > self.capacity])
             if crowded.size == 0:
                 return []
-            victims = self.stamp[crowded].argmin(axis=1)
+            victims = self._oldest(crowded)
             excess = 1
             evicted = list(zip(crowded.tolist(), victims.tolist()))
         else:
@@ -353,7 +351,7 @@ class AdsState:
             excess = int(self.occupancy[peers]) - self.capacity
             if excess <= 0:
                 return []
-            row = self.stamp[peers]
+            row = self._rank(peers)
             victims = np.argpartition(row, excess - 1)[:excess]
             victims = victims[np.argsort(row[victims])]
             evicted = [(peers, source) for source in victims.tolist()]
@@ -392,6 +390,7 @@ class AdsState:
         hits = (flags == 0) & match[: self.n]
         behind = np.flatnonzero(flags == 1)
         if behind.size:
-            hits[behind] = match[self.store.columns_of(behind, row[behind] >> 32)]
+            hits[behind] = match[
+                self.store.columns_of(behind, row[behind] >> _SHIFT)
+            ]
         return hits
-

@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.sim.random import RandomStreams
 
@@ -243,19 +241,24 @@ class TransitStubNetwork:
         self._transit_edges = edges
 
     def transit_core_distances(self) -> np.ndarray:
-        """All-pairs shortest-path latencies (ms) over the transit core."""
+        """All-pairs shortest-path latencies (ms) over the transit core;
+        ``inf`` where no path joins two nodes.
+
+        A Floyd-Warshall, one ``np.minimum`` per pivot over the 144 x 144
+        table (about 5 ms).  Every sum is exact, and so equal to
+        Dijkstra's, when each latency is a whole number of ms, as the
+        paper's 50/20/5/2 are; with fractional ones it adds a path's legs
+        in another order than Dijkstra and can differ in the last ulp.
+        """
         if self._core_dist is None:
-            p = self.params
-            n = p.n_transit
-            if self._transit_edges:
-                us, vs, ws = zip(*self._transit_edges)
-            else:
-                us, vs, ws = (), (), ()
-            row = np.array(us + vs, dtype=np.int32)
-            col = np.array(vs + us, dtype=np.int32)
-            dat = np.array(ws + ws, dtype=np.float64)
-            graph = csr_matrix((dat, (row, col)), shape=(n, n))
-            self._core_dist = dijkstra(graph, directed=False)
+            n = self.params.n_transit
+            dist = np.full((n, n), np.inf)
+            np.fill_diagonal(dist, 0.0)
+            for u, v, latency in self._transit_edges:
+                dist[u, v] = dist[v, u] = latency
+            for k in range(n):
+                np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+            self._core_dist = dist
         return self._core_dist
 
     # ----------------------------------------------------------- id helpers

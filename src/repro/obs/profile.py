@@ -20,6 +20,7 @@ table or a dict (``run.json``'s ``profile``).
 from __future__ import annotations
 
 import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
@@ -37,11 +38,12 @@ __all__ = [
 def peak_rss_mb() -> float:
     """This process's peak resident set size in MB (``getrusage``).
 
-    Linux reports ``ru_maxrss`` in KB; the value is a high-water mark, so
-    in a sweep it reflects the largest cell run so far, not the current
-    one in isolation.
+    Linux reports ``ru_maxrss`` in KB and macOS in bytes; the value is a
+    high-water mark, so in a sweep it reflects the largest cell run so
+    far, not the current one in isolation.
     """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 _DIGITS = "0123456789"
 
@@ -124,8 +126,7 @@ class RunProfile:
             lines.append(
                 f"  ads state: {a.get('rows_live', 0)} cached pairs of "
                 f"{a.get('pool_rows', 0)} dense cells "
-                f"({a.get('pool_bytes', 0) / 1e6:.1f} MB, "
-                f"{a.get('topic_sets_interned', 0)} topic sets interned)"
+                f"({a.get('pool_bytes', 0) / 1e6:.1f} MB)"
             )
         for title, buckets in (("phase", self.phases), ("subsystem", self.subsystems)):
             if not buckets:

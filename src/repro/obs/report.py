@@ -81,8 +81,9 @@ def run_report(config, result, others: Sequence = ()) -> dict:
     profiled results of the same cell under the further seeds of a
     replicated run, whose spread the report then carries.
     """
-    # Imported lazily: the diff subcommand must work without the heavy
-    # simulation stack (numpy/scipy) ever loading.
+    # Imported where it is used, like this module's other simulator
+    # imports.  That saves no load: ``import repro`` already brings in
+    # numpy and the simulator (scipy is never imported outside tests).
     from repro.simulation.replication import summary_spreads
 
     summary = result.summarize()

@@ -153,7 +153,7 @@ def run_experiment(
     t_phase = time.perf_counter()
     if config.is_asap:
         # Before minutes of substrate and workload construction.
-        require_state_fits(config.n_peers)
+        require_state_fits(config.n_peers, config.asap.cache_capacity)
     streams = RandomStreams(seed=config.seed)
     fold = None
     if audit:

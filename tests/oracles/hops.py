@@ -1,18 +1,31 @@
-"""Hop-distance oracle: scipy's all-pairs shortest paths on a small graph.
+"""Shortest-path oracles: scipy's graph searches on the transit-stub graphs.
 
 The stub-domain hop counts of :mod:`repro.network.transit_stub` come from
-breadth-first frontier products over a dense adjacency; this is the
-implementation they replaced (a ``scipy.sparse`` round-trip per domain),
-kept as the independent answer they are compared against.
-:func:`domain_hops` reads a domain's full hop matrix off the network's
-public queries, which is what the oracle is compared with.
+breadth-first frontier products over a dense adjacency, and the transit
+core's latencies from a numpy Floyd-Warshall; these are the
+implementations they replaced (a ``scipy.sparse`` round-trip per domain, a
+csr matrix and Dijkstra for the core), kept as the independent answers
+they are compared against.  :func:`domain_hops` reads a domain's full hop
+matrix off the network's public queries, which is what the oracle is
+compared with.
 """
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
-__all__ = ["domain_hops", "hop_matrix_reference"]
+__all__ = ["core_distances_reference", "domain_hops", "hop_matrix_reference"]
+
+
+def core_distances_reference(net) -> np.ndarray:
+    """All-pairs latencies (ms) over ``net``'s transit-core edges: Dijkstra
+    on an undirected csr graph; ``inf`` between components."""
+    n = net.params.n_transit
+    us, vs, ws = zip(*net._transit_edges) if net._transit_edges else ((), (), ())
+    row = np.array(us + vs, dtype=np.int32)
+    col = np.array(vs + us, dtype=np.int32)
+    graph = csr_matrix((np.array(ws + ws, dtype=np.float64), (row, col)), shape=(n, n))
+    return dijkstra(graph, directed=False)
 
 
 def hop_matrix_reference(adjacency: np.ndarray) -> np.ndarray:

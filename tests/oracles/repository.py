@@ -1,8 +1,9 @@
 """Ads-cache oracle: one object per cached ad (paper Sections III-B/III-C).
 
 The plain model one row of the dense :class:`~repro.asap.state.AdsState`
-is checked against op for op -- same contract, same insertion-ordered
-iteration, same LRU tie-breaks; never imported by ``src/repro``.
+is checked against op for op -- same contract, same LRU tie-breaks, and,
+for a bounded cache, the same insertion-ordered iteration; never imported
+by ``src/repro``.
 :class:`StateRow` reads such a row in this model's terms.
 
 A node "selectively stores interesting ads received from other peers": an ad
@@ -38,6 +39,9 @@ from repro.asap.store import SourceFilterStore
 from tests.oracles.store import match_at_version_reference
 
 __all__ = ["AdsRepository", "CacheEntry", "StateRow", "snapshot"]
+
+#: A dense entry is ``version << 15 | class mask << 1 | behind``.
+_CLASSES = 14
 
 
 @dataclass(slots=True)
@@ -246,11 +250,17 @@ class StateRow:
     def __contains__(self, source: int) -> bool:
         return bool(self.state.held_mask(self.owner, source))
 
+    @property
+    def capacity(self) -> Optional[int]:
+        return self.state.capacity
+
     def sources(self) -> List[int]:
-        """Cached sources in insertion order (a stamp's low 32 bits)."""
+        """Cached sources: in insertion order where the cache is bounded
+        (its tie-break), ascending where no insertion number is kept."""
         held = np.flatnonzero(self.state.held_mask(self.owner))
-        order = self.state.stamp[self.owner, held] & 0xFFFFFFFF
-        return held[np.argsort(order)].tolist()
+        if self.state.seq is None:
+            return held.tolist()
+        return held[np.argsort(self.state.seq[self.owner, held])].tolist()
 
     def version(self, source: int) -> int:
         return int(self.state.versions(self.owner, source))
@@ -262,9 +272,9 @@ class StateRow:
             return None
         return CacheEntry(
             source=source,
-            version=word >> 32,
-            topics=state._topics[(word >> 1) & 0x7FFFFFFF],
-            cached_at=state._times[int(state.stamp[self.owner, source]) >> 32],
+            version=word >> (_CLASSES + 1),
+            topics=frozenset(c for c in range(_CLASSES) if (word >> (c + 1)) & 1),
+            cached_at=state._times[int(state.stamp[self.owner, source])],
         )
 
     @property
@@ -281,8 +291,10 @@ class StateRow:
 
 def snapshot(repo):
     """Comparable state of either repository class: entries in iteration
-    order plus the behind set."""
-    entries = ((s, repo.entry(s)) for s in repo.sources())
+    order plus the behind set.  Only a bounded cache's order is state (its
+    eviction tie-break); an unbounded one's entries go by source."""
+    order = repo.sources() if repo.capacity is not None else sorted(repo.sources())
+    entries = ((s, repo.entry(s)) for s in order)
     return (
         [(s, e.version, tuple(sorted(e.topics)), e.cached_at) for s, e in entries],
         sorted(repo.behind),

@@ -27,7 +27,7 @@ def check_arena_health(algorithm) -> Dict[str, Any]:
             np.array_equal(cache.occupancy, held.sum(axis=1))
         ),
         "stamped_iff_held": bool(
-            np.array_equal(cache.stamp != np.iinfo(np.int64).max, held)
+            np.array_equal(cache.stamp != np.iinfo(np.int32).max, held)
         ),
         "within_capacity": cache.capacity is None
         or bool((cache.occupancy <= cache.capacity).all()),

@@ -1,7 +1,8 @@
-"""The two-word ads state: eviction order, the clock it needs, field widths.
+"""The 8-byte ads state: eviction order, the clock it needs, field widths.
 
-``AdsState`` ranks a row's entries by one ``int64`` stamp (clock tick |
-insertion number) and evicts by ``argmin`` / ``argpartition``; the object
+``AdsState`` ranks a row's entries by (clock tick, insertion number), the
+second kept only by a bounded cache, and evicts by ``argmin`` /
+``argpartition``; the object
 model in ``tests/oracles/repository.py`` walks its dict with ``min`` one
 victim at a time.  They must agree on every victim *and on the order
 victims are reported in* (the list is audited and traced), at capacities
@@ -15,7 +16,7 @@ from 1 to the thousands, when
 
 Ticks only rank writes under a clock that never runs backwards, so a write
 that precedes the last one is a named error, as is a field that would not
-fit its half word.
+fit its ``int32``.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.sim.engine import SimulationError
 from repro.workload.content import ContentIndex
-from repro.workload.interests import InterestState
+from repro.workload.interests import InterestState, topic_bits
 
 from tests.oracles.repository import AdsRepository, StateRow, snapshot
 from tests.test_single_code_path import _small_asap
@@ -81,8 +82,7 @@ class LockStep:
         one oracle ``accept_snapshot`` per peer."""
         version = self.store.version(source)
         self.state.accept_repair(
-            np.asarray(peers, dtype=np.int64), source, version,
-            self.state.intern_topics(topics), now,
+            np.asarray(peers, dtype=np.int64), source, version, topic_bits(topics), now
         )
         for peer in peers:
             assert source in self.oracles[peer]
@@ -243,49 +243,67 @@ def test_any_op_sequence_matches_the_oracle(n, capacity, ops):
 
 
 class TestWords:
-    def test_layout_and_half_word_renewal(self):
+    def test_layout_and_tick_renewal(self):
         pair = LockStep(4, None)
         state = pair.state
+        assert state.entry.dtype == state.stamp.dtype == np.int32
+        assert state.seq is None  # nothing evicts, so nothing breaks ties
         pair.accept(make_ad(AdType.FULL, 1, version=3), 5.0, [0, 2])
         pair.accept(make_ad(AdType.FULL, 3), 5.0, [0])
-        code = state.intern_topics(WANTED)
-        assert state.entry[0, 1] == 3 << 32 | code << 1
-        assert state.entry[0, 2] == -1 and state.stamp[0, 2] == np.iinfo(np.int64).max
-        # Same ``now``, same tick; insertion numbers in store order.
-        assert (state.stamp[[0, 2, 0], [1, 1, 3]] == [1 << 32 | 0, 1 << 32 | 1, 1 << 32 | 2]).all()
+        assert state.entry[0, 1] == 3 << 15 | topic_bits(WANTED) << 1
+        assert state.entry[0, 2] == -1 and state.stamp[0, 2] == np.iinfo(np.int32).max
+        assert state.stamp[[0, 2, 0], [1, 1, 3]].tolist() == [1, 1, 1]
         # A refresh from further on marks the gap and moves the tick alone.
         pair.accept(make_ad(AdType.REFRESH, 1, version=4), 9.0, [0, 2, 3])
-        assert state.entry[0, 1] == 3 << 32 | code << 1 | 1
-        assert state.stamp[0, 1] == 2 << 32 | 0 and state.stamp[2, 1] == 2 << 32 | 1
-        assert state.stamp[0, 3] == 1 << 32 | 2
+        assert state.entry[0, 1] == 3 << 15 | topic_bits(WANTED) << 1 | 1
+        assert state.stamp[[0, 2, 0], [1, 1, 3]].tolist() == [2, 2, 1]
         assert StateRow(state, 0).entry(1).cached_at == 9.0
         assert state.ages(10.0).tolist() == [1.0, 5.0, 1.0]
-        # So does overwriting the entry; only a new insert draws a number.
+        assert state.held_mask().sum() == state.occupancy.sum() == 3
+        assert np.argwhere(state.behind_mask()).tolist() == [[0, 1], [2, 1]]
+        assert state.stats()["pool_bytes"] == 4 * 4 * 8
+
+    def test_insertion_numbers_in_a_bounded_cache(self):
+        pair = LockStep(4, 3)
+        state = pair.state
+        assert state.seq.dtype == np.uint32
+        pair.accept(make_ad(AdType.FULL, 1, version=3), 5.0, [0, 2])
+        pair.accept(make_ad(AdType.FULL, 3), 5.0, [0])
+        # Same ``now``, same tick; insertion numbers in store order.
+        assert state.seq[[0, 2, 0], [1, 1, 3]].tolist() == [0, 1, 2]
+        # Renewing or overwriting an entry keeps its number ...
+        pair.accept(make_ad(AdType.REFRESH, 1, version=4), 9.0, [0, 2, 3])
         pair.accept(make_ad(AdType.FULL, 1, version=4), 9.0, [0])
-        assert state.stamp[0, 1] == 2 << 32 | 0
+        assert state.stamp[0, 1] == 2 and state.seq[0, 1] == 0
+        # ... only a new insert draws one.
         pair.remove(0, 1)
         pair.accept(make_ad(AdType.FULL, 1, version=4), 9.0, [0])
-        assert state.stamp[0, 1] == 2 << 32 | 3
-        assert state.held_mask().sum() == state.occupancy.sum() == 3
+        assert state.seq[0, 1] == 3
         assert np.argwhere(state.behind_mask()).tolist() == [[2, 1]]
+        assert state.stats()["pool_bytes"] == 4 * 4 * 12
 
     def test_a_field_that_would_overflow_is_a_named_error(self, monkeypatch):
-        monkeypatch.setattr(state_module, "_FIELD_MAX", 2)
-        pair = LockStep(4, None)
-        state = pair.state
+        state = LockStep(4, 2).state
+        one = np.array([0])
         with pytest.raises(OverflowError, match="version"):
-            state.accept(make_ad(AdType.REFRESH, 1, version=3), 1.0, np.array([0]))
-        for topic in range(3):
-            state.intern_topics(frozenset({topic}))
-        with pytest.raises(OverflowError, match="topic codes"):
-            state.intern_topics(frozenset({5}))
-        state.accept(make_ad(AdType.FULL, 1), 1.0, np.array([0]))
-        state.accept(make_ad(AdType.REFRESH, 1), 1.0, np.array([0]))
+            state.accept(make_ad(AdType.REFRESH, 1, version=65_536), 1.0, one)
+        state.accept(make_ad(AdType.FULL, 1, version=65_535), 1.0, one)
+        assert state.versions(0, 1) == 65_535
+        with pytest.raises(OverflowError, match="topic class beyond the 14"):
+            state.accept(make_ad(AdType.FULL, 2, topics=frozenset({0, 14})), 1.0, one)
+        with pytest.raises(OverflowError, match="version"):
+            state.accept_repair(one, 1, 65_536, 1, 1.0)
+        with pytest.raises(OverflowError, match="topic class"):
+            state.accept_repair(one, 1, 1, 1 << 14, 1.0)
+        monkeypatch.setattr(state_module, "_TICK_MAX", 2)
+        state.accept(make_ad(AdType.REFRESH, 1), 2.0, one)
         with pytest.raises(OverflowError, match="clock ticks"):
-            state.accept(make_ad(AdType.REFRESH, 1), 2.0, np.array([0]))
+            state.accept(make_ad(AdType.REFRESH, 1), 3.0, one)
         state._next_seq = np.iinfo(np.uint32).max - 1
         with pytest.raises(OverflowError, match="insertion counter"):
-            state.accept(make_ad(AdType.FULL, 2), 1.0, np.array([0, 1, 3]))
+            state.accept(make_ad(AdType.FULL, 2), 2.0, np.array([0, 1, 3]))
+        assert not state.held_mask(sources=2).any()
+        assert state.occupancy.tolist() == [1, 0, 0, 0]
 
 
 class TestClockNeverRunsBackwards:

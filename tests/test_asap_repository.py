@@ -15,7 +15,7 @@ from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.simulation.config import scaled_config
 from repro.workload.content import ContentIndex, Document
-from repro.workload.interests import InterestState
+from repro.workload.interests import InterestState, topic_bits
 
 from tests.oracles.repository import AdsRepository, CacheEntry, StateRow
 
@@ -187,7 +187,7 @@ class TestSnapshotMerge:
     def test_snapshot_older_version_ignored(self, store):
         repo = make_repo(owner=0, interests={0}, store=store)
         accept(repo, full_ad(1, {0}, version=2), now=1.0)
-        code = repo.state.intern_topics(frozenset({0}))
+        code = topic_bits({0})
         repo.state.accept_repair(np.array([0]), 1, 1, code, 2.0)
         assert repo.entry(1).version == 2  # never a downgrade ...
         assert repo.entry(1).cached_at == 2.0  # ... but the pull renews it
@@ -197,7 +197,7 @@ class TestSnapshotMerge:
     def test_repair_leaves_an_uninterested_peer_alone(self, store):
         repo = make_repo(owner=0, interests={0}, store=store)
         accept(repo, full_ad(1, {0}, version=2), now=1.0)
-        code = repo.state.intern_topics(frozenset({1}))
+        code = topic_bits({1})
         repo.state.accept_repair(np.array([0]), 1, 3, code, 2.0)
         assert repo.entry(1) == make_entry(1, 2, {0}, 1.0)
 

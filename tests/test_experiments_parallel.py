@@ -6,6 +6,7 @@ config seed and workers run the exact same runner.  These tests assert
 equality of full ``RunSummary`` dataclasses (float equality, not approx).
 """
 
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.experiments.export import figures_to_csv
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
 from repro.experiments.parallel import CellFailure, resolve_jobs, run_cells
 from repro.experiments.runall import render_report
-from repro.simulation import scaled_config
+from repro.simulation import run_experiment, scaled_config
 from repro.simulation.replication import summary_spreads
 
 
@@ -104,18 +105,39 @@ class TestCrashIsolation:
         """ASAP's ads state is dense (Theta(n^2) bytes): a peer count past
         the memory bar is refused before any substrate is built, with the
         bytes it would need, and the sweep carries on."""
-        n = 30_000
+        n = 40_000
         need = n * n * BYTES_PER_PAIR
         assert need > MAX_STATE_BYTES
-        require_state_fits(20_000)  # what the 8 GB bar was sized for
         with pytest.raises(ValueError, match=f"{need:,} bytes"):
             require_state_fits(n)
         too_big = scaled_config("asap_rw", "random", n_peers=n, n_queries=10)
         failure, sibling = run_cells([too_big, _tiny("flooding")], jobs=1)
         assert isinstance(failure, CellFailure)
         assert "ValueError" in failure.error
-        assert f"{need:,} bytes" in failure.error and "30000 peers" in failure.error
+        assert f"{need:,} bytes" in failure.error and "40000 peers" in failure.error
         assert sibling.algorithm == "flooding"
+
+    def test_the_memory_bar_counts_what_the_cell_allocates(self):
+        """8 bytes a pair unbounded, 12 with a cache bound (its eviction
+        tie-break): each limit is the largest square under the bar, and
+        the refusal names which one it applied."""
+        require_state_fits(32_768)
+        with pytest.raises(
+            ValueError,
+            match=r"32769 peers need 8,590,458,888 bytes at 8 a pair.*"
+            r"at most 32768 peers with an unbounded ads cache",
+        ):
+            require_state_fits(32_769)
+        require_state_fits(26_754, capacity=8)
+        with pytest.raises(
+            ValueError, match=r"at 12 a pair.*at most 26754 peers with a bounded"
+        ):
+            require_state_fits(26_755, capacity=8)
+        # The runner's up-front check reads the cell's bound.
+        cell = scaled_config("asap_rw", "random", n_peers=26_755, n_queries=10)
+        cell = replace(cell, asap=replace(cell.asap, cache_capacity=8))
+        with pytest.raises(ValueError, match="26754 peers with a bounded"):
+            run_experiment(cell)
 
     def test_unbuildable_shared_workload_fails_only_its_cells(self, monkeypatch):
         """Two cells share a workload whose build raises: the parent's build

@@ -13,7 +13,7 @@ from repro.network.transit_stub import (
     _random_graphs,
 )
 
-from tests.oracles.hops import domain_hops, hop_matrix_reference
+from tests.oracles.hops import core_distances_reference, domain_hops, hop_matrix_reference
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,63 @@ class TestTransitCore:
         dist = paper_net.transit_core_distances()
         assert dist.shape == (144, 144)
         assert np.all(np.isfinite(dist))
+
+
+class TestCoreDistancesAgainstDijkstra:
+    """The core's Floyd-Warshall equals csr + Dijkstra bit for bit: with
+    latencies that are whole numbers of ms every partial sum is exact."""
+
+    @staticmethod
+    def _same(params, seed=0):
+        net = TransitStubNetwork(params, seed=seed)
+        dist = net.transit_core_distances()
+        assert np.array_equal(dist, core_distances_reference(net))
+        return net, dist
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_paper_parameters(self, seed):
+        self._same(TransitStubParams(), seed)
+
+    @pytest.mark.parametrize("p_edge", [0.0, 1.0])
+    def test_edge_probability_extremes(self, p_edge):
+        """``0.0`` leaves each domain the bridging edges that connect it,
+        ``1.0`` makes it a clique (every intra-domain distance one link)."""
+        params = TransitStubParams(p_transit_edge=p_edge)
+        net, dist = self._same(params)
+        if p_edge == 1.0:
+            per = params.transit_nodes_per_domain
+            block = dist[:per, :per]
+            assert (block[~np.eye(per, dtype=bool)] == params.lat_intra_transit_ms).all()
+
+    def test_unreachable_pairs_are_inf(self):
+        """Without the inter-domain links the domains are islands: both
+        answer ``inf`` across them and the same sums within."""
+        net = TransitStubNetwork(TransitStubParams(p_transit_edge=0.0), seed=0)
+        per = net.params.transit_nodes_per_domain
+        net._transit_edges = [e for e in net._transit_edges if e[0] // per == e[1] // per]
+        dist = net.transit_core_distances()
+        assert np.array_equal(dist, core_distances_reference(net))
+        domain = np.arange(net.params.n_transit) // per
+        assert np.isinf(dist[domain[:, None] != domain[None, :]]).all()
+        assert np.isfinite(dist[domain[:, None] == domain[None, :]]).all()
+
+    def test_one_node_per_domain(self):
+        self._same(TransitStubParams(transit_nodes_per_domain=1))
+
+    def test_one_domain(self):
+        self._same(TransitStubParams(n_transit_domains=1))
+
+    @pytest.mark.parametrize("latencies", [(0.1, 0.7), (1 / 3, 0.3)])
+    def test_fractional_latencies_agree_within_an_ulp_or_two(self, latencies):
+        """A path's legs are added in another order (Floyd-Warshall joins
+        two shortest subpaths, Dijkstra extends one path edge by edge), and
+        float addition is not associative, so the last bit can differ."""
+        inter, intra = latencies
+        net = TransitStubNetwork(
+            TransitStubParams(lat_inter_transit_ms=inter, lat_intra_transit_ms=intra)
+        )
+        dist, want = net.transit_core_distances(), core_distances_reference(net)
+        assert (np.abs(dist - want) <= 4 * np.spacing(want)).all()
 
 
 class TestStubDomains:

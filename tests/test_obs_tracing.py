@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from repro.obs.profile import Profiler, RunProfile, subsystem_of
+from repro.obs import profile as profile_module
+from repro.obs.profile import Profiler, RunProfile, peak_rss_mb, subsystem_of
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     TraceRecord,
@@ -279,6 +280,17 @@ def test_profiler_buckets_by_phase_and_subsystem():
     # Renderers stay in sync with the data.
     assert "dispatched 5 events" in profile.format_table()
     assert profile.to_dict()["phases"]["warmup"]["events"] == 2
+
+
+@pytest.mark.parametrize(
+    "platform,maxrss", [("linux", 300 * 1024), ("darwin", 300 * 1024 * 1024)]
+)
+def test_peak_rss_reads_the_platform_unit(monkeypatch, platform, maxrss):
+    """``ru_maxrss`` is KB on Linux and bytes on macOS: 300 MB either way."""
+    usage = types.SimpleNamespace(ru_maxrss=maxrss)
+    monkeypatch.setattr(profile_module.sys, "platform", platform)
+    monkeypatch.setattr(profile_module.resource, "getrusage", lambda who: usage)
+    assert peak_rss_mb() == 300.0
 
 
 @pytest.mark.parametrize(

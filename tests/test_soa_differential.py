@@ -28,7 +28,7 @@ from repro.sim.random import RandomStreams
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 from repro.workload.edonkey import synthesize_content
-from repro.workload.interests import InterestState
+from repro.workload.interests import InterestState, topic_bits
 
 from tests.oracles import oracle_arm
 from tests.oracles.repository import AdsRepository, StateRow, snapshot
@@ -141,9 +141,7 @@ class TestRepositoryDifferential:
                 version = store.version(src)
                 topics = store.topics(src)
                 if src in ref:
-                    state.accept_repair(
-                        me, src, version, state.intern_topics(topics), now
-                    )
+                    state.accept_repair(me, src, version, topic_bits(topics), now)
                     assert ref.accept_snapshot(src, version, topics, now)[1] == []
                     ran["repair"] += 1
                 elif src not in (owner, supplier) and store.is_sharer(src):
@@ -278,26 +276,31 @@ class TestCacherSet:
         assert any(oracle.values())
 
 
-# ------------------------------------------------------------ topic interning
+# ------------------------------------------------------------- class masks
 class TestArena:
-    def test_topic_interning_round_trips(self):
-        store, _ = make_store(0, n_nodes=10)
-        state = make_state(store, {0})
-        a = frozenset({1, 2})
-        b = frozenset({3})
-        ca, cb = state.intern_topics(a), state.intern_topics(b)
-        assert ca != cb
-        assert state.intern_topics(frozenset({2, 1})) == ca
-        assert state._topics[ca] == a and state._topics[cb] == b
-        assert state.code_bits[ca] == 0b110 and state.code_bits[cb] == 0b1000
-        # More codes than the bitmask table started with.
-        codes = [
-            state.intern_topics(frozenset({i, j}))
-            for i in range(13)
-            for j in range(i + 1, 14)
-        ]
-        assert len(set(codes)) == len(codes) > 64
-        assert state.code_bits[codes[-1]] == (1 << 12) | (1 << 13)
+    def test_topic_sets_are_their_class_masks(self):
+        """An entry holds the ad's topic set as its 14-bit class mask: every
+        set comes back as it went in, and only a receiver whose interests
+        meet the mask starts caching it."""
+        store, _ = make_store(0, n_nodes=20)
+        bits = InterestState([{13} if p % 2 else {0, 5} for p in range(20)]).bitmasks
+        state = AdsState(20, bits, store)
+        sets = [frozenset({1, 2}), frozenset({0}), frozenset({12, 13}), frozenset(range(14))]
+        peers = np.arange(10, 20)
+        for src, topics in enumerate(sets):
+            ad = Ad(source=src, ad_type=AdType.FULL, topics=topics, version=0)
+            stored, _ = state.accept(ad, 1.0, peers)
+            wants = [p for p in peers.tolist() if topics & ({13} if p % 2 else {0, 5})]
+            assert peers[stored].tolist() == wants
+            assert state.entry[wants, src].tolist() == [topic_bits(topics) << 1] * len(wants)
+            for peer in wants:
+                assert StateRow(state, peer).entry(src).topics == topics
+        with pytest.raises(OverflowError, match="topic class beyond the 14"):
+            state.accept(
+                Ad(source=5, ad_type=AdType.FULL, topics=frozenset({14}), version=0),
+                2.0, peers,
+            )
+        assert not state.held_mask(sources=5).any()
 
 
 # ----------------------------------------------------------- whole-run equal

@@ -32,6 +32,7 @@ from repro.search.base import ADS_REQUEST_BYTES
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.simulation import runner
 from repro.workload.content import ContentIndex, Document
+from repro.workload.interests import topic_bits
 
 from tests.oracles.asap import OracleAsapSearch
 from tests.oracles.bloom import BloomFilter, CountingBloomFilter
@@ -323,8 +324,7 @@ class PulledRow(StateRow):
 
     def accept_snapshot(self, source, version, topics, now):
         self.state.accept_repair(
-            np.array([self.owner]), source, version,
-            self.state.intern_topics(topics), now,
+            np.array([self.owner]), source, version, topic_bits(topics), now
         )
 
 
@@ -566,7 +566,7 @@ def test_a_receiver_the_new_topics_do_not_interest_stays_behind():
     assert lagging_now == narrow.tolist()
     assert (product.state.entry[narrow, SOURCE] == words).all()
     # The refresh renewed them; the pull did not, and no version moved.
-    assert (product.state.stamp[narrow, SOURCE] >> 32 > stamps >> 32).all()
+    assert (product.state.stamp[narrow, SOURCE] > stamps).all()
     assert product.state.behind_mask(narrow, SOURCE).all()
     wide = np.setdiff1d(lagging, narrow)
     assert (

@@ -4,6 +4,9 @@ These are conventional pytest-benchmark timings (multiple rounds) of the
 vectorised kernels that make paper-scale replay tractable:
 
 * hop-bounded Bellman-Ford flood computation over a live overlay;
+* the bit-parallel ad flood at 2,000 peers in milliseconds per pass: 64
+  sources in one pass against a single source (``ms_per_pass_64``,
+  ``ms_per_pass_1``);
 * all-sources Bloom match through the packed filter matrix;
 * hierarchical latency batch queries;
 * ASAP(RW) walk stepping on a 3,000-peer overlay at the paper's M0 = 3,000:
@@ -25,6 +28,7 @@ vectorised kernels that make paper-scale replay tractable:
 """
 
 import itertools
+import timeit
 
 import numpy as np
 import pytest
@@ -59,6 +63,31 @@ def bench_flood_reach_2k(benchmark, overlay_2k):
     assert msgs > 0
     assert (first_hop >= 0).mean() > 0.9
     write_bench_stats("micro_flood_reach_2k", benchmark, messages=int(msgs))
+
+
+def bench_flood_batch_2k(benchmark, overlay_2k):
+    """One ``flood_words`` pass of 64 TTL-6 ad floods, timed by the
+    fixture, and one pass of a single source (the same kernel with one bit
+    set), best of five runs of 20: how much of a pass the other 63 floods
+    cost."""
+    csr = overlay_2k.walk_csr()
+    sources = list(range(0, 31 * kernels.WORD_BITS, 31))
+    words = benchmark(kernels.flood_words, csr, sources, 6)
+    single = min(
+        timeit.repeat(
+            lambda: kernels.flood_words(csr, sources[:1], 6), number=20, repeat=5
+        )
+    ) / 20
+    got, messages = kernels.flood_receivers(csr, words, 63, sources[63])
+    assert len(got) > 0.9 * csr.n and messages > 0
+    stats = getattr(benchmark, "stats", None)
+    write_bench_stats(
+        "micro_flood_batch_2k",
+        benchmark,
+        floods_per_pass=len(sources),
+        ms_per_pass_1=1e3 * single,
+        **({"ms_per_pass_64": 1e3 * stats.stats.median} if stats is not None else {}),
+    )
 
 
 def bench_filter_matrix_match_10k(benchmark):

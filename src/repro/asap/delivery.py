@@ -16,6 +16,13 @@ the per-second ledger along the walk's actual timeline -- this is what makes
 ASAP's background load appear smooth in the Figure 10 reproduction rather
 than spiking at delivery start.
 
+ASAP(FLD) floods 64 at a time: which peers a flood reaches and what it
+costs depend only on the epoch's live CSR and the source, so a delivery
+that finds no flood computed for its source on the current CSR runs one
+bit-parallel pass (:func:`repro.sim.kernels.flood_words`) for it and the
+next 63 sources the protocol's schedule says are due, and every later
+delivery in the epoch reads its own bit.
+
 The walk-based forwarders run on the shared walk kernels
 (:mod:`repro.sim.kernels`).  A single ASAP(RW) delivery steps over the
 epoch's carried plain-list rows with vectorised latency/bucket/visited
@@ -33,8 +40,8 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict, deque
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,19 +61,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class DeliveryReport:
-    """Outcome of one ad delivery."""
+    """Outcome of one ad delivery.
 
-    visited: frozenset  # nodes that received the ad (source excluded)
-    messages: int
-    bytes: float
-    # Sorted array form of ``visited``; purely an accelerator for the
-    # batched receiver merge -- absent on empty deliveries and excluded
-    # from equality.
-    visited_arr: Optional[np.ndarray] = dataclass_field(
-        default=None, compare=False, repr=False
-    )
+    ``visited_arr`` holds the nodes that received the ad, ascending, the
+    source excluded.  ``visited`` is the same ids as a frozenset, built on
+    first read from ``visited_arr``'s list -- the list every delivery
+    built its set from, so the set iterates in the same order whenever it
+    is built, and that order is the order receivers' repair pulls are
+    booked in.  Iterating a report iterates ``visited``.
+    """
+
+    __slots__ = ("visited_arr", "messages", "bytes", "_visited")
+
+    def __init__(
+        self,
+        visited: Optional[frozenset] = None,
+        messages: int = 0,
+        bytes: float = 0.0,
+        visited_arr: Optional[np.ndarray] = None,
+    ) -> None:
+        if visited_arr is None:
+            visited_arr = np.array(sorted(visited or ()), dtype=np.int64)
+        self.visited_arr = visited_arr
+        self.messages = messages
+        self.bytes = bytes
+        self._visited = visited
+
+    @property
+    def visited(self) -> frozenset:
+        if self._visited is None:
+            self._visited = frozenset(self.visited_arr.tolist())
+        return self._visited
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.visited)
+
+
+def _nothing_due(now: float, count: int) -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 class AdForwarder(abc.ABC):
@@ -83,6 +116,10 @@ class AdForwarder(abc.ABC):
         self.rng = rng
         # The run's repro.obs.Instrumentation (AsapSearch.attach sets it).
         self.obs = None
+        # ``schedule(now, count)``: up to ``count`` live nodes next due to
+        # disseminate on the protocol's schedule, soonest first.
+        # AsapSearch sets it; floods read it to pick companions.
+        self.schedule: Callable[[float, int], np.ndarray] = _nothing_due
 
     @abc.abstractmethod
     def deliver(
@@ -136,7 +173,6 @@ class AdForwarder(abc.ABC):
                 min(buckets) + 0.5, ad.category, 0.0, messages=n_messages
             )
         report = DeliveryReport(
-            visited=frozenset(visited_arr.tolist()),
             messages=n_messages,
             bytes=float(n_messages * ad_size),
             visited_arr=visited_arr,
@@ -149,9 +185,15 @@ class AdForwarder(abc.ABC):
 class FloodAdForwarder(AdForwarder):
     """ASAP(FLD): the ad floods with a TTL, reaching almost everyone.
 
-    ``deliver`` runs on the BFS-only flood kernel: the delivery needs who
-    received the ad and the transmission count, never arrival times, and
-    ``first_hop`` is latency-free.
+    Who a flood reaches and what it costs depend only on the epoch's live
+    CSR and the source, so floods run 64 to a pass of the bit-parallel
+    kernel (:func:`repro.sim.kernels.flood_words`).  A delivery whose
+    source has no word on the current CSR floods it together with up to 63
+    companions: the next sources due on :attr:`schedule`, most of which
+    will flood before the next join or leave.  Each delivery reads only
+    its own bit (:func:`~repro.sim.kernels.flood_receivers`); the words
+    are dropped when the overlay hands out a new CSR.  Which companions
+    share a pass changes how many passes a run makes, never a result.
     """
 
     kind = "fld"
@@ -161,21 +203,42 @@ class FloodAdForwarder(AdForwarder):
         if ttl < 1:
             raise ValueError("ttl must be >= 1")
         self.ttl = ttl
+        self._csr: Optional[kernels.WalkCsr] = None
+        # Floods computed on ``_csr`` and not yet delivered: source ->
+        # (words of its pass, its bit).
+        self._flooded: Dict[int, Tuple[np.ndarray, int]] = {}
 
     def deliver(
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> DeliveryReport:
-        if not self.overlay.is_live(ad.source):
+        source = ad.source
+        if not self.overlay.is_live(source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        first_hop, n_messages = kernels.flood_bfs(
-            self.overlay.walk_csr(), ad.source, self.ttl
-        )
+        csr = self.overlay.walk_csr()
+        if csr is not self._csr:
+            self._csr, self._flooded = csr, {}
+        flood = self._flooded.pop(source, None)
+        if flood is None:
+            flood = self._flood(csr, source, now)
+        visited_arr, n_messages = kernels.flood_receivers(csr, *flood, source)
         ad_size = ad.size_bytes()
         # The whole flood lands in the second it starts.
         buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
-        return self._finish(
-            ad, now, np.nonzero(first_hop > 0)[0], n_messages, ad_size, buckets
-        )
+        return self._finish(ad, now, visited_arr, n_messages, ad_size, buckets)
+
+    def _flood(
+        self, csr: kernels.WalkCsr, source: int, now: float
+    ) -> Tuple[np.ndarray, int]:
+        """One pass: ``source`` on bit 0, then the next sources due that
+        have no word yet; the companions' words are kept for their own
+        deliveries."""
+        flooded = self._flooded
+        due = self.schedule(now, kernels.WORD_BITS + len(flooded)).tolist()
+        sources = [source, *(s for s in due if s != source and s not in flooded)]
+        del sources[kernels.WORD_BITS :]
+        words = kernels.flood_words(csr, sources, self.ttl)
+        flooded.update((s, (words, bit)) for bit, s in enumerate(sources) if bit)
+        return words, 0
 
 
 class _WalkForwarderBase(AdForwarder):

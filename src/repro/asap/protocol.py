@@ -152,6 +152,11 @@ class AsapSearch(SearchAlgorithm):
         self._engine: Optional[SimulationEngine] = None
         self._timers: Dict[int, PeriodicTimer] = {}
         self._advertised: Set[int] = set()  # sources that ever sent a full ad
+        # The schedule the forwarder may compute ahead from: per node, the
+        # time of its warm-up full ad (row 0) and of its next refresh tick
+        # (row 1); inf where none is scheduled.
+        self._due = np.full((2, overlay.n), math.inf)
+        self.forwarder.schedule = self._next_due
 
     @property
     def arena(self) -> AdsState:
@@ -170,7 +175,7 @@ class AsapSearch(SearchAlgorithm):
     ) -> None:
         """Deliver an ad and update every receiver's cache."""
         report = self.forwarder.deliver(ad, now, budget=budget)
-        self._merge_ad(ad, now, report.visited, report.visited_arr)
+        self._merge_ad(ad, now, report, report.visited_arr)
 
     def _merge_ad(
         self,
@@ -187,7 +192,9 @@ class AsapSearch(SearchAlgorithm):
         repair by pulling the missed patches from the source -- the unicast
         anti-entropy that keeps caches exact and contributes the steady
         trickle of full-ad bytes in Figure 7's breakdown.  ``receivers_arr``
-        is the same ids as an array, when the caller already has one.
+        is the same ids as an array, when the caller already has one;
+        ``receivers`` is then iterated only when some receiver lags (a
+        :class:`~repro.asap.delivery.DeliveryReport` builds its set then).
         """
         if receivers_arr is None:
             receivers_arr = np.fromiter(receivers, np.int64, len(receivers))
@@ -311,6 +318,7 @@ class AsapSearch(SearchAlgorithm):
                     name=f"full-ad-{node}",
                 )
                 full_ads.append((event.time, event.seq, node))
+                self._due[0, node] = event.time
             if self._bootstraps(node):
                 at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
                 engine.schedule_at(
@@ -327,22 +335,39 @@ class AsapSearch(SearchAlgorithm):
             return
         period = self.params.refresh_period_s
         # Jittered phase so refreshes spread across the period.
-        phase = (
-            phase_base
-            - self._engine.now
-            + float(self.rng.random()) * period
+        phase = max(
+            phase_base - self._engine.now + float(self.rng.random()) * period,
+            1e-9,
         )
         self._timers[node] = PeriodicTimer(
             self._engine,
             period=period,
             callback=lambda n=node: self._refresh_tick(n),
-            phase=max(phase, 1e-9),
+            phase=phase,
             name=f"refresh-{node}",
         )
+        # The time the timer's first tick is scheduled at, the same sum.
+        self._due[1, node] = self._engine.now + phase
 
     def _refresh_tick(self, node: int) -> None:
+        now = self._engine.now
+        self._due[1, node] = now + self.params.refresh_period_s
         if self.overlay.is_live(node):
-            self._issue_refresh_ad(node, self._engine.now)
+            self._issue_refresh_ad(node, now)
+
+    def _next_due(self, now: float, count: int) -> np.ndarray:
+        """Up to ``count`` live nodes next due to disseminate on schedule
+        -- a warm-up full ad or a refresh tick at or after ``now`` -- in
+        schedule order (time, then id)."""
+        full, refresh = self._due
+        due = np.where(full >= now, full, refresh)
+        due[(due < now) | ~self.overlay.live_mask] = math.inf
+        if count < len(due):
+            nodes = np.argpartition(due, count - 1)[:count]
+        else:
+            nodes = np.arange(len(due))
+        nodes = np.sort(nodes[due[nodes] < math.inf])
+        return nodes[np.argsort(due[nodes], kind="stable")]
 
     # ---------------------------------------------------------------- churn
     def on_join(self, node: int, now: float) -> None:
@@ -369,6 +394,7 @@ class AsapSearch(SearchAlgorithm):
         timer = self._timers.pop(node, None)
         if timer is not None:
             timer.stop()
+            self._due[1, node] = math.inf
         # The node's repo is retained for a possible rejoin (paper: "if a
         # node stays offline for a long time and then rejoins, the ads in
         # its cache could be mostly out of date" -- the ads request on

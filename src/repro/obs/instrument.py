@@ -222,7 +222,7 @@ class Instrumentation:
                 source=int(ad.source),
                 ad_type=ad.ad_type.value,
                 topics=len(ad.topics),
-                visited=len(report.visited),
+                visited=len(report.visited_arr),
                 messages=report.messages,
                 bytes=report.bytes,
                 budget=budget,

@@ -14,6 +14,9 @@ Design notes
   kernel small, trivially testable, and fast (no generator overhead).
 * Cancellation is lazy: a cancelled :class:`Event` stays in the queue but is
   skipped when popped.  This is the standard O(1)-cancel heap idiom.
+* The heap holds ``(time, seq, event)`` tuples, so every sift compares two
+  floats (or, on a tie, two ints) in C; ``seq`` is unique, so the event
+  itself is never compared.
 * The clock is a float in **seconds** (the paper's load series is per-second;
   latencies are milliseconds and converted at the boundary).
 * One loop: :meth:`SimulationEngine.run` and :meth:`SimulationEngine.step`
@@ -76,7 +79,7 @@ class SimulationEngine:
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; the engine is a binary heap"
             )
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -161,14 +164,15 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
+        seq = next(self._seq)
         event = Event(
             time=time,
-            seq=next(self._seq),
+            seq=seq,
             callback=callback,
             name=name,
             _on_cancel=self._cancel_hook,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_after(
@@ -191,7 +195,7 @@ class SimulationEngine:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            event = heap[0][2]
             if not event.cancelled:
                 return event
             heapq.heappop(heap)

@@ -53,9 +53,19 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
   receivers are :func:`receivers` over one flag or count per node.  The
   single and the batch kernel share those three functions.
 
-The kernels are pure functions over :class:`WalkCsr` + a draw matrix; all
-ledger writes stay in the callers, so the per-step loops the differential
-tests compare against (``tests/oracles/``) share the accounting code path.
+Floods run over the same :class:`WalkCsr`.  A flooding *search* needs
+arrival times, a min-plus relaxation per source (:func:`flood_frontier`).
+An ASAP(FLD) *ad* flood needs only who it reaches and how many messages it
+costs, both latency-free, so up to 64 of them share one bit-parallel BFS
+(:func:`flood_words`): one ``uint64`` per node, bit ``j`` for source
+``j``, one gather and one ``bitwise_or.reduceat`` per hop whatever the
+number of sources; each delivery reads its own bit back with
+:func:`flood_receivers`.
+
+The kernels are pure functions over :class:`WalkCsr` + a draw matrix (or a
+list of flood sources); all ledger writes stay in the callers, so the
+per-step loops the differential tests compare against (``tests/oracles/``)
+share the accounting code path.
 """
 
 from __future__ import annotations
@@ -75,8 +85,9 @@ __all__ = [
     "bucket_bytes",
     "bucket_dict",
     "chain_nodes",
-    "flood_bfs",
     "flood_frontier",
+    "flood_receivers",
+    "flood_words",
     "lockstep_fits",
     "receivers",
     "rw_delivery",
@@ -740,43 +751,76 @@ def flood_frontier(
     return first_hop, arrival, fwd + int(csr.deg[newly].sum()) - len(newly)
 
 
-def flood_bfs(csr: WalkCsr, source: int, ttl: int) -> Tuple[np.ndarray, int]:
-    """BFS-only flood: ``(first_hop, n_messages)``, no arrival times.
+#: Floods per :func:`flood_words` pass: one bit of a ``uint64`` per source.
+WORD_BITS = 64
 
-    Ad delivery (ASAP(FLD)) only needs who received the ad and how many
-    transmissions the flood cost; skipping the latency relaxation makes
-    this another ~20% cheaper than :func:`flood_frontier`.  ``first_hop``
-    is identical to the full kernel's (hop counts are latency-free).
+
+def flood_words(csr: WalkCsr, sources: Sequence[int], ttl: int) -> np.ndarray:
+    """The TTL-bounded floods of up to 64 distinct ``sources``, as bits.
+
+    Returns a ``(2, n)`` array of little-endian ``uint64`` words: bit ``j``
+    of ``words[0][v]`` is set when ``sources[j]``'s flood reached ``v``
+    within ``ttl`` hops, bit ``j`` of ``words[1][v]`` when it did within
+    ``ttl - 1`` hops -- the nodes that forward it.  A source reaches
+    itself at hop 0.  :func:`flood_receivers` reads one flood back out.
+
+    One hop is a pull over the symmetric live CSR: the frontier words
+    gathered over ``csr.indices``, OR-ed per row by one
+    ``np.bitwise_or.reduceat`` over the rows that have live neighbours (a
+    node without any is never in ``indices``), minus what each flood has
+    already reached.  Hop counts are latency-free, so every source's
+    word is its own BFS whatever else shares the pass; a single flood is
+    the same pass with one bit set.  A pass whose frontier empties stops
+    early: the floods have died out, and the forwarders are everything
+    reached.
     """
-    n = csr.n
-    first_hop = np.full(n, -1, dtype=np.int64)
-    first_hop[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    fwd = 0  # running sum of (deg - 1) over forwarding nodes (hop < ttl)
-    for h in range(1, ttl + 1):
-        if len(frontier) == 1:
-            u = frontier[0]
-            a = csr.indptr[u]
-            b = a + csr.deg[u]
-            if a == b:
-                break
-            targets = csr.indices[a:b]
-        else:
-            fe = _frontier_edges(csr, frontier)
-            if fe is None:
-                break
-            targets = csr.indices[fe[0]]
-        new = targets[first_hop[targets] < 0]
-        if not len(new):
+    if not 1 <= len(sources) <= WORD_BITS:
+        raise ValueError(f"a pass floods 1 to {WORD_BITS} sources, got {len(sources)}")
+    if ttl < 1:
+        raise ValueError("ttl must be >= 1")
+    frontier = np.zeros(csr.n, dtype="<u8")
+    bits = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+    frontier[sources] = bits
+    unreached = ~frontier
+    rows = np.flatnonzero(csr.deg)
+    starts = csr.indptr[rows]
+    gathered = np.empty(len(csr.indices), dtype="<u8")
+    words = np.empty((2, csr.n), dtype="<u8")
+    for hop in range(1, ttl + 1):
+        if hop == ttl:
+            np.invert(unreached, out=words[1])
+        frontier.take(csr.indices, out=gathered)
+        frontier[rows] = np.bitwise_or.reduceat(gathered, starts)
+        frontier &= unreached
+        if not frontier.any():
             break
-        first_hop[new] = h
-        # ``first_hop == h`` holds exactly at the nodes in ``new``, so the
-        # sorted unique of ``new`` is the full-array nonzero scan's result;
-        # the scan adapts by size like flood_frontier's.
-        if len(new) * 16 < n:
-            frontier = np.unique(new)
-        else:
-            frontier = np.nonzero(first_hop == h)[0]
-        if h < ttl:
-            fwd += int(csr.deg[frontier].sum()) - len(frontier)
-    return first_hop, int(csr.deg[source]) + fwd
+        unreached ^= frontier
+    np.invert(unreached, out=words[0])
+    if hop < ttl:
+        words[1] = words[0]
+    return words
+
+
+def flood_receivers(
+    csr: WalkCsr, words: np.ndarray, bit: int, source: int
+) -> Tuple[np.ndarray, int]:
+    """Flood ``bit`` of a :func:`flood_words` pass: ``(receivers,
+    n_messages)``.
+
+    ``receivers`` are the ascending ids the flood reached, ``source``
+    dropped; ``n_messages`` is ``deg(source) + sum(deg - 1)`` over the
+    receivers that forward (reached within ``ttl - 1`` hops): the source
+    sends to every live neighbour, a forwarder to all but the one it heard
+    from first.  Two passes over ``n`` -- the bit's byte column tested
+    into a flag per node, then its nonzero -- and a gather over the
+    receivers; never a ``(n, 64)`` expansion.
+    """
+    byte, flag = bit >> 3, np.uint8(1 << (bit & 7))
+    column = words.view(np.uint8)[:, byte::8]  # the byte holding the bit
+    hit = np.bitwise_and(
+        column[0], flag, out=np.empty(csr.n, dtype=bool), casting="unsafe"
+    )
+    hit[source] = False
+    got = hit.nonzero()[0]
+    fwd = csr.deg[got[column[1].take(got) & flag != 0]]
+    return got, int(csr.deg[source]) + int(fwd.sum()) - len(fwd)

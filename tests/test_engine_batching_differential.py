@@ -93,10 +93,15 @@ class TestFloodKernelDifferential:
         assert msg_k == msg_r == 2 + (n - 1)
 
     def test_bfs_matches_reference_hops(self):
+        """Bit 0 of a bit-parallel pass is the flood's receivers (the
+        nodes at hop 1..6) and transmissions; ``tests/test_flood_words.py``
+        covers every bit of drawn passes."""
         ov = make_overlay(5)
-        fh_k, msg_k = kernels.flood_bfs(ov.walk_csr(), 0, 6)
+        csr = ov.walk_csr()
+        words = kernels.flood_words(csr, [0], 6)
+        got, msg_k = kernels.flood_receivers(csr, words, 0, 0)
         fh_r, _, msg_r = flood_reach_reference(ov, source=0, ttl=6)
-        assert np.array_equal(fh_k, fh_r)
+        assert got.tolist() == np.flatnonzero(fh_r > 0).tolist()
         assert msg_k == msg_r
 
 

@@ -588,6 +588,29 @@ def test_the_flood_relaxation_is_written_once():
     assert relaxers == ["flood_frontier"]
 
 
+def test_ad_floods_have_one_bfs_kernel_and_one_caller():
+    """Hop counts come from one bit-parallel pass, a single flood being a
+    pass with one bit set; only ASAP(FLD)'s forwarder runs it."""
+    assert not hasattr(kernels, "flood_bfs") and "flood_bfs" not in kernels.__all__
+    floods = sorted(name for name in kernels.__all__ if name.startswith("flood"))
+    assert floods == ["flood_frontier", "flood_receivers", "flood_words"]
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for owner in ast.walk(tree):
+            if not isinstance(owner, ast.ClassDef):
+                continue
+            for fn in owner.body:
+                if isinstance(fn, ast.FunctionDef) and _calls(fn, "flood_words"):
+                    callers.append(f"{path.relative_to(SRC)}:{owner.name}.{fn.name}")
+        callers += [
+            f"{path.relative_to(SRC)}:{fn.name}"
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and _calls(fn, "flood_words")
+        ]
+    assert callers == ["asap/delivery.py:FloodAdForwarder._flood"]
+
+
 def test_src_has_no_live_status_view_and_no_thread():
     banned = re.compile(r"status_path|status_fn|--live|\bthreading\b")
     hits = [

@@ -9,10 +9,13 @@ vectorised kernels that make paper-scale replay tractable:
   ``ms_per_pass_1``);
 * all-sources Bloom match through the packed filter matrix;
 * hierarchical latency batch queries;
-* ASAP(RW) walk stepping on a 3,000-peer overlay at the paper's M0 = 3,000:
-  one delivery on the list recurrence, the same delivery in lockstep, and
-  a full lockstep chunk (``lane_step_ns`` is the number docs/PERFORMANCE.md
-  cites);
+* ASAP(RW) walks on a 3,000-peer overlay at the paper's M0 = 3,000, all
+  through the one delivery kernel: a keyed ``(5, per_walker)`` draw in
+  microseconds (``us_per_call``) for a refresh-sized and a full-sized ad,
+  a 1-ad batch (its five lanes on the list recurrence), the same ad forced
+  into lockstep, and a full batch (``LOCKSTEP_CHUNK_BYTES``) in
+  milliseconds per batch (``ms_per_batch``; ``lane_step_ns`` is the number
+  docs/PERFORMANCE.md cites);
 * single walks in absolute microseconds per call: a full-TTL random-walk
   search miss at 2,000 peers, and a new epoch's walk rows after one
   ``leave`` at 10,000 peers;
@@ -35,6 +38,7 @@ import pytest
 
 from conftest import write_bench_stats
 from repro.asap.ads import Ad, AdType
+from repro.asap.delivery import walk_draws
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.bloom.hashing import BloomHasher
@@ -119,8 +123,9 @@ def bench_latency_pairwise_10k(benchmark):
 
 @pytest.fixture(scope="module")
 def walk_3k():
-    """A 3,000-peer random overlay and the full ads of one lockstep chunk:
-    1-4 topics each, ``|T| x 3,000`` messages over 5 walkers."""
+    """A 3,000-peer random overlay and the full ads of one full batch: 1-4
+    topics each, ``|T| x 3,000`` messages over 5 walkers, their keyed
+    draws laid end to end as the forwarder lays them."""
     topo = random_topology(3000, avg_degree=5.0, rng=np.random.default_rng(0))
     csr = Overlay(topo, default_edge_latency_ms=20.0).walk_csr()
     rng = np.random.default_rng(1)
@@ -131,7 +136,14 @@ def walk_3k():
         per_walker.append(600 * int(rng.integers(1, 5)))
         sources.append(int(rng.integers(csr.n)))
     nows = np.sort(rng.random(len(sources)) * 30.0).tolist()
-    return csr, sources, per_walker, nows, rng.random(5 * sum(per_walker))
+    draws = np.concatenate(
+        [walk_draws(KEY, s, 0, 5, w).reshape(-1) for s, w in zip(sources, per_walker)]
+    )
+    return csr, sources, per_walker, nows, draws
+
+
+#: A walk key (``repro.asap.delivery.walk_key`` derives a run's).
+KEY = 7
 
 
 def _write_walk_stats(name, benchmark, lanes, lane_steps):
@@ -142,46 +154,59 @@ def _write_walk_stats(name, benchmark, lanes, lane_steps):
         lanes=lanes,
         lane_steps=lane_steps,
         **(
-            {"lane_step_ns": 1e9 * stats.stats.median / lane_steps}
+            {
+                "ms_per_batch": 1e3 * stats.stats.median,
+                "lane_step_ns": 1e9 * stats.stats.median / lane_steps,
+            }
             if stats is not None
             else {}
         ),
     )
 
 
+@pytest.mark.parametrize("per_walker", [60, 1200])
+def bench_walk_keyed_draws(benchmark, per_walker):
+    """One delivery's keyed uniforms: a refresh ad of one topic (60 steps a
+    walker) and a full ad of two (1,200)."""
+    draws = benchmark(walk_draws, KEY, 11, 3, 5, per_walker)
+    assert draws.shape == (5, per_walker)
+    _write_call_stats(
+        f"micro_walk_keyed_draws_{per_walker}", benchmark, draws=draws.size
+    )
+
+
 def bench_walk_single_delivery_3k(benchmark, walk_3k):
-    """One ``|T| = 2`` delivery on the plain-list recurrence."""
+    """One ``|T| = 2`` delivery as a batch of one: five lanes, too few to
+    step in lockstep, walk the plain-list recurrence."""
     csr, sources, _, nows, draws = walk_3k
-    block = draws[:6000].reshape(5, 1200)
-    _, messages, _ = benchmark(
-        kernels.rw_delivery, csr, sources[0], block, nows[0], 424
+    ((_, messages, _, _),) = benchmark(
+        kernels.rw_delivery_batch, csr, sources[:1], [1200], 5, draws[:6000], nows[:1]
     )
     _write_walk_stats("micro_walk_single_delivery_3k", benchmark, 5, messages)
 
 
-def bench_walk_lockstep_one_ad_3k(benchmark, walk_3k):
-    """The same delivery as a five-lane lockstep batch: why deliveries that
-    are not known ahead of time stay on the list recurrence."""
+def bench_walk_lockstep_one_ad_3k(benchmark, walk_3k, monkeypatch):
+    """The same delivery forced into five-lane lockstep: why a batch hands
+    its last ``LOCKSTEP_MIN_LANES`` lanes to the list recurrence."""
+    monkeypatch.setattr(kernels, "LOCKSTEP_MIN_LANES", 1)
     csr, sources, _, nows, draws = walk_3k
-    (result,) = benchmark(
-        kernels.rw_delivery_batch,
-        csr, sources[:1], [1200], 5, draws[:6000], nows[:1], [424],
+    ((_, messages, _, _),) = benchmark(
+        kernels.rw_delivery_batch, csr, sources[:1], [1200], 5, draws[:6000], nows[:1]
     )
-    _write_walk_stats("micro_walk_lockstep_one_ad_3k", benchmark, 5, result[1])
+    _write_walk_stats("micro_walk_lockstep_one_ad_3k", benchmark, 5, messages)
 
 
 def bench_walk_lockstep_chunk_3k(benchmark, walk_3k):
-    """A full chunk (``LOCKSTEP_CHUNK_BYTES``) of warm-up ads in lockstep."""
+    """A full batch (``LOCKSTEP_CHUNK_BYTES``) of full ads."""
     csr, sources, per_walker, nows, draws = walk_3k
     results = benchmark(
-        kernels.rw_delivery_batch,
-        csr, sources, per_walker, 5, draws, nows, [424] * len(sources),
+        kernels.rw_delivery_batch, csr, sources, per_walker, 5, draws, nows
     )
     _write_walk_stats(
         "micro_walk_lockstep_chunk_3k",
         benchmark,
         5 * len(sources),
-        sum(messages for _, messages, _ in results),
+        sum(messages for _, messages, _, _ in results),
     )
 
 

@@ -23,33 +23,30 @@ bit-parallel pass (:func:`repro.sim.kernels.flood_words`) for it and the
 next 63 sources the protocol's schedule says are due, and every later
 delivery in the epoch reads its own bit.
 
-The walk-based forwarders run on the shared walk kernels
-(:mod:`repro.sim.kernels`).  A single ASAP(RW) delivery steps over the
-epoch's carried plain-list rows with vectorised latency/bucket/visited
-post-processing; the warm-up's full ads, which ASAP(RW) knows ahead of
-time, are stepped together in lockstep
-(:meth:`RandomWalkAdForwarder.plan_full_ads`) and handed out one per
-event.  ASAP(GSA) steps the same rows one step at a time.  The per-step
-loops over the CSR arrays live in ``tests/oracles/delivery.py``; the
-differential tests (``tests/test_walk_kernels_differential.py``) assert
-each forwarder reproduces its loop bit-for-bit (visited sets, message
-counts, per-second ledger buckets, RNG state).
+ASAP(RW) and ASAP(GSA) walks draw *keyed* uniforms (:func:`walk_draws`), a
+pure function of the run's walk key, the source, its delivery ordinal and
+the ``(walkers, per_walker)`` shape, so an ASAP(RW) walk can be computed
+ahead of its event: the forwarder walks the ads due next in one
+:func:`repro.sim.kernels.rw_delivery_batch`, each taken at its own event.
+ASAP(GSA) steps the carried rows one step at a time.  The per-step loops
+over the CSR arrays live in ``tests/oracles/delivery.py``, fed the same
+keyed draws; ``tests/test_walk_kernels_differential.py`` asserts each
+forwarder reproduces its loop bit-for-bit.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.asap.ads import Ad, AdType
+from repro.asap.ads import Ad
 from repro.network.overlay import Overlay
 from repro.sim import kernels
-from repro.sim.engine import SimulationError
 from repro.sim.metrics import BandwidthLedger
+from repro.sim.random import stable_hash32
 
 __all__ = [
     "AdForwarder",
@@ -58,6 +55,8 @@ __all__ = [
     "GsaAdForwarder",
     "RandomWalkAdForwarder",
     "make_forwarder",
+    "walk_draws",
+    "walk_key",
 ]
 
 
@@ -98,28 +97,92 @@ class DeliveryReport:
         return iter(self.visited)
 
 
-def _nothing_due(now: float, count: int) -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
+#: What a forwarder's ``schedule(now, count)`` returns: ``(nodes, times,
+#: budgets)``, the live nodes next due to send an ad, soonest first, the
+#: time each is due and the message budget its ad will walk with.
+Schedule = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _nothing_due(now: float, count: int) -> Schedule:
+    none = np.empty(0, dtype=np.int64)
+    return none, np.empty(0), none
+
+
+def walk_key(seed_seq: np.random.SeedSequence) -> int:
+    """The 128-bit key of a run's ad walks, derived from ``seed_seq`` (the
+    ``algorithm`` stream's) and never drawn from it: its entropy, with its
+    spawn key extended by ``stable_hash32("ad-walks")``."""
+    seq = np.random.SeedSequence(
+        seed_seq.entropy,
+        spawn_key=(*seed_seq.spawn_key, stable_hash32("ad-walks")),
+    )
+    low, high = seq.generate_state(2, np.uint64).tolist()
+    return low | high << 64
+
+
+#: The one bit generator behind :func:`walk_draws` and a state of it with
+#: an empty buffer, which every call writes its key and counter into and
+#: then sets whole, so nothing carries over between calls (the simulator
+#: runs no threads) and no call builds a state dict of its own.
+_PHILOX = np.random.Philox(key=0)
+_STATE = _PHILOX.state
+_COUNTER, _KEY = _STATE["state"]["counter"], _STATE["state"]["key"]
+_SHIFT = np.uint64(11)
+
+
+def walk_draws(
+    key: int, source: int, ordinal: int, walkers: int, per_walker: int
+) -> np.ndarray:
+    """The ``(walkers, per_walker)`` uniforms of ``source``'s walked
+    delivery number ``ordinal`` (from 0) under walk ``key``: Philox4x64
+    keyed by ``key``, ``(ordinal, source)`` in its counter's high words,
+    the first ``walkers * per_walker`` raw outputs row by row as
+    ``(raw >> 11) * 2**-53``.  A pure function of its arguments, defined
+    on the raw stream NumPy keeps stable, not on a distribution method.
+    """
+    _KEY[0] = key & 0xFFFFFFFFFFFFFFFF
+    _KEY[1] = key >> 64
+    _COUNTER[2] = ordinal
+    _COUNTER[3] = source
+    _PHILOX.state = _STATE
+    raw = _PHILOX.random_raw(walkers * per_walker)
+    raw >>= _SHIFT
+    return (raw * 2.0**-53).reshape(walkers, per_walker)
 
 
 class AdForwarder(abc.ABC):
-    """Carries ads from a source across the live overlay."""
+    """Carries ads from a source across the live overlay.
+
+    :attr:`_ahead` maps each source to a delivery computed ahead on
+    :attr:`_csr`; a join or leave (a new CSR) drops it.
+    """
 
     def __init__(
         self,
         overlay: Overlay,
         ledger: BandwidthLedger,
-        rng: np.random.Generator,
+        key: int,
     ) -> None:
         self.overlay = overlay
         self.ledger = ledger
-        self.rng = rng
+        # The run's walk key (:func:`walk_key`); walks draw only from it.
+        self.key = key
         # The run's repro.obs.Instrumentation (AsapSearch.attach sets it).
         self.obs = None
         # ``schedule(now, count)``: up to ``count`` live nodes next due to
-        # disseminate on the protocol's schedule, soonest first.
-        # AsapSearch sets it; floods read it to pick companions.
-        self.schedule: Callable[[float, int], np.ndarray] = _nothing_due
+        # send an ad on the protocol's schedule (see :data:`Schedule`).
+        # AsapSearch sets it; forwarders read it to pick companions.
+        self.schedule: Callable[[float, int], Schedule] = _nothing_due
+        self._csr: Optional[kernels.WalkCsr] = None
+        self._ahead: Dict[int, tuple] = {}
+
+    def _computed(self, source: int) -> Tuple[kernels.WalkCsr, Optional[tuple]]:
+        """The current CSR and what was computed ahead on it for
+        ``source``'s delivery (taken out of :attr:`_ahead`), or None."""
+        csr = self.overlay.walk_csr()
+        if csr is not self._csr:
+            self._csr, self._ahead = csr, {}
+        return csr, self._ahead.pop(source, None)
 
     @abc.abstractmethod
     def deliver(
@@ -133,21 +196,12 @@ class AdForwarder(abc.ABC):
 
     def default_budget(self, ad: Ad) -> int:
         """Total message budget for one delivery of ``ad``."""
-        return max(1, len(ad.topics))  # overridden by budgeted forwarders
+        return int(self.topic_budget(len(ad.topics)))
 
-    def plan_full_ads(
-        self,
-        events: Iterable[Tuple[float, int, int]],
-        make_ad: Callable[[int], Optional[Ad]],
-    ) -> None:
-        """Announce the warm-up's scheduled full ads.
-
-        ``events`` are the engine's ``(time, seq, source)`` of the events
-        that will each deliver ``make_ad(source)`` with the default budget.
-        A forwarder whose deliveries do not depend on each other may compute
-        them together (see :class:`RandomWalkAdForwarder`); the default
-        ignores the announcement.
-        """
+    def topic_budget(self, n_topics):
+        """The default budget of an ad with ``n_topics`` topics (an int or
+        an array of them)."""
+        return np.maximum(n_topics, 1)  # overridden by budgeted forwarders
 
     def _finish(
         self,
@@ -189,8 +243,8 @@ class FloodAdForwarder(AdForwarder):
     CSR and the source, so floods run 64 to a pass of the bit-parallel
     kernel (:func:`repro.sim.kernels.flood_words`).  A delivery whose
     source has no word on the current CSR floods it together with up to 63
-    companions: the next sources due on :attr:`schedule`, most of which
-    will flood before the next join or leave.  Each delivery reads only
+    companions: the next sources due on :attr:`schedule`; a flood is the
+    source's, whatever ad it carries.  Each delivery reads only
     its own bit (:func:`~repro.sim.kernels.flood_receivers`); the words
     are dropped when the overlay hands out a new CSR.  Which companions
     share a pass changes how many passes a run makes, never a result.
@@ -203,10 +257,6 @@ class FloodAdForwarder(AdForwarder):
         if ttl < 1:
             raise ValueError("ttl must be >= 1")
         self.ttl = ttl
-        self._csr: Optional[kernels.WalkCsr] = None
-        # Floods computed on ``_csr`` and not yet delivered: source ->
-        # (words of its pass, its bit).
-        self._flooded: Dict[int, Tuple[np.ndarray, int]] = {}
 
     def deliver(
         self, ad: Ad, now: float, budget: Optional[int] = None
@@ -214,10 +264,7 @@ class FloodAdForwarder(AdForwarder):
         source = ad.source
         if not self.overlay.is_live(source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        csr = self.overlay.walk_csr()
-        if csr is not self._csr:
-            self._csr, self._flooded = csr, {}
-        flood = self._flooded.pop(source, None)
+        csr, flood = self._computed(source)
         if flood is None:
             flood = self._flood(csr, source, now)
         visited_arr, n_messages = kernels.flood_receivers(csr, *flood, source)
@@ -230,10 +277,10 @@ class FloodAdForwarder(AdForwarder):
         self, csr: kernels.WalkCsr, source: int, now: float
     ) -> Tuple[np.ndarray, int]:
         """One pass: ``source`` on bit 0, then the next sources due that
-        have no word yet; the companions' words are kept for their own
-        deliveries."""
-        flooded = self._flooded
-        due = self.schedule(now, kernels.WORD_BITS + len(flooded)).tolist()
+        have no word yet; the companions' ``(words, bit)`` are kept for
+        their own deliveries."""
+        flooded = self._ahead
+        due = self.schedule(now, kernels.WORD_BITS + len(flooded))[0].tolist()
         sources = [source, *(s for s in due if s != source and s not in flooded)]
         del sources[kernels.WORD_BITS :]
         words = kernels.flood_words(csr, sources, self.ttl)
@@ -258,178 +305,90 @@ class _WalkForwarderBase(AdForwarder):
             raise ValueError("budget_unit must be >= 1")
         self.walkers = walkers
         self.budget_unit = budget_unit
+        # Walked deliveries per source so far: the next one's ordinal.
+        self.sent = [0] * self.overlay.n
 
-    def default_budget(self, ad: Ad) -> int:
+    def topic_budget(self, n_topics):
         """Paper: total budget = number of ad topics x budget unit M0."""
-        return max(1, len(ad.topics)) * self.budget_unit
+        return np.maximum(n_topics, 1) * self.budget_unit
 
-
-@dataclass(slots=True)
-class _PlannedWalk:
-    """One ad of a stepped chunk, waiting for its event."""
-
-    source: int
-    now: float
-    per_walker: int
-    ad_size: float
-    walk: Tuple[np.ndarray, int, Dict[int, float]]  # rw_delivery's result
+    def _start(self, ad: Ad, budget: Optional[int]) -> Tuple[int, int]:
+        """``(per_walker, ordinal)`` of a walked delivery of ``ad``, which
+        it counts."""
+        total_budget = budget if budget is not None else self.default_budget(ad)
+        ordinal = self.sent[ad.source]
+        self.sent[ad.source] = ordinal + 1
+        return max(1, total_budget // self.walkers), ordinal
 
 
 class RandomWalkAdForwarder(_WalkForwarderBase):
     """ASAP(RW): walkers carry the ad; every visited node receives it.
 
-    A walk reads the epoch's :class:`~repro.sim.kernels.WalkCsr` and its
-    uniforms, never cache state, so deliveries that are *known ahead of
-    time* need not be walked one by one: :meth:`plan_full_ads` registers
-    the warm-up's full-ad events, and the first of them to reach
-    :meth:`deliver` draws and steps a whole chunk of the ads after it with
-    :func:`repro.sim.kernels.rw_delivery_batch`.  Each ad's ledger
-    record, trace event and report still happen at its own event, inside
-    its own :meth:`deliver`.  Every other delivery (refresh, patch, join)
-    takes the per-event kernel: it interleaves with queries and ads
-    requests that read the merged state, so there is nothing to step it
-    with.
+    A walk reads only the epoch's :class:`~repro.sim.kernels.WalkCsr` and
+    its keyed uniforms, so it can be walked before its event: a delivery
+    with no walk computed for it walks itself and the next ads due on
+    :attr:`schedule` before the overlay's next planned join or leave
+    (which drops the walks not yet taken), as many as fit a chunk
+    (:func:`~repro.sim.kernels.lockstep_fits`), in one
+    :func:`~repro.sim.kernels.rw_delivery_batch`.
+    A walk computed ahead goes only to the delivery it was walked as --
+    same CSR, key, ordinal, ``per_walker`` and ``now`` -- and is kept as
+    per-second step counts, charged at the delivering ad's own size.
+    Which ads share a batch changes how many batches run, never a result.
     """
 
     kind = "rw"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Registered full-ad events not yet stepped, last to fire first.
-        self._plan: List[Tuple[float, int, int]] = []
-        self._make_ad: Optional[Callable[[int], Optional[Ad]]] = None
-        # The stepped chunk: walks in event order, the CSR they ran on and
-        # the RNG state the chunk's draw left behind.
-        self._stepped: Deque[_PlannedWalk] = deque()
-        self._stepped_csr: Optional[kernels.WalkCsr] = None
-        self._stepped_rng: Optional[dict] = None
-        self._draws = np.empty(0)
-
-    def plan_full_ads(
-        self,
-        events: Iterable[Tuple[float, int, int]],
-        make_ad: Callable[[int], Optional[Ad]],
-    ) -> None:
-        self._plan = sorted(events, reverse=True)
-        self._make_ad = make_ad
-
     def deliver(
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> DeliveryReport:
-        if not self.overlay.is_live(ad.source):
+        source = ad.source
+        if not self.overlay.is_live(source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        total_budget = budget if budget is not None else self.default_budget(ad)
-        per_walker = max(1, total_budget // self.walkers)
+        per_walker, ordinal = self._start(ad, budget)
+        csr, walk = self._computed(source)
+        want = (self.key, ordinal, per_walker, now)
+        if walk is None or walk[0] != want:
+            walk = self._walk(csr, source, want)
+        _, visited_arr, n_messages, first_second, counts = walk
         ad_size = ad.size_bytes()
-        csr = self.overlay.walk_csr()
-        plan = self._plan
-        while plan and plan[-1][0] < now:
-            plan.pop()  # its event fired without a delivery (source gone)
-        if (
-            not self._stepped
-            and plan
-            and plan[-1][0] == now
-            and plan[-1][2] == ad.source
-            and ad.ad_type is AdType.FULL
-            and budget is None
-        ):
-            self._step_chunk(csr)
-        if self._stepped:
-            visited_arr, n_messages, buckets = self._take_stepped(
-                csr, ad, now, per_walker, ad_size
-            )
-        else:
-            draws = self.rng.random((self.walkers, per_walker))
-            visited_arr, n_messages, buckets = kernels.rw_delivery(
-                csr, ad.source, draws, now, ad_size
-            )
+        buckets = kernels.bucket_dict(first_second, counts, ad_size)
         return self._finish(
             ad, now, visited_arr, n_messages, ad_size, buckets,
             budget=self.walkers * per_walker,
         )
 
-    def _step_chunk(self, csr: kernels.WalkCsr) -> None:
-        """Draw and step the next chunk of planned ads, in event order.
-
-        The chunk's uniforms are one flat ``rng.random`` -- the
-        ``(walkers, per_walker)`` blocks the ads' own deliveries would have
-        drawn one after the other, provided nothing else draws from the
-        algorithm stream before the chunk's last event, which
-        :meth:`_take_stepped` checks.
-        """
-        plan = self._plan
-        sources: List[int] = []
-        times: List[float] = []
-        per_walkers: List[int] = []
-        ad_sizes: List[float] = []
-        total = 0
-        while plan:
-            when, _, source = plan[-1]
-            ad = self._make_ad(source) if self.overlay.is_live(source) else None
-            if ad is not None:  # else its own delivery would draw nothing
-                per_walker = max(1, self.default_budget(ad) // self.walkers)
-                grown = total + self.walkers * per_walker
-                if sources and not kernels.lockstep_fits(
-                    len(sources) + 1, grown, csr.n
-                ):
-                    break
-                total = grown
-                sources.append(source)
-                times.append(when)
-                per_walkers.append(per_walker)
-                ad_sizes.append(ad.size_bytes())
-            plan.pop()
-        if len(self._draws) < total:
-            self._draws = np.empty(total)
-        draws = self._draws[:total]
-        self.rng.random(out=draws)
-        walks = kernels.rw_delivery_batch(
-            csr, sources, per_walkers, self.walkers, draws, times, ad_sizes
+    def _walk(self, csr: kernels.WalkCsr, source: int, want: tuple) -> tuple:
+        """Walk ``source``'s delivery ``want`` in one batch with the ads
+        due before the next planned churn that have nothing computed, as
+        many as fit a chunk; keep theirs in :attr:`_ahead`."""
+        key, ordinal, per_walker, now = want
+        walkers, n, ahead = self.walkers, csr.n, self._ahead
+        total = walkers * per_walker
+        # A companion takes a visited row and at least ``walkers`` draws.
+        room = (kernels.LOCKSTEP_CHUNK_BYTES - 8 * total - n - 1) // (
+            n + 1 + 8 * walkers
         )
-        self._stepped.extend(
-            map(_PlannedWalk, sources, times, per_walkers, ad_sizes, walks)
-        )
-        self._stepped_csr = csr
-        self._stepped_rng = self.rng.bit_generator.state
-        if not plan:
-            self._draws = np.empty(0)  # the window is over: release the buffer
-
-    def _take_stepped(
-        self,
-        csr: kernels.WalkCsr,
-        ad: Ad,
-        now: float,
-        per_walker: int,
-        ad_size: float,
-    ) -> Tuple[np.ndarray, int, Dict[int, float]]:
-        """The stepped walk of this delivery, if it still is this delivery's.
-
-        While a chunk is outstanding its uniforms are already drawn, so the
-        only delivery that may happen is the chunk's next ad, on the
-        overlay and content the chunk was stepped on, with nothing drawn
-        from the algorithm stream since.
-        """
-        planned = self._stepped.popleft()
-        if (planned.source, planned.now) != (ad.source, now):
-            cause = (
-                "another delivery came first (expected the full ad of "
-                f"{planned.source} at t={planned.now})"
-            )
-        elif csr is not self._stepped_csr:
-            cause = "the overlay changed (join/leave)"
-        elif (planned.per_walker, planned.ad_size) != (per_walker, ad_size):
-            cause = "the ad's topics, size or budget changed"
-        elif self.rng.bit_generator.state != self._stepped_rng:
-            cause = "the algorithm RNG stream was drawn from"
-        else:
-            return planned.walk
-        raise SimulationError(
-            f"delivering source {ad.source} at t={now}: the warm-up full ads "
-            f"were walked ahead as one chunk, and before its last event {cause}."
-            "  The chunk's uniforms are already drawn, so the run cannot go on "
-            "as the per-event schedule would; keep the warm-up window free of "
-            "churn, content change and other draws from the algorithm stream."
-        )
+        due = self.schedule(now, max(0, room) + len(ahead))
+        k = int(np.count_nonzero(due[1] < self.overlay.next_churn(now)))
+        batch = [(source, ordinal, per_walker, now)]
+        for s, t, b in zip(*(column[:k].tolist() for column in due)):
+            if s == source or s in ahead:
+                continue
+            steps = max(1, b // walkers)
+            total += walkers * steps
+            if not kernels.lockstep_fits(len(batch) + 1, total, n):
+                break
+            batch.append((s, self.sent[s], steps, t))
+        sources, ordinals, steps, nows = zip(*batch)
+        draws = np.concatenate([
+            walk_draws(key, s, o, walkers, w).reshape(-1)
+            for s, o, w in zip(sources, ordinals, steps)
+        ])
+        walks = kernels.rw_delivery_batch(csr, sources, steps, walkers, draws, nows)
+        for a in range(1, len(sources)):
+            ahead[sources[a]] = ((key, ordinals[a], steps[a], nows[a]), *walks[a])
+        return (want, *walks[0])
 
 
 class GsaAdForwarder(_WalkForwarderBase):
@@ -458,8 +417,7 @@ class GsaAdForwarder(_WalkForwarderBase):
     ) -> DeliveryReport:
         if not self.overlay.is_live(ad.source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
-        total_budget = budget if budget is not None else self.default_budget(ad)
-        per_walker = max(1, total_budget // self.walkers)
+        per_walker, ordinal = self._start(ad, budget)
         ad_size = ad.size_bytes()
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
@@ -467,7 +425,7 @@ class GsaAdForwarder(_WalkForwarderBase):
         visited = bytearray(csr.n)
         buckets: Dict[int, float] = defaultdict(float)
         n_messages = 0
-        draws = self.rng.random((self.walkers, per_walker))
+        draws = walk_draws(self.key, source, ordinal, self.walkers, per_walker)
         for row in draws.tolist():
             node = source
             elapsed_ms = 0.0
@@ -513,20 +471,20 @@ def make_forwarder(
     kind: str,
     overlay: Overlay,
     ledger: BandwidthLedger,
-    rng: np.random.Generator,
+    key: int,
     ttl: int = 6,
     walkers: int = 5,
     budget_unit: int = 3000,
 ) -> AdForwarder:
     """Build a forwarder by the paper's scheme name: fld | rw | gsa."""
     if kind == "fld":
-        return FloodAdForwarder(overlay, ledger, rng, ttl=ttl)
+        return FloodAdForwarder(overlay, ledger, key, ttl=ttl)
     if kind == "rw":
         return RandomWalkAdForwarder(
-            overlay, ledger, rng, walkers=walkers, budget_unit=budget_unit
+            overlay, ledger, key, walkers=walkers, budget_unit=budget_unit
         )
     if kind == "gsa":
         return GsaAdForwarder(
-            overlay, ledger, rng, walkers=walkers, budget_unit=budget_unit
+            overlay, ledger, key, walkers=walkers, budget_unit=budget_unit
         )
     raise ValueError(f"unknown forwarder kind {kind!r}; choose fld, rw or gsa")

@@ -39,7 +39,7 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tu
 import numpy as np
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.delivery import AdForwarder, make_forwarder
+from repro.asap.delivery import AdForwarder, Schedule, make_forwarder, walk_key
 from repro.asap.state import AdsState
 from repro.asap.store import SourceFilterStore
 from repro.workload.interests import InterestState, topic_bits
@@ -98,6 +98,12 @@ class AsapParams:
             raise ValueError("cache_capacity must be >= 1 (or None for unbounded)")
 
 
+def refresh_budget(full_budget):
+    """The message budget a refresh ad walks with: ``REFRESH_BUDGET_FRACTION``
+    of its source's full-ad budget, at least one (an int or an array)."""
+    return np.maximum(1, np.multiply(full_budget, REFRESH_BUDGET_FRACTION).astype(np.int64))
+
+
 _SCHEME_NAMES = {"fld": "ASAP(FLD)", "rw": "ASAP(RW)", "gsa": "ASAP(GSA)"}
 
 #: Bytes per cached source in the digest an ads request carries.
@@ -140,11 +146,13 @@ class AsapSearch(SearchAlgorithm):
             self.store,
             capacity=self.params.cache_capacity,
         )
+        # Ad walks draw keyed uniforms (repro.asap.delivery.walk_draws),
+        # never from the shared stream: DESIGN.md section 6.
         self.forwarder: AdForwarder = make_forwarder(
             self.params.forwarder,
             overlay,
             ledger,
-            self.rng,
+            walk_key(self.rng.bit_generator.seed_seq),
             ttl=AD_TTL,
             walkers=AD_WALKERS,
             budget_unit=self.params.budget_unit,
@@ -271,10 +279,7 @@ class AsapSearch(SearchAlgorithm):
             return
         budget = None
         if self.params.forwarder in ("rw", "gsa"):
-            budget = max(
-                1,
-                int(self.forwarder.default_budget(ad) * REFRESH_BUDGET_FRACTION),
-            )
+            budget = int(refresh_budget(self.forwarder.default_budget(ad)))
         self._disseminate(ad, now, budget=budget)
 
     # --------------------------------------------------------------- warmup
@@ -304,11 +309,9 @@ class AsapSearch(SearchAlgorithm):
         """The one warm-up schedule: per live node, ascending, a full ad
         (sharers), a bootstrap ads request (if ``_bootstraps(node)``) and a
         refresh timer (if ``refreshes(node)``), each drawing its jitter
-        from the algorithm stream in that order.  The full-ad events are
-        announced to the forwarder, which may walk them together."""
+        from the algorithm stream in that order."""
         self._engine = engine
         rng = self.rng
-        full_ads: List[Tuple[float, int, int]] = []
         for node in self.overlay.live_nodes().tolist():
             if self.store.is_sharer(node):
                 at = start + float(rng.random()) * max(0.6 * duration, 1e-9)
@@ -317,7 +320,6 @@ class AsapSearch(SearchAlgorithm):
                     lambda n=node: self._issue_full_ad(n, self._engine.now),
                     name=f"full-ad-{node}",
                 )
-                full_ads.append((event.time, event.seq, node))
                 self._due[0, node] = event.time
             if self._bootstraps(node):
                 at = start + (0.7 + 0.25 * float(rng.random())) * max(duration, 1e-9)
@@ -328,7 +330,6 @@ class AsapSearch(SearchAlgorithm):
                 )
             if refreshes(node):
                 self._start_refresh_timer(node, phase_base=start + duration)
-        self.forwarder.plan_full_ads(full_ads, self.store.make_full_ad)
 
     def _start_refresh_timer(self, node: int, phase_base: float) -> None:
         if self._engine is None or node in self._timers:
@@ -355,19 +356,27 @@ class AsapSearch(SearchAlgorithm):
         if self.overlay.is_live(node):
             self._issue_refresh_ad(node, now)
 
-    def _next_due(self, now: float, count: int) -> np.ndarray:
-        """Up to ``count`` live nodes next due to disseminate on schedule
+    def _next_due(self, now: float, count: int) -> Schedule:
+        """Up to ``count`` live sharers next due to send an ad on schedule
         -- a warm-up full ad or a refresh tick at or after ``now`` -- in
-        schedule order (time, then id)."""
+        schedule order (time, then id), with the time each is due and the
+        budget its ad will walk with (the forwarder's for a full ad,
+        :func:`refresh_budget` of it for a refresh)."""
         full, refresh = self._due
-        due = np.where(full >= now, full, refresh)
-        due[(due < now) | ~self.overlay.live_mask] = math.inf
+        full = np.where(full >= now, full, math.inf)  # warm-up ads still ahead
+        is_full = full < refresh
+        due = np.minimum(full, refresh)
+        idle = ~self.overlay.live_mask | ~self.store.is_sharer(slice(None))
+        due[(due < now) | idle] = math.inf
         if count < len(due):
             nodes = np.argpartition(due, count - 1)[:count]
         else:
             nodes = np.arange(len(due))
         nodes = np.sort(nodes[due[nodes] < math.inf])
-        return nodes[np.argsort(due[nodes], kind="stable")]
+        nodes = nodes[np.argsort(due[nodes], kind="stable")]
+        budgets = self.forwarder.topic_budget(self.store.topic_counts(nodes))
+        budgets = np.where(is_full[nodes], budgets, refresh_budget(budgets))
+        return nodes, due[nodes], budgets
 
     # ---------------------------------------------------------------- churn
     def on_join(self, node: int, now: float) -> None:

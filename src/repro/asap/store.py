@@ -89,6 +89,7 @@ class SourceFilterStore:
         # source -> [(version, changed positions), ...] ascending.
         self._patches: Dict[int, List[Tuple[int, np.ndarray]]] = {}
         self._topics: Dict[int, Set[int]] = {}
+        self._n_topics = np.zeros(n_nodes, dtype=np.int64)  # their sizes
         self._bootstrap()
 
     def _bootstrap(self) -> None:
@@ -132,6 +133,8 @@ class SourceFilterStore:
         n_classes = int(classes.max()) + 1 if len(docs) else 1
         for code in np.unique(nodes * n_classes + classes[copy_doc]).tolist():
             self._topics.setdefault(code // n_classes, set()).add(code % n_classes)
+        for node, topics in self._topics.items():
+            self._n_topics[node] = len(topics)
 
     # --------------------------------------------------------------- queries
     def version(self, source: int) -> int:
@@ -149,9 +152,14 @@ class SourceFilterStore:
             raw_bitmap_size(self.hasher.m), self._n_set[sources] * BYTES_PER_INDEX
         )
 
-    def is_sharer(self, source: int) -> bool:
-        """Free-riders have a null filter and nothing to advertise."""
-        return bool(self._n_set[source] > 0)
+    def topic_counts(self, sources: np.ndarray) -> np.ndarray:
+        """How many topics each of ``sources`` advertises."""
+        return self._n_topics[sources]
+
+    def is_sharer(self, source):
+        """Free-riders have a null filter and nothing to advertise (a
+        source or an array of them)."""
+        return self._n_set[source] > 0
 
     def match_current(self, positions: np.ndarray) -> np.ndarray:
         """Which filters contain all positions: entry ``s < n_nodes`` is
@@ -242,6 +250,7 @@ class SourceFilterStore:
             self._n_set[node] -= len(changed)
         # Topics track the node's current content classes exactly.
         self._topics[node] = self.content.node_classes(node)
+        self._n_topics[node] = len(self._topics[node])
         if len(changed) == 0:
             return None
         self._version[node] += 1

@@ -12,6 +12,7 @@ tractable in Python (see DESIGN.md section 6).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -105,6 +106,8 @@ class Overlay:
         self._csr_cache: Optional[Tuple[int, WalkCsr]] = None
         # The nodes whose CSR row churn changed since the cached epoch.
         self._touched = np.zeros(self._n, dtype=bool)
+        # When the replay will make nodes join or leave, ascending.
+        self._churn_plan = np.empty(0)
 
     # ------------------------------------------------------------- liveness
     @property
@@ -129,6 +132,16 @@ class Overlay:
         iterate this instead of probing :meth:`is_live` n times.
         """
         return np.flatnonzero(self._live)
+
+    def plan_churn(self, times) -> None:
+        """Record when the replay will make nodes join or leave; liveness
+        never reads it, work computed ahead on a :meth:`walk_csr` does."""
+        self._churn_plan = np.sort(np.asarray(times, dtype=np.float64))
+
+    def next_churn(self, now: float) -> float:
+        """The first planned join or leave after ``now``, else infinity."""
+        i = int(np.searchsorted(self._churn_plan, now, side="right"))
+        return float(self._churn_plan[i]) if i < len(self._churn_plan) else math.inf
 
     def join(self, node: int) -> None:
         """Bring ``node`` online (no-op error if already live)."""

@@ -8,50 +8,27 @@ in optimised form, instead of once per call site.
 
 Design (see docs/PERFORMANCE.md, "Walk kernels"):
 
-* **Neighbour selection is an irreducible recurrence** -- the node visited
-  at step ``t+1`` depends on the node at step ``t`` -- so it cannot be
-  expressed as one NumPy expression along the step axis.  What can be
-  vectorised is the *lane* axis: independent walkers advancing one step
-  together.  Whether that pays is a matter of how many lanes there are,
-  because one lockstep step is eight array operations whatever the lane
-  count -- 3.8 us per step with five lanes on a 3,000-peer overlay --
-  against 0.19 us per lane-step of the list recurrence below (the
-  ``micro_walk`` numbers of ``BENCH_SCALEUP.json``):
-
-  - **one delivery or one search** has the paper's 5 walkers, and
-    lockstep loses (768 ns per lane-step against 189).  These run the
-    recurrence over *plain-list* rows of the live CSR (:class:`WalkCsr`,
-    carried across churn epochs with only the churned neighbourhood
-    rebuilt), a handful of list indexings per step instead of NumPy
-    scalar extractions (~7x cheaper), consuming the pre-drawn ``(walkers,
-    steps)`` uniform matrix in exactly the per-step loops' order:
-    :func:`walk_block`, under :func:`rw_delivery` and every round of
-    :func:`rw_search`;
-  - **many deliveries known ahead of time** -- ASAP(RW)'s warm-up, one
-    full ad per sharer, none of which reads cache state -- are hundreds
-    of lanes, and lockstep wins (41 ns per lane-step at 320 lanes):
-    :func:`rw_delivery_batch` steps a chunk of ads together over the
-    array form of the same CSR (:attr:`WalkCsr.lockstep`), under a fixed
-    working-set budget (``LOCKSTEP_CHUNK_BYTES``, ``LOCKSTEP_BLOCK``).
-
-  Which of the two runs is decided by what is known -- a planned batch
-  exists or it does not -- never by a flag.  :func:`rw_search` stays off
-  lockstep because it stops at the first hit (most of a lockstep batch
-  would be thrown away).  GSA's two loops (``GsaAdForwarder.deliver``
-  and ``GsaSearch``) step over the same rows one step at a time: their
-  walkers share one visited table, so their lanes are not independent.
+* **Neighbour selection is an irreducible recurrence** -- the node at
+  step ``t+1`` depends on the node at step ``t`` -- so only the *lane*
+  axis vectorises: independent walkers advancing one step together.  A
+  lockstep step is five array operations whatever the lane count, against
+  ~0.2 us per lane-step of the *list recurrence* over the plain-list rows
+  of the live CSR (:class:`WalkCsr`, carried across churn epochs), so
+  which pays depends on how many lanes walk.  ASAP(RW) deliveries, one or
+  many, are one kernel, :func:`rw_delivery_batch`: lockstep over
+  :attr:`WalkCsr.lockstep` while at least ``LOCKSTEP_MIN_LANES`` lanes
+  walk, the list recurrence (:func:`walk_block`) for the rest, so a lone
+  delivery never steps five lanes wide.  :func:`rw_search` stops at its
+  first hit, so it walks rounds of :func:`walk_block` only; GSA's loops
+  (``GsaAdForwarder.deliver``, ``GsaSearch``) step the rows one step at a
+  time, their walkers sharing one visited table.
 * **Trajectories are bit-identical** on every path: ``int(u * deg)`` on
-  the same IEEE values picks the edge, and a batch consumes one flat draw
-  that is the concatenation of the blocks its deliveries would have drawn
-  one after the other.
-* **Everything after the recurrence is vectorised, once per round**, not
-  once per walker: elapsed time is a left-to-right running sum per walker
-  (one ``np.cumsum(axis=1)`` over a single walk's ``(walkers, width)``
-  block, one add per step for a batch -- the same sequential float
-  additions either way), arrival seconds are :func:`arrival_seconds`,
-  per-second bytes are :func:`bucket_dict` over a ``bincount``, and the
-  receivers are :func:`receivers` over one flag or count per node.  The
-  single and the batch kernel share those three functions.
+  the same IEEE values picks the edge, a lane reads its own draw row
+  however a batch is composed, and elapsed time is a running sum along the
+  steps (``np.cumsum`` adds strictly in order).
+* **Everything after the recurrence is vectorised** once per round or
+  block: :func:`arrival_seconds`, one ``bincount`` of per-second counts
+  (:func:`bucket_dict` turns them into bytes) and :func:`receivers`.
 
 Floods run over the same :class:`WalkCsr`.  A flooding *search* needs
 arrival times, a min-plus relaxation per source (:func:`flood_frontier`).
@@ -90,7 +67,6 @@ __all__ = [
     "flood_words",
     "lockstep_fits",
     "receivers",
-    "rw_delivery",
     "rw_delivery_batch",
     "rw_search",
     "walk_block",
@@ -370,42 +346,20 @@ def bucket_bytes(
     return bucket_dict(smin, np.bincount(secs - smin), size_bytes)
 
 
-def receivers(seen: np.ndarray, source: int) -> np.ndarray:
-    """Ascending ids of the nodes marked in ``seen``, ``source`` dropped.
+def receivers(seen: np.ndarray, sources: Sequence[int]) -> List[np.ndarray]:
+    """Per row of ``seen`` -- one flag or visit count per node, a row per
+    delivery -- the ascending ids of the nodes marked, that row's source
+    dropped (a walk that returns home delivers nothing there).
 
-    ``seen`` holds one flag or visit count per node and is cleared at
-    ``source`` (a walk that returns home delivers nothing there).
+    ``seen`` is cleared at the sources; one pass finds every row's ids.
     """
-    seen[source] = 0
-    return np.flatnonzero(seen)
+    n_rows, width = seen.shape
+    seen[np.arange(n_rows), sources] = 0
+    rows, nodes = np.divmod(np.flatnonzero(seen), width)
+    return np.split(nodes, np.cumsum(np.bincount(rows, minlength=n_rows))[:-1])
 
 
 # --------------------------------------------------------------- delivery
-def rw_delivery(
-    csr: WalkCsr,
-    source: int,
-    draws: np.ndarray,
-    now: float,
-    size_bytes: float,
-) -> Tuple[np.ndarray, int, Dict[int, float]]:
-    """ASAP(RW) delivery: every walker walks its full draw row.
-
-    Returns ``(visited_nodes, n_messages, buckets)`` where
-    ``visited_nodes`` are the distinct nodes stepped onto other than
-    ``source``, ascending, ``n_messages`` counts every step, and
-    ``buckets`` maps ledger seconds to bytes.
-
-    This is the kernel of a *single* delivery: five lanes are too few for
-    NumPy to step (see the module docstring), so its walkers are one
-    :func:`walk_block`.  Deliveries known ahead of time go through
-    :func:`rw_delivery_batch`, which shares the post-processing below.
-    """
-    nodes, arrivals = walk_block(csr, [source] * len(draws), draws, 0.0)
-    stepped = arrivals[arrivals < math.inf]
-    seen = np.bincount(nodes.reshape(-1), minlength=csr.n + 1)[: csr.n]
-    return receivers(seen, source), len(stepped), bucket_bytes(now, stepped, size_bytes)
-
-
 #: Working-set budget of one lockstep chunk, in bytes: 8 per draw plus one
 #: visited flag per (ad, node).  Everything else the batch kernel touches
 #: is sized by ``LOCKSTEP_BLOCK``.  A constant, not a knob: larger chunks
@@ -416,6 +370,12 @@ LOCKSTEP_CHUNK_BYTES = 4 << 20
 #: Lane-steps advanced between two post-processing passes (a block is
 #: ``max(1, LOCKSTEP_BLOCK // lanes)`` steps of every lane still walking).
 LOCKSTEP_BLOCK = 1 << 15
+#: Fewer lanes than this still walking, and a batch finishes them lane by
+#: lane with :func:`walk_block`'s list recurrence: a lockstep step costs
+#: about the same whatever its lane count, so below this many lanes the
+#: recurrence's ~0.2 us per lane-step is cheaper.  A 1-ad batch of the
+#: paper's 5 walkers never steps in lockstep at all.
+LOCKSTEP_MIN_LANES = 20
 
 
 def lockstep_fits(n_ads: int, total_draws: int, n: int) -> bool:
@@ -430,36 +390,30 @@ def rw_delivery_batch(
     walkers: int,
     draws: np.ndarray,
     nows: Sequence[float],
-    sizes: Sequence[float],
-) -> List[Tuple[np.ndarray, int, Dict[int, float]]]:
-    """Many ASAP(RW) deliveries on one ``csr``, stepped in lockstep.
+) -> List[Tuple[np.ndarray, int, int, np.ndarray]]:
+    """ASAP(RW) deliveries on one ``csr``: every walker walks its draw row.
 
     Ad ``a`` starts ``walkers`` walkers at ``sources[a]`` at time
     ``nows[a]``, each taking ``per_walker[a]`` steps; ``draws`` is the
     flat concatenation of the ads' ``(walkers, per_walker[a])`` uniform
-    blocks in ad order -- the stream a sequence of :func:`rw_delivery`
-    calls would have drawn.  Returns one :func:`rw_delivery` result per
-    ad, equal to it bit for bit.
+    blocks in ad order.  Returns per ad ``(receivers, n_messages,
+    first_second, counts)``: the distinct nodes stepped onto but the
+    source, ascending; every step; and ``counts[i]`` steps arriving in
+    ledger second ``first_second + i`` (empty for an ad that never
+    stepped, else first and last entries nonzero).  An ad's result depends on its own
+    source, draws and start time only, never on what shares its batch.
 
-    Every (ad, walker) pair is a lane.  Lanes are ordered longest first,
-    so the lanes still walking at a step are a prefix, and one step of
-    all of them is eight array operations into reused buffers: gather
-    degree and edge-range start at the lanes' nodes, ``int(u * deg)``,
-    gather the chosen edge's head and latency, add the latency to the
-    lanes' elapsed time (sequential adds: the floats of
-    :func:`walk_block`'s row cumsum).  Steps run in blocks of about
-    ``LOCKSTEP_BLOCK`` lane-steps; after each block the visited nodes are
-    scattered into one flag per (ad, node) and the arrival seconds counted
-    per (ad, second) by one ``bincount`` -- flags and counts add up across
-    blocks, so only ``(node, elapsed)`` per lane is carried and nothing
-    per lane-step outlives its block.  A stranded lane parks on the
-    absorbing node of :attr:`WalkCsr.lockstep`; its steps from then on
-    are counted into a bin that is thrown away.
+    Every (ad, walker) pair is a lane, lanes ordered longest first so the
+    ones still walking are a prefix.  :func:`_lockstep` steps them together
+    while enough walk; the rest finish as :func:`walk_block` rows, one per
+    remaining length.  Visited nodes go into one flag per (ad, node) and
+    arrivals into one count per (ad, second), block by block, so only
+    ``(node, elapsed)`` per lane is carried.  A stranded lane parks on
+    :attr:`WalkCsr.lockstep`'s absorbing node, its later steps voided.
     """
     n_ads = len(sources)
     if not n_ads:
         return []
-    start, degf, nbr, lat = csr.lockstep
     n = csr.n
     sources = np.asarray(sources, dtype=np.int64)
     per_walker = np.asarray(per_walker, dtype=np.int64)
@@ -482,66 +436,114 @@ def rw_delivery_batch(
     seen_flat = seen.reshape(-1)
     base = int(nows.min())
     counts = np.zeros((n_ads, 64), dtype=np.int64)
-    lane_count = lane_ad * counts.shape[1] - base
 
-    cells = max(LOCKSTEP_BLOCK, len(node))
+    def tally(v, e, lanes, key, parked):
+        """Flag the nodes ``v`` the ``lanes`` stepped onto and count their
+        arrivals ``e`` per (ad, second); ``key`` is scratch of ``v``'s
+        shape, ``e`` is overwritten."""
+        nonlocal counts
+        np.add(v, lane_seen[lanes], out=key)
+        seen_flat[key] = True
+        secs = arrival_seconds(lane_now[lanes], e, out=e)
+        span = int(secs.max()) - base + 1
+        if span > counts.shape[1]:
+            grown = np.zeros((n_ads, 2 * span), dtype=np.int64)
+            grown[:, : counts.shape[1]] = counts
+            counts = grown
+        np.add(secs, lane_ad[lanes] * counts.shape[1] - base, out=key)
+        if parked:  # some lane is parked: void its steps
+            key[v == n] = counts.size
+        counts += np.bincount(key.reshape(-1), minlength=counts.size + 1)[
+            :-1
+        ].reshape(counts.shape)
+
+    step = 0
+    if len(lens) >= LOCKSTEP_MIN_LANES:
+        step = _lockstep(csr, lens, pos, node, elapsed, draws, walkers, tally)
+
+    # The lanes still walking, parked ones aside, by remaining length.
+    tails: Dict[int, List[int]] = {}
+    for lane, width in enumerate(np.where(node == n, 0, lens - step).tolist()):
+        if width > 0:
+            tails.setdefault(width, []).append(lane)
+    for width, lanes in tails.items():
+        tail = np.array(lanes)
+        rows = draws[pos[tail, None] + _arange(width)]
+        v, e = walk_block(csr, node[tail].tolist(), rows, elapsed[tail])
+        parked = bool(v[:, -1].max() == n)
+        if parked:
+            e[v == n] = 0.0  # walk_block's inf: no arrival to count
+        tally(v, e, tail[:, None], np.empty_like(v), parked)
+
+    seen[:, n] = False  # the absorbing node is nobody
+    got = receivers(seen, sources)
+    steps = counts.sum(axis=1).tolist()
+    # Each ad keeps a copy of its seconds with arrivals, not a view that
+    # would hold the batch's count matrix alive.
+    hit = counts != 0
+    lo = hit.argmax(axis=1).tolist()
+    hi = np.where(hit.any(axis=1), hit.shape[1] - hit[:, ::-1].argmax(axis=1), 0)
+    return [
+        (got[a], steps[a], base + lo[a], counts[a, lo[a] : end].copy())
+        for a, end in enumerate(hi.tolist())
+    ]
+
+
+def _lockstep(csr, lens, pos, node, elapsed, draws, walkers, tally) -> int:
+    """Step :func:`rw_delivery_batch`'s lanes together while at least
+    ``LOCKSTEP_MIN_LANES`` walk, ``tally``-ing each block; ``pos``,
+    ``node`` and ``elapsed`` are carried in place.  Returns the steps
+    taken.
+
+    A step is five array operations: gather the lanes' degrees,
+    ``int(u * deg)`` (the multiply's float cast to int on output), gather
+    their edge-range starts, add, gather the chosen edges' heads.  The
+    block's latencies are gathered once afterwards by the edges it chose,
+    the lanes' elapsed time folded into its first row and summed down the
+    steps -- ``cumsum`` along an axis adds strictly in order, the floats
+    of :func:`walk_block`'s row ``cumsum``.
+    """
+    start, degf, nbr, lat = csr.lockstep
+    lanes_n = len(node)
+    cells = max(LOCKSTEP_BLOCK, lanes_n)
     u_buf, e_buf = np.empty(cells), np.empty(cells)
     v_buf, key_buf = np.empty(cells, np.int64), np.empty(cells, np.int64)
-    deg_k, lat_k = np.empty(len(node)), np.empty(len(node))
-    edge_k, start_k = np.empty(len(node), np.int64), np.empty(len(node), np.int64)
+    edge_buf = np.empty(cells, np.int64)
+    deg_k, pick_k = np.empty(lanes_n), np.empty(lanes_n, np.int64)
+    start_k = np.empty(lanes_n, np.int64)
     ramp = _arange(max(1, LOCKSTEP_BLOCK // walkers))[:, None]
-
     step = 0
     for stop in np.unique(lens).tolist():
         k = int(np.count_nonzero(lens >= stop))
-        d, l, j, s = deg_k[:k], lat_k[:k], edge_k[:k], start_k[:k]
+        if k < LOCKSTEP_MIN_LANES:
+            break
+        d, j, s = deg_k[:k], pick_k[:k], start_k[:k]
+        lanes = _arange(k)
         while step < stop:
             b = min(max(1, LOCKSTEP_BLOCK // k), stop - step)
             u = u_buf[: b * k].reshape(b, k)
             e = e_buf[: b * k].reshape(b, k)
             v = v_buf[: b * k].reshape(b, k)
+            edge = edge_buf[: b * k].reshape(b, k)
             key = key_buf[: b * k].reshape(b, k)
             np.add(pos[:k], ramp[:b], out=key)
             draws.take(key, out=u, mode="clip")
             pos[:k] += b
-            cur, at = node[:k], elapsed[:k]
+            cur = node[:k]
             for i in range(b):
                 degf.take(cur, out=d, mode="clip")
-                np.multiply(u[i], d, d)
-                j[...] = d  # int(u * deg): the cast truncates
+                np.multiply(u[i], d, out=j, casting="unsafe")  # truncates
                 start.take(cur, out=s, mode="clip")
-                np.add(j, s, j)
-                cur = nbr.take(j, out=v[i], mode="clip")
-                lat.take(j, out=l, mode="clip")
-                at = np.add(at, l, e[i])
+                np.add(j, s, out=edge[i])
+                cur = nbr.take(edge[i], out=v[i], mode="clip")
+            lat.take(edge, out=e, mode="clip")
+            e[0] += elapsed[:k]
+            np.cumsum(e, axis=0, out=e)
             node[:k] = cur
-            elapsed[:k] = at
+            elapsed[:k] = e[-1]
             step += b
-
-            np.add(v, lane_seen[:k], out=key)
-            seen_flat[key] = True
-            secs = arrival_seconds(lane_now[:k], e, out=u)
-            span = int(secs.max()) - base + 1
-            if span > counts.shape[1]:
-                grown = np.zeros((n_ads, 2 * span), dtype=np.int64)
-                grown[:, : counts.shape[1]] = counts
-                counts = grown
-                lane_count = lane_ad * counts.shape[1] - base
-            np.add(secs, lane_count[:k], out=key)
-            if cur.max() == n:  # some lane is parked: void its steps
-                key[v == n] = counts.size
-            counts += np.bincount(key.reshape(-1), minlength=counts.size + 1)[
-                :-1
-            ].reshape(counts.shape)
-
-    return [
-        (
-            receivers(seen[a, :n], int(sources[a])),
-            int(counts[a].sum()),
-            bucket_dict(base, counts[a], sizes[a]),
-        )
-        for a in range(n_ads)
-    ]
+            tally(v, e, lanes, key, cur.max() == csr.n)
+    return step
 
 
 # ----------------------------------------------------------------- search

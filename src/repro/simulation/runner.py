@@ -239,6 +239,11 @@ def run_experiment(
         else:  # pragma: no cover - trace types are closed
             raise TypeError(f"unknown trace event {type(event).__name__}")
 
+    # Work computed ahead on a walk CSR stops where the trace replaces it.
+    overlay.plan_churn([
+        config.warmup_s + event.time for event in trace.events
+        if isinstance(event, (JoinEvent, LeaveEvent))
+    ])
     for event in trace.events:
         engine.schedule_at(
             config.warmup_s + event.time, lambda e=event: handle(e), name="trace"

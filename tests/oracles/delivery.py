@@ -1,8 +1,10 @@
 """Ad-delivery oracles: the per-step loops the walk/flood kernels replaced.
 
 Each function is the pre-kernel body of the matching forwarder's
-``deliver`` (``fw`` is the forwarder): same rng draws in the same order,
-same ledger writes and instrumentation through the forwarder's own
+``deliver`` (``fw`` is the forwarder): the same keyed draws
+(:func:`repro.asap.delivery.walk_draws` of the forwarder's key, the source
+and its delivery ordinal, counted on ``fw.sent`` as the forwarder counts
+it), same ledger writes and instrumentation through the forwarder's own
 ``_finish``, so reports and per-second ledger buckets must match bit for
 bit.  Visited sets are built in ascending order like the kernels' so that
 iterating them -- which orders the receivers' repair traffic -- is
@@ -15,7 +17,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.asap.ads import Ad
-from repro.asap.delivery import AdForwarder, DeliveryReport
+from repro.asap.delivery import AdForwarder, DeliveryReport, walk_draws
 
 from tests.oracles.flood import flood_reach_reference
 
@@ -46,14 +48,15 @@ def _deliver_rw(
         return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
+    ordinal = fw.sent[ad.source]
+    fw.sent[ad.source] += 1
     ad_size = ad.size_bytes()
-    rng = fw.rng
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
     buckets: Dict[int, float] = defaultdict(float)
     n_messages = 0
-    draws = rng.random((fw.walkers, per_walker))
+    draws = walk_draws(fw.key, ad.source, ordinal, fw.walkers, per_walker)
     for w in range(fw.walkers):
         node = ad.source
         elapsed_ms = 0.0
@@ -84,14 +87,15 @@ def _deliver_gsa(
         return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
+    ordinal = fw.sent[ad.source]
+    fw.sent[ad.source] += 1
     ad_size = ad.size_bytes()
-    rng = fw.rng
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
     buckets: Dict[int, float] = defaultdict(float)
     n_messages = 0
-    draws = rng.random((fw.walkers, per_walker))
+    draws = walk_draws(fw.key, ad.source, ordinal, fw.walkers, per_walker)
     for w in range(fw.walkers):
         node = ad.source
         elapsed_ms = 0.0

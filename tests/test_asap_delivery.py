@@ -36,27 +36,27 @@ def refresh_ad(source=0, topics=(0,)):
     return Ad(source=source, ad_type=AdType.REFRESH, topics=frozenset(topics), version=0)
 
 
-def rng():
-    return np.random.default_rng(0)
+#: A walk key (``repro.asap.delivery.walk_key`` derives a run's).
+KEY = 0
 
 
 class TestFloodForwarder:
     def test_reaches_everyone_within_ttl(self):
         ov = path_overlay(5)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=6)
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY, ttl=6)
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset({1, 2, 3, 4})
 
     def test_ttl_limits_visited(self):
         ov = path_overlay(5)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=2)
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY, ttl=2)
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset({1, 2})
 
     def test_bytes_are_messages_times_ad_size(self):
         ov = path_overlay(5)
         ledger = BandwidthLedger()
-        fwd = FloodAdForwarder(ov, ledger, rng(), ttl=6)
+        fwd = FloodAdForwarder(ov, ledger, KEY, ttl=6)
         ad = full_ad(0)
         report = fwd.deliver(ad, now=0.0)
         expected = report.messages * ad.size_bytes()
@@ -66,7 +66,7 @@ class TestFloodForwarder:
     def test_dead_source_delivers_nothing(self):
         ov = path_overlay(3)
         ov.leave(0)
-        fwd = FloodAdForwarder(ov, BandwidthLedger(), rng())
+        fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY)
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.visited == frozenset() and report.messages == 0
 
@@ -76,7 +76,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(100, avg_degree=5.0, rng=np.random.default_rng(1))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=20
+            ov, BandwidthLedger(), KEY, walkers=5, budget_unit=20
         )
         ad = full_ad(0, topics=(0, 1))  # budget = 2 * 20 = 40
         report = fwd.deliver(ad, now=0.0)
@@ -86,7 +86,7 @@ class TestRandomWalkForwarder:
     def test_default_budget_scales_with_topics(self):
         ov = path_overlay(3)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=100
+            ov, BandwidthLedger(), KEY, walkers=5, budget_unit=100
         )
         assert fwd.default_budget(full_ad(0, topics=(0,))) == 100
         assert fwd.default_budget(full_ad(0, topics=(0, 1, 2))) == 300
@@ -95,7 +95,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(50, avg_degree=4.0, rng=np.random.default_rng(2))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=1000
+            ov, BandwidthLedger(), KEY, walkers=5, budget_unit=1000
         )
         report = fwd.deliver(full_ad(0), now=0.0, budget=10)
         assert report.messages <= 10
@@ -104,7 +104,7 @@ class TestRandomWalkForwarder:
         topo = random_topology(50, avg_degree=4.0, rng=np.random.default_rng(3))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=2, budget_unit=30
+            ov, BandwidthLedger(), KEY, walkers=2, budget_unit=30
         )
         report = fwd.deliver(full_ad(7), now=0.0)
         assert 7 not in report.visited
@@ -116,7 +116,7 @@ class TestRandomWalkForwarder:
         ov = Overlay(topo, default_edge_latency_ms=50.0)  # slow links
         ledger = BandwidthLedger()
         fwd = RandomWalkAdForwarder(
-            ov, ledger, rng(), walkers=1, budget_unit=100
+            ov, ledger, KEY, walkers=1, budget_unit=100
         )
         fwd.deliver(full_ad(0), now=0.0)  # 100 steps x 50ms = 5s walk
         series = ledger.series([TrafficCategory.FULL_AD])
@@ -128,7 +128,7 @@ class TestRandomWalkForwarder:
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         ledger = BandwidthLedger()
         fwd = RandomWalkAdForwarder(
-            ov, ledger, rng(), walkers=2, budget_unit=10
+            ov, ledger, KEY, walkers=2, budget_unit=10
         )
         fwd.deliver(refresh_ad(0), now=0.0)
         assert ledger.total_bytes([TrafficCategory.REFRESH_AD]) > 0
@@ -139,7 +139,7 @@ class TestRandomWalkForwarder:
         ov.leave(1)
         # Source 0 alive but isolated: walkers cannot move.
         fwd = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=3, budget_unit=10
+            ov, BandwidthLedger(), KEY, walkers=3, budget_unit=10
         )
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.messages == 0 and report.visited == frozenset()
@@ -150,7 +150,7 @@ class TestGsaForwarder:
         topo = random_topology(100, avg_degree=5.0, rng=np.random.default_rng(6))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         fwd = GsaAdForwarder(
-            ov, BandwidthLedger(), rng(), walkers=5, budget_unit=20
+            ov, BandwidthLedger(), KEY, walkers=5, budget_unit=20
         )
         report = fwd.deliver(full_ad(0), now=0.0)
         assert report.messages <= 20
@@ -159,7 +159,7 @@ class TestGsaForwarder:
         topo = random_topology(300, avg_degree=5.0, rng=np.random.default_rng(7))
         ov = Overlay(topo, default_edge_latency_ms=10.0)
         gsa = GsaAdForwarder(
-            ov, BandwidthLedger(), np.random.default_rng(8), walkers=5,
+            ov, BandwidthLedger(), 8, walkers=5,
             budget_unit=100,
         )
         report = gsa.deliver(full_ad(0), now=0.0)
@@ -177,10 +177,10 @@ class TestGsaForwarder:
         ov = Overlay(topo, default_edge_latency_ms=50.0)
         led_rw, led_gsa = BandwidthLedger(), BandwidthLedger()
         walk = RandomWalkAdForwarder(
-            ov, led_rw, np.random.default_rng(8), walkers=1, budget_unit=100
+            ov, led_rw, 8, walkers=1, budget_unit=100
         )
         gsa = GsaAdForwarder(
-            ov, led_gsa, np.random.default_rng(8), walkers=1, budget_unit=100
+            ov, led_gsa, 8, walkers=1, budget_unit=100
         )
         walk.deliver(full_ad(0), now=0.0)
         gsa.deliver(full_ad(0), now=0.0)
@@ -194,24 +194,24 @@ class TestMakeForwarder:
         ov = path_overlay(3)
         ledger = BandwidthLedger()
         assert isinstance(
-            make_forwarder("fld", ov, ledger, rng()), FloodAdForwarder
+            make_forwarder("fld", ov, ledger, KEY), FloodAdForwarder
         )
         assert isinstance(
-            make_forwarder("rw", ov, ledger, rng()), RandomWalkAdForwarder
+            make_forwarder("rw", ov, ledger, KEY), RandomWalkAdForwarder
         )
         assert isinstance(
-            make_forwarder("gsa", ov, ledger, rng()), GsaAdForwarder
+            make_forwarder("gsa", ov, ledger, KEY), GsaAdForwarder
         )
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_forwarder("chord", path_overlay(3), BandwidthLedger(), rng())
+            make_forwarder("chord", path_overlay(3), BandwidthLedger(), KEY)
 
     def test_invalid_params(self):
         ov = path_overlay(3)
         with pytest.raises(ValueError):
-            FloodAdForwarder(ov, BandwidthLedger(), rng(), ttl=0)
+            FloodAdForwarder(ov, BandwidthLedger(), KEY, ttl=0)
         with pytest.raises(ValueError):
-            RandomWalkAdForwarder(ov, BandwidthLedger(), rng(), walkers=0)
+            RandomWalkAdForwarder(ov, BandwidthLedger(), KEY, walkers=0)
         with pytest.raises(ValueError):
-            GsaAdForwarder(ov, BandwidthLedger(), rng(), budget_unit=0)
+            GsaAdForwarder(ov, BandwidthLedger(), KEY, budget_unit=0)

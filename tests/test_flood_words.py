@@ -138,8 +138,10 @@ def test_a_flood_computed_ahead_is_never_delivered_after_churn(monkeypatch, chur
     ov = drawn_overlay(11, 200, 3.0, 0.0)
     if churn == "join":
         ov.leave(7)
-    fw = FloodAdForwarder(ov, BandwidthLedger(), np.random.default_rng(0), ttl=6)
-    fw.schedule = lambda now, count: np.arange(20, 20 + count)
+    fw = FloodAdForwarder(ov, BandwidthLedger(), 0, ttl=6)
+    fw.schedule = lambda now, count: (
+        np.arange(20, 20 + count), np.full(count, now), np.ones(count, dtype=np.int64)
+    )
     kernel = _Counted(monkeypatch)
     fw.deliver(_ad(5), 1.0)
     assert kernel.passes == 1
@@ -159,15 +161,17 @@ def test_a_flood_computed_ahead_is_never_delivered_after_churn(monkeypatch, chur
 
 
 def _no_companions(self, now, count):
-    return np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    return none, np.empty(0), none
 
 
 _scheduled = AsapSearch._next_due
 
 
 def _shuffled(self, now, count):
-    due = _scheduled(self, now, count)
-    return np.random.default_rng(len(due)).permutation(due)
+    nodes, times, budgets = _scheduled(self, now, count)
+    order = np.random.default_rng(len(nodes)).permutation(len(nodes))
+    return nodes[order], times[order], budgets[order]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -56,6 +56,18 @@ class TestLiveness:
         ov.join(2)
         assert ov.epoch == e0 + 2
 
+    def test_next_churn_reads_the_plan_and_nothing_else(self):
+        """The first planned join or leave strictly after ``now``; churn
+        done by hand neither needs nor moves the plan."""
+        ov = make_path_overlay()
+        assert ov.next_churn(0.0) == float("inf")
+        ov.plan_churn([30.0, 10.0, 20.0, 20.0])
+        ov.leave(1)
+        assert [ov.next_churn(t) for t in (0.0, 10.0, 15.0, 20.0, 30.0)] == [
+            10.0, 20.0, 20.0, 30.0, float("inf")
+        ]
+        assert ov.live_count() == 3
+
 
 def live_pairs(ov):
     """Directed ``(u, v)`` pairs of the epoch's CSR, row by row."""

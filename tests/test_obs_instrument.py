@@ -256,7 +256,7 @@ def test_a_repair_that_gets_no_reply_still_reaches_both_sinks():
 def test_telemetry_counts_every_repair_the_trace_records():
     """The cell where sources stop sharing between a patch and its repairs:
     the window table's ``repairs`` used to skip the pulls that got no reply
-    (570 against 574 trace records)."""
+    (four of them here)."""
     records = []
     result = run_experiment(
         CONFIGS["asap_rw/seed0/default_churn/content_change_x3"],
@@ -264,7 +264,7 @@ def test_telemetry_counts_every_repair_the_trace_records():
     )
     repairs = [r for r in records if r.name == "repair"]
     unanswered = [r for r in repairs if r.attrs["reply_category"] is None]
-    assert len(repairs) == 574 and len(unanswered) == 4
+    assert len(repairs) == 562 and len(unanswered) == 4
     windows = result.telemetry["windows"].values()
     assert sum(w["repairs"] for w in windows) == len(repairs)
 

@@ -60,6 +60,16 @@ def sink_csr():
     )
 
 
+def one_delivery(csr, source, draws, now, size_bytes):
+    """One ASAP(RW) delivery of ``draws``' ``(walkers, steps)`` block as a
+    batch of one: ``(receivers, n_messages, {second: bytes})``."""
+    walkers, steps = draws.shape
+    [(visited, n_messages, first, counts)] = kernels.rw_delivery_batch(
+        csr, [source], [steps], walkers, draws.reshape(-1), [now]
+    )
+    return visited, n_messages, kernels.bucket_dict(first, counts, size_bytes)
+
+
 class TestWalkBlock:
     def test_fold_and_row_cumsum_equal_sequential_addition(self):
         """Each row continues from its own elapsed time: the column-0 fold
@@ -92,9 +102,9 @@ class TestWalkBlock:
             [400.0, 1100.0, inf, inf, inf],
             [inf] * 5,
         ]
-        visited, n_messages, buckets = kernels.rw_delivery(csr, 3, draws[:2], 0.0, 10)
+        visited, n_messages, buckets = one_delivery(csr, 3, draws[:2], 0.0, 10)
         assert (visited.tolist(), n_messages, buckets) == ([0, 1, 2], 6, {0: 40.0, 1: 20.0})
-        assert kernels.rw_delivery(csr, 4, draws, 0.0, 10)[1:] == (0, {})
+        assert one_delivery(csr, 4, draws, 0.0, 10)[1:] == (0, {})
         miss = kernels.rw_search(csr, 3, draws[:2], np.zeros(5, dtype=bool), 0.0, 10)
         assert (miss.n_messages, miss.buckets, miss.hit_node) == (6, {0: 40.0, 1: 20.0}, None)
 
@@ -123,12 +133,13 @@ class TestBucketBytes:
 class TestReceivers:
     def test_sorted_unique_source_dropped(self):
         seen = np.bincount(np.array([3, 1, 3, 0, 1]), minlength=5)
-        assert list(kernels.receivers(seen, 1)) == [0, 3]
-        flags = np.array([True, False, True, True])
-        assert list(kernels.receivers(flags, 1)) == [0, 2, 3]
+        flags = np.array([True, False, True, True, True])
+        got = kernels.receivers(np.stack([seen, flags]), [1, 4])
+        assert [list(row) for row in got] == [[0, 3], [0, 2, 3]]
 
     def test_empty(self):
-        assert len(kernels.receivers(np.zeros(4, dtype=np.int64), 0)) == 0
+        got = kernels.receivers(np.zeros((2, 4), dtype=np.int64), [0, 1])
+        assert [len(row) for row in got] == [0, 0]
 
 
 class TestRwDelivery:
@@ -140,7 +151,7 @@ class TestRwDelivery:
             physical_ids=np.arange(2),
         )
         csr = Overlay(topo).walk_csr()
-        visited, n, buckets = kernels.rw_delivery(
+        visited, n, buckets = one_delivery(
             csr, 0, np.random.default_rng(0).random((5, 10)), 0.0, 100
         )
         assert n == 0 and buckets == {} and len(visited) == 0
@@ -148,10 +159,23 @@ class TestRwDelivery:
     def test_counts_and_budget(self):
         csr = random_csr(seed=5)
         draws = np.random.default_rng(1).random((5, 40))
-        visited, n, buckets = kernels.rw_delivery(csr, 0, draws, 0.0, 100)
+        visited, n, buckets = one_delivery(csr, 0, draws, 0.0, 100)
         assert n == 5 * 40  # nobody strands in a connected-ish random graph
         assert sum(buckets.values()) == n * 100
         assert len(visited) >= 1
+
+    def test_each_ad_owns_a_trimmed_count_row(self):
+        """An ad's counts are its own copy, from its first second with an
+        arrival to its last, so a walk kept for later holds no batch-wide
+        matrix; an ad that never stepped keeps an empty row."""
+        csr = sink_csr()
+        draws = np.random.default_rng(3).random(2 * (6 + 2))
+        got = kernels.rw_delivery_batch(csr, [3, 4], [6, 2], 2, draws, [0.0, 7.5])
+        (_, n_walk, first, counts), (_, n_iso, _, empty) = got
+        assert counts.base is None and empty.base is None
+        assert counts[0] and counts[-1] and counts.sum() == n_walk > 0
+        assert first == 0  # 3 -> 0 costs 300 ms: the first arrival is in second 0
+        assert n_iso == 0 and len(empty) == 0
 
 
 class TestRwSearch:

@@ -278,12 +278,13 @@ def test_src_has_one_weighted_sampler():
 
 
 def test_src_has_one_walk_post_processing():
-    """The single-delivery kernel and the lockstep batch turn a walk into
-    ``(receivers, buckets)`` through the same three functions; neither
-    carries its own seconds truncation, count-to-bytes rule or source
-    drop, and the forwarder does none of it.  A single delivery and every
-    round of a search are one ``walk_block``: no running sum or
-    concatenation per walker."""
+    """The delivery kernel turns walks into ``(receivers, per-second
+    counts)`` through the shared functions -- ``receivers`` drops the
+    source, ``arrival_seconds`` truncates to seconds -- and the forwarder
+    charges the counts through ``bucket_dict``, the one count-to-bytes
+    rule; none of them carries its own.  A search round and a batch's last
+    few lanes are one ``walk_block``: no running sum or concatenation per
+    walker."""
     tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -302,20 +303,17 @@ def test_src_has_one_walk_post_processing():
             if isinstance(node, ast.Constant) and node.value == 1000.0
         ]
 
-    assert {"receivers", "bucket_bytes"} <= called("rw_delivery")
-    assert {"receivers", "bucket_dict", "arrival_seconds"} <= called(
+    assert {"receivers", "arrival_seconds", "walk_block", "_lockstep"} <= called(
         "rw_delivery_batch"
     )
     assert {"arrival_seconds", "bucket_dict"} <= called("bucket_bytes")
     own_rules = {"nonzero", "flatnonzero", "delete", "searchsorted", "at", "zip"}
-    for kernel in ("rw_delivery", "rw_delivery_batch", "bucket_bytes"):
+    for kernel in ("rw_delivery_batch", "_lockstep", "bucket_bytes"):
         assert not called(kernel) & own_rules, kernel
         assert not ms_to_s(kernel), kernel
     assert [name for name in functions if ms_to_s(name)] == ["arrival_seconds"]
     assert {"walk_block", "bucket_bytes"} <= called("rw_search")
-    assert "walk_block" in called("rw_delivery")
-    for kernel in ("rw_delivery", "rw_search"):
-        assert not called(kernel) & {"cumsum", "concatenate", "searchsorted"}, kernel
+    assert not called("rw_search") & {"cumsum", "concatenate", "searchsorted"}
     assert not hasattr(kernels, "segmented_cumsum")
     assert "segmented_cumsum" not in kernels.__all__
 
@@ -328,7 +326,59 @@ def test_src_has_one_walk_post_processing():
         getattr(call.func, "attr", None)
         for call in ast.walk(rw) if isinstance(call, ast.Call)
     }
+    assert "bucket_dict" in calls
     assert not calls & (own_rules | {"bincount"})
+
+
+def test_one_way_to_walk_an_ad():
+    """Every ASAP(RW) delivery is one keyed walk through one kernel: no
+    warm-up planner, no per-event five-lane kernel, no RNG in a forwarder,
+    and ``walk_draws`` the only producer of delivery uniforms."""
+    from repro.asap import delivery
+
+    assert not hasattr(kernels, "rw_delivery") and "rw_delivery" not in kernels.__all__
+    for gone in ("plan_full_ads", "_step_chunk", "_take_stepped", "_plan", "_make_ad"):
+        assert not hasattr(delivery.RandomWalkAdForwarder, gone), gone
+        assert not hasattr(AdForwarder, gone), gone
+    assert not hasattr(delivery, "_PlannedWalk")
+    text = (SRC / "asap" / "delivery.py").read_text()
+    for gone in ("_stepped", "self._draws", "SimulationError"):
+        assert gone not in text, gone
+
+    # No forwarder holds or reads an RNG; the factory takes a key instead.
+    assert "rng" not in inspect.signature(make_forwarder).parameters
+    assert "key" in inspect.signature(make_forwarder).parameters
+    assert "rng" not in inspect.signature(AdForwarder.__init__).parameters
+    tree = ast.parse(text)
+    assert not [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "rng"
+    ]
+    for kind in ("fld", "rw", "gsa"):
+        algo = AsapSearch(
+            _small_asap().overlay, ContentIndex(), BandwidthLedger(),
+            interests=[{0}] * 12, params=AsapParams(forwarder=kind),
+        )
+        held = vars(algo.forwarder).values()
+        assert not any(isinstance(v, (np.random.Generator, np.random.BitGenerator)) for v in held)
+
+    # The uniforms of a delivery come from ``walk_draws`` and from nothing
+    # else in src: it is the one caller of a bit generator's raw output, and
+    # no forwarder draws through a distribution method.
+    producers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and _calls(fn, "random_raw"):
+                producers.append(f"{path.relative_to(SRC)}:{fn.name}")
+    assert producers == ["asap/delivery.py:walk_draws"]
+    assert not _calls(tree, "random") and not _calls(tree, "integers")
+    drawers = {
+        f"{owner.name}.{fn.name}"
+        for owner in tree.body if isinstance(owner, ast.ClassDef)
+        for fn in owner.body
+        if isinstance(fn, ast.FunctionDef) and _calls(fn, "walk_draws")
+    }
+    assert drawers == {"RandomWalkAdForwarder._walk", "GsaAdForwarder.deliver"}
 
 
 # --------------------------------------------------- one instrumentation seam

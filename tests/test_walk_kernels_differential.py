@@ -20,10 +20,11 @@ Covered here, over multiple seeds:
   vs ``tests.oracles.gsa.gsa_search_reference`` (the same loop over flat
   lists of the CSR arrays) -- outcomes, ledger and RNG state, under churn,
   a probe row cut by the budget, probe hits, ties and strands;
-* the warm-up batch: a window of planned full ads stepped in lockstep
-  behind ``RandomWalkAdForwarder.deliver`` vs the per-step loop run ad by
-  ad -- reports, ledger and the RNG state after the window -- and the three
-  ways a stepped walk goes stale;
+* walks computed ahead: a window of scheduled ads (full and refresh
+  budgets mixed) walked in batches behind ``RandomWalkAdForwarder.deliver``
+  vs the per-step loop run ad by ad on the same keyed draws -- reports,
+  ledger and delivery ordinals -- and a walk computed ahead is never handed
+  to a delivery after a join or leave, a budget change or at another time;
 * a churn case: deliveries/searches interleaved with join/leave events,
   exercising the per-epoch WalkCsr cache invalidation;
 * the zero-latency fallback: with non-positive edge latencies
@@ -37,7 +38,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asap.ads import Ad, AdType
-from repro.asap.delivery import GsaAdForwarder, RandomWalkAdForwarder, make_forwarder
+from repro.asap.delivery import (
+    GsaAdForwarder,
+    RandomWalkAdForwarder,
+    make_forwarder,
+    walk_draws,
+    walk_key,
+)
+from repro.asap.protocol import refresh_budget
 from repro.network.overlay import Overlay
 from repro.network.topology import (
     OverlayTopology,
@@ -50,7 +58,6 @@ from repro.search.base import QUERY_BYTES
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import RandomWalkSearch
 from repro.sim import kernels
-from repro.sim.engine import SimulationError
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
 
@@ -146,7 +153,7 @@ class TestDeliveryDifferential:
         for path in ("deliver", "deliver_reference"):
             ov = make_overlay(seed)
             fw = make_forwarder(
-                kind, ov, BandwidthLedger(), np.random.default_rng(seed)
+                kind, ov, BandwidthLedger(), seed
             )
             reports.append(deliver(fw, path, ad, now=50.0, budget=800))
             states.append(ledger_state(fw.ledger))
@@ -161,7 +168,7 @@ class TestDeliveryDifferential:
         ov = make_overlay(9)
         ov.leave(3)
         fw = make_forwarder(
-            kind, ov, BandwidthLedger(), np.random.default_rng(0)
+            kind, ov, BandwidthLedger(), 0
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=3), now=0.0)
@@ -175,7 +182,7 @@ class TestDeliveryDifferential:
         ov = Overlay(topo, default_edge_latency_ms=5.0)
         ov.leave(1)
         fw = make_forwarder(
-            kind, ov, BandwidthLedger(), np.random.default_rng(0)
+            kind, ov, BandwidthLedger(), 0
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=0), now=0.0)
@@ -194,7 +201,7 @@ class TestDeliveryDifferential:
         def run(path):
             ov = make_overlay(2)
             fw = make_forwarder(
-                kind, ov, BandwidthLedger(), np.random.default_rng(5)
+                kind, ov, BandwidthLedger(), 5
             )
             reports = []
             for i, node in enumerate(leaves.tolist()):
@@ -215,19 +222,18 @@ class TestDeliveryDifferential:
 
 def gsa_delivery_both(make_overlay_, ad, budget, seed=0, walkers=5, now=50.0):
     """One GSA delivery on the rows loop and on its oracle, each on a fresh
-    overlay and forwarder; asserts report, ledger and RNG state agree and
-    returns the report."""
+    overlay and forwarder; asserts report, ledger and delivery ordinals
+    agree and returns the report."""
     arms = []
     for path in ("deliver", "deliver_reference"):
         fw = GsaAdForwarder(
-            make_overlay_(), BandwidthLedger(), np.random.default_rng(seed),
-            walkers=walkers,
+            make_overlay_(), BandwidthLedger(), seed, walkers=walkers
         )
         report = deliver(fw, path, ad, now=now, budget=budget)
         arms.append((
             (report.visited, report.messages, report.bytes),
             ledger_state(fw.ledger),
-            fw.rng.bit_generator.state,
+            fw.sent,
         ))
     assert arms[0] == arms[1]
     return report
@@ -272,51 +278,75 @@ class TestGsaDeliveryDifferential:
         assert (report.messages, report.visited) == (8, frozenset({0, 1, 2}))
 
 
-# ------------------------------------------------------- lockstep warm-up batch
-def warmup_window(n, n_ads, seed, isolate=None):
-    """``n_ads`` full ads with 1-4 topics at jittered times, as
-    ``[(time, seq, Ad)]`` in scheduling (not dispatch) order."""
+# ---------------------------------------------------------- walks computed ahead
+def warmup_window(n, n_ads, seed, isolate=None, refresh_every=0):
+    """``n_ads`` ads with 1-4 topics at jittered times, as ``[(time, seq,
+    Ad, budget)]`` in scheduling (not dispatch) order: full ads with the
+    default budget (None), and every ``refresh_every``-th a refresh ad with
+    a tenth of it, as the protocol sends them."""
     rng = np.random.default_rng(3000 + seed)
     sources = rng.choice(n, size=n_ads, replace=False).tolist()
     if isolate is not None:
         sources[n_ads // 2] = isolate
-    return [
-        (
-            float(rng.random() * 40.0),
-            seq,
-            Ad(
-                source=source,
-                ad_type=AdType.FULL,
-                topics=frozenset(range(int(rng.integers(1, 5)))),
-                version=1,
-                n_set_bits=int(rng.integers(5, 400)),
+    window = []
+    for seq, source in enumerate(sources):
+        when = float(rng.random() * 40.0)
+        topics = frozenset(range(int(rng.integers(1, 5))))
+        n_set_bits = int(rng.integers(5, 400))
+        refresh = refresh_every and seq % refresh_every == 0
+        ad = Ad(
+            source=source,
+            ad_type=AdType.REFRESH if refresh else AdType.FULL,
+            topics=topics,
+            version=1,
+            n_set_bits=0 if refresh else n_set_bits,
+        )
+        window.append((when, seq, ad, "refresh" if refresh else None))
+    return window
+
+
+def window_budget(fw, ad, budget):
+    if budget == "refresh":
+        return int(refresh_budget(fw.default_budget(ad)))
+    return budget
+
+
+def window_schedule(window, fw):
+    """The protocol's ``schedule`` for ``window``: the ads due at or after
+    ``now``, soonest first, with the budgets they walk with."""
+    events = sorted(window, key=lambda e: e[:2])
+
+    def schedule(now, count):
+        due = [(t, ad.source, ad, b) for t, _, ad, b in events if t >= now][:count]
+        return (
+            np.array([s for _, s, _, _ in due], dtype=np.int64),
+            np.array([t for t, _, _, _ in due]),
+            np.array(
+                [window_budget(fw, ad, b) or fw.default_budget(ad) for _, _, ad, b in due],
+                dtype=np.int64,
             ),
         )
-        for seq, source in enumerate(sources)
-    ]
+
+    return schedule
 
 
-def run_window(ov, window, seed, planned, budget_unit=40):
-    """Deliver the window in dispatch order: planned (one lockstep batch
-    behind ``deliver``) or ad by ad through the per-step loop oracle."""
-    fw = RandomWalkAdForwarder(
-        ov, BandwidthLedger(), np.random.default_rng(seed),
-        budget_unit=budget_unit,
-    )
-    by_source = {ad.source: ad for _, _, ad in window}
-    if planned:
-        fw.plan_full_ads(
-            [(t, seq, ad.source) for t, seq, ad in window], by_source.get
-        )
+def run_window(ov, window, seed, batched, budget_unit=40):
+    """Deliver the window in dispatch order: through ``deliver`` with the
+    window as its schedule (walks computed ahead in batches) or ad by ad
+    through the per-step loop oracle."""
+    fw = RandomWalkAdForwarder(ov, BandwidthLedger(), seed, budget_unit=budget_unit)
+    if batched:
+        fw.schedule = window_schedule(window, fw)
+    step = fw.deliver if batched else lambda *a, **k: deliver_reference(fw, *a, **k)
     reports = [
-        (fw.deliver if planned else lambda *a: deliver_reference(fw, *a))(ad, t)
-        for t, _, ad in sorted(window, key=lambda e: e[:2])
+        step(ad, t, budget=window_budget(fw, ad, b))
+        for t, _, ad, b in sorted(window, key=lambda e: e[:2])
     ]
-    return reports, ledger_state(fw.ledger), fw.rng.bit_generator.state
+    return reports, ledger_state(fw.ledger), fw.sent
 
 
 def assert_same_window(batch, oracle):
-    (b_reports, b_ledger, b_rng), (o_reports, o_ledger, o_rng) = batch, oracle
+    (b_reports, b_ledger, b_sent), (o_reports, o_ledger, o_sent) = batch, oracle
     for b, o in zip(b_reports, o_reports):
         assert b.visited == o.visited
         # Iteration order of ``visited`` decides repair order downstream.
@@ -325,37 +355,57 @@ def assert_same_window(batch, oracle):
         if b.visited_arr is not None:
             assert b.visited_arr.tolist() == sorted(o.visited)
     assert b_ledger == o_ledger
-    assert b_rng == o_rng
+    assert b_sent == o_sent
+
+
+class _CountedBatches:
+    """Records the sources of every ``rw_delivery_batch`` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = kernels.rw_delivery_batch
+
+        def counted(csr, sources, *args):
+            self.calls.append(list(sources))
+            return real(csr, sources, *args)
+
+        monkeypatch.setattr(kernels, "rw_delivery_batch", counted)
 
 
 class TestLockstepBatchDifferential:
-    """Warm-up full ads stepped together == the per-step loop, ad by ad."""
+    """Scheduled ads walked ahead in batches == the per-step loop, ad by ad."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
-    def test_batch_matches_loop_oracle(self, kind, seed):
-        window = warmup_window(300, 60, seed)
-        assert len({len(ad.topics) for _, _, ad in window}) > 1  # mixed |T|
+    def test_batch_matches_loop_oracle(self, monkeypatch, kind, seed):
+        window = warmup_window(300, 60, seed, refresh_every=3)
+        assert len({len(ad.topics) for _, _, ad, _ in window}) > 1  # mixed |T|
+        kernel = _CountedBatches(monkeypatch)
         batch = run_window(varied_overlay(kind, 300, seed), window, seed, True)
+        assert len(kernel.calls) < len(window) / 4
         oracle = run_window(varied_overlay(kind, 300, seed), window, seed, False)
         assert sum(r.messages for r in batch[0]) > 0
         assert_same_window(batch, oracle)
 
-    @pytest.mark.parametrize("chunk_bytes,block", [(1, 1), (6000, 7), (40000, 64)])
-    def test_every_chunk_and_block_boundary(self, monkeypatch, chunk_bytes, block):
-        """Caps forced tiny: one ad per chunk / one step per block, then
-        a few; every carry of (node, elapsed) and every flag/count
-        accumulation across blocks is exercised."""
+    @pytest.mark.parametrize(
+        "chunk_bytes,block,min_lanes", [(1, 1, 1), (6000, 7, 3), (40000, 64, 20)]
+    )
+    def test_every_chunk_and_block_boundary(self, monkeypatch, chunk_bytes, block, min_lanes):
+        """Caps forced tiny: one ad per chunk / one step per block / lockstep
+        down to one lane, then a few; every carry of (node, elapsed), every
+        hand-over to the list recurrence and every flag/count accumulation
+        across blocks is exercised."""
         monkeypatch.setattr(kernels, "LOCKSTEP_CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(kernels, "LOCKSTEP_BLOCK", block)
-        window = warmup_window(120, 25, 5)
+        monkeypatch.setattr(kernels, "LOCKSTEP_MIN_LANES", min_lanes)
+        window = warmup_window(120, 25, 5, refresh_every=4)
         batch = run_window(varied_overlay("crawled", 120, 5), window, 5, True)
         oracle = run_window(varied_overlay("crawled", 120, 5), window, 5, False)
         assert_same_window(batch, oracle)
 
     def test_isolated_source_strands(self):
-        """A live source with no live neighbour sends nothing -- but its
-        draws are still consumed, as its own delivery would."""
+        """A live source with no live neighbour sends nothing, batched or
+        not, and its ordinal still counts the delivery."""
         window = warmup_window(150, 20, 7, isolate=11)
         batch = run_window(
             varied_overlay("random", 150, 7, isolate=11), window, 7, True
@@ -364,30 +414,29 @@ class TestLockstepBatchDifferential:
             varied_overlay("random", 150, 7, isolate=11), window, 7, False
         )
         stranded = [
-            r for r, (_, _, ad) in zip(batch[0], sorted(window, key=lambda e: e[:2]))
+            r for r, (_, _, ad, _) in zip(batch[0], sorted(window, key=lambda e: e[:2]))
             if ad.source == 11
         ]
         assert [(r.messages, r.visited) for r in stranded] == [(0, frozenset())]
+        assert batch[2][11] == 1
         assert_same_window(batch, oracle)
 
-    def test_lanes_stranding_mid_walk(self):
+    def test_lanes_stranding_mid_walk(self, monkeypatch):
         """Kernel level: on a directed CSR a walker can step onto a node
-        with no way out; it must stop charging there."""
+        with no way out; it must stop charging there, in lockstep and in
+        the list recurrence alike."""
         csr = sink_csr()
         draws = np.random.default_rng(0).random(2 * (5 + 3 + 4))
-        got = kernels.rw_delivery_batch(
-            csr, [3, 0, 4], [5, 3, 4], 2, draws, [0.0, 0.5, 0.9], [10, 10, 10]
-        )
-        offset = 0
-        for (visited, n_messages, buckets), source, steps, now in zip(
-            got, [3, 0, 4], [5, 3, 4], [0.0, 0.5, 0.9]
-        ):
-            block = draws[offset : offset + 2 * steps].reshape(2, steps)
-            offset += 2 * steps
-            want = kernels.rw_delivery(csr, source, block, now, 10)
-            assert visited.tolist() == want[0].tolist()
-            assert (n_messages, buckets) == want[1:]
-        assert [g[1] for g in got] == [6, 4, 0]
+        args = (csr, [3, 0, 4], [5, 3, 4], 2, draws, [0.0, 0.5, 0.9])
+        listed = kernels.rw_delivery_batch(*args)
+        monkeypatch.setattr(kernels, "LOCKSTEP_MIN_LANES", 1)
+        stepped = kernels.rw_delivery_batch(*args)
+        for (l_visited, *l_rest), (s_visited, *s_rest) in zip(listed, stepped):
+            assert l_visited.tolist() == s_visited.tolist()
+            assert l_rest[:2] == s_rest[:2]
+            assert l_rest[2].tolist() == s_rest[2].tolist()
+        assert [got[1] for got in listed] == [6, 4, 0]
+        assert listed[0][0].tolist() == [0, 1, 2]
 
     def test_single_ad_window(self):
         window = warmup_window(100, 1, 9)
@@ -396,27 +445,25 @@ class TestLockstepBatchDifferential:
         assert_same_window(batch, oracle)
 
     def test_unplanned_deliveries_stay_per_event(self):
-        """Refresh-budget and off-schedule deliveries never enter a batch,
-        before, between or after chunks."""
-        window = warmup_window(120, 12, 10)
+        """Deliveries off the schedule -- a second ad of a scheduled
+        source, before, between and after the window -- each walk with
+        their own ordinal; walks computed for the schedule are not handed
+        to them."""
+        window = warmup_window(120, 12, 10, refresh_every=2)
         extra = make_ad(source=window[0][2].source)
 
-        def run(planned):
+        def run(batched):
             ov = varied_overlay("random", 120, 10)
-            fw = RandomWalkAdForwarder(
-                ov, BandwidthLedger(), np.random.default_rng(3),
-                budget_unit=40,
-            )
-            if planned:
-                fw.plan_full_ads(
-                    [(t, seq, ad.source) for t, seq, ad in window],
-                    {ad.source: ad for _, _, ad in window}.get,
-                )
-            step = fw.deliver if planned else lambda *a, **k: deliver_reference(fw, *a, **k)
+            fw = RandomWalkAdForwarder(ov, BandwidthLedger(), 3, budget_unit=40)
+            if batched:
+                fw.schedule = window_schedule(window, fw)
+            step = fw.deliver if batched else lambda *a, **k: deliver_reference(fw, *a, **k)
             reports = [step(extra, -1.0, budget=30)]
-            reports += [step(ad, t) for t, _, ad in sorted(window, key=lambda e: e[:2])]
+            for t, _, ad, b in sorted(window, key=lambda e: e[:2]):
+                reports.append(step(ad, t, budget=window_budget(fw, ad, b)))
+                reports.append(step(extra, t, budget=30))
             reports.append(step(extra, 99.0))
-            return reports, ledger_state(fw.ledger), fw.rng.bit_generator.state
+            return reports, ledger_state(fw.ledger), fw.sent
 
         assert_same_window(run(True), run(False))
 
@@ -428,135 +475,298 @@ class TestLockstepBatchProperty:
         n=st.integers(8, 90),
         chunk_bytes=st.integers(1, 60_000),
         block=st.integers(1, 400),
+        min_lanes=st.integers(1, 40),
         budget_unit=st.integers(1, 60),
+        refresh_every=st.integers(0, 3),
+        offline=st.floats(0.0, 0.5),
     )
-    def test_batch_matches_loop_oracle(self, seed, n, chunk_bytes, block, budget_unit):
-        window = warmup_window(n, max(1, n // 3), seed)
+    def test_batch_matches_loop_oracle(
+        self, seed, n, chunk_bytes, block, min_lanes, budget_unit, refresh_every, offline
+    ):
+        """Random windows of full and refresh ads on overlays with a
+        churned live mask: strands, isolated and offline sources, lanes
+        handed from lockstep to the list recurrence at any count."""
+        window = warmup_window(n, max(1, n // 3), seed, refresh_every=refresh_every)
+
+        def overlay():
+            ov = varied_overlay("random", n, seed)
+            gone = np.random.default_rng(seed).random(n) < offline
+            for v in np.flatnonzero(gone).tolist():
+                ov.leave(v)
+            return ov
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "LOCKSTEP_CHUNK_BYTES", chunk_bytes)
             patch.setattr(kernels, "LOCKSTEP_BLOCK", block)
-            batch = run_window(
-                varied_overlay("random", n, seed), window, seed, True,
-                budget_unit=budget_unit,
-            )
-        oracle = run_window(
-            varied_overlay("random", n, seed), window, seed, False,
-            budget_unit=budget_unit,
-        )
+            patch.setattr(kernels, "LOCKSTEP_MIN_LANES", min_lanes)
+            batch = run_window(overlay(), window, seed, True, budget_unit=budget_unit)
+        oracle = run_window(overlay(), window, seed, False, budget_unit=budget_unit)
         assert_same_window(batch, oracle)
 
 
-class TestPlannedWalkStaleness:
-    """A stepped walk is applied only to the delivery it was stepped for."""
+class TestKeyedDraws:
+    def test_a_pure_function_of_key_source_ordinal_and_shape(self):
+        draws = walk_draws(7, 3, 2, 5, 12)
+        assert draws.shape == (5, 12)
+        assert ((draws >= 0.0) & (draws < 1.0)).all()
+        walk_draws(8, 1, 0, 5, 600)  # anything drawn in between changes nothing
+        assert walk_draws(7, 3, 2, 5, 12).tobytes() == draws.tobytes()
+        # The rows are the raw stream in order, whatever the shape.
+        assert walk_draws(7, 3, 2, 3, 20).reshape(-1)[:60].tolist() == draws.reshape(-1).tolist()
+        for other in ((8, 3, 2), (7, 4, 2), (7, 3, 3)):
+            assert not np.array_equal(walk_draws(*other, 5, 12), draws)
 
-    def forwarder(self):
-        window = warmup_window(120, 8, 4)
-        ov = varied_overlay("random", 120, 4)
-        fw = RandomWalkAdForwarder(
-            ov, BandwidthLedger(), np.random.default_rng(4),
-            budget_unit=40,
-        )
-        fw.plan_full_ads(
-            [(t, seq, ad.source) for t, seq, ad in window],
-            {ad.source: ad for _, _, ad in window}.get,
-        )
-        ordered = [(t, ad) for t, _, ad in sorted(window, key=lambda e: e[:2])]
-        fw.deliver(ordered[0][1], ordered[0][0])  # steps the whole window
-        return fw, ov, ordered
+    def test_raw_philox_output_as_53_bit_floats(self):
+        raw = np.random.Philox(
+            key=np.array([7, 0], dtype=np.uint64),
+            counter=np.array([0, 0, 2, 3], dtype=np.uint64),
+        ).random_raw(6)
+        assert walk_draws(7, 3, 2, 2, 3).reshape(-1).tolist() == [
+            int(r) / 2**53 for r in (raw >> np.uint64(11)).tolist()
+        ]
 
-    def test_overlay_churn_mid_window(self):
-        fw, ov, ordered = self.forwarder()
-        sources = {ad.source for _, ad in ordered}
-        ov.leave(next(v for v in range(ov.n) if v not in sources))
-        with pytest.raises(SimulationError, match="overlay changed"):
-            fw.deliver(ordered[1][1], ordered[1][0])
+    def test_the_key_is_derived_not_drawn(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        key = walk_key(rng.bit_generator.seed_seq)
+        assert rng.bit_generator.state == state
+        assert key == walk_key(np.random.default_rng(5).bit_generator.seed_seq)
+        assert key != walk_key(np.random.default_rng(6).bit_generator.seed_seq)
+        assert 0 <= key < 2**128
 
-    def test_content_change_mid_window(self):
-        fw, _, ordered = self.forwarder()
-        t, ad = ordered[1]
-        grown = Ad(
-            source=ad.source, ad_type=AdType.FULL, version=2,
-            topics=frozenset(range(len(ad.topics) + 1)), n_set_bits=ad.n_set_bits,
-        )
-        with pytest.raises(SimulationError, match="topics, size or budget"):
-            fw.deliver(grown, t)
-        fw, _, ordered = self.forwarder()
-        t, ad = ordered[1]
-        heavier = Ad(
-            source=ad.source, ad_type=AdType.FULL, version=2,
-            topics=ad.topics, n_set_bits=ad.n_set_bits + 1,
-        )
-        with pytest.raises(SimulationError, match="topics, size or budget"):
-            fw.deliver(heavier, t)
 
-    def test_algorithm_stream_drawn_mid_window(self):
-        fw, _, ordered = self.forwarder()
-        fw.rng.random()
-        with pytest.raises(SimulationError, match="RNG stream"):
-            fw.deliver(ordered[1][1], ordered[1][0])
+class TestWalkComputedAhead:
+    """A walk computed ahead goes only to the delivery it was walked as:
+    each case walks the window's first ad (and with it the whole window),
+    disturbs the second's delivery, then delivers the rest -- against the
+    oracle run through the same steps."""
 
-    def test_other_delivery_mid_window(self):
-        fw, _, ordered = self.forwarder()
-        with pytest.raises(SimulationError, match="expected the full ad"):
-            fw.deliver(ordered[2][1], ordered[2][0])
+    WINDOW = warmup_window(120, 10, 4)
+    ORDERED = [(t, ad) for t, _, ad, _ in sorted(WINDOW, key=lambda e: e[:2])]
 
-    def test_undisturbed_window_completes(self):
-        fw, _, ordered = self.forwarder()
-        for t, ad in ordered[1:]:
-            assert fw.deliver(ad, t).messages > 0
+    def both(self, monkeypatch, disturb, plan=()):
+        """The batched arm's ``rw_delivery_batch`` sources after the first
+        delivery, on an overlay with churn planned at ``plan``; asserts
+        both arms agree."""
+        arms = []
+        for batched in (True, False):
+            ov = varied_overlay("random", 120, 4)
+            ov.plan_churn(plan)
+            fw = RandomWalkAdForwarder(ov, BandwidthLedger(), 4, budget_unit=40)
+            if batched:
+                fw.schedule = window_schedule(self.WINDOW, fw)
+                kernel = _CountedBatches(monkeypatch)
+            step = fw.deliver if batched else lambda *a, **k: deliver_reference(fw, *a, **k)
+            (t0, first), (t1, second) = self.ORDERED[:2]
+            reports = [step(first, t0)]
+            if batched:
+                until = min(plan, default=float("inf"))
+                assert kernel.calls == [[ad.source for t, ad in self.ORDERED if t < until]]
+                kernel.calls = []
+            reports.append(disturb(ov, step, second, t1))
+            reports += [step(ad, t) for t, ad in self.ORDERED[2:]]
+            arms.append((reports, ledger_state(fw.ledger), fw.sent))
+        assert_same_window(*arms)
+        return kernel.calls
+
+    @pytest.mark.parametrize("churn", ["leave", "join"])
+    def test_never_after_a_join_or_leave(self, monkeypatch, churn):
+        def disturb(ov, step, ad, t):
+            sources = {ad.source for _, ad in self.ORDERED}
+            other = next(v for v in range(ov.n) if v not in sources)
+            ov.leave(other)
+            if churn == "join":
+                ov.join(other)
+            return step(ad, t)
+
+        # The new CSR's first delivery walks again, and so does the rest.
+        calls = self.both(monkeypatch, disturb)
+        assert sum(calls, []) == [ad.source for _, ad in self.ORDERED[1:]]
+
+    def test_no_further_than_the_next_planned_churn(self, monkeypatch):
+        """A batch takes the ads due before the overlay's next planned join
+        or leave, which would drop the rest; the first delivery at or past
+        it walks the rest."""
+        cut = self.ORDERED[4][0]
+        assert self.ORDERED[3][0] < cut
+        calls = self.both(monkeypatch, lambda ov, step, ad, t: step(ad, t), [cut])
+        assert calls == [[ad.source for _, ad in self.ORDERED[4:]]]
+
+    def test_never_with_another_budget(self, monkeypatch):
+        calls = self.both(monkeypatch, lambda ov, step, ad, t: step(ad, t, budget=7))
+        assert calls == [[self.ORDERED[1][1].source]]
+
+    def test_never_at_another_time(self, monkeypatch):
+        calls = self.both(monkeypatch, lambda ov, step, ad, t: step(ad, t + 0.25))
+        assert calls == [[self.ORDERED[1][1].source]]
+
+    def test_never_to_a_grown_ad(self, monkeypatch):
+        """A content change between the walk and its event: more topics,
+        more budget, a walk of its own."""
+
+        def disturb(ov, step, ad, t):
+            grown = Ad(
+                source=ad.source, ad_type=AdType.FULL, version=2,
+                topics=frozenset(range(len(ad.topics) + 1)), n_set_bits=ad.n_set_bits,
+            )
+            return step(grown, t)
+
+        assert self.both(monkeypatch, disturb) == [[self.ORDERED[1][1].source]]
+
+    def test_a_heavier_ad_takes_the_walk_at_its_own_size(self, monkeypatch):
+        """Same budget, bigger ad: the walk computed ahead is the one, and
+        it is charged at the ad's own size."""
+
+        def disturb(ov, step, ad, t):
+            heavier = Ad(
+                source=ad.source, ad_type=AdType.FULL, version=2,
+                topics=ad.topics, n_set_bits=ad.n_set_bits + 40,
+            )
+            return step(heavier, t)
+
+        assert self.both(monkeypatch, disturb) == []
 
 
 class TestWarmupSchedule:
     """Flat and super-peer ASAP share one warm-up schedule, so both cells'
-    full ads reach the forwarder as a plan and are walked in the batch."""
+    full ads are walked ahead in batches, and which companions share a
+    batch changes no result."""
 
     @pytest.mark.parametrize("algorithm", ["asap_rw", "asap_sp_rw"])
     def test_warmup_full_ads_are_walked_in_the_batch(self, monkeypatch, algorithm):
         from repro.simulation.runner import run_experiment
         from tests.test_engine_batching_differential import small_config
 
-        stepped, single = [], []
-        batch, one = kernels.rw_delivery_batch, kernels.rw_delivery
-
-        def spy_batch(csr, sources, *args):
-            stepped.extend(sources)
-            return batch(csr, sources, *args)
-
-        def spy_one(csr, source, draws, now, size):
-            single.append(now)
-            return one(csr, source, draws, now, size)
-
-        monkeypatch.setattr(kernels, "rw_delivery_batch", spy_batch)
-        monkeypatch.setattr(kernels, "rw_delivery", spy_one)
+        kernel = _CountedBatches(monkeypatch)
         config = small_config(algorithm, 0)
         result = run_experiment(config, profile=True)
         # Full-ad events fire only in warm-up (joins issue theirs inline).
         full_ads = result.profile.subsystems["full-ad"].events
-        assert len(stepped) == len(set(stepped)) == full_ads > 100
-        assert single and min(single) >= config.warmup_s
+        walked = sum(map(len, kernel.calls))
+        assert walked >= full_ads > 100
+        # Deliveries that found their walk computed ahead made no call.
+        assert len(kernel.calls) < walked / 5
 
-    def test_churn_inside_the_window_is_refused(self):
-        """A hand-driven warm-up that takes a node down mid-window must not
-        get walks stepped on the overlay as it was."""
+    @pytest.mark.parametrize("algorithm", ["asap_rw", "asap_sp_rw"])
+    def test_companions_change_no_result(self, monkeypatch, algorithm):
+        """A cell with heavy churn and content change: the same audited run
+        fingerprint with the schedule's companions, with none (a batch per
+        delivery), with the schedule shuffled and with no churn plan (the
+        schedule runs past the next join or leave: more walks, same
+        results)."""
+        from repro.asap.protocol import AsapSearch
+        from repro.network.overlay import Overlay
+        from tests.test_engine_batching_differential import small_config
+        from tests.test_flood_words import run_fingerprint
+        from tests.test_golden_fingerprints import _heavy_churn
+
+        config = _heavy_churn(small_config(algorithm, 1))
+        kernel = _CountedBatches(monkeypatch)
+        scheduled = run_fingerprint(config)
+        assert scheduled is not None
+        walked, batches = sum(map(len, kernel.calls)), len(kernel.calls)
+        kernel.calls = []
+        scheduled_due = AsapSearch._next_due
+
+        def no_companions(self, now, count):
+            none = np.empty(0, dtype=np.int64)
+            return none, np.empty(0), none
+
+        def shuffled(self, now, count):
+            nodes, times, budgets = scheduled_due(self, now, count)
+            order = np.random.default_rng(len(nodes)).permutation(len(nodes))
+            return nodes[order], times[order], budgets[order]
+
+        monkeypatch.setattr(AsapSearch, "_next_due", no_companions)
+        assert run_fingerprint(config) == scheduled
+        assert batches < len(kernel.calls) / 2
+        monkeypatch.setattr(AsapSearch, "_next_due", shuffled)
+        assert run_fingerprint(config) == scheduled
+        monkeypatch.setattr(AsapSearch, "_next_due", scheduled_due)
+        monkeypatch.setattr(Overlay, "plan_churn", lambda self, times: None)
+        kernel.calls = []
+        assert run_fingerprint(config) == scheduled
+        assert sum(map(len, kernel.calls)) > walked
+        assert len(kernel.calls) <= batches
+
+    def test_the_schedule_names_real_ads(self):
+        """``_next_due`` lists only live sharers -- a free rider's refresh
+        tick sends nothing -- in due order, each with the budget its ad
+        will walk with: the default for a warm-up full ad, a tenth of it
+        for a refresh."""
         from repro.asap.protocol import AsapParams, AsapSearch
         from repro.sim.engine import SimulationEngine
 
-        ov = make_overlay(0, n=60)
+        ov = make_overlay(0, n=40)
         content = ContentIndex()
-        for doc_id in range(30):
+        for doc_id in range(20):
             content.register_document(
-                Document(doc_id=doc_id, class_id=0, keywords=(f"kw{doc_id}",))
+                Document(doc_id=doc_id, class_id=doc_id % 4, keywords=(f"kw{doc_id}",))
             )
-            content.place(doc_id, doc_id)
+            content.place(doc_id % 10, doc_id)  # nodes 0-9 share, 10-39 ride free
         algo = AsapSearch(
             ov, content, BandwidthLedger(), rng=np.random.default_rng(0),
-            interests=[{0}] * 60, params=AsapParams(forwarder="rw", budget_unit=20),
+            interests=[{0, 1, 2, 3}] * 40,
+            params=AsapParams(forwarder="rw", budget_unit=20),
         )
-        engine = SimulationEngine()
-        algo.warmup(engine, start=0.0, duration=100.0)
-        engine.schedule_at(20.0, lambda: ov.leave(59), name="trace")
-        with pytest.raises(SimulationError, match="overlay changed"):
+        ov.leave(3)
+        algo.warmup(SimulationEngine(), start=0.0, duration=100.0)
+        fw, store = algo.forwarder, algo.store
+        for now, refresh in ((0.0, False), (100.0, True)):
+            nodes, times, budgets = algo._next_due(now, 40)
+            assert sorted(nodes.tolist()) == [v for v in range(10) if v != 3]
+            if refresh:  # a sharer that joins after warm-up is due too
+                ov.join(3)
+                algo.on_join(3, now)
+                nodes, times, budgets = algo._next_due(now, 40)
+                assert sorted(nodes.tolist()) == list(range(10))
+            assert (np.diff(times) >= 0).all() and (times >= now).all()
+            for node, budget in zip(nodes.tolist(), budgets.tolist()):
+                full = fw.default_budget(store.make_full_ad(node))
+                assert budget == (int(refresh_budget(full)) if refresh else full)
+        assert len(algo._next_due(100.0, 4)[0]) == 4
+
+    def test_churn_and_draws_mid_window_run(self):
+        """A hand-driven warm-up that takes a node down, changes content and
+        draws from the algorithm stream mid-window runs on, with the same
+        results as with no companions walked ahead."""
+        from repro.asap.protocol import AsapParams, AsapSearch
+        from repro.sim.engine import SimulationEngine
+
+        def run(companions):
+            ov = make_overlay(0, n=60)
+            content = ContentIndex()
+            for doc_id in range(31):
+                content.register_document(
+                    Document(doc_id=doc_id, class_id=doc_id % 3, keywords=(f"kw{doc_id}",))
+                )
+            for doc_id in range(30):
+                content.place(doc_id, doc_id)
+            ledger = BandwidthLedger()
+            algo = AsapSearch(
+                ov, content, ledger, rng=np.random.default_rng(0),
+                interests=[{0, 1, 2}] * 60,
+                params=AsapParams(forwarder="rw", budget_unit=20),
+            )
+            if not companions:
+                algo.forwarder.schedule = lambda now, count: (
+                    np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+                )
+            engine = SimulationEngine()
+            algo.warmup(engine, start=0.0, duration=100.0)
+
+            def change():
+                content.place(4, 30)
+                algo.on_content_change(4, content.document(30), True, engine.now)
+
+            engine.schedule_at(20.0, lambda: ov.leave(59), name="trace")
+            engine.schedule_at(25.0, change, name="trace")
+            engine.schedule_at(30.0, lambda: algo.rng.random(3), name="trace")
+            engine.schedule_at(35.0, lambda: ov.join(59), name="trace")
             engine.run(until=100.0)
+            return ledger_state(ledger), algo.state.entry.tolist()
+
+        assert run(True) == run(False)
 
 
 # -------------------------------------------------------------------- search
@@ -790,7 +1000,7 @@ class TestGsaSearchDifferential:
         def run(rows):
             ov = varied_overlay("powerlaw", 300, 3)
             algo = build_search(ov, (20, 150, 260), 3, cls=GsaSearch, budget=300)
-            fw = GsaAdForwarder(ov, algo.ledger, np.random.default_rng(9))
+            fw = GsaAdForwarder(ov, algo.ledger, 9)
             search = algo._search_impl if rows else lambda *a: gsa_search_reference(algo, *a)
             seen = []
             for i, node in enumerate(order):
@@ -800,7 +1010,7 @@ class TestGsaSearchDifferential:
                 ov.leave(node)
                 if i % 2:
                     ov.join(order[i - 1])
-            states = (algo.rng.bit_generator.state, fw.rng.bit_generator.state)
+            states = (algo.rng.bit_generator.state, fw.sent)
             return seen, ledger_state(algo.ledger), states
 
         assert run(True) == run(False)
@@ -863,19 +1073,13 @@ class TestGsaDrawSizing:
         always long enough: the delivery completes without the historical
         modulo wrap and stays bit-identical to the reference."""
         ov = make_overlay(seed)
-        fw = GsaAdForwarder(
-            ov, BandwidthLedger(), np.random.default_rng(seed)
-        )
+        fw = GsaAdForwarder(ov, BandwidthLedger(), seed)
         # Tiny budget: per_walker == 1, the regime where a wrap would have
         # mattered if a walker could ever take a second step.
         report = fw.deliver(make_ad(), now=0.0, budget=5)
         assert report.messages <= 5
         ref = deliver_reference(
-            GsaAdForwarder(
-                make_overlay(seed),
-                BandwidthLedger(),
-                np.random.default_rng(seed),
-            ),
+            GsaAdForwarder(make_overlay(seed), BandwidthLedger(), seed),
             make_ad(),
             now=0.0,
             budget=5,

@@ -11,8 +11,8 @@ potential consumers (Section IV-A):
 
 A forwarder computes which nodes *received* the ad and charges the ledger
 for every transmission (each hop carries the whole ad).  Walk-based
-deliveries take tens of simulated seconds, so their bytes are bucketed into
-the per-second ledger along the walk's actual timeline -- this is what makes
+deliveries take tens of simulated seconds, so their bytes are booked per
+second along the walk's actual timeline -- this is what makes
 ASAP's background load appear smooth in the Figure 10 reproduction rather
 than spiking at delivery start.
 
@@ -37,7 +37,6 @@ forwarder reproduces its loop bit-for-bit.
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -208,23 +207,18 @@ class AdForwarder(abc.ABC):
         ad: Ad,
         now: float,
         visited_arr: np.ndarray,
-        n_messages: int,
-        ad_size: float,
-        buckets: Dict[int, float],
+        first_second: int,
+        counts: np.ndarray,
         budget: Optional[int] = None,
     ) -> DeliveryReport:
-        """The tail of every delivery: charge the ledger the per-second
-        ``buckets`` (each of the ``n_messages`` hops carried the whole
-        ad), build the report, tell the instrumentation.  ``budget`` is the
-        effective message cap of a walk delivery."""
-        if n_messages and not buckets:
-            raise AssertionError("messages without bytes")
-        for second, nbytes in buckets.items():
-            self.ledger.record(second + 0.5, ad.category, nbytes, messages=0)
-        if buckets:
-            # Message count recorded once; bytes live in the buckets above.
-            self.ledger.record(
-                min(buckets) + 0.5, ad.category, 0.0, messages=n_messages
+        """The tail of every delivery: charge the ledger ``counts[i]`` hops
+        in second ``first_second + i`` (each hop carried the whole ad) in
+        one write, build the report, tell the instrumentation.  ``budget``
+        is the effective message cap of a walk delivery."""
+        n_messages, ad_size = int(counts.sum()), ad.size_bytes()
+        if n_messages:
+            self.ledger.add(
+                ad.category, first_second, counts * float(ad_size), n_messages
             )
         report = DeliveryReport(
             messages=n_messages,
@@ -232,7 +226,7 @@ class AdForwarder(abc.ABC):
             visited_arr=visited_arr,
         )
         if self.obs is not None:
-            self.obs.ad_delivered(self.kind, ad, now, report, buckets, budget)
+            self.obs.ad_delivered(self.kind, ad, now, report, first_second, budget)
         return report
 
 
@@ -268,10 +262,8 @@ class FloodAdForwarder(AdForwarder):
         if flood is None:
             flood = self._flood(csr, source, now)
         visited_arr, n_messages = kernels.flood_receivers(csr, *flood, source)
-        ad_size = ad.size_bytes()
         # The whole flood lands in the second it starts.
-        buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
-        return self._finish(ad, now, visited_arr, n_messages, ad_size, buckets)
+        return self._finish(ad, now, visited_arr, int(now), np.array([n_messages]))
 
     def _flood(
         self, csr: kernels.WalkCsr, source: int, now: float
@@ -328,8 +320,8 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
     its keyed uniforms, so it can be walked before its event: a delivery
     with no walk computed for it walks itself and the next ads due on
     :attr:`schedule` before the overlay's next planned join or leave
-    (which drops the walks not yet taken), as many as fit a chunk
-    (:func:`~repro.sim.kernels.lockstep_fits`), in one
+    (which drops the walks not yet taken) or the replay's end, as many as
+    fit a chunk (:func:`~repro.sim.kernels.lockstep_fits`), in one
     :func:`~repro.sim.kernels.rw_delivery_batch`.
     A walk computed ahead goes only to the delivery it was walked as --
     same CSR, key, ordinal, ``per_walker`` and ``now`` -- and is kept as
@@ -350,18 +342,16 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
         want = (self.key, ordinal, per_walker, now)
         if walk is None or walk[0] != want:
             walk = self._walk(csr, source, want)
-        _, visited_arr, n_messages, first_second, counts = walk
-        ad_size = ad.size_bytes()
-        buckets = kernels.bucket_dict(first_second, counts, ad_size)
+        _, visited_arr, _, first_second, counts = walk
         return self._finish(
-            ad, now, visited_arr, n_messages, ad_size, buckets,
+            ad, now, visited_arr, first_second, counts,
             budget=self.walkers * per_walker,
         )
 
     def _walk(self, csr: kernels.WalkCsr, source: int, want: tuple) -> tuple:
         """Walk ``source``'s delivery ``want`` in one batch with the ads
-        due before the next planned churn that have nothing computed, as
-        many as fit a chunk; keep theirs in :attr:`_ahead`."""
+        due before the next planned churn or end that have nothing
+        computed, as many as fit a chunk; keep theirs in :attr:`_ahead`."""
         key, ordinal, per_walker, now = want
         walkers, n, ahead = self.walkers, csr.n, self._ahead
         total = walkers * per_walker
@@ -418,13 +408,12 @@ class GsaAdForwarder(_WalkForwarderBase):
         if not self.overlay.is_live(ad.source):
             return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
         per_walker, ordinal = self._start(ad, budget)
-        ad_size = ad.size_bytes()
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
         source = ad.source
         visited = bytearray(csr.n)
-        buckets: Dict[int, float] = defaultdict(float)
-        n_messages = 0
+        # Per step: the second it lands in and the hops it sent.
+        seconds, hops = [], []
         draws = walk_draws(self.key, source, ordinal, self.walkers, per_walker)
         for row in draws.tolist():
             node = source
@@ -438,10 +427,7 @@ class GsaAdForwarder(_WalkForwarderBase):
                 elapsed_ms += nbr_lat[node][k]
                 node = nbr[node][k]
                 visited[node] = 1
-                n_messages += 1
                 remaining -= 1
-                second = int(now + elapsed_ms / 1000.0)
-                buckets[second] += ad_size
                 # One-hop replication from the visited node, skipping nodes
                 # this delivery already reached (budget buys distinct
                 # coverage).
@@ -453,16 +439,15 @@ class GsaAdForwarder(_WalkForwarderBase):
                         continue
                     visited[p] = 1
                     n_push += 1
-                if n_push > 0:
-                    n_messages += n_push
-                    remaining -= n_push
-                    buckets[second] += n_push * ad_size
+                remaining -= n_push
+                seconds.append(int(now + elapsed_ms / 1000.0))
+                hops.append(1 + n_push)
                 if not remaining:
                     break
         visited[source] = 0
         visited_ids = np.nonzero(np.frombuffer(visited, dtype=np.uint8))[0]
         return self._finish(
-            ad, now, visited_ids, n_messages, ad_size, buckets,
+            ad, now, visited_ids, *kernels.second_counts(seconds, hops),
             budget=self.walkers * per_walker,
         )
 

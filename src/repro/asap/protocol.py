@@ -128,6 +128,7 @@ class AsapSearch(SearchAlgorithm):
         rng: Optional[np.random.Generator] = None,
         interests: Optional[List[Set[int]]] = None,
         params: AsapParams | None = None,
+        free_riders: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(overlay, content, ledger, rng)
         if interests is None:
@@ -160,6 +161,11 @@ class AsapSearch(SearchAlgorithm):
         self._engine: Optional[SimulationEngine] = None
         self._timers: Dict[int, PeriodicTimer] = {}
         self._advertised: Set[int] = set()  # sources that ever sent a full ad
+        # The workload's free riders (ContentDistribution.free_rider): they
+        # never share a document, so their refresh ticks would send nothing.
+        self._free_riders = (
+            np.zeros(overlay.n, dtype=bool) if free_riders is None else free_riders
+        )
         # The schedule the forwarder may compute ahead from: per node, the
         # time of its warm-up full ad (row 0) and of its next refresh tick
         # (row 1); inf where none is scheduled.
@@ -340,6 +346,8 @@ class AsapSearch(SearchAlgorithm):
             phase_base - self._engine.now + float(self.rng.random()) * period,
             1e-9,
         )
+        if self._free_riders[node]:
+            return  # the jitter is drawn all the same: one draw per node
         self._timers[node] = PeriodicTimer(
             self._engine,
             period=period,

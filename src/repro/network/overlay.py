@@ -106,7 +106,8 @@ class Overlay:
         self._csr_cache: Optional[Tuple[int, WalkCsr]] = None
         # The nodes whose CSR row churn changed since the cached epoch.
         self._touched = np.zeros(self._n, dtype=bool)
-        # When the replay will make nodes join or leave, ascending.
+        # When the replay will make nodes join or leave, and when it ends,
+        # ascending: where work computed ahead on a walk CSR stops.
         self._churn_plan = np.empty(0)
 
     # ------------------------------------------------------------- liveness
@@ -134,12 +135,14 @@ class Overlay:
         return np.flatnonzero(self._live)
 
     def plan_churn(self, times) -> None:
-        """Record when the replay will make nodes join or leave; liveness
-        never reads it, work computed ahead on a :meth:`walk_csr` does."""
+        """Record when the replay will make nodes join or leave, and when it
+        ends; liveness never reads it, work computed ahead on a
+        :meth:`walk_csr` does."""
         self._churn_plan = np.sort(np.asarray(times, dtype=np.float64))
 
     def next_churn(self, now: float) -> float:
-        """The first planned join or leave after ``now``, else infinity."""
+        """The first planned join, leave or end after ``now``, else
+        infinity."""
         i = int(np.searchsorted(self._churn_plan, now, side="right"))
         return float(self._churn_plan[i]) if i < len(self._churn_plan) else math.inf
 

@@ -195,24 +195,22 @@ class Instrumentation:
 
     # ---------------------------------------------------------- ad lifecycle
     def ad_delivered(
-        self, kind: str, ad, now: float, report, buckets, budget: Optional[int]
+        self, kind: str, ad, now: float, report, first_second: int,
+        budget: Optional[int],
     ) -> None:
         """The ``kind`` forwarder (``fld`` / ``rw`` / ``gsa``) delivered ``ad``.
 
-        ``buckets`` are the per-second bytes the ledger was charged.
-        Telemetry books the delivery where the ledger booked its message
-        count -- in the first bucket, with the buckets' sum -- and charges
-        the advertising source.  ``budget`` is the delivery's *effective*
-        message cap (``walkers * max(1, total_budget // walkers)``, which
-        exceeds a nominal budget smaller than the walker count; ``None``
-        for floods); the auditor checks ``messages <= budget``.
+        ``first_second`` is the first second the ledger charged it in.
+        Telemetry books the delivery where the ledger booked it -- in that
+        second, with the report's bytes -- and charges the advertising
+        source.  ``budget`` is the delivery's *effective* message cap
+        (``walkers * max(1, total_budget // walkers)``, which exceeds a
+        nominal budget smaller than the walker count; ``None`` for floods);
+        the auditor checks ``messages <= budget``.
         """
-        if self.telemetry is not None and buckets:
+        if self.telemetry is not None and report.messages:
             self.telemetry.record_delivery(
-                min(buckets) + 0.5,
-                int(ad.source),
-                float(sum(buckets.values())),
-                report.messages,
+                first_second + 0.5, int(ad.source), report.bytes, report.messages
             )
         if self.tracer is not None:
             self.tracer.event(

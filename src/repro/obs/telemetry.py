@@ -25,9 +25,9 @@ Design rules:
    hosts' one ``obs is not None`` branch per action site is all it pays.
 2. **Cheap when on.**  Inline updates are O(1) dict increments.  The
    per-category byte series is *not* double-counted inline: every byte
-   already flows through :class:`~repro.sim.metrics.BandwidthLedger`'s
-   per-second buckets, so :meth:`Telemetry.summary` folds those buckets
-   into windows exactly, at zero inline cost.
+   already lands in :class:`~repro.sim.metrics.BandwidthLedger`'s
+   per-second array, so :meth:`Telemetry.summary` sums its seconds into
+   windows exactly, at zero inline cost.
 3. **Deterministic, associative merge.**  A summary document holds only
    integer counts, ordered floats and sorted structures; :func:`merge`
    sums them key-wise.  Merging per-cell summaries in input order
@@ -463,10 +463,11 @@ class Telemetry:
         """Freeze into a mergeable summary document (plain JSON data).
 
         ``ledger`` supplies the exact per-category byte/message series: its
-        per-second buckets are folded into windows here, so the inline hook
-        sites never double-account bytes.  ``live_counts`` (live peers per
-        second, indexed from ``t_start``) enables the per-node-per-second
-        normalisation of the paper's Figures 8/9.
+        per-second bytes (:meth:`BandwidthLedger.per_second`) are summed
+        into windows here, so the inline hook sites never double-account
+        bytes.  ``live_counts`` (live peers per second, indexed from
+        ``t_start``) enables the per-node-per-second normalisation of the
+        paper's Figures 8/9.
         """
         windows: Dict[int, Dict[str, Any]] = {}
         for w in sorted(self._windows):
@@ -491,14 +492,17 @@ class Telemetry:
             }
         if ledger is not None:
             load_cats = frozenset(load_categories) if load_categories else frozenset()
-            for second, by_cat in ledger._buckets.items():
-                w = int(second // WINDOW_S)
-                win = windows.get(w)
-                if win is None:
-                    win = windows[w] = _empty_window()
-                for cat, nbytes in by_cat.items():
-                    name = cat.value
-                    win["bytes"][name] = win["bytes"].get(name, 0.0) + nbytes
+            for cat, per_second in ledger.per_second().items():
+                sums: Dict[int, float] = {}
+                for second, nbytes in enumerate(per_second.tolist()):
+                    if nbytes:
+                        w = int(second // WINDOW_S)
+                        sums[w] = sums.get(w, 0.0) + nbytes
+                for w, nbytes in sums.items():
+                    win = windows.get(w)
+                    if win is None:
+                        win = windows[w] = _empty_window()
+                    win["bytes"][cat.value] = nbytes
                     if cat in load_cats:
                         win["load_bytes"] += nbytes
         if live_counts is not None and t_end is not None:

@@ -28,9 +28,9 @@ from repro.workload.content import ContentIndex
 __all__ = ["SearchAlgorithm", "SearchOutcome"]
 
 
-#: Bytes per message type (DESIGN.md section 2).  Whole numbers: the byte
-#: buckets (``kernels.bucket_dict``) rely on whole sizes adding up to the
-#: same float in any order.
+#: Bytes per message type (DESIGN.md section 2).  Whole numbers: the ledger
+#: books per-second counts times these sizes and sums its array in any
+#: order (``BandwidthLedger.add``), which whole sizes keep exact.
 QUERY_BYTES = 100  # Gnutella-style header + search terms
 QUERY_RESPONSE_BYTES = 80
 CONFIRMATION_REQUEST_BYTES = 80

@@ -40,13 +40,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.search.base import QUERY_BYTES, SearchAlgorithm, SearchOutcome
+from repro.search.base import SearchAlgorithm, SearchOutcome
 from repro.search.random_walk import WALKERS, finish_walk
+from repro.sim.kernels import second_counts
 
 __all__ = ["GsaSearch"]
 
@@ -78,14 +76,13 @@ class GsaSearch(SearchAlgorithm):
         per_walker = max(1, self.budget // self.walkers)
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat
-        query_size = QUERY_BYTES
 
         heap = [(0.0, w) for w in range(self.walkers)]
         positions = [requester] * self.walkers
         budgets = [per_walker] * self.walkers
         steps = [0] * self.walkers
-        buckets: Dict[int, float] = defaultdict(float)
-        n_messages = 0
+        # Per step: the second it lands in and the messages it sent.
+        seconds, sent = [], []
         hit_time_ms = math.inf
         hit_node: Optional[int] = None
         draws = rng.random((self.walkers, per_walker))
@@ -113,9 +110,7 @@ class GsaSearch(SearchAlgorithm):
             arrival = elapsed + nbr_lat[node][k]
             positions[w] = nxt
             budgets[w] -= 1
-            n_messages += 1
             seen[nxt] = 1
-            buckets[int(now + arrival / 1000.0)] += query_size
 
             if match_flags[nxt] and arrival < hit_time_ms:
                 hit_time_ms = arrival
@@ -138,14 +133,14 @@ class GsaSearch(SearchAlgorithm):
                     if t < hit_time_ms:
                         hit_time_ms = t
                         hit_node = p
-            if n_probed > 0:
-                budgets[w] -= n_probed
-                n_messages += n_probed
-                buckets[int(now + arrival / 1000.0)] += n_probed * query_size
+            budgets[w] -= n_probed
+            seconds.append(int(now + arrival / 1000.0))
+            sent.append(1 + n_probed)
 
             if budgets[w] > 0:
                 heapq.heappush(heap, (arrival, w))
 
         return finish_walk(
-            self, requester, now, n_messages, buckets, hit_time_ms, hit_node
+            self, requester, now, *second_counts(seconds, sent), hit_time_ms,
+            hit_node,
         )

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,12 +80,10 @@ class RandomWalkSearch(SearchAlgorithm):
         if matching:
             match[list(matching)] = True
 
-        res = kernels.rw_search(
-            csr, requester, draws, match, now, QUERY_BYTES
-        )
+        res = kernels.rw_search(csr, requester, draws, match, now)
         return finish_walk(
-            self, requester, now, res.n_messages, res.buckets,
-            res.hit_time_ms, res.hit_node,
+            self, requester, now, res.first_second, res.counts, res.hit_time_ms,
+            res.hit_node,
         )
 
     def _search_loop(
@@ -106,8 +103,7 @@ class RandomWalkSearch(SearchAlgorithm):
         heap = [(0.0, w) for w in range(self.walkers)]
         positions = [requester] * self.walkers
         steps_taken = [0] * self.walkers
-        buckets: Dict[int, float] = defaultdict(float)  # second -> bytes
-        n_messages = 0
+        seconds = []  # the ledger second of every step
         hit_time_ms = math.inf
         hit_node: Optional[int] = None
         draws = rng.random((self.walkers, self.ttl))
@@ -128,8 +124,7 @@ class RandomWalkSearch(SearchAlgorithm):
             elapsed += lats[j]
             positions[w] = nxt
             steps_taken[w] += 1
-            n_messages += 1
-            buckets[int(now + elapsed / 1000.0)] += QUERY_BYTES
+            seconds.append(int(now + elapsed / 1000.0))
             if nxt in matching and elapsed < hit_time_ms:
                 hit_time_ms = elapsed
                 hit_node = nxt
@@ -142,8 +137,7 @@ class RandomWalkSearch(SearchAlgorithm):
             self,
             requester,
             now,
-            n_messages,
-            buckets,
+            *kernels.second_counts(seconds),
             None if hit_node is None else hit_time_ms,
             hit_node,
         )
@@ -153,19 +147,19 @@ def finish_walk(
     search: SearchAlgorithm,
     requester: int,
     now: float,
-    n_messages: int,
-    buckets: Dict[int, float],
+    first_second: int,
+    counts: np.ndarray,
     hit_time_ms: Optional[float],
     hit_node: Optional[int],
 ) -> SearchOutcome:
-    """The accounting tail of a walk search (this one and GSA): ledger
-    records and outcome from the walk's per-second byte ``buckets`` and its
-    first hit, if any (``hit_node`` None otherwise)."""
-    ledger = search.ledger
-    for second, nbytes in buckets.items():
-        ledger.record(second + 0.5, TrafficCategory.QUERY, nbytes, messages=0)
-    # Message counts recorded once (byte buckets already carry the bytes).
-    ledger.record(now, TrafficCategory.QUERY, 0.0, messages=n_messages)
+    """The accounting tail of a walk search (this one and GSA): one ledger
+    write of the walk's messages, ``counts[i]`` of them in second
+    ``first_second + i``, and the outcome from its first hit, if any
+    (``hit_node`` None otherwise)."""
+    ledger, n_messages = search.ledger, int(counts.sum())
+    ledger.add(
+        TrafficCategory.QUERY, first_second, counts * float(QUERY_BYTES), n_messages
+    )
 
     cost_bytes = n_messages * QUERY_BYTES
     if search.obs is not None:

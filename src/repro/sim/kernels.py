@@ -28,7 +28,9 @@ Design (see docs/PERFORMANCE.md, "Walk kernels"):
   steps (``np.cumsum`` adds strictly in order).
 * **Everything after the recurrence is vectorised** once per round or
   block: :func:`arrival_seconds`, one ``bincount`` of per-second counts
-  (:func:`bucket_dict` turns them into bytes) and :func:`receivers`.
+  (:func:`second_counts` for a search) and :func:`receivers`.  A caller
+  books the counts times its message size with one
+  :meth:`~repro.sim.metrics.BandwidthLedger.add`.
 
 Floods run over the same :class:`WalkCsr`.  A flooding *search* needs
 arrival times, a min-plus relaxation per source (:func:`flood_frontier`).
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain as chain_iter_
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +61,6 @@ __all__ = [
     "WalkCsr",
     "RwSearchResult",
     "arrival_seconds",
-    "bucket_bytes",
-    "bucket_dict",
     "chain_nodes",
     "flood_frontier",
     "flood_receivers",
@@ -69,6 +69,7 @@ __all__ = [
     "receivers",
     "rw_delivery_batch",
     "rw_search",
+    "second_counts",
     "walk_block",
 ]
 
@@ -313,37 +314,15 @@ def arrival_seconds(now, elapsed_ms: np.ndarray, out=None) -> np.ndarray:
     return seconds.astype(np.int64)
 
 
-def bucket_dict(
-    first_second: int, counts: np.ndarray, size_bytes: float
-) -> Dict[int, float]:
-    """``{second: bytes}`` from per-second message counts, ascending.
-
-    ``counts[i]`` messages of ``size_bytes`` landed in second
-    ``first_second + i``.  A wire size is a whole number of bytes (the
-    ``*_BYTES`` constants of :mod:`repro.search.base`; a test pins them), so
-    ``count * size`` equals the per-step loops' repeated float addition
-    exactly.
-    """
-    hit = np.flatnonzero(counts)
-    if not len(hit):
-        return {}
-    nbytes = counts[hit] * float(size_bytes)
-    return dict(zip((hit + first_second).tolist(), nbytes.tolist()))
-
-
-def bucket_bytes(
-    now: float, elapsed_ms: np.ndarray, size_bytes: float
-) -> Dict[int, float]:
-    """Per-second byte buckets: ``{int(now + e/1000): k * size_bytes}``.
-
-    Equivalent to the per-step loops' ``buckets[int(now + e/1000)] +=
-    size`` accumulation (see :func:`bucket_dict`).
-    """
-    if len(elapsed_ms) == 0:
-        return {}
-    secs = arrival_seconds(now, elapsed_ms)
-    smin = int(secs.min())
-    return bucket_dict(smin, np.bincount(secs - smin), size_bytes)
+def second_counts(seconds, messages=None) -> Tuple[int, np.ndarray]:
+    """``(first, counts)``: ``counts[i]`` messages landed in second
+    ``first + i``, one at each of ``seconds`` (``messages[j]`` at
+    ``seconds[j]`` when given); ``(0, [])`` when there are none."""
+    seconds = np.asarray(seconds, dtype=np.int64)
+    if not len(seconds):
+        return 0, np.zeros(0, dtype=np.int64)
+    first = int(seconds.min())
+    return first, np.bincount(seconds - first, weights=messages)
 
 
 def receivers(seen: np.ndarray, sources: Sequence[int]) -> List[np.ndarray]:
@@ -547,22 +526,14 @@ def _lockstep(csr, lens, pos, node, elapsed, draws, walkers, tally) -> int:
 
 
 # ----------------------------------------------------------------- search
-class RwSearchResult:
-    """Outcome of one kernel-run k-walker search."""
+class RwSearchResult(NamedTuple):
+    """Outcome of one kernel-run k-walker search: ``counts[i]`` of the
+    steps it is charged for arrived in second ``first_second + i``."""
 
-    __slots__ = ("n_messages", "buckets", "hit_time_ms", "hit_node")
-
-    def __init__(
-        self,
-        n_messages: int,
-        buckets: Dict[int, float],
-        hit_time_ms: Optional[float],
-        hit_node: Optional[int],
-    ) -> None:
-        self.n_messages = n_messages
-        self.buckets = buckets
-        self.hit_time_ms = hit_time_ms
-        self.hit_node = hit_node
+    first_second: int
+    counts: np.ndarray
+    hit_time_ms: Optional[float]
+    hit_node: Optional[int]
 
 
 def rw_search(
@@ -571,7 +542,6 @@ def rw_search(
     draws: np.ndarray,
     match: np.ndarray,
     now: float,
-    query_bytes: float,
 ) -> RwSearchResult:
     """k-walker random-walk search with checking termination, vectorised.
 
@@ -627,15 +597,15 @@ def rw_search(
         np.count_nonzero(stepped < hit_time, axis=1) + 1,
     )
     cells = stepped[np.arange(t0) < charged[:, None]]
-    buckets = bucket_bytes(now, cells, query_bytes)
+    first, counts = second_counts(arrival_seconds(now, cells))
     if not hits:
-        return RwSearchResult(len(cells), buckets, None, None)
+        return RwSearchResult(first, counts, None, None)
     _, _, node = min(
         (arrivals[w, t - 1] if t else 0.0, w, node)
         for w, t, node in hits
         if arrivals[w, t] == hit_time
     )
-    return RwSearchResult(len(cells), buckets, hit_time, node)
+    return RwSearchResult(first, counts, hit_time, node)
 
 
 # ------------------------------------------------------------------ flooding

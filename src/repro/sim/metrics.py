@@ -7,20 +7,21 @@ transmission into one-second buckets, tagged with a :class:`TrafficCategory`
 so Figure 7's load breakdown (full ads vs patch ads vs refresh ads vs
 search traffic) falls out directly.
 
-Implementation note: buckets are a dict keyed by integer second rather than a
-preallocated array because trace length is not known up front and the series
-is sparse during warm-up; conversion to dense NumPy arrays happens once at
-summary time (vectorise the read path, keep the write path O(1) -- the write
-path is called millions of times).
+Implementation note: the ledger is one ``float64`` array of bytes per
+(category, second) that doubles its width as seconds grow -- the trace's
+length is not known up front, and a paper-scale run's few thousand seconds
+times eight categories are a few hundred kilobytes.  A scalar message is
+one cell write (:meth:`BandwidthLedger.record`); a walk, flood or batch of
+pulls hands its per-second bytes to :meth:`BandwidthLedger.add` as one
+slice write.  Totals, :meth:`BandwidthLedger.series` and the telemetry
+windows are sums over slices of the same array.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,14 +81,26 @@ ASAP_SEARCH_COST_CATEGORIES: frozenset = frozenset(
 )
 
 
+#: Each category's row in :class:`BandwidthLedger`'s byte array.
+_ROW: Dict[TrafficCategory, int] = {c: row for row, c in enumerate(TrafficCategory)}
+
+
 class BandwidthLedger:
-    """Accumulates transmitted bytes into per-second, per-category buckets."""
+    """Bytes per (category, second) in one array, messages per category.
+
+    Two write paths: :meth:`record` books one scalar, and :meth:`add` books
+    a whole per-second byte array -- a walk's, a flood's, a batch of
+    pulls' -- in one slice write.  Wire sizes are whole numbers of bytes
+    (the ``*_BYTES`` constants of :mod:`repro.search.base`; a test pins
+    them), so every cell, total and window sum is exact in any order.
+    """
 
     def __init__(self) -> None:
-        # second -> category -> bytes
-        self._buckets: Dict[int, Dict[TrafficCategory, float]] = defaultdict(dict)
-        self._totals: Dict[TrafficCategory, float] = defaultdict(float)
-        self._message_counts: Dict[TrafficCategory, int] = defaultdict(int)
+        # bytes[_ROW[category], second]; the width doubles as seconds grow.
+        self._bytes = np.zeros((len(_ROW), 64))
+        self._end = 0  # one past the last second booked
+        # Messages per category, in the order categories were first booked.
+        self._messages: Dict[TrafficCategory, int] = {}
 
     # ------------------------------------------------------------- recording
     def record(
@@ -108,42 +121,74 @@ class BandwidthLedger:
         if time < 0:
             raise ValueError(f"negative time: {time}")
         second = int(time)
-        bucket = self._buckets[second]
-        bucket[category] = bucket.get(category, 0.0) + nbytes
-        self._totals[category] += nbytes
-        self._message_counts[category] += messages
+        if second >= self._end:
+            self._extend(second + 1)
+        self._bytes[_ROW[category], second] += nbytes
+        self._messages[category] = self._messages.get(category, 0) + messages
+
+    def add(
+        self,
+        category: TrafficCategory,
+        first_second: int,
+        nbytes: np.ndarray,
+        messages: int,
+    ) -> None:
+        """Book ``nbytes[i]`` bytes in second ``first_second + i`` and
+        ``messages`` messages under ``category``: the per-second write."""
+        if first_second < 0:
+            raise ValueError(f"negative second: {first_second}")
+        end = first_second + len(nbytes)
+        if end > self._end:
+            self._extend(end)
+        self._bytes[_ROW[category], first_second:end] += nbytes
+        self._messages[category] = self._messages.get(category, 0) + messages
 
     def record_each(
         self, times: np.ndarray, category: TrafficCategory, nbytes: np.ndarray
     ) -> None:
         """One message of ``nbytes[i]`` at ``times[i]`` for every ``i``: the
-        ledger :meth:`record` called in that order leaves.
+        ledger :meth:`record` called in that order leaves."""
+        if not len(times):
+            return
+        seconds = times.astype(np.int64)
+        first = int(seconds.min())
+        self.add(
+            category, first, np.bincount(seconds - first, weights=nbytes), len(times)
+        )
 
-        Wire sizes are whole numbers of bytes, which add up to the same
-        floats in any order, so the messages are booked a second at a time.
-        """
-        times, second = np.unique(times.astype(np.int64), return_inverse=True)
-        nbytes, counts = np.bincount(second, weights=nbytes), np.bincount(second)
-        for time, total, count in zip(times.tolist(), nbytes.tolist(), counts.tolist()):
-            self.record(time, category, total, messages=count)
+    def _extend(self, end: int) -> None:
+        width = self._bytes.shape[1]
+        if end > width:
+            grown = np.zeros((len(_ROW), max(end, 2 * width)))
+            grown[:, :width] = self._bytes
+            self._bytes = grown
+        self._end = end
 
     # --------------------------------------------------------------- queries
     def total_bytes(self, categories: Optional[Iterable[TrafficCategory]] = None) -> float:
         """Total bytes recorded, optionally restricted to ``categories``."""
+        totals = self.category_totals()
         if categories is None:
-            return float(sum(self._totals.values()))
-        return float(sum(self._totals.get(c, 0.0) for c in categories))
+            return float(sum(totals.values()))
+        return float(sum(totals.get(c, 0.0) for c in categories))
 
     def total_messages(
         self, categories: Optional[Iterable[TrafficCategory]] = None
     ) -> int:
         if categories is None:
-            return int(sum(self._message_counts.values()))
-        return int(sum(self._message_counts.get(c, 0) for c in categories))
+            return int(sum(self._messages.values()))
+        return int(sum(self._messages.get(c, 0) for c in categories))
 
     def category_totals(self) -> Dict[TrafficCategory, float]:
-        """Bytes per category over the whole run (Figure 7 input)."""
-        return dict(self._totals)
+        """Bytes per category over the whole run (Figure 7 input), in the
+        order the categories were first booked."""
+        sums = self._bytes[:, : self._end].sum(axis=1).tolist()
+        return {c: sums[_ROW[c]] for c in self._messages}
+
+    def per_second(self) -> Dict[TrafficCategory, np.ndarray]:
+        """Bytes per second, from second 0 to the last one booked, of every
+        category booked, in the order first booked (copies)."""
+        return {c: self._bytes[_ROW[c], : self._end].copy() for c in self._messages}
 
     def series(
         self,
@@ -155,18 +200,15 @@ class BandwidthLedger:
 
         ``t_end`` is exclusive; defaults to one past the last recorded second.
         """
-        cats = frozenset(categories)
         if t_end is None:
-            t_end = (max(self._buckets) + 1) if self._buckets else t_start
+            t_end = self._end or t_start
         if t_end < t_start:
             raise ValueError(f"t_end={t_end} < t_start={t_start}")
-        n = t_end - t_start
-        values = np.zeros(n, dtype=np.float64)
-        for second, by_cat in self._buckets.items():
-            if t_start <= second < t_end:
-                values[second - t_start] = sum(
-                    v for c, v in by_cat.items() if c in cats
-                )
+        values = np.zeros(t_end - t_start, dtype=np.float64)
+        rows = sorted({_ROW[c] for c in categories})
+        lo, hi = max(t_start, 0), min(t_end, self._end)
+        if rows and hi > lo:
+            values[lo - t_start : hi - t_start] = self._bytes[rows, lo:hi].sum(axis=0)
         return LoadSeries(t_start=t_start, bytes_per_second=values)
 
 

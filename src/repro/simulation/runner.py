@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.asap.protocol import AsapParams, AsapSearch
+from repro.asap.protocol import AsapSearch
 from repro.asap.state import require_state_fits
 from repro.obs.instrument import Instrumentation
 from repro.obs.profile import Profiler, peak_rss_mb
@@ -62,8 +62,10 @@ def build_algorithm(
     ledger: BandwidthLedger,
     rng: np.random.Generator,
     interests: Optional[List[set]] = None,
+    free_riders: Optional[np.ndarray] = None,
 ) -> SearchAlgorithm:
-    """Instantiate the algorithm named by ``config.algorithm``."""
+    """Instantiate the algorithm named by ``config.algorithm``;
+    ``interests`` and ``free_riders`` are the workload's (ASAP only)."""
     if config.algorithm == "flooding":
         return FloodingSearch(overlay, content, ledger, rng)
     if config.algorithm == "random_walk":
@@ -83,25 +85,17 @@ def build_algorithm(
             budget=config.gsa_budget,
         )
     # ASAP variants (flat or hierarchical).
-    params = replace(config.asap, forwarder=config.asap_forwarder)
+    cls = AsapSearch
     if config.is_superpeer:
-        from repro.asap.superpeer import SuperPeerAsapSearch
-
-        return SuperPeerAsapSearch(
-            overlay,
-            content,
-            ledger,
-            rng,
-            interests=interests,
-            params=params,
-        )
-    return AsapSearch(
+        from repro.asap.superpeer import SuperPeerAsapSearch as cls
+    return cls(
         overlay,
         content,
         ledger,
         rng,
         interests=interests,
-        params=params,
+        params=replace(config.asap, forwarder=config.asap_forwarder),
+        free_riders=free_riders,
     )
 
 
@@ -187,7 +181,8 @@ def run_experiment(
     # --- algorithm ---------------------------------------------------------
     ledger = BandwidthLedger()
     algorithm = build_algorithm(
-        config, overlay, content, ledger, streams.get("algorithm"), dist.interests
+        config, overlay, content, ledger, streams.get("algorithm"), dist.interests,
+        dist.free_rider,
     )
 
     tel = Telemetry() if telemetry else None
@@ -239,10 +234,13 @@ def run_experiment(
         else:  # pragma: no cover - trace types are closed
             raise TypeError(f"unknown trace event {type(event).__name__}")
 
-    # Work computed ahead on a walk CSR stops where the trace replaces it.
+    until = config.warmup_s + trace.duration + 1.0
+    # Work computed ahead on a walk CSR stops where the trace replaces it,
+    # and at the replay's end.
     overlay.plan_churn([
-        config.warmup_s + event.time for event in trace.events
-        if isinstance(event, (JoinEvent, LeaveEvent))
+        *(config.warmup_s + event.time for event in trace.events
+          if isinstance(event, (JoinEvent, LeaveEvent))),
+        until,
     ])
     for event in trace.events:
         engine.schedule_at(
@@ -253,14 +251,12 @@ def run_experiment(
         from repro.obs.probes import ProbeRecorder
 
         recorder = ProbeRecorder(config.probe_interval_s)
-        recorder.attach(
-            engine, algorithm, until=config.warmup_s + trace.duration + 1.0
-        )
+        recorder.attach(engine, algorithm, until=until)
     if phase_times is not None:
         now_wall = time.perf_counter()
         phase_times["setup_s"] = now_wall - t_phase
         t_phase = now_wall
-    engine.run(until=config.warmup_s + trace.duration + 1.0)
+    engine.run(until=until)
     if phase_times is not None:
         phase_times["replay_s"] = time.perf_counter() - t_phase
     if fold is not None:

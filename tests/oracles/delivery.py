@@ -5,14 +5,15 @@ Each function is the pre-kernel body of the matching forwarder's
 (:func:`repro.asap.delivery.walk_draws` of the forwarder's key, the source
 and its delivery ordinal, counted on ``fw.sent`` as the forwarder counts
 it), same ledger writes and instrumentation through the forwarder's own
-``_finish``, so reports and per-second ledger buckets must match bit for
-bit.  Visited sets are built in ascending order like the kernels' so that
+``_finish``, so reports and the ledger's per-second bytes must match bit
+for bit.  A loop counts its messages in a ``{second: messages}`` dict and
+hands them over as the ``(first, counts)`` pair the forwarder books.  Visited sets are built in ascending order like the kernels' so that
 iterating them -- which orders the receivers' repair traffic -- is
 arm-independent too.
 """
 
 from collections import defaultdict
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -21,7 +22,19 @@ from repro.asap.delivery import AdForwarder, DeliveryReport, walk_draws
 
 from tests.oracles.flood import flood_reach_reference
 
-__all__ = ["deliver_reference"]
+__all__ = ["by_second_counts", "deliver_reference"]
+
+
+def by_second_counts(by_second: Dict[int, int]) -> Tuple[int, np.ndarray]:
+    """``(first, counts)`` of ``{second: messages}``: ``counts[i]`` messages
+    in second ``first + i``."""
+    if not by_second:
+        return 0, np.zeros(0, dtype=np.int64)
+    first = min(by_second)
+    counts = np.zeros(max(by_second) - first + 1, dtype=np.int64)
+    for second, n in by_second.items():
+        counts[second - first] = n
+    return first, counts
 
 
 def _deliver_fld(
@@ -33,10 +46,9 @@ def _deliver_fld(
     first_hop, _, n_messages = flood_reach_reference(
         fw.overlay, ad.source, fw.ttl
     )
-    ad_size = ad.size_bytes()
-    buckets = {int(now): float(n_messages * ad_size)} if n_messages else {}
+    by_second = {int(now): n_messages} if n_messages else {}
     return fw._finish(
-        ad, now, np.nonzero(first_hop > 0)[0], n_messages, ad_size, buckets
+        ad, now, np.nonzero(first_hop > 0)[0], *by_second_counts(by_second)
     )
 
 
@@ -50,12 +62,10 @@ def _deliver_rw(
     per_walker = max(1, total_budget // fw.walkers)
     ordinal = fw.sent[ad.source]
     fw.sent[ad.source] += 1
-    ad_size = ad.size_bytes()
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
-    buckets: Dict[int, float] = defaultdict(float)
-    n_messages = 0
+    by_second: Dict[int, int] = defaultdict(int)
     draws = walk_draws(fw.key, ad.source, ordinal, fw.walkers, per_walker)
     for w in range(fw.walkers):
         node = ad.source
@@ -70,12 +80,11 @@ def _deliver_rw(
             node = int(indices[j])
             elapsed_ms += lats[j]
             visited.add(node)
-            n_messages += 1
-            buckets[int(now + elapsed_ms / 1000.0)] += ad_size
+            by_second[int(now + elapsed_ms / 1000.0)] += 1
     visited.discard(ad.source)
     return fw._finish(
-        ad, now, np.array(sorted(visited), dtype=np.int64), n_messages,
-        ad_size, buckets, budget=fw.walkers * per_walker,
+        ad, now, np.array(sorted(visited), dtype=np.int64),
+        *by_second_counts(by_second), budget=fw.walkers * per_walker,
     )
 
 
@@ -89,12 +98,10 @@ def _deliver_gsa(
     per_walker = max(1, total_budget // fw.walkers)
     ordinal = fw.sent[ad.source]
     fw.sent[ad.source] += 1
-    ad_size = ad.size_bytes()
     csr = fw.overlay.walk_csr()
     indptr, indices, lats = csr.indptr, csr.indices, csr.lats
     visited: Set[int] = set()
-    buckets: Dict[int, float] = defaultdict(float)
-    n_messages = 0
+    by_second: Dict[int, int] = defaultdict(int)
     draws = walk_draws(fw.key, ad.source, ordinal, fw.walkers, per_walker)
     for w in range(fw.walkers):
         node = ad.source
@@ -115,9 +122,8 @@ def _deliver_gsa(
             node = int(indices[j])
             elapsed_ms += lats[j]
             visited.add(node)
-            n_messages += 1
             remaining -= 1
-            buckets[int(now + elapsed_ms / 1000.0)] += ad_size
+            by_second[int(now + elapsed_ms / 1000.0)] += 1
             lo2 = indptr[node]
             deg2 = indptr[node + 1] - lo2
             n_push = 0
@@ -130,13 +136,12 @@ def _deliver_gsa(
                 visited.add(p)
                 n_push += 1
             if n_push > 0:
-                n_messages += n_push
                 remaining -= n_push
-                buckets[int(now + elapsed_ms / 1000.0)] += n_push * ad_size
+                by_second[int(now + elapsed_ms / 1000.0)] += n_push
     visited.discard(ad.source)
     return fw._finish(
-        ad, now, np.array(sorted(visited), dtype=np.int64), n_messages,
-        ad_size, buckets, budget=fw.walkers * per_walker,
+        ad, now, np.array(sorted(visited), dtype=np.int64),
+        *by_second_counts(by_second), budget=fw.walkers * per_walker,
     )
 
 

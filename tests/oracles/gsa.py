@@ -3,9 +3,10 @@
 The body of ``GsaSearch._search_impl`` as it was before the search walked
 the carried rows of :class:`~repro.sim.kernels.WalkCsr`: the same draws in
 the same order, the same heap of ``(elapsed, walker)`` events sharing one
-``seen`` table, and the same ledger writes through ``finish_walk``.  The
-flat lists it indexes are read from the CSR arrays here, so outcomes,
-ledger buckets and RNG state must match the product bit for bit.
+``seen`` table, and the same ledger write through ``finish_walk`` of the
+messages it counts per second.  The flat lists it indexes are read from
+the CSR arrays here, so outcomes, the ledger's per-second bytes and RNG
+state must match the product bit for bit.
 """
 
 import heapq
@@ -13,9 +14,11 @@ import math
 from collections import defaultdict
 from typing import Dict, Optional, Sequence
 
-from repro.search.base import QUERY_BYTES, SearchOutcome
+from repro.search.base import SearchOutcome
 from repro.search.gsa import GsaSearch
 from repro.search.random_walk import finish_walk
+
+from tests.oracles.delivery import by_second_counts
 
 __all__ = ["gsa_search_reference"]
 
@@ -33,14 +36,12 @@ def gsa_search_reference(
     csr = self.overlay.walk_csr()
     ip, dg = csr.indptr.tolist(), csr.deg.tolist()
     ix, lat_l = csr.indices.tolist(), csr.lats.tolist()
-    query_size = QUERY_BYTES
 
     heap = [(0.0, w) for w in range(self.walkers)]
     positions = [requester] * self.walkers
     budgets = [per_walker] * self.walkers
     steps = [0] * self.walkers
-    buckets: Dict[int, float] = defaultdict(float)
-    n_messages = 0
+    by_second: Dict[int, int] = defaultdict(int)
     hit_time_ms = math.inf
     hit_node: Optional[int] = None
     draws = rng.random((self.walkers, per_walker))
@@ -68,9 +69,8 @@ def gsa_search_reference(
         arrival = elapsed + lat_l[j]
         positions[w] = nxt
         budgets[w] -= 1
-        n_messages += 1
         seen[nxt] = 1
-        buckets[int(now + arrival / 1000.0)] += query_size
+        by_second[int(now + arrival / 1000.0)] += 1
 
         if match_flags[nxt] and arrival < hit_time_ms:
             hit_time_ms = arrival
@@ -96,12 +96,12 @@ def gsa_search_reference(
                     hit_node = p
         if n_probed > 0:
             budgets[w] -= n_probed
-            n_messages += n_probed
-            buckets[int(now + arrival / 1000.0)] += n_probed * query_size
+            by_second[int(now + arrival / 1000.0)] += n_probed
 
         if budgets[w] > 0:
             heapq.heappush(heap, (arrival, w))
 
     return finish_walk(
-        self, requester, now, n_messages, buckets, hit_time_ms, hit_node
+        self, requester, now, *by_second_counts(by_second),
+        hit_time_ms, hit_node,
     )

@@ -28,6 +28,7 @@ def build_asap(
     interests=None,
     params=None,
     seed=0,
+    free_riders=None,
 ):
     overlay = overlay or clique_overlay()
     n = overlay.n
@@ -44,6 +45,7 @@ def build_asap(
         rng=np.random.default_rng(seed),
         interests=interests,
         params=params or AsapParams(forwarder="fld"),
+        free_riders=free_riders,
     )
     return algo, content, ledger
 
@@ -260,6 +262,38 @@ class TestChurnHandling:
         before = ledger.total_bytes([TrafficCategory.REFRESH_AD])
         engine.run(until=60.0)
         assert ledger.total_bytes([TrafficCategory.REFRESH_AD]) == before
+
+
+    def test_free_riders_tick_for_nothing_so_keep_no_timer(self):
+        """A workload free rider never shares a document: warm-up and a
+        join start it no refresh timer, yet each still draws its phase
+        jitter, so the algorithm stream, the ledger and every other timer
+        are those of a run that timed everyone.  A peer that shares nothing
+        but is no free rider (it could gain a document) keeps its timer."""
+        params = AsapParams(forwarder="rw", refresh_period_s=5.0, budget_unit=10)
+        free = np.zeros(6, dtype=bool)
+        free[[2, 5]] = True
+        arms = []
+        for free_riders in (None, free):
+            algo, _, ledger = build_asap(params=params, free_riders=free_riders)
+            engine = SimulationEngine()
+            algo.warmup(engine, start=0.0, duration=2.0)
+            engine.run(until=3.0)
+            for node in (5, 3):
+                algo.overlay.leave(node)
+                algo.on_leave(node, engine.now)
+                algo.overlay.join(node)
+                algo.on_join(node, engine.now)
+            engine.run(until=30.0)
+            arms.append((
+                algo, engine.events_processed, ledger.category_totals(),
+                ledger.total_messages(), algo.rng.bit_generator.state,
+            ))
+        (every, every_events, *every_rest), (skipping, events, *rest) = arms
+        assert sorted(every._timers) == [0, 1, 2, 3, 4, 5]
+        assert sorted(skipping._timers) == [0, 1, 3, 4]
+        assert rest == every_rest
+        assert events < every_events
 
 
 class TestSchemes:

@@ -147,7 +147,11 @@ SUBSTRATES = {
 #: and telemetry separately; the ``content_change_x3`` telemetry row alone
 #: was re-recorded one commit after the seam, when a repair that gets no
 #: reply started to count (574 ``repairs`` instead of 570).  The
-#: ``paper_ratio`` row joined at 975ab19 with its run fingerprint.
+#: ``paper_ratio`` row joined at 975ab19 with its run fingerprint.  The
+#: nine ASAP telemetry rows were re-recorded when a workload free rider
+#: stopped keeping a refresh timer: its ticks sent nothing, so only
+#: ``engine_events`` moved (1,257 -> 1,160 on ``asap_rw/seed0/default_churn``);
+#: every byte, probe state and run fingerprint stayed.
 OBS_ROWS = (
     "flooding/seed0/default_churn",
     "random_walk/seed0/default_churn",
@@ -176,7 +180,10 @@ def obs_fingerprints(config):
 #: The rows above pin single cells; this ``report run`` pins the input-order
 #: merge of two seeds' telemetry and probe documents (``--jobs 2``), whose
 #: ``run.json`` sections it digests whole, labels and backend included.
-#: Recorded at a139b44, the last commit with a summary class per observer.
+#: Recorded at a139b44, the last commit with a summary class per observer;
+#: re-recorded with the ASAP telemetry rows above, when free riders' empty
+#: refresh ticks left the engine (``engine_events`` and the probes' backend
+#: engine gauges moved, nothing else).
 MERGED_RUN = (
     "run", "--telemetry", "--probes", "--probe-interval", "5",
     "--peers", "60", "--queries", "30", "--replications", "2", "--jobs", "2",

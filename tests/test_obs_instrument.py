@@ -186,10 +186,8 @@ def _delivery(n_messages=3):
 def test_ad_delivered_books_telemetry_where_the_ledger_booked_the_messages():
     tracer, telemetry, records = _sinks()
     ad, report = _delivery()
-    Instrumentation(tracer, telemetry).ad_delivered(
-        "rw", ad, 10.2, report, {12: 24.0, 11: 48.0}, 5
-    )
-    # First bucket + 0.5 with the buckets' sum: not ``now``, not report.bytes.
+    Instrumentation(tracer, telemetry).ad_delivered("rw", ad, 10.2, report, 11, 5)
+    # The ledger's first second + 0.5 with the report's bytes, not ``now``.
     assert telemetry.calls == [("delivery", (11.5, 4, 72.0, 3))]
     assert _records(records) == [
         ("event", "ad", "deliver.rw", 10.2, {
@@ -202,7 +200,7 @@ def test_ad_delivered_books_telemetry_where_the_ledger_booked_the_messages():
 def test_a_delivery_that_sent_nothing_is_traced_but_not_charged():
     tracer, telemetry, records = _sinks()
     ad, report = _delivery(n_messages=0)
-    Instrumentation(tracer, telemetry).ad_delivered("fld", ad, 10.2, report, {}, None)
+    Instrumentation(tracer, telemetry).ad_delivered("fld", ad, 10.2, report, 0, None)
     assert telemetry.calls == []
     assert [r.name for r in records] == ["deliver.fld"]
     assert records[0].attrs["budget"] is None
@@ -289,7 +287,7 @@ def test_every_action_is_a_no_op_without_sinks():
     obs.query_traffic(1.0, 1, 10)
     obs.confirmation(1.0, 1, 2, 80, "confirmed")
     obs.confirm_stats(1.0)
-    obs.ad_delivered("rw", ad, 1.0, report, {1: 72.0}, 5)
+    obs.ad_delivered("rw", ad, 1.0, report, 1, 5)
     obs.ads_exchange(1.0, 1, "query", [], 0, 0.0, 0.0)
     obs.repair(1.0, 1, 2, 60.0, 0.0, None)
     obs.churn(1.0, 1, True, 5)

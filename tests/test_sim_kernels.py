@@ -2,8 +2,8 @@
 
 The end-to-end guarantees live in tests/test_walk_kernels_differential.py;
 these tests pin the individual building blocks: the stepping recurrence,
-the block post-processing (cumsum exactness, stranded lanes), byte
-bucketing, and the search result shape.
+the block post-processing (cumsum exactness, stranded lanes), per-second
+message counts, and the search result shape.
 """
 
 import math
@@ -60,6 +60,13 @@ def sink_csr():
     )
 
 
+def by_second(first, counts, size_bytes):
+    """``{second: bytes}`` of ``counts[i]`` messages in second ``first + i``."""
+    return {
+        first + i: n * float(size_bytes) for i, n in enumerate(counts.tolist()) if n
+    }
+
+
 def one_delivery(csr, source, draws, now, size_bytes):
     """One ASAP(RW) delivery of ``draws``' ``(walkers, steps)`` block as a
     batch of one: ``(receivers, n_messages, {second: bytes})``."""
@@ -67,7 +74,7 @@ def one_delivery(csr, source, draws, now, size_bytes):
     [(visited, n_messages, first, counts)] = kernels.rw_delivery_batch(
         csr, [source], [steps], walkers, draws.reshape(-1), [now]
     )
-    return visited, n_messages, kernels.bucket_dict(first, counts, size_bytes)
+    return visited, n_messages, by_second(first, counts, size_bytes)
 
 
 class TestWalkBlock:
@@ -105,24 +112,30 @@ class TestWalkBlock:
         visited, n_messages, buckets = one_delivery(csr, 3, draws[:2], 0.0, 10)
         assert (visited.tolist(), n_messages, buckets) == ([0, 1, 2], 6, {0: 40.0, 1: 20.0})
         assert one_delivery(csr, 4, draws, 0.0, 10)[1:] == (0, {})
-        miss = kernels.rw_search(csr, 3, draws[:2], np.zeros(5, dtype=bool), 0.0, 10)
-        assert (miss.n_messages, miss.buckets, miss.hit_node) == (6, {0: 40.0, 1: 20.0}, None)
+        miss = kernels.rw_search(csr, 3, draws[:2], np.zeros(5, dtype=bool), 0.0)
+        buckets = by_second(miss.first_second, miss.counts, 10)
+        assert (miss.counts.sum(), buckets, miss.hit_node) == (6, {0: 40.0, 1: 20.0}, None)
 
 
-class TestBucketBytes:
+class TestSecondCounts:
     def test_empty(self):
-        assert kernels.bucket_bytes(5.0, np.empty(0), 100) == {}
+        first, counts = kernels.second_counts(np.empty(0))
+        assert (first, counts.tolist()) == (0, [])
 
     def test_integral_size_exact(self):
         elapsed = np.array([100.0, 900.0, 1100.0, 2500.0])  # ms
-        buckets = kernels.bucket_bytes(10.0, elapsed, 100)
+        secs = kernels.arrival_seconds(10.0, elapsed)
+        buckets = by_second(*kernels.second_counts(secs), 100)
         assert buckets == {10: 200.0, 11: 100.0, 12: 100.0}
+        first, counts = kernels.second_counts(secs, [1, 2, 0, 4])
+        assert (first, counts.tolist()) == (10, [3.0, 0.0, 4.0])
 
     def test_matches_loop_accumulation(self):
         rng = np.random.default_rng(13)
         elapsed = np.cumsum(rng.random(5000) * 30.0)
         size = 424  # ad-sized integral payload
-        buckets = kernels.bucket_bytes(123.0, elapsed, size)
+        secs = kernels.arrival_seconds(123.0, elapsed)
+        buckets = by_second(*kernels.second_counts(secs), size)
         expect = {}
         for e in elapsed.tolist():
             s = int(123.0 + e / 1000.0)
@@ -183,19 +196,18 @@ class TestRwSearch:
         csr = random_csr(seed=6, n=50)
         draws = np.random.default_rng(2).random((3, 64))
         match = np.zeros(50, dtype=bool)  # nothing matches
-        res = kernels.rw_search(csr, 0, draws, match, 0.0, 100)
+        res = kernels.rw_search(csr, 0, draws, match, 0.0)
         assert res.hit_node is None and res.hit_time_ms is None
-        assert res.n_messages == 3 * 64
-        assert sum(res.buckets.values()) == res.n_messages * 100
+        assert res.counts.sum() == 3 * 64
 
     def test_hit_truncates_charging(self):
         csr = random_csr(seed=6, n=50)
         draws = np.random.default_rng(2).random((3, 512))
         match = np.ones(50, dtype=bool)
         match[0] = False
-        res = kernels.rw_search(csr, 0, draws, match, 0.0, 100)
+        res = kernels.rw_search(csr, 0, draws, match, 0.0)
         # Every first step hits, so the hit is one hop out and each walker
         # is charged exactly its first step (it started at time 0 < hit).
         assert res.hit_node is not None
         assert res.hit_time_ms == 15.0
-        assert res.n_messages == 3
+        assert res.counts.sum() == 3

@@ -46,8 +46,12 @@ class TestBandwidthLedger:
         batch.record_each(times[:120], TrafficCategory.PATCH_AD, nbytes[:120])
         batch.record_each(times[120:], TrafficCategory.PATCH_AD, nbytes[120:])
         batch.record_each(times[:0], TrafficCategory.FULL_AD, nbytes[:0])
-        assert dict(batch._buckets) == dict(each._buckets)
-        assert sorted(batch._buckets) == [3, 4, 5]
+        per_second = batch.per_second()
+        assert list(per_second) == [TrafficCategory.PATCH_AD]
+        assert per_second[TrafficCategory.PATCH_AD].tolist() == (
+            each.per_second()[TrafficCategory.PATCH_AD].tolist()
+        )
+        assert np.flatnonzero(per_second[TrafficCategory.PATCH_AD]).tolist() == [3, 4, 5]
         assert batch.category_totals() == each.category_totals()
         assert batch.total_messages() == each.total_messages() == 201
 

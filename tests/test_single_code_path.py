@@ -35,7 +35,9 @@ last commit that hashed keywords one term at a time in Python integers and
 built every source's filter in a per-node loop (``_shared_positions``); the
 per-pair-state one also at the last commit that stored two ``int64`` words
 a pair with interned topic codes, and the stub-graph one at the last commit
-that imported scipy for the core's Dijkstra.
+that imported scipy for the core's Dijkstra; the per-second-traffic one at
+the last commit whose ledger kept a dict of seconds, filled by per-second
+``record`` loops and read by telemetry through ``_buckets``.
 """
 
 import ast
@@ -281,10 +283,10 @@ def test_src_has_one_walk_post_processing():
     """The delivery kernel turns walks into ``(receivers, per-second
     counts)`` through the shared functions -- ``receivers`` drops the
     source, ``arrival_seconds`` truncates to seconds -- and the forwarder
-    charges the counts through ``bucket_dict``, the one count-to-bytes
-    rule; none of them carries its own.  A search round and a batch's last
-    few lanes are one ``walk_block``: no running sum or concatenation per
-    walker."""
+    books the counts through ``AdForwarder._finish``, whose one ledger
+    ``add`` is the count-to-bytes rule; none of them carries its own.  A
+    search round and a batch's last few lanes are one ``walk_block``: no
+    running sum or concatenation per walker."""
     tree = ast.parse((SRC / "sim" / "kernels.py").read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -306,13 +308,12 @@ def test_src_has_one_walk_post_processing():
     assert {"receivers", "arrival_seconds", "walk_block", "_lockstep"} <= called(
         "rw_delivery_batch"
     )
-    assert {"arrival_seconds", "bucket_dict"} <= called("bucket_bytes")
     own_rules = {"nonzero", "flatnonzero", "delete", "searchsorted", "at", "zip"}
-    for kernel in ("rw_delivery_batch", "_lockstep", "bucket_bytes"):
+    for kernel in ("rw_delivery_batch", "_lockstep", "second_counts"):
         assert not called(kernel) & own_rules, kernel
         assert not ms_to_s(kernel), kernel
     assert [name for name in functions if ms_to_s(name)] == ["arrival_seconds"]
-    assert {"walk_block", "bucket_bytes"} <= called("rw_search")
+    assert {"walk_block", "arrival_seconds", "second_counts"} <= called("rw_search")
     assert not called("rw_search") & {"cumsum", "concatenate", "searchsorted"}
     assert not hasattr(kernels, "segmented_cumsum")
     assert "segmented_cumsum" not in kernels.__all__
@@ -326,8 +327,54 @@ def test_src_has_one_walk_post_processing():
         getattr(call.func, "attr", None)
         for call in ast.walk(rw) if isinstance(call, ast.Call)
     }
-    assert "bucket_dict" in calls
+    assert "_finish" in calls
     assert not calls & (own_rules | {"bincount"})
+
+
+def test_per_second_traffic_has_one_write_path():
+    """Per-second traffic has one form, the ledger's array, and one write
+    path into it, ``BandwidthLedger.add``: no count-to-dict helper, no
+    ``record`` of a second turned back into a time (the per-second loop
+    that booked a dict), no per-second dict in a walk, a ``record_each``
+    that books one ``bincount``, and nothing outside ``repro.sim.metrics``
+    reading a private ledger attribute."""
+    from repro.obs.instrument import Instrumentation
+
+    for gone in ("bucket_dict", "bucket_bytes"):
+        assert not hasattr(kernels, gone) and gone not in kernels.__all__, gone
+    assert not hasattr(BandwidthLedger(), "_buckets")
+    record_each = ast.parse(
+        inspect.cleandoc("\n" + inspect.getsource(BandwidthLedger.record_each))
+    )
+    assert _calls(record_each, "add") and _calls(record_each, "bincount")
+    assert not _calls(record_each, "unique")
+    assert not [n for n in ast.walk(record_each) if isinstance(n, (ast.For, ast.While))]
+    assert "first_second" in inspect.signature(Instrumentation.ad_delivered).parameters
+
+    def owner(node):
+        value = node.value
+        return getattr(value, "id", getattr(value, "attr", None))
+
+    private, per_second_records = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(SRC)
+        if where != Path("sim", "metrics.py"):
+            private += [
+                f"{where}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_") and owner(node) == "ledger"
+            ]
+        per_second_records += [
+            f"{where}:{call.lineno}" for call in _calls(tree, "record")
+            if call.args and isinstance(call.args[0], ast.BinOp)
+            and isinstance(call.args[0].right, ast.Constant)
+            and call.args[0].right.value == 0.5
+        ]
+        if path.parent.name == "search" or path.name == "delivery.py":
+            assert "defaultdict" not in path.read_text(), where
+    assert private == []
+    assert per_second_records == []
 
 
 def test_one_way_to_walk_an_ad():
@@ -563,7 +610,7 @@ def test_wire_sizes_are_whole_bytes_with_no_second_arm():
         assert "sizes" not in inspect.signature(host.__init__).parameters
     assert "sizes" not in inspect.signature(make_forwarder).parameters
     for function in (
-        kernels.bucket_dict, BandwidthLedger.record_each, AsapSearch._ads_request
+        BandwidthLedger.add, BandwidthLedger.record_each, AsapSearch._ads_request
     ):
         source = inspect.getsource(function)
         for arm in ("cumsum", "floor", "whole_header"):

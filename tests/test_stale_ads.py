@@ -40,6 +40,7 @@ from tests.oracles.repository import AdsRepository, StateRow
 from tests.oracles.store import match_at_version_reference, patch_history
 from tests.test_golden_fingerprints import golden_configs
 from tests.test_soa_differential import churn_store, make_state, make_store
+from tests.test_walk_kernels_differential import ledger_state
 
 KEYWORDS = [f"kw{i}" for i in range(24)]
 
@@ -417,12 +418,8 @@ class Arms:
         assert np.array_equal(product.state.stamp, oracle.state.stamp)
         assert (product.state.occupancy == oracle.state.occupancy).all()
         assert product.state._times == oracle.state._times
-        # Exact float equality, bucket by bucket and category by category.
-        assert dict(product.ledger._buckets) == dict(oracle.ledger._buckets)
-        assert product.ledger.category_totals() == oracle.ledger.category_totals()
-        assert dict(product.ledger._message_counts) == dict(
-            oracle.ledger._message_counts
-        )
+        # Exact float equality, second by second and category by category.
+        assert ledger_state(product.ledger) == ledger_state(oracle.ledger)
         assert product.obs.told == oracle.obs.told
         return product
 
@@ -473,11 +470,7 @@ def test_batched_repair_books_what_the_pulls_would():
     assert sorted(np.concatenate([us for us, _ in asked]).tolist()) == sorted(
         t[1] for t in told
     )
-    replies = {
-        second: bucket[TrafficCategory.PATCH_AD]
-        for second, bucket in product.ledger._buckets.items()
-        if TrafficCategory.PATCH_AD in bucket
-    }
+    replies = np.flatnonzero(product.ledger.per_second()[TrafficCategory.PATCH_AD])
     assert len(replies) >= 2  # they straddle a second boundary
     requests = product.ledger.category_totals()[TrafficCategory.ADS_REQUEST]
     assert requests == len(told) * ADS_REQUEST_BYTES

@@ -112,12 +112,21 @@ def deliver(fw, path, *args, **kwargs):
 
 
 def ledger_state(ledger):
-    """Full observable ledger state: buckets, totals, message counts."""
+    """Full observable ledger state: per-second bytes, totals (in the order
+    categories were first booked), message counts."""
+    totals = ledger.category_totals()
     return (
-        {s: dict(cats) for s, cats in ledger._buckets.items()},
-        dict(ledger._totals),
-        dict(ledger._message_counts),
+        {c: nbytes.tolist() for c, nbytes in ledger.per_second().items()},
+        list(totals.items()),
+        {c: ledger.total_messages([c]) for c in totals},
     )
+
+
+def bytes_by_second(first_second, counts, size):
+    """``{second: bytes}`` of a walk's per-second message ``counts``."""
+    return {
+        first_second + i: n * size for i, n in enumerate(counts.tolist()) if n
+    }
 
 
 def rows_csr(rows):
@@ -187,7 +196,7 @@ class TestDeliveryDifferential:
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=0), now=0.0)
             assert report.messages == 0 and report.visited == frozenset()
-        assert fw.ledger._buckets == {}
+        assert fw.ledger.per_second() == {}
 
     @pytest.mark.parametrize("kind", FORWARDER_KINDS)
     def test_kernel_matches_reference_under_churn(self, kind):
@@ -689,6 +698,30 @@ class TestWarmupSchedule:
         assert sum(map(len, kernel.calls)) > walked
         assert len(kernel.calls) <= batches
 
+    def test_no_walk_past_the_replay_end(self, monkeypatch):
+        """The runner plans the replay's end with its churn: no batch walks
+        an ad due after the engine's last event, and the audited run
+        fingerprint is still the golden one."""
+        from repro.network.substrate import get_workload
+        from tests.test_engine_batching_differential import (
+            run_fingerprint, small_config,
+        )
+        from tests.test_golden_fingerprints import _golden
+
+        config = small_config("asap_rw", 0)
+        starts = []
+        real = kernels.rw_delivery_batch
+
+        def spy(csr, sources, per_walker, walkers, draws, nows):
+            starts.extend(nows)
+            return real(csr, sources, per_walker, walkers, draws, nows)
+
+        monkeypatch.setattr(kernels, "rw_delivery_batch", spy)
+        fingerprint = run_fingerprint(config)
+        _, trace = get_workload(config.edonkey, config.trace, config.seed)
+        assert starts and max(starts) <= config.warmup_s + trace.duration + 1.0
+        assert fingerprint == _golden()["fingerprints"]["asap_rw/seed0/default_churn"]
+
     def test_the_schedule_names_real_ads(self):
         """``_next_due`` lists only live sharers -- a free rider's refresh
         tick sends nothing -- in due order, each with the budget its ad
@@ -831,11 +864,9 @@ class TestRandomWalkSearchDifferential:
         now = 100.0
         out = algo.search(0, ["rock"], now=now)
         assert out.success
-        reply_seconds = [
-            s
-            for s, cats in algo.ledger._buckets.items()
-            if TrafficCategory.QUERY_RESPONSE in cats
-        ]
+        reply_seconds = np.flatnonzero(
+            algo.ledger.per_second()[TrafficCategory.QUERY_RESPONSE]
+        ).tolist()
         assert reply_seconds == [int(now + out.response_time_ms / 1000.0)]
 
 
@@ -884,9 +915,10 @@ class TestRandomWalkSearchStrandsAndTies:
         finished = []
         finish = random_walk.finish_walk
 
-        def spy(search, requester, now, n_messages, buckets, hit_time, hit_node):
-            finished.append((n_messages, dict(buckets), hit_time, hit_node))
-            return finish(search, requester, now, n_messages, buckets, hit_time, hit_node)
+        def spy(search, requester, now, first, counts, hit_time, hit_node):
+            buckets = bytes_by_second(first, counts, QUERY_BYTES)
+            finished.append((counts.sum(), buckets, hit_time, hit_node))
+            return finish(search, requester, now, first, counts, hit_time, hit_node)
 
         monkeypatch.setattr(random_walk, "finish_walk", spy)
         results = []
@@ -961,9 +993,9 @@ class TestGsaSearchDifferential:
         finished = []
         finish = random_walk.finish_walk
 
-        def spy(search, requester, now, n_messages, buckets, hit_time, hit_node):
-            finished.append((n_messages, hit_time, hit_node))
-            return finish(search, requester, now, n_messages, buckets, hit_time, hit_node)
+        def spy(search, requester, now, first, counts, hit_time, hit_node):
+            finished.append((counts.sum(), hit_time, hit_node))
+            return finish(search, requester, now, first, counts, hit_time, hit_node)
 
         monkeypatch.setattr(gsa, "finish_walk", spy)
         monkeypatch.setattr(gsa_oracle, "finish_walk", spy)

@@ -238,10 +238,8 @@ class AsapSearch(SearchAlgorithm):
         """
         ledger, state = self.ledger, self.state
         k = len(lagging)
-        ledger.record_each(
-            np.full(k, now), TrafficCategory.ADS_REQUEST,
-            np.full(k, float(ADS_REQUEST_BYTES)),
-        )
+        # Every request leaves now, so they are booked at once.
+        ledger.record(now, TrafficCategory.ADS_REQUEST, k * ADS_REQUEST_BYTES, messages=k)
         reply, categories = np.zeros(k), np.full(k, None)
         full = self.store.make_full_ad(source)
         if full is None:
@@ -496,13 +494,17 @@ class AsapSearch(SearchAlgorithm):
         request_size = ADS_REQUEST_BYTES + int(
             math.ceil(int(state.occupancy[node]) * DIGEST_BYTES_PER_ENTRY)
         )
+        if neighbors:
+            # Every request leaves now, so they are booked at once; each
+            # reply is booked at its own arrival.
+            ledger.record(
+                now, TrafficCategory.ADS_REQUEST,
+                len(neighbors) * request_size, messages=len(neighbors),
+            )
         for nbr, one_way in neighbors:
             n_messages += 2
             total_bytes += request_size
             request_total += request_size
-            ledger.record(
-                now, TrafficCategory.ADS_REQUEST, request_size, messages=1
-            )
             if positions is None:
                 offered = state.entry[nbr] >= 0
             else:
@@ -586,16 +588,18 @@ class AsapSearch(SearchAlgorithm):
             )
             idx = np.argsort(lats, kind="stable")[:MAX_CONFIRMATIONS]
             ordered = [(pending[i], float(lats[i])) for i in idx]
+            # Every request leaves now, so they are booked at once; each
+            # reply is booked at its own arrival.
+            self.ledger.record(
+                now,
+                TrafficCategory.CONFIRMATION,
+                len(ordered) * CONFIRMATION_REQUEST_BYTES,
+                messages=len(ordered),
+            )
             for s, lat in ordered:
                 tried.add(s)
                 n_messages += 1
                 total_bytes += CONFIRMATION_REQUEST_BYTES
-                self.ledger.record(
-                    now,
-                    TrafficCategory.CONFIRMATION,
-                    CONFIRMATION_REQUEST_BYTES,
-                    messages=1,
-                )
                 exchanged = CONFIRMATION_REQUEST_BYTES
                 if not self.overlay.is_live(s):
                     # Departed source: retire the stale ad.

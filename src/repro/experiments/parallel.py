@@ -133,7 +133,7 @@ def _run_cell(
             )
         for doc in (result.telemetry, result.probes):
             if doc is not None:
-                doc["labels"] = [cell_label(config)]
+                doc["label"] = cell_label(config)
         return result
     except Exception as exc:
         return CellFailure(
@@ -189,12 +189,12 @@ def run_cells(
     each cell's trace to its own deterministically named JSONL file in
     that directory (created if missing).
 
-    ``telemetry=True`` collects streaming telemetry per cell and
-    ``probes=True`` protocol-state snapshots; each result carries the
-    summary document, whose input-order merge
-    (:func:`~repro.obs.telemetry.merge_summaries`) is bit-identical
-    whether the cells ran serially or across workers.  ``progress`` is an
-    optional ``callable(str)`` receiving one line per finished cell.
+    ``telemetry=True`` collects load telemetry per cell and
+    ``probes=True`` protocol-state snapshots; each result carries its
+    labelled summary document, so the input-order list of them is
+    bit-identical whether the cells ran serially or across workers.
+    ``progress`` is an optional ``callable(str)`` receiving one line per
+    finished cell.
     """
     configs = list(configs)
     n_jobs = min(resolve_jobs(jobs), len(configs))

@@ -37,7 +37,7 @@ from repro.experiments.ablations import BASE as ABLATION_BASE
 from repro.experiments.campaign import ENTRIES, check_claims, run_campaign
 from repro.experiments.export import AnyFigure, figures_to_csv, read_tables
 from repro.experiments.figures import ExperimentGrid, ExperimentScale
-from repro.obs import fingerprint, merge_summaries
+from repro.obs import fingerprint
 from repro.simulation.config import RunConfig
 
 __all__ = ["main", "render_report", "write_report"]
@@ -111,13 +111,13 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
         from repro.obs import format_hotspots, format_window_table, load_std_bpns
 
         sections += ["## Telemetry", ""]
-        # The Figure 9 view from streaming sketches alone -- per-window
-        # load and in-window hotspots for the warmed-up ASAP(RW) system,
-        # no JSONL trace involved.
+        # The Figure 9 view from telemetry alone -- per-window load and
+        # in-window hot peers for the warmed-up ASAP(RW) system, no JSONL
+        # trace involved.
         if focus.telemetry is not None:
             sections += [
-                "Per-window load for `asap_rw/crawled` (streaming "
-                "telemetry; the Figure 9 time axis):",
+                "Per-window load for `asap_rw/crawled` (telemetry; the "
+                "Figure 9 time axis):",
                 "",
                 "```",
                 format_window_table(focus.telemetry, max_rows=12),
@@ -140,17 +140,6 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
                 "```",
                 f"  {'algorithm':<12} {'load_std':>12}",
                 *rows,
-                "```",
-                "",
-            ]
-        merged = merge_summaries(r.telemetry for r in cells.values())
-        if merged is not None:
-            sections += [
-                "Sweep-wide hotspots (all cells merged, deterministic "
-                f"input-order merge; fingerprint `{fingerprint(merged)}`):",
-                "",
-                "```",
-                format_hotspots(merged, 8),
                 "```",
                 "",
             ]
@@ -218,14 +207,15 @@ def render_report(grid: ExperimentGrid, figures: Dict[str, AnyFigure]) -> str:
                 "```",
                 "",
             ]
-        merged = merge_summaries(r.probes for r in cells.values())
-        if merged is not None:
+        docs = [r.probes for r in cells.values() if r.probes is not None]
+        if docs:
             sections += [
-                "Sweep-wide probe summary (all cells merged, deterministic "
-                f"input-order merge; fingerprint `{fingerprint(merged)}`):",
+                "Sweep-wide probe documents (every cell's, in input order; "
+                f"fingerprint `{fingerprint(docs)}`):",
                 "",
-                f"- cells: {merged['cells']}, ticks: {len(merged['ticks'])}, "
-                f"interval: {merged['interval_s']:.0f}s",
+                f"- cells: {len(docs)}, ticks: "
+                f"{sum(len(doc['ticks']) for doc in docs)}, "
+                f"interval: {docs[0]['interval_s']:.0f}s",
                 "",
             ]
 

@@ -14,13 +14,14 @@ decided in :mod:`repro.obs.instrument`, once.  Behind the seam, all opt-in:
 * :mod:`repro.obs.profile` -- per-subsystem / per-phase run accounting,
   attached to :class:`repro.simulation.results.RunResult` as a
   :class:`RunProfile`;
-* :mod:`repro.obs.telemetry` -- constant-memory streaming telemetry:
-  windowed load series, quantile sketches and heavy-hitter hotspots.
+* :mod:`repro.obs.telemetry` -- exact load telemetry: windowed load
+  series, hot peers and links, and quantile digests, all reduced from one
+  table of the run's charges.
 
 Beside it, reading the run rather than listening to it:
 
 * :mod:`repro.obs.probes` -- periodic protocol-*state* snapshots reduced
-  from the dense ads state: per-source ad coverage, staleness sketches,
+  from the dense ads state: per-source ad coverage, staleness digests,
   measured Bloom FP rate and cache health, bit-identical across
   serial/parallel execution;
 * :mod:`repro.obs.audit` -- one streaming fold over a trace, fed live by
@@ -32,8 +33,8 @@ Beside it, reading the run rather than listening to it:
   by leaf and ``analyze`` summarises a trace.
 
 Telemetry and probes each end as a JSON summary document per cell, which
-``RunResult`` carries and ``run.json`` holds; one :func:`merge_summaries`
-folds either kind across cells and one :func:`fingerprint` digests it.
+``RunResult`` carries; ``run.json`` holds the list of its seeds'
+documents in seed order, and one :func:`fingerprint` digests either.
 """
 
 from repro.obs.audit import AuditReport, AuditViolation, TraceFold
@@ -41,7 +42,6 @@ from repro.obs.instrument import TRACE_RECORDS, Instrumentation
 from repro.obs.probes import (
     PROBE_SCHEMA_VERSION,
     ProbeRecorder,
-    pow2_sketch,
     snapshot_backend,
     snapshot_state,
 )
@@ -53,14 +53,12 @@ from repro.obs.profile import (
     subsystem_of,
 )
 from repro.obs.telemetry import (
-    LogBucketSketch,
-    SpaceSaving,
     Telemetry,
+    digest,
     fingerprint,
     format_hotspots,
     format_window_table,
     load_std_bpns,
-    merge_summaries,
     quantile_nearest_rank,
 )
 from repro.obs.trace import (
@@ -77,28 +75,25 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "Instrumentation",
-    "LogBucketSketch",
     "PROBE_SCHEMA_VERSION",
     "PhaseStats",
     "ProbeRecorder",
     "Profiler",
     "RunProfile",
-    "SpaceSaving",
     "Span",
     "TRACE_RECORDS",
     "Telemetry",
     "TraceFold",
     "TraceRecord",
     "Tracer",
+    "digest",
     "fingerprint",
     "format_hotspots",
     "format_window_table",
     "jsonl_writer",
     "load_std_bpns",
     "merge_profiles",
-    "merge_summaries",
     "open_text_maybe_gzip",
-    "pow2_sketch",
     "quantile_nearest_rank",
     "snapshot_backend",
     "snapshot_state",

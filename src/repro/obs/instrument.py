@@ -10,7 +10,7 @@ record looks like and which peer, link and window telemetry charges.
 An :class:`Instrumentation` bundles up to three sinks, each optional:
 
 * a :class:`~repro.obs.trace.Tracer` (exact, one record per action);
-* a :class:`~repro.obs.telemetry.Telemetry` accumulator (constant memory);
+* a :class:`~repro.obs.telemetry.Telemetry` accumulator (a table of charges);
 * a :class:`~repro.obs.profile.Profiler` (host time per engine event).
 
 Its methods are the simulator's **actions**.  Every host -- a
@@ -22,11 +22,11 @@ same object as its dispatch observer.  Unobserved, a site costs one
 attribute load and one branch, and nothing in this package runs.
 
 Within an action telemetry is fed in a fixed order (requester, then each
-responder and its link; neighbours in the order they were asked): the
-heavy-hitter trackers compact deterministically but order-sensitively once
-they overflow.  Trace records and their attributes are frozen by the golden
-run fingerprints (``tests/golden/run_fingerprints.json``); an action may
-not add, drop or reorder one.
+responder and its link; neighbours in the order they were asked), so its
+charge tables hold the same rows in the same order on every run.  Trace
+records and their attributes are frozen by the golden run fingerprints
+(``tests/golden/run_fingerprints.json``); an action may not add, drop or
+reorder one.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class Instrumentation:
         """
         if self.telemetry is not None and report.messages:
             self.telemetry.record_delivery(
-                first_second + 0.5, int(ad.source), report.bytes, report.messages
+                first_second + 0.5, int(ad.source), report.bytes
             )
         if self.tracer is not None:
             self.tracer.event(

@@ -11,7 +11,7 @@ snapshot per tick:
   (replication factor) and what fraction of its live, interested audience
   is covered (the paper's pre-positioning claim, Section III);
 * **staleness** -- the distribution of ad ages (``now - cached_at``) and
-  of version lag over ``behind`` entries, as mergeable sketch quantiles;
+  of version lag over ``behind`` entries;
 * **bloom** -- the measured filter fill and the false-positive probability
   it implies, against the paper's ``(1/2)^k`` ceiling (Section III-B);
 * **occupancy** -- per-node cache occupancy and eviction pressure
@@ -19,16 +19,19 @@ snapshot per tick:
 * **backend** -- ads-state size / occupancy-counter health and engine
   gauges (live and raw queue depth, events processed).
 
+Each of the five distributions (occupancy, replication, covered fraction,
+age, version lag) is an exact :func:`~repro.obs.telemetry.digest`:
+``{count, total, min, max, p50, p90, p99}`` of the sorted values.
+
 Determinism contract.  Snapshots are read-only, consume no randomness, and
 schedule exactly zero events when probing is off, so enabling probes never
-changes a run's results.  Every per-entry series feeds an order-independent
-sketch (sorted sums, power-of-two buckets derived from ``frexp`` -- pure bit
-manipulation), so a snapshot depends only on the multiset of cached
-entries, never on their storage order; ``tests/test_obs_probes.py`` checks
-it against a plain per-repository loop.  A cell's summary is a JSON document
-(:meth:`ProbeRecorder.summary`); cell summaries merge in input order with
-:func:`repro.obs.telemetry.merge_summaries`, the fold telemetry uses, so
-``--jobs N`` output is bit-identical to serial.
+changes a run's results.  A digest sorts its values before it sums them,
+so a snapshot depends only on the multiset of cached entries, never on
+their storage order; ``tests/test_obs_probes.py`` checks it against a
+plain per-repository loop.  A cell's summary is a JSON document
+(:meth:`ProbeRecorder.summary`); a run of several cells reports the list
+of their documents in input order, so ``--jobs N`` output is
+bit-identical to serial.
 
 Usage::
 
@@ -46,64 +49,20 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.telemetry import LogBucketSketch, fingerprint
+from repro.obs.telemetry import digest, fingerprint
 
 __all__ = [
     "PROBE_SCHEMA_VERSION",
     "ProbeRecorder",
     "format_state_table",
     "headline",
-    "pow2_sketch",
     "snapshot_backend",
     "snapshot_state",
     "state_fingerprint",
 ]
 
 #: Bump when the snapshot/summary JSON shape changes.
-PROBE_SCHEMA_VERSION = 1
-
-
-def pow2_sketch(values) -> LogBucketSketch:
-    """A gamma-2 :class:`LogBucketSketch` built bit-deterministically.
-
-    Bucket keys are ``ceil(log2(v))`` computed from ``frexp`` (exponent
-    arithmetic, no transcendental calls), and the running total is summed
-    over the *sorted* value array -- so two callers feeding the same
-    multiset of float64 values get bit-identical sketches regardless of
-    the order the values arrive in.
-    """
-    sketch = LogBucketSketch(gamma=2.0)
-    if isinstance(values, np.ndarray):
-        # Fast path for the per-entry series (millions of rows at paper
-        # scale): never round-trip through a Python list.
-        arr = np.sort(values.astype(np.float64, copy=False))
-    else:
-        arr = np.sort(np.asarray(list(values), dtype=np.float64))
-    n = int(arr.size)
-    if n == 0:
-        return sketch
-    if arr[0] < 0:
-        raise ValueError(f"negative value in probe series: {arr[0]}")
-    sketch.count = n
-    sketch.total = float(arr.sum())
-    sketch.min = float(arr[0])
-    sketch.max = float(arr[-1])
-    zero = int(np.searchsorted(arr, 0.0, side="right"))
-    sketch.zero_count = zero
-    positive = arr[zero:]
-    if positive.size:
-        mantissa, exponent = np.frexp(positive)
-        # v = m * 2^e with 0.5 <= m < 1, so ceil(log2 v) = e, except
-        # exact powers of two (m == 0.5) where it is e - 1.
-        keys = exponent.astype(np.int64) - (mantissa == 0.5)
-        # keys are non-decreasing over the sorted positives, so bincount
-        # over the shifted range replaces a second (unique) sort.
-        kmin = int(keys[0])
-        counts = np.bincount(keys - kmin)
-        sketch.buckets = {
-            kmin + i: int(c) for i, c in enumerate(counts.tolist()) if c
-        }
-    return sketch
+PROBE_SCHEMA_VERSION = 2
 
 
 def _is_asap(algorithm) -> bool:
@@ -193,20 +152,20 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
                 "total": int(occupancy.sum()),
                 "max": int(occupancy.max()) if n else 0,
                 "at_capacity": at_capacity,
-                "per_node": pow2_sketch(occupancy).to_dict(),
+                "per_node": digest(occupancy),
             },
             "coverage": {
                 "sources": sources_n,
                 "audience": audience_total,
                 "covered": covered_total,
                 "holders": holders_total,
-                "replication": pow2_sketch(replication).to_dict(),
-                "fraction": pow2_sketch(fractions).to_dict(),
+                "replication": digest(replication),
+                "fraction": digest(fractions),
             },
             "staleness": {
                 "behind": int(peers.size),
-                "age_s": pow2_sketch(ages).to_dict(),
-                "version_lag": pow2_sketch(lags).to_dict(),
+                "age_s": digest(ages),
+                "version_lag": digest(lags),
             },
             "bloom": {
                 "sharers": int(fills.size),
@@ -247,11 +206,11 @@ def snapshot_backend(algorithm, engine=None) -> Dict[str, Any]:
 def state_fingerprint(doc: Dict[str, Any]) -> str:
     """Identity of a probe summary's protocol-state series only.
 
-    Excludes the labels and the backend gauges, so it depends on what the
+    Excludes the label and the backend gauges, so it depends on what the
     caches hold at each tick and not on how the state is stored.
     """
     return fingerprint({
-        **{k: v for k, v in doc.items() if k != "labels"},
+        **{k: v for k, v in doc.items() if k != "label"},
         "ticks": [
             {k: v for k, v in tick.items() if k != "backend"} for tick in doc["ticks"]
         ],
@@ -281,13 +240,10 @@ def headline(doc: Dict[str, Any]) -> Dict[str, Optional[float]]:
     cov = last["coverage"]
     if cov["audience"]:
         out["coverage_fraction"] = cov["covered"] / cov["audience"]
-    repl = LogBucketSketch.from_dict(cov["replication"])
-    if repl.count:
-        out["replication_p50"] = repl.quantile(0.5)
-    ages = LogBucketSketch.from_dict(last["staleness"]["age_s"])
-    if ages.count:
-        out["age_p50_s"] = ages.quantile(0.5)
-        out["age_p90_s"] = ages.quantile(0.9)
+    out["replication_p50"] = cov["replication"]["p50"]
+    ages = last["staleness"]["age_s"]
+    out["age_p50_s"] = ages["p50"]
+    out["age_p90_s"] = ages["p90"]
     bloom = last["bloom"]
     if bloom["sharers"]:
         out["fp_mean"] = bloom["fp_sum"] / bloom["sharers"]
@@ -313,13 +269,13 @@ def format_state_table(doc: Dict[str, Any], max_rows: int = 12) -> str:
     for tick in rows:
         cov = tick["coverage"]
         frac = cov["covered"] / cov["audience"] if cov["audience"] else 0.0
-        repl = LogBucketSketch.from_dict(cov["replication"])
-        ages = LogBucketSketch.from_dict(tick["staleness"]["age_s"])
+        ages = tick["staleness"]["age_s"]
         bloom = tick["bloom"]
         fp_mean = bloom["fp_sum"] / bloom["sharers"] if bloom["sharers"] else 0.0
-        p50 = repl.quantile(0.5) if repl.count else math.nan
-        a50 = ages.quantile(0.5) if ages.count else math.nan
-        a90 = ages.quantile(0.9) if ages.count else math.nan
+        p50, a50, a90 = (
+            math.nan if value is None else value
+            for value in (cov["replication"]["p50"], ages["p50"], ages["p90"])
+        )
         lines.append(
             f"{tick['t']:>8.0f} {tick['entries']:>9d} "
             f"{tick['staleness']['behind']:>7d} {frac:>7.1%} "
@@ -372,11 +328,10 @@ class ProbeRecorder:
         self._schedule_next()
 
     def summary(self) -> Dict[str, Any]:
-        """The mergeable summary document: one cell's ticks, in time order."""
+        """The summary document: one cell's ticks, in time order."""
         return {
             "schema": PROBE_SCHEMA_VERSION,
             "interval_s": self.interval_s,
-            "cells": 1,
-            "labels": [],
+            "label": None,
             "ticks": list(self.snapshots),
         }

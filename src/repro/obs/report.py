@@ -13,10 +13,11 @@ workers), profiled, with ``runall``'s observer flags, and writes
   metric and the merged profile's events and wall;
 * ``audit`` -- with ``--audit``, each seed's invariant-audit report and
   fingerprint (:mod:`repro.obs.audit`), in seed order;
-* ``telemetry`` / ``state`` -- with ``--telemetry`` / ``--probes``, the
-  seed-order merge of the streaming telemetry (:mod:`repro.obs.telemetry`)
-  and of the protocol-state snapshots taken every ``--probe-interval``
-  simulated seconds (:mod:`repro.obs.probes`).
+* ``telemetry`` / ``state`` -- with ``--telemetry`` / ``--probes``, each
+  seed's load telemetry (:mod:`repro.obs.telemetry`) and protocol-state
+  snapshots taken every ``--probe-interval`` simulated seconds
+  (:mod:`repro.obs.probes`): a list of labelled documents in seed order.
+  The peers of two seeds are different peers, so nothing is added up.
 
 ``--trace`` streams each seed's trace to its own ``cell_trace_name`` JSONL
 file next to ``run.json``.  The command prints each section's table and
@@ -61,10 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.profile import merge_profiles
 from repro.obs.telemetry import (
     fingerprint,
+    format_digests,
     format_hotspots,
-    format_sketches,
     format_window_table,
-    merge_summaries,
 )
 
 __all__ = ["diff_rows", "flatten", "main", "render_diff", "run_report"]
@@ -264,28 +264,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if violations:
             log(f"{violations} audit violation(s)")
             exit_code = 1
-    # Seed-order folds: bit-identical no matter how --jobs scheduled cells.
+    # Seed-order lists: bit-identical no matter how --jobs scheduled cells.
     if args.telemetry:
-        telemetry = report["telemetry"] = merge_summaries(
-            r.telemetry for r in results
-        )
-        tables += [
-            f"telemetry over {telemetry['cells']} cell(s), "
-            f"fingerprint {fingerprint(telemetry)}",
-            format_window_table(telemetry, max_rows=MAX_ROWS),
-            format_hotspots(telemetry),
-            format_sketches(telemetry),
-        ]
+        report["telemetry"] = [r.telemetry for r in results]
+        for doc in report["telemetry"]:
+            tables += [
+                f"telemetry of {doc['label']}, fingerprint {fingerprint(doc)}",
+                format_window_table(doc, max_rows=MAX_ROWS),
+                format_hotspots(doc),
+                format_digests(doc),
+            ]
     if args.probes:
         from repro.obs.probes import format_state_table
 
-        state = report["state"] = merge_summaries(r.probes for r in results)
-        tables += [
-            f"protocol state over {state['cells']} cell(s), "
-            f"{len(state['ticks'])} tick(s), fingerprint {fingerprint(state)}",
-            format_state_table(state, max_rows=MAX_ROWS),
-        ]
-        if not state["ticks"]:
+        report["state"] = [r.probes for r in results]
+        for doc in report["state"]:
+            tables += [
+                f"protocol state of {doc['label']}, {len(doc['ticks'])} "
+                f"tick(s), fingerprint {fingerprint(doc)}",
+                format_state_table(doc, max_rows=MAX_ROWS),
+            ]
+        if not any(doc["ticks"] for doc in report["state"]):
             log(
                 f"--probes recorded no tick: the {config.probe_interval_s:g} s "
                 f"probe interval exceeds the {max(r.t_end for r in results)} s "
@@ -350,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=_positive_int,
         default=1,
         help="seeds seed..seed+N-1 to run; run.json reports their spread "
-        "and merges their observer sections (default 1)",
+        "and lists each seed's observer sections (default 1)",
     )
     run_p.add_argument(
         "--jobs",
@@ -368,8 +367,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect streaming telemetry (windowed load, sketches, "
-        "hotspots) on every seed",
+        help="collect load telemetry (windowed load, hot peers and links, "
+        "quantile digests) on every seed",
     )
     run_p.add_argument(
         "--probes",

@@ -1,94 +1,79 @@
-"""Streaming load telemetry: windowed series, sketches and heavy hitters.
+"""Load telemetry: windowed series, hot peers and links, and digests, exact.
 
-Tracing (:mod:`repro.obs.trace`) records *every* event and reconstructs the
-paper's load figures by replay -- exact, but O(events) in memory and output
-size, which cannot survive the ROADMAP's 100k-1M-peer scale-up or a live
-service mode.  This module is the complementary **aggregated** path: a
-constant-memory, opt-in :class:`Telemetry` accumulator that the run's
-:class:`~repro.obs.instrument.Instrumentation` updates inline, action by
-action (engine dispatch, query, ad delivery, confirmation, ads exchange,
-repair, churn), and that summarises into a small, mergeable, deterministic
+Tracing (:mod:`repro.obs.trace`) writes *every* event as a record.  This
+module is the aggregated path: an opt-in :class:`Telemetry` accumulator
+that the run's :class:`~repro.obs.instrument.Instrumentation` feeds inline,
+action by action (engine dispatch, query, ad delivery, confirmation, ads
+exchange, repair, churn), and that reduces into a small, deterministic
 JSON document (:meth:`Telemetry.summary`):
 
-* **time-windowed load series** -- messages / bytes / queries per window,
-  globally and per traffic category (the Fig. 9 "load variation over time"
-  view, without a JSONL trace);
-* **streaming quantile sketches** -- fixed-gamma log-bucket histograms
-  (DDSketch-style; pure Python, no numpy) for response time and per-peer
-  load, with a relative-error guarantee of ``gamma - 1`` per quantile;
-* **top-K heavy hitters** -- Space-Saving-style trackers naming the
-  hottest peers and links, globally and per window.
+* **time-windowed load series** -- queries, deliveries, churn and ads
+  exchanges per window, plus bytes per traffic category (the Fig. 9 "load
+  variation over time" view, without a JSONL trace);
+* **hot peers and links** -- the :data:`TOP_K` peers and directed links
+  charged the most bytes, over the whole run and per window;
+* **digests** -- ``{count, total, min, max, p50, p90, p99}`` of response
+  time, per-query cost, per-delivery bytes and per-peer bytes.
 
-Design rules:
+Every figure is an exact function of what the run charged.  Each peer
+charge appends one row ``(window, node, bytes)`` to a column table of
+16 bytes a row, each link charge one row ``(window, src, dst, bytes)`` to
+a second, and each digested value goes to its own column; the summary
+reduces the columns with numpy.  At the paper's 10,000 peers a cell
+charges about a million peers (``flooding``) and the tables hold about
+18 MB.  Per-category bytes are not charged inline at all: every byte
+already lands in :class:`~repro.sim.metrics.BandwidthLedger`'s per-second
+array, and the summary sums its seconds into windows.
 
-1. **Absent when off.**  A run without telemetry holds no accumulator; the
-   hosts' one ``obs is not None`` branch per action site is all it pays.
-2. **Cheap when on.**  Inline updates are O(1) dict increments.  The
-   per-category byte series is *not* double-counted inline: every byte
-   already lands in :class:`~repro.sim.metrics.BandwidthLedger`'s
-   per-second array, so :meth:`Telemetry.summary` sums its seconds into
-   windows exactly, at zero inline cost.
-3. **Deterministic, associative merge.**  A summary document holds only
-   integer counts, ordered floats and sorted structures; :func:`merge`
-   sums them key-wise.  Merging per-cell summaries in input order
-   (:func:`merge_summaries`) is therefore bit-identical whether the cells
-   ran serially or under ``run_cells --jobs N``, and :func:`fingerprint`
-   is blake2b over the canonical JSON form.  The same merge and
-   fingerprint serve the probe summaries of :mod:`repro.obs.probes`.
-
-The heavy-hitter tracker is Space-Saving with amortised batch eviction:
-admissions go into a plain dict; when the dict exceeds twice the capacity
-it is compacted to the ``capacity`` largest entries (count desc, key asc --
-deterministic) and the largest evicted count becomes the error floor
-inherited by subsequent admissions, exactly Space-Saving's count
-inheritance.  While the number of distinct keys stays within capacity the
-tracker is exact and its merge is associative; beyond that it degrades to
-the usual Space-Saving overestimate, bounded by ``error(key)``.
+A document describes one cell.  The peers of different seeds or overlays
+are different peers, so documents are never added up: a run of several
+cells reports the list of its cells' documents in input order, which is
+bit-identical whether the cells ran serially or under ``run_cells --jobs
+N``.  :func:`fingerprint` is blake2b over the canonical JSON form of a
+document or such a list, and serves the probe documents of
+:mod:`repro.obs.probes` too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
-    "LogBucketSketch",
-    "SpaceSaving",
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
+    "digest",
     "fingerprint",
+    "format_digests",
     "format_hotspots",
-    "format_sketches",
     "format_window_table",
     "load_std_bpns",
-    "merge",
-    "merge_summaries",
     "quantile_nearest_rank",
 ]
 
 #: Version of the :meth:`Telemetry.summary` document schema.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Window width in simulation seconds.
 WINDOW_S = 10.0
-#: Relative-error base of every quantile sketch.
-GAMMA = 1.05
-#: Hot peers / links listed by the report.
+#: Hot peers / links listed, over the run and per window.
 TOP_K = 8
-#: Heavy-hitter capacities: whole run, and per window.
-HH_CAPACITY = 64
-WINDOW_HH_CAPACITY = 16
+#: The quantiles every digest reports.
+QUANTILES = (0.5, 0.9, 0.99)
 
 
 def quantile_nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank quantile of an ascending-sorted sequence.
 
-    The single quantile definition shared by the trace analyzer and the
-    telemetry sketches: rank ``ceil(q * n)`` (1-based), clamped to the
-    first element for tiny ``q``.  ``sorted_values`` must be non-empty and
-    sorted ascending; ``q`` in [0, 1].
+    The single quantile definition of :mod:`repro.obs`, shared by the
+    digests and the trace auditor: rank ``ceil(q * n)`` (1-based), clamped
+    to the first element for tiny ``q``.  ``sorted_values`` must be
+    non-empty and sorted ascending; ``q`` in [0, 1].
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile out of range: {q}")
@@ -99,239 +84,22 @@ def quantile_nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[idx])
 
 
-class LogBucketSketch:
-    """A mergeable streaming quantile sketch over non-negative values.
+def digest(values) -> Dict[str, Any]:
+    """``{count, total, min, max, p50, p90, p99}`` of ``values``, exactly.
 
-    DDSketch-style: value ``v > 0`` lands in bucket ``ceil(log(v, gamma))``,
-    so any quantile is answered with relative error at most ``gamma - 1``
-    (default 5%).  Zero values get a dedicated bucket.  Buckets are integer
-    counts in a dict -- merging two sketches adds counts key-wise, which is
-    exact, associative and commutative.  Min/max/sum/count are tracked
-    exactly alongside.
+    The values are sorted once and ``total`` is summed over the sorted
+    array, so the digest depends on the multiset of values only, never on
+    the order they arrived in.  An empty input has ``None`` extremes and
+    quantiles.
     """
-
-    __slots__ = ("gamma", "_log_gamma", "buckets", "zero_count", "count",
-                 "total", "min", "max")
-
-    def __init__(self, gamma: float = 1.05) -> None:
-        if gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {gamma}")
-        self.gamma = gamma
-        self._log_gamma = math.log(gamma)
-        self.buckets: Dict[int, int] = {}
-        self.zero_count = 0
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float, count: int = 1) -> None:
-        if value < 0:
-            raise ValueError(f"negative value: {value}")
-        self.count += count
-        self.total += value * count
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value == 0:
-            self.zero_count += count
-            return
-        key = math.ceil(math.log(value) / self._log_gamma)
-        b = self.buckets
-        b[key] = b.get(key, 0) + count
-
-    # ---------------------------------------------------------------- queries
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Approximate nearest-rank quantile (relative error <= gamma-1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile out of range: {q}")
-        if self.count == 0:
-            return math.nan
-        rank = max(1, math.ceil(q * self.count))  # 1-based nearest rank
-        if rank <= self.zero_count:
-            return 0.0
-        seen = self.zero_count
-        for key in sorted(self.buckets):
-            seen += self.buckets[key]
-            if seen >= rank:
-                # Representative value: geometric bucket midpoint, clamped
-                # to the exact observed extremes.
-                rep = 2.0 * self.gamma ** key / (self.gamma + 1.0)
-                return min(max(rep, self.min), self.max)
-        return self.max  # pragma: no cover - rank <= count always lands
-
-    def merge(self, other: "LogBucketSketch") -> None:
-        """Fold ``other`` into this sketch (exact on bucket counts)."""
-        if other.gamma != self.gamma:
-            raise ValueError(
-                f"cannot merge sketches with gamma {self.gamma} != {other.gamma}"
-            )
-        for key, count in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + count
-        self.zero_count += other.zero_count
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "gamma": self.gamma,
-            "count": self.count,
-            "zero_count": self.zero_count,
-            "total": self.total,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-            # JSON object keys must be strings; sorted for determinism.
-            "buckets": {str(k): self.buckets[k] for k in sorted(self.buckets)},
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "LogBucketSketch":
-        sketch = LogBucketSketch(gamma=d["gamma"])
-        sketch.count = int(d["count"])
-        sketch.zero_count = int(d["zero_count"])
-        sketch.total = float(d["total"])
-        sketch.min = math.inf if d["min"] is None else float(d["min"])
-        sketch.max = -math.inf if d["max"] is None else float(d["max"])
-        sketch.buckets = {int(k): int(v) for k, v in d["buckets"].items()}
-        return sketch
-
-    def summary_dict(self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)) -> Dict[str, Any]:
-        """Small human-facing digest (count/mean/extremes/quantiles)."""
-        out: Dict[str, Any] = {
-            "count": self.count,
-            "mean": None if self.count == 0 else self.mean,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-        }
-        for q in quantiles:
-            v = self.quantile(q)
-            out[f"p{int(q * 100)}"] = None if math.isnan(v) else v
-        return out
-
-
-class SpaceSaving:
-    """Top-K heavy-hitter tracker (Space-Saving, amortised batch eviction).
-
-    ``add(key, count)`` is an O(1) dict increment; when more than
-    ``2 * capacity`` distinct keys are retained, the tracker compacts to
-    the ``capacity`` largest (count desc, key asc) and the largest evicted
-    count becomes the floor inherited by later admissions (Space-Saving's
-    count-inheritance rule, applied in batch).  ``error(key)`` bounds the
-    overestimate.  Exact -- and merge-associative -- while the distinct
-    key count stays within capacity.
-    """
-
-    __slots__ = ("capacity", "counts", "errors", "floor")
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.counts: Dict[Any, int] = {}
-        self.errors: Dict[Any, int] = {}
-        self.floor = 0  # largest count ever evicted
-
-    def add(self, key: Any, count: int = 1) -> None:
-        counts = self.counts
-        if key in counts:
-            counts[key] += count
-        else:
-            # New key inherits the eviction floor (overestimate, never under).
-            counts[key] = self.floor + count
-            if self.floor:
-                self.errors[key] = self.floor
-            if len(counts) > 2 * self.capacity:
-                self._compact()
-
-    def _compact(self) -> None:
-        order = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        evicted_max = order[self.capacity][1] if len(order) > self.capacity else 0
-        if evicted_max > self.floor:
-            self.floor = evicted_max
-        kept = order[: self.capacity]
-        self.counts = dict(kept)
-        self.errors = {k: e for k, e in self.errors.items() if k in self.counts}
-
-    def top(self, n: Optional[int] = None) -> List[Tuple[Any, int, int]]:
-        """The ``n`` heaviest keys as ``(key, count, error)`` tuples.
-
-        Deterministic order: count desc, then key asc.
-        """
-        order = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if n is not None:
-            order = order[:n]
-        return [(k, c, self.errors.get(k, 0)) for k, c in order]
-
-    def merge(self, other: "SpaceSaving") -> None:
-        """Fold ``other`` in: key-wise count sums, error floors add.
-
-        Associative and exact while the union of distinct keys fits within
-        capacity; beyond that, deterministic compaction applies.
-        """
-        counts = self.counts
-        for key, count in other.counts.items():
-            if key in counts:
-                counts[key] += count
-                err = self.errors.get(key, 0) + other.errors.get(key, 0)
-                if err:
-                    self.errors[key] = err
-            else:
-                counts[key] = count
-                err = other.errors.get(key, 0)
-                if err:
-                    self.errors[key] = err
-        self.floor += other.floor
-        if len(counts) > 2 * self.capacity:
-            self._compact()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Every retained key as ``[key, count, error]``, heaviest first
-        (count desc, then canonical key string asc)."""
-        top = sorted(
-            ([_key_str(k), c, self.errors.get(k, 0)] for k, c in self.counts.items()),
-            key=lambda row: (-row[1], row[0]),
-        )
-        return {"capacity": self.capacity, "floor": self.floor, "top": top}
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Full retained state under canonical key strings."""
-        return {
-            "capacity": self.capacity,
-            "floor": self.floor,
-            "counts": {_key_str(k): c for k, c in sorted(
-                self.counts.items(), key=lambda kv: _key_str(kv[0])
-            )},
-            "errors": {_key_str(k): e for k, e in sorted(
-                self.errors.items(), key=lambda kv: _key_str(kv[0])
-            )},
-        }
-
-    @staticmethod
-    def from_state_dict(d: Dict[str, Any]) -> "SpaceSaving":
-        """Rebuild from :meth:`state_dict` or :meth:`to_dict` form."""
-        ss = SpaceSaving(capacity=int(d["capacity"]))
-        ss.floor = int(d["floor"])
-        if "top" in d:
-            ss.counts = {k: int(c) for k, c, _ in d["top"]}
-            ss.errors = {k: int(e) for k, _, e in d["top"] if e}
-        else:
-            ss.counts = {k: int(v) for k, v in d["counts"].items()}
-            ss.errors = {k: int(v) for k, v in d["errors"].items()}
-        return ss
-
-
-def _key_str(key: Any) -> str:
-    """Canonical string form for heavy-hitter keys (peers and links)."""
-    if isinstance(key, tuple):
-        return "->".join(str(int(k)) for k in key)
-    return str(key)
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    out: Dict[str, Any] = {"count": int(ordered.size), "total": float(ordered.sum())}
+    empty = ordered.size == 0
+    out["min"] = None if empty else float(ordered[0])
+    out["max"] = None if empty else float(ordered[-1])
+    for q in QUANTILES:
+        out[f"p{round(q * 100)}"] = None if empty else quantile_nearest_rank(ordered, q)
+    return out
 
 
 class _WindowStats:
@@ -339,7 +107,7 @@ class _WindowStats:
 
     __slots__ = ("queries", "hits", "local_hits", "deliveries", "joins",
                  "leaves", "repairs", "ads_requests", "confirmations",
-                 "engine_events", "peers", "links")
+                 "engine_events")
 
     def __init__(self) -> None:
         self.queries = 0
@@ -352,8 +120,44 @@ class _WindowStats:
         self.ads_requests = 0
         self.confirmations = 0
         self.engine_events = 0
-        self.peers = SpaceSaving(WINDOW_HH_CAPACITY)
-        self.links = SpaceSaving(WINDOW_HH_CAPACITY)
+
+
+def _ranked(keys: np.ndarray, sums: np.ndarray):
+    """The :data:`TOP_K` keys with the most bytes, heaviest first and the
+    lower key first among equals, as ``(keys, bytes)`` arrays.  Keys with
+    0 bytes rank nothing."""
+    order = np.lexsort((keys, -sums))[:TOP_K]
+    order = order[sums[order] > 0]
+    return keys[order], sums[order]
+
+
+def _top(keys: np.ndarray, nbytes: np.ndarray):
+    """:func:`_ranked` of the bytes of each key, summed in charge order."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return _ranked(distinct, np.bincount(inverse, weights=nbytes, minlength=distinct.size))
+
+
+def _per_window(window: np.ndarray, keys: np.ndarray, nbytes: np.ndarray):
+    """``window -> _top`` of the charges that fell in it, for every window
+    a charge fell in."""
+    order = np.argsort(window, kind="stable")  # charge order within a window
+    ordered = window[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
+    out = {}
+    for lo, hi in zip(starts, [*starts[1:], ordered.size]):
+        rows = order[lo:hi]
+        out[int(ordered[lo])] = _top(keys[rows], nbytes[rows])
+    return out
+
+
+def _rows(top, width: int = 0) -> List[List[Any]]:
+    """``(keys, bytes)`` as ``[*ids, bytes]`` rows: ``[node, bytes]``, or
+    ``[src, dst, bytes]`` for a link key ``src * width + dst``."""
+    keys, sums = top
+    return [
+        [*(divmod(k, width) if width else (k,)), total]
+        for k, total in zip(keys.tolist(), sums.tolist())
+    ]
 
 
 class Telemetry:
@@ -362,17 +166,23 @@ class Telemetry:
     Attach via ``run_cells(configs, telemetry=True)`` or by hand inside an
     ``Instrumentation(telemetry=t)`` given to ``algorithm.attach`` and
     ``engine.set_observer``.  Call :meth:`summary` once the run completes to
-    freeze it into a mergeable summary document.
+    reduce it into a summary document.
     """
 
     def __init__(self) -> None:
         self._windows: Dict[int, _WindowStats] = {}
-        self.response_time_ms = LogBucketSketch(GAMMA)
-        self.query_cost_bytes = LogBucketSketch(GAMMA)
-        self.delivery_bytes = LogBucketSketch(GAMMA)
-        self.hot_peers = SpaceSaving(HH_CAPACITY)
-        self.hot_links = SpaceSaving(HH_CAPACITY)
-        self._peer_bytes: Dict[int, float] = {}  # node -> attributed bytes
+        # Peer charges: window, node, bytes (4 + 4 + 8 bytes a row).
+        self._charge_window = array("i")
+        self._charge_node = array("i")
+        self._charge_bytes = array("d")
+        # Link charges: window, src, dst, bytes.
+        self._link_window = array("i")
+        self._link_src = array("i")
+        self._link_dst = array("i")
+        self._link_bytes = array("d")
+        self._response_time_ms = array("d")
+        self._query_cost_bytes = array("d")
+        self._delivery_bytes = array("d")
         self.engine_events = 0
 
     # ------------------------------------------------------------- internals
@@ -398,25 +208,21 @@ class Telemetry:
             if outcome.local_hit:
                 win.local_hits += 1
             else:
-                self.response_time_ms.add(outcome.response_time_ms)
-        self.query_cost_bytes.add(outcome.cost_bytes)
+                self._response_time_ms.append(outcome.response_time_ms)
+        self._query_cost_bytes.append(outcome.cost_bytes)
 
     def record_peer_bytes(self, t: float, node: int, nbytes: float) -> None:
-        """Attribute ``nbytes`` of load to ``node`` at time ``t``."""
-        node = int(node)
-        self._peer_bytes[node] = self._peer_bytes.get(node, 0.0) + nbytes
-        n = int(nbytes)
-        if n:
-            self.hot_peers.add(node, n)
-            self._window(t).peers.add(node, n)
+        """Charge ``nbytes`` of load to ``node`` at time ``t``."""
+        self._charge_window.append(int(t // WINDOW_S))
+        self._charge_node.append(node)
+        self._charge_bytes.append(nbytes)
 
     def record_link(self, t: float, src: int, dst: int, nbytes: float) -> None:
-        """Attribute ``nbytes`` to the directed link ``src -> dst``."""
-        n = int(nbytes)
-        if n:
-            key = (int(src), int(dst))
-            self.hot_links.add(key, n)
-            self._window(t).links.add(key, n)
+        """Charge ``nbytes`` to the directed link ``src -> dst``."""
+        self._link_window.append(int(t // WINDOW_S))
+        self._link_src.append(src)
+        self._link_dst.append(dst)
+        self._link_bytes.append(nbytes)
 
     def record_confirmation(
         self, t: float, requester: int, target: int, nbytes: float
@@ -426,12 +232,10 @@ class Telemetry:
         self.record_peer_bytes(t, target, nbytes)
         self.record_link(t, requester, target, nbytes)
 
-    def record_delivery(
-        self, t: float, source: int, nbytes: float, messages: int
-    ) -> None:
+    def record_delivery(self, t: float, source: int, nbytes: float) -> None:
         """One ad delivery originating at ``source`` (flood or walk batch)."""
         self._window(t).deliveries += 1
-        self.delivery_bytes.add(nbytes)
+        self._delivery_bytes.append(nbytes)
         self.record_peer_bytes(t, source, nbytes)
 
     def record_ads_request(self, t: float, node: int, nbytes: float) -> None:
@@ -460,7 +264,7 @@ class Telemetry:
         t_end: Optional[int] = None,
         load_categories: Optional[Iterable[Any]] = None,
     ) -> Dict[str, Any]:
-        """Freeze into a mergeable summary document (plain JSON data).
+        """Reduce the run into a summary document (plain JSON data).
 
         ``ledger`` supplies the exact per-category byte/message series: its
         per-second bytes (:meth:`BandwidthLedger.per_second`) are summed
@@ -469,27 +273,41 @@ class Telemetry:
         ``t_start``) enables the per-node-per-second normalisation of the
         paper's Figures 8/9.
         """
-        windows: Dict[int, Dict[str, Any]] = {}
-        for w in sorted(self._windows):
-            s = self._windows[w]
-            windows[w] = {
-                "queries": s.queries,
-                "hits": s.hits,
-                "local_hits": s.local_hits,
-                "deliveries": s.deliveries,
-                "joins": s.joins,
-                "leaves": s.leaves,
-                "repairs": s.repairs,
-                "ads_requests": s.ads_requests,
-                "confirmations": s.confirmations,
-                "engine_events": s.engine_events,
-                "bytes": {},
-                "messages": 0,
-                "load_bytes": 0.0,
-                "live_node_seconds": 0,
-                "top_peers": s.peers.state_dict(),
-                "top_links": s.links.state_dict(),
-            }
+        peer_window = np.frombuffer(self._charge_window, dtype=np.int32)
+        peer_node = np.frombuffer(self._charge_node, dtype=np.int32)
+        peer_bytes = np.frombuffer(self._charge_bytes, dtype=np.float64)
+        per_peer = np.bincount(peer_node, weights=peer_bytes)
+        attributed = np.bincount(peer_node) > 0
+        hot_peers = _rows(_ranked(np.arange(per_peer.size), per_peer))
+        top_peers = {
+            w: _rows(top) for w, top in _per_window(peer_window, peer_node, peer_bytes).items()
+        }
+        link_window = np.frombuffer(self._link_window, dtype=np.int32)
+        src, dst = (
+            np.frombuffer(column, dtype=np.int32).astype(np.int64)
+            for column in (self._link_src, self._link_dst)
+        )
+        width = int(max(src.max(), dst.max())) + 1 if src.size else 1
+        link_key = src * width + dst
+        link_bytes = np.frombuffer(self._link_bytes, dtype=np.float64)
+        hot_links = _rows(_top(link_key, link_bytes), width)
+        top_links = {
+            w: _rows(top, width)
+            for w, top in _per_window(link_window, link_key, link_bytes).items()
+        }
+        # A window exists once something happened in it: a counter moved,
+        # bytes were charged, or (below) the ledger booked bytes.
+        live = set(self._windows) | {
+            w for tops in (top_peers, top_links) for w, top in tops.items() if top
+        }
+        windows = {
+            w: _window_doc(
+                self._windows.get(w) or _WindowStats(),
+                top_peers.get(w, []),
+                top_links.get(w, []),
+            )
+            for w in sorted(live)
+        }
         if ledger is not None:
             load_cats = frozenset(load_categories) if load_categories else frozenset()
             for cat, per_second in ledger.per_second().items():
@@ -501,7 +319,7 @@ class Telemetry:
                 for w, nbytes in sums.items():
                     win = windows.get(w)
                     if win is None:
-                        win = windows[w] = _empty_window()
+                        win = windows[w] = _window_doc(_WindowStats(), [], [])
                     win["bytes"][cat.value] = nbytes
                     if cat in load_cats:
                         win["load_bytes"] += nbytes
@@ -511,9 +329,6 @@ class Telemetry:
                 win = windows.get(w)
                 if win is not None:
                     win["live_node_seconds"] += int(live_counts[second - t_start])
-        per_peer = LogBucketSketch(GAMMA)
-        for node in sorted(self._peer_bytes):
-            per_peer.add(self._peer_bytes[node])
         totals: Dict[str, Any] = {
             "engine_events": self.engine_events,
             "queries": sum(w["queries"] for w in windows.values()),
@@ -521,7 +336,7 @@ class Telemetry:
             "deliveries": sum(w["deliveries"] for w in windows.values()),
             "joins": sum(w["joins"] for w in windows.values()),
             "leaves": sum(w["leaves"] for w in windows.values()),
-            "attributed_peers": len(self._peer_bytes),
+            "attributed_peers": int(np.count_nonzero(attributed)),
         }
         if ledger is not None:
             totals["bytes"] = {
@@ -533,104 +348,36 @@ class Telemetry:
         return {
             "schema": TELEMETRY_SCHEMA_VERSION,
             "window_s": WINDOW_S,
-            "cells": 1,
-            "labels": [],
+            "label": None,
             "totals": totals,
             "windows": {str(w): windows[w] for w in sorted(windows)},
-            "response_time_ms": self.response_time_ms.to_dict(),
-            "query_cost_bytes": self.query_cost_bytes.to_dict(),
-            "delivery_bytes": self.delivery_bytes.to_dict(),
-            "per_peer_bytes": per_peer.to_dict(),
-            "hot_peers": self.hot_peers.to_dict(),
-            "hot_links": self.hot_links.to_dict(),
+            "response_time_ms": digest(self._response_time_ms),
+            "query_cost_bytes": digest(self._query_cost_bytes),
+            "delivery_bytes": digest(self._delivery_bytes),
+            "per_peer_bytes": digest(per_peer[attributed]),
+            "hot_peers": hot_peers,
+            "hot_links": hot_links,
         }
 
 
-def _empty_window() -> Dict[str, Any]:
-    empty_hh = {"capacity": WINDOW_HH_CAPACITY, "floor": 0, "counts": {}, "errors": {}}
+def _window_doc(
+    stats: _WindowStats, top_peers: List[List[Any]], top_links: List[List[Any]]
+) -> Dict[str, Any]:
+    """One window of a summary document, before the ledger's bytes and the
+    live node-seconds are added in."""
     return {
-        "queries": 0, "hits": 0, "local_hits": 0, "deliveries": 0,
-        "joins": 0, "leaves": 0, "repairs": 0, "ads_requests": 0,
-        "confirmations": 0, "engine_events": 0, "bytes": {}, "messages": 0,
-        "load_bytes": 0.0, "live_node_seconds": 0,
-        "top_peers": dict(empty_hh, counts={}, errors={}),
-        "top_links": dict(empty_hh, counts={}, errors={}),
+        **{name: getattr(stats, name) for name in _WindowStats.__slots__},
+        "bytes": {}, "load_bytes": 0.0, "live_node_seconds": 0,
+        "top_peers": top_peers, "top_links": top_links,
     }
 
 
 # ------------------------------------------------- summary documents
-def fingerprint(doc: Dict[str, Any]) -> str:
-    """blake2b over the canonical JSON form of a summary document."""
+def fingerprint(doc: Any) -> str:
+    """blake2b over the canonical JSON form of a summary document, or of
+    a list of them."""
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return blake2b(payload.encode(), digest_size=16).hexdigest()
-
-
-def merge(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold summary document ``b`` into ``a``: a new document, which may
-    share values only one side holds with that side; neither input is
-    modified.
-
-    One rule set serves telemetry and probe summaries: ``schema``,
-    ``window_s`` and ``interval_s`` must match; labels concatenate; probe
-    ticks align by ``t``; sketches merge as sketches and heavy-hitter
-    states as Space-Saving; flags AND; ``t`` and ``*_ceiling`` keep the
-    left value, ``max`` / ``min`` fields take the extreme; every other
-    number adds.  Associative under an input-order fold.
-    """
-    return _fold("", a, b)
-
-
-_MUST_MATCH = ("schema", "window_s", "interval_s")
-
-
-def _fold(key: str, a: Any, b: Any) -> Any:
-    if key in _MUST_MATCH:
-        if a != b:
-            raise ValueError(f"cannot merge summaries: {key} {a!r} != {b!r}")
-        return a
-    if key == "labels":
-        return a + b
-    if key == "ticks":
-        by_t = {tick["t"]: tick for tick in a}
-        for tick in b:
-            t = tick["t"]
-            by_t[t] = _fold("", by_t[t], tick) if t in by_t else tick
-        return [by_t[t] for t in sorted(by_t)]
-    if isinstance(a, dict):
-        if "buckets" in a:  # LogBucketSketch.to_dict()
-            sketch = LogBucketSketch.from_dict(a)
-            sketch.merge(LogBucketSketch.from_dict(b))
-            return sketch.to_dict()
-        if "floor" in a:  # SpaceSaving.to_dict() or .state_dict()
-            hh = SpaceSaving.from_state_dict(a)
-            hh.merge(SpaceSaving.from_state_dict(b))
-            return hh.to_dict() if "top" in a else hh.state_dict()
-        return {
-            k: _fold(k, a[k], b[k]) if k in a and k in b else a.get(k, b.get(k))
-            for k in {**a, **b}
-        }
-    if isinstance(a, bool):
-        return a and b
-    if key == "t" or key.endswith("_ceiling"):
-        return a
-    if key == "max" or key.endswith("_max"):
-        return max(a, b)
-    if key == "min" or key.endswith("_min"):
-        return min(a, b)
-    return a + b
-
-
-def merge_summaries(
-    docs: Iterable[Optional[Dict[str, Any]]],
-) -> Optional[Dict[str, Any]]:
-    """Fold summary documents left-to-right (input order -- the
-    determinism contract), skipping ``None``; an empty input yields
-    ``None`` (the merge identity)."""
-    merged: Optional[Dict[str, Any]] = None
-    for doc in docs:
-        if doc is not None:
-            merged = doc if merged is None else merge(merged, doc)
-    return merged
 
 
 # ------------------------------------------- telemetry renderers
@@ -640,7 +387,6 @@ def _window_rows(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
     for w in sorted(doc["windows"], key=int):
         win = doc["windows"][w]
         nodesec = win["live_node_seconds"]
-        peers = SpaceSaving.from_state_dict(win["top_peers"])
         rows.append(
             {
                 "t_start": int(w) * doc["window_s"],
@@ -650,7 +396,7 @@ def _window_rows(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "hits": win["hits"],
                 "deliveries": win["deliveries"],
                 "churn": win["joins"] + win["leaves"],
-                "top_peers": [k for k, _, _ in peers.top(3)],
+                "top_peers": [str(node) for node, _ in win["top_peers"][:3]],
             }
         )
     return rows
@@ -676,34 +422,34 @@ def format_window_table(doc: Dict[str, Any], max_rows: Optional[int] = None) -> 
 
 
 def format_hotspots(doc: Dict[str, Any], n: Optional[int] = None) -> str:
-    """Top-K hottest peers and links over the whole run (text)."""
+    """The hottest peers and links over the whole run (text)."""
     n = n or TOP_K
     lines = []
     for kind in ("peer", "link"):
-        lines.append(f"hottest {kind}s (bytes attributed):")
-        for key, count, err in doc[f"hot_{kind}s"]["top"][:n]:
-            suffix = f" (±{err})" if err else ""
-            lines.append(f"  {kind} {key:>12}  {count:>12}{suffix}")
+        lines.append(f"hottest {kind}s (bytes charged):")
+        for *key, nbytes in doc[f"hot_{kind}s"][:n]:
+            name = "->".join(map(str, key))
+            lines.append(f"  {kind} {name:>12}  {nbytes:>12.0f}")
     return "\n".join(lines)
 
 
-def format_sketches(doc: Dict[str, Any]) -> str:
-    """Count, mean and p50 / p90 / p99 of the four quantile sketches
-    (text); the full sketches are in the document."""
+def format_digests(doc: Dict[str, Any]) -> str:
+    """Count, mean and p50 / p90 / p99 of the four digests (text)."""
     lines = [
-        f"{'sketch':<18}  {'count':>8}  {'mean':>12}  {'p50':>12}  "
+        f"{'digest':<18}  {'count':>8}  {'mean':>12}  {'p50':>12}  "
         f"{'p90':>12}  {'p99':>12}"
     ]
     for name in (
         "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes"
     ):
-        digest = LogBucketSketch.from_dict(doc[name]).summary_dict()
+        d = doc[name]
+        mean = d["total"] / d["count"] if d["count"] else None
         cells = [
-            "-" if digest[key] is None else f"{digest[key]:.1f}"
-            for key in ("mean", "p50", "p90", "p99")
+            "-" if value is None else f"{value:.1f}"
+            for value in (mean, d["p50"], d["p90"], d["p99"])
         ]
         lines.append(
-            f"{name:<18}  {digest['count']:>8}  "
+            f"{name:<18}  {d['count']:>8}  "
             + "  ".join(f"{cell:>12}" for cell in cells)
         )
     return "\n".join(lines)

@@ -77,13 +77,13 @@ class RunResult:
     # with audit=True); the report is an repro.obs.audit.AuditReport.
     audit: Optional[object] = None
     fingerprint: Optional[str] = None
-    # Streaming telemetry digest (run_experiment with telemetry=True);
-    # a repro.obs.telemetry summary document -- windowed load series,
-    # quantile sketches and hotspot heavy hitters, mergeable across cells.
+    # Load telemetry (run_experiment with telemetry=True); a
+    # repro.obs.telemetry summary document of this cell -- windowed load
+    # series, exact hot peers and links, and quantile digests.
     telemetry: Optional[dict] = None
     # Protocol-state snapshot series (run_experiment with probes=True);
-    # a repro.obs.probes summary document -- per-tick ad coverage,
-    # staleness, Bloom FP and cache-health series, mergeable across cells.
+    # a repro.obs.probes summary document of this cell -- per-tick ad
+    # coverage, staleness, Bloom FP and cache-health series.
     probes: Optional[dict] = None
 
     # ------------------------------------------------------------- metrics

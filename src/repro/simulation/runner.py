@@ -129,14 +129,14 @@ def run_experiment(
       :class:`~repro.obs.audit.AuditReport` and the run fingerprint to
       the result;
     * ``telemetry`` -- accumulate with a
-      :class:`repro.obs.telemetry.Telemetry`; the streaming aggregates
-      (windowed load, quantile sketches, hotspot heavy hitters) are
-      frozen into ``RunResult.telemetry`` as a mergeable summary
-      document -- the constant-memory alternative to full tracing;
+      :class:`repro.obs.telemetry.Telemetry`; its charge tables are
+      reduced (windowed load, hot peers and links, quantile digests)
+      into ``RunResult.telemetry`` as a summary document -- the
+      aggregated alternative to full tracing;
     * ``probes`` -- schedule periodic protocol-state snapshots
       (:class:`repro.obs.probes.ProbeRecorder`, cadence
       ``config.probe_interval_s``) and freeze them into
-      ``RunResult.probes`` as a mergeable summary document; snapshots
+      ``RunResult.probes`` as a summary document; snapshots
       are read-only, so results are identical with probes on or off;
     * ``phase_times`` -- optional dict filled with wall-clock phase
       durations (``setup_s``: substrate/topology/workload construction

@@ -16,6 +16,8 @@ in-tree twins live here, imported by tests only:
 * :mod:`tests.oracles.gsa` -- the GSA search heap loop over flat CSR lists;
 * :mod:`tests.oracles.ledger` -- the bandwidth ledger as a dict of seconds,
   each a dict of categories;
+* :mod:`tests.oracles.telemetry` -- telemetry's hot lists, per-window top
+  lists and digests as dict sums and sorts;
 * :mod:`tests.oracles.hops` -- scipy all-pairs hop counts of a stub graph
   and Dijkstra over the transit core;
 * :mod:`tests.oracles.state` -- the O(n^2) invariant audit of the dense

@@ -109,7 +109,9 @@ class TestTelemetrySection:
         assert "## Telemetry" in report
         assert "B/node/s" in report  # the Fig-9-style window table
         assert "hottest peers" in report  # top-K hotspot table
-        assert "Sweep-wide hotspots" in report
+        # Node ids of different overlays name different peers: no section
+        # adds them up across the sweep.
+        assert "Sweep-wide hotspots" not in report
         for result in grid.results().values():
             assert result.telemetry is not None
 

@@ -151,7 +151,14 @@ SUBSTRATES = {
 #: nine ASAP telemetry rows were re-recorded when a workload free rider
 #: stopped keeping a refresh timer: its ticks sent nothing, so only
 #: ``engine_events`` moved (1,257 -> 1,160 on ``asap_rw/seed0/default_churn``);
-#: every byte, probe state and run fingerprint stayed.
+#: every byte, probe state and run fingerprint stayed.  All twelve rows were
+#: re-recorded once more when telemetry became exact: hot peers and links
+#: come from a table of every charge instead of Space-Saving trackers (which
+#: had compacted on every row and named the wrong hottest peer on 7 of 12),
+#: every quantile sketch became an exact ``digest``, and each window lost its
+#: unfilled ``messages`` key.  Totals, every window's counters, bytes,
+#: ``load_bytes`` and ``live_node_seconds``, and every probe scalar were
+#: checked equal to the previous commit's before the rows were re-recorded.
 OBS_ROWS = (
     "flooding/seed0/default_churn",
     "random_walk/seed0/default_churn",
@@ -178,12 +185,14 @@ def obs_fingerprints(config):
 
 
 #: The rows above pin single cells; this ``report run`` pins the input-order
-#: merge of two seeds' telemetry and probe documents (``--jobs 2``), whose
+#: list of two seeds' telemetry and probe documents (``--jobs 2``), whose
 #: ``run.json`` sections it digests whole, labels and backend included.
 #: Recorded at a139b44, the last commit with a summary class per observer;
 #: re-recorded with the ASAP telemetry rows above, when free riders' empty
 #: refresh ticks left the engine (``engine_events`` and the probes' backend
-#: engine gauges moved, nothing else).
+#: engine gauges moved, nothing else), and again with all the rows above,
+#: when the sections stopped adding up the two seeds' documents and became
+#: the list of them.
 MERGED_RUN = (
     "run", "--telemetry", "--probes", "--probe-interval", "5",
     "--peers", "60", "--queries", "30", "--replications", "2", "--jobs", "2",

@@ -188,7 +188,7 @@ def test_ad_delivered_books_telemetry_where_the_ledger_booked_the_messages():
     ad, report = _delivery()
     Instrumentation(tracer, telemetry).ad_delivered("rw", ad, 10.2, report, 11, 5)
     # The ledger's first second + 0.5 with the report's bytes, not ``now``.
-    assert telemetry.calls == [("delivery", (11.5, 4, 72.0, 3))]
+    assert telemetry.calls == [("delivery", (11.5, 4, 72.0))]
     assert _records(records) == [
         ("event", "ad", "deliver.rw", 10.2, {
             "source": 4, "ad_type": "refresh", "topics": 2, "visited": 2,

@@ -1,12 +1,12 @@
-"""Protocol-state probes: determinism, sketches, merging, ads-state health.
+"""Protocol-state probes: determinism, digests, per-cell documents, ads-state health.
 
 The probe layer's contract (ISSUE 10) is determinism across everything
 that should not matter:
 
 * the **storage layout** -- every protocol-state series equals a plain
   per-repository loop over the cached entries;
-* the **execution mode** -- serial vs ``jobs=2`` sweeps merge to
-  bit-identical summaries (full ``fingerprint``, backend included);
+* the **execution mode** -- serial vs ``jobs=2`` sweeps list
+  bit-identical documents (full ``fingerprint``, backend included);
 * the **probes themselves** -- enabling them never changes the run's
   results (outcomes, ledger, audit fingerprint).
 
@@ -28,11 +28,10 @@ from repro.obs.probes import (
     ProbeRecorder,
     format_state_table,
     headline,
-    pow2_sketch,
     snapshot_state,
     state_fingerprint,
 )
-from repro.obs.telemetry import LogBucketSketch, fingerprint, merge, merge_summaries
+from repro.obs.telemetry import digest, fingerprint
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
@@ -52,40 +51,6 @@ def _config(algorithm="asap_rw", n_peers=200, n_queries=300, seed=0, **kw):
     return dataclasses.replace(cfg, probe_interval_s=15.0, **kw)
 
 
-# ------------------------------------------------------------ pow2_sketch
-def test_pow2_sketch_matches_scalar_sketch_quantiles():
-    # Same gamma-2 bucketing as LogBucketSketch.add, so quantiles agree.
-    rng = np.random.default_rng(7)
-    values = rng.exponential(30.0, size=500)
-    vec = pow2_sketch(values)
-    ref = LogBucketSketch(gamma=2.0)
-    for v in values:
-        ref.add(float(v))
-    assert vec.count == ref.count == 500
-    assert vec.buckets == ref.buckets
-    assert vec.min == ref.min and vec.max == ref.max
-    for q in (0.1, 0.5, 0.9, 0.99):
-        assert vec.quantile(q) == ref.quantile(q)
-
-
-def test_pow2_sketch_exact_powers_of_two_and_zeros():
-    # ceil(log2 v): exact powers of two sit in their own bucket key.
-    sketch = pow2_sketch([0.0, 0.0, 1.0, 2.0, 4.0, 3.0])
-    assert sketch.zero_count == 2
-    assert sketch.count == 6
-    assert sketch.buckets == {0: 1, 1: 1, 2: 2}  # 1 -> 0; 2 -> 1; 3,4 -> 2
-    assert sketch.total == pytest.approx(10.0)
-
-
-def test_pow2_sketch_empty_and_order_independent():
-    assert pow2_sketch([]).count == 0
-    a = pow2_sketch([3.0, 1.0, 2.0])
-    b = pow2_sketch([2.0, 3.0, 1.0])
-    assert a.to_dict() == b.to_dict()
-    with pytest.raises(ValueError):
-        pow2_sketch([-1.0])
-
-
 def test_probes_do_not_change_run_results():
     cfg = _config(n_peers=150, n_queries=250, seed=2)
     on = run_experiment(cfg, probes=True, audit=True)
@@ -102,53 +67,13 @@ def test_merged_summary_bit_identical_serial_vs_jobs2():
     configs = [_config(n_peers=120, n_queries=200, seed=s) for s in (0, 1)]
     serial = run_cells(configs, jobs=1, probes=True)
     parallel = run_cells(configs, jobs=2, probes=True)
-    merged_serial = merge_summaries(r.probes for r in serial)
-    merged_parallel = merge_summaries(r.probes for r in parallel)
+    merged_serial = [r.probes for r in serial]
+    merged_parallel = [r.probes for r in parallel]
     assert fingerprint(merged_serial) == fingerprint(merged_parallel)
-    assert merged_serial["cells"] == 2
-    assert merged_serial["labels"] == [
+    assert [doc["label"] for doc in merged_serial] == [
         "asap_rw/crawled/seed0",
         "asap_rw/crawled/seed1",
     ]
-
-
-# ---------------------------------------------------------------- merging
-def test_merge_aligns_ticks_and_folds_sketches():
-    cfg_a = _config(n_peers=120, n_queries=200, seed=0)
-    cfg_b = _config(n_peers=120, n_queries=200, seed=1)
-    a = run_experiment(cfg_a, probes=True).probes
-    b = run_experiment(cfg_b, probes=True).probes
-    merged = merge(a, b)
-    assert merged["cells"] == 2
-    # Shared ticks fold: counters sum, sketches merge.
-    shared_t = {t["t"] for t in a["ticks"]} & {t["t"] for t in b["ticks"]}
-    for t in sorted(shared_t):
-        ta = next(x for x in a["ticks"] if x["t"] == t)
-        tb = next(x for x in b["ticks"] if x["t"] == t)
-        tm = next(x for x in merged["ticks"] if x["t"] == t)
-        assert tm["entries"] == ta["entries"] + tb["entries"]
-        sm = LogBucketSketch.from_dict(tm["staleness"]["age_s"])
-        sa = LogBucketSketch.from_dict(ta["staleness"]["age_s"])
-        sb = LogBucketSketch.from_dict(tb["staleness"]["age_s"])
-        assert sm.count == sa.count + sb.count
-        assert sm.max == max(sa.max, sb.max)
-    # The merge is associative with the left fold used by run_cells.
-        # Flags AND, extremes take the extreme, the paper ceiling is kept.
-        assert tm["backend"]["arena"]["slot_index_consistent"] is True
-        assert tm["bloom"]["fp_max"] == max(ta["bloom"]["fp_max"], tb["bloom"]["fp_max"])
-        assert tm["bloom"]["fp_ceiling"] == ta["bloom"]["fp_ceiling"]
-    # The merge is associative with the left fold used by run_cells.
-    assert fingerprint(merge_summaries([a, b])) == fingerprint(merged)
-    assert merge_summaries([None, a, None, b]) is not None
-    assert merge_summaries([]) is None
-    assert merge_summaries([None]) is None
-
-
-def test_merge_rejects_interval_mismatch():
-    a = ProbeRecorder(10.0).summary()
-    b = ProbeRecorder(20.0).summary()
-    with pytest.raises(ValueError, match="interval_s"):
-        merge(a, b)
 
 
 def test_summary_roundtrip_and_schema():
@@ -159,12 +84,10 @@ def test_summary_roundtrip_and_schema():
     back = json.loads(json.dumps(doc))
     assert fingerprint(back) == fingerprint(doc)
     assert state_fingerprint(back) == state_fingerprint(doc)
-    # The state identity ignores labels and backend gauges; the full one not.
-    relabelled = dict(doc, labels=["elsewhere"])
+    # The state identity ignores the label and backend gauges; the full one not.
+    relabelled = dict(doc, label="elsewhere")
     assert state_fingerprint(relabelled) == state_fingerprint(doc)
     assert fingerprint(relabelled) != fingerprint(doc)
-    with pytest.raises(ValueError, match="schema"):
-        merge(doc, dict(doc, schema=999))
 
 
 # ----------------------------------------------------------- snapshot body
@@ -183,8 +106,10 @@ def test_snapshot_state_contents():
         bloom = tick["bloom"]
         assert bloom["fp_ceiling"] == 0.5 ** 8  # the paper's k=8 ceiling
         assert 0.0 <= bloom["fp_max"] <= 1.0
-        ages = LogBucketSketch.from_dict(tick["staleness"]["age_s"])
-        assert ages.count == tick["entries"]
+        ages = tick["staleness"]["age_s"]
+        assert ages["count"] == tick["entries"]
+        assert ages["min"] <= ages["p50"] <= ages["p90"] <= ages["p99"] <= ages["max"]
+        assert tick["occupancy"]["per_node"]["total"] == occ["total"]
         backend = tick["backend"]
         assert backend["arena"]["slot_index_consistent"] is True
         assert backend["engine"]["events_processed"] > 0
@@ -336,8 +261,8 @@ def test_state_matches_per_repo_loop():
         assert snap["entries"] == len(ages)
         assert snap["staleness"] == {
             "behind": sum(len(repo.behind) for repo in repos),
-            "age_s": pow2_sketch(ages).to_dict(),
-            "version_lag": pow2_sketch(lags).to_dict(),
+            "age_s": digest(ages),
+            "version_lag": digest(lags),
         }
         replication, fractions = [], []
         audience_total = covered_total = 0
@@ -362,8 +287,8 @@ def test_state_matches_per_repo_loop():
             "audience": audience_total,
             "covered": covered_total,
             "holders": int(sum(replication)),
-            "replication": pow2_sketch(replication).to_dict(),
-            "fraction": pow2_sketch(fractions).to_dict(),
+            "replication": digest(replication),
+            "fraction": digest(fractions),
         }
         checked["n"] += 1
 

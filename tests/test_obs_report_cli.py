@@ -84,20 +84,21 @@ def test_telemetry_writes_artifacts(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "B/node/s" in printed
     assert "hottest peers" in printed
-    data = json.loads((out / "run.json").read_text())["telemetry"]
-    assert data["schema"] == 1
-    assert data["cells"] == 1
+    (data,) = json.loads((out / "run.json").read_text())["telemetry"]
+    assert data["schema"] == 2
+    assert data["label"] == "asap_rw/random/seed0"
     assert data["totals"]["queries"] == 12
-    # The sketch quantiles no file but run.json's raw buckets holds.
-    sketches = {
+    # The printed digests are the document's.
+    digests = {
         line.split()[0]: line.split()[1:]
-        for line in printed[printed.index("sketch "):].splitlines()[1:5]
+        for line in printed[printed.index("digest "):].splitlines()[1:5]
     }
-    assert list(sketches) == [
+    assert list(digests) == [
         "response_time_ms", "query_cost_bytes", "delivery_bytes", "per_peer_bytes",
     ]
-    assert sketches["query_cost_bytes"][0] == "12"
-    assert int(sketches["response_time_ms"][0]) == data["response_time_ms"]["count"]
+    assert digests["query_cost_bytes"][0] == "12"
+    assert int(digests["response_time_ms"][0]) == data["response_time_ms"]["count"]
+    assert float(digests["per_peer_bytes"][2]) == data["per_peer_bytes"]["p50"]
     # One artifact, no trace: telemetry is the trace-free path.
     assert [p.name for p in out.iterdir()] == ["run.json"]
 
@@ -110,10 +111,15 @@ def test_telemetry_replications_merge(tmp_path, capsys):
     ])
     assert code == 0
     data = json.loads((out / "run.json").read_text())["telemetry"]
-    assert data["cells"] == 2
-    assert data["totals"]["queries"] == 24
-    assert data["labels"] == ["asap_rw/random/seed0", "asap_rw/random/seed1"]
-    capsys.readouterr()
+    # Each seed keeps its own document: their peers are different peers.
+    assert [doc["totals"]["queries"] for doc in data] == [12, 12]
+    assert [doc["label"] for doc in data] == [
+        "asap_rw/random/seed0", "asap_rw/random/seed1",
+    ]
+    printed = capsys.readouterr().out
+    assert printed.index("telemetry of asap_rw/random/seed0") < printed.index(
+        "telemetry of asap_rw/random/seed1"
+    )
 
 
 def test_probes_with_no_tick_fail_naming_interval_and_horizon(tmp_path, capsys):
@@ -122,7 +128,7 @@ def test_probes_with_no_tick_fail_naming_interval_and_horizon(tmp_path, capsys):
     out = tmp_path / "no-tick"
     assert main(["run", *COMMON, "--probes", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert json.loads((out / "run.json").read_text())["state"]["ticks"] == []
+    assert json.loads((out / "run.json").read_text())["state"][0]["ticks"] == []
     assert "60 s probe interval" in err and "s simulated horizon" in err
 
 
@@ -257,9 +263,10 @@ def test_run_observer_flags(flags, sections, tmp_path, capsys):
     if "audit" in sections:
         assert [report["ok"] for report in doc["audit"]] == [True]
     if "telemetry" in sections:
-        assert doc["telemetry"]["labels"] == ["asap_rw/random/seed3"]
+        assert [t["label"] for t in doc["telemetry"]] == ["asap_rw/random/seed3"]
     if "state" in sections:
-        assert doc["state"]["interval_s"] == 5 and doc["state"]["ticks"]
+        (state,) = doc["state"]
+        assert state["interval_s"] == 5 and state["ticks"]
     # A flag outside the run's set is still an error, not silently eaten.
     with pytest.raises(SystemExit):
         main(["run", *COMMON, "--no-such-cell-flag"])

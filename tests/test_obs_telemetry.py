@@ -1,35 +1,40 @@
-"""Streaming telemetry: sketches, heavy hitters and the merge contract.
+"""Load telemetry: exact reductions, digests and the per-cell contract.
 
-The load-bearing guarantee mirrors the parallel layer's: per-cell
-telemetry summary documents merged **in input order** are bit-identical
-whether the cells ran serially or under ``run_cells --jobs N``.  These tests
-pin that (canonical JSON string equality), plus the algebra that makes it
-work: key-wise integer merges that are associative with an empty-merge
-identity, and heavy hitters that stay exact while distinct keys fit
-within capacity.
+Every figure of a summary document is an exact function of the charges the
+run made: the hot lists, per-window top lists, digests and attributed-peer
+count are checked against a dict-based reference accumulator
+(``tests/oracles/telemetry.py``) on drawn charge streams and on every
+golden telemetry row.  A document describes one cell; a run of several
+cells reports the list of their documents in input order, which these
+tests pin bit-identical whether the cells ran serially or under
+``run_cells --jobs N`` (canonical JSON string equality).
 """
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.parallel import run_cells
 from repro.obs.telemetry import (
-    LogBucketSketch,
-    SpaceSaving,
     TELEMETRY_SCHEMA_VERSION,
+    TOP_K,
+    WINDOW_S,
     Telemetry,
+    digest,
     fingerprint,
+    format_digests,
     format_hotspots,
     format_window_table,
     load_std_bpns,
-    merge,
-    merge_summaries,
     quantile_nearest_rank,
 )
 from repro.simulation import run_experiment, scaled_config
+
+from tests.oracles.telemetry import DictTelemetry
+from tests.test_golden_fingerprints import CONFIGS, OBS_ROWS
 
 
 def _json(doc):
@@ -84,117 +89,33 @@ class TestQuantileNearestRank:
 
 
 # --------------------------------------------------------------------------
-# LogBucketSketch
+# digest
 # --------------------------------------------------------------------------
-class TestLogBucketSketch:
+class TestDigest:
     def test_empty(self):
-        s = LogBucketSketch()
-        assert s.count == 0
-        assert math.isnan(s.quantile(0.5))
-        assert math.isnan(s.mean)
+        assert digest([]) == {
+            "count": 0, "total": 0.0, "min": None, "max": None,
+            "p50": None, "p90": None, "p99": None,
+        }
 
-    def test_exact_stats(self):
-        s = LogBucketSketch()
-        for v in (10.0, 20.0, 30.0):
-            s.add(v)
-        assert s.count == 3
-        assert s.total == 60.0
-        assert s.min == 10.0
-        assert s.max == 30.0
+    def test_exact_stats_and_nearest_rank_quantiles(self):
+        values = [float(v) for v in range(1, 101)]
+        assert digest(values) == {
+            "count": 100, "total": 5050.0, "min": 1.0, "max": 100.0,
+            "p50": 50.0, "p90": 90.0, "p99": 99.0,
+        }
 
-    def test_quantile_relative_error(self):
-        gamma = 1.05
-        s = LogBucketSketch(gamma)
-        values = [float(i) for i in range(1, 2001)]
-        for v in values:
-            s.add(v)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            exact = quantile_nearest_rank(values, q)
-            approx = s.quantile(q)
-            assert abs(approx - exact) <= (gamma - 1.0) * exact + 1e-9
+    def test_zeros_count(self):
+        d = digest([0.0] * 5 + [100.0])
+        assert (d["count"], d["p50"], d["p90"], d["max"]) == (6, 0.0, 100.0, 100.0)
 
-    def test_quantile_clamped_to_observed_range(self):
-        s = LogBucketSketch()
-        s.add(42.0)
-        assert s.quantile(0.0) == 42.0
-        assert s.quantile(1.0) == 42.0
-
-    def test_zero_values_bucketed_exactly(self):
-        s = LogBucketSketch()
-        for _ in range(5):
-            s.add(0.0)
-        s.add(100.0)
-        assert s.count == 6
-        assert s.quantile(0.5) == 0.0
-
-    def test_merge_equals_union(self):
-        a, b, u = LogBucketSketch(), LogBucketSketch(), LogBucketSketch()
-        for i in range(1, 50):
-            a.add(float(i))
-            u.add(float(i))
-        for i in range(40, 90):
-            b.add(float(i))
-            u.add(float(i))
-        a.merge(b)
-        assert a.to_dict() == u.to_dict()
-
-    def test_dict_round_trip(self):
-        s = LogBucketSketch()
-        for v in (0.0, 1.5, 88.0, 1e6):
-            s.add(v)
-        clone = LogBucketSketch.from_dict(s.to_dict())
-        assert clone.to_dict() == s.to_dict()
-        assert clone.quantile(0.5) == s.quantile(0.5)
-
-
-# --------------------------------------------------------------------------
-# SpaceSaving heavy hitters
-# --------------------------------------------------------------------------
-class TestSpaceSaving:
-    def test_exact_below_capacity(self):
-        ss = SpaceSaving(capacity=8)
-        ss.add("a", 5)
-        ss.add("b", 3)
-        ss.add("a", 2)
-        assert ss.top(2) == [("a", 7, 0), ("b", 3, 0)]
-
-    def test_top_ties_break_by_key(self):
-        ss = SpaceSaving(capacity=8)
-        ss.add("z", 4)
-        ss.add("a", 4)
-        assert [k for k, _, _ in ss.top(2)] == ["a", "z"]
-
-    def test_overflow_bounds_memory_and_keeps_heavies(self):
-        ss = SpaceSaving(capacity=4)
-        for i in range(100):
-            ss.add(f"cold{i}", 1)
-        ss.add("hot", 1000)
-        for i in range(100, 200):
-            ss.add(f"cold{i}", 1)
-        assert len(ss.counts) <= 2 * ss.capacity
-        top_keys = [k for k, _, _ in ss.top(1)]
-        assert top_keys == ["hot"]
-
-    def test_merge_exact_regime_matches_union(self):
-        a, b, u = SpaceSaving(16), SpaceSaving(16), SpaceSaving(16)
-        for key, n in (("x", 3), ("y", 7)):
-            a.add(key, n)
-            u.add(key, n)
-        for key, n in (("y", 2), ("z", 5)):
-            b.add(key, n)
-            u.add(key, n)
-        a.merge(b)
-        assert a.state_dict() == u.state_dict()
-
-    def test_state_dict_round_trip(self):
-        ss = SpaceSaving(4)
-        for i in range(30):
-            ss.add(i % 6, i)
-        clone = SpaceSaving.from_state_dict(ss.state_dict())
-        assert clone.state_dict() == ss.state_dict()
-        # The top-list form run-wide summaries hold is just as lossless.
-        clone = SpaceSaving.from_state_dict(ss.to_dict())
-        assert clone.state_dict() == ss.state_dict()
+    @given(st.lists(st.integers(0, 10**6), max_size=60), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_order_independent_and_json_plain(self, values, rng):
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        assert _json(digest(values)) == _json(digest(shuffled))
+        assert json.loads(_json(digest(values))) == digest(values)
 
 
 # --------------------------------------------------------------------------
@@ -215,75 +136,178 @@ class TestTelemetryAccumulator:
         t.record_peer_bytes(0.0, 7, 100.0)
         t.record_link(0.0, 7, 9, 100.0)
         summary = t.summary()
-        assert summary["hot_peers"]["top"][0][0] == "7"
-        assert summary["hot_links"]["top"][0][0] == "7->9"
+        # JSON object keys are strings; peers and links are named by ids.
+        assert list(summary["windows"]) == ["0"]
+        assert summary["hot_peers"] == [[7, 100.0]]
+        assert summary["hot_links"] == [[7, 9, 100.0]]
+        assert json.loads(_json(summary)) == summary
 
 
 # --------------------------------------------------------------------------
-# Merge semantics (satellite: associativity, identity, serial == jobs 2)
+# Exact reductions against the dict-based oracle
+# --------------------------------------------------------------------------
+#: Times on, just before and just after window boundaries, and in between.
+_TIMES = st.one_of(
+    st.integers(0, 6).map(lambda k: k * WINDOW_S),
+    st.integers(1, 6).map(lambda k: k * WINDOW_S - 0.25),
+    st.floats(0.0, 70.0, allow_nan=False),
+)
+_NODES = st.integers(0, 11)
+#: Whole bytes (as on the wire), 0 B included, few values so ties are common.
+_BYTES = st.sampled_from([0.0, 0.0, 1.0, 40.0, 40.0, 160.0, 512.0, 1280.0])
+#: Dyadic milliseconds, so every order of summation is exact.
+_MS = st.integers(0, 4000).map(lambda v: v / 8)
+
+_CHARGES = st.lists(
+    st.one_of(
+        st.tuples(st.just("peer"), _TIMES, _NODES, _BYTES),
+        st.tuples(st.just("link"), _TIMES, _NODES, _NODES, _BYTES),
+        st.tuples(st.just("confirmation"), _TIMES, _NODES, _NODES, _BYTES),
+        # Deliveries are booked at the middle of their first second.
+        st.tuples(st.just("delivery"), st.integers(0, 70), _NODES, _BYTES),
+        st.tuples(st.just("ads_request"), _TIMES, _NODES, _BYTES),
+        st.tuples(st.just("repair"), _TIMES, _NODES, _BYTES),
+        st.tuples(st.just("query"), _TIMES, st.booleans(), st.booleans(), _MS, _BYTES),
+    ),
+    max_size=80,
+)
+
+
+def _feed(charges):
+    """``(summary, oracle)`` after the same charges went to both."""
+    t, ref = Telemetry(), DictTelemetry()
+    for kind, *args in charges:
+        if kind == "peer":
+            t.record_peer_bytes(*args)
+            ref.peer(*args)
+        elif kind == "link":
+            t.record_link(*args)
+            ref.link(*args)
+        elif kind == "confirmation":
+            now, requester, target, nbytes = args
+            t.record_confirmation(now, requester, target, nbytes)
+            ref.peer(now, target, nbytes)
+            ref.link(now, requester, target, nbytes)
+        elif kind == "delivery":
+            first_second, source, nbytes = args
+            t.record_delivery(first_second + 0.5, source, nbytes)
+            ref.value("delivery_bytes", nbytes)
+            ref.peer(first_second + 0.5, source, nbytes)
+        elif kind in ("ads_request", "repair"):
+            getattr(t, f"record_{kind}")(*args)
+            ref.peer(*args)
+        else:
+            now, success, local_hit, ms, cost = args
+            t.record_query(now, 0, SimpleNamespace(
+                success=success, local_hit=local_hit, response_time_ms=ms, cost_bytes=cost,
+            ))
+            if success and not local_hit:
+                ref.value("response_time_ms", ms)
+            ref.value("query_cost_bytes", cost)
+    return t.summary(), ref
+
+
+def _check_against(summary, ref):
+    assert summary["hot_peers"] == ref.hot_peers()
+    assert summary["hot_links"] == ref.hot_links()
+    windows = summary["windows"]
+    for kind, tops in (("top_peers", ref.top_peers()), ("top_links", ref.top_links())):
+        assert {w: win[kind] for w, win in windows.items() if win[kind]} == {
+            w: top for w, top in tops.items() if top
+        }
+    for name, expected in ref.digests().items():
+        assert summary[name] == expected, name
+    assert summary["totals"]["attributed_peers"] == ref.attributed_peers()
+
+
+class TestExactReductions:
+    @given(_CHARGES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_oracle(self, charges):
+        summary, ref = _feed(charges)
+        _check_against(summary, ref)
+        # A window is listed when a charge of bytes or a counter fell in it.
+        charged = set(ref.window_peers) | set(ref.window_links)
+        assert {int(w) for w in summary["windows"]} >= charged
+
+    def test_ties_break_by_id_and_zero_bytes_rank_nothing(self):
+        summary, ref = _feed(
+            [("peer", 0.0, 5, 40.0), ("peer", 1.0, 3, 40.0), ("peer", 2.0, 9, 0.0)]
+            + [("link", 0.0, 2, 1, 40.0), ("link", 9.75, 1, 2, 40.0)]
+        )
+        assert summary["hot_peers"] == [[3, 40.0], [5, 40.0]]
+        assert summary["hot_links"] == [[1, 2, 40.0], [2, 1, 40.0]]
+        # A node charged only 0 B is attributed and digested, never hot.
+        assert summary["totals"]["attributed_peers"] == 3
+        assert summary["per_peer_bytes"]["min"] == 0.0
+        _check_against(summary, ref)
+
+    def test_top_k_per_window(self):
+        charges = [("peer", 10.0 + i / 4, i, float(100 + i)) for i in range(TOP_K + 4)]
+        summary, ref = _feed(charges)
+        top = summary["windows"]["1"]["top_peers"]
+        assert [node for node, _ in top] == list(range(TOP_K + 3, 3, -1))
+        _check_against(summary, ref)
+
+
+@pytest.mark.parametrize("name", OBS_ROWS)
+def test_golden_rows_report_exact_hot_lists_and_digests(name, monkeypatch):
+    """On every golden telemetry row, every hot list, per-window top list
+    and digest equals what the oracle makes of the charges the run fed."""
+    ref = DictTelemetry()
+    feeds = {
+        "record_peer_bytes": lambda t, node, nbytes: ref.peer(t, node, nbytes),
+        "record_link": lambda t, src, dst, nbytes: ref.link(t, src, dst, nbytes),
+        "record_delivery": lambda t, source, nbytes: ref.value("delivery_bytes", nbytes),
+    }
+    for method, feed in feeds.items():
+        original = getattr(Telemetry, method)
+
+        def wrapped(self, *args, _original=original, _feed=feed):
+            _feed(*args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Telemetry, method, wrapped)
+    original_query = Telemetry.record_query
+
+    def record_query(self, t, requester, outcome):
+        if outcome.success and not outcome.local_hit:
+            ref.value("response_time_ms", outcome.response_time_ms)
+        ref.value("query_cost_bytes", outcome.cost_bytes)
+        return original_query(self, t, requester, outcome)
+
+    monkeypatch.setattr(Telemetry, "record_query", record_query)
+    summary = run_experiment(CONFIGS[name], telemetry=True).telemetry
+    assert len(summary["hot_peers"]) == TOP_K
+    _check_against(summary, ref)
+
+
+# --------------------------------------------------------------------------
+# Documents: one per cell, a run of several cells lists them
 # --------------------------------------------------------------------------
 def _synthetic_summary(seed: int) -> dict:
-    """A small summary whose heavy hitters stay within the exact regime."""
     t = Telemetry()
     for i in range(20):
         t.record_engine_event(float(seed + i))
         t.record_peer_bytes(float(i), (seed * 3 + i) % 10, 100.0 + i)
         t.record_link(float(i), i % 5, (i + 1) % 5, 50.0 + seed)
     t.record_churn(2.0, joined=True)
-    t.record_delivery(4.0, seed % 10, 512.0, 4)
-    return dict(t.summary(), labels=[f"s{seed}"])
+    t.record_delivery(4.0, seed % 10, 512.0)
+    return dict(t.summary(), label=f"s{seed}")
 
 
 class TestMergeSemantics:
-    def test_empty_merge_is_identity(self):
-        assert merge_summaries([]) is None
-        assert merge_summaries([None, None]) is None
-        s = _synthetic_summary(0)
-        assert merge_summaries([None, s]) is s
-
-    def test_merge_is_associative_in_exact_regime(self):
-        a, b, c = (_synthetic_summary(i) for i in range(3))
-        left = merge(merge(a, b), c)
-        right = merge(a, merge(b, c))
-        assert _json(left) == _json(right)
-        assert left["labels"] == ["s0", "s1", "s2"]
-        # Merging builds a new document: the inputs are left as they were.
-        assert _json(a) == _json(_synthetic_summary(0))
-
-    def test_merge_is_commutative_on_counters(self):
-        a, b = _synthetic_summary(0), _synthetic_summary(1)
-        ab, ba = merge(a, b), merge(b, a)
-        assert ab["totals"] == ba["totals"]
-        assert {w: {k: v for k, v in win.items() if isinstance(v, (int, float))}
-                for w, win in ab["windows"].items()} == \
-               {w: {k: v for k, v in win.items() if isinstance(v, (int, float))}
-                for w, win in ba["windows"].items()}
-
-    def test_merge_sums_window_counters(self):
-        a, b = _synthetic_summary(0), _synthetic_summary(0)
-        merged = merge(a, b)
-        assert merged["totals"]["engine_events"] == 2 * a["totals"]["engine_events"]
-        assert (
-            merged["windows"]["0"]["engine_events"]
-            == 2 * a["windows"]["0"]["engine_events"]
-        )
-        assert merged["cells"] == 2
-
-    def test_merge_rejects_window_mismatch(self):
-        """Summaries that did not come from this process may be windowed
-        differently (a ``telemetry.json`` of another build)."""
-        a = Telemetry().summary()
-        b = dict(Telemetry().summary(), window_s=a["window_s"] / 2)
-        with pytest.raises(ValueError, match="window_s"):
-            merge(a, b)
-        with pytest.raises(ValueError, match="schema"):
-            merge(a, dict(a, schema=TELEMETRY_SCHEMA_VERSION + 1))
+    """Nothing is added up across cells: the peers of two seeds or overlays
+    are different peers.  A run of several cells is the input-order list
+    of their documents, and one fingerprint digests either form."""
 
     def test_schema_and_fingerprint(self):
         s = _synthetic_summary(0)
         assert s["schema"] == TELEMETRY_SCHEMA_VERSION
         assert fingerprint(s) == fingerprint(_synthetic_summary(0))
         assert fingerprint(s) != fingerprint(_synthetic_summary(1))
+        pair = [_synthetic_summary(0), _synthetic_summary(1)]
+        assert fingerprint(pair) != fingerprint(pair[::-1])
 
     def test_to_json_is_canonical(self):
         """The fingerprint survives the JSON round trip ``run.json`` makes
@@ -294,7 +318,7 @@ class TestMergeSemantics:
 
 
 class TestSerialParallelBitEquality:
-    """The acceptance criterion: --jobs 2 aggregates bit-identical to serial."""
+    """The acceptance criterion: --jobs 2 documents bit-identical to serial."""
 
     @pytest.fixture(scope="class")
     def configs(self):
@@ -303,14 +327,14 @@ class TestSerialParallelBitEquality:
     def test_per_cell_and_merged_summaries_identical(self, configs):
         serial = run_cells(configs, jobs=1, telemetry=True)
         parallel = run_cells(configs, jobs=2, telemetry=True)
-        for s, p in zip(serial, parallel):
-            assert _json(s.telemetry) == _json(p.telemetry)
-        merged_s = merge_summaries(r.telemetry for r in serial)
-        merged_p = merge_summaries(r.telemetry for r in parallel)
+        merged_s = [r.telemetry for r in serial]
+        merged_p = [r.telemetry for r in parallel]
         assert _json(merged_s) == _json(merged_p)
         assert fingerprint(merged_s) == fingerprint(merged_p)
-        # A sweep's summary names its cells; a lone run's names none.
-        assert merged_s["labels"] == [f"asap_rw/random/seed{s}" for s in (0, 1, 2)]
+        # A sweep's documents name their cells; a lone run's names none.
+        assert [doc["label"] for doc in merged_s] == [
+            f"asap_rw/random/seed{s}" for s in (0, 1, 2)
+        ]
 
     def test_replications_merge_matches_manual_fold(self, configs, tmp_path, capsys):
         from repro.obs.report import main
@@ -321,12 +345,13 @@ class TestSerialParallelBitEquality:
             "--replications", "2", "--jobs", "2", "--telemetry",
             "--out", str(tmp_path),
         ]) == 0
-        capsys.readouterr()
+        printed = capsys.readouterr().out
         merged = json.loads((tmp_path / "run.json").read_text())["telemetry"]
         seeds = run_cells(configs[:2], telemetry=True)
-        fold = merge_summaries(r.telemetry for r in seeds)
-        assert merged == json.loads(_json(fold))
-        assert merged["cells"] == 2
+        assert merged == json.loads(_json([r.telemetry for r in seeds]))
+        # Each seed is rendered under its own label.
+        for doc in merged:
+            assert f"telemetry of {doc['label']}, fingerprint {fingerprint(doc)}" in printed
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +367,7 @@ class TestRunExperimentTelemetry:
 
     def test_summary_attached(self, result):
         assert isinstance(result.telemetry, dict)
-        assert result.telemetry["labels"] == []
+        assert result.telemetry["label"] is None
 
     def test_totals_agree_with_result(self, result):
         totals = result.telemetry["totals"]
@@ -364,17 +389,15 @@ class TestRunExperimentTelemetry:
         assert windowed == pytest.approx(float(series.bytes_per_second.sum()))
 
     def test_response_time_sketch_brackets_exact_extremes(self, result):
-        # Local hits resolve without network traffic, so the sketch only
+        # Local hits resolve without network traffic, so the digest only
         # sees remote successes (the times the paper's Figure 5 averages).
         times = [
             o.response_time_ms
             for o in result.outcomes
             if o.success and not o.local_hit
         ]
-        sketch = result.telemetry["response_time_ms"]
-        assert sketch["count"] == len(times)
-        assert sketch["min"] == pytest.approx(min(times))
-        assert sketch["max"] == pytest.approx(max(times))
+        assert result.telemetry["response_time_ms"] == digest(times)
+        assert result.telemetry["response_time_ms"]["max"] == max(times)
 
     def test_fig9_metric_available_without_trace(self, result):
         # The measurement window exists, so the Fig-9 std is a number.
@@ -386,3 +409,4 @@ class TestRunExperimentTelemetry:
         assert len(table.splitlines()) <= 7
         hotspots = format_hotspots(result.telemetry, 3)
         assert "hottest peers" in hotspots
+        assert len(format_digests(result.telemetry).splitlines()) == 5

@@ -62,7 +62,7 @@ class TestRunReplications:
 
     def test_seed_sequence(self, replicated):
         assert replicated["cell"]["seed"] == 0
-        assert replicated["telemetry"]["labels"] == [
+        assert [doc["label"] for doc in replicated["telemetry"]] == [
             f"flooding/random/seed{seed}" for seed in (0, 1, 2)
         ]
 

@@ -37,7 +37,9 @@ per-pair-state one also at the last commit that stored two ``int64`` words
 a pair with interned topic codes, and the stub-graph one at the last commit
 that imported scipy for the core's Dijkstra; the per-second-traffic one at
 the last commit whose ledger kept a dict of seconds, filled by per-second
-``record`` loops and read by telemetry through ``_buckets``.
+``record`` loops and read by telemetry through ``_buckets``; the exact-
+telemetry one at the last commit whose telemetry kept log-bucket sketches
+and Space-Saving trackers and added up documents of different cells.
 """
 
 import ast
@@ -375,6 +377,58 @@ def test_per_second_traffic_has_one_write_path():
             assert "defaultdict" not in path.read_text(), where
     assert private == []
     assert per_second_records == []
+
+
+def test_telemetry_is_exact_with_one_quantile_definition():
+    """Hot peers, links and quantiles come from the run's charges: no
+    sketch, no heavy-hitter tracker and no fold that adds up documents of
+    different cells is left in ``src/``, and ``quantile_nearest_rank`` is
+    the only quantile code in ``repro.obs``."""
+    import repro.obs
+    from repro.obs import probes, telemetry
+
+    gone = {"LogBucketSketch", "SpaceSaving", "pow2_sketch", "merge", "_fold",
+            "merge_summaries", "_key_str"}
+    defined, mentioned = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(SRC)
+        defined += [
+            f"{where}:{node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
+        ]
+        mentioned += [
+            f"{where}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and (getattr(node, "id", None) or getattr(node, "attr", None)
+                 or getattr(node, "name", None)) in gone
+        ]
+    assert defined == [] and mentioned == []
+    for module in (repro.obs, telemetry, probes):
+        assert not gone & set(module.__all__), module.__name__
+    for name in ("_peer_bytes", "hot_peers", "hot_links", "response_time_ms"):
+        assert not hasattr(telemetry.Telemetry(), name), name
+
+    quantile_code = re.compile(r"quantile|percentile|median", re.IGNORECASE)
+    definitions, calls = [], []
+    for path in sorted((SRC / "obs").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        definitions += [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and quantile_code.search(node.name)
+        ]
+        calls += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and quantile_code.search(
+                getattr(node.func, "attr", None) or getattr(node.func, "id", "")
+            )
+            and (getattr(node.func, "attr", None) or node.func.id)
+            != "quantile_nearest_rank"
+        ]
+    assert definitions == ["quantile_nearest_rank"]
+    assert calls == []
 
 
 def test_one_way_to_walk_an_ad():

@@ -257,9 +257,14 @@ class AsapSearch(SearchAlgorithm):
             # (receiver, source): the float sum a scalar pull would make.
             lats = self.overlay.direct_latencies_ms(lagging, source)
             arrival = now + 2.0 * lats / 1000.0
+            # One reply is one scalar record, several one record_each (a
+            # call of which costs ten records); none books nothing.
             for chose_patch, category in enumerate(_REPLY_CATEGORY):
-                sent = as_patch == chose_patch
-                ledger.record_each(arrival[sent], category, reply[sent])
+                sent = np.flatnonzero(as_patch == chose_patch)
+                if len(sent) == 1:
+                    ledger.record(float(arrival[sent[0]]), category, float(reply[sent[0]]))
+                elif len(sent):
+                    ledger.record_each(arrival[sent], category, reply[sent])
             state.accept_repair(
                 lagging, source, full.version, topic_bits(full.topics), now
             )
@@ -545,7 +550,10 @@ class AsapSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if self._local_hit(requester, terms):
+        # The matching documents, once per search: the local check and every
+        # confirmation ask ``holds``.
+        holds = self.content.holding(self.content.docs_matching(terms))
+        if holds(requester):
             return self._local_outcome()
 
         positions = self.store.hasher.positions_array(terms)
@@ -568,12 +576,9 @@ class AsapSearch(SearchAlgorithm):
             either a term is genuinely absent from every document the
             source shares (a Bloom false positive on that term) or every
             term exists but spread across documents (a cross-doc split)."""
-            shared = self.content.docs_on(s)
-            for term in terms:
-                if not any(
-                    term in self.content.document(d).keywords for d in shared
-                ):
-                    return "failed_bloom_fp"
+            held = self.content.node_keywords(s)
+            if any(term not in held for term in terms):
+                return "failed_bloom_fp"
             return "failed_split"
 
         def confirm_round(cands: Dict[int, float]) -> None:
@@ -615,7 +620,7 @@ class AsapSearch(SearchAlgorithm):
                         messages=1,
                     )
                     exchanged += CONFIRMATION_REPLY_BYTES
-                    if self.content.node_matches(s, terms):
+                    if holds(s):
                         confirmed.append((s, cands[s] + 2.0 * lat))
                         verdict = "confirmed"
                     else:

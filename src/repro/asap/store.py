@@ -37,8 +37,6 @@ policy live in :mod:`repro.asap.delivery` and :mod:`repro.asap.state`.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -101,17 +99,14 @@ class SourceFilterStore:
         ``(_BLOCK_NODES, m)`` bit block and its pairs, and each block is one
         scatter into the matrix.
         """
-        nodes, doc_ids = (np.array(a, dtype=np.int64) for a in self.content.copies())
+        nodes, doc_ids = self.content.copies()  # sorted by node
         inside = (nodes >= 0) & (nodes < self.n_nodes)
-        nodes, doc_ids = nodes[inside], doc_ids[inside]
-        order = np.argsort(nodes, kind="stable")
-        nodes, doc_ids = nodes[order], doc_ids[order]
+        nodes, doc_ids = nodes[inside].astype(np.int64), doc_ids[inside]
         ids, copy_doc = np.unique(doc_ids, return_inverse=True)
-        docs = list(map(self.content.document, ids.tolist()))
-        keywords = list(map(attrgetter("keywords"), docs))
-        rows = self.hasher.rows(list(chain.from_iterable(keywords)))
+        n_keywords, keys = self.content.doc_keywords(ids)
+        distinct, key_row = np.unique(keys, return_inverse=True)
+        rows = self.hasher.rows(self.content.keywords(distinct.tolist()))[key_row]
         table = self.hasher.table
-        n_keywords = np.fromiter(map(len, keywords), np.int64, len(keywords))
         ends = np.cumsum(n_keywords)
         bounds = np.searchsorted(nodes, np.arange(0, self.n_nodes, _BLOCK_NODES))
         for first, lo, hi in zip(
@@ -129,8 +124,8 @@ class SourceFilterStore:
                 first, block, np.repeat(nodes[lo:hi], count), table[rows[slots]]
             )
         # Topics: the classes of each sharer's documents.
-        classes = np.fromiter(map(attrgetter("class_id"), docs), np.int64, len(docs))
-        n_classes = int(classes.max()) + 1 if len(docs) else 1
+        classes = self.content.classes()[ids].astype(np.int64)
+        n_classes = int(classes.max()) + 1 if len(ids) else 1
         for code in np.unique(nodes * n_classes + classes[copy_doc]).tolist():
             self._topics.setdefault(code // n_classes, set()).add(code % n_classes)
         for node, topics in self._topics.items():
@@ -224,7 +219,8 @@ class SourceFilterStore:
         before anything is written, when the index or the column disagrees
         with the change.
         """
-        if (doc.doc_id in self.content.docs_on(node)) != added:
+        docs = self.content.docs_of(node)
+        if bool((docs == doc.doc_id).any()) != added:
             raise ValueError(
                 f"node {node} {'does not hold' if added else 'still holds'} "
                 f"document {doc.doc_id} in the content index: change the "
@@ -242,14 +238,12 @@ class SourceFilterStore:
                     f"bit {mine[~is_set][0]} of its keywords is clear"
                 )
             # A bit stays set while some document still shared hashes there.
-            document = self.content.document
-            still = self.hasher.rows(
-                [t for d in self.content.docs_on(node) for t in document(d).keywords]
-            )
+            keys = np.unique(self.content.doc_keywords(docs)[1]).tolist()
+            still = self.hasher.rows(self.content.keywords(keys))
             changed = mine[~np.isin(mine, self.hasher.table[still])]
             self._n_set[node] -= len(changed)
         # Topics track the node's current content classes exactly.
-        self._topics[node] = self.content.node_classes(node)
+        self._topics[node] = set(self.content.classes()[docs].tolist())
         self._n_topics[node] = len(self._topics[node])
         if len(changed) == 0:
             return None

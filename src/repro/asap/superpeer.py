@@ -134,7 +134,7 @@ class SuperPeerAsapSearch(AsapSearch):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if self._local_hit(requester, terms):
+        if self._local_hit(requester, self.content.nodes_matching(terms)):
             return self._local_outcome()
         if self._is_super[requester]:
             return super()._search_impl(requester, terms, now)

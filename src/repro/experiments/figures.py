@@ -80,8 +80,9 @@ class ExperimentScale:
 
     @staticmethod
     def paper() -> "ExperimentScale":
-        """The paper's full configuration: minutes per cell, ~2 GB for an
-        ASAP cell (BENCH_SCALEUP.json records one cell per algorithm)."""
+        """The paper's full configuration: minutes per cell, a peak of
+        1,136-1,140 MB for an ASAP cell (BENCH_SCALEUP.json records one
+        cell per algorithm)."""
         return ExperimentScale(n_peers=10_000, n_queries=30_000)
 
     def config(self, algorithm: str, topology: str) -> RunConfig:

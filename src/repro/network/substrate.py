@@ -21,9 +21,12 @@ cell that asks for it:
   algorithm x overlay cell of an ``ExperimentScale`` has the same three
   values, as do Figures 2 and 3, so a grid synthesises each seed's
   workload once instead of once per cell.  The cached snapshot is shared
-  read-only (documents, keyword index, interests, ``free_rider`` -- made
-  non-writeable -- and the trace events); replay changes placements, so a
-  cell replays on its own :meth:`~repro.workload.content.ContentIndex.fork`.
+  read-only (the content index's int32 columns and ``free_rider`` -- made
+  non-writeable by :meth:`~repro.workload.content.ContentIndex.freeze` and
+  ``setflags`` -- the interests and the trace events); replay changes
+  placements, so a cell replays on its own
+  :meth:`~repro.workload.content.ContentIndex.fork`, which shares those
+  columns and keeps its own short change log.
 
 Sharing rules, for both:
 
@@ -39,7 +42,8 @@ Sharing rules, for both:
 Each cache is a :func:`functools.lru_cache`, so replication sweeps over
 many seeds cannot grow memory without limit: 8 substrates, and 2
 workloads -- a campaign's grid and its ablations each replay one, and a
-paper-scale workload holds ~216 MB.  ``get_substrate.cache_info()`` and
+paper-scale workload raises RSS by ~48 MB (21.7 MB of content, 25.9 MB
+more with its trace; BENCH_SCALEUP.json, ``paper_workload``).  ``get_substrate.cache_info()`` and
 ``get_workload.cache_info()`` have their hit/miss counters, and
 :func:`clear_substrate_cache` empties both.
 """
@@ -96,6 +100,7 @@ def _build_workload(
     content = synthesize_content(edonkey, streams.get("content"))
     events = generate_trace(content, trace, streams.get("trace"))
     content.free_rider.setflags(write=False)
+    content.index.freeze()
     return content, events
 
 

@@ -141,19 +141,19 @@ class SearchAlgorithm(abc.ABC):
 
     # -------------------------------------------------------------- helpers
     def _matching_live_nodes(
-        self, terms: Sequence[str], exclude: Optional[int] = None
-    ) -> set:
-        """Live nodes holding a document that matches all ``terms``."""
-        live = self.overlay.live_mask
-        return {
-            n
-            for n in self.content.nodes_matching(terms)
-            if live[n] and n != exclude
-        }
+        self, holders: np.ndarray, exclude: Optional[int] = None
+    ) -> np.ndarray:
+        """The live ones of ``holders`` (a search's
+        ``content.nodes_matching(terms)``), ``exclude`` left out, ascending."""
+        live = holders[self.overlay.live_mask[holders]]
+        return live[live != exclude] if exclude is not None else live
 
-    def _local_hit(self, requester: int, terms: Sequence[str]) -> bool:
-        """Does the requester already share a matching document?"""
-        return self.content.node_matches(requester, terms)
+    @staticmethod
+    def _local_hit(requester: int, holders: np.ndarray) -> bool:
+        """Does the requester already share a matching document, i.e. is it
+        one of ``holders`` (a search's ``content.nodes_matching(terms)``)?"""
+        at = int(holders.searchsorted(requester))
+        return at < len(holders) and int(holders[at]) == requester
 
     @staticmethod
     def _local_outcome() -> SearchOutcome:

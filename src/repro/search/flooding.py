@@ -66,15 +66,6 @@ def flood_reach(
     return kernels.flood_frontier(overlay.walk_csr(), source, ttl)
 
 
-def _reached_hits(matching: set, first_hop: np.ndarray) -> np.ndarray:
-    """Matching nodes the flood reached, as a sorted index array."""
-    if not matching:
-        return np.empty(0, dtype=np.int64)
-    marr = np.fromiter(matching, np.int64, len(matching))
-    marr.sort()
-    return marr[first_hop[marr] >= 0]
-
-
 #: The paper's flooding TTL (Section IV-A).
 FLOOD_TTL = 6
 
@@ -93,7 +84,8 @@ class FloodingSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if self._local_hit(requester, terms):
+        holders = self.content.nodes_matching(terms)
+        if self._local_hit(requester, holders):
             return self._local_outcome()
 
         first_hop, arrival, n_query_msgs = flood_reach(
@@ -104,8 +96,9 @@ class FloodingSearch(SearchAlgorithm):
             now, TrafficCategory.QUERY, query_bytes, messages=n_query_msgs
         )
 
-        matching = self._matching_live_nodes(terms, exclude=requester)
-        hits = _reached_hits(matching, first_hop)
+        # Matching nodes the flood reached, ascending.
+        matching = self._matching_live_nodes(holders, exclude=requester)
+        hits = matching[first_hop[matching] >= 0]
         # Responses travel the reverse path: hop(v) transmissions each, and
         # the response reaches the requester after another arrival[v].
         # Integer sum and float min are order-independent, so the gathered

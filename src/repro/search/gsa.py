@@ -68,10 +68,11 @@ class GsaSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if self._local_hit(requester, terms):
+        holders = self.content.nodes_matching(terms)
+        if self._local_hit(requester, holders):
             return self._local_outcome()
 
-        matching = self._matching_live_nodes(terms, exclude=requester)
+        matching = self._matching_live_nodes(holders, exclude=requester)
         rng = self.rng
         per_walker = max(1, self.budget // self.walkers)
         csr = self.overlay.walk_csr()
@@ -93,7 +94,7 @@ class GsaSearch(SearchAlgorithm):
         seen = bytearray(csr.n)
         seen[requester] = 1
         match_flags = bytearray(csr.n)
-        for m in matching:
+        for m in matching.tolist():
             match_flags[m] = 1
 
         while heap:

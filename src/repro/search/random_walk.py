@@ -65,7 +65,8 @@ class RandomWalkSearch(SearchAlgorithm):
     def _search_impl(
         self, requester: int, terms: Sequence[str], now: float
     ) -> SearchOutcome:
-        if self._local_hit(requester, terms):
+        holders = self.content.nodes_matching(terms)
+        if self._local_hit(requester, holders):
             return self._local_outcome()
 
         csr = self.overlay.walk_csr()
@@ -74,11 +75,10 @@ class RandomWalkSearch(SearchAlgorithm):
             # proof; only the event-ordered loop is exact here.
             return self._search_loop(requester, terms, now)
 
-        matching = self._matching_live_nodes(terms, exclude=requester)
+        matching = self._matching_live_nodes(holders, exclude=requester)
         draws = self.rng.random((self.walkers, self.ttl))
         match = np.zeros(self.overlay.n, dtype=bool)
-        if matching:
-            match[list(matching)] = True
+        match[matching] = True
 
         res = kernels.rw_search(csr, requester, draws, match, now)
         return finish_walk(
@@ -91,10 +91,11 @@ class RandomWalkSearch(SearchAlgorithm):
     ) -> SearchOutcome:
         """Heap-ordered walk: exact for any edge latencies, and the only
         path for overlays where some latency is not strictly positive."""
-        if self._local_hit(requester, terms):
+        holders = self.content.nodes_matching(terms)
+        if self._local_hit(requester, holders):
             return self._local_outcome()
 
-        matching = self._matching_live_nodes(terms, exclude=requester)
+        matching = set(self._matching_live_nodes(holders, exclude=requester).tolist())
         rng = self.rng
         csr = self.overlay.walk_csr()
         indptr, indices, lats = csr.indptr, csr.indices, csr.lats

@@ -23,13 +23,13 @@ queries range from highly selective (title token included) to broad
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.workload.content import ContentIndex, Document
+from repro.workload.content import ContentIndex, Document, title_key, word_key
 from repro.workload.interests import CLASS_WEIGHTS, N_CLASSES, assign_interests
 from repro.workload.sampling import draw_distinct, zipf_table
 
@@ -174,6 +174,15 @@ def _build_vocab(n_classes: int, vocab_per_class: int) -> List[List[str]]:
     ]
 
 
+def _draw_keywords(
+    rng: np.random.Generator, v: int, min_kw: int, max_kw: int, zipf_s: float
+) -> List[int]:
+    """A document's class keywords: a count, then that many distinct
+    Zipf-drawn indices into a ``v``-word class vocabulary, ascending."""
+    n_kw = int(rng.integers(min_kw, max_kw + 1))
+    return sorted(draw_distinct(rng, zipf_table(v, zipf_s), min(n_kw, v)))
+
+
 def make_document(
     doc_id: int,
     class_id: int,
@@ -184,10 +193,8 @@ def make_document(
     zipf_s: float = 1.1,
 ) -> Document:
     """Create a document: unique title token + Zipf-drawn class keywords."""
-    n_kw = int(rng.integers(min_kw, max_kw + 1))
-    v = len(class_vocab)
-    idx = draw_distinct(rng, zipf_table(v, zipf_s), min(n_kw, v))
-    keywords = (f"title{doc_id}",) + tuple(class_vocab[i] for i in sorted(idx))
+    picked = _draw_keywords(rng, len(class_vocab), min_kw, max_kw, zipf_s)
+    keywords = (f"title{doc_id}",) + tuple(class_vocab[i] for i in picked)
     return Document(doc_id=doc_id, class_id=class_id, keywords=keywords)
 
 
@@ -242,30 +249,34 @@ def synthesize_content(
     doc_classes = rng.choice(N_CLASSES, size=n_docs, p=class_weights)
 
     vocab = _build_vocab(N_CLASSES, params.vocab_per_class)
+    v = params.vocab_per_class
     # Each document's keyword draws, then its holder draws, in doc-id order
-    # (the content stream's order); the index is filled in one pass after.
-    docs: List[Document] = []
-    copies: List[Tuple[int, int]] = []
+    # (the content stream's order), as keyword ids and copy columns.
+    lengths = np.empty(n_docs, dtype=np.int32)
+    n_holders = np.empty(n_docs, dtype=np.int32)
+    keys, holders = array("i"), array("i")
     for doc_id, c in enumerate(doc_classes.tolist()):
-        docs.append(
-            make_document(
-                doc_id,
-                c,
-                vocab[c],
-                rng,
-                min_kw=params.min_class_keywords,
-                max_kw=params.max_class_keywords,
-                zipf_s=params.keyword_zipf_s,
-            )
+        picked = _draw_keywords(
+            rng, v, params.min_class_keywords, params.max_class_keywords,
+            params.keyword_zipf_s,
         )
+        keys.append(title_key(doc_id))
+        keys.extend([word_key(c * v + i) for i in picked])
+        lengths[doc_id] = 1 + len(picked)
         pool = pools[c]
-        k = min(int(copy_counts[doc_id]), len(pool))
+        k = n_holders[doc_id] = min(int(copy_counts[doc_id]), len(pool))
         if k == 1:
-            copies.append((int(pool[rng.integers(len(pool))]), doc_id))
+            holders.append(int(pool[rng.integers(len(pool))]))
         elif k > 1:
-            copies += zip(rng.choice(pool, size=k, replace=False).tolist(), repeat(doc_id))
-    index = ContentIndex()
-    index.fill(docs, copies)
+            holders.extend(rng.choice(pool, size=k, replace=False).tolist())
+    index = ContentIndex.from_arrays(
+        [word for words in vocab for word in words],
+        doc_classes.astype(np.int32),
+        lengths,
+        np.frombuffer(keys, dtype=np.int32),
+        np.frombuffer(holders, dtype=np.int32),
+        np.repeat(np.arange(n_docs, dtype=np.int32), n_holders),
+    )
 
     return ContentDistribution(
         params=params,

@@ -1,22 +1,22 @@
 """Chronological trace construction (Section IV-B, steps 4-6).
 
 The generator walks forward in time laying down events while tracking the
-*future* system state (live mask, per-document holder sets), which is how it
-honours the paper's guarantee that "all the search requests are created such
-that there is at least one matching document existing in the system at the
-request time" -- even under churn and content changes.
+*future* system state (live mask, placements), which is how it honours the
+paper's guarantee that "all the search requests are created such that there
+is at least one matching document existing in the system at the request
+time" -- even under churn and content changes.
 
 State handling: the generator never mutates document *placements* in the
 shared :class:`ContentIndex` (the simulation runner replays those); it keeps
-a private copy of holder sets.  It does, however, *register* metadata for
-documents born in content-addition events, so the replayed events refer to
-known documents.
+them on a private :meth:`~ContentIndex.fork`.  It does, however, *register*
+metadata for documents born in content-addition events, so the replayed
+events refer to known documents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class TraceParams:
 
 
 class _GeneratorState:
-    """The generator's private view of future holder sets and liveness."""
+    """The generator's private view of future placements and liveness."""
 
     def __init__(self, dist: ContentDistribution) -> None:
         self.dist = dist
@@ -80,20 +80,14 @@ class _GeneratorState:
         # ``np.flatnonzero(self.live)``, recomputed on churn only: queries
         # outnumber churn events 15 to 1 in the paper's trace.
         self.live_nodes = np.arange(n)
-        # Private holder copies (placements replayed later must not be
-        # affected by generation-time bookkeeping).
-        self.holders: Dict[int, Set[int]] = {
-            doc.doc_id: set(self.index.holders(doc.doc_id))
-            for doc in self.index.all_documents()
+        # Private placements, a fork's change log (placements replayed
+        # later must not be affected by generation-time bookkeeping).
+        self.copies = self.index.fork()
+        # Per-class document ids in creation order (for Zipf sampling).
+        classes = self.index.classes()
+        self.class_docs: Dict[int, np.ndarray] = {
+            c: np.flatnonzero(classes == c) for c in np.unique(classes[classes >= 0]).tolist()
         }
-        self.node_docs: Dict[int, Set[int]] = {}
-        for doc_id, hs in self.holders.items():
-            for node in hs:
-                self.node_docs.setdefault(node, set()).add(doc_id)
-        # Per-class document lists in creation order (for Zipf sampling).
-        self.class_docs: Dict[int, List[int]] = {}
-        for doc in self.index.all_documents():
-            self.class_docs.setdefault(doc.class_id, []).append(doc.doc_id)
 
     # ------------------------------------------------------------ mutation
     def apply_join(self, node: int) -> None:
@@ -105,18 +99,16 @@ class _GeneratorState:
         self.live_nodes = np.flatnonzero(self.live)
 
     def add_document(self, node: int, doc: Document) -> None:
-        self.holders[doc.doc_id] = {node}
-        self.node_docs.setdefault(node, set()).add(doc.doc_id)
-        self.class_docs.setdefault(doc.class_id, []).append(doc.doc_id)
-
-    def remove_document(self, node: int, doc_id: int) -> None:
-        self.holders[doc_id].discard(node)
-        self.node_docs[node].discard(doc_id)
+        self.copies.place(node, doc.doc_id)
+        docs = self.class_docs.get(doc.class_id, np.empty(0, dtype=np.int64))
+        self.class_docs[doc.class_id] = np.append(docs, doc.doc_id)
 
     # ------------------------------------------------------------- queries
     def has_live_holder(self, doc_id: int, excluding: int) -> bool:
+        live = self.live
         return any(
-            h != excluding and self.live[h] for h in self.holders.get(doc_id, ())
+            h != excluding and live[h]
+            for h in self.copies.nodes_holding([doc_id]).tolist()
         )
 
 
@@ -143,10 +135,10 @@ def _pick_query(
         rng.shuffle(interests)
         for c in interests:
             docs = state.class_docs.get(c)
-            if not docs:
+            if docs is None:
                 continue
             for _ in range(25):  # document attempts within the class
-                doc_id = docs[_zipf_index(rng, len(docs), params.query_zipf_s)]
+                doc_id = int(docs[_zipf_index(rng, len(docs), params.query_zipf_s)])
                 if state.has_live_holder(doc_id, excluding=requester):
                     doc = state.index.document(doc_id)
                     terms = _make_terms(doc, params, rng)
@@ -193,10 +185,10 @@ def _pick_content_change(
         # Removal: a live node that still shares something.
         rng.shuffle(live_sharers)
         for node in live_sharers[:50]:
-            docs = state.node_docs.get(int(node))
-            if docs:
-                doc_id = int(rng.choice(sorted(docs)))
-                state.remove_document(int(node), doc_id)
+            docs = state.copies.docs_of(int(node))
+            if len(docs):
+                doc_id = int(rng.choice(docs.tolist()))
+                state.copies.remove(int(node), doc_id)
                 return ContentChangeEvent(
                     time=time, node=int(node), doc_id=doc_id, added=False
                 )

@@ -27,10 +27,11 @@ def gsa_search_reference(
     self: GsaSearch, requester: int, terms: Sequence[str], now: float
 ) -> SearchOutcome:
     """The loop oracle for ``self._search_impl(requester, terms, now)``."""
-    if self._local_hit(requester, terms):
+    holders = self.content.nodes_matching(terms)
+    if self._local_hit(requester, holders):
         return self._local_outcome()
 
-    matching = self._matching_live_nodes(terms, exclude=requester)
+    matching = set(self._matching_live_nodes(holders, exclude=requester).tolist())
     rng = self.rng
     per_walker = max(1, self.budget // self.walkers)
     csr = self.overlay.walk_csr()

@@ -26,7 +26,7 @@ def shared_positions_reference(
 ) -> Set[int]:
     """The bit positions ``node``'s current documents hash to."""
     pos: Set[int] = set()
-    for doc_id in content.docs_on(node):
+    for doc_id in content.docs_of(node).tolist():
         for term in content.document(doc_id).keywords:
             pos.update(positions_reference(term, hasher.m, hasher.k))
     return pos

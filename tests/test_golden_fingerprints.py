@@ -248,11 +248,11 @@ def substrate_digest(params, seed):
     return digest.hexdigest()
 
 
-#: Synthesised workloads, pinned item by item in iteration order: set-up
-#: code may fill the content index any way it likes as long as every dict
-#: and set iterates as these recorded ones did.  Recorded at d141133, the
-#: last commit that built the index one ``register_document`` / ``place``
-#: call at a time.
+#: Synthesised workloads, pinned in a canonical sorted rendering.  Until
+#: the index became int32 columns the digest hashed its dicts and sets in
+#: their iteration order, which no longer exist; the canonical rendering,
+#: computed at the parent from the dict form, was equal for every entry
+#: below, and the digests were re-recorded once, over it.
 CONTENTS = {
     f"{n_peers}/seed{seed}": (n_peers, seed)
     for n_peers in (1000, 2000)
@@ -262,20 +262,27 @@ CONTENTS = {
 
 def content_digest(n_peers, seed):
     """blake2b over a seed's ``ContentDistribution`` as ``run_experiment``
-    synthesises it: documents, the keyword index, holders and node
-    documents, each in its dict's and every set's iteration order, the
-    interests and free-riders, and the content stream's final state."""
+    synthesises it, read through the index's public queries in sorted
+    order: every document (id, class, keywords), each keyword's documents,
+    each document's holders and each sharer's documents, the interests
+    and free-riders, and the content stream's final state."""
     config = scaled_config("asap_rw", "crawled", n_peers=n_peers, seed=seed)
     rng = RandomStreams(seed).get("content")
     dist = synthesize_content(config.edonkey, rng)
     index = dist.index
+    documents = sorted(index.all_documents(), key=lambda d: d.doc_id)
+    keywords = sorted({kw for d in documents for kw in d.keywords})
+
+    def ids(values):
+        return sorted(int(v) for v in values)
+
     digest = hashlib.blake2b(digest_size=16)
     for section in (
-        [[d.doc_id, d.class_id, d.keywords] for d in index._documents.values()],
-        [[kw, list(docs)] for kw, docs in index._kw_docs.items()],
-        [[doc_id, list(nodes)] for doc_id, nodes in index._holders.items()],
-        [[node, list(docs)] for node, docs in index._node_docs.items()],
-        [list(classes) for classes in dist.interests],
+        [[d.doc_id, d.class_id, d.keywords] for d in documents],
+        [[kw, ids(index.docs_matching([kw]))] for kw in keywords],
+        [[d.doc_id, ids(index.holders(d.doc_id))] for d in documents],
+        [[n, ids(index.docs_of(n))] for n in range(n_peers) if len(index.docs_of(n))],
+        [sorted(classes) for classes in dist.interests],
         dist.free_rider.tolist(),
         dist.next_doc_id,
         rng.bit_generator.state,

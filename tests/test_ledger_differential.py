@@ -106,3 +106,65 @@ def test_growth_keeps_what_was_booked():
     assert padded(view, 5001) == padded(reference.per_second(), 5001)
     assert ledger.category_totals() == reference.category_totals()
     assert ledger.total_messages() == reference.total_messages() == 11
+
+
+def test_repair_bookings_match_the_dict_ledger(monkeypatch):
+    """``AsapSearch._repair`` books a reply category with one pull as one
+    ``record`` and skips one with none: an ASAP(RW) cell with stale ads,
+    booked into the array ledger and the dict ledger at once, leaves the
+    same per-second bytes, message counts and first-booked order, over
+    repairs of one pull and of several."""
+    from dataclasses import replace
+
+    from repro.asap.protocol import AsapSearch
+    from repro.simulation import runner
+    from repro.simulation.config import scaled_config
+
+    class Tee(BandwidthLedger):
+        """The array ledger, with every booking also made on a DictLedger."""
+
+        def __init__(self):
+            super().__init__()
+            self.reference = DictLedger()
+            self._each = False
+            ledgers.append(self)
+
+        def record(self, time, category, nbytes, messages=1):
+            super().record(time, category, nbytes, messages)
+            self.reference.record(time, category, nbytes, messages)
+
+        def add(self, category, first_second, nbytes, messages):
+            super().add(category, first_second, nbytes, messages)
+            if not self._each:
+                self.reference.add(category, first_second, nbytes, messages)
+
+        def record_each(self, times, category, nbytes):
+            self._each = True
+            super().record_each(times, category, nbytes)
+            self._each = False
+            self.reference.record_each(times, category, nbytes)
+
+    ledgers, pulls = [], []
+    repair = AsapSearch._repair
+
+    def counted(self, source, now, lagging):
+        pulls.append(len(lagging))
+        repair(self, source, now, lagging)
+
+    monkeypatch.setattr(runner, "BandwidthLedger", Tee)
+    monkeypatch.setattr(AsapSearch, "_repair", counted)
+    config = scaled_config(
+        "asap_rw", "crawled", n_peers=300, n_queries=600, seed=4, use_physical_network=False
+    )
+    config = replace(config, trace=replace(config.trace, content_change_fraction=0.3))
+    runner.run_experiment(config)
+
+    assert 1 in pulls and max(pulls) > 1
+    (ledger,) = ledgers
+    reference = ledger.reference
+    assert list(ledger.category_totals()) == list(reference.category_totals())
+    for category in TrafficCategory:
+        assert ledger.total_messages([category]) == reference.total_messages([category])
+    view, dense = ledger.per_second(), reference.per_second()
+    width = max(len(x) for x in (*view.values(), *dense.values()))
+    assert padded(view, width) == padded(dense, width)

@@ -139,7 +139,7 @@ def _snapshot(content, trace):
     index = content.index
     return copy.deepcopy(
         (
-            index._documents, index._kw_docs, index._holders, index._node_docs,
+            index.all_documents(), [a.tolist() for a in index.copies()],
             content.interests, content.free_rider.tolist(), content.next_doc_id,
             trace.events, trace.duration,
         )
@@ -201,40 +201,37 @@ class TestWorkloadCache:
         assert warm.fingerprint == cold.fingerprint
         assert warm.summarize() == cold.summarize()
 
-    def test_a_fork_shares_every_set_until_it_changes_it(self):
-        """``fork()`` shares the parent's holder and node-document sets;
-        ``place`` / ``remove`` copy a set the first time they change it,
-        and neither the parent nor a sibling fork sees the change."""
+    def test_forks_change_apart(self):
+        """``fork()`` shares every column and copies only the change log:
+        a fork's ``place`` / ``remove`` shows in neither its parent nor a
+        sibling, a fork of the fork starts from its changes and then goes
+        its own way, and the cached index itself refuses changes."""
         config = _churning("flooding")
         parent = get_workload(config.edonkey, config.trace, config.seed)[0].index
-        before = copy.deepcopy((parent._holders, parent._node_docs))
-        fork, sibling = parent.fork(), parent.fork()
-        for d, holders in parent._holders.items():
-            assert fork._holders[d] is holders
-        for n, docs in parent._node_docs.items():
-            assert fork._node_docs[n] is docs
 
-        doc_id, node = next((d, min(h)) for d, h in parent._holders.items() if h)
-        other = next(d for d in parent._holders if node not in parent._holders[d])
+        def placed(index):
+            return [a.tolist() for a in index.copies()]
+
+        before = placed(parent)
+        fork, sibling = parent.fork(), parent.fork()
+        assert fork._node is parent._node and fork._docs is parent._docs
+        node, doc_id = before[0][0], before[1][0]
+        other = next(d for d in range(parent.n_documents) if d not in parent.docs_of(node))
         fork.remove(node, doc_id)
         fork.place(node, other)
-        copied = fork._holders[doc_id]
-        fork.place(node, doc_id)  # a set is copied once
-        assert fork._holders[doc_id] is copied
-        for d, holders in parent._holders.items():
-            assert (fork._holders[d] is holders) == (d not in (doc_id, other))
-        for n, docs in parent._node_docs.items():
-            assert (fork._node_docs[n] is docs) == (n != node)
-        assert fork.docs_on(node) == parent.docs_on(node) | {other}
+        assert set(fork.docs_of(node).tolist()) == set(parent.docs_of(node).tolist()) - {doc_id} | {other}
         assert fork.holders(other) == parent.holders(other) | {node}
-        assert (parent._holders, parent._node_docs) == before
-        assert (sibling._holders, sibling._node_docs) == before
+        assert placed(parent) == placed(sibling) == before
 
-        # The parent's own later change copies as well: the fork keeps
-        # what it had.
-        parent.remove(node, doc_id)
-        assert node in fork.holders(doc_id) and node in sibling.holders(doc_id)
-        assert (sibling._holders, sibling._node_docs) == before
+        grandchild = fork.fork()
+        assert placed(grandchild) == placed(fork)
+        grandchild.place(node, doc_id)
+        sibling.remove(node, doc_id)
+        assert node in grandchild.holders(doc_id)
+        assert node not in fork.holders(doc_id) and node not in sibling.holders(doc_id)
+        assert node in parent.holders(doc_id) and placed(parent) == before
+        with pytest.raises(ValueError, match="read-only"):
+            parent.place(node, other)
 
     def test_a_fork_allocates_no_placement(self):
         """Forking ``baselines_2k``'s 2,000-peer seed-0 workload (~12.5k

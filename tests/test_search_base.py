@@ -90,24 +90,27 @@ class TestHelpers:
     def test_matching_live_nodes(self):
         overlay, content, ledger = make_fixture()
         algo = _Dummy(overlay, content, ledger)
-        assert algo._matching_live_nodes(["rock"]) == {3}
+        holders = content.nodes_matching(["rock"])
+        assert algo._matching_live_nodes(holders).tolist() == [3]
 
     def test_matching_excludes_offline(self):
         overlay, content, ledger = make_fixture()
         overlay.leave(3)
         algo = _Dummy(overlay, content, ledger)
-        assert algo._matching_live_nodes(["rock"]) == set()
+        assert algo._matching_live_nodes(content.nodes_matching(["rock"])).tolist() == []
 
     def test_matching_excludes_requester(self):
         overlay, content, ledger = make_fixture()
         algo = _Dummy(overlay, content, ledger)
-        assert algo._matching_live_nodes(["rock"], exclude=3) == set()
+        holders = content.nodes_matching(["rock"])
+        assert algo._matching_live_nodes(holders, exclude=3).tolist() == []
 
     def test_local_hit(self):
         overlay, content, ledger = make_fixture()
         algo = _Dummy(overlay, content, ledger)
-        assert algo._local_hit(3, ["rock"])
-        assert not algo._local_hit(0, ["rock"])
+        holders = content.nodes_matching(["rock"])
+        assert algo._local_hit(3, holders)
+        assert not algo._local_hit(0, holders)
 
     def test_local_outcome(self):
         out = SearchAlgorithm._local_outcome()

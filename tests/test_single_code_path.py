@@ -77,6 +77,7 @@ from repro.sim.metrics import BandwidthLedger
 from repro.simulation.config import RunConfig
 from repro.simulation.runner import run_experiment
 from repro.workload.content import ContentIndex, Document
+from repro.workload.edonkey import EdonkeyParams, synthesize_content
 
 SRC = Path(repro.__file__).parent
 
@@ -944,6 +945,33 @@ def test_content_index_notifies_nobody():
     assert not hasattr(index, "add_listener")
     assert "_listeners" not in vars(index)
     assert not hasattr(repro.workload.content, "ContentListener")
+
+
+def test_content_is_columns_with_no_set_or_copy_on_write():
+    """The dict-of-sets index (now ``tests/oracles/content.py``) and its
+    copy-on-write fork are gone from ``repro.workload``: a synthesised index
+    and a changed fork of it hold arrays, a vocabulary and scalars -- no
+    set, no dict of sets, no ``Document`` objects."""
+    gone = re.compile(r"\b(_writable|_shared|_kw_docs|_holders|_node_docs)\b")
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted((SRC / "workload").glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert hits == []
+    dist = synthesize_content(EdonkeyParams(n_peers=60))
+    fork = dist.index.fork()
+    doc_id = int(fork.copies()[1][0])
+    fork.remove(int(fork.nodes_holding([doc_id])[0]), doc_id)
+    fork.place(59, doc_id)
+    for index in (dist.index, fork):
+        held = {**vars(index), **{f"_docs.{k}": v for k, v in vars(index._docs).items()}}
+        for name, value in held.items():
+            inner = list(value.values()) if isinstance(value, dict) else [value]
+            assert not any(
+                isinstance(v, (set, frozenset, Document)) for v in inner
+            ), name
 
 
 def test_kernels_define_no_generator_function():

@@ -61,7 +61,7 @@ def churn_store(store, dist, rng, n_changes=12):
     ads = []
     for _ in range(n_changes):
         node = int(rng.integers(0, store.n_nodes))
-        held = sorted(index.docs_on(node))
+        held = index.docs_of(node).tolist()
         if held and rng.random() < 0.5:
             doc_id = held[int(rng.integers(0, len(held)))]
             index.remove(node, doc_id, notify=False)
@@ -70,7 +70,7 @@ def churn_store(store, dist, rng, n_changes=12):
             # Add a copy of some other node's document (often a no-op
             # bitmap change when every keyword is already covered --
             # counting-filter semantics both arms must agree on).
-            pool = sorted(index.docs_on(int(rng.integers(0, store.n_nodes))))
+            pool = index.docs_of(int(rng.integers(0, store.n_nodes))).tolist()
             if not pool:
                 continue
             doc_id = pool[int(rng.integers(0, len(pool)))]

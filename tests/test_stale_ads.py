@@ -252,7 +252,7 @@ def test_set_bit_counts_are_the_columns_popcounts_after_a_churn_cell():
     assert sum(store.version(s) for s in range(store.n_nodes)) > 100
     for source in range(store.n_nodes):
         shared = BloomFilter(store.hasher)
-        for doc_id in store.content.docs_on(source):
+        for doc_id in store.content.docs_of(source).tolist():
             shared.add_all(store.content.document(doc_id).keywords)
         assert np.array_equal(store.matrix.row_bits(source), shared.bits_view())
         assert store.n_set_bits(source) == shared.n_set

@@ -93,7 +93,7 @@ def test_content_changes_match_the_oracle(case, hasher, data):
     assert set(ad.changed_positions if ad else ()) == added - before
     assert_matches_oracle_columns(store)
     held = [
-        (n, d) for n in range(n_nodes) for d in sorted(index.docs_on(n))
+        (n, d) for n in range(n_nodes) for d in index.docs_of(n).tolist()
     ]
     for n, d in data.draw(st.permutations(held))[: data.draw(st.integers(0, len(held)))]:
         doc = index.document(d)

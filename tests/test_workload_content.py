@@ -30,7 +30,7 @@ class TestPlacement:
         idx.register_document(doc(1))
         idx.place(10, 1)
         assert idx.holders(1) == frozenset({10})
-        assert idx.docs_on(10) == frozenset({1})
+        assert idx.docs_of(10).tolist() == [1]
 
     def test_duplicate_registration_rejected(self):
         idx = ContentIndex()
@@ -51,7 +51,7 @@ class TestPlacement:
         idx.place(10, 1)
         idx.remove(10, 1)
         assert idx.holders(1) == frozenset()
-        assert idx.docs_on(10) == frozenset()
+        assert idx.docs_of(10).tolist() == []
 
     def test_remove_not_held_rejected(self):
         idx = ContentIndex()
@@ -90,21 +90,21 @@ class TestMatching:
         return idx
 
     def test_single_term(self, idx):
-        assert idx.docs_matching(["rock"]) == {1, 2}
+        assert set(idx.docs_matching(["rock"]).tolist()) == {1, 2}
 
     def test_all_terms_required(self, idx):
-        assert idx.docs_matching(["rock", "live"]) == {1}
-        assert idx.docs_matching(["rock", "jazz"]) == set()
+        assert set(idx.docs_matching(["rock", "live"]).tolist()) == {1}
+        assert set(idx.docs_matching(["rock", "jazz"]).tolist()) == set()
 
     def test_unknown_term(self, idx):
-        assert idx.docs_matching(["nothing"]) == set()
+        assert set(idx.docs_matching(["nothing"]).tolist()) == set()
 
     def test_empty_terms(self, idx):
-        assert idx.docs_matching([]) == set()
+        assert set(idx.docs_matching([]).tolist()) == set()
 
     def test_nodes_matching(self, idx):
-        assert idx.nodes_matching(["rock"]) == {10, 20}
-        assert idx.nodes_matching(["rock", "live"]) == {10}
+        assert set(idx.nodes_matching(["rock"]).tolist()) == {10, 20}
+        assert set(idx.nodes_matching(["rock", "live"]).tolist()) == {10}
 
     def test_node_matches_requires_single_doc(self, idx):
         # Node 10 holds "rock live" (doc 1) and "jazz live" (doc 3):

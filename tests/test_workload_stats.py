@@ -67,7 +67,7 @@ class TestComputeStats:
 
     def test_docs_per_sharer(self, dist):
         sharers = np.nonzero(~dist.free_rider)[0]
-        docs = np.array([len(dist.index.docs_on(int(n))) for n in sharers])
+        docs = np.array([len(dist.index.docs_of(int(n))) for n in sharers])
         assert docs.mean() == pytest.approx(10.0, rel=0.15)
         assert np.median(docs) <= docs.mean() * 1.5
 

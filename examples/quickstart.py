@@ -10,18 +10,17 @@ confirmation, and the resulting response time -- the paper's core idea in
 Run:  python examples/quickstart.py [--trace trace.jsonl]
 
 With ``--trace``, ad deliveries and the query span are recorded through
-``repro.obs`` and streamed to the file as JSONL, gzip-compressed when the
-path ends in ``.gz`` (see docs/OBSERVABILITY.md).
+``repro.obs`` into an action log and rendered to the file as JSONL,
+gzip-compressed when the path ends in ``.gz`` (see docs/OBSERVABILITY.md).
 """
 
 import argparse
-from collections import Counter
-
 import numpy as np
 
 from repro.asap import AsapParams, AsapSearch
 from repro.network import Overlay, build_topology
-from repro.obs import Instrumentation, Tracer, jsonl_writer, open_text_maybe_gzip
+from repro.obs import ActionLog, Instrumentation, write_trace
+from repro.obs.actions import KINDS
 from repro.sim import BandwidthLedger, SimulationEngine
 from repro.workload import EdonkeyParams, synthesize_content
 
@@ -35,19 +34,19 @@ def main(argv=None) -> None:
     )
     args = parser.parse_args(argv)
     if not args.trace:
-        demo(tracer=None)
+        demo(log=None)
         return
-    by_category = Counter()
-    with open_text_maybe_gzip(args.trace, "w") as fh:
-        demo(Tracer(
-            jsonl_writer(fh),
-            lambda record: by_category.update([record.category]),
-        ))
-    by_cat = ", ".join(f"{cat}={n}" for cat, n in sorted(by_category.items()))
-    print(f"trace: {by_category.total()} records ({by_cat}) -> {args.trace}")
+    log = ActionLog()
+    demo(log)
+    write_trace(log, args.trace)
+    by_kind = ", ".join(
+        f"{kind}={len(log.table(code))}" for code, kind in enumerate(KINDS)
+        if len(log.table(code))
+    )
+    print(f"trace: {log.n_records()} records ({by_kind}) -> {args.trace}")
 
 
-def demo(tracer) -> None:
+def demo(log) -> None:
     rng = np.random.default_rng(7)
     n_peers = 200
 
@@ -72,8 +71,8 @@ def demo(tracer) -> None:
         interests=dist.interests,
         params=AsapParams(forwarder="rw", budget_unit=150),
     )
-    if tracer is not None:
-        asap.attach(Instrumentation(tracer=tracer))
+    if log is not None:
+        asap.attach(Instrumentation(log))
 
     # 4. Warm-up: every sharer advertises; every node bootstraps its cache.
     engine = SimulationEngine()

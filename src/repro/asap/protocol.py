@@ -269,12 +269,9 @@ class AsapSearch(SearchAlgorithm):
                 lagging, source, full.version, topic_bits(full.topics), now
             )
         if self.obs is not None:
-            for node, nbytes, category in zip(
-                lagging.tolist(), reply.tolist(), categories.tolist()
-            ):
-                self.obs.repair(
-                    now, node, source, float(ADS_REQUEST_BYTES), nbytes, category
-                )
+            self.obs.repairs(
+                now, lagging, source, float(ADS_REQUEST_BYTES), reply, categories
+            )
 
     def _issue_full_ad(self, source: int, now: float) -> None:
         ad = self.store.make_full_ad(source)
@@ -576,10 +573,9 @@ class AsapSearch(SearchAlgorithm):
             either a term is genuinely absent from every document the
             source shares (a Bloom false positive on that term) or every
             term exists but spread across documents (a cross-doc split)."""
-            held = self.content.node_keywords(s)
-            if any(term not in held for term in terms):
-                return "failed_bloom_fp"
-            return "failed_split"
+            if self.content.holds_keywords(s, terms):
+                return "failed_split"
+            return "failed_bloom_fp"
 
         def confirm_round(cands: Dict[int, float]) -> None:
             nonlocal n_messages, total_bytes

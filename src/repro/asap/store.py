@@ -20,7 +20,7 @@ keyword hashing there.  The store centralises, for all sources:
 * the current topic set T (the semantic classes of the node's content).
 
 Building the store is array passes over the content index: every distinct
-keyword of the placed documents is hashed once into the hasher's
+keyword id of the placed documents is hashed once into the hasher's
 keyword-position table (:meth:`~repro.bloom.hashing.BloomHasher.rows`), the
 copies ``(node, doc)`` join it into ``(node, position)`` pairs one block of
 256 nodes at a time, and each block is one scatter into the matrix;
@@ -75,7 +75,9 @@ class SourceFilterStore:
         content: ContentIndex,
         hasher: Optional[BloomHasher] = None,
     ) -> None:
-        self.hasher = hasher or BloomHasher(PAPER_M, PAPER_K)
+        # The store's own hasher, keyed by ``content``'s keyword ids.
+        hasher = hasher or BloomHasher(PAPER_M, PAPER_K)
+        self.hasher = BloomHasher(hasher.m, hasher.k, content)
         self.n_nodes = n_nodes
         self.content = content
         self.matrix = FilterMatrix(n_nodes, self.hasher)
@@ -105,7 +107,7 @@ class SourceFilterStore:
         ids, copy_doc = np.unique(doc_ids, return_inverse=True)
         n_keywords, keys = self.content.doc_keywords(ids)
         distinct, key_row = np.unique(keys, return_inverse=True)
-        rows = self.hasher.rows(self.content.keywords(distinct.tolist()))[key_row]
+        rows = self.hasher.rows(distinct.tolist())[key_row]
         table = self.hasher.table
         ends = np.cumsum(n_keywords)
         bounds = np.searchsorted(nodes, np.arange(0, self.n_nodes, _BLOCK_NODES))
@@ -239,7 +241,7 @@ class SourceFilterStore:
                 )
             # A bit stays set while some document still shared hashes there.
             keys = np.unique(self.content.doc_keywords(docs)[1]).tolist()
-            still = self.hasher.rows(self.content.keywords(keys))
+            still = self.hasher.rows(keys)
             changed = mine[~np.isin(mine, self.hasher.table[still])]
             self._n_set[node] -= len(changed)
         # Topics track the node's current content classes exactly.

@@ -12,10 +12,11 @@ The formula is written once, as an array expression over many keywords
 (:meth:`BloomHasher.positions_of`): since ``(a + i*b) mod m`` equals
 ``((a mod m) + i * (b mod m)) mod m``, reducing both halves first keeps every
 intermediate below ``(k + 1) * m`` and the whole table is one int64
-expression with no overflow.  A hasher keeps the rows it has computed as
-one keyword-position table (:meth:`BloomHasher.rows`), so each distinct
-keyword is hashed once: a store hashes its content's whole vocabulary in
-one call, and :meth:`BloomHasher.positions` reads one row.
+expression with no overflow.  A store's hasher keeps the rows it has
+computed as one keyword-position table keyed by the content index's
+keyword ids (:meth:`BloomHasher.rows`), so each distinct keyword is hashed
+once and no keyword string is kept: a store hashes its content's whole
+vocabulary in one call, and :meth:`BloomHasher.positions` reads one row.
 
 Paper constants: with |K_max| = 1,000 keywords and k = 8 hash functions, the
 minimum-false-positive filter length is m = ceil(1000 * 8 / ln 2) = 11,542
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,15 +64,17 @@ def min_false_positive_rate(k: int = PAPER_K) -> float:
 class BloomHasher:
     """Maps keywords to ``k`` bit positions in ``[0, m)``.
 
-    An instance keeps a keyword-position table: each term it has hashed is
-    one row of :attr:`table`, and :meth:`rows` finds a term's row, hashing
-    the terms it does not hold yet into new rows.  A store's bootstrap
-    hashes its content's vocabulary in one call; its content changes and
-    the query terms of a trace replay, drawn from that vocabulary, then
-    read rows.
+    A hasher given a ``content`` index (a store builds its own) keeps a
+    keyword-position table keyed by that index's keyword ids: each keyword
+    it has hashed is one row of :attr:`table`, and :meth:`rows` finds an
+    id's row, hashing the ids it does not hold yet into new rows.  A
+    store's bootstrap hashes its content's vocabulary in one call; its
+    content changes and the query terms of a trace replay, mapped to ids,
+    then read rows.  A term no document has -- and every term, without a
+    content index -- is hashed on the spot and not kept.
     """
 
-    def __init__(self, m: int = PAPER_M, k: int = PAPER_K) -> None:
+    def __init__(self, m: int = PAPER_M, k: int = PAPER_K, content=None) -> None:
         if m < 8:
             raise ValueError(f"filter length too small: {m}")
         if k < 1:
@@ -80,12 +83,15 @@ class BloomHasher:
             raise ValueError(f"(k + 1) * m must fit in int64, got k={k}, m={m}")
         self.m = m
         self.k = k
-        self._row: Dict[str, int] = {}
-        # Rows in use: the first len(self._row); doubled when full.
+        self.content = content
+        # Keyword id -> table row (-1: not hashed yet), grown as ids come.
+        self._row = np.empty(0, dtype=np.int64)
+        # Rows in use: the first self._used; doubled when full.
         self._table = np.empty((0, k), dtype=np.int64)
+        self._used = 0
         # The rows ``positions`` has read, as tuples: a query reads a few
         # terms, and a tuple lookup beats an array gather at that size.
-        self._tuples: Dict[str, Tuple[int, ...]] = {}
+        self._tuples: Dict[int, Tuple[int, ...]] = {}
 
     def positions_of(self, terms: Sequence[str]) -> np.ndarray:
         """``(len(terms), k)`` int64: row ``i`` holds the bit positions of
@@ -105,32 +111,46 @@ class BloomHasher:
 
     @property
     def table(self) -> np.ndarray:
-        """``(terms hashed so far, k)``: row ``r`` is the positions of the
-        term whose :meth:`rows` entry is ``r``."""
-        return self._table[: len(self._row)]
+        """``(keywords hashed so far, k)``: row ``r`` is the positions of the
+        keyword id whose :meth:`rows` entry is ``r``."""
+        return self._table[: self._used]
 
-    def rows(self, terms: Sequence[str]) -> np.ndarray:
-        """The :attr:`table` row of each of ``terms``; the distinct terms
-        not in the table yet are hashed once, in one :meth:`positions_of`
-        call, into new rows."""
-        row = self._row
-        new = [term for term in dict.fromkeys(terms) if term not in row]
+    def rows(self, keys: Sequence[int]) -> np.ndarray:
+        """The :attr:`table` row of each of the keyword ids ``keys``; the
+        distinct ids not in the table yet are hashed once, in first-seen
+        order and one :meth:`positions_of` call over their strings, into
+        new rows."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if len(keys) and keys.max() >= len(self._row):
+            grown = np.full(max(int(keys.max()) + 1, 2 * len(self._row)), -1, np.int64)
+            grown[: len(self._row)] = self._row
+            self._row = grown
+        new = list(dict.fromkeys(keys[self._row[keys] < 0].tolist()))
         if new:
-            used = len(row)
+            used = self._used
             if used + len(new) > len(self._table):
                 grown = np.empty((max(used + len(new), 2 * used), self.k), np.int64)
                 grown[:used] = self._table[:used]
                 self._table = grown
-            self._table[used : used + len(new)] = self.positions_of(new)
-            row.update(zip(new, range(used, used + len(new))))
-        return np.fromiter(map(row.__getitem__, terms), dtype=np.int64, count=len(terms))
+            self._table[used : used + len(new)] = self.positions_of(
+                self.content.keywords(new)
+            )
+            self._row[new] = np.arange(used, used + len(new))
+            self._used = used + len(new)
+        return self._row[keys]
 
     def positions(self, term: str) -> Tuple[int, ...]:
-        """The ``k`` bit positions keyword ``term`` maps to: its table row."""
-        pos = self._tuples.get(term)
+        """The ``k`` bit positions keyword ``term`` maps to: its table row,
+        or hashed on the spot for a term no document has."""
+        key: Optional[int] = None
+        if self.content is not None:
+            key = self.content.keyword_id(term)
+        if key is None:
+            return tuple(self.positions_of([term])[0].tolist())
+        pos = self._tuples.get(key)
         if pos is None:
-            (row,) = self.rows((term,))
-            pos = self._tuples[term] = tuple(self._table[row].tolist())
+            (row,) = self.rows((key,))
+            pos = self._tuples[key] = tuple(self._table[row].tolist())
         return pos
 
     def positions_array(self, terms: Iterable[str]) -> np.ndarray:

@@ -105,32 +105,27 @@ def _run_cell(
 ) -> CellOutcome:
     """Worker body: run one cell, trading exceptions for a CellFailure.
 
-    With ``trace_dir``, the cell's trace is streamed to its own JSONL
-    file (``cell_trace_name``), so parallel workers never share a stream;
+    With ``trace_dir``, the cell's trace is rendered to its own JSONL
+    file (``cell_trace_name``), so parallel workers never share a file;
     with ``audit``, the returned result carries the cell's
     :class:`~repro.obs.audit.AuditReport` and fingerprint (an audit
     *violation* is a finding on a successful run, not a CellFailure).
-    The result's telemetry and probe summaries (``telemetry``,
-    ``probes``) are labelled with the cell.
+    The action tables stay in the worker.  The result's telemetry and
+    probe summaries (``telemetry``, ``probes``) are labelled with the cell.
     """
     try:
-        with contextlib.ExitStack() as stack:
-            # ``audit`` alone lets run_experiment build its own tracer.
-            tracer = None
-            if trace_dir is not None:
-                from repro.obs.trace import Tracer, jsonl_writer, open_text_maybe_gzip
-
-                path = os.path.join(trace_dir, cell_trace_name(config))
-                stream = stack.enter_context(open_text_maybe_gzip(path, "w"))
-                tracer = Tracer(jsonl_writer(stream))
-            result = run_experiment(
-                config,
-                tracer=tracer,
-                profile=profile,
-                audit=audit,
-                telemetry=telemetry,
-                probes=probes,
-            )
+        result = run_experiment(
+            config,
+            trace_path=(
+                None if trace_dir is None
+                else os.path.join(trace_dir, cell_trace_name(config))
+            ),
+            profile=profile,
+            audit=audit,
+            telemetry=telemetry,
+            probes=probes,
+        )
+        result.actions = None
         for doc in (result.telemetry, result.probes):
             if doc is not None:
                 doc["label"] = cell_label(config)

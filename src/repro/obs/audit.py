@@ -1,115 +1,66 @@
-"""Trace summaries, invariant audits and run fingerprints: one fold.
+"""Summaries, invariant audits and run fingerprints: reductions of the tables.
 
-A :class:`TraceFold` is fed a run's trace records one at a time -- live,
-as the tracer emits them (an audited ``run_experiment`` makes
-:meth:`TraceFold.feed` one of the tracer's sinks), or from a JSONL file
-(``report analyze``).  It keeps totals, the confirmation counts of the
-queries still open and, per query, the few scalars the checks and the
-quantiles read, in compact arrays -- never the records -- so its memory
-does not grow with the trace.  At the end:
+Each function here reads an :class:`~repro.obs.actions.ActionLog` -- the
+one an audited run kept (``audit=True``) or one parsed from a trace file
+(``report analyze``) -- with numpy:
 
-* :meth:`TraceFold.summary` is what ``report analyze`` prints: query
-  resolution (hit / local hit / miss), hop and response-time quantiles,
-  per-category bytes, ad deliveries with per-source staleness windows,
-  ads exchanges, confirmation totals and churn counts;
-* :meth:`TraceFold.audit` cross-checks those against the run's own
-  accounting and returns machine-readable :class:`AuditViolation`
-  findings instead of asserting -- so a violation survives pickling
-  across worker processes (like
-  :class:`~repro.experiments.parallel.CellFailure` does) and can gate CI.
+* :func:`summary` is what ``report analyze`` prints: query resolution,
+  hop, response-time and staleness digests
+  (:func:`~repro.obs.telemetry.digest`), per-category bytes, deliveries by
+  ad type, ads exchanges, confirmation totals and churn counts;
+* :func:`audit` cross-checks the tables against the run's own accounting
+  and returns machine-readable :class:`AuditViolation` findings instead of
+  asserting, so a violation survives pickling across worker processes and
+  can gate CI;
+* :func:`fingerprint` is blake2b over the sequence and every table's
+  bytes, in table order, with the query spans' wall-clock ``dur_s``
+  zeroed, plus the run's metric totals: the same (config, seed) gives the
+  same fingerprint serially, under ``--jobs N`` and across hosts.
 
-Byte attribution
-----------------
+Byte attribution: a query row's ledger delta covers everything nested in
+its search, so nested ad rows are not counted again; a top-level
+delivery's bytes belong to its ad type's category, a top-level repair
+splits into ``ads_request`` bytes plus a reply in its reply category, and
+a top-level ads exchange into ``ads_request`` and ``ads_reply`` bytes.
 
-The one rule that turns trace records into
-:class:`~repro.sim.metrics.BandwidthLedger` bytes, matching the
-instrumentation sites:
-
-* a ``query`` span carries ``ledger_delta`` -- the exact per-category
-  byte movement of that search, covering nested ads requests, repairs and
-  confirmations, so nested ``ad`` events are *not* counted again;
-* a top-level ``deliver.*`` event's bytes belong to its ad type's
-  category (full -> ``full_ad``, patch -> ``patch_ad``,
-  refresh -> ``refresh_ad``);
-* a top-level ``repair`` event splits into ``ads_request`` bytes plus a
-  reply in ``reply_category``;
-* a top-level ``ads_request`` event splits into ``ads_request`` and
-  ``ads_reply`` bytes.
-
-Invariant catalog
------------------
-
-``ledger_conservation``
-    Per-:class:`~repro.sim.metrics.TrafficCategory` byte totals derived
-    purely from the trace by the rule above must equal the ledger totals
-    the figures are built from, for every category the ledger holds.
-``query_resolution``
-    Every replayed query produced exactly one ``query`` span, in replay
-    order, whose annotated outcome (success, messages, cost, results)
-    matches the :class:`~repro.search.base.SearchOutcome` the run
-    collected.
-``walk_budget``
-    Every walker terminates within its budget: random-walk queries send
-    at most ``walkers * ttl`` messages (+1 reply), GSA queries at most
-    the effective budget ``walkers * max(1, budget // walkers)`` (+1
-    reply), and every walk-based ad delivery stays within the effective
-    cap its trace event carries.
-``confirmation_discipline``
-    Confirmations only happen for cached (delivered) ads: a query span's
-    ``confirmation`` byte delta must be exactly explained by the nested
-    ``confirm_stats`` accounting (requests to ``attempted`` sources,
-    replies from the live ones), and attempts per query are bounded by
-    two rounds of ``MAX_CONFIRMATIONS``.
-``bloom_fp_rate``
-    The measured Bloom false-positive rate (confirm failures on live
-    sources where a query term exists in none of the source's documents)
-    must stay within a sane multiple of the configured minimum
-    ``(1/2)^k``.  Skipped below a minimum sample size.
-``churn_consistency``
-    The live-count annotations on join/leave events form a consistent
-    +/-1 walk.
-
-Fingerprints
-------------
-
-:meth:`TraceFold.fingerprint` is a rolling blake2b over the trace
-*structure* (every record minus wall-clock fields, in emission order)
-plus the run's metric totals.  Wall-clock (``dur_s``) is excluded, so the
-same (config, seed) produces an identical fingerprint across serial and
-parallel execution, across hosts, and across runs -- any drift means
-semantics changed.
+The checks (docs/OBSERVABILITY.md §5): ``ledger_conservation`` (those
+bytes equal the ledger's, per category), ``query_resolution`` (one query
+row per replayed query, matching its outcome), ``walk_budget`` (walk
+queries and walk deliveries within their effective budgets),
+``confirmation_discipline`` (a query's confirmation bytes explained by its
+confirm counts, at most two rounds of ``MAX_CONFIRMATIONS``),
+``bloom_fp_rate`` (the measured Bloom false-positive rate under a sane
+ceiling) and ``churn_consistency`` (live counts a +/-1 walk).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.asap.protocol import MAX_CONFIRMATIONS
-from repro.obs.telemetry import quantile_nearest_rank
-from repro.obs.trace import TraceRecord
+from repro.obs.actions import (
+    AD_TYPES, CATEGORIES, CHURN, CONFIRM_COUNTS, CONTENT, DELIVERY, EXCHANGE,
+    KINDS, QUERY, REPAIR, TRACE_SCHEMA_VERSION, ActionLog,
+)
+from repro.obs.telemetry import digest
 from repro.search.base import CONFIRMATION_REPLY_BYTES, CONFIRMATION_REQUEST_BYTES
 from repro.search.random_walk import WALKERS
+from repro.sim.metrics import TrafficCategory
 
 __all__ = [
-    "AD_TYPE_CATEGORY",
-    "AuditReport",
-    "AuditViolation",
-    "TraceFold",
+    "AD_TYPE_CATEGORY", "AuditReport", "AuditViolation", "audit",
+    "category_bytes", "fingerprint", "summary",
 ]
 
 #: Ad type (``Ad.ad_type.value``) -> ledger category (``TrafficCategory.value``).
-AD_TYPE_CATEGORY = {
-    "full": "full_ad",
-    "patch": "patch_ad",
-    "refresh": "refresh_ad",
-}
+AD_TYPE_CATEGORY = {"full": "full_ad", "patch": "patch_ad", "refresh": "refresh_ad"}
 
-#: Conservation tolerance: trace and ledger sum the same floats in a
+#: Conservation tolerance: tables and ledger sum the same floats in a
 #: different order, so allow tiny drift (absolute bytes + relative).
 _ABS_TOL_BYTES = 0.5
 _REL_TOL = 1e-6
@@ -122,6 +73,8 @@ _BLOOM_MIN_SAMPLES = 20
 #: ``(1/2)^k`` because stale (version-behind) entries also fail with an
 #: absent term; a rate past this signals broken hashing or accounting.
 _BLOOM_MAX_RATE = 0.25
+
+_COLUMN = {cat: i for i, cat in enumerate(CATEGORIES)}
 
 
 @dataclass(frozen=True)
@@ -166,468 +119,301 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL_BYTES)
+def _close(a, b):
+    """Elementwise: ``a`` and ``b`` agree within the byte tolerance."""
+    return np.abs(a - b) <= np.maximum(_REL_TOL * np.maximum(np.abs(a), np.abs(b)), _ABS_TOL_BYTES)
 
 
-def _stats(values: Sequence[float]) -> Dict[str, float]:
-    if not values:
-        return {"n": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "max": 0.0}
-    ordered = sorted(values)
+def _top(rows: np.ndarray) -> np.ndarray:
+    return rows[rows["parent"] == 0]
+
+
+def _span_ids(log: ActionLog) -> np.ndarray:
+    sequence = log.sequence()
+    return sequence["id"][sequence["kind"] == QUERY]
+
+
+def category_bytes(log: ActionLog) -> Dict[str, float]:
+    """Per-category byte totals derived purely from the tables, in
+    :class:`~repro.sim.metrics.TrafficCategory` order, for every category
+    a row moved."""
+    deltas = log.table(QUERY)["ledger_delta"]
+    totals, moved = deltas.sum(axis=0), (deltas != 0.0).any(axis=0)
+
+    def book(category: TrafficCategory, nbytes: np.ndarray) -> None:
+        if len(nbytes):
+            totals[_COLUMN[category]] += nbytes.sum()
+            moved[_COLUMN[category]] = True
+
+    deliveries = _top(log.table(DELIVERY))
+    for code, ad_type in enumerate(AD_TYPES):
+        book(TrafficCategory(AD_TYPE_CATEGORY[ad_type]),
+             deliveries["bytes"][deliveries["ad_type"] == code])
+    repairs = _top(log.table(REPAIR))
+    book(TrafficCategory.ADS_REQUEST, repairs["request_bytes"])
+    for column, category in enumerate(CATEGORIES):
+        book(category, repairs["reply_bytes"][repairs["reply_category"] == column])
+    exchanges = _top(log.table(EXCHANGE))
+    book(TrafficCategory.ADS_REQUEST, exchanges["request_bytes"])
+    book(TrafficCategory.ADS_REPLY, exchanges["cost_bytes"] - exchanges["request_bytes"])
+    return {cat.value: float(totals[i]) for i, cat in enumerate(CATEGORIES) if moved[i]}
+
+
+def summary(log: ActionLog) -> Dict[str, Any]:
+    """The JSON-ready lifecycle summary ``report analyze`` prints."""
+    queries, deliveries = log.table(QUERY), log.table(DELIVERY)
+    success, local = queries["success"], queries["local_hit"]
+    # The gap between successive deliveries of one source's ad bounds how
+    # stale a cached copy can get before the next one reaches its consumers.
+    order = np.lexsort((deliveries["t"], deliveries["source"]))
+    source, t = deliveries["source"][order], deliveries["t"][order]
+    churn, content = log.table(CHURN), log.table(CONTENT)
+    confirmed = queries["confirm_id"] != 0
+    names = {
+        "join": churn["joined"], "leave": ~churn["joined"],
+        "content_add": content["added"], "content_remove": ~content["added"],
+    }
+    schemas = log.schemas or {TRACE_SCHEMA_VERSION: log.n_records()}
     return {
-        "n": len(ordered),
-        "mean": sum(ordered) / len(ordered),
-        "p50": quantile_nearest_rank(ordered, 0.50),
-        "p90": quantile_nearest_rank(ordered, 0.90),
-        "max": float(ordered[-1]),
+        "queries": len(queries),
+        "resolution": {
+            "hit": int(np.count_nonzero(success & ~local)),
+            "local": int(np.count_nonzero(local)),
+            "miss": int(np.count_nonzero(~success & ~local)),
+        },
+        "hops": digest(queries["messages"]),
+        "response_time_ms": digest(queries["response_time_ms"][success]),
+        "category_bytes": category_bytes(log),
+        "deliveries": {
+            "count": len(deliveries),
+            "by_type": {
+                ad_type: int(np.count_nonzero(deliveries["ad_type"] == code))
+                for code, ad_type in enumerate(AD_TYPES)
+            },
+            "staleness_window_s": digest((t[1:] - t[:-1])[source[1:] == source[:-1]]),
+        },
+        "exchanges": {
+            "repairs": len(log.table(REPAIR)),
+            "ads_requests": len(log.table(EXCHANGE)),
+        },
+        "confirmations": dict(zip(
+            CONFIRM_COUNTS, queries["confirm"][confirmed].sum(axis=0).tolist()
+        )) if confirmed.any() else {},
+        "churn": {
+            name: int(np.count_nonzero(rows)) for name, rows in names.items() if rows.any()
+        },
+        "schema_versions": {str(k): v for k, v in sorted(schemas.items())},
     }
 
 
-def _add(totals: Dict[str, float], key: str, value: float) -> None:
-    totals[key] = totals.get(key, 0.0) + value
+# ------------------------------------------------------------------ audit
+def fingerprint(log: ActionLog, result) -> str:
+    """blake2b over the tables (wall clock excluded) and ``result``'s
+    totals: record ids, nesting, simulation times, every column, ledger
+    totals and outcome counts are covered."""
+    h = hashlib.blake2b(log.sequence().tobytes(), digest_size=16)
+    for kind in range(len(KINDS)):
+        rows = log.table(kind)
+        if kind == QUERY:
+            rows = rows.copy()
+            rows["dur_s"] = 0.0
+        h.update(rows.tobytes())
+    h.update(json.dumps(
+        {
+            "algorithm": result.algorithm,
+            "topology": result.topology,
+            "n_queries": len(result.outcomes),
+            "successes": sum(1 for o in result.outcomes if o.success),
+            "ledger": {c.value: b for c, b in result.ledger.category_totals().items()},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode())
+    return h.hexdigest()
 
 
-class TraceFold:
-    """One pass over a run's trace records; see the module docstring.
+def audit(log: ActionLog, config, result) -> AuditReport:
+    """Audit the run ``log`` recorded against its RunResult; ``config`` (its
+    :class:`~repro.simulation.config.RunConfig`) names the budgets and
+    whether the ASAP-only checks apply."""
+    asap = config.is_asap
+    findings = {
+        "ledger_conservation": _conservation(log, result),
+        "query_resolution": _query_resolution(log, result),
+        "walk_budget": _walk_budget(log, config),
+        "confirmation_discipline": _confirmations(log, config) if asap else None,
+        "bloom_fp_rate": _bloom_fp_rate(log) if asap else None,
+        "churn_consistency": _churn(log),
+    }
+    return AuditReport(
+        checks={
+            name: "skipped" if found is None else "fail" if found else "pass"
+            for name, found in findings.items()
+        },
+        violations=[v for found in findings.values() if found for v in found],
+        fingerprint=fingerprint(log, result),
+    )
 
-    ``config`` (the run's :class:`~repro.simulation.config.RunConfig`)
-    enables the budget- and protocol-parameter checks; without it those
-    degrade gracefully (delivery budgets are still checked from the trace
-    attrs), which is all ``report analyze`` needs.  ``records`` are fed at
-    once, in order: ``TraceFold(config, read_trace(path))``.
-    """
 
-    def __init__(self, config=None, records: Iterable[TraceRecord] = ()) -> None:
-        self.config = config
-        self._asap = config is not None and config.is_asap
-        # Per-query caps for the walk-based baselines (+1 for the direct reply).
-        self._query_cap: Optional[int] = None
-        if config is not None and config.algorithm == "random_walk":
-            self._query_cap = WALKERS * config.rw_ttl + 1
-        elif config is not None and config.algorithm == "gsa":
-            self._query_cap = WALKERS * max(1, config.gsa_budget // WALKERS) + 1
-        self._hash = hashlib.blake2b(digest_size=16)
-        self._schemas: Dict[int, int] = {}
-        # confirm_stats counts by parent span id, until that span closes.
-        self._confirm_waiting: Dict[int, Dict[str, int]] = {}
-        # Per query, in span order: what query_resolution and the quantiles read.
-        self._span_ids = array("q")
-        self._success = array("b")
-        self._messages = array("q")
-        self._cost = array("d")
-        self._results = array("q")
-        self._response_ms = array("d")  # successful queries only
-        self._resolution = {"hit": 0, "local": 0, "miss": 0}
-        # Bytes per attribution rule, kept apart so category_bytes() lists
-        # query categories first, as report analyze always has.
-        self._query_bytes: Dict[str, float] = {}
-        self._delivery_bytes: Dict[str, float] = {}
-        self._exchange_bytes: Dict[str, float] = {}
-        self._delivery_times: Dict[int, array] = {}  # source -> delivery times
-        self._by_type = dict.fromkeys(AD_TYPE_CATEGORY, 0)
-        self._deliveries = 0
-        self._exchanges = {"repairs": 0, "ads_requests": 0}
-        self._confirm_totals: Dict[str, int] = {}
-        self._churn: Dict[str, int] = {}
-        self._live: Optional[int] = None
-        # Violations found on the way, per check, in the order found.
-        self._query_overruns: List[AuditViolation] = []
-        self._delivery_overruns: List[AuditViolation] = []
-        self._confirm_findings: List[AuditViolation] = []
-        self._churn_findings: List[AuditViolation] = []
-        for record in records:
-            self.feed(record)
+def _conservation(log: ActionLog, result) -> List[AuditViolation]:
+    traced = category_bytes(log)
+    recorded = {c.value: b for c, b in result.ledger.category_totals().items()}
+    found = []
+    for cat in sorted(set(traced) | set(recorded)):
+        a, b = traced.get(cat, 0.0), recorded.get(cat, 0.0)
+        if not _close(a, b):
+            found.append(AuditViolation(
+                "ledger_conservation",
+                f"category {cat!r}: trace-derived {a:.1f} B != ledger {b:.1f} B "
+                f"(delta {b - a:+.1f} B)",
+                {"category": cat, "trace_bytes": a, "ledger_bytes": b},
+            ))
+    return found
 
-    # ---------------------------------------------------------------- feeding
-    def feed(self, r: TraceRecord) -> None:
-        """Fold in the next record; a :class:`~repro.obs.trace.Tracer` sink."""
-        attrs = {k: v for k, v in r.attrs.items() if k != "dur_s"}
-        self._hash.update(
-            json.dumps(
-                [r.kind, r.category, r.name, r.t, r.id, r.parent, r.depth, attrs],
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode()
-            + b"\n"
-        )
-        self._schemas[r.schema] = self._schemas.get(r.schema, 0) + 1
-        stats = self._confirm_waiting.pop(r.id, None) if r.kind == "span" else None
-        if r.category == "query":
-            if r.kind == "event" and r.name == "confirm_stats":
-                if r.parent is not None:
-                    self._confirm_waiting[r.parent] = dict(r.attrs)
-            elif r.kind == "span":
-                self._query(r, stats)
-        elif r.category == "ad" and r.name.startswith("deliver."):
-            self._delivery(r)
-        elif r.category == "ad" and r.name in ("repair", "ads_request"):
-            self._exchange(r)
-        elif r.category == "churn":
-            self._churn_event(r)
 
-    def _query(self, r: TraceRecord, stats: Optional[Dict[str, int]]) -> None:
-        a = r.attrs
-        success = bool(a.get("success", False))
-        messages = int(a.get("messages", 0))
-        self._span_ids.append(r.id)
-        self._success.append(success)
-        self._messages.append(messages)
-        self._cost.append(float(a.get("cost_bytes", 0.0)))
-        self._results.append(int(a.get("results", 0)))
-        response_ms = a.get("response_time_ms")
-        if success and response_ms is not None:
-            self._response_ms.append(response_ms)
-        if a.get("local_hit", False):
-            self._resolution["local"] += 1
-        else:
-            self._resolution["hit" if success else "miss"] += 1
-        ledger_delta = a.get("ledger_delta") or {}
-        for cat, delta in ledger_delta.items():
-            _add(self._query_bytes, cat, delta)
-        stats = stats or {}
-        for key, value in stats.items():
-            self._confirm_totals[key] = self._confirm_totals.get(key, 0) + value
-        cap = self._query_cap
-        if cap is not None and messages > cap:
-            self._query_overruns.append(
-                AuditViolation(
-                    check="walk_budget",
-                    message=(
-                        f"query span {r.id} sent {messages} "
-                        f"messages, exceeding the walk budget of {cap}"
-                    ),
-                    details={"span_id": r.id, "messages": messages, "budget": cap},
-                )
-            )
-        if self._asap:
-            self._check_confirmations(r.id, stats, ledger_delta)
-
-    def _check_confirmations(
-        self, span_id: int, stats: Dict[str, int], ledger_delta: Dict[str, float]
-    ) -> None:
-        found = self._confirm_findings
-        attempted = stats.get("attempted", 0)
-        dead = stats.get("failed_dead", 0)
-        resolved = (
-            stats.get("confirmed", 0)
-            + dead
-            + stats.get("failed_bloom_fp", 0)
-            + stats.get("failed_split", 0)
-        )
-        if attempted != resolved:
-            found.append(
-                AuditViolation(
-                    check="confirmation_discipline",
-                    message=(
-                        f"query span {span_id}: {attempted} confirmation "
-                        f"attempts but {resolved} classified outcomes"
-                    ),
-                    details={"span_id": span_id, **stats},
-                )
-            )
-            return
-        max_attempts = 2 * MAX_CONFIRMATIONS  # two confirm rounds
-        if attempted > max_attempts:
-            found.append(
-                AuditViolation(
-                    check="confirmation_discipline",
-                    message=(
-                        f"query span {span_id} attempted {attempted} "
-                        f"confirmations, above the two-round cap of "
-                        f"{max_attempts}"
-                    ),
-                    details={"span_id": span_id, "attempted": attempted,
-                             "cap": max_attempts},
-                )
-            )
-        # Super-peer leaf routing charges its extra leaf<->super hop to the
-        # confirmation category, so the exact byte tie-in only holds for the
-        # flat protocol.
-        if self.config.is_superpeer:
-            return
-        expected = (
-            attempted * float(CONFIRMATION_REQUEST_BYTES)
-            + (attempted - dead) * float(CONFIRMATION_REPLY_BYTES)
-        )
-        observed = ledger_delta.get("confirmation", 0.0)
-        if not _close(expected, observed):
-            found.append(
-                AuditViolation(
-                    check="confirmation_discipline",
-                    message=(
-                        f"query span {span_id}: {observed:.1f} "
-                        f"confirmation bytes moved but the confirm "
-                        f"accounting explains {expected:.1f} B -- "
-                        "confirmation traffic without a cached ad"
-                    ),
-                    details={
-                        "span_id": span_id,
-                        "observed_bytes": observed,
-                        "expected_bytes": expected,
-                        **stats,
-                    },
-                )
-            )
-
-    def _delivery(self, r: TraceRecord) -> None:
-        a = r.attrs
-        source = int(a.get("source", -1))
-        ad_type = a.get("ad_type", "full")
-        messages = int(a.get("messages", 0))
-        budget = a.get("budget")
-        self._deliveries += 1
-        if ad_type in self._by_type:
-            self._by_type[ad_type] += 1
-        self._delivery_times.setdefault(source, array("d")).append(r.t)
-        if r.parent is None:
-            _add(
-                self._delivery_bytes,
-                AD_TYPE_CATEGORY[ad_type],
-                float(a.get("bytes", 0.0)),
-            )
-        if budget is not None and messages > budget:
-            self._delivery_overruns.append(
-                AuditViolation(
-                    check="walk_budget",
-                    message=(
-                        f"{ad_type} ad delivery from source {source} at "
-                        f"t={r.t:.1f} sent {messages} messages, exceeding "
-                        f"its effective budget of {budget}"
-                    ),
-                    details={
-                        "source": source,
-                        "t": r.t,
-                        "messages": messages,
-                        "budget": budget,
-                    },
-                )
-            )
-
-    def _exchange(self, r: TraceRecord) -> None:
-        a = r.attrs
-        repair = r.name == "repair"
-        self._exchanges["repairs" if repair else "ads_requests"] += 1
-        if r.parent is not None:
-            return
-        _add(self._exchange_bytes, "ads_request", float(a.get("request_bytes", 0.0)))
-        reply_bytes = float(a.get("reply_bytes", 0.0))
-        if not repair:
-            _add(self._exchange_bytes, "ads_reply", reply_bytes)
-        elif a.get("reply_category") is not None:
-            _add(self._exchange_bytes, a["reply_category"], reply_bytes)
-
-    def _churn_event(self, r: TraceRecord) -> None:
-        kind = r.name
-        self._churn[kind] = self._churn.get(kind, 0) + 1
-        live = r.attrs.get("live")
-        if kind not in ("join", "leave") or live is None:
-            return
-        prev = self._live
-        if prev is not None:
-            expected = prev + (1 if kind == "join" else -1)
-            if live != expected:
-                node = int(r.attrs.get("node", -1))
-                self._churn_findings.append(
-                    AuditViolation(
-                        check="churn_consistency",
-                        message=(
-                            f"{kind} of node {node} at t={r.t:.1f} "
-                            f"reports {live} live peers; expected "
-                            f"{expected} after {prev}"
-                        ),
-                        details={
-                            "t": r.t,
-                            "node": node,
-                            "kind": kind,
-                            "live": live,
-                            "expected": expected,
-                        },
-                    )
-                )
-        self._live = live
-
-    # ---------------------------------------------------------------- summary
-    def category_bytes(self) -> Dict[str, float]:
-        """Per-category byte totals derived purely from the trace: query
-        deltas, then top-level deliveries, then top-level exchanges."""
-        totals = dict(self._query_bytes)
-        for part in (self._delivery_bytes, self._exchange_bytes):
-            for cat, nbytes in part.items():
-                _add(totals, cat, nbytes)
-        return totals
-
-    def summary(self) -> Dict[str, Any]:
-        """The JSON-ready lifecycle summary ``report analyze`` prints."""
-        # The gap between successive deliveries of one source's ad bounds
-        # how stale a cached copy can get before the next full/patch/refresh
-        # reaches its consumers.
-        gaps: List[float] = []
-        for times in self._delivery_times.values():
-            ordered = sorted(times)
-            gaps.extend(b - a for a, b in zip(ordered, ordered[1:]))
-        return {
-            "queries": len(self._span_ids),
-            "resolution": dict(self._resolution),
-            "hops": _stats([float(m) for m in self._messages]),
-            "response_time_ms": _stats(self._response_ms),
-            "category_bytes": self.category_bytes(),
-            "deliveries": {
-                "count": self._deliveries,
-                "by_type": dict(self._by_type),
-                "staleness_window_s": _stats(gaps),
-            },
-            "exchanges": dict(self._exchanges),
-            "confirmations": dict(self._confirm_totals),
-            "churn": dict(self._churn),
-            "schema_versions": {
-                str(k): v for k, v in sorted(self._schemas.items())
-            },
+def _query_resolution(log: ActionLog, result) -> List[AuditViolation]:
+    outcomes, queries = result.outcomes, log.table(QUERY)
+    if len(queries) != len(outcomes):
+        return [AuditViolation(
+            "query_resolution",
+            f"{len(outcomes)} queries replayed but {len(queries)} query spans in "
+            "the trace -- a query was resolved zero or multiple times",
+            {"outcomes": len(outcomes), "spans": len(queries)},
+        )]
+    collected = np.array(
+        [(o.success, o.messages, o.cost_bytes, o.results) for o in outcomes],
+        dtype=[("success", "?"), ("messages", "i8"), ("cost_bytes", "f8"), ("results", "i8")],
+    )
+    differs = {
+        name: ~_close(queries[name], collected[name]) if name == "cost_bytes"
+        else queries[name] != collected[name]
+        for name in collected.dtype.names
+    }
+    span_ids = _span_ids(log)
+    found = []
+    for i in np.flatnonzero(np.logical_or.reduce(list(differs.values()))).tolist():
+        mismatches = {
+            name: [queries[name][i].item(), collected[name][i].item()]
+            for name, mask in differs.items() if mask[i]
         }
+        found.append(AuditViolation(
+            "query_resolution",
+            f"query #{i} (span {span_ids[i]}): trace annotation disagrees with "
+            f"the collected outcome on {sorted(mismatches)}",
+            {"index": i, "span_id": int(span_ids[i]), **mismatches},
+        ))
+    return found
 
-    # ------------------------------------------------------------------ audit
-    def fingerprint(self, result) -> str:
-        """Deterministic digest of the trace fed so far + ``result``'s totals.
 
-        Wall-clock fields (the record's ``dur_s`` and any ``dur_s`` attr)
-        are excluded; everything else -- record ids, nesting, simulation
-        times, annotations, ledger totals, outcome counts -- is covered.
-        """
-        h = self._hash.copy()
-        totals = {
-            cat.value: total for cat, total in result.ledger.category_totals().items()
-        }
-        h.update(
-            json.dumps(
-                {
-                    "algorithm": result.algorithm,
-                    "topology": result.topology,
-                    "n_queries": len(result.outcomes),
-                    "successes": sum(1 for o in result.outcomes if o.success),
-                    "ledger": totals,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode()
-        )
-        return h.hexdigest()
+def _walk_budget(log: ActionLog, config) -> List[AuditViolation]:
+    found = []
+    cap = None  # per query, +1 for the direct reply
+    if config.algorithm == "random_walk":
+        cap = WALKERS * config.rw_ttl + 1
+    elif config.algorithm == "gsa":
+        cap = WALKERS * max(1, config.gsa_budget // WALKERS) + 1
+    if cap is not None:
+        messages, span_ids = log.table(QUERY)["messages"], _span_ids(log)
+        for i in np.flatnonzero(messages > cap).tolist():
+            found.append(AuditViolation(
+                "walk_budget",
+                f"query span {span_ids[i]} sent {messages[i]} messages, "
+                f"exceeding the walk budget of {cap}",
+                {"span_id": int(span_ids[i]), "messages": int(messages[i]), "budget": cap},
+            ))
+    deliveries = log.table(DELIVERY)
+    budget = deliveries["budget"]
+    for row in deliveries[(budget >= 0) & (deliveries["messages"] > budget)].tolist():
+        _, t, _, source, ad_type, _, _, messages, _, cap = row
+        found.append(AuditViolation(
+            "walk_budget",
+            f"{AD_TYPES[ad_type]} ad delivery from source {source} at t={t:.1f} "
+            f"sent {messages} messages, exceeding its effective budget of {cap}",
+            {"source": source, "t": t, "messages": messages, "budget": cap},
+        ))
+    return found
 
-    def audit(self, result) -> AuditReport:
-        """Audit the run the fed trace belongs to against its RunResult."""
-        findings = {
-            "ledger_conservation": self._conservation(result),
-            "query_resolution": self._query_resolution(result),
-            "walk_budget": self._query_overruns + self._delivery_overruns,
-            "confirmation_discipline": (
-                list(self._confirm_findings) if self._asap else None
-            ),
-            "bloom_fp_rate": self._bloom_fp_rate(),
-            "churn_consistency": list(self._churn_findings),
-        }
-        return AuditReport(
-            checks={
-                name: "skipped" if found is None else "fail" if found else "pass"
-                for name, found in findings.items()
-            },
-            violations=[v for found in findings.values() if found for v in found],
-            fingerprint=self.fingerprint(result),
-        )
 
-    def _conservation(self, result) -> List[AuditViolation]:
-        trace_totals = self.category_bytes()
-        ledger_totals = {
-            cat.value: total for cat, total in result.ledger.category_totals().items()
-        }
-        found = []
-        for cat in sorted(set(trace_totals) | set(ledger_totals)):
-            traced = trace_totals.get(cat, 0.0)
-            recorded = ledger_totals.get(cat, 0.0)
-            if not _close(traced, recorded):
-                found.append(
-                    AuditViolation(
-                        check="ledger_conservation",
-                        message=(
-                            f"category {cat!r}: trace-derived {traced:.1f} B != "
-                            f"ledger {recorded:.1f} B "
-                            f"(delta {recorded - traced:+.1f} B)"
-                        ),
-                        details={
-                            "category": cat,
-                            "trace_bytes": traced,
-                            "ledger_bytes": recorded,
-                        },
-                    )
-                )
-        return found
+def _confirmations(log: ActionLog, config) -> List[AuditViolation]:
+    queries = log.table(QUERY)
+    counts = dict(zip(CONFIRM_COUNTS, queries["confirm"].T))
+    attempted, dead = counts["attempted"], counts["failed_dead"]
+    resolved = sum(counts[name] for name in CONFIRM_COUNTS[1:])
+    unresolved = attempted != resolved
+    over_cap = ~unresolved & (attempted > 2 * MAX_CONFIRMATIONS)  # two rounds
+    observed = queries["ledger_delta"][:, _COLUMN[TrafficCategory.CONFIRMATION]]
+    expected = (attempted * float(CONFIRMATION_REQUEST_BYTES)
+                + (attempted - dead) * float(CONFIRMATION_REPLY_BYTES))
+    # Super-peer leaf routing charges its extra leaf<->super hop to the
+    # confirmation category, so the byte tie-in only holds for the flat
+    # protocol.
+    unexplained = ~unresolved & ~_close(expected, observed) & (not config.is_superpeer)
+    span_ids, found = _span_ids(log), []
+    for i in np.flatnonzero(unresolved | over_cap | unexplained).tolist():
+        span_id = int(span_ids[i])
+        stats = {name: int(c[i]) for name, c in counts.items()} if queries["confirm_id"][i] else {}
+        if unresolved[i]:
+            found.append(AuditViolation(
+                "confirmation_discipline",
+                f"query span {span_id}: {attempted[i]} confirmation attempts but "
+                f"{resolved[i]} classified outcomes",
+                {"span_id": span_id, **stats},
+            ))
+        if over_cap[i]:
+            found.append(AuditViolation(
+                "confirmation_discipline",
+                f"query span {span_id} attempted {attempted[i]} confirmations, "
+                f"above the two-round cap of {2 * MAX_CONFIRMATIONS}",
+                {"span_id": span_id, "attempted": int(attempted[i]),
+                 "cap": 2 * MAX_CONFIRMATIONS},
+            ))
+        if unexplained[i]:
+            found.append(AuditViolation(
+                "confirmation_discipline",
+                f"query span {span_id}: {observed[i]:.1f} confirmation bytes moved "
+                f"but the confirm accounting explains {expected[i]:.1f} B -- "
+                "confirmation traffic without a cached ad",
+                {"span_id": span_id, "observed_bytes": float(observed[i]),
+                 "expected_bytes": float(expected[i]), **stats},
+            ))
+    return found
 
-    def _query_resolution(self, result) -> List[AuditViolation]:
-        outcomes = result.outcomes
-        n_spans = len(self._span_ids)
-        if n_spans != len(outcomes):
-            return [
-                AuditViolation(
-                    check="query_resolution",
-                    message=(
-                        f"{len(outcomes)} queries replayed but {n_spans} "
-                        "query spans in the trace -- a query was resolved "
-                        "zero or multiple times"
-                    ),
-                    details={"outcomes": len(outcomes), "spans": n_spans},
-                )
-            ]
-        found = []
-        for i, o in enumerate(outcomes):
-            span_id = self._span_ids[i]
-            mismatches = {}
-            if bool(self._success[i]) != o.success:
-                mismatches["success"] = [bool(self._success[i]), o.success]
-            if self._messages[i] != o.messages:
-                mismatches["messages"] = [self._messages[i], o.messages]
-            if not _close(self._cost[i], o.cost_bytes):
-                mismatches["cost_bytes"] = [self._cost[i], o.cost_bytes]
-            if self._results[i] != o.results:
-                mismatches["results"] = [self._results[i], o.results]
-            if mismatches:
-                found.append(
-                    AuditViolation(
-                        check="query_resolution",
-                        message=(
-                            f"query #{i} (span {span_id}): trace annotation "
-                            f"disagrees with the collected outcome on "
-                            f"{sorted(mismatches)}"
-                        ),
-                        details={"index": i, "span_id": span_id, **mismatches},
-                    )
-                )
-        return found
 
-    def _bloom_fp_rate(self) -> Optional[List[AuditViolation]]:
-        if self.config is not None and not self._asap:
-            return None
-        totals = self._confirm_totals
-        live_attempts = totals.get("attempted", 0) - totals.get("failed_dead", 0)
-        if live_attempts < _BLOOM_MIN_SAMPLES:
-            return None
-        from repro.bloom.hashing import PAPER_K, min_false_positive_rate
+def _bloom_fp_rate(log: ActionLog) -> Optional[List[AuditViolation]]:
+    totals = dict(zip(CONFIRM_COUNTS, log.table(QUERY)["confirm"].sum(axis=0).tolist()))
+    live_attempts = totals["attempted"] - totals["failed_dead"]
+    if live_attempts < _BLOOM_MIN_SAMPLES:
+        return None
+    from repro.bloom.hashing import PAPER_K, min_false_positive_rate
 
-        measured = totals.get("failed_bloom_fp", 0) / live_attempts
-        configured_min = min_false_positive_rate(PAPER_K)
-        if measured <= _BLOOM_MAX_RATE:
-            return []
-        return [
-            AuditViolation(
-                check="bloom_fp_rate",
-                message=(
-                    f"measured Bloom false-positive rate {measured:.1%} over "
-                    f"{live_attempts} live confirmations exceeds the "
-                    f"{_BLOOM_MAX_RATE:.0%} ceiling (configured minimum "
-                    f"is {configured_min:.2%})"
-                ),
-                details={
-                    "measured_rate": measured,
-                    "configured_min_rate": configured_min,
-                    "ceiling": _BLOOM_MAX_RATE,
-                    "live_attempts": live_attempts,
-                    "bloom_fp_failures": totals.get("failed_bloom_fp", 0),
-                },
-            )
-        ]
+    measured = totals["failed_bloom_fp"] / live_attempts
+    configured_min = min_false_positive_rate(PAPER_K)
+    if measured <= _BLOOM_MAX_RATE:
+        return []
+    return [AuditViolation(
+        "bloom_fp_rate",
+        f"measured Bloom false-positive rate {measured:.1%} over {live_attempts} "
+        f"live confirmations exceeds the {_BLOOM_MAX_RATE:.0%} ceiling "
+        f"(configured minimum is {configured_min:.2%})",
+        {"measured_rate": measured, "configured_min_rate": configured_min,
+         "ceiling": _BLOOM_MAX_RATE, "live_attempts": live_attempts,
+         "bloom_fp_failures": totals["failed_bloom_fp"]},
+    )]
+
+
+def _churn(log: ActionLog) -> List[AuditViolation]:
+    churn = log.table(CHURN)
+    live = churn["live"]
+    expected = live[:-1] + np.where(churn["joined"][1:], 1, -1)
+    found = []
+    for i in np.flatnonzero(live[1:] != expected).tolist():
+        t, node, joined, reported = churn[i + 1].tolist()
+        kind = "join" if joined else "leave"
+        found.append(AuditViolation(
+            "churn_consistency",
+            f"{kind} of node {node} at t={t:.1f} reports {reported} live peers; "
+            f"expected {expected[i]} after {live[i]}",
+            {"t": t, "node": node, "kind": kind, "live": reported,
+             "expected": int(expected[i])},
+        ))
+    return found

@@ -4,12 +4,13 @@ Everything the paper measures is byte and message accounting per traffic
 class, so every observer of a run has to agree with the
 :class:`~repro.sim.metrics.BandwidthLedger` on what an action cost.  The
 protocol therefore tells one object what happened -- with the numbers it
-just computed for the ledger -- and that object decides, once, what a trace
-record looks like and which peer, link and window telemetry charges.
+just computed for the ledger -- and that object decides, once, what row an
+action is and which peer, link and window telemetry charges.
 
 An :class:`Instrumentation` bundles up to three sinks, each optional:
 
-* a :class:`~repro.obs.trace.Tracer` (exact, one record per action);
+* an :class:`~repro.obs.actions.ActionLog` (exact, one table row per
+  action; the audit, the fingerprint and ``--trace`` read it);
 * a :class:`~repro.obs.telemetry.Telemetry` accumulator (a table of charges);
 * a :class:`~repro.obs.profile.Profiler` (host time per engine event).
 
@@ -23,48 +24,33 @@ attribute load and one branch, and nothing in this package runs.
 
 Within an action telemetry is fed in a fixed order (requester, then each
 responder and its link; neighbours in the order they were asked), so its
-charge tables hold the same rows in the same order on every run.  Trace
-records and their attributes are frozen by the golden run fingerprints
+charge tables hold the same rows in the same order on every run.  The rows
+an action appends, rendered, are frozen by the golden run fingerprints
 (``tests/golden/run_fingerprints.json``); an action may not add, drop or
 reorder one.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import time
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.obs.actions import (
+    CATEGORIES, CHURN, CONFIRM_COUNTS, CONTENT, DELIVERY, DTYPES, EXCHANGE,
+    FORWARDERS, QUERY, REPAIR, SCOPES, ActionLog,
+)
+from repro.asap.ads import AdType
 from repro.obs.profile import Profiler
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import Tracer
 
-__all__ = ["Instrumentation", "TRACE_RECORDS"]
+__all__ = ["Instrumentation"]
 
-#: Every ``(category, name)`` record the seam writes, and so everything a
-#: trace can hold.  A query span is named after the algorithm that ran it.
-#: docs/OBSERVABILITY.md's record table is compared with this set by test.
-TRACE_RECORDS = frozenset(
-    {
-        ("query", "<algorithm>"),
-        ("query", "confirm_stats"),
-        ("ad", "deliver.fld"),
-        ("ad", "deliver.rw"),
-        ("ad", "deliver.gsa"),
-        ("ad", "ads_request"),
-        ("ad", "repair"),
-        ("churn", "join"),
-        ("churn", "leave"),
-        ("churn", "content_add"),
-        ("churn", "content_remove"),
-    }
-)
-
-_CONFIRM_COUNTERS = (
-    "attempted",
-    "confirmed",
-    "failed_dead",
-    "failed_bloom_fp",
-    "failed_split",
-)
+_NO_CONFIRM = (0, (0,) * len(CONFIRM_COUNTS))
+_AD_TYPES = tuple(AdType)  # the order of actions.AD_TYPES
 
 
 class Instrumentation:
@@ -72,16 +58,21 @@ class Instrumentation:
 
     def __init__(
         self,
-        tracer: Optional[Tracer] = None,
+        log: Optional[ActionLog] = None,
         telemetry: Optional[Telemetry] = None,
         profiler: Optional[Profiler] = None,
     ) -> None:
-        self.tracer = tracer
+        self.log = log
         self.telemetry = telemetry
         self.profiler = profiler
+        # The id of the query span being recorded (0 outside one): the
+        # parent of every action it causes.
+        self._open = 0
         # Confirmation classes of the ASAP search in flight, kept between
-        # ``confirmation`` actions and written out by ``confirm_stats``.
-        self._confirm = dict.fromkeys(_CONFIRM_COUNTERS, 0)
+        # ``confirmation`` actions; ``confirm_stats`` closes them into
+        # ``(record id, counts)`` for the query row.
+        self._confirm = dict.fromkeys(CONFIRM_COUNTS, 0)
+        self._confirmed = _NO_CONFIRM
 
     # ------------------------------------------------------ engine dispatch
     def event_begin(self, event) -> None:
@@ -96,43 +87,36 @@ class Instrumentation:
 
     # ---------------------------------------------------------------- search
     def query(self, algorithm, requester: int, terms: Sequence[str], now: float):
-        """One search request: runs ``algorithm._search_impl`` and reports it.
+        """One search request: runs ``algorithm._search_impl`` and records it.
 
         The one action that brackets host code, because everything the
-        search reports on the way (``ads_request``, ``confirm_stats``) nests
-        inside its span.  The span carries the outcome's message and byte
-        costs and the exact per-category ledger movement the request caused
-        -- the auditor's conservation check sums these deltas, plus the
-        top-level ad-lifecycle events, against the ledger's own totals.
+        search reports on the way (``ads_exchange``, ``repairs``,
+        ``confirm_stats``) happens inside its span.  The row carries the
+        outcome's message and byte costs and the exact per-category ledger
+        movement the request caused -- the audit's conservation check sums
+        these deltas, plus the top-level ad actions, against the ledger's
+        own totals.
         """
-        tracer = self.tracer
-        if tracer is None:
-            outcome = algorithm._search_impl(requester, terms, now)
-        else:
-            with tracer.span(
-                "query", algorithm.name, now,
-                requester=int(requester), terms=len(terms),
-            ) as span:
-                before = algorithm.ledger.category_totals()
-                outcome = algorithm._search_impl(requester, terms, now)
-                after = algorithm.ledger.category_totals()
-                span.annotate(
-                    success=outcome.success,
-                    messages=outcome.messages,
-                    cost_bytes=outcome.cost_bytes,
-                    results=outcome.results,
-                    local_hit=outcome.local_hit,
-                    response_time_ms=(
-                        outcome.response_time_ms if outcome.success else None
-                    ),
-                    ledger_delta={
-                        cat.value: moved
-                        for cat, total in after.items()
-                        if (moved := total - before.get(cat, 0.0)) != 0.0
-                    },
-                )
-        if self.telemetry is not None:
-            self.telemetry.record_query(now, int(requester), outcome)
+        log = self.log
+        if log is None:
+            return algorithm._search_impl(requester, terms, now)
+        span = self._open = log.take_id()
+        ledger = algorithm.ledger
+        before = ledger.byte_totals()
+        t0 = time.perf_counter()
+        outcome = algorithm._search_impl(requester, terms, now)
+        dur_s = time.perf_counter() - t0
+        delta = tuple(map(operator.sub, ledger.byte_totals(), before))
+        confirm_id, counts = self._confirmed
+        self._open, self._confirmed = 0, _NO_CONFIRM
+        cost = outcome.cost_bytes
+        log.algorithm = algorithm.name
+        log.add(QUERY, (
+            now, int(requester), len(terms), outcome.success, outcome.local_hit,
+            outcome.messages, cost, isinstance(cost, int), outcome.results,
+            outcome.response_time_ms if outcome.success else math.nan,
+            delta, confirm_id, counts, dur_s,
+        ), span)
         return outcome
 
     def query_traffic(
@@ -171,11 +155,10 @@ class Instrumentation:
 
         ``outcome`` is the class the attempt ends in: ``"confirmed"``,
         ``"failed_dead"``, or -- for a live source whose content did not
-        match -- a callable ``source -> "failed_bloom_fp" | "failed_split"``.
-        Telling the two apart walks every document the source shares, so
-        the callable runs only when a tracer keeps the classes.
+        match -- a callable ``source -> "failed_bloom_fp" | "failed_split"``,
+        run only when a log keeps the classes.
         """
-        if self.tracer is not None:
+        if self.log is not None:
             counts = self._confirm
             counts["attempted"] += 1
             counts[outcome if isinstance(outcome, str) else outcome(source)] += 1
@@ -185,13 +168,13 @@ class Instrumentation:
     def confirm_stats(self, now: float) -> None:
         """An ASAP search finished confirming (with zero attempts too).
 
-        Written as the last child of the query span: it ties the span's
+        Rendered as the last child of the query span: it ties the span's
         confirmation bytes back to individual attempts and feeds the
         measured Bloom false-positive rate.
         """
-        if self.tracer is not None:
-            self.tracer.event("query", "confirm_stats", now, **self._confirm)
-            self._confirm = dict.fromkeys(_CONFIRM_COUNTERS, 0)
+        if self.log is not None:
+            self._confirmed = (self.log.take_id(), tuple(self._confirm.values()))
+            self._confirm = dict.fromkeys(CONFIRM_COUNTS, 0)
 
     # ---------------------------------------------------------- ad lifecycle
     def ad_delivered(
@@ -200,116 +183,78 @@ class Instrumentation:
     ) -> None:
         """The ``kind`` forwarder (``fld`` / ``rw`` / ``gsa``) delivered ``ad``.
 
-        ``first_second`` is the first second the ledger charged it in.
-        Telemetry books the delivery where the ledger booked it -- in that
-        second, with the report's bytes -- and charges the advertising
-        source.  ``budget`` is the delivery's *effective* message cap
-        (``walkers * max(1, total_budget // walkers)``, which exceeds a
-        nominal budget smaller than the walker count; ``None`` for floods);
-        the auditor checks ``messages <= budget``.
+        Telemetry books it where the ledger did -- in ``first_second``, with
+        the report's bytes -- and charges the advertising source.
+        ``budget`` is the *effective* message cap (``walkers * max(1,
+        total_budget // walkers)``; ``None`` for floods) the audit checks.
         """
         if self.telemetry is not None and report.messages:
-            self.telemetry.record_delivery(
-                first_second + 0.5, int(ad.source), report.bytes
-            )
-        if self.tracer is not None:
-            self.tracer.event(
-                "ad",
-                f"deliver.{kind}",
-                now,
-                source=int(ad.source),
-                ad_type=ad.ad_type.value,
-                topics=len(ad.topics),
-                visited=len(report.visited_arr),
-                messages=report.messages,
-                bytes=report.bytes,
-                budget=budget,
-            )
+            self.telemetry.record_delivery(first_second + 0.5, int(ad.source), report.bytes)
+        if self.log is not None:
+            self.log.add(DELIVERY, (
+                self._open, now, FORWARDERS.index(kind), int(ad.source),
+                _AD_TYPES.index(ad.ad_type), len(ad.topics),
+                len(report.visited_arr), report.messages, report.bytes,
+                -1 if budget is None else budget,
+            ))
 
     def ads_exchange(
-        self,
-        now: float,
-        node: int,
-        scope: str,
-        served: Sequence[Tuple[int, float, object]],
-        messages: int,
-        cost_bytes: float,
-        request_bytes: float,
+        self, now: float, node: int, scope: str,
+        served: Sequence[Tuple[int, float, object]], messages: int,
+        cost_bytes: float, request_bytes: float,
     ) -> None:
         """``node`` asked its neighbours for ads (``bootstrap`` or ``query``).
 
         ``served`` holds, in the order they were asked, each neighbour with
         the request + reply bytes of its exchange and the array of sources
         the requester adopted from its reply; the serving neighbour pays
-        for the reply it assembled.  The byte split lets the auditor book
+        for the reply it assembled.  The byte split lets the audit book
         request and reply to their ledger categories.  A capped requester
         can be re-offered a source it evicted within the same request, so
-        the record counts *distinct* new sources.
+        the row counts *distinct* new sources.
         """
         telemetry = self.telemetry
         if telemetry is not None:
             for neighbor, nbytes, _ in served:
                 telemetry.record_ads_request(now, int(neighbor), nbytes)
-        if self.tracer is not None:
-            adopted = set()
-            for _, _, sources in served:
-                adopted.update(sources.tolist())
-            self.tracer.event(
-                "ad",
-                "ads_request",
-                now,
-                node=int(node),
-                scope=scope,
-                neighbors=len(served),
-                new_sources=len(adopted),
-                messages=messages,
-                cost_bytes=cost_bytes,
-                request_bytes=request_bytes,
-                reply_bytes=cost_bytes - request_bytes,
-            )
+        if self.log is not None:
+            adopted = np.sort(np.concatenate([sources for _, _, sources in served] or [[]]))
+            distinct = len(adopted) - int(np.count_nonzero(adopted[1:] == adopted[:-1]))
+            self.log.add(EXCHANGE, (
+                self._open, now, int(node), SCOPES.index(scope), len(served),
+                distinct, messages, cost_bytes, request_bytes,
+            ))
 
-    def repair(
-        self,
-        now: float,
-        node: int,
-        source: int,
-        request_bytes: float,
-        reply_bytes: float,
-        reply_category,
+    def repairs(
+        self, now: float, nodes: np.ndarray, source: int, request_bytes: float,
+        replies: np.ndarray, categories: Sequence,
     ) -> None:
-        """``node`` pulled the versions it missed from ``source``.
-
-        ``reply_category`` is the ledger category of the reply (patch or
-        full ad), ``None`` when the source shares nothing any more and sent
-        none.  The source serves the repair and is charged for it -- for
-        the request alone when it had nothing to reply with.
-        """
-        if self.telemetry is not None:
-            self.telemetry.record_repair(
-                now, int(source), request_bytes + float(reply_bytes)
+        """Each of ``nodes`` pulled the versions it missed from ``source``:
+        ``replies[i]`` bytes in ledger category ``categories[i]`` (patch or
+        full ad; ``None`` when the source shares nothing any more and sent
+        none).  The source serves each repair and is charged for it."""
+        source = int(source)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            for nbytes in np.asarray(replies, dtype=float).tolist():
+                telemetry.record_repair(now, source, request_bytes + nbytes)
+        if self.log is not None:
+            rows = np.empty(len(nodes), dtype=DTYPES[REPAIR])
+            rows["parent"], rows["t"], rows["node"] = self._open, now, nodes
+            rows["source"], rows["request_bytes"], rows["reply_bytes"] = (
+                source, request_bytes, replies,
             )
-        if self.tracer is not None:
-            self.tracer.event(
-                "ad",
-                "repair",
-                now,
-                node=int(node),
-                source=int(source),
-                request_bytes=request_bytes,
-                reply_bytes=float(reply_bytes),
-                reply_category=(
-                    None if reply_category is None else reply_category.value
-                ),
-            )
+            rows["reply_category"] = [
+                -1 if category is None else CATEGORIES.index(category)
+                for category in categories
+            ]
+            self.log.add_rows(REPAIR, rows)
 
     # ----------------------------------------------------------------- churn
     def churn(self, now: float, node: int, joined: bool, live: int) -> None:
         """``node`` came online or left; ``live`` peers remain."""
-        if self.tracer is not None:
-            self.tracer.event(
-                "churn", "join" if joined else "leave", now,
-                node=int(node), live=live,
-            )
+        if self.log is not None:
+            self.log.add(CHURN, (now, int(node), joined, live))
         if self.telemetry is not None:
             self.telemetry.record_churn(now, joined)
 
@@ -317,8 +262,5 @@ class Instrumentation:
         self, now: float, node: int, doc_id: int, added: bool
     ) -> None:
         """``node`` started or stopped sharing document ``doc_id``."""
-        if self.tracer is not None:
-            self.tracer.event(
-                "churn", "content_add" if added else "content_remove", now,
-                node=int(node), doc_id=int(doc_id),
-            )
+        if self.log is not None:
+            self.log.add(CONTENT, (now, int(node), int(doc_id), added))

@@ -19,8 +19,8 @@ workers), profiled, with ``runall``'s observer flags, and writes
   (:mod:`repro.obs.probes`): a list of labelled documents in seed order.
   The peers of two seeds are different peers, so nothing is added up.
 
-``--trace`` streams each seed's trace to its own ``cell_trace_name`` JSONL
-file next to ``run.json``.  The command prints each section's table and
+``--trace`` renders each seed's action tables to its own
+``cell_trace_name`` JSONL file next to ``run.json``.  The command prints each section's table and
 exits non-zero on a crashed cell, an audit violation, or a probe series
 with no tick.
 
@@ -31,10 +31,11 @@ to "what changed between these two runs?".  ``--tolerance T`` makes the
 exit code a drift gate: non-zero when any leaf differs by more than ``T``
 (absolute) or exists on one side only.
 
-``python -m repro.obs.report analyze`` feeds an existing trace file to the
-auditor's fold (:class:`~repro.obs.audit.TraceFold`) -- the same fold
-``--audit`` feeds live -- and emits its JSON lifecycle summary.  Traces may
-be gzip-compressed (``.jsonl.gz``); readers detect the suffix.
+``python -m repro.obs.report analyze`` parses an existing trace file back
+into the action tables (:func:`~repro.obs.actions.read_trace`) -- the
+tables ``--audit`` reads live -- and emits their JSON lifecycle summary
+(:func:`~repro.obs.audit.summary`).  Traces may be gzip-compressed
+(``.jsonl.gz``); readers detect the suffix.
 
 Examples::
 
@@ -318,12 +319,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # The auditor's fold, fed from the file instead of a live tracer.
-    from repro.obs.audit import TraceFold
-    from repro.obs.trace import read_trace
+    # The tables an audited run keeps, parsed from the file.
+    from repro.obs.actions import read_trace
+    from repro.obs.audit import summary
 
-    summary = TraceFold(records=read_trace(args.trace)).summary()
-    text = json.dumps(summary, indent=2) + "\n"
+    text = json.dumps(summary(read_trace(args.trace)), indent=2) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -388,7 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument(
         "--trace",
         action="store_true",
-        help="also stream each seed's trace to its own JSONL file in --out",
+        help="also write each seed's trace to its own JSONL file in --out",
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -1,11 +1,12 @@
 """Load telemetry: windowed series, hot peers and links, and digests, exact.
 
-Tracing (:mod:`repro.obs.trace`) writes *every* event as a record.  This
-module is the aggregated path: an opt-in :class:`Telemetry` accumulator
-that the run's :class:`~repro.obs.instrument.Instrumentation` feeds inline,
-action by action (engine dispatch, query, ad delivery, confirmation, ads
-exchange, repair, churn), and that reduces into a small, deterministic
-JSON document (:meth:`Telemetry.summary`):
+The action log (:mod:`repro.obs.actions`) keeps *every* action as a row.
+This module is the aggregated path: an opt-in :class:`Telemetry`
+accumulator that the run's :class:`~repro.obs.instrument.Instrumentation`
+feeds inline, action by action (engine dispatch, ad delivery,
+confirmation, ads exchange, repair, churn), and that reduces, with the
+run's query outcomes, into a small, deterministic JSON document
+(:meth:`Telemetry.summary`):
 
 * **time-windowed load series** -- queries, deliveries, churn and ads
   exchanges per window, plus bytes per traffic category (the Fig. 9 "load
@@ -18,8 +19,10 @@ JSON document (:meth:`Telemetry.summary`):
 Every figure is an exact function of what the run charged.  Each peer
 charge appends one row ``(window, node, bytes)`` to a column table of
 16 bytes a row, each link charge one row ``(window, src, dst, bytes)`` to
-a second, and each digested value goes to its own column; the summary
-reduces the columns with numpy.  At the paper's 10,000 peers a cell
+a second, and each delivery's bytes to a third; the summary reduces the
+columns with numpy.  Nothing per query is kept here: the summary reads
+response times, costs and per-window query counts from the run's
+outcomes and their replay times.  At the paper's 10,000 peers a cell
 charges about a million peers (``flooding``) and the tables hold about
 18 MB.  Per-category bytes are not charged inline at all: every byte
 already lands in :class:`~repro.sim.metrics.BandwidthLedger`'s per-second
@@ -105,14 +108,10 @@ def digest(values) -> Dict[str, Any]:
 class _WindowStats:
     """Inline per-window counters (everything the ledger does not know)."""
 
-    __slots__ = ("queries", "hits", "local_hits", "deliveries", "joins",
-                 "leaves", "repairs", "ads_requests", "confirmations",
-                 "engine_events")
+    __slots__ = ("deliveries", "joins", "leaves", "repairs", "ads_requests",
+                 "confirmations", "engine_events")
 
     def __init__(self) -> None:
-        self.queries = 0
-        self.hits = 0
-        self.local_hits = 0
         self.deliveries = 0
         self.joins = 0
         self.leaves = 0
@@ -180,8 +179,6 @@ class Telemetry:
         self._link_src = array("i")
         self._link_dst = array("i")
         self._link_bytes = array("d")
-        self._response_time_ms = array("d")
-        self._query_cost_bytes = array("d")
         self._delivery_bytes = array("d")
         self.engine_events = 0
 
@@ -198,18 +195,6 @@ class Telemetry:
         """One engine dispatch at simulation time ``t`` (hot path)."""
         self.engine_events += 1
         self._window(t).engine_events += 1
-
-    def record_query(self, t: float, requester: int, outcome: Any) -> None:
-        """One completed search request (called from the ``search`` template)."""
-        win = self._window(t)
-        win.queries += 1
-        if outcome.success:
-            win.hits += 1
-            if outcome.local_hit:
-                win.local_hits += 1
-            else:
-                self._response_time_ms.append(outcome.response_time_ms)
-        self._query_cost_bytes.append(outcome.cost_bytes)
 
     def record_peer_bytes(self, t: float, node: int, nbytes: float) -> None:
         """Charge ``nbytes`` of load to ``node`` at time ``t``."""
@@ -263,8 +248,15 @@ class Telemetry:
         t_start: int = 0,
         t_end: Optional[int] = None,
         load_categories: Optional[Iterable[Any]] = None,
+        outcomes: Sequence[Any] = (),
+        query_times: Sequence[float] = (),
     ) -> Dict[str, Any]:
         """Reduce the run into a summary document (plain JSON data).
+
+        ``outcomes`` are the run's search outcomes and ``query_times`` the
+        simulation times they were issued at: each window counts its
+        queries, hits and local hits from them, and the response-time
+        (non-local hits) and query-cost digests read them.
 
         ``ledger`` supplies the exact per-category byte/message series: its
         per-second bytes (:meth:`BandwidthLedger.per_second`) are summed
@@ -297,7 +289,7 @@ class Telemetry:
         }
         # A window exists once something happened in it: a counter moved,
         # bytes were charged, or (below) the ledger booked bytes.
-        live = set(self._windows) | {
+        live = set(self._windows) | {int(t // WINDOW_S) for t in query_times} | {
             w for tops in (top_peers, top_links) for w, top in tops.items() if top
         }
         windows = {
@@ -308,6 +300,11 @@ class Telemetry:
             )
             for w in sorted(live)
         }
+        for t, outcome in zip(query_times, outcomes):
+            win = windows[int(t // WINDOW_S)]
+            win["queries"] += 1
+            win["hits"] += outcome.success
+            win["local_hits"] += outcome.success and outcome.local_hit
         if ledger is not None:
             load_cats = frozenset(load_categories) if load_categories else frozenset()
             for cat, per_second in ledger.per_second().items():
@@ -351,8 +348,10 @@ class Telemetry:
             "label": None,
             "totals": totals,
             "windows": {str(w): windows[w] for w in sorted(windows)},
-            "response_time_ms": digest(self._response_time_ms),
-            "query_cost_bytes": digest(self._query_cost_bytes),
+            "response_time_ms": digest([
+                o.response_time_ms for o in outcomes if o.success and not o.local_hit
+            ]),
+            "query_cost_bytes": digest([o.cost_bytes for o in outcomes]),
             "delivery_bytes": digest(self._delivery_bytes),
             "per_peer_bytes": digest(per_peer[attributed]),
             "hot_peers": hot_peers,
@@ -363,9 +362,10 @@ class Telemetry:
 def _window_doc(
     stats: _WindowStats, top_peers: List[List[Any]], top_links: List[List[Any]]
 ) -> Dict[str, Any]:
-    """One window of a summary document, before the ledger's bytes and the
-    live node-seconds are added in."""
+    """One window of a summary document, before its queries, the ledger's
+    bytes and the live node-seconds are added in."""
     return {
+        "queries": 0, "hits": 0, "local_hits": 0,
         **{name: getattr(stats, name) for name in _WindowStats.__slots__},
         "bytes": {}, "load_bytes": 0.0, "live_node_seconds": 0,
         "top_peers": top_peers, "top_links": top_links,

@@ -13,8 +13,11 @@ length is not known up front, and a paper-scale run's few thousand seconds
 times eight categories are a few hundred kilobytes.  A scalar message is
 one cell write (:meth:`BandwidthLedger.record`); a walk, flood or batch of
 pulls hands its per-second bytes to :meth:`BandwidthLedger.add` as one
-slice write.  Totals, :meth:`BandwidthLedger.series` and the telemetry
-windows are sums over slices of the same array.
+slice write.  :meth:`BandwidthLedger.series` and the telemetry windows are
+sums over slices of the same array; each write also adds its bytes to a
+running total per category, which is exact because every wire size is a
+whole number of bytes, so :meth:`BandwidthLedger.category_totals` sums
+nothing.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ class BandwidthLedger:
         # bytes[_ROW[category], second]; the width doubles as seconds grow.
         self._bytes = np.zeros((len(_ROW), 64))
         self._end = 0  # one past the last second booked
+        self._totals = [0.0] * len(_ROW)  # bytes per category row
         # Messages per category, in the order categories were first booked.
         self._messages: Dict[TrafficCategory, int] = {}
 
@@ -123,7 +127,9 @@ class BandwidthLedger:
         second = int(time)
         if second >= self._end:
             self._extend(second + 1)
-        self._bytes[_ROW[category], second] += nbytes
+        row = _ROW[category]
+        self._bytes[row, second] += nbytes
+        self._totals[row] += nbytes
         self._messages[category] = self._messages.get(category, 0) + messages
 
     def add(
@@ -140,7 +146,9 @@ class BandwidthLedger:
         end = first_second + len(nbytes)
         if end > self._end:
             self._extend(end)
-        self._bytes[_ROW[category], first_second:end] += nbytes
+        row = _ROW[category]
+        self._bytes[row, first_second:end] += nbytes
+        self._totals[row] += float(nbytes.sum())
         self._messages[category] = self._messages.get(category, 0) + messages
 
     def record_each(
@@ -179,11 +187,16 @@ class BandwidthLedger:
             return int(sum(self._messages.values()))
         return int(sum(self._messages.get(c, 0) for c in categories))
 
+    def byte_totals(self) -> List[float]:
+        """Bytes per category over the whole run, one entry per
+        :class:`TrafficCategory` in declaration order (a copy)."""
+        return list(self._totals)
+
     def category_totals(self) -> Dict[TrafficCategory, float]:
         """Bytes per category over the whole run (Figure 7 input), in the
         order the categories were first booked."""
-        sums = self._bytes[:, : self._end].sum(axis=1).tolist()
-        return {c: sums[_ROW[c]] for c in self._messages}
+        totals = self._totals
+        return {c: float(totals[_ROW[c]]) for c in self._messages}
 
     def per_second(self) -> Dict[TrafficCategory, np.ndarray]:
         """Bytes per second, from second 0 to the last one booked, of every

@@ -77,6 +77,9 @@ class RunResult:
     # with audit=True); the report is an repro.obs.audit.AuditReport.
     audit: Optional[object] = None
     fingerprint: Optional[str] = None
+    # The observed run's repro.obs.actions.ActionLog (audit or trace_path);
+    # run_cells keeps it in the worker.
+    actions: Optional[object] = None
     # Load telemetry (run_experiment with telemetry=True); a
     # repro.obs.telemetry summary document of this cell -- windowed load
     # series, exact hot peers and links, and quantile digests.

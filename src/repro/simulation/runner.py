@@ -29,10 +29,10 @@ import numpy as np
 
 from repro.asap.protocol import AsapSearch
 from repro.asap.state import require_state_fits
+from repro.obs.actions import ActionLog, write_trace
 from repro.obs.instrument import Instrumentation
 from repro.obs.profile import Profiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import Tracer
 from repro.network.overlay import Overlay
 from repro.network.substrate import get_substrate, get_workload
 from repro.network.topology import build_topology
@@ -102,7 +102,7 @@ def build_algorithm(
 def run_experiment(
     config: RunConfig,
     *,
-    tracer: Optional[Tracer] = None,
+    trace_path=None,
     profile: bool = False,
     audit: bool = False,
     telemetry: bool = False,
@@ -111,23 +111,22 @@ def run_experiment(
 ) -> RunResult:
     """Execute one full trace replay and return its results.
 
-    Observability is opt-in.  Tracer, telemetry and profiler are sinks of
-    one :class:`repro.obs.Instrumentation`, which the engine takes as its
-    dispatch observer and -- when a tracer or telemetry wants the
-    algorithm's actions -- the algorithm as its ``obs``; with none of them
-    the run holds no instrumentation at all:
+    Observability is opt-in.  An action log, telemetry and a profiler are
+    sinks of one :class:`repro.obs.Instrumentation`, which the engine takes
+    as its dispatch observer (for telemetry or the profiler) and the
+    algorithm as its ``obs`` (for the log or telemetry); with none of them
+    the run holds no instrumentation and no table at all:
 
-    * ``tracer`` -- a :class:`repro.obs.trace.Tracer`; ad lifecycle, query
-      spans and churn events are recorded into it;
+    * ``trace_path`` -- keep the run's actions in a
+      :class:`repro.obs.actions.ActionLog` and render it there as JSONL
+      (gzip-compressed on ``.gz``) when the replay ends;
     * ``profile`` -- time every engine dispatch with a
       :class:`repro.obs.profile.Profiler` and attach the resulting
-      ``RunProfile`` to the returned :class:`RunResult` (also implied by
-      ``tracer``);
-    * ``audit`` -- trace the run (into ``tracer`` if one is passed) and
-      fold each record into the invariant auditor
-      (:class:`repro.obs.audit.TraceFold`) as it is emitted, attaching the
-      :class:`~repro.obs.audit.AuditReport` and the run fingerprint to
-      the result;
+      ``RunProfile`` to the returned :class:`RunResult`;
+    * ``audit`` -- keep the run's actions in an ``ActionLog`` and audit
+      them (:func:`repro.obs.audit.audit`) against the result, attaching
+      the :class:`~repro.obs.audit.AuditReport` and the run fingerprint;
+      an observed run's result carries its log as ``actions``;
     * ``telemetry`` -- accumulate with a
       :class:`repro.obs.telemetry.Telemetry`; its charge tables are
       reduced (windowed load, hot peers and links, quantile digests)
@@ -149,14 +148,7 @@ def run_experiment(
         # Before minutes of substrate and workload construction.
         require_state_fits(config.n_peers, config.asap.cache_capacity)
     streams = RandomStreams(seed=config.seed)
-    fold = None
-    if audit:
-        from repro.obs.audit import TraceFold
-
-        fold = TraceFold(config)
-        if tracer is None:
-            tracer = Tracer()
-        tracer.sinks.append(fold.feed)
+    log = ActionLog() if audit or trace_path is not None else None
 
     # --- substrate -------------------------------------------------------
     # The physical network is fully determined by (params, seed) and its
@@ -186,16 +178,15 @@ def run_experiment(
     )
 
     tel = Telemetry() if telemetry else None
-    profiler: Optional[Profiler] = None
-    if profile or tracer is not None:
-        profiler = Profiler(warmup_s=config.warmup_s)
+    profiler = Profiler(warmup_s=config.warmup_s) if profile else None
 
     # --- replay ------------------------------------------------------------
     engine = SimulationEngine()
-    if profiler is not None or tel is not None:
-        seam = Instrumentation(tracer, tel, profiler)
-        engine.set_observer(seam)
-        if tracer is not None or tel is not None:
+    if profiler is not None or tel is not None or log is not None:
+        seam = Instrumentation(log, tel, profiler)
+        if profiler is not None or tel is not None:
+            engine.set_observer(seam)
+        if log is not None or tel is not None:
             # Not for the profiler alone: it watches engine dispatch, no
             # sink wants the protocol's actions, and the action sites
             # should not pay a call each.
@@ -259,8 +250,6 @@ def run_experiment(
     engine.run(until=until)
     if phase_times is not None:
         phase_times["replay_s"] = time.perf_counter() - t_phase
-    if fold is not None:
-        tracer.sinks.remove(fold.feed)  # a passed tracer outlives this run
 
     # --- collect ------------------------------------------------------------
     t_start = int(config.warmup_s)
@@ -295,9 +284,19 @@ def run_experiment(
             t_start=t_start,
             t_end=t_end,
             load_categories=algorithm.load_categories,
+            outcomes=outcomes,
+            query_times=[
+                config.warmup_s + event.time
+                for event in trace.events if isinstance(event, QueryEvent)
+            ],
         )
-    if fold is not None:
-        report = fold.audit(result)
-        result.audit = report
-        result.fingerprint = report.fingerprint
+    if log is not None:
+        result.actions = log
+        if trace_path is not None:
+            write_trace(log, trace_path)
+        if audit:
+            from repro.obs.audit import audit as audit_run
+
+            result.audit = audit_run(log, config, result)
+            result.fingerprint = result.audit.fingerprint
     return result

@@ -421,6 +421,27 @@ class ContentIndex:
         counts = Counter(self._docs.runs(self.docs_of(node)).tolist())
         return Counter({self._docs.term(k): n for k, n in counts.items()})
 
+    def holds_keywords(self, node: int, terms: Iterable[str]) -> bool:
+        """Is every one of ``terms`` a keyword of some document ``node``
+        shares?  Keyword ids against the documents' keyword runs."""
+        docs = self._docs
+        keys = [docs.key(t) for t in terms]
+        if None in keys:
+            return False
+        held = set()
+        mine = self.docs_of(node)
+        for start, length in zip(docs.start[mine].tolist(), docs.length[mine].tolist()):
+            held.update(docs.kw[start : start + length].tolist())
+        return held.issuperset(keys)
+
+    def keyword_id(self, term: str) -> Optional[int]:
+        """``term``'s keyword id; None for a word no document has (a title
+        token of no registered document included)."""
+        key = self._docs.key(term)
+        if key is not None and key & 1 and not self._docs.registered(key >> 1):
+            return None
+        return key
+
     def node_classes(self, node: int) -> Set[int]:
         """Semantic classes represented in a node's shared content."""
         return set(self._docs.cls[self.docs_of(node)].tolist())

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.workload.content import ContentIndex, Document, title_key, word_key
 from repro.workload.interests import CLASS_WEIGHTS, N_CLASSES, assign_interests
-from repro.workload.sampling import draw_distinct, zipf_table
+from repro.workload.sampling import Table, draw_distinct, zipf_table
 
 __all__ = [
     "ContentDistribution",
@@ -175,12 +175,13 @@ def _build_vocab(n_classes: int, vocab_per_class: int) -> List[List[str]]:
 
 
 def _draw_keywords(
-    rng: np.random.Generator, v: int, min_kw: int, max_kw: int, zipf_s: float
+    rng: np.random.Generator, words: Table, min_kw: int, max_kw: int
 ) -> List[int]:
     """A document's class keywords: a count, then that many distinct
-    Zipf-drawn indices into a ``v``-word class vocabulary, ascending."""
+    indices into a class vocabulary drawn from its Zipf table ``words``,
+    ascending."""
     n_kw = int(rng.integers(min_kw, max_kw + 1))
-    return sorted(draw_distinct(rng, zipf_table(v, zipf_s), min(n_kw, v)))
+    return sorted(draw_distinct(rng, words, min(n_kw, len(words.p))))
 
 
 def make_document(
@@ -193,7 +194,9 @@ def make_document(
     zipf_s: float = 1.1,
 ) -> Document:
     """Create a document: unique title token + Zipf-drawn class keywords."""
-    picked = _draw_keywords(rng, len(class_vocab), min_kw, max_kw, zipf_s)
+    picked = _draw_keywords(
+        rng, zipf_table(len(class_vocab), zipf_s), min_kw, max_kw
+    )
     keywords = (f"title{doc_id}",) + tuple(class_vocab[i] for i in picked)
     return Document(doc_id=doc_id, class_id=class_id, keywords=keywords)
 
@@ -250,6 +253,7 @@ def synthesize_content(
 
     vocab = _build_vocab(N_CLASSES, params.vocab_per_class)
     v = params.vocab_per_class
+    words = zipf_table(v, params.keyword_zipf_s)
     # Each document's keyword draws, then its holder draws, in doc-id order
     # (the content stream's order), as keyword ids and copy columns.
     lengths = np.empty(n_docs, dtype=np.int32)
@@ -257,8 +261,7 @@ def synthesize_content(
     keys, holders = array("i"), array("i")
     for doc_id, c in enumerate(doc_classes.tolist()):
         picked = _draw_keywords(
-            rng, v, params.min_class_keywords, params.max_class_keywords,
-            params.keyword_zipf_s,
+            rng, words, params.min_class_keywords, params.max_class_keywords
         )
         keys.append(title_key(doc_id))
         keys.extend([word_key(c * v + i) for i in picked])

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.workload.content import Document
 from repro.workload.edonkey import ContentDistribution, make_document
-from repro.workload.sampling import draw_one, zipf_table
+from repro.workload.sampling import Table, draw_one, zipf_table
 from repro.workload.trace import (
     ContentChangeEvent,
     JoinEvent,
@@ -83,6 +83,9 @@ class _GeneratorState:
         # Private placements, a fork's change log (placements replayed
         # later must not be affected by generation-time bookkeeping).
         self.copies = self.index.fork()
+        # Per class, the query-target Zipf table of its current document
+        # count, for this trace only.
+        self.zipf_tables: Dict[int, Dict[int, Table]] = {}
         # Per-class document ids in creation order (for Zipf sampling).
         classes = self.index.classes()
         self.class_docs: Dict[int, np.ndarray] = {
@@ -112,11 +115,19 @@ class _GeneratorState:
         )
 
 
-def _zipf_index(rng: np.random.Generator, n: int, s: float) -> int:
-    """Sample an index in [0, n) with P(i) ~ (i+1)^-s (rank-Zipf)."""
+def _zipf_index(
+    rng: np.random.Generator, n: int, s: float, tables: Dict[int, Table]
+) -> int:
+    """Sample an index in [0, n) with P(i) ~ (i+1)^-s (rank-Zipf).  ``tables``
+    keeps one class's table by ``n``: a count it has not seen replaces the
+    table, as a class's document count only grows."""
     if n == 1:
         return 0
-    return draw_one(rng, zipf_table(n, s))
+    dist = tables.get(n)
+    if dist is None:
+        tables.clear()
+        dist = tables[n] = zipf_table(n, s)
+    return draw_one(rng, dist)
 
 
 def _pick_query(
@@ -138,7 +149,10 @@ def _pick_query(
             if docs is None:
                 continue
             for _ in range(25):  # document attempts within the class
-                doc_id = int(docs[_zipf_index(rng, len(docs), params.query_zipf_s)])
+                doc_id = int(docs[_zipf_index(
+                    rng, len(docs), params.query_zipf_s,
+                    state.zipf_tables.setdefault(c, {}),
+                )])
                 if state.has_live_holder(doc_id, excluding=requester):
                     doc = state.index.document(doc_id)
                     terms = _make_terms(doc, params, rng)

@@ -13,7 +13,6 @@ and generator state against the installed numpy).
 
 from __future__ import annotations
 
-import functools
 from typing import List, NamedTuple
 
 import numpy as np
@@ -51,12 +50,11 @@ def table(weights: np.ndarray) -> Table:
     return Table(p, cdf, int(np.count_nonzero(p)))
 
 
-@functools.lru_cache(maxsize=32)
 def zipf_table(n: int, exponent: float) -> Table:
-    """Rank-Zipf over ``n`` items, ``P(i) ~ (i + 1) ** -exponent``; cached,
-    as synthesis asks for the same few ``(n, exponent)`` over and over (one
-    vocabulary size; one document count per semantic class, which changes
-    only when a content-change event adds a document)."""
+    """Rank-Zipf over ``n`` items, ``P(i) ~ (i + 1) ** -exponent``.  Not
+    cached here: synthesis builds its one vocabulary table per call, and
+    ``generate_trace`` keeps its per-class-count tables for its own call,
+    so no table outlives the workload that drew from it."""
     return table(np.arange(1, n + 1, dtype=np.float64) ** -exponent)
 
 

@@ -141,7 +141,7 @@ class OracleAsapSearch(AsapSearch):
             )
             repo.accept_snapshot(source, plan["version"], plan["topics"], now)
         if self.obs is not None:
-            self.obs.repair(now, node, source, request_bytes, reply_bytes, category)
+            self.obs.repairs(now, [node], source, request_bytes, [reply_bytes], [category])
 
     def _ads_request(
         self,

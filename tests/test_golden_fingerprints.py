@@ -6,6 +6,13 @@ left byte-for-byte alone by every later simplification.  A mismatch means
 the change moved dispatch order, an RNG draw or the ledger -- never "just
 a refactor".
 
+A run fingerprint is read two ways.  The ``fingerprints`` rows hash the
+trace records one canonical JSON object at a time, as the streaming fold
+in ``tests/oracles/trace_fold.py`` does: each is asserted on the records
+the audited run's action tables render.  The ``table_fingerprints`` rows
+are the audit's own fingerprint, blake2b over the tables' bytes, recorded
+once beside them when the tables replaced the fold.
+
 Fingerprints hash floats, so they are only comparable under the numpy
 ``major.minor`` that recorded them; the test skips otherwise.  After an
 *intended* behaviour change (or a numpy upgrade) re-record with::
@@ -34,6 +41,7 @@ from repro.sim.random import RandomStreams
 from repro.workload.edonkey import synthesize_content
 
 from tests.oracles.hops import domain_hops
+from tests.oracles.trace_fold import TraceFold, rendered_records
 from tests.test_engine_batching_differential import small_config
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "run_fingerprints.json"
@@ -307,6 +315,15 @@ def test_golden_file_covers_the_matrix():
     assert sorted(_golden()["fingerprints"]) == sorted(CONFIGS)
 
 
+@functools.lru_cache(maxsize=None)
+def run_fingerprints(name):
+    """``(record fingerprint, table fingerprint)`` of row ``name``'s
+    audited run: the fold fed the rendered records, and the audit's own."""
+    result = run_experiment(CONFIGS[name], audit=True)
+    fold = TraceFold(records=rendered_records(result.actions))
+    return fold.fingerprint(result), result.fingerprint
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_run_fingerprint_matches_golden(name):
     recorded = _golden()["numpy_version"]
@@ -315,8 +332,22 @@ def test_run_fingerprint_matches_golden(name):
             f"golden fingerprints recorded under numpy {recorded}, "
             f"running {numpy.__version__}"
         )
-    fingerprint = run_experiment(CONFIGS[name], audit=True).fingerprint
-    assert fingerprint == _golden()["fingerprints"][name]
+    assert run_fingerprints(name)[0] == _golden()["fingerprints"][name]
+
+
+def test_golden_file_covers_the_table_fingerprints():
+    assert sorted(_golden()["table_fingerprints"]) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_table_fingerprint_matches_golden(name):
+    recorded = _golden()["numpy_version"]
+    if _major_minor(recorded) != _major_minor(numpy.__version__):
+        pytest.skip(
+            f"golden fingerprints recorded under numpy {recorded}, "
+            f"running {numpy.__version__}"
+        )
+    assert run_fingerprints(name)[1] == _golden()["table_fingerprints"][name]
 
 
 def test_golden_file_covers_the_obs_rows():
@@ -379,10 +410,7 @@ def test_content_digest_matches_golden(name):
 if __name__ == "__main__":
     payload = {
         "numpy_version": numpy.__version__,
-        "fingerprints": {
-            name: run_experiment(config, audit=True).fingerprint
-            for name, config in CONFIGS.items()
-        },
+        "fingerprints": {name: run_fingerprints(name)[0] for name in CONFIGS},
         "substrate_digests": {
             name: substrate_digest(*args) for name, args in SUBSTRATES.items()
         },
@@ -395,6 +423,7 @@ if __name__ == "__main__":
     payload["content_digests"] = {
         name: content_digest(*args) for name, args in CONTENTS.items()
     }
+    payload["table_fingerprints"] = {name: run_fingerprints(name)[1] for name in CONFIGS}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     print(

@@ -3,7 +3,7 @@
 Any interleaving of scalar records (messages-only ones included),
 per-message batches and per-second arrays, at any first second and past
 the array's first width, in any categories, leaves both ledgers with the
-same totals bit for bit, the same message counts and category order, the
+same totals bit for bit after every write, the same message counts and category order, the
 same ``series()`` over any window and the same per-second bytes.  Sizes
 are whole bytes, as every wire size is.
 """
@@ -65,6 +65,10 @@ def test_array_ledger_matches_dict_ledger(script, a, b):
     for write in script:
         book(ledger, write)
         book(reference, write)
+        # The running totals, after every write, bit for bit.
+        running, summed = ledger.category_totals(), reference.category_totals()
+        assert list(running) == list(summed)
+        assert [v.hex() for v in running.values()] == [v.hex() for v in summed.values()]
 
     totals, expected = ledger.category_totals(), reference.category_totals()
     assert list(totals) == list(expected)  # first-booked order

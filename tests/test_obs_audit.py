@@ -1,18 +1,21 @@
-"""Invariant auditor: clean runs pass, injected faults fire the right check,
-fingerprints are deterministic, and the fold keeps no trace record."""
+"""Invariant auditor: clean runs pass, injected faults fire the right check
+exactly as the streaming fold of ``tests/oracles/trace_fold.py`` reports
+them, fingerprints are deterministic, and an audited run builds no trace
+record."""
 
-import gc
-import itertools
-from dataclasses import replace as dc_replace
+import json
 
 import pytest
 
-from repro.obs.audit import AuditViolation, TraceFold
-from repro.obs.trace import TraceRecord, Tracer
+from repro.obs import actions as actions_module
+from repro.obs.actions import parse_lines, render_lines
+from repro.obs.audit import AuditViolation, audit, fingerprint
 from repro.search.random_walk import WALKERS
 from repro.sim.metrics import TrafficCategory
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
+
+from tests.oracles.trace_fold import TraceFold, TraceRecord
 
 ALGOS = ("flooding", "random_walk", "gsa", "asap_rw")
 
@@ -30,18 +33,48 @@ def _cfg(algorithm, topology="random", seed=0, **kw):
 
 
 def _traced_run(config):
-    records = []
-    result = run_experiment(config, tracer=Tracer(records.append), audit=True)
-    return records, result
+    """An audited run and its rendered records, as JSON dicts."""
+    result = run_experiment(config, audit=True)
+    return [json.loads(line) for line in render_lines(result.actions)], result
+
+
+def _log(records):
+    return parse_lines(json.dumps(r) for r in records)
 
 
 def audit_run(records, result, config):
-    """Feed ``records`` through a fresh fold and audit ``result``."""
-    return TraceFold(config, records).audit(result)
+    """Audit ``result`` against the tables ``records`` parse into; the
+    oracle fold fed the same records must report the same checks and
+    violations."""
+    report = audit(_log(records), config, result)
+    oracle = TraceFold(
+        config, [TraceRecord.from_json(json.dumps(r)) for r in records]
+    ).audit(result)
+    assert report.checks == oracle.checks
+    assert [v.to_dict() for v in report.violations] == [
+        v.to_dict() for v in oracle.violations
+    ]
+    return report
 
 
 def run_fingerprint(records, result):
-    return TraceFold(records=records).fingerprint(result)
+    return fingerprint(_log(records), result)
+
+
+def _tamper(records, match, **attrs):
+    """``records`` with the first one ``match`` accepts given ``attrs``."""
+    out, done = [], False
+    for r in records:
+        if not done and match(r):
+            r = dict(r, attrs=dict(r["attrs"], **attrs))
+            done = True
+        out.append(r)
+    assert done, "no record to tamper with"
+    return out
+
+
+def _is_span(r):
+    return r["cat"] == "query" and r["kind"] == "span"
 
 
 @pytest.fixture(scope="module")
@@ -75,31 +108,21 @@ def test_audit_statuses_reflect_applicability(asap_run):
 
 
 def test_refed_trace_reproduces_the_live_report(asap_run):
-    """One fold, two feeds: the records a run emitted, fed again, give the
-    report the live fold gave, check order and violations included."""
+    """The records a run's tables render, parsed back, give the report the
+    live tables gave, check order, violations and fingerprint included."""
     config, records, result = asap_run
     assert audit_run(records, result, config).to_dict() == result.audit.to_dict()
 
 
-def test_audit_keeps_no_trace_records():
-    """An audited run holds, at its last record, no more trace records than
-    its open spans and the record in hand: the fold keeps scalars only."""
-    config = _cfg("asap_rw", seed=1)
-    n_records = len(_traced_run(config)[0])
-    emitted = itertools.count(1)
-    at_last = []
+def test_audit_keeps_no_trace_records(monkeypatch):
+    """An audited run builds no trace record: records exist only when the
+    tables are rendered."""
+    def no_record(*args, **kwargs):
+        raise AssertionError("an audited run built a trace record")
 
-    def count_live_records(record):
-        if next(emitted) == n_records:
-            live = sum(isinstance(o, TraceRecord) for o in gc.get_objects())
-            at_last.append((live - baseline, record.depth + 1))
-
-    gc.collect()
-    baseline = sum(isinstance(o, TraceRecord) for o in gc.get_objects())
-    result = run_experiment(config, tracer=Tracer(count_live_records), audit=True)
-    assert result.audit.ok
-    ((kept, bound),) = at_last
-    assert kept <= bound
+    monkeypatch.setattr(actions_module, "_record", no_record)
+    result = run_experiment(_cfg("asap_rw", seed=1), audit=True)
+    assert result.audit.ok and len(result.actions.sequence()) > 0
 
 
 # ---------------------------------------------------------- fault injection
@@ -118,10 +141,8 @@ def test_corrupted_ledger_fires_conservation():
 
 def test_dropped_query_span_fires_resolution(asap_run):
     config, records, result = asap_run
-    spans = [r for r in records
-             if r.category == "query" and r.kind == "span"]
-    tampered = [r for r in records if r is not spans[0]]
-    report = audit_run(tampered, result, config)
+    first = next(r for r in records if _is_span(r))
+    report = audit_run([r for r in records if r is not first], result, config)
     assert report.checks["query_resolution"] == "fail"
     assert any("resolved" in v.message for v in report.violations
                if v.check == "query_resolution")
@@ -129,38 +150,23 @@ def test_dropped_query_span_fires_resolution(asap_run):
 
 def test_mismatched_outcome_annotation_fires_resolution(asap_run):
     config, records, result = asap_run
-    tampered = []
-    flipped = False
-    for r in records:
-        if not flipped and r.category == "query" and r.kind == "span":
-            attrs = dict(r.attrs, messages=int(r.attrs["messages"]) + 7)
-            tampered.append(dc_replace(r, attrs=attrs))
-            flipped = True
-        else:
-            tampered.append(r)
+    first = next(r for r in records if _is_span(r))
+    tampered = _tamper(records, _is_span, messages=first["attrs"]["messages"] + 7)
     report = audit_run(tampered, result, config)
     assert report.checks["query_resolution"] == "fail"
 
 
 def test_exceeded_walk_budget_fires(asap_run):
     config, records, result = asap_run
-    tampered = []
-    bumped = False
-    for r in records:
-        if (not bumped and r.category == "ad"
-                and r.name.startswith("deliver.")
-                and r.attrs.get("budget") is not None):
-            attrs = dict(r.attrs, messages=int(r.attrs["budget"]) + 1)
-            tampered.append(dc_replace(r, attrs=attrs))
-            bumped = True
-        else:
-            tampered.append(r)
-    assert bumped, "expected at least one budgeted delivery in an ASAP(RW) run"
-    report = audit_run(tampered, result, config)
+
+    def budgeted(r):
+        return r["name"].startswith("deliver.") and r["attrs"]["budget"] is not None
+
+    budget = next(r for r in records if budgeted(r))["attrs"]["budget"]
+    report = audit_run(_tamper(records, budgeted, messages=budget + 1), result, config)
     assert report.checks["walk_budget"] == "fail"
-    # The tampered delivery also breaks byte conservation is irrelevant here:
-    # messages are not bytes, so only the budget check fires.
-    assert any(v.check == "walk_budget" for v in report.violations)
+    # Messages are not bytes, so only the budget check fires.
+    assert {v.check for v in report.violations} == {"walk_budget"}
 
 
 def test_per_query_walk_cap_fires_for_random_walk():
@@ -168,73 +174,65 @@ def test_per_query_walk_cap_fires_for_random_walk():
     records, result = _traced_run(config)
     assert result.audit.ok
     cap = WALKERS * config.rw_ttl + 1
-    tampered = []
-    for r in records:
-        if r.category == "query" and r.kind == "span":
-            attrs = dict(r.attrs, messages=cap + 1)
-            tampered.append(dc_replace(r, attrs=attrs))
-        else:
-            tampered.append(r)
+    tampered = [
+        dict(r, attrs=dict(r["attrs"], messages=cap + 1)) if _is_span(r) else r
+        for r in records
+    ]
     report = audit_run(tampered, result, config)
     assert report.checks["walk_budget"] == "fail"
 
 
 def test_tampered_churn_live_count_fires(asap_run):
     config, records, result = asap_run
-    tampered = []
-    churned = False
-    for r in records:
-        if (not churned and r.category == "churn"
-                and r.name in ("join", "leave") and "live" in r.attrs):
-            attrs = dict(r.attrs, live=int(r.attrs["live"]) + 5)
-            tampered.append(dc_replace(r, attrs=attrs))
-            churned = True
-        else:
-            tampered.append(r)
-    assert churned, "expected churn events in the scaled trace"
-    report = audit_run(tampered, result, config)
+
+    def churn(r):
+        return r["name"] in ("join", "leave")
+
+    live = next(r for r in records if churn(r))["attrs"]["live"]
+    report = audit_run(_tamper(records, churn, live=live + 5), result, config)
     assert report.checks["churn_consistency"] == "fail"
 
 
 def test_excessive_bloom_fp_rate_fires(asap_run):
     config, records, result = asap_run
-    # Replace every confirm_stats event with one reporting a 50% FP rate
-    # over a large sample (keeps attempted == classified so only the FP
-    # ceiling fires, not the per-query discipline arithmetic).
-    tampered = []
-    for r in records:
-        if r.category == "query" and r.name == "confirm_stats":
-            tampered.append(dc_replace(r, attrs={
-                "attempted": 10, "confirmed": 5, "failed_dead": 0,
-                "failed_bloom_fp": 5, "failed_split": 0,
-            }))
-        else:
-            tampered.append(r)
+    # Every confirm_stats reports a 50% FP rate over a large sample (keeps
+    # attempted == classified so only the FP ceiling fires, not the
+    # per-query discipline arithmetic).
+    burst = {"attempted": 10, "confirmed": 5, "failed_dead": 0,
+             "failed_bloom_fp": 5, "failed_split": 0}
+    tampered = [
+        dict(r, attrs=burst) if r["name"] == "confirm_stats" else r for r in records
+    ]
     report = audit_run(tampered, result, config)
     assert report.checks["bloom_fp_rate"] == "fail"
     v = next(v for v in report.violations if v.check == "bloom_fp_rate")
     assert v.details["measured_rate"] == pytest.approx(0.5)
 
 
+def test_unclassified_confirmation_fires(asap_run):
+    """A confirm count whose attempts exceed its classified outcomes."""
+    config, records, result = asap_run
+
+    def stats(r):
+        return r["name"] == "confirm_stats" and r["attrs"]["attempted"]
+
+    attempted = next(r for r in records if stats(r))["attrs"]["attempted"]
+    report = audit_run(_tamper(records, stats, attempted=attempted + 1), result, config)
+    assert report.checks["confirmation_discipline"] == "fail"
+    assert any("classified outcomes" in v.message for v in report.violations)
+
+
 def test_confirmation_bytes_mismatch_fires(asap_run):
     config, records, result = asap_run
     # Inflate one query span's confirmation delta: traffic without an
     # explaining confirm attempt.
-    tampered = []
-    inflated = False
-    for r in records:
-        if (not inflated and r.category == "query" and r.kind == "span"
-                and r.attrs.get("ledger_delta", {}).get("confirmation")):
-            delta = dict(r.attrs["ledger_delta"])
-            delta["confirmation"] += 777.0
-            tampered.append(
-                dc_replace(r, attrs=dict(r.attrs, ledger_delta=delta))
-            )
-            inflated = True
-        else:
-            tampered.append(r)
-    assert inflated, "expected a confirming query in the ASAP run"
-    report = audit_run(tampered, result, config)
+
+    def confirming(r):
+        return _is_span(r) and r["attrs"]["ledger_delta"].get("confirmation")
+
+    delta = dict(next(r for r in records if confirming(r))["attrs"]["ledger_delta"])
+    delta["confirmation"] += 777.0
+    report = audit_run(_tamper(records, confirming, ledger_delta=delta), result, config)
     assert report.checks["confirmation_discipline"] == "fail"
 
 
@@ -255,12 +253,11 @@ def test_fingerprint_changes_with_seed():
 def test_fingerprint_ignores_wall_clock(asap_run):
     config, records, result = asap_run
     shifted = [
-        dc_replace(r, dur_s=(r.dur_s or 0.0) + 123.0) if r.kind == "span" else r
+        dict(r, dur_s=(r["dur_s"] or 0.0) + 123.0) if r["kind"] == "span" else r
         for r in records
     ]
-    assert run_fingerprint(shifted, result) == run_fingerprint(
-        records, result
-    )
+    assert run_fingerprint(shifted, result) == run_fingerprint(records, result)
+    assert run_fingerprint(records, result) == result.fingerprint
 
 
 def test_fingerprint_sensitive_to_structure(asap_run):

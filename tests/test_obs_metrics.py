@@ -8,7 +8,7 @@ import pytest
 import repro.experiments.parallel as parallel
 import repro.simulation.runner as runner
 from repro.obs.report import diff_rows, flatten, main, render_diff, run_report
-from repro.obs.trace import Tracer
+from repro.obs.actions import records
 from repro.simulation.config import scaled_config
 from repro.simulation.runner import run_experiment
 
@@ -75,27 +75,21 @@ def _tiny_config(algorithm="asap_rw"):
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    records = []
-    result = run_experiment(
-        _tiny_config(), tracer=Tracer(records.append), profile=True
-    )
-    return result, records
+    result = run_experiment(_tiny_config(), audit=True, profile=True)
+    return result, list(records(result.actions))
 
 
 def test_run_experiment_attaches_profile_and_diagnostics(tiny_result):
-    result, records = tiny_result
+    result, rendered = tiny_result
     assert result.profile is not None
     assert result.profile.events > 0
     assert result.profile.engine_events == result.profile.events
     assert result.profile.phases["warmup"].events > 0
-    # The tracer saw query spans (plus nested confirm_stats events) and
-    # ad events.
-    spans = [
-        r for r in records
-        if r.category == "query" and r.kind == "span"
-    ]
+    # The log kept query spans (plus nested confirm_stats events) and ad
+    # events.
+    spans = [r for r in rendered if r["cat"] == "query" and r["kind"] == "span"]
     assert len(spans) == 15
-    assert any(r.category == "ad" for r in records)
+    assert any(r["cat"] == "ad" for r in rendered)
 
 
 @pytest.mark.parametrize("algorithm", ["asap_rw", "random_walk"])

@@ -174,8 +174,10 @@ _CHARGES = st.lists(
 
 
 def _feed(charges):
-    """``(summary, oracle)`` after the same charges went to both."""
+    """``(summary, oracle)`` after the same charges went to both; queries
+    reach the summary as the run's outcomes and their times."""
     t, ref = Telemetry(), DictTelemetry()
+    outcomes, times = [], []
     for kind, *args in charges:
         if kind == "peer":
             t.record_peer_bytes(*args)
@@ -198,13 +200,14 @@ def _feed(charges):
             ref.peer(*args)
         else:
             now, success, local_hit, ms, cost = args
-            t.record_query(now, 0, SimpleNamespace(
+            times.append(now)
+            outcomes.append(SimpleNamespace(
                 success=success, local_hit=local_hit, response_time_ms=ms, cost_bytes=cost,
             ))
             if success and not local_hit:
                 ref.value("response_time_ms", ms)
             ref.value("query_cost_bytes", cost)
-    return t.summary(), ref
+    return t.summary(outcomes=outcomes, query_times=times), ref
 
 
 def _check_against(summary, ref):
@@ -268,16 +271,12 @@ def test_golden_rows_report_exact_hot_lists_and_digests(name, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(Telemetry, method, wrapped)
-    original_query = Telemetry.record_query
-
-    def record_query(self, t, requester, outcome):
+    result = run_experiment(CONFIGS[name], telemetry=True)
+    for outcome in result.outcomes:
         if outcome.success and not outcome.local_hit:
             ref.value("response_time_ms", outcome.response_time_ms)
         ref.value("query_cost_bytes", outcome.cost_bytes)
-        return original_query(self, t, requester, outcome)
-
-    monkeypatch.setattr(Telemetry, "record_query", record_query)
-    summary = run_experiment(CONFIGS[name], telemetry=True).telemetry
+    summary = result.telemetry
     assert len(summary["hot_peers"]) == TOP_K
     _check_against(summary, ref)
 

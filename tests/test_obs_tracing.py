@@ -1,152 +1,193 @@
-"""Tracing layer: span nesting, JSONL round-trip, and the engine observer /
-live-pending satellites."""
+"""The action tables and their trace rendering: ids, nesting, JSONL round
+trips, and the engine observer / live-pending satellites."""
 
-import io
 import json
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.obs import actions
+from repro.obs import instrument as instrument_module
 from repro.obs import profile as profile_module
-from repro.obs.profile import Profiler, RunProfile, peak_rss_mb, subsystem_of
-from repro.obs.trace import (
+from repro.obs.actions import (
+    CHUNK,
+    CHURN,
     TRACE_SCHEMA_VERSION,
-    TraceRecord,
-    Tracer,
-    jsonl_writer,
+    ActionLog,
     open_text_maybe_gzip,
+    parse_lines,
     read_trace,
-    read_trace_lines,
+    records,
+    render_lines,
+    write_trace,
 )
+from repro.obs.instrument import Instrumentation
+from repro.obs.profile import Profiler, RunProfile, peak_rss_mb, subsystem_of
+from repro.search.base import SearchOutcome
 from repro.sim.engine import SimulationEngine, SimulationError
+from repro.sim.metrics import BandwidthLedger, TrafficCategory
+
+
+class _Search:
+    """The slice of a SearchAlgorithm ``Instrumentation.query`` touches,
+    reporting one ads exchange and its confirm counts on the way."""
+
+    name = "toy"
+
+    def __init__(self, obs):
+        self.obs = obs
+        self.ledger = BandwidthLedger()
+
+    def _search_impl(self, requester, terms, now):
+        self.ledger.record(now, TrafficCategory.CONFIRMATION, 80.0)
+        self.obs.ads_exchange(now, requester, "query", [], 0, 0.0, 0.0)
+        self.obs.confirm_stats(now)
+        return SearchOutcome(True, 5.0, 1, 80.0, 1)
+
+
+def _tables(log):
+    """The algorithm and the bytes of every table: equal logs, equal tuples."""
+    return (log.algorithm, log.sequence().tobytes(),
+            *(log.table(kind).tobytes() for kind in range(len(actions.KINDS))))
+
+
+def _log():
+    """A log holding an event, a query with two children, and an event."""
+    log = ActionLog()
+    obs = Instrumentation(log)
+    obs.churn(0.5, 3, True, 10)
+    obs.query(_Search(obs), 7, ("a",), 1.0)
+    obs.content_changed(2.0, 3, 41, True)
+    return log
 
 
 # ----------------------------------------------------------------- recording
 def test_event_records_fields():
-    records = []
-    tracer = Tracer(records.append)
-    rec = tracer.event("churn", "join", 12.5, node=3, live=99)
-    assert rec.kind == "event"
-    assert rec.category == "churn"
-    assert rec.t == 12.5
-    assert rec.parent is None and rec.depth == 0
-    assert rec.attrs == {"node": 3, "live": 99}
-    assert records == [rec]
+    log = ActionLog()
+    Instrumentation(log).churn(12.5, np.int64(3), True, 99)
+    (rec,) = records(log)
+    assert rec == {
+        "schema": TRACE_SCHEMA_VERSION, "kind": "event", "cat": "churn",
+        "name": "join", "t": 12.5, "id": 1, "parent": None, "depth": 0,
+        "dur_s": None, "attrs": {"node": 3, "live": 99},
+    }
+    assert log.table(CHURN).tolist() == [(12.5, 3, True, 99)]
 
 
 def test_span_nesting_parent_and_depth():
-    records = []
-    tracer = Tracer(records.append)
-    with tracer.span("query", "outer", 1.0) as outer:
-        tracer.event("ad", "inner-event", 1.0)
-        with tracer.span("ad", "inner", 1.5):
-            pass
-    # Emission order: inner event, inner span (on close), outer span.
-    ev, inner, outer_rec = records
-    assert ev.parent == outer.id and ev.depth == 1
-    assert inner.parent == outer.id and inner.depth == 1
-    assert outer_rec.parent is None and outer_rec.depth == 0
-    assert inner.dur_s is not None and outer_rec.dur_s is not None
+    churn, exchange, stats, span, content = records(_log())
+    # Emission order: the query's children, then the span on close.
+    assert [r["name"] for r in (exchange, stats, span)] == [
+        "ads_request", "confirm_stats", "toy",
+    ]
+    assert exchange["parent"] == stats["parent"] == span["id"] == 2
+    assert exchange["depth"] == stats["depth"] == 1
+    assert span["kind"] == "span" and span["parent"] is None and span["depth"] == 0
+    assert churn["depth"] == content["depth"] == 0
+    assert span["dur_s"] is not None and exchange["dur_s"] is None
 
 
-def test_span_duration_uses_injected_clock():
+def test_span_duration_uses_injected_clock(monkeypatch):
     ticks = iter([10.0, 10.25])
-    records = []
-    tracer = Tracer(records.append, clock=lambda: next(ticks))
-    with tracer.span("query", "q", 0.0):
-        pass
-    assert records[0].dur_s == pytest.approx(0.25)
-
-
-def test_span_records_error_attr_on_exception():
-    records = []
-    tracer = Tracer(records.append)
-    with pytest.raises(RuntimeError):
-        with tracer.span("query", "boom", 0.0):
-            raise RuntimeError("x")
-    assert records[0].attrs["error"] == "RuntimeError"
+    monkeypatch.setattr(instrument_module.time, "perf_counter", lambda: next(ticks))
+    log = ActionLog()
+    obs = Instrumentation(log)
+    obs.query(_Search(obs), 7, ("a",), 1.0)
+    assert [r["dur_s"] for r in records(log) if r["kind"] == "span"] == [0.25]
 
 
 def test_ids_are_sequential_and_deterministic():
     def build():
-        records = []
-        t = Tracer(records.append, clock=lambda: 0.0)
-        with t.span("query", "q", 0.0):
-            t.event("ad", "a", 0.0)
-        t.event("churn", "c", 1.0)
-        return [(r.id, r.kind, r.name, r.parent, r.depth) for r in records]
+        return [(r["id"], r["kind"], r["name"], r["parent"], r["depth"])
+                for r in records(_log())]
 
     assert build() == build()
-    ids = [row[0] for row in build()]
-    assert sorted(ids) == [1, 2, 3]
+    assert sorted(row[0] for row in build()) == [1, 2, 3, 4, 5]
 
 
 def test_counts_by_category():
-    """Every sink sees every record, in emission order: here a per-category
-    counter beside a list."""
-    counts, records = Counter(), []
-    tracer = Tracer(lambda r: counts.update([r.category]), records.append)
-    tracer.event("ad", "x", 0.0)
-    tracer.event("ad", "y", 0.0)
-    with tracer.span("query", "q", 1.0):
-        tracer.event("churn", "z", 1.0)
-    assert counts == {"ad": 2, "churn": 1, "query": 1}
-    assert [r.name for r in records] == ["x", "y", "z", "q"]
+    """Every action is one row, rendered in emission order: here counted
+    by category."""
+    log = _log()
+    counts = Counter(r["cat"] for r in records(log))
+    assert counts == {"churn": 2, "ad": 1, "query": 2}
+    assert log.n_records() == 5 and len(log.sequence()) == 4
+
+
+def test_streaming_without_keep(tmp_path):
+    """A trace is rendered line by line straight to the file; neither the
+    renderer nor the log keeps a record, and a table holds fewer than
+    ``CHUNK`` rows as tuples."""
+    log = ActionLog()
+    obs = Instrumentation(log)
+    for i in range(CHUNK + 3):
+        obs.churn(float(i), i, True, i + 1)
+    assert isinstance(render_lines(log), types.GeneratorType)
+    assert len(log._rows[CHURN]) == 3
+    write_trace(log, tmp_path / "trace.jsonl")
+    assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == CHUNK + 3
 
 
 # ------------------------------------------------------------ JSONL round-trip
-def _write(path, records):
-    with open_text_maybe_gzip(path, "w") as fh:
-        write = jsonl_writer(fh)
-        for r in records:
-            write(r)
-
-
 def test_jsonl_round_trip_in_memory():
-    buf, records = io.StringIO(), []
-    tracer = Tracer(jsonl_writer(buf), records.append, clock=lambda: 0.0)
-    with tracer.span("query", "q", 3.0, requester=7) as s:
-        s.annotate(success=True)
-    tracer.event("ad", "deliver.rw", 4.0, bytes=120)
-    parsed = list(read_trace_lines(buf.getvalue().splitlines()))
-    assert parsed == records
+    log = _log()
+    parsed = parse_lines(render_lines(log))
+    assert _tables(parsed) == _tables(log)
+    assert list(records(parsed)) == list(records(log))
 
 
 def test_jsonl_round_trip_via_file(tmp_path):
-    records = []
-    tracer = Tracer(records.append)
-    tracer.event("engine", "dispatch", 1.0, event_name="trace", seq=0)
+    log = _log()
     path = tmp_path / "trace.jsonl"
-    _write(path, records)
-    assert list(read_trace(path)) == records
+    write_trace(log, path)
+    assert _tables(read_trace(path)) == _tables(log)
 
 
 def test_gzip_round_trip_via_file(tmp_path):
-    records = []
-    tracer = Tracer(records.append)
+    log = ActionLog()
+    obs = Instrumentation(log)
     for i in range(50):
-        tracer.event("engine", "dispatch", float(i), event_name="t", seq=i)
+        obs.content_changed(float(i), i % 7, i, i % 2 == 0)
     plain = tmp_path / "trace.jsonl"
     gz = tmp_path / "trace.jsonl.gz"
-    _write(plain, records)
-    _write(gz, records)
-    assert list(read_trace(gz)) == records == list(read_trace(plain))
+    write_trace(log, plain)
+    write_trace(log, gz)
+    assert _tables(read_trace(gz)) == _tables(log) == _tables(read_trace(plain))
     # Actually compressed, not just renamed.
     assert gz.read_bytes()[:2] == b"\x1f\x8b"
     assert gz.stat().st_size < plain.stat().st_size
 
 
+def test_an_audited_golden_cell_round_trips(tmp_path):
+    """An audited golden cell's tables, rendered to ``.jsonl`` and to
+    ``.jsonl.gz`` and parsed back, are the same tables with the same
+    summary and audit, fingerprint included."""
+    from repro.obs.audit import audit, summary
+    from repro.simulation.runner import run_experiment
+
+    from tests.test_golden_fingerprints import CONFIGS
+
+    config = CONFIGS["asap_rw/seed0/default_churn/content_change_x3"]
+    result = run_experiment(config, audit=True)
+    log = result.actions
+    assert all(len(log.table(kind)) for kind in range(len(actions.KINDS)))
+    for name in ("trace.jsonl", "trace.jsonl.gz"):
+        write_trace(log, tmp_path / name)
+        parsed = read_trace(tmp_path / name)
+        assert _tables(parsed) == _tables(log)
+        assert summary(parsed) == summary(log)
+        assert audit(parsed, config, result).to_dict() == result.audit.to_dict()
+
+
 def test_gzip_dump_is_deterministic(tmp_path):
-    """Streaming a trace through the one gzip writer twice gives the same
+    """Rendering a log through the one gzip writer twice gives the same
     bytes: mtime 0 and no file name in the header."""
     a, b = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
+    log = _log()
     for path in (a, b):
-        with open_text_maybe_gzip(path, "w") as fh:
-            tracer = Tracer(jsonl_writer(fh), clock=lambda: 0.0)
-            tracer.event("engine", "dispatch", 1.0, event_name="t", seq=0)
-            with tracer.span("query", "q", 2.0):
-                pass
+        write_trace(log, path)
     assert a.read_bytes() == b.read_bytes()
     header = a.read_bytes()[:10]
     assert header[3] == 0  # FLG: no FNAME (nor any other optional field)
@@ -165,69 +206,46 @@ def test_open_text_maybe_gzip_writes_and_reads(tmp_path):
     assert plain.read_text() == "plain\n"
 
 
-def test_streaming_without_keep(tmp_path):
-    """The tracer hands records on and keeps none itself."""
-    buf = io.StringIO()
-    tracer = Tracer(jsonl_writer(buf))
-    tracer.event("ad", "deliver", 0.5, bytes=1)
-    with tracer.span("query", "q", 1.0):
-        pass
-    assert not hasattr(tracer, "records")
-    parsed = list(read_trace_lines(buf.getvalue().splitlines()))
-    assert [r.name for r in parsed] == ["deliver", "q"]
-
-
-def test_read_trace_is_lazy(tmp_path):
-    """Records come off the file one at a time, not as a list."""
-    path = tmp_path / "trace.jsonl"
-    path.write_text(
-        '{"kind":"event","cat":"ad","name":"n","t":0.0,"id":1,'
-        '"parent":null,"depth":0}\nnot json\n'
-    )
-    records = read_trace(path)
-    assert isinstance(records, types.GeneratorType)
-    assert next(records).name == "n"
-    with pytest.raises(json.JSONDecodeError):
-        next(records)
-
-
 def test_record_from_json_tolerates_missing_optionals():
-    rec = TraceRecord.from_json(
-        '{"kind":"event","cat":"ad","name":"n","t":0.0,"id":1,'
+    log = parse_lines([
+        '{"kind":"event","cat":"ad","name":"repair","t":0.0,"id":1,'
         '"parent":null,"depth":0}'
-    )
-    assert rec.dur_s is None and rec.attrs == {}
+    ])
+    (rec,) = records(log)
+    assert rec["dur_s"] is None and rec["attrs"]["reply_category"] is None
+    assert rec["attrs"]["request_bytes"] == 0.0
 
 
 # ------------------------------------------------------------ schema version
 def test_records_carry_current_schema_version():
-    buf = io.StringIO()
-    tracer = Tracer(jsonl_writer(buf))
-    rec = tracer.event("ad", "x", 0.0)
-    assert rec.schema == TRACE_SCHEMA_VERSION
-    (parsed,) = read_trace_lines(buf.getvalue().splitlines())
-    assert parsed.schema == TRACE_SCHEMA_VERSION
-    assert '"schema":1' in rec.to_json()
+    lines = list(render_lines(_log()))
+    assert all(json.loads(line)["schema"] == TRACE_SCHEMA_VERSION for line in lines)
+    assert all(line.startswith('{"schema":1,') for line in lines)
+    assert parse_lines(lines).schemas == {TRACE_SCHEMA_VERSION: len(lines)}
 
 
 def test_missing_schema_key_parses_as_v0():
-    rec = TraceRecord.from_json(
-        '{"kind":"event","cat":"ad","name":"n","t":0.0,"id":1,'
-        '"parent":null,"depth":0}'
-    )
-    assert rec.schema == 0
+    log = parse_lines([
+        '{"kind":"event","cat":"churn","name":"leave","t":0.0,"id":1,'
+        '"parent":null,"depth":0,"attrs":{"node":4,"live":9}}'
+    ])
+    assert log.schemas == {0: 1}
+    assert log.table(CHURN).tolist() == [(0.0, 4, False, 9)]
 
 
 def test_unknown_json_keys_are_ignored_forward_compat():
-    # A future writer may add keys; today's reader must not choke on them.
-    rec = TraceRecord.from_json(
-        '{"schema":7,"kind":"event","cat":"ad","name":"n","t":0.5,"id":2,'
-        '"parent":null,"depth":0,"attrs":{"a":1},"future_field":[1,2],'
-        '"another":{"x":true}}'
-    )
-    assert rec.schema == 7
-    assert rec.attrs == {"a": 1}
-    assert not hasattr(rec, "future_field")
+    # A future writer may add keys and records; today's reader must not
+    # choke on them.
+    log = parse_lines([
+        '{"schema":7,"kind":"event","cat":"churn","name":"join","t":0.5,"id":2,'
+        '"parent":null,"depth":0,"attrs":{"node":1,"live":3,"a":1},'
+        '"future_field":[1,2],"another":{"x":true}}',
+        '{"schema":7,"kind":"event","cat":"engine","name":"dispatch","t":0.5,'
+        '"id":3,"parent":null,"depth":0}',
+    ])
+    assert log.schemas == {7: 2}
+    assert log.table(CHURN).tolist() == [(0.5, 1, True, 3)]
+    assert len(log.sequence()) == 1
 
 
 # ----------------------------------------------- engine observer integration

@@ -1,4 +1,4 @@
-"""Parallel tracing + auditing: per-worker trace streams, fingerprint
+"""Parallel tracing + auditing: per-worker trace files, fingerprint
 determinism across serial and --jobs N execution."""
 
 import json
@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.experiments.parallel import cell_trace_name, run_cells
-from repro.obs.audit import TraceFold
+from repro.obs.actions import read_trace, records
+from repro.obs.audit import audit, summary
 from repro.obs.report import main as report_main
-from repro.obs.trace import read_trace
 from repro.simulation import scaled_config
 
 
@@ -53,26 +53,26 @@ def test_per_cell_trace_files_audit_clean(serial_and_parallel, tmp_path):
     configs, _, serial_dir, parallel, par_dir = serial_and_parallel
     for config, outcome in zip(configs, parallel):
         name = cell_trace_name(config)
-        records = list(read_trace(par_dir / name))
-        assert records, "streamed trace must not be empty"
-        fold = TraceFold(config, records)
-        report = fold.audit(outcome)
+        log = read_trace(par_dir / name)
+        assert len(log.sequence()), "the rendered trace must not be empty"
+        assert outcome.actions is None  # the tables stay in the worker
+        report = audit(log, config, outcome)
         assert report.ok, report.format_table()
-        # One fold, two feeds: re-feeding the streamed file reproduces the
-        # worker's live report, not only its fingerprint.
+        # The file parses back into the worker's tables: its audit is the
+        # worker's live report, fingerprint included.
         assert report.to_dict() == outcome.audit.to_dict()
-        # ``report analyze`` is that fold's summary of the file.
+        # ``report analyze`` is the summary of those tables.
         analyzed = tmp_path / f"{name}.analyze.json"
         assert report_main(
             ["analyze", "--trace", str(par_dir / name), "--out", str(analyzed)]
         ) == 0
-        assert json.loads(analyzed.read_text()) == fold.summary()
-        # The serial stream wrote structurally identical trace content
+        assert json.loads(analyzed.read_text()) == summary(log)
+        # The serial run wrote structurally identical trace content
         # (only wall-clock durations may differ between executions).
-        serial_records = read_trace(serial_dir / name)
-        def shape(rs):
-            return [(r.id, r.kind, r.name, r.t, r.parent, r.depth) for r in rs]
-        assert shape(records) == shape(serial_records)
+        def shape(log):
+            return [(r["id"], r["kind"], r["name"], r["t"], r["parent"], r["depth"])
+                    for r in records(log)]
+        assert shape(log) == shape(read_trace(serial_dir / name))
 
 
 def test_trace_filenames_are_deterministic():

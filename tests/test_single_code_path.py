@@ -276,8 +276,9 @@ def test_src_has_one_weighted_sampler():
         ]
         if path.parent.name == "workload" and path.name != "sampling.py":
             assert not _calls(tree, "searchsorted"), path
-    # One table constructor, asked for by the keyword and the query draw.
-    assert len(zipf_tables) == 2 and {t.split(":")[0] for t in zipf_tables} == {
+    # One table constructor, asked for by synthesis's vocabulary table, a
+    # hand-made document's and the trace generator's query draw.
+    assert len(zipf_tables) == 3 and {t.split(":")[0] for t in zipf_tables} == {
         "edonkey.py", "generator.py",
     }
 
@@ -503,11 +504,11 @@ def test_src_reads_no_enabled_flag():
 
 
 def test_only_obs_and_the_run_builders_import_the_sinks():
-    """Tracer and telemetry are built by ``run_experiment`` and ``_run_cell``
-    and written by ``repro.obs``; every other module reaches them through
-    its ``obs`` attribute, or not at all."""
-    sinks = {"repro.obs.trace", "repro.obs.telemetry"}
-    allowed = {"simulation/runner.py", "experiments/parallel.py"}
+    """The action log and telemetry are built by ``run_experiment`` and
+    written by ``repro.obs``; every other module reaches them through its
+    ``obs`` attribute, or not at all."""
+    sinks = {"repro.obs.actions", "repro.obs.telemetry"}
+    allowed = {"simulation/runner.py"}
     importers = set()
     for name, tree in _src_trees():
         for node in ast.walk(tree):
@@ -524,9 +525,9 @@ def test_only_obs_and_the_run_builders_import_the_sinks():
 
 def test_hosts_feed_no_sink_directly():
     """Outside ``repro.obs`` nothing calls a ``Telemetry.record_*`` method
-    or a tracer, and nothing holds one."""
+    or appends to an action log, and nothing holds one."""
     feeds = {name for name in vars(Telemetry) if name.startswith("record_")}
-    feeds |= {"event", "span"}
+    feeds |= {"take_id"}
     hits = []
     for name, tree in _src_trees():
         if name.startswith("obs/"):
@@ -537,7 +538,7 @@ def test_hosts_feed_no_sink_directly():
                     hits.append(f"{name}:{node.lineno} .{node.func.attr}()")
             elif (
                 isinstance(node, ast.Attribute)
-                and node.attr in ("tracer", "telemetry")
+                and node.attr in ("log", "telemetry")
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"
             ):
@@ -651,7 +652,7 @@ def test_the_runner_takes_no_cache_state_flag():
         if param.kind is param.KEYWORD_ONLY
     }
     assert keyword_only == {
-        "tracer", "profile", "audit", "telemetry", "probes", "phase_times",
+        "trace_path", "profile", "audit", "telemetry", "probes", "phase_times",
     }
     assert "collect_diagnostics" not in inspect.signature(run_cells).parameters
 
@@ -873,17 +874,21 @@ def test_the_keyword_hash_is_written_once():
         hashes += [where for _ in _calls(tree, "positions_of")]
     assert sorted(set(formula)) == ["bloom/hashing.py:positions_of"]
     assert sorted(digests) == [
-        "bloom/hashing.py:positions_of", "obs/audit.py:__init__", "obs/telemetry.py:fingerprint",
+        "bloom/hashing.py:positions_of", "obs/audit.py:fingerprint", "obs/telemetry.py:fingerprint",
     ]
     assert loops == [] and not hasattr(SourceFilterStore, "_shared_positions")
-    assert hashes == ["bloom/hashing.py", "experiments/ablations.py", "experiments/ablations.py"]
+    assert hashes == [
+        "bloom/hashing.py", "bloom/hashing.py",
+        "experiments/ablations.py", "experiments/ablations.py",
+    ]
     hashing = ast.parse(inspect.getsource(repro.bloom.BloomHasher))
     callers = {
         node.name: [c.func.attr for c in _calls(node, "positions_of")]
         for node in ast.walk(hashing)
         if isinstance(node, ast.FunctionDef) and _calls(node, "positions_of")
     }
-    assert callers == {"rows": ["positions_of"]}
+    # ``rows`` hashes table rows; ``positions`` a term no document has.
+    assert callers == {"rows": ["positions_of"], "positions": ["positions_of"]}
 
 
 def test_names_with_no_caller_but_their_own_test_are_gone():

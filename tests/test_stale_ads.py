@@ -9,7 +9,7 @@
   with a hundred behind entries at several versions of one source vs the
   object repository of ``tests/oracles/repository.py``;
 * a delivery repairs its lagging receivers in one step -- ledger buckets,
-  ``entry`` / ``stamp`` words and the order ``obs.repair`` is told in vs
+  ``entry`` / ``stamp`` words and the order ``obs.repairs`` is told in vs
   the pull-per-receiver repair of ``tests/oracles/asap.py``.
 """
 
@@ -346,14 +346,16 @@ class PullPerReceiver(AsapSearch):
 
 
 class Repairs:
-    """An ``obs`` that keeps what :meth:`Instrumentation.repair` is told."""
+    """An ``obs`` that keeps what :meth:`Instrumentation.repairs` is told,
+    one entry per receiver."""
 
     def __init__(self):
         self.told = []
 
-    def repair(self, now, node, source, request_bytes, reply_bytes, category):
-        self.told.append(
+    def repairs(self, now, nodes, source, request_bytes, replies, categories):
+        self.told.extend(
             (now, node, source, float(request_bytes), float(reply_bytes), category)
+            for node, reply_bytes, category in zip(nodes, replies, categories)
         )
 
 

@@ -145,9 +145,12 @@ def test_array_hashing_equals_python_integers():
 
 
 def test_the_keyword_table_hashes_each_term_once():
-    """``rows`` adds only terms it has not seen, in first-seen order, grows
-    the table without moving a row, and every reader reads the same rows."""
-    hasher = BloomHasher(m=997, k=5)
+    """``rows`` adds only keyword ids it has not seen, in first-seen order,
+    hashing each id's string once; it grows the table without moving a
+    row, and every reader reads the same rows."""
+    index = ContentIndex(["a", "b", "c", "newkw", *(f"t{i}" for i in range(100))])
+    a, b, c, newkw = (index.keyword_id(t) for t in ("a", "b", "c", "newkw"))
+    hasher = BloomHasher(m=997, k=5, content=index)
     hashed = []
     real = hasher.positions_of
 
@@ -156,13 +159,13 @@ def test_the_keyword_table_hashes_each_term_once():
         return real(terms)
 
     hasher.positions_of = spy
-    first = hasher.rows(["b", "a", "b", "c"])
+    first = hasher.rows([b, a, b, c])
     assert first.tolist() == [0, 1, 0, 2] and hashed == [["b", "a", "c"]]
-    again = hasher.rows(["c", "newkw", "a", "newkw"])
+    again = hasher.rows([c, newkw, a, newkw])
     assert again.tolist() == [2, 3, 1, 3] and hashed[1:] == [["newkw"]]
     assert hasher.rows([]).tolist() == [] and len(hashed) == 2
     many = [f"t{i}" for i in range(100)]
-    hasher.rows(many)
+    hasher.rows([index.keyword_id(t) for t in many])
     terms = ["b", "a", "c", "newkw", *many]
     assert [tuple(r) for r in hasher.table.tolist()] == [
         positions_reference(t, 997, 5) for t in terms
@@ -172,3 +175,25 @@ def test_the_keyword_table_hashes_each_term_once():
         set(positions_reference("a", 997, 5)) | set(positions_reference("t7", 997, 5))
     )
     assert len(hashed) == 3
+    # A term no document has is hashed on the spot, every time, and kept
+    # nowhere.
+    for _ in range(2):
+        assert hasher.positions("absent") == positions_reference("absent", 997, 5)
+    assert hashed[3:] == [["absent"], ["absent"]]
+    assert len(hasher.table) == 104
+
+
+def test_a_bootstrapped_store_keys_its_hasher_by_keyword_id():
+    """A store of a synthesised workload, bootstrapped and queried, holds
+    no keyword string in its hasher: rows are an array indexed by keyword
+    id and the query-term cache is keyed by id."""
+    config = scaled_config("asap_rw", "crawled", n_peers=400, seed=3)
+    dist = synthesize_content(config.edonkey, RandomStreams(3).get("content"))
+    store = SourceFilterStore(400, dist.index.fork())
+    hasher = store.hasher
+    assert len(hasher.table) > 0
+    doc = dist.index.document(0)
+    store.hasher.positions_array([*doc.keywords, "no-such-term"])
+    assert hasher._row.dtype == np.int64 and (hasher._row >= 0).sum() == len(hasher.table)
+    assert hasher._tuples and all(type(key) is int for key in hasher._tuples)
+    assert not any(isinstance(v, (str, dict)) for k, v in vars(hasher).items() if k != "_tuples")

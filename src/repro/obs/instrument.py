@@ -209,9 +209,12 @@ class Instrumentation:
         the request + reply bytes of its exchange and the array of sources
         the requester adopted from its reply; the serving neighbour pays
         for the reply it assembled.  The byte split lets the audit book
-        request and reply to their ledger categories.  A capped requester
-        can be re-offered a source it evicted within the same request, so
-        the row counts *distinct* new sources.
+        request and reply to their ledger categories.  All the replies are
+        adopted in one pass (``AdsState.exchange``), through which a capped
+        requester's cache is a FIFO: each reply appends the sources it
+        carries that the FIFO lacks, then the head drops down to the
+        capacity.  A later neighbour can therefore re-offer a source an
+        earlier reply evicted, so the row counts *distinct* new sources.
         """
         telemetry = self.telemetry
         if telemetry is not None:

@@ -423,16 +423,13 @@ class ContentIndex:
 
     def holds_keywords(self, node: int, terms: Iterable[str]) -> bool:
         """Is every one of ``terms`` a keyword of some document ``node``
-        shares?  Keyword ids against the documents' keyword runs."""
+        shares?  Keyword ids against one gather of the documents' keyword
+        runs."""
         docs = self._docs
         keys = [docs.key(t) for t in terms]
         if None in keys:
             return False
-        held = set()
-        mine = self.docs_of(node)
-        for start, length in zip(docs.start[mine].tolist(), docs.length[mine].tolist()):
-            held.update(docs.kw[start : start + length].tolist())
-        return held.issuperset(keys)
+        return set(keys).issubset(docs.runs(self.docs_of(node)).tolist())
 
     def keyword_id(self, term: str) -> Optional[int]:
         """``term``'s keyword id; None for a word no document has (a title

@@ -22,6 +22,8 @@ in-tree twins live here, imported by tests only:
   and Dijkstra over the transit core;
 * :mod:`tests.oracles.state` -- the O(n^2) invariant audit of the dense
   ads state;
+* :mod:`tests.oracles.exchange` -- the ads exchange as a loop over the
+  suppliers, each reply stored and evicted on its own;
 * :mod:`tests.oracles.asap` -- the method-call-per-ad protocol built on
   all of the above.
 

@@ -22,6 +22,7 @@ from repro.search.base import AD_HEADER_BYTES, ADS_REQUEST_BYTES
 from repro.sim.metrics import TrafficCategory
 
 from tests.oracles.delivery import deliver_reference
+from tests.oracles.exchange import neighbors_within_h_reference
 from tests.oracles.repository import AdsRepository
 from tests.oracles.store import patch_history
 
@@ -153,7 +154,7 @@ class OracleAsapSearch(AsapSearch):
     ) -> Tuple[Dict[int, float], int, float]:
         exclude = exclude or set()
         repo = self.repos[node]
-        neighbors = self._neighbors_within_h(node)
+        neighbors = neighbors_within_h_reference(self, node)
         new_sources: Dict[int, float] = {}
         served = []  # (neighbour, request + reply bytes, sources adopted)
         n_messages = 0

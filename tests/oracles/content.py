@@ -191,6 +191,11 @@ class DictContentIndex:
             counts.update(self._documents[doc_id].keywords)
         return counts
 
+    def holds_keywords(self, node: int, terms: Iterable[str]) -> bool:
+        """Is every one of ``terms`` a keyword of some document ``node``
+        shares?"""
+        return set(terms) <= self.node_keywords(node).keys()
+
     def node_classes(self, node: int) -> Set[int]:
         """Semantic classes represented in a node's shared content."""
         return {

@@ -94,21 +94,27 @@ class LockStep:
 
     def exchange(self, peer, supplier, now, sources=None):
         """The ads exchange: whatever ``supplier`` holds and ``peer`` lacks
-        (ascending, as the protocol offers them), or the ``sources`` of
-        those named, in that order."""
+        (ascending, as the protocol offers them) in one reply, or the
+        ``sources`` of those named, one reply each, in that order."""
         mine, theirs = self.oracles[peer], self.oracles[supplier]
         novel = sorted(set(theirs.entries) - set(mine.entries) - {peer})
+        replies = [novel]
         if sources is not None:
             assert set(sources) <= set(novel)
-            novel = list(sources)
-        stored, evicted = self.state.adopt(
-            peer, supplier, np.asarray(novel, dtype=np.int64), now
-        )
-        want = []
-        for s in novel:
-            entry = theirs.entries[s]
-            want.append(mine.accept_snapshot(s, entry.version, entry.topics, now))
-        return self._same_row(peer, stored, evicted, want)
+            replies = [[s] for s in sources]
+        stored, evicted, want = [], [], []
+        for reply in replies:
+            offered = np.zeros((1, self.state.n), dtype=bool)
+            offered[0, reply] = True
+            (adopted,), victims = self.state.exchange(
+                peer, np.array([supplier]), offered, now
+            )
+            stored += np.isin(reply, adopted).tolist()
+            evicted += [(peer, victim) for victim in victims.tolist()]
+            for s in reply:
+                entry = theirs.entries[s]
+                want.append(mine.accept_snapshot(s, entry.version, entry.topics, now))
+        return self._same_row(peer, np.array(stored, dtype=bool), evicted, want)
 
     def _same_row(self, peer, stored, evicted, want):
         assert stored.tolist() == [ok for ok, _ in want]
@@ -328,7 +334,7 @@ class TestClockNeverRunsBackwards:
         with pytest.raises(SimulationError, match="never\\s+runs backwards"):
             pair.state.accept_repair(np.array([0]), 1, 0, 0, 4.0)
         with pytest.raises(SimulationError, match="never\\s+runs backwards"):
-            pair.state.adopt(0, 2, np.array([3]), 4.0)
+            pair.state.exchange(0, np.array([2]), pair.state.held_mask([2]), 4.0)
         assert 3 not in StateRow(pair.state, 0)
         pair.check(range(4))
 
@@ -340,5 +346,5 @@ class TestClockNeverRunsBackwards:
         with pytest.raises(SimulationError, match="runs backwards"):
             algo._ads_request(4, 4.0)
         with pytest.raises(SimulationError, match="runs backwards"):
-            algo.state.adopt(4, 3, np.array([0]), 4.0)
+            algo.state.exchange(4, np.array([3]), algo.state.held_mask([3]), 4.0)
         algo._ads_request(4, 5.0)

@@ -34,6 +34,14 @@ def accept(repo, ad, now):
     return bool(stored[0]), [source for _, source in evicted]
 
 
+def adopt(repo, supplier, sources, now):
+    """The ads exchange of the row's owner with one ``supplier`` offering
+    ``sources``: ``(adopted per supplier, evicted sources)``."""
+    offered = np.zeros((1, repo.state.n), dtype=bool)
+    offered[0, sources] = True
+    return repo.state.exchange(repo.owner, np.array([supplier]), offered, now)
+
+
 def mark_behind(repo, source):
     """The source patched past the cache: a patch that reached nobody."""
     if isinstance(repo, AdsRepository):
@@ -180,8 +188,8 @@ class TestSnapshotMerge:
     def test_accept_snapshot(self, store):
         repo = make_repo(owner=0, interests={0}, store=store)
         repo.state.accept(full_ad(1, {0}), 1.0, np.array([3]))
-        stored, evicted = repo.state.adopt(0, 3, np.array([1]), 1.0)
-        assert stored.tolist() == [True] and not evicted
+        (adopted,), evicted = adopt(repo, 3, [1], 1.0)
+        assert adopted.tolist() == [1] and not len(evicted)
         assert 1 in repo and repo.entry(1).version == 0
 
     def test_snapshot_older_version_ignored(self, store):
@@ -210,7 +218,7 @@ class TestSnapshotMerge:
         store.apply_content_change(1, doc, added=True)
         repo = make_repo(owner=0, interests={0}, store=store)
         repo.state.accept(full_ad(1, {0}, version=0), 1.0, np.array([3]))
-        repo.state.adopt(0, 3, np.array([1]), 1.0)
+        adopt(repo, 3, [1], 1.0)
         assert 1 in repo.behind
 
 

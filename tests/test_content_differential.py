@@ -7,10 +7,10 @@ placements, removals (of built and of added copies, valid or not) and
 forks of any index so far, forks of forks included.  After every step each
 index answers every public query as its oracle does, compared as sets:
 documents, matching documents and nodes, per-node matches, documents,
-classes and keyword multisets, holders, copies and the replica
-statistics.  Since every oracle fork is independent of the others, a
-change leaking from a fork to its parent, a sibling or a child, or back,
-shows as a mismatch.  A second pair of cases holds ``synthesize_content``
+classes and keyword multisets, whether a node holds every term in some
+document, holders, copies and the replica statistics.  Since every oracle
+fork is independent of the others, a change leaking from a fork to its
+parent, a sibling or a child, or back, shows as a mismatch.  A second pair of cases holds ``synthesize_content``
 at 400 and 2,000 peers equal to the oracle fed the same draws.
 """
 
@@ -114,6 +114,7 @@ def assert_same(index, oracle, term_lists):
         assert set(index.nodes_matching(terms).tolist()) == oracle.nodes_matching(terms)
         for n in range(N_NODES + 1):
             assert index.node_matches(n, terms) == oracle.node_matches(n, terms)
+            assert index.holds_keywords(n, terms) == oracle.holds_keywords(n, terms)
     for n in range(N_NODES + 1):
         assert set(index.docs_of(n).tolist()) == oracle.docs_on(n)
         assert index.node_classes(n) == oracle.node_classes(n)
@@ -174,8 +175,8 @@ def test_a_frozen_index_refuses_changes_and_its_forks_take_them():
 @pytest.mark.parametrize("n_peers", [400, 2000])
 def test_synthesised_content_equals_the_oracle(n_peers):
     """The same draws, the same workload: every document, keyword posting,
-    holder set, node's documents, classes and keywords, the statistics and
-    the stream's final state."""
+    holder set, node's documents, classes and keywords (and whether it holds
+    a pair of them), the statistics and the stream's final state."""
     params = scaled_config("asap_rw", "crawled", n_peers=n_peers, seed=5).edonkey
     rng, ref_rng = (RandomStreams(5).get("content") for _ in range(2))
     dist = synthesize_content(params, rng)
@@ -194,6 +195,9 @@ def test_synthesised_content_equals_the_oracle(n_peers):
         assert set(index.docs_of(n).tolist()) == oracle.docs_on(n)
         assert index.node_classes(n) == oracle.node_classes(n)
         assert index.node_keywords(n) == oracle.node_keywords(n)
+        mine = sorted(oracle.node_keywords(n))
+        for terms in (mine[:2], mine[:1] + index.keywords([word_key(n % 50)])):
+            assert index.holds_keywords(n, terms) == oracle.holds_keywords(n, terms)
     nodes, doc_ids = index.copies()
     assert sorted(zip(nodes.tolist(), doc_ids.tolist())) == sorted(zip(*oracle.copies()))
     assert index.mean_replica_count() == oracle.mean_replica_count()

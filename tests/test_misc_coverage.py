@@ -69,6 +69,14 @@ class TestEngineHelpers:
         assert ms(1500.0) == 1.5
 
 
+def within_h(algo, node):
+    """``node``'s neighbours within h hops as ``{id: one-way latency}``,
+    checking that they come in ascending id order."""
+    nodes, lats = algo._neighbors_within_h(node)
+    assert nodes.tolist() == sorted(nodes.tolist())
+    return dict(zip(nodes.tolist(), lats.tolist()))
+
+
 class TestNeighborsWithinH:
     def _protocol_on(self, edges, n, h, lats=None):
         topo = OverlayTopology(
@@ -92,29 +100,29 @@ class TestNeighborsWithinH:
 
     def test_h1_is_direct_neighbors(self):
         algo = self._protocol_on([[0, 1], [0, 2], [2, 3]], n=4, h=1)
-        got = dict(algo._neighbors_within_h(0))
+        got = within_h(algo, 0)
         assert set(got) == {1, 2}
 
     def test_h2_reaches_two_hops_with_latency_sums(self):
         algo = self._protocol_on(
             [[0, 1], [1, 2], [0, 3]], n=4, h=2, lats=[5.0, 7.0, 3.0]
         )
-        got = dict(algo._neighbors_within_h(0))
+        got = within_h(algo, 0)
         assert got == {1: 5.0, 3: 3.0, 2: 12.0}
 
     def test_h0_empty(self):
         algo = self._protocol_on([[0, 1]], n=2, h=0)
-        assert algo._neighbors_within_h(0) == []
+        assert within_h(algo, 0) == {}
 
     def test_dead_neighbors_excluded(self):
         algo = self._protocol_on([[0, 1], [1, 2]], n=3, h=2)
         algo.overlay.leave(1)
-        assert algo._neighbors_within_h(0) == []
+        assert within_h(algo, 0) == {}
 
     def test_requester_never_its_own_neighbor(self):
         # Triangle: a 2-hop walk returns to 0; it must not be listed.
         algo = self._protocol_on([[0, 1], [1, 2], [0, 2]], n=3, h=2)
-        got = dict(algo._neighbors_within_h(0))
+        got = within_h(algo, 0)
         assert 0 not in got
 
     def test_shortest_path_kept_on_multiple_routes(self):
@@ -123,7 +131,7 @@ class TestNeighborsWithinH:
             [[0, 1], [1, 3], [0, 2], [2, 3]], n=4, h=2,
             lats=[5.0, 5.0, 20.0, 1.0],
         )
-        got = dict(algo._neighbors_within_h(0))
+        got = within_h(algo, 0)
         assert got[3] == 10.0
 
 

@@ -597,6 +597,39 @@ def test_a_lookup_is_loop_free():
     assert loops == []
 
 
+def test_an_ads_request_adopts_every_reply_in_one_exchange():
+    """``AdsState.exchange`` adopts all of a request's replies at once; the
+    per-neighbour adoption, and the halves of ``_insert`` / ``_evict`` that
+    stored many ads at one receiver for it, are the oracle's
+    (``tests/oracles/exchange.py``)."""
+    adopters = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "asap").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "adopt"
+    ]
+    assert adopters == []
+    state = ast.parse((SRC / "asap" / "state.py").read_text())
+    for name in ("_insert", "_evict"):
+        assert _calls(_method(state, "AdsState", name), "isinstance") == []
+    request = _method(
+        ast.parse((SRC / "asap" / "protocol.py").read_text()), "AsapSearch", "_ads_request"
+    )
+    exchanges = _calls(request, "exchange")
+    assert len(exchanges) == 1
+    loops = [
+        node for node in ast.walk(request)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert not any(exchanges[0] in ast.walk(loop) for loop in loops)
+    writers = {"accept", "accept_repair", "remove", "_insert", "_evict", "mark_missed"}
+    writes = [
+        call for call in ast.walk(request)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) in writers
+    ]
+    assert writes == []
+
+
 def test_a_delivery_repairs_its_lagging_receivers_in_one_step():
     """The pull-per-receiver repair is an oracle (``tests/oracles/asap.py``)."""
     assert not hasattr(AsapSearch, "_repair_entry")

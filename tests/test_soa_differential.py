@@ -4,7 +4,7 @@ The dense state (``repro.asap.state``) promises **bit-identical**
 observable behaviour to the plain object model in ``tests/oracles/``:
 
 * a row of :class:`AdsState` vs :class:`AdsRepository` under randomized
-  accept/adopt/repair/remove/evict/lookup op sequences (including content
+  accept/exchange/repair/remove/evict/lookup op sequences (including content
   churn, so behind-entry evaluation at historical versions is exercised);
 * the store's history columns (every superseded filter version, matched
   in the same gather as the current ones) vs the per-position
@@ -108,7 +108,7 @@ class TestRepositoryDifferential:
             got = bool(stored[0]), [victim for _, victim in evicted]
             assert got == ref.accept(ad, now)
 
-        ran = {"repair": 0, "adopt": 0}
+        ran = {"repair": 0, "exchange": 0}
         sharers = [s for s in range(n) if store.is_sharer(s)]
         now = 0.0
         for step in range(400):
@@ -147,12 +147,14 @@ class TestRepositoryDifferential:
                 elif src not in (owner, supplier) and store.is_sharer(src):
                     state.accept(store.make_full_ad(src), now, np.array([supplier]))
                     if state.held_mask(supplier, src):
-                        stored, evicted = state.adopt(
-                            owner, supplier, np.array([src]), now
+                        offered = np.zeros((1, n), dtype=bool)
+                        offered[0, src] = True
+                        (adopted,), evicted = state.exchange(
+                            owner, np.array([supplier]), offered, now
                         )
-                        got = bool(stored[0]), [victim for _, victim in evicted]
+                        got = bool(len(adopted)), evicted.tolist()
                         assert got == ref.accept_snapshot(src, version, topics, now)
-                        ran["adopt"] += 1
+                        ran["exchange"] += 1
             elif op < 0.85:
                 state.remove(owner, src)
                 ref.remove(src)

@@ -37,7 +37,7 @@ forwarder reproduces its loop bit-for-bit.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,41 +59,19 @@ __all__ = [
 ]
 
 
-class DeliveryReport:
-    """Outcome of one ad delivery.
+class DeliveryReport(NamedTuple):
+    """Outcome of one ad delivery: ``visited``, the nodes that received the
+    ad, ascending, the source excluded -- the order receivers' repair pulls
+    are booked in -- and the ``messages`` it took and their ``bytes``."""
 
-    ``visited_arr`` holds the nodes that received the ad, ascending, the
-    source excluded.  ``visited`` is the same ids as a frozenset, built on
-    first read from ``visited_arr``'s list -- the list every delivery
-    built its set from, so the set iterates in the same order whenever it
-    is built, and that order is the order receivers' repair pulls are
-    booked in.  Iterating a report iterates ``visited``.
-    """
+    visited: np.ndarray
+    messages: int = 0
+    bytes: float = 0.0
 
-    __slots__ = ("visited_arr", "messages", "bytes", "_visited")
 
-    def __init__(
-        self,
-        visited: Optional[frozenset] = None,
-        messages: int = 0,
-        bytes: float = 0.0,
-        visited_arr: Optional[np.ndarray] = None,
-    ) -> None:
-        if visited_arr is None:
-            visited_arr = np.array(sorted(visited or ()), dtype=np.int64)
-        self.visited_arr = visited_arr
-        self.messages = messages
-        self.bytes = bytes
-        self._visited = visited
-
-    @property
-    def visited(self) -> frozenset:
-        if self._visited is None:
-            self._visited = frozenset(self.visited_arr.tolist())
-        return self._visited
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.visited)
+def _undelivered() -> DeliveryReport:
+    """The report of a delivery whose source is offline."""
+    return DeliveryReport(np.empty(0, dtype=np.int64))
 
 
 #: What a forwarder's ``schedule(now, count)`` returns: ``(nodes, times,
@@ -206,7 +184,7 @@ class AdForwarder(abc.ABC):
         self,
         ad: Ad,
         now: float,
-        visited_arr: np.ndarray,
+        visited: np.ndarray,
         first_second: int,
         counts: np.ndarray,
         budget: Optional[int] = None,
@@ -220,11 +198,7 @@ class AdForwarder(abc.ABC):
             self.ledger.add(
                 ad.category, first_second, counts * float(ad_size), n_messages
             )
-        report = DeliveryReport(
-            messages=n_messages,
-            bytes=float(n_messages * ad_size),
-            visited_arr=visited_arr,
-        )
+        report = DeliveryReport(visited, n_messages, float(n_messages * ad_size))
         if self.obs is not None:
             self.obs.ad_delivered(self.kind, ad, now, report, first_second, budget)
         return report
@@ -257,13 +231,13 @@ class FloodAdForwarder(AdForwarder):
     ) -> DeliveryReport:
         source = ad.source
         if not self.overlay.is_live(source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+            return _undelivered()
         csr, flood = self._computed(source)
         if flood is None:
             flood = self._flood(csr, source, now)
-        visited_arr, n_messages = kernels.flood_receivers(csr, *flood, source)
+        visited, n_messages = kernels.flood_receivers(csr, *flood, source)
         # The whole flood lands in the second it starts.
-        return self._finish(ad, now, visited_arr, int(now), np.array([n_messages]))
+        return self._finish(ad, now, visited, int(now), np.array([n_messages]))
 
     def _flood(
         self, csr: kernels.WalkCsr, source: int, now: float
@@ -336,15 +310,15 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
     ) -> DeliveryReport:
         source = ad.source
         if not self.overlay.is_live(source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+            return _undelivered()
         per_walker, ordinal = self._start(ad, budget)
         csr, walk = self._computed(source)
         want = (self.key, ordinal, per_walker, now)
         if walk is None or walk[0] != want:
             walk = self._walk(csr, source, want)
-        _, visited_arr, _, first_second, counts = walk
+        _, visited, _, first_second, counts = walk
         return self._finish(
-            ad, now, visited_arr, first_second, counts,
+            ad, now, visited, first_second, counts,
             budget=self.walkers * per_walker,
         )
 
@@ -406,7 +380,7 @@ class GsaAdForwarder(_WalkForwarderBase):
         self, ad: Ad, now: float, budget: Optional[int] = None
     ) -> DeliveryReport:
         if not self.overlay.is_live(ad.source):
-            return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+            return _undelivered()
         per_walker, ordinal = self._start(ad, budget)
         csr = self.overlay.walk_csr()
         nbr, dgf, nbr_lat = csr.nbr, csr.dgf, csr.nbr_lat

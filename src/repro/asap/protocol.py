@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.search.base import (
     SearchAlgorithm,
     SearchOutcome,
 )
-from repro.sim.engine import PeriodicTimer, SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 from repro.sim.metrics import ASAP_LOAD_CATEGORIES, TrafficCategory
 
 __all__ = ["AsapParams", "AsapSearch"]
@@ -159,8 +159,10 @@ class AsapSearch(SearchAlgorithm):
             budget_unit=self.params.budget_unit,
         )
         self._engine: Optional[SimulationEngine] = None
-        self._timers: Dict[int, PeriodicTimer] = {}
-        self._advertised: Set[int] = set()  # sources that ever sent a full ad
+        # Per node, its pending refresh tick: one engine event at _due[1, node].
+        self._timers: Dict[int, Event] = {}
+        # Per node, has it ever sent a full ad?
+        self._advertised = np.zeros(overlay.n, dtype=bool)
         # The workload's free riders (ContentDistribution.free_rider): they
         # never share a document, so their refresh ticks would send nothing.
         self._free_riders = (
@@ -189,43 +191,30 @@ class AsapSearch(SearchAlgorithm):
     ) -> None:
         """Deliver an ad and update every receiver's cache."""
         report = self.forwarder.deliver(ad, now, budget=budget)
-        self._merge_ad(ad, now, report, report.visited_arr)
+        self._merge_ad(ad, now, report.visited)
 
-    def _merge_ad(
-        self,
-        ad: Ad,
-        now: float,
-        receivers: Collection[int],
-        receivers_arr: Optional[np.ndarray] = None,
-    ) -> None:
-        """Merge a delivered ad into the caches of ``receivers``.
+    def _merge_ad(self, ad: Ad, now: float, receivers: np.ndarray) -> None:
+        """Merge a delivered ad into the caches of ``receivers`` (ascending
+        ids).
 
         The version merge itself is one masked write per ad type
         (:meth:`AdsState.accept`).  Receivers left with a version gap (a
         patch or refresh whose version outruns their cached copy) then
         repair by pulling the missed patches from the source -- the unicast
         anti-entropy that keeps caches exact and contributes the steady
-        trickle of full-ad bytes in Figure 7's breakdown.  ``receivers_arr``
-        is the same ids as an array, when the caller already has one;
-        ``receivers`` is then iterated only when some receiver lags (a
-        :class:`~repro.asap.delivery.DeliveryReport` builds its set then).
+        trickle of full-ad bytes in Figure 7's breakdown.  The pulls are
+        booked, and an observed run is told about them, in ascending
+        receiver order.
         """
-        if receivers_arr is None:
-            receivers_arr = np.fromiter(receivers, np.int64, len(receivers))
         src = ad.source
         state = self.state
-        state.accept(ad, now, receivers_arr)
+        state.accept(ad, now, receivers)
         if self.overlay.is_live(src):
-            lagging = set(
-                receivers_arr[state.behind_mask(receivers_arr, src)].tolist()
-            )
-            if lagging:
-                # In ``receivers`` iteration order: the order the pulls are
-                # booked and an observed run is told about them in.
-                ordered = (v for v in receivers if v in lagging)
-                self._repair(src, now, np.fromiter(ordered, np.int64, len(lagging)))
+            lagging = receivers[state.behind_mask(receivers, src)]
+            if len(lagging):
+                self._repair(src, now, lagging)
         if ad.ad_type is AdType.PATCH:
-            state.mark_missed(src, receivers_arr)
+            state.mark_missed(src, receivers)
 
     def _repair(self, source: int, now: float, lagging: np.ndarray) -> None:
         """Heal the version gaps of ``lagging``, the receivers of one
@@ -276,7 +265,7 @@ class AsapSearch(SearchAlgorithm):
     def _issue_full_ad(self, source: int, now: float) -> None:
         ad = self.store.make_full_ad(source)
         if ad is not None:
-            self._advertised.add(source)
+            self._advertised[source] = True
             self._disseminate(ad, now)
 
     def _issue_refresh_ad(self, source: int, now: float) -> None:
@@ -348,21 +337,22 @@ class AsapSearch(SearchAlgorithm):
         )
         if self._free_riders[node]:
             return  # the jitter is drawn all the same: one draw per node
-        self._timers[node] = PeriodicTimer(
-            self._engine,
-            period=period,
-            callback=lambda n=node: self._refresh_tick(n),
-            phase=phase,
-            name=f"refresh-{node}",
+        at = self._due[1, node] = self._engine.now + phase
+        self._schedule_refresh(node, at)
+
+    def _schedule_refresh(self, node: int, at: float) -> None:
+        """Schedule ``node``'s next refresh tick, one engine event at
+        ``at`` (the time ``_due[1, node]`` holds)."""
+        self._timers[node] = self._engine.schedule_at(
+            at, lambda: self._refresh_tick(node), name=f"refresh-{node}"
         )
-        # The time the timer's first tick is scheduled at, the same sum.
-        self._due[1, node] = self._engine.now + phase
 
     def _refresh_tick(self, node: int) -> None:
         now = self._engine.now
-        self._due[1, node] = now + self.params.refresh_period_s
+        at = self._due[1, node] = now + self.params.refresh_period_s
         if self.overlay.is_live(node):
             self._issue_refresh_ad(node, now)
+        self._schedule_refresh(node, at)
 
     def _next_due(self, now: float, count: int) -> Schedule:
         """Up to ``count`` live sharers next due to send an ad on schedule
@@ -395,7 +385,7 @@ class AsapSearch(SearchAlgorithm):
         # sharers -- and the occasional genuinely new peer -- pay for a
         # full ad.
         fresh = (
-            node not in self._advertised
+            not self._advertised[node]
             or float(self.rng.random()) < FRESH_JOIN_FRACTION
         )
         if fresh:
@@ -410,7 +400,7 @@ class AsapSearch(SearchAlgorithm):
     def on_leave(self, node: int, now: float) -> None:
         timer = self._timers.pop(node, None)
         if timer is not None:
-            timer.stop()
+            timer.cancel()
             self._due[1, node] = math.inf
         # The node's repo is retained for a possible rejoin (paper: "if a
         # node stays offline for a long time and then rejoins, the ads in

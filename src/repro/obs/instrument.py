@@ -194,7 +194,7 @@ class Instrumentation:
             self.log.add(DELIVERY, (
                 self._open, now, FORWARDERS.index(kind), int(ad.source),
                 _AD_TYPES.index(ad.ad_type), len(ad.topics),
-                len(report.visited_arr), report.messages, report.bytes,
+                len(report.visited), report.messages, report.bytes,
                 -1 if budget is None else budget,
             ))
 

@@ -114,7 +114,7 @@ def snapshot_state(algorithm, now: float) -> Dict[str, Any]:
     replication: List[float] = []
     fractions: List[float] = []
     groups: Dict[frozenset, List[int]] = {}
-    for source in sorted(algorithm._advertised):
+    for source in np.flatnonzero(algorithm._advertised).tolist():
         if not store.is_sharer(source):
             continue
         topics = store.topics(source)

@@ -4,8 +4,8 @@ This subpackage is self-contained (no SimPy dependency) and provides the
 control plane every experiment in the reproduction runs on:
 
 * :mod:`repro.sim.engine` -- a heap-based discrete-event simulation kernel:
-  one event queue, one dispatch loop, absolute/relative scheduling of plain
-  callbacks, cancellable events and periodic timers.
+  one event queue, one dispatch loop, plain callbacks scheduled at absolute
+  times, cancellable events.
 * :mod:`repro.sim.random` -- named, seeded random substreams so that every
   stochastic component of an experiment is independently reproducible.
 * :mod:`repro.sim.metrics` -- bandwidth accounting by traffic category,
@@ -13,7 +13,7 @@ control plane every experiment in the reproduction runs on:
   paper measures "system load" (bytes per live node per second).
 """
 
-from repro.sim.engine import Event, PeriodicTimer, SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 from repro.sim.metrics import BandwidthLedger, LoadSeries, TrafficCategory
 from repro.sim.random import RandomStreams
 
@@ -21,7 +21,6 @@ __all__ = [
     "BandwidthLedger",
     "Event",
     "LoadSeries",
-    "PeriodicTimer",
     "RandomStreams",
     "SimulationEngine",
     "TrafficCategory",

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["Event", "PeriodicTimer", "SimulationEngine", "SimulationError"]
+__all__ = ["Event", "SimulationEngine", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -175,17 +175,6 @@ class SimulationEngine:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        name: str = "",
-    ) -> Event:
-        """Schedule ``callback`` after a relative non-negative ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, name=name)
-
     # -------------------------------------------------------------- dispatch
     def _peek_live(self) -> Optional[Event]:
         """The next live event, dropping lazily-cancelled heads on the way.
@@ -246,50 +235,6 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain."""
         return self._dispatch_next(None)
-
-
-class PeriodicTimer:
-    """Fires ``callback`` every ``period`` seconds until stopped.
-
-    The first firing happens at ``start + phase`` (default one full period
-    after creation).  A per-node jittered ``phase`` prevents the thundering
-    herd of refresh ads all landing in the same one-second load bucket.
-    """
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        period: float,
-        callback: Callable[[], None],
-        phase: Optional[float] = None,
-        name: str = "timer",
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"timer period must be positive, got {period}")
-        self._engine = engine
-        self._period = period
-        self._callback = callback
-        self._name = name
-        self._stopped = False
-        self._pending: Optional[Event] = None
-        first = period if phase is None else phase
-        self._pending = engine.schedule_after(first, self._fire, name=name)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._callback()
-        if not self._stopped:  # callback may have stopped us
-            self._pending = self._engine.schedule_after(
-                self._period, self._fire, name=self._name
-            )
-
-    def stop(self) -> None:
-        """Stop the timer; any pending firing is cancelled."""
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
 
 
 def ms(milliseconds: float) -> float:

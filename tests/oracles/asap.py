@@ -71,9 +71,10 @@ class OracleAsapSearch(AsapSearch):
         finally:
             self.state = dense
 
-    def _merge_ad(self, ad, now, receivers, receivers_arr=None) -> None:
+    def _merge_ad(self, ad, now, receivers) -> None:
         src = ad.source
         live_src = self.overlay.is_live(src)
+        receivers = receivers.tolist()
         for node in receivers:
             repo = self.repos[node]
             repo.accept(ad, now)

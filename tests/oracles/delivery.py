@@ -7,9 +7,9 @@ and its delivery ordinal, counted on ``fw.sent`` as the forwarder counts
 it), same ledger writes and instrumentation through the forwarder's own
 ``_finish``, so reports and the ledger's per-second bytes must match bit
 for bit.  A loop counts its messages in a ``{second: messages}`` dict and
-hands them over as the ``(first, counts)`` pair the forwarder books.  Visited sets are built in ascending order like the kernels' so that
-iterating them -- which orders the receivers' repair traffic -- is
-arm-independent too.
+hands them over as the ``(first, counts)`` pair the forwarder books.  The
+receivers are handed over ascending, as the kernels hand them, since their
+order is the order of the receivers' repair traffic.
 """
 
 from collections import defaultdict
@@ -42,7 +42,7 @@ def _deliver_fld(
 ) -> DeliveryReport:
     """Full Bellman-Ford flood; ``first_hop`` is latency-free."""
     if not fw.overlay.is_live(ad.source):
-        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+        return DeliveryReport(np.empty(0, dtype=np.int64))
     first_hop, _, n_messages = flood_reach_reference(
         fw.overlay, ad.source, fw.ttl
     )
@@ -57,7 +57,7 @@ def _deliver_rw(
 ) -> DeliveryReport:
     """Every walker steps through its whole draw row, one hop at a time."""
     if not fw.overlay.is_live(ad.source):
-        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+        return DeliveryReport(np.empty(0, dtype=np.int64))
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
     ordinal = fw.sent[ad.source]
@@ -93,7 +93,7 @@ def _deliver_gsa(
 ) -> DeliveryReport:
     """Per-step walk with one-hop replication over a plain visited set."""
     if not fw.overlay.is_live(ad.source):
-        return DeliveryReport(visited=frozenset(), messages=0, bytes=0.0)
+        return DeliveryReport(np.empty(0, dtype=np.int64))
     total_budget = budget if budget is not None else fw.default_budget(ad)
     per_walker = max(1, total_budget // fw.walkers)
     ordinal = fw.sent[ad.source]

@@ -341,7 +341,7 @@ class TestClockNeverRunsBackwards:
     def test_exchange_path(self):
         algo = _small_asap()
         ad = make_ad(AdType.FULL, 0)
-        algo._merge_ad(ad, 5.0, list(range(1, 12)))
+        algo._merge_ad(ad, 5.0, np.arange(1, 12))
         algo._ads_request(3, 5.0)
         with pytest.raises(SimulationError, match="runs backwards"):
             algo._ads_request(4, 4.0)

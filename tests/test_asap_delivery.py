@@ -45,13 +45,13 @@ class TestFloodForwarder:
         ov = path_overlay(5)
         fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY, ttl=6)
         report = fwd.deliver(full_ad(0), now=0.0)
-        assert report.visited == frozenset({1, 2, 3, 4})
+        assert report.visited.tolist() == [1, 2, 3, 4]
 
     def test_ttl_limits_visited(self):
         ov = path_overlay(5)
         fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY, ttl=2)
         report = fwd.deliver(full_ad(0), now=0.0)
-        assert report.visited == frozenset({1, 2})
+        assert report.visited.tolist() == [1, 2]
 
     def test_bytes_are_messages_times_ad_size(self):
         ov = path_overlay(5)
@@ -68,7 +68,7 @@ class TestFloodForwarder:
         ov.leave(0)
         fwd = FloodAdForwarder(ov, BandwidthLedger(), KEY)
         report = fwd.deliver(full_ad(0), now=0.0)
-        assert report.visited == frozenset() and report.messages == 0
+        assert report.visited.tolist() == [] and report.messages == 0
 
 
 class TestRandomWalkForwarder:
@@ -142,7 +142,7 @@ class TestRandomWalkForwarder:
             ov, BandwidthLedger(), KEY, walkers=3, budget_unit=10
         )
         report = fwd.deliver(full_ad(0), now=0.0)
-        assert report.messages == 0 and report.visited == frozenset()
+        assert report.messages == 0 and report.visited.tolist() == []
 
 
 class TestGsaForwarder:

@@ -1,15 +1,24 @@
 """End-to-end tests for the ASAP search protocol."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.asap.protocol import AsapParams, AsapSearch
 from repro.network.overlay import Overlay
 from repro.network.topology import OverlayTopology, random_topology
+from repro.obs import ActionLog, Instrumentation
+from repro.obs.actions import REPAIR
 from repro.search.base import CONFIRMATION_REPLY_BYTES, CONFIRMATION_REQUEST_BYTES
+from repro.simulation import runner
+from repro.simulation.runner import run_experiment
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import BandwidthLedger, TrafficCategory
 from repro.workload.content import ContentIndex, Document
+
+from tests.test_engine_batching_differential import small_config
 
 
 def clique_overlay(n=6, lat=10.0):
@@ -294,6 +303,87 @@ class TestChurnHandling:
         assert sorted(skipping._timers) == [0, 1, 3, 4]
         assert rest == every_rest
         assert events < every_events
+
+
+class TestOneRecordPerFact:
+    def test_a_delivery_repairs_its_lagging_receivers_in_ascending_order(self):
+        """Receivers 5 and 8 both lag the source (a frozenset of them
+        iterates 8 first): the pulls are booked, and told to the seam, 5
+        then 8.  Node 8 missed two patches and node 5 one, so the replies
+        differ in size and their order shows."""
+        edges = np.array([[0, 5], [0, 8]], dtype=np.int64)
+        topo = OverlayTopology(name="fork", n=10, edges=edges, physical_ids=np.arange(10))
+        algo, content, ledger = build_asap(
+            overlay=Overlay(topo, default_edge_latency_ms=10.0), holder=0
+        )
+        log = ActionLog()
+        algo.attach(Instrumentation(log))
+        algo._issue_full_ad(0, now=1.0)
+        assert algo.state.held_mask([5, 8], 0).all()
+        for i, away in enumerate(([8], [5, 8])):
+            for node in away:
+                algo.overlay.leave(node)
+            doc = Document(doc_id=10 + i, class_id=0, keywords=(f"a{i}", f"b{i}", f"c{i}"))
+            content.register_document(doc)
+            content.place(0, doc.doc_id, notify=False)
+            algo.on_content_change(0, doc, added=True, now=2.0 + i)
+            for node in away:
+                algo.overlay.join(node)
+        assert algo.state.versions([5, 8], 0).tolist() == [1, 0]
+        assert algo.state.behind_mask([5, 8], 0).all()
+        booked = []
+        record_each = ledger.record_each
+
+        def spy(times, category, sizes):
+            booked.append((category, np.asarray(sizes).tolist()))
+            return record_each(times, category, sizes)
+
+        ledger.record_each = spy
+        algo._issue_refresh_ad(0, now=5.0)
+        repairs = log.table(REPAIR)
+        assert repairs["node"].tolist() == [5, 8]
+        assert repairs["reply_bytes"].tolist() == [72.0, 120.0]
+        assert booked == [(TrafficCategory.PATCH_AD, [72.0, 120.0])]
+        assert not algo.state.behind_mask([5, 8], 0).any()
+
+    def test_each_live_sharer_keeps_one_pending_refresh_event(self, monkeypatch):
+        """After a churny replay every live sharer that is no free rider
+        has exactly one pending refresh event, ``_timers`` holds it and
+        ``_due[1, node]`` is its time; a departed node has none."""
+        built = {}
+        build_algorithm = runner.build_algorithm
+
+        def keep_algorithm(*args, **kwargs):
+            built["algo"] = build_algorithm(*args, **kwargs)
+            return built["algo"]
+
+        class KeptEngine(SimulationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built["engine"] = self
+
+        monkeypatch.setattr(runner, "build_algorithm", keep_algorithm)
+        monkeypatch.setattr(runner, "SimulationEngine", KeptEngine)
+        config = small_config("asap_rw", 0)
+        # More leaves than joins, so the replay ends with peers offline.
+        run_experiment(dataclasses.replace(
+            config, trace=dataclasses.replace(config.trace, n_joins=40, n_leaves=80),
+        ))
+        algo, engine = built["algo"], built["engine"]
+        pending = {}
+        for _, _, event in engine._heap:
+            if event.name.startswith("refresh-") and not event.cancelled:
+                pending.setdefault(int(event.name[len("refresh-"):]), []).append(event)
+        live = algo.overlay.live_mask
+        sharers = algo.store.is_sharer(slice(None)) & ~algo._free_riders
+        assert 0 < np.count_nonzero(~live) and np.count_nonzero(live & sharers) > 100
+        for node in np.flatnonzero(live & sharers).tolist():
+            assert len(pending[node]) == 1
+            assert algo._timers[node] is pending[node][0]
+            assert algo._due[1, node] == pending[node][0].time
+        for node in np.flatnonzero(~live).tolist():
+            assert node not in pending and node not in algo._timers
+            assert algo._due[1, node] == math.inf
 
 
 class TestSchemes:

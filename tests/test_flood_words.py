@@ -156,7 +156,7 @@ def test_a_flood_computed_ahead_is_never_delivered_after_churn(monkeypatch, chur
     report = fw.deliver(_ad(21), 2.0)
     assert kernel.passes == 2
     first_hop, _, n_messages = flood_reach_reference(ov, 21, 6)
-    assert report.visited_arr.tolist() == np.flatnonzero(first_hop > 0).tolist()
+    assert report.visited.tolist() == np.flatnonzero(first_hop > 0).tolist()
     assert report.messages == n_messages
 
 

@@ -195,11 +195,7 @@ def test_failure_cause_is_not_evaluated_without_a_tracer():
 
 def _delivery(n_messages=3):
     ad = Ad(source=4, ad_type=AdType.REFRESH, topics=frozenset({1, 2}), version=3)
-    visited = np.array([5, 6])
-    report = DeliveryReport(
-        visited=frozenset(visited.tolist()), messages=n_messages,
-        bytes=float(24 * n_messages), visited_arr=visited,
-    )
+    report = DeliveryReport(np.array([5, 6]), n_messages, float(24 * n_messages))
     return ad, report
 
 

@@ -266,7 +266,7 @@ def test_state_matches_per_repo_loop():
         }
         replication, fractions = [], []
         audience_total = covered_total = 0
-        for source in sorted(algo._advertised):
+        for source in np.flatnonzero(algo._advertised).tolist():
             topics = store.topics(source)
             if not store.is_sharer(source) or not topics:
                 continue

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import PeriodicTimer, SimulationEngine, SimulationError, ms
+from repro.sim.engine import SimulationEngine, SimulationError, ms
 
 
 class TestScheduling:
@@ -34,7 +34,7 @@ class TestScheduling:
     def test_schedule_after_is_relative(self):
         eng = SimulationEngine()
         seen = []
-        eng.schedule_at(10.0, lambda: eng.schedule_after(2.5, lambda: seen.append(eng.now)))
+        eng.schedule_at(10.0, lambda: eng.schedule_at(eng.now + 2.5, lambda: seen.append(eng.now)))
         eng.run()
         assert seen == [12.5]
 
@@ -48,7 +48,7 @@ class TestScheduling:
     def test_negative_delay_raises(self):
         eng = SimulationEngine()
         with pytest.raises(SimulationError):
-            eng.schedule_after(-1.0, lambda: None)
+            eng.schedule_at(eng.now - 1.0, lambda: None)
 
     def test_nan_time_raises(self):
         eng = SimulationEngine()
@@ -61,7 +61,7 @@ class TestScheduling:
 
         def first():
             order.append("first")
-            eng.schedule_after(1.0, lambda: order.append("second"))
+            eng.schedule_at(eng.now + 1.0, lambda: order.append("second"))
 
         eng.schedule_at(0.0, first)
         eng.run()
@@ -70,7 +70,7 @@ class TestScheduling:
     def test_event_at_current_time_during_run_executes(self):
         eng = SimulationEngine()
         order = []
-        eng.schedule_at(1.0, lambda: eng.schedule_after(0.0, lambda: order.append("x")))
+        eng.schedule_at(1.0, lambda: eng.schedule_at(eng.now, lambda: order.append("x")))
         eng.run()
         assert order == ["x"]
 
@@ -127,13 +127,22 @@ class TestDispatchOrder:
         assert not engine.step()
 
     def test_periodic_timer(self):
-        engine, log = SimulationEngine(), []
-        timer = PeriodicTimer(engine, period=1.0, callback=lambda: log.append(engine.now))
+        """A periodic timer is one pending event that reschedules itself
+        when it fires (as an ASAP refresh tick does); cancelling the
+        pending event stops it."""
+        engine, log, pending = SimulationEngine(), [], []
+
+        def tick():
+            log.append(engine.now)
+            pending[:] = [engine.schedule_at(engine.now + 1.0, tick)]
+
+        pending.append(engine.schedule_at(1.0, tick))
         engine.run(until=3.5)
-        timer.stop()
+        pending[0].cancel()
         assert log == [1.0, 2.0, 3.0]
         engine.run(until=10.0)
         assert log == [1.0, 2.0, 3.0]
+        assert engine.pending_live == 0
 
 
 class TestCancellation:
@@ -295,50 +304,6 @@ class TestSchedulerStub:
         assert SimulationEngine(scheduler="heap").pending_events == 0
         with pytest.raises(SimulationError):
             SimulationEngine(scheduler="calendar")
-
-
-class TestPeriodicTimer:
-    def test_fires_every_period(self):
-        eng = SimulationEngine()
-        times = []
-        PeriodicTimer(eng, period=2.0, callback=lambda: times.append(eng.now))
-        eng.run(until=7.0)
-        assert times == [2.0, 4.0, 6.0]
-
-    def test_phase_offsets_first_firing(self):
-        eng = SimulationEngine()
-        times = []
-        PeriodicTimer(eng, period=2.0, callback=lambda: times.append(eng.now), phase=0.5)
-        eng.run(until=5.0)
-        assert times == [0.5, 2.5, 4.5]
-
-    def test_stop_halts_firings(self):
-        eng = SimulationEngine()
-        times = []
-        timer = PeriodicTimer(eng, period=1.0, callback=lambda: times.append(eng.now))
-        eng.schedule_at(2.5, timer.stop)
-        eng.run(until=10.0)
-        assert times == [1.0, 2.0]
-        assert eng.pending_live == 0
-
-    def test_callback_can_stop_own_timer(self):
-        eng = SimulationEngine()
-        times = []
-        timer = None
-
-        def cb():
-            times.append(eng.now)
-            if len(times) == 3:
-                timer.stop()
-
-        timer = PeriodicTimer(eng, period=1.0, callback=cb)
-        eng.run(until=100.0)
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_nonpositive_period_rejected(self):
-        eng = SimulationEngine()
-        with pytest.raises(SimulationError):
-            PeriodicTimer(eng, period=0.0, callback=lambda: None)
 
 
 def test_ms_converts_to_seconds():

@@ -39,7 +39,10 @@ that imported scipy for the core's Dijkstra; the per-second-traffic one at
 the last commit whose ledger kept a dict of seconds, filled by per-second
 ``record`` loops and read by telemetry through ``_buckets``; the exact-
 telemetry one at the last commit whose telemetry kept log-bucket sketches
-and Space-Saving trackers and added up documents of different cells.
+and Space-Saving trackers and added up documents of different cells; the
+one-record-per-fact one at the last commit whose deliveries built a frozenset
+of their receivers, whose refresh ticks ran through a ``PeriodicTimer`` and
+whose super-peer tier was kept as a mask and a member list.
 """
 
 import ast
@@ -636,6 +639,29 @@ def test_a_delivery_repairs_its_lagging_receivers_in_one_step():
     assert not hasattr(AsapSearch, "_repair_plan")
     tree = ast.parse((SRC / "asap" / "protocol.py").read_text())
     assert len(_calls(_method(tree, "AsapSearch", "_merge_ad"), "_repair")) == 1
+
+
+def test_each_asap_fact_is_held_once():
+    """A delivery's receivers are one ascending array, a refresh tick is one
+    engine event, the super-peer tier is one mask."""
+    hits = [
+        f"{name}:{lineno}"
+        for name, path in ((p.relative_to(SRC), p) for p in sorted(SRC.rglob("*.py")))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bPeriodicTimer\b|\bschedule_after\b", line)
+    ]
+    assert hits == []
+    assert "frozenset" not in (SRC / "asap" / "delivery.py").read_text()
+    tree = ast.parse((SRC / "asap" / "protocol.py").read_text())
+    params = [a.arg for a in _method(tree, "AsapSearch", "_merge_ad").args.args]
+    assert params == ["self", "ad", "now", "receivers"]
+    superpeer = ast.parse((SRC / "asap" / "superpeer.py").read_text())
+    assert not [
+        node for node in ast.walk(superpeer)
+        if isinstance(node, ast.Attribute) and node.attr == "_supers"
+    ]
+    algo = _small_asap()
+    assert not any(isinstance(v, (set, frozenset)) for v in vars(algo).values())
 
 
 def test_a_search_matches_its_positions_once():

@@ -366,7 +366,7 @@ BOTH, OLD_ONLY = {0, 1}, {0}
 class Arms:
     """The same hand-driven deliveries into the product and the
     pull-per-receiver arm: physical latencies (so replies straddle seconds),
-    receivers handed over in a shuffled order beside their sorted array."""
+    receivers handed over ascending."""
 
     def __init__(self):
         substrate = get_substrate(seed=0)
@@ -384,7 +384,6 @@ class Arms:
             )
             algo.attach(Repairs())
             self.arms.append(algo)
-        self.shuffle = np.random.default_rng(11)
         self.next_doc = 0
         self.now = 1.0
 
@@ -405,11 +404,11 @@ class Arms:
         return ads
 
     def deliver(self, ads, receivers, dt=0.83):
-        """Merge one delivered ad per arm; ``receivers`` lose their order."""
+        """Merge one delivered ad per arm at ``receivers``, ascending as a
+        forwarder hands them over."""
         self.now += dt
-        order = self.shuffle.permutation(np.asarray(sorted(receivers), dtype=np.int64))
         for algo, ad in zip(self.arms, ads):
-            algo._merge_ad(ad, self.now, order.tolist(), np.sort(order))
+            algo._merge_ad(ad, self.now, np.asarray(sorted(receivers), dtype=np.int64))
 
     def minted(self, kind):
         return [getattr(algo.store, f"make_{kind}_ad")(SOURCE) for algo in self.arms]

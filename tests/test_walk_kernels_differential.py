@@ -167,7 +167,7 @@ class TestDeliveryDifferential:
             reports.append(deliver(fw, path, ad, now=50.0, budget=800))
             states.append(ledger_state(fw.ledger))
         kernel, reference = reports
-        assert kernel.visited == reference.visited
+        assert kernel.visited.tolist() == reference.visited.tolist()
         assert kernel.messages == reference.messages
         assert kernel.bytes == reference.bytes
         assert states[0] == states[1]
@@ -181,7 +181,7 @@ class TestDeliveryDifferential:
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=3), now=0.0)
-            assert report.messages == 0 and report.visited == frozenset()
+            assert report.messages == 0 and report.visited.tolist() == []
 
     @pytest.mark.parametrize("kind", FORWARDER_KINDS)
     def test_stranded_source(self, kind):
@@ -195,7 +195,7 @@ class TestDeliveryDifferential:
         )
         for path in ("deliver", "deliver_reference"):
             report = deliver(fw, path, make_ad(source=0), now=0.0)
-            assert report.messages == 0 and report.visited == frozenset()
+            assert report.messages == 0 and report.visited.tolist() == []
         assert fw.ledger.per_second() == {}
 
     @pytest.mark.parametrize("kind", FORWARDER_KINDS)
@@ -224,7 +224,7 @@ class TestDeliveryDifferential:
         k_reports, k_state = run("deliver")
         r_reports, r_state = run("deliver_reference")
         for k, r in zip(k_reports, r_reports):
-            assert k.visited == r.visited
+            assert k.visited.tolist() == r.visited.tolist()
             assert k.messages == r.messages
         assert k_state == r_state
 
@@ -240,7 +240,7 @@ def gsa_delivery_both(make_overlay_, ad, budget, seed=0, walkers=5, now=50.0):
         )
         report = deliver(fw, path, ad, now=now, budget=budget)
         arms.append((
-            (report.visited, report.messages, report.bytes),
+            (report.visited.tolist(), report.messages, report.bytes),
             ledger_state(fw.ledger),
             fw.sent,
         ))
@@ -266,7 +266,7 @@ class TestGsaDeliveryDifferential:
         hub and pushes to two unreached nodes, the cap cutting the row."""
         csr = rows_csr([[(1, 5.0)], [(v, 8.0) for v in range(2, 8)]] + [[]] * 6)
         report = gsa_delivery_both(lambda: hand_overlay(csr), make_ad(source=0), 6, walkers=2)
-        assert (report.messages, report.visited) == (6, frozenset(range(1, 6)))
+        assert (report.messages, report.visited.tolist()) == (6, list(range(1, 6)))
 
     def test_walk_steps_back_onto_its_source(self):
         """Path 0-1-2 from 1: the walk returns to its source, which then
@@ -277,14 +277,14 @@ class TestGsaDeliveryDifferential:
             lambda: Overlay(topo, edge_latencies_ms=np.array([30.0, 70.0])),
             make_ad(source=1), 4, walkers=1,
         )
-        assert (report.messages, report.visited) == (4, frozenset({0, 2}))
+        assert (report.messages, report.visited.tolist()) == (4, [0, 2])
 
     def test_walker_strands_mid_walk(self):
         """Directed 3 -> 0 -> 1 -> 2 with no way out of 2: every walker
         stops there with budget left."""
         report = gsa_delivery_both(lambda: hand_overlay(sink_csr()), make_ad(source=3), 20, walkers=2)
         # Walker 0: three steps and two pushes; walker 1: three steps.
-        assert (report.messages, report.visited) == (8, frozenset({0, 1, 2}))
+        assert (report.messages, report.visited.tolist()) == (8, [0, 1, 2])
 
 
 # ---------------------------------------------------------- walks computed ahead
@@ -357,12 +357,10 @@ def run_window(ov, window, seed, batched, budget_unit=40):
 def assert_same_window(batch, oracle):
     (b_reports, b_ledger, b_sent), (o_reports, o_ledger, o_sent) = batch, oracle
     for b, o in zip(b_reports, o_reports):
-        assert b.visited == o.visited
-        # Iteration order of ``visited`` decides repair order downstream.
-        assert list(b.visited) == list(o.visited)
+        assert b.visited.tolist() == o.visited.tolist()
+        # Receivers are ascending: the order repairs are pulled in downstream.
+        assert (np.diff(b.visited) > 0).all()
         assert (b.messages, b.bytes) == (o.messages, o.bytes)
-        if b.visited_arr is not None:
-            assert b.visited_arr.tolist() == sorted(o.visited)
     assert b_ledger == o_ledger
     assert b_sent == o_sent
 
@@ -426,7 +424,7 @@ class TestLockstepBatchDifferential:
             r for r, (_, _, ad, _) in zip(batch[0], sorted(window, key=lambda e: e[:2]))
             if ad.source == 11
         ]
-        assert [(r.messages, r.visited) for r in stranded] == [(0, frozenset())]
+        assert [(r.messages, r.visited.tolist()) for r in stranded] == [(0, [])]
         assert batch[2][11] == 1
         assert_same_window(batch, oracle)
 
@@ -1038,7 +1036,7 @@ class TestGsaSearchDifferential:
             seen = []
             for i, node in enumerate(order):
                 report = deliver(fw, "deliver" if rows else "reference", make_ad(), 10.0 * i, 200)
-                seen.append((report.visited, report.messages))
+                seen.append((report.visited.tolist(), report.messages))
                 seen.append(outcome_tuple(search(0, ["rock"], 10.0 * i + 5.0)))
                 ov.leave(node)
                 if i % 2:
@@ -1117,5 +1115,5 @@ class TestGsaDrawSizing:
             now=0.0,
             budget=5,
         )
-        assert report.visited == ref.visited
+        assert report.visited.tolist() == ref.visited.tolist()
         assert report.messages == ref.messages

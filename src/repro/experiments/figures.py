@@ -68,11 +68,11 @@ class ExperimentScale:
     # RunResult then carries an AuditReport and a run fingerprint.
     audit: bool = False
     # Collect streaming telemetry in every cell (repro.obs.telemetry):
-    # each RunResult then carries a mergeable summary document -- the
+    # each RunResult then carries its own summary document -- the
     # trace-free path to the Fig. 9 per-window load view and hotspots.
     telemetry: bool = False
     # Record protocol-state snapshots in every cell (repro.obs.probes):
-    # each RunResult then carries a mergeable summary document -- per-tick ad
+    # each RunResult then carries its own summary document -- per-tick ad
     # coverage, staleness and cache-health series.
     probes: bool = False
     # Worker processes for grid population (1 = serial, 0 = all cores).
@@ -81,8 +81,8 @@ class ExperimentScale:
     @staticmethod
     def paper() -> "ExperimentScale":
         """The paper's full configuration: minutes per cell, a peak of
-        1,136-1,140 MB for an ASAP cell (BENCH_SCALEUP.json records one
-        cell per algorithm)."""
+        938-943 MB for an ASAP cell (BENCH_SCALEUP.json, entry
+        ``ads_exchange``)."""
         return ExperimentScale(n_peers=10_000, n_queries=30_000)
 
     def config(self, algorithm: str, topology: str) -> RunConfig:

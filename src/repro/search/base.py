@@ -130,6 +130,10 @@ class SearchAlgorithm(abc.ABC):
         Baselines need none; the default is a no-op.
         """
 
+    def plan_queries(self, times, requesters) -> None:
+        """When the replay will search and from which nodes; an algorithm
+        that computes searches ahead reads it, the default ignores it."""
+
     def on_join(self, node: int, now: float) -> None:
         """Called after ``node`` came online (overlay already updated)."""
 

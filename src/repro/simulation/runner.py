@@ -233,6 +233,9 @@ def run_experiment(
           if isinstance(event, (JoinEvent, LeaveEvent))),
         until,
     ])
+    queries = [event for event in trace.events if isinstance(event, QueryEvent)]
+    query_times = [config.warmup_s + event.time for event in queries]
+    algorithm.plan_queries(query_times, [event.node for event in queries])
     for event in trace.events:
         engine.schedule_at(
             config.warmup_s + event.time, lambda e=event: handle(e), name="trace"
@@ -285,10 +288,7 @@ def run_experiment(
             t_end=t_end,
             load_categories=algorithm.load_categories,
             outcomes=outcomes,
-            query_times=[
-                config.warmup_s + event.time
-                for event in trace.events if isinstance(event, QueryEvent)
-            ],
+            query_times=query_times,
         )
     if log is not None:
         result.actions = log

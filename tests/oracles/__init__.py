@@ -35,11 +35,11 @@ frozen by ``tests/golden/run_fingerprints.json``.
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
-from repro.search import flooding
+from repro.sim import kernels
 from repro.simulation import runner
 
 from tests.oracles.asap import OracleAsapSearch
-from tests.oracles.flood import flood_reach_reference
+from tests.oracles.flood import flood_frontier_reference
 
 __all__ = ["oracle_arm"]
 
@@ -49,12 +49,12 @@ def oracle_arm():
     """Build and run experiments on the oracles instead of the product paths.
 
     Covers flat ASAP (storage, delivery, dissemination, ads requests) and
-    the flood kernel behind flooding search.
+    the flood kernel behind flooding search (every row of a pass).
     """
     with ExitStack() as stack:
         for target, name, oracle in (
             (runner, "AsapSearch", OracleAsapSearch),
-            (flooding, "flood_reach", flood_reach_reference),
+            (kernels, "flood_frontier", flood_frontier_reference),
         ):
             stack.enter_context(mock.patch.object(target, name, oracle))
         yield

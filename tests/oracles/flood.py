@@ -4,7 +4,9 @@ checks against ``topology.edges`` + the live mask on its own).
 
 The pre-kernel implementation of :func:`repro.search.flooding.flood_reach`
 (same contract, bit-identical outputs): TTL rounds of ``np.minimum.at``
-over every live edge, no frontier bookkeeping.
+over every live edge, no frontier bookkeeping, one source at a time.
+:func:`flood_frontier_reference` stacks such floods into the rows of a
+:func:`repro.sim.kernels.flood_frontier` pass.
 """
 
 from typing import Tuple
@@ -14,7 +16,7 @@ import numpy as np
 from repro.network.overlay import Overlay
 from repro.sim.kernels import WalkCsr
 
-__all__ = ["flood_reach_reference"]
+__all__ = ["flood_frontier_reference", "flood_reach_reference"]
 
 Flood = Tuple[np.ndarray, np.ndarray, int]
 
@@ -54,3 +56,12 @@ def flood_reach_reference(overlay: Overlay, source: int, ttl: int) -> Flood:
     if not overlay.is_live(source):
         raise ValueError(f"flood source {source} is offline")
     return _flood_edges(overlay.n, *_csr_edges(overlay.walk_csr()), source, ttl)
+
+
+def flood_frontier_reference(csr: WalkCsr, sources, ttl: int):
+    """``(first_hop, arrival_ms, n_messages)`` of a pass: one
+    :func:`flood_reach_reference` flood per source, stacked as rows."""
+    edges = _csr_edges(csr)
+    floods = [_flood_edges(csr.n, *edges, source, ttl) for source in sources]
+    first_hop, arrival, n_messages = zip(*floods)
+    return np.stack(first_hop), np.stack(arrival), np.array(n_messages)

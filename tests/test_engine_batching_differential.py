@@ -104,6 +104,53 @@ class TestFloodKernelDifferential:
         assert got.tolist() == np.flatnonzero(fh_r > 0).tolist()
         assert msg_k == msg_r
 
+    @staticmethod
+    def assert_pass_rows_match(ov, sources, ttl):
+        first_hop, arrival, n_messages = kernels.flood_frontier(
+            ov.walk_csr(), sources, ttl
+        )
+        assert first_hop.shape == arrival.shape == (len(sources), ov.n)
+        for row, source in enumerate(sources):
+            fh_r, arr_r, msg_r = flood_reach_reference(ov, source, ttl)
+            assert np.array_equal(first_hop[row], fh_r)
+            assert np.array_equal(arrival[row], arr_r)  # bit-equal floats
+            assert n_messages[row] == msg_r
+
+    @pytest.mark.parametrize("kind", ["random", "powerlaw", "crawled"])
+    @pytest.mark.parametrize("ttl", [1, 2, 3, 4, 5, 6])
+    def test_every_row_of_a_pass_is_the_reference_flood(self, kind, ttl):
+        """Passes of 1, 2, 16 and the byte budget's largest number of
+        sources, on every overlay kind, then on a churned copy."""
+        from repro.network.topology import build_topology
+
+        topo = build_topology(kind, 300, rng=np.random.default_rng(ttl))
+        ov = Overlay(topo, default_edge_latency_ms=15.0)
+        rng = np.random.default_rng(100 + ttl)
+        widest = kernels.flood_pass_sources(ov.walk_csr())
+        for churned in (False, True):
+            if churned:
+                for node in rng.choice(300, 40, replace=False).tolist():
+                    ov.leave(node)
+            live = np.flatnonzero(ov.live_mask)
+            for size in (1, 2, 16, widest):
+                sources = rng.choice(live, size, replace=False).tolist()
+                self.assert_pass_rows_match(ov, sources, ttl)
+
+    def test_isolated_and_dying_floods_share_a_pass(self):
+        """An isolated source and a flood that dies out at hop 2 ride in a
+        pass with floods that reach their TTL."""
+        ov = make_overlay(4)
+        for v in ov.live_neighbors(0)[0].tolist():
+            ov.leave(v)
+        assert not len(ov.live_neighbors(0)[0])
+        live = [v for v in np.flatnonzero(ov.live_mask).tolist() if v != 0]
+        self.assert_pass_rows_match(ov, [live[0], 0, *live[1:15]], 6)
+        n = 12
+        edges = np.array([[0, 1], [1, 2]] + [[i, i + 1] for i in range(3, n - 1)])
+        topo = OverlayTopology(name="paths", n=n, edges=edges, physical_ids=np.arange(n))
+        paths = Overlay(topo, default_edge_latency_ms=10.0)
+        self.assert_pass_rows_match(paths, [3, 0, 11], 6)
+
 
 # ----------------------------------------------------------- run-level equal
 def run_fingerprint(config):

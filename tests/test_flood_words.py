@@ -189,3 +189,51 @@ def test_companions_change_no_result(monkeypatch, seed):
         assert run_fingerprint(config) == scheduled
     single_passes = kernel.passes // 2
     assert batched_passes < single_passes / 2
+
+
+# ----------------------------------------------------------- flooding search
+def test_search_floods_computed_ahead_change_no_result(monkeypatch):
+    """A heavy-churn flooding cell: the same audited run fingerprint with
+    the query plan, with none (every flood alone), with the plan shuffled
+    and with no churn plan (floods computed past a join or leave, which
+    the new CSR drops); the plan floods in fewer than half the passes."""
+    from dataclasses import replace
+
+    from repro.network.overlay import Overlay
+    from repro.search.flooding import FloodingSearch
+
+    base = small_config("flooding", 0)
+    config = replace(base, trace=replace(base.trace, n_joins=40, n_leaves=40))
+    calls = {"n": 0}
+    real = kernels.flood_frontier
+
+    def counted(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "flood_frontier", counted)
+    planned = run_fingerprint(config)
+    assert planned is not None
+    plan_passes = calls["n"]
+    plan = FloodingSearch.plan_queries
+
+    def shuffled(self, times, requesters):
+        order = np.random.default_rng(1).permutation(len(times))
+        plan(self, np.asarray(times), np.asarray(requesters)[order])
+
+    def single(self, times, requesters):
+        plan(self, [], [])
+
+    for name, patch in (("plan_queries", shuffled), ("plan_churn", None)):
+        with monkeypatch.context() as m:
+            if patch is None:
+                m.setattr(Overlay, "plan_churn", lambda self, times: None)
+            else:
+                m.setattr(FloodingSearch, name, patch)
+            assert run_fingerprint(config) == planned
+    with monkeypatch.context() as m:
+        m.setattr(FloodingSearch, "plan_queries", single)
+        calls["n"] = 0
+        assert run_fingerprint(config) == planned
+        floods = calls["n"]
+    assert plan_passes < floods / 2

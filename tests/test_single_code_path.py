@@ -800,6 +800,41 @@ def test_the_flood_relaxation_is_written_once():
     assert relaxers == ["flood_frontier"]
 
 
+def test_search_floods_have_one_multi_source_kernel(monkeypatch):
+    """``flood_reach`` and ``FloodingSearch`` both reach ``flood_frontier``,
+    which takes a list of sources; no per-source flood loop calls it."""
+    from repro.search import flooding
+
+    assert list(inspect.signature(kernels.flood_frontier).parameters) == [
+        "csr", "sources", "ttl"
+    ]
+    seen = []
+    real = kernels.flood_frontier
+
+    def spy(csr, sources, ttl):
+        seen.append(len(sources))
+        return real(csr, sources, ttl)
+
+    monkeypatch.setattr(kernels, "flood_frontier", spy)
+    topo = random_topology(60, avg_degree=4.0, rng=np.random.default_rng(0))
+    overlay = Overlay(topo, default_edge_latency_ms=10.0)
+    flooding.flood_reach(overlay, 0, 6)
+    search = flooding.FloodingSearch(overlay, ContentIndex(), BandwidthLedger())
+    search.plan_queries([1.0, 2.0], [3, 4])
+    search._flood(3, 1.0)
+    assert seen == [1, 2]
+    looped = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for loop in ast.walk(tree):
+            if isinstance(loop, (ast.For, ast.While, ast.comprehension)):
+                body = loop.body if not isinstance(loop, ast.comprehension) else []
+                for stmt in body:
+                    if _calls(stmt, "flood_frontier"):
+                        looped.append(f"{path.relative_to(SRC)}:{loop.lineno}")
+    assert looped == []
+
+
 def test_ad_floods_have_one_bfs_kernel_and_one_caller():
     """Hop counts come from one bit-parallel pass, a single flood being a
     pass with one bit set; only ASAP(FLD)'s forwarder runs it."""

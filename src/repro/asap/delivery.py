@@ -37,7 +37,7 @@ forwarder reproduces its loop bit-for-bit.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -130,8 +130,9 @@ def walk_draws(
 class AdForwarder(abc.ABC):
     """Carries ads from a source across the live overlay.
 
-    :attr:`_ahead` maps each source to a delivery computed ahead on
-    :attr:`_csr`; a join or leave (a new CSR) drops it.
+    :attr:`_ahead` maps each source to a delivery computed ahead on the
+    current CSR (:class:`~repro.sim.kernels.Ahead`); a join or leave
+    drops it.
     """
 
     def __init__(
@@ -150,16 +151,7 @@ class AdForwarder(abc.ABC):
         # send an ad on the protocol's schedule (see :data:`Schedule`).
         # AsapSearch sets it; forwarders read it to pick companions.
         self.schedule: Callable[[float, int], Schedule] = _nothing_due
-        self._csr: Optional[kernels.WalkCsr] = None
-        self._ahead: Dict[int, tuple] = {}
-
-    def _computed(self, source: int) -> Tuple[kernels.WalkCsr, Optional[tuple]]:
-        """The current CSR and what was computed ahead on it for
-        ``source``'s delivery (taken out of :attr:`_ahead`), or None."""
-        csr = self.overlay.walk_csr()
-        if csr is not self._csr:
-            self._csr, self._ahead = csr, {}
-        return csr, self._ahead.pop(source, None)
+        self._ahead = kernels.Ahead()
 
     @abc.abstractmethod
     def deliver(
@@ -232,7 +224,7 @@ class FloodAdForwarder(AdForwarder):
         source = ad.source
         if not self.overlay.is_live(source):
             return _undelivered()
-        csr, flood = self._computed(source)
+        csr, flood = self._ahead.take(self.overlay, source)
         if flood is None:
             flood = self._flood(csr, source, now)
         visited, n_messages = kernels.flood_receivers(csr, *flood, source)
@@ -312,7 +304,7 @@ class RandomWalkAdForwarder(_WalkForwarderBase):
         if not self.overlay.is_live(source):
             return _undelivered()
         per_walker, ordinal = self._start(ad, budget)
-        csr, walk = self._computed(source)
+        csr, walk = self._ahead.take(self.overlay, source)
         want = (self.key, ordinal, per_walker, now)
         if walk is None or walk[0] != want:
             walk = self._walk(csr, source, want)
